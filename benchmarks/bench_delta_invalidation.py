@@ -134,7 +134,7 @@ def _localized_delta(db, sequence: int):
 
 def _occupancy(reranker: QueryReranker):
     return (
-        len(reranker.result_cache.export_entries()),
+        len(reranker.result_cache.export_snapshot()[0]),
         len(reranker.feed_store),
         int(reranker.dense_index.describe()["regions"]),
     )

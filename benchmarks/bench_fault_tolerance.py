@@ -29,6 +29,8 @@ run identically under ``--bench-quick``.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from benchmarks._tables import print_table
@@ -71,7 +73,10 @@ class ManualClock:
         self.now += seconds
 
 
-def _make_federation(environment, fault_plan=None):
+def _make_federation(environment, fault_plan=None, clock=time.monotonic):
+    """A 3-shard federation with its own shard-level result cache; the
+    bench's resilience policy and the breakers' ``clock`` are fixed at
+    construction, like every guard."""
     return build_federation(
         catalog=environment.diamond_catalog,
         schema=environment.diamond_schema,
@@ -83,14 +88,15 @@ def _make_federation(environment, fault_plan=None):
         latency_mean=environment.latency_seconds,
         latency_seed=environment.seed,
         fault_plan=fault_plan,
+        result_cache=RerankConfig().make_result_cache(),
+        resilience=RESILIENCE,
+        clock=clock,
     )
 
 
 def _flush_shard_caches(federation):
     """Retire every shard's cached answers so the next phase pays live
     round trips again."""
-    if federation.result_cache is None:
-        return
     for index in range(federation.shard_count):
         federation.invalidate_shard(index)
 
@@ -170,9 +176,8 @@ def test_chaos_differential(benchmark, environment, bench_quick):
 
     def run():
         reference = _make_federation(environment)
-        chaos = _make_federation(environment, fault_plan=CHAOS_PLAN)
         clock = ManualClock()
-        chaos.configure_resilience(RESILIENCE, clock=clock)
+        chaos = _make_federation(environment, fault_plan=CHAOS_PLAN, clock=clock)
 
         reference_outcomes = _run_rerank_workload(reference, scenarios)
 
@@ -203,8 +208,9 @@ def test_chaos_differential(benchmark, environment, bench_quick):
         # driven through the same trace lands on identical fault draws and
         # per-query outcomes, byte for byte.
         def replay_profile():
-            rebuilt = _make_federation(environment, fault_plan=CHAOS_PLAN)
-            rebuilt.configure_resilience(RESILIENCE, clock=ManualClock())
+            rebuilt = _make_federation(
+                environment, fault_plan=CHAOS_PLAN, clock=ManualClock()
+            )
             outcomes = _run_scatter_workload(rebuilt, scatter_count)
             return outcomes, [
                 (shard.schedule_index, shard.fault_counts())

@@ -4,21 +4,20 @@ PR 6 partitions a source's catalog across N per-shard hidden web databases
 behind a :class:`~repro.webdb.federation.FederatedInterface`.  The federation
 must be *invisible* to the reranking layer: the same query against the same
 logical catalog has to produce the same pages in the same emission order as
-the unsharded reference engine, whichever way the catalog is partitioned and
-whichever federation mode executes it.  This bench enforces that:
+the unsharded reference engine, whichever way the catalog is partitioned.
+This bench enforces that:
 
 * **SCATTER** — representative 1D and MD workloads per source run against
   federations of 2 and 4 shards (hidden-rank round-robin and ``price``-range
-  partitions) in both federation modes.  Pages must be byte-identical to the
-  unsharded reference; scatter mode must stay within the 1.5x external-query
-  budget (it is exactly 1.0x — the unmodified algorithms cannot see the shard
-  layer); merge mode's per-shard descent overhead is reported.  A pruning
+  partitions).  Pages must be byte-identical to the unsharded reference and
+  the external-query count must stay within the 1.5x budget (it is exactly
+  1.0x — the unmodified algorithms cannot see the shard layer).  A pruning
   probe (attribute sharding + a filter inside one partition) must skip
   non-intersecting shards and still match the reference byte for byte.
 * **DIFFERENTIAL** — a randomized sweep over sources, shard counts,
   partitioning schemes, filters, rankings (1D and MD), and algorithms
-  (BINARY/RERANK/TA): every page of every trial must be byte-identical across
-  unsharded / scatter / merge, and scatter must hold the query budget.
+  (BINARY/RERANK/TA): every page of every trial must be byte-identical
+  between unsharded and federated, within the query budget.
 
 The correctness gates (byte-identical pages, query budget) always run;
 ``--bench-quick`` shrinks the workload for CI.
@@ -39,7 +38,7 @@ QUERY_BUDGET = 1.5
 @pytest.mark.benchmark(group="shard-scatter")
 def test_shard_scatter_byte_identical(benchmark, environment, bench_quick):
     """Federated scatter-gather must reproduce the unsharded engine byte for
-    byte at <= 1.5x the external queries (scatter mode is exactly 1.0x)."""
+    byte at <= 1.5x the external queries (it is exactly 1.0x)."""
     shard_counts = (2,) if bench_quick else SHARD_COUNTS
 
     def run():
@@ -49,19 +48,19 @@ def test_shard_scatter_byte_identical(benchmark, environment, bench_quick):
     for source, data in payload.items():
         for label, workload in data["workloads"].items():
             rows = [
-                f"{'shards':>7s} {'by':>6s} {'mode':>8s} {'queries':>8s} "
+                f"{'shards':>7s} {'by':>6s} {'queries':>8s} "
                 f"{'ratio':>6s} {'fanout':>7s} {'match':>6s}"
             ]
             for run_info in workload["runs"]:
                 rows.append(
                     f"{run_info['shards']:>7d} {run_info['by']:>6s} "
-                    f"{run_info['mode']:>8s} {run_info['external_queries']:>8d} "
+                    f"{run_info['external_queries']:>8d} "
                     f"{run_info['query_ratio']:>6.2f} "
                     f"{run_info['fan_out']['total']:>7d} "
                     f"{str(run_info['pages_match']):>6s}"
                 )
             rows.append(
-                f"{'(ref)':>7s} {'-':>6s} {'-':>8s} "
+                f"{'(ref)':>7s} {'-':>6s} "
                 f"{workload['reference_queries']:>8d} {1.0:>6.2f}"
             )
             print_table(
@@ -73,9 +72,6 @@ def test_shard_scatter_byte_identical(benchmark, environment, bench_quick):
                 {
                     f"{source}_{label}_reference_queries": workload["reference_queries"],
                     f"{source}_{label}_max_scatter_ratio": workload["max_scatter_ratio"],
-                    f"{source}_{label}_max_merge_ratio": round(
-                        workload["max_merge_ratio"], 2
-                    ),
                 }
             )
             # Correctness gates: always enforced.
@@ -84,7 +80,7 @@ def test_shard_scatter_byte_identical(benchmark, environment, bench_quick):
                 f"reference: {workload['runs']}"
             )
             assert workload["max_scatter_ratio"] <= QUERY_BUDGET, (
-                f"{source}/{label}: scatter mode exceeded the "
+                f"{source}/{label}: the federation exceeded the "
                 f"{QUERY_BUDGET}x external-query budget "
                 f"({workload['max_scatter_ratio']:.2f}x)"
             )
@@ -103,8 +99,8 @@ def test_shard_scatter_byte_identical(benchmark, environment, bench_quick):
 @pytest.mark.benchmark(group="shard-scatter")
 def test_shard_randomized_differential(benchmark, environment, bench_quick):
     """Randomized (source, shards, partitioning, filter, ranking, algorithm)
-    trials: unsharded / scatter / merge pages must be byte-identical and
-    scatter must hold the external-query budget."""
+    trials: unsharded and federated pages must be byte-identical and the
+    federation must hold the external-query budget."""
     trials = 4 if bench_quick else 8
 
     def run():
@@ -118,7 +114,6 @@ def test_shard_randomized_differential(benchmark, environment, bench_quick):
             f"{trial['by']:>6s} {trial['algorithm']:>7s} "
             f"ref={trial['reference_queries']:>4d} "
             f"scatter={trial['scatter_queries']:>4d} "
-            f"merge={trial['merge_queries']:>4d} "
             f"match={trial['pages_match']}"
         )
     print_table(
@@ -131,7 +126,6 @@ def test_shard_randomized_differential(benchmark, environment, bench_quick):
             "trials": trials,
             "all_match": payload["all_match"],
             "max_scatter_ratio": payload["max_scatter_ratio"],
-            "max_merge_ratio": round(payload["max_merge_ratio"], 2),
         }
     )
     for trial in payload["trials"]:

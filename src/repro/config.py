@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.webdb.cache import QueryResultCache
 from repro.webdb.faults import FaultPlan
 from repro.webdb.resilience import ResilienceConfig
 
@@ -33,19 +34,15 @@ class DatabaseConfig:
     latency_jitter:
         Fractional jitter applied around ``latency_seconds`` when the latency
         model draws random delays.
-    fail_rate:
-        Probability that a query transiently fails (the client retries).
-        Mimics flaky remote endpoints; ``0.0`` in tests.  Shorthand for a
-        :class:`~repro.webdb.faults.FaultPlan` with only ``transient_rate``
-        set — an explicit ``fault_plan`` overrides it.
     fault_plan:
-        Deterministic fault schedule wrapped around every source (and every
-        shard of a federated source) built from this configuration; see
-        :class:`~repro.webdb.faults.FaultPlan`.  ``None`` (plus
-        ``fail_rate == 0``) keeps the sources perfectly reliable.
+        Deterministic fault schedule injected into every source (and, with a
+        per-shard seed offset, every shard of a federated source) built from
+        this configuration; see :class:`~repro.webdb.faults.FaultPlan`.
+        ``None`` keeps the sources perfectly reliable, and a no-op plan
+        leaves the query path unchanged.
     seed:
-        Seed for the database's internal randomness (latency draws, failure
-        draws).  Catalog generation takes its own seed.
+        Seed for the database's internal randomness (latency draws).
+        Catalog generation and the fault plan take their own seeds.
     engine:
         Execution engine answering search queries: ``"indexed"`` (default)
         runs the vectorized columnar engine with index-assisted planning;
@@ -82,7 +79,6 @@ class DatabaseConfig:
     system_k: int = 20
     latency_seconds: float = 0.0
     latency_jitter: float = 0.25
-    fail_rate: float = 0.0
     seed: int = 7
     engine: str = "indexed"
     shards: int = 1
@@ -91,20 +87,6 @@ class DatabaseConfig:
     columnar_backend: str = "buffer"
     fault_plan: Optional[FaultPlan] = None
 
-    def effective_fault_plan(self) -> Optional[FaultPlan]:
-        """The fault schedule this configuration asks for: the explicit
-        ``fault_plan`` when set, otherwise a transient-only plan derived from
-        the legacy ``fail_rate`` knob, otherwise ``None``."""
-        if self.fault_plan is not None:
-            return None if self.fault_plan.is_noop else self.fault_plan
-        if self.fail_rate > 0.0:
-            return FaultPlan(seed=self.seed, transient_rate=self.fail_rate)
-        return None
-
-    def with_fault_plan(self, plan: Optional[FaultPlan]) -> "DatabaseConfig":
-        """Return a copy of this configuration with a fault schedule set."""
-        return replace(self, fault_plan=plan)
-
     def with_latency(self, seconds: float, sleep: Optional[bool] = None) -> "DatabaseConfig":
         """Return a copy of this configuration with a different latency
         (optionally switching between accounted and real-sleep modes)."""
@@ -112,18 +94,9 @@ class DatabaseConfig:
             return replace(self, latency_seconds=seconds)
         return replace(self, latency_seconds=seconds, latency_sleep=sleep)
 
-    def with_engine(self, engine: str) -> "DatabaseConfig":
-        """Return a copy of this configuration with a different engine."""
-        return replace(self, engine=engine)
-
     def with_shards(self, shards: int, by: str = "rank") -> "DatabaseConfig":
         """Return a copy of this configuration with a sharded catalog."""
         return replace(self, shards=shards, shard_by=by)
-
-    def with_columnar_backend(self, backend: str) -> "DatabaseConfig":
-        """Return a copy of this configuration with a different columnar
-        storage backend (``"buffer"``, ``"list"``, ``"array"``, ``"numpy"``)."""
-        return replace(self, columnar_backend=backend)
 
 
 @dataclass(frozen=True)
@@ -195,20 +168,12 @@ class RerankConfig:
     rerank_feed_ttl_seconds:
         Lifetime of a feed from creation; ``None`` disables expiry (correct
         for the immutable simulated databases).
-    federation_mode:
-        How requests against a federated (sharded) source execute:
-        ``"scatter"`` (default) runs the unmodified algorithms against the
-        federation facade — every external query scatters to the live
-        shards and gathers one merged page, so the session-level query
-        accounting is identical to the unsharded engine; ``"merge"`` builds
-        one Get-Next stream *per shard* and lazily merges their verified
-        emissions TA-style, which tolerates heterogeneous per-shard ``k``
-        at the cost of per-shard descents.  Both modes emit byte-identical
-        pages in the same order as the unsharded reference.
     resilience:
         Retry / circuit-breaker / deadline policy applied to every source
-        query (see :class:`~repro.webdb.resilience.ResilienceConfig`).  The
-        defaults are inert against reliable sources — no fault means no
+        query (see :class:`~repro.webdb.resilience.ResilienceConfig`); the
+        registry hands it to each source's
+        :class:`~repro.webdb.stack.SourceStack` when the source is built.
+        The defaults are inert against reliable sources — no fault means no
         retry and a breaker that never opens — so resilience is always on.
     """
 
@@ -228,8 +193,20 @@ class RerankConfig:
     enable_rerank_feed: bool = True
     rerank_feed_size: int = 256
     rerank_feed_ttl_seconds: Optional[float] = None
-    federation_mode: str = "scatter"
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+
+    def make_result_cache(self) -> Optional[QueryResultCache]:
+        """A fresh query-result cache sized by the ``result_cache_*`` knobs,
+        or ``None`` when the cache is disabled.  Whoever builds a source
+        creates the cache and hands the same object to the federation (shard
+        namespaces) and the reranker (federated namespace)."""
+        if not self.enable_result_cache:
+            return None
+        return QueryResultCache(
+            max_entries=self.result_cache_size,
+            ttl_seconds=self.result_cache_ttl_seconds,
+            enable_containment=self.result_cache_containment,
+        )
 
     def without_parallel(self) -> "RerankConfig":
         """Copy of this configuration with parallel processing disabled."""
@@ -261,17 +238,6 @@ class RerankConfig:
         """Copy of this configuration with the shared rerank feed disabled
         (every session runs the full Get-Next algorithm privately)."""
         return replace(self, enable_rerank_feed=False)
-
-    def with_federation_mode(self, mode: str) -> "RerankConfig":
-        """Copy of this configuration with a different federated execution
-        mode (``"scatter"`` or ``"merge"``)."""
-        if mode not in ("scatter", "merge"):
-            raise ValueError(f"unknown federation mode {mode!r}")
-        return replace(self, federation_mode=mode)
-
-    def with_resilience(self, resilience: ResilienceConfig) -> "RerankConfig":
-        """Copy of this configuration with a different resilience policy."""
-        return replace(self, resilience=resilience)
 
 
 @dataclass(frozen=True)
@@ -361,54 +327,3 @@ class ServiceConfig:
     warming_interval_seconds: Optional[float] = None
     warming_top_requests: int = 8
     warming_pages: int = 2
-
-    def with_warming(
-        self,
-        interval_seconds: Optional[float],
-        top_requests: Optional[int] = None,
-        pages: Optional[int] = None,
-    ) -> "ServiceConfig":
-        """Copy of this configuration with feed-warming knobs set."""
-        updated = replace(self, warming_interval_seconds=interval_seconds)
-        if top_requests is not None:
-            if top_requests < 0:
-                raise ValueError("warming_top_requests must be non-negative")
-            updated = replace(updated, warming_top_requests=top_requests)
-        if pages is not None:
-            if pages <= 0:
-                raise ValueError("warming_pages must be positive")
-            updated = replace(updated, warming_pages=pages)
-        return updated
-
-    def with_serving(
-        self,
-        workers: int,
-        queue_depth: Optional[int] = None,
-        slo_p99_seconds: Optional[float] = None,
-        reaper_interval_seconds: Optional[float] = None,
-    ) -> "ServiceConfig":
-        """Copy of this configuration with concurrent-serving knobs set."""
-        if workers <= 0:
-            raise ValueError("serving_workers must be positive")
-        updated = replace(self, serving_workers=workers)
-        if queue_depth is not None:
-            if queue_depth <= 0:
-                raise ValueError("admission_queue_depth must be positive")
-            updated = replace(updated, admission_queue_depth=queue_depth)
-        if slo_p99_seconds is not None:
-            updated = replace(updated, slo_p99_seconds=slo_p99_seconds)
-        if reaper_interval_seconds is not None:
-            updated = replace(updated, reaper_interval_seconds=reaper_interval_seconds)
-        return updated
-
-    def with_request_deadline(self, seconds: Optional[float]) -> "ServiceConfig":
-        """Copy of this configuration with the concurrent tier's per-request
-        wall-clock deadline set (``None`` disables it)."""
-        if seconds is not None and seconds <= 0:
-            raise ValueError("request_deadline_seconds must be positive")
-        return replace(self, request_deadline_seconds=seconds)
-
-
-DEFAULT_DATABASE_CONFIG = DatabaseConfig()
-DEFAULT_RERANK_CONFIG = RerankConfig()
-DEFAULT_SERVICE_CONFIG = ServiceConfig()

@@ -85,9 +85,8 @@ class GetNextStream:
 
     @property
     def engine(self):
-        """The engine (or engine-like owner, e.g. a
-        :class:`~repro.core.federated.ShardStreamGroup`) this stream shuts
-        down on close; ``None`` when the stream owns no engine."""
+        """The engine this stream shuts down on close; ``None`` when the
+        stream owns no engine."""
         return self._engine
 
     @property

@@ -30,9 +30,12 @@ free of threading and bookkeeping concerns.
 
 from __future__ import annotations
 
+import enum
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RerankConfig
 from repro.core.stats import RerankStatistics
@@ -41,24 +44,30 @@ from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget, QueryLog
 from repro.webdb.interface import SearchResult, TopKInterface
 from repro.webdb.query import SearchQuery
-from repro.webdb.resilience import ResilienceStatistics
 
 
-def _locate_resilience_statistics(
-    interface: TopKInterface,
-) -> Optional[ResilienceStatistics]:
-    """Walk the interface's wrapper chain for the shared resilience counters
-    (a :class:`~repro.webdb.resilience.ResilientInterface` or a configured
-    :class:`~repro.webdb.federation.FederatedInterface` exposes them)."""
-    current: Optional[object] = interface
-    for _ in range(16):
-        if current is None:
-            return None
-        stats = getattr(current, "resilience_statistics", None)
-        if isinstance(stats, ResilienceStatistics):
-            return stats
-        current = getattr(current, "inner", None) or getattr(current, "_inner", None)
-    return None
+class QueryOutcome(enum.Enum):
+    """How one query of a group was settled.  Only ``ISSUED`` is paid for."""
+
+    ISSUED = "issued"  #: this engine's round trip answered
+    HIT = "hit"  #: answered from a stored entry
+    CONTAINED = "contained"  #: derived from a covering superset entry
+    COALESCED = "coalesced"  #: rode along another caller's round trip
+    STALE = "stale"  #: the round trip failed; a generation-stale entry answered
+    FAILED = "failed"  #: the round trip raised and nothing could answer
+    UNISSUED = "unissued"  #: never attempted (sequential tail after a failure)
+
+
+_OUTCOME_OF = {
+    FetchStatus.MISS: QueryOutcome.ISSUED,
+    FetchStatus.HIT: QueryOutcome.HIT,
+    FetchStatus.CONTAINED: QueryOutcome.CONTAINED,
+    FetchStatus.COALESCED: QueryOutcome.COALESCED,
+    FetchStatus.STALE: QueryOutcome.STALE,
+}
+
+#: One query's answer (``None`` when it has none) and how it was settled.
+Settled = Tuple[Optional[SearchResult], QueryOutcome]
 
 
 class QueryEngine:
@@ -82,12 +91,16 @@ class QueryEngine:
         self.query_log = query_log or QueryLog()
         self._cache = result_cache if self._config.enable_result_cache else None
         self._cache_namespace = cache_namespace or default_namespace(interface)
+        # Read per row by the MD algorithms: resolve the interface's property
+        # chain (stack -> database -> schema) once.
+        self._key_column = interface.key_column
         self._group_counter = 0
         self._group_lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        self._resilience_stats: Optional[ResilienceStatistics] = None
-        self._resilience_resolved = False
+        # The guards' shared counters (``None`` over an unguarded source),
+        # read around each group to attribute retries to this request.
+        self._resilience_stats = interface.resilience_statistics
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -135,7 +148,7 @@ class QueryEngine:
     @property
     def key_column(self) -> str:
         """Tuple identifier column of the underlying interface."""
-        return self._interface.key_column
+        return self._key_column
 
     def queries_issued(self) -> int:
         """External queries issued through this engine."""
@@ -148,15 +161,6 @@ class QueryEngine:
         with self._group_lock:
             self._group_counter += 1
             return self._group_counter
-
-    def _locate_resilience(self) -> Optional[ResilienceStatistics]:
-        # Resolved lazily (and re-probed while unresolved) because the
-        # reranker configures the federation's guards after the engine is
-        # constructed; once found the counters object never changes.
-        if not self._resilience_resolved:
-            self._resilience_stats = _locate_resilience_statistics(self._interface)
-            self._resilience_resolved = self._resilience_stats is not None
-        return self._resilience_stats
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -207,227 +211,216 @@ class QueryEngine:
 
         # Phase 1: resolve what we can from the shared cache (zero cost) —
         # exact hits and containment answers derived from covering superset
-        # entries alike.  Bypassed groups still *read* the cache; they just
-        # never store.
-        results: List[Optional[SearchResult]] = [None] * len(queries)
-        pending: List[Tuple[int, SearchQuery]] = []
-        hits = 0
-        contained = 0
-        if self._cache is not None:
-            for index, query in enumerate(queries):
-                # Bypassed groups stay strictly read-only: no memoization of
-                # derived answers (the crawler's queries would churn the LRU).
-                probed = self._cache.probe(
+        # entries alike.  Bypassed groups still *read* the cache; they stay
+        # strictly read-only: no memoization of derived answers (the
+        # crawler's queries would churn the LRU).
+        settled: List[Optional[Settled]] = [None] * len(queries)
+        pending: List[int] = []
+        for index, query in enumerate(queries):
+            probed = (
+                self._cache.probe(
                     self._cache_namespace,
                     query,
                     self._interface.system_k,
                     memoize=use_cache,
                 )
-                if probed is not None:
-                    cached, probe_status = probed
-                    results[index] = cached
-                    if probe_status is FetchStatus.CONTAINED:
-                        contained += 1
-                    else:
-                        hits += 1
-                else:
-                    pending.append((index, query))
-        else:
-            pending = list(enumerate(queries))
+                if self._cache is not None
+                else None
+            )
+            if probed is None:
+                pending.append(index)
+            else:
+                settled[index] = (probed[0], _OUTCOME_OF[probed[1]])
 
         # Phase 2: charge the budget for the round trips we are about to pay,
         # atomically, before issuing anything.
         self._budget.charge(len(pending))
 
-        # Phase 3: issue the misses.  Failures must not leak budget: the
-        # charge for a round trip that failed (source unavailable, timed
-        # out, circuit open), was never issued (sequential tail after an
-        # error), or coalesced onto another caller's round trip is refunded
-        # before any exception propagates, keeping ``budget.used`` equal to
-        # the round trips that actually *answered*.
-        #
-        # Parallel groups against interfaces advertising batched search go
-        # out as one ``search_many`` call, which amortizes the execution
-        # engine's plan setup across the group's queries; coalescing and
-        # duplicate-in-group reuse are preserved by the cache's batched
-        # fetch.  Sequential mode keeps the one-by-one loop: mid-group
-        # failure refunds both the failed attempt and the unissued tail.
-        resilience_stats = self._locate_resilience()
+        # Phase 3: issue the misses.  Which mechanism runs is observed, not
+        # configured: a parallel group against an interface advertising
+        # batched search goes out as one ``search_many`` call (amortizing the
+        # execution engine's plan setup), any other parallel group fans out
+        # over the thread pool (overlapping real round trips), and the
+        # sequential ablation issues one by one, stopping at the first
+        # failure.  Each reports one outcome per query.
+        resilience_stats = self._resilience_stats
         retries_before = (
             int(resilience_stats.snapshot()["retries"])
             if resilience_stats is not None and pending
             else 0
         )
         use_parallel = self._config.enable_parallel and len(pending) > 1
-        use_batch = use_parallel and bool(
-            getattr(self._interface, "supports_batched_search", False)
-        )
-        coalesced = 0
-        resolved: List[Optional[Tuple[SearchResult, FetchStatus]]] = []
-        first_error: Optional[BaseException] = None
-        if use_batch:
-            batch = [query for _, query in pending]
-            # ``search_many`` validates before issuing, so a raising call
-            # attempted no round trip; count successful calls to keep
-            # ``budget.used`` equal to the round trips actually paid even
-            # when a later per-key retry inside ``fetch_many`` fails.
-            attempted = 0
-
-            def counting_search_many(batch_queries: Sequence[SearchQuery]):
-                nonlocal attempted
-                materialized = list(batch_queries)
-                results = self._interface.search_many(materialized)
-                attempted += len(materialized)
-                return results
-
-            try:
-                if use_cache:
-                    assert self._cache is not None
-                    resolved = list(
-                        self._cache.fetch_many(
-                            self._cache_namespace,
-                            batch,
-                            self._interface.system_k,
-                            counting_search_many,
-                        )
-                    )
-                else:
-                    resolved = [
-                        (result, FetchStatus.MISS)
-                        for result in counting_search_many(batch)
-                    ]
-            except BaseException:
-                # Refund every charge whose round trip was never attempted;
-                # attempted (and answered) round trips stay charged exactly
-                # as in the parallel fan-out path.
-                self._budget.refund(len(pending) - attempted)
-                raise
-        elif use_parallel:
-            futures = [
-                self._pool().submit(self._resolve_miss, query, use_cache)
-                for _, query in pending
-            ]
-            for future in futures:
-                try:
-                    resolved.append(future.result())
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    # Attempted but never answered: hand the charge back.
-                    self._budget.refund(1)
-                    resolved.append(None)
-                    if first_error is None:
-                        first_error = error
+        misses = [queries[index] for index in pending]
+        if use_parallel and self._interface.supports_batched_search:
+            issued, error = self._issue_batched(misses, use_cache)
         else:
-            for _, query in pending:
-                if first_error is not None:
-                    # Never attempted: hand the up-front charge back.
-                    self._budget.refund(1)
-                    resolved.append(None)
-                    continue
-                try:
-                    resolved.append(self._resolve_miss(query, use_cache))
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    self._budget.refund(1)
-                    resolved.append(None)
-                    first_error = error
+            issued, error = self._issue_each(misses, use_cache, pooled=use_parallel)
+        for index, outcome in zip(pending, issued):
+            settled[index] = outcome
 
-        issued_latencies: List[float] = []
-        degraded = 0
-        stale = 0
-        for (index, _), outcome in zip(pending, resolved):
-            if outcome is None:
-                continue
-            result, status = outcome
-            results[index] = result
-            if result.degraded:
-                degraded += 1
-            if result.stale:
-                stale += 1
-            if status is FetchStatus.MISS:
-                issued_latencies.append(result.elapsed_seconds)
-            elif status is FetchStatus.STALE:
-                # The round trip failed and a generation-stale entry answered
-                # instead; the failed attempt is not a paid answer.
-                self._budget.refund(1)
-            else:
-                # Another caller paid the round trip (or stored an entry —
-                # exact or covering — between our probe and the fetch): hand
-                # the charge back.
-                self._budget.refund(1)
-                if status is FetchStatus.COALESCED:
-                    coalesced += 1
-                elif status is FetchStatus.CONTAINED:
-                    contained += 1
-                else:
-                    hits += 1
-        if first_error is not None:
-            raise first_error
+        # Phase 4: the one settlement.  Everything charged up front that did
+        # not end as this engine's answered round trip — failed, never
+        # issued, coalesced onto another caller's trip, answered by an entry
+        # stored between probe and fetch, or served stale — is handed back
+        # before any exception propagates, so ``budget.used`` always equals
+        # the round trips that answered.
+        tally = Counter(outcome for _, outcome in settled)  # type: ignore[misc]
+        self._budget.refund(len(pending) - tally[QueryOutcome.ISSUED])
+        if error is not None:
+            raise error
 
-        # Phase 4: accounting.  Only real round trips count as external
+        # Phase 5: accounting.  Only real round trips count as external
         # queries and simulated latency; a fully cached group costs nothing.
+        results: List[SearchResult] = []
+        issued_latencies: List[float] = []
+        for result, outcome in settled:  # type: ignore[misc]
+            assert result is not None
+            results.append(result)
+            paid = outcome is QueryOutcome.ISSUED
+            if paid:
+                issued_latencies.append(result.elapsed_seconds)
+            # Cached answers are logged distinctly from issued ones.
+            self.query_log.record(
+                result,
+                parallel_group=group_id if (use_parallel and paid) else None,
+                cached=not paid,
+            )
         if self._config.enable_parallel:
             group_latency = max(issued_latencies, default=0.0)
         else:
             group_latency = sum(issued_latencies)
-        # Log cached answers distinctly from issued ones.
-        issued_keys = {id(result) for (result, status) in resolved if status is FetchStatus.MISS}
-        for result in results:
-            assert result is not None
-            cached_answer = id(result) not in issued_keys
-            self.query_log.record(
-                result,
-                parallel_group=group_id if (use_parallel and not cached_answer) else None,
-                cached=cached_answer,
-            )
-        self.statistics.record_iteration(
+        statistics = self.statistics
+        statistics.record_iteration(
             len(issued_latencies), group_latency, parallel=use_parallel
         )
-        if hits:
-            self.statistics.record_result_cache_hit(hits)
-        if contained:
-            self.statistics.record_contained_answer(contained)
-        if coalesced:
-            self.statistics.record_coalesced_query(coalesced)
+        if tally[QueryOutcome.HIT]:
+            statistics.record_result_cache_hit(tally[QueryOutcome.HIT])
+        if tally[QueryOutcome.CONTAINED]:
+            statistics.record_contained_answer(tally[QueryOutcome.CONTAINED])
+        if tally[QueryOutcome.COALESCED]:
+            statistics.record_coalesced_query(tally[QueryOutcome.COALESCED])
+        degraded = sum(1 for result in results if result.degraded)
         if degraded:
-            self.statistics.record_degraded_result(degraded)
+            statistics.record_degraded_result(degraded)
+        stale = sum(1 for result in results if result.stale)
         if stale:
-            self.statistics.record_stale_serve(stale)
+            statistics.record_stale_serve(stale)
         if resilience_stats is not None and pending:
             # Best-effort attribution: the guards' counters are shared across
             # concurrent requests, so the delta may include a neighbour's
             # retries; the aggregate across all requests stays exact.
             retried = int(resilience_stats.snapshot()["retries"]) - retries_before
             if retried > 0:
-                self.statistics.record_retried_query(retried)
-        return [result for result in results if result is not None]
+                statistics.record_retried_query(retried)
+        return results
 
-    def _resolve_miss(
-        self, query: SearchQuery, use_cache: bool
-    ) -> Tuple[SearchResult, FetchStatus]:
-        """Resolve one query that missed the probe: through the coalescing
-        cache when enabled, directly against the interface otherwise.
+    # ------------------------------------------------------------------ #
+    # Issue mechanisms: each returns one outcome per query, plus the first
+    # error nothing could answer for (raised by the caller after settlement).
+    # ------------------------------------------------------------------ #
+    def _issue_batched(
+        self, queries: List[SearchQuery], use_cache: bool
+    ) -> Tuple[List[Settled], Optional[BaseException]]:
+        """One ``search_many`` call for the whole group; coalescing and
+        duplicate-in-group reuse are the cache's batched fetch."""
+        answered: Dict[int, SearchResult] = {}
 
-        When the source is unavailable (retries exhausted, circuit open) and
-        the resilience policy allows it, a generation-stale cache entry — an
-        answer flushed by an earlier invalidation, still within its TTL —
-        is served instead of failing, marked ``stale``/``degraded``."""
-        if use_cache:
-            assert self._cache is not None
-            try:
-                return self._cache.fetch(
-                    self._cache_namespace,
-                    query,
-                    self._interface.system_k,
-                    lambda: self._interface.search(query),
+        def supply(batch: Sequence[SearchQuery]) -> List[SearchResult]:
+            # ``search_many`` validates before issuing, so a raising call
+            # answered nothing; remembering what did answer keeps those round
+            # trips paid even when a later per-key retry inside
+            # ``fetch_many`` fails.
+            materialized = list(batch)
+            results = self._interface.search_many(materialized)
+            answered.update(zip(map(id, materialized), results))
+            return results
+
+        try:
+            if use_cache:
+                assert self._cache is not None
+                resolved = self._cache.fetch_many(
+                    self._cache_namespace, queries, self._interface.system_k, supply
                 )
-            except SourceUnavailableError:
-                if self._config.resilience.serve_stale_on_error:
-                    stale = self._cache.serve_stale(
-                        self._cache_namespace, query, self._interface.system_k
-                    )
-                    if stale is not None:
-                        return stale, FetchStatus.STALE
-                raise
-        return self._interface.search(query), FetchStatus.MISS
+            else:
+                resolved = [(result, FetchStatus.MISS) for result in supply(queries)]
+        except BaseException as error:  # noqa: BLE001 - re-raised after settlement
+            settled: List[Settled] = []
+            for query in queries:
+                result = answered.pop(id(query), None)
+                settled.append(
+                    (result, QueryOutcome.ISSUED)
+                    if result is not None
+                    else self._unanswered(query, error, use_cache)
+                )
+            failed = any(outcome is QueryOutcome.FAILED for _, outcome in settled)
+            return settled, error if failed else None
+        return [(result, _OUTCOME_OF[status]) for result, status in resolved], None
+
+    def _issue_each(
+        self, queries: List[SearchQuery], use_cache: bool, pooled: bool
+    ) -> Tuple[List[Settled], Optional[BaseException]]:
+        """One round trip per query: fanned out over the thread pool, or —
+        sequential ablation — inline, leaving the tail after the first
+        failure unissued."""
+        attempts: List[Callable[[], Settled]]
+        if pooled:
+            attempts = [
+                self._pool().submit(self._resolve_miss, query, use_cache).result
+                for query in queries
+            ]
+        else:
+            attempts = [
+                partial(self._resolve_miss, query, use_cache) for query in queries
+            ]
+        settled: List[Settled] = []
+        first_error: Optional[BaseException] = None
+        for query, attempt in zip(queries, attempts):
+            if first_error is not None and not pooled:
+                settled.append((None, QueryOutcome.UNISSUED))
+                continue
+            try:
+                settled.append(attempt())
+            except BaseException as error:  # noqa: BLE001 - re-raised after settlement
+                outcome = self._unanswered(query, error, use_cache)
+                settled.append(outcome)
+                if outcome[1] is QueryOutcome.FAILED and first_error is None:
+                    first_error = error
+        return settled, first_error
+
+    def _resolve_miss(self, query: SearchQuery, use_cache: bool) -> Settled:
+        """Resolve one query that missed the probe: through the coalescing
+        cache when enabled, directly against the interface otherwise."""
+        if not use_cache:
+            return self._interface.search(query), QueryOutcome.ISSUED
+        assert self._cache is not None
+        result, status = self._cache.fetch(
+            self._cache_namespace,
+            query,
+            self._interface.system_k,
+            lambda: self._interface.search(query),
+        )
+        return result, _OUTCOME_OF[status]
+
+    def _unanswered(
+        self, query: SearchQuery, error: BaseException, use_cache: bool
+    ) -> Settled:
+        """Settle a query whose round trip raised.  When the source is
+        unavailable (retries exhausted, circuit open) and the resilience
+        policy allows it, a generation-stale cache entry — an answer flushed
+        by an earlier invalidation, still within its TTL — is served instead
+        of failing, marked ``stale``/``degraded``."""
+        if (
+            use_cache
+            and isinstance(error, SourceUnavailableError)
+            and self._config.resilience.serve_stale_on_error
+        ):
+            assert self._cache is not None
+            stale = self._cache.serve_stale(
+                self._cache_namespace, query, self._interface.system_k
+            )
+            if stale is not None:
+                return stale, QueryOutcome.STALE
+        return None, QueryOutcome.FAILED
 
     def shutdown(self) -> None:
         """Release the thread pool and mark the engine closed (idempotent).

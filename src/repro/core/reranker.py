@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
-from repro.core.federated import FederatedGetNext, ShardStreamGroup
 from repro.core.feed import FeedProducer, RerankFeed, RerankFeedStore
 from repro.core.functions import (
     LinearRankingFunction,
@@ -111,41 +110,21 @@ class QueryReranker:
         self._dense_index = DenseRegionIndex(
             interface.schema, cache=dense_cache, impl=self._config.dense_index_impl
         )
-        if result_cache is not None:
-            self._result_cache: Optional[QueryResultCache] = result_cache
-        elif self._config.enable_result_cache:
-            self._result_cache = QueryResultCache(
-                max_entries=self._config.result_cache_size,
-                ttl_seconds=self._config.result_cache_ttl_seconds,
-                enable_containment=self._config.result_cache_containment,
-            )
-        else:
-            self._result_cache = None
+        self._result_cache: Optional[QueryResultCache] = (
+            result_cache
+            if result_cache is not None
+            else self._config.make_result_cache()
+        )
         self._cache_namespace = default_namespace(interface)
         # Federated sources: the facade caches per shard (shard-scoped
-        # namespaces) while the engines above it cache under the federated
-        # namespace — the feed and cache keys stay above the shard layer.
+        # namespaces, in the cache the federation was built with) while the
+        # engines above it cache under the federated namespace — the feed
+        # and cache keys stay above the shard layer.  The reranker only reads
+        # the interface it is given: guards and shard cache were fixed when
+        # the source was built.
         self._federation: Optional[FederatedInterface] = (
             interface if isinstance(interface, FederatedInterface) else None
         )
-        if self._federation is not None:
-            if (
-                self._result_cache is not None
-                and self._federation.result_cache is None
-            ):
-                self._federation.attach_cache(self._result_cache)
-            # Install the retry/breaker guards so every scatter below the
-            # facade runs under the configured resilience policy (idempotent
-            # for rerankers sharing one federation with equal configs).
-            self._federation.configure_resilience(self._config.resilience)
-            self._shard_dense_indexes: Dict[int, DenseRegionIndex] = {
-                index: DenseRegionIndex(
-                    interface.schema, impl=self._config.dense_index_impl
-                )
-                for index in range(self._federation.shard_count)
-            }
-        else:
-            self._shard_dense_indexes = {}
         if self._config.enable_rerank_feed:
             self._feed_store: Optional[RerankFeedStore] = RerankFeedStore(
                 max_feeds=self._config.rerank_feed_size,
@@ -181,11 +160,6 @@ class QueryReranker:
         return self._federation
 
     @property
-    def shard_dense_indexes(self) -> Dict[int, DenseRegionIndex]:
-        """Per-shard dense-region indexes (merge mode; empty unsharded)."""
-        return dict(self._shard_dense_indexes)
-
-    @property
     def result_cache(self) -> Optional[QueryResultCache]:
         """The shared query-result cache (``None`` when disabled).  Sessions
         created through this reranker — and any other reranker handed the same
@@ -200,24 +174,11 @@ class QueryReranker:
         return self._feed_store
 
     def resilience_snapshot(self) -> Optional[Dict[str, object]]:
-        """Aggregated retry/breaker/degradation counters for the statistics
-        panel — the federation's when this reranker serves a sharded source,
-        otherwise the :class:`~repro.webdb.resilience.ResilientInterface`
-        wrapper's (found by walking the interface chain); ``None`` when no
-        resilience layer is installed."""
-        if self._federation is not None:
-            return self._federation.resilience_snapshot()
-        current: object = self._interface
-        for _ in range(16):
-            snapshot = getattr(current, "resilience_snapshot", None)
-            if callable(snapshot):
-                return snapshot()
-            current = getattr(current, "inner", None) or getattr(
-                current, "_inner", None
-            )
-            if current is None:
-                return None
-        return None
+        """Aggregated retry/breaker/degradation counters of the source's
+        guards for the statistics panel — one shape whether the source is a
+        single stack or a federation of them; ``None`` over a bare,
+        unguarded interface."""
+        return self._interface.resilience_snapshot()
 
     def close(self) -> None:
         """Release shared resources: every feed's producer engine is shut
@@ -235,11 +196,10 @@ class QueryReranker:
         retires the source's rerank feeds.
 
         Over a federated source, ``shard=i`` retires exactly shard *i*'s
-        state — its result-cache namespace and its dense-region index — plus
-        the state derived from *all* shards, which a single shard's change
-        invalidates: the federated-namespace cache entries (merged pages),
-        the facade-level dense index, and the source's feeds.  **Sibling
-        shards' cache entries and dense indexes survive untouched**, which is
+        result-cache namespace plus the state derived from *all* shards,
+        which a single shard's change invalidates: the federated-namespace
+        cache entries (merged pages), the dense index, and the source's
+        feeds.  **Sibling shards' cache entries survive untouched**, which is
         the point of shard-scoped namespaces.  ``shard=None`` retires every
         shard.
 
@@ -254,15 +214,9 @@ class QueryReranker:
                     "shard-scoped invalidation requires a federated source"
                 )
             cache_entries += self._federation.invalidate_shard(shard)
-            self._shard_dense_indexes[shard] = DenseRegionIndex(
-                self._interface.schema, impl=self._config.dense_index_impl
-            )
         elif self._federation is not None:
             for index in range(self._federation.shard_count):
                 cache_entries += self._federation.invalidate_shard(index)
-                self._shard_dense_indexes[index] = DenseRegionIndex(
-                    self._interface.schema, impl=self._config.dense_index_impl
-                )
         if self._result_cache is not None:
             cache_entries += self._result_cache.invalidate(self._cache_namespace)
         self._dense_index = DenseRegionIndex(
@@ -291,8 +245,7 @@ class QueryReranker:
           sources, each touched shard's namespace — sibling shards'
           entries survive untouched);
         * dense regions whose box intersects the delta's bounds are
-          dropped (facade index, touched shards' indexes, and any
-          persistent dense-region cache rows behind them);
+          dropped (and any persistent dense-region cache rows behind them);
         * rerank feeds whose filter query could surface a touched tuple
           are retired — surviving feeds keep replaying their verified
           prefixes, which stay valid because feed order is a pure
@@ -337,12 +290,7 @@ class QueryReranker:
                     )
                 )
         summary["cache_entries_retired"] = len(retired_keys)
-        regions = self._dense_index.invalidate_delta(facade_delta)
-        for index, shard_delta in delta.shard_deltas:
-            shard_index = self._shard_dense_indexes.get(index)
-            if shard_index is not None:
-                regions += shard_index.invalidate_delta(shard_delta)
-        summary["regions_retired"] = regions
+        summary["regions_retired"] = self._dense_index.invalidate_delta(facade_delta)
         if self._feed_store is not None:
             summary["feeds_retired"] = self._feed_store.invalidate_delta(
                 self._cache_namespace, facade_delta
@@ -398,13 +346,6 @@ class QueryReranker:
             if feed is not None:
                 return FeedBackedStream(feed, session, description=description)
 
-        if self._merge_mode():
-            merged, group = self._build_federated_merge(
-                query, ranking, algorithm, session, budget
-            )
-            return GetNextStream(
-                merged, session, description=description, engine=group
-            )
         engine = self._build_engine(session.statistics, budget)
         algorithm_object = self._build_algorithm(engine, query, ranking, session, algorithm)
         return GetNextStream(
@@ -442,18 +383,12 @@ class QueryReranker:
         ranking: UserRankingFunction,
         session: Session,
         algorithm: Algorithm,
-        dense_index: Optional[DenseRegionIndex] = None,
     ):
         """The algorithm-selection logic shared by private streams and feed
         producers: 1D functions go to the 1D algorithms, MD ones to the MD
-        algorithms, MD-TA on explicit request.  ``dense_index`` overrides the
-        reranker-wide index — merge-mode shard streams pass their shard's own
-        index, since region coverage is only valid per shard."""
-        dense_index = dense_index if dense_index is not None else self._dense_index
+        algorithms, MD-TA on explicit request."""
         if ranking.is_single_attribute:
-            return self._build_onedim(
-                engine, query, ranking, session, algorithm, dense_index
-            )
+            return self._build_onedim(engine, query, ranking, session, algorithm)
         if algorithm is Algorithm.TA:
             return ThresholdAlgorithmGetNext(
                 engine=engine,
@@ -461,7 +396,7 @@ class QueryReranker:
                 ranking=self._require_linear(ranking),
                 session=session,
                 config=self._config,
-                dense_index=dense_index,
+                dense_index=self._dense_index,
             )
         return MultiDimGetNext(
             engine=engine,
@@ -470,7 +405,7 @@ class QueryReranker:
             session=session,
             config=self._config,
             variant=_MD_VARIANTS[algorithm],
-            dense_index=dense_index,
+            dense_index=self._dense_index,
         )
 
     def _build_feed_producer(
@@ -486,96 +421,15 @@ class QueryReranker:
 
         Feed keys are computed above the shard layer (federated namespace and
         federated ``system_k``), so followers replay one merged prefix
-        regardless of the shard count or execution mode below."""
+        regardless of the shard count below."""
         with self._lock:
             number = next(self._feed_counter)
         producer_session = Session(session_id=f"feed-{number}")
-        if self._merge_mode():
-            merged, group = self._build_federated_merge(
-                query, ranking, algorithm, producer_session, budget=None
-            )
-            return FeedProducer(merged, producer_session, group)
         engine = self._build_engine(producer_session.statistics, budget=None)
         algorithm_object = self._build_algorithm(
             engine, query, ranking, producer_session, algorithm
         )
         return FeedProducer(algorithm_object, producer_session, engine)
-
-    # ------------------------------------------------------------------ #
-    def _merge_mode(self) -> bool:
-        """True when requests run as per-shard streams merged TA-style."""
-        return (
-            self._federation is not None
-            and self._config.federation_mode == "merge"
-        )
-
-    def _build_federated_merge(
-        self,
-        query: SearchQuery,
-        ranking: UserRankingFunction,
-        algorithm: Algorithm,
-        session: Session,
-        budget: Optional[QueryBudget],
-    ):
-        """Build one Get-Next stream per shard and the lazy merge over them.
-
-        Every shard stream gets a private session (mirroring the TA
-        sub-streams), its own engine bound to the shard's instrumented
-        interface and cache namespace, and the shard's own dense-region
-        index; all engines share one query budget and accumulate statistics
-        on the *caller's* session, so the per-request panel aggregates the
-        federation exactly like a single engine would.
-        """
-        federation = self._federation
-        assert federation is not None
-        shared_budget = budget if budget is not None else QueryBudget(
-            self._config.query_budget
-        )
-        merge_ranking: UserRankingFunction = (
-            self._effective_onedim(ranking)
-            if ranking.is_single_attribute
-            else ranking
-        )
-        streams = []
-        namespaces = federation.shard_namespaces
-        for index, shard_interface in enumerate(federation.shard_interfaces):
-            shard_session = Session(
-                session_id=f"{session.session_id}:shard:{index}"
-            )
-            engine = QueryEngine(
-                shard_interface,
-                config=self._config,
-                statistics=session.statistics,
-                budget=shared_budget,
-                result_cache=self._result_cache,
-                cache_namespace=namespaces[index],
-            )
-            algorithm_object = self._build_algorithm(
-                engine,
-                query,
-                ranking,
-                shard_session,
-                algorithm,
-                dense_index=self._shard_dense_indexes[index],
-            )
-            streams.append(
-                GetNextStream(
-                    algorithm_object,
-                    shard_session,
-                    description=f"shard {namespaces[index]}",
-                    engine=engine,
-                )
-            )
-        merged = FederatedGetNext(
-            streams,
-            merge_ranking,
-            session,
-            self._interface.key_column,
-            # Open-circuit shards are passed over instead of paying their
-            # timeout on every advance; the merge marks itself degraded.
-            skip_shard=federation.shard_circuit_open,
-        )
-        return merged, ShardStreamGroup(streams)
 
     # ------------------------------------------------------------------ #
     def _build_onedim(
@@ -585,7 +439,6 @@ class QueryReranker:
         ranking: UserRankingFunction,
         session: Session,
         algorithm: Algorithm,
-        dense_index: Optional[DenseRegionIndex] = None,
     ) -> OneDimGetNext:
         return OneDimGetNext(
             engine=engine,
@@ -594,15 +447,13 @@ class QueryReranker:
             session=session,
             config=self._config,
             variant=_ONEDIM_VARIANTS[algorithm],
-            dense_index=dense_index if dense_index is not None else self._dense_index,
+            dense_index=self._dense_index,
         )
 
     @staticmethod
     def _effective_onedim(ranking: UserRankingFunction) -> SingleAttributeRanking:
         """The single-attribute ranking a 1D request actually executes under
-        (a 1D linear function runs as its attribute sorted by weight sign).
-        The federated merge compares heads with the same function, so the
-        merged order equals each shard stream's emission order exactly."""
+        (a 1D linear function runs as its attribute sorted by weight sign)."""
         if isinstance(ranking, SingleAttributeRanking):
             return ranking
         attribute = ranking.attributes[0]

@@ -73,14 +73,8 @@ class QR2Service:
             if (
                 self._config.result_cache_path is not None
                 and self._config.share_result_cache
-                and self._config.rerank.enable_result_cache
             ):
-                rerank = self._config.rerank
-                self._shared_result_cache = QueryResultCache(
-                    max_entries=rerank.result_cache_size,
-                    ttl_seconds=rerank.result_cache_ttl_seconds,
-                    enable_containment=rerank.result_cache_containment,
-                )
+                self._shared_result_cache = self._config.rerank.make_result_cache()
             self._registry = build_default_registry(
                 database_config=self._config.database,
                 rerank_config=self._config.rerank,
@@ -470,8 +464,21 @@ class QR2Service:
 
     def _statistics_panel(self, request: _ActiveRequest) -> Dict[str, object]:
         snapshot = request.stream.statistics.snapshot()
-        result_cache = request.source.reranker.result_cache
-        feed_store = request.source.reranker.feed_store
+        reranker = request.source.reranker
+        result_cache = reranker.result_cache
+        feed_store = reranker.feed_store
+        # Sharded sources: per-shard queries issued, merge depth, and scatter
+        # fan-out from the federated interface's describe() — whose
+        # ``resilience`` block is the guards' snapshot, taken once per page
+        # and reused for ``resilience.source`` below.
+        federation = (
+            reranker.federation.describe() if reranker.federation is not None else None
+        )
+        source_resilience = (
+            federation["resilience"]
+            if federation is not None
+            else reranker.resilience_snapshot()
+        )
         return {
             "description": request.stream.description,
             "external_queries": snapshot["external_queries"],
@@ -488,16 +495,10 @@ class QR2Service:
             "feed_hits": snapshot["feed_hits"],
             "feed_replayed_tuples": snapshot["feed_replayed_tuples"],
             "feed_leader_advances": snapshot["feed_leader_advances"],
-            "dense_index": request.source.reranker.dense_index.describe(),
+            "dense_index": reranker.dense_index.describe(),
             "result_cache": result_cache.snapshot() if result_cache else None,
             "rerank_feed": feed_store.snapshot() if feed_store else None,
-            # Sharded sources: per-shard queries issued, merge depth, and
-            # scatter fan-out from the federated interface's describe().
-            "federation": (
-                request.source.reranker.federation.describe()
-                if request.source.reranker.federation is not None
-                else None
-            ),
+            "federation": federation,
             "result_cache_persistence": (
                 {
                     "path": self._config.result_cache_path,
@@ -512,11 +513,11 @@ class QR2Service:
             "invalidation": self._invalidation_snapshot(),
             "warming": self._warmer.snapshot(),
             # Retries, breaker transitions, degraded/stale serving.  The
-            # ``source`` block is the guards' shared counters (``None`` when
-            # the source has no resilience layer); the per-request counters
-            # come from this request's statistics.
+            # ``source`` block is the guards' shared counters (``None`` over
+            # a bare, unguarded interface); the per-request counters come
+            # from this request's statistics.
             "resilience": {
-                "source": request.source.reranker.resilience_snapshot(),
+                "source": source_resilience,
                 "degraded_results": snapshot["degraded_results"],
                 "stale_serves": snapshot["stale_serves"],
                 "retried_queries": snapshot["retried_queries"],

@@ -335,6 +335,9 @@ class ConcurrentQR2Application:
         if service is None:
             service = QR2Service(config=config)
         self._service = service
+        self._deadline = service.config.request_deadline_seconds
+        if self._deadline is not None and self._deadline <= 0:
+            raise ValueError("request_deadline_seconds must be positive")
         self._inner = QR2HttpApplication(service)
         self._tier = ConcurrentServingTier(service)
 
@@ -362,7 +365,7 @@ class ConcurrentQR2Application:
                 # HTTP client honors it before its next attempt.
                 headers={"retry-after": "1"},
             )
-        deadline = self._service.config.request_deadline_seconds
+        deadline = self._deadline
         try:
             return future.result(timeout=deadline)  # type: ignore[return-value]
         except FutureTimeoutError:

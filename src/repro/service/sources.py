@@ -26,12 +26,11 @@ from repro.exceptions import DataSourceError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.database import HiddenWebDatabase
-from repro.webdb.faults import FaultInjector
 from repro.webdb.federation import build_federation
 from repro.webdb.interface import TopKInterface
 from repro.webdb.latency import LatencyModel
-from repro.webdb.resilience import ResilientInterface
 from repro.webdb.ranking import FeaturedScoreRanking, SystemRankingFunction
+from repro.webdb.stack import SourceStack
 
 
 @dataclass
@@ -127,12 +126,8 @@ def build_default_registry(
     housing_config = housing_config or HousingCatalogConfig()
     database_config = database_config or DatabaseConfig()
     rerank_config = rerank_config or RerankConfig()
-    if result_cache is None and share_result_cache and rerank_config.enable_result_cache:
-        result_cache = QueryResultCache(
-            max_entries=rerank_config.result_cache_size,
-            ttl_seconds=rerank_config.result_cache_ttl_seconds,
-            enable_containment=rerank_config.result_cache_containment,
-        )
+    if result_cache is None and share_result_cache:
+        result_cache = rerank_config.make_result_cache()
 
     registry = DataSourceRegistry()
     registry.register(
@@ -190,15 +185,16 @@ def _make_source(
     result_columns: List[str],
     result_cache: Optional[QueryResultCache] = None,
 ) -> DataSource:
-    fault_plan = database_config.effective_fault_plan()
+    if result_cache is None:
+        # Private per-source cache: built here, not by the reranker, so a
+        # sharded source's facade and its reranker share the one object.
+        result_cache = rerank_config.make_result_cache()
     if database_config.shards > 1:
         # Sharded source: the catalog is partitioned across N per-shard
-        # databases behind a federated facade.  Shards are named
-        # "{name}#{i}", giving each its own cache namespace, while the
-        # reranker keys its cache/feed state under the federated name —
-        # above the shard layer.  A configured fault plan lands *below* the
-        # facade, one derived schedule per shard; the reranker installs the
-        # retry/breaker guards above the injectors when it takes ownership.
+        # databases behind a federated facade, each shard in its own source
+        # stack.  Shards are named "{name}#{i}", giving each its own cache
+        # namespace, while the reranker keys its cache/feed state under the
+        # federated name — above the shard layer.
         database: TopKInterface = build_federation(
             catalog=catalog,
             schema=schema,
@@ -213,7 +209,9 @@ def _make_source(
             latency_sleep=database_config.latency_sleep,
             engine=database_config.engine,
             columnar_backend=database_config.columnar_backend,
-            fault_plan=fault_plan,
+            fault_plan=database_config.fault_plan,
+            resilience=rerank_config.resilience,
+            result_cache=result_cache,
         )
     else:
         latency = LatencyModel(
@@ -222,24 +220,23 @@ def _make_source(
             sleep=database_config.latency_sleep,
             seed=database_config.seed,
         )
-        database = HiddenWebDatabase(
-            catalog=catalog,
-            schema=schema,
-            system_ranking=system_ranking,
-            system_k=database_config.system_k,
-            latency=latency,
-            name=name,
-            engine=database_config.engine,
-            columnar_backend=database_config.columnar_backend,
+        # The same stack a shard gets: injector inside, guard outside, so
+        # scheduled faults are what the retry/breaker layer is exercised
+        # against; a clean stack keeps the database's batched path.
+        database = SourceStack(
+            HiddenWebDatabase(
+                catalog=catalog,
+                schema=schema,
+                system_ranking=system_ranking,
+                system_k=database_config.system_k,
+                latency=latency,
+                name=name,
+                engine=database_config.engine,
+                columnar_backend=database_config.columnar_backend,
+            ),
+            fault_plan=database_config.fault_plan,
+            resilience=rerank_config.resilience,
         )
-        if fault_plan is not None:
-            # Injector inside, guard outside: scheduled faults are what the
-            # retry/breaker layer is exercised against.  A clean source stays
-            # unwrapped — the guard would force per-query issuance and cost
-            # the engine its batched ``search_many`` path for nothing.
-            database = ResilientInterface(
-                FaultInjector(database, fault_plan), rerank_config.resilience
-            )
     dense_cache = (
         DenseRegionCache(schema, path=dense_cache_path) if dense_cache_path else None
     )

@@ -11,7 +11,7 @@ from repro.webdb.ranking import (
     RandomTieBreakRanking,
     SystemRankingFunction,
 )
-from repro.webdb.cache import CachingInterface, FetchStatus, QueryResultCache
+from repro.webdb.cache import FetchStatus, QueryResultCache
 from repro.webdb.counters import QueryBudget, QueryCounter, QueryLog
 from repro.webdb.federation import (
     FederatedInterface,
@@ -29,9 +29,9 @@ from repro.webdb.engine import (
 )
 from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.latency import LatencyModel
+from repro.webdb.stack import SourceStack
 
 __all__ = [
-    "CachingInterface",
     "CatalogDelta",
     "merge_shard_deltas",
     "ColumnarCatalog",
@@ -61,6 +61,7 @@ __all__ = [
     "FederatedInterface",
     "ShardSpec",
     "ShardedCatalog",
+    "SourceStack",
     "build_federation",
     "build_federation_from_store",
     "stream_sorted_columns",

@@ -43,10 +43,6 @@ Because a valid/underflow result proves the caller has observed *every* tuple
 matching the query, replaying a cached result preserves the paper's
 overflow/valid/underflow semantics exactly: the classification is a pure
 function of the query, ``system_k``, and the database state the TTL bounds.
-
-:class:`CachingInterface` is the drop-in wrapper counterpart of
-:class:`~repro.webdb.interface.InstrumentedInterface` for callers that do not
-go through the :class:`~repro.core.parallel.QueryEngine`.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.dataset.schema import Schema
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.interface import Outcome, SearchResult, TopKInterface
 from repro.webdb.query import SearchQuery
@@ -551,28 +546,18 @@ class QueryResultCache:
     # ------------------------------------------------------------------ #
     # Persistence support
     # ------------------------------------------------------------------ #
-    def export_entries(self) -> List[Tuple[str, int, SearchResult]]:
-        """Stable snapshot of the live entries for persistence adapters.
+    def export_snapshot(
+        self,
+    ) -> Tuple[List[Tuple[str, int, SearchResult]], Dict[str, Tuple[int, int]]]:
+        """Stable snapshot of the live entries for persistence adapters, plus
+        each exported namespace's generation token, captured under one lock
+        acquisition.
 
         One ``(namespace, system_k, result)`` triple per entry in LRU order
         (least recently used first, so re-storing in order reproduces the
         eviction order).  The result carries its query, which is all a loader
         needs to re-:meth:`store` the entry.  Expired entries are skipped
         without being counted as expirations.
-        """
-        now = self._clock()
-        with self._lock:
-            return [
-                (key[0], key[1], entry.result)
-                for key, entry in self._entries.items()
-                if self._ttl is None or now - entry.stored_at < self._ttl
-            ]
-
-    def export_snapshot(
-        self,
-    ) -> Tuple[List[Tuple[str, int, SearchResult]], Dict[str, Tuple[int, int]]]:
-        """:meth:`export_entries` plus each exported namespace's generation
-        token, captured under one lock acquisition.
 
         Persistence adapters need the pairing to be atomic: a generation
         read *after* a racing ``invalidate`` would stamp already-flushed
@@ -901,67 +886,6 @@ class QueryResultCache:
             rows=tuple(dict(row) for row in result.rows),
             elapsed_seconds=0.0,
         )
-
-
-class CachingInterface(TopKInterface):
-    """Wrapper adding shared result caching to any :class:`TopKInterface`.
-
-    The counterpart of :class:`~repro.webdb.interface.InstrumentedInterface`:
-    where that wrapper *counts* queries, this one *avoids* them.  Several
-    wrappers may share one :class:`QueryResultCache`; each talks to it under
-    its own namespace (derived from the inner interface's ``name`` when not
-    given explicitly).
-    """
-
-    def __init__(
-        self,
-        inner: TopKInterface,
-        cache: Optional[QueryResultCache] = None,
-        namespace: Optional[str] = None,
-    ) -> None:
-        self._inner = inner
-        self._cache = cache if cache is not None else QueryResultCache()
-        self._namespace = namespace or default_namespace(inner)
-
-    @property
-    def schema(self) -> Schema:
-        return self._inner.schema
-
-    @property
-    def system_k(self) -> int:
-        return self._inner.system_k
-
-    @property
-    def key_column(self) -> str:
-        return self._inner.key_column
-
-    @property
-    def inner(self) -> TopKInterface:
-        """The wrapped interface."""
-        return self._inner
-
-    @property
-    def cache(self) -> QueryResultCache:
-        """The (possibly shared) result cache."""
-        return self._cache
-
-    @property
-    def namespace(self) -> str:
-        """This wrapper's namespace within the shared cache."""
-        return self._namespace
-
-    def search(self, query: SearchQuery) -> SearchResult:
-        result, _ = self._cache.fetch(
-            self._namespace,
-            query,
-            self._inner.system_k,
-            lambda: self._inner.search(query),
-        )
-        return result
-
-    def queries_issued(self) -> int:
-        """Queries the *inner* interface actually served (hits excluded)."""
-        return self._inner.queries_issued()
 
 
 #: Generic default names that cannot distinguish two interfaces sharing one

@@ -10,9 +10,9 @@ the same query sequence replays the same faults, so resilience claims become
 differential gates (byte-identical pages after recovery) instead of flaky
 assertions.
 
-:class:`FaultInjector` wraps any :class:`~repro.webdb.interface.TopKInterface`
-transparently — schema, ``system_k``, ``apply_delta``, ground-truth helpers
-all pass through — and perturbs only ``search``:
+:class:`FaultInjector` is the fault stage of a
+:class:`~repro.webdb.stack.SourceStack`: it sits between the stack's guard and
+the database and perturbs ``search``:
 
 * ``TRANSIENT`` — the query raises :class:`SourceUnavailableError` (a retry
   may succeed: the next attempt draws the next schedule index);
@@ -32,9 +32,8 @@ import random
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.dataset.schema import Schema
 from repro.exceptions import SourceTimeoutError, SourceUnavailableError
 from repro.webdb.interface import SearchResult, TopKInterface
 from repro.webdb.query import SearchQuery
@@ -144,51 +143,28 @@ class FaultPlan:
         return replace(self, fail_from=start, fail_until=stop)
 
 
-class FaultInjector(TopKInterface):
-    """Wrap a :class:`TopKInterface` with a scheduled fault stream.
+class FaultInjector:
+    """A scheduled fault stream in front of one source's ``search``.
 
     The injector keeps a monotone *schedule index*: each query it actively
     perturbs (or passes through) consumes one index, so the fault sequence is
     a deterministic function of the plan and the number of queries seen.
     ``deactivate()`` freezes the index and makes the injector transparent —
     the chaos harness heals a federation without perturbing the schedule
-    replay of a later phase.  All unknown attributes proxy to the wrapped
-    interface, so the injector composes with instrumentation, caching, and
-    federation layers that reach for ``name`` / ``apply_delta`` / ground
-    truth helpers.
+    replay of a later phase.
     """
 
     def __init__(self, inner: TopKInterface, plan: FaultPlan) -> None:
         self._inner = inner
+        self._name: str = getattr(inner, "name", "source")
         self._plan = plan
         self._index = 0
         self._active = True
         self._lock = threading.Lock()
         self._counts: Dict[str, int] = {kind.value: 0 for kind in FaultKind}
-        self._injected_seconds = 0.0
-
-    # ------------------------------------------------------------------ #
-    # TopKInterface contract
-    # ------------------------------------------------------------------ #
-    @property
-    def schema(self) -> Schema:
-        return self._inner.schema
-
-    @property
-    def system_k(self) -> int:
-        return self._inner.system_k
-
-    @property
-    def key_column(self) -> str:
-        return self._inner.key_column
-
-    @property
-    def supports_batched_search(self) -> bool:
-        # Faults are drawn per query; batching would let a whole group dodge
-        # (or share) one schedule slot.
-        return False
 
     def search(self, query: SearchQuery) -> SearchResult:
+        """Draw the next schedule slot, then fail, delay or pass ``query``."""
         with self._lock:
             if not self._active:
                 kind, cost = FaultKind.NONE, 0.0
@@ -196,9 +172,7 @@ class FaultInjector(TopKInterface):
                 kind, cost = self._plan.fault_at(self._index)
                 self._index += 1
             self._counts[kind.value] += 1
-            if kind in (FaultKind.TIMEOUT, FaultKind.FAIL_STOP, FaultKind.SLOW):
-                self._injected_seconds += cost
-        name = getattr(self._inner, "name", "source")
+        name = self._name
         if kind is FaultKind.TRANSIENT:
             raise SourceUnavailableError(
                 f"{name}: scheduled transient fault", source=name
@@ -215,12 +189,6 @@ class FaultInjector(TopKInterface):
             result = replace(result, elapsed_seconds=result.elapsed_seconds + cost)
         return result
 
-    def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
-        return [self.search(query) for query in queries]
-
-    def queries_issued(self) -> int:
-        return self._inner.queries_issued()
-
     # ------------------------------------------------------------------ #
     # Schedule control (chaos harness / tests)
     # ------------------------------------------------------------------ #
@@ -232,9 +200,17 @@ class FaultInjector(TopKInterface):
 
     @property
     def active(self) -> bool:
-        """Whether the injector currently perturbs queries."""
+        """Whether the injector currently draws from its schedule."""
         with self._lock:
             return self._active
+
+    @property
+    def perturbs(self) -> bool:
+        """Whether a query through this injector can be failed or delayed:
+        it is active and its plan is not a no-op.  While false the source
+        stack bypasses the injector (and keeps its batched path)."""
+        with self._lock:
+            return self._active and not self._plan.is_noop
 
     @property
     def schedule_index(self) -> int:
@@ -253,11 +229,6 @@ class FaultInjector(TopKInterface):
         with self._lock:
             self._active = False
 
-    def reset_schedule(self) -> None:
-        """Rewind the schedule index to 0 (replay the plan from the start)."""
-        with self._lock:
-            self._index = 0
-
     def set_plan(self, plan: FaultPlan) -> None:
         """Swap in a new plan and rewind the schedule (a bench phase switches
         from a transient-noise plan to a fail-stop outage, say)."""
@@ -270,44 +241,3 @@ class FaultInjector(TopKInterface):
         """Per-kind counts of queries seen (``"none"`` counts clean passes)."""
         with self._lock:
             return dict(self._counts)
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-friendly injector snapshot for statistics panels."""
-        with self._lock:
-            return {
-                "active": self._active,
-                "schedule_index": self._index,
-                "injected_seconds": self._injected_seconds,
-                "faults": {
-                    kind: count
-                    for kind, count in self._counts.items()
-                    if kind != FaultKind.NONE.value and count
-                },
-            }
-
-    # ------------------------------------------------------------------ #
-    # Transparency
-    # ------------------------------------------------------------------ #
-    @property
-    def inner(self) -> TopKInterface:
-        """The wrapped interface."""
-        return self._inner
-
-    def __getattr__(self, name: str):
-        # Everything this class does not implement (name, size, apply_delta,
-        # has_key, true_ranking, engine_name, ...) proxies to the wrapped
-        # interface, so downstream layers see the source they expect.
-        return getattr(self._inner, name)
-
-
-def find_injector(interface: object) -> Optional[FaultInjector]:
-    """Walk a wrapper chain (instrumentation, resilience, caching) down to
-    the first :class:`FaultInjector`, or ``None`` when the chain is clean."""
-    seen = 0
-    current = interface
-    while current is not None and seen < 16:
-        if isinstance(current, FaultInjector):
-            return current
-        current = getattr(current, "inner", None) or getattr(current, "_inner", None)
-        seen += 1
-    return None

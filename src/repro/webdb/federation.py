@@ -28,10 +28,12 @@ Correctness of the scatter-gather merge:
   query overflows (that shard alone has unreturned matches); otherwise every
   matching tuple was gathered, and the total count classifies the result.
 
-The facade can additionally cache per shard: with an attached
-:class:`~repro.webdb.cache.QueryResultCache`, each shard's answers are stored
-under that shard's own namespace, so invalidating one shard never retires a
-sibling shard's entries.
+Every shard is issued through its own
+:class:`~repro.webdb.stack.SourceStack` (fault injector, guard, statistics),
+built once when the federation is constructed.  The facade can additionally
+cache per shard: given a :class:`~repro.webdb.cache.QueryResultCache`, each
+shard's answers are stored under that shard's own namespace, so invalidating
+one shard never retires a sibling shard's entries.
 """
 
 from __future__ import annotations
@@ -54,14 +56,9 @@ from repro.exceptions import (
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
-from repro.webdb.faults import FaultInjector, FaultPlan, find_injector
+from repro.webdb.faults import FaultInjector, FaultPlan
 from repro.webdb.indexes import ColumnarCatalog
-from repro.webdb.interface import (
-    InstrumentedInterface,
-    Outcome,
-    SearchResult,
-    TopKInterface,
-)
+from repro.webdb.interface import Outcome, SearchResult, TopKInterface
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
@@ -69,8 +66,9 @@ from repro.webdb.resilience import (
     Deadline,
     ResilienceConfig,
     ResilienceStatistics,
-    SourceGuard,
+    guards_snapshot,
 )
+from repro.webdb.stack import SourceStack
 
 Row = Dict[str, object]
 
@@ -102,10 +100,9 @@ def _resolve_shard_spec(
     latency_jitter: float,
     latency_seed: int,
     latency_sleep: bool,
-    fault_plan: Optional[FaultPlan] = None,
-) -> Tuple[int, str, LatencyModel, Optional[FaultPlan]]:
-    """Resolve one shard's effective ``(k, engine, latency, fault plan)``
-    from its optional :class:`ShardSpec` and the federation-wide defaults."""
+) -> Tuple[int, str, LatencyModel]:
+    """Resolve one shard's effective ``(k, engine, latency)`` from its
+    optional :class:`ShardSpec` and the federation-wide defaults."""
     shard_k = spec.system_k if spec and spec.system_k is not None else system_k
     if shard_k < system_k:
         raise QueryError(
@@ -122,15 +119,28 @@ def _resolve_shard_spec(
             sleep=latency_sleep,
             seed=latency_seed + index,
         )
-    if spec and spec.fault_plan is not None:
-        shard_plan: Optional[FaultPlan] = spec.fault_plan
-    elif fault_plan is not None and not fault_plan.is_noop:
-        # Shard-specific seed offset: shards draw independent fault streams
-        # from one federation-wide plan, yet each stream stays replayable.
-        shard_plan = dataclass_replace(fault_plan, seed=fault_plan.seed + index)
-    else:
-        shard_plan = None
-    return shard_k, shard_engine, latency, shard_plan
+    return shard_k, shard_engine, latency
+
+
+def shard_fault_plans(
+    count: int,
+    fault_plan: Optional[FaultPlan],
+    specs: Optional[Sequence[Optional[ShardSpec]]] = None,
+) -> List[Optional[FaultPlan]]:
+    """Each shard's fault schedule: its :class:`ShardSpec`'s own plan, else
+    the federation-wide plan with a shard-specific seed offset — shards draw
+    independent fault streams from one plan, yet each stream stays
+    replayable — else ``None``."""
+    plans: List[Optional[FaultPlan]] = []
+    for index in range(count):
+        spec = specs[index] if specs is not None else None
+        if spec is not None and spec.fault_plan is not None:
+            plans.append(spec.fault_plan)
+        elif fault_plan is not None:
+            plans.append(dataclass_replace(fault_plan, seed=fault_plan.seed + index))
+        else:
+            plans.append(None)
+    return plans
 
 
 class ShardedCatalog:
@@ -271,25 +281,21 @@ class ShardedCatalog:
         engine: str = "indexed",
         specs: Optional[Sequence[Optional[ShardSpec]]] = None,
         columnar_backend: str = "buffer",
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> List[TopKInterface]:
+    ) -> List[HiddenWebDatabase]:
         """Materialize one :class:`HiddenWebDatabase` per shard.
 
         Shards are named ``"{name}#{i}"`` so that
         :func:`~repro.webdb.cache.default_namespace` automatically gives each
         shard its own cache namespace.  Every shard gets an independent
         latency model (same distribution, shard-specific seed) unless a
-        :class:`ShardSpec` overrides it.  A ``fault_plan`` (federation-wide,
-        or per shard via the spec) wraps that shard in a
-        :class:`~repro.webdb.faults.FaultInjector` with a shard-specific
-        seed, so the databases returned may be injector-wrapped.
+        :class:`ShardSpec` overrides it.
         """
         if specs is not None and len(specs) != self.shard_count:
             raise QueryError("specs must align with shard tables")
-        databases: List[TopKInterface] = []
+        databases: List[HiddenWebDatabase] = []
         for index, table in enumerate(self.tables):
             spec = specs[index] if specs is not None else None
-            shard_k, shard_engine, latency, shard_plan = _resolve_shard_spec(
+            shard_k, shard_engine, latency = _resolve_shard_spec(
                 spec,
                 index,
                 system_k=system_k,
@@ -298,21 +304,19 @@ class ShardedCatalog:
                 latency_jitter=latency_jitter,
                 latency_seed=latency_seed,
                 latency_sleep=latency_sleep,
-                fault_plan=fault_plan,
             )
-            database: TopKInterface = HiddenWebDatabase(
-                catalog=table,
-                schema=self.schema,
-                system_ranking=system_ranking,
-                system_k=shard_k,
-                latency=latency,
-                name=f"{name}#{index}",
-                engine=shard_engine,
-                columnar_backend=columnar_backend,
+            databases.append(
+                HiddenWebDatabase(
+                    catalog=table,
+                    schema=self.schema,
+                    system_ranking=system_ranking,
+                    system_k=shard_k,
+                    latency=latency,
+                    name=f"{name}#{index}",
+                    engine=shard_engine,
+                    columnar_backend=columnar_backend,
+                )
             )
-            if shard_plan is not None:
-                database = FaultInjector(database, shard_plan)
-            databases.append(database)
         return databases
 
 
@@ -324,9 +328,13 @@ class FederatedInterface(TopKInterface):
     ranking — reproducing the unsharded reference database's pages byte for
     byte (see the module docstring for the argument).
 
-    With :meth:`attach_cache`, shard answers are cached under per-shard
-    namespaces: :meth:`invalidate_shard` retires exactly one shard's entries
-    while sibling shards' cached answers keep serving.
+    Each shard sits behind its own :class:`~repro.webdb.stack.SourceStack`,
+    built here from ``fault_plans[i]`` and ``resilience``; the stacks' guards
+    share one :class:`~repro.webdb.resilience.ResilienceStatistics`.  With a
+    ``result_cache``, shard answers are cached under per-shard namespaces:
+    :meth:`invalidate_shard` retires exactly one shard's entries while
+    sibling shards' cached answers keep serving.  Guards and cache are fixed
+    at construction — nothing re-binds them later.
     """
 
     def __init__(
@@ -338,11 +346,16 @@ class FederatedInterface(TopKInterface):
         partitions: Optional[Sequence[Optional[RangePredicate]]] = None,
         shard_by: str = "rank",
         result_cache: Optional[QueryResultCache] = None,
+        fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
+        resilience: Optional[ResilienceConfig] = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not shards:
             raise QueryError("a federation needs at least one shard")
         if partitions is not None and len(partitions) != len(shards):
             raise QueryError("partitions must align with shards")
+        if fault_plans is not None and len(fault_plans) != len(shards):
+            raise QueryError("fault_plans must align with shards")
         self._shards: List[TopKInterface] = list(shards)
         self._schema = shards[0].schema
         for shard in self._shards[1:]:
@@ -361,12 +374,24 @@ class FederatedInterface(TopKInterface):
                     f"shard {index} has system_k={shard.system_k} below the "
                     f"federated k={self._system_k}"
                 )
-        self._instrumented = [InstrumentedInterface(shard) for shard in self._shards]
         self._namespaces = [default_namespace(shard) for shard in self._shards]
         if len(set(self._namespaces)) != len(self._namespaces):
             raise QueryError(f"shard names must be unique: {self._namespaces}")
         if self.name in self._namespaces:
             raise QueryError(f"federation name {self.name!r} collides with a shard")
+        self._resilience = resilience or ResilienceConfig()
+        self._resilience_stats = ResilienceStatistics()
+        self._stacks = [
+            SourceStack(
+                shard,
+                fault_plan=fault_plans[index] if fault_plans is not None else None,
+                resilience=self._resilience,
+                resilience_statistics=self._resilience_stats,
+                clock=clock,
+                name=self._namespaces[index],
+            )
+            for index, shard in enumerate(self._shards)
+        ]
         self._partitions = list(partitions) if partitions is not None else None
         self._shard_by = shard_by
         self._cache = result_cache
@@ -378,13 +403,6 @@ class FederatedInterface(TopKInterface):
         self._merge_rows_total = 0
         self._merge_depth_max = 0
         self._shard_cache_hits = [0] * len(self._shards)
-        # Resilience (off until configure_resilience): one guard per shard,
-        # sharing the federation's resilience statistics.
-        self._resilience: Optional[ResilienceConfig] = None
-        self._guards: Optional[List[SourceGuard]] = None
-        self._resilience_stats: Optional[ResilienceStatistics] = None
-        self._degraded_scatters = 0
-        self._stale_shard_answers = 0
 
     # ------------------------------------------------------------------ #
     # TopKInterface
@@ -400,34 +418,31 @@ class FederatedInterface(TopKInterface):
     @property
     def supports_batched_search(self) -> bool:
         """A scatter already fans out internally; batching is advertised only
-        when every shard could amortize it (no sleeping latency model)."""
-        return all(shard.supports_batched_search for shard in self._shards)
+        when every shard could amortize it (no sleeping latency model, no
+        fault being drawn)."""
+        return all(stack.supports_batched_search for stack in self._stacks)
 
     def search(self, query: SearchQuery) -> SearchResult:
         """Scatter ``query`` to the live shards and gather one merged page.
 
-        With resilience configured, a shard whose retries are exhausted (or
-        whose breaker is open) does not fail the scatter: its stale cached
-        answer is replayed when permitted, otherwise the shard is recorded in
-        ``missing_shards`` and the merged result is returned *degraded* —
-        forced to ``OVERFLOW`` so it never claims to cover the query, and
-        never stored in the result cache.  Only when **no** shard contributes
-        anything does the scatter raise.
+        A shard whose retries are exhausted (or whose breaker is open) does
+        not fail the scatter: its stale cached answer is replayed when
+        permitted, otherwise the shard is recorded in ``missing_shards`` and
+        the merged result is returned *degraded* — forced to ``OVERFLOW`` so
+        it never claims to cover the query, and never stored in the result
+        cache.  Only when **no** shard contributes anything does the scatter
+        raise.
         """
         query.validate(self._schema)
         targets = self._targets_for(query)
-        deadline = (
-            Deadline(self._resilience.deadline_seconds)
-            if self._resilience is not None
-            else None
-        )
+        deadline = Deadline(self._resilience.deadline_seconds)
         results: List[SearchResult] = []
         missing: List[str] = []
         stale_answers = 0
         last_error: Optional[SourceUnavailableError] = None
         deadline_hit = False
         for index in targets:
-            if deadline is not None and deadline.expired:
+            if deadline.expired:
                 # Out of time: the remaining shards go unqueried and are
                 # reported missing instead of being paid for.
                 deadline_hit = True
@@ -444,8 +459,7 @@ class FederatedInterface(TopKInterface):
                 else:
                     missing.append(self._namespaces[index])
                 continue
-            if deadline is not None:
-                deadline.charge(result.elapsed_seconds)
+            deadline.charge(result.elapsed_seconds)
             results.append(result)
         if targets and not results:
             # Nothing answered, live or stale: the whole federation is down
@@ -453,7 +467,7 @@ class FederatedInterface(TopKInterface):
             if deadline_hit and last_error is None:
                 raise DeadlineExceededError(
                     f"{self.name}: deadline exhausted before any shard answered",
-                    elapsed_seconds=deadline.spent if deadline else 0.0,
+                    elapsed_seconds=deadline.spent,
                 )
             raise SourceUnavailableError(
                 f"{self.name}: no shard reachable ({', '.join(missing)})",
@@ -481,9 +495,8 @@ class FederatedInterface(TopKInterface):
             self._fanout_max = max(self._fanout_max, len(targets))
             self._merge_rows_total += total
             self._merge_depth_max = max(self._merge_depth_max, total)
-            if degraded:
-                self._degraded_scatters += 1
-            self._stale_shard_answers += stale_answers
+        if degraded:
+            self._resilience_stats.record("degraded_scatters")
         return SearchResult(
             query=query,
             rows=tuple(merged[: self._system_k]),
@@ -524,24 +537,19 @@ class FederatedInterface(TopKInterface):
         return targets
 
     def _shard_search(
-        self, index: int, query: SearchQuery, deadline: Optional[Deadline] = None
+        self, index: int, query: SearchQuery, deadline: Deadline
     ) -> SearchResult:
-        shard = self._instrumented[index]
-        guard = self._guards[index] if self._guards is not None else None
-        if guard is None:
-            compute: Callable[[], SearchResult] = lambda: shard.search(query)
-        else:
-            # The guard wraps only the remote compute: cache hits below never
-            # touch the breaker, so cached answers keep serving while a shard
-            # is down, and breaker state reflects only real round trips.
-            compute = lambda: guard.call(lambda: shard.search(query), deadline)
+        stack = self._stacks[index]
         if self._cache is None:
-            return compute()
+            return stack.search(query, deadline)
+        # The stack's guard wraps only the remote compute: cache hits never
+        # touch the breaker, so cached answers keep serving while a shard is
+        # down, and breaker state reflects only real round trips.
         result, status = self._cache.fetch(
             self._namespaces[index],
             query,
-            shard.system_k,
-            compute,
+            stack.system_k,
+            lambda: stack.search(query, deadline),
         )
         if status is not FetchStatus.MISS:
             with self._lock:
@@ -553,24 +561,20 @@ class FederatedInterface(TopKInterface):
     ) -> Optional[SearchResult]:
         """A generation-stale cached answer for a failed shard, when the
         resilience policy allows serving it (marked stale + degraded)."""
-        if (
-            self._cache is None
-            or self._resilience is None
-            or not self._resilience.serve_stale_on_error
-        ):
+        if self._cache is None or not self._resilience.serve_stale_on_error:
             return None
-        shard = self._instrumented[index]
-        stale = self._cache.serve_stale(self._namespaces[index], query, shard.system_k)
-        if stale is not None and self._resilience_stats is not None:
+        stale = self._cache.serve_stale(
+            self._namespaces[index], query, self._stacks[index].system_k
+        )
+        if stale is not None:
             self._resilience_stats.record("stale_serves")
+            self._resilience_stats.record("stale_shard_answers")
         return stale
 
     def _shortest_retry_hint(self) -> Optional[float]:
         """The soonest any shard's breaker would admit a probe (for the
         ``Retry-After`` hint of a total-outage 503)."""
-        if self._guards is None:
-            return None
-        waits = [guard.breaker.seconds_until_probe() for guard in self._guards]
+        waits = [stack.guard.breaker.seconds_until_probe() for stack in self._stacks]
         positive = [wait for wait in waits if wait > 0]
         if not positive:
             return None
@@ -585,12 +589,12 @@ class FederatedInterface(TopKInterface):
         return list(self._shards)
 
     @property
-    def shard_interfaces(self) -> List[InstrumentedInterface]:
-        """Instrumented per-shard interfaces: all shard traffic — scatter
-        *and* merge-mode Get-Next streams — flows through these, so their
-        :class:`~repro.webdb.interface.InterfaceStatistics` aggregate the
-        per-shard budget spent regardless of execution mode."""
-        return list(self._instrumented)
+    def shard_stacks(self) -> List[SourceStack]:
+        """Each shard's source stack: all shard traffic flows through these,
+        so ``stack.statistics`` aggregates the per-shard budget spent and
+        ``stack.guard`` / ``stack.injector`` are that shard's breaker and
+        fault schedule."""
+        return list(self._stacks)
 
     @property
     def shard_namespaces(self) -> List[str]:
@@ -607,87 +611,24 @@ class FederatedInterface(TopKInterface):
         """Partitioning key (``"rank"`` or the partition attribute name)."""
         return self._shard_by
 
-    @property
-    def result_cache(self) -> Optional[QueryResultCache]:
-        """The cache shard answers are stored in (``None`` when detached)."""
-        return self._cache
-
-    def attach_cache(self, cache: QueryResultCache) -> None:
-        """Attach the shared result cache the facade stores shard answers in
-        (idempotent for the same cache object)."""
-        if self._cache is not None and self._cache is not cache:
-            raise QueryError("federation already attached to a different cache")
-        self._cache = cache
-
     # ------------------------------------------------------------------ #
     # Resilience
     # ------------------------------------------------------------------ #
-    def configure_resilience(
-        self,
-        config: ResilienceConfig,
-        statistics: Optional[ResilienceStatistics] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        """Install per-shard retry/breaker guards (idempotent for an equal
-        configuration).  ``clock`` overrides the breakers' recovery clock for
-        the tests."""
-        if self._resilience == config and self._guards is not None:
-            return
-        effective_clock = clock if clock is not None else time.monotonic
-        self._resilience = config
-        self._resilience_stats = statistics or ResilienceStatistics()
-        self._guards = [
-            SourceGuard.from_config(
-                namespace,
-                config,
-                statistics=self._resilience_stats,
-                clock=effective_clock,
-            )
-            for namespace in self._namespaces
-        ]
-
     @property
-    def resilience_config(self) -> Optional[ResilienceConfig]:
-        """The installed resilience policy (``None`` until configured)."""
-        return self._resilience
-
-    @property
-    def resilience_statistics(self) -> Optional[ResilienceStatistics]:
-        """The shared counters the shard guards record into (``None`` until
-        :meth:`configure_resilience`)."""
+    def resilience_statistics(self) -> ResilienceStatistics:
+        """The shared counters every shard guard records into."""
         return self._resilience_stats
-
-    @property
-    def shard_guards(self) -> Optional[List[SourceGuard]]:
-        """Per-shard guards, aligned with shard indexes (``None`` until
-        :meth:`configure_resilience`)."""
-        return list(self._guards) if self._guards is not None else None
-
-    def shard_circuit_open(self, index: int) -> bool:
-        """True when shard ``index``'s breaker currently rejects calls (the
-        merge-mode Get-Next uses this to skip dead shards up front)."""
-        if self._guards is None:
-            return False
-        return self._guards[index].breaker.is_open
 
     def fault_injectors(self) -> List[Optional[FaultInjector]]:
         """Each shard's :class:`FaultInjector` (``None`` for clean shards);
         the chaos harness uses these to heal or re-plan outages mid-run."""
-        return [find_injector(shard) for shard in self._shards]
+        return [stack.injector for stack in self._stacks]
 
-    def resilience_snapshot(self) -> Optional[Dict[str, object]]:
-        """Aggregated resilience counters plus per-shard breaker states, or
-        ``None`` when resilience was never configured."""
-        if self._resilience_stats is None or self._guards is None:
-            return None
-        with self._lock:
-            degraded = self._degraded_scatters
-            stale = self._stale_shard_answers
-        payload = self._resilience_stats.snapshot()
-        payload["degraded_scatters"] = degraded
-        payload["stale_shard_answers"] = stale
-        payload["breakers"] = [guard.describe() for guard in self._guards]
-        return payload
+    def resilience_snapshot(self) -> Dict[str, object]:
+        """Aggregated resilience counters plus per-shard breaker states."""
+        return guards_snapshot(
+            self._resilience_stats, [stack.guard for stack in self._stacks]
+        )
 
     def invalidate_shard(self, index: int) -> int:
         """Retire shard ``index``'s cached answers (returns entries removed).
@@ -806,7 +747,7 @@ class FederatedInterface(TopKInterface):
 
     def shard_queries_issued(self) -> int:
         """Raw shard hits across the federation (cache hits excluded)."""
-        return sum(wrapper.statistics.queries for wrapper in self._instrumented)
+        return sum(stack.statistics.queries for stack in self._stacks)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -823,8 +764,8 @@ class FederatedInterface(TopKInterface):
             merge_max = self._merge_depth_max
             cache_hits = list(self._shard_cache_hits)
         shards = []
-        for index, wrapper in enumerate(self._instrumented):
-            stats = wrapper.statistics.snapshot()
+        for index, stack in enumerate(self._stacks):
+            stats = stack.statistics.snapshot()
             partition = (
                 self._partitions[index].describe()
                 if self._partitions is not None and self._partitions[index] is not None
@@ -883,15 +824,19 @@ def build_federation(
     result_cache: Optional[QueryResultCache] = None,
     columnar_backend: str = "buffer",
     fault_plan: Optional[FaultPlan] = None,
+    resilience: Optional[ResilienceConfig] = None,
+    clock: Callable[[], float] = time.monotonic,
 ) -> FederatedInterface:
     """Partition ``catalog`` and wrap the shards in a federated interface.
 
     This is the one-call path the service registry and the experiment
     harness use; ``shards=1`` still produces a (single-shard) federation —
     callers wanting the unsharded reference engine construct
-    :class:`HiddenWebDatabase` directly.  ``fault_plan`` wraps every shard in
-    a deterministic :class:`~repro.webdb.faults.FaultInjector` (per-shard
-    seed offsets keep the shard schedules independent but replayable).
+    :class:`HiddenWebDatabase` directly.  ``fault_plan`` gives every shard's
+    stack a deterministic :class:`~repro.webdb.faults.FaultInjector`
+    (per-shard seed offsets keep the shard schedules independent but
+    replayable); ``resilience`` is the policy of the shard guards and
+    ``clock`` their breakers' recovery clock.
     """
     sharded = ShardedCatalog.partition(catalog, schema, system_ranking, shards, by=by)
     databases = sharded.build_databases(
@@ -905,7 +850,6 @@ def build_federation(
         engine=engine,
         specs=specs,
         columnar_backend=columnar_backend,
-        fault_plan=fault_plan,
     )
     return FederatedInterface(
         databases,
@@ -915,6 +859,9 @@ def build_federation(
         partitions=sharded.partitions,
         shard_by=sharded.shard_by,
         result_cache=result_cache,
+        fault_plans=shard_fault_plans(len(databases), fault_plan, specs),
+        resilience=resilience,
+        clock=clock,
     )
 
 
@@ -936,6 +883,8 @@ def build_federation_from_store(
     columnar_backend: str = "buffer",
     batch_size: int = 10_000,
     fault_plan: Optional[FaultPlan] = None,
+    resilience: Optional[ResilienceConfig] = None,
+    clock: Callable[[], float] = time.monotonic,
 ) -> FederatedInterface:
     """Stream a catalog out of a SQLite store into a federated interface.
 
@@ -1005,7 +954,7 @@ def build_federation_from_store(
             )
     if specs is not None and len(specs) != len(buckets):
         raise QueryError("specs must align with shard tables")
-    databases: List[TopKInterface] = []
+    databases: List[HiddenWebDatabase] = []
     for index, bucket in enumerate(buckets):
         shard_columns = {
             column: [columns[column][position] for position in bucket]
@@ -1015,7 +964,7 @@ def build_federation_from_store(
             shard_columns, column_order, schema.key, backend=columnar_backend
         )
         spec = specs[index] if specs is not None else None
-        shard_k, shard_engine, latency, shard_plan = _resolve_shard_spec(
+        shard_k, shard_engine, latency = _resolve_shard_spec(
             spec,
             index,
             system_k=system_k,
@@ -1024,20 +973,18 @@ def build_federation_from_store(
             latency_jitter=latency_jitter,
             latency_seed=latency_seed,
             latency_sleep=latency_sleep,
-            fault_plan=fault_plan,
         )
-        database: TopKInterface = HiddenWebDatabase.from_columnar(
-            columnar,
-            schema,
-            system_ranking,
-            system_k=shard_k,
-            latency=latency,
-            name=f"{name}#{index}",
-            engine=shard_engine,
+        databases.append(
+            HiddenWebDatabase.from_columnar(
+                columnar,
+                schema,
+                system_ranking,
+                system_k=shard_k,
+                latency=latency,
+                name=f"{name}#{index}",
+                engine=shard_engine,
+            )
         )
-        if shard_plan is not None:
-            database = FaultInjector(database, shard_plan)
-        databases.append(database)
     del columns
     return FederatedInterface(
         databases,
@@ -1047,4 +994,7 @@ def build_federation_from_store(
         partitions=partitions,
         shard_by=shard_by,
         result_cache=result_cache,
+        fault_plans=shard_fault_plans(len(databases), fault_plan, specs),
+        resilience=resilience,
+        clock=clock,
     )

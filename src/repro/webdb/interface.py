@@ -21,10 +21,13 @@ import enum
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Schema
 from repro.webdb.query import SearchQuery
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.webdb.resilience import ResilienceStatistics
 
 Row = Dict[str, object]
 
@@ -150,13 +153,25 @@ class TopKInterface(ABC):
         implementation does not track it)."""
         return 0
 
+    @property
+    def resilience_statistics(self) -> Optional["ResilienceStatistics"]:
+        """The retry/breaker counters of the guards this interface issues
+        through (``None`` for an unguarded source)."""
+        return None
+
+    def resilience_snapshot(self) -> Optional[Dict[str, object]]:
+        """Those counters plus each guard's breaker state, for the statistics
+        panel (``None`` for an unguarded source)."""
+        return None
+
 
 @dataclass
 class InterfaceStatistics:
-    """Mutable, thread-safe per-interface statistics, kept by instrumented
-    wrappers.  ``record`` is called concurrently from the query engine's
-    thread pool, so every fold happens under one lock — unlocked ``+=`` on the
-    counters loses increments under parallel groups."""
+    """Mutable, thread-safe per-source statistics, kept by each
+    :class:`~repro.webdb.stack.SourceStack`.  ``record`` is called
+    concurrently from the query engine's thread pool, so every fold happens
+    under one lock — unlocked ``+=`` on the counters loses increments under
+    parallel groups."""
 
     queries: int = 0
     overflow_queries: int = 0
@@ -198,51 +213,3 @@ class InterfaceStatistics:
                 "elapsed_seconds": self.elapsed_seconds,
                 "per_attribute_queries": dict(self.per_attribute_queries),
             }
-
-
-class InstrumentedInterface(TopKInterface):
-    """Wrapper adding statistics collection to any :class:`TopKInterface`.
-
-    The reranking algorithms receive an instrumented interface so that the
-    statistics panel can report the exact number of external queries a user
-    request cost — the headline metric of the paper's evaluation.
-    """
-
-    def __init__(self, inner: TopKInterface) -> None:
-        self._inner = inner
-        self.statistics = InterfaceStatistics()
-
-    @property
-    def schema(self) -> Schema:
-        return self._inner.schema
-
-    @property
-    def system_k(self) -> int:
-        return self._inner.system_k
-
-    @property
-    def key_column(self) -> str:
-        return self._inner.key_column
-
-    @property
-    def supports_batched_search(self) -> bool:
-        return self._inner.supports_batched_search
-
-    def search(self, query: SearchQuery) -> SearchResult:
-        result = self._inner.search(query)
-        self.statistics.record(result)
-        return result
-
-    def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
-        results = self._inner.search_many(queries)
-        for result in results:
-            self.statistics.record(result)
-        return results
-
-    def queries_issued(self) -> int:
-        return self.statistics.queries
-
-    @property
-    def inner(self) -> TopKInterface:
-        """The wrapped interface."""
-        return self._inner

@@ -19,7 +19,7 @@ through those faults:
   (partial answer) or the query fails with
   :class:`~repro.exceptions.DeadlineExceededError`.
 * :class:`SourceGuard` — one source/shard's retry loop wired through its
-  breaker, the unit the federation and the query engine call.
+  breaker, the guard stage of a :class:`~repro.webdb.stack.SourceStack`.
 
 Delays are charged in simulated time (and against the deadline), never slept:
 the chaos benchmarks gate on deterministic counters, not wall clock.
@@ -30,16 +30,16 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
     SourceUnavailableError,
 )
-from repro.webdb.interface import SearchResult, TopKInterface
-from repro.webdb.query import SearchQuery
+
+T = TypeVar("T")
 
 _TOKEN_HASH = 2654435761
 
@@ -93,29 +93,6 @@ class ResilienceConfig:
             raise ValueError("max_attempts must be at least 1")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be at least 1")
-
-    def with_deadline(self, seconds: Optional[float]) -> "ResilienceConfig":
-        """Copy of this configuration with a per-query deadline set."""
-        return replace(self, deadline_seconds=seconds)
-
-    def with_breaker(
-        self, failure_threshold: int, recovery_seconds: Optional[float] = None
-    ) -> "ResilienceConfig":
-        """Copy of this configuration with breaker knobs set."""
-        updated = replace(self, breaker_failure_threshold=failure_threshold)
-        if recovery_seconds is not None:
-            updated = replace(updated, breaker_recovery_seconds=recovery_seconds)
-        return updated
-
-    def with_retries(
-        self, max_attempts: int, retry_budget: Optional[int] = None
-    ) -> "ResilienceConfig":
-        """Copy of this configuration with retry knobs set."""
-        return replace(self, max_attempts=max_attempts, retry_budget=retry_budget)
-
-    def without_stale_serving(self) -> "ResilienceConfig":
-        """Copy of this configuration with stale-on-error serving disabled."""
-        return replace(self, serve_stale_on_error=False)
 
 
 class RetryPolicy:
@@ -351,6 +328,8 @@ class ResilienceStatistics:
         "retry_budget_exhausted",
         "degraded_results",
         "stale_serves",
+        "degraded_scatters",
+        "stale_shard_answers",
     )
 
     def __init__(self) -> None:
@@ -422,9 +401,9 @@ class SourceGuard:
 
     def call(
         self,
-        supply: Callable[[], SearchResult],
+        supply: Callable[[], T],
         deadline: Optional[Deadline] = None,
-    ) -> SearchResult:
+    ) -> T:
         """Run ``supply`` under the guard's breaker + retry policy.
 
         Raises :class:`CircuitOpenError` without invoking ``supply`` while
@@ -524,76 +503,12 @@ class SourceGuard:
         return description
 
 
-class ResilientInterface(TopKInterface):
-    """Retry/breaker wrapper for a single (unsharded) source.
-
-    Sits *outside* any fault injector so scheduled faults are retried, and
-    *inside* the query engine's result cache so cached answers bypass the
-    guard entirely.  Transparent for every attribute it does not implement.
-    """
-
-    def __init__(
-        self,
-        inner: TopKInterface,
-        config: Optional[ResilienceConfig] = None,
-        statistics: Optional[ResilienceStatistics] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._inner = inner
-        self._config = config or ResilienceConfig()
-        name = getattr(inner, "name", "source")
-        self._guard = SourceGuard.from_config(
-            name, self._config, statistics=statistics, clock=clock
-        )
-
-    @property
-    def schema(self):
-        return self._inner.schema
-
-    @property
-    def system_k(self) -> int:
-        return self._inner.system_k
-
-    @property
-    def key_column(self) -> str:
-        return self._inner.key_column
-
-    @property
-    def supports_batched_search(self) -> bool:
-        # Each query must pass through the guard individually.
-        return False
-
-    def search(self, query: SearchQuery) -> SearchResult:
-        deadline = Deadline(self._config.deadline_seconds)
-        return self._guard.call(lambda: self._inner.search(query), deadline)
-
-    def search_many(self, queries):
-        return [self.search(query) for query in queries]
-
-    def queries_issued(self) -> int:
-        return self._inner.queries_issued()
-
-    @property
-    def guard(self) -> SourceGuard:
-        """The source's guard (breaker + retry accounting)."""
-        return self._guard
-
-    @property
-    def resilience_statistics(self) -> ResilienceStatistics:
-        return self._guard.statistics
-
-    def resilience_snapshot(self) -> Dict[str, object]:
-        """Counters plus the single breaker's state, shaped exactly like
-        :meth:`~repro.webdb.federation.FederatedInterface.resilience_snapshot`
-        so the statistics panel treats both source kinds uniformly."""
-        payload = self._guard.statistics.snapshot()
-        payload["breakers"] = [self._guard.describe()]
-        return payload
-
-    @property
-    def inner(self) -> TopKInterface:
-        """The wrapped interface."""
-        return self._inner
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
+def guards_snapshot(
+    statistics: ResilienceStatistics, guards: Sequence[SourceGuard]
+) -> Dict[str, object]:
+    """The statistics panel's resilience block: the counters ``guards``
+    share plus each guard's breaker state.  One shape for every source kind
+    (an unsharded stack has one guard, a federation one per shard)."""
+    payload = statistics.snapshot()
+    payload["breakers"] = [guard.describe() for guard in guards]
+    return payload

@@ -44,7 +44,7 @@ from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
 from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog, housing_schema
 from repro.webdb.database import HiddenWebDatabase
-from repro.webdb.federation import FederatedInterface, build_federation
+from repro.webdb.federation import build_federation
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
@@ -149,12 +149,17 @@ class ExperimentEnvironment:
         """A fresh reranker (fresh dense-region index) over a source."""
         return QueryReranker(self.database(source), config=config or self.rerank_config)
 
-    def make_federation(
-        self, source: str, shards: int, by: str = "rank"
-    ) -> FederatedInterface:
-        """A fresh federated facade over the *same* catalog a source's
-        unsharded database serves — the precondition for byte-identical
-        differentials between the two."""
+    def make_federated_reranker(
+        self,
+        source: str,
+        shards: int,
+        by: str = "rank",
+        config: Optional[RerankConfig] = None,
+    ) -> QueryReranker:
+        """A fresh reranker over a fresh federated facade of the *same*
+        catalog a source's unsharded database serves — the precondition for
+        byte-identical differentials between the two.  Facade and reranker
+        share one result cache, fixed when the federation is built."""
         if source == "bluenile":
             catalog, schema, ranking = (
                 self.diamond_catalog, self.diamond_schema, self.diamond_ranking
@@ -165,7 +170,9 @@ class ExperimentEnvironment:
             )
         else:
             raise ValueError(f"unknown source {source!r}")
-        return build_federation(
+        config = config or self.rerank_config
+        result_cache = config.make_result_cache()
+        federation = build_federation(
             catalog=catalog,
             schema=schema,
             system_ranking=ranking,
@@ -175,18 +182,10 @@ class ExperimentEnvironment:
             system_k=self.system_k,
             latency_mean=self.latency_seconds,
             latency_seed=self.seed,
+            result_cache=result_cache,
+            resilience=config.resilience,
         )
-
-    def make_federated_reranker(
-        self,
-        source: str,
-        shards: int,
-        by: str = "rank",
-        config: Optional[RerankConfig] = None,
-    ) -> QueryReranker:
-        """A fresh reranker over a fresh federated facade of a source."""
-        federation = self.make_federation(source, shards, by=by)
-        return QueryReranker(federation, config=config or self.rerank_config)
+        return QueryReranker(federation, config=config, result_cache=result_cache)
 
 
 def _run_cell(
@@ -900,20 +899,17 @@ def run_shard_scatter(
     For each source the first 1D and first MD demonstration scenarios run
     against the unsharded database, then against federations of
     ``shard_counts`` shards under both partitioning schemes (hidden rank
-    round-robin and ``price`` attribute ranges) and both federation modes:
-
-    * **scatter** (default) — the unmodified algorithms query the facade, so
-      the session-level external query count is *identical* to unsharded
-      (ratio 1.0); the facade fans each query out below the interface.
-    * **merge** — one Get-Next stream per shard, lazily merged; per-shard
-      binary descents cost extra external queries, reported as a ratio.
+    round-robin and ``price`` attribute ranges).  The unmodified algorithms
+    query the facade, so the session-level external query count is
+    *identical* to unsharded (ratio 1.0); the facade fans each query out
+    below the interface.
 
     Every run must produce byte-identical pages.  A pruning probe (attribute
     sharding + a filter window inside one shard's partition) demonstrates the
     facade skipping shards whose partition cannot intersect the query.
     """
     environment = environment or ExperimentEnvironment()
-    # Feed ablated: replay would hide the scatter/merge costs being compared.
+    # Feed ablated: replay would hide the scatter cost being measured.
     config = environment.rerank_config.without_rerank_feed()
     payload: Dict[str, Dict[str, object]] = {}
     for source in ("bluenile", "zillow"):
@@ -938,45 +934,38 @@ def run_shard_scatter(
             runs: List[Dict[str, object]] = []
             for count in shard_counts:
                 for by in ("rank", "price"):
-                    for mode in ("scatter", "merge"):
-                        reranker = environment.make_federated_reranker(
-                            source, count, by=by, config=config.with_federation_mode(mode)
-                        )
-                        stream = reranker.rerank(
-                            scenario.query, scenario.ranking, algorithm=algorithm
-                        )
-                        rows = [dict(row) for row in stream.top(depth)]
-                        queries = stream.statistics.external_queries
-                        stream.close()
-                        federation = reranker.federation
-                        assert federation is not None
-                        described = federation.describe()
-                        runs.append(
-                            {
-                                "shards": count,
-                                "by": by,
-                                "mode": mode,
-                                "pages_match": rows == ref_rows,
-                                "external_queries": queries,
-                                "query_ratio": queries / max(ref_queries, 1),
-                                "scatter_queries": described["scatter_queries"],
-                                "shard_queries": described["shard_queries"],
-                                "pruned_shard_queries": described["pruned_shard_queries"],
-                                "fan_out": described["fan_out"],
-                                "merge": described["merge"],
-                            }
-                        )
+                    reranker = environment.make_federated_reranker(
+                        source, count, by=by, config=config
+                    )
+                    stream = reranker.rerank(
+                        scenario.query, scenario.ranking, algorithm=algorithm
+                    )
+                    rows = [dict(row) for row in stream.top(depth)]
+                    queries = stream.statistics.external_queries
+                    stream.close()
+                    federation = reranker.federation
+                    assert federation is not None
+                    described = federation.describe()
+                    runs.append(
+                        {
+                            "shards": count,
+                            "by": by,
+                            "pages_match": rows == ref_rows,
+                            "external_queries": queries,
+                            "query_ratio": queries / max(ref_queries, 1),
+                            "scatter_queries": described["scatter_queries"],
+                            "shard_queries": described["shard_queries"],
+                            "pruned_shard_queries": described["pruned_shard_queries"],
+                            "fan_out": described["fan_out"],
+                            "merge": described["merge"],
+                        }
+                    )
             workloads[label] = {
                 "scenario": scenario.describe(),
                 "reference_queries": ref_queries,
                 "runs": runs,
                 "all_pages_match": all(run["pages_match"] for run in runs),
-                "max_scatter_ratio": max(
-                    run["query_ratio"] for run in runs if run["mode"] == "scatter"
-                ),
-                "max_merge_ratio": max(
-                    run["query_ratio"] for run in runs if run["mode"] == "merge"
-                ),
+                "max_scatter_ratio": max(run["query_ratio"] for run in runs),
             }
 
         # Pruning probe: shard by price, then filter to the bottom decile of
@@ -1035,11 +1024,10 @@ def run_shard_differential(
     Each trial draws a random source, shard count (2 or 4), partitioning
     scheme, filter window, ranking function (1D or weighted MD), and
     algorithm, then pages through the answer on the unsharded reference and
-    on the federation under *both* federation modes.  Every page of every
-    run must match exactly — same tuples, same emission order, same row
-    payloads.  Scatter mode must stay within the 1.5× external-query budget
-    (it is exactly 1.0×: the algorithms cannot see the shard layer); merge
-    mode's ratio is reported but not gated.
+    on the federation.  Every page of every run must match exactly — same
+    tuples, same emission order, same row payloads — within the 1.5×
+    external-query budget (it is exactly 1.0×: the algorithms cannot see the
+    shard layer).
     """
     environment = environment or ExperimentEnvironment()
     rng = random.Random(seed)
@@ -1048,7 +1036,6 @@ def run_shard_differential(
     all_match = True
     within_budget = True
     max_scatter_ratio = 0.0
-    max_merge_ratio = 0.0
     for index in range(trials):
         source = rng.choice(["bluenile", "zillow"])
         schema = (
@@ -1078,22 +1065,17 @@ def run_shard_differential(
 
         reference = environment.make_reranker(source, config)
         ref = _page_through(reference, query, ranking, algorithm, pages, page_size)
-        modes: Dict[str, Dict[str, object]] = {}
-        for mode in ("scatter", "merge"):
-            reranker = environment.make_federated_reranker(
-                source, shards, by=by, config=config.with_federation_mode(mode)
-            )
-            modes[mode] = _page_through(reranker, query, ranking, algorithm, pages, page_size)
-        pages_match = (
-            ref["pages"] == modes["scatter"]["pages"] == modes["merge"]["pages"]
+        reranker = environment.make_federated_reranker(
+            source, shards, by=by, config=config
         )
-        reference_queries = max(int(ref["external_queries"]), 1)
-        scatter_ratio = int(modes["scatter"]["external_queries"]) / reference_queries
-        merge_ratio = int(modes["merge"]["external_queries"]) / reference_queries
+        scatter = _page_through(reranker, query, ranking, algorithm, pages, page_size)
+        pages_match = ref["pages"] == scatter["pages"]
+        scatter_ratio = int(scatter["external_queries"]) / max(
+            int(ref["external_queries"]), 1
+        )
         all_match = all_match and pages_match
         within_budget = within_budget and scatter_ratio <= 1.5
         max_scatter_ratio = max(max_scatter_ratio, scatter_ratio)
-        max_merge_ratio = max(max_merge_ratio, merge_ratio)
         trials_payload.append(
             {
                 "trial": index,
@@ -1105,10 +1087,8 @@ def run_shard_differential(
                 "query": query.describe(),
                 "pages_match": pages_match,
                 "reference_queries": ref["external_queries"],
-                "scatter_queries": modes["scatter"]["external_queries"],
-                "merge_queries": modes["merge"]["external_queries"],
+                "scatter_queries": scatter["external_queries"],
                 "scatter_ratio": scatter_ratio,
-                "merge_ratio": merge_ratio,
             }
         )
     return {
@@ -1116,7 +1096,6 @@ def run_shard_differential(
         "all_match": all_match,
         "scatter_within_budget": within_budget,
         "max_scatter_ratio": max_scatter_ratio,
-        "max_merge_ratio": max_merge_ratio,
         "budget": 1.5,
     }
 

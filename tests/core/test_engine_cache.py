@@ -1,14 +1,18 @@
 """Tests for the query engine's shared-result-cache integration and the
 budget / shutdown / latency accounting fixes."""
 
+import threading
+import time
+
 import pytest
 
 from repro.config import RerankConfig
 from repro.core.parallel import QueryEngine
-from repro.exceptions import QueryBudgetExceeded
+from repro.exceptions import QueryBudgetExceeded, SourceUnavailableError
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.database import HiddenWebDatabase
+from repro.webdb.interface import TopKInterface
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import AttributeOrderRanking
@@ -174,7 +178,7 @@ class TestBudgetAccuracy:
             cold.search(SearchQuery.build(ranges={"price": (300.0, 6000.0)}))
 
 
-class _FlakyInterface:
+class _FlakyInterface(TopKInterface):
     """Raises on queries whose price upper bound matches the poison value."""
 
     def __init__(self, inner, poison_upper: float):
@@ -443,3 +447,176 @@ class TestFetchMany:
         )
         assert len(outcomes) == 1
         assert outcomes[0][0].rows
+
+
+class _SettlingSource(TopKInterface):
+    """A source that counts the round trips it answered, raises for one
+    poison query, and advertises (or not) batched search."""
+
+    name = "settle"
+
+    def __init__(self, inner, batched, poison=None, error=None):
+        self._inner = inner
+        self._batched = batched
+        self._poison = poison
+        self._error = error
+        self._lock = threading.Lock()
+        self.answered = 0
+
+    @property
+    def schema(self):
+        return self._inner.schema
+
+    @property
+    def system_k(self):
+        return self._inner.system_k
+
+    @property
+    def supports_batched_search(self):
+        return self._batched
+
+    def search(self, query):
+        return self.search_many([query])[0]
+
+    def search_many(self, queries):
+        batch = list(queries)
+        # Like the real database, reject before issuing anything.
+        if self._poison in batch:
+            raise self._error
+        results = self._inner.search_many(batch)
+        with self._lock:
+            self.answered += len(results)
+        return results
+
+
+def _price_upto(upper):
+    return SearchQuery.build(ranges={"price": (300.0, upper)})
+
+
+class TestSettlementInvariant:
+    """``budget.used`` equals the round trips that answered, whatever the
+    issue mechanism and whatever became of each query of the group."""
+
+    MECHANISMS = {
+        # name: (source advertises batching, RerankConfig.enable_parallel)
+        "batched": (True, True),
+        "fan-out": (False, True),
+        "sequential": (False, False),
+    }
+    FRESH = [_price_upto(4000.0), _price_upto(5000.0)]
+
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+    @pytest.mark.parametrize(
+        "scenario",
+        ["hit", "contained", "coalesced", "issued", "failed", "stale"],
+    )
+    def test_budget_equals_answered_round_trips(self, timed_db, mechanism, scenario):
+        batched, parallel = self.MECHANISMS[mechanism]
+        cache = QueryResultCache()
+        namespace = _SettlingSource.name
+        k = timed_db.system_k
+        special = _price_upto(2000.0)
+        group = [self.FRESH[0], special, self.FRESH[1]]
+        poison = error = None
+        owner = None
+        if scenario == "hit":
+            # A duplicate within the group rides its twin's round trip.
+            group = [self.FRESH[0], self.FRESH[0], self.FRESH[1]]
+        elif scenario == "contained":
+            # A stored covering (valid) entry answers its subset for free.
+            lower, upper = timed_db.schema.domain_bounds("price")
+            width = (upper - lower) / 256
+            covering = next(
+                query
+                for query in (
+                    SearchQuery.build(
+                        ranges={"price": (lower + i * width, lower + (i + 1) * width)}
+                    )
+                    for i in range(256)
+                )
+                if 0 < timed_db.count_matches(query) <= k
+            )
+            cache.store(namespace, covering, k, timed_db.search(covering))
+            bounds = covering.range_on("price")
+            special = SearchQuery.build(
+                ranges={"price": (bounds.lower, (bounds.lower + bounds.upper) / 2)}
+            )
+            group = [self.FRESH[0], special, self.FRESH[1]]
+        elif scenario == "coalesced":
+            # Another caller owns the in-flight round trip for ``special``.
+            release = threading.Event()
+
+            def slow_compute():
+                release.wait(5.0)
+                return timed_db.search(special)
+
+            owner = threading.Thread(
+                target=cache.fetch, args=(namespace, special, k, slow_compute)
+            )
+            owner.start()
+            deadline = time.monotonic() + 5.0
+            while not cache._inflight and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert cache._inflight
+            threading.Timer(0.05, release.set).start()
+        elif scenario == "failed":
+            poison, error = special, RuntimeError("remote exploded")
+        elif scenario == "stale":
+            # The group was answered once and flushed by an invalidation (the
+            # copies parked); the source is now down for ``special``.
+            for query in group:
+                cache.fetch(namespace, query, k, lambda: timed_db.search(query))
+            cache.invalidate(namespace)
+            poison, error = special, SourceUnavailableError("source down")
+
+        source = _SettlingSource(timed_db, batched, poison=poison, error=error)
+        engine = QueryEngine(
+            source,
+            config=RerankConfig(enable_parallel=parallel),
+            result_cache=cache,
+            budget=QueryBudget(10),
+        )
+        raised = None
+        try:
+            results = engine.search_group(group)
+        except (RuntimeError, SourceUnavailableError) as caught:
+            raised = caught
+        finally:
+            if owner is not None:
+                owner.join(timeout=5.0)
+                assert not owner.is_alive()
+
+        # The invariant, in every cell.
+        assert engine.budget.used == source.answered
+        assert engine.statistics.external_queries == (
+            0 if raised is not None else source.answered
+        )
+
+        # And each cell did exercise what its name says.
+        statistics = engine.statistics
+        if scenario == "failed":
+            assert isinstance(raised, RuntimeError)
+            # batched: the one call raised, nothing answered; fan-out: the
+            # two healthy queries answered; sequential: the tail went unissued.
+            assert source.answered == {"batched": 0, "fan-out": 2, "sequential": 1}[
+                mechanism
+            ]
+        elif scenario == "stale" and mechanism == "batched":
+            # The one call failed for the whole batch: nothing is paid and
+            # every query is served its parked copy.
+            assert raised is None and source.answered == 0
+            assert statistics.stale_serves == 3
+            assert all(result.stale for result in results)
+        else:
+            assert raised is None and len(results) == 3
+            assert source.answered == (3 if scenario == "issued" else 2)
+            witness = {
+                "hit": statistics.result_cache_hits + statistics.coalesced_queries,
+                "contained": statistics.contained_answers,
+                "coalesced": statistics.coalesced_queries,
+                "issued": 1,
+                "stale": statistics.stale_serves,
+            }[scenario]
+            assert witness == 1
+            if scenario == "stale":
+                assert results[1].stale and results[1].degraded

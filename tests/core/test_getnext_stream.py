@@ -133,6 +133,19 @@ class TestClose:
         stream.close()
         assert stream.closed
 
+    def test_close_shuts_the_engine_down_exactly_once(self):
+        class CountingEngine:
+            shutdowns = 0
+
+            def shutdown(self) -> None:
+                self.shutdowns += 1
+
+        engine = CountingEngine()
+        stream = GetNextStream(None, Session("close-once"), engine=engine)
+        stream.close()
+        stream.close()
+        assert engine.shutdowns == 1
+
     def test_feed_stream_close_releases_but_feed_survives(self, bluenile_db):
         reranker = QueryReranker(bluenile_db, config=RerankConfig())
         first = _make_stream(reranker)

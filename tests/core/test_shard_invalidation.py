@@ -3,12 +3,11 @@ survive.
 
 Invalidating shard *i* through :meth:`QueryReranker.invalidate` must retire
 
-* shard *i*'s result-cache namespace (the facade's scatter-path entries),
-* shard *i*'s dense-region index (merge-mode state), and
+* shard *i*'s result-cache namespace (the facade's scatter-path entries), and
 * the state derived from *all* shards — the federated-namespace cache
-  entries, the facade-level dense index, and the source's rerank feeds —
+  entries, the dense index, and the source's rerank feeds —
 
-while sibling shards' cache entries and dense indexes keep serving.
+while sibling shards' cache entries keep serving.
 """
 
 import pytest
@@ -24,6 +23,9 @@ RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
 
 
 def make_reranker(catalog, schema, config=None):
+    config = config or RerankConfig()
+    # Facade and reranker share one cache, fixed when the source is built.
+    cache = config.make_result_cache()
     federation = build_federation(
         catalog=catalog,
         schema=schema,
@@ -31,8 +33,9 @@ def make_reranker(catalog, schema, config=None):
         shards=2,
         name="fedinv",
         system_k=10,
+        result_cache=cache,
     )
-    return QueryReranker(federation, config=config or RerankConfig())
+    return QueryReranker(federation, config=config, result_cache=cache)
 
 
 @pytest.fixture()
@@ -90,25 +93,22 @@ class TestShardScopedInvalidation:
         # Only shard 0 re-queried; shard 1 answered from its namespace.
         assert federation.shard_queries_issued() == baseline + 1
 
-    def test_shard_dense_index_reset_is_scoped(self, reranker):
+    def test_any_shard_rebuilds_dense_index(self, reranker):
         populate(reranker)
-        before = reranker.shard_dense_indexes
-        facade_index_before = reranker.dense_index
+        before = reranker.dense_index
         reranker.invalidate(shard=1)
-        after = reranker.shard_dense_indexes
-        assert after[1] is not before[1]
-        assert after[0] is before[0]
-        # The facade-level dense index merges rows from all shards, so any
-        # shard's change rebuilds it.
-        assert reranker.dense_index is not facade_index_before
+        # The dense index merges rows from all shards, so any shard's change
+        # rebuilds it.
+        assert reranker.dense_index is not before
 
     def test_invalidate_all_shards(self, reranker):
         populate(reranker)
-        before = reranker.shard_dense_indexes
+        cache = reranker.result_cache
+        namespaces = reranker.federation.shard_namespaces
+        before = {ns: cache.generation(ns) for ns in namespaces}
         outcome = reranker.invalidate()
         assert outcome["cache_entries"] > 0
-        after = reranker.shard_dense_indexes
-        assert all(after[i] is not before[i] for i in before)
+        assert all(cache.generation(ns) != before[ns] for ns in namespaces)
 
     def test_feed_generations_retire(self, diamond_catalog, diamond_schema_fixture):
         reranker = make_reranker(diamond_catalog, diamond_schema_fixture)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.webdb.cache import CachingInterface, FetchStatus, QueryResultCache
+from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.interface import Outcome
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 
@@ -225,33 +225,12 @@ class TestQueryResultCache:
             QueryResultCache(ttl_seconds=0.0)
 
 
-class TestCachingInterface:
-    def test_wrapper_avoids_repeat_queries(self, bluenile_db):
-        counting = _CountingInterface(bluenile_db)
-        caching = CachingInterface(counting)
-        query = SearchQuery.build(ranges={"carat": (0.5, 2.0)})
-        first = caching.search(query)
-        second = caching.search(query)
-        assert counting.calls == 1
-        assert caching.queries_issued() == 1
-        assert second.elapsed_seconds == 0.0
-        assert [row["id"] for row in first.rows] == [row["id"] for row in second.rows]
-
-    def test_wrappers_share_one_cache(self, bluenile_db):
-        counting = _CountingInterface(bluenile_db)
-        shared = QueryResultCache()
-        first = CachingInterface(counting, cache=shared, namespace="src")
-        second = CachingInterface(counting, cache=shared, namespace="src")
-        query = SearchQuery.everything()
-        first.search(query)
-        second.search(query)
-        assert counting.calls == 1
-        assert shared.statistics.hits == 1
-
+class TestDefaultNamespace:
     def test_namespace_defaults_to_interface_name(self, bluenile_db):
-        caching = CachingInterface(bluenile_db)
-        assert caching.namespace == bluenile_db.name
-        assert caching.schema is bluenile_db.schema
-        assert caching.system_k == bluenile_db.system_k
-        assert caching.key_column == "id"
-        assert caching.inner is bluenile_db
+        assert default_namespace(bluenile_db) == bluenile_db.name
+
+    def test_generic_name_falls_back_to_identity(self, bluenile_db):
+        # Two default-named databases sharing a cache must not share entries.
+        generic = _CountingInterface(bluenile_db)
+        generic.name = "webdb"
+        assert default_namespace(generic) == f"iface-{id(generic):x}"

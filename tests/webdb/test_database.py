@@ -6,10 +6,11 @@ from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError
 from repro.webdb.database import HiddenWebDatabase, database_pair_for_tests
-from repro.webdb.interface import InstrumentedInterface, Outcome
+from repro.webdb.interface import Outcome
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import AttributeOrderRanking
+from repro.webdb.stack import SourceStack
 
 
 @pytest.fixture()
@@ -155,8 +156,10 @@ class TestLatencyAccounting:
 
 
 class TestInstrumentedInterface:
+    """The source stack is what instruments a database's interface."""
+
     def test_statistics_accumulate(self, tiny_db):
-        wrapped = InstrumentedInterface(tiny_db)
+        wrapped = SourceStack(tiny_db)
         wrapped.search(SearchQuery.everything())
         wrapped.search(SearchQuery.build(ranges={"price": (0, 2)}))
         wrapped.search(SearchQuery.build(ranges={"price": (50.5, 50.7)}))
@@ -169,11 +172,15 @@ class TestInstrumentedInterface:
         assert stats["per_attribute_queries"]["price"] == 2
 
     def test_properties_delegate(self, tiny_db):
-        wrapped = InstrumentedInterface(tiny_db)
+        wrapped = SourceStack(tiny_db)
         assert wrapped.schema is tiny_db.schema
         assert wrapped.system_k == tiny_db.system_k
         assert wrapped.key_column == "id"
-        assert wrapped.inner is tiny_db
+        assert wrapped.database is tiny_db
+        # Mutation and ground-truth helpers resolve on the database.
+        assert wrapped.name == tiny_db.name
+        assert wrapped.size == tiny_db.size
+        assert wrapped.has_key("t0")
 
 
 class TestStreamingCatalogLoad:

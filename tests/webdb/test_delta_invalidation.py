@@ -118,11 +118,9 @@ def _random_localized_delta(rng: random.Random, db, sequence: int):
 
 
 def _occupancy(reranker: QueryReranker):
-    cache_entries = len(reranker.result_cache.export_entries())
+    cache_entries = len(reranker.result_cache.export_snapshot()[0])
     feeds = len(reranker.feed_store)
     regions = int(reranker.dense_index.describe()["regions"])
-    for shard_index in reranker.shard_dense_indexes.values():
-        regions += int(shard_index.describe()["regions"])
     return cache_entries, feeds, regions
 
 
@@ -281,7 +279,7 @@ def test_warm_restart_after_delta_replays_survivors():
     store = ResultCacheStore(":memory:")
     cache = subject.result_cache
     saved = store.save(cache)
-    assert saved == len(cache.export_entries()) > 0
+    assert saved == len(cache.export_snapshot()[0]) > 0
 
     low, high = db.schema.domain_bounds("price")
     victim = dict(db.all_matches(SearchQuery.everything())[0])
@@ -293,7 +291,7 @@ def test_warm_restart_after_delta_replays_survivors():
     assert pruned == len(retired)
     assert store.entry_count() == saved - pruned
 
-    survivors = cache.export_entries()
+    survivors, _ = cache.export_snapshot()
     fresh = type(cache)(enable_containment=True)
     loaded = store.load(fresh)
     assert loaded == store.entry_count() == len(survivors)
@@ -339,7 +337,7 @@ def test_delta_blocks_overlapping_inflight_store():
     # been blocked, leaving the cache empty for this namespace.
     assert not [
         entry
-        for entry in cache.export_entries()
+        for entry in cache.export_snapshot()[0]
         if entry[0] == namespace
     ]
     assert cache.statistics.snapshot()["delta_blocked_stores"] >= 1

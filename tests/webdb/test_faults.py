@@ -3,9 +3,9 @@
 import pytest
 
 from repro.exceptions import SourceTimeoutError, SourceUnavailableError
-from repro.webdb.faults import FaultInjector, FaultKind, FaultPlan, find_injector
+from repro.webdb.faults import FaultInjector, FaultKind, FaultPlan
 from repro.webdb.query import SearchQuery
-from repro.webdb.resilience import ResilientInterface
+from repro.webdb.stack import SourceStack
 
 
 QUERY = SearchQuery.build(ranges={"price": (300.0, 5000.0)})
@@ -125,15 +125,18 @@ class TestFaultInjector:
         assert counts["timeout"] > 0
         assert sum(counts.values()) <= 100
 
-    def test_transparent_proxy(self, bluenile_db):
-        injector = FaultInjector(bluenile_db, FaultPlan())
-        assert injector.schema is bluenile_db.schema
-        assert injector.system_k == bluenile_db.system_k
-        assert injector.name == bluenile_db.name
-        assert not injector.supports_batched_search
+    def test_noop_or_inactive_injector_does_not_perturb(self, bluenile_db):
+        assert not FaultInjector(bluenile_db, FaultPlan()).perturbs
+        injector = FaultInjector(bluenile_db, FaultPlan(seed=4, transient_rate=0.5))
+        assert injector.perturbs
+        injector.deactivate()
+        assert not injector.perturbs
 
-    def test_find_injector_walks_wrappers(self, bluenile_db):
-        injector = FaultInjector(bluenile_db, FaultPlan(seed=4))
-        wrapped = ResilientInterface(injector)
-        assert find_injector(wrapped) is injector
-        assert find_injector(bluenile_db) is None
+    def test_stack_exposes_its_injector(self, bluenile_db):
+        stack = SourceStack(bluenile_db, fault_plan=FaultPlan(seed=4, slow_rate=1.0))
+        assert isinstance(stack.injector, FaultInjector)
+        assert not stack.supports_batched_search
+        stack.search(QUERY)
+        assert stack.injector.schedule_index == 1
+        assert stack.injector.fault_counts()["slow"] == 1
+        assert SourceStack(bluenile_db).injector is None

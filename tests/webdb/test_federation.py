@@ -48,14 +48,6 @@ class TestShardConfig:
         assert (config.shards, config.shard_by) == (4, "price")
         assert DatabaseConfig().shards == 1
 
-    def test_federation_mode_validation(self):
-        from repro.config import RerankConfig
-
-        assert RerankConfig().federation_mode == "scatter"
-        assert RerankConfig().with_federation_mode("merge").federation_mode == "merge"
-        with pytest.raises(ValueError):
-            RerankConfig().with_federation_mode("broadcast")
-
 
 class TestShardedCatalog:
     def test_rank_partition_is_disjoint_and_complete(
@@ -285,14 +277,6 @@ class TestFederatedInterface:
         assert federation.shard_queries_issued() == baseline + 1
         with pytest.raises(QueryError):
             federation.invalidate_shard(7)
-
-    def test_attach_cache_idempotent(self, diamond_catalog, diamond_schema_fixture):
-        cache = QueryResultCache(max_entries=8)
-        federation = make_federation(diamond_catalog, diamond_schema_fixture, shards=2)
-        federation.attach_cache(cache)
-        federation.attach_cache(cache)  # same object: fine
-        with pytest.raises(QueryError):
-            federation.attach_cache(QueryResultCache(max_entries=8))
 
     def test_ground_truth_helpers_merge_shards(
         self, diamond_catalog, diamond_schema_fixture, reference_db

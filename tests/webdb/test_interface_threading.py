@@ -2,14 +2,15 @@
 
 ``InterfaceStatistics.record`` is called from the query engine's thread pool;
 before it took a lock, parallel groups could lose counter increments and
-``per_attribute_queries`` updates.  These tests hammer an
-:class:`InstrumentedInterface` from many threads and assert nothing is lost.
+``per_attribute_queries`` updates.  These tests hammer a
+:class:`SourceStack` (which owns the statistics) from many threads and assert
+nothing is lost.
 """
 
 import threading
 
-from repro.webdb.interface import InstrumentedInterface
 from repro.webdb.query import SearchQuery
+from repro.webdb.stack import SourceStack
 
 THREADS = 16
 SEARCHES_PER_THREAD = 50
@@ -17,7 +18,7 @@ SEARCHES_PER_THREAD = 50
 
 class TestInstrumentedInterfaceThreadSafety:
     def test_concurrent_record_loses_nothing(self, bluenile_db):
-        instrumented = InstrumentedInterface(bluenile_db)
+        instrumented = SourceStack(bluenile_db)
         queries = [
             SearchQuery.build(ranges={"price": (0.0, 500.0)}),  # valid/underflow
             SearchQuery.build(ranges={"carat": (0.2, 5.0)}),  # overflow
@@ -59,7 +60,7 @@ class TestInstrumentedInterfaceThreadSafety:
         assert statistics.per_attribute_queries == expected
 
     def test_snapshot_consistent_under_load(self, bluenile_db):
-        instrumented = InstrumentedInterface(bluenile_db)
+        instrumented = SourceStack(bluenile_db)
         query = SearchQuery.everything()
         stop = threading.Event()
 

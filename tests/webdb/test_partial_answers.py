@@ -3,9 +3,6 @@ the degraded-result cache exclusion."""
 
 import pytest
 
-from repro.core.federated import FederatedGetNext
-from repro.core.functions import SingleAttributeRanking
-from repro.core.session import Session
 from repro.exceptions import SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache
 from repro.webdb.delta import CatalogDelta
@@ -32,6 +29,14 @@ def make_federation(catalog, schema, shards=3, **kwargs):
         by="rank",
         **kwargs,
     )
+
+
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
 
 
 def kill_shard(federation, index):
@@ -67,7 +72,7 @@ class TestDegradedScatter:
         kill_shard(faulted_federation, 1)
         degraded = faulted_federation.search(QUERY)
         live = [
-            faulted_federation.shard_interfaces[index].search(QUERY)
+            faulted_federation.shard_stacks[index].search(QUERY)
             for index in (0, 2)
         ]
         expected = [row for result in live for row in result.rows]
@@ -83,8 +88,15 @@ class TestDegradedScatter:
             faulted_federation.search(QUERY)
 
     def test_heal_restores_byte_identical_answers(
-        self, faulted_federation, diamond_catalog, diamond_schema_fixture
+        self, diamond_catalog, diamond_schema_fixture
     ):
+        clock = FakeClock()
+        faulted_federation = make_federation(
+            diamond_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            clock=clock,
+        )
         reference = make_federation(diamond_catalog, diamond_schema_fixture)
         queries = [
             SearchQuery.build(ranges={"price": (300.0, 1500.0 + 100.0 * i)})
@@ -93,10 +105,11 @@ class TestDegradedScatter:
         kill_shard(faulted_federation, 2)
         degraded_pages = [faulted_federation.search(q) for q in queries]
         assert all(page.degraded for page in degraded_pages)
-        # Heal: deactivate every injector, then replay the same trace.
+        # Heal: deactivate every injector, let the dead shard's breaker
+        # reach its probe window, then replay the same trace.
         for injector in faulted_federation.fault_injectors():
-            if injector is not None:
-                injector.deactivate()
+            injector.deactivate()
+        clock.now += ResilienceConfig().breaker_recovery_seconds + 1.0
         for query in queries:
             healed = faulted_federation.search(query)
             clean = reference.search(query)
@@ -113,9 +126,7 @@ class TestDegradedScatter:
             diamond_catalog,
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=47, transient_rate=0.25),
-        )
-        federation.configure_resilience(
-            ResilienceConfig(max_attempts=8, breaker_failure_threshold=100)
+            resilience=ResilienceConfig(max_attempts=8, breaker_failure_threshold=100),
         )
         for i in range(20):
             query = SearchQuery.build(ranges={"price": (300.0, 900.0 + 50.0 * i)})
@@ -188,90 +199,3 @@ class TestStaleServing:
         assert status is FetchStatus.MISS and not result.stale
         stats = cache.statistics.snapshot()
         assert stats["stale_kept"] >= 1
-
-
-class FailingStream:
-    """Get-Next stream stub that is dark until told otherwise."""
-
-    def __init__(self, rows=(), dark=True):
-        self.rows = list(rows)
-        self.dark = dark
-        self._cursor = 0
-
-    def get_next(self):
-        if self.dark:
-            raise SourceUnavailableError("shard dark")
-        if self._cursor >= len(self.rows):
-            return None
-        row = self.rows[self._cursor]
-        self._cursor += 1
-        return row
-
-
-class HealthyStream(FailingStream):
-    def __init__(self, rows):
-        super().__init__(rows, dark=False)
-
-
-class TestMergeModeSkipsDarkShards:
-    def test_merge_skips_dark_shard_and_marks_degraded(self):
-        session = Session("merge-skip")
-        live = HealthyStream([{"id": "a", "price": 1.0}, {"id": "c", "price": 3.0}])
-        dark = FailingStream([{"id": "b", "price": 2.0}])
-        merge = FederatedGetNext(
-            [live, dark],
-            SingleAttributeRanking("price", ascending=True),
-            session,
-            "id",
-        )
-        assert merge.next()["id"] == "a"
-        assert merge.degraded_emissions == 1
-        assert session.statistics.degraded_results == 1
-
-    def test_healed_shard_rejoins_the_merge(self):
-        session = Session("merge-heal")
-        live = HealthyStream([{"id": "a", "price": 1.0}, {"id": "d", "price": 4.0}])
-        dark = FailingStream([{"id": "b", "price": 2.0}])
-        merge = FederatedGetNext(
-            [live, dark],
-            SingleAttributeRanking("price", ascending=True),
-            session,
-            "id",
-        )
-        assert merge.next()["id"] == "a"
-        dark.dark = False
-        # Late, never lost: the healed shard's better tuple arrives next.
-        assert merge.next()["id"] == "b"
-        assert merge.next()["id"] == "d"
-
-    def test_skip_callback_avoids_paying_the_dead_shard(self):
-        session = Session("merge-callback")
-        live = HealthyStream([{"id": "a", "price": 1.0}])
-        dead = HealthyStream([{"id": "b", "price": 2.0}])
-        calls = []
-        original = dead.get_next
-
-        def counting():
-            calls.append(1)
-            return original()
-
-        dead.get_next = counting
-        merge = FederatedGetNext(
-            [live, dead],
-            SingleAttributeRanking("price", ascending=True),
-            session,
-            "id",
-            skip_shard=lambda index: index == 1,
-        )
-        assert merge.next()["id"] == "a"
-        assert calls == []
-
-    def test_all_dark_raises_instead_of_claiming_exhaustion(self):
-        merge = FederatedGetNext(
-            [FailingStream([{"id": "a", "price": 1.0}])],
-            SingleAttributeRanking("price", ascending=True),
-            Session("merge-dead"),
-            "id",
-        )
-        with pytest.raises(SourceUnavailableError):
-            merge.next()

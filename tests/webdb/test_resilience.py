@@ -2,25 +2,29 @@
 
 import pytest
 
+from repro.core.parallel import QueryEngine
+from repro.core.reranker import QueryReranker
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
     SourceTimeoutError,
     SourceUnavailableError,
 )
-from repro.webdb.faults import FaultInjector, FaultPlan
+from repro.webdb.faults import FaultPlan
+from repro.webdb.federation import build_federation
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import SearchQuery
+from repro.webdb.ranking import FeaturedScoreRanking
 from repro.webdb.resilience import (
     BreakerState,
     CircuitBreaker,
     Deadline,
     ResilienceConfig,
     ResilienceStatistics,
-    ResilientInterface,
     RetryPolicy,
     SourceGuard,
 )
+from repro.webdb.stack import SourceStack
 
 
 QUERY = SearchQuery.build(ranges={"price": (300.0, 5000.0)})
@@ -242,13 +246,15 @@ class TestSourceGuard:
 
 
 class TestResilientInterface:
+    """The source stack is the resilient interface of a single source."""
+
     def test_retries_ride_over_scheduled_transients(self, bluenile_db):
         # ~30% transient faults; three attempts per query almost always find
         # a clean draw, so every query answers and the counters show retries.
-        injector = FaultInjector(bluenile_db, FaultPlan(seed=13, transient_rate=0.3))
-        resilient = ResilientInterface(
-            injector,
-            ResilienceConfig(max_attempts=6, breaker_failure_threshold=50),
+        resilient = SourceStack(
+            bluenile_db,
+            fault_plan=FaultPlan(seed=13, transient_rate=0.3),
+            resilience=ResilienceConfig(max_attempts=6, breaker_failure_threshold=50),
         )
         for i in range(40):
             query = SearchQuery.build(ranges={"price": (300.0, 1000.0 + i)})
@@ -257,16 +263,69 @@ class TestResilientInterface:
         snapshot = resilient.resilience_statistics.snapshot()
         assert snapshot["retries"] > 0
         assert snapshot["attempts"] >= 40
+        assert resilient.statistics.queries == 40
 
-    def test_snapshot_shape_matches_federation(self, bluenile_db):
-        resilient = ResilientInterface(bluenile_db)
-        snapshot = resilient.resilience_snapshot()
+    def test_snapshot_shape_matches_federation(
+        self, bluenile_db, diamond_catalog, diamond_schema_fixture
+    ):
+        plan = FaultPlan(seed=13, transient_rate=0.1)
+        config = ResilienceConfig(max_attempts=4)
+        unsharded = SourceStack(bluenile_db, fault_plan=plan, resilience=config)
+        federation = build_federation(
+            catalog=diamond_catalog,
+            schema=diamond_schema_fixture,
+            system_ranking=FeaturedScoreRanking("price", boost_weight=2500.0),
+            shards=1,
+            name="parity",
+            system_k=10,
+            fault_plan=plan,
+            resilience=config,
+        )
+        for source in (unsharded, federation):
+            source.search(QUERY)
+        snapshot = unsharded.resilience_snapshot()
+        assert snapshot.keys() == federation.resilience_snapshot().keys()
         assert "retries" in snapshot
         assert len(snapshot["breakers"]) == 1
+        assert snapshot["breakers"][0].keys() == (
+            federation.resilience_snapshot()["breakers"][0].keys()
+        )
         assert snapshot["breakers"][0]["state"] == BreakerState.CLOSED
+        # The reranker reads the same dict, whatever the source kind.
+        for source in (unsharded, federation):
+            assert (
+                QueryReranker(source).resilience_snapshot().keys() == snapshot.keys()
+            )
 
     def test_proxies_inner_attributes(self, bluenile_db):
-        resilient = ResilientInterface(bluenile_db)
+        resilient = SourceStack(bluenile_db)
         assert resilient.name == bluenile_db.name
         assert resilient.system_k == bluenile_db.system_k
-        assert not resilient.supports_batched_search
+        assert resilient.guard.name == bluenile_db.name
+        # A clean stack keeps the database's batched path.
+        assert resilient.supports_batched_search
+
+    def test_noop_plan_batches_a_group_under_one_admission(
+        self, bluenile_db, monkeypatch
+    ):
+        """A guard-wrapped source under a no-op fault plan issues a group of
+        N as one ``HiddenWebDatabase.search_many`` call, one guard call."""
+        batches = []
+        original = type(bluenile_db).search_many
+
+        def spying(self, queries):
+            batches.append(len(list(queries)))
+            return original(self, queries)
+
+        monkeypatch.setattr(type(bluenile_db), "search_many", spying)
+        stack = SourceStack(bluenile_db, fault_plan=FaultPlan(seed=3))
+        engine = QueryEngine(stack)
+        group = [
+            SearchQuery.build(ranges={"price": (300.0, 1000.0 + i)}) for i in range(5)
+        ]
+        assert len(engine.search_group(group)) == 5
+        assert batches == [5]
+        assert stack.guard.describe()["calls"] == 1
+        assert stack.resilience_statistics.snapshot()["attempts"] == 1
+        assert stack.statistics.queries == 5
+        assert engine.budget.used == 5
