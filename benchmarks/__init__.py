@@ -1,2 +1,2 @@
 """Benchmark harness regenerating every figure and demonstration scenario of
-the paper (see the experiment index in ``DESIGN.md``)."""
+the paper (the experiment index heads ``repro.workloads.experiments``)."""

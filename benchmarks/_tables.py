@@ -21,8 +21,8 @@ def backend_metadata() -> Dict[str, object]:
     """Environment metadata every bench record should carry.
 
     History records are compared across machines; whether numpy was
-    importable (and therefore which concrete backend the default
-    ``"buffer"`` knob resolved to) changes the columnar engine's absolute
+    importable (and therefore which concrete layout the default
+    ``"buffer"`` backend resolved to) changes the columnar engine's absolute
     numbers, so it must be visible in ``extra_info``.
     """
     return {

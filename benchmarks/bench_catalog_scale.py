@@ -3,12 +3,11 @@
 Every other bench runs at request scale on a 10⁴-tuple catalog; this tier
 gates *data* scale.  A deterministic synthetic catalog
 (:func:`~repro.dataset.generators.generate_scale_catalog`) is written
-straight to SQLite, streamed back out with the batched
-:meth:`~repro.sqlstore.store.SQLiteTupleStore.iter_rows` cursor, and served
-by two databases over identical columns — one on the seed's pure-list
-columnar layout (``columnar_backend="list"``), one on the compact buffer
-layout (``"buffer"``: numpy views when importable, stdlib ``array``
-otherwise).
+straight to SQLite, streamed back out through the store's batched cursor,
+and served by two databases over identical columns — one on the seed's
+pure-list columnar layout (``ColumnarCatalog(backend="list")``, the layout
+oracle), one on the production buffer layout (``"buffer"``: numpy views when
+importable, stdlib ``array`` otherwise).
 
 The workload is shaped for the two places the list layout hurts at scale:
 conjunctions of two ~2–3 %-selective ranges (candidate plans that sort a
@@ -52,6 +51,7 @@ from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
 from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
+from tests.reference import NaiveScanDatabase, database_on_layout
 
 SIZES = (10_000, 100_000, 1_000_000)
 SYSTEM_K = 20
@@ -136,16 +136,17 @@ def build_workload(count: int, seed: int = 17) -> List[SearchQuery]:
     return queries
 
 
-def _load_database(store: SQLiteTupleStore, backend: str, engine: str = "indexed"):
+def _load_database(store: SQLiteTupleStore, backend: str, cls=HiddenWebDatabase):
     started = time.perf_counter()
-    database = HiddenWebDatabase.from_tuple_store(
-        store,
+    ranking = _ranking()
+    database = database_on_layout(
+        cls,
+        stream_sorted_columns(store, _SCHEMA, ranking, validate=False),
         _SCHEMA,
-        _ranking(),
+        ranking,
+        backend,
         system_k=SYSTEM_K,
-        columnar_backend=backend,
-        name=f"scale-{backend}-{engine}",
-        engine=engine,
+        name=f"scale-{backend}-{cls.__name__}",
     )
     return database, time.perf_counter() - started
 
@@ -201,7 +202,7 @@ def test_scale_latency_and_identity(benchmark, bench_quick, scale_store, size):
         buffer_results, buffer_timings = _time_workload(buffer_db, queries)
         naive_results = None
         if size <= NAIVE_SIZE:
-            naive_db, _ = _load_database(store, "list", engine="naive")
+            naive_db, _ = _load_database(store, "list", cls=NaiveScanDatabase)
             naive_results, _ = _time_workload(naive_db, queries)
         return (
             list_results, list_timings, buffer_results, buffer_timings,
@@ -287,7 +288,7 @@ def test_scale_memory_footprint(benchmark, bench_quick, scale_store):
     def build_baseline():
         # What the seed database retained per tuple: a row dictionary in
         # hidden-rank order plus a key→row index over the same dictionaries.
-        columns = stream_sorted_columns(store, _SCHEMA, ranking)
+        columns = stream_sorted_columns(store, _SCHEMA, ranking, validate=False)
         rows = [
             {name: columns[name][rank] for name in column_order}
             for rank in range(size)
@@ -296,7 +297,7 @@ def test_scale_memory_footprint(benchmark, bench_quick, scale_store):
         return rows, by_key
 
     def build_buffer():
-        columns = stream_sorted_columns(store, _SCHEMA, ranking)
+        columns = stream_sorted_columns(store, _SCHEMA, ranking, validate=False)
         return ColumnarCatalog.from_columns(
             columns, column_order, _SCHEMA.key, backend="buffer"
         )
@@ -338,8 +339,9 @@ def test_scale_memory_footprint(benchmark, bench_quick, scale_store):
 
 @pytest.mark.benchmark(group="catalog-scale")
 def test_scale_streaming_equals_eager_load(benchmark, bench_quick, scale_store):
-    """The streamed SQLite load must produce exactly the database the eager
-    row-materializing constructor produces (cheap 10⁴ point, runs always)."""
+    """A store streamed through its batched cursor must produce exactly the
+    database a ``ColumnTable`` of the same rows produces (cheap 10⁴ point,
+    runs always)."""
     from repro.dataset.table import ColumnTable
 
     store = scale_store(10_000)

@@ -20,16 +20,20 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from typing import List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from benchmarks._tables import print_table
 from repro.core.dense_index import DenseRegionIndex
+from repro.core.functions import SingleAttributeRanking
 from repro.core.regions import HyperRectangle
+from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema
 from repro.webdb.query import RangePredicate, SearchQuery
-from repro.workloads.experiments import run_dense_index_differential
+from repro.workloads.experiments import ExperimentEnvironment
+from tests.reference import NaiveDenseRegionIndex, NaiveIndexReranker
 
 FULL_REGIONS = 600
 QUICK_REGIONS = 120
@@ -127,15 +131,15 @@ def test_dense_lookup_speedup(benchmark, bench_quick):
     probes = _build_probe_workload(regions, probe_count)
     schema = diamond_schema(DiamondCatalogConfig(size=200, seed=1))
 
-    def build(impl: str) -> DenseRegionIndex:
-        index = DenseRegionIndex(schema, impl=impl)
+    def build(index_class):
+        index = index_class(schema)
         for box, rows in regions:
             index.add_region(box, rows)
         return index
 
     def run():
-        naive = build("naive")
-        interval = build("interval")
+        naive = build(NaiveDenseRegionIndex)
+        interval = build(DenseRegionIndex)
         assert naive.region_count() == interval.region_count() == region_count
         naive_rounds: List[List[float]] = []
         interval_rounds: List[List[float]] = []
@@ -187,6 +191,67 @@ def test_dense_lookup_speedup(benchmark, bench_quick):
             f"median lookup speedup {median_speedup:.2f}x below the "
             f"{MIN_MEDIAN_SPEEDUP:.0f}x floor"
         )
+
+
+def run_dense_index_differential(
+    environment: ExperimentEnvironment,
+    repetitions: int = 3,
+    depth: int = 10,
+) -> Dict[str, object]:
+    """Run a region-heavy 1D-RERANK workload under the production dense
+    index and under its linear reference oracle, and compare them.
+
+    The workload replays the on-the-fly indexing scenario under several
+    shifted/nested ``length_width_ratio`` windows with an eager density
+    threshold, so the shared reranker accumulates many overlapping and
+    touching dense regions — exactly the state in which the seed's linear
+    index degrades and the interval index coalesces.  The interval
+    implementation must return byte-identical pages while issuing no more
+    external queries than the naive reference (coalesced coverage can only
+    remove crawls, never add them).
+    """
+    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+    # Overlapping and nested windows around the big = 1.0 value cluster: each
+    # window probes slightly different intervals, building up regions whose
+    # crawled dense intervals overlap (e.g. [0.995, 1.0] and [0.99, 1.0]).
+    windows = [
+        (0.995, 1.6),
+        (0.99, 1.2),
+        (0.995, 1.3),
+        (1.05, 1.5),
+        (1.15, 1.8),
+        (1.0, 1.45),
+    ]
+    queries = [
+        SearchQuery.build(ranges={"length_width_ratio": window}) for window in windows
+    ]
+    # The eager density threshold is what makes the workload region-heavy
+    # at benchmark catalog scales: narrow probe intervals are crawled and
+    # indexed instead of being halved further.  The rerank feed is
+    # ablated so repeated windows exercise the dense index, not a replay.
+    config = replace(
+        environment.rerank_config, dense_ratio_threshold=0.02, enable_rerank_feed=False
+    )
+    payload: Dict[str, object] = {"windows": windows, "repetitions": repetitions}
+    for impl, reranker_class in (("naive", NaiveIndexReranker), ("interval", QueryReranker)):
+        reranker = reranker_class(environment.database("bluenile"), config=config)
+        costs: List[int] = []
+        pages: List[List[Dict[str, object]]] = []
+        for _ in range(repetitions):
+            for query in queries:
+                stream = reranker.rerank(query, ranking, algorithm=Algorithm.RERANK)
+                rows = stream.top(depth)
+                costs.append(stream.statistics.external_queries)
+                pages.append([dict(row) for row in rows])
+        payload[impl] = {
+            "costs": costs,
+            "total": sum(costs),
+            "pages": pages,
+            "index": reranker.dense_index.describe(),
+        }
+        assert payload[impl]["index"]["impl"] == impl  # type: ignore[index]
+    payload["pages_match"] = payload["naive"]["pages"] == payload["interval"]["pages"]  # type: ignore[index]
+    return payload
 
 
 @pytest.mark.benchmark(group="dense-index")

@@ -34,10 +34,10 @@ import time
 import pytest
 
 from benchmarks._tables import print_table
-from repro.config import RerankConfig
+from repro.config import DatabaseConfig, RerankConfig
 from repro.core.reranker import QueryReranker
+from repro.webdb.build import build_source
 from repro.webdb.faults import FaultPlan
-from repro.webdb.federation import build_federation
 from repro.webdb.query import SearchQuery
 from repro.webdb.resilience import BreakerState, ResilienceConfig
 from repro.workloads.scenarios import bluenile_scenarios_1d
@@ -77,17 +77,18 @@ def _make_federation(environment, fault_plan=None, clock=time.monotonic):
     """A 3-shard federation with its own shard-level result cache; the
     bench's resilience policy and the breakers' ``clock`` are fixed at
     construction, like every guard."""
-    return build_federation(
-        catalog=environment.diamond_catalog,
-        schema=environment.diamond_schema,
-        system_ranking=environment.diamond_ranking,
-        shards=SHARDS,
-        by="rank",
+    return build_source(
+        environment.diamond_catalog,
+        environment.diamond_schema,
+        environment.diamond_ranking,
+        DatabaseConfig(
+            system_k=environment.system_k,
+            latency_seconds=environment.latency_seconds,
+            seed=environment.seed,
+            shards=SHARDS,
+            fault_plan=fault_plan,
+        ),
         name="bluenile",
-        system_k=environment.system_k,
-        latency_mean=environment.latency_seconds,
-        latency_seed=environment.seed,
-        fault_plan=fault_plan,
         result_cache=RerankConfig().make_result_cache(),
         resilience=RESILIENCE,
         clock=clock,

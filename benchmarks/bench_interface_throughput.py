@@ -4,7 +4,8 @@ PR 1 removed *redundant* external queries with the shared result cache; this
 bench measures the next multiplier: the per-query cost of the queries that do
 reach the hidden database.  Two :class:`HiddenWebDatabase` instances are
 built over the same 10⁴-tuple catalog — one on the seed's ``naive``
-row-at-a-time scan, one on the ``indexed`` columnar engine — and serve an
+row-at-a-time scan (the ``tests/reference`` oracle), one on the production
+``indexed`` columnar engine — and serve an
 identical mixed workload (narrow/medium/broad ranges, point lookups,
 IN filters, and conjunctive combinations, roughly the shape the get-next
 loops and the crawler produce).
@@ -33,6 +34,7 @@ from repro.dataset.table import ColumnTable
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
+from tests.reference import NaiveScanDatabase
 
 CATALOG_SIZE = 10_000
 SYSTEM_K = 20
@@ -169,13 +171,13 @@ def test_indexed_engine_speedup_over_naive_scan(benchmark, bench_quick):
     queries = build_workload(query_count)
 
     def run():
-        naive = HiddenWebDatabase(
+        naive = NaiveScanDatabase(
             catalog, schema, FeaturedScoreRanking("price", boost_weight=900.0),
-            system_k=SYSTEM_K, engine="naive", name="bench-naive",
+            system_k=SYSTEM_K, name="bench-naive",
         )
         indexed = HiddenWebDatabase(
             catalog, schema, FeaturedScoreRanking("price", boost_weight=900.0),
-            system_k=SYSTEM_K, engine="indexed", name="bench-indexed",
+            system_k=SYSTEM_K, name="bench-indexed",
         )
         naive_results, naive_timings = _time_workload(naive, queries)
         indexed_results, indexed_timings = _time_workload(indexed, queries)
@@ -231,11 +233,11 @@ def test_batched_search_many_matches_sequential(benchmark, bench_quick):
     def run():
         sequential_db = HiddenWebDatabase(
             catalog, schema, FeaturedScoreRanking("price", boost_weight=900.0),
-            system_k=SYSTEM_K, engine="indexed", name="bench-seq",
+            system_k=SYSTEM_K, name="bench-seq",
         )
         batched_db = HiddenWebDatabase(
             catalog, schema, FeaturedScoreRanking("price", boost_weight=900.0),
-            system_k=SYSTEM_K, engine="indexed", name="bench-batch",
+            system_k=SYSTEM_K, name="bench-batch",
         )
         sequential = [sequential_db.search(query) for query in queries]
         batched = batched_db.search_many(queries)

@@ -10,7 +10,7 @@ rest of the library never hard-codes magic numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.webdb.cache import QueryResultCache
@@ -43,17 +43,12 @@ class DatabaseConfig:
     seed:
         Seed for the database's internal randomness (latency draws).
         Catalog generation and the fault plan take their own seeds.
-    engine:
-        Execution engine answering search queries: ``"indexed"`` (default)
-        runs the vectorized columnar engine with index-assisted planning;
-        ``"naive"`` keeps the seed's row-at-a-time reference scan, used for
-        differential testing and as a fallback knob.
     shards:
         Number of shards the source's catalog is partitioned across.  The
-        default ``1`` keeps the single unsharded :class:`HiddenWebDatabase`
-        as the reference engine; any larger value builds a
+        default ``1`` keeps the single unsharded :class:`HiddenWebDatabase`;
+        any larger value builds a
         :class:`~repro.webdb.federation.FederatedInterface` over that many
-        per-shard databases (each its own engine/k/latency).
+        per-shard databases (each with its own latency stream).
     shard_by:
         Partitioning key when ``shards > 1``: ``"rank"`` deals tuples
         round-robin in hidden-rank order (every shard sees the same score
@@ -66,37 +61,19 @@ class DatabaseConfig:
         The serving-concurrency benchmarks enable this so that overlapping
         external round trips across worker threads is observable in wall
         clock, exactly like a remote web database.
-    columnar_backend:
-        Storage backend for the columnar catalog's numeric columns and rank
-        arrays (see :mod:`repro.webdb.arrays`): ``"buffer"`` (default) packs
-        them into compact buffers — numpy views when numpy is importable,
-        stdlib ``array('d')``/``array('q')`` otherwise; ``"array"`` and
-        ``"numpy"`` force those layouts explicitly; ``"list"`` keeps the
-        seed's pure-Python object lists, used as the differential-testing
-        reference.
+
+    :func:`repro.webdb.build.build_source` is the one consumer: it takes this
+    object whole.  Copies are made with :func:`dataclasses.replace`.
     """
 
     system_k: int = 20
     latency_seconds: float = 0.0
     latency_jitter: float = 0.25
     seed: int = 7
-    engine: str = "indexed"
     shards: int = 1
     shard_by: str = "rank"
     latency_sleep: bool = False
-    columnar_backend: str = "buffer"
     fault_plan: Optional[FaultPlan] = None
-
-    def with_latency(self, seconds: float, sleep: Optional[bool] = None) -> "DatabaseConfig":
-        """Return a copy of this configuration with a different latency
-        (optionally switching between accounted and real-sleep modes)."""
-        if sleep is None:
-            return replace(self, latency_seconds=seconds)
-        return replace(self, latency_seconds=seconds, latency_sleep=sleep)
-
-    def with_shards(self, shards: int, by: str = "rank") -> "DatabaseConfig":
-        """Return a copy of this configuration with a sharded catalog."""
-        return replace(self, shards=shards, shard_by=by)
 
 
 @dataclass(frozen=True)
@@ -148,12 +125,6 @@ class RerankConfig:
         (valid/underflow) entry of a superset query by filtering its
         rank-ordered rows — zero round trips for queries never issued
         verbatim.  Exact-match caching still works with this off.
-    dense_index_impl:
-        Implementation of the on-the-fly dense-region index: ``"interval"``
-        (default) uses per-signature interval maps with bisect lookups and
-        coalesces adjacent/overlapping regions on insert; ``"naive"`` keeps
-        the seed's linear reference scan, used for differential testing and
-        as a fallback knob (mirrors ``DatabaseConfig.engine``).
     enable_rerank_feed:
         Global switch for the shared rerank feed: sessions requesting the
         same canonical *(query, ranking, algorithm)* share one materialized
@@ -189,7 +160,6 @@ class RerankConfig:
     result_cache_size: int = 4096
     result_cache_ttl_seconds: Optional[float] = None
     result_cache_containment: bool = True
-    dense_index_impl: str = "interval"
     enable_rerank_feed: bool = True
     rerank_feed_size: int = 256
     rerank_feed_ttl_seconds: Optional[float] = None
@@ -207,37 +177,6 @@ class RerankConfig:
             ttl_seconds=self.result_cache_ttl_seconds,
             enable_containment=self.result_cache_containment,
         )
-
-    def without_parallel(self) -> "RerankConfig":
-        """Copy of this configuration with parallel processing disabled."""
-        return replace(self, enable_parallel=False)
-
-    def without_dense_index(self) -> "RerankConfig":
-        """Copy of this configuration with on-the-fly indexing disabled."""
-        return replace(self, enable_dense_index=False)
-
-    def without_session_cache(self) -> "RerankConfig":
-        """Copy of this configuration with the session cache disabled."""
-        return replace(self, enable_session_cache=False)
-
-    def without_result_cache(self) -> "RerankConfig":
-        """Copy of this configuration with the shared result cache disabled."""
-        return replace(self, enable_result_cache=False)
-
-    def without_containment(self) -> "RerankConfig":
-        """Copy of this configuration with containment answering disabled
-        (the result cache falls back to exact-match-only behaviour)."""
-        return replace(self, result_cache_containment=False)
-
-    def with_dense_index_impl(self, impl: str) -> "RerankConfig":
-        """Copy of this configuration with a different dense-index
-        implementation (``"interval"`` or ``"naive"``)."""
-        return replace(self, dense_index_impl=impl)
-
-    def without_rerank_feed(self) -> "RerankConfig":
-        """Copy of this configuration with the shared rerank feed disabled
-        (every session runs the full Get-Next algorithm privately)."""
-        return replace(self, enable_rerank_feed=False)
 
 
 @dataclass(frozen=True)
@@ -276,10 +215,6 @@ class ServiceConfig:
         this depth is rejected immediately with
         :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429) instead
         of queueing unboundedly.
-    ``slo_p99_seconds``
-        Latency SLO ceiling the load harness gates p99 against; ``None``
-        disables the gate.  Informational at serve time (reported, not
-        enforced per request).
     ``reaper_interval_seconds``
         Period of the background session reaper owned by the concurrent
         tier (runs :meth:`~repro.service.app.QR2Service.expire_idle_sessions`
@@ -321,7 +256,6 @@ class ServiceConfig:
     rerank: RerankConfig = field(default_factory=RerankConfig)
     serving_workers: int = 8
     admission_queue_depth: int = 64
-    slo_p99_seconds: Optional[float] = None
     reaper_interval_seconds: Optional[float] = None
     request_deadline_seconds: Optional[float] = None
     warming_interval_seconds: Optional[float] = None

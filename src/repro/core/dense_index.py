@@ -19,25 +19,20 @@ Regions are stored *without* the user's filter predicates: they describe the
 database's content inside an attribute-space box, so any user query can reuse
 them by filtering locally.
 
-Two implementations are available (mirroring ``DatabaseConfig.engine``):
+The structure is sublinear.  Regions are grouped per attribute signature; 1D
+intervals are kept disjoint and sorted by lower bound so a covering lookup is
+a bisect, MD boxes are kept sorted by their first axis with a prefix-maximum
+pruning array.  Adjacent and overlapping regions of the same signature are
+*coalesced* on insert — union of rows, widened box — which keeps the index
+small and lets :meth:`~DenseRegionIndex.covers` succeed on unions of
+separately crawled regions (fewer external queries, not just faster lookups).
+Rows inside a region are deduplicated by key, stored once as immutable
+mappings sorted on the region's primary axis, and returned as shared
+references; range selections are bisect spans.
 
-``interval`` (default)
-    The sublinear structure.  Regions are grouped per attribute signature;
-    1D intervals are kept disjoint and sorted by lower bound so a covering
-    lookup is a bisect, MD boxes are kept sorted by their first axis with a
-    prefix-maximum pruning array.  Adjacent and overlapping regions of the
-    same signature are *coalesced* on insert — union of rows, widened box —
-    which keeps the index small and lets :meth:`~DenseRegionIndex.covers`
-    succeed on unions of separately crawled regions (fewer external queries,
-    not just faster lookups).  Rows inside a region are deduplicated by key,
-    stored once as immutable mappings sorted on the region's primary axis,
-    and returned as shared references; range selections are bisect spans.
-
-``naive``
-    The seed's reference behaviour: append-only region lists, linear
-    ``covering_region`` scans, per-call ``dict`` row copies, no coalescing.
-    Kept for differential testing and as an escape hatch
-    (``RerankConfig.dense_index_impl``).
+The seed's reference behaviour — append-only region lists, linear covering
+scans, per-call ``dict`` row copies, no coalescing — is kept as a test oracle
+with the same public API in ``tests/reference/dense_index.py``.
 """
 
 from __future__ import annotations
@@ -57,8 +52,6 @@ from repro.webdb.indexes import is_numeric
 from repro.webdb.query import RangePredicate, SearchQuery
 
 Row = Mapping[str, object]
-
-DENSE_INDEX_IMPLS = ("interval", "naive")
 
 
 @dataclass
@@ -127,7 +120,7 @@ def _union_box(a: HyperRectangle, b: HyperRectangle) -> Optional[HyperRectangle]
 
 
 class _SignatureIndex:
-    """Regions of one attribute signature in the ``interval`` implementation.
+    """Regions of one attribute signature.
 
     The primary axis is the signature's first attribute.  Regions are kept
     sorted by their primary-axis lower bound; 1D signatures additionally
@@ -324,33 +317,20 @@ class _SortedRegion(IndexedRegion):
 
 
 class DenseRegionIndex:
-    """Shared index of crawled dense regions.
+    """Shared index of crawled dense regions (sublinear, coalescing)."""
 
-    ``impl`` selects the lookup structure: ``"interval"`` (sublinear,
-    coalescing — the default) or ``"naive"`` (the seed's linear reference).
-    Both expose the same API and return the same answers; the interval
-    implementation may additionally cover unions of separately added regions.
-    """
+    #: Reported by :meth:`describe`; the reference oracle reports its own.
+    impl = "interval"
 
     def __init__(
         self,
         schema: Schema,
         cache: Optional[DenseRegionCache] = None,
-        impl: str = "interval",
     ) -> None:
-        if impl not in DENSE_INDEX_IMPLS:
-            valid = ", ".join(DENSE_INDEX_IMPLS)
-            raise DenseRegionError(
-                f"unknown dense-index impl {impl!r}; expected one of: {valid}"
-            )
         self._schema = schema
         self._cache = cache
-        self._impl = impl
         self._lock = threading.Lock()
-        # interval impl: signature -> _SignatureIndex.
         self._indexes: Dict[Tuple[str, ...], _SignatureIndex] = {}
-        # naive impl: signature -> append-only region list (seed behaviour).
-        self._regions: Dict[Tuple[str, ...], List[IndexedRegion]] = {}
         # Incremental counters — statistics snapshots used to re-sum every
         # region under the lock on each call.
         self._region_count = 0
@@ -366,9 +346,9 @@ class DenseRegionIndex:
     # Persistence
     # ------------------------------------------------------------------ #
     @property
-    def impl(self) -> str:
-        """Name of the active implementation (``interval`` or ``naive``)."""
-        return self._impl
+    def cache(self) -> Optional[DenseRegionCache]:
+        """The persistent region store behind this index, if any."""
+        return self._cache
 
     def _load_from_cache(self) -> None:
         assert self._cache is not None
@@ -402,27 +382,20 @@ class DenseRegionIndex:
     def _insert(
         self, box: HyperRectangle, rows: Sequence[Mapping[str, object]], persist: bool
     ) -> None:
-        if self._impl == "naive":
-            region = IndexedRegion(box=box, rows=[dict(row) for row in rows])
-            with self._lock:
-                self._regions.setdefault(region.attributes, []).append(region)
-                self._region_count += 1
-                self._tuple_count += len(region.rows)
-        else:
-            key_column = self._schema.key
-            rows_by_key: Dict[object, Row] = {}
-            for row in rows:
-                rows_by_key[row[key_column]] = MappingProxyType(dict(row))
-            region = _SortedRegion.build(box, rows_by_key, key_column)
-            with self._lock:
-                signature_index = self._indexes.get(region.attributes)
-                if signature_index is None:
-                    signature_index = _SignatureIndex(region.attributes)
-                    self._indexes[region.attributes] = signature_index
-                region_delta, tuple_delta, merges = signature_index.insert(region)
-                self._region_count += region_delta
-                self._tuple_count += tuple_delta
-                self._coalesced += merges
+        key_column = self._schema.key
+        rows_by_key: Dict[object, Row] = {}
+        for row in rows:
+            rows_by_key[row[key_column]] = MappingProxyType(dict(row))
+        region = _SortedRegion.build(box, rows_by_key, key_column)
+        with self._lock:
+            signature_index = self._indexes.get(region.attributes)
+            if signature_index is None:
+                signature_index = _SignatureIndex(region.attributes)
+                self._indexes[region.attributes] = signature_index
+            region_delta, tuple_delta, merges = signature_index.insert(region)
+            self._region_count += region_delta
+            self._tuple_count += tuple_delta
+            self._coalesced += merges
         if persist and self._cache is not None:
             self._cache.store_region(box.bounds(), list(rows))
 
@@ -430,7 +403,6 @@ class DenseRegionIndex:
         """Drop every in-memory region and reset every counter (the
         persistent cache is left alone)."""
         with self._lock:
-            self._regions.clear()
             self._indexes.clear()
             self._region_count = 0
             self._tuple_count = 0
@@ -454,38 +426,23 @@ class DenseRegionIndex:
             return 0
         retired = 0
         with self._lock:
-            if self._impl == "naive":
-                for signature in list(self._regions):
-                    kept: List[IndexedRegion] = []
-                    for region in self._regions[signature]:
-                        if delta.may_intersect_sides(region.box.sides):
-                            retired += 1
-                            self._region_count -= 1
-                            self._tuple_count -= len(region.rows)
-                        else:
-                            kept.append(region)
-                    if kept:
-                        self._regions[signature] = kept
+            for signature in list(self._indexes):
+                index = self._indexes[signature]
+                surviving: List[_SortedRegion] = []
+                dropped = 0
+                for region in index.regions:
+                    if delta.may_intersect_sides(region.box.sides):
+                        dropped += 1
+                        self._tuple_count -= len(region.rows)
                     else:
-                        del self._regions[signature]
-            else:
-                for signature in list(self._indexes):
-                    index = self._indexes[signature]
-                    surviving: List[_SortedRegion] = []
-                    dropped = 0
-                    for region in index.regions:
-                        if delta.may_intersect_sides(region.box.sides):
-                            dropped += 1
-                            self._tuple_count -= len(region.rows)
-                        else:
-                            surviving.append(region)
-                    if dropped:
-                        retired += dropped
-                        self._region_count -= dropped
-                        index.regions = surviving
-                        index._rebuild_arrays()
-                    if not index.regions:
-                        del self._indexes[signature]
+                        surviving.append(region)
+                if dropped:
+                    retired += dropped
+                    self._region_count -= dropped
+                    index.regions = surviving
+                    index._rebuild_arrays()
+                if not index.regions:
+                    del self._indexes[signature]
             self._delta_retired += retired
         if self._cache is not None:
             for stored in self._cache.regions():
@@ -508,14 +465,8 @@ class DenseRegionIndex:
         with self._lock:
             return self._find_locked(box)
 
-    def _find_locked(self, box: HyperRectangle) -> Optional[IndexedRegion]:
-        signature = tuple(sorted(box.attributes))
-        if self._impl == "naive":
-            for region in self._regions.get(signature, []):
-                if region.box.covers(box):
-                    return region
-            return None
-        signature_index = self._indexes.get(signature)
+    def _find_locked(self, box: HyperRectangle) -> Optional["_SortedRegion"]:
+        signature_index = self._indexes.get(tuple(sorted(box.attributes)))
         if signature_index is None:
             return None
         return signature_index.find(box)
@@ -540,8 +491,7 @@ class DenseRegionIndex:
         This replaces the ``covers()``-then-``rows_in()`` double call on the
         algorithms' hot path: one signature walk decides coverage *and*
         produces the answer.  A covered-but-empty answer is ``[]``, never
-        ``None``.  The interval implementation returns shared immutable row
-        mappings (no copies); the naive implementation returns fresh dicts.
+        ``None``.  Rows are shared immutable mappings (no copies).
         """
         with self._lock:
             region = self._find_locked(box)
@@ -550,7 +500,7 @@ class DenseRegionIndex:
                 self._hits += 1
         if region is None:
             return None
-        return self._select(region, box, base_query)
+        return region.select(box, base_query)
 
     def lookup_interval(
         self,
@@ -572,10 +522,11 @@ class DenseRegionIndex:
         that cannot handle a miss must use this; :meth:`lookup` is the
         single-pass variant returning ``None`` instead.
         """
-        region = self.covering_region(box)
+        with self._lock:
+            region = self._find_locked(box)
         if region is None:
             raise DenseRegionError(f"region not covered by the index: {box.describe()}")
-        return self._select(region, box, base_query)
+        return region.select(box, base_query)
 
     def rows_in_interval(
         self,
@@ -585,23 +536,6 @@ class DenseRegionIndex:
     ) -> List[Row]:
         """1D convenience wrapper around :meth:`rows_in`."""
         return self.rows_in(HyperRectangle((interval,)), base_query)
-
-    def _select(
-        self,
-        region: IndexedRegion,
-        box: HyperRectangle,
-        base_query: Optional[SearchQuery],
-    ) -> List[Row]:
-        if isinstance(region, _SortedRegion):
-            return region.select(box, base_query)
-        selected = []
-        for row in region.rows:
-            if not box.contains(row):
-                continue
-            if base_query is not None and not base_query.matches(row):
-                continue
-            selected.append(dict(row))
-        return selected
 
     # ------------------------------------------------------------------ #
     # Introspection / maintenance
@@ -620,32 +554,24 @@ class DenseRegionIndex:
             return self._tuple_count
 
     def coalesced_count(self) -> int:
-        """Number of region merges performed by the interval implementation."""
+        """Number of region merges performed on insert."""
         with self._lock:
             return self._coalesced
 
     def signatures(self) -> List[Tuple[str, ...]]:
         """Attribute signatures that currently have at least one region."""
         with self._lock:
-            if self._impl == "naive":
-                return [sig for sig, regions in self._regions.items() if regions]
             return [sig for sig, index in self._indexes.items() if index.regions]
 
     def describe(self) -> Dict[str, object]:
         """Summary used by the service's statistics endpoint."""
         with self._lock:
-            if self._impl == "naive":
-                per_signature = {
-                    "+".join(sig): len(regions)
-                    for sig, regions in self._regions.items()
-                }
-            else:
-                per_signature = {
-                    "+".join(sig): len(index.regions)
-                    for sig, index in self._indexes.items()
-                }
+            per_signature = {
+                "+".join(sig): len(index.regions)
+                for sig, index in self._indexes.items()
+            }
             return {
-                "impl": self._impl,
+                "impl": self.impl,
                 "regions": self._region_count,
                 "tuples": self._tuple_count,
                 "coalesced": self._coalesced,

@@ -42,7 +42,7 @@ from repro.core.functions import LinearRankingFunction
 from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
 from repro.core.session import Session
-from repro.crawl.crawler import HiddenDatabaseCrawler
+from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
 from repro.exceptions import RankingFunctionError
 from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, SearchQuery
@@ -430,38 +430,3 @@ class MultiDimGetNext:
         if self._config.enable_session_cache:
             self._session.remember(rows, self._engine.key_column)
         return self._update_best(rows, best, emitted)
-
-
-class _EngineInterfaceAdapter:
-    """Expose a :class:`QueryEngine` as a :class:`TopKInterface` so crawler
-    queries share the same accounting and parallel execution (mirrors the 1D
-    adapter)."""
-
-    def __init__(self, engine: QueryEngine) -> None:
-        self._engine = engine
-
-    @property
-    def schema(self):
-        return self._engine.schema
-
-    @property
-    def system_k(self) -> int:
-        return self._engine.system_k
-
-    @property
-    def key_column(self) -> str:
-        return self._engine.key_column
-
-    def search(self, query: SearchQuery):
-        # Crawler region queries are effectively unique (finely partitioned
-        # sub-regions), so they never *store* into the shared result cache —
-        # that would churn its LRU; the dense-region index is their reuse
-        # layer.  They still read it: the crawl's root query is usually the
-        # overflowing query the algorithm just paid for.
-        return self._engine.search(query, bypass_cache=True)
-
-    def search_group(self, queries):
-        return self._engine.search_group(queries, bypass_cache=True)
-
-    def queries_issued(self) -> int:
-        return self._engine.queries_issued()

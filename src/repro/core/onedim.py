@@ -45,7 +45,7 @@ from repro.core.functions import SingleAttributeRanking
 from repro.core.parallel import QueryEngine
 from repro.core.regions import interval_relative_width
 from repro.core.session import Session
-from repro.crawl.crawler import HiddenDatabaseCrawler
+from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
 from repro.exceptions import RankingFunctionError
 from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, SearchQuery
@@ -522,42 +522,6 @@ class OneDimGetNext:
         fresh = [dict(row) for row in rows if row[key_column] not in emitted]
         fresh.sort(key=lambda row: str(row[key_column]))
         return fresh
-
-
-class _EngineInterfaceAdapter:
-    """Expose a :class:`QueryEngine` as a plain :class:`TopKInterface` so the
-    crawler's queries are accounted (and parallelised) like every other
-    external query.  The engine also enforces the query budget, which is why
-    the crawler itself is not handed one."""
-
-    def __init__(self, engine: QueryEngine) -> None:
-        self._engine = engine
-
-    @property
-    def schema(self):
-        return self._engine.schema
-
-    @property
-    def system_k(self) -> int:
-        return self._engine.system_k
-
-    @property
-    def key_column(self) -> str:
-        return self._engine.key_column
-
-    def search(self, query: SearchQuery):
-        # Crawler region queries are effectively unique (finely partitioned
-        # sub-regions), so they never *store* into the shared result cache —
-        # that would churn its LRU; the dense-region index is their reuse
-        # layer.  They still read it: the crawl's root query is usually the
-        # overflowing query the algorithm just paid for.
-        return self._engine.search(query, bypass_cache=True)
-
-    def search_group(self, queries):
-        return self._engine.search_group(queries, bypass_cache=True)
-
-    def queries_issued(self) -> int:
-        return self._engine.queries_issued()
 
 
 def make_onedim_getnext(

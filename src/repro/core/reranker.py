@@ -107,9 +107,7 @@ class QueryReranker:
     ) -> None:
         self._interface = interface
         self._config = config or RerankConfig()
-        self._dense_index = DenseRegionIndex(
-            interface.schema, cache=dense_cache, impl=self._config.dense_index_impl
-        )
+        self._dense_index = self._make_dense_index(dense_cache)
         self._result_cache: Optional[QueryResultCache] = (
             result_cache
             if result_cache is not None
@@ -136,6 +134,14 @@ class QueryReranker:
         self._session_counter = itertools.count(1)
         self._feed_counter = itertools.count(1)
         self._lock = threading.Lock()
+
+    def _make_dense_index(
+        self, cache: Optional[DenseRegionCache] = None
+    ) -> DenseRegionIndex:
+        """A fresh dense-region index (loading ``cache``'s regions, if any);
+        called at construction and whenever the index is rebuilt.  The
+        reference oracle under ``tests/reference/`` overrides this."""
+        return DenseRegionIndex(self._interface.schema, cache=cache)
 
     # ------------------------------------------------------------------ #
     @property
@@ -219,9 +225,7 @@ class QueryReranker:
                 cache_entries += self._federation.invalidate_shard(index)
         if self._result_cache is not None:
             cache_entries += self._result_cache.invalidate(self._cache_namespace)
-        self._dense_index = DenseRegionIndex(
-            self._interface.schema, impl=self._config.dense_index_impl
-        )
+        self._dense_index = self._make_dense_index()
         feeds_retired = 0
         if self._feed_store is not None:
             feeds_retired = self._feed_store.invalidate(self._cache_namespace)
@@ -477,7 +481,7 @@ class QueryReranker:
         Returns the refresh counters; a no-op when no persistent cache is
         attached.
         """
-        cache = getattr(self._dense_index, "_cache", None)
+        cache = self._dense_index.cache
         if cache is None:
             return {"checked": 0, "refreshed": 0, "unchanged": 0}
 
@@ -498,9 +502,7 @@ class QueryReranker:
 
         counters = cache.verify_and_refresh(crawl_region)
         # Rebuild the in-memory index from the refreshed cache.
-        self._dense_index = DenseRegionIndex(
-            self._interface.schema, cache=cache, impl=self._config.dense_index_impl
-        )
+        self._dense_index = self._make_dense_index(cache)
         return counters
 
 

@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
 class RerankStatistics:
-    """Mutable, thread-safe statistics for one reranking request."""
+    """Mutable, thread-safe statistics for one reranking request.
+
+    The field list below is the one place a counter is declared:
+    :meth:`snapshot`, :meth:`merge`, :meth:`checkpoint` and
+    :meth:`absorb_since` all walk it.
+    """
 
     external_queries: int = 0
     simulated_seconds: float = 0.0
@@ -217,71 +222,42 @@ class RerankStatistics:
         return self.simulated_seconds + self.wall_seconds
 
     def snapshot(self) -> Dict[str, object]:
-        """Plain-dictionary snapshot for the service's statistics panel."""
+        """Plain-dictionary snapshot for the service's statistics panel:
+        every field in declaration order, each derived ratio right after the
+        counter it closes over."""
         with self._lock:
-            return {
-                "external_queries": self.external_queries,
-                "simulated_seconds": round(self.simulated_seconds, 6),
-                "wall_seconds": round(self.wall_seconds, 6),
-                "processing_seconds": round(self.processing_seconds, 6),
-                "iterations": self.iterations,
-                "parallel_iterations": self.parallel_iterations,
-                "parallel_fraction": round(self.parallel_fraction, 4),
-                "parallel_queries": self.parallel_queries,
-                "sequential_queries": self.sequential_queries,
-                "iteration_group_sizes": list(self.iteration_group_sizes),
-                "cache_hits": self.cache_hits,
-                "result_cache_hits": self.result_cache_hits,
-                "contained_answers": self.contained_answers,
-                "coalesced_queries": self.coalesced_queries,
-                "result_cache_hit_rate": round(self.result_cache_hit_rate, 4),
-                "dense_index_hits": self.dense_index_hits,
-                "dense_regions_built": self.dense_regions_built,
-                "crawled_tuples": self.crawled_tuples,
-                "get_next_calls": self.get_next_calls,
-                "tuples_returned": self.tuples_returned,
-                "feed_hits": self.feed_hits,
-                "feed_replayed_tuples": self.feed_replayed_tuples,
-                "feed_leader_advances": self.feed_leader_advances,
-                "degraded_results": self.degraded_results,
-                "stale_serves": self.stale_serves,
-                "retried_queries": self.retried_queries,
-            }
+            panel: Dict[str, object] = {name: getattr(self, name) for name in _PANEL}
+            for name, digits in _ROUNDED.items():
+                panel[name] = round(panel[name], digits)  # type: ignore[call-overload]
+            panel["iteration_group_sizes"] = list(self.iteration_group_sizes)
+            return panel
 
     # ------------------------------------------------------------------ #
-    # Delta accounting (shared rerank feeds)
+    # Folding one statistics object into another
     # ------------------------------------------------------------------ #
-    #: Algorithm-work counters a feed leader inherits from the shared
-    #: producer.  Emission counters (``get_next_calls``/``tuples_returned``)
-    #: and feed counters are deliberately excluded: the consumer stream
-    #: records its own emissions, and the producer serves many consumers.
-    _ABSORBED_FIELDS = (
-        "external_queries",
-        "simulated_seconds",
-        "wall_seconds",
-        "iterations",
-        "parallel_iterations",
-        "parallel_queries",
-        "sequential_queries",
-        "cache_hits",
-        "result_cache_hits",
-        "contained_answers",
-        "coalesced_queries",
-        "dense_index_hits",
-        "dense_regions_built",
-        "crawled_tuples",
-        "degraded_results",
-        "stale_serves",
-        "retried_queries",
-    )
+    def _read(
+        self, names: Sequence[str], sizes_from: int = 0
+    ) -> Tuple[Dict[str, float], List[int]]:
+        """One consistent read of ``names`` plus the group-size tail."""
+        with self._lock:
+            return (
+                {name: getattr(self, name) for name in names},
+                self.iteration_group_sizes[sizes_from:],
+            )
+
+    def _add(
+        self, values: Dict[str, float], since: Dict[str, float], sizes: List[int]
+    ) -> None:
+        with self._lock:
+            for name, value in values.items():
+                setattr(self, name, getattr(self, name) + value - since.get(name, 0))
+            self.iteration_group_sizes.extend(sizes)
 
     def checkpoint(self) -> Dict[str, float]:
         """Lightweight mark of the absorbable counters, for later
         :meth:`absorb_since` delta accounting."""
         with self._lock:
-            mark: Dict[str, float] = {
-                name: getattr(self, name) for name in self._ABSORBED_FIELDS
-            }
+            mark: Dict[str, float] = {name: getattr(self, name) for name in _ABSORBED}
             mark["iteration_group_sizes"] = len(self.iteration_group_sizes)
             return mark
 
@@ -292,39 +268,48 @@ class RerankStatistics:
         Used by shared rerank feeds: the stream leading an advance absorbs the
         producer's per-advance delta, so its statistics panel reflects exactly
         the external queries and latency its Get-Next call caused."""
-        with other._lock:
-            current = {name: getattr(other, name) for name in self._ABSORBED_FIELDS}
-            tail = list(other.iteration_group_sizes[int(mark["iteration_group_sizes"]):])
-        with self._lock:
-            for name in self._ABSORBED_FIELDS:
-                setattr(self, name, getattr(self, name) + current[name] - mark[name])
-            self.iteration_group_sizes.extend(tail)
+        current, tail = other._read(_ABSORBED, int(mark["iteration_group_sizes"]))
+        self._add(current, mark, tail)
 
     def merge(self, other: "RerankStatistics") -> None:
         """Fold another statistics object into this one (used when a request
         composes several sub-algorithms, e.g. MD-TA over per-attribute 1D
         streams)."""
-        with self._lock:
-            self.external_queries += other.external_queries
-            self.simulated_seconds += other.simulated_seconds
-            self.wall_seconds += other.wall_seconds
-            self.iterations += other.iterations
-            self.parallel_iterations += other.parallel_iterations
-            self.parallel_queries += other.parallel_queries
-            self.sequential_queries += other.sequential_queries
-            self.iteration_group_sizes.extend(other.iteration_group_sizes)
-            self.cache_hits += other.cache_hits
-            self.result_cache_hits += other.result_cache_hits
-            self.contained_answers += other.contained_answers
-            self.coalesced_queries += other.coalesced_queries
-            self.dense_index_hits += other.dense_index_hits
-            self.dense_regions_built += other.dense_regions_built
-            self.crawled_tuples += other.crawled_tuples
-            self.get_next_calls += other.get_next_calls
-            self.tuples_returned += other.tuples_returned
-            self.feed_hits += other.feed_hits
-            self.feed_replayed_tuples += other.feed_replayed_tuples
-            self.feed_leader_advances += other.feed_leader_advances
-            self.degraded_results += other.degraded_results
-            self.stale_serves += other.stale_serves
-            self.retried_queries += other.retried_queries
+        values, sizes = other._read(_COUNTERS)
+        self._add(values, {}, sizes)
+
+
+#: Every field in declaration (= panel) order, and the scalar counters.
+_FIELDS = tuple(f.name for f in fields(RerankStatistics))
+_COUNTERS = tuple(name for name in _FIELDS if name != "iteration_group_sizes")
+#: Emission and feed counters a feed leader must *not* absorb from the shared
+#: producer: the consumer stream records its own emissions, and the producer
+#: serves many consumers.  Everything else is algorithm work it inherits.
+_NOT_ABSORBED = (
+    "get_next_calls",
+    "tuples_returned",
+    "feed_hits",
+    "feed_replayed_tuples",
+    "feed_leader_advances",
+)
+_ABSORBED = tuple(name for name in _COUNTERS if name not in _NOT_ABSORBED)
+#: The panel: every field, with each derived ratio after the counter it
+#: closes over, and the digits the non-integer entries are rounded to.
+_DERIVED_AFTER = {
+    "wall_seconds": "processing_seconds",
+    "parallel_iterations": "parallel_fraction",
+    "coalesced_queries": "result_cache_hit_rate",
+}
+_PANEL = tuple(
+    entry
+    for name in _FIELDS
+    for entry in (name, _DERIVED_AFTER.get(name))
+    if entry is not None
+)
+_ROUNDED = {
+    "simulated_seconds": 6,
+    "wall_seconds": 6,
+    "processing_seconds": 6,
+    "parallel_fraction": 4,
+    "result_cache_hit_rate": 4,
+}

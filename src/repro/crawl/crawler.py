@@ -23,12 +23,15 @@ for a fixed ``k`` (each valid leaf returns up to ``k`` fresh tuples).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import CrawlError
 from repro.webdb.counters import QueryBudget
 from repro.webdb.interface import TopKInterface
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
+
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports this module
+    from repro.core.parallel import QueryEngine
 
 Row = Dict[str, object]
 
@@ -213,3 +216,40 @@ def crawl_value_group(
     query = base_query.with_range(point)
     crawler = HiddenDatabaseCrawler(interface, budget=budget)
     return crawler.crawl(query)
+
+
+class _EngineInterfaceAdapter:
+    """Expose a :class:`~repro.core.parallel.QueryEngine` as a plain
+    :class:`TopKInterface` so the crawler's queries are accounted (and
+    parallelised) like every other external query of the 1D and MD
+    algorithms.  The engine also enforces the query budget, which is why the
+    crawler itself is not handed one."""
+
+    def __init__(self, engine: "QueryEngine") -> None:
+        self._engine = engine
+
+    @property
+    def schema(self):
+        return self._engine.schema
+
+    @property
+    def system_k(self) -> int:
+        return self._engine.system_k
+
+    @property
+    def key_column(self) -> str:
+        return self._engine.key_column
+
+    def search(self, query: SearchQuery):
+        # Crawler region queries are effectively unique (finely partitioned
+        # sub-regions), so they never *store* into the shared result cache —
+        # that would churn its LRU; the dense-region index is their reuse
+        # layer.  They still read it: the crawl's root query is usually the
+        # overflowing query the algorithm just paid for.
+        return self._engine.search(query, bypass_cache=True)
+
+    def search_group(self, queries):
+        return self._engine.search_group(queries, bypass_cache=True)
+
+    def queries_issued(self) -> int:
+        return self._engine.queries_issued()

@@ -24,13 +24,10 @@ from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog
 from repro.dataset.schema import Schema
 from repro.exceptions import DataSourceError
 from repro.sqlstore.dense_cache import DenseRegionCache
+from repro.webdb.build import build_source
 from repro.webdb.cache import QueryResultCache
-from repro.webdb.database import HiddenWebDatabase
-from repro.webdb.federation import build_federation
 from repro.webdb.interface import TopKInterface
-from repro.webdb.latency import LatencyModel
 from repro.webdb.ranking import FeaturedScoreRanking, SystemRankingFunction
-from repro.webdb.stack import SourceStack
 
 
 @dataclass
@@ -189,54 +186,18 @@ def _make_source(
         # Private per-source cache: built here, not by the reranker, so a
         # sharded source's facade and its reranker share the one object.
         result_cache = rerank_config.make_result_cache()
-    if database_config.shards > 1:
-        # Sharded source: the catalog is partitioned across N per-shard
-        # databases behind a federated facade, each shard in its own source
-        # stack.  Shards are named "{name}#{i}", giving each its own cache
-        # namespace, while the reranker keys its cache/feed state under the
-        # federated name — above the shard layer.
-        database: TopKInterface = build_federation(
-            catalog=catalog,
-            schema=schema,
-            system_ranking=system_ranking,
-            shards=database_config.shards,
-            by=database_config.shard_by,
-            name=name,
-            system_k=database_config.system_k,
-            latency_mean=database_config.latency_seconds,
-            latency_jitter=database_config.latency_jitter,
-            latency_seed=database_config.seed,
-            latency_sleep=database_config.latency_sleep,
-            engine=database_config.engine,
-            columnar_backend=database_config.columnar_backend,
-            fault_plan=database_config.fault_plan,
-            resilience=rerank_config.resilience,
-            result_cache=result_cache,
-        )
-    else:
-        latency = LatencyModel(
-            mean_seconds=database_config.latency_seconds,
-            jitter=database_config.latency_jitter,
-            sleep=database_config.latency_sleep,
-            seed=database_config.seed,
-        )
-        # The same stack a shard gets: injector inside, guard outside, so
-        # scheduled faults are what the retry/breaker layer is exercised
-        # against; a clean stack keeps the database's batched path.
-        database = SourceStack(
-            HiddenWebDatabase(
-                catalog=catalog,
-                schema=schema,
-                system_ranking=system_ranking,
-                system_k=database_config.system_k,
-                latency=latency,
-                name=name,
-                engine=database_config.engine,
-                columnar_backend=database_config.columnar_backend,
-            ),
-            fault_plan=database_config.fault_plan,
-            resilience=rerank_config.resilience,
-        )
+    # A sharded source names its shards "{name}#{i}", giving each its own
+    # cache namespace, while the reranker keys its cache/feed state under
+    # the federated name — above the shard layer.
+    database = build_source(
+        catalog,
+        schema,
+        system_ranking,
+        database_config,
+        name=name,
+        resilience=rerank_config.resilience,
+        result_cache=result_cache,
+    )
     dense_cache = (
         DenseRegionCache(schema, path=dense_cache_path) if dense_cache_path else None
     )

@@ -201,10 +201,10 @@ class SQLiteTupleStore:
     def iter_rows(self, batch_size: int = 10_000) -> Iterator[List[Row]]:
         """Stream every stored tuple in batches of at most ``batch_size``.
 
-        This is the streaming catalog-load path: at no point does the full
-        table live in Python memory as row dictionaries, so million-tuple
-        catalogs can be transposed into columns batch by batch
-        (:func:`repro.webdb.database.stream_sorted_columns`).
+        At no point does the full table live in Python memory as row
+        dictionaries, so million-tuple catalogs can be transposed into
+        columns as they stream (iterating the store flattens these batches
+        for :func:`repro.webdb.database.stream_sorted_columns`).
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -219,6 +219,11 @@ class SQLiteTupleStore:
             if not records:
                 break
             yield [self._record_to_row(columns, record) for record in records]
+
+    def __iter__(self) -> Iterator[Row]:
+        """Every stored tuple, streamed through the batched cursor."""
+        for batch in self.iter_rows():
+            yield from batch
 
     def _record_to_row(self, columns: Sequence[str], record: Tuple) -> Row:
         row: Row = {}

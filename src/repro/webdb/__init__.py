@@ -13,20 +13,8 @@ from repro.webdb.ranking import (
 )
 from repro.webdb.cache import FetchStatus, QueryResultCache
 from repro.webdb.counters import QueryBudget, QueryCounter, QueryLog
-from repro.webdb.federation import (
-    FederatedInterface,
-    ShardSpec,
-    ShardedCatalog,
-    build_federation,
-    build_federation_from_store,
-)
-from repro.webdb.engine import (
-    ExecutionEngine,
-    IndexedColumnarEngine,
-    NaiveScanEngine,
-    QueryPlan,
-    create_engine,
-)
+from repro.webdb.federation import FederatedInterface, partition_positions
+from repro.webdb.engine import ExecutionEngine, IndexedColumnarEngine, QueryPlan
 from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.latency import LatencyModel
 from repro.webdb.stack import SourceStack
@@ -38,10 +26,8 @@ __all__ = [
     "ExecutionEngine",
     "FetchStatus",
     "IndexedColumnarEngine",
-    "NaiveScanEngine",
     "QueryPlan",
     "QueryResultCache",
-    "create_engine",
     "InPredicate",
     "RangePredicate",
     "SearchQuery",
@@ -59,10 +45,7 @@ __all__ = [
     "QueryLog",
     "LatencyModel",
     "FederatedInterface",
-    "ShardSpec",
-    "ShardedCatalog",
     "SourceStack",
-    "build_federation",
-    "build_federation_from_store",
+    "partition_positions",
     "stream_sorted_columns",
 ]

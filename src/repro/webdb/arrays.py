@@ -4,9 +4,8 @@ The columnar catalog (:mod:`repro.webdb.indexes`) stores numeric columns,
 sorted indexes, and rank arrays in one of three representations:
 
 * ``"list"`` — plain Python lists of objects, the seed reference layout.
-  Kept bit-for-bit identical to the original implementation and selected via
-  :attr:`~repro.config.DatabaseConfig.columnar_backend` for differential
-  testing;
+  Kept bit-for-bit identical to the original implementation; the layout
+  differential tests select it with ``ColumnarCatalog(backend="list")``;
 * ``"array"`` — :mod:`array` buffers (``array('d')`` for floats,
   ``array('q')`` for rank positions and integer columns): 8 bytes per value
   instead of an 8-byte pointer plus a boxed Python object.  Always available
@@ -15,7 +14,7 @@ sorted indexes, and rank arrays in one of three representations:
   execution engine's tight loops (range filters, candidate sorting) run as
   vectorized C loops.  Only selectable when numpy is importable.
 
-``"buffer"`` (the default knob value) resolves to ``"numpy"`` when numpy is
+``"buffer"`` (the default) resolves to ``"numpy"`` when numpy is
 importable and ``"array"`` otherwise, so the compact layout never becomes a
 hard dependency.  Setting the environment variable ``REPRO_DISABLE_NUMPY``
 to a non-empty value forces the stdlib fallback even when numpy is
@@ -41,7 +40,7 @@ try:  # pragma: no cover - exercised via both branches in CI matrices
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Backend names accepted by the ``columnar_backend`` knobs.
+#: Backend names accepted by ``ColumnarCatalog(backend=)``.
 BACKEND_NAMES: Tuple[str, ...] = ("buffer", "list", "array", "numpy")
 
 #: A block filter: rank positions in → surviving rank positions out.

@@ -9,67 +9,71 @@ The reranking service is only allowed to talk to it through
 benchmark harness can compare against brute force, mirroring how the paper's
 authors validated against the live sites.
 
-Queries are answered by a pluggable execution engine
-(:mod:`repro.webdb.engine`).  The default ``"indexed"`` engine runs over
-columnar index structures (:mod:`repro.webdb.indexes`) with a selectivity-aware
-planner; the seed row-at-a-time scan survives as the ``"naive"`` reference
-engine, selectable via ``engine="naive"`` (or
-:attr:`~repro.config.DatabaseConfig.engine`) for differential testing.  Both
-preserve the top-k *contract* exactly: overflow/valid/underflow, stable
-hidden-rank ordering, per-query latency and query counting.
+Queries are answered by the vectorized columnar engine
+(:class:`~repro.webdb.engine.IndexedColumnarEngine`) over the index structures
+of :mod:`repro.webdb.indexes`.  The seed's row-at-a-time scan is kept as a test
+oracle under ``tests/reference/``: a subclass overriding
+:meth:`HiddenWebDatabase._make_engine`.  Both preserve the top-k *contract*
+exactly: overflow/valid/underflow, stable hidden-rank ordering, per-query
+latency and query counting.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.dataset.schema import Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError
 from repro.webdb.counters import QueryCounter
 from repro.webdb.delta import CatalogDelta
-from repro.webdb.engine import QueryPlan, create_engine
+from repro.webdb.engine import ExecutionEngine, IndexedColumnarEngine, QueryPlan
 from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.interface import Outcome, SearchResult, TopKInterface
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sqlstore ↔ webdb)
-    from repro.sqlstore.store import SQLiteTupleStore
-
 Row = Dict[str, object]
 
 
 def stream_sorted_columns(
-    store: "SQLiteTupleStore",
+    rows: Iterable[Mapping[str, object]],
     schema: Schema,
     system_ranking: SystemRankingFunction,
-    batch_size: int = 10_000,
+    validate: bool = True,
 ) -> Dict[str, List[object]]:
-    """Read a tuple store batch by batch into hidden-rank-ordered columns.
+    """Read rows once into hidden-rank-ordered columns.
 
-    This is the streaming catalog-load path for large sources: row
-    dictionaries exist only transiently, one batch at a time, instead of the
-    whole catalog being materialized twice (once as ``ranked_rows``, once as
-    the key index) the way the eager :class:`HiddenWebDatabase` constructor
-    does.  Per row only its hidden sort key is retained; the catalog is then
-    rank-ordered by permuting the accumulated columns.
+    This is the one catalog-load path: ``rows`` is any iterable of row
+    dictionaries — a :class:`~repro.dataset.table.ColumnTable` iterates
+    lazily, a :class:`~repro.sqlstore.store.SQLiteTupleStore` streams its
+    batched cursor — so the catalog never exists as a list of row
+    dictionaries.  Per row only its hidden sort key is retained; the catalog
+    is then rank-ordered by permuting the accumulated columns.
+
+    Columns come out in the order the rows carry them (the schema's column
+    order for an empty input).  ``validate`` passes every row through
+    ``schema.validate_row`` in the same pass; a store validated its rows on
+    upsert, so its loaders turn the check off.
     """
-    column_order = schema.columns()
-    columns: Dict[str, List[object]] = {name: [] for name in column_order}
+    columns: Dict[str, List[object]] = {}
     sort_keys: List[object] = []
     key_of = system_ranking.sort_key(schema.key)
-    for batch in store.iter_rows(batch_size=batch_size):
-        for row in batch:
-            sort_keys.append(key_of(row))
-            for name in column_order:
-                columns[name].append(row[name])
+    for row in rows:
+        if validate:
+            schema.validate_row(row)  # type: ignore[arg-type]
+        if not columns:
+            columns = {name: [] for name in row}
+        sort_keys.append(key_of(row))
+        for name, column in columns.items():
+            column.append(row[name])
+    if not columns:
+        return {name: [] for name in schema.columns()}
     order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
     del sort_keys
-    for name in column_order:
-        column = columns[name]
+    for name, column in columns.items():
         columns[name] = [column[i] for i in order]
     return columns
 
@@ -95,15 +99,6 @@ class HiddenWebDatabase(TopKInterface):
         queries being rejected.
     name:
         Display name used in logs and the service's source registry.
-    engine:
-        Execution engine answering the queries: ``"indexed"`` (default, the
-        vectorized columnar engine) or ``"naive"`` (the seed reference scan).
-    columnar_backend:
-        Storage backend for the columnar catalog
-        (:mod:`repro.webdb.arrays`): ``"buffer"`` (default — numpy when
-        importable, stdlib ``array`` otherwise), ``"array"``, ``"numpy"``,
-        or ``"list"`` (the seed reference layout, kept for differential
-        testing).
     """
 
     def __init__(
@@ -115,31 +110,19 @@ class HiddenWebDatabase(TopKInterface):
         latency: Optional[LatencyModel] = None,
         validate_queries: bool = True,
         name: str = "webdb",
-        engine: str = "indexed",
-        columnar_backend: str = "buffer",
     ) -> None:
-        # Materialize rows once, sort into hidden-rank order, transpose into
-        # the columnar catalog — and drop the row dictionaries.  The catalog
-        # (plus its key→rank map) is the only copy of the data; everything
-        # row-shaped is materialized lazily from it.
-        rows = catalog.to_rows()
-        for row in rows:
-            schema.validate_row(row)
-        rows.sort(key=system_ranking.sort_key(schema.key))
-        columnar = ColumnarCatalog(
-            rows, catalog.columns, schema.key, backend=columnar_backend
-        )
-        del rows
+        # One validating pass over the rows, one sort, one transpose; the
+        # columnar catalog (plus its key→rank map) is the only copy of the
+        # data and everything row-shaped is materialized lazily from it.
+        columns = stream_sorted_columns(catalog, schema, system_ranking)
         self._init_from_columnar(
-            columnar,
+            ColumnarCatalog.from_columns(columns, list(columns), schema.key),
             schema,
             system_ranking,
             system_k,
             latency,
             validate_queries,
             name,
-            engine,
-            columnar_backend,
         )
 
     @classmethod
@@ -153,15 +136,14 @@ class HiddenWebDatabase(TopKInterface):
         latency: Optional[LatencyModel] = None,
         validate_queries: bool = True,
         name: str = "webdb",
-        engine: str = "indexed",
     ) -> "HiddenWebDatabase":
         """Wrap an already rank-ordered :class:`ColumnarCatalog` directly.
 
-        The streaming loaders (:meth:`from_tuple_store`,
-        :func:`~repro.webdb.federation.build_federation_from_store`) use
-        this to construct sources without ever materializing the catalog as
-        row dictionaries.  The caller vouches that the catalog's columns are
-        in hidden-rank order under ``system_ranking``.
+        :func:`~repro.webdb.build.build_source` builds every shard this way,
+        and it is the seam by which a test or bench wraps a catalog it built
+        itself (a chosen storage layout, a positional slice).  The caller
+        vouches that the catalog's columns are in hidden-rank order under
+        ``system_ranking``.
         """
         database = cls.__new__(cls)
         database._init_from_columnar(
@@ -172,52 +154,8 @@ class HiddenWebDatabase(TopKInterface):
             latency,
             validate_queries,
             name,
-            engine,
-            columnar.backend,
         )
         return database
-
-    @classmethod
-    def from_tuple_store(
-        cls,
-        store: "SQLiteTupleStore",
-        schema: Schema,
-        system_ranking: SystemRankingFunction,
-        *,
-        system_k: int = 20,
-        latency: Optional[LatencyModel] = None,
-        validate_queries: bool = True,
-        name: str = "webdb",
-        engine: str = "indexed",
-        columnar_backend: str = "buffer",
-        batch_size: int = 10_000,
-    ) -> "HiddenWebDatabase":
-        """Build a database by streaming a catalog out of a SQLite store.
-
-        Rows are read with a batched cursor
-        (:meth:`~repro.sqlstore.store.SQLiteTupleStore.iter_rows`) and
-        transposed incrementally: at no point does the whole catalog exist
-        as Python row dictionaries, which is what makes 10⁶-tuple sources
-        constructible within a sane memory ceiling.  Rows were validated on
-        upsert, so the streamed values are trusted.
-        """
-        columns = stream_sorted_columns(
-            store, schema, system_ranking, batch_size=batch_size
-        )
-        columnar = ColumnarCatalog.from_columns(
-            columns, schema.columns(), schema.key, backend=columnar_backend
-        )
-        del columns
-        return cls.from_columnar(
-            columnar,
-            schema,
-            system_ranking,
-            system_k=system_k,
-            latency=latency,
-            validate_queries=validate_queries,
-            name=name,
-            engine=engine,
-        )
 
     def _init_from_columnar(
         self,
@@ -228,8 +166,6 @@ class HiddenWebDatabase(TopKInterface):
         latency: Optional[LatencyModel],
         validate_queries: bool,
         name: str,
-        engine: str,
-        columnar_backend: str,
     ) -> None:
         if system_k <= 0:
             raise ValueError("system_k must be positive")
@@ -244,16 +180,20 @@ class HiddenWebDatabase(TopKInterface):
         if len(columnar.rank_of) != columnar.size:
             raise QueryError("catalog contains duplicate tuple keys")
         self._columns: List[str] = columnar.column_order
-        self._engine_name_setting = engine
-        self._backend_setting = columnar_backend
         self._columnar = columnar
         #: Lazy row facade standing in for the seed's ``List[Row]`` copy.
         self._ranked_rows: Sequence[Row] = columnar.rows()
-        self._engine = create_engine(engine, self._ranked_rows, self._columnar)
+        self._engine = self._make_engine(columnar)
         # Per-attribute ground-truth memos (values / multiplicity histogram),
         # invalidated by apply_delta.
         self._attribute_values_memo: Dict[str, List[float]] = {}
         self._multiplicity_memo: Dict[str, Dict[float, int]] = {}
+
+    def _make_engine(self, columnar: ColumnarCatalog) -> ExecutionEngine:
+        """The engine answering queries over ``columnar``; called at
+        construction and for every :meth:`apply_delta` rebuild.  The
+        reference oracles under ``tests/reference/`` override this."""
+        return IndexedColumnarEngine(columnar)
 
     # ------------------------------------------------------------------ #
     # TopKInterface
@@ -376,13 +316,12 @@ class HiddenWebDatabase(TopKInterface):
             sort_key = self._system_ranking.sort_key(key_column)
             ranked = sorted(by_key.values(), key=sort_key)
             columnar = ColumnarCatalog(
-                ranked, self._columns, key_column, backend=self._backend_setting
+                ranked, self._columns, key_column, backend=self._columnar.backend
             )
-            rows_view = columnar.rows()
-            engine = create_engine(self._engine_name_setting, rows_view, columnar)
+            engine = self._make_engine(columnar)
             # Publish the rebuilt structures together only after every piece
             # succeeded: a failed rebuild must leave the old catalog serving.
-            self._ranked_rows = rows_view
+            self._ranked_rows = columnar.rows()
             self._columnar = columnar
             self._engine = engine
             self._attribute_values_memo = {}
@@ -481,7 +420,8 @@ class HiddenWebDatabase(TopKInterface):
 
     @property
     def engine_name(self) -> str:
-        """Name of the active execution engine (``"indexed"`` / ``"naive"``)."""
+        """Name of the active execution engine (``"indexed"``, unless a
+        reference oracle overrode :meth:`_make_engine`)."""
         return self._engine.name
 
     @property
@@ -491,7 +431,7 @@ class HiddenWebDatabase(TopKInterface):
 
     def explain(self, query: SearchQuery) -> Optional[QueryPlan]:
         """The plan the indexed engine would pick for ``query``; ``None``
-        under the naive reference engine (diagnostics / tests only)."""
+        under an engine that does not plan (diagnostics / tests only)."""
         explain = getattr(self._engine, "explain", None)
         if explain is None:
             return None
@@ -504,25 +444,3 @@ class HiddenWebDatabase(TopKInterface):
             f"ranking={self._system_ranking.describe()}, engine={self._engine.name}, "
             f"backend={self._columnar.backend}"
         )
-
-
-def database_pair_for_tests(
-    catalog: ColumnTable,
-    schema: Schema,
-    system_ranking: SystemRankingFunction,
-    system_k: int,
-) -> Tuple[HiddenWebDatabase, HiddenWebDatabase]:
-    """Create two databases over the same catalog: one latency-free for ground
-    truth, one with accounting latency for timing experiments."""
-    live = HiddenWebDatabase(
-        catalog, schema, system_ranking, system_k=system_k, name="live"
-    )
-    timed = HiddenWebDatabase(
-        catalog,
-        schema,
-        system_ranking,
-        system_k=system_k,
-        latency=LatencyModel.accounted(1.0),
-        name="timed",
-    )
-    return live, timed

@@ -2,9 +2,9 @@
 
 The seed implementation answered every top-k query with a pure-Python scan
 over dictionary rows — per-row ``isinstance`` checks, ``dict.get`` lookups,
-and a ``dict(row)`` copy per hit.  That contract-first simplicity is kept
-here as :class:`NaiveScanEngine`, the reference engine the differential tests
-and the throughput benchmark compare against.
+and a ``dict(row)`` copy per hit.  That contract-first simplicity survives as
+``tests/reference/engine.py``'s ``NaiveScanEngine``, the oracle the
+differential tests and the throughput benchmark compare against.
 
 :class:`IndexedColumnarEngine` answers the same queries over the columnar
 structures of :class:`~repro.webdb.indexes.ColumnarCatalog`.  A query is
@@ -36,9 +36,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import QueryError
 from repro.webdb import arrays
 from repro.webdb.indexes import ColumnarCatalog, is_numeric
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
@@ -46,9 +45,6 @@ from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 Row = Dict[str, object]
 #: A block filter: rank positions in → surviving rank positions out.
 BlockFilter = Callable[[Sequence[int]], Sequence[int]]
-
-#: Engine names accepted by :func:`create_engine` / the ``engine`` knobs.
-ENGINE_NAMES: Tuple[str, ...] = ("indexed", "naive")
 
 
 class ExecutionEngine(ABC):
@@ -66,33 +62,6 @@ class ExecutionEngine(ABC):
     ) -> List[Tuple[List[Row], bool]]:
         """Batched :meth:`execute`; subclasses may amortize planning work."""
         return [self.execute(query, k) for query in queries]
-
-
-class NaiveScanEngine(ExecutionEngine):
-    """The seed implementation, verbatim: a row-at-a-time scan in hidden-rank
-    order with early termination at ``k + 1`` matches.
-
-    Kept as the reference point of the differential test suite and the
-    throughput benchmark, and selectable via ``engine="naive"``.
-    """
-
-    name = "naive"
-
-    def __init__(self, ranked_rows: Sequence[Mapping[str, object]]) -> None:
-        self._ranked_rows = ranked_rows
-
-    def execute(self, query: SearchQuery, k: int) -> Tuple[List[Row], bool]:
-        matches: List[Row] = []
-        overflow = False
-        for row in self._ranked_rows:
-            if not query.matches(row):
-                continue
-            if len(matches) < k:
-                matches.append(dict(row))
-            else:
-                overflow = True
-                break
-        return matches, overflow
 
 
 @dataclass(frozen=True)
@@ -432,18 +401,3 @@ class IndexedColumnarEngine(ExecutionEngine):
                     del hits[limit:]
                     break
         return hits
-
-
-def create_engine(
-    name: str,
-    ranked_rows: Sequence[Mapping[str, object]],
-    catalog: ColumnarCatalog,
-) -> ExecutionEngine:
-    """Instantiate an execution engine by name (``"indexed"`` or ``"naive"``)."""
-    if name == "indexed":
-        return IndexedColumnarEngine(catalog)
-    if name == "naive":
-        return NaiveScanEngine(ranked_rows)
-    raise QueryError(
-        f"unknown execution engine {name!r}; expected one of: {', '.join(ENGINE_NAMES)}"
-    )

@@ -2,15 +2,14 @@
 
 Real deployments of the paper's scenario rarely sit on one monolithic
 database: a large catalog is horizontally partitioned across shards, each
-exposing its own top-k interface (possibly with different engines, ``k``
-values, and latencies).  This module supplies the two pieces that let the
-rest of the library stay shard-agnostic:
+exposing its own top-k interface.  This module supplies the two pieces that
+let the rest of the library stay shard-agnostic:
 
-* :class:`ShardedCatalog` — partitions one catalog into N disjoint shard
-  catalogs, either **by hidden rank** (round-robin in hidden-rank order, so
-  every shard sees the same score distribution) or **by attribute range**
-  (contiguous quantile slices of one numeric attribute, which enables shard
-  pruning for range-filtered queries);
+* :func:`partition_positions` — splits a hidden-rank-ordered catalog's rank
+  positions into N disjoint buckets, either **by hidden rank** (round-robin
+  in hidden-rank order, so every shard sees the same score distribution) or
+  **by attribute range** (contiguous quantile slices of one numeric
+  attribute, which enables shard pruning for range-filtered queries);
 * :class:`FederatedInterface` — presents the shard databases as a single
   :class:`~repro.webdb.interface.TopKInterface`.  A ``search`` **scatters**
   the query to the non-pruned shards, **gathers** their top-k pages, and
@@ -40,26 +39,20 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace as dataclass_replace
-from typing import Callable, TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.sqlstore.store import SQLiteTupleStore
+from bisect import bisect_right
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Schema
-from repro.dataset.table import ColumnTable
 from repro.exceptions import (
     DeadlineExceededError,
     QueryError,
     SourceUnavailableError,
 )
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
-from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
 from repro.webdb.faults import FaultInjector, FaultPlan
-from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.interface import Outcome, SearchResult, TopKInterface
-from repro.webdb.latency import LatencyModel
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
 from repro.webdb.resilience import (
@@ -73,251 +66,65 @@ from repro.webdb.stack import SourceStack
 Row = Dict[str, object]
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """Optional per-shard overrides (heterogeneous federations).
+def partition_positions(
+    columns: Mapping[str, Sequence[object]],
+    schema: Schema,
+    shards: int,
+    by: str = "rank",
+) -> Tuple[List[List[int]], Optional[List[RangePredicate]]]:
+    """Split a rank-ordered catalog's positions into disjoint shard buckets.
 
-    ``None`` fields fall back to the federation-wide defaults.  ``system_k``
-    may only *raise* a shard's page size above the federated ``k`` — the
-    merge is provably complete only when every shard returns at least the
-    federated ``k`` tuples per query.  ``fault_plan`` gives the shard its own
-    deterministic fault schedule (overriding any federation-wide plan).
+    ``columns`` are hidden-rank-ordered (see
+    :func:`~repro.webdb.database.stream_sorted_columns`), so every bucket —
+    an increasing list of positions — is itself rank-ordered.  Empty buckets
+    are dropped.  Returns ``(buckets, partitions)``:
+
+    * ``by="rank"`` deals positions round-robin; ``partitions`` is ``None``;
+    * any other value names a numeric attribute: the catalog is cut at the
+      attribute's quantiles and ``partitions[i]`` is the range bucket *i*
+      owns (used for shard pruning and for routing upserts).
     """
-
-    system_k: Optional[int] = None
-    engine: Optional[str] = None
-    latency: Optional[LatencyModel] = None
-    fault_plan: Optional[FaultPlan] = None
-
-
-def _resolve_shard_spec(
-    spec: Optional[ShardSpec],
-    index: int,
-    *,
-    system_k: int,
-    engine: str,
-    latency_mean: float,
-    latency_jitter: float,
-    latency_seed: int,
-    latency_sleep: bool,
-) -> Tuple[int, str, LatencyModel]:
-    """Resolve one shard's effective ``(k, engine, latency)`` from its
-    optional :class:`ShardSpec` and the federation-wide defaults."""
-    shard_k = spec.system_k if spec and spec.system_k is not None else system_k
-    if shard_k < system_k:
-        raise QueryError(
-            f"shard {index} has system_k={shard_k} below the federated "
-            f"k={system_k}; the merged top-k would be incomplete"
-        )
-    shard_engine = spec.engine if spec and spec.engine is not None else engine
-    if spec and spec.latency is not None:
-        latency = spec.latency
-    else:
-        latency = LatencyModel(
-            mean_seconds=latency_mean,
-            jitter=latency_jitter,
-            sleep=latency_sleep,
-            seed=latency_seed + index,
-        )
-    return shard_k, shard_engine, latency
-
-
-def shard_fault_plans(
-    count: int,
-    fault_plan: Optional[FaultPlan],
-    specs: Optional[Sequence[Optional[ShardSpec]]] = None,
-) -> List[Optional[FaultPlan]]:
-    """Each shard's fault schedule: its :class:`ShardSpec`'s own plan, else
-    the federation-wide plan with a shard-specific seed offset — shards draw
-    independent fault streams from one plan, yet each stream stays
-    replayable — else ``None``."""
-    plans: List[Optional[FaultPlan]] = []
-    for index in range(count):
-        spec = specs[index] if specs is not None else None
-        if spec is not None and spec.fault_plan is not None:
-            plans.append(spec.fault_plan)
-        elif fault_plan is not None:
-            plans.append(dataclass_replace(fault_plan, seed=fault_plan.seed + index))
-        else:
-            plans.append(None)
-    return plans
-
-
-class ShardedCatalog:
-    """One catalog partitioned into N disjoint shard catalogs.
-
-    Instances are produced by :meth:`partition`; ``tables[i]`` is shard *i*'s
-    catalog and — for attribute partitioning — ``partitions[i]`` is the range
-    of the partition attribute that shard *i* owns (used for shard pruning).
-    """
-
-    def __init__(
-        self,
-        tables: Sequence[ColumnTable],
-        schema: Schema,
-        shard_by: str,
-        partitions: Optional[Sequence[Optional[RangePredicate]]] = None,
-    ) -> None:
-        if not tables:
-            raise QueryError("a sharded catalog needs at least one shard")
-        if partitions is not None and len(partitions) != len(tables):
-            raise QueryError("partitions must align with shard tables")
-        self.tables: List[ColumnTable] = list(tables)
-        self.schema = schema
-        self.shard_by = shard_by
-        self.partitions: Optional[List[Optional[RangePredicate]]] = (
-            list(partitions) if partitions is not None else None
-        )
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards the catalog was split into."""
-        return len(self.tables)
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def partition(
-        catalog: ColumnTable,
-        schema: Schema,
-        system_ranking: SystemRankingFunction,
-        shards: int,
-        by: str = "rank",
-    ) -> "ShardedCatalog":
-        """Partition ``catalog`` into ``shards`` disjoint shard catalogs.
-
-        ``by="rank"`` deals tuples round-robin in hidden-rank order;
-        any other value names a numeric attribute and splits the catalog
-        into contiguous quantile ranges of that attribute.
-        """
-        if shards <= 0:
-            raise QueryError("shard count must be positive")
-        if by == "rank":
-            return ShardedCatalog._by_rank(catalog, schema, system_ranking, shards)
-        return ShardedCatalog._by_attribute(catalog, schema, by, shards)
-
-    @staticmethod
-    def _by_rank(
-        catalog: ColumnTable,
-        schema: Schema,
-        system_ranking: SystemRankingFunction,
-        shards: int,
-    ) -> "ShardedCatalog":
-        rows = sorted(catalog.to_rows(), key=system_ranking.sort_key(schema.key))
-        columns = catalog.columns
-        buckets: List[List[Row]] = [[] for _ in range(shards)]
-        for position, row in enumerate(rows):
-            buckets[position % shards].append(row)
-        tables = [
-            ColumnTable.from_rows(bucket, columns=columns)
-            for bucket in buckets
-            if bucket
-        ]
-        return ShardedCatalog(tables, schema, shard_by="rank")
-
-    @staticmethod
-    def _by_attribute(
-        catalog: ColumnTable,
-        schema: Schema,
-        attribute: str,
-        shards: int,
-    ) -> "ShardedCatalog":
-        schema.require_numeric(attribute)
-        rows = catalog.to_rows()
-        values = sorted(float(row[attribute]) for row in rows)  # type: ignore[arg-type]
-        if not values:
-            raise QueryError("cannot partition an empty catalog")
-        # Quantile boundaries, deduplicated: a heavily skewed attribute can
-        # yield fewer distinct cut points than requested shards, in which
-        # case the federation simply has fewer (non-empty) shards.
-        cuts: List[float] = []
-        for index in range(1, shards):
-            cut = values[(index * len(values)) // shards]
-            if not cuts or cut > cuts[-1]:
-                cuts.append(cut)
-        # Shard i owns [cuts[i-1], cuts[i]) with open extremes at ±inf, so
-        # every possible value belongs to exactly one shard.
-        bounds: List[Tuple[float, float]] = []
-        lower = float("-inf")
-        for cut in cuts:
-            bounds.append((lower, cut))
-            lower = cut
-        bounds.append((lower, float("inf")))
-        columns = catalog.columns
-        buckets: List[List[Row]] = [[] for _ in bounds]
-        for row in rows:
-            value = float(row[attribute])  # type: ignore[arg-type]
-            for index, (low, high) in enumerate(bounds):
-                if low <= value < high or (index == len(bounds) - 1 and value >= low):
-                    buckets[index].append(row)
-                    break
-        tables: List[ColumnTable] = []
-        partitions: List[Optional[RangePredicate]] = []
-        for bucket, (low, high) in zip(buckets, bounds):
-            if not bucket:
-                continue
-            tables.append(ColumnTable.from_rows(bucket, columns=columns))
-            is_last = high == float("inf")
-            partitions.append(
-                RangePredicate(
-                    attribute,
-                    lower=low,
-                    upper=high,
-                    include_lower=True,
-                    include_upper=is_last,
-                )
+    if shards <= 0:
+        raise QueryError("shard count must be positive")
+    size = len(columns[schema.key])
+    if by == "rank":
+        buckets = [list(range(start, size, shards)) for start in range(shards)]
+        return [bucket for bucket in buckets if bucket], None
+    schema.require_numeric(by)
+    if size == 0:
+        raise QueryError("cannot partition an empty catalog")
+    attribute_values = [float(value) for value in columns[by]]  # type: ignore[arg-type]
+    ordered = sorted(attribute_values)
+    # Quantile boundaries, deduplicated: a heavily skewed attribute can
+    # yield fewer distinct cut points than requested shards, in which
+    # case the federation simply has fewer (non-empty) shards.
+    cuts: List[float] = []
+    for index in range(1, shards):
+        cut = ordered[(index * size) // shards]
+        if not cuts or cut > cuts[-1]:
+            cuts.append(cut)
+    # Bucket i owns [cuts[i-1], cuts[i]) with open extremes at ±inf, so
+    # every possible value belongs to exactly one bucket.
+    raw_buckets: List[List[int]] = [[] for _ in range(len(cuts) + 1)]
+    for position, value in enumerate(attribute_values):
+        raw_buckets[bisect_right(cuts, value)].append(position)
+    edges = [float("-inf")] + cuts + [float("inf")]
+    buckets = []
+    partitions: List[RangePredicate] = []
+    for index, bucket in enumerate(raw_buckets):
+        if not bucket:
+            continue
+        buckets.append(bucket)
+        partitions.append(
+            RangePredicate(
+                by,
+                lower=edges[index],
+                upper=edges[index + 1],
+                include_lower=True,
+                include_upper=index == len(cuts),
             )
-        return ShardedCatalog(tables, schema, shard_by=attribute, partitions=partitions)
-
-    # ------------------------------------------------------------------ #
-    def build_databases(
-        self,
-        system_ranking: SystemRankingFunction,
-        name: str = "federation",
-        system_k: int = 20,
-        latency_mean: float = 0.0,
-        latency_jitter: float = 0.25,
-        latency_seed: int = 11,
-        latency_sleep: bool = False,
-        engine: str = "indexed",
-        specs: Optional[Sequence[Optional[ShardSpec]]] = None,
-        columnar_backend: str = "buffer",
-    ) -> List[HiddenWebDatabase]:
-        """Materialize one :class:`HiddenWebDatabase` per shard.
-
-        Shards are named ``"{name}#{i}"`` so that
-        :func:`~repro.webdb.cache.default_namespace` automatically gives each
-        shard its own cache namespace.  Every shard gets an independent
-        latency model (same distribution, shard-specific seed) unless a
-        :class:`ShardSpec` overrides it.
-        """
-        if specs is not None and len(specs) != self.shard_count:
-            raise QueryError("specs must align with shard tables")
-        databases: List[HiddenWebDatabase] = []
-        for index, table in enumerate(self.tables):
-            spec = specs[index] if specs is not None else None
-            shard_k, shard_engine, latency = _resolve_shard_spec(
-                spec,
-                index,
-                system_k=system_k,
-                engine=engine,
-                latency_mean=latency_mean,
-                latency_jitter=latency_jitter,
-                latency_seed=latency_seed,
-                latency_sleep=latency_sleep,
-            )
-            databases.append(
-                HiddenWebDatabase(
-                    catalog=table,
-                    schema=self.schema,
-                    system_ranking=system_ranking,
-                    system_k=shard_k,
-                    latency=latency,
-                    name=f"{name}#{index}",
-                    engine=shard_engine,
-                    columnar_backend=columnar_backend,
-                )
-            )
-        return databases
+        )
+    return buckets, partitions
 
 
 class FederatedInterface(TopKInterface):
@@ -805,196 +612,3 @@ class FederatedInterface(TopKInterface):
             "shards": shards,
             "resilience": self.resilience_snapshot(),
         }
-
-
-def build_federation(
-    catalog: ColumnTable,
-    schema: Schema,
-    system_ranking: SystemRankingFunction,
-    shards: int = 2,
-    by: str = "rank",
-    name: str = "federation",
-    system_k: int = 20,
-    latency_mean: float = 0.0,
-    latency_jitter: float = 0.25,
-    latency_seed: int = 11,
-    latency_sleep: bool = False,
-    engine: str = "indexed",
-    specs: Optional[Sequence[Optional[ShardSpec]]] = None,
-    result_cache: Optional[QueryResultCache] = None,
-    columnar_backend: str = "buffer",
-    fault_plan: Optional[FaultPlan] = None,
-    resilience: Optional[ResilienceConfig] = None,
-    clock: Callable[[], float] = time.monotonic,
-) -> FederatedInterface:
-    """Partition ``catalog`` and wrap the shards in a federated interface.
-
-    This is the one-call path the service registry and the experiment
-    harness use; ``shards=1`` still produces a (single-shard) federation —
-    callers wanting the unsharded reference engine construct
-    :class:`HiddenWebDatabase` directly.  ``fault_plan`` gives every shard's
-    stack a deterministic :class:`~repro.webdb.faults.FaultInjector`
-    (per-shard seed offsets keep the shard schedules independent but
-    replayable); ``resilience`` is the policy of the shard guards and
-    ``clock`` their breakers' recovery clock.
-    """
-    sharded = ShardedCatalog.partition(catalog, schema, system_ranking, shards, by=by)
-    databases = sharded.build_databases(
-        system_ranking,
-        name=name,
-        system_k=system_k,
-        latency_mean=latency_mean,
-        latency_jitter=latency_jitter,
-        latency_seed=latency_seed,
-        latency_sleep=latency_sleep,
-        engine=engine,
-        specs=specs,
-        columnar_backend=columnar_backend,
-    )
-    return FederatedInterface(
-        databases,
-        system_ranking,
-        name=name,
-        system_k=system_k,
-        partitions=sharded.partitions,
-        shard_by=sharded.shard_by,
-        result_cache=result_cache,
-        fault_plans=shard_fault_plans(len(databases), fault_plan, specs),
-        resilience=resilience,
-        clock=clock,
-    )
-
-
-def build_federation_from_store(
-    store: "SQLiteTupleStore",
-    schema: Schema,
-    system_ranking: SystemRankingFunction,
-    shards: int = 2,
-    by: str = "rank",
-    name: str = "federation",
-    system_k: int = 20,
-    latency_mean: float = 0.0,
-    latency_jitter: float = 0.25,
-    latency_seed: int = 11,
-    latency_sleep: bool = False,
-    engine: str = "indexed",
-    specs: Optional[Sequence[Optional[ShardSpec]]] = None,
-    result_cache: Optional[QueryResultCache] = None,
-    columnar_backend: str = "buffer",
-    batch_size: int = 10_000,
-    fault_plan: Optional[FaultPlan] = None,
-    resilience: Optional[ResilienceConfig] = None,
-    clock: Callable[[], float] = time.monotonic,
-) -> FederatedInterface:
-    """Stream a catalog out of a SQLite store into a federated interface.
-
-    Equivalent to loading the store's rows into a :class:`ColumnTable` and
-    calling :func:`build_federation` — same partitioning semantics (rank
-    round-robin / attribute quantile cuts), same shard naming, byte-identical
-    pages — but the catalog is transposed into rank-ordered columns batch by
-    batch (:func:`~repro.webdb.database.stream_sorted_columns`) and each
-    shard's catalog is a positional slice of those columns: at no point do
-    per-row dictionaries of the whole catalog exist, which is what makes
-    million-tuple federations constructible within a sane memory ceiling.
-    """
-    if shards <= 0:
-        raise QueryError("shard count must be positive")
-    column_order = schema.columns()
-    columns = stream_sorted_columns(store, schema, system_ranking, batch_size=batch_size)
-    size = len(columns[schema.key])
-    # Partition rank *positions* (the columns are already in hidden-rank
-    # order, so increasing-position subsets stay rank-ordered per shard).
-    partitions: Optional[List[Optional[RangePredicate]]] = None
-    if by == "rank":
-        shard_by = "rank"
-        buckets: List[List[int]] = [
-            list(range(start, size, shards)) for start in range(shards)
-        ]
-        buckets = [bucket for bucket in buckets if bucket]
-    else:
-        schema.require_numeric(by)
-        if size == 0:
-            raise QueryError("cannot partition an empty catalog")
-        shard_by = by
-        attribute_column = columns[by]
-        values = sorted(float(value) for value in attribute_column)  # type: ignore[arg-type]
-        # Quantile boundaries, deduplicated — mirrors ShardedCatalog._by_attribute.
-        cuts: List[float] = []
-        for index in range(1, shards):
-            cut = values[(index * len(values)) // shards]
-            if not cuts or cut > cuts[-1]:
-                cuts.append(cut)
-        bounds: List[Tuple[float, float]] = []
-        lower = float("-inf")
-        for cut in cuts:
-            bounds.append((lower, cut))
-            lower = cut
-        bounds.append((lower, float("inf")))
-        raw_buckets: List[List[int]] = [[] for _ in bounds]
-        for position in range(size):
-            value = float(attribute_column[position])  # type: ignore[arg-type]
-            for index, (low, high) in enumerate(bounds):
-                if low <= value < high or (index == len(bounds) - 1 and value >= low):
-                    raw_buckets[index].append(position)
-                    break
-        buckets = []
-        partitions = []
-        for bucket, (low, high) in zip(raw_buckets, bounds):
-            if not bucket:
-                continue
-            buckets.append(bucket)
-            partitions.append(
-                RangePredicate(
-                    by,
-                    lower=low,
-                    upper=high,
-                    include_lower=True,
-                    include_upper=high == float("inf"),
-                )
-            )
-    if specs is not None and len(specs) != len(buckets):
-        raise QueryError("specs must align with shard tables")
-    databases: List[HiddenWebDatabase] = []
-    for index, bucket in enumerate(buckets):
-        shard_columns = {
-            column: [columns[column][position] for position in bucket]
-            for column in column_order
-        }
-        columnar = ColumnarCatalog.from_columns(
-            shard_columns, column_order, schema.key, backend=columnar_backend
-        )
-        spec = specs[index] if specs is not None else None
-        shard_k, shard_engine, latency = _resolve_shard_spec(
-            spec,
-            index,
-            system_k=system_k,
-            engine=engine,
-            latency_mean=latency_mean,
-            latency_jitter=latency_jitter,
-            latency_seed=latency_seed,
-            latency_sleep=latency_sleep,
-        )
-        databases.append(
-            HiddenWebDatabase.from_columnar(
-                columnar,
-                schema,
-                system_ranking,
-                system_k=shard_k,
-                latency=latency,
-                name=f"{name}#{index}",
-                engine=shard_engine,
-            )
-        )
-    del columns
-    return FederatedInterface(
-        databases,
-        system_ranking,
-        name=name,
-        system_k=system_k,
-        partitions=partitions,
-        shard_by=shard_by,
-        result_cache=result_cache,
-        fault_plans=shard_fault_plans(len(databases), fault_plan, specs),
-        resilience=resilience,
-        clock=clock,
-    )

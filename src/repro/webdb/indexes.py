@@ -107,10 +107,13 @@ class ColumnarCatalog:
     key_column:
         Name of the unique tuple identifier column.
     backend:
-        Storage backend for numeric columns and rank arrays (see
-        :mod:`repro.webdb.arrays`): ``"list"`` (the seed reference layout,
-        default for direct construction), ``"array"``, ``"numpy"``, or
-        ``"buffer"`` (numpy when importable, stdlib ``array`` otherwise).
+        Storage layout of numeric columns and rank arrays (see
+        :mod:`repro.webdb.arrays`).  The default ``"buffer"`` is observed,
+        not configured: numpy views when numpy is importable, stdlib
+        ``array`` otherwise.  The layout differential tests and the scale
+        bench force ``"array"``, ``"numpy"`` or ``"list"`` (the seed's
+        pure-Python reference layout) here — this is the only signature the
+        choice appears in.
     """
 
     def __init__(
@@ -118,7 +121,7 @@ class ColumnarCatalog:
         ranked_rows: Sequence[Mapping[str, object]],
         column_order: Sequence[str],
         key_column: str,
-        backend: str = "list",
+        backend: str = "buffer",
     ) -> None:
         columns: Dict[str, List[object]] = {
             name: [row[name] for row in ranked_rows] for name in column_order
@@ -131,7 +134,7 @@ class ColumnarCatalog:
         columns: Mapping[str, Sequence[object]],
         column_order: Sequence[str],
         key_column: str,
-        backend: str = "list",
+        backend: str = "buffer",
     ) -> "ColumnarCatalog":
         """Build a catalog directly from rank-ordered columns.
 

@@ -1,6 +1,6 @@
 """Experiment harness.
 
-One function per paper artifact (see the experiment index in ``DESIGN.md``):
+One function per paper artifact (the experiment index):
 
 ========  ====================================================================
 id        function
@@ -21,8 +21,7 @@ SC-BW     :func:`run_best_worst_cases` — the paper's best- and worst-case
 
 Every function returns plain data (lists of :class:`ExperimentResult` or
 dictionaries) and leaves presentation to the benchmarks / examples, so the
-same harness drives ``pytest-benchmark``, the example scripts, and
-``EXPERIMENTS.md``.
+same harness drives ``pytest-benchmark`` and the example scripts.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import random
 import statistics as pystats
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import DatabaseConfig, RerankConfig
@@ -43,8 +42,8 @@ from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
 from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog, housing_schema
+from repro.webdb.build import build_source
 from repro.webdb.database import HiddenWebDatabase
-from repro.webdb.federation import build_federation
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
@@ -172,16 +171,18 @@ class ExperimentEnvironment:
             raise ValueError(f"unknown source {source!r}")
         config = config or self.rerank_config
         result_cache = config.make_result_cache()
-        federation = build_federation(
-            catalog=catalog,
-            schema=schema,
-            system_ranking=ranking,
-            shards=shards,
-            by=by,
+        federation = build_source(
+            catalog,
+            schema,
+            ranking,
+            DatabaseConfig(
+                system_k=self.system_k,
+                latency_seconds=self.latency_seconds,
+                seed=self.seed,
+                shards=shards,
+                shard_by=by,
+            ),
             name=source,
-            system_k=self.system_k,
-            latency_mean=self.latency_seconds,
-            latency_seed=self.seed,
             result_cache=result_cache,
             resilience=config.resilience,
         )
@@ -390,7 +391,7 @@ def run_onthefly_indexing(
     # The rerank feed is ablated: it would replay every repetition for free
     # and hide the dense index's amortization, which is what this measures.
     shared_rerank = environment.make_reranker(
-        "bluenile", environment.rerank_config.without_rerank_feed()
+        "bluenile", replace(environment.rerank_config, enable_rerank_feed=False)
     )
     rerank_costs: List[int] = []
     rerank_seconds: List[float] = []
@@ -424,74 +425,6 @@ def run_onthefly_indexing(
         "index_regions": shared_rerank.dense_index.region_count(),
         "index_tuples": shared_rerank.dense_index.tuple_count(),
     }
-
-
-def run_dense_index_differential(
-    environment: Optional[ExperimentEnvironment] = None,
-    repetitions: int = 3,
-    depth: int = 10,
-) -> Dict[str, object]:
-    """Run a region-heavy 1D-RERANK workload under both dense-index
-    implementations and compare them.
-
-    The workload replays the on-the-fly indexing scenario under several
-    shifted/nested ``length_width_ratio`` windows with an eager density
-    threshold, so the shared reranker accumulates many overlapping and
-    touching dense regions — exactly the state in which the seed's linear
-    index degrades and the interval index coalesces.  The interval
-    implementation must return byte-identical pages while issuing no more
-    external queries than the naive reference (coalesced coverage can only
-    remove crawls, never add them).
-    """
-    from dataclasses import replace
-
-    environment = environment or ExperimentEnvironment()
-    from repro.core.functions import SingleAttributeRanking
-
-    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
-    # Overlapping and nested windows around the big = 1.0 value cluster: each
-    # window probes slightly different intervals, building up regions whose
-    # crawled dense intervals overlap (e.g. [0.995, 1.0] and [0.99, 1.0]).
-    windows = [
-        (0.995, 1.6),
-        (0.99, 1.2),
-        (0.995, 1.3),
-        (1.05, 1.5),
-        (1.15, 1.8),
-        (1.0, 1.45),
-    ]
-    queries = [
-        SearchQuery.build(ranges={"length_width_ratio": window}) for window in windows
-    ]
-
-    payload: Dict[str, object] = {"windows": windows, "repetitions": repetitions}
-    for impl in ("naive", "interval"):
-        # The eager density threshold is what makes the workload region-heavy
-        # at benchmark catalog scales: narrow probe intervals are crawled and
-        # indexed instead of being halved further.  The rerank feed is
-        # ablated so repeated windows exercise the dense index, not a replay.
-        config = replace(
-            environment.rerank_config.with_dense_index_impl(impl),
-            dense_ratio_threshold=0.02,
-            enable_rerank_feed=False,
-        )
-        reranker = environment.make_reranker("bluenile", config)
-        costs: List[int] = []
-        pages: List[List[Dict[str, object]]] = []
-        for _ in range(repetitions):
-            for query in queries:
-                stream = reranker.rerank(query, ranking, algorithm=Algorithm.RERANK)
-                rows = stream.top(depth)
-                costs.append(stream.statistics.external_queries)
-                pages.append([dict(row) for row in rows])
-        payload[impl] = {
-            "costs": costs,
-            "total": sum(costs),
-            "pages": pages,
-            "index": reranker.dense_index.describe(),
-        }
-    payload["pages_match"] = payload["naive"]["pages"] == payload["interval"]["pages"]  # type: ignore[index]
-    return payload
 
 
 # --------------------------------------------------------------------------- #
@@ -533,10 +466,14 @@ def run_cache_reuse(
         # the whole stream for free in either mode and the delta no longer
         # isolates the result cache.
         for mode, config in (
-            ("cached", environment.rerank_config.without_rerank_feed()),
+            ("cached", replace(environment.rerank_config, enable_rerank_feed=False)),
             (
                 "uncached",
-                environment.rerank_config.without_result_cache().without_rerank_feed(),
+                replace(
+                    environment.rerank_config,
+                    enable_result_cache=False,
+                    enable_rerank_feed=False,
+                ),
             ),
         ):
             reranker = environment.make_reranker(source, config)
@@ -625,10 +562,14 @@ def run_containment_reuse(
         # windows would not share feeds anyway (distinct canonical queries),
         # but keeping both modes feed-free makes the isolation explicit.
         for mode, config in (
-            ("containment", environment.rerank_config.without_rerank_feed()),
+            ("containment", replace(environment.rerank_config, enable_rerank_feed=False)),
             (
                 "exact",
-                environment.rerank_config.without_containment().without_rerank_feed(),
+                replace(
+                    environment.rerank_config,
+                    result_cache_containment=False,
+                    enable_rerank_feed=False,
+                ),
             ),
         ):
             reranker = environment.make_reranker(source, config)
@@ -744,7 +685,7 @@ def run_feed_reuse(
         modes: Dict[str, Dict[str, object]] = {}
         for mode, config in (
             ("feed", environment.rerank_config),
-            ("nofeed", environment.rerank_config.without_rerank_feed()),
+            ("nofeed", replace(environment.rerank_config, enable_rerank_feed=False)),
         ):
             reranker = environment.make_reranker(source, config)
             outcomes = [
@@ -856,7 +797,7 @@ def run_feed_differential(
         results: Dict[str, List[Dict[str, object]]] = {}
         for mode, config in (
             ("feed", environment.rerank_config),
-            ("nofeed", environment.rerank_config.without_rerank_feed()),
+            ("nofeed", replace(environment.rerank_config, enable_rerank_feed=False)),
         ):
             reranker = environment.make_reranker(source, config)
             results[mode] = [
@@ -910,7 +851,7 @@ def run_shard_scatter(
     """
     environment = environment or ExperimentEnvironment()
     # Feed ablated: replay would hide the scatter cost being measured.
-    config = environment.rerank_config.without_rerank_feed()
+    config = replace(environment.rerank_config, enable_rerank_feed=False)
     payload: Dict[str, Dict[str, object]] = {}
     for source in ("bluenile", "zillow"):
         schema = (
@@ -1031,7 +972,7 @@ def run_shard_differential(
     """
     environment = environment or ExperimentEnvironment()
     rng = random.Random(seed)
-    config = environment.rerank_config.without_rerank_feed()
+    config = replace(environment.rerank_config, enable_rerank_feed=False)
     trials_payload: List[Dict[str, object]] = []
     all_match = True
     within_budget = True
@@ -1143,7 +1084,7 @@ def run_best_worst_cases(
     # Feed ablated on the shared reranker: the warm TA run measures the
     # dense index's amortization, not a feed replay.
     worst_reranker = environment.make_reranker(
-        "bluenile", environment.rerank_config.without_rerank_feed()
+        "bluenile", replace(environment.rerank_config, enable_rerank_feed=False)
     )
     worst_cold = _run(worst_reranker, SearchQuery.everything(), worst_ranking, Algorithm.TA)
     worst_warm = _run(worst_reranker, SearchQuery.everything(), worst_ranking, Algorithm.TA)

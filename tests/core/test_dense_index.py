@@ -13,6 +13,10 @@ from repro.core.regions import HyperRectangle
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.query import RangePredicate, SearchQuery
+from tests.reference import NaiveDenseRegionIndex
+
+#: The production index and its linear reference oracle, by ``describe()["impl"]``.
+INDEXES = {"interval": DenseRegionIndex, "naive": NaiveDenseRegionIndex}
 
 
 ROWS = [
@@ -24,17 +28,17 @@ ROWS = [
 
 @pytest.fixture(params=["interval", "naive"])
 def index(request, diamond_schema_fixture) -> DenseRegionIndex:
-    return DenseRegionIndex(diamond_schema_fixture, impl=request.param)
+    return INDEXES[request.param](diamond_schema_fixture)
 
 
 @pytest.fixture()
 def interval_index(diamond_schema_fixture) -> DenseRegionIndex:
-    return DenseRegionIndex(diamond_schema_fixture, impl="interval")
+    return DenseRegionIndex(diamond_schema_fixture)
 
 
 @pytest.fixture()
-def naive_index(diamond_schema_fixture) -> DenseRegionIndex:
-    return DenseRegionIndex(diamond_schema_fixture, impl="naive")
+def naive_index(diamond_schema_fixture) -> NaiveDenseRegionIndex:
+    return NaiveDenseRegionIndex(diamond_schema_fixture)
 
 
 class TestCoverage:
@@ -60,10 +64,6 @@ class TestCoverage:
     def test_rows_in_requires_coverage(self, index):
         with pytest.raises(DenseRegionError):
             index.rows_in(HyperRectangle.from_bounds({"price": (0.0, 1.0)}))
-
-    def test_unknown_impl_rejected(self, diamond_schema_fixture):
-        with pytest.raises(DenseRegionError):
-            DenseRegionIndex(diamond_schema_fixture, impl="btree")
 
 
 class TestLookups:
@@ -262,7 +262,7 @@ class TestPersistence:
     def test_regions_survive_reload(self, diamond_schema_fixture, tmp_path, impl):
         path = str(tmp_path / f"dense-{impl}.sqlite")
         cache = DenseRegionCache(diamond_schema_fixture, path=path)
-        first = DenseRegionIndex(diamond_schema_fixture, cache=cache, impl=impl)
+        first = INDEXES[impl](diamond_schema_fixture, cache=cache)
         rows = [
             {
                 "id": f"d{i}",
@@ -282,7 +282,7 @@ class TestPersistence:
         cache.close()
 
         cache2 = DenseRegionCache(diamond_schema_fixture, path=path)
-        second = DenseRegionIndex(diamond_schema_fixture, cache=cache2, impl=impl)
+        second = INDEXES[impl](diamond_schema_fixture, cache=cache2)
         point = RangePredicate("length_width_ratio", 1.0, 1.0)
         assert second.covers_interval("length_width_ratio", point)
         assert len(second.rows_in_interval("length_width_ratio", point)) == 4

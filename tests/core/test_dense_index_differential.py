@@ -21,6 +21,9 @@ from repro.core.dense_index import DenseRegionIndex
 from repro.core.regions import HyperRectangle
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.query import RangePredicate, SearchQuery
+from tests.reference import NaiveDenseRegionIndex
+
+INDEXES = {"interval": DenseRegionIndex, "naive": NaiveDenseRegionIndex}
 
 PRICE = (0.0, 1000.0)
 CARAT = (0.0, 10.0)
@@ -133,8 +136,8 @@ def _normalize(rows) -> List[Dict[str, object]]:
 def test_differential_random_regions(diamond_schema_fixture, seed):
     rng = random.Random(seed)
     universe = _universe(rng)
-    naive = DenseRegionIndex(diamond_schema_fixture, impl="naive")
-    interval = DenseRegionIndex(diamond_schema_fixture, impl="interval")
+    naive = NaiveDenseRegionIndex(diamond_schema_fixture)
+    interval = DenseRegionIndex(diamond_schema_fixture)
     for box in _random_regions(rng):
         rows = _rows_inside(universe, box)
         naive.add_region(box, rows)
@@ -170,7 +173,7 @@ def test_differential_random_regions(diamond_schema_fixture, seed):
 def test_interval_counters_match_structure(diamond_schema_fixture):
     rng = random.Random(99)
     universe = _universe(rng)
-    interval = DenseRegionIndex(diamond_schema_fixture, impl="interval")
+    interval = DenseRegionIndex(diamond_schema_fixture)
     for box in _random_regions(rng):
         interval.add_region(box, _rows_inside(universe, box))
         # The incremental counters must equal a from-scratch re-summation
@@ -213,7 +216,7 @@ def test_persistence_roundtrip_preserves_answers(diamond_schema_fixture, tmp_pat
 
     path = str(tmp_path / f"dense-{impl}.sqlite")
     cache = DenseRegionCache(diamond_schema_fixture, path=path)
-    first = DenseRegionIndex(diamond_schema_fixture, cache=cache, impl=impl)
+    first = INDEXES[impl](diamond_schema_fixture, cache=cache)
     for lower, upper in intervals:
         box = HyperRectangle.from_bounds({"price": (lower, upper)})
         first.add_interval("price", lower, upper, _rows_inside(universe, box))
@@ -233,7 +236,7 @@ def test_persistence_roundtrip_preserves_answers(diamond_schema_fixture, tmp_pat
     cache.close()
 
     cache2 = DenseRegionCache(diamond_schema_fixture, path=path)
-    second = DenseRegionIndex(diamond_schema_fixture, cache=cache2, impl=impl)
+    second = INDEXES[impl](diamond_schema_fixture, cache=cache2)
     after = [
         (rows := second.lookup_interval("price", probe)) is not None
         and _normalize(rows)

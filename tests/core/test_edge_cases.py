@@ -8,7 +8,7 @@ disabled, budget exhaustion mid-stream, and configuration copy helpers.
 
 import pytest
 
-from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
+from repro.config import RerankConfig, ServiceConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
@@ -19,21 +19,6 @@ from tests.conftest import assert_matches_ground_truth
 
 
 class TestConfigObjects:
-    def test_database_config_with_latency(self):
-        config = DatabaseConfig(system_k=10)
-        slowed = config.with_latency(2.5)
-        assert slowed.latency_seconds == 2.5
-        assert slowed.system_k == 10
-        assert config.latency_seconds == 0.0  # original untouched
-
-    def test_rerank_config_copies(self):
-        config = RerankConfig()
-        assert not config.without_parallel().enable_parallel
-        assert not config.without_dense_index().enable_dense_index
-        assert not config.without_session_cache().enable_session_cache
-        # The originals keep their defaults.
-        assert config.enable_parallel and config.enable_dense_index
-
     def test_service_config_defaults(self):
         config = ServiceConfig()
         assert config.default_page_size <= config.max_page_size

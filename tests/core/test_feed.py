@@ -73,7 +73,7 @@ class TestLeaderFollower:
     def test_followers_replay_at_zero_external_queries(self, bluenile_db):
         shared = QueryReranker(bluenile_db, config=RerankConfig())
         control = QueryReranker(
-            bluenile_db, config=RerankConfig().without_rerank_feed()
+            bluenile_db, config=RerankConfig(enable_rerank_feed=False)
         )
 
         leader = shared.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
@@ -95,7 +95,7 @@ class TestLeaderFollower:
     def test_leader_statistics_match_feed_disabled_run(self, bluenile_db):
         shared = QueryReranker(bluenile_db, config=RerankConfig())
         control = QueryReranker(
-            bluenile_db, config=RerankConfig().without_rerank_feed()
+            bluenile_db, config=RerankConfig(enable_rerank_feed=False)
         )
         led = shared.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
         led.next_page(6)
@@ -130,7 +130,7 @@ class TestLeaderFollower:
     def test_concurrent_sessions_coalesce_onto_one_algorithm_run(self, bluenile_db):
         reranker = QueryReranker(bluenile_db, config=RerankConfig())
         control = QueryReranker(
-            bluenile_db, config=RerankConfig().without_rerank_feed()
+            bluenile_db, config=RerankConfig(enable_rerank_feed=False)
         )
         expected_stream = control.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
         expected = _ids(expected_stream.next_page(10))
@@ -206,7 +206,7 @@ class TestFeedBypass:
 
     def test_disabled_feed_produces_plain_streams(self, bluenile_db):
         reranker = QueryReranker(
-            bluenile_db, config=RerankConfig().without_rerank_feed()
+            bluenile_db, config=RerankConfig(enable_rerank_feed=False)
         )
         assert reranker.feed_store is None
         stream = reranker.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
@@ -220,7 +220,7 @@ class TestReplayDedup:
     def test_replay_skips_rows_already_emitted_to_the_session(self, bluenile_db):
         shared = QueryReranker(bluenile_db, config=RerankConfig())
         control = QueryReranker(
-            bluenile_db, config=RerankConfig().without_rerank_feed()
+            bluenile_db, config=RerankConfig(enable_rerank_feed=False)
         )
 
         def second_request_rows(reranker):

@@ -2,6 +2,7 @@
 release, and the shared-immutable-row storage of the emitted prefix."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,7 @@ def stream_reranker(request, bluenile_db):
     """Both stream flavours must satisfy the same contract."""
     config = RerankConfig()
     if request.param == "private":
-        config = config.without_rerank_feed()
+        config = replace(config, enable_rerank_feed=False)
     return QueryReranker(bluenile_db, config=config)
 
 
@@ -71,7 +72,7 @@ class TestThreadSafety:
         # The emission history matches the single-threaded ground truth.
         control = _make_stream(
             QueryReranker(
-                bluenile_db, config=RerankConfig().without_rerank_feed()
+                bluenile_db, config=RerankConfig(enable_rerank_feed=False)
             )
         )
         truth = [row["id"] for row in control.next_page(24)]
@@ -106,7 +107,7 @@ class TestSharedRowStorage:
 class TestClose:
     def test_close_shuts_the_private_engine_down(self, bluenile_db):
         reranker = QueryReranker(
-            bluenile_db, config=RerankConfig().without_rerank_feed()
+            bluenile_db, config=RerankConfig(enable_rerank_feed=False)
         )
         stream = _make_stream(reranker)
         stream.next_page(2)

@@ -12,10 +12,10 @@ while sibling shards' cache entries keep serving.
 
 import pytest
 
-from repro.config import RerankConfig
+from repro.config import DatabaseConfig, RerankConfig
 from repro.core.functions import SingleAttributeRanking
 from repro.core.reranker import Algorithm, QueryReranker
-from repro.webdb.federation import build_federation
+from repro.webdb.build import build_source
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
 
@@ -26,13 +26,12 @@ def make_reranker(catalog, schema, config=None):
     config = config or RerankConfig()
     # Facade and reranker share one cache, fixed when the source is built.
     cache = config.make_result_cache()
-    federation = build_federation(
-        catalog=catalog,
-        schema=schema,
-        system_ranking=RANKING,
-        shards=2,
+    federation = build_source(
+        catalog,
+        schema,
+        RANKING,
+        DatabaseConfig(system_k=10, shards=2),
         name="fedinv",
-        system_k=10,
         result_cache=cache,
     )
     return QueryReranker(federation, config=config, result_cache=cache)

@@ -1,0 +1,28 @@
+"""Reference implementations kept as test oracles.
+
+The seed's row-at-a-time scan engine and its linear dense-region index are
+what the production implementations (``IndexedColumnarEngine``, the interval
+``DenseRegionIndex``) are differentially tested and benchmarked against.
+They are substituted, never configured: a subclass overrides the one private
+construction hook (``HiddenWebDatabase._make_engine``,
+``QueryReranker._make_dense_index``).  The third oracle, the pure-Python
+``"list"`` column layout, is ``ColumnarCatalog(backend="list")``.
+
+Importable as ``tests.reference`` with the repository root on ``sys.path``
+(``python -m pytest`` from the root, or ``PYTHONPATH=src:.``).
+"""
+
+from tests.reference.dense_index import NaiveDenseRegionIndex, NaiveIndexReranker
+from tests.reference.engine import (
+    NaiveScanDatabase,
+    NaiveScanEngine,
+    database_on_layout,
+)
+
+__all__ = [
+    "NaiveDenseRegionIndex",
+    "NaiveIndexReranker",
+    "NaiveScanDatabase",
+    "NaiveScanEngine",
+    "database_on_layout",
+]

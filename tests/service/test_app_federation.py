@@ -14,9 +14,7 @@ HOUSING = HousingCatalogConfig(size=400, seed=6)
 
 
 def make_service(shards: int, shard_by: str = "rank") -> QR2Service:
-    database = DatabaseConfig(system_k=10)
-    if shards > 1:
-        database = database.with_shards(shards, by=shard_by)
+    database = DatabaseConfig(system_k=10, shards=shards, shard_by=shard_by)
     registry = build_default_registry(
         diamond_config=DIAMONDS,
         housing_config=HOUSING,

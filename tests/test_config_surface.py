@@ -1,0 +1,39 @@
+"""Pins the configuration surface: every independently settable field of the
+three config dataclasses, by name.  Adding a knob is a deliberate diff here,
+with the two callers that need different values named in the PR."""
+
+from dataclasses import fields
+
+from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
+
+DATABASE_FIELDS = {
+    "system_k", "latency_seconds", "latency_jitter", "seed", "shards",
+    "shard_by", "latency_sleep", "fault_plan",
+}
+RERANK_FIELDS = {
+    "dense_ratio_threshold", "dense_split_depth", "max_binary_rounds",
+    "query_budget", "parallel_workers", "enable_parallel",
+    "enable_session_cache", "enable_dense_index", "enable_result_cache",
+    "result_cache_size", "result_cache_ttl_seconds", "result_cache_containment",
+    "enable_rerank_feed", "rerank_feed_size", "rerank_feed_ttl_seconds",
+    "resilience",
+}
+SERVICE_FIELDS = {
+    "default_page_size", "max_page_size", "session_ttl_seconds",
+    "dense_cache_path", "share_result_cache", "result_cache_path", "database",
+    "rerank", "serving_workers", "admission_queue_depth",
+    "reaper_interval_seconds", "request_deadline_seconds",
+    "warming_interval_seconds", "warming_top_requests", "warming_pages",
+}
+
+
+def names(config_class) -> set:
+    return {field.name for field in fields(config_class)}
+
+
+def test_config_field_sets_are_pinned():
+    assert names(DatabaseConfig) == DATABASE_FIELDS
+    assert names(RerankConfig) == RERANK_FIELDS
+    assert names(ServiceConfig) == SERVICE_FIELDS
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 39
+

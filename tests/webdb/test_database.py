@@ -5,7 +5,7 @@ import pytest
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError
-from repro.webdb.database import HiddenWebDatabase, database_pair_for_tests
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.interface import Outcome
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
@@ -134,9 +134,16 @@ class TestGroundTruthHelpers:
         text = tiny_db.describe()
         assert "30 tuples" in text and "k=5" in text
 
-    def test_database_pair_helper(self, diamond_catalog, diamond_schema_fixture):
-        live, timed = database_pair_for_tests(
-            diamond_catalog, diamond_schema_fixture, AttributeOrderRanking("price"), 10
+    def test_latency_free_and_timed_pair(self, diamond_catalog, diamond_schema_fixture):
+        # Two databases over one catalog: one latency-free for ground truth,
+        # one with accounting latency for timing experiments.
+        ranking = AttributeOrderRanking("price")
+        live = HiddenWebDatabase(
+            diamond_catalog, diamond_schema_fixture, ranking, system_k=10, name="live"
+        )
+        timed = HiddenWebDatabase(
+            diamond_catalog, diamond_schema_fixture, ranking, system_k=10,
+            latency=LatencyModel.accounted(1.0), name="timed",
         )
         assert live.search(SearchQuery.everything()).elapsed_seconds == 0.0
         assert timed.search(SearchQuery.everything()).elapsed_seconds > 0.0
@@ -184,10 +191,11 @@ class TestInstrumentedInterface:
 
 
 class TestStreamingCatalogLoad:
-    """`from_tuple_store` must be observationally identical to the eager
-    constructor: same rows in the same hidden-rank order, byte-identical
-    search results, same describe() surface — while never materializing the
-    catalog as row dictionaries."""
+    """A catalog streamed out of a SQLite store is observationally identical
+    to one built from a ``ColumnTable``: same rows in the same hidden-rank
+    order, same describe() surface — while never materializing the catalog
+    as a list of row dictionaries.  (Page-for-page equivalence across
+    topologies: ``test_federation.TestBuildSourceOnePipeline``.)"""
 
     @pytest.fixture()
     def seeded_store(self, diamond_catalog, diamond_schema_fixture):
@@ -198,16 +206,19 @@ class TestStreamingCatalogLoad:
         yield store
         store.close()
 
+    @pytest.mark.parametrize("source", ["table", "store"])
     def test_stream_sorted_columns_is_rank_ordered(
-        self, seeded_store, diamond_schema_fixture
+        self, seeded_store, diamond_catalog, diamond_schema_fixture, source
     ):
         from repro.webdb.database import stream_sorted_columns
         from repro.webdb.ranking import FeaturedScoreRanking
 
         ranking = FeaturedScoreRanking("price", boost_weight=2500.0)
+        rows_in = diamond_catalog if source == "table" else seeded_store
         columns = stream_sorted_columns(
-            seeded_store, diamond_schema_fixture, ranking, batch_size=97
+            rows_in, diamond_schema_fixture, ranking, validate=source == "table"
         )
+        assert list(columns) == diamond_catalog.columns
         size = len(columns["id"])
         rows = [
             {name: columns[name][i] for name in diamond_schema_fixture.columns()}
@@ -218,53 +229,72 @@ class TestStreamingCatalogLoad:
         assert size == seeded_store.count()
 
     @pytest.mark.parametrize("backend", ["list", "array", "buffer"])
-    def test_from_tuple_store_matches_eager_constructor(
-        self, seeded_store, diamond_catalog, diamond_schema_fixture, backend
+    def test_streamed_layouts_match_the_reference_scan(
+        self, seeded_store, diamond_schema_fixture, backend
     ):
+        """Every storage layout of a streamed catalog answers byte for byte
+        like the naive scan over the pure-Python list layout."""
         import random
 
+        from repro.webdb.database import stream_sorted_columns
+        from repro.webdb.indexes import ColumnarCatalog
         from repro.webdb.query import RangePredicate
         from repro.webdb.ranking import FeaturedScoreRanking
+        from tests.reference import NaiveScanDatabase
 
+        schema = diamond_schema_fixture
         ranking = FeaturedScoreRanking("price", boost_weight=2500.0)
-        eager = HiddenWebDatabase(
-            diamond_catalog, diamond_schema_fixture, ranking,
-            system_k=10, name="eager", columnar_backend=backend,
-        )
-        streamed = HiddenWebDatabase.from_tuple_store(
-            seeded_store, diamond_schema_fixture, ranking,
-            system_k=10, name="streamed", columnar_backend=backend,
-            batch_size=61,
-        )
-        assert streamed.size == eager.size
-        assert streamed.columnar_backend == eager.columnar_backend
+        columns = stream_sorted_columns(seeded_store, schema, ranking, validate=False)
+
+        def wrap(cls, layout, name):
+            catalog = ColumnarCatalog.from_columns(
+                columns, list(columns), schema.key, backend=layout
+            )
+            return cls.from_columnar(catalog, schema, ranking, system_k=10, name=name)
+
+        reference = wrap(NaiveScanDatabase, "list", "reference")
+        subject = wrap(HiddenWebDatabase, backend, "subject")
+        assert (reference.engine_name, subject.engine_name) == ("naive", "indexed")
+        assert subject.size == reference.size == seeded_store.count()
         rng = random.Random(5)
         for _ in range(40):
             lower = rng.uniform(200.0, 18000.0)
             query = SearchQuery(
                 (RangePredicate("price", lower, lower * rng.uniform(1.05, 2.0)),)
             )
-            expected = eager.search(query)
-            actual = streamed.search(query)
+            expected = reference.search(query)
+            actual = subject.search(query)
             assert actual.outcome is expected.outcome
             assert [list(row.items()) for row in actual.rows] == [
                 list(row.items()) for row in expected.rows
             ]
 
+    def test_invalid_row_rejected_while_streaming(self, diamond_schema_fixture):
+        from repro.exceptions import SchemaError
+        from repro.webdb.database import stream_sorted_columns
+
+        with pytest.raises(SchemaError):
+            stream_sorted_columns(
+                [{"id": "only-a-key"}], diamond_schema_fixture,
+                AttributeOrderRanking("price"),
+            )
+
     def test_streamed_database_supports_ground_truth_helpers(
         self, seeded_store, diamond_schema_fixture
     ):
-        from repro.webdb.ranking import AttributeOrderRanking
+        from repro.config import DatabaseConfig
+        from repro.webdb.build import build_source
 
-        streamed = HiddenWebDatabase.from_tuple_store(
+        streamed = build_source(
             seeded_store, diamond_schema_fixture,
-            AttributeOrderRanking("price", ascending=True), system_k=10,
-        )
+            AttributeOrderRanking("price", ascending=True),
+            DatabaseConfig(system_k=10), name="streamed",
+        ).database
         values = streamed.attribute_values("price")
         assert len(values) == streamed.size
         some_key = streamed.tuple_by_key(values and streamed._ranked_rows[0]["id"])
         assert some_key["id"] == streamed._ranked_rows[0]["id"]
-        assert "backend=" in streamed.describe()
+        assert "backend=" in streamed.describe() and "engine=indexed" in streamed.describe()
 
 
 class TestGroundTruthMemoization:

@@ -17,13 +17,14 @@ import pytest
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError
-from repro.webdb.database import HiddenWebDatabase
+from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 from repro.webdb.ranking import (
     AttributeOrderRanking,
     LinearSystemRanking,
     RandomTieBreakRanking,
 )
+from tests.reference import NaiveScanDatabase, NaiveScanEngine, database_on_layout
 
 KINDS = ("alpha", "beta", "gamma", "delta")
 #: A schema category no generated row ever carries (empty IN intersections).
@@ -57,12 +58,12 @@ def make_rows(rng: random.Random, count: int):
 
 def engine_pair(rows, schema, ranking, k, validate=True):
     catalog = ColumnTable.from_rows(rows)
-    naive = HiddenWebDatabase(
-        catalog, schema, ranking, system_k=k, engine="naive",
+    naive = NaiveScanDatabase(
+        catalog, schema, ranking, system_k=k,
         validate_queries=validate, name="naive-db",
     )
     indexed = HiddenWebDatabase(
-        catalog, schema, ranking, system_k=k, engine="indexed",
+        catalog, schema, ranking, system_k=k,
         validate_queries=validate, name="indexed-db",
     )
     return naive, indexed
@@ -330,18 +331,6 @@ class TestPlanSelection:
         assert naive.explain(SearchQuery.everything()) is None
         assert naive.engine_name == "naive"
 
-    def test_unknown_engine_rejected(self):
-        rng = random.Random(61)
-        rows = make_rows(rng, 20)
-        with pytest.raises(QueryError):
-            HiddenWebDatabase(
-                ColumnTable.from_rows(rows),
-                make_schema(),
-                RANKINGS[0],
-                system_k=5,
-                engine="columnar-ultra",
-            )
-
 
 class TestRankingMemoization:
     def test_featured_boost_hashes_each_key_once(self, monkeypatch):
@@ -400,7 +389,7 @@ class TestNumericValueSemantics:
 
     @staticmethod
     def _raw_pair(rows):
-        from repro.webdb.engine import IndexedColumnarEngine, NaiveScanEngine
+        from repro.webdb.engine import IndexedColumnarEngine
         from repro.webdb.indexes import ColumnarCatalog
 
         order = list(rows[0].keys())
@@ -463,14 +452,14 @@ BACKENDS = ("list", "array", "buffer")
 
 def backend_pair(rows, schema, ranking, k, backend):
     """A naive reference database plus an indexed one on ``backend``."""
-    catalog = ColumnTable.from_rows(rows)
-    naive = HiddenWebDatabase(
-        catalog, schema, ranking, system_k=k, engine="naive",
-        name="naive-db", columnar_backend="list",
+    columns = stream_sorted_columns(rows, schema, ranking)
+    naive = database_on_layout(
+        NaiveScanDatabase, columns, schema, ranking, "list",
+        system_k=k, name="naive-db",
     )
-    indexed = HiddenWebDatabase(
-        catalog, schema, ranking, system_k=k, engine="indexed",
-        name=f"indexed-{backend}", columnar_backend=backend,
+    indexed = database_on_layout(
+        HiddenWebDatabase, columns, schema, ranking, backend,
+        system_k=k, name=f"indexed-{backend}",
     )
     return naive, indexed
 
@@ -539,7 +528,7 @@ class TestBackendDifferential:
         """Columns that must refuse buffer packing (NaN, bool, mixed types)
         keep the engines byte-identical on every backend.  NaN rows cannot
         pass schema validation, so this drives the raw engines directly."""
-        from repro.webdb.engine import IndexedColumnarEngine, NaiveScanEngine
+        from repro.webdb.engine import IndexedColumnarEngine
         from repro.webdb.indexes import ColumnarCatalog
 
         rng = random.Random(67)

@@ -1,19 +1,24 @@
-"""Tests for the sharded catalog partitioner and the federated interface."""
+"""Tests for the rank-position partitioner, the federated interface and the
+one source-build path (``build_source``)."""
+
+import random
 
 import pytest
 
-from repro.exceptions import QueryError
+from repro.config import DatabaseConfig
+from repro.dataset.schema import Attribute, Schema
+from repro.dataset.table import ColumnTable
+from repro.exceptions import QueryError, SchemaError
+from repro.sqlstore.store import SQLiteTupleStore
+from repro.webdb import arrays
+from repro.webdb.build import build_source
 from repro.webdb.cache import QueryResultCache
-from repro.webdb.database import HiddenWebDatabase
-from repro.webdb.federation import (
-    FederatedInterface,
-    ShardSpec,
-    ShardedCatalog,
-    build_federation,
-)
+from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
+from repro.webdb.federation import FederatedInterface, partition_positions
 from repro.webdb.interface import Outcome
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
+from repro.webdb.stack import SourceStack
 
 
 RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
@@ -32,105 +37,70 @@ def reference_db(diamond_catalog, diamond_schema_fixture) -> HiddenWebDatabase:
 
 
 def make_federation(catalog, schema, shards=2, by="rank", **kwargs):
-    kwargs.setdefault("system_k", 10)
-    kwargs.setdefault("name", "fedtest")
-    return build_federation(
-        catalog=catalog, schema=schema, system_ranking=RANKING,
-        shards=shards, by=by, **kwargs,
+    return build_source(
+        catalog, schema, RANKING,
+        DatabaseConfig(system_k=10, shards=shards, shard_by=by),
+        name="fedtest", **kwargs,
     )
 
 
-class TestShardConfig:
-    def test_with_shards_copies(self):
-        from repro.config import DatabaseConfig
+class TestPartitionPositions:
+    @pytest.fixture(scope="class")
+    def columns(self, diamond_catalog, diamond_schema_fixture):
+        return stream_sorted_columns(diamond_catalog, diamond_schema_fixture, RANKING)
 
-        config = DatabaseConfig().with_shards(4, by="price")
-        assert (config.shards, config.shard_by) == (4, "price")
-        assert DatabaseConfig().shards == 1
-
-
-class TestShardedCatalog:
     def test_rank_partition_is_disjoint_and_complete(
-        self, diamond_catalog, diamond_schema_fixture
+        self, columns, diamond_catalog, diamond_schema_fixture
     ):
-        sharded = ShardedCatalog.partition(
-            diamond_catalog, diamond_schema_fixture, RANKING, shards=3
-        )
-        assert sharded.shard_count == 3
-        assert sharded.partitions is None
-        keys = [
-            row["id"] for table in sharded.tables for row in table.to_rows()
-        ]
-        assert len(keys) == len(set(keys)) == len(diamond_catalog.to_rows())
+        buckets, partitions = partition_positions(columns, diamond_schema_fixture, 3)
+        assert len(buckets) == 3
+        assert partitions is None
+        positions = [position for bucket in buckets for position in bucket]
+        assert sorted(positions) == list(range(len(diamond_catalog)))
 
     def test_rank_partition_interleaves_hidden_ranks(
-        self, diamond_catalog, diamond_schema_fixture
+        self, columns, diamond_schema_fixture
     ):
         # Round-robin over hidden-rank order: the globally best tuple lands in
-        # shard 0, the second best in shard 1, and so on.
-        sharded = ShardedCatalog.partition(
-            diamond_catalog, diamond_schema_fixture, RANKING, shards=2
-        )
-        ranked = sorted(
-            diamond_catalog.to_rows(),
-            key=RANKING.sort_key(diamond_schema_fixture.key),
-        )
-        shard0_keys = {row["id"] for row in sharded.tables[0].to_rows()}
-        assert ranked[0]["id"] in shard0_keys
-        assert ranked[1]["id"] not in shard0_keys
+        # bucket 0, the second best in bucket 1, and so on — and every bucket
+        # stays rank-ordered.
+        buckets, _ = partition_positions(columns, diamond_schema_fixture, 2)
+        assert buckets[0][:3] == [0, 2, 4]
+        assert buckets[1][:3] == [1, 3, 5]
 
     def test_attribute_partition_ranges_are_disjoint(
-        self, diamond_catalog, diamond_schema_fixture
+        self, columns, diamond_catalog, diamond_schema_fixture
     ):
-        sharded = ShardedCatalog.partition(
-            diamond_catalog, diamond_schema_fixture, RANKING, shards=4, by="price"
+        buckets, partitions = partition_positions(
+            columns, diamond_schema_fixture, 4, by="price"
         )
-        assert sharded.partitions is not None
-        # Every tuple sits inside its own shard's owned range.
-        for table, partition in zip(sharded.tables, sharded.partitions):
-            assert partition is not None
-            for row in table.to_rows():
-                assert partition.matches(float(row[partition.attribute]))
-        keys = [row["id"] for table in sharded.tables for row in table.to_rows()]
-        assert len(keys) == len(set(keys)) == len(diamond_catalog.to_rows())
+        assert partitions is not None and len(partitions) == len(buckets)
+        # Every tuple sits inside its own bucket's owned range only, and each
+        # bucket is an increasing (rank-ordered) position list.
+        for index, (bucket, partition) in enumerate(zip(buckets, partitions)):
+            assert bucket == sorted(bucket)
+            for position in bucket:
+                value = float(columns["price"][position])
+                owners = [i for i, p in enumerate(partitions) if p.matches(value)]
+                assert owners == [index]
+        positions = [position for bucket in buckets for position in bucket]
+        assert sorted(positions) == list(range(len(diamond_catalog)))
+        assert partitions[0].lower == float("-inf")
+        assert partitions[-1].upper == float("inf") and partitions[-1].include_upper
+        assert not partitions[0].include_upper
 
-    def test_attribute_partition_requires_numeric(
-        self, diamond_catalog, diamond_schema_fixture
-    ):
-        with pytest.raises(Exception):
-            ShardedCatalog.partition(
-                diamond_catalog, diamond_schema_fixture, RANKING, shards=2, by="cut"
-            )
+    def test_attribute_partition_requires_numeric(self, columns, diamond_schema_fixture):
+        with pytest.raises(SchemaError):
+            partition_positions(columns, diamond_schema_fixture, 2, by="cut")
 
-    def test_positive_shard_count_required(
-        self, diamond_catalog, diamond_schema_fixture
-    ):
+    def test_positive_shard_count_required(self, columns, diamond_schema_fixture):
         with pytest.raises(QueryError):
-            ShardedCatalog.partition(
-                diamond_catalog, diamond_schema_fixture, RANKING, shards=0
-            )
+            partition_positions(columns, diamond_schema_fixture, 0)
 
-    def test_shard_spec_may_not_lower_k(self, diamond_catalog, diamond_schema_fixture):
-        sharded = ShardedCatalog.partition(
-            diamond_catalog, diamond_schema_fixture, RANKING, shards=2
-        )
+    def test_empty_catalog_cannot_be_cut_by_attribute(self, diamond_schema_fixture):
+        empty = stream_sorted_columns([], diamond_schema_fixture, RANKING)
         with pytest.raises(QueryError):
-            sharded.build_databases(RANKING, system_k=10, specs=[ShardSpec(system_k=5), None])
-
-    def test_shard_spec_raises_k_and_engine(
-        self, diamond_catalog, diamond_schema_fixture
-    ):
-        sharded = ShardedCatalog.partition(
-            diamond_catalog, diamond_schema_fixture, RANKING, shards=2
-        )
-        databases = sharded.build_databases(
-            RANKING,
-            system_k=10,
-            specs=[ShardSpec(system_k=15, engine="naive"), None],
-        )
-        assert databases[0].system_k == 15
-        assert databases[0].engine_name == "naive"
-        assert databases[1].system_k == 10
+            partition_positions(empty, diamond_schema_fixture, 2, by="price")
 
 
 class TestFederatedInterface:
@@ -294,64 +264,158 @@ class TestFederatedInterface:
         )
 
 
-class TestStreamingFederationLoad:
-    """``build_federation_from_store`` must produce shard-for-shard the same
-    federation the eager ``build_federation`` builds, for both partitioning
-    modes — streaming is a loading strategy, never a semantic change."""
+SKEW_SCHEMA = Schema(
+    key="id",
+    attributes=(
+        Attribute.numeric("price", 0, 1000),
+        Attribute.numeric("weight", 0, 10),
+    ),
+)
 
-    @pytest.fixture()
-    def seeded_store(self, diamond_catalog, diamond_schema_fixture):
-        from repro.sqlstore.store import SQLiteTupleStore
 
-        store = SQLiteTupleStore(diamond_schema_fixture)
-        store.upsert(diamond_catalog.to_rows())
-        yield store
-        store.close()
+def skewed_catalog() -> ColumnTable:
+    """120 tuples, 80 % of them sharing ``weight == 5.0``: three requested
+    quantile cuts collapse to one distinct cut, hence two shards."""
+    rng = random.Random(17)
+    rows = []
+    for i in range(120):
+        weight = 5.0 if i % 5 else round(rng.uniform(0.0, 10.0), 3)
+        rows.append({"id": f"s{i:03d}", "price": round(rng.uniform(1, 999), 2), "weight": weight})
+    return ColumnTable.from_rows(rows)
 
-    @pytest.mark.parametrize("by", ["rank", "price"])
-    def test_streamed_federation_matches_eager(
-        self, seeded_store, diamond_catalog, diamond_schema_fixture, by
+
+def shard_databases(source):
+    """The databases behind a built source, whatever its topology."""
+    if isinstance(source, FederatedInterface):
+        return source.shards
+    assert isinstance(source, SourceStack)
+    return [source.database]
+
+
+class TestBuildSourceOnePipeline:
+    """A ``ColumnTable`` and a ``SQLiteTupleStore`` holding the same rows go
+    through the same pipeline: the input kind is a loading strategy, never a
+    semantic change — shard for shard, page for page, second for second."""
+
+    TOPOLOGIES = {
+        "unsharded": ("diamonds", 1, "rank", 1),
+        "rank-3": ("diamonds", 3, "rank", 3),
+        "price-3": ("diamonds", 3, "price", 3),
+        "skewed-3": ("skewed", 3, "weight", 2),
+    }
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_table_and_store_build_the_same_source(
+        self, topology, diamond_catalog, diamond_schema_fixture
     ):
-        import random
-
-        from repro.webdb.federation import build_federation_from_store
-        from repro.webdb.query import RangePredicate
-
-        eager = make_federation(
-            diamond_catalog, diamond_schema_fixture, shards=3, by=by,
+        data, shards, by, expected_shards = self.TOPOLOGIES[topology]
+        if data == "diamonds":
+            catalog, schema, ranking = diamond_catalog, diamond_schema_fixture, RANKING
+        else:
+            catalog, schema = skewed_catalog(), SKEW_SCHEMA
+            ranking = FeaturedScoreRanking("price", boost_weight=50.0)
+        config = DatabaseConfig(
+            system_k=10, latency_seconds=1.0, seed=5, shards=shards, shard_by=by
         )
-        streamed = build_federation_from_store(
-            seeded_store, diamond_schema_fixture, RANKING,
-            shards=3, by=by, name="fedtest", system_k=10, batch_size=73,
-        )
-        assert len(streamed.shards) == len(eager.shards)
-        for eager_shard, streamed_shard in zip(eager.shards, streamed.shards):
-            assert streamed_shard.size == eager_shard.size
-            assert [dict(row) for row in streamed_shard._ranked_rows] == [
-                dict(row) for row in eager_shard._ranked_rows
+        store = SQLiteTupleStore(schema)
+        try:
+            store.upsert(catalog.to_rows())
+            built = [
+                build_source(rows, schema, ranking, config, name="one")
+                for rows in (catalog, store)
             ]
-        rng = random.Random(3)
-        for _ in range(25):
-            lower = rng.uniform(200.0, 15000.0)
-            query = SearchQuery(
-                (RangePredicate("price", lower, lower * rng.uniform(1.1, 2.5)),)
+        finally:
+            store.close()
+        from_table, from_store = (shard_databases(source) for source in built)
+        names = ["one"] if shards == 1 else [f"one#{i}" for i in range(expected_shards)]
+        assert [db.name for db in from_table] == [db.name for db in from_store] == names
+        for index, (table_db, store_db) in enumerate(zip(from_table, from_store)):
+            assert [list(row.items()) for row in store_db._ranked_rows] == [
+                list(row.items()) for row in table_db._ranked_rows
+            ]
+            # Latency seeds are a pure function of the shard index.
+            assert table_db._latency.seed == store_db._latency.seed == 5 + index
+            # The production layout is observed, whatever the input kind.
+            assert table_db.columnar_backend == store_db.columnar_backend == (
+                arrays.resolve_backend("buffer")
             )
-            expected = eager.search(query)
-            actual = streamed.search(query)
-            assert actual.outcome is expected.outcome
-            assert [list(row.items()) for row in actual.rows] == [
-                list(row.items()) for row in expected.rows
-            ]
+        assert sorted(
+            row["id"] for db in from_table for row in db._ranked_rows
+        ) == sorted(row["id"] for row in catalog)
+        if shards > 1:
+            partitions = [source._partitions for source in built]
+            assert partitions[0] == partitions[1]
+            assert (partitions[0] is None) == (by == "rank")
+        reference = HiddenWebDatabase(catalog, schema, ranking, system_k=10)
+        rng = random.Random(3)
+        low, high = schema.domain_bounds("price")
+        seconds = [0.0, 0.0]
+        for _ in range(25):
+            lower = rng.uniform(low, high * 0.6)
+            query = SearchQuery(
+                (RangePredicate("price", lower, min(high, lower * rng.uniform(1.1, 2.5))),)
+            )
+            expected = reference.search(query)
+            for slot, source in enumerate(built):
+                actual = source.search(query)
+                seconds[slot] += actual.elapsed_seconds
+                assert actual.outcome is expected.outcome
+                assert [list(row.items()) for row in actual.rows] == [
+                    list(row.items()) for row in expected.rows
+                ]
+        assert seconds[0] == seconds[1] > 0.0
 
-    def test_streamed_shards_report_buffer_backend(
-        self, seeded_store, diamond_schema_fixture
+
+class TestBuildSourceValidation:
+    """The checks of the two former pipelines survive their merge."""
+
+    def test_invalid_row_in_table_rejected(self, diamond_catalog, diamond_schema_fixture):
+        rows = diamond_catalog.to_rows()[:20]
+        rows[7] = dict(rows[7], carat=-4.0)  # outside the attribute domain
+        with pytest.raises(SchemaError):
+            build_source(
+                ColumnTable.from_rows(rows), diamond_schema_fixture, RANKING,
+                DatabaseConfig(system_k=10, shards=2), name="bad",
+            )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_duplicate_key_in_table_rejected(
+        self, diamond_catalog, diamond_schema_fixture, shards
     ):
-        from repro.webdb import arrays
-        from repro.webdb.federation import build_federation_from_store
+        # The two copies rank next to each other, so round-robin deals them
+        # to different shards: no single shard sees a duplicate.
+        rows = diamond_catalog.to_rows()[:2]
+        rows.append(dict(rows[0]))
+        with pytest.raises(QueryError):
+            build_source(
+                ColumnTable.from_rows(rows), diamond_schema_fixture, RANKING,
+                DatabaseConfig(system_k=10, shards=shards), name="dup",
+            )
 
-        federation = build_federation_from_store(
-            seeded_store, diamond_schema_fixture, RANKING, shards=2,
-        )
-        resolved = arrays.resolve_backend("buffer")
-        for shard in federation.shards:
-            assert shard.columnar_backend == resolved
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            (DatabaseConfig(shards=0), QueryError),
+            (DatabaseConfig(shards=-2), QueryError),
+            # As at every commit before: the schema, not the partitioner,
+            # rejects a categorical partition attribute.
+            (DatabaseConfig(shards=2, shard_by="cut"), SchemaError),
+        ],
+        ids=["zero-shards", "negative-shards", "categorical-shard-by"],
+    )
+    def test_bad_topology_rejected(
+        self, diamond_catalog, diamond_schema_fixture, config, error
+    ):
+        with pytest.raises(error):
+            build_source(
+                diamond_catalog, diamond_schema_fixture, RANKING, config, name="bad"
+            )
+
+    def test_empty_catalog_under_attribute_partitioning_rejected(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
+        with pytest.raises(QueryError):
+            build_source(
+                ColumnTable.empty(diamond_catalog.columns), diamond_schema_fixture,
+                RANKING, DatabaseConfig(shards=2, shard_by="price"), name="empty",
+            )

@@ -3,11 +3,12 @@ the degraded-result cache exclusion."""
 
 import pytest
 
+from repro.config import DatabaseConfig
 from repro.exceptions import SourceUnavailableError
+from repro.webdb.build import build_source
 from repro.webdb.cache import FetchStatus, QueryResultCache
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.faults import FaultPlan
-from repro.webdb.federation import build_federation
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
@@ -18,15 +19,15 @@ RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
 QUERY = SearchQuery.build(ranges={"price": (300.0, 6000.0)})
 
 
-def make_federation(catalog, schema, shards=3, **kwargs):
-    kwargs.setdefault("system_k", 10)
-    kwargs.setdefault("name", "partial")
-    return build_federation(
-        catalog=catalog,
-        schema=schema,
-        system_ranking=RANKING,
-        shards=shards,
-        by="rank",
+def make_federation(catalog, schema, shards=3, fault_plan=None, **kwargs):
+    """``kwargs`` are build_source's keyword arguments (resilience, clock,
+    result_cache)."""
+    return build_source(
+        catalog,
+        schema,
+        RANKING,
+        DatabaseConfig(system_k=10, shards=shards, fault_plan=fault_plan),
+        name="partial",
         **kwargs,
     )
 

@@ -10,8 +10,9 @@ from repro.exceptions import (
     SourceTimeoutError,
     SourceUnavailableError,
 )
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.faults import FaultPlan
-from repro.webdb.federation import build_federation
+from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
@@ -271,14 +272,17 @@ class TestResilientInterface:
         plan = FaultPlan(seed=13, transient_rate=0.1)
         config = ResilienceConfig(max_attempts=4)
         unsharded = SourceStack(bluenile_db, fault_plan=plan, resilience=config)
-        federation = build_federation(
-            catalog=diamond_catalog,
-            schema=diamond_schema_fixture,
-            system_ranking=FeaturedScoreRanking("price", boost_weight=2500.0),
-            shards=1,
+        ranking = FeaturedScoreRanking("price", boost_weight=2500.0)
+        federation = FederatedInterface(
+            [
+                HiddenWebDatabase(
+                    diamond_catalog, diamond_schema_fixture, ranking,
+                    system_k=10, name="parity#0",
+                )
+            ],
+            ranking,
             name="parity",
-            system_k=10,
-            fault_plan=plan,
+            fault_plans=[plan],
             resilience=config,
         )
         for source in (unsharded, federation):
