@@ -101,7 +101,9 @@ class RerankConfig:
         Optional hard limit on the number of external queries a single
         Get-Next call may issue; ``None`` means unlimited.
     parallel_workers:
-        Number of worker threads used by the parallel query executor.
+        Outstanding round trips QR2 fans out per source: the size of the one
+        query executor a :class:`~repro.core.reranker.QueryReranker` lends to
+        every engine of its source (not threads per stream).
     enable_parallel:
         Global switch for parallel query processing (the ablation benchmarks
         flip this off).
@@ -183,20 +185,17 @@ class RerankConfig:
 class ServiceConfig:
     """Configuration of the QR2 web service facade.
 
-    ``share_result_cache`` keeps one :class:`~repro.webdb.cache.QueryResultCache`
-    for *all* sessions and sources of the service (namespaced per source), so
-    the query savings compound across users; turning it off gives every source
-    its own private cache while the per-request semantics stay identical.
+    The service keeps one :class:`~repro.webdb.cache.QueryResultCache` for
+    *all* sessions and sources (namespaced per source), so the query savings
+    compound across users.
 
-    ``result_cache_path`` enables SQLite persistence of the shared result
+    ``result_cache_path`` enables SQLite persistence of that shared result
     cache (:class:`~repro.sqlstore.result_store.ResultCacheStore`): the
     service warm-loads the spill at construction and
     :meth:`~repro.service.app.QR2Service.save_result_cache` snapshots it, so
     a restarted service replays the previous deployment's query answers with
     zero external round trips.  Spills recorded under a different store
-    schema version or a source's changed ``system_k`` are ignored.  Only
-    effective with ``share_result_cache`` (one file maps to one shared
-    cache).
+    schema version or a source's changed ``system_k`` are ignored.
 
     ``database`` configures the simulated sources the default registry
     builds — notably :attr:`DatabaseConfig.shards`: with ``shards > 1``
@@ -250,7 +249,6 @@ class ServiceConfig:
     max_page_size: int = 100
     session_ttl_seconds: float = 3600.0
     dense_cache_path: Optional[str] = None
-    share_result_cache: bool = True
     result_cache_path: Optional[str] = None
     database: DatabaseConfig = field(default_factory=DatabaseConfig)
     rerank: RerankConfig = field(default_factory=RerankConfig)

@@ -80,22 +80,18 @@ def ranking_canonical_key(ranking) -> Optional[Tuple]:
 
 class FeedProducer:
     """The private driver of one feed: the real algorithm bound to a
-    feed-internal session and engine, so no consumer's per-user state (seen
-    tuples, emission history) can perturb the canonical emission order."""
+    feed-internal session (and an engine of its own), so no consumer's
+    per-user state (seen tuples, emission history) can perturb the canonical
+    emission order."""
 
-    def __init__(self, algorithm, session: Session, engine) -> None:
+    def __init__(self, algorithm, session: Session) -> None:
         self.algorithm = algorithm
         self.session = session
-        self.engine = engine
 
     @property
     def statistics(self) -> RerankStatistics:
         """The producer session's statistics (algorithm-work accounting)."""
         return self.session.statistics
-
-    def close(self) -> None:
-        """Shut the producer's query engine down (idempotent)."""
-        self.engine.shutdown()
 
 
 class RerankFeed:
@@ -127,9 +123,6 @@ class RerankFeed:
         self._advancing = False
         self._exhausted = False
         self._stale = False
-        self._attached = 0
-        self._doomed = False
-        self._closed = False
         # Counters (read by the store's snapshot).
         self.replayed_tuples = 0
         self.leader_advances = 0
@@ -165,49 +158,12 @@ class RerankFeed:
                 "verified_tuples": len(self._rows),
             }
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle (driven by the store and the attached streams)
-    # ------------------------------------------------------------------ #
-    def retain(self) -> None:
-        """Record one more attached stream."""
-        with self._condition:
-            self._attached += 1
-
-    def release(self) -> None:
-        """Detach one stream; a doomed feed closes its producer once the last
-        stream lets go."""
-        with self._condition:
-            self._attached = max(self._attached - 1, 0)
-            close_now = self._doomed and self._attached == 0
-        if close_now:
-            self.close()
-
     def retire(self) -> None:
         """Mark the feed as removed from the store (evicted, expired, or
-        invalidated).  Already-attached streams keep replaying and advancing
-        it; the producer engine is released when the last one detaches."""
+        invalidated): it is stale from here on, so it can never re-enter the
+        store.  Already-attached streams keep replaying and advancing it."""
         with self._condition:
-            self._doomed = True
             self._stale = True
-            close_now = self._attached == 0
-        if close_now:
-            self.close()
-
-    def close(self) -> None:
-        """Shut the producer engine down (idempotent and re-entrant).
-
-        Re-entrant matters: a stream that raced :meth:`retire` can still
-        reach the leader section and lazily create a producer *after* the
-        feed was closed.  The producer slot is therefore swapped out and
-        closed on every call — combined with the leader reaping its own
-        post-close producer in :meth:`row_at`, no engine is ever left for
-        the garbage collector."""
-        with self._condition:
-            self._closed = True
-            producer = self._producer
-            self._producer = None
-        if producer is not None:
-            producer.close()
 
     # ------------------------------------------------------------------ #
     # The Get-Next sharing protocol
@@ -268,7 +224,6 @@ class RerankFeed:
             degraded_advance = (
                 producer.statistics.degradation_mark() != degradation_before
             )
-            stray: Optional[FeedProducer] = None
             with self._condition:
                 self._advancing = False
                 if completed:
@@ -291,16 +246,7 @@ class RerankFeed:
                             # feed to a new session again.
                             self._stale = True
                         self._rows.append(MappingProxyType(dict(row)))
-                if self._closed:
-                    # The feed was closed while (or before) this advance ran:
-                    # reap the producer now — close() already swapped out
-                    # whatever it saw, so without this a producer created by
-                    # a post-close leader would leak its engine.
-                    stray = self._producer
-                    self._producer = None
                 self._condition.notify_all()
-            if stray is not None:
-                stray.close()
         if row is None:
             return None, False
         with self._condition:
@@ -416,8 +362,7 @@ class RerankFeedStore:
         key_column: str,
         factory: Callable[[], FeedProducer],
     ) -> Optional[RerankFeed]:
-        """Get-or-create the feed for one canonical request, retained for the
-        calling stream (pair with :meth:`RerankFeed.release`).
+        """Get-or-create the feed for one canonical request.
 
         Returns ``None`` when the ranking cannot be canonicalized — the
         caller falls back to a private, unshared stream.  A stored feed whose
@@ -461,7 +406,6 @@ class RerankFeedStore:
             else:
                 self._followers += 1
             self._feeds.move_to_end(key)
-            feed.retain()
             while len(self._feeds) > self._max_feeds:
                 oldest = next(iter(self._feeds))
                 self._retire_locked(oldest, "evictions")
@@ -516,13 +460,6 @@ class RerankFeedStore:
                 self._retire_locked(key, "delta_invalidations")
                 removed += 1
         return removed
-
-    def close(self) -> None:
-        """Retire every feed and release the producer engines (idempotent).
-        Feeds still attached to live streams close when those streams do."""
-        with self._lock:
-            for key in list(self._feeds):
-                self._retire_locked(key, "invalidations")
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:

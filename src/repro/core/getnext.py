@@ -46,12 +46,10 @@ class GetNextStream:
         algorithm: Optional[GetNextAlgorithm],
         session: Session,
         description: str = "",
-        engine=None,
     ) -> None:
         self._algorithm = algorithm
         self._session = session
         self._description = description
-        self._engine = engine
         self._exhausted = False
         self._closed = False
         self._returned: List[Row] = []
@@ -82,12 +80,6 @@ class GetNextStream:
     def closed(self) -> bool:
         """True after :meth:`close`; further Get-Next calls return ``None``."""
         return self._closed
-
-    @property
-    def engine(self):
-        """The engine this stream shuts down on close; ``None`` when the
-        stream owns no engine."""
-        return self._engine
 
     @property
     def returned_so_far(self) -> List[Row]:
@@ -162,24 +154,14 @@ class GetNextStream:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the stream's resources (idempotent).
-
-        The stream's private :class:`~repro.core.parallel.QueryEngine` — and
-        with it the lazily created thread pool — is shut down; further
-        Get-Next calls return ``None``.  The service layer calls this when a
-        request is replaced, when its session expires, and at shutdown, so
-        abandoned streams cannot leak executors.
+        """End the stream (idempotent): further Get-Next calls return
+        ``None``; the prefix already returned stays readable.  The stream
+        holds nothing to release — its query engine borrows the source's
+        executor.  The service layer calls this when a request is replaced,
+        when its session expires, and at shutdown.
         """
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-        if self._engine is not None:
-            self._engine.shutdown()
-        self._on_close()
-
-    def _on_close(self) -> None:
-        """Subclass hook run once per :meth:`close` (after the engine stops)."""
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:

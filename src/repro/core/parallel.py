@@ -9,7 +9,10 @@ Every external query a reranking algorithm issues goes through
   group against an interface advertising ``supports_batched_search`` (the
   in-process databases with accounting-only latency) goes out as one
   ``search_many`` call instead, which lets the execution engine amortize plan
-  setup across the group while the accounting rules stay identical;
+  setup across the group while the accounting rules stay identical.  The
+  engine owns no threads: it fans a group out over the executor it was
+  handed (the source's, see :class:`~repro.core.reranker.QueryReranker`) and
+  issues the group inline, same results and accounting, when it has none;
 * **shared result caching** — when a :class:`~repro.webdb.cache.QueryResultCache`
   is attached, queries the service has already paid for (in this session or
   any other session over the same source) are answered from memory at zero
@@ -33,13 +36,13 @@ from __future__ import annotations
 import enum
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RerankConfig
 from repro.core.stats import RerankStatistics
-from repro.exceptions import EngineShutdownError, SourceUnavailableError
+from repro.exceptions import SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget, QueryLog
 from repro.webdb.interface import SearchResult, TopKInterface
@@ -83,6 +86,7 @@ class QueryEngine:
         query_log: Optional[QueryLog] = None,
         result_cache: Optional[QueryResultCache] = None,
         cache_namespace: Optional[str] = None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self._interface = interface
         self._config = config or RerankConfig()
@@ -96,8 +100,8 @@ class QueryEngine:
         self._key_column = interface.key_column
         self._group_counter = 0
         self._group_lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._closed = False
+        # Borrowed, never shut down here: its owner outlives every engine.
+        self._executor = executor
         # The guards' shared counters (``None`` over an unguarded source),
         # read around each group to attribute retries to this request.
         self._resilience_stats = interface.resilience_statistics
@@ -131,11 +135,6 @@ class QueryEngine:
         return self._cache_namespace
 
     @property
-    def closed(self) -> bool:
-        """True after :meth:`shutdown` until :meth:`rearm`."""
-        return self._closed
-
-    @property
     def schema(self):
         """Schema of the underlying interface."""
         return self._interface.schema
@@ -161,14 +160,6 @@ class QueryEngine:
         with self._group_lock:
             self._group_counter += 1
             return self._group_counter
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max(self._config.parallel_workers, 1),
-                thread_name_prefix="qr2-query",
-            )
-        return self._executor
 
     def search(self, query: SearchQuery, bypass_cache: bool = False) -> SearchResult:
         """Issue a single query (an iteration of group size one)."""
@@ -200,10 +191,6 @@ class QueryEngine:
         rule, and using one rule keeps size-1 and size-2 groups consistent;
         with parallelism disabled latencies add up.
         """
-        if self._closed:
-            raise EngineShutdownError(
-                "query engine has been shut down; call rearm() to reuse it"
-            )
         if not queries:
             return []
         group_id = self._next_group_id()
@@ -240,7 +227,7 @@ class QueryEngine:
         # configured: a parallel group against an interface advertising
         # batched search goes out as one ``search_many`` call (amortizing the
         # execution engine's plan setup), any other parallel group fans out
-        # over the thread pool (overlapping real round trips), and the
+        # over the borrowed executor (overlapping real round trips), and the
         # sequential ablation issues one by one, stopping at the first
         # failure.  Each reports one outcome per query.
         resilience_stats = self._resilience_stats
@@ -254,7 +241,7 @@ class QueryEngine:
         if use_parallel and self._interface.supports_batched_search:
             issued, error = self._issue_batched(misses, use_cache)
         else:
-            issued, error = self._issue_each(misses, use_cache, pooled=use_parallel)
+            issued, error = self._issue_each(misses, use_cache, parallel=use_parallel)
         for index, outcome in zip(pending, issued):
             settled[index] = outcome
 
@@ -357,15 +344,16 @@ class QueryEngine:
         return [(result, _OUTCOME_OF[status]) for result, status in resolved], None
 
     def _issue_each(
-        self, queries: List[SearchQuery], use_cache: bool, pooled: bool
+        self, queries: List[SearchQuery], use_cache: bool, parallel: bool
     ) -> Tuple[List[Settled], Optional[BaseException]]:
-        """One round trip per query: fanned out over the thread pool, or —
-        sequential ablation — inline, leaving the tail after the first
-        failure unissued."""
+        """One round trip per query.  A parallel group attempts every query —
+        fanned out over the borrowed executor, or inline when the engine was
+        built without one; the sequential ablation leaves the tail after the
+        first failure unissued."""
         attempts: List[Callable[[], Settled]]
-        if pooled:
+        if parallel and self._executor is not None:
             attempts = [
-                self._pool().submit(self._resolve_miss, query, use_cache).result
+                self._executor.submit(self._resolve_miss, query, use_cache).result
                 for query in queries
             ]
         else:
@@ -375,7 +363,7 @@ class QueryEngine:
         settled: List[Settled] = []
         first_error: Optional[BaseException] = None
         for query, attempt in zip(queries, attempts):
-            if first_error is not None and not pooled:
+            if first_error is not None and not parallel:
                 settled.append((None, QueryOutcome.UNISSUED))
                 continue
             try:
@@ -421,24 +409,3 @@ class QueryEngine:
             if stale is not None:
                 return stale, QueryOutcome.STALE
         return None, QueryOutcome.FAILED
-
-    def shutdown(self) -> None:
-        """Release the thread pool and mark the engine closed (idempotent).
-        Further searches raise :class:`EngineShutdownError` until
-        :meth:`rearm` — post-shutdown reuse must be explicit."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._closed = True
-
-    def rearm(self) -> "QueryEngine":
-        """Explicitly reopen a shut-down engine for further queries; the
-        thread pool is recreated lazily on the next parallel group."""
-        self._closed = False
-        return self
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.shutdown()

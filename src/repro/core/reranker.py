@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -134,6 +135,9 @@ class QueryReranker:
         self._session_counter = itertools.count(1)
         self._feed_counter = itertools.count(1)
         self._lock = threading.Lock()
+        # The source's one query executor, lent to every engine; created by
+        # the first ``_build_engine`` after construction or ``close()``.
+        self._executor: Optional[ThreadPoolExecutor] = None
 
     def _make_dense_index(
         self, cache: Optional[DenseRegionCache] = None
@@ -187,12 +191,19 @@ class QueryReranker:
         return self._interface.resilience_snapshot()
 
     def close(self) -> None:
-        """Release shared resources: every feed's producer engine is shut
-        down (feeds still attached to live streams close when those streams
-        do).  Idempotent; the reranker remains usable, but new requests
-        rebuild their feeds from scratch."""
+        """Release shared resources: every feed is retired and the source's
+        query executor is shut down once its running round trips finish.
+        Idempotent; the reranker remains usable — new requests rebuild their
+        feeds from scratch and get a fresh executor — but a stream created
+        before ``close()`` cannot be advanced after it over a source that
+        fans groups out (close streams first, as ``QR2Service.close`` does).
+        """
         if self._feed_store is not None:
-            self._feed_store.close()
+            self._feed_store.invalidate()
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def invalidate(self, shard: Optional[int] = None) -> Dict[str, int]:
         """Retire cached state after the backing data changes.
@@ -352,9 +363,7 @@ class QueryReranker:
 
         engine = self._build_engine(session.statistics, budget)
         algorithm_object = self._build_algorithm(engine, query, ranking, session, algorithm)
-        return GetNextStream(
-            algorithm_object, session, description=description, engine=engine
-        )
+        return GetNextStream(algorithm_object, session, description=description)
 
     def top(
         self,
@@ -371,6 +380,23 @@ class QueryReranker:
 
     # ------------------------------------------------------------------ #
     def _build_engine(self, statistics, budget: Optional[QueryBudget]) -> QueryEngine:
+        with self._lock:
+            if self._executor is None:
+                # One bounded pool per source, shared by every user-stream
+                # and feed-producer engine (threads spawn on ``submit`` only,
+                # so a batched source never starts one).  A bounded shared
+                # pool cannot deadlock as long as a task running on it never
+                # submits to it and never waits on work queued behind it.
+                # That holds today because the scatter below
+                # ``FederatedInterface.search`` is sequential, the crawler
+                # calls ``search_group`` from the algorithm's thread, and a
+                # ``QueryResultCache`` flight's owner is by construction a
+                # thread already running its ``compute``.  Keep it true.
+                self._executor = ThreadPoolExecutor(
+                    max_workers=max(self._config.parallel_workers, 1),
+                    thread_name_prefix="qr2-query",
+                )
+            executor = self._executor
         return QueryEngine(
             self._interface,
             config=self._config,
@@ -378,6 +404,7 @@ class QueryReranker:
             budget=budget,
             result_cache=self._result_cache,
             cache_namespace=self._cache_namespace,
+            executor=executor,
         )
 
     def _build_algorithm(
@@ -433,7 +460,7 @@ class QueryReranker:
         algorithm_object = self._build_algorithm(
             engine, query, ranking, producer_session, algorithm
         )
-        return FeedProducer(algorithm_object, producer_session, engine)
+        return FeedProducer(algorithm_object, producer_session)
 
     # ------------------------------------------------------------------ #
     def _build_onedim(
@@ -571,6 +598,3 @@ class FeedBackedStream(GetNextStream):
             self._session.mark_emitted(row, key_column)
             statistics.record_get_next(returned=True)
             return row
-
-    def _on_close(self) -> None:
-        self._feed.release()

@@ -41,11 +41,6 @@ class QueryBudgetExceeded(QR2Error):
         self.issued = issued
 
 
-class EngineShutdownError(QR2Error):
-    """A query was issued through a :class:`~repro.core.parallel.QueryEngine`
-    after ``shutdown()``; call ``rearm()`` to explicitly reuse the engine."""
-
-
 class CrawlError(QR2Error):
     """The hidden-database crawler could not make progress (for example the
     region cannot be subdivided further yet still overflows)."""

@@ -67,23 +67,19 @@ class QR2Service:
         if registry is not None:
             self._registry = registry
         else:
-            # With persistence configured, the service must own the shared
-            # cache object (the registry would otherwise build one internally
-            # and there would be nothing to snapshot).
-            if (
-                self._config.result_cache_path is not None
-                and self._config.share_result_cache
-            ):
-                self._shared_result_cache = self._config.rerank.make_result_cache()
+            # One cache for every session and source (namespaced per source),
+            # owned here so it can be snapshotted to the spill.
+            self._shared_result_cache = self._config.rerank.make_result_cache()
             self._registry = build_default_registry(
                 database_config=self._config.database,
                 rerank_config=self._config.rerank,
                 dense_cache_path=self._config.dense_cache_path,
-                share_result_cache=self._config.share_result_cache,
                 result_cache=self._shared_result_cache,
             )
-        if self._shared_result_cache is not None:
-            assert self._config.result_cache_path is not None
+        if (
+            self._shared_result_cache is not None
+            and self._config.result_cache_path is not None
+        ):
             self._result_cache_store = ResultCacheStore(self._config.result_cache_path)
             expected = {
                 name: self._registry.get(name).interface.system_k
@@ -142,8 +138,9 @@ class QR2Service:
     # ------------------------------------------------------------------ #
     @property
     def result_cache(self) -> Optional[QueryResultCache]:
-        """The service-owned shared result cache (``None`` unless persistence
-        is configured — otherwise the registry owns the cache)."""
+        """The one result cache shared by every source of the default
+        registry (``None`` when caching is disabled or the caller supplied
+        its own registry)."""
         return self._shared_result_cache
 
     @property
@@ -157,14 +154,15 @@ class QR2Service:
         Returns the number of entries written, or 0 when persistence is not
         configured.  Call it at shutdown (or periodically) so the next boot
         warm-starts from this process's paid-for answers."""
-        if self._result_cache_store is None or self._shared_result_cache is None:
+        if self._result_cache_store is None:
             return 0
+        assert self._shared_result_cache is not None
         return self._result_cache_store.save(self._shared_result_cache)
 
     def close(self) -> None:
         """Persist the result cache (when configured), close every active
-        request stream (releasing its query engine), and shut the rerank feed
-        stores down.  Idempotent."""
+        request stream, then close every source's reranker (retiring its
+        feeds and shutting its query executor down).  Idempotent."""
         if self._result_cache_store is not None:
             self.save_result_cache()
             self._result_cache_store.close()
@@ -222,10 +220,10 @@ class QR2Service:
         return self._session(session_id).describe()
 
     def close_session(self, session_id: str) -> bool:
-        """Drop a session immediately (its active stream is closed so the
-        query engine is released).  Returns False for unknown sessions; used
-        by the feed warmer's throwaway sessions and callers that know a
-        session is done rather than waiting out the idle TTL."""
+        """Drop a session immediately (its active stream is closed).  Returns
+        False for unknown sessions; used by the feed warmer's throwaway
+        sessions and callers that know a session is done rather than waiting
+        out the idle TTL."""
         with self._lock:
             if self._sessions.pop(session_id, None) is None:
                 return False
@@ -237,8 +235,7 @@ class QR2Service:
 
     def expire_idle_sessions(self) -> int:
         """Drop sessions idle for longer than the configured TTL; returns the
-        number removed.  Each dropped session's active stream is closed so
-        its query engine (and thread pool) is released, not leaked.
+        number removed.  Each dropped session's active stream is closed.
 
         A session whose serialization lock is currently held (a request is
         mid-flight on another thread) is never expired — it is by definition
@@ -362,8 +359,6 @@ class QR2Service:
                     source=source, stream=stream, page_size=size
                 )
             if replaced is not None:
-                # The old stream's query engine (and its lazily created thread
-                # pool) would otherwise live as long as the process.
                 replaced.stream.close()
             return self._serve_page(session_id)
 

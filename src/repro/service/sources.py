@@ -105,7 +105,6 @@ def build_default_registry(
     rerank_config: Optional[RerankConfig] = None,
     dense_cache_path: Optional[str] = None,
     result_cache: Optional[QueryResultCache] = None,
-    share_result_cache: bool = True,
 ) -> DataSourceRegistry:
     """Build the registry with the two simulated sources of the demonstration.
 
@@ -115,15 +114,14 @@ def build_default_registry(
 
     When the rerank configuration enables the query-result cache, all sources
     share a single :class:`QueryResultCache` (namespaced per source) so that
-    every session of the service reuses every other session's query answers;
-    ``share_result_cache=False`` gives each source a private cache instead,
-    and an explicit ``result_cache`` overrides both.
+    every session of the service reuses every other session's query answers:
+    the ``result_cache`` given, or one built here from ``rerank_config``.
     """
     diamond_config = diamond_config or DiamondCatalogConfig()
     housing_config = housing_config or HousingCatalogConfig()
     database_config = database_config or DatabaseConfig()
     rerank_config = rerank_config or RerankConfig()
-    if result_cache is None and share_result_cache:
+    if result_cache is None:
         result_cache = rerank_config.make_result_cache()
 
     registry = DataSourceRegistry()
@@ -182,10 +180,6 @@ def _make_source(
     result_columns: List[str],
     result_cache: Optional[QueryResultCache] = None,
 ) -> DataSource:
-    if result_cache is None:
-        # Private per-source cache: built here, not by the reranker, so a
-        # sharded source's facade and its reranker share the one object.
-        result_cache = rerank_config.make_result_cache()
     # A sharded source names its shards "{name}#{i}", giving each its own
     # cache namespace, while the reranker keys its cache/feed state under
     # the federated name — above the shard layer.

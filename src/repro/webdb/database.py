@@ -209,7 +209,7 @@ class HiddenWebDatabase(TopKInterface):
     @property
     def supports_batched_search(self) -> bool:
         """Batched search is advertised whenever the latency model only
-        accounts (a sleeping model needs the thread pool's real
+        accounts (a sleeping model needs the query executor's real
         concurrency to overlap its round trips)."""
         return not self._latency.sleep
 

@@ -136,7 +136,7 @@ class TopKInterface(ABC):
         """True when :meth:`search_many` is cheaper than issuing the queries
         one by one (in-process engines that amortize planning work).  The
         query engine only batches a group when this is set; remote adapters
-        keep the thread-pool fan-out that overlaps their real round trips."""
+        keep the executor fan-out that overlaps their real round trips."""
         return False
 
     def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
@@ -169,7 +169,7 @@ class TopKInterface(ABC):
 class InterfaceStatistics:
     """Mutable, thread-safe per-source statistics, kept by each
     :class:`~repro.webdb.stack.SourceStack`.  ``record`` is called
-    concurrently from the query engine's thread pool, so every fold happens
+    concurrently from the source's query executor, so every fold happens
     under one lock — unlocked ``+=`` on the counters loses increments under
     parallel groups."""
 

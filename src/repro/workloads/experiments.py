@@ -30,7 +30,7 @@ import random
 import statistics as pystats
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DatabaseConfig, RerankConfig
 from repro.core.functions import (
@@ -42,11 +42,13 @@ from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
 from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog, housing_schema
+from repro.dataset.schema import Schema
+from repro.dataset.table import ColumnTable
 from repro.webdb.build import build_source
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import RangePredicate, SearchQuery
-from repro.webdb.ranking import FeaturedScoreRanking
+from repro.webdb.ranking import FeaturedScoreRanking, SystemRankingFunction
 from repro.workloads.scenarios import (
     Scenario,
     bluenile_scenarios_1d,
@@ -54,6 +56,13 @@ from repro.workloads.scenarios import (
     zillow_scenarios_1d,
     zillow_scenarios_md,
 )
+
+SOURCES = ("bluenile", "zillow")
+#: The demonstration scenarios of each source: ``(1D, MD)`` builders.
+DEMO_SCENARIOS = {
+    "bluenile": (bluenile_scenarios_1d, bluenile_scenarios_md),
+    "zillow": (zillow_scenarios_1d, zillow_scenarios_md),
+}
 
 
 @dataclass
@@ -136,13 +145,25 @@ class ExperimentEnvironment:
             name="zillow",
         )
 
+    def source(
+        self, name: str
+    ) -> Tuple[ColumnTable, Schema, SystemRankingFunction, HiddenWebDatabase]:
+        """``(catalog, schema, system_ranking, database)`` of a source name."""
+        if name == "bluenile":
+            return (
+                self.diamond_catalog, self.diamond_schema, self.diamond_ranking,
+                self.bluenile,
+            )
+        if name == "zillow":
+            return (
+                self.housing_catalog, self.housing_schema, self.housing_ranking,
+                self.zillow,
+            )
+        raise ValueError(f"unknown source {name!r}")
+
     def database(self, source: str) -> HiddenWebDatabase:
         """The simulated database behind a source name."""
-        if source == "bluenile":
-            return self.bluenile
-        if source == "zillow":
-            return self.zillow
-        raise ValueError(f"unknown source {source!r}")
+        return self.source(source)[3]
 
     def make_reranker(self, source: str, config: Optional[RerankConfig] = None) -> QueryReranker:
         """A fresh reranker (fresh dense-region index) over a source."""
@@ -159,16 +180,7 @@ class ExperimentEnvironment:
         catalog a source's unsharded database serves — the precondition for
         byte-identical differentials between the two.  Facade and reranker
         share one result cache, fixed when the federation is built."""
-        if source == "bluenile":
-            catalog, schema, ranking = (
-                self.diamond_catalog, self.diamond_schema, self.diamond_ranking
-            )
-        elif source == "zillow":
-            catalog, schema, ranking = (
-                self.housing_catalog, self.housing_schema, self.housing_ranking
-            )
-        else:
-            raise ValueError(f"unknown source {source!r}")
+        catalog, schema, ranking, _ = self.source(source)
         config = config or self.rerank_config
         result_cache = config.make_result_cache()
         federation = build_source(
@@ -380,8 +392,6 @@ def run_onthefly_indexing(
     submitted queries").
     """
     environment = environment or ExperimentEnvironment()
-    from repro.core.functions import SingleAttributeRanking
-
     ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
     # The lower bound 0.995 puts the big 1.0 value cluster right at the head of
     # the answer (measurements are reported with two decimals, so the first
@@ -454,13 +464,9 @@ def run_cache_reuse(
     *marginal* win on top of the shared dense index.
     """
     environment = environment or ExperimentEnvironment()
-    workloads = {
-        "bluenile": bluenile_scenarios_1d(environment.diamond_schema)[0],
-        "zillow": zillow_scenarios_1d(environment.housing_schema)[0],
-    }
-
     payload: Dict[str, Dict[str, object]] = {}
-    for source, scenario in workloads.items():
+    for source in SOURCES:
+        scenario = DEMO_SCENARIOS[source][0](environment.source(source)[1])[0]
         outcomes: Dict[str, Dict[str, object]] = {}
         # Both modes ablate the rerank feed: with it on, sessions 2..N replay
         # the whole stream for free in either mode and the delta no longer
@@ -528,19 +534,10 @@ def run_containment_reuse(
     answer is byte-identical to a fresh engine query, never an approximation.
     """
     environment = environment or ExperimentEnvironment()
-    workloads = {
-        "bluenile": (
-            bluenile_scenarios_1d(environment.diamond_schema)[0],
-            environment.diamond_schema,
-        ),
-        "zillow": (
-            zillow_scenarios_1d(environment.housing_schema)[0],
-            environment.housing_schema,
-        ),
-    }
-
     payload: Dict[str, Dict[str, object]] = {}
-    for source, (scenario, schema) in workloads.items():
+    for source in SOURCES:
+        schema = environment.source(source)[1]
+        scenario = DEMO_SCENARIOS[source][0](schema)[0]
         # Filter on a numeric attribute the ranking does not use, so the
         # narrowing windows do not change which probes the algorithm needs —
         # only whether the cache can answer them.
@@ -668,19 +665,11 @@ def run_feed_reuse(
     from repro.service.popular import popular_function
     from repro.service.sliders import ranking_from_sliders
 
-    workloads = {
-        "bluenile": (
-            popular_function("bluenile", "best_value_carat"),
-            environment.diamond_schema,
-        ),
-        "zillow": (
-            popular_function("zillow", "best_case_price_sqft"),
-            environment.housing_schema,
-        ),
-    }
+    popular = {"bluenile": "best_value_carat", "zillow": "best_case_price_sqft"}
     payload: Dict[str, Dict[str, object]] = {}
-    for source, (function, schema) in workloads.items():
-        ranking = ranking_from_sliders(function.sliders, schema)
+    for source in SOURCES:
+        function = popular_function(source, popular[source])
+        ranking = ranking_from_sliders(function.sliders, environment.source(source)[1])
         query = SearchQuery.everything()
         modes: Dict[str, Dict[str, object]] = {}
         for mode, config in (
@@ -697,7 +686,7 @@ def run_feed_reuse(
                 "sessions": outcomes,
                 "feed_store": store.snapshot() if store is not None else None,
             }
-            reranker.close()  # release the feed producers' engines
+            reranker.close()
 
         leader = modes["feed"]["sessions"][0]  # type: ignore[index]
         followers = modes["feed"]["sessions"][1:]  # type: ignore[index]
@@ -743,6 +732,35 @@ def run_feed_reuse(
     return payload
 
 
+def _random_request(
+    rng: random.Random, schema: Schema
+) -> Tuple[UserRankingFunction, Algorithm, SearchQuery]:
+    """Draw one request against a source's ``schema``: a ranking function
+    (1D or weighted MD), an algorithm that serves it, and a filter window on
+    one rankable attribute.  The differentials draw the source (and their own
+    topology) first; the order of draws here is part of their seeds."""
+    rankable = list(schema.rankable_names)
+    ranking: UserRankingFunction
+    if rng.random() < 0.5:
+        ranking = SingleAttributeRanking(
+            rng.choice(rankable), ascending=rng.random() < 0.5
+        )
+        algorithm = rng.choice([Algorithm.BINARY, Algorithm.RERANK])
+    else:
+        chosen = rng.sample(rankable, min(2, len(rankable)))
+        weights = {name: rng.choice([-1.0, -0.5, 0.5, 1.0]) for name in chosen}
+        ranking = LinearRankingFunction(
+            weights, normalizer=MinMaxNormalizer.from_schema(schema, chosen)
+        )
+        algorithm = rng.choice([Algorithm.RERANK, Algorithm.TA])
+    filter_attribute = rng.choice(rankable)
+    lower, upper = schema.domain_bounds(filter_attribute)
+    span = upper - lower
+    low = lower + rng.uniform(0.0, 0.3) * span
+    high = upper - rng.uniform(0.0, 0.3) * span
+    return ranking, algorithm, SearchQuery.build(ranges={filter_attribute: (low, high)})
+
+
 def run_feed_differential(
     environment: Optional[ExperimentEnvironment] = None,
     trials: int = 4,
@@ -766,33 +784,10 @@ def run_feed_differential(
     trials_payload: List[Dict[str, object]] = []
     all_match = True
     for index in range(trials):
-        source = rng.choice(["bluenile", "zillow"])
-        schema = (
-            environment.diamond_schema
-            if source == "bluenile"
-            else environment.housing_schema
+        source = rng.choice(SOURCES)
+        ranking, algorithm, query = _random_request(
+            rng, environment.source(source)[1]
         )
-        rankable = list(schema.rankable_names)
-        if rng.random() < 0.5:
-            attribute = rng.choice(rankable)
-            ranking: UserRankingFunction = SingleAttributeRanking(
-                attribute, ascending=rng.random() < 0.5
-            )
-            algorithm = rng.choice([Algorithm.BINARY, Algorithm.RERANK])
-        else:
-            count = min(2, len(rankable))
-            chosen = rng.sample(rankable, count)
-            weights = {name: rng.choice([-1.0, -0.5, 0.5, 1.0]) for name in chosen}
-            ranking = LinearRankingFunction(
-                weights, normalizer=MinMaxNormalizer.from_schema(schema, chosen)
-            )
-            algorithm = rng.choice([Algorithm.RERANK, Algorithm.TA])
-        filter_attribute = rng.choice(rankable)
-        lower, upper = schema.domain_bounds(filter_attribute)
-        span = upper - lower
-        low = lower + rng.uniform(0.0, 0.3) * span
-        high = upper - rng.uniform(0.0, 0.3) * span
-        query = SearchQuery.build(ranges={filter_attribute: (low, high)})
 
         results: Dict[str, List[Dict[str, object]]] = {}
         for mode, config in (
@@ -804,7 +799,7 @@ def run_feed_differential(
                 _page_through(reranker, query, ranking, algorithm, pages, page_size)
                 for _ in range(sessions)
             ]
-            reranker.close()  # release the feed producers' engines
+            reranker.close()
         pages_match = [s["pages"] for s in results["feed"]] == [
             s["pages"] for s in results["nofeed"]
         ]
@@ -853,18 +848,10 @@ def run_shard_scatter(
     # Feed ablated: replay would hide the scatter cost being measured.
     config = replace(environment.rerank_config, enable_rerank_feed=False)
     payload: Dict[str, Dict[str, object]] = {}
-    for source in ("bluenile", "zillow"):
-        schema = (
-            environment.diamond_schema if source == "bluenile" else environment.housing_schema
-        )
-        scenarios = {
-            "1d": (bluenile_scenarios_1d if source == "bluenile" else zillow_scenarios_1d)(
-                schema
-            )[0],
-            "md": (bluenile_scenarios_md if source == "bluenile" else zillow_scenarios_md)(
-                schema
-            )[0],
-        }
+    for source in SOURCES:
+        catalog, schema, _, _ = environment.source(source)
+        onedim, multidim = DEMO_SCENARIOS[source]
+        scenarios = {"1d": onedim(schema)[0], "md": multidim(schema)[0]}
         workloads: Dict[str, object] = {}
         for label, scenario in scenarios.items():
             algorithm = Algorithm.RERANK
@@ -913,11 +900,6 @@ def run_shard_scatter(
         # the *data* (not the domain, whose bounds sit far above the value
         # mass) — only the shards whose partitions intersect the window may
         # be queried.
-        catalog = (
-            environment.diamond_catalog
-            if source == "bluenile"
-            else environment.housing_catalog
-        )
         prices = sorted(float(row["price"]) for row in catalog.to_rows())
         probe_query = SearchQuery.build(
             ranges={"price": (prices[0], prices[len(prices) // 10])}
@@ -978,31 +960,12 @@ def run_shard_differential(
     within_budget = True
     max_scatter_ratio = 0.0
     for index in range(trials):
-        source = rng.choice(["bluenile", "zillow"])
-        schema = (
-            environment.diamond_schema if source == "bluenile" else environment.housing_schema
-        )
+        source = rng.choice(SOURCES)
         shards = rng.choice([2, 4])
         by = rng.choice(["rank", "price"])
-        rankable = list(schema.rankable_names)
-        if rng.random() < 0.5:
-            ranking: UserRankingFunction = SingleAttributeRanking(
-                rng.choice(rankable), ascending=rng.random() < 0.5
-            )
-            algorithm = rng.choice([Algorithm.BINARY, Algorithm.RERANK])
-        else:
-            chosen = rng.sample(rankable, min(2, len(rankable)))
-            weights = {name: rng.choice([-1.0, -0.5, 0.5, 1.0]) for name in chosen}
-            ranking = LinearRankingFunction(
-                weights, normalizer=MinMaxNormalizer.from_schema(schema, chosen)
-            )
-            algorithm = rng.choice([Algorithm.RERANK, Algorithm.TA])
-        filter_attribute = rng.choice(rankable)
-        lower, upper = schema.domain_bounds(filter_attribute)
-        span = upper - lower
-        low = lower + rng.uniform(0.0, 0.3) * span
-        high = upper - rng.uniform(0.0, 0.3) * span
-        query = SearchQuery.build(ranges={filter_attribute: (low, high)})
+        ranking, algorithm, query = _random_request(
+            rng, environment.source(source)[1]
+        )
 
         reference = environment.make_reranker(source, config)
         ref = _page_through(reference, query, ranking, algorithm, pages, page_size)

@@ -8,6 +8,8 @@ the general-positioning fallback.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.config import RerankConfig
@@ -118,6 +120,17 @@ def bluenile_reranker(bluenile_db, rerank_config) -> QueryReranker:
 def zillow_reranker(zillow_db, rerank_config) -> QueryReranker:
     """A fresh reranker (fresh dense index) over the Zillow fixture."""
     return QueryReranker(zillow_db, config=rerank_config)
+
+
+def query_threads(before=()):
+    """The live ``qr2-query`` executor threads started since ``before`` (a
+    ``threading.enumerate()`` taken earlier) — other tests' rerankers may
+    still hold idle ones."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("qr2-query") and thread not in before
+    ]
 
 
 def assert_matches_ground_truth(stream_rows, truth_rows, ranking, key_column="id"):

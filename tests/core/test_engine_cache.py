@@ -1,8 +1,9 @@
 """Tests for the query engine's shared-result-cache integration and the
-budget / shutdown / latency accounting fixes."""
+budget / latency accounting fixes."""
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -498,10 +499,12 @@ class TestSettlementInvariant:
     issue mechanism and whatever became of each query of the group."""
 
     MECHANISMS = {
-        # name: (source advertises batching, RerankConfig.enable_parallel)
-        "batched": (True, True),
-        "fan-out": (False, True),
-        "sequential": (False, False),
+        # name: (source advertises batching, RerankConfig.enable_parallel,
+        #        engine borrows an executor)
+        "batched": (True, True, False),
+        "fan-out": (False, True, True),
+        "inline": (False, True, False),
+        "sequential": (False, False, False),
     }
     FRESH = [_price_upto(4000.0), _price_upto(5000.0)]
 
@@ -511,7 +514,7 @@ class TestSettlementInvariant:
         ["hit", "contained", "coalesced", "issued", "failed", "stale"],
     )
     def test_budget_equals_answered_round_trips(self, timed_db, mechanism, scenario):
-        batched, parallel = self.MECHANISMS[mechanism]
+        batched, parallel, pooled = self.MECHANISMS[mechanism]
         cache = QueryResultCache()
         namespace = _SettlingSource.name
         k = timed_db.system_k
@@ -570,11 +573,13 @@ class TestSettlementInvariant:
             poison, error = special, SourceUnavailableError("source down")
 
         source = _SettlingSource(timed_db, batched, poison=poison, error=error)
+        executor = ThreadPoolExecutor(max_workers=2) if pooled else None
         engine = QueryEngine(
             source,
             config=RerankConfig(enable_parallel=parallel),
             result_cache=cache,
             budget=QueryBudget(10),
+            executor=executor,
         )
         raised = None
         try:
@@ -582,6 +587,8 @@ class TestSettlementInvariant:
         except (RuntimeError, SourceUnavailableError) as caught:
             raised = caught
         finally:
+            if executor is not None:
+                executor.shutdown(wait=True)
             if owner is not None:
                 owner.join(timeout=5.0)
                 assert not owner.is_alive()
@@ -596,11 +603,12 @@ class TestSettlementInvariant:
         statistics = engine.statistics
         if scenario == "failed":
             assert isinstance(raised, RuntimeError)
-            # batched: the one call raised, nothing answered; fan-out: the
-            # two healthy queries answered; sequential: the tail went unissued.
-            assert source.answered == {"batched": 0, "fan-out": 2, "sequential": 1}[
-                mechanism
-            ]
+            # batched: the one call raised, nothing answered; a parallel
+            # group, pooled or inline: the two healthy queries answered;
+            # sequential: the tail went unissued.
+            assert source.answered == {
+                "batched": 0, "fan-out": 2, "inline": 2, "sequential": 1
+            }[mechanism]
         elif scenario == "stale" and mechanism == "batched":
             # The one call failed for the whole batch: nothing is paid and
             # every query is served its parked copy.
@@ -620,3 +628,39 @@ class TestSettlementInvariant:
             assert witness == 1
             if scenario == "stale":
                 assert results[1].stale and results[1].degraded
+
+    def test_engine_without_an_executor_matches_one_with(self, timed_db):
+        """A parallel group issued inline is indistinguishable from the same
+        group fanned out — results, statistics, simulated seconds — and when
+        one query fails the others are still issued, paid and cached."""
+        down = _price_upto(2000.0)
+        healthy = [_price_upto(4000.0), _price_upto(5000.0), _price_upto(6000.0)]
+        outcomes = {}
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            for name, lent in (("pooled", executor), ("inline", None)):
+                source = _SettlingSource(
+                    timed_db,
+                    batched=False,
+                    poison=down,
+                    error=SourceUnavailableError("source down"),
+                )
+                cache = QueryResultCache()
+                engine = QueryEngine(
+                    source, result_cache=cache, budget=QueryBudget(10), executor=lent
+                )
+                results = engine.search_group(healthy)
+                with pytest.raises(SourceUnavailableError):
+                    engine.search_group([healthy[0], down, _price_upto(7000.0)])
+                # The failed group's healthy miss was issued, paid and cached.
+                assert source.answered == engine.budget.used == 4
+                assert cache.probe(
+                    source.name, _price_upto(7000.0), source.system_k
+                ) is not None
+                outcomes[name] = (
+                    [(result.outcome, result.rows) for result in results],
+                    engine.statistics.snapshot(),
+                )
+        assert outcomes["inline"] == outcomes["pooled"]
+        statistics = outcomes["inline"][1]
+        assert statistics["parallel_fraction"] == 1.0
+        assert statistics["simulated_seconds"] == pytest.approx(2.0)

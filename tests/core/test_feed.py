@@ -334,29 +334,27 @@ class TestFeedInvalidation:
 
 
 # --------------------------------------------------------------------------- #
-# Store bookkeeping: LRU, TTL, refcounts
+# Store bookkeeping: LRU, TTL, retirement
 # --------------------------------------------------------------------------- #
 class _ListProducerFactory:
-    """Factory building producers that emit a fixed row list (no engine)."""
+    """Factory building producers that emit a fixed row list; ``gate``, when
+    given, is called inside every advance (the leader section)."""
 
-    def __init__(self, rows):
+    def __init__(self, rows, gate=None):
         self._rows = rows
-        self.closed = 0
+        self._gate = gate
 
     def __call__(self) -> FeedProducer:
         rows = iter(self._rows)
+        gate = self._gate
 
         class _Algorithm:
             def next(self_inner):
+                if gate is not None:
+                    gate()
                 return next(rows, None)
 
-        factory = self
-
-        class _Engine:
-            def shutdown(self_inner):
-                factory.closed += 1
-
-        return FeedProducer(_Algorithm(), Session(session_id="fake"), _Engine())
+        return FeedProducer(_Algorithm(), Session(session_id="fake"))
 
 
 class TestFeedStore:
@@ -400,30 +398,39 @@ class TestFeedStore:
         assert fresh is not feed
         assert store.snapshot()["expirations"] == 1
 
-    def test_producer_engine_closes_when_last_stream_releases(self):
+    def test_feed_retired_while_leading_serves_its_streams_only(self):
+        """Retirement — here racing a leader's advance — is a mark, not a
+        teardown: the feed keeps replaying and advancing for the streams
+        that hold it, and is never handed to a new session."""
         store = RerankFeedStore()
-        factory = _ListProducerFactory(self.ROWS)
-        query = SearchQuery.build(ranges={"price": (0.0, 100.0)})
-        feed = self._attach(store, query, factory)
-        stats = RerankStatistics()
-        row, replayed = feed.row_at(0, statistics=stats)
-        assert row is not None and not replayed
-        store.close()
-        # Still attached: the engine must survive until the stream lets go.
-        assert factory.closed == 0
-        feed.release()
-        assert factory.closed == 1
+        leading, retired = threading.Event(), threading.Event()
 
-    def test_unattached_feed_closes_immediately_on_invalidate(self):
-        store = RerankFeedStore()
-        factory = _ListProducerFactory(self.ROWS)
+        def gate():
+            leading.set()
+            assert retired.wait(5.0)
+
         query = SearchQuery.build(ranges={"price": (0.0, 100.0)})
-        feed = self._attach(store, query, factory)
-        feed.row_at(0, statistics=RerankStatistics())
-        feed.release()
-        assert factory.closed == 0
-        store.invalidate("ns")
-        assert factory.closed == 1
+        feed = self._attach(store, query, _ListProducerFactory(self.ROWS, gate))
+        led = []
+        leader = threading.Thread(
+            target=lambda: led.append(feed.row_at(0, statistics=RerankStatistics()))
+        )
+        leader.start()
+        assert leading.wait(5.0)
+        assert store.invalidate("ns") == 1  # retires the feed mid-advance
+        retired.set()
+        leader.join(timeout=5.0)
+        assert not leader.is_alive()
+
+        assert led == [(feed.verified_rows()[0], False)]
+        assert feed.stale
+        # The streams that hold the retired feed go on: replay, then lead.
+        assert feed.row_at(0) == (led[0][0], True)
+        row, replayed = feed.row_at(1, statistics=RerankStatistics())
+        assert row["id"] == 1 and not replayed
+        # A new session gets a fresh feed, never the retired one.
+        fresh = self._attach(store, query)
+        assert fresh is not feed and fresh.depth == 0 and not fresh.stale
 
     def test_row_at_validates_and_counts(self):
         store = RerankFeedStore()

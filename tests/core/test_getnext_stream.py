@@ -1,5 +1,5 @@
-"""Tests for :class:`GetNextStream` mechanics: thread safety, resource
-release, and the shared-immutable-row storage of the emitted prefix."""
+"""Tests for :class:`GetNextStream` mechanics: thread safety, close, and
+the shared-immutable-row storage of the emitted prefix."""
 
 import threading
 from dataclasses import replace
@@ -7,9 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import RerankConfig
-from repro.core.getnext import GetNextStream
 from repro.core.reranker import Algorithm, QueryReranker
-from repro.core.session import Session
 from repro.webdb.query import SearchQuery
 
 
@@ -105,18 +103,6 @@ class TestSharedRowStorage:
 
 
 class TestClose:
-    def test_close_shuts_the_private_engine_down(self, bluenile_db):
-        reranker = QueryReranker(
-            bluenile_db, config=RerankConfig(enable_rerank_feed=False)
-        )
-        stream = _make_stream(reranker)
-        stream.next_page(2)
-        engine = stream._engine
-        assert engine is not None and not engine.closed
-        stream.close()
-        assert engine.closed
-        assert stream.closed
-
     def test_closed_stream_returns_none(self, stream_reranker):
         stream = _make_stream(stream_reranker)
         first = stream.get_next()
@@ -134,20 +120,7 @@ class TestClose:
         stream.close()
         assert stream.closed
 
-    def test_close_shuts_the_engine_down_exactly_once(self):
-        class CountingEngine:
-            shutdowns = 0
-
-            def shutdown(self) -> None:
-                self.shutdowns += 1
-
-        engine = CountingEngine()
-        stream = GetNextStream(None, Session("close-once"), engine=engine)
-        stream.close()
-        stream.close()
-        assert engine.shutdowns == 1
-
-    def test_feed_stream_close_releases_but_feed_survives(self, bluenile_db):
+    def test_feed_survives_its_streams_close(self, bluenile_db):
         reranker = QueryReranker(bluenile_db, config=RerankConfig())
         first = _make_stream(reranker)
         first.next_page(4)

@@ -10,7 +10,7 @@ from repro.core.functions import SingleAttributeRanking
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.core.stats import RerankStatistics
-from repro.exceptions import EngineShutdownError, QueryBudgetExceeded
+from repro.exceptions import QueryBudgetExceeded
 from repro.webdb.counters import QueryBudget
 from repro.webdb.query import SearchQuery
 
@@ -201,23 +201,6 @@ class TestQueryEngine:
             engine.search_group(
                 [SearchQuery.everything(), SearchQuery.build(ranges={"carat": (1, 2)})]
             )
-
-    def test_context_manager_shutdown(self, bluenile_db):
-        with QueryEngine(bluenile_db) as engine:
-            engine.search_group(
-                [SearchQuery.everything(), SearchQuery.build(ranges={"carat": (1, 2)})]
-            )
-        # Post-shutdown reuse must be explicit: searching raises until the
-        # engine is re-armed, after which the pool is recreated lazily.
-        assert engine.closed
-        with pytest.raises(EngineShutdownError):
-            engine.search(SearchQuery.everything())
-        engine.rearm()
-        assert not engine.closed
-        engine.search(SearchQuery.everything())
-        engine.search_group(
-            [SearchQuery.everything(), SearchQuery.build(ranges={"carat": (1, 2)})]
-        )
 
     def test_properties_delegate(self, bluenile_db):
         engine = QueryEngine(bluenile_db)

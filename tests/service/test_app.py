@@ -1,5 +1,7 @@
 """Tests for the data-source registry and the QR2 service application."""
 
+import threading
+
 import pytest
 
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
@@ -8,6 +10,8 @@ from repro.dataset.housing import HousingCatalogConfig
 from repro.exceptions import DataSourceError, QueryError, SessionError
 from repro.service.app import QR2Service
 from repro.service.sources import DataSourceRegistry, build_default_registry
+from repro.webdb.faults import FaultPlan
+from tests.conftest import query_threads
 
 
 @pytest.fixture(scope="module")
@@ -229,8 +233,9 @@ class TestValidation:
 
 
 class TestStreamLifecycle:
-    """Streams must be closed — releasing their query engines — whenever the
-    service lets go of them (request replacement, expiry, shutdown)."""
+    """Streams must be closed whenever the service lets go of them (request
+    replacement, expiry, shutdown); the query threads belong to the sources
+    and end with the service."""
 
     def _active_stream(self, service, session_id):
         return service._requests[session_id].stream
@@ -264,26 +269,27 @@ class TestStreamLifecycle:
         # close() is idempotent and leaves the registry usable.
         service.close()
 
-    def test_replaced_private_stream_releases_its_engine(self):
-        # A feed-disabled registry gives each stream a private engine; losing
-        # the stream without close() would leak its thread pool forever.
-        config = RerankConfig(enable_rerank_feed=False)
+    def test_service_close_leaves_no_query_thread(self):
+        # Perturbed shards issue per query, so every lead fans out over its
+        # source's executor: replaced and abandoned streams hold no threads
+        # of their own, and closing the service ends the sources' pools.
+        before = threading.enumerate()
         registry = build_default_registry(
             diamond_config=DiamondCatalogConfig(size=200, seed=5),
             housing_config=HousingCatalogConfig(size=200, seed=6),
-            database_config=DatabaseConfig(system_k=10),
-            rerank_config=config,
+            database_config=DatabaseConfig(
+                system_k=10, shards=2, fault_plan=FaultPlan(seed=3, slow_rate=0.2)
+            ),
         )
-        service = QR2Service(
-            registry=registry, config=ServiceConfig(rerank=config)
-        )
-        session_id = service.create_session()
-        service.submit_query(session_id, "bluenile", sliders={"price": 1.0})
-        stream = service._requests[session_id].stream
-        engine = stream._engine
-        assert engine is not None
-        service.submit_query(session_id, "bluenile", sliders={"carat": -1.0})
-        assert engine.closed
+        service = QR2Service(registry=registry)
+        workers = service.config.rerank.parallel_workers
+        for sliders in ({"price": 1.0, "carat": -0.5}, {"price": -1.0, "carat": 0.5}):
+            session_id = service.create_session()
+            service.submit_query(session_id, "bluenile", sliders=sliders)
+            service.submit_query(session_id, "zillow", sliders={"price": 1.0, "squarefeet": -0.5})
+        assert 0 < len(query_threads(before)) <= 2 * workers  # two sources
+        service.close()
+        assert query_threads(before) == []
 
     def test_panel_surfaces_feed_counters(self):
         # A private registry: the module-scoped one shares feed stores across

@@ -116,16 +116,3 @@ class TestServiceResultCache:
         assert "zillow" in namespaces
         assert "bluenile" not in namespaces
 
-    def test_private_caches_when_sharing_disabled(self):
-        rerank_config = RerankConfig()
-        registry = build_default_registry(
-            diamond_config=DiamondCatalogConfig(size=350, seed=5),
-            housing_config=HousingCatalogConfig(size=400, seed=6),
-            rerank_config=rerank_config,
-            share_result_cache=False,
-        )
-        bluenile = registry.get("bluenile")
-        zillow = registry.get("zillow")
-        assert bluenile.reranker.result_cache is not None
-        assert zillow.reranker.result_cache is not None
-        assert bluenile.reranker.result_cache is not zillow.reranker.result_cache

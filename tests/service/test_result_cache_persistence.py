@@ -60,21 +60,11 @@ class TestServicePersistence:
 
     def test_no_persistence_without_path(self):
         service = QR2Service(config=ServiceConfig())
-        assert service.result_cache is None
+        assert service.result_cache is not None  # the one shared cache
         assert service.save_result_cache() == 0
         response = _run_request(service)
         assert response["statistics"]["result_cache_persistence"] is None
         service.close()  # must be a safe no-op
-
-    def test_persistence_disabled_with_private_caches(self, tmp_path):
-        """``share_result_cache=False`` means there is no single cache to
-        spill; the knob must degrade to a no-op, not crash."""
-        path = os.fspath(tmp_path / "results.sqlite")
-        config = ServiceConfig(result_cache_path=path, share_result_cache=False)
-        service = QR2Service(config=config)
-        assert service.result_cache is None
-        assert service.save_result_cache() == 0
-        service.close()
 
     def test_warm_entries_enable_containment_for_new_queries(self, tmp_path):
         """A warm-loaded covering entry answers *narrower* queries the prior

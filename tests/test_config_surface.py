@@ -20,8 +20,8 @@ RERANK_FIELDS = {
 }
 SERVICE_FIELDS = {
     "default_page_size", "max_page_size", "session_ttl_seconds",
-    "dense_cache_path", "share_result_cache", "result_cache_path", "database",
-    "rerank", "serving_workers", "admission_queue_depth",
+    "dense_cache_path", "result_cache_path", "database", "rerank",
+    "serving_workers", "admission_queue_depth",
     "reaper_interval_seconds", "request_deadline_seconds",
     "warming_interval_seconds", "warming_top_requests", "warming_pages",
 }
@@ -35,5 +35,5 @@ def test_config_field_sets_are_pinned():
     assert names(DatabaseConfig) == DATABASE_FIELDS
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
-    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 39
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 38
 
