@@ -22,11 +22,10 @@ bounds drive all pruning decisions in the MD algorithms:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Optional
 
-from repro.core.functions import LinearRankingFunction, UserRankingFunction
+from repro.core.functions import LinearRankingFunction, weighted
 from repro.core.regions import HyperRectangle
 
 
@@ -42,14 +41,6 @@ class ScoreBounds:
             raise ValueError(f"inverted score bounds: {self.minimum} > {self.maximum}")
 
 
-def _normalized_edge(function: LinearRankingFunction, attribute: str, value: float) -> float:
-    """Value of ``attribute`` as seen by ``function`` (normalized if needed)."""
-    normalizer = function.normalizer
-    if normalizer is None:
-        return value
-    return normalizer.normalize(attribute, value)
-
-
 def score_bounds(function: LinearRankingFunction, box: HyperRectangle) -> ScoreBounds:
     """Exact score bounds of ``function`` over ``box``.
 
@@ -58,40 +49,13 @@ def score_bounds(function: LinearRankingFunction, box: HyperRectangle) -> ScoreB
     """
     minimum = 0.0
     maximum = 0.0
-    for attribute in function.attributes:
-        weight = function.weight(attribute)
-        side = box.side(attribute)
-        low = weight * _normalized_edge(function, attribute, side.lower)
-        high = weight * _normalized_edge(function, attribute, side.upper)
+    for term in function.terms:
+        side = box.side(term[0])
+        low = weighted(term, side.lower)
+        high = weighted(term, side.upper)
         minimum += min(low, high)
         maximum += max(low, high)
     return ScoreBounds(minimum=minimum, maximum=maximum)
-
-
-def can_contain_better(
-    function: LinearRankingFunction,
-    box: HyperRectangle,
-    best_score: float,
-    tolerance: float = 1e-12,
-) -> bool:
-    """True when ``box`` could contain a tuple scoring strictly below
-    ``best_score`` (i.e. the box intersects the open region of interest)."""
-    if math.isinf(best_score):
-        return True
-    return score_bounds(function, box).minimum < best_score - tolerance
-
-
-def entirely_at_or_before_frontier(
-    function: LinearRankingFunction,
-    box: HyperRectangle,
-    frontier_score: float,
-    tolerance: float = 1e-12,
-) -> bool:
-    """True when every point of ``box`` scores at or below ``frontier_score``
-    (its tuples have already been emitted or tie with the frontier group)."""
-    if math.isinf(frontier_score) and frontier_score < 0:
-        return False
-    return score_bounds(function, box).maximum <= frontier_score + tolerance
 
 
 def contour_crossing(
@@ -112,14 +76,11 @@ def contour_crossing(
     if weight == 0.0:
         return None
     other_minimum = 0.0
-    for other in function.attributes:
-        if other == attribute:
+    for term in function.terms:
+        if term[0] == attribute:
             continue
-        other_weight = function.weight(other)
-        side = box.side(other)
-        low = other_weight * _normalized_edge(function, other, side.lower)
-        high = other_weight * _normalized_edge(function, other, side.upper)
-        other_minimum += min(low, high)
+        side = box.side(term[0])
+        other_minimum += min(weighted(term, side.lower), weighted(term, side.upper))
     target = (score - other_minimum) / weight
     # Undo normalization to express the crossing in raw attribute units.
     normalizer = function.normalizer
@@ -127,15 +88,3 @@ def contour_crossing(
         target = normalizer.denormalize(attribute, target)
     side = box.side(attribute)
     return min(max(target, side.lower), side.upper)
-
-
-def frontier_gap(
-    function: UserRankingFunction,
-    frontier_score: float,
-    best_score: float,
-) -> float:
-    """Width of the score band between the emitted frontier and the current
-    best candidate — the "region of interest" thickness (diagnostics only)."""
-    if math.isinf(frontier_score) or math.isinf(best_score):
-        return math.inf
-    return max(best_score - frontier_score, 0.0)

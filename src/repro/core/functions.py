@@ -18,7 +18,7 @@ exactly how the paper writes its example functions, e.g.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import RankingFunctionError
@@ -79,18 +79,6 @@ class UserRankingFunction(ABC):
                     f"attribute {name!r} is not offered for ranking"
                 )
 
-    def sort_key(self, key_column: str):
-        """Deterministic sort key: score, then tuple key."""
-
-        def _key(row: Row):
-            return (self.score(row), str(row.get(key_column, "")))
-
-        return _key
-
-    def rank_rows(self, rows: Sequence[Row], key_column: str) -> List[Dict[str, object]]:
-        """Sort ``rows`` best-first under this function (ties on tuple key)."""
-        return [dict(row) for row in sorted(rows, key=self.sort_key(key_column))]
-
 
 class SingleAttributeRanking(UserRankingFunction):
     """Rank by one attribute, ascending (prefer small) or descending."""
@@ -127,6 +115,30 @@ class SingleAttributeRanking(UserRankingFunction):
         return ("1d", self._attribute, self.ascending)
 
 
+#: One compiled summand of a linear function: ``(attribute, weight, lower,
+#: upper)``; ``lower`` and ``upper`` are ``None`` when values are not normalized.
+Term = Tuple[str, float, Optional[float], Optional[float]]
+
+
+def weighted(term: Term, value: float) -> float:
+    """``weight · clamp((value − lower) / (upper − lower))`` — what ``term``
+    contributes to a score at ``value``.  The rank-contour geometry and the TA
+    threshold evaluate points that are not tuples (box corners, list heads)
+    through this; :meth:`LinearRankingFunction.score` runs the same operations
+    inline."""
+    _, weight, lower, upper = term
+    if lower is not None:
+        if upper == lower:
+            value = 0.0
+        else:
+            value = (value - lower) / (upper - lower)
+            if value < 0.0:
+                value = 0.0
+            elif value > 1.0:
+                value = 1.0
+    return weight * value
+
+
 class LinearRankingFunction(UserRankingFunction):
     """Linear combination of (optionally normalized) numeric attributes.
 
@@ -139,6 +151,8 @@ class LinearRankingFunction(UserRankingFunction):
         Optional :class:`~repro.core.normalization.MinMaxNormalizer`.  When
         provided, attribute values are mapped to ``[0, 1]`` before weighting —
         this is the paper's answer to "attributes with different cardinalities".
+        Its bounds are folded into the function at construction, so it must
+        carry bounds for every weighted attribute.
     enforce_slider_range:
         When True, weights outside ``[-1, 1]`` are rejected, matching the
         service's slider UI.  The algorithms themselves work for any weights.
@@ -161,6 +175,20 @@ class LinearRankingFunction(UserRankingFunction):
                 )
         self._weights: Dict[str, float] = dict(sorted(cleaned.items()))
         self._normalizer = normalizer
+        self._terms: Tuple[Term, ...] = tuple(
+            (name, weight, *self._bounds_of(name)) for name, weight in self._weights.items()
+        )
+
+    def _bounds_of(self, attribute: str) -> Tuple[Optional[float], Optional[float]]:
+        if self._normalizer is None:
+            return None, None
+        bounds = getattr(self._normalizer, "bounds", None)
+        if not isinstance(bounds, Mapping) or attribute not in bounds:
+            raise RankingFunctionError(
+                f"normalizer has no bounds for ranking attribute {attribute!r}"
+            )
+        lower, upper = bounds[attribute]
+        return float(lower), float(upper)
 
     @property
     def weights(self) -> Dict[str, float]:
@@ -181,27 +209,29 @@ class LinearRankingFunction(UserRankingFunction):
             raise RankingFunctionError(f"{attribute!r} is not a ranking attribute")
         return self._weights[attribute]
 
-    def _value(self, row: Row, attribute: str) -> float:
-        raw = float(row[attribute])  # type: ignore[arg-type]
-        if self._normalizer is None:
-            return raw
-        return self._normalizer.normalize(attribute, raw)
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        """The compiled summands, in sorted-attribute order."""
+        return self._terms
 
     def score(self, row: Row) -> float:
-        return sum(
-            weight * self._value(row, attribute)
-            for attribute, weight in self._weights.items()
-        )
-
-    def score_of_values(self, values: Mapping[str, float]) -> float:
-        """Score of a point given directly as attribute values (used by the
-        rank-contour geometry, which reasons about points that are not tuples)."""
+        # The hot loop of every Get-Next: :func:`weighted` inlined (a call per
+        # attribute is what compiling the terms removes), accumulated with a
+        # plain ``+=`` in sorted-attribute order so a score does not depend on
+        # the interpreter's ``sum()`` (compensated since 3.12).
         total = 0.0
-        for attribute, weight in self._weights.items():
-            raw = float(values[attribute])
-            if self._normalizer is not None:
-                raw = self._normalizer.normalize(attribute, raw)
-            total += weight * raw
+        for attribute, weight, lower, upper in self._terms:
+            value = float(row[attribute])  # type: ignore[arg-type]
+            if lower is not None:
+                if upper == lower:
+                    value = 0.0
+                else:
+                    value = (value - lower) / (upper - lower)
+                    if value < 0.0:
+                        value = 0.0
+                    elif value > 1.0:
+                        value = 1.0
+            total += weight * value
         return total
 
     def describe(self) -> str:
@@ -217,34 +247,25 @@ class LinearRankingFunction(UserRankingFunction):
     def canonical_key(self) -> Tuple:
         """Weights are kept sorted, so the key is order-insensitive; the
         normalizer's bounds are part of the identity (the same weights over
-        different normalization bounds score rows differently).  Normalizers
-        without a canonical form make the function uncanonicalizable."""
+        different normalization bounds score rows differently)."""
         if self._normalizer is None:
             normalizer_key: object = None
         else:
-            bounds = getattr(self._normalizer, "bounds", None)
-            if not isinstance(bounds, Mapping):
-                raise NotImplementedError(
-                    "normalizer has no canonicalizable bounds"
-                )
             normalizer_key = tuple(
                 (name, float(lower), float(upper))
-                for name, (lower, upper) in sorted(bounds.items())
+                for name, (lower, upper) in sorted(self._normalizer.bounds.items())
             )
         return ("md", tuple(self._weights.items()), normalizer_key)
-
-    def restricted_to(self, attribute: str) -> "LinearRankingFunction":
-        """Projection onto a single attribute (used by MD-TA's sorted access)."""
-        return LinearRankingFunction(
-            {attribute: self._weights[attribute]}, normalizer=self._normalizer
-        )
 
 
 class MinMaxNormalizerProtocol:
     """Structural type for normalizers (avoids a circular import with
     :mod:`repro.core.normalization`)."""
 
-    def normalize(self, attribute: str, value: float) -> float:  # pragma: no cover
+    #: ``attribute -> (lower, upper)``; read once, when a function is built.
+    bounds: Mapping[str, Tuple[float, float]]
+
+    def denormalize(self, attribute: str, value: float) -> float:  # pragma: no cover
         raise NotImplementedError
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.config import RerankConfig
 from repro.core import contour
@@ -48,6 +48,10 @@ from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, SearchQuery
 
 Row = Dict[str, object]
+#: The best candidate so far with the score it was found at: ``(score,
+#: str(key), row)``, ordered like the emission order.  The row is whatever
+#: reference the source handed over; only an emitted winner is copied.
+Best = Optional[Tuple[float, str, Mapping[str, object]]]
 
 _TOLERANCE = 1e-9
 #: Boxes narrower than this (relative to the domain) on every side are treated
@@ -96,6 +100,7 @@ class MultiDimGetNext:
         self._space = HyperRectangle.full_space(ranking.attributes, schema, base_query)
         self._frontier_score = -math.inf
         self._exhausted = False
+        self._candidates = session.cached_candidates(base_query, ranking, engine.key_column)
         # Open boxes carried across Get-Next calls (the session-cache
         # acceleration the paper describes): regions whose contents are not
         # yet fully cached.  Only meaningful while the session cache is
@@ -120,65 +125,44 @@ class MultiDimGetNext:
             self._exhausted = True
             self._statistics.record_get_next(returned=False)
             return None
-        self._frontier_score = self._ranking.score(best)
-        self._session.mark_emitted(best, self._engine.key_column)
+        self._frontier_score = best[0]
+        row = dict(best[2])
+        self._session.mark_emitted(row, self._engine.key_column)
         self._statistics.record_get_next(returned=True)
-        return best
+        return row
 
     # ------------------------------------------------------------------ #
     # Eligibility and candidate tracking
     # ------------------------------------------------------------------ #
-    def _is_eligible(self, row: Row, emitted: set) -> bool:
-        if row[self._engine.key_column] in emitted:
-            return False
-        if not self._base_query.matches(row):
-            return False
-        return self._ranking.score(row) >= self._frontier_score - _TOLERANCE
-
-    def _better(self, row: Row, best: Optional[Row]) -> bool:
-        if best is None:
-            return True
-        key_column = self._engine.key_column
-        return (self._ranking.score(row), str(row[key_column])) < (
-            self._ranking.score(best),
-            str(best[key_column]),
-        )
-
-    def _seed_from_cache(self, emitted: set) -> Optional[Row]:
+    def _seed_from_cache(self) -> Best:
         if not self._config.enable_session_cache:
             return None
-        candidates = self._session.cached_candidates(
-            self._base_query,
-            self._ranking,
-            self._frontier_score - _TOLERANCE,
-            self._engine.key_column,
-        )
-        for row in candidates:
-            if self._is_eligible(row, emitted):
-                self._statistics.record_cache_hit()
-                return row
-        return None
+        best = self._candidates.best(self._frontier_score - _TOLERANCE)
+        if best is not None:
+            self._statistics.record_cache_hit()
+        return best
 
     # ------------------------------------------------------------------ #
     # Box bookkeeping
     # ------------------------------------------------------------------ #
-    def _prunable(self, box: HyperRectangle, best: Optional[Row]) -> bool:
+    def _prunable(self, box: HyperRectangle, best: Best) -> bool:
         bounds = contour.score_bounds(self._ranking, box)
         if bounds.maximum < self._frontier_score - _TOLERANCE:
             return True
-        if best is not None:
-            best_score = self._ranking.score(best)
-            if bounds.minimum >= best_score - _TOLERANCE:
-                return True
-        return False
+        return best is not None and bounds.minimum >= best[0] - _TOLERANCE
 
-    def _update_best(
-        self, rows, best: Optional[Row], emitted: set
-    ) -> Optional[Row]:
+    def _update_best(self, rows: Iterable[Mapping[str, object]], best: Best) -> Best:
+        """Fold ``rows`` into ``best``: each eligible row (not yet returned,
+        matching the filters, not before the frontier) is scored once."""
+        key_column = self._engine.key_column
+        floor = self._frontier_score - _TOLERANCE
         for row in rows:
-            candidate = dict(row)
-            if self._is_eligible(candidate, emitted) and self._better(candidate, best):
-                best = candidate
+            key = row[key_column]
+            if self._session.has_emitted(key) or not self._base_query.matches(row):
+                continue
+            score = self._ranking.score(row)
+            if score >= floor and (best is None or (score, str(key)) < best[:2]):
+                best = (score, str(key), row)
         return best
 
     def _remember(self, result: SearchResult) -> None:
@@ -210,15 +194,14 @@ class MultiDimGetNext:
     # ------------------------------------------------------------------ #
     # The search itself
     # ------------------------------------------------------------------ #
-    def _find_next_tuple(self) -> Optional[Row]:
-        emitted = self._session.emitted_key_set()
-        best = self._seed_from_cache(emitted)
+    def _find_next_tuple(self) -> Best:
+        best = self._seed_from_cache()
         if self._variant is MDVariant.BASELINE:
-            return self._baseline_search(best, emitted)
-        return self._partition_search(best, emitted)
+            return self._baseline_search(best)
+        return self._partition_search(best)
 
     # .................................................................. #
-    def _baseline_search(self, best: Optional[Row], emitted: set) -> Optional[Row]:
+    def _baseline_search(self, best: Best) -> Best:
         queue: Deque[Tuple[HyperRectangle, int]] = deque([(self._space, 0)])
         while queue:
             box, depth = queue.popleft()
@@ -226,15 +209,12 @@ class MultiDimGetNext:
                 continue
             result = self._engine.search(box.to_query(self._base_query))
             self._remember(result)
-            previous_score = self._ranking.score(best) if best is not None else math.inf
-            best = self._update_best(result.rows, best, emitted)
+            previous_score = best[0] if best is not None else math.inf
+            best = self._update_best(result.rows, best)
             if result.covers_query:
                 continue
-            improved = (
-                best is not None and self._ranking.score(best) < previous_score - _TOLERANCE
-            )
-            if improved:
-                narrowed = self._narrow_by_contour(box, self._ranking.score(best))
+            if best is not None and best[0] < previous_score - _TOLERANCE:
+                narrowed = self._narrow_by_contour(box, best[0])
                 if narrowed is None:
                     # The whole box lies outside the region of interest now.
                     continue
@@ -249,7 +229,7 @@ class MultiDimGetNext:
                 box.max_relative_width(self._engine.schema) <= _POINT_WIDTH
             ):
                 rows = self._crawl_box(box, with_base_filter=True)
-                best = self._update_best(rows, best, emitted)
+                best = self._update_best(rows, best)
                 continue
             low, high = box.split(box.widest_attribute(self._engine.schema))
             queue.append((low, depth + 1))
@@ -318,7 +298,7 @@ class MultiDimGetNext:
         if self._config.enable_session_cache:
             self._open_boxes = boxes
 
-    def _partition_search(self, best: Optional[Row], emitted: set) -> Optional[Row]:
+    def _partition_search(self, best: Best) -> Best:
         """Shared loop of MD-BINARY and MD-RERANK: batched (parallel) queries,
         binary splitting, and — for MD-RERANK — dense-region indexing."""
         schema = self._engine.schema
@@ -334,7 +314,7 @@ class MultiDimGetNext:
                 bounds = contour.score_bounds(self._ranking, box)
                 if bounds.maximum < self._frontier_score - _TOLERANCE:
                     continue  # everything inside has already been emitted
-                if best is not None and bounds.minimum >= self._ranking.score(best) - _TOLERANCE:
+                if best is not None and bounds.minimum >= best[0] - _TOLERANCE:
                     deferred.append((box, depth))
                     continue
                 still_open.append((box, depth))
@@ -353,14 +333,14 @@ class MultiDimGetNext:
                         self._statistics.record_dense_index_hit()
                         if self._config.enable_session_cache:
                             self._session.remember(rows, self._engine.key_column)
-                        best = self._update_best(rows, best, emitted)
+                        best = self._update_best(rows, best)
                         continue
                 dense = (
                     box.max_relative_width(schema) < self._config.dense_ratio_threshold
                     or depth >= self._dense_depth_limit()
                 )
                 if dense:
-                    best = self._resolve_dense_box(box, best, emitted)
+                    best = self._resolve_dense_box(box, best)
                     continue
                 to_query.append((box, depth))
 
@@ -382,7 +362,7 @@ class MultiDimGetNext:
             results = self._engine.search_group(queries)
             for (box, depth), result in zip(to_query, results):
                 self._remember(result)
-                best = self._update_best(result.rows, best, emitted)
+                best = self._update_best(result.rows, best)
                 if result.covers_query:
                     continue
                 low, high = box.split(box.widest_attribute(schema))
@@ -401,9 +381,7 @@ class MultiDimGetNext:
             return self._config.dense_split_depth
         return self._config.max_binary_rounds
 
-    def _resolve_dense_box(
-        self, box: HyperRectangle, best: Optional[Row], emitted: set
-    ) -> Optional[Row]:
+    def _resolve_dense_box(self, box: HyperRectangle, best: Best) -> Best:
         """A box is dense (or too deep).  MD-RERANK crawls it without the user
         filters and indexes it; MD-BINARY crawls it with the filters and pays
         again next time."""
@@ -425,8 +403,8 @@ class MultiDimGetNext:
             self._statistics.record_dense_index_hit()
             if self._config.enable_session_cache:
                 self._session.remember(rows, self._engine.key_column)
-            return self._update_best(rows, best, emitted)
+            return self._update_best(rows, best)
         rows = self._crawl_box(box, with_base_filter=True)
         if self._config.enable_session_cache:
             self._session.remember(rows, self._engine.key_column)
-        return self._update_best(rows, best, emitted)
+        return self._update_best(rows, best)

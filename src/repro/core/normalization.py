@@ -17,7 +17,8 @@ Two ways of obtaining the ``(min, max)`` pair per attribute are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import RankingFunctionError
@@ -25,18 +26,26 @@ from repro.webdb.interface import TopKInterface
 from repro.webdb.query import SearchQuery
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinMaxNormalizer:
-    """Maps raw attribute values into ``[0, 1]`` given per-attribute bounds."""
+    """Maps raw attribute values into ``[0, 1]`` given per-attribute bounds.
 
-    bounds: Dict[str, Tuple[float, float]]
+    The bounds are copied into a read-only mapping at construction: they are
+    part of a feed's identity (``canonical_key``) and are compiled into every
+    ranking function built over this normalizer, so they must never change.
+    """
+
+    bounds: Mapping[str, Tuple[float, float]]
 
     def __post_init__(self) -> None:
+        frozen = {}
         for attribute, (lower, upper) in self.bounds.items():
             if lower > upper:
                 raise RankingFunctionError(
                     f"inverted normalization bounds for {attribute!r}"
                 )
+            frozen[attribute] = (lower, upper)
+        object.__setattr__(self, "bounds", MappingProxyType(frozen))
 
     def normalize(self, attribute: str, value: float) -> float:
         """Map ``value`` into ``[0, 1]`` (values outside the bounds clamp)."""

@@ -162,6 +162,9 @@ class OneDimGetNext:
         )
         self._frontier: Optional[float] = None  # oriented value of the last group
         self._exhausted = False
+        # A 1D ranking's score *is* the oriented value, so the heap's best
+        # candidate carries the free upper bound for the next value.
+        self._candidates = session.cached_candidates(base_query, ranking, engine.key_column)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -240,23 +243,11 @@ class OneDimGetNext:
         a free upper bound for the next value."""
         if not self._config.enable_session_cache:
             return None
-        lower, include_lower = self._frontier_lower()
-        frontier_score = -math.inf
-        candidates = self._session.cached_candidates(
-            self._base_query,
-            self._ranking,
-            frontier_score,
-            self._engine.key_column,
-        )
-        best: Optional[float] = None
-        for row in candidates:
-            value = self._oriented_value(row)
-            beyond = value > lower or (include_lower and value == lower)
-            if beyond and (best is None or value < best):
-                best = value
-        if best is not None:
-            self._statistics.record_cache_hit()
-        return best
+        best = self._candidates.best(*self._frontier_lower())
+        if best is None:
+            return None
+        self._statistics.record_cache_hit()
+        return best[0]
 
     # ------------------------------------------------------------------ #
     # Step 1: find the next oriented value
@@ -488,7 +479,6 @@ class OneDimGetNext:
     def _resolve_value_group(self, oriented_value: float) -> List[Row]:
         raw_value = self._axis.unorient(oriented_value)
         point = RangePredicate(self._axis.attribute, raw_value, raw_value)
-        emitted = self._session.emitted_key_set()
         key_column = self._engine.key_column
 
         rows: Optional[List[Row]] = None
@@ -519,7 +509,7 @@ class OneDimGetNext:
                 rows = [row for row in crawled if self._base_query.matches(row)]
         if self._config.enable_session_cache:
             self._session.remember(rows, key_column)
-        fresh = [dict(row) for row in rows if row[key_column] not in emitted]
+        fresh = [dict(row) for row in rows if not self._session.has_emitted(row[key_column])]
         fresh.sort(key=lambda row: str(row[key_column]))
         return fresh
 

@@ -8,6 +8,14 @@ answering this user's queries is retained so that
   web database again, and
 * tuples already returned to the user are never returned twice.
 
+The cache has two halves.  The session holds *what was seen*: a key→row
+dictionary (the current version of every tuple) beside an append-only log of
+those versions in arrival order.  Each Get-Next stream holds *what it may
+still emit*: a :class:`CandidateHeap` that reads the log through its own
+cursor, scores a row once — when it absorbs it — and keeps the candidates
+ordered, so "the best cached candidate" is a peek rather than a re-filter,
+re-score and re-sort of everything seen.
+
 The session also carries the emitted result history (the "top-h so far"), the
 pending queue used to emit tied tuples one at a time, and the per-request
 statistics shown in the UI's statistics panel.
@@ -15,10 +23,12 @@ statistics shown in the UI's statistics panel.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.functions import UserRankingFunction
 from repro.core.stats import RerankStatistics
@@ -37,24 +47,33 @@ class Session:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self._seen_tuples: Dict[object, Row] = {}
-        self._emitted_keys: List[object] = []
-        self._emitted_set: set = set()
-        self._pending: List[Row] = []
+        self._seen_log: List[Row] = []
+        self._emitted: set = set()
+        self._pending: Deque[Row] = deque()
         self.statistics = RerankStatistics()
         self.last_touched = self.created_at
 
     # ------------------------------------------------------------------ #
     # Seen-tuple cache
     # ------------------------------------------------------------------ #
+    def _hold(self, key: object, row: Mapping[str, object]) -> bool:
+        """Keep ``row`` as the current version of ``key`` (lock held).  A row
+        equal to the version already held is neither copied nor logged again,
+        so a held row's identity says "still current"; returns True for a key
+        never seen before."""
+        held = self._seen_tuples.get(key)
+        if held is not None and held == row:
+            return False
+        self._seen_tuples[key] = version = dict(row)
+        self._seen_log.append(version)
+        return held is None
+
     def remember(self, rows: Iterable[Mapping[str, object]], key_column: str) -> int:
         """Add rows to the seen-tuple cache; returns how many were new."""
         added = 0
         with self._lock:
             for row in rows:
-                key = row[key_column]
-                if key not in self._seen_tuples:
-                    added += 1
-                self._seen_tuples[key] = dict(row)
+                added += self._hold(row[key_column], row)
             self.last_touched = time.time()
         return added
 
@@ -63,37 +82,26 @@ class Session:
         with self._lock:
             return len(self._seen_tuples)
 
-    def cached_rows(self) -> List[Row]:
-        """Copy of every cached tuple."""
-        with self._lock:
-            return [dict(row) for row in self._seen_tuples.values()]
-
     def cached_candidates(
-        self,
-        query: SearchQuery,
-        ranking: UserRankingFunction,
-        frontier_score: float,
-        key_column: str,
-    ) -> List[Row]:
-        """Cached tuples that match ``query``, have not been emitted, and score
-        strictly beyond ``frontier_score`` or tie with it.
+        self, query: SearchQuery, ranking: UserRankingFunction, key_column: str
+    ) -> "CandidateHeap":
+        """The seen tuples a stream over ``(query, ranking)`` may still emit,
+        as a live ordered view — the acceleration the paper attributes to the
+        session cache.  One per Get-Next stream, taken when the stream is
+        built."""
+        return CandidateHeap(self, query, ranking, key_column)
 
-        These seed the best-known candidate before any external query is
-        issued — the acceleration the paper attributes to the session cache.
-        """
-        emitted = self.emitted_key_set()
-        candidates = []
+    def seen_since(self, cursor: int) -> List[Row]:
+        """The tuple versions logged at positions ``cursor`` and later, in
+        arrival order (shared references: readers must not mutate them)."""
         with self._lock:
-            rows = list(self._seen_tuples.values())
-        for row in rows:
-            if row[key_column] in emitted:
-                continue
-            if not query.matches(row):
-                continue
-            if ranking.score(row) >= frontier_score:
-                candidates.append(dict(row))
-        candidates.sort(key=ranking.sort_key(key_column))
-        return candidates
+            return self._seen_log[cursor:]
+
+    def is_candidate(self, key: object, row: Row) -> bool:
+        """True while ``row`` is the current version of ``key`` and has not
+        been returned to the user."""
+        with self._lock:
+            return key not in self._emitted and self._seen_tuples.get(key) is row
 
     # ------------------------------------------------------------------ #
     # Emission history
@@ -101,31 +109,20 @@ class Session:
     def mark_emitted(self, row: Mapping[str, object], key_column: str) -> None:
         """Record that ``row`` has been returned to the user."""
         with self._lock:
-            self._emitted_keys.append(row[key_column])
-            self._emitted_set.add(row[key_column])
-            self._seen_tuples[row[key_column]] = dict(row)
+            self._emitted.add(row[key_column])
+            self._hold(row[key_column], row)
             self.last_touched = time.time()
-
-    def emitted_keys(self) -> List[object]:
-        """Keys of the tuples already returned, in emission order."""
-        with self._lock:
-            return list(self._emitted_keys)
-
-    def emitted_key_set(self) -> set:
-        """Copy of the emitted keys as a set (O(1) membership for dedup)."""
-        with self._lock:
-            return set(self._emitted_set)
 
     def has_emitted(self, key: object) -> bool:
         """True when a tuple with ``key`` was already returned to the user —
-        the per-user dedup check replayed feed rows go through."""
+        the per-user dedup check every candidate row goes through."""
         with self._lock:
-            return key in self._emitted_set
+            return key in self._emitted
 
     def emitted_count(self) -> int:
         """Number of tuples returned so far (the ``h`` of top-h)."""
         with self._lock:
-            return len(self._emitted_keys)
+            return len(self._emitted)
 
     # ------------------------------------------------------------------ #
     # Pending queue (tied tuples of the current value/score group)
@@ -138,19 +135,7 @@ class Session:
     def pop_pending(self) -> Optional[Row]:
         """Pop the next queued row, or ``None``."""
         with self._lock:
-            if not self._pending:
-                return None
-            return self._pending.pop(0)
-
-    def pending_count(self) -> int:
-        """Number of queued rows."""
-        with self._lock:
-            return len(self._pending)
-
-    def clear_pending(self) -> None:
-        """Drop the pending queue (used when the ranking function changes)."""
-        with self._lock:
-            self._pending.clear()
+            return self._pending.popleft() if self._pending else None
 
     # ------------------------------------------------------------------ #
     def reset_for_new_request(self) -> None:
@@ -162,8 +147,7 @@ class Session:
         notion of "top-h so far" and its own statistics panel.
         """
         with self._lock:
-            self._emitted_keys.clear()
-            self._emitted_set.clear()
+            self._emitted.clear()
             self._pending.clear()
             self.statistics = RerankStatistics()
             self.last_touched = time.time()
@@ -185,7 +169,59 @@ class Session:
             return {
                 "session_id": self.session_id,
                 "seen_tuples": len(self._seen_tuples),
-                "emitted": len(self._emitted_keys),
+                "emitted": len(self._emitted),
                 "pending": len(self._pending),
                 "idle_seconds": time.time() - self.last_touched,
             }
+
+
+class CandidateHeap:
+    """One Get-Next stream's ordered view of its session's seen tuples.
+
+    The candidates of a stream are the seen tuples that match its filter
+    query, have not been emitted, and rank at or beyond its frontier.
+    :meth:`best` returns the first of them under ``(score, str(key))`` — the
+    row a stream may emit without asking the web database again.
+
+    Each logged version is filtered and scored once, when the heap absorbs
+    it.  An entry leaves the heap when it is found emitted, before the floor,
+    or superseded by a newer version of its key; within one request emission
+    is permanent, the floor only advances and a superseded version never
+    becomes current again, so an entry that left never has to come back.  A
+    heap therefore serves one request: a new request (whose emission history
+    starts empty) builds its own from the whole log.
+    """
+
+    def __init__(
+        self,
+        session: Session,
+        query: SearchQuery,
+        ranking: UserRankingFunction,
+        key_column: str,
+    ) -> None:
+        self._session = session
+        self._query = query
+        self._ranking = ranking
+        self._key_column = key_column
+        self._cursor = 0
+        #: ``(score, str(key), log position, row)``: the position keeps two
+        #: entries from ever being compared on their rows.
+        self._heap: List[Tuple[float, str, int, Row]] = []
+
+    def best(self, floor: float, inclusive: bool = True) -> Optional[Tuple[float, str, Row]]:
+        """``(score, str(key), row)`` of the best candidate scoring beyond
+        ``floor`` (or equal to it, when ``inclusive``), or ``None``.  ``floor``
+        must not decrease between calls."""
+        heap = self._heap
+        for row in self._session.seen_since(self._cursor):
+            if self._query.matches(row):
+                entry = (self._ranking.score(row), str(row[self._key_column]), self._cursor, row)
+                heapq.heappush(heap, entry)
+            self._cursor += 1
+        while heap:
+            score, key_text, _, row = heap[0]
+            beyond = score > floor or (inclusive and score == floor)
+            if beyond and self._session.is_candidate(row[self._key_column], row):
+                return score, key_text, row
+            heapq.heappop(heap)
+        return None

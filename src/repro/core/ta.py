@@ -20,12 +20,13 @@ direction its weight prefers.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
-from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
+from repro.core.functions import LinearRankingFunction, SingleAttributeRanking, weighted
 from repro.core.onedim import OneDimGetNext, OneDimVariant
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
@@ -86,8 +87,12 @@ class ThresholdAlgorithmGetNext:
             self._latest_value[attribute] = None
             self._stream_done[attribute] = False
 
-        #: Every tuple discovered through any stream, keyed by tuple id.
-        self._discovered: Dict[object, Row] = {}
+        #: Keys of every tuple discovered through any stream, and the heap of
+        #: ``(score, str(key), arrival, row)`` they were pushed on — scored on
+        #: discovery.  An entry found emitted or before the frontier is popped
+        #: for good: neither condition can revert within a request.
+        self._discovered: set = set()
+        self._candidates: List[Tuple[float, str, int, Row]] = []
         self._frontier_score = -math.inf
         self._exhausted = False
 
@@ -107,51 +112,35 @@ class ThresholdAlgorithmGetNext:
             self._exhausted = True
             self._statistics.record_get_next(returned=False)
             return None
-        self._frontier_score = self._ranking.score(best)
-        self._session.mark_emitted(best, self._engine.key_column)
+        self._frontier_score = best[0]
+        row = dict(best[3])
+        self._session.mark_emitted(row, self._engine.key_column)
         self._statistics.record_get_next(returned=True)
-        return best
+        return row
 
     # ------------------------------------------------------------------ #
-    def _is_eligible(self, row: Row, emitted: set) -> bool:
-        if row[self._engine.key_column] in emitted:
-            return False
-        if not self._base_query.matches(row):
-            return False
-        return self._ranking.score(row) >= self._frontier_score - _TOLERANCE
-
-    def _best_discovered(self, emitted: set) -> Optional[Row]:
-        # Compare candidates by reference and copy only the winner: the
-        # discovered map can hold thousands of rows (each Get-Next call scans
-        # it), and rows handed out by the dense-region index are shared
-        # immutable mappings that must not leak mutably to callers.
-        best: Optional[Row] = None
+    def _best_discovered(self) -> Optional[Tuple[float, str, int, Row]]:
+        """The best discovered tuple not yet returned and not before the
+        frontier (held by reference; only an emitted winner is copied)."""
+        heap = self._candidates
         key_column = self._engine.key_column
-        for row in self._discovered.values():
-            if not self._is_eligible(row, emitted):
-                continue
-            if best is None or (self._ranking.score(row), str(row[key_column])) < (
-                self._ranking.score(best),
-                str(best[key_column]),
-            ):
-                best = row
-        return dict(best) if best is not None else None
-
-    def _contribution(self, attribute: str, value: float) -> float:
-        weight = self._ranking.weight(attribute)
-        normalizer = self._ranking.normalizer
-        normalized = normalizer.normalize(attribute, value) if normalizer else value
-        return weight * normalized
+        floor = self._frontier_score - _TOLERANCE
+        while heap:
+            score, _, _, row = heap[0]
+            if score >= floor and not self._session.has_emitted(row[key_column]):
+                return heap[0]
+            heapq.heappop(heap)
+        return None
 
     def _threshold(self) -> Optional[float]:
         """Current TA threshold, or ``None`` until every live stream has
         produced at least one tuple."""
         total = 0.0
-        for attribute in self._ranking.attributes:
-            latest = self._latest_value[attribute]
+        for term in self._ranking.terms:
+            latest = self._latest_value[term[0]]
             if latest is None:
                 return None
-            total += self._contribution(attribute, latest)
+            total += weighted(term, latest)
         return total
 
     def _any_stream_done(self) -> bool:
@@ -159,7 +148,7 @@ class ThresholdAlgorithmGetNext:
         then enumerated every matching tuple, so nothing is undiscovered."""
         return any(self._stream_done.values())
 
-    def _advance_stream(self, attribute: str, emitted: set) -> None:
+    def _advance_stream(self, attribute: str) -> None:
         stream = self._streams[attribute]
         row = stream.next()
         if row is None:
@@ -169,19 +158,21 @@ class ThresholdAlgorithmGetNext:
         self._latest_value[attribute] = value
         key = row[self._engine.key_column]
         if key not in self._discovered:
-            self._discovered[key] = dict(row)
+            self._discovered.add(key)
+            if self._base_query.matches(row):
+                entry = (self._ranking.score(row), str(key), len(self._discovered), row)
+                heapq.heappush(self._candidates, entry)
         if self._config.enable_session_cache:
             self._session.remember([row], self._engine.key_column)
 
     # ------------------------------------------------------------------ #
-    def _find_next_tuple(self) -> Optional[Row]:
-        emitted = self._session.emitted_key_set()
-        best = self._best_discovered(emitted)
+    def _find_next_tuple(self) -> Optional[Tuple[float, str, int, Row]]:
+        best = self._best_discovered()
 
         while True:
             threshold = self._threshold()
             if best is not None and threshold is not None:
-                if self._ranking.score(best) <= threshold + _TOLERANCE:
+                if best[0] <= threshold + _TOLERANCE:
                     return best
             if self._any_stream_done():
                 # An exhausted stream has walked every matching tuple, so the
@@ -191,5 +182,5 @@ class ThresholdAlgorithmGetNext:
             # One round of sorted access: advance every live stream by one.
             for attribute in self._ranking.attributes:
                 if not self._stream_done[attribute]:
-                    self._advance_stream(attribute, emitted)
-            best = self._best_discovered(emitted)
+                    self._advance_stream(attribute)
+            best = self._best_discovered()

@@ -42,8 +42,8 @@ class TestRankingCanonicalKeys:
         assert ranking_canonical_key(a) == ranking_canonical_key(b)
 
     def test_normalizer_bounds_are_part_of_the_identity(self):
-        bounds_a = MinMaxNormalizer({"price": (0.0, 100.0)})
-        bounds_b = MinMaxNormalizer({"price": (0.0, 200.0)})
+        bounds_a = MinMaxNormalizer({"price": (0.0, 100.0), "carat": (0.0, 5.0)})
+        bounds_b = MinMaxNormalizer({"price": (0.0, 200.0), "carat": (0.0, 5.0)})
         a = LinearRankingFunction({"price": 1.0, "carat": -0.5}, normalizer=bounds_a)
         b = LinearRankingFunction({"price": 1.0, "carat": -0.5}, normalizer=bounds_b)
         assert ranking_canonical_key(a) != ranking_canonical_key(b)

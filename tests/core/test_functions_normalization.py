@@ -1,17 +1,24 @@
 """Tests for user ranking functions and min–max normalization."""
 
-import pytest
+import struct
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import contour
 from repro.core.functions import (
     LinearRankingFunction,
     SingleAttributeRanking,
     from_specification,
+    weighted,
 )
 from repro.core.normalization import (
     MinMaxNormalizer,
     discover_attribute_range,
     discovered_normalizer,
 )
+from repro.core.regions import HyperRectangle
 from repro.exceptions import RankingFunctionError
 from repro.webdb.query import SearchQuery
 
@@ -45,10 +52,6 @@ class TestSingleAttributeRanking:
         with pytest.raises(Exception):
             SingleAttributeRanking("shape").validate(diamond_schema_fixture)
 
-    def test_rank_rows_breaks_ties_on_key(self):
-        ranking = SingleAttributeRanking("price")
-        rows = [{"id": "b", "price": 1.0}, {"id": "a", "price": 1.0}]
-        assert [row["id"] for row in ranking.rank_rows(rows, "id")] == ["a", "b"]
 
 
 class TestLinearRankingFunction:
@@ -74,17 +77,12 @@ class TestLinearRankingFunction:
         ranking = LinearRankingFunction({"price": 1.0, "carat": -1.0}, normalizer=normalizer)
         assert ranking.score({"price": 50.0, "carat": 5.0}) == pytest.approx(-0.5)
 
-    def test_score_of_values_matches_score(self):
-        normalizer = MinMaxNormalizer({"price": (0.0, 100.0), "carat": (0.0, 5.0)})
-        ranking = LinearRankingFunction({"price": 1.0, "carat": -1.0}, normalizer=normalizer)
-        values = {"price": 30.0, "carat": 2.0}
-        assert ranking.score_of_values(values) == pytest.approx(ranking.score(values))
-
-    def test_restricted_to_single_attribute(self):
-        ranking = LinearRankingFunction({"price": 1.0, "carat": -0.5})
-        restricted = ranking.restricted_to("carat")
-        assert restricted.attributes == ("carat",)
-        assert restricted.weight("carat") == -0.5
+    def test_missing_bounds_fail_at_construction(self):
+        normalizer = MinMaxNormalizer({"price": (0.0, 100.0)})
+        with pytest.raises(RankingFunctionError, match="carat"):
+            LinearRankingFunction({"price": 1.0, "carat": -1.0}, normalizer=normalizer)
+        # A zero weight is dropped before the bounds are asked for.
+        LinearRankingFunction({"price": 1.0, "carat": 0.0}, normalizer=normalizer)
 
     def test_describe_renders_signs(self):
         text = LinearRankingFunction({"price": 1.0, "carat": -0.5}).describe()
@@ -143,6 +141,19 @@ class TestMinMaxNormalizer:
         with pytest.raises(RankingFunctionError):
             MinMaxNormalizer({"price": (10.0, 0.0)})
 
+    def test_bounds_are_frozen_at_construction(self):
+        source = {"price": (0.0, 100.0)}
+        normalizer = MinMaxNormalizer(source)
+        ranking = LinearRankingFunction({"price": 1.0}, normalizer=normalizer)
+        key = ranking.canonical_key()
+        source["price"] = (0.0, 1.0)
+        with pytest.raises(TypeError):
+            normalizer.bounds["price"] = (0.0, 1.0)
+        with pytest.raises(AttributeError):
+            normalizer.bounds = {}
+        assert normalizer.normalize("price", 50.0) == 0.5
+        assert ranking.score({"price": 50.0}) == 0.5 and ranking.canonical_key() == key
+
     def test_from_schema(self, diamond_schema_fixture):
         normalizer = MinMaxNormalizer.from_schema(diamond_schema_fixture, ["price", "carat"])
         assert normalizer.normalize("price", diamond_schema_fixture.domain_bounds("price")[0]) == 0.0
@@ -176,3 +187,87 @@ class TestDiscoveredRange:
         values = bluenile_db.attribute_values("carat")
         assert normalizer.normalize("carat", min(values)) == 0.0
         assert normalizer.normalize("carat", max(values)) == 1.0
+
+
+# --------------------------------------------------------------------------- #
+# The compiled kernel
+# --------------------------------------------------------------------------- #
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@st.composite
+def kernels(draw):
+    """``(weights, bounds or None, probe values per attribute)``: 1–4
+    attributes, bounds that may be degenerate, and probes inside, outside and
+    exactly on the bounds, plus ``-0.0``."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    magnitude = st.floats(min_value=1e-3, max_value=4.0, allow_nan=False)
+    finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    weights = {
+        name: draw(magnitude) * draw(st.sampled_from([1.0, -1.0])) for name in names
+    }
+    bounds = {}
+    for name in names:
+        lower = draw(finite)
+        upper = lower + draw(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)))
+        bounds[name] = (lower, upper)
+    probes = {
+        name: draw(st.one_of(finite, st.sampled_from([-0.0, 0.0, *bounds[name]])))
+        for name in names
+    }
+    return weights, draw(st.sampled_from([bounds, None])), probes
+
+
+def _textbook(weights, bounds, row) -> float:
+    total = 0.0
+    for name in sorted(weights):
+        value = float(row[name])
+        if bounds is not None:
+            lower, upper = bounds[name]
+            value = (
+                0.0 if upper == lower else min(max((value - lower) / (upper - lower), 0.0), 1.0)
+            )
+        total += weights[name] * value
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernels())
+def test_compiled_score_is_the_textbook_expression(kernel):
+    weights, bounds, row = kernel
+    normalizer = MinMaxNormalizer(bounds) if bounds is not None else None
+    ranking = LinearRankingFunction(weights, normalizer=normalizer)
+    expected = _textbook(weights, bounds, row)
+    assert ranking.score(row) == expected
+    assert _bits(ranking.score(row)) == _bits(expected)
+    # The per-term form (the TA threshold, the box corners) is the same sum.
+    total = 0.0
+    for term in ranking.terms:
+        total += weighted(term, row[term[0]])
+    assert _bits(total) == _bits(expected)
+    if normalizer is not None:
+        for name, weight, _, _ in ranking.terms:
+            assert _bits(weighted((name, weight, *bounds[name]), row[name])) == _bits(
+                weight * normalizer.normalize(name, row[name])
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernels(), kernels())
+def test_score_bounds_are_the_scores_of_two_corners(kernel, other):
+    weights, bounds, first = kernel
+    second = {name: other[2].get(name, 0.0) for name in weights}
+    ranking = LinearRankingFunction(
+        weights, normalizer=MinMaxNormalizer(bounds) if bounds is not None else None
+    )
+    sides = {name: tuple(sorted((first[name], second[name]))) for name in weights}
+    best, worst = {}, {}
+    for term in ranking.terms:
+        low, high = sides[term[0]]
+        # ``min``/``max`` keep their first argument on a tie.
+        best[term[0]] = high if weighted(term, high) < weighted(term, low) else low
+        worst[term[0]] = high if weighted(term, high) > weighted(term, low) else low
+    extremes = contour.score_bounds(ranking, HyperRectangle.from_bounds(sides))
+    assert _bits(extremes.minimum) == _bits(ranking.score(best))
+    assert _bits(extremes.maximum) == _bits(ranking.score(worst))

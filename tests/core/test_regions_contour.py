@@ -153,18 +153,6 @@ class TestScoreBounds:
                 score = function.score({"price": price, "carat": carat})
                 assert bounds.minimum - 1e-9 <= score <= bounds.maximum + 1e-9
 
-    def test_can_contain_better(self, box):
-        function = LinearRankingFunction({"price": 1.0, "carat": 1.0})
-        assert contour.can_contain_better(function, box, best_score=50.0)
-        assert not contour.can_contain_better(function, box, best_score=0.5)
-        assert contour.can_contain_better(function, box, best_score=math.inf)
-
-    def test_entirely_at_or_before_frontier(self, box):
-        function = LinearRankingFunction({"price": 1.0, "carat": 1.0})
-        assert contour.entirely_at_or_before_frontier(function, box, frontier_score=200.0)
-        assert not contour.entirely_at_or_before_frontier(function, box, frontier_score=10.0)
-        assert not contour.entirely_at_or_before_frontier(function, box, frontier_score=-math.inf)
-
 
 class TestContourCrossing:
     def test_crossing_bounds_the_better_region(self, box):
@@ -190,9 +178,3 @@ class TestContourCrossing:
         function = LinearRankingFunction({"price": 1.0, "carat": -1.0})
         trimmed = LinearRankingFunction({"price": 1.0})
         assert contour.contour_crossing(trimmed, HyperRectangle.from_bounds({"price": (0, 1)}), "price", 0.5) is not None
-
-    def test_frontier_gap(self):
-        function = LinearRankingFunction({"price": 1.0})
-        assert contour.frontier_gap(function, 1.0, 3.0) == 2.0
-        assert contour.frontier_gap(function, 3.0, 1.0) == 0.0
-        assert contour.frontier_gap(function, -math.inf, 1.0) == math.inf

@@ -32,44 +32,39 @@ class TestSession:
         ]
         session.remember(rows, "id")
         session.mark_emitted(rows[1], "id")  # b already shown
-        ranking = SingleAttributeRanking("price")
-        candidates = session.cached_candidates(
-            SearchQuery.everything(), ranking, frontier_score=-math.inf, key_column="id"
-        )
-        assert [row["id"] for row in candidates] == ["c", "a"]
+        heap = session.cached_candidates(SearchQuery.everything(), SingleAttributeRanking("price"), "id")
+        drained = []
+        while (best := heap.best(-math.inf)) is not None:
+            drained.append(best[2]["id"])
+            session.mark_emitted(best[2], "id")
+        assert drained == ["c", "a"]
 
     def test_cached_candidates_respects_query_and_frontier(self):
         session = Session("s1")
         session.remember(
             [{"id": "a", "price": 5.0}, {"id": "b", "price": 50.0}], "id"
         )
-        ranking = SingleAttributeRanking("price")
         query = SearchQuery.build(ranges={"price": (0.0, 10.0)})
-        candidates = session.cached_candidates(query, ranking, frontier_score=-math.inf, key_column="id")
-        assert [row["id"] for row in candidates] == ["a"]
-        candidates = session.cached_candidates(query, ranking, frontier_score=10.0, key_column="id")
-        assert candidates == []
+        heap = session.cached_candidates(query, SingleAttributeRanking("price"), "id")
+        assert heap.best(-math.inf) == (5.0, "a", {"id": "a", "price": 5.0})
+        assert heap.best(5.0, inclusive=False) is None
+        assert session.cached_candidates(query, SingleAttributeRanking("price"), "id").best(10.0) is None
 
     def test_emission_history(self):
         session = Session("s1")
         session.mark_emitted({"id": "a", "price": 1.0}, "id")
         session.mark_emitted({"id": "b", "price": 2.0}, "id")
-        assert session.emitted_keys() == ["a", "b"]
+        assert session.has_emitted("a") and session.has_emitted("b")
+        assert not session.has_emitted("c")
         assert session.emitted_count() == 2
 
     def test_pending_queue_fifo(self):
         session = Session("s1")
         session.push_pending([{"id": "a"}, {"id": "b"}])
-        assert session.pending_count() == 2
+        assert session.describe()["pending"] == 2
         assert session.pop_pending()["id"] == "a"
         assert session.pop_pending()["id"] == "b"
         assert session.pop_pending() is None
-
-    def test_clear_pending(self):
-        session = Session("s1")
-        session.push_pending([{"id": "a"}])
-        session.clear_pending()
-        assert session.pending_count() == 0
 
     def test_reset_for_new_request_keeps_cache(self):
         session = Session("s1")
@@ -80,7 +75,7 @@ class TestSession:
         session.reset_for_new_request()
         assert session.seen_count() == 1
         assert session.emitted_count() == 0
-        assert session.pending_count() == 0
+        assert session.pop_pending() is None
         assert session.statistics.get_next_calls == 0
 
     def test_describe_and_idle(self):

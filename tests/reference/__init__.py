@@ -6,12 +6,15 @@ what the production implementations (``IndexedColumnarEngine``, the interval
 They are substituted, never configured: a subclass overrides the one private
 construction hook (``HiddenWebDatabase._make_engine``,
 ``QueryReranker._make_dense_index``).  The third oracle, the pure-Python
-``"list"`` column layout, is ``ColumnarCatalog(backend="list")``.
+``"list"`` column layout, is ``ColumnarCatalog(backend="list")``; the fourth,
+``reference_candidates``, is the seed's sort-everything read of the session
+cache that each stream's ``CandidateHeap`` replaced.
 
 Importable as ``tests.reference`` with the repository root on ``sys.path``
 (``python -m pytest`` from the root, or ``PYTHONPATH=src:.``).
 """
 
+from tests.reference.candidates import reference_candidates
 from tests.reference.dense_index import NaiveDenseRegionIndex, NaiveIndexReranker
 from tests.reference.engine import (
     NaiveScanDatabase,
@@ -25,4 +28,5 @@ __all__ = [
     "NaiveScanDatabase",
     "NaiveScanEngine",
     "database_on_layout",
+    "reference_candidates",
 ]
