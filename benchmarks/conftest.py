@@ -1,15 +1,17 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-artifact benches.
 
 Every paper artifact (figure / demonstration scenario) has its own benchmark
 module; they all share one simulated environment so that numbers are
 comparable across benches.  The environment is scaled down from the full
-catalogs (``BENCH_SCALE``) to keep a full ``pytest benchmarks/
---benchmark-only`` run in the minutes range; pass ``--bench-scale 1.0`` for
-full-size catalogs.
+catalogs (``BENCH_SCALE``); pass ``--bench-scale 1.0`` for full-size
+catalogs.  ``pytest benchmarks/`` collects nothing (modules are named
+``bench_*.py``): run them by path.
 
 Each benchmark prints a small paper-style table (visible with ``-s`` or in the
 captured output section) and stores its headline numbers in
 ``benchmark.extra_info`` so they land in the pytest-benchmark JSON output.
+Request cost — latency, throughput, external queries per page, per-layer
+time — is not measured here but by ``benchmarks/request_path/``.
 """
 
 from __future__ import annotations

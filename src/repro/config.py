@@ -58,9 +58,9 @@ class DatabaseConfig:
     latency_sleep:
         Whether the simulated latency actually blocks the calling thread
         (``LatencyModel.realtime``) instead of merely being accounted for.
-        The serving-concurrency benchmarks enable this so that overlapping
-        external round trips across worker threads is observable in wall
-        clock, exactly like a remote web database.
+        Enable it so that overlapping external round trips across worker
+        threads are observable in wall clock, exactly like a remote web
+        database.
 
     :func:`repro.webdb.build.build_source` is the one consumer: it takes this
     object whole.  Copies are made with :func:`dataclasses.replace`.
@@ -122,11 +122,6 @@ class RerankConfig:
     result_cache_ttl_seconds:
         Lifetime of a cached result; ``None`` disables expiry (correct for
         the immutable simulated databases).
-    result_cache_containment:
-        Whether the result cache may answer a query from a stored *covering*
-        (valid/underflow) entry of a superset query by filtering its
-        rank-ordered rows — zero round trips for queries never issued
-        verbatim.  Exact-match caching still works with this off.
     enable_rerank_feed:
         Global switch for the shared rerank feed: sessions requesting the
         same canonical *(query, ranking, algorithm)* share one materialized
@@ -161,7 +156,6 @@ class RerankConfig:
     enable_result_cache: bool = True
     result_cache_size: int = 4096
     result_cache_ttl_seconds: Optional[float] = None
-    result_cache_containment: bool = True
     enable_rerank_feed: bool = True
     rerank_feed_size: int = 256
     rerank_feed_ttl_seconds: Optional[float] = None
@@ -177,7 +171,6 @@ class RerankConfig:
         return QueryResultCache(
             max_entries=self.result_cache_size,
             ttl_seconds=self.result_cache_ttl_seconds,
-            enable_containment=self.result_cache_containment,
         )
 
 

@@ -9,7 +9,9 @@ Two deployments are supported:
   exercised without opening sockets.
 * :func:`serve_database_over_socket` — the same application served over a real
   TCP socket using the standard library's ``http.server``, so the examples can
-  demonstrate a genuinely remote web database.
+  demonstrate a genuinely remote web database.  The socket adapter
+  (:func:`serve_application_over_socket`) is the one the QR2 JSON API is
+  served through as well.
 
 The exposed routes mirror what a deep-web search form provides:
 
@@ -84,14 +86,18 @@ class SearchHttpServer:
         )
 
 
-class _SocketHandler(BaseHTTPRequestHandler):
-    """Adapts ``http.server`` requests to the in-process application."""
+#: Largest POST body the socket adapter reads; a longer (or malformed)
+#: ``Content-Length`` is refused before a byte of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
-    application: SearchHttpServer  # set by serve_database_over_socket
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        request = HttpRequest.from_url("GET", self.path)
-        response = self.application.handle(request)
+class ApplicationSocketHandler(BaseHTTPRequestHandler):
+    """Adapts ``http.server`` requests onto an in-process application — any
+    object with ``handle(HttpRequest) -> HttpResponse``."""
+
+    application: object  # bound by serve_application_over_socket
+
+    def _respond(self, response: HttpResponse) -> None:
         body = response.body.encode("utf-8")
         self.send_response(response.status)
         for key, value in response.headers.items():
@@ -100,8 +106,41 @@ class _SocketHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        try:
+            request = HttpRequest.from_url("GET", self.path)
+        except Exception as exc:  # noqa: BLE001 - malformed request line
+            self._respond(HttpResponse.error(400, f"malformed request: {exc}"))
+            return
+        self._respond(self.application.handle(request))
+
+    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        # The length is checked before the read: ``read(-1)`` runs to EOF and
+        # an overstated length waits for bytes that never come, either of
+        # which would pin this thread until the client gives up.
+        declared = self.headers.get("content-length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._respond(HttpResponse.error(400, f"bad content-length: {declared!r}"))
+            return
+        if length > MAX_BODY_BYTES:
+            self._respond(
+                HttpResponse.error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            )
+            return
+        try:
+            body = self.rfile.read(length).decode("utf-8") if length else "{}"
+            request = HttpRequest(method="POST", path=self.path.split("?")[0], body=body)
+        except Exception as exc:  # noqa: BLE001 - malformed request/body
+            self._respond(HttpResponse.error(400, f"malformed request: {exc}"))
+            return
+        self._respond(self.application.handle(request))
+
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Silence per-request logging (the examples print their own stats)."""
+        """Silence per-request logging (callers print their own statistics)."""
 
 
 class SocketServerHandle:
@@ -129,21 +168,28 @@ class SocketServerHandle:
         self._thread.join(timeout=5.0)
 
 
-def serve_database_over_socket(
-    database: HiddenWebDatabase,
-    host: str = "127.0.0.1",
-    port: int = 0,
+def serve_application_over_socket(
+    application: object, host: str, port: int
 ) -> SocketServerHandle:
-    """Serve a hidden web database over a real TCP socket in a daemon thread.
+    """Serve an in-process application over a real TCP socket in a daemon
+    thread.
 
     ``port=0`` binds an ephemeral port; the chosen port is available from the
     returned handle.  The caller is responsible for calling ``shutdown()``.
     """
-    application = SearchHttpServer(database)
     handler_class = type(
-        "BoundSocketHandler", (_SocketHandler,), {"application": application}
+        "BoundSocketHandler", (ApplicationSocketHandler,), {"application": application}
     )
     server = ThreadingHTTPServer((host, port), handler_class)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return SocketServerHandle(server, thread)
+
+
+def serve_database_over_socket(
+    database: HiddenWebDatabase,
+    host: str = "127.0.0.1",
+    port: int = 0,
+) -> SocketServerHandle:
+    """Serve a hidden web database's search API over a real TCP socket."""
+    return serve_application_over_socket(SearchHttpServer(database), host, port)

@@ -34,8 +34,8 @@ missing execution layer between the HTTP boundary and :class:`QR2Service`:
 
 The open-loop load harness in :mod:`repro.workloads.loadgen` drives this tier
 with a Zipf-distributed query mix — the access pattern the shared rerank feed
-was designed for — and ``benchmarks/bench_serving_concurrency.py`` gates the
-throughput, byte-identity, and latency-SLO claims in CI.
+was designed for; ``tests/workloads/test_loadgen.py`` holds the byte-identity
+claim and ``benchmarks/request_path`` (``warm_follow``, ``tier.*``) the cost.
 """
 
 from __future__ import annotations

@@ -21,14 +21,16 @@ The same handler object also works in-process (without sockets) through
 
 from __future__ import annotations
 
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
-
 import math
+from typing import Optional
 
 from repro.exceptions import DeadlineExceededError, QR2Error, SourceUnavailableError
 from repro.httpsim.messages import HttpRequest, HttpResponse
+from repro.httpsim.server import (
+    ApplicationSocketHandler,
+    SocketServerHandle,
+    serve_application_over_socket,
+)
 from repro.service.app import QR2Service
 
 
@@ -123,81 +125,20 @@ class QR2HttpApplication:
         return HttpResponse.error(404, f"no route for {request.method} {request.path}")
 
 
-class _QR2SocketHandler(BaseHTTPRequestHandler):
-    """Adapts ``http.server`` requests onto the application object."""
-
-    application: QR2HttpApplication  # bound by serve_qr2_over_socket
-
-    def _respond(self, response: HttpResponse) -> None:
-        body = response.body.encode("utf-8")
-        self.send_response(response.status)
-        for key, value in response.headers.items():
-            self.send_header(key, value)
-        self.send_header("content-length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        try:
-            request = HttpRequest.from_url("GET", self.path)
-        except Exception as exc:  # noqa: BLE001 - malformed request line
-            self._respond(HttpResponse.error(400, f"malformed request: {exc}"))
-            return
-        self._respond(self.application.handle(request))
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        try:
-            length = int(self.headers.get("content-length", "0"))
-            body = self.rfile.read(length).decode("utf-8") if length else "{}"
-            request = HttpRequest(method="POST", path=self.path.split("?")[0], body=body)
-        except Exception as exc:  # noqa: BLE001 - malformed request/body
-            self._respond(HttpResponse.error(400, f"malformed request: {exc}"))
-            return
-        self._respond(self.application.handle(request))
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Silence per-request logging."""
-
-
-class QR2ServerHandle:
-    """Handle over a running QR2 socket server."""
-
-    def __init__(self, server: ThreadingHTTPServer, thread: threading.Thread) -> None:
-        self._server = server
-        self._thread = thread
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """``(host, port)`` the server is bound to."""
-        return self._server.server_address  # type: ignore[return-value]
-
-    @property
-    def base_url(self) -> str:
-        """Base URL of the server."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def shutdown(self) -> None:
-        """Stop the server and join its thread."""
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
+#: The socket handler serving this API: the shared adapter, under the name
+#: the request-path benchmark binds its ``wire`` span to.
+_QR2SocketHandler = ApplicationSocketHandler
 
 
 def serve_qr2_over_socket(
     application: Optional[QR2HttpApplication] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-) -> QR2ServerHandle:
+) -> SocketServerHandle:
     """Serve the QR2 JSON API on a real TCP socket in a daemon thread."""
-    application = application or QR2HttpApplication()
-    handler_class = type(
-        "BoundQR2Handler", (_QR2SocketHandler,), {"application": application}
+    return serve_application_over_socket(
+        application or QR2HttpApplication(), host, port
     )
-    server = ThreadingHTTPServer((host, port), handler_class)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return QR2ServerHandle(server, thread)
 
 
 def main() -> None:  # pragma: no cover - interactive entry point

@@ -180,13 +180,11 @@ class QueryResultCache:
         immutable, so the default service configuration runs without a TTL).
     clock:
         Monotonic time source, injectable for the TTL tests.
-    enable_containment:
-        When true (the default), a miss may be answered from a stored
-        *covering* (valid/underflow) entry of a superset query by filtering
-        its rank-ordered rows through the subset query's predicates (status
-        ``CONTAINED``).  Overflow entries are truncated and never answer
-        subsets.  Disable to fall back to exact-match-only behaviour (the
-        ablation benchmarks do).
+
+    A miss may be answered from a stored *covering* (valid/underflow) entry
+    of a superset query by filtering its rank-ordered rows through the subset
+    query's predicates (status ``CONTAINED``).  Overflow entries are
+    truncated and never answer subsets.
     """
 
     def __init__(
@@ -194,7 +192,6 @@ class QueryResultCache:
         max_entries: int = 4096,
         ttl_seconds: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
-        enable_containment: bool = True,
     ) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
@@ -203,7 +200,6 @@ class QueryResultCache:
         self._max_entries = max_entries
         self._ttl = ttl_seconds
         self._clock = clock
-        self._containment = enable_containment
         self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._inflight: Dict[CacheKey, _InFlight] = {}
@@ -248,11 +244,6 @@ class QueryResultCache:
         """Entry lifetime, or ``None`` when entries never expire."""
         return self._ttl
 
-    @property
-    def containment_enabled(self) -> bool:
-        """True when covering superset entries may answer subset queries."""
-        return self._containment
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -274,7 +265,6 @@ class QueryResultCache:
             )
         payload["max_entries"] = self._max_entries
         payload["ttl_seconds"] = self._ttl
-        payload["containment_enabled"] = self._containment
         return payload
 
     # ------------------------------------------------------------------ #
@@ -837,11 +827,8 @@ class QueryResultCache:
         observation — and repeats of the subset query become exact hits.
         Cache-bypassing callers (the crawler) pass ``memoize=False``: their
         effectively unique queries would only churn the LRU.  Returns
-        ``None`` when containment is disabled or no live covering superset
-        exists.
+        ``None`` when no live covering superset exists.
         """
-        if not self._containment:
-            return None
         candidates = self._covering.get((namespace, system_k))
         if not candidates:
             return None

@@ -4,7 +4,7 @@ The seed implementation answered every top-k query with a pure-Python scan
 over dictionary rows — per-row ``isinstance`` checks, ``dict.get`` lookups,
 and a ``dict(row)`` copy per hit.  That contract-first simplicity survives as
 ``tests/reference/engine.py``'s ``NaiveScanEngine``, the oracle the
-differential tests and the throughput benchmark compare against.
+differential tests and the catalog-scale benchmark compare against.
 
 :class:`IndexedColumnarEngine` answers the same queries over the columnar
 structures of :class:`~repro.webdb.indexes.ColumnarCatalog`.  A query is

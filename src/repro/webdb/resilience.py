@@ -22,7 +22,7 @@ through those faults:
   breaker, the guard stage of a :class:`~repro.webdb.stack.SourceStack`.
 
 Delays are charged in simulated time (and against the deadline), never slept:
-the chaos benchmarks gate on deterministic counters, not wall clock.
+the chaos tests assert deterministic counters, not wall clock.
 """
 
 from __future__ import annotations

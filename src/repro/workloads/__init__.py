@@ -12,7 +12,6 @@ from repro.workloads.scenarios import (
 from repro.workloads.experiments import (
     ExperimentResult,
     run_best_worst_cases,
-    run_cache_reuse,
     run_fig2_parallelism,
     run_fig4_statistics,
     run_onthefly_indexing,
@@ -46,5 +45,4 @@ __all__ = [
     "run_scenario_suite",
     "run_onthefly_indexing",
     "run_best_worst_cases",
-    "run_cache_reuse",
 ]

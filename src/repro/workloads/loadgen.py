@@ -11,7 +11,7 @@ the ``handle(HttpRequest) -> HttpResponse`` shape:
   session picks one query template by Zipf rank, submits it, and pages
   through ``pages_per_session`` Get-Next results.
 * :func:`replay_sequential` executes the trace one request at a time — the
-  serialized baseline the concurrency benchmarks compare against.
+  serialized baseline concurrent runs are compared against.
 * :func:`run_open_loop` executes it open-loop: session *arrivals* follow the
   trace's schedule regardless of completions (the workload-generation model
   of discrete-event service simulation), while requests *within* a session
@@ -21,9 +21,8 @@ the ``handle(HttpRequest) -> HttpResponse`` shape:
 
 Both runners return a :class:`LoadResult` recording per-request latencies,
 status counts, wall-clock throughput, and a canonical page signature used by
-``benchmarks/bench_serving_concurrency.py`` to assert that concurrent
-execution serves **byte-identical pages** to a sequential replay of the same
-trace.
+``tests/workloads/test_loadgen.py`` to assert that concurrent execution serves
+**byte-identical pages** to a sequential replay of the same trace.
 """
 
 from __future__ import annotations
@@ -424,32 +423,3 @@ def run_open_loop(application, trace: LoadTrace) -> LoadResult:
         thread.join()
     result.wall_seconds = time.perf_counter() - t0_holder[0]
     return result
-
-
-def collect_cache_metrics(service) -> Dict[str, object]:
-    """Feed and result-cache hit counters per source, for load reports."""
-    metrics: Dict[str, object] = {}
-    registry = service.registry
-    for name in registry.names():
-        reranker = registry.get(name).reranker
-        entry: Dict[str, object] = {}
-        feed_store = reranker.feed_store
-        if feed_store is not None:
-            snapshot = feed_store.snapshot()
-            entry["feed"] = {
-                "feeds": snapshot.get("feeds"),
-                "leaders": snapshot.get("leaders"),
-                "followers": snapshot.get("followers"),
-                "replayed_tuples": snapshot.get("replayed_tuples"),
-            }
-        result_cache = reranker.result_cache
-        if result_cache is not None:
-            snapshot = result_cache.snapshot()
-            entry["result_cache"] = {
-                "hits": snapshot.get("hits"),
-                "misses": snapshot.get("misses"),
-                "contained": snapshot.get("contained"),
-                "hit_rate": snapshot.get("hit_rate"),
-            }
-        metrics[name] = entry
-    return metrics

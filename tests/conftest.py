@@ -13,7 +13,9 @@ import threading
 import pytest
 
 from repro.config import RerankConfig
-from repro.core.reranker import QueryReranker
+from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
+from repro.core.normalization import MinMaxNormalizer
+from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.diamonds import (
     DiamondCatalogConfig,
     diamond_schema,
@@ -25,6 +27,7 @@ from repro.dataset.housing import (
     housing_schema,
 )
 from repro.webdb.database import HiddenWebDatabase
+from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import AttributeOrderRanking, FeaturedScoreRanking
 
 
@@ -120,6 +123,39 @@ def bluenile_reranker(bluenile_db, rerank_config) -> QueryReranker:
 def zillow_reranker(zillow_db, rerank_config) -> QueryReranker:
     """A fresh reranker (fresh dense index) over the Zillow fixture."""
     return QueryReranker(zillow_db, config=rerank_config)
+
+
+def draw_request(rng, schema):
+    """One drawn reranking request for the randomized differentials:
+    ``(ranking, algorithm, query)`` — a 1D or weighted 2D ranking, an
+    algorithm that serves it, and a filter window on one rankable attribute."""
+    rankable = list(schema.rankable_names)
+    if rng.random() < 0.5:
+        ranking = SingleAttributeRanking(rng.choice(rankable), ascending=rng.random() < 0.5)
+        algorithm = rng.choice([Algorithm.BINARY, Algorithm.RERANK])
+    else:
+        chosen = rng.sample(rankable, 2)
+        ranking = LinearRankingFunction(
+            {name: rng.choice([-1.0, -0.5, 0.5, 1.0]) for name in chosen},
+            normalizer=MinMaxNormalizer.from_schema(schema, chosen),
+        )
+        algorithm = rng.choice([Algorithm.RERANK, Algorithm.TA])
+    attribute = rng.choice(rankable)
+    lower, upper = schema.domain_bounds(attribute)
+    span = upper - lower
+    window = (lower + rng.uniform(0.0, 0.3) * span, upper - rng.uniform(0.0, 0.3) * span)
+    return ranking, algorithm, SearchQuery.build(ranges={attribute: window})
+
+
+def page_through(reranker, request, pages=2, page_size=5):
+    """Serve one session of a drawn request: ``(pages, external_queries)``."""
+    ranking, algorithm, query = request
+    stream = reranker.rerank(query, ranking, algorithm=algorithm)
+    try:
+        rows = [[dict(row) for row in stream.next_page(page_size)] for _ in range(pages)]
+        return rows, stream.statistics.external_queries
+    finally:
+        stream.close()
 
 
 def query_threads(before=()):

@@ -17,11 +17,15 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
+from repro.core.functions import SingleAttributeRanking
 from repro.core.regions import HyperRectangle
+from repro.core.reranker import Algorithm, QueryReranker
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.query import RangePredicate, SearchQuery
-from tests.reference import NaiveDenseRegionIndex
+from tests.conftest import page_through
+from tests.reference import NaiveDenseRegionIndex, NaiveIndexReranker
 
 INDEXES = {"interval": DenseRegionIndex, "naive": NaiveDenseRegionIndex}
 
@@ -181,6 +185,36 @@ def test_interval_counters_match_structure(diamond_schema_fixture):
         description = interval.describe()
         assert description["regions"] == sum(description["per_signature"].values())
     assert interval.region_count() == sum(interval.describe()["per_signature"].values())
+
+
+def test_region_heavy_rerank_matches_reference_index_end_to_end(bluenile_db):
+    """1D-RERANK over nested and shifted windows around the big
+    ``length_width_ratio = 1.0`` cluster, with an eager density threshold so
+    the shared index accumulates overlapping regions (feed off: repeats must
+    reach the index, not a replay).  Same pages under both indexes, and the
+    interval index — coalescing can only remove crawls — issues no more
+    external queries than the linear reference."""
+    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+    windows = [(0.995, 1.6), (0.99, 1.2), (0.995, 1.3), (1.05, 1.5), (1.15, 1.8), (1.0, 1.45)]
+    config = RerankConfig(dense_ratio_threshold=0.02, enable_rerank_feed=False)
+    runs = {}
+    for impl, reranker_class in (("naive", NaiveIndexReranker), ("interval", QueryReranker)):
+        reranker = reranker_class(bluenile_db, config=config)
+        served = [
+            page_through(
+                reranker,
+                (ranking, Algorithm.RERANK, SearchQuery.build(ranges={"length_width_ratio": window})),
+                pages=1,
+                page_size=10,
+            )
+            for window in windows * 2
+        ]
+        assert reranker.dense_index.describe()["impl"] == impl
+        assert reranker.dense_index.region_count() >= 1
+        runs[impl] = ([pages for pages, _ in served], sum(cost for _, cost in served))
+        reranker.close()
+    assert runs["interval"][0] == runs["naive"][0]
+    assert runs["interval"][1] <= runs["naive"][1]
 
 
 @pytest.mark.parametrize("impl", ["interval", "naive"])

@@ -1,5 +1,6 @@
 """Tests for the shared rerank feed: leader/follower Get-Next sharing."""
 
+import random
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.stats import RerankStatistics
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.query import SearchQuery
+from tests.conftest import draw_request, page_through
 
 
 RANKING = SingleAttributeRanking("carat", ascending=False)
@@ -64,6 +66,32 @@ class TestRankingCanonicalKeys:
                 return "opaque"
 
         assert ranking_canonical_key(Opaque()) is None
+
+
+# --------------------------------------------------------------------------- #
+# Feed on vs feed off, over drawn requests
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("seed", [1, 3, 11, 2018, 20180416])
+def test_feed_on_off_differential(seed, bluenile_db, zillow_db):
+    """Replay is replay, not approximation: three sessions of a drawn
+    (source, ranking, algorithm, filter) request page identically with the
+    feed on and off, and the feed's followers issue no external query."""
+    rng = random.Random(seed)
+    database = rng.choice([bluenile_db, zillow_db])
+    request = draw_request(rng, database.schema)
+    shared = QueryReranker(database, config=RerankConfig())
+    control = QueryReranker(database, config=RerankConfig(enable_rerank_feed=False))
+    try:
+        fed = [page_through(shared, request) for _ in range(3)]
+        unfed = [page_through(control, request) for _ in range(3)]
+        store = shared.feed_store.snapshot()
+    finally:
+        shared.close()
+        control.close()
+    assert [pages for pages, _ in fed] == [pages for pages, _ in unfed]
+    assert fed[0][0][0], "the drawn window matches nothing"
+    assert [queries for _, queries in fed[1:]] == [0, 0]
+    assert (store["feeds"], store["followers"]) == (1, 2)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """Tests for the QR2 JSON HTTP API (in-process and over a real socket)."""
 
 import json
+import socket
 
 import pytest
 
@@ -128,3 +129,26 @@ class TestSocketDeployment:
             assert len(payload["rows"]) == 3
         finally:
             handle.shutdown()
+
+    @pytest.mark.parametrize(
+        "declared, status", [("-1", 400), ("abc", 400), ("999999999", 413)]
+    )
+    def test_bad_content_length_is_refused_before_the_read(
+        self, application, capsys, declared, status
+    ):
+        """An unreadable length gets its 4xx at once — no handler thread
+        parked on the socket, no request executed after the client left."""
+        sessions = len(application.service._sessions)
+        handle = serve_qr2_over_socket(application)
+        try:
+            with socket.create_connection(handle.address, timeout=1.0) as raw:
+                raw.sendall(
+                    b"POST /qr2/sessions HTTP/1.1\r\nHost: qr2\r\n"
+                    + f"Content-Length: {declared}\r\n\r\n{{}}".encode("ascii")
+                )
+                reply = raw.recv(4096)
+        finally:
+            handle.shutdown()
+        assert reply.split(b"\r\n", 1)[0].split()[1] == str(status).encode("ascii")
+        assert len(application.service._sessions) == sessions
+        assert "Traceback" not in capsys.readouterr().err

@@ -115,17 +115,6 @@ class TestContainmentAnswering:
         assert [row["id"] for row in probe[0].rows] == [row["id"] for row in fresh.rows]
         assert probe[0].outcome is fresh.outcome
 
-    def test_containment_disabled_falls_back_to_exact_match(self, bluenile_db):
-        cache = QueryResultCache(enable_containment=False)
-        wide, wide_result = _find_valid_query(bluenile_db)
-        cache.store("bn", wide, bluenile_db.system_k, wide_result)
-        predicate = wide.ranges[0]
-        narrow = SearchQuery.build(
-            ranges={predicate.attribute: (predicate.lower, predicate.upper - 1e-9)}
-        )
-        assert cache.probe("bn", narrow, bluenile_db.system_k) is None
-        assert not cache.containment_enabled
-
     def test_evicted_covering_entry_stops_answering(self, bluenile_db):
         cache = QueryResultCache(max_entries=1)
         wide, wide_result = _find_valid_query(bluenile_db)

@@ -292,7 +292,7 @@ def test_warm_restart_after_delta_replays_survivors():
     assert store.entry_count() == saved - pruned
 
     survivors, _ = cache.export_snapshot()
-    fresh = type(cache)(enable_containment=True)
+    fresh = type(cache)()
     loaded = store.load(fresh)
     assert loaded == store.entry_count() == len(survivors)
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.config import DatabaseConfig
+from repro.config import DatabaseConfig, RerankConfig
+from repro.core.reranker import QueryReranker
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError, SchemaError
@@ -19,6 +20,7 @@ from repro.webdb.interface import Outcome
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
 from repro.webdb.stack import SourceStack
+from tests.conftest import draw_request, page_through
 
 
 RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
@@ -271,6 +273,35 @@ SKEW_SCHEMA = Schema(
         Attribute.numeric("weight", 0, 10),
     ),
 )
+
+
+@pytest.mark.parametrize(
+    "shards, by, seed",
+    [(2, "rank", 612), (2, "price", 41), (4, "rank", 5), (4, "price", 20180612)],
+)
+def test_reranker_over_federation_matches_unsharded(
+    diamond_catalog, diamond_schema_fixture, reference_db, shards, by, seed
+):
+    """The algorithms cannot see the shard layer: a drawn request pages
+    identically over a federation and costs exactly the unsharded session's
+    external queries."""
+    request = draw_request(random.Random(seed), diamond_schema_fixture)
+    config = RerankConfig()
+    cache = config.make_result_cache()
+    federation = make_federation(
+        diamond_catalog, diamond_schema_fixture, shards=shards, by=by, result_cache=cache
+    )
+    unsharded = QueryReranker(reference_db, config=config)
+    sharded = QueryReranker(federation, config=config, result_cache=cache)
+    try:
+        expected_pages, expected_queries = page_through(unsharded, request)
+        pages, queries = page_through(sharded, request)
+    finally:
+        unsharded.close()
+        sharded.close()
+    assert pages == expected_pages and pages[0]
+    assert queries == expected_queries > 0
+    assert federation.describe()["shard_queries"] >= queries
 
 
 def skewed_catalog() -> ColumnTable:

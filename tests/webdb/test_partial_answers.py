@@ -138,6 +138,42 @@ class TestDegradedScatter:
         assert snapshot["degraded_scatters"] == 0
 
 
+@pytest.mark.parametrize("seed", [31, 47, 2018])
+def test_chaos_run_is_a_pure_function_of_the_plan_seed(
+    diamond_catalog, diamond_schema_fixture, seed
+):
+    """Rebuilding the federation from the same ``FaultPlan`` and replaying
+    the same scatter trace lands on the same fault draws: per-shard schedule
+    positions, fault counts and the per-query degradation profile."""
+    plan = FaultPlan(seed=seed, transient_rate=0.35)
+    trace = [
+        SearchQuery.build(ranges={"price": (300.0, 900.0 + 150.0 * i)}) for i in range(20)
+    ]
+
+    def run():
+        federation = make_federation(
+            diamond_catalog,
+            diamond_schema_fixture,
+            fault_plan=plan,
+            resilience=ResilienceConfig(max_attempts=2, breaker_failure_threshold=100),
+            clock=FakeClock(),
+        )
+        answers = [federation.search(query) for query in trace]
+        return (
+            [(answer.degraded, tuple(answer.missing_shards)) for answer in answers],
+            [
+                (injector.schedule_index, injector.fault_counts())
+                for injector in federation.fault_injectors()
+            ],
+        )
+
+    first, second = run(), run()
+    assert first == second
+    profile, shards = first
+    assert any(degraded for degraded, _ in profile), "the plan never bit"
+    assert all(counts.get("transient", 0) > 0 for _, counts in shards)
+
+
 class TestDegradedNeverCached:
     def test_fetch_does_not_store_degraded_results(self, bluenile_db):
         cache = QueryResultCache()

@@ -8,8 +8,6 @@ from repro.workloads.experiments import (
     default_1d_scenarios,
     default_md_scenarios,
     run_best_worst_cases,
-    run_feed_differential,
-    run_feed_reuse,
     run_fig2_parallelism,
     run_fig4_statistics,
     run_onthefly_indexing,
@@ -146,28 +144,3 @@ class TestHarness:
         results = run_scenario_suite(scenarios, [Algorithm.RERANK], environment, depth=2)
         row = results[0].as_row()
         assert {"scenario", "algorithm", "queries", "seconds"} <= set(row)
-
-
-class TestFeedHarness:
-    def test_feed_reuse_shape_and_invariants(self, environment):
-        output = run_feed_reuse(environment, sessions=3, pages=2, page_size=4)
-        assert set(output) == {"bluenile", "zillow"}
-        for payload in output.values():
-            assert payload["leader_queries"] > 0
-            assert payload["follower_queries"] == [0, 0]
-            assert payload["pages_match"]
-            assert payload["replayed_tuples"] == 2 * 2 * 4
-            assert payload["median_speedup"] > 1.0
-            store = payload["feed_store"]
-            assert store["feeds"] == 1
-            assert store["followers"] == 2
-
-    def test_feed_differential_matches_and_is_free_for_followers(self, environment):
-        output = run_feed_differential(
-            environment, trials=2, sessions=2, pages=2, page_size=4
-        )
-        assert output["all_match"]
-        assert len(output["trials"]) == 2
-        for trial in output["trials"]:
-            assert trial["pages_match"]
-            assert trial["follower_queries"] == [0]
