@@ -72,7 +72,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 2. Start QR2: a third-party service that only knows the site's URL.
     # ------------------------------------------------------------------ #
-    remote_interface = RemoteTopKInterface(HttpClient(UrllibTransport(site.base_url)))
+    transport = UrllibTransport(site.base_url)  # keeps its connection to the site
+    remote_interface = RemoteTopKInterface(HttpClient(transport))
     registry = DataSourceRegistry()
     registry.register(
         DataSource(
@@ -126,6 +127,7 @@ def main() -> None:
         )
     finally:
         qr2.shutdown()
+        transport.close()
         site.shutdown()
         print("\nservers stopped.")
 

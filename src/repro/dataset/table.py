@@ -256,28 +256,37 @@ class ColumnTable:
     # ------------------------------------------------------------------ #
     def to_text(self, max_rows: int = 20, float_format: str = "{:.2f}") -> str:
         """Render the table as a fixed-width text grid."""
-        shown = self.to_rows()[:max_rows]
-        rendered: List[List[str]] = []
-        for row in shown:
-            cells = []
-            for name in self.columns:
-                value = row[name]
-                if isinstance(value, float):
-                    cells.append(float_format.format(value))
-                else:
-                    cells.append(str(value))
-            rendered.append(cells)
-        headers = [str(name) for name in self.columns]
-        widths = [len(header) for header in headers]
-        for cells in rendered:
-            for i, cell in enumerate(cells):
-                widths[i] = max(widths[i], len(cell))
-        lines = [
-            "  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)),
-            "  ".join("-" * widths[i] for i in range(len(headers))),
+        return format_grid(
+            self.columns,
+            self.to_rows()[:max_rows],
+            hidden_rows=len(self) - max_rows,
+            float_format=float_format,
+        )
+
+
+def format_grid(
+    columns: Sequence[str],
+    rows: Sequence[Mapping[str, object]],
+    hidden_rows: int = 0,
+    float_format: str = "{:.2f}",
+) -> str:
+    """Fixed-width text grid of ``rows`` under a header of ``columns``, with a
+    trailer line when ``hidden_rows`` more are not shown.  Works on the row
+    dictionaries a result page already holds — no table is built."""
+    headers = [str(name) for name in columns]
+    grid = [
+        [
+            float_format.format(value) if isinstance(value, float) else str(value)
+            for value in map(row.__getitem__, columns)
         ]
-        for cells in rendered:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)))
-        if len(self) > max_rows:
-            lines.append(f"... ({len(self) - max_rows} more rows)")
-        return "\n".join(lines)
+        for row in rows
+    ]
+    widths = [max(map(len, cells)) for cells in zip(headers, *grid)]
+    lines = [
+        "  ".join(map(str.ljust, headers, widths)),
+        "  ".join("-" * width for width in widths),
+    ]
+    lines += ["  ".join(map(str.ljust, cells, widths)) for cells in grid]
+    if hidden_rows > 0:
+        lines.append(f"... ({hidden_rows} more rows)")
+    return "\n".join(lines)

@@ -13,12 +13,12 @@ parameterized by a *transport* so the same client code can talk to
 
 from __future__ import annotations
 
+import http.client
+import threading
 import time
-import urllib.error
-import urllib.request
 from abc import ABC, abstractmethod
-from typing import Callable, Mapping, Optional
-from urllib.parse import urlencode
+from typing import Callable, List, Mapping, Optional
+from urllib.parse import urlencode, urlsplit
 
 from repro.exceptions import RemoteInterfaceError
 from repro.httpsim.messages import HttpRequest, HttpResponse
@@ -44,30 +44,66 @@ class InProcessTransport(Transport):
 
 
 class UrllibTransport(Transport):
-    """Transport that performs real HTTP requests with ``urllib``."""
+    """Transport that performs real HTTP requests over persistent
+    connections: one ``http.client`` connection per calling thread (the
+    per-source ``qr2-query`` pool is the only multi-threaded caller), so an
+    external query costs a round trip, not a TCP handshake and a round trip."""
 
     def __init__(self, base_url: str, timeout_seconds: float = 10.0) -> None:
         self._base_url = base_url.rstrip("/")
         self._timeout = timeout_seconds
+        parts = urlsplit(self._base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
+        self._connections: List[http.client.HTTPConnection] = []  # every thread's
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._netloc, timeout=self._timeout)
+            self._local.connection = connection
+            self._connections.append(connection)
+        return connection
+
+    def close(self) -> None:
+        """Close every thread's kept connection (a later ``send`` reconnects)."""
+        for connection in list(self._connections):
+            connection.close()
+
+    def _round_trip(self, target: str) -> HttpResponse:
+        connection = self._connection()
+        connection.request("GET", target)  # connects if the socket is closed
+        raw = connection.getresponse()
+        body = raw.read().decode("utf-8")
+        headers = {key.lower(): value for key, value in raw.headers.items()}
+        return HttpResponse(status=raw.status, headers=headers, body=body)
 
     def send(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":
             raise RemoteInterfaceError(
                 f"UrllibTransport only supports GET, got {request.method}"
             )
-        url = self._base_url + request.path
+        target = self._prefix + request.path
         if request.query_params:
-            url = f"{url}?{urlencode(dict(request.query_params))}"
+            target = f"{target}?{urlencode(dict(request.query_params))}"
         try:
-            with urllib.request.urlopen(url, timeout=self._timeout) as raw:
-                body = raw.read().decode("utf-8")
-                headers = {key.lower(): value for key, value in raw.headers.items()}
-                return HttpResponse(status=raw.status, headers=headers, body=body)
-        except urllib.error.HTTPError as exc:
-            body = exc.read().decode("utf-8") if exc.fp is not None else ""
-            return HttpResponse(status=exc.code, headers={}, body=body)
-        except urllib.error.URLError as exc:
-            raise RemoteInterfaceError(f"could not reach {url}: {exc.reason}") from exc
+            try:
+                return self._round_trip(target)
+            except (http.client.RemoteDisconnected, ConnectionError):
+                # The server closed the kept connection since its last use
+                # (idle timeout, restart), which shows only now: one
+                # reconnect is part of reusing it.  The GETs are idempotent.
+                self._connection().close()
+                return self._round_trip(target)
+        except (OSError, http.client.HTTPException) as exc:
+            self._connection().close()
+            raise RemoteInterfaceError(
+                f"could not reach {self._base_url}{target}: {exc}"
+            ) from exc
 
 
 class HttpClient:

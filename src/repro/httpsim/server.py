@@ -26,9 +26,10 @@ GET       /api/meta              database name, size, and system-k
 
 from __future__ import annotations
 
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Set, Tuple
 
 from repro.exceptions import QueryError, SchemaError, WireFormatError
 from repro.httpsim import wire
@@ -90,21 +91,65 @@ class SearchHttpServer:
 #: ``Content-Length`` is refused before a byte of the body is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a persistent connection may sit between requests before its
+#: handler thread closes it.  A caller that keeps one ``http.client``
+#: connection does not retry a reply-less request, so this must dwarf any
+#: pause between two of its requests.
+IDLE_TIMEOUT_SECONDS = 60.0
+
 
 class ApplicationSocketHandler(BaseHTTPRequestHandler):
     """Adapts ``http.server`` requests onto an in-process application — any
-    object with ``handle(HttpRequest) -> HttpResponse``."""
+    object with ``handle(HttpRequest) -> HttpResponse``.
+
+    Connections are persistent (HTTP/1.1): one handler thread serves every
+    request of its connection, so a caller that keeps its socket pays the TCP
+    connect, the accept and the thread start once.  Every reply therefore
+    carries an exact ``Content-Length``, and a reply that leaves request
+    bytes unread closes the connection."""
 
     application: object  # bound by serve_application_over_socket
 
-    def _respond(self, response: HttpResponse) -> None:
+    protocol_version = "HTTP/1.1"
+    # Headers and body leave as two segments; without TCP_NODELAY the second
+    # waits ~40 ms on Nagle's algorithm against the peer's delayed ACK.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_SECONDS
+
+    def parse_request(self) -> bool:
+        # ``shutdown()`` wakes an idle handler with EOF, but a request that
+        # reached the socket first is still read: drop it unanswered (the
+        # stdlib's "already dealt with" return), so that nothing is served
+        # once ``shutdown()`` has returned.
+        if self.server.closing:
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def _respond(self, response: HttpResponse, body_read: int = 0) -> None:
+        """Write ``response``.  ``body_read`` is how many request-body bytes
+        the handler consumed: when the request declared anything else, what
+        it did send is still in the stream and would be parsed as the next
+        request line, so the connection closes instead.  It also closes once
+        the server is shutting down."""
         body = response.body.encode("utf-8")
         self.send_response(response.status)
         for key, value in response.headers.items():
             self.send_header(key, value)
         self.send_header("content-length", str(len(body)))
+        if self.server.closing or not self._declared_exactly(body_read):
+            # ``send_header`` also sets ``close_connection`` on this one.
+            self.send_header("connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _declared_exactly(self, body_read: int) -> bool:
+        if "transfer-encoding" in self.headers:
+            return False
+        try:
+            return int(self.headers.get("content-length", "0")) == body_read
+        except ValueError:
+            return False
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         try:
@@ -137,16 +182,55 @@ class ApplicationSocketHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - malformed request/body
             self._respond(HttpResponse.error(400, f"malformed request: {exc}"))
             return
-        self._respond(self.application.handle(request))
+        self._respond(self.application.handle(request), body_read=length)
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Silence per-request logging (callers print their own statistics)."""
 
 
+class _ConnectionTrackingServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that knows its open connections.
+
+    The stdlib runs handlers as untracked daemon threads; with persistent
+    connections one of them sits in ``readline()`` on every idle connection
+    and would outlive the server by the idle timeout."""
+
+    def __init__(self, address: Tuple[str, int], handler_class: type) -> None:
+        super().__init__(address, handler_class)
+        self._lock = threading.Lock()
+        self._open: Set[socket.socket] = set()
+        self.connections_accepted = 0
+        self.closing = False
+
+    def process_request(self, request, client_address) -> None:  # type: ignore[no-untyped-def]
+        with self._lock:
+            self._open.add(request)
+            self.connections_accepted += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:  # type: ignore[no-untyped-def]
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection: a handler waiting for the next request
+        reads EOF and exits; one mid-request still writes its reply (marked
+        ``Connection: close``) first."""
+        with self._lock:
+            self.closing = True
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer or the handler already closed it
+
+
 class SocketServerHandle:
     """Handle over a background socket server (host, port, and shutdown)."""
 
-    def __init__(self, server: ThreadingHTTPServer, thread: threading.Thread) -> None:
+    def __init__(self, server: _ConnectionTrackingServer, thread: threading.Thread) -> None:
         self._server = server
         self._thread = thread
 
@@ -161,9 +245,17 @@ class SocketServerHandle:
         host, port = self.address
         return f"http://{host}:{port}"
 
+    @property
+    def connections_accepted(self) -> int:
+        """TCP connections accepted so far (requests on a reused connection
+        do not count)."""
+        return self._server.connections_accepted
+
     def shutdown(self) -> None:
-        """Stop the server and join its thread."""
+        """Stop accepting, end every open connection (so no handler thread
+        is left parked on an idle one) and join the server thread."""
         self._server.shutdown()
+        self._server.close_connections()
         self._server.server_close()
         self._thread.join(timeout=5.0)
 
@@ -180,8 +272,11 @@ def serve_application_over_socket(
     handler_class = type(
         "BoundSocketHandler", (ApplicationSocketHandler,), {"application": application}
     )
-    server = ThreadingHTTPServer((host, port), handler_class)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server = _ConnectionTrackingServer((host, port), handler_class)
+    # ``shutdown()`` waits for the accept loop to notice it, one poll at most.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     return SocketServerHandle(server, thread)
 

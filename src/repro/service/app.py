@@ -28,7 +28,7 @@ from repro.core.functions import UserRankingFunction, from_specification
 from repro.core.getnext import GetNextStream
 from repro.core.reranker import Algorithm
 from repro.core.session import Session
-from repro.dataset.table import ColumnTable
+from repro.dataset.table import format_grid
 from repro.exceptions import QueryError, SessionError
 from repro.service.popular import popular_functions
 from repro.service.sliders import ranking_from_sliders
@@ -440,18 +440,13 @@ class QR2Service:
                 self._degraded_pages += 1
         request.pages_served += 1
         columns = request.source.result_columns or request.source.schema.columns()
-        table = (
-            ColumnTable.from_rows(rows, columns=columns)
-            if rows
-            else ColumnTable.empty(columns)
-        )
         return {
             "session_id": session_id,
             "source": request.source.name,
             "page": request.pages_served,
             "page_size": request.page_size,
             "rows": [{name: row[name] for name in columns} for row in rows],
-            "rendered": table.to_text(max_rows=request.page_size),
+            "rendered": format_grid(columns, rows),
             "exhausted": request.stream.exhausted,
             "degraded": degraded,
             "statistics": self._statistics_panel(request),

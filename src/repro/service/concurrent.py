@@ -8,15 +8,19 @@ million-user workload a burst either piles onto the GIL unboundedly or — worse
 missing execution layer between the HTTP boundary and :class:`QR2Service`:
 
 :class:`ConcurrentServingTier`
-    A fixed worker pool with a **bounded admission queue**.  Requests beyond
-    the configured depth are rejected immediately with
+    A fixed number of execution slots with a **bounded admission queue**.
+    Requests beyond the configured depth are rejected immediately with
     :class:`~repro.exceptions.ServiceOverloadedError` (the HTTP layer maps
     this to ``429``), following standard load-shedding practice: a full queue
     means the client should back off, not wait unboundedly.  Admitted work is
     **serialized per session** — two requests carrying the same serialization
     key never run concurrently or out of submission order, while requests for
-    distinct sessions spread across all workers.  ``drain()`` stops admission
-    and waits for in-flight work; ``close()`` drains, stops the workers, and
+    distinct sessions spread across all slots.  A slot is taken either by the
+    caller itself (``execute``: the session is idle and a slot is free, so
+    the request runs on the thread that brought it) or by a pool worker
+    (``submit``, and ``execute`` whenever it has to wait).  ``drain()`` stops
+    admission and waits for in-flight work; ``close()`` drains, stops the
+    workers, and
     stops the background **session reaper** (a timer thread running
     :meth:`QR2Service.expire_idle_sessions` so idle sessions are retired
     without manual call sites) and the background **feed warmer** (a timer
@@ -45,6 +49,7 @@ import uuid
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from functools import partial
 from time import monotonic
 from typing import Callable, Deque, Dict, List, Optional
 
@@ -69,10 +74,15 @@ class ConcurrentServingTier:
     """Worker pool with bounded admission and per-key serialization.
 
     Scheduling invariant: a key appears in the ready queue exactly when it has
-    pending jobs and no worker is currently executing one of its jobs.  A
+    pending jobs and no thread is currently executing one of its jobs.  A
     worker takes one job per dispatch; on completion it re-enqueues the key if
     more jobs arrived meanwhile.  That gives FIFO execution per key (never two
     jobs of one key in flight) while distinct keys fan out across the pool.
+
+    A caller of :meth:`execute` runs its own job when the key is idle and
+    fewer than ``workers`` jobs are running; it then counts as a running job
+    exactly as a pool worker does (one ``_running``), so at most ``workers``
+    jobs run at any time whichever thread carries them.
     """
 
     def __init__(
@@ -113,6 +123,8 @@ class ConcurrentServingTier:
         self._closed = False
         self._rejected = 0
         self._completed = 0
+        self._ran_inline = 0
+        self._running = 0
         self._max_in_flight = 0
         self._reaped_sessions = 0
         self._warming_runs = 0
@@ -154,8 +166,22 @@ class ConcurrentServingTier:
     # ------------------------------------------------------------------ #
     # Admission
     # ------------------------------------------------------------------ #
+    def _admit_locked(self) -> None:
+        """Refuse or count one unit of work; the condition is held."""
+        if self._draining or self._stopped:
+            self._rejected += 1
+            raise ServiceOverloadedError("serving tier is shutting down")
+        if self._admitted >= self._depth:
+            self._rejected += 1
+            raise ServiceOverloadedError(
+                f"admission queue full ({self._admitted} of {self._depth} in flight)"
+            )
+        self._admitted += 1
+        self._max_in_flight = max(self._max_in_flight, self._admitted)
+
     def submit(self, fn: Callable[[], object], key: Optional[str] = None) -> "Future[object]":
-        """Admit one unit of work, serialized against other work of ``key``.
+        """Admit one unit of work for the pool, serialized against other work
+        of ``key``.
 
         ``key=None`` assigns a unique key (no serialization constraint).
         Raises :class:`ServiceOverloadedError` when the admission queue is at
@@ -165,31 +191,49 @@ class ConcurrentServingTier:
             key = f"anon:{uuid.uuid4().hex}"
         job = _Job(fn)
         with self._cond:
-            if self._draining or self._stopped:
-                self._rejected += 1
-                raise ServiceOverloadedError("serving tier is shutting down")
-            if self._admitted >= self._depth:
-                self._rejected += 1
-                raise ServiceOverloadedError(
-                    f"admission queue full ({self._admitted} of {self._depth} in flight)"
-                )
-            self._admitted += 1
-            self._max_in_flight = max(self._max_in_flight, self._admitted)
+            self._admit_locked()
             queue = self._queues.get(key)
             if queue is None:
                 # No pending or running job for this key: schedule it.
                 self._queues[key] = deque([job])
                 self._ready.append(key)
             else:
-                # A job of this key is pending or running; the worker that
+                # A job of this key is pending or running; the thread that
                 # finishes it will re-enqueue the key.
                 queue.append(job)
             self._cond.notify()
         return job.future
 
     def execute(self, fn: Callable[[], object], key: Optional[str] = None) -> object:
-        """``submit`` and wait for the result (re-raising the job's error)."""
-        return self.submit(fn, key=key).result()
+        """Run ``fn`` under the tier's bounds and return its result
+        (re-raising its error).
+
+        Admission is ``submit``'s.  When no job of ``key`` is pending or
+        running and a slot is free, ``fn`` runs on the calling thread — no
+        queue, wake-up or ``Future`` between the caller and its own request;
+        otherwise the job is queued for the pool and the caller waits."""
+        if key is None:
+            key = f"anon:{uuid.uuid4().hex}"
+        with self._cond:
+            if key in self._queues or self._running >= self._worker_count:
+                # Queued in this same critical section (the condition's lock
+                # is re-entrant), so the decision and the admission are one
+                # step and same-key order is the order of arrival here.
+                future = self.submit(fn, key=key)
+            else:
+                self._admit_locked()
+                # An empty queue entry is what marks the key busy.
+                self._queues[key] = deque()
+                self._running += 1
+                future = None
+        if future is not None:
+            return future.result()
+        try:
+            return fn()
+        finally:
+            with self._cond:
+                self._ran_inline += 1
+                self._finish_locked(key)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -247,6 +291,7 @@ class ConcurrentServingTier:
                 "in_flight": self._admitted,
                 "max_in_flight": self._max_in_flight,
                 "completed": self._completed,
+                "ran_inline": self._ran_inline,
                 "rejected": self._rejected,
                 "reaped_sessions": self._reaped_sessions,
                 "warming_runs": self._warming_runs,
@@ -270,15 +315,16 @@ class ConcurrentServingTier:
     def _worker_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._ready and not self._stopped:
+                while not (self._ready and self._running < self._worker_count):
+                    if self._stopped and not self._ready:
+                        return
                     self._cond.wait()
-                if self._stopped and not self._ready:
-                    return
                 key = self._ready.popleft()
                 job = self._queues[key].popleft()
+                self._running += 1
                 # The (possibly now empty) queue entry stays in the map while
                 # the job runs: its presence is what routes later same-key
-                # submits away from the ready queue.
+                # work away from the ready queue.
             try:
                 result = job.fn()
             except BaseException as exc:  # noqa: BLE001 - forwarded to caller
@@ -286,13 +332,21 @@ class ConcurrentServingTier:
             else:
                 job.future.set_result(result)
             with self._cond:
-                self._admitted -= 1
-                self._completed += 1
-                if self._queues[key]:
-                    self._ready.append(key)
-                else:
-                    del self._queues[key]
-                self._cond.notify_all()
+                self._finish_locked(key)
+
+    def _finish_locked(self, key: str) -> None:
+        """Completion bookkeeping of one job of ``key``, inline or pooled."""
+        self._running -= 1
+        self._admitted -= 1
+        self._completed += 1
+        if self._queues[key]:
+            self._ready.append(key)
+        else:
+            del self._queues[key]
+        # Idle workers wait on this condition: wake them only for work they
+        # can take now, or for ``drain`` watching the count fall.
+        if self._ready or self._draining:
+            self._cond.notify_all()
 
     def _reaper_loop(self, interval: float) -> None:
         while not self._reaper_stop.wait(interval):
@@ -325,7 +379,12 @@ class ConcurrentQR2Application:
     Exposes the same ``handle`` signature, so it serves over a socket through
     :func:`~repro.service.httpapp.serve_qr2_over_socket` unchanged —
     ``ThreadingHTTPServer`` gives one thread per connection, and this object
-    funnels those threads through the bounded worker pool."""
+    holds those threads to the tier's bounds.  A request runs on its
+    connection's own thread (``tier.execute``) unless its session is busy or
+    every slot is taken.  With ``request_deadline_seconds`` set every request
+    goes to the pool instead: only a job on a second thread can be abandoned
+    at the deadline, and that is the one reason the pool path remains the
+    front end's."""
 
     def __init__(
         self,
@@ -353,10 +412,14 @@ class ConcurrentQR2Application:
 
     # ------------------------------------------------------------------ #
     def handle(self, request: HttpRequest) -> HttpResponse:
-        """Admit, schedule, and execute one request on the worker pool."""
+        """Admit and execute one request within the tier's bounds."""
         key = self._serialization_key(request)
+        deadline = self._deadline
+        run = partial(self._inner.handle, request)
         try:
-            future = self._tier.submit(lambda: self._inner.handle(request), key=key)
+            if deadline is None:
+                return self._tier.execute(run, key=key)  # type: ignore[return-value]
+            return self._tier.submit(run, key=key).result(timeout=deadline)  # type: ignore[return-value]
         except ServiceOverloadedError as exc:
             return HttpResponse.json_response(
                 {"error": str(exc), "retry": True},
@@ -365,9 +428,6 @@ class ConcurrentQR2Application:
                 # HTTP client honors it before its next attempt.
                 headers={"retry-after": "1"},
             )
-        deadline = self._deadline
-        try:
-            return future.result(timeout=deadline)  # type: ignore[return-value]
         except FutureTimeoutError:
             # Distinct from 429: the request *was* admitted, the service just
             # could not answer in time.  The job keeps its worker until it

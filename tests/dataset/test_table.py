@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.dataset.table import ColumnTable
+from repro.dataset.table import ColumnTable, format_grid
 from repro.exceptions import SchemaError
+from tests.reference import reference_text_grid
 
 
 @pytest.fixture()
@@ -160,3 +161,25 @@ class TestRendering:
     def test_to_text_truncates(self, table):
         text = table.to_text(max_rows=2)
         assert "more rows" in text
+
+    @pytest.mark.parametrize("max_rows", [0, 2, 4, 20])
+    def test_text_grid_is_byte_identical_to_the_table_round_trip(self, table, max_rows):
+        rows, columns = table.to_rows(), table.columns
+        expected = reference_text_grid(columns, rows, max_rows=max_rows)
+        assert table.to_text(max_rows=max_rows) == expected
+        assert (
+            format_grid(columns, rows[:max_rows], hidden_rows=len(rows) - max_rows)
+            == expected
+        )
+
+    def test_text_grid_of_mixed_cells_and_of_no_rows(self):
+        columns = ["id", "price", "beds", "wide header", "flag"]
+        rows = [
+            {"id": "a", "price": 1234.5678, "beds": 3, "wide header": "x", "flag": True},
+            {"id": "long-identifier", "price": -0.004, "beds": 12, "wide header": "", "flag": None},
+        ]
+        assert format_grid(columns, rows) == reference_text_grid(columns, rows)
+        assert format_grid(columns, []) == reference_text_grid(columns, [])
+        assert format_grid(columns, rows, float_format="{:.0f}") == reference_text_grid(
+            columns, rows, float_format="{:.0f}"
+        )

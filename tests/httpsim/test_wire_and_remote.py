@@ -178,3 +178,40 @@ class TestSocketServer:
             assert len(result.rows) > 0
         finally:
             handle.shutdown()
+
+    def test_searches_reuse_one_connection_and_survive_a_server_restart(self, bluenile_db):
+        """The third party's own calls keep their connection: N searches are
+        one accept, and a connection the server side closed in between (here
+        a restart on the same port) costs one transparent reconnect."""
+        query = SearchQuery.build(ranges={"price": (500, 5000)})
+        handle = serve_database_over_socket(bluenile_db)
+        transport = UrllibTransport(handle.base_url, timeout_seconds=2.0)
+        restarted = None
+        try:
+            client = HttpClient(transport, max_retries=0)
+            remote = RemoteTopKInterface(client)  # discovery: schema and meta
+            first = [row["id"] for row in remote.search(query).rows]
+            for _ in range(4):
+                assert [row["id"] for row in remote.search(query).rows] == first
+            assert handle.connections_accepted == 1
+            port = handle.address[1]
+            handle.shutdown()
+            restarted = serve_database_over_socket(bluenile_db, port=port)
+            assert [row["id"] for row in remote.search(query).rows] == first
+            assert [row["id"] for row in remote.search(query).rows] == first
+            assert restarted.connections_accepted == 1
+            assert client.retries == 0
+        finally:
+            transport.close()
+            handle.shutdown()
+            if restarted is not None:
+                restarted.shutdown()
+
+    def test_unreachable_server_is_a_remote_interface_error(self, bluenile_db):
+        handle = serve_database_over_socket(bluenile_db)
+        transport = UrllibTransport(handle.base_url, timeout_seconds=1.0)
+        assert transport.send(HttpRequest.get("/api/meta")).ok
+        assert transport.send(HttpRequest.get("/api/nothing")).status == 404
+        handle.shutdown()
+        with pytest.raises(RemoteInterfaceError, match="could not reach"):
+            transport.send(HttpRequest.get("/api/meta"))

@@ -8,7 +8,9 @@ construction hook (``HiddenWebDatabase._make_engine``,
 ``QueryReranker._make_dense_index``).  The third oracle, the pure-Python
 ``"list"`` column layout, is ``ColumnarCatalog(backend="list")``; the fourth,
 ``reference_candidates``, is the seed's sort-everything read of the session
-cache that each stream's ``CandidateHeap`` replaced.
+cache that each stream's ``CandidateHeap`` replaced; the fifth,
+``reference_text_grid``, is the table round trip that rendered a page's text
+grid before ``format_grid`` read the page's rows directly.
 
 Importable as ``tests.reference`` with the repository root on ``sys.path``
 (``python -m pytest`` from the root, or ``PYTHONPATH=src:.``).
@@ -21,6 +23,7 @@ from tests.reference.engine import (
     NaiveScanEngine,
     database_on_layout,
 )
+from tests.reference.text_grid import reference_text_grid
 
 __all__ = [
     "NaiveDenseRegionIndex",
@@ -29,4 +32,5 @@ __all__ = [
     "NaiveScanEngine",
     "database_on_layout",
     "reference_candidates",
+    "reference_text_grid",
 ]

@@ -12,6 +12,7 @@ from repro.service.app import QR2Service
 from repro.service.sources import DataSourceRegistry, build_default_registry
 from repro.webdb.faults import FaultPlan
 from tests.conftest import query_threads
+from tests.reference import reference_text_grid
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,24 @@ class TestQueryFlow:
         session_id = service.create_session()
         response = service.submit_query(session_id, "bluenile", sliders={"price": 1.0})
         assert "price" in response["rendered"]
+
+    def test_rendered_is_byte_identical_to_the_table_round_trip(self, registry, service):
+        """Every page, down to the empty one past exhaustion, renders as the
+        ``ColumnTable.from_rows(rows).to_text()`` it used to be built by."""
+        source = registry.get("bluenile")
+        columns = source.result_columns or source.schema.columns()
+        session_id = service.create_session()
+        page = service.submit_query(
+            session_id, "bluenile", filters={"ranges": {"carat": (3.0, 5.0)}},
+            sliders={"price": -1.0, "carat": 0.5}, page_size=4,
+        )  # fmt: skip
+        pages = [page]
+        while page["rows"]:
+            page = service.get_next_page(session_id)
+            pages.append(page)
+        assert len(pages) >= 3
+        for page in pages:
+            assert page["rendered"] == reference_text_grid(columns, page["rows"], max_rows=4)
 
     def test_exhausted_flag_on_small_result(self, service):
         session_id = service.create_session()

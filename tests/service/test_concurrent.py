@@ -1,7 +1,9 @@
 """Tests for the concurrent serving tier (worker pool, admission control,
 per-session serialization, drain, reaper) and the 500-hardened HTTP layer."""
 
+import http.client
 import json
+import sys
 import threading
 import time
 
@@ -185,6 +187,186 @@ class TestDrainAndShutdown:
         assert app.handle(HttpRequest.get("/qr2/sources")).status == 429
 
 
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.002)
+
+
+def in_thread(target):
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestCallerRuns:
+    """``execute`` runs the job on the calling thread when its key is idle
+    and a slot is free — under the same bounds as the pool."""
+
+    def test_idle_key_and_free_slot_run_on_the_calling_thread(self, registry):
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=4)
+        try:
+            assert tier.execute(threading.get_ident, key="a") == threading.get_ident()
+            snapshot = tier.snapshot()
+            assert (snapshot["completed"], snapshot["ran_inline"]) == (1, 1)
+            assert list(snapshot)[4:6] == ["completed", "ran_inline"]
+            with pytest.raises(ZeroDivisionError):
+                tier.execute(lambda: 1 / 0, key="a")
+            assert tier.snapshot()["in_flight"] == 0  # a failed inline job is finished too
+        finally:
+            tier.close()
+
+    def test_mixed_inline_and_queued_jobs_of_one_key_keep_submission_order(self, registry):
+        tier = ConcurrentServingTier(make_service(registry), workers=4, queue_depth=16)
+        order, threads_used = [], {}
+        release = threading.Event()
+
+        def job(index, gate=None):
+            def run():
+                if gate is not None:
+                    assert gate.wait(timeout=5.0)
+                order.append(index)
+                threads_used[index] = threading.current_thread().name
+                return index
+
+            return run
+
+        try:
+            callers = [in_thread(lambda: tier.execute(job(0, release), key="s"))]  # inline
+            wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+            queued = [tier.submit(job(1), key="s")]
+            callers.append(in_thread(lambda: tier.execute(job(2), key="s")))  # key busy: queued
+            wait_until(lambda: tier.snapshot()["in_flight"] == 3)
+            queued.append(tier.submit(job(3), key="s"))
+            assert order == []
+            release.set()
+            assert [future.result(timeout=5.0) for future in queued] == [1, 3]
+            for caller in callers:
+                caller.join(timeout=5.0)
+                assert not caller.is_alive()
+            assert tier.execute(job(4), key="s") == 4  # idle again: inline
+            assert order == [0, 1, 2, 3, 4]
+            assert [threads_used[i].startswith("qr2-worker") for i in range(5)] == [
+                False, True, True, True, False,
+            ]  # fmt: skip
+            snapshot = tier.snapshot()
+            assert (snapshot["completed"], snapshot["ran_inline"]) == (5, 2)
+        finally:
+            release.set()
+            tier.close()
+
+    def test_inline_and_pooled_jobs_share_the_running_bound(self, registry):
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
+        lock = threading.Lock()
+        running = peak = 0
+        release = threading.Event()
+
+        def job():
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            assert release.wait(timeout=5.0)
+            with lock:
+                running -= 1
+
+        try:
+            callers = [in_thread(lambda i=i: tier.execute(job, key=f"k{i}")) for i in range(4)]
+            wait_until(lambda: tier.snapshot()["in_flight"] == 4)
+            time.sleep(0.05)  # time for a third job to start, were the bound not shared
+            assert running == 2
+            release.set()
+            for caller in callers:
+                caller.join(timeout=5.0)
+                assert not caller.is_alive()
+            snapshot = tier.snapshot()
+            assert peak == 2
+            assert (snapshot["completed"], snapshot["ran_inline"]) == (4, 2)
+            assert snapshot["max_in_flight"] == 4
+        finally:
+            release.set()
+            tier.close()
+
+    def test_drain_waits_for_an_inline_job(self, registry):
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
+        release = threading.Event()
+        try:
+            caller = in_thread(lambda: tier.execute(lambda: release.wait(timeout=5.0), key="a"))
+            wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+            assert tier.drain(timeout=0.05) is False
+            release.set()
+            assert tier.drain(timeout=5.0) is True
+            caller.join(timeout=5.0)
+            assert not caller.is_alive()
+            assert tier.snapshot()["ran_inline"] == 1
+        finally:
+            release.set()
+            tier.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])  # 1: refused on the queued path; 2: inline
+    def test_full_queue_refuses_execute_before_running(self, registry, workers):
+        tier = ConcurrentServingTier(make_service(registry), workers=workers, queue_depth=1)
+        release = threading.Event()
+        ran = []
+        try:
+            caller = in_thread(lambda: tier.execute(lambda: release.wait(timeout=5.0), key="a"))
+            wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+            with pytest.raises(ServiceOverloadedError):
+                tier.execute(lambda: ran.append("b"), key="b")
+            assert ran == [] and tier.snapshot()["rejected"] == 1
+            release.set()
+            caller.join(timeout=5.0)
+            assert not caller.is_alive()
+        finally:
+            release.set()
+            tier.close()
+
+    def test_bounds_hold_under_contention(self, registry):
+        """More callers than slots and keys, a shortened switch interval:
+        a lost update to the shared running count or a key's busy mark
+        would show as two jobs of one key, or three jobs, at once."""
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=64)
+        lock = threading.Lock()
+        active = []
+        violations = []
+
+        def job(key):
+            def run():
+                with lock:
+                    if key in active or len(active) >= 2:
+                        violations.append((key, list(active)))
+                    active.append(key)
+                time.sleep(0)  # yield while counted as running
+                with lock:
+                    active.remove(key)
+
+            return run
+
+        def caller(lane):
+            for index in range(40):
+                key = f"k{(lane + index) % 3}"
+                if index % 4 == 3:
+                    tier.submit(job(key), key=key).result(timeout=10.0)
+                else:
+                    tier.execute(job(key), key=key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [in_thread(lambda lane=lane: caller(lane)) for lane in range(8)]
+            for thread in callers:
+                thread.join(timeout=20.0)
+                assert not thread.is_alive()
+            snapshot = tier.snapshot()
+            assert violations == []
+            assert (snapshot["completed"], snapshot["in_flight"], snapshot["rejected"]) == (320, 0, 0)
+            assert 0 < snapshot["ran_inline"] < 320
+        finally:
+            sys.setswitchinterval(interval)
+            tier.close()
+
+
 class TestSessionReaper:
     def test_reaper_expires_idle_sessions_without_manual_calls(self, registry):
         service = make_service(registry, session_ttl_seconds=0.0)
@@ -335,6 +517,48 @@ class TestConcurrentServiceSafety:
             )
             assert len(payload["rows"]) == 3
         finally:
+            handle.shutdown()
+            app.close(close_service=False)
+
+    def test_a_session_over_one_connection_costs_one_accept_and_one_thread(self):
+        """The machine-independent guard on the warm page's transport and
+        hand-off: five requests on one ``http.client`` connection are one
+        accepted connection, no thread beyond the first request's, and each
+        runs on that connection's own handler thread, not on a pool worker."""
+        app = ConcurrentQR2Application(make_service(make_registry()))
+        ran_on = []
+        inner_handle = app._inner.handle
+
+        def recording(request):
+            ran_on.append(threading.current_thread())
+            return inner_handle(request)
+
+        app._inner.handle = recording  # type: ignore[method-assign]
+        handle = serve_qr2_over_socket(app)
+        connection = http.client.HTTPConnection(*handle.address, timeout=5.0)
+        try:
+            def post(path, payload):
+                connection.request("POST", path, body=json.dumps(payload))
+                response = connection.getresponse()
+                assert response.status == 200
+                return json.loads(response.read())
+
+            session_id = post("/qr2/sessions", {})["session_id"]
+            threads_after_first = threading.active_count()
+            pages = [post(
+                "/qr2/query",
+                {"session_id": session_id, "source": "zillow", "sliders": {"price": 1.0}, "page_size": 3},
+            )]  # fmt: skip
+            pages += [post("/qr2/next", {"session_id": session_id}) for _ in range(3)]
+            assert [page["page"] for page in pages] == [1, 2, 3, 4]
+            assert handle.connections_accepted == 1
+            assert threading.active_count() == threads_after_first
+            assert len(ran_on) == 5 and len(set(ran_on)) == 1
+            assert not ran_on[0].name.startswith("qr2-worker")
+            snapshot = app.tier.snapshot()
+            assert (snapshot["completed"], snapshot["ran_inline"]) == (5, 5)
+        finally:
+            connection.close()
             handle.shutdown()
             app.close(close_service=False)
 

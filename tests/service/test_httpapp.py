@@ -1,7 +1,10 @@
 """Tests for the QR2 JSON HTTP API (in-process and over a real socket)."""
 
+import http.client
 import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -152,3 +155,74 @@ class TestSocketDeployment:
         assert reply.split(b"\r\n", 1)[0].split()[1] == str(status).encode("ascii")
         assert len(application.service._sessions) == sessions
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestPersistentConnections:
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            ("POST /qr2/sessions HTTP/1.1\r\nContent-Length: -1", 400),
+            ("POST /qr2/sessions HTTP/1.1\r\nContent-Length: abc", 400),
+            ("POST /qr2/sessions HTTP/1.1\r\nContent-Length: 999999999", 413),
+            # Bodies the handler does not read at all: on a GET, and chunked.
+            ("GET /qr2/sources HTTP/1.1\r\nContent-Length: 2", 200),
+            ("POST /qr2/nowhere HTTP/1.1\r\nTransfer-Encoding: chunked", 404),
+        ],
+    )
+    def test_unread_body_is_never_parsed_as_the_next_request(
+        self, application, capsys, head, status
+    ):
+        """A reply that leaves its request's body unread says ``Connection:
+        close`` and the server closes, so neither the stray ``{}`` nor the
+        valid request behind it is interpreted — one reply, then EOF."""
+        sessions = len(application.service._sessions)
+        handle = serve_qr2_over_socket(application)
+        try:
+            with socket.create_connection(handle.address, timeout=1.0) as raw:
+                raw.sendall(
+                    f"{head}\r\nHost: qr2\r\n\r\n{{}}".encode("ascii")
+                    + b"POST /qr2/sessions HTTP/1.1\r\nHost: qr2\r\nContent-Length: 2\r\n\r\n{}"
+                )
+                stream = b""
+                while chunk := raw.recv(4096):  # to EOF; a timeout fails the test
+                    stream += chunk
+        finally:
+            handle.shutdown()
+        assert stream.count(b"HTTP/1.1 ") == 1
+        reply_head, _, body = stream.partition(b"\r\n\r\n")
+        assert int(reply_head.split(b"\r\n", 1)[0].split()[1]) == status
+        assert b"connection: close" in reply_head.lower()
+        json.loads(body)  # nothing after the one JSON body
+        assert len(application.service._sessions) == sessions
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_shutdown_leaves_no_handler_thread_behind(self, application):
+        """Each idle persistent connection parks a handler thread in
+        ``readline()``; ``shutdown()`` must end them, not leave them to the
+        idle timeout."""
+        before = set(threading.enumerate())
+        handle = serve_qr2_over_socket(application)
+        connections = [
+            http.client.HTTPConnection(*handle.address, timeout=1.0) for _ in range(2)
+        ]
+        try:
+            for connection in connections:
+                connection.request("GET", "/qr2/sources")
+                assert connection.getresponse().read()
+            assert handle.connections_accepted == 2
+            assert len(set(threading.enumerate()) - before) == 3  # server + 2 handlers
+            handle.shutdown()
+            deadline = time.monotonic() + 1.0
+            while set(threading.enumerate()) - before and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert set(threading.enumerate()) - before == set()
+            for connection in connections:
+                started = time.monotonic()
+                with pytest.raises((http.client.HTTPException, OSError)):
+                    connection.request("GET", "/qr2/sources")
+                    connection.getresponse()
+                assert time.monotonic() - started < 0.5
+        finally:
+            handle.shutdown()
+            for connection in connections:
+                connection.close()
