@@ -24,7 +24,11 @@ Gates:
   for buffer over list at 10⁶ tuples;
 * **memory** (full runs): the retained buffer catalog is ≤50 % of the
   dict-of-rows baseline (row dictionaries plus a key→row map — what the
-  seed database held) at 10⁶ tuples.
+  seed database held) at 10⁶ tuples;
+* **delta application** (identity always; growth on full runs): a 100-row
+  repricing leaves exactly the catalog a from-scratch rebuild
+  (``tests/reference/catalog_rebuild.py``) builds, and its median time grows
+  ≤6× from 10⁴ to 10⁵ tuples.
 
 Excluded from the per-PR quick gate except for a cheap 10⁴ sanity point;
 the nightly ``scale-bench`` CI job runs the full tier and uploads
@@ -51,7 +55,7 @@ from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
 from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
-from tests.reference import NaiveScanDatabase, database_on_layout
+from tests.reference import NaiveScanDatabase, RebuildDatabase, database_on_layout
 
 SIZES = (10_000, 100_000, 1_000_000)
 SYSTEM_K = 20
@@ -59,6 +63,13 @@ QUERY_COUNT = 60
 MIN_MEDIAN_SPEEDUP = 5.0
 MAX_MEMORY_RATIO = 0.50
 GATE_SIZE = 1_000_000
+#: A 100-row repricing may cost at most this many times more at 10⁵ tuples
+#: than at 10⁴ (a whole-catalog rebuild grows ≈16×, the splice ≈4×).
+MAX_DELTA_GROWTH = 6.0
+DELTA_ROWS = 100
+#: Lower price edges of the repriced windows — disjoint, so the store's rows
+#: are still the served versions when each window is read.
+DELTA_WINDOW_STARTS = (150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0)
 #: Naive reference comparison only at the smallest size — the row-at-a-time
 #: scan needs minutes per workload beyond 10⁴ tuples.
 NAIVE_SIZE = 10_000
@@ -66,6 +77,7 @@ NAIVE_SIZE = 10_000
 _SCHEMA = scale_catalog_schema()
 _STORES: Dict[int, SQLiteTupleStore] = {}
 _GENERATE_SECONDS: Dict[int, float] = {}
+_DELTA_MEDIAN_MS: Dict[int, float] = {}
 
 
 def _ranking() -> FeaturedScoreRanking:
@@ -360,3 +372,77 @@ def test_scale_streaming_equals_eager_load(benchmark, bench_quick, scale_store):
     eager_results, streamed_results = benchmark.pedantic(run, rounds=1, iterations=1)
     _assert_identical(eager_results, streamed_results, "eager vs streamed")
     benchmark.extra_info.update({"catalog_size": 10_000, **backend_metadata()})
+
+
+@pytest.mark.benchmark(group="catalog-scale")
+@pytest.mark.parametrize("size", SIZES)
+def test_scale_delta_application(benchmark, bench_quick, scale_store, size):
+    """Median of seven 100-row contiguous-by-price repricings at each size,
+    the result identical to the rebuild oracle (gated on full runs: ≤6×
+    growth from 10⁴ to 10⁵).
+
+    ``apply_delta`` bisects each new version into the served rank order and
+    splices the columns, so per delta it makes ~``d·log₂ n`` hidden-score
+    calls; what remains O(n) is C-speed — the ``rank_of`` copy and one memcpy
+    per column — which is why the time still grows with the catalog, slowly.
+    """
+    if bench_quick and size > 10_000:
+        pytest.skip("quick mode runs only the 10^4 sanity point")
+    store = scale_store(size)
+    subject, _ = _load_database(store, "buffer")
+    oracle, _ = _load_database(store, "buffer", cls=RebuildDatabase)
+    deltas = []
+    for start in DELTA_WINDOW_STARTS:
+        window = store.range_scan("price", start, start + 40.0)[:DELTA_ROWS]
+        assert len(window) == DELTA_ROWS
+        deltas.append([dict(row, price=round(row["price"] * 0.97, 2)) for row in window])
+
+    def run():
+        timings = []
+        for upserts in deltas:
+            started = time.perf_counter()
+            subject.apply_delta(upserts=upserts)
+            timings.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        oracle.apply_delta(upserts=[row for upserts in deltas for row in upserts])
+        return timings, time.perf_counter() - started
+
+    timings, rebuild_seconds = benchmark.pedantic(run, rounds=1, iterations=1)
+    spliced, rebuilt = subject._columnar, oracle._columnar
+    assert spliced.rank_of == rebuilt.rank_of, f"{size}: ranks diverged from the rebuild"
+    for name in rebuilt.column_order:
+        actual, expected = spliced.raw_column(name), rebuilt.raw_column(name)
+        assert type(actual) is type(expected) and actual == expected, (
+            f"{size}: column {name!r} diverged from the rebuild"
+        )
+
+    median_ms = statistics.median(timings) * 1e3
+    _DELTA_MEDIAN_MS[size] = median_ms
+    growth = median_ms / _DELTA_MEDIAN_MS[10_000] if 10_000 in _DELTA_MEDIAN_MS else None
+    benchmark.extra_info.update(
+        {
+            "catalog_size": size,
+            "delta_rows": DELTA_ROWS,
+            "deltas": len(timings),
+            "delta_median_ms": round(median_ms, 2),
+            "delta_max_ms": round(max(timings) * 1e3, 2),
+            "rebuild_ms": round(rebuild_seconds * 1e3, 1),
+            "growth_from_1e4": None if growth is None else round(growth, 2),
+            "quick_mode": bench_quick,
+            **backend_metadata(),
+        }
+    )
+    print_table(
+        f"CATALOG-SCALE — {DELTA_ROWS}-row repricing at {size} tuples",
+        f"{len(timings)} deltas, columns and ranks identical to one rebuild of all of them",
+        [
+            f"{'splice median':>16s} {median_ms:>12.2f} ms/delta",
+            f"{'splice max':>16s} {max(timings) * 1e3:>12.2f} ms/delta",
+            f"{'one rebuild':>16s} {rebuild_seconds * 1e3:>12.1f} ms",
+        ],
+    )
+    if size == 100_000 and not bench_quick and growth is not None:
+        assert growth <= MAX_DELTA_GROWTH, (
+            f"a {DELTA_ROWS}-row delta costs {growth:.1f}x more at 10^5 tuples than "
+            f"at 10^4; the ceiling is {MAX_DELTA_GROWTH:.0f}x"
+        )

@@ -134,6 +134,10 @@ def pack_raw_column(values: List[object], backend: str) -> object:
     backend takes zero-copy ndarray *views* of these buffers for its
     vectorized loops.
     """
+    if isinstance(values, array):
+        # Already packed (a spliced successor); an emptied one is the plain
+        # list a fresh build of no rows holds.
+        return values if values else []
     if backend == "list" or not values:
         return values
     first = values[0]

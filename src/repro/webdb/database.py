@@ -21,6 +21,8 @@ latency and query counting.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.dataset.schema import Schema
@@ -179,19 +181,33 @@ class HiddenWebDatabase(TopKInterface):
         self._system_ranking = system_ranking
         if len(columnar.rank_of) != columnar.size:
             raise QueryError("catalog contains duplicate tuple keys")
-        self._columns: List[str] = columnar.column_order
-        self._columnar = columnar
-        #: Lazy row facade standing in for the seed's ``List[Row]`` copy.
-        self._ranked_rows: Sequence[Row] = columnar.rows()
-        self._engine = self._make_engine(columnar)
-        # Per-attribute ground-truth memos (values / multiplicity histogram),
-        # invalidated by apply_delta.
+        self._publish(columnar)
+
+    def _publish(self, columnar: ColumnarCatalog) -> None:
+        """Serve ``columnar``: catalog and engine are one reference, assigned
+        once both exist, so a reader's snapshot is never half a delta.  The
+        ground-truth memos reset after it — their readers take the memo
+        first, so a stale value only ever lands in a discarded dictionary."""
+        self._published = (columnar, self._make_engine(columnar))
         self._attribute_values_memo: Dict[str, List[float]] = {}
         self._multiplicity_memo: Dict[str, Dict[float, int]] = {}
 
+    @property
+    def _columnar(self) -> ColumnarCatalog:
+        return self._published[0]
+
+    @property
+    def _engine(self) -> ExecutionEngine:
+        return self._published[1]
+
+    @property
+    def _ranked_rows(self) -> Sequence[Row]:
+        """Lazy row facade standing in for the seed's ``List[Row]`` copy."""
+        return self._columnar.rows()
+
     def _make_engine(self, columnar: ColumnarCatalog) -> ExecutionEngine:
         """The engine answering queries over ``columnar``; called at
-        construction and for every :meth:`apply_delta` rebuild.  The
+        construction and for every :meth:`apply_delta` successor.  The
         reference oracles under ``tests/reference/`` override this."""
         return IndexedColumnarEngine(columnar)
 
@@ -275,8 +291,8 @@ class HiddenWebDatabase(TopKInterface):
 
     def apply_delta(
         self,
-        upserts: Sequence[Row] = (),
-        deletes: Sequence[object] = (),
+        upserts: Iterable[Row] = (),
+        deletes: Iterable[object] = (),
     ) -> CatalogDelta:
         """Apply a catalog mutation and return its :class:`CatalogDelta`.
 
@@ -285,53 +301,66 @@ class HiddenWebDatabase(TopKInterface):
         every touched tuple *version* — the old row of each update or delete
         and the new row of each upsert — which is exactly what the caching
         layers need to decide what a change can affect.  Raises
-        :class:`QueryError` on an unknown delete key or an invalid row; the
-        catalog is not modified on error.
+        :class:`QueryError` on an unknown or repeated delete key and
+        :class:`~repro.exceptions.SchemaError` on an invalid row; the catalog
+        is not modified on error.
+
+        The work follows the change, not the catalog: old versions are
+        looked up by key, each new version bisects the served rank order
+        (``log n`` hidden-score calls) and the successor is
+        :meth:`ColumnarCatalog.spliced` from the served catalog.  ``_lock``
+        serializes writers only; searches keep the snapshot they started on.
         """
         upsert_rows = [dict(row) for row in upserts]
+        delete_keys = list(deletes)
         for row in upsert_rows:
             self._schema.validate_row(row)
         key_column = self._schema.key
         with self._lock:
-            # Materialize the current catalog once for the rebuild; the dicts
-            # die as soon as the new columnar snapshot is constructed.
-            by_key: Dict[object, Row] = {
-                row[key_column]: row
-                for row in self._columnar.materialize_many(range(self._columnar.size))
-            }
+            columnar = self._columnar
+            rank_of = columnar.rank_of
+            removed: Dict[object, int] = {}  # key → rank of the version leaving
             touched: List[Row] = []
-            for key in deletes:
-                if key not in by_key:
+            for key in delete_keys:
+                if key not in rank_of or key in removed:
                     raise QueryError(f"cannot delete unknown tuple key {key!r}")
-                touched.append(by_key.pop(key))
+                removed[key] = rank_of[key]
+                touched.append(columnar.materialize(rank_of[key]))
+            pending: Dict[object, Row] = {}  # key → its last upserted version
             for row in upsert_rows:
                 key = row[key_column]
-                old = by_key.get(key)
-                if old is not None:
-                    touched.append(old)
+                if key in pending:
+                    touched.append(pending[key])
+                elif key in rank_of and key not in removed:
+                    removed[key] = rank_of[key]
+                    touched.append(columnar.materialize(rank_of[key]))
                 touched.append(row)
-                by_key[key] = row
+                pending[key] = row
             if not touched:
                 return CatalogDelta(namespace=self.name)
+            # Rows about to leave are still in order in the served catalog,
+            # so every insertion point is a bisect over its full rank order.
             sort_key = self._system_ranking.sort_key(key_column)
-            ranked = sorted(by_key.values(), key=sort_key)
-            columnar = ColumnarCatalog(
-                ranked, self._columns, key_column, backend=self._columnar.backend
+            incoming = sorted(
+                ((sort_key(row), row) for row in pending.values()),
+                key=itemgetter(0),
             )
-            engine = self._make_engine(columnar)
-            # Publish the rebuilt structures together only after every piece
-            # succeeded: a failed rebuild must leave the old catalog serving.
-            self._ranked_rows = columnar.rows()
-            self._columnar = columnar
-            self._engine = engine
-            self._attribute_values_memo = {}
-            self._multiplicity_memo = {}
+
+            def rank_key(rank: int):
+                return sort_key(columnar.materialize(rank))
+
+            ranks = range(columnar.size)
+            inserted = [
+                (bisect_left(ranks, target, key=rank_key), row)
+                for target, row in incoming
+            ]
+            self._publish(columnar.spliced(sorted(removed.values()), inserted))
             return CatalogDelta.from_rows(
                 self.name,
                 key_column,
                 touched,
                 upserts=len(upsert_rows),
-                deletes=len(tuple(deletes)),
+                deletes=len(delete_keys),
             )
 
     def queries_issued(self) -> int:
@@ -387,12 +416,13 @@ class HiddenWebDatabase(TopKInterface):
         returned so callers can sort or mutate their copy.
         """
         self._schema.require_numeric(attribute)
-        cached = self._attribute_values_memo.get(attribute)
+        memo = self._attribute_values_memo
+        cached = memo.get(attribute)
         if cached is None:
             column = self._columnar.raw_column(attribute)
             assert column is not None  # require_numeric guarantees the column
             cached = [float(value) for value in column]  # type: ignore[arg-type]
-            self._attribute_values_memo[attribute] = cached
+            memo[attribute] = cached
         return list(cached)
 
     def value_multiplicity(self, attribute: str) -> Dict[float, int]:
@@ -400,12 +430,13 @@ class HiddenWebDatabase(TopKInterface):
         general-positioning violations (values shared by more than ``k``
         tuples).  Memoized per attribute alongside :meth:`attribute_values`.
         """
-        cached = self._multiplicity_memo.get(attribute)
+        memo = self._multiplicity_memo
+        cached = memo.get(attribute)
         if cached is None:
             counts: Dict[float, int] = {}
             for value in self.attribute_values(attribute):
                 counts[value] = counts.get(value, 0) + 1
-            self._multiplicity_memo[attribute] = counts
+            memo[attribute] = counts
             cached = counts
         return dict(cached)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_right
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import (
@@ -461,8 +461,8 @@ class FederatedInterface(TopKInterface):
 
     def apply_delta(
         self,
-        upserts: Sequence[Row] = (),
-        deletes: Sequence[object] = (),
+        upserts: Iterable[Row] = (),
+        deletes: Iterable[object] = (),
     ) -> CatalogDelta:
         """Route a catalog mutation to the owning shards and return the
         merged :class:`CatalogDelta` (with the per-shard breakdown attached
@@ -474,19 +474,28 @@ class FederatedInterface(TopKInterface):
         it becomes a delete on the old owner plus an insert on the new one —
         anything else would break the shard-pruning invariant that a shard
         only holds tuples inside its owned range.  Rank-partitioned upserts
-        stay on their current owner (new keys go to the smallest shard).
+        stay on their current owner (new keys go to the smallest shard); of
+        several upserts of one key only the last is routed, or the key could
+        land on two shards.  Rows are validated and delete owners resolved
+        before the first shard is touched: as for a single database, an
+        error leaves every shard unmodified.
         """
-        shard_upserts: List[List[Row]] = [[] for _ in self._shards]
-        shard_deletes: List[List[object]] = [[] for _ in self._shards]
-        for key in deletes:
-            owner = self._owner_of(key)
-            if owner is None:
-                raise QueryError(f"cannot delete unknown tuple key {key!r}")
-            shard_deletes[owner].append(key)
         key_column = self._schema.key
+        latest: Dict[object, Row] = {}
         for row in upserts:
             materialized = dict(row)
-            key = materialized.get(key_column)
+            self._schema.validate_row(materialized)
+            latest[materialized[key_column]] = materialized
+        shard_upserts: List[List[Row]] = [[] for _ in self._shards]
+        shard_deletes: List[List[object]] = [[] for _ in self._shards]
+        deleted: set = set()
+        for key in deletes:
+            owner = self._owner_of(key)
+            if owner is None or key in deleted:
+                raise QueryError(f"cannot delete unknown tuple key {key!r}")
+            deleted.add(key)
+            shard_deletes[owner].append(key)
+        for key, materialized in latest.items():
             current = self._owner_of(key)
             target = self._target_shard_for(materialized, current)
             if current is not None and current != target:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.webdb import arrays
@@ -157,6 +158,7 @@ class ColumnarCatalog:
         column_order: Sequence[str],
         key_column: str,
         backend: str,
+        rank_of: Optional[Dict[object, int]] = None,
     ) -> None:
         self._order: List[str] = list(column_order)
         self._names = frozenset(self._order)
@@ -174,14 +176,77 @@ class ColumnarCatalog:
             for name in self._order
         }
         #: key → position in the hidden global ranking (O(1) ``system_rank_of``).
-        self.rank_of: Dict[object, int] = {
-            key: rank for rank, key in enumerate(self._raw[key_column])
-        }
+        self.rank_of: Dict[object, int] = (
+            {key: rank for rank, key in enumerate(self._raw[key_column])}
+            if rank_of is None
+            else rank_of
+        )
         self._lock = threading.RLock()
         self._float_columns: Dict[str, Optional[object]] = {}
         self._sorted_indexes: Dict[str, Optional[Tuple[object, object]]] = {}
         self._postings: Dict[str, Optional[Dict[object, List[int]]]] = {}
         self._positions: Optional[Sequence[int]] = None
+
+    def spliced(
+        self,
+        removed: Sequence[int],
+        inserted: Sequence[Tuple[int, Mapping[str, object]]],
+    ) -> "ColumnarCatalog":
+        """The successor catalog of a delta, built beside this one.
+
+        ``removed`` are ranks of this catalog, ascending; ``inserted`` are
+        ``(before_rank, row)`` pairs in their final order (``size`` appends;
+        a removed ``before_rank`` takes that tuple's place).  Each column is
+        assembled from slices of its predecessor — one memcpy plus a step
+        per touched row — and laid out as a from-scratch build would: packed
+        while the inserted values are exactly its type, otherwise re-offered
+        to :func:`arrays.pack_raw_column` (O(n) only when the delta changed
+        whether the column is uniformly typed).  This catalog is never
+        mutated; the successor's lazy structures start empty.
+        """
+        # Events in old-rank order, an insert before the drop of the same
+        # rank; then the successor as pieces: old ranks [start, stop) kept,
+        # followed by ``row`` when the event was an insert.
+        events = sorted(
+            [(rank, None) for rank in removed] + list(inserted),
+            key=lambda event: (event[0], event[1] is None),
+        )
+        pieces: List[Tuple[int, int, Optional[Mapping[str, object]]]] = []
+        previous = 0
+        for rank, row in events + [(self.size, None)]:
+            pieces.append((previous, rank, row))
+            previous = rank + 1 if row is None else rank
+        raw: Dict[str, object] = {}
+        for name in self._order:
+            column = self._raw[name]
+            if isinstance(column, array) and inserted:
+                values = [row[name] for _, row in inserted]
+                packed = arrays.pack_raw_column(values, self.backend)
+                if getattr(packed, "typecode", None) != column.typecode:
+                    column = column.tolist()
+            out = raw[name] = column[:0]
+            for start, stop, row in pieces:
+                out += column[start:stop]
+                if row is not None:
+                    out.append(row[name])
+        old_keys, keys = self._raw[self.key_column], raw[self.key_column]
+        rank_of = dict(self.rank_of)
+        for rank in removed:
+            del rank_of[old_keys[rank]]
+        position = 0
+        for start, stop, row in pieces:
+            landed = position + stop - start
+            if position != start:  # only a piece that shifted is re-numbered
+                rank_of.update(zip(keys[position:landed], range(position, landed)))
+            position = landed
+            if row is not None:
+                rank_of[row[self.key_column]] = position
+                position += 1
+        if len(rank_of) != len(keys):
+            raise ValueError("spliced catalog would hold duplicate tuple keys")
+        successor = ColumnarCatalog.__new__(ColumnarCatalog)
+        successor._init_from_columns(raw, self._order, self.key_column, self.backend, rank_of)
+        return successor
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -10,13 +10,16 @@ construction hook (``HiddenWebDatabase._make_engine``,
 ``reference_candidates``, is the seed's sort-everything read of the session
 cache that each stream's ``CandidateHeap`` replaced; the fifth,
 ``reference_text_grid``, is the table round trip that rendered a page's text
-grid before ``format_grid`` read the page's rows directly.
+grid before ``format_grid`` read the page's rows directly; the sixth,
+``RebuildDatabase``, is the rebuild-the-whole-catalog ``apply_delta`` that
+``ColumnarCatalog.spliced`` replaced.
 
 Importable as ``tests.reference`` with the repository root on ``sys.path``
 (``python -m pytest`` from the root, or ``PYTHONPATH=src:.``).
 """
 
 from tests.reference.candidates import reference_candidates
+from tests.reference.catalog_rebuild import RebuildDatabase
 from tests.reference.dense_index import NaiveDenseRegionIndex, NaiveIndexReranker
 from tests.reference.engine import (
     NaiveScanDatabase,
@@ -30,6 +33,7 @@ __all__ = [
     "NaiveIndexReranker",
     "NaiveScanDatabase",
     "NaiveScanEngine",
+    "RebuildDatabase",
     "database_on_layout",
     "reference_candidates",
     "reference_text_grid",

@@ -39,7 +39,7 @@ class NaiveScanEngine(ExecutionEngine):
 
 class NaiveScanDatabase(HiddenWebDatabase):
     """A :class:`HiddenWebDatabase` answering through :class:`NaiveScanEngine`
-    (at construction and after every ``apply_delta`` rebuild)."""
+    (at construction and after every ``apply_delta``)."""
 
     def _make_engine(self, columnar: ColumnarCatalog) -> ExecutionEngine:
         return NaiveScanEngine(columnar.rows())

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.config import RerankConfig
+from repro.config import DatabaseConfig, RerankConfig
 from repro.core import contour
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
@@ -27,9 +27,17 @@ from repro.core.regions import HyperRectangle
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
-from repro.webdb.database import HiddenWebDatabase
+from repro.exceptions import QueryError, SchemaError
+from repro.webdb import arrays
+from repro.webdb.build import build_source
+from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
 from repro.webdb.query import RangePredicate, SearchQuery
-from repro.webdb.ranking import AttributeOrderRanking, RandomTieBreakRanking
+from repro.webdb.ranking import (
+    AttributeOrderRanking,
+    FeaturedScoreRanking,
+    RandomTieBreakRanking,
+)
+from tests.reference import RebuildDatabase, database_on_layout
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -284,3 +292,243 @@ class TestRerankingProperties:
         assert {row["id"] for row in got} == {row["id"] for row in expected}
         scores = [ranking.score(row) for row in got]
         assert scores == sorted(scores)
+
+
+# --------------------------------------------------------------------------- #
+# Catalog deltas: the splice against the rebuild-from-scratch oracle
+# --------------------------------------------------------------------------- #
+DELTA_BACKENDS = ["list", "array"] + (["numpy"] if arrays.numpy_available() else [])
+#: Tie-heavy prices: under ``AttributeOrderRanking`` the ``str(key)``
+#: tie-break decides most positions.
+DELTA_PRICES = [0.0, 5.0, 5.0, 10.0, 10.0, 10.0, 37.5, 50.0, 99.0, 100.0]
+DELTA_RANKINGS = {
+    "featured": FeaturedScoreRanking("price", boost_weight=30.0),
+    "ties": AttributeOrderRanking("price", ascending=True),
+}
+DELTA_QUERIES = [
+    SearchQuery.everything(),
+    SearchQuery.build(ranges={"price": (5.0, 10.0)}),
+    SearchQuery.build(ranges={"price": (10.0, 100.0), "size": (2.0, 8.0)}),
+    SearchQuery.build(ranges={"stock": (0, 3)}, memberships={"kind": ["a"]}),
+    SearchQuery.build(memberships={"kind": ["b", "c"]}),
+]
+
+
+def delta_schema() -> Schema:
+    return Schema(
+        key="id",
+        attributes=(
+            Attribute.numeric("price", 0.0, 100.0),
+            Attribute.numeric("size", 0.0, 10.0),
+            Attribute.numeric("stock", 0, 9),
+            Attribute.categorical("kind", ["a", "b", "c"]),
+        ),
+    )
+
+
+def delta_rows():
+    """24 rows: ``price`` packs as floats, ``stock`` as ints, and ``size`` is
+    an object column only because ``t0`` carries the single ``int`` in it."""
+    rows = [
+        {
+            "id": f"t{i}",
+            "price": DELTA_PRICES[i % len(DELTA_PRICES)],
+            "size": float(i % 11),
+            "stock": i % 10,
+            "kind": "abc"[i % 3],
+        }
+        for i in range(24)
+    ]
+    rows[0]["size"] = 3
+    return rows
+
+
+#: One action of a step: ``(operation, key selector, value selector)``.
+delta_actions = st.tuples(
+    st.sampled_from(
+        [
+            "reprice", "reprice", "int_price", "float_stock", "delete",
+            "delete_reinsert", "twice", "new", "unknown_delete",
+            "repeated_delete", "invalid_row",
+        ]
+    ),
+    st.integers(min_value=0, max_value=999),
+    st.integers(min_value=0, max_value=999),
+)
+delta_steps = st.lists(
+    st.lists(delta_actions, min_size=1, max_size=4), min_size=1, max_size=8
+)
+
+
+def build_delta(actions, keys, rows_by_key, fresh):
+    """Turn drawn actions into one ``apply_delta`` call against the current
+    catalog (``keys`` in rank order); ``fresh`` numbers brand-new keys."""
+    upserts, deletes = [], []
+    for operation, pick, value in actions:
+        key = keys[pick % len(keys)] if keys else "t0"
+        base = dict(rows_by_key.get(key, delta_rows()[0]), id=key)
+        price = DELTA_PRICES[value % len(DELTA_PRICES)]
+        if operation == "reprice":
+            upserts.append(dict(base, price=price))
+        elif operation == "int_price":
+            upserts.append(dict(base, price=int(price)))
+        elif operation == "float_stock":
+            upserts.append(dict(base, stock=float(value % 10)))
+        elif operation == "delete":
+            deletes.append(key)
+        elif operation == "delete_reinsert":
+            deletes.append(key)
+            upserts.append(dict(base, price=price, size=float(value % 11)))
+        elif operation == "twice":
+            upserts.append(dict(base, price=price))
+            upserts.append(dict(base, price=DELTA_PRICES[(value + 3) % len(DELTA_PRICES)]))
+        elif operation == "new":
+            upserts.append(dict(base, id=f"n{next(fresh)}", price=price))
+        elif operation == "unknown_delete":
+            deletes.append(f"missing-{value}")
+        elif operation == "repeated_delete":
+            deletes.extend([key, key])
+        else:
+            upserts.append(dict(base, price=1000.0))
+    return upserts, deletes
+
+
+def raw_columns(database):
+    catalog = database._columnar
+    return {name: catalog.raw_column(name) for name in catalog.column_order}
+
+
+def assert_same_catalog(subject, oracle):
+    """Columns equal in values *and* container and value types, every rank,
+    the ground-truth memos and every fixed query's page."""
+    expected_columns, actual_columns = raw_columns(oracle), raw_columns(subject)
+    assert list(actual_columns) == list(expected_columns)
+    for name, expected in expected_columns.items():
+        actual = actual_columns[name]
+        assert type(actual) is type(expected), name
+        assert getattr(actual, "typecode", None) == getattr(expected, "typecode", None)
+        assert [(type(value), value) for value in actual] == [
+            (type(value), value) for value in expected
+        ], name
+    assert subject.size == oracle.size
+    assert subject._columnar.rank_of == oracle._columnar.rank_of
+    for key in oracle._columnar.rank_of:
+        assert subject.system_rank_of(key) == oracle.system_rank_of(key)
+    assert subject.attribute_values("price") == oracle.attribute_values("price")
+    assert_same_pages(subject, oracle)
+
+
+def assert_same_pages(subject, oracle):
+    batch = subject.search_many(DELTA_QUERIES)
+    for query, batched in zip(DELTA_QUERIES, batch):
+        expected = oracle.search(query)
+        for actual in (subject.search(query), batched):
+            assert actual.outcome is expected.outcome
+            assert [list(row.items()) for row in actual.rows] == [
+                list(row.items()) for row in expected.rows
+            ]
+
+
+def run_step(subject, oracle, actions, fresh, shards=None):
+    """Apply one drawn step to both sides; an error must be the oracle's
+    error and leave every column of the subject the very same object."""
+    keys = list(oracle._columnar.raw_column("id"))
+    rows_by_key = {key: oracle.tuple_by_key(key) for key in keys}
+    upserts, deletes = build_delta(actions, keys, rows_by_key, fresh)
+    databases = shards if shards is not None else [subject]
+    before = [raw_columns(database) for database in databases]
+    try:
+        expected = oracle.apply_delta(upserts=upserts, deletes=deletes)
+    except (QueryError, SchemaError) as error:
+        with pytest.raises(type(error)):
+            subject.apply_delta(upserts=upserts, deletes=deletes)
+        for database, columns in zip(databases, before):
+            for name, column in raw_columns(database).items():
+                assert column is columns[name]
+        return None
+    return expected, subject.apply_delta(upserts=upserts, deletes=deletes)
+
+
+class TestDeltaSpliceProperties:
+    """``HiddenWebDatabase.apply_delta`` splices the served columns; the
+    oracle (``tests/reference/catalog_rebuild.py``) rebuilds the catalog from
+    scratch.  After every step of a random change sequence the two must be
+    indistinguishable — down to which columns are packed buffers."""
+
+    @staticmethod
+    def pair(ranking, backend):
+        columns = stream_sorted_columns(delta_rows(), delta_schema(), ranking)
+        return tuple(
+            database_on_layout(
+                cls, columns, delta_schema(), ranking, backend, system_k=5, name="delta"
+            )
+            for cls in (HiddenWebDatabase, RebuildDatabase)
+        )
+
+    @given(steps=delta_steps, ranking=st.sampled_from(sorted(DELTA_RANKINGS)))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_splice_equals_rebuild_on_every_backend(self, steps, ranking):
+        for backend in DELTA_BACKENDS:
+            subject, oracle = self.pair(DELTA_RANKINGS[ranking], backend)
+            fresh = iter(range(10_000))
+            for actions in steps:
+                outcome = run_step(subject, oracle, actions, fresh)
+                if outcome is not None:
+                    assert outcome[1] == outcome[0]  # the CatalogDelta, bit for bit
+                assert_same_catalog(subject, oracle)
+
+    @pytest.mark.parametrize("backend", DELTA_BACKENDS)
+    @pytest.mark.parametrize("ranking", sorted(DELTA_RANKINGS))
+    def test_layout_follows_the_values(self, backend, ranking):
+        """The type-uniformity corners, spelled out: an ``int`` entering a
+        packed float column unpacks it, repricing it back re-packs it,
+        deleting the only non-float of an object column packs it, a float
+        entering a packed int column unpacks it, and an emptied catalog
+        holds plain lists again — exactly as a fresh build decides."""
+        subject, oracle = self.pair(DELTA_RANKINGS[ranking], backend)
+        packed = backend != "list"
+        row = oracle.tuple_by_key
+
+        def step(upserts=(), deletes=()):
+            assert subject.apply_delta(upserts=upserts, deletes=deletes) == (
+                oracle.apply_delta(upserts=upserts, deletes=deletes)
+            )
+            assert_same_catalog(subject, oracle)
+            return raw_columns(subject)
+
+        columns = raw_columns(subject)
+        assert isinstance(columns["price"], list) is not packed
+        assert isinstance(columns["size"], list)
+        assert isinstance(step(upserts=[dict(row("t5"), price=7)])["price"], list)
+        assert isinstance(step(upserts=[dict(row("t5"), price=7.0)])["price"], list) is not packed
+        assert isinstance(step(deletes=["t0"])["size"], list) is not packed
+        assert isinstance(step(upserts=[dict(row("t7"), stock=2.0)])["stock"], list)
+        # Brand-new keys at both ends of the rank order, then everything goes.
+        step(upserts=[dict(row("t1"), id="a-first", price=0.0),
+                      dict(row("t1"), id="z-last", price=100.0)])
+        emptied = step(deletes=list(raw_columns(oracle)["id"]))
+        assert all(column == [] and isinstance(column, list) for column in emptied.values())
+        refilled = step(upserts=[dict(delta_rows()[3]), dict(delta_rows()[4])])
+        assert isinstance(refilled["price"], list) is not packed
+
+    @given(steps=delta_steps, by=st.sampled_from(["rank", "price"]))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_sharded_splice_equals_unsharded_rebuild(self, steps, by):
+        """The same sequences over four shards — dealt by rank, or cut by
+        price so a repricing crosses partitions — serve what the unsharded
+        oracle serves; an error leaves every shard's columns untouched."""
+        ranking = DELTA_RANKINGS["ties"]
+        federation = build_source(
+            delta_rows(), delta_schema(), ranking,
+            DatabaseConfig(system_k=5, shards=4, shard_by=by), name="delta",
+        )
+        assert len(federation.shards) == 4
+        _, oracle = self.pair(ranking, "list")
+        fresh = iter(range(10_000))
+        for actions in steps:
+            run_step(federation, oracle, actions, fresh, shards=federation.shards)
+            assert federation.size == oracle.size
+            for key in ("t0", "t5", "n0"):
+                assert federation.has_key(key) == oracle.has_key(key)
+            if oracle.size:
+                assert_same_pages(federation, oracle)

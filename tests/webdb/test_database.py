@@ -323,3 +323,123 @@ class TestGroundTruthMemoization:
         after_histogram = database.value_multiplicity("price")
         assert after_histogram.get(new_price, 0) >= 1
         assert after_histogram != before_histogram
+
+
+class TestDeltaApplication:
+    """``apply_delta`` costs what it touches and never disturbs a reader:
+    the machine-independent guards beside the oracle differential in
+    ``tests/test_properties.py``."""
+
+    @staticmethod
+    def repricing_db(size, ranking, backend="buffer"):
+        from repro.webdb.database import stream_sorted_columns
+        from tests.reference import database_on_layout
+
+        schema = Schema(
+            key="id",
+            attributes=(
+                Attribute.numeric("price", 0, 10_000),
+                Attribute.numeric("stock", 0, 9),
+                Attribute.categorical("kind", ["x", "y"]),
+            ),
+        )
+        rows = [
+            {"id": f"t{i}", "price": float((i * 7919) % 9973), "stock": i % 10,
+             "kind": "xy"[i % 2]}
+            for i in range(size)
+        ]
+        columns = stream_sorted_columns(rows, schema, ranking, validate=False)
+        return database_on_layout(
+            HiddenWebDatabase, columns, schema, ranking, backend, system_k=5, name="delta"
+        )
+
+    def test_repricing_work_is_bounded_by_the_change(self, monkeypatch):
+        """A 100-row repricing of 20 000 tuples scores and materializes
+        ``d * (2 + ceil(log2 n))`` rows at most — not the catalog."""
+        from repro.webdb.indexes import ColumnarCatalog
+        from repro.webdb.ranking import FeaturedScoreRanking
+
+        class CountingRanking(FeaturedScoreRanking):
+            calls = 0
+
+            def score(self, row):
+                self.calls += 1
+                return super().score(row)
+
+        ranking = CountingRanking("price", boost_weight=25.0)
+        database = self.repricing_db(20_000, ranking)
+        victims = [dict(database._ranked_rows[rank]) for rank in range(5_000, 5_100)]
+        materialized = []
+        materialize = ColumnarCatalog.materialize
+
+        def counting_materialize(catalog, rank):
+            materialized.append(rank)
+            return materialize(catalog, rank)
+
+        monkeypatch.setattr(ColumnarCatalog, "materialize", counting_materialize)
+        ranking.calls = 0
+        delta = database.apply_delta(
+            upserts=[dict(row, price=row["price"] * 0.5) for row in victims]
+        )
+        assert len(delta.keys) == 100 and database.size == 20_000
+        assert 100 <= ranking.calls <= 1_700
+        assert 100 <= len(materialized) <= 1_900
+        monkeypatch.undo()
+        scores = [ranking.score(row) for row in database._ranked_rows[2_000:2_200]]
+        assert scores == sorted(scores)
+
+    @pytest.mark.parametrize("backend", ["list", "array", "buffer"])
+    def test_a_reader_keeps_the_snapshot_it_started_with(self, backend):
+        """The published ``(catalog, engine)`` pair taken before a delta
+        still answers the old catalog afterwards, and none of its columns
+        was touched: the successor is built beside it, never in place."""
+        database = self.repricing_db(300, AttributeOrderRanking("price"), backend)
+        queries = [
+            SearchQuery.everything(),
+            SearchQuery.build(ranges={"price": (1_000, 6_000)}),
+            SearchQuery.build(ranges={"stock": (2, 4)}, memberships={"kind": ["x"]}),
+        ]
+        columnar, engine = database._published
+        for query in queries:
+            engine.execute(query, 5)  # build the old snapshot's lazy indexes
+        old_columns = {
+            name: (columnar.raw_column(name), list(columnar.raw_column(name)))
+            for name in columnar.column_order
+        }
+        old_ranks = dict(columnar.rank_of)
+        old_pages = [engine.execute(query, 5) for query in queries]
+        first, last = database._ranked_rows[0], database._ranked_rows[299]
+        database.apply_delta(
+            upserts=[dict(first, price=9_999.0), dict(first, id="fresh", price=0.0)],
+            deletes=[last["id"], database._ranked_rows[150]["id"]],
+        )
+        assert database._published[0] is not columnar
+        assert database._published[1] is not engine
+        assert database.search(queries[0]).rows[0]["id"] == "fresh"
+        assert [engine.execute(query, 5) for query in queries] == old_pages
+        assert columnar.size == 300 and columnar.rank_of == old_ranks
+        for name, (column, values) in old_columns.items():
+            assert columnar.raw_column(name) is column
+            assert list(column) == values
+
+    def test_deletes_may_be_a_one_shot_iterator(self, tiny_db):
+        doomed = ["t3", "t4", "t9"]
+        delta = tiny_db.apply_delta(deletes=(key for key in doomed))
+        assert (delta.deletes, delta.upserts, tiny_db.size) == (3, 0, 27)
+        assert delta.keys == frozenset(doomed)
+        assert not any(tiny_db.has_key(key) for key in doomed)
+
+    def test_failed_delta_leaves_the_catalog_serving(self, tiny_db):
+        from repro.exceptions import SchemaError
+
+        published = tiny_db._published
+        good = dict(tiny_db.tuple_by_key("t1"), price=50.0)
+        for arguments, error in [
+            (dict(deletes=["t1", "nope"]), QueryError),
+            (dict(deletes=["t1", "t1"]), QueryError),
+            (dict(upserts=[good, dict(good, price=-1.0)]), SchemaError),
+        ]:
+            with pytest.raises(error):
+                tiny_db.apply_delta(**arguments)
+            assert tiny_db._published is published
+        assert tiny_db.apply_delta().is_empty and tiny_db._published is published

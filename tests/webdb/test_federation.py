@@ -266,6 +266,95 @@ class TestFederatedInterface:
         )
 
 
+class TestFederatedDelta:
+    """``apply_delta`` one level up keeps the single database's promises."""
+
+    @pytest.mark.parametrize("by", ["rank", "price"])
+    def test_invalid_row_leaves_every_shard_untouched(
+        self, diamond_catalog, diamond_schema_fixture, by
+    ):
+        """A delta whose last row is out of domain raises before the first
+        shard is repriced — there is no half-applied change for the caches
+        (which are only invalidated by a *returned* delta) to miss."""
+        from repro.core.functions import SingleAttributeRanking
+
+        schema = diamond_schema_fixture
+        config = RerankConfig()
+        cache = config.make_result_cache()
+        federation = make_federation(
+            diamond_catalog, schema, shards=4, by=by, result_cache=cache
+        )
+        reranker = QueryReranker(federation, config=config, result_cache=cache)
+        ranking = SingleAttributeRanking("price", ascending=True)
+        first, other = federation.shards[0], federation.shards[2]
+        victim = first.tuple_by_key(first._ranked_rows[0]["id"])
+        bystander = other.tuple_by_key(other._ranked_rows[0]["id"])
+        low, high = schema.domain_bounds("price")
+        query = SearchQuery.build(ranges={"price": (low, victim["price"] + 1.0)})
+
+        def page():
+            stream = reranker.rerank(query, ranking)
+            try:
+                return [dict(row) for row in stream.next_page(50)]
+            finally:
+                stream.close()
+
+        try:
+            before = page()
+            assert victim in before
+            published = [shard._published for shard in federation.shards]
+            with pytest.raises(SchemaError):
+                reranker.apply_delta(
+                    upserts=[
+                        dict(victim, price=victim["price"] * 0.5 + low),
+                        dict(bystander, price=high * 10.0),
+                    ]
+                )
+            assert [shard._published for shard in federation.shards] == published
+            assert first.tuple_by_key(victim["id"]) == victim
+            assert other.tuple_by_key(bystander["id"]) == bystander
+            assert federation.size == len(diamond_catalog)
+            assert page() == before == federation.true_ranking(
+                query, ranking.score, limit=50
+            )
+        finally:
+            reranker.close()
+
+    def test_deletes_may_be_a_one_shot_iterator(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
+        federation = make_federation(diamond_catalog, diamond_schema_fixture, shards=4)
+        doomed = [shard._ranked_rows[1]["id"] for shard in federation.shards[:3]]
+        delta = federation.apply_delta(deletes=(key for key in doomed))
+        assert (delta.deletes, delta.upserts) == (3, 0)
+        assert delta.keys == frozenset(doomed)
+        assert federation.size == len(diamond_catalog) - 3
+        with pytest.raises(QueryError):
+            federation.apply_delta(deletes=[doomed[0]])
+        survivor = federation.shards[3]._ranked_rows[0]["id"]
+        with pytest.raises(QueryError):
+            federation.apply_delta(deletes=[survivor, survivor])
+        assert federation.has_key(survivor)
+
+    def test_key_upserted_twice_lands_on_one_shard(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
+        """Two versions of one key whose prices belong to different
+        partitions: only the last is routed, so the key lives exactly once."""
+        federation = make_federation(
+            diamond_catalog, diamond_schema_fixture, shards=4, by="price"
+        )
+        cheap = dict(federation.shards[0]._ranked_rows[0])
+        middle = dict(cheap, price=float(federation.shards[2]._ranked_rows[0]["price"]))
+        dear = dict(cheap, price=float(federation.shards[3]._ranked_rows[0]["price"]))
+        federation.apply_delta(upserts=[middle, dear])
+        assert [shard.has_key(cheap["id"]) for shard in federation.shards] == [
+            False, False, False, True,
+        ]
+        assert federation.size == len(diamond_catalog)
+        assert federation.shards[3].tuple_by_key(cheap["id"]) == dear
+
+
 SKEW_SCHEMA = Schema(
     key="id",
     attributes=(
