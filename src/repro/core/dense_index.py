@@ -19,10 +19,10 @@ Regions are stored *without* the user's filter predicates: they describe the
 database's content inside an attribute-space box, so any user query can reuse
 them by filtering locally.
 
-The structure is sublinear.  Regions are grouped per attribute signature; 1D
-intervals are kept disjoint and sorted by lower bound so a covering lookup is
-a bisect, MD boxes are kept sorted by their first axis with a prefix-maximum
-pruning array.  Adjacent and overlapping regions of the same signature are
+The structure is sublinear.  Regions are stored per attribute signature in a
+:class:`~repro.webdb.boxindex.BoxIndex`, so a covering lookup is a bisect plus
+a walk over the regions straddling the probe (one step for the disjoint 1D
+intervals).  Adjacent and overlapping regions of the same signature are
 *coalesced* on insert — union of rows, widened box — which keeps the index
 small and lets :meth:`~DenseRegionIndex.covers` succeed on unions of
 separately crawled regions (fewer external queries, not just faster lookups).
@@ -47,6 +47,7 @@ from repro.core.regions import HyperRectangle
 from repro.dataset.schema import Schema
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
+from repro.webdb.boxindex import BoxIndex
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.indexes import is_numeric
 from repro.webdb.query import RangePredicate, SearchQuery
@@ -119,130 +120,55 @@ def _union_box(a: HyperRectangle, b: HyperRectangle) -> Optional[HyperRectangle]
     return a.replace_side(merged)
 
 
-class _SignatureIndex:
-    """Regions of one attribute signature.
+def _coalesce_interval(
+    regions: Sequence["_SortedRegion"], region: "_SortedRegion"
+) -> Tuple[List["_SortedRegion"], HyperRectangle]:
+    """The 1D regions a new interval merges with, and the merged box.
 
-    The primary axis is the signature's first attribute.  Regions are kept
-    sorted by their primary-axis lower bound; 1D signatures additionally
-    maintain the invariant that stored intervals are pairwise disjoint with a
-    real gap between neighbours (anything else is coalesced on insert), so a
-    covering lookup inspects at most two bisect neighbours.  MD signatures
-    keep a prefix-maximum array of primary-axis upper bounds so a covering
-    scan stops as soon as no earlier candidate can reach the probe's upper
-    bound.
-    """
+    Stored 1D intervals are pairwise disjoint with a real gap between
+    neighbours (anything else was coalesced on insert) and ``regions`` is in
+    lower-bound order, so only a run of bisect neighbours can merge."""
+    primary = region.attributes[0]
+    merged_side = region.box.side(primary)
+    position = bisect_right(
+        regions, merged_side.lower, key=lambda stored: stored.box.side(primary).lower
+    )
+    absorbed: List[_SortedRegion] = []
+    for neighbour in regions[position:]:
+        union = _union_interval(merged_side, neighbour.box.side(primary))
+        if union is None:
+            break
+        merged_side = union
+        absorbed.append(neighbour)
+    for neighbour in reversed(regions[:position]):
+        union = _union_interval(neighbour.box.side(primary), merged_side)
+        if union is None:
+            break
+        merged_side = union
+        absorbed.append(neighbour)
+    return absorbed, HyperRectangle((merged_side,))
 
-    __slots__ = ("primary", "is_1d", "regions", "lowers", "prefix_max_upper")
 
-    def __init__(self, signature: Tuple[str, ...]) -> None:
-        self.primary = signature[0]
-        self.is_1d = len(signature) == 1
-        self.regions: List[_SortedRegion] = []
-        self.lowers: List[float] = []
-        self.prefix_max_upper: List[float] = []
-
-    # -------------------------------------------------------------- #
-    def insert(self, region: "_SortedRegion") -> Tuple[int, int, int]:
-        """Insert (coalescing as needed); returns the deltas
-        ``(regions, tuples, merges)`` this insert caused."""
-        if self.is_1d:
-            return self._insert_1d(region)
-        return self._insert_md(region)
-
-    def _insert_1d(self, region: "_SortedRegion") -> Tuple[int, int, int]:
-        side = region.box.side(self.primary)
-        position = bisect_right(self.lowers, side.lower)
-        start = end = position
-        merged_side = side
-        absorbed: List[_SortedRegion] = []
-        while end < len(self.regions):
-            union = _union_interval(
-                merged_side, self.regions[end].box.side(self.primary)
-            )
+def _coalesce_box(
+    regions: Sequence["_SortedRegion"], region: "_SortedRegion"
+) -> Tuple[List["_SortedRegion"], HyperRectangle]:
+    """The MD regions a new box merges with, repeatedly, and the merged box."""
+    remaining = list(regions)
+    absorbed: List[_SortedRegion] = []
+    merged_box = region.box
+    changed = True
+    while changed:
+        changed = False
+        for index, existing in enumerate(remaining):
+            union = _union_box(existing.box, merged_box)
             if union is None:
-                break
-            merged_side = union
-            absorbed.append(self.regions[end])
-            end += 1
-        while start > 0:
-            union = _union_interval(
-                self.regions[start - 1].box.side(self.primary), merged_side
-            )
-            if union is None:
-                break
-            merged_side = union
-            absorbed.append(self.regions[start - 1])
-            start -= 1
-        if absorbed:
-            region = region.merge(absorbed, HyperRectangle((merged_side,)))
-        removed_tuples = sum(len(existing.rows) for existing in absorbed)
-        self.regions[start:end] = [region]
-        self._rebuild_arrays()
-        return (
-            1 - len(absorbed),
-            len(region.rows) - removed_tuples,
-            len(absorbed),
-        )
-
-    def _insert_md(self, region: "_SortedRegion") -> Tuple[int, int, int]:
-        merges = 0
-        removed_tuples = 0
-        absorbed_total: List[_SortedRegion] = []
-        changed = True
-        merged_box = region.box
-        while changed:
-            changed = False
-            for index, existing in enumerate(self.regions):
-                union = _union_box(existing.box, merged_box)
-                if union is None:
-                    continue
-                merged_box = union
-                removed_tuples += len(existing.rows)
-                absorbed_total.append(existing)
-                del self.regions[index]
-                merges += 1
-                changed = True
-                break
-        if absorbed_total:
-            region = region.merge(absorbed_total, merged_box)
-        lower = region.box.side(self.primary).lower
-        # self.lowers may be stale after the deletions above; recompute just
-        # the lower bounds for the insertion bisect and rebuild both arrays
-        # once after the insert.
-        remaining_lowers = [r.box.side(self.primary).lower for r in self.regions]
-        self.regions.insert(bisect_right(remaining_lowers, lower), region)
-        self._rebuild_arrays()
-        return 1 - merges, len(region.rows) - removed_tuples, merges
-
-    def _rebuild_arrays(self) -> None:
-        self.lowers = [r.box.side(self.primary).lower for r in self.regions]
-        self.prefix_max_upper = []
-        running = float("-inf")
-        for region in self.regions:
-            running = max(running, region.box.side(self.primary).upper)
-            self.prefix_max_upper.append(running)
-
-    # -------------------------------------------------------------- #
-    def find(self, box: HyperRectangle) -> Optional["_SortedRegion"]:
-        """A stored region fully covering ``box``, or ``None``."""
-        probe = box.side(self.primary)
-        position = bisect_right(self.lowers, probe.lower)
-        if self.is_1d:
-            # Stored intervals are disjoint with real gaps, so only the
-            # bisect neighbours can contain the probe's lower edge.
-            for index in (position - 1, position):
-                if 0 <= index < len(self.regions):
-                    region = self.regions[index]
-                    if region.box.covers(box):
-                        return region
-            return None
-        for index in range(position - 1, -1, -1):
-            if self.prefix_max_upper[index] < probe.upper:
-                return None  # nothing earlier reaches the probe's upper bound
-            region = self.regions[index]
-            if region.box.covers(box):
-                return region
-        return None
+                continue
+            merged_box = union
+            absorbed.append(existing)
+            del remaining[index]
+            changed = True
+            break
+    return absorbed, merged_box
 
 
 @dataclass
@@ -330,7 +256,8 @@ class DenseRegionIndex:
         self._schema = schema
         self._cache = cache
         self._lock = threading.Lock()
-        self._indexes: Dict[Tuple[str, ...], _SignatureIndex] = {}
+        #: Per signature; a region is keyed by its ``id`` (held, so unique).
+        self._indexes: Dict[Tuple[str, ...], BoxIndex] = {}
         # Incremental counters — statistics snapshots used to re-sum every
         # region under the lock on each call.
         self._region_count = 0
@@ -388,14 +315,20 @@ class DenseRegionIndex:
             rows_by_key[row[key_column]] = MappingProxyType(dict(row))
         region = _SortedRegion.build(box, rows_by_key, key_column)
         with self._lock:
-            signature_index = self._indexes.get(region.attributes)
-            if signature_index is None:
-                signature_index = _SignatureIndex(region.attributes)
-                self._indexes[region.attributes] = signature_index
-            region_delta, tuple_delta, merges = signature_index.insert(region)
-            self._region_count += region_delta
-            self._tuple_count += tuple_delta
-            self._coalesced += merges
+            index = self._indexes.get(region.attributes)
+            if index is None:
+                index = self._indexes[region.attributes] = BoxIndex()
+            coalesce = _coalesce_interval if len(region.attributes) == 1 else _coalesce_box
+            absorbed, merged_box = coalesce(list(index), region)
+            if absorbed:
+                region = region.merge(absorbed, merged_box)
+                for existing in absorbed:
+                    index.discard(id(existing))
+                    self._tuple_count -= len(existing.rows)
+            index.add(id(region), region.box, region)
+            self._region_count += 1 - len(absorbed)
+            self._tuple_count += len(region.rows)
+            self._coalesced += len(absorbed)
         if persist and self._cache is not None:
             self._cache.store_region(box.bounds(), list(rows))
 
@@ -409,6 +342,7 @@ class DenseRegionIndex:
             self._coalesced = 0
             self._lookups = 0
             self._hits = 0
+            self._delta_retired = 0
 
     def invalidate_delta(self, delta: CatalogDelta) -> int:
         """Retire only the regions whose box a catalog delta can intersect;
@@ -426,23 +360,15 @@ class DenseRegionIndex:
             return 0
         retired = 0
         with self._lock:
-            for signature in list(self._indexes):
-                index = self._indexes[signature]
-                surviving: List[_SortedRegion] = []
-                dropped = 0
-                for region in index.regions:
+            for signature, index in list(self._indexes.items()):
+                for region in list(index):
                     if delta.may_intersect_sides(region.box.sides):
-                        dropped += 1
+                        index.discard(id(region))
+                        retired += 1
                         self._tuple_count -= len(region.rows)
-                    else:
-                        surviving.append(region)
-                if dropped:
-                    retired += dropped
-                    self._region_count -= dropped
-                    index.regions = surviving
-                    index._rebuild_arrays()
-                if not index.regions:
+                if not len(index):
                     del self._indexes[signature]
+            self._region_count -= retired
             self._delta_retired += retired
         if self._cache is not None:
             for stored in self._cache.regions():
@@ -466,10 +392,13 @@ class DenseRegionIndex:
             return self._find_locked(box)
 
     def _find_locked(self, box: HyperRectangle) -> Optional["_SortedRegion"]:
-        signature_index = self._indexes.get(tuple(sorted(box.attributes)))
-        if signature_index is None:
+        index = self._indexes.get(tuple(sorted(box.attributes)))
+        if index is None:
             return None
-        return signature_index.find(box)
+        for region in index.covering(box):
+            if region.box.covers(box):
+                return region
+        return None
 
     def covers(self, box: HyperRectangle) -> bool:
         """True when a stored region fully covers ``box``."""
@@ -561,13 +490,13 @@ class DenseRegionIndex:
     def signatures(self) -> List[Tuple[str, ...]]:
         """Attribute signatures that currently have at least one region."""
         with self._lock:
-            return [sig for sig, index in self._indexes.items() if index.regions]
+            return [sig for sig, index in self._indexes.items() if len(index)]
 
     def describe(self) -> Dict[str, object]:
         """Summary used by the service's statistics endpoint."""
         with self._lock:
             per_signature = {
-                "+".join(sig): len(index.regions)
+                "+".join(sig): len(index)
                 for sig, index in self._indexes.items()
             }
             return {

@@ -12,7 +12,7 @@ attribute case via :class:`~repro.webdb.query.RangePredicate` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError
@@ -32,6 +32,7 @@ class HyperRectangle:
     """
 
     sides: Tuple[RangePredicate, ...]
+    memberships: ClassVar[Tuple[()]] = ()
 
     def __post_init__(self) -> None:
         names = [side.attribute for side in self.sides]
@@ -67,6 +68,11 @@ class HyperRectangle:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+    @property
+    def ranges(self) -> Tuple[RangePredicate, ...]:
+        """The sides as a :class:`SearchQuery` names them (for ``BoxIndex``)."""
+        return self.sides
+
     @property
     def attributes(self) -> Tuple[str, ...]:
         """Attributes of the box, in side order."""

@@ -23,7 +23,8 @@ re-issuing queries the service has already paid for.
   ``Q'``, so filtering its rank-ordered rows through ``Q.matches`` yields
   exactly what the database would return for ``Q`` — same rows, same order,
   same trichotomy — at zero round trips (status ``CONTAINED``).  Overflow
-  entries are truncated and must never answer subsets;
+  entries are truncated and must never answer subsets.  A
+  :class:`~repro.webdb.boxindex.BoxIndex` per scope finds the candidates;
 * **LRU + TTL eviction** — bounded memory, and a freshness horizon for
   deployments where the hidden database mutates;
 * **request coalescing** — when several sessions miss on the same key at the
@@ -50,10 +51,11 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.webdb.boxindex import BoxIndex
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.interface import Outcome, SearchResult, TopKInterface
 from repro.webdb.query import SearchQuery
@@ -204,11 +206,8 @@ class QueryResultCache:
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._inflight: Dict[CacheKey, _InFlight] = {}
         #: ``(namespace, system_k)`` → covering (non-overflow) entries usable
-        #: for containment answering, keyed like ``_entries``; each value is
-        #: the query plus its constrained-attribute signature for pruning.
-        self._covering: Dict[
-            Tuple[str, int], Dict[CacheKey, Tuple[SearchQuery, FrozenSet[str]]]
-        ] = {}
+        #: for containment answering, keyed like ``_entries``: ``(key, query)``.
+        self._covering: Dict[Tuple[str, int], BoxIndex] = defaultdict(BoxIndex)
         #: Generation counters bumped by :meth:`invalidate`: stores from
         #: queries claimed under an older generation are dropped.
         self._global_generation = 0
@@ -261,7 +260,7 @@ class QueryResultCache:
             payload["stale_entries"] = len(self._stale)
             payload["in_flight"] = len(self._inflight)
             payload["covering_entries"] = sum(
-                len(queries) for queries in self._covering.values()
+                len(index) for index in self._covering.values()
             )
         payload["max_entries"] = self._max_entries
         payload["ttl_seconds"] = self._ttl
@@ -780,16 +779,11 @@ class QueryResultCache:
         self._entries.move_to_end(key)
         # A fresh answer supersedes any parked stale copy of the same key.
         self._stale.pop(key, None)
-        scope = (key[0], key[1])
         if result.covers_query:
             # Only covering (valid/underflow) results may answer subset
             # queries: an overflow result is truncated at ``k`` and proves
-            # nothing about which subset tuples the database holds.  The
-            # attribute signature rides along for cheap candidate pruning.
-            self._covering.setdefault(scope, {})[key] = (
-                query,
-                frozenset(query.constrained_attributes),
-            )
+            # nothing about which subset tuples the database holds.
+            self._covering[key[:2]].add(key, query, (key, query))
         else:
             self._forget_covering_locked(key)
         while len(self._entries) > self._max_entries:
@@ -798,12 +792,7 @@ class QueryResultCache:
             self.statistics.record("evictions")
 
     def _forget_covering_locked(self, key: CacheKey) -> None:
-        scope = (key[0], key[1])
-        queries = self._covering.get(scope)
-        if queries is not None:
-            queries.pop(key, None)
-            if not queries:
-                del self._covering[scope]
+        self._covering[key[:2]].discard(key)
 
     def _contained_answer_locked(
         self,
@@ -829,24 +818,18 @@ class QueryResultCache:
         effectively unique queries would only churn the LRU.  Returns
         ``None`` when no live covering superset exists.
         """
-        candidates = self._covering.get((namespace, system_k))
-        if not candidates:
-            return None
-        constrained = set(query.constrained_attributes)
-        for covering_key, (covering_query, covering_names) in list(candidates.items()):
-            # Cheap signature pre-filter: a covering query can only contain
-            # ``query`` if every attribute it constrains is also constrained
-            # by ``query`` — prunes most candidates before the full check.
-            if not covering_names <= constrained:
-                continue
+        index = self._covering[(namespace, system_k)]
+        for covering_key, covering_query in index.covering(query):
             if not covering_query.contains(query):
                 continue
+            # May discard the entry just handed over (``covering`` allows it).
             entry = self._live_entry(covering_key)
-            if entry is None:  # expired between store and probe
+            if entry is None:
                 continue
             matched = [row for row in entry.result.rows if query.matches(row)]
             overflow = len(matched) > system_k
-            rows = tuple(dict(row) for row in matched[:system_k])
+            # Shared with the covering entry: every read path copies (_replay).
+            rows = tuple(matched[:system_k])
             if overflow:
                 outcome = Outcome.OVERFLOW
             elif rows:

@@ -39,6 +39,9 @@ class RangePredicate:
     include_upper: bool = True
 
     def __post_init__(self) -> None:
+        # NaN compares false both ways: it would "contain" every cached range.
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise QueryError(f"NaN bound on {self.attribute!r}")
         if self.lower > self.upper:
             raise QueryError(
                 f"inverted range on {self.attribute!r}: [{self.lower}, {self.upper}]"

@@ -12,6 +12,7 @@ from repro.core.dense_index import DenseRegionIndex
 from repro.core.regions import HyperRectangle
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import RangePredicate, SearchQuery
 from tests.reference import NaiveDenseRegionIndex
 
@@ -245,6 +246,12 @@ class TestBookkeeping:
         assert description["coalesced"] == 0
         assert description["lookups"] == 0
         assert description["hits"] == 0
+
+    def test_clear_resets_delta_retired(self, index):
+        index.add_interval("price", 0.0, 30.0, ROWS[:2])
+        assert index.invalidate_delta(CatalogDelta.from_rows("db", "id", ROWS[:1])) == 1
+        index.clear()
+        assert index.describe()["delta_retired"] == 0
 
     def test_cached_region_attributes(self, index):
         box = HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 3.0)})

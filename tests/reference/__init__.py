@@ -12,7 +12,9 @@ cache that each stream's ``CandidateHeap`` replaced; the fifth,
 ``reference_text_grid``, is the table round trip that rendered a page's text
 grid before ``format_grid`` read the page's rows directly; the sixth,
 ``RebuildDatabase``, is the rebuild-the-whole-catalog ``apply_delta`` that
-``ColumnarCatalog.spliced`` replaced.
+``ColumnarCatalog.spliced`` replaced; the seventh, ``covering_scan``, is the
+linear walk over every covering entry in scope that the result cache's
+``BoxIndex`` replaced.
 
 Importable as ``tests.reference`` with the repository root on ``sys.path``
 (``python -m pytest`` from the root, or ``PYTHONPATH=src:.``).
@@ -20,6 +22,7 @@ Importable as ``tests.reference`` with the repository root on ``sys.path``
 
 from tests.reference.candidates import reference_candidates
 from tests.reference.catalog_rebuild import RebuildDatabase
+from tests.reference.covering_scan import covering_count, covering_scan
 from tests.reference.dense_index import NaiveDenseRegionIndex, NaiveIndexReranker
 from tests.reference.engine import (
     NaiveScanDatabase,
@@ -34,6 +37,8 @@ __all__ = [
     "NaiveScanDatabase",
     "NaiveScanEngine",
     "RebuildDatabase",
+    "covering_count",
+    "covering_scan",
     "database_on_layout",
     "reference_candidates",
     "reference_text_grid",

@@ -72,6 +72,7 @@ class NaiveDenseRegionIndex:
             self._tuple_count = 0
             self._lookups = 0
             self._hits = 0
+            self._delta_retired = 0
 
     def invalidate_delta(self, delta: CatalogDelta) -> int:
         if delta.is_empty:

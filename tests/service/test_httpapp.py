@@ -20,6 +20,10 @@ from repro.service.sources import build_default_registry
 
 @pytest.fixture(scope="module")
 def application() -> QR2HttpApplication:
+    return _fresh_application()
+
+
+def _fresh_application() -> QR2HttpApplication:
     registry = build_default_registry(
         diamond_config=DiamondCatalogConfig(size=300, seed=15),
         housing_config=HousingCatalogConfig(size=300, seed=16),
@@ -98,6 +102,45 @@ class TestRoutes:
 
     def test_unknown_route_404(self, application):
         assert application.handle(HttpRequest.get("/qr2/nope")).status == 404
+
+    def test_nan_range_bound_is_400_and_poisons_no_later_session(self):
+        """``json.loads`` accepts the ``NaN`` token.  A NaN bound used to be
+        answered, stored as a covering cache entry, and then "contain" every
+        later price range, emptying other sessions' pages."""
+
+        def honest_page(app):
+            session_id = _post(app, "/qr2/sessions", {}).json()["session_id"]
+            response = _post(
+                app,
+                "/qr2/query",
+                {
+                    "session_id": session_id,
+                    "source": "bluenile",
+                    "filters": {"ranges": {"price": [1000, 5000]}},
+                    "sliders": {"price": 1.0},
+                    "page_size": 10,
+                },
+            )
+            assert response.ok, response.body
+            return response.json()["rows"]
+
+        expected = honest_page(_fresh_application())
+        assert len(expected) == 10
+        app = _fresh_application()
+        session_id = _post(app, "/qr2/sessions", {}).json()["session_id"]
+        poisoned = app.handle(
+            HttpRequest(
+                method="POST",
+                path="/qr2/query",
+                body=(
+                    f'{{"session_id": "{session_id}", "source": "bluenile", '
+                    '"filters": {"ranges": {"price": [0, NaN]}}, '
+                    '"sliders": {"price": 1.0}, "page_size": 10}'
+                ),
+            )
+        )
+        assert poisoned.status == 400
+        assert honest_page(app) == expected
 
 
 class TestSocketDeployment:

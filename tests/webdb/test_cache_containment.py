@@ -9,16 +9,22 @@ fresh engine query.  Overflow entries are truncated and must never be used
 this way.
 """
 
+import functools
+import math
 import random
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.parallel import QueryEngine
 from repro.webdb.cache import CacheStatistics, FetchStatus, QueryResultCache
 from repro.webdb.counters import QueryBudget
-from repro.webdb.interface import Outcome
+from repro.webdb.delta import CatalogDelta
+from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
+from tests.reference import covering_count, covering_scan
 
 
 def _find_valid_query(db, attribute="carat"):
@@ -171,6 +177,29 @@ class TestContainmentAnswering:
         again = cache.probe("bn", narrow, bluenile_db.system_k)
         assert again is not None and again[1] is FetchStatus.CONTAINED
         assert len(cache) == 2
+
+    def test_mutating_a_contained_answer_touches_no_stored_entry(self, bluenile_db):
+        """The memoized derived entry shares its rows with the covering
+        entry; only the copies every read path makes are handed out."""
+        cache = QueryResultCache()
+        k = bluenile_db.system_k
+        wide, wide_result = _find_valid_query(bluenile_db)
+        cache.store("bn", wide, k, wide_result)
+        predicate = wide.ranges[0]
+        narrow = SearchQuery.build(
+            ranges={predicate.attribute: (predicate.lower, predicate.upper - 1e-9)}
+        )
+        contained, status = cache.probe("bn", narrow, k)
+        assert status is FetchStatus.CONTAINED and contained.rows
+        narrow_rows = [dict(row) for row in contained.rows]
+        wide_rows = [dict(row) for row in wide_result.rows]
+        for row in contained.rows:
+            row[predicate.attribute] = -1.0
+            row["mutated"] = True
+        hit, status = cache.probe("bn", narrow, k)
+        assert status is FetchStatus.HIT
+        assert [dict(row) for row in hit.rows] == narrow_rows
+        assert [dict(row) for row in cache.probe("bn", wide, k)[0].rows] == wide_rows
 
     def test_namespace_and_system_k_isolation(self, bluenile_db):
         cache = QueryResultCache()
@@ -416,3 +445,244 @@ class TestStatisticsConsistency:
         statistics.record("misses", 1)
         assert statistics.lookups == 4
         assert statistics.hit_rate == pytest.approx(0.75)
+
+
+def _covering(query, rows=()):
+    """A covering answer for ``query`` (UNDERFLOW, or VALID with rows)."""
+    return SearchResult(
+        query=query,
+        rows=tuple(rows),
+        outcome=Outcome.VALID if rows else Outcome.UNDERFLOW,
+        system_k=3,
+    )
+
+
+@pytest.fixture()
+def contains_calls(monkeypatch):
+    """Counts ``SearchQuery.contains`` calls (the exact containment check)."""
+    calls = [0]
+    original = SearchQuery.contains
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(SearchQuery, "contains", counted)
+    return calls
+
+
+class TestContainmentLookupWork:
+    """Machine-independent bounds: a lookup examines the boxes that can
+    cover it, not every covering entry in scope (a scan makes ~4 096
+    ``contains`` calls in both cases)."""
+
+    def test_disjoint_intervals_cost_at_most_two_checks(self, contains_calls):
+        cache = QueryResultCache(max_entries=4096)
+        for i in range(4096):
+            query = SearchQuery((RangePredicate("x", float(i), i + 0.5),))
+            cache.store("ns", query, 3, _covering(query))
+        probes = 0
+        for i in range(0, 4096, 37):
+            for lower, expected in ((0.1, FetchStatus.CONTAINED), (0.6, None)):
+                query = SearchQuery((RangePredicate("x", i + lower, i + lower + 0.3),))
+                contains_calls[0] = 0
+                outcome = cache.probe("ns", query, 3, memoize=False)
+                assert (outcome and outcome[1]) == expected
+                assert contains_calls[0] <= 2
+                probes += 1
+        assert probes > 200
+
+    def test_grid_probe_straddling_the_second_axis_costs_one_column(self, contains_calls):
+        cache = QueryResultCache(max_entries=4096)
+        for i in range(64):
+            for j in range(64):
+                query = SearchQuery(
+                    (
+                        RangePredicate("a", float(i), i + 1.0),
+                        RangePredicate("b", float(j), j + 1.0),
+                    )
+                )
+                cache.store("ns", query, 3, _covering(query))
+        for i in range(0, 64, 5):
+            for j in range(0, 63, 7):
+                query = SearchQuery(
+                    (
+                        RangePredicate("a", i + 0.2, i + 0.8),
+                        RangePredicate("b", j + 0.5, j + 1.5),
+                    )
+                )
+                contains_calls[0] = 0
+                assert cache.probe("ns", query, 3, memoize=False) is None
+                assert contains_calls[0] <= 65
+
+
+# --------------------------------------------------------------------------- #
+# The indexed lookup against the linear scan it replaced
+# --------------------------------------------------------------------------- #
+#: A fixed catalog in hidden-rank order: every stored answer is computed from
+#: it, so every live covering entry is the truth and any derivation must be.
+CATALOG = tuple(
+    {
+        "id": f"r{i}",
+        "x": float(i % 5),
+        "y": float((3 * i) % 7),
+        "z": float((2 * i) % 4),
+        "c": "abc"[i % 3],
+    }
+    for i in range(9)
+)
+BOUNDS = [-math.inf, 0.0, 1.0, 2.0, 3.0, 4.0, 6.0, math.inf]
+
+
+def _answer(query, system_k, degraded=False):
+    matched = [row for row in CATALOG if query.matches(row)]
+    if degraded:
+        outcome = Outcome.OVERFLOW
+    elif len(matched) > system_k:
+        outcome = Outcome.OVERFLOW
+    else:
+        outcome = Outcome.VALID if matched else Outcome.UNDERFLOW
+    return SearchResult(
+        query=query,
+        rows=tuple(dict(row) for row in matched[:system_k]),
+        outcome=outcome,
+        system_k=system_k,
+        elapsed_seconds=0.5,
+        degraded=degraded,
+    )
+
+
+ATTRIBUTES = ("x", "y", "z")
+
+
+def _draw_range(draw, attribute, outer=None):
+    """A range on the ``BOUNDS`` grid inside ``outer`` (if given): ``±inf``
+    ends, inclusive point ranges, and exclusive bounds equal to an inclusive
+    bound elsewhere.  On a bound shared with an exclusive ``outer`` bound,
+    half the draws are inclusive: a near miss ``outer`` does not contain."""
+    lower, upper = (outer.lower, outer.upper) if outer else (-math.inf, math.inf)
+    low, high = draw(st.sampled_from(_pairs(lower, upper)))
+    if low == high:
+        return RangePredicate(attribute, low, high)
+    flags = draw(st.integers(0, 3))
+    include_lower, include_upper = bool(flags & 1), bool(flags & 2)
+    if outer and low == lower:
+        include_lower = outer.include_lower or include_lower
+    if outer and high == upper:
+        include_upper = outer.include_upper or include_upper
+    return RangePredicate(attribute, low, high, include_lower, include_upper)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(lower, upper):
+    """Every ``(low, high)`` grid pair with ``lower <= low <= high <= upper``."""
+    return tuple(
+        (low, high)
+        for low in BOUNDS
+        for high in BOUNDS
+        if lower <= low <= high <= upper and low != math.inf and high != -math.inf
+    )
+
+
+@st.composite
+def _queries(draw, within=None):
+    """A fresh query, or (``within`` given) a narrowing of ``within``."""
+    ranges = []
+    for attribute in ATTRIBUTES:
+        outer = within.range_on(attribute) if within is not None else None
+        if outer is not None or draw(st.booleans()):
+            ranges.append(_draw_range(draw, attribute, outer))
+    outer = within.membership_on("c") if within is not None else None
+    values = tuple(sorted(outer.values)) if outer is not None else "abc"
+    memberships = ()
+    if outer is not None or draw(st.booleans()):
+        memberships = (InPredicate.of("c", draw(st.sets(st.sampled_from(values), min_size=1))),)
+    return SearchQuery(tuple(ranges), memberships)
+
+
+def _assert_is_the_answer(result, query, system_k):
+    truth = _answer(query, system_k)
+    assert result.outcome is truth.outcome
+    assert result.system_k == system_k
+    assert [list(row.items()) for row in result.rows] == [
+        list(row.items()) for row in truth.rows
+    ]
+
+
+class TestIndexedLookupMatchesTheScan:
+    """Random store / probe / fetch / fetch_many / invalidate / delta / clock
+    sequences over a small LRU with a TTL: before every containment lookup
+    the linear scan over the cache's own live entries is evaluated, and the
+    indexed lookup must find a covering entry iff the scan does."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_found_iff_the_scan_finds_and_derived_rows_are_the_answer(self, data):
+        class Clock:
+            now = 0.0
+
+            def __call__(self):
+                return self.now
+
+        clock = Clock()
+        cache = QueryResultCache(max_entries=6, ttl_seconds=5.0, clock=clock)
+        indexed = cache._contained_answer_locked
+
+        def checked(namespace, query, system_k, key, memoize=True):
+            expected = covering_scan(cache, namespace, query, system_k)
+            derived = indexed(namespace, query, system_k, key, memoize=memoize)
+            assert (derived is None) == (expected is None)
+            if derived is not None:
+                _assert_is_the_answer(derived, query, system_k)
+            return derived
+
+        cache._contained_answer_locked = checked
+
+        def draw_query(scope):
+            # Mostly a narrowing of a covering entry in scope, so that lookups
+            # find covers (and near misses on exclusive bounds).
+            in_scope = [entry for key, entry in cache._entries.items() if key[:2] == scope]
+            covering = [entry for entry in in_scope if entry.result.covers_query]
+            stored = [entry.result.query for entry in covering or in_scope]
+            within = None
+            if stored and data.draw(st.integers(0, 3)):
+                within = data.draw(st.sampled_from(stored))
+            return data.draw(_queries(within))
+
+        for _ in range(data.draw(st.integers(5, 20))):
+            kind = data.draw(
+                st.sampled_from(
+                    ["store"] * 4 + ["probe"] * 3
+                    + ["fetch", "fetch_many", "invalidate", "delta", "tick"]
+                )
+            )
+            namespace, k = data.draw(st.sampled_from([("ns1", 3)] * 3 + [("ns1", 4), ("ns2", 3)]))
+            if kind == "store":
+                query = draw_query((namespace, k))
+                degraded = data.draw(st.integers(0, 4)) == 0
+                cache.store(namespace, query, k, _answer(query, k, degraded))
+            elif kind == "probe":
+                query = draw_query((namespace, k))
+                outcome = cache.probe(namespace, query, k, memoize=data.draw(st.booleans()))
+                if outcome is not None:
+                    _assert_is_the_answer(outcome[0], query, k)
+            elif kind == "fetch":
+                query = draw_query((namespace, k))
+                result, _ = cache.fetch(namespace, query, k, lambda: _answer(query, k))
+                _assert_is_the_answer(result, query, k)
+            elif kind == "fetch_many":
+                queries = [draw_query((namespace, k)) for _ in range(data.draw(st.integers(1, 4)))]
+                outcomes = cache.fetch_many(
+                    namespace, queries, k, lambda batch: [_answer(q, k) for q in batch]
+                )
+                for query, (result, _) in zip(queries, outcomes):
+                    _assert_is_the_answer(result, query, k)
+            elif kind == "invalidate":
+                cache.invalidate(data.draw(st.sampled_from([namespace, None])))
+            elif kind == "delta":
+                touched = data.draw(st.sets(st.sampled_from(range(len(CATALOG))), min_size=1, max_size=3))
+                rows = [CATALOG[i] for i in sorted(touched)]
+                cache.invalidate_delta(namespace, CatalogDelta.from_rows(namespace, "id", rows))
+            else:
+                clock.now += data.draw(st.sampled_from([0.5, 2.0, 4.0]))
+            assert cache.snapshot()["covering_entries"] == covering_count(cache)

@@ -27,6 +27,16 @@ class TestRangePredicate:
         with pytest.raises(QueryError):
             RangePredicate("price", 10, 10, include_lower=False)
 
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_bound_rejected(self, lower, upper):
+        with pytest.raises(QueryError):
+            RangePredicate("price", lower, upper)
+        with pytest.raises(QueryError):
+            SearchQuery.build(ranges={"price": (lower, upper)})
+        payload = {"ranges": [{"attribute": "price", "lower": lower, "upper": upper}]}
+        with pytest.raises(QueryError):
+            SearchQuery.from_dict(payload)
+
     def test_point_predicate(self):
         predicate = RangePredicate("price", 10, 10)
         assert predicate.is_point and predicate.matches(10)
