@@ -52,6 +52,9 @@ Row = Dict[str, object]
 #: str(key), row)``, ordered like the emission order.  The row is whatever
 #: reference the source handed over; only an emitted winner is copied.
 Best = Optional[Tuple[float, str, Mapping[str, object]]]
+#: A box still to be searched, ``(box, split depth, min score, max score)``:
+#: the bounds of a fixed box never change, so they are computed at creation.
+OpenBox = Tuple[HyperRectangle, int, float, float]
 
 _TOLERANCE = 1e-9
 #: Boxes narrower than this (relative to the domain) on every side are treated
@@ -105,7 +108,7 @@ class MultiDimGetNext:
         # acceleration the paper describes): regions whose contents are not
         # yet fully cached.  Only meaningful while the session cache is
         # enabled — without it, every call restarts from the full space.
-        self._open_boxes: Optional[List[Tuple[HyperRectangle, int]]] = None
+        self._open_boxes: Optional[List[OpenBox]] = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -278,7 +281,11 @@ class MultiDimGetNext:
         return HyperRectangle(tuple(new_sides))
 
     # .................................................................. #
-    def _initial_open_boxes(self) -> List[Tuple[HyperRectangle, int]]:
+    def _open(self, box: HyperRectangle, depth: int) -> OpenBox:
+        bounds = contour.score_bounds(self._ranking, box)
+        return box, depth, bounds.minimum, bounds.maximum
+
+    def _initial_open_boxes(self) -> List[OpenBox]:
         """Open boxes to start the current Get-Next call from.
 
         While the session cache is enabled the open-box list persists across
@@ -289,12 +296,12 @@ class MultiDimGetNext:
         restarts from the full space (stateless but still correct).
         """
         if not self._config.enable_session_cache:
-            return [(self._space, 0)]
+            return [self._open(self._space, 0)]
         if self._open_boxes is None:
-            self._open_boxes = [(self._space, 0)]
+            self._open_boxes = [self._open(self._space, 0)]
         return self._open_boxes
 
-    def _store_open_boxes(self, boxes: List[Tuple[HyperRectangle, int]]) -> None:
+    def _store_open_boxes(self, boxes: List[OpenBox]) -> None:
         if self._config.enable_session_cache:
             self._open_boxes = boxes
 
@@ -306,18 +313,17 @@ class MultiDimGetNext:
         # Boxes that cannot contain anything better than the current best are
         # deferred: they are not needed this call but may hold the answers of
         # future Get-Next calls.
-        deferred: List[Tuple[HyperRectangle, int]] = []
+        deferred: List[OpenBox] = []
 
         while work:
-            still_open: List[Tuple[HyperRectangle, int]] = []
-            for box, depth in work:
-                bounds = contour.score_bounds(self._ranking, box)
-                if bounds.maximum < self._frontier_score - _TOLERANCE:
+            still_open: List[OpenBox] = []
+            for entry in work:
+                if entry[3] < self._frontier_score - _TOLERANCE:
                     continue  # everything inside has already been emitted
-                if best is not None and bounds.minimum >= best[0] - _TOLERANCE:
-                    deferred.append((box, depth))
+                if best is not None and entry[2] >= best[0] - _TOLERANCE:
+                    deferred.append(entry)
                     continue
-                still_open.append((box, depth))
+                still_open.append(entry)
             work = still_open
             if not work:
                 break
@@ -326,7 +332,7 @@ class MultiDimGetNext:
             # group — the covering queries the paper issues concurrently.
             batch, work = work, []
             to_query: List[Tuple[HyperRectangle, int]] = []
-            for box, depth in batch:
+            for box, depth, _, _ in batch:
                 if self._use_dense_index():
                     rows = self._dense_index.lookup(box, self._base_query)
                     if rows is not None:
@@ -366,8 +372,8 @@ class MultiDimGetNext:
                 if result.covers_query:
                     continue
                 low, high = box.split(box.widest_attribute(schema))
-                work.append((low, depth + 1))
-                work.append((high, depth + 1))
+                work.append(self._open(low, depth + 1))
+                work.append(self._open(high, depth + 1))
 
         self._store_open_boxes(deferred)
         return best

@@ -6,13 +6,14 @@ Every external query a reranking algorithm issues goes through
 * **parallel execution** of query groups — the paper issues the verification
   queries that cover the region of interest, and the two sub-space searches of
   an MD Get-Next, concurrently to hide the web database's latency; a parallel
-  group against an interface advertising ``supports_batched_search`` (the
-  in-process databases with accounting-only latency) goes out as one
-  ``search_many`` call instead, which lets the execution engine amortize plan
-  setup across the group while the accounting rules stay identical.  The
-  engine owns no threads: it fans a group out over the executor it was
-  handed (the source's, see :class:`~repro.core.reranker.QueryReranker`) and
-  issues the group inline, same results and accounting, when it has none;
+  group against an interface advertising ``supports_batched_search`` (every
+  in-process source whose latency is accounted, not slept — faults or not)
+  goes out as one ``settle_many`` call instead, which lets the execution
+  engine amortize plan setup across the group while the accounting rules
+  stay identical.  The engine owns no threads: it fans any other group out
+  over the executor it was handed (the source's, see
+  :class:`~repro.core.reranker.QueryReranker`) and issues the group inline,
+  same results and accounting, when it has none;
 * **shared result caching** — when a :class:`~repro.webdb.cache.QueryResultCache`
   is attached, queries the service has already paid for (in this session or
   any other session over the same source) are answered from memory at zero
@@ -38,14 +39,14 @@ import threading
 from collections import Counter
 from concurrent.futures import Executor
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import RerankConfig
 from repro.core.stats import RerankStatistics
 from repro.exceptions import SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget, QueryLog
-from repro.webdb.interface import SearchResult, TopKInterface
+from repro.webdb.interface import SearchResult, Settlement, TopKInterface
 from repro.webdb.query import SearchQuery
 
 
@@ -225,11 +226,12 @@ class QueryEngine:
 
         # Phase 3: issue the misses.  Which mechanism runs is observed, not
         # configured: a parallel group against an interface advertising
-        # batched search goes out as one ``search_many`` call (amortizing the
-        # execution engine's plan setup), any other parallel group fans out
-        # over the borrowed executor (overlapping real round trips), and the
-        # sequential ablation issues one by one, stopping at the first
-        # failure.  Each reports one outcome per query.
+        # batched search goes out as one ``settle_many`` call (amortizing the
+        # execution engine's plan setup), any other parallel group — a
+        # sleeping or remote source — fans out over the borrowed executor
+        # (overlapping real round trips), and the sequential ablation issues
+        # one by one, stopping at the first failure.  Each reports one
+        # outcome per query.
         resilience_stats = self._resilience_stats
         retries_before = (
             int(resilience_stats.snapshot()["retries"])
@@ -239,7 +241,7 @@ class QueryEngine:
         use_parallel = self._config.enable_parallel and len(pending) > 1
         misses = [queries[index] for index in pending]
         if use_parallel and self._interface.supports_batched_search:
-            issued, error = self._issue_batched(misses, use_cache)
+            issued, error = self._issue(misses, use_cache, self._interface.settle_many)
         else:
             issued, error = self._issue_each(misses, use_cache, parallel=use_parallel)
         for index, outcome in zip(pending, issued):
@@ -305,89 +307,65 @@ class QueryEngine:
     # Issue mechanisms: each returns one outcome per query, plus the first
     # error nothing could answer for (raised by the caller after settlement).
     # ------------------------------------------------------------------ #
-    def _issue_batched(
-        self, queries: List[SearchQuery], use_cache: bool
+    def _issue(
+        self,
+        queries: List[SearchQuery],
+        use_cache: bool,
+        settle: Callable[[List[SearchQuery]], Sequence[Settlement]],
     ) -> Tuple[List[Settled], Optional[BaseException]]:
-        """One ``search_many`` call for the whole group; coalescing and
-        duplicate-in-group reuse are the cache's batched fetch."""
-        answered: Dict[int, SearchResult] = {}
-
-        def supply(batch: Sequence[SearchQuery]) -> List[SearchResult]:
-            # ``search_many`` validates before issuing, so a raising call
-            # answered nothing; remembering what did answer keeps those round
-            # trips paid even when a later per-key retry inside
-            # ``fetch_many`` fails.
-            materialized = list(batch)
-            results = self._interface.search_many(materialized)
-            answered.update(zip(map(id, materialized), results))
-            return results
-
+        """One ``settle`` call for ``queries``, through the coalescing cache
+        when enabled (which also reuses duplicates within the group).  A
+        query the source could not answer settles on its own (stale or
+        failed) while its answered siblings stay issued, paid and cached; a
+        raising call answered nothing."""
         try:
             if use_cache:
                 assert self._cache is not None
                 resolved = self._cache.fetch_many(
-                    self._cache_namespace, queries, self._interface.system_k, supply
+                    self._cache_namespace, queries, self._interface.system_k, settle
                 )
             else:
-                resolved = [(result, FetchStatus.MISS) for result in supply(queries)]
+                resolved = [(answer, FetchStatus.MISS) for answer in settle(queries)]
         except BaseException as error:  # noqa: BLE001 - re-raised after settlement
-            settled: List[Settled] = []
-            for query in queries:
-                result = answered.pop(id(query), None)
-                settled.append(
-                    (result, QueryOutcome.ISSUED)
-                    if result is not None
-                    else self._unanswered(query, error, use_cache)
-                )
-            failed = any(outcome is QueryOutcome.FAILED for _, outcome in settled)
-            return settled, error if failed else None
-        return [(result, _OUTCOME_OF[status]) for result, status in resolved], None
+            resolved = [(error, FetchStatus.MISS)] * len(queries)
+        settled: List[Settled] = []
+        first_error: Optional[BaseException] = None
+        for query, (answer, status) in zip(queries, resolved):
+            if not isinstance(answer, BaseException):
+                settled.append((answer, _OUTCOME_OF[status]))
+                continue
+            outcome = self._unanswered(query, answer, use_cache)
+            settled.append(outcome)
+            if outcome[1] is QueryOutcome.FAILED and first_error is None:
+                first_error = answer
+        return settled, first_error
 
     def _issue_each(
         self, queries: List[SearchQuery], use_cache: bool, parallel: bool
     ) -> Tuple[List[Settled], Optional[BaseException]]:
-        """One round trip per query.  A parallel group attempts every query —
-        fanned out over the borrowed executor, or inline when the engine was
-        built without one; the sequential ablation leaves the tail after the
-        first failure unissued."""
-        attempts: List[Callable[[], Settled]]
+        """One ``search`` round trip per query.  A parallel group attempts
+        every query — fanned out over the borrowed executor, or inline when
+        the engine was built without one; the sequential ablation leaves the
+        tail after the first failure unissued."""
+        issue = partial(self._issue, use_cache=use_cache, settle=self._search_each)
+        attempts: List[Callable[[], Tuple[List[Settled], Optional[BaseException]]]]
         if parallel and self._executor is not None:
-            attempts = [
-                self._executor.submit(self._resolve_miss, query, use_cache).result
-                for query in queries
-            ]
+            attempts = [self._executor.submit(issue, [query]).result for query in queries]
         else:
-            attempts = [
-                partial(self._resolve_miss, query, use_cache) for query in queries
-            ]
+            attempts = [partial(issue, [query]) for query in queries]
         settled: List[Settled] = []
         first_error: Optional[BaseException] = None
-        for query, attempt in zip(queries, attempts):
+        for attempt in attempts:
             if first_error is not None and not parallel:
                 settled.append((None, QueryOutcome.UNISSUED))
                 continue
-            try:
-                settled.append(attempt())
-            except BaseException as error:  # noqa: BLE001 - re-raised after settlement
-                outcome = self._unanswered(query, error, use_cache)
-                settled.append(outcome)
-                if outcome[1] is QueryOutcome.FAILED and first_error is None:
-                    first_error = error
+            (outcome,), error = attempt()
+            settled.append(outcome)
+            first_error = first_error or error
         return settled, first_error
 
-    def _resolve_miss(self, query: SearchQuery, use_cache: bool) -> Settled:
-        """Resolve one query that missed the probe: through the coalescing
-        cache when enabled, directly against the interface otherwise."""
-        if not use_cache:
-            return self._interface.search(query), QueryOutcome.ISSUED
-        assert self._cache is not None
-        result, status = self._cache.fetch(
-            self._cache_namespace,
-            query,
-            self._interface.system_k,
-            lambda: self._interface.search(query),
-        )
-        return result, _OUTCOME_OF[status]
+    def _search_each(self, batch: List[SearchQuery]) -> List[SearchResult]:
+        return [self._interface.search(query) for query in batch]
 
     def _unanswered(
         self, query: SearchQuery, error: BaseException, use_cache: bool

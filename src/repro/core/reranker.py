@@ -388,7 +388,7 @@ class QueryReranker:
                 # pool cannot deadlock as long as a task running on it never
                 # submits to it and never waits on work queued behind it.
                 # That holds today because the scatter below
-                # ``FederatedInterface.search`` is sequential, the crawler
+                # ``FederatedInterface.settle_many`` is sequential, the crawler
                 # calls ``search_group`` from the algorithm's thread, and a
                 # ``QueryResultCache`` flight's owner is by construction a
                 # thread already running its ``compute``.  Keep it true.

@@ -57,7 +57,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.webdb.boxindex import BoxIndex
 from repro.webdb.delta import CatalogDelta
-from repro.webdb.interface import Outcome, SearchResult, TopKInterface
+from repro.webdb.interface import Outcome, SearchResult, Settlement, TopKInterface
 from repro.webdb.query import SearchQuery
 
 #: ``(namespace, system_k, canonical query key)`` — the full cache identity.
@@ -345,65 +345,22 @@ class QueryResultCache:
 
         Returns the result plus how it was satisfied; ``MISS`` results carry
         the real ``elapsed_seconds``; ``HIT``/``CONTAINED``/``COALESCED``
-        results cost zero.
+        results cost zero.  A batch of one through :meth:`fetch_many`.
         """
-        key = self.key_for(namespace, query, system_k)
-        while True:
-            with self._lock:
-                entry = self._live_entry(key)
-                if entry is not None:
-                    self.statistics.record("hits")
-                    return self._replay(entry.result), FetchStatus.HIT
-                derived = self._contained_answer_locked(namespace, query, system_k, key)
-                if derived is not None:
-                    self.statistics.record("contained")
-                    return self._replay(derived), FetchStatus.CONTAINED
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                    # An invalidation between now and the store means the
-                    # result we are about to compute may be stale: remember
-                    # the generation and delta sequence the query began under.
-                    generation = self._generation_locked(namespace)
-                    delta_seq = self._delta_seqs.get(namespace, 0)
-                    break
-            # Another caller owns the remote query for this key: wait for it.
-            flight.done.wait()
-            if flight.error is None and flight.result is not None:
-                self.statistics.record("coalesced")
-                return self._replay(flight.result), FetchStatus.COALESCED
-            # The owner failed — loop back and contend for ownership.
-
-        try:
-            result = compute()
-        except BaseException as error:
-            flight.error = error
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.done.set()
-            raise
-        flight.result = result
-        with self._lock:
-            if self._store_allowed_locked(namespace, query, generation, delta_seq):
-                self._store_locked(key, query, result)
-            self._inflight.pop(key, None)
-        flight.done.set()
-        self.statistics.record("misses")
-        # The stored entry must never alias rows a caller can mutate, so the
-        # MISS caller also gets copied rows (but keeps the real latency).
-        return (
-            replace(result, rows=tuple(dict(row) for row in result.rows)),
-            FetchStatus.MISS,
+        ((answer, status),) = self.fetch_many(
+            namespace, [query], system_k, lambda batch: [compute()]
         )
+        if isinstance(answer, Exception):
+            raise answer
+        return answer, status
 
     def fetch_many(
         self,
         namespace: str,
         queries: Sequence[SearchQuery],
         system_k: int,
-        compute_many: Callable[[List[SearchQuery]], List[SearchResult]],
-    ) -> List[Tuple[SearchResult, FetchStatus]]:
+        compute_many: Callable[[List[SearchQuery]], Sequence[Settlement]],
+    ) -> List[Tuple[Settlement, FetchStatus]]:
         """Batched :meth:`fetch`: resolve a whole query group through the
         cache with at most one ``compute_many`` round trip.
 
@@ -418,13 +375,16 @@ class QueryResultCache:
         what lets a batched interface amortize planning work across a
         parallel group — stored, and published to any coalesced waiters.
 
-        Returns ``(result, status)`` pairs aligned with ``queries``.  When
-        ``compute_many`` raises, every claimed flight is failed and the error
-        propagates; no partial results are returned.
+        Returns ``(result, status)`` pairs aligned with ``queries``.  An
+        error in one position of ``compute_many``'s answer (see
+        :meth:`~repro.webdb.interface.TopKInterface.settle_many`) fails that
+        flight alone: nothing is stored, its waiters contend for the key
+        again, and the caller gets ``(error, MISS)`` there.  When
+        ``compute_many`` raises, every claimed flight fails and it propagates.
         """
         materialized = list(queries)
         keys = [self.key_for(namespace, query, system_k) for query in materialized]
-        outcomes: List[Optional[Tuple[SearchResult, FetchStatus]]] = [None] * len(keys)
+        outcomes: List[Optional[Tuple[Settlement, FetchStatus]]] = [None] * len(keys)
         owned: "OrderedDict[CacheKey, _InFlight]" = OrderedDict()
         owner_position: Dict[CacheKey, int] = {}
         duplicates: List[Tuple[int, CacheKey]] = []
@@ -432,6 +392,8 @@ class QueryResultCache:
         hits = 0
         contained = 0
         with self._lock:
+            # A store is dropped when an invalidation (or a delta that could
+            # match) lands between this claim and the store.
             generation = self._generation_locked(namespace)
             delta_seq = self._delta_seqs.get(namespace, 0)
             for position, key in enumerate(keys):
@@ -466,7 +428,7 @@ class QueryResultCache:
         if contained:
             self.statistics.record("contained", contained)
 
-        owner_results: Dict[CacheKey, SearchResult] = {}
+        owner_results: Dict[CacheKey, Settlement] = {}
         if owned:
             batch = [materialized[owner_position[key]] for key in owned]
             try:
@@ -485,48 +447,60 @@ class QueryResultCache:
                 for flight in owned.values():
                     flight.done.set()
                 raise
-            for flight, result in zip(owned.values(), results):
-                flight.result = result
+            misses = 0
             with self._lock:
-                for key, result in zip(owned, results):
-                    query = materialized[owner_position[key]]
-                    if self._store_allowed_locked(
-                        namespace, query, generation, delta_seq
-                    ):
-                        self._store_locked(key, query, result)
+                for (key, flight), result in zip(owned.items(), results):
                     self._inflight.pop(key, None)
+                    owner_results[key] = result
+                    if isinstance(result, Exception):
+                        flight.error = result
+                        outcomes[owner_position[key]] = (result, FetchStatus.MISS)
+                        continue
+                    flight.result = result
+                    misses += 1
+                    query = materialized[owner_position[key]]
+                    if self._store_allowed_locked(namespace, query, generation, delta_seq):
+                        self._store_locked(key, query, result)
             for flight in owned.values():
                 flight.done.set()
-            self.statistics.record("misses", len(results))
-            for key, result in zip(owned, results):
-                owner_results[key] = result
-                outcomes[owner_position[key]] = (
-                    replace(result, rows=tuple(dict(row) for row in result.rows)),
-                    FetchStatus.MISS,
-                )
+            if misses:
+                self.statistics.record("misses", misses)
+            # The stored entry must never alias rows a caller can mutate, so
+            # the MISS caller also gets copied rows (but keeps the latency).
+            for key, result in owner_results.items():
+                if not isinstance(result, Exception):
+                    outcomes[owner_position[key]] = (
+                        replace(result, rows=tuple(dict(row) for row in result.rows)),
+                        FetchStatus.MISS,
+                    )
 
-        if duplicates:
-            for position, key in duplicates:
-                outcomes[position] = (self._replay(owner_results[key]), FetchStatus.HIT)
-            self.statistics.record("hits", len(duplicates))
+        hits = 0
+        for position, key in duplicates:
+            twin = owner_results[key]
+            if isinstance(twin, Exception):
+                outcomes[position] = (twin, FetchStatus.MISS)
+            else:
+                outcomes[position] = (self._replay(twin), FetchStatus.HIT)
+                hits += 1
+        if hits:
+            self.statistics.record("hits", hits)
 
         for position, key, flight in waiting:
             flight.done.wait()
             if flight.error is None and flight.result is not None:
                 self.statistics.record("coalesced")
                 outcomes[position] = (self._replay(flight.result), FetchStatus.COALESCED)
-            else:
-                # The owning caller failed: contend for ownership of this one
-                # key through the single-query path.
-                query = materialized[position]
-                outcomes[position] = self.fetch(
-                    namespace,
-                    query,
-                    system_k,
-                    lambda query=query: compute_many([query])[0],
-                )
+                continue
+            # The owning caller failed: contend for ownership of this one key
+            # again (one waiter at a time wins it).
+            try:
+                outcomes[position] = self.fetch_many(
+                    namespace, [materialized[position]], system_k, compute_many
+                )[0]
+            except Exception as error:  # noqa: BLE001 - siblings already answered
+                outcomes[position] = (error, FetchStatus.MISS)
 
-        complete: List[Tuple[SearchResult, FetchStatus]] = []
+        complete: List[Tuple[Settlement, FetchStatus]] = []
         for outcome in outcomes:
             assert outcome is not None, "fetch_many left a query unresolved"
             complete.append(outcome)

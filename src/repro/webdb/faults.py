@@ -12,7 +12,8 @@ assertions.
 
 :class:`FaultInjector` is the fault stage of a
 :class:`~repro.webdb.stack.SourceStack`: it sits between the stack's guard and
-the database and perturbs ``search``:
+the database.  A slot is drawn first (:meth:`FaultInjector.draw`, in order)
+and applied second (:meth:`FaultInjector.apply`) — perturbing one query:
 
 * ``TRANSIENT`` — the query raises :class:`SourceUnavailableError` (a retry
   may succeed: the next attempt draws the next schedule index);
@@ -32,7 +33,7 @@ import random
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import SourceTimeoutError, SourceUnavailableError
 from repro.webdb.interface import SearchResult, TopKInterface
@@ -47,6 +48,14 @@ class FaultKind(Enum):
     TIMEOUT = "timeout"
     SLOW = "slow"
     FAIL_STOP = "fail_stop"
+
+
+#: One drawn schedule slot: the fault and the simulated seconds it costs.
+Slot = Tuple[FaultKind, float]
+#: The slot of a query nothing perturbs.
+CLEAN: Slot = (FaultKind.NONE, 0.0)
+#: Kinds whose query still reaches the source (a SLOW one only pays more).
+PASSING = frozenset({FaultKind.NONE, FaultKind.SLOW})
 
 
 # Knuth's multiplicative hash constant: decorrelates per-index streams drawn
@@ -165,29 +174,36 @@ class FaultInjector:
 
     def search(self, query: SearchQuery) -> SearchResult:
         """Draw the next schedule slot, then fail, delay or pass ``query``."""
+        return self.apply(self.draw(1)[0], query)
+
+    def draw(self, count: int) -> List[Slot]:
+        """Consume the next ``count`` slots in order, under one lock (while
+        inactive every slot is a clean pass and the index stays frozen)."""
         with self._lock:
             if not self._active:
-                kind, cost = FaultKind.NONE, 0.0
+                slots = [CLEAN] * count
             else:
-                kind, cost = self._plan.fault_at(self._index)
-                self._index += 1
-            self._counts[kind.value] += 1
+                start = self._index
+                self._index += count
+                slots = [self._plan.fault_at(index) for index in range(start, self._index)]
+            for kind, _ in slots:
+                self._counts[kind.value] += 1
+        return slots
+
+    def apply(self, slot: Slot, query: SearchQuery) -> SearchResult:
+        """Fail ``query`` as ``slot`` says, or pass it to the source and add
+        the slot's latency spike to its round trip."""
+        kind, cost = slot
         name = self._name
         if kind is FaultKind.TRANSIENT:
-            raise SourceUnavailableError(
-                f"{name}: scheduled transient fault", source=name
-            )
-        if kind in (FaultKind.TIMEOUT, FaultKind.FAIL_STOP):
+            raise SourceUnavailableError(f"{name}: scheduled transient fault", source=name)
+        if kind not in PASSING:
             raise SourceTimeoutError(
-                f"{name}: scheduled {kind.value} "
-                f"(paid {cost:.3f}s waiting)",
+                f"{name}: scheduled {kind.value} (paid {cost:.3f}s waiting)",
                 source=name,
                 elapsed_seconds=cost,
             )
-        result = self._inner.search(query)
-        if kind is FaultKind.SLOW:
-            result = replace(result, elapsed_seconds=result.elapsed_seconds + cost)
-        return result
+        return delayed(self._inner.search(query), cost)
 
     # ------------------------------------------------------------------ #
     # Schedule control (chaos harness / tests)
@@ -208,7 +224,7 @@ class FaultInjector:
     def perturbs(self) -> bool:
         """Whether a query through this injector can be failed or delayed:
         it is active and its plan is not a no-op.  While false the source
-        stack bypasses the injector (and keeps its batched path)."""
+        stack bypasses the injector and draws no slots."""
         with self._lock:
             return self._active and not self._plan.is_noop
 
@@ -241,3 +257,10 @@ class FaultInjector:
         """Per-kind counts of queries seen (``"none"`` counts clean passes)."""
         with self._lock:
             return dict(self._counts)
+
+
+def delayed(result: SearchResult, spike: float) -> SearchResult:
+    """``result`` with a passing slot's latency spike added to its round trip."""
+    if not spike:
+        return result
+    return replace(result, elapsed_seconds=result.elapsed_seconds + spike)

@@ -11,10 +11,11 @@ let the rest of the library stay shard-agnostic:
   **by attribute range** (contiguous quantile slices of one numeric
   attribute, which enables shard pruning for range-filtered queries);
 * :class:`FederatedInterface` — presents the shard databases as a single
-  :class:`~repro.webdb.interface.TopKInterface`.  A ``search`` **scatters**
-  the query to the non-pruned shards, **gathers** their top-k pages, and
-  merges them by the (shared) hidden system ranking into one page that is
-  *byte-identical* to what the unsharded reference database would return.
+  :class:`~repro.webdb.interface.TopKInterface`.  A query group **scatters**
+  to the non-pruned shards, one batch per shard; each query **gathers** its
+  shards' top-k pages and merges them by the (shared) hidden system ranking
+  into one page that is *byte-identical* to what the unsharded reference
+  database would return.
 
 Correctness of the scatter-gather merge:
 
@@ -37,9 +38,12 @@ one shard never retires a sibling shard's entries.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Schema
@@ -52,7 +56,13 @@ from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
 from repro.webdb.faults import FaultInjector, FaultPlan
-from repro.webdb.interface import Outcome, SearchResult, TopKInterface
+from repro.webdb.interface import (
+    Outcome,
+    SearchResult,
+    Settlement,
+    TopKInterface,
+    answers,
+)
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
 from repro.webdb.resilience import (
@@ -127,10 +137,23 @@ def partition_positions(
     return buckets, partitions
 
 
+@dataclass
+class _Scatter:
+    """One query's progress through a group's shard loop."""
+
+    query: SearchQuery
+    targets: List[int]
+    deadline: Deadline
+    pages: List[SearchResult] = field(default_factory=list)
+    missing: List[str] = field(default_factory=list)
+    unavailable: Optional[SourceUnavailableError] = None  #: the last shard's
+    error: Optional[Exception] = None  #: fails the query; its shards stop
+
+
 class FederatedInterface(TopKInterface):
     """N shard databases presented as one top-k source.
 
-    ``search`` scatters to every shard the query cannot be pruned from,
+    A query group scatters to every shard its queries cannot be pruned from,
     gathers the per-shard pages, and merges them by the shared hidden system
     ranking — reproducing the unsharded reference database's pages byte for
     byte (see the module docstring for the argument).
@@ -168,7 +191,7 @@ class FederatedInterface(TopKInterface):
         for shard in self._shards[1:]:
             if shard.schema.key != self._schema.key:
                 raise QueryError("shards must share one key column")
-        self._system_ranking = system_ranking
+        self._sort_key = system_ranking.sort_key(self._schema.key)
         self.name = name
         self._system_k = system_k if system_k is not None else min(
             shard.system_k for shard in self._shards
@@ -224,96 +247,52 @@ class FederatedInterface(TopKInterface):
 
     @property
     def supports_batched_search(self) -> bool:
-        """A scatter already fans out internally; batching is advertised only
-        when every shard could amortize it (no sleeping latency model, no
-        fault being drawn)."""
+        """Batching is advertised when every shard can amortize it (no
+        sleeping latency model): a group is then scattered as one batch per
+        shard."""
         return all(stack.supports_batched_search for stack in self._stacks)
 
     def search(self, query: SearchQuery) -> SearchResult:
-        """Scatter ``query`` to the live shards and gather one merged page.
+        """Scatter ``query`` and gather one merged page (a group of one)."""
+        return self.search_many([query])[0]
 
-        A shard whose retries are exhausted (or whose breaker is open) does
-        not fail the scatter: its stale cached answer is replayed when
-        permitted, otherwise the shard is recorded in ``missing_shards`` and
-        the merged result is returned *degraded* — forced to ``OVERFLOW`` so
-        it never claims to cover the query, and never stored in the result
-        cache.  Only when **no** shard contributes anything does the scatter
-        raise.
+    def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
+        return answers(self.settle_many(queries))
+
+    def settle_many(self, queries: Sequence[SearchQuery]) -> List[Settlement]:
+        """Scatter a group and gather one merged page per query, each
+        settled on its own.
+
+        Every shard, in index order, gets the group's queries that target it
+        and still have time left as one batch (through the shard cache when
+        there is one).  A shard that fails a query (retries exhausted,
+        breaker open) does not fail that query: its stale cached answer is
+        replayed when permitted, otherwise the shard is recorded in
+        ``missing_shards`` and the merged result is returned *degraded* —
+        forced to ``OVERFLOW`` so it never claims to cover the query, and
+        never stored in the result cache.  Only a query to which **no** shard
+        contributed anything settles as an error.
         """
-        query.validate(self._schema)
-        targets = self._targets_for(query)
-        deadline = Deadline(self._resilience.deadline_seconds)
-        results: List[SearchResult] = []
-        missing: List[str] = []
-        stale_answers = 0
-        last_error: Optional[SourceUnavailableError] = None
-        deadline_hit = False
-        for index in targets:
-            if deadline.expired:
-                # Out of time: the remaining shards go unqueried and are
-                # reported missing instead of being paid for.
-                deadline_hit = True
-                missing.append(self._namespaces[index])
-                continue
-            try:
-                result = self._shard_search(index, query, deadline)
-            except SourceUnavailableError as error:
-                last_error = error
-                stale = self._stale_shard_answer(index, query)
-                if stale is not None:
-                    stale_answers += 1
-                    results.append(stale)
+        batch = list(queries)
+        for query in batch:
+            query.validate(self._schema)
+        seconds = self._resilience.deadline_seconds
+        scatters = [_Scatter(q, self._targets_for(q), Deadline(seconds)) for q in batch]
+        for index, namespace in enumerate(self._namespaces):
+            live: List[_Scatter] = []
+            for scatter in scatters:
+                if scatter.error is not None or index not in scatter.targets:
+                    continue
+                if scatter.deadline.expired:
+                    # Out of time: the remaining shards go unqueried and are
+                    # reported missing instead of being paid for.
+                    scatter.missing.append(namespace)
                 else:
-                    missing.append(self._namespaces[index])
-                continue
-            deadline.charge(result.elapsed_seconds)
-            results.append(result)
-        if targets and not results:
-            # Nothing answered, live or stale: the whole federation is down
-            # (or the deadline left no room for even one shard).
-            if deadline_hit and last_error is None:
-                raise DeadlineExceededError(
-                    f"{self.name}: deadline exhausted before any shard answered",
-                    elapsed_seconds=deadline.spent,
-                )
-            raise SourceUnavailableError(
-                f"{self.name}: no shard reachable ({', '.join(missing)})",
-                source=self.name,
-                retry_after_seconds=self._shortest_retry_hint(),
-            )
-        degraded = bool(missing) or stale_answers > 0
-        merged: List[Row] = [row for result in results for row in result.rows]
-        merged.sort(key=self._system_ranking.sort_key(self._schema.key))
-        overflow = any(result.is_overflow for result in results)
-        total = len(merged)
-        if degraded or overflow or total > self._system_k:
-            # A degraded merge can never prove coverage: unseen shards may
-            # hold matches, so the trichotomy is pinned at OVERFLOW.
-            outcome = Outcome.OVERFLOW
-        elif total == 0:
-            outcome = Outcome.UNDERFLOW
-        else:
-            outcome = Outcome.VALID
-        elapsed = max((result.elapsed_seconds for result in results), default=0.0)
-        with self._lock:
-            self._scatter_count += 1
-            self._pruned_shard_queries += len(self._shards) - len(targets)
-            self._fanout_total += len(targets)
-            self._fanout_max = max(self._fanout_max, len(targets))
-            self._merge_rows_total += total
-            self._merge_depth_max = max(self._merge_depth_max, total)
-        if degraded:
-            self._resilience_stats.record("degraded_scatters")
-        return SearchResult(
-            query=query,
-            rows=tuple(merged[: self._system_k]),
-            outcome=outcome,
-            system_k=self._system_k,
-            elapsed_seconds=elapsed,
-            degraded=degraded,
-            missing_shards=tuple(missing),
-            stale=stale_answers > 0,
-        )
+                    live.append(scatter)
+            if live:
+                for scatter, answer in zip(live, self._shard_settle(index, live)):
+                    self._gather(scatter, index, answer)
+        return [self._merge(scatter) for scatter in scatters]
 
     def queries_issued(self) -> int:
         """Scatters served by the federation (each is one logical query;
@@ -343,25 +322,101 @@ class FederatedInterface(TopKInterface):
             targets.append(index)
         return targets
 
-    def _shard_search(
-        self, index: int, query: SearchQuery, deadline: Deadline
-    ) -> SearchResult:
+    def _shard_settle(self, index: int, scatters: List[_Scatter]) -> List[Settlement]:
+        """Settle one shard's batch, each query under its own deadline."""
         stack = self._stacks[index]
+        deadlines = {id(scatter.query): scatter.deadline for scatter in scatters}
+
+        def settle(batch: Sequence[SearchQuery]) -> List[Settlement]:
+            return stack.settle_many(batch, [deadlines[id(query)] for query in batch])
+
+        queries = [scatter.query for scatter in scatters]
         if self._cache is None:
-            return stack.search(query, deadline)
+            return settle(queries)
         # The stack's guard wraps only the remote compute: cache hits never
         # touch the breaker, so cached answers keep serving while a shard is
         # down, and breaker state reflects only real round trips.
-        result, status = self._cache.fetch(
-            self._namespaces[index],
-            query,
-            stack.system_k,
-            lambda: stack.search(query, deadline),
+        resolved = self._cache.fetch_many(
+            self._namespaces[index], queries, stack.system_k, settle
         )
-        if status is not FetchStatus.MISS:
+        hits = sum(1 for _, status in resolved if status is not FetchStatus.MISS)
+        if hits:
             with self._lock:
-                self._shard_cache_hits[index] += 1
-        return result
+                self._shard_cache_hits[index] += hits
+        return [answer for answer, _ in resolved]
+
+    def _gather(self, scatter: _Scatter, index: int, answer: Settlement) -> None:
+        """Fold shard ``index``'s answer for one query into its scatter."""
+        if not isinstance(answer, Exception):
+            scatter.deadline.charge(answer.elapsed_seconds)
+            scatter.pages.append(answer)
+        elif isinstance(answer, SourceUnavailableError):
+            scatter.unavailable = answer
+            stale = self._stale_shard_answer(index, scatter.query)
+            if stale is not None:
+                scatter.pages.append(stale)
+            else:
+                scatter.missing.append(self._namespaces[index])
+        else:
+            # A deadline spent inside the shard's retries (or any error but
+            # the shard being down) fails the query; later shards skip it.
+            scatter.error = answer
+
+    def _merge(self, scatter: _Scatter) -> Settlement:
+        """One query's merged page, or the error that stopped its scatter.
+
+        Every page is in hidden-rank order under the shared sort key and
+        keys are unique across shards, so a k-way merge yields exactly the
+        rows a full sort would, ranking only the ``system_k`` it keeps."""
+        if scatter.error is not None:
+            return scatter.error
+        pages = scatter.pages
+        if scatter.targets and not pages:
+            # Nothing answered, live or stale: the whole federation is down,
+            # or (no shard failed) the deadline left no room for even one.
+            if scatter.unavailable is None:
+                return DeadlineExceededError(
+                    f"{self.name}: deadline exhausted before any shard answered",
+                    elapsed_seconds=scatter.deadline.spent,
+                )
+            return SourceUnavailableError(
+                f"{self.name}: no shard reachable ({', '.join(scatter.missing)})",
+                source=self.name,
+                retry_after_seconds=self._shortest_retry_hint(),
+            )
+        stale = any(page.stale for page in pages)
+        degraded = bool(scatter.missing) or stale
+        total = sum(len(page.rows) for page in pages)
+        merged = heapq.merge(*(page.rows for page in pages), key=self._sort_key)
+        rows = tuple(islice(merged, self._system_k))
+        if degraded or total > self._system_k or any(page.is_overflow for page in pages):
+            # A degraded merge can never prove coverage: unseen shards may
+            # hold matches, so the trichotomy is pinned at OVERFLOW.
+            outcome = Outcome.OVERFLOW
+        elif total == 0:
+            outcome = Outcome.UNDERFLOW
+        else:
+            outcome = Outcome.VALID
+        fanout = len(scatter.targets)
+        with self._lock:
+            self._scatter_count += 1
+            self._pruned_shard_queries += len(self._shards) - fanout
+            self._fanout_total += fanout
+            self._fanout_max = max(self._fanout_max, fanout)
+            self._merge_rows_total += total
+            self._merge_depth_max = max(self._merge_depth_max, total)
+        if degraded:
+            self._resilience_stats.record("degraded_scatters")
+        return SearchResult(
+            query=scatter.query,
+            rows=rows,
+            outcome=outcome,
+            system_k=self._system_k,
+            elapsed_seconds=max((page.elapsed_seconds for page in pages), default=0.0),
+            degraded=degraded,
+            missing_shards=tuple(scatter.missing),
+            stale=stale,
+        )
 
     def _stale_shard_answer(
         self, index: int, query: SearchQuery
@@ -550,7 +605,7 @@ class FederatedInterface(TopKInterface):
     def all_matches(self, query: SearchQuery) -> List[Row]:
         """Every matching tuple across the federation, in hidden-rank order."""
         merged = [row for shard in self._shards for row in shard.all_matches(query)]
-        merged.sort(key=self._system_ranking.sort_key(self._schema.key))
+        merged.sort(key=self._sort_key)
         return merged
 
     def true_ranking(self, query: SearchQuery, score, limit: Optional[int] = None):

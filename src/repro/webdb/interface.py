@@ -21,7 +21,7 @@ import enum
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataset.schema import Schema
 from repro.webdb.query import SearchQuery
@@ -108,6 +108,19 @@ class SearchResult:
         return [row[key_column] for row in self.rows]
 
 
+#: How :meth:`TopKInterface.settle_many` settles one query of a batch: its
+#: answer, or the error that stopped it (source unavailable, deadline spent).
+Settlement = Union[SearchResult, Exception]
+
+
+def answers(settled: Sequence[Settlement]) -> List[SearchResult]:
+    """The answers of a settled batch, or its first error raised."""
+    for answer in settled:
+        if isinstance(answer, Exception):
+            raise answer
+    return list(settled)  # type: ignore[arg-type]
+
+
 class TopKInterface(ABC):
     """Abstract top-k search interface of a (hidden) web database."""
 
@@ -147,6 +160,13 @@ class TopKInterface(ABC):
         :attr:`supports_batched_search`.
         """
         return [self.search(query) for query in queries]
+
+    def settle_many(self, queries: Sequence[SearchQuery]) -> List[Settlement]:
+        """Settle a batch query by query: each position holds that query's
+        answer or the error that stopped it, and a raise means nothing was
+        answered.  The default is one :meth:`search_many` (a database
+        validates the whole batch before issuing any of it)."""
+        return list(self.search_many(queries))
 
     def queries_issued(self) -> int:
         """Total number of queries this interface has served (0 when the

@@ -147,7 +147,9 @@ class CircuitBreaker:
 
     ``clock`` is injectable (tests drive recovery without sleeping).  All
     transitions are recorded so statistics panels can show the breaker's
-    history, and :meth:`seconds_until_probe` feeds ``Retry-After`` hints.
+    history — into the breaker's own counts and, at the moment they happen,
+    into ``statistics`` when a guard has attached one — and
+    :meth:`seconds_until_probe` feeds ``Retry-After`` hints.
     """
 
     def __init__(
@@ -160,6 +162,7 @@ class CircuitBreaker:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
         self.name = name
+        self.statistics: Optional[ResilienceStatistics] = None
         self._failure_threshold = failure_threshold
         self._recovery_seconds = recovery_seconds
         self._clock = clock
@@ -201,7 +204,7 @@ class CircuitBreaker:
             self._probe_in_flight = False
             if self._state != BreakerState.CLOSED:
                 self._state = BreakerState.CLOSED
-                self._transitions["closed"] += 1
+                self._transition_locked("closed", "breaker_closes")
 
     def abandon_probe(self) -> None:
         """Release a half-open probe slot without settling the state (the
@@ -249,7 +252,7 @@ class CircuitBreaker:
     def _open_locked(self) -> None:
         self._state = BreakerState.OPEN
         self._opened_at = self._clock()
-        self._transitions["opened"] += 1
+        self._transition_locked("opened", "breaker_opens")
 
     def _maybe_half_open_locked(self) -> None:
         if (
@@ -258,7 +261,12 @@ class CircuitBreaker:
         ):
             self._state = BreakerState.HALF_OPEN
             self._probe_in_flight = False
-            self._transitions["half_opened"] += 1
+            self._transition_locked("half_opened", "breaker_half_opens")
+
+    def _transition_locked(self, name: str, counter: str) -> None:
+        self._transitions[name] += 1
+        if self.statistics is not None:
+            self.statistics.record(counter)
 
 
 class Deadline:
@@ -373,6 +381,7 @@ class SourceGuard:
         self.policy = policy
         self.breaker = breaker
         self.statistics = statistics or ResilienceStatistics()
+        breaker.statistics = self.statistics
         self._retry_budget = retry_budget
         self._retries_spent = 0
         self._calls = 0
@@ -403,16 +412,18 @@ class SourceGuard:
         self,
         supply: Callable[[], T],
         deadline: Optional[Deadline] = None,
+        queries: int = 1,
     ) -> T:
         """Run ``supply`` under the guard's breaker + retry policy.
 
         Raises :class:`CircuitOpenError` without invoking ``supply`` while
         the breaker is open; otherwise retries retryable failures up to the
         policy's attempt count, charging every failed attempt's elapsed time
-        and backoff wait to ``deadline``.
+        and backoff wait to ``deadline``.  The attempt counters count the
+        ``queries`` ``supply`` carries under this one admission; backoff
+        delays are drawn only when a retry is about to wait.
         """
         stats = self.statistics
-        before = self.breaker.transitions()
         if not self.breaker.allow():
             stats.record("short_circuits")
             raise CircuitOpenError(
@@ -424,7 +435,7 @@ class SourceGuard:
         with self._lock:
             token = self._calls
             self._calls += 1
-        delays = self.policy.delays(token)
+        delays: Optional[List[float]] = None
         last_error: Optional[SourceUnavailableError] = None
         for attempt in range(self.policy.max_attempts):
             if deadline is not None:
@@ -432,9 +443,8 @@ class SourceGuard:
                     deadline.require(f"before attempt {attempt + 1} on {self.name}")
                 except DeadlineExceededError:
                     stats.record("deadline_hits")
-                    self._fold_transitions(before)
                     raise
-            stats.record("attempts")
+            stats.record("attempts", queries)
             try:
                 result = supply()
             except SourceUnavailableError as exc:
@@ -444,13 +454,11 @@ class SourceGuard:
                 # says nothing about the source being up: release any probe
                 # slot and let it propagate without touching breaker state.
                 self.breaker.abandon_probe()
-                self._fold_transitions(before)
                 raise
             else:
                 self.breaker.record_success()
-                self._fold_transitions(before)
                 return result
-            stats.record("failed_attempts")
+            stats.record("failed_attempts", queries)
             if last_error.elapsed_seconds:
                 stats.record("timeouts_paid")
                 stats.record_wait(last_error.elapsed_seconds)
@@ -464,12 +472,13 @@ class SourceGuard:
             if not self._spend_retry():
                 stats.record("retry_budget_exhausted")
                 break
+            if delays is None:
+                delays = self.policy.delays(token)
             wait = delays[attempt]
-            stats.record("retries")
+            stats.record("retries", queries)
             stats.record_wait(wait)
             if deadline is not None:
                 deadline.charge(wait)
-        self._fold_transitions(before)
         assert last_error is not None
         raise last_error
 
@@ -481,18 +490,6 @@ class SourceGuard:
                 return False
             self._retries_spent += 1
             return True
-
-    def _fold_transitions(self, before: Dict[str, int]) -> None:
-        after = self.breaker.transitions()
-        stats = self.statistics
-        for key, field in (
-            ("opened", "breaker_opens"),
-            ("half_opened", "breaker_half_opens"),
-            ("closed", "breaker_closes"),
-        ):
-            delta = after[key] - before[key]
-            if delta > 0:
-                stats.record(field, delta)
 
     def describe(self) -> Dict[str, object]:
         with self._lock:

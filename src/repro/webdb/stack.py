@@ -7,21 +7,28 @@ the source is built::
 
     database -> FaultInjector -> SourceGuard -> InterfaceStatistics
 
-:class:`SourceStack` is that composition behind ``search`` / ``search_many``
-(a ``search`` is a batch of one).  An unsharded source is one stack; a
-:class:`~repro.webdb.federation.FederatedInterface` holds one per shard.  The
-stages are plain attributes — ``.injector``, ``.guard``, ``.statistics`` — so
-nothing ever has to hunt for them.
+:class:`SourceStack` is that composition behind ``settle_many`` (``search``
+and ``search_many`` raise the first error of their batch).  An unsharded
+source is one stack; a :class:`~repro.webdb.federation.FederatedInterface`
+holds one per shard.  The stages are plain attributes — ``.injector``,
+``.guard``, ``.statistics`` — so nothing ever has to hunt for them.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.dataset.schema import Schema
-from repro.webdb.faults import FaultInjector, FaultPlan
-from repro.webdb.interface import InterfaceStatistics, SearchResult, TopKInterface
+from repro.webdb.faults import CLEAN, PASSING, FaultInjector, FaultPlan, Slot, delayed
+from repro.webdb.interface import (
+    InterfaceStatistics,
+    SearchResult,
+    Settlement,
+    TopKInterface,
+    answers,
+)
 from repro.webdb.query import SearchQuery
 from repro.webdb.resilience import (
     Deadline,
@@ -97,44 +104,56 @@ class SourceStack(TopKInterface):
 
     @property
     def supports_batched_search(self) -> bool:
-        """The database's own answer, unless faults are being drawn: those
-        are scheduled per query, so a perturbing injector forces per-query
-        issuance."""
-        return self.database.supports_batched_search and not self._perturbed()
+        """The database's own answer (fault slots are drawn up front)."""
+        return self.database.supports_batched_search
 
-    def search(
-        self, query: SearchQuery, deadline: Optional[Deadline] = None
-    ) -> SearchResult:
-        return self.search_many([query], deadline)[0]
+    def search(self, query: SearchQuery) -> SearchResult:
+        return self.search_many([query])[0]
 
-    def search_many(
-        self, queries: Sequence[SearchQuery], deadline: Optional[Deadline] = None
-    ) -> List[SearchResult]:
-        """Issue ``queries`` through the guard.
+    def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
+        return answers(self.settle_many(queries))
 
-        Without a perturbing injector the whole batch is one guard admission
-        and one ``database.search_many`` call.  With one, every query draws
-        its own schedule slot and is retried on its own.  ``deadline`` lets a
-        scatter share one budget of simulated seconds across its shards;
-        otherwise each guard call gets a fresh one from the policy.
+    def settle_many(
+        self,
+        queries: Sequence[SearchQuery],
+        deadlines: Optional[Sequence[Deadline]] = None,
+    ) -> List[Settlement]:
+        """Issue ``queries`` through the guard, settling each on its own.
+
+        Every query draws its fault slot up front, in batch order.  The ones
+        whose slot lets them through go out as one ``database.search_many``
+        under one guard admission (a SLOW slot adds its spike to the query's
+        round trip); each faulted query gets a guard call of its own, whose
+        first attempt raises the drawn fault and whose retries draw fresh
+        slots.  ``deadlines`` (aligned with ``queries``) give each query of a
+        scatter one budget across its shards — the batch admission is held
+        to the tightest — otherwise each guard call gets a fresh one.
         """
         batch = list(queries)
-        if self._perturbed():
-            injector = self.injector
-            results = [
-                self.guard.call(
-                    lambda query=query: injector.search(query),
-                    self._deadline(deadline),
-                )
-                for query in batch
-            ]
-        else:
-            results = self.guard.call(
-                lambda: self.database.search_many(batch), self._deadline(deadline)
+        count = len(batch)
+        injector = self.injector
+        slots = injector.draw(count) if injector and injector.perturbs else [CLEAN] * count
+        limits = list(deadlines) if deadlines is not None else [None] * count
+        settled: List[Settlement] = [None] * count  # type: ignore[list-item]
+        passing = [position for position in range(count) if slots[position][0] in PASSING]
+        if passing:
+            clean = [batch[position] for position in passing]
+            supply = partial(self.database.search_many, clean)
+            tightest = (
+                min((limits[p] for p in passing), key=Deadline.remaining) if deadlines else None
             )
-        for result in results:
-            self.statistics.record(result)
-        return results
+            for position, answer in zip(passing, self._guarded(supply, tightest, len(clean))):
+                if not isinstance(answer, Exception):
+                    answer = delayed(answer, slots[position][1])
+                settled[position] = answer
+        for position in range(count):
+            if settled[position] is None:
+                attempt = partial(self._attempt, batch[position], [slots[position]])
+                settled[position] = self._guarded(attempt, limits[position])[0]
+        for answer in settled:
+            if not isinstance(answer, Exception):
+                self.statistics.record(answer)
+        return settled
 
     def queries_issued(self) -> int:
         """Round trips that answered through this stack."""
@@ -148,11 +167,26 @@ class SourceStack(TopKInterface):
         return guards_snapshot(self.guard.statistics, [self.guard])
 
     # ------------------------------------------------------------------ #
-    def _perturbed(self) -> bool:
-        return self.injector is not None and self.injector.perturbs
+    def _attempt(self, query: SearchQuery, drawn: List[Slot]) -> List[SearchResult]:
+        """One attempt of a faulted query: the first raises the fault drawn
+        up front, a retry draws a fresh slot."""
+        injector = self.injector
+        assert injector is not None
+        return [injector.apply(drawn.pop(), query) if drawn else injector.search(query)]
 
-    def _deadline(self, shared: Optional[Deadline]) -> Deadline:
-        return shared if shared is not None else Deadline(self._deadline_seconds)
+    def _guarded(
+        self,
+        supply: Callable[[], List[SearchResult]],
+        deadline: Optional[Deadline],
+        queries: int = 1,
+    ) -> List[Settlement]:
+        """One guard call for ``queries`` queries; an error settles them all."""
+        if deadline is None:
+            deadline = Deadline(self._deadline_seconds)
+        try:
+            return self.guard.call(supply, deadline, queries)
+        except Exception as error:  # noqa: BLE001 - raised once the batch settles
+            return [error] * queries
 
     def __getattr__(self, name: str):
         # Mutation and ground-truth helpers live on the database.

@@ -18,8 +18,8 @@ from repro.webdb.ranking import AttributeOrderRanking
 from tests.conftest import query_threads
 
 WORKERS = 3
-#: Perturbing (so every shard issues per query, never batched) yet never
-#: failing: a slow draw only inflates the accounted latency.
+#: Perturbing yet never failing: a slow draw only inflates the accounted
+#: latency.
 PLAN = FaultPlan(seed=5, slow_rate=0.2)
 
 
@@ -31,10 +31,19 @@ def _source(diamond_catalog, schema, config):
 
 @pytest.fixture()
 def sharded_faulty(diamond_catalog, diamond_schema_fixture):
+    # A really sleeping source cannot batch, so every group fans out over the
+    # pool (a perturbing fault plan alone no longer forces that).
     return _source(
         diamond_catalog,
         diamond_schema_fixture,
-        DatabaseConfig(system_k=10, shards=4, fault_plan=PLAN),
+        DatabaseConfig(
+            system_k=10,
+            shards=4,
+            fault_plan=PLAN,
+            latency_seconds=0.00001,
+            latency_jitter=0.0,
+            latency_sleep=True,
+        ),
     )
 
 

@@ -289,7 +289,7 @@ class TestStreamLifecycle:
         service.close()
 
     def test_service_close_leaves_no_query_thread(self):
-        # Perturbed shards issue per query, so every lead fans out over its
+        # Really sleeping shards cannot batch, so every lead fans out over its
         # source's executor: replaced and abandoned streams hold no threads
         # of their own, and closing the service ends the sources' pools.
         before = threading.enumerate()
@@ -297,7 +297,12 @@ class TestStreamLifecycle:
             diamond_config=DiamondCatalogConfig(size=200, seed=5),
             housing_config=HousingCatalogConfig(size=200, seed=6),
             database_config=DatabaseConfig(
-                system_k=10, shards=2, fault_plan=FaultPlan(seed=3, slow_rate=0.2)
+                system_k=10,
+                shards=2,
+                fault_plan=FaultPlan(seed=3, slow_rate=0.2),
+                latency_seconds=0.00001,
+                latency_jitter=0.0,
+                latency_sleep=True,
             ),
         )
         service = QR2Service(registry=registry)

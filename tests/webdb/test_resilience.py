@@ -1,5 +1,7 @@
 """Tests for retries, circuit breakers, deadlines, and the source guard."""
 
+import threading
+
 import pytest
 
 from repro.core.parallel import QueryEngine
@@ -197,6 +199,33 @@ class TestSourceGuard:
         assert snapshot["breaker_half_opens"] == 1
         assert snapshot["breaker_closes"] == 1
 
+    def test_concurrent_transitions_are_counted_once(self):
+        """Call A is admitted while the breaker is closed; while it is in
+        flight two failing calls open the breaker; then A succeeds and closes
+        it.  Each transition reaches the shared counters exactly once."""
+        guard, _, stats = make_guard(failure_threshold=2, max_attempts=1)
+        admitted, release = threading.Event(), threading.Event()
+        answers = []
+
+        def slow_success():
+            admitted.set()
+            release.wait(5.0)
+            return RESULT
+
+        caller = threading.Thread(target=lambda: answers.append(guard.call(slow_success)))
+        caller.start()
+        assert admitted.wait(5.0)
+        for _ in range(2):
+            with pytest.raises(SourceUnavailableError):
+                guard.call(Flaky(failures=1))
+        assert guard.breaker.state == BreakerState.OPEN
+        release.set()
+        caller.join(5.0)
+        assert answers == [RESULT]
+        assert guard.breaker.transitions() == {"opened": 1, "half_opened": 0, "closed": 1}
+        snapshot = stats.snapshot()
+        assert (snapshot["breaker_opens"], snapshot["breaker_closes"]) == (1, 1)
+
     def test_retry_budget_exhaustion_fails_fast(self):
         guard, _, stats = make_guard(
             failure_threshold=100, max_attempts=3, retry_budget=1
@@ -313,7 +342,8 @@ class TestResilientInterface:
         self, bluenile_db, monkeypatch
     ):
         """A guard-wrapped source under a no-op fault plan issues a group of
-        N as one ``HiddenWebDatabase.search_many`` call, one guard call."""
+        N as one ``HiddenWebDatabase.search_many`` call, one guard call
+        (whose attempts count the N queries it carried)."""
         batches = []
         original = type(bluenile_db).search_many
 
@@ -330,6 +360,6 @@ class TestResilientInterface:
         assert len(engine.search_group(group)) == 5
         assert batches == [5]
         assert stack.guard.describe()["calls"] == 1
-        assert stack.resilience_statistics.snapshot()["attempts"] == 1
+        assert stack.resilience_statistics.snapshot()["attempts"] == 5
         assert stack.statistics.queries == 5
         assert engine.budget.used == 5
