@@ -3,24 +3,14 @@
 The original QR2 implementation keeps query results in pandas data frames and
 post-processes them with pandasql.  pandas is not available in this
 environment, so :class:`ColumnTable` provides the small subset of behaviour
-the system actually needs: column-wise storage, row access as dictionaries,
-filtering, sorting, projection, and conversion helpers used by the SQLite
-bridge in :mod:`repro.sqlstore.rowsql`.
+the system actually needs: column-wise storage that the catalog generators
+produce and the simulated databases load, row access as dictionaries, and a
+fixed-width text rendering.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.exceptions import SchemaError
 
@@ -30,10 +20,8 @@ Row = Dict[str, object]
 class ColumnTable:
     """Column-major table with dictionary rows at the API boundary.
 
-    The table is intentionally immutable-ish: mutating operations return new
-    tables, which keeps result pages, session caches, and index snapshots from
-    aliasing each other (a recurring source of bugs when the service is
-    concurrent).
+    The table is immutable: columns and rows are handed out as copies, so a
+    caller never aliases the catalog it was built from.
     """
 
     def __init__(self, columns: Mapping[str, Sequence[object]]) -> None:
@@ -128,128 +116,6 @@ class ColumnTable:
     def to_rows(self) -> List[Row]:
         """Materialize all rows as a list of dictionaries."""
         return list(self.iter_rows())
-
-    # ------------------------------------------------------------------ #
-    # Relational-ish operations
-    # ------------------------------------------------------------------ #
-    def select(self, columns: Sequence[str]) -> "ColumnTable":
-        """Project onto ``columns`` (in the given order)."""
-        missing = [name for name in columns if name not in self._columns]
-        if missing:
-            raise SchemaError(f"unknown columns {missing}")
-        return ColumnTable({name: self._columns[name] for name in columns})
-
-    def _take(self, indices: Sequence[int]) -> "ColumnTable":
-        """New table holding the rows at ``indices``, by direct column
-        slicing — no round trip through row dictionaries."""
-        return ColumnTable(
-            {name: [values[i] for i in indices] for name, values in self._columns.items()}
-        )
-
-    def filter(self, predicate: Callable[[Row], bool]) -> "ColumnTable":
-        """Keep rows for which ``predicate`` returns True."""
-        kept = [index for index, row in enumerate(self.iter_rows()) if predicate(row)]
-        return self._take(kept)
-
-    def sort_by(
-        self,
-        key: Callable[[Row], object],
-        reverse: bool = False,
-    ) -> "ColumnTable":
-        """Return a new table sorted by ``key`` (stable sort)."""
-        order = sorted(
-            range(self._length),
-            key=lambda index: key(self.row(index)),
-            reverse=reverse,
-        )
-        return self._take(order)
-
-    def head(self, count: int) -> "ColumnTable":
-        """Return the first ``count`` rows."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return self._take(range(min(count, self._length)))
-
-    def append_rows(self, rows: Iterable[Row]) -> "ColumnTable":
-        """Return a new table with ``rows`` appended."""
-        combined = self.to_rows() + list(rows)
-        if not combined:
-            return ColumnTable.empty(self.columns)
-        return ColumnTable.from_rows(combined, columns=self.columns)
-
-    def distinct(self, columns: Optional[Sequence[str]] = None) -> "ColumnTable":
-        """Drop duplicate rows (duplicates judged on ``columns`` or all)."""
-        judge_columns = list(columns) if columns is not None else self.columns
-        judged = [self._columns[name] for name in judge_columns]
-        seen: set = set()
-        kept: List[int] = []
-        for index in range(self._length):
-            signature = tuple(values[index] for values in judged)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            kept.append(index)
-        return self._take(kept)
-
-    def rename(self, mapping: Mapping[str, str]) -> "ColumnTable":
-        """Rename columns according to ``mapping``."""
-        unknown = [name for name in mapping if name not in self._columns]
-        if unknown:
-            raise SchemaError(f"unknown columns {unknown}")
-        return ColumnTable(
-            {mapping.get(name, name): values for name, values in self._columns.items()}
-        )
-
-    def with_column(
-        self, name: str, values_or_fn: object
-    ) -> "ColumnTable":
-        """Return a new table with an added or replaced column.
-
-        ``values_or_fn`` is either a sequence of length ``len(self)`` or a
-        callable applied to each row.
-        """
-        if callable(values_or_fn):
-            values: List[object] = [values_or_fn(row) for row in self.iter_rows()]
-        else:
-            values = list(values_or_fn)  # type: ignore[arg-type]
-            if len(values) != self._length:
-                raise SchemaError(
-                    f"column {name!r} has {len(values)} values for {self._length} rows"
-                )
-        data = {key: list(column) for key, column in self._columns.items()}
-        data[name] = values
-        return ColumnTable(data)
-
-    # ------------------------------------------------------------------ #
-    # Aggregates
-    # ------------------------------------------------------------------ #
-    def min(self, column: str) -> object:
-        """Minimum value of ``column`` (raises on empty tables)."""
-        values = self.column(column)
-        if not values:
-            raise ValueError(f"min() on empty column {column!r}")
-        return min(values)  # type: ignore[type-var]
-
-    def max(self, column: str) -> object:
-        """Maximum value of ``column`` (raises on empty tables)."""
-        values = self.column(column)
-        if not values:
-            raise ValueError(f"max() on empty column {column!r}")
-        return max(values)  # type: ignore[type-var]
-
-    def mean(self, column: str) -> float:
-        """Arithmetic mean of a numeric column."""
-        values = [float(v) for v in self.column(column)]  # type: ignore[arg-type]
-        if not values:
-            raise ValueError(f"mean() on empty column {column!r}")
-        return sum(values) / len(values)
-
-    def value_counts(self, column: str) -> Dict[object, int]:
-        """Histogram of the values in ``column``."""
-        counts: Dict[object, int] = {}
-        for value in self.column(column):
-            counts[value] = counts.get(value, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------ #
     # Pretty printing (used by the examples and the statistics panel)

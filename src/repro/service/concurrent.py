@@ -36,10 +36,9 @@ missing execution layer between the HTTP boundary and :class:`QR2Service`:
     (session-less requests get a unique key and run fully parallel) and maps
     admission rejections to structured ``429`` JSON responses.
 
-The open-loop load harness in :mod:`repro.workloads.loadgen` drives this tier
-with a Zipf-distributed query mix — the access pattern the shared rerank feed
-was designed for; ``tests/workloads/test_loadgen.py`` holds the byte-identity
-claim and ``benchmarks/request_path`` (``warm_follow``, ``tier.*``) the cost.
+``tests/service/test_concurrent.py`` holds the byte-identity claim (pages
+served to concurrent sessions equal a sequential pass) and
+``benchmarks/request_path`` (``warm_follow``, ``tier.*``) the cost.
 """
 
 from __future__ import annotations

@@ -1,16 +1,12 @@
-"""SQLite-backed storage (the paper uses MySQL) plus a small SQL-over-tables
-bridge standing in for pandasql."""
+"""SQLite-backed storage (the paper uses MySQL)."""
 
 from repro.sqlstore.store import SQLiteTupleStore
 from repro.sqlstore.dense_cache import DenseRegionCache, StoredRegion
 from repro.sqlstore.result_store import ResultCacheStore
-from repro.sqlstore.rowsql import sql_over_table, sql_over_tables
 
 __all__ = [
     "SQLiteTupleStore",
     "DenseRegionCache",
     "StoredRegion",
     "ResultCacheStore",
-    "sql_over_table",
-    "sql_over_tables",
 ]

@@ -18,13 +18,13 @@ boot-time verification.
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import DenseRegionError
+from repro.sqlstore.connections import SQLiteConnections
 from repro.sqlstore.store import SQLiteTupleStore
 
 Row = Dict[str, object]
@@ -56,24 +56,10 @@ class DenseRegionCache:
     def __init__(self, schema: Schema, path: str = ":memory:") -> None:
         self._schema = schema
         self._tuples = SQLiteTupleStore(schema, path=path, table="dense_tuples")
-        self._path = path
         self._lock = threading.Lock()
-        self._shared_memory_connection: Optional[sqlite3.Connection] = None
-        if path == ":memory:":
-            self._shared_memory_connection = sqlite3.connect(
-                ":memory:", check_same_thread=False
-            )
-        self._local = threading.local()
+        self._connections = SQLiteConnections(path)
+        self._connection = self._connections.get
         self._create_tables()
-
-    def _connection(self) -> sqlite3.Connection:
-        if self._shared_memory_connection is not None:
-            return self._shared_memory_connection
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = sqlite3.connect(self._path, check_same_thread=False)
-            self._local.connection = connection
-        return connection
 
     def _create_tables(self) -> None:
         with self._lock:
@@ -209,7 +195,6 @@ class DenseRegionCache:
         return counters
 
     def close(self) -> None:
-        """Close the underlying connections."""
+        """Close every underlying connection, whichever thread opened it."""
         self._tuples.close()
-        if self._shared_memory_connection is not None:
-            self._shared_memory_connection.close()
+        self._connections.close()

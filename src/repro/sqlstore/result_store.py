@@ -43,6 +43,7 @@ import sqlite3
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.sqlstore.connections import SQLiteConnections
 from repro.webdb.cache import CacheKey, QueryResultCache
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import SearchQuery
@@ -66,30 +67,14 @@ class ResultCacheStore:
     def __init__(self, path: str = ":memory:") -> None:
         self._path = path
         self._lock = threading.Lock()
-        self._shared_memory_connection: Optional[sqlite3.Connection] = None
-        if path == ":memory:":
-            self._shared_memory_connection = sqlite3.connect(
-                ":memory:", check_same_thread=False
-            )
-        self._local = threading.local()
-        #: Every thread-local connection ever opened, so :meth:`close` can
-        #: release them all — not just the closing thread's own handle.
-        #: Guarded by its own lock: ``_connection`` runs while ``_lock`` is
-        #: already held.
-        self._all_connections: List[sqlite3.Connection] = []
-        self._connections_lock = threading.Lock()
+        self._connections = SQLiteConnections(path)
+        self._connection = self._connections.get
         self._create_tables()
 
-    def _connection(self) -> sqlite3.Connection:
-        if self._shared_memory_connection is not None:
-            return self._shared_memory_connection
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = sqlite3.connect(self._path, check_same_thread=False)
-            self._local.connection = connection
-            with self._connections_lock:
-                self._all_connections.append(connection)
-        return connection
+    @property
+    def _all_connections(self) -> List[sqlite3.Connection]:
+        """Every connection opened and not yet closed."""
+        return self._connections.opened
 
     def _create_tables(self) -> None:
         with self._lock:
@@ -341,10 +326,4 @@ class ResultCacheStore:
 
     def close(self) -> None:
         """Close every underlying connection, whichever thread opened it."""
-        if self._shared_memory_connection is not None:
-            self._shared_memory_connection.close()
-        with self._connections_lock:
-            doomed, self._all_connections = self._all_connections, []
-        for connection in doomed:
-            connection.close()
-        self._local.connection = None
+        self._connections.close()

@@ -6,20 +6,19 @@ so :class:`SQLiteTupleStore` provides the same capability on the standard
 library's ``sqlite3``: create a table per web-database schema, upsert crawled
 tuples, and run indexed range scans over numeric attributes.
 
-Connections are per-thread (SQLite connections must not be shared across
-threads without care), guarded by a lock for writes, and the store works both
-on-disk (shared, persistent — the production configuration) and in ``:memory:``
-(tests).
+Connections are per-thread (:class:`~repro.sqlstore.connections.SQLiteConnections`),
+writes are guarded by a lock, and the store works both on-disk (shared,
+persistent — the production configuration) and in ``:memory:`` (tests).
 """
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import SchemaError
+from repro.sqlstore.connections import SQLiteConnections
 
 Row = Dict[str, object]
 
@@ -38,31 +37,15 @@ class SQLiteTupleStore:
 
     def __init__(self, schema: Schema, path: str = ":memory:", table: str = "tuples") -> None:
         self._schema = schema
-        self._path = path
         self._table = table
         self._write_lock = threading.Lock()
-        self._local = threading.local()
-        # In-memory databases are per-connection; share one connection guarded
-        # by the write lock in that case.
-        self._shared_memory_connection: Optional[sqlite3.Connection] = None
-        if path == ":memory:":
-            self._shared_memory_connection = sqlite3.connect(
-                ":memory:", check_same_thread=False
-            )
+        self._connections = SQLiteConnections(path)
+        self._connection = self._connections.get
         self._create_table()
 
     # ------------------------------------------------------------------ #
-    # Connection / schema plumbing
+    # Schema plumbing
     # ------------------------------------------------------------------ #
-    def _connection(self) -> sqlite3.Connection:
-        if self._shared_memory_connection is not None:
-            return self._shared_memory_connection
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = sqlite3.connect(self._path, check_same_thread=False)
-            self._local.connection = connection
-        return connection
-
     def _column_definitions(self) -> List[str]:
         definitions = [f"{_quote_identifier(self._schema.key)} TEXT PRIMARY KEY"]
         for attribute in self._schema.attributes:
@@ -235,11 +218,5 @@ class SQLiteTupleStore:
         return row
 
     def close(self) -> None:
-        """Close the underlying connections."""
-        if self._shared_memory_connection is not None:
-            self._shared_memory_connection.close()
-            return
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            connection.close()
-            self._local.connection = None
+        """Close every underlying connection, whichever thread opened it."""
+        self._connections.close()

@@ -17,22 +17,8 @@ from repro.workloads.experiments import (
     run_onthefly_indexing,
     run_scenario_suite,
 )
-from repro.workloads.loadgen import (
-    LoadResult,
-    LoadTrace,
-    ZipfWorkloadConfig,
-    build_zipf_trace,
-    replay_sequential,
-    run_open_loop,
-)
 
 __all__ = [
-    "LoadResult",
-    "LoadTrace",
-    "ZipfWorkloadConfig",
-    "build_zipf_trace",
-    "replay_sequential",
-    "run_open_loop",
     "CorrelationClass",
     "Scenario",
     "bluenile_scenarios_1d",

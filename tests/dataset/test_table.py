@@ -74,82 +74,26 @@ class TestAccess:
         ids = [row["id"] for row in table]
         assert ids == ["a", "b", "c", "d"]
 
+    def test_constructor_copies_its_input_columns(self):
+        prices = [1.0, 2.0]
+        table = ColumnTable({"price": prices})
+        prices.append(3.0)
+        prices[0] = 99.0
+        assert table.column("price") == [1.0, 2.0]
+        assert len(table) == 2
 
-class TestRelationalOps:
-    def test_select(self, table):
-        projected = table.select(["price", "id"])
-        assert projected.columns == ["price", "id"]
-        assert len(projected) == 4
+    def test_rows_are_copies(self, table):
+        table.row(0)["price"] = -1.0
+        table.to_rows()[1]["price"] = -1.0
+        assert table.column("price") == [10.0, 40.0, 20.0, 30.0]
 
-    def test_select_unknown_column(self, table):
-        with pytest.raises(SchemaError):
-            table.select(["missing"])
+    def test_equality_needs_the_same_columns_and_rows(self, table):
+        assert table != table.to_rows()
+        assert table != ColumnTable.from_rows(table.to_rows(), columns=["price", "id", "cut"])
+        assert table != ColumnTable.from_rows(table.to_rows()[:3])
 
-    def test_filter(self, table):
-        cheap = table.filter(lambda row: row["price"] < 25)
-        assert sorted(cheap.column("id")) == ["a", "c"]
-
-    def test_filter_to_empty_keeps_columns(self, table):
-        empty = table.filter(lambda row: False)
-        assert len(empty) == 0
-        assert empty.columns == table.columns
-
-    def test_sort_by(self, table):
-        ordered = table.sort_by(lambda row: row["price"])
-        assert ordered.column("id") == ["a", "c", "d", "b"]
-
-    def test_sort_by_reverse(self, table):
-        ordered = table.sort_by(lambda row: row["price"], reverse=True)
-        assert ordered.column("id") == ["b", "d", "c", "a"]
-
-    def test_head(self, table):
-        assert table.head(2).column("id") == ["a", "b"]
-        assert len(table.head(0)) == 0
-        with pytest.raises(ValueError):
-            table.head(-1)
-
-    def test_append_rows(self, table):
-        grown = table.append_rows([{"id": "e", "price": 5.0, "cut": "good"}])
-        assert len(grown) == 5
-        assert len(table) == 4  # original untouched
-
-    def test_distinct(self):
-        table = ColumnTable({"a": [1, 1, 2], "b": ["x", "x", "y"]})
-        assert len(table.distinct()) == 2
-        assert len(table.distinct(["b"])) == 2
-
-    def test_rename(self, table):
-        renamed = table.rename({"price": "cost"})
-        assert "cost" in renamed.columns and "price" not in renamed.columns
-        with pytest.raises(SchemaError):
-            table.rename({"missing": "x"})
-
-    def test_with_column_from_values(self, table):
-        widened = table.with_column("tax", [1.0, 2.0, 3.0, 4.0])
-        assert widened.column("tax") == [1.0, 2.0, 3.0, 4.0]
-
-    def test_with_column_from_callable(self, table):
-        widened = table.with_column("double", lambda row: row["price"] * 2)
-        assert widened.column("double") == [20.0, 80.0, 40.0, 60.0]
-
-    def test_with_column_wrong_length(self, table):
-        with pytest.raises(SchemaError):
-            table.with_column("tax", [1.0])
-
-
-class TestAggregates:
-    def test_min_max_mean(self, table):
-        assert table.min("price") == 10.0
-        assert table.max("price") == 40.0
-        assert table.mean("price") == 25.0
-
-    def test_min_on_empty_column_raises(self):
-        empty = ColumnTable.empty(["a"])
-        with pytest.raises(ValueError):
-            empty.min("a")
-
-    def test_value_counts(self, table):
-        assert table.value_counts("cut") == {"good": 2, "ideal": 2}
+    def test_repr_names_columns_and_row_count(self, table):
+        assert repr(table) == "ColumnTable(columns=['id', 'price', 'cut'], rows=4)"
 
 
 class TestRendering:

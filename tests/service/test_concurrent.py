@@ -449,6 +449,68 @@ class TestConcurrentServiceSafety:
             thread.join(timeout=60.0)
         assert not errors
 
+    def test_concurrent_sessions_are_served_the_pages_of_a_sequential_pass(self):
+        """Sessions on their own threads, some asking the same query, get
+        byte-identical pages to the same sessions run one after another
+        against a fresh service."""
+        scripts = [
+            ("bluenile", {"price": 1.0, "carat": -0.5}),
+            ("bluenile", {"price": 1.0, "carat": -0.5}),
+            ("bluenile", {"carat": 1.0}),
+            ("zillow", {"price": -1.0, "squarefeet": 0.5}),
+            ("zillow", {"price": -1.0, "squarefeet": 0.5}),
+            ("zillow", {"bedrooms": 1.0}),
+        ]
+
+        def run_session(app, source, sliders):
+            def post(path, payload):
+                response = app.handle(HttpRequest.post_json(path, payload))
+                assert response.ok, response.json()
+                return response.json()
+
+            session_id = post("/qr2/sessions", {})["session_id"]
+            pages = [
+                post(
+                    "/qr2/query",
+                    {"session_id": session_id, "source": source,
+                     "sliders": sliders, "page_size": 4},
+                )
+            ]
+            pages += [post("/qr2/next", {"session_id": session_id}) for _ in range(3)]
+            return json.dumps(
+                [{key: page[key] for key in ("page", "rows", "exhausted")} for page in pages],
+                sort_keys=True,
+            )
+
+        sequential_app = QR2HttpApplication(make_service(make_registry()))
+        try:
+            expected = [run_session(sequential_app, *script) for script in scripts]
+        finally:
+            sequential_app.service.close()
+
+        app = ConcurrentQR2Application(make_service(make_registry(), serving_workers=8))
+        served = [None] * len(scripts)
+        errors = []
+        start = threading.Barrier(len(scripts))
+
+        def user(index):
+            try:
+                start.wait(timeout=10.0)
+                served[index] = run_session(app, *scripts[index])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=user, args=(i,)) for i in range(len(scripts))]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            app.close()
+        assert not errors
+        assert served == expected
+
     def test_same_session_requests_serialize_through_the_application(self):
         registry = make_registry()
         service = make_service(registry)

@@ -1,12 +1,10 @@
-"""Tests for the persistent dense-region cache and the SQL-over-tables helper."""
+"""Tests for the persistent dense-region cache."""
 
 import pytest
 
 from repro.dataset.schema import Attribute, Schema
-from repro.dataset.table import ColumnTable
-from repro.exceptions import DenseRegionError, QueryError
+from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
-from repro.sqlstore.rowsql import page, sql_over_table, sql_over_tables
 
 
 @pytest.fixture()
@@ -92,53 +90,3 @@ class TestDenseRegionCache:
         assert counters == {"checked": 2, "refreshed": 1, "unchanged": 1}
         sizes = sorted(len(region.tuple_keys) for region in cache.regions())
         assert sizes == [2, 5]
-
-
-class TestRowSql:
-    @pytest.fixture()
-    def table(self) -> ColumnTable:
-        return ColumnTable(
-            {
-                "id": ["a", "b", "c"],
-                "price": [10.0, 30.0, 20.0],
-                "cut": ["good", "ideal", "good"],
-            }
-        )
-
-    def test_select_with_filter_and_order(self, table):
-        result = sql_over_table(
-            "SELECT id, price FROM result WHERE price > 15 ORDER BY price DESC", table
-        )
-        assert result.column("id") == ["b", "c"]
-
-    def test_aggregate(self, table):
-        result = sql_over_table("SELECT cut, COUNT(*) AS n FROM result GROUP BY cut ORDER BY cut", table)
-        assert result.column("n") == [2, 1]
-
-    def test_join_over_two_tables(self, table):
-        other = ColumnTable({"id": ["a", "b"], "tax": [1.0, 3.0]})
-        result = sql_over_tables(
-            "SELECT r.id, r.price + o.tax AS total FROM result r JOIN other o ON r.id = o.id ORDER BY r.id",
-            {"result": table, "other": other},
-        )
-        assert result.column("total") == [11.0, 33.0]
-
-    def test_only_select_allowed(self, table):
-        with pytest.raises(QueryError):
-            sql_over_table("DELETE FROM result", table)
-
-    def test_requires_tables(self):
-        with pytest.raises(QueryError):
-            sql_over_tables("SELECT 1", {})
-
-    def test_sql_error_wrapped(self, table):
-        with pytest.raises(QueryError):
-            sql_over_table("SELECT missing FROM result", table)
-
-    def test_page_helper(self, table):
-        first = page(table, 0, 2)
-        second = page(table, 1, 2)
-        assert len(first) == 2 and len(second) == 1
-        assert page(table, 5, 2).columns == table.columns
-        with pytest.raises(QueryError):
-            page(table, -1, 2)
