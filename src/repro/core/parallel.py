@@ -199,9 +199,11 @@ class QueryEngine:
 
         # Phase 1: resolve what we can from the shared cache (zero cost) —
         # exact hits and containment answers derived from covering superset
-        # entries alike.  Bypassed groups still *read* the cache; they stay
-        # strictly read-only: no memoization of derived answers (the
-        # crawler's queries would churn the LRU).
+        # entries alike — then from the source's own caches (a federation
+        # whose every target shard can answer from its namespace).  Bypassed
+        # groups still *read* the caches; they stay strictly read-only: no
+        # memoization of derived answers (the crawler's queries would churn
+        # the LRU).
         settled: List[Optional[Settled]] = [None] * len(queries)
         pending: List[int] = []
         for index, query in enumerate(queries):
@@ -215,6 +217,8 @@ class QueryEngine:
                 if self._cache is not None
                 else None
             )
+            if probed is None:
+                probed = self._interface.probe(query, memoize=use_cache)
             if probed is None:
                 pending.append(index)
             else:

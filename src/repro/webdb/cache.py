@@ -63,6 +63,9 @@ from repro.webdb.query import SearchQuery
 #: ``(namespace, system_k, canonical query key)`` — the full cache identity.
 CacheKey = Tuple[str, int, Tuple]
 
+#: ``(namespace, generation, delta sequence)`` a derived store is checked against.
+Claim = Tuple[str, Tuple[int, int], int]
+
 
 class FetchStatus(enum.Enum):
     """How a :meth:`QueryResultCache.fetch` call was satisfied."""
@@ -328,6 +331,41 @@ class QueryResultCache:
         key = self.key_for(namespace, query, system_k)
         with self._lock:
             self._store_locked(key, query, result)
+
+    def claim(self, namespaces: Sequence[str]) -> List[Claim]:
+        """Each namespace's current generation and delta sequence, for a
+        later :meth:`store_claimed` of an answer derived from them."""
+        with self._lock:
+            return [
+                (
+                    namespace,
+                    self._generation_locked(namespace),
+                    self._delta_seqs.get(namespace, 0),
+                )
+                for namespace in namespaces
+            ]
+
+    def store_claimed(
+        self,
+        namespace: str,
+        query: SearchQuery,
+        system_k: int,
+        result: SearchResult,
+        claims: Sequence[Claim],
+    ) -> bool:
+        """:meth:`store` ``result`` unless a claimed namespace was
+        invalidated, or touched by a delta that could match ``query``, since
+        its :meth:`claim` — the check a fetched MISS passes.  Returns whether
+        it was stored."""
+        key = self.key_for(namespace, query, system_k)
+        with self._lock:
+            if not all(
+                self._store_allowed_locked(claimed, query, generation, delta_seq)
+                for claimed, generation, delta_seq in claims
+            ):
+                return False
+            self._store_locked(key, query, result)
+        return True
 
     def fetch(
         self,

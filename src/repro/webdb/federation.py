@@ -33,7 +33,9 @@ Every shard is issued through its own
 built once when the federation is constructed.  The facade can additionally
 cache per shard: given a :class:`~repro.webdb.cache.QueryResultCache`, each
 shard's answers are stored under that shard's own namespace, so invalidating
-one shard never retires a sibling shard's entries.
+one shard never retires a sibling shard's entries.  A query every shard can
+answer from its namespace is answered by :meth:`FederatedInterface.probe`
+before anything is charged: it is a cache answer, not a scatter.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import heapq
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -294,9 +296,52 @@ class FederatedInterface(TopKInterface):
                     self._gather(scatter, index, answer)
         return [self._merge(scatter) for scatter in scatters]
 
+    def probe(
+        self, query: SearchQuery, memoize: bool = True
+    ) -> Optional[Tuple[SearchResult, FetchStatus]]:
+        """Answer ``query`` when every shard it targets can from its own
+        cache namespace (a live entry or a covering superset entry), merged
+        as a scatter would be: ``HIT`` when every shard hit, else
+        ``CONTAINED``.  ``None`` at the first shard that cannot.  No round
+        trip is made, so it is not a scatter: only the shard cache hits are
+        counted.
+
+        With ``memoize`` the merged answer is stored under the facade
+        namespace, as a fetched miss is — unless an invalidation, or a delta
+        that could match ``query``, reached the facade or one of the shards
+        since their lookups began."""
+        if self._cache is None:
+            return None
+        targets = self._targets_for(query)
+        namespaces = [self._namespaces[index] for index in targets]
+        facade = default_namespace(self)
+        claims = self._cache.claim([facade, *namespaces]) if memoize else []
+        pages: List[SearchResult] = []
+        status = FetchStatus.HIT
+        for index, namespace in zip(targets, namespaces):
+            probed = self._cache.probe(
+                namespace, query, self._stacks[index].system_k, memoize=memoize
+            )
+            if probed is None:
+                return None
+            pages.append(probed[0])
+            if probed[1] is not FetchStatus.HIT:
+                status = FetchStatus.CONTAINED
+        with self._lock:
+            for index in targets:
+                self._shard_cache_hits[index] += 1
+        merged = self._merged(query, pages)
+        if memoize and self._cache.store_claimed(
+            facade, query, self._system_k, merged, claims
+        ):
+            # The stored entry must never alias rows the caller can mutate.
+            merged = replace(merged, rows=tuple(dict(row) for row in merged.rows))
+        return merged, status
+
     def queries_issued(self) -> int:
         """Scatters served by the federation (each is one logical query;
-        :meth:`shard_queries_issued` counts the underlying shard hits)."""
+        :meth:`shard_queries_issued` counts the underlying shard hits).  A
+        query :meth:`probe` answered is not one."""
         with self._lock:
             return self._scatter_count
 
@@ -363,11 +408,7 @@ class FederatedInterface(TopKInterface):
             scatter.error = answer
 
     def _merge(self, scatter: _Scatter) -> Settlement:
-        """One query's merged page, or the error that stopped its scatter.
-
-        Every page is in hidden-rank order under the shared sort key and
-        keys are unique across shards, so a k-way merge yields exactly the
-        rows a full sort would, ranking only the ``system_k`` it keeps."""
+        """One query's merged page, or the error that stopped its scatter."""
         if scatter.error is not None:
             return scatter.error
         pages = scatter.pages
@@ -384,8 +425,30 @@ class FederatedInterface(TopKInterface):
                 source=self.name,
                 retry_after_seconds=self._shortest_retry_hint(),
             )
+        merged = self._merged(scatter.query, pages, scatter.missing)
+        total = sum(len(page.rows) for page in pages)
+        fanout = len(scatter.targets)
+        with self._lock:
+            self._scatter_count += 1
+            self._pruned_shard_queries += len(self._shards) - fanout
+            self._fanout_total += fanout
+            self._fanout_max = max(self._fanout_max, fanout)
+            self._merge_rows_total += total
+            self._merge_depth_max = max(self._merge_depth_max, total)
+        if merged.degraded:
+            self._resilience_stats.record("degraded_scatters")
+        return merged
+
+    def _merged(
+        self, query: SearchQuery, pages: List[SearchResult], missing: Sequence[str] = ()
+    ) -> SearchResult:
+        """The shard ``pages`` answering ``query`` merged into one page.
+
+        Every page is in hidden-rank order under the shared sort key and
+        keys are unique across shards, so a k-way merge yields exactly the
+        rows a full sort would, ranking only the ``system_k`` it keeps."""
         stale = any(page.stale for page in pages)
-        degraded = bool(scatter.missing) or stale
+        degraded = bool(missing) or stale
         total = sum(len(page.rows) for page in pages)
         merged = heapq.merge(*(page.rows for page in pages), key=self._sort_key)
         rows = tuple(islice(merged, self._system_k))
@@ -397,24 +460,14 @@ class FederatedInterface(TopKInterface):
             outcome = Outcome.UNDERFLOW
         else:
             outcome = Outcome.VALID
-        fanout = len(scatter.targets)
-        with self._lock:
-            self._scatter_count += 1
-            self._pruned_shard_queries += len(self._shards) - fanout
-            self._fanout_total += fanout
-            self._fanout_max = max(self._fanout_max, fanout)
-            self._merge_rows_total += total
-            self._merge_depth_max = max(self._merge_depth_max, total)
-        if degraded:
-            self._resilience_stats.record("degraded_scatters")
         return SearchResult(
-            query=scatter.query,
+            query=query,
             rows=rows,
             outcome=outcome,
             system_k=self._system_k,
             elapsed_seconds=max((page.elapsed_seconds for page in pages), default=0.0),
             degraded=degraded,
-            missing_shards=tuple(scatter.missing),
+            missing_shards=tuple(missing),
             stale=stale,
         )
 

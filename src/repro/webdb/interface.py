@@ -27,6 +27,7 @@ from repro.dataset.schema import Schema
 from repro.webdb.query import SearchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.webdb.cache import FetchStatus
     from repro.webdb.resilience import ResilienceStatistics
 
 Row = Dict[str, object]
@@ -167,6 +168,16 @@ class TopKInterface(ABC):
         answered.  The default is one :meth:`search_many` (a database
         validates the whole batch before issuing any of it)."""
         return list(self.search_many(queries))
+
+    def probe(
+        self, query: SearchQuery, memoize: bool = True
+    ) -> Optional[Tuple[SearchResult, "FetchStatus"]]:
+        """Answer ``query`` from the source's own caches, with no round trip
+        and nothing charged: ``(result, HIT | CONTAINED)``, or ``None`` when
+        it needs issuing.  The query engine asks after its own cache misses;
+        only a source caching below the engine (a federation's shard
+        namespaces) can answer."""
+        return None
 
     def queries_issued(self) -> int:
         """Total number of queries this interface has served (0 when the

@@ -374,17 +374,24 @@ class SearchQuery:
     # Identity / rendering
     # ------------------------------------------------------------------ #
     def canonical_key(self) -> Tuple:
-        """Hashable canonical form used for query de-duplication and caching."""
-        ranges = tuple(
-            sorted(
-                (p.attribute, p.lower, p.upper, p.include_lower, p.include_upper)
-                for p in self.ranges
+        """Hashable canonical form used for query de-duplication and caching.
+
+        Computed once per instance: the query is frozen, so the key is too."""
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            ranges = tuple(
+                sorted(
+                    (p.attribute, p.lower, p.upper, p.include_lower, p.include_upper)
+                    for p in self.ranges
+                )
             )
-        )
-        memberships = tuple(
-            sorted((p.attribute, tuple(sorted(p.values))) for p in self.memberships)
-        )
-        return ranges, memberships
+            memberships = tuple(
+                sorted((p.attribute, tuple(sorted(p.values))) for p in self.memberships)
+            )
+            key = ranges, memberships
+            # Not a field: equality, hashing and ``replace`` never see it.
+            object.__setattr__(self, "_canonical_key", key)
+        return key
 
     def describe(self) -> str:
         """Human-readable rendering used in logs and the statistics panel."""

@@ -59,16 +59,24 @@ class TestShardedSources:
             "source_name": source,
             "ranking": {"attribute": "price", "direction": "asc"},
         }
+        federation = sharded_service.registry.get(source).reranker.federation
+        scatters = federation.describe()["scatter_queries"]
         pages = {}
+        external_queries = {}
         for service in (sharded_service, unsharded_service):
             session_id = service.create_session()
             response = service.submit_query(session_id, **request)
             rows = [dict(row) for row in response["rows"]]
-            rows += [
-                dict(row) for row in service.get_next_page(session_id)["rows"]
-            ]
+            response = service.get_next_page(session_id)
+            rows += [dict(row) for row in response["rows"]]
             pages[service] = rows
+            external_queries[service] = response["statistics"]["external_queries"]
         assert pages[sharded_service] == pages[unsharded_service]
+        # Only a scatter that reached a shard is an external query.
+        assert (
+            external_queries[sharded_service]
+            == federation.describe()["scatter_queries"] - scatters
+        )
 
     def test_statistics_panel_exposes_federation_block(self, sharded_service):
         session_id = sharded_service.create_session()

@@ -372,8 +372,9 @@ def test_reranker_over_federation_matches_unsharded(
     diamond_catalog, diamond_schema_fixture, reference_db, shards, by, seed
 ):
     """The algorithms cannot see the shard layer: a drawn request pages
-    identically over a federation and costs exactly the unsharded session's
-    external queries."""
+    identically over a federation.  It costs at most the unsharded session's
+    external queries — a query every shard answers from its cache costs none
+    — and exactly the scatters that reached a shard."""
     request = draw_request(random.Random(seed), diamond_schema_fixture)
     config = RerankConfig()
     cache = config.make_result_cache()
@@ -389,8 +390,10 @@ def test_reranker_over_federation_matches_unsharded(
         unsharded.close()
         sharded.close()
     assert pages == expected_pages and pages[0]
-    assert queries == expected_queries > 0
-    assert federation.describe()["shard_queries"] >= queries
+    assert 0 < queries <= expected_queries
+    described = federation.describe()
+    assert queries == described["scatter_queries"]
+    assert described["shard_queries"] >= queries
 
 
 def skewed_catalog() -> ColumnTable:

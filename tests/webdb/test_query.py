@@ -1,6 +1,7 @@
 """Tests for search-query predicates and their algebra."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -187,6 +188,17 @@ class TestSearchQuery:
         a = SearchQuery.build(ranges={"price": (0, 1), "carat": (1, 2)})
         b = SearchQuery.build(ranges={"carat": (1, 2), "price": (0, 1)})
         assert a.canonical_key() == b.canonical_key()
+
+    def test_canonical_key_is_computed_once(self):
+        a = SearchQuery.build(ranges={"price": (0, 1), "carat": (1, 2)})
+        b = SearchQuery.build(ranges={"carat": (1, 2), "price": (0, 1)})
+        key = a.canonical_key()
+        assert key == b.canonical_key()
+        assert a.canonical_key() is key
+        # The memo is not a field: it never reaches equality or a copy.
+        assert a == SearchQuery(a.ranges, a.memberships)
+        narrowed = replace(a, ranges=(RangePredicate("price", 0.0, 0.5),))
+        assert narrowed.canonical_key() != key
 
     def test_describe(self):
         query = SearchQuery.build(ranges={"price": (0, 1)}, memberships={"cut": ["good"]})

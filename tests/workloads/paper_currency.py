@@ -1,7 +1,9 @@
 """The paper's own currency: external queries per scenario and algorithm.
 
 Runs the six drivers of :mod:`repro.workloads.experiments` at their default
-depths over one small fixed environment and lists what each cell paid.
+depths over one small fixed environment, plus the MD suite over a 4-shard
+rank-partitioned federation (``sc_fed``, result cache on), and lists
+what each cell paid.
 ``paper_currency.txt`` beside this file is that list; it is regenerated,
 never edited::
 
@@ -63,6 +65,13 @@ def measure() -> List[Row]:
     ):
         for result in run_scenario_suite(scenarios, algorithms, env):
             rows.append((driver, result.scenario, result.algorithm, result.external_queries, None))
+    for scenario in default_md_scenarios(env):
+        for algorithm in Algorithm:
+            reranker = env.make_federated_reranker(scenario.source, shards=4)
+            stream = reranker.rerank(scenario.query, scenario.ranking, algorithm=algorithm)
+            stream.top(5)
+            queries = int(stream.statistics.snapshot()["external_queries"])
+            rows.append(("sc_fed", scenario.name, algorithm.value, queries, None))
     indexing = run_onthefly_indexing(env)
     for algorithm in ("rerank", "binary"):
         for repetition, cost in enumerate(indexing[f"{algorithm}_costs"], start=1):
