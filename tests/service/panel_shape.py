@@ -1,0 +1,137 @@
+"""The statistics panel's shape: every key path, in order, with its value's type.
+
+Captures four panels over small deterministic services:
+
+* ``unsharded`` — ``QR2Service.statistics()`` over one-shard sources;
+* ``sharded_faulty`` — the same over a 2-shard service with a ``FaultPlan``
+  and a result-cache spill, after a submit, a next page, a catalog delta and
+  one warming pass;
+* ``tier`` — ``ConcurrentServingTier.snapshot()``;
+* ``crawl`` — ``CrawlStatistics.snapshot()`` of one crawl.
+
+``panel_shape.json`` beside this file is that capture; it is regenerated,
+never edited::
+
+    PYTHONPATH=src python -m tests.service.panel_shape
+
+``test_panel_shape.py`` asserts it by exact equality, so a change that adds,
+drops, renames or reorders a panel key has to say so.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from pathlib import Path
+from typing import Dict, Iterator, List, Tuple
+
+from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
+from repro.crawl.crawler import HiddenDatabaseCrawler
+from repro.dataset.diamonds import DiamondCatalogConfig
+from repro.dataset.housing import HousingCatalogConfig
+from repro.service.app import QR2Service
+from repro.service.concurrent import ConcurrentServingTier
+from repro.service.sources import build_default_registry
+from repro.webdb.faults import FaultPlan
+from repro.webdb.query import SearchQuery
+
+FIXTURE = Path(__file__).with_name("panel_shape.json")
+
+#: Dictionaries keyed by data (attribute names, region signatures): only
+#: their type is part of the shape.
+OPAQUE = frozenset({"per_signature", "per_attribute_queries", "splits_per_attribute"})
+
+SLIDERS = {"price": 1.0, "carat": -0.5}
+
+#: ``(dotted key path, type name)``, in panel order.
+Shape = List[Tuple[str, str]]
+
+
+def shape(value: object, path: str = "") -> Iterator[Tuple[str, str]]:
+    """Every leaf of ``value`` as ``(path, type name)``; list items of
+    dictionaries are addressed ``path[i]``."""
+    leaf = path.rsplit(".", 1)[-1]
+    if isinstance(value, dict) and leaf not in OPAQUE:
+        for key, item in value.items():
+            yield from shape(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list) and value and all(isinstance(item, dict) for item in value):
+        for index, item in enumerate(value):
+            yield from shape(item, f"{path}[{index}]")
+    else:
+        yield path, type(value).__name__
+
+
+def _exercise(service: QR2Service, delta: bool) -> Dict[str, object]:
+    """Submit, page, optionally apply a delta and warm; the final panel."""
+    session_id = service.create_session()
+    service.submit_query(session_id, "bluenile", sliders=SLIDERS)
+    service.get_next_page(session_id)
+    if delta:
+        db = service.registry.get("bluenile").interface
+        victim = dict(db.all_matches(SearchQuery.everything())[0])
+        low, high = db.schema.domain_bounds("price")
+        victim["price"] = min(high, float(victim["price"]) + (high - low) * 0.005)
+        service.apply_delta("bluenile", upserts=[victim])
+        service.warmer.warm_once()
+    return service.statistics(session_id)
+
+
+def capture() -> Dict[str, Shape]:
+    """The four shapes, in a fixed order."""
+    shapes: Dict[str, Shape] = {}
+    registry = build_default_registry(
+        diamond_config=DiamondCatalogConfig(size=250, seed=5),
+        housing_config=HousingCatalogConfig(size=250, seed=6),
+        database_config=DatabaseConfig(system_k=10),
+        rerank_config=RerankConfig(),
+    )
+    service = QR2Service(registry=registry, config=ServiceConfig(default_page_size=5))
+    try:
+        shapes["unsharded"] = list(shape(_exercise(service, delta=False)))
+        tier = ConcurrentServingTier(service, workers=1)
+        try:
+            shapes["tier"] = list(shape(tier.snapshot()))
+        finally:
+            tier.close()
+        db = registry.get("bluenile").interface
+        _, statistics = HiddenDatabaseCrawler(db).crawl(
+            SearchQuery.build(ranges={"price": (300.0, 3000.0)})
+        )
+        shapes["crawl"] = list(shape(statistics.snapshot()))
+    finally:
+        service.close()
+
+    with tempfile.TemporaryDirectory() as scratch:
+        sharded = QR2Service(
+            config=ServiceConfig(
+                default_page_size=5,
+                result_cache_path=os.path.join(scratch, "results.sqlite"),
+                database=DatabaseConfig(
+                    system_k=10,
+                    shards=2,
+                    fault_plan=FaultPlan(seed=3, transient_rate=0.05, slow_rate=0.1),
+                ),
+            )
+        )
+        try:
+            shapes["sharded_faulty"] = list(shape(_exercise(sharded, delta=True)))
+        finally:
+            sharded.close()
+    return {name: shapes[name] for name in ("unsharded", "sharded_faulty", "tier", "crawl")}
+
+
+def render(shapes: Dict[str, Shape]) -> str:
+    return json.dumps(shapes, indent=1) + "\n"
+
+
+def read_fixture(path: Path = FIXTURE) -> Dict[str, Shape]:
+    return {
+        name: [(entry[0], entry[1]) for entry in entries]
+        for name, entries in json.loads(path.read_text(encoding="utf-8")).items()
+    }
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(render(capture()), encoding="utf-8")
+    print(f"wrote {FIXTURE}")
