@@ -48,6 +48,7 @@ from repro.dataset.schema import Schema
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.boxindex import BoxIndex
+from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.indexes import is_numeric
 from repro.webdb.query import RangePredicate, SearchQuery
@@ -242,6 +243,17 @@ class _SortedRegion(IndexedRegion):
         return selected
 
 
+@dataclass
+class DenseIndexCounters(Counters):
+    """Event counters of one :class:`DenseRegionIndex`: regions merged on
+    insert, covered lookups and their hits, regions retired by deltas."""
+
+    coalesced: int = 0
+    lookups: int = 0
+    hits: int = 0
+    delta_retired: int = 0
+
+
 class DenseRegionIndex:
     """Shared index of crawled dense regions (sublinear, coalescing)."""
 
@@ -258,14 +270,11 @@ class DenseRegionIndex:
         self._lock = threading.Lock()
         #: Per signature; a region is keyed by its ``id`` (held, so unique).
         self._indexes: Dict[Tuple[str, ...], BoxIndex] = {}
-        # Incremental counters — statistics snapshots used to re-sum every
-        # region under the lock on each call.
+        # Occupancy, maintained incrementally so a snapshot never re-sums the
+        # regions; the event counters live in ``_events``.
         self._region_count = 0
         self._tuple_count = 0
-        self._coalesced = 0
-        self._lookups = 0
-        self._hits = 0
-        self._delta_retired = 0
+        self._events = DenseIndexCounters()
         if cache is not None:
             self._load_from_cache()
 
@@ -328,7 +337,8 @@ class DenseRegionIndex:
             index.add(id(region), region.box, region)
             self._region_count += 1 - len(absorbed)
             self._tuple_count += len(region.rows)
-            self._coalesced += len(absorbed)
+        if absorbed:
+            self._events.record("coalesced", len(absorbed))
         if persist and self._cache is not None:
             self._cache.store_region(box.bounds(), list(rows))
 
@@ -339,10 +349,7 @@ class DenseRegionIndex:
             self._indexes.clear()
             self._region_count = 0
             self._tuple_count = 0
-            self._coalesced = 0
-            self._lookups = 0
-            self._hits = 0
-            self._delta_retired = 0
+        self._events.reset()
 
     def invalidate_delta(self, delta: CatalogDelta) -> int:
         """Retire only the regions whose box a catalog delta can intersect;
@@ -369,7 +376,7 @@ class DenseRegionIndex:
                 if not len(index):
                     del self._indexes[signature]
             self._region_count -= retired
-            self._delta_retired += retired
+        self._events.record("delta_retired", retired)
         if self._cache is not None:
             for stored in self._cache.regions():
                 if delta.may_intersect_bounds(stored.bounds):
@@ -424,9 +431,7 @@ class DenseRegionIndex:
         """
         with self._lock:
             region = self._find_locked(box)
-            self._lookups += 1
-            if region is not None:
-                self._hits += 1
+        self._events.add(lookups=1, hits=region is not None)
         if region is None:
             return None
         return region.select(box, base_query)
@@ -484,8 +489,7 @@ class DenseRegionIndex:
 
     def coalesced_count(self) -> int:
         """Number of region merges performed on insert."""
-        with self._lock:
-            return self._coalesced
+        return self._events.read("coalesced")
 
     def signatures(self) -> List[Tuple[str, ...]]:
         """Attribute signatures that currently have at least one region."""
@@ -495,18 +499,16 @@ class DenseRegionIndex:
     def describe(self) -> Dict[str, object]:
         """Summary used by the service's statistics endpoint."""
         with self._lock:
+            regions, tuples = self._region_count, self._tuple_count
             per_signature = {
                 "+".join(sig): len(index)
                 for sig, index in self._indexes.items()
             }
-            return {
-                "impl": self.impl,
-                "regions": self._region_count,
-                "tuples": self._tuple_count,
-                "coalesced": self._coalesced,
-                "lookups": self._lookups,
-                "hits": self._hits,
-                "delta_retired": self._delta_retired,
-                "per_signature": per_signature,
-                "persistent": self._cache is not None,
-            }
+        return {
+            "impl": self.impl,
+            "regions": regions,
+            "tuples": tuples,
+            **self._events.snapshot(),
+            "per_signature": per_signature,
+            "persistent": self._cache is not None,
+        }

@@ -44,12 +44,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.session import Session
 from repro.core.stats import RerankStatistics
 from repro.webdb.cache import QueryResultCache
+from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import SearchQuery
 
@@ -94,9 +96,39 @@ class FeedProducer:
         return self.session.statistics
 
 
+@dataclass
+class FeedStoreCounters(Counters):
+    """A feed store's counters: feeds created, attaches that followed an
+    existing feed, feeds retired by each cause, the replay and leader work
+    its feeds did while it held them, and the verified prefix length across
+    its live feeds (a gauge: a retired feed's prefix leaves it)."""
+
+    created: int = 0
+    followers: int = 0
+    invalidations: int = 0
+    delta_invalidations: int = 0
+    evictions: int = 0
+    expirations: int = 0
+    replayed_tuples: int = 0
+    leader_advances: int = 0
+    promotions: int = 0
+    verified_tuples: int = 0
+
+    DERIVED_AFTER = {"promotions": "leaders"}
+
+    @property
+    def leaders(self) -> int:
+        """Streams that performed at least one real advance; a stream that
+        attached to an already-deep feed and never outran the prefix stays a
+        pure follower even if it created nothing."""
+        return self.promotions
+
+
 class RerankFeed:
     """One shared Get-Next stream: the verified emission prefix plus the
-    lazily created producer that extends it."""
+    lazily created producer that extends it.  Until it is retired, its
+    replay, leader and prefix work is counted straight into the owning
+    store's ``counters``."""
 
     def __init__(
         self,
@@ -105,6 +137,7 @@ class RerankFeed:
         factory: Callable[[], FeedProducer],
         generation: GenerationToken,
         generation_probe: Callable[[], GenerationToken],
+        counters: FeedStoreCounters,
         clock: Callable[[], float] = time.monotonic,
         query: Optional[SearchQuery] = None,
     ) -> None:
@@ -117,16 +150,15 @@ class RerankFeed:
         self.created_at = clock()
         self._factory = factory
         self._generation_probe = generation_probe
+        self._counters = counters
         self._condition = threading.Condition()
         self._rows: List[Row] = []
         self._producer: Optional[FeedProducer] = None
         self._advancing = False
         self._exhausted = False
         self._stale = False
-        # Counters (read by the store's snapshot).
-        self.replayed_tuples = 0
-        self.leader_advances = 0
-        self.promotions = 0
+        #: Still in the store: its prefix counts toward ``verified_tuples``.
+        self._held = True
 
     # ------------------------------------------------------------------ #
     @property
@@ -148,22 +180,22 @@ class RerankFeed:
         with self._condition:
             return self._stale
 
-    def counters(self) -> Dict[str, int]:
-        """Per-feed counters for the store snapshot."""
-        with self._condition:
-            return {
-                "replayed_tuples": self.replayed_tuples,
-                "leader_advances": self.leader_advances,
-                "promotions": self.promotions,
-                "verified_tuples": len(self._rows),
-            }
+    def _count_locked(self, name: str) -> None:
+        """Count one event into the store's counters while the store holds
+        this feed: a retired feed's later work stays out of the panel, as its
+        prefix does."""
+        if self._held:
+            self._counters.record(name)
 
     def retire(self) -> None:
         """Mark the feed as removed from the store (evicted, expired, or
         invalidated): it is stale from here on, so it can never re-enter the
-        store.  Already-attached streams keep replaying and advancing it."""
+        store, and its prefix leaves the store's ``verified_tuples``.
+        Already-attached streams keep replaying and advancing it."""
         with self._condition:
             self._stale = True
+            self._held = False
+            self._counters.record("verified_tuples", -len(self._rows))
 
     # ------------------------------------------------------------------ #
     # The Get-Next sharing protocol
@@ -190,7 +222,7 @@ class RerankFeed:
         with self._condition:
             while True:
                 if position < len(self._rows):
-                    self.replayed_tuples += 1
+                    self._count_locked("replayed_tuples")
                     return self._rows[position], True
                 if self._exhausted:
                     return None, True
@@ -206,7 +238,7 @@ class RerankFeed:
                     self._condition.notify_all()
                     raise
             producer = self._producer
-            self.leader_advances += 1
+            self._count_locked("leader_advances")
 
         # Leader section: real algorithm work, outside the feed mutex so
         # followers replaying earlier positions are never blocked behind it.
@@ -246,6 +278,7 @@ class RerankFeed:
                             # feed to a new session again.
                             self._stale = True
                         self._rows.append(MappingProxyType(dict(row)))
+                        self._count_locked("verified_tuples")
                 self._condition.notify_all()
         if row is None:
             return None, False
@@ -257,7 +290,7 @@ class RerankFeed:
         """Record that one attached stream performed its first leader advance
         (the follower-to-leader promotion counter of the statistics panel)."""
         with self._condition:
-            self.promotions += 1
+            self._count_locked("promotions")
 
     def verified_rows(self) -> List[Row]:
         """Shared references to the verified prefix (immutable mappings)."""
@@ -308,18 +341,7 @@ class RerankFeedStore:
         self._generation_lock = threading.Lock()
         self._global_generation = 0
         self._namespace_generations: Dict[str, int] = {}
-        # Store-level counters (include retired feeds' totals).
-        self._created = 0
-        self._followers = 0
-        self._invalidated = 0
-        self._delta_invalidated = 0
-        self._evictions = 0
-        self._expirations = 0
-        self._retired_counters: Dict[str, int] = {
-            "replayed_tuples": 0,
-            "leader_advances": 0,
-            "promotions": 0,
-        }
+        self._counters = FeedStoreCounters()
 
     # ------------------------------------------------------------------ #
     @property
@@ -398,13 +420,14 @@ class RerankFeedStore:
                     factory,
                     generation,
                     generation_probe=lambda ns=namespace: self.generation(ns),
+                    counters=self._counters,
                     clock=self._clock,
                     query=query,
                 )
                 self._feeds[key] = feed
-                self._created += 1
+                self._counters.record("created")
             else:
-                self._followers += 1
+                self._counters.record("followers")
             self._feeds.move_to_end(key)
             while len(self._feeds) > self._max_feeds:
                 oldest = next(iter(self._feeds))
@@ -463,50 +486,18 @@ class RerankFeedStore:
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """Counters plus occupancy, for the service statistics panel."""
-        with self._lock:
-            feeds = list(self._feeds.values())
-            payload: Dict[str, object] = {
-                "feeds": len(feeds),
-                "created": self._created,
-                "followers": self._followers,
-                "invalidations": self._invalidated,
-                "delta_invalidations": self._delta_invalidated,
-                "evictions": self._evictions,
-                "expirations": self._expirations,
-            }
-            totals = dict(self._retired_counters)
-        verified = 0
-        for feed in feeds:
-            counters = feed.counters()
-            verified += counters.pop("verified_tuples")
-            for name, value in counters.items():
-                totals[name] = totals.get(name, 0) + value
-        payload.update(totals)
-        # A "leader" is a stream that performed at least one real advance; a
-        # stream that attached to an already-deep feed and never outran the
-        # prefix stays a pure follower even if it created nothing.
-        payload["leaders"] = int(totals["promotions"])
-        payload["verified_tuples"] = verified
-        payload["max_feeds"] = self._max_feeds
-        payload["ttl_seconds"] = self._ttl
-        return payload
+        """Occupancy plus counters, for the service statistics panel."""
+        return {
+            "feeds": len(self),
+            **self._counters.snapshot(),
+            "max_feeds": self._max_feeds,
+            "ttl_seconds": self._ttl,
+        }
 
     # ------------------------------------------------------------------ #
     def _retire_locked(self, key: FeedKey, reason: str) -> None:
         feed = self._feeds.pop(key, None)
         if feed is None:
             return
-        counters = feed.counters()
-        counters.pop("verified_tuples", None)
-        for name, value in counters.items():
-            self._retired_counters[name] = self._retired_counters.get(name, 0) + value
-        if reason == "evictions":
-            self._evictions += 1
-        elif reason == "expirations":
-            self._expirations += 1
-        elif reason == "delta_invalidations":
-            self._delta_invalidated += 1
-        else:
-            self._invalidated += 1
+        self._counters.record(reason)
         feed.retire()

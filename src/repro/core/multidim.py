@@ -121,17 +121,17 @@ class MultiDimGetNext:
     def next(self) -> Optional[Row]:
         """Return the next tuple in the user's order, or ``None``."""
         if self._exhausted:
-            self._statistics.record_get_next(returned=False)
+            self._statistics.record("get_next_calls")
             return None
         best = self._find_next_tuple()
         if best is None:
             self._exhausted = True
-            self._statistics.record_get_next(returned=False)
+            self._statistics.record("get_next_calls")
             return None
         self._frontier_score = best[0]
         row = dict(best[2])
         self._session.mark_emitted(row, self._engine.key_column)
-        self._statistics.record_get_next(returned=True)
+        self._statistics.add(get_next_calls=1, tuples_returned=1)
         return row
 
     # ------------------------------------------------------------------ #
@@ -142,7 +142,7 @@ class MultiDimGetNext:
             return None
         best = self._candidates.best(self._frontier_score - _TOLERANCE)
         if best is not None:
-            self._statistics.record_cache_hit()
+            self._statistics.record("cache_hits")
         return best
 
     # ------------------------------------------------------------------ #
@@ -191,7 +191,9 @@ class MultiDimGetNext:
             _EngineInterfaceAdapter(self._engine)
         )
         rows, crawl_stats = crawler.crawl(region_query)
-        self._statistics.record_dense_region(crawl_stats.tuples_retrieved)
+        self._statistics.add(
+            dense_regions_built=1, crawled_tuples=crawl_stats.tuples_retrieved
+        )
         return rows
 
     # ------------------------------------------------------------------ #
@@ -336,7 +338,7 @@ class MultiDimGetNext:
                 if self._use_dense_index():
                     rows = self._dense_index.lookup(box, self._base_query)
                     if rows is not None:
-                        self._statistics.record_dense_index_hit()
+                        self._statistics.record("dense_index_hits")
                         if self._config.enable_session_cache:
                             self._session.remember(rows, self._engine.key_column)
                         best = self._update_best(rows, best)
@@ -406,7 +408,7 @@ class MultiDimGetNext:
                 self._dense_index.add_region(closed_box, crawled)
                 covered = self._dense_index.rows_in(closed_box, self._base_query)
             rows = [row for row in covered if box.contains(row)]
-            self._statistics.record_dense_index_hit()
+            self._statistics.record("dense_index_hits")
             if self._config.enable_session_cache:
                 self._session.remember(rows, self._engine.key_column)
             return self._update_best(rows, best)

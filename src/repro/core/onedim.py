@@ -180,16 +180,16 @@ class OneDimGetNext:
         pending = self._session.pop_pending()
         if pending is not None:
             self._session.mark_emitted(pending, self._engine.key_column)
-            self._statistics.record_get_next(returned=True)
+            self._statistics.add(get_next_calls=1, tuples_returned=1)
             return pending
         if self._exhausted:
-            self._statistics.record_get_next(returned=False)
+            self._statistics.record("get_next_calls")
             return None
 
         next_value = self._find_next_oriented_value()
         if next_value is None:
             self._exhausted = True
-            self._statistics.record_get_next(returned=False)
+            self._statistics.record("get_next_calls")
             return None
 
         group = self._resolve_value_group(next_value)
@@ -197,12 +197,12 @@ class OneDimGetNext:
         if not group:
             # Defensive: the value was discovered from a real tuple, so an
             # empty group means the emitted-set already contains all of them.
-            self._statistics.record_get_next(returned=False)
+            self._statistics.record("get_next_calls")
             return self.next()
         self._session.push_pending(group[1:])
         first = group[0]
         self._session.mark_emitted(first, self._engine.key_column)
-        self._statistics.record_get_next(returned=True)
+        self._statistics.add(get_next_calls=1, tuples_returned=1)
         return first
 
     # ------------------------------------------------------------------ #
@@ -246,7 +246,7 @@ class OneDimGetNext:
         best = self._candidates.best(*self._frontier_lower())
         if best is None:
             return None
-        self._statistics.record_cache_hit()
+        self._statistics.record("cache_hits")
         return best[0]
 
     # ------------------------------------------------------------------ #
@@ -387,7 +387,7 @@ class OneDimGetNext:
                 self._axis.attribute, predicate, self._base_query
             )
             if rows is not None:
-                self._statistics.record_dense_index_hit()
+                self._statistics.record("dense_index_hits")
                 lower, include_lower = self._frontier_lower()
                 eligible = [
                     row
@@ -453,11 +453,13 @@ class OneDimGetNext:
                 self._dense_index.add_interval(
                     self._axis.attribute, predicate.lower, predicate.upper, crawled
                 )
-                self._statistics.record_dense_region(crawl_stats.tuples_retrieved)
+                self._statistics.add(
+                    dense_regions_built=1, crawled_tuples=crawl_stats.tuples_retrieved
+                )
                 rows = self._dense_index.rows_in_interval(
                     self._axis.attribute, predicate, self._base_query
                 )
-            self._statistics.record_dense_index_hit()
+            self._statistics.record("dense_index_hits")
             frontier_lower, frontier_inclusive = self._frontier_lower()
             eligible = [
                 self._oriented_value(row)
@@ -487,7 +489,7 @@ class OneDimGetNext:
                 self._axis.attribute, point, self._base_query
             )
         if rows is not None:
-            self._statistics.record_dense_index_hit()
+            self._statistics.record("dense_index_hits")
         else:
             result = self._engine.search(self._base_query.with_range(point))
             self._remember(result)
@@ -501,7 +503,9 @@ class OneDimGetNext:
                 )
                 region_query = SearchQuery((point,), ())
                 crawled, crawl_stats = crawler.crawl(region_query)
-                self._statistics.record_dense_region(crawl_stats.tuples_retrieved)
+                self._statistics.add(
+                    dense_regions_built=1, crawled_tuples=crawl_stats.tuples_retrieved
+                )
                 if self._use_dense_index():
                     self._dense_index.add_interval(
                         self._axis.attribute, raw_value, raw_value, crawled

@@ -236,12 +236,8 @@ class QueryEngine:
         # (overlapping real round trips), and the sequential ablation issues
         # one by one, stopping at the first failure.  Each reports one
         # outcome per query.
-        resilience_stats = self._resilience_stats
-        retries_before = (
-            int(resilience_stats.snapshot()["retries"])
-            if resilience_stats is not None and pending
-            else 0
-        )
+        guards = self._resilience_stats if pending else None
+        retries_before = guards.read("retries") if guards is not None else 0
         use_parallel = self._config.enable_parallel and len(pending) > 1
         misses = [queries[index] for index in pending]
         if use_parallel and self._interface.supports_batched_search:
@@ -282,29 +278,21 @@ class QueryEngine:
             group_latency = max(issued_latencies, default=0.0)
         else:
             group_latency = sum(issued_latencies)
-        statistics = self.statistics
-        statistics.record_iteration(
+        # Best-effort attribution: the guards' counters are shared across
+        # concurrent requests, so the delta may include a neighbour's
+        # retries; the aggregate across all requests stays exact.
+        retried = guards.read("retries") - retries_before if guards is not None else 0
+        self.statistics.record_iteration(
             len(issued_latencies), group_latency, parallel=use_parallel
         )
-        if tally[QueryOutcome.HIT]:
-            statistics.record_result_cache_hit(tally[QueryOutcome.HIT])
-        if tally[QueryOutcome.CONTAINED]:
-            statistics.record_contained_answer(tally[QueryOutcome.CONTAINED])
-        if tally[QueryOutcome.COALESCED]:
-            statistics.record_coalesced_query(tally[QueryOutcome.COALESCED])
-        degraded = sum(1 for result in results if result.degraded)
-        if degraded:
-            statistics.record_degraded_result(degraded)
-        stale = sum(1 for result in results if result.stale)
-        if stale:
-            statistics.record_stale_serve(stale)
-        if resilience_stats is not None and pending:
-            # Best-effort attribution: the guards' counters are shared across
-            # concurrent requests, so the delta may include a neighbour's
-            # retries; the aggregate across all requests stays exact.
-            retried = int(resilience_stats.snapshot()["retries"]) - retries_before
-            if retried > 0:
-                statistics.record_retried_query(retried)
+        self.statistics.add(
+            result_cache_hits=tally[QueryOutcome.HIT],
+            contained_answers=tally[QueryOutcome.CONTAINED],
+            coalesced_queries=tally[QueryOutcome.COALESCED],
+            degraded_results=sum(1 for result in results if result.degraded),
+            stale_serves=sum(1 for result in results if result.stale),
+            retried_queries=retried,
+        )
         return results
 
     # ------------------------------------------------------------------ #

@@ -577,10 +577,9 @@ class FeedBackedStream(GetNextStream):
                 self._feed.note_promotion()
             if row is None:
                 if replayed:
-                    statistics.record_feed_replay(returned=False)
+                    statistics.add(feed_hits=1, get_next_calls=1)
                 else:
-                    statistics.record_feed_leader_advance()
-                statistics.record_get_next(returned=False)
+                    statistics.add(feed_leader_advances=1, get_next_calls=1)
                 return None
             self._position += 1
             # Per-user dedup over replayed rows: the live algorithms never
@@ -590,11 +589,11 @@ class FeedBackedStream(GetNextStream):
             # reconcile with the feed-level counters.
             duplicate = self._session.has_emitted(row[key_column])
             if replayed:
-                statistics.record_feed_replay(returned=not duplicate)
+                statistics.add(feed_hits=1, feed_replayed_tuples=int(not duplicate))
             else:
-                statistics.record_feed_leader_advance()
+                statistics.record("feed_leader_advances")
             if duplicate:
                 continue
             self._session.mark_emitted(row, key_column)
-            statistics.record_get_next(returned=True)
+            statistics.add(get_next_calls=1, tuples_returned=1)
             return row

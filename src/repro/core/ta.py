@@ -105,17 +105,17 @@ class ThresholdAlgorithmGetNext:
     def next(self) -> Optional[Row]:
         """Return the next tuple in the user's order, or ``None``."""
         if self._exhausted:
-            self._statistics.record_get_next(returned=False)
+            self._statistics.record("get_next_calls")
             return None
         best = self._find_next_tuple()
         if best is None:
             self._exhausted = True
-            self._statistics.record_get_next(returned=False)
+            self._statistics.record("get_next_calls")
             return None
         self._frontier_score = best[0]
         row = dict(best[3])
         self._session.mark_emitted(row, self._engine.key_column)
-        self._statistics.record_get_next(returned=True)
+        self._statistics.add(get_next_calls=1, tuples_returned=1)
         return row
 
     # ------------------------------------------------------------------ #

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import CrawlError
-from repro.webdb.counters import QueryBudget
+from repro.webdb.counters import Counters, QueryBudget
 from repro.webdb.interface import TopKInterface
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 
@@ -42,7 +42,7 @@ _MINIMUM_SPLIT_WIDTH = 1e-9
 
 
 @dataclass
-class CrawlStatistics:
+class CrawlStatistics(Counters):
     """Accounting for one crawl."""
 
     queries_issued: int = 0
@@ -51,17 +51,6 @@ class CrawlStatistics:
     tuples_retrieved: int = 0
     max_depth: int = 0
     splits_per_attribute: Dict[str, int] = field(default_factory=dict)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-dictionary summary."""
-        return {
-            "queries_issued": self.queries_issued,
-            "overflow_queries": self.overflow_queries,
-            "leaves": self.leaves,
-            "tuples_retrieved": self.tuples_retrieved,
-            "max_depth": self.max_depth,
-            "splits_per_attribute": dict(self.splits_per_attribute),
-        }
 
 
 class HiddenDatabaseCrawler:
@@ -98,14 +87,14 @@ class HiddenDatabaseCrawler:
         frontier: List[SearchQuery] = [query]
         depth = 0
         while frontier:
-            statistics.max_depth = max(statistics.max_depth, depth)
+            statistics.peak(max_depth=depth)
             results = self._search_level(frontier, statistics)
             next_frontier: List[SearchQuery] = []
             for level_query, result in zip(frontier, results):
                 for row in result.rows:
                     collected[row[key_column]] = dict(row)
                 if result.covers_query:
-                    statistics.leaves += 1
+                    statistics.record("leaves")
                     continue
                 if depth >= self._max_depth:
                     raise CrawlError(
@@ -124,7 +113,7 @@ class HiddenDatabaseCrawler:
             frontier = next_frontier
             depth += 1
 
-        statistics.tuples_retrieved = len(collected)
+        statistics.record("tuples_retrieved", len(collected))
         return list(collected.values()), statistics
 
     # ------------------------------------------------------------------ #
@@ -134,13 +123,14 @@ class HiddenDatabaseCrawler:
         """Issue one breadth-first level of queries, grouped when possible."""
         if self._budget is not None:
             self._budget.charge(len(queries))
-        statistics.queries_issued += len(queries)
+        statistics.record("queries_issued", len(queries))
         group_search = getattr(self._interface, "search_group", None)
         if callable(group_search) and len(queries) > 1:
             results = group_search(queries)
         else:
             results = [self._interface.search(query) for query in queries]
-        statistics.overflow_queries += sum(1 for result in results if result.is_overflow)
+        overflowed = sum(1 for result in results if result.is_overflow)
+        statistics.record("overflow_queries", overflowed)
         return results
 
     def _record_split(
@@ -154,9 +144,7 @@ class HiddenDatabaseCrawler:
                 or sub_query.membership_on(attribute) != parent.membership_on(attribute)
             )
             if predicate_changed:
-                statistics.splits_per_attribute[attribute] = (
-                    statistics.splits_per_attribute.get(attribute, 0) + 1
-                )
+                statistics.tally("splits_per_attribute", attribute)
 
     # ------------------------------------------------------------------ #
     # Split selection

@@ -36,6 +36,7 @@ from repro.service.sources import DataSource, DataSourceRegistry, build_default_
 from repro.service.warming import FeedWarmer, PopularityTracker
 from repro.sqlstore.result_store import ResultCacheStore
 from repro.webdb.cache import QueryResultCache
+from repro.webdb.counters import Counters
 from repro.webdb.query import SearchQuery
 
 Row = Dict[str, object]
@@ -50,6 +51,34 @@ class _ActiveRequest:
     page_size: int
     pages_served: int = 0
     created_at: float = field(default_factory=time.time)
+
+
+@dataclass
+class ServiceCounters(Counters):
+    """Service-scope counters: catalog deltas applied and what they retired
+    (the panel's ``invalidation`` block), then the pages served with the
+    degradation counters moving underneath them (a shard dark, a stale
+    serve)."""
+
+    deltas: int = 0
+    upserts: int = 0
+    deletes: int = 0
+    cache_entries_retired: int = 0
+    regions_retired: int = 0
+    feeds_retired: int = 0
+    spill_entries_pruned: int = 0
+    degraded_pages: int = 0
+
+
+#: The request's :class:`RerankStatistics` entries the panel shows, in order.
+_PANEL_REQUEST = ("external_queries", "processing_seconds", "parallel_fraction",
+                  "cache_hits", "result_cache_hits", "contained_answers",
+                  "coalesced_queries", "result_cache_hit_rate", "dense_index_hits",
+                  "dense_regions_built", "tuples_returned", "feed_hits",
+                  "feed_replayed_tuples", "feed_leader_advances")  # fmt: skip
+#: Delta summary entries summed into :class:`ServiceCounters`.
+_DELTA_TOTALS = ("upserts", "deletes", "cache_entries_retired", "regions_retired",
+                 "feeds_retired", "spill_entries_pruned")  # fmt: skip
 
 
 class QR2Service:
@@ -97,21 +126,10 @@ class QR2Service:
         # same session can never interleave — Get-Next semantics depend on the
         # emission history advancing one page at a time.
         self._session_locks: Dict[str, threading.RLock] = {}
-        # Delta-invalidation accumulators (every apply_delta adds here) and
-        # the popularity-driven warmer; the concurrent tier owns the timer
-        # that runs the warmer in the background.
-        self._invalidation = {
-            "deltas": 0,
-            "upserts": 0,
-            "deletes": 0,
-            "cache_entries_retired": 0,
-            "regions_retired": 0,
-            "feeds_retired": 0,
-            "spill_entries_pruned": 0,
-        }
-        # Pages served with the degradation counters moving underneath them
-        # (a shard dark, a stale serve): cumulative, service scope.
-        self._degraded_pages = 0
+        # Cumulative delta and degraded-page counters, and the
+        # popularity-driven warmer; the concurrent tier owns the timer that
+        # runs the warmer in the background.
+        self._counters = ServiceCounters()
         self._popularity = PopularityTracker()
         self._warmer = FeedWarmer(
             self,
@@ -299,17 +317,10 @@ class QR2Service:
                 summary["retired_cache_keys"]  # type: ignore[arg-type]
             )
         summary["spill_entries_pruned"] = pruned
-        with self._lock:
-            self._invalidation["deltas"] += 1
-            for counter in (
-                "upserts",
-                "deletes",
-                "cache_entries_retired",
-                "regions_retired",
-                "feeds_retired",
-            ):
-                self._invalidation[counter] += int(summary[counter])  # type: ignore[call-overload]
-            self._invalidation["spill_entries_pruned"] += pruned
+        self._counters.add(
+            deltas=1,
+            **{name: int(summary[name]) for name in _DELTA_TOTALS},  # type: ignore[call-overload]
+        )
         return summary
 
     # ------------------------------------------------------------------ #
@@ -436,8 +447,7 @@ class QR2Service:
         rows = request.stream.next_page(request.page_size)
         degraded = request.stream.statistics.degradation_mark() != mark
         if degraded:
-            with self._lock:
-                self._degraded_pages += 1
+            self._counters.record("degraded_pages")
         request.pages_served += 1
         columns = request.source.result_columns or request.source.schema.columns()
         return {
@@ -464,6 +474,8 @@ class QR2Service:
         federation = (
             reranker.federation.describe() if reranker.federation is not None else None
         )
+        invalidation = self._counters.snapshot()
+        degraded_pages = invalidation.pop("degraded_pages")
         source_resilience = (
             federation["resilience"]
             if federation is not None
@@ -471,20 +483,7 @@ class QR2Service:
         )
         return {
             "description": request.stream.description,
-            "external_queries": snapshot["external_queries"],
-            "processing_seconds": snapshot["processing_seconds"],
-            "parallel_fraction": snapshot["parallel_fraction"],
-            "cache_hits": snapshot["cache_hits"],
-            "result_cache_hits": snapshot["result_cache_hits"],
-            "contained_answers": snapshot["contained_answers"],
-            "coalesced_queries": snapshot["coalesced_queries"],
-            "result_cache_hit_rate": snapshot["result_cache_hit_rate"],
-            "dense_index_hits": snapshot["dense_index_hits"],
-            "dense_regions_built": snapshot["dense_regions_built"],
-            "tuples_returned": snapshot["tuples_returned"],
-            "feed_hits": snapshot["feed_hits"],
-            "feed_replayed_tuples": snapshot["feed_replayed_tuples"],
-            "feed_leader_advances": snapshot["feed_leader_advances"],
+            **{name: snapshot[name] for name in _PANEL_REQUEST},
             "dense_index": reranker.dense_index.describe(),
             "result_cache": result_cache.snapshot() if result_cache else None,
             "rerank_feed": feed_store.snapshot() if feed_store else None,
@@ -500,7 +499,7 @@ class QR2Service:
             # Cumulative delta-invalidation and warming activity (service
             # scope, not per-request: deltas and warming passes are not tied
             # to any one session).
-            "invalidation": self._invalidation_snapshot(),
+            "invalidation": invalidation,
             "warming": self._warmer.snapshot(),
             # Retries, breaker transitions, degraded/stale serving.  The
             # ``source`` block is the guards' shared counters (``None`` over
@@ -511,14 +510,6 @@ class QR2Service:
                 "degraded_results": snapshot["degraded_results"],
                 "stale_serves": snapshot["stale_serves"],
                 "retried_queries": snapshot["retried_queries"],
-                "degraded_pages": self._degraded_pages_snapshot(),
+                "degraded_pages": degraded_pages,
             },
         }
-
-    def _degraded_pages_snapshot(self) -> int:
-        with self._lock:
-            return self._degraded_pages
-
-    def _invalidation_snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._invalidation)

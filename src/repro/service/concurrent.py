@@ -48,6 +48,7 @@ import uuid
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from dataclasses import dataclass
 from functools import partial
 from time import monotonic
 from typing import Callable, Deque, Dict, List, Optional
@@ -57,6 +58,7 @@ from repro.exceptions import ServiceOverloadedError
 from repro.httpsim.messages import HttpRequest, HttpResponse
 from repro.service.app import QR2Service
 from repro.service.httpapp import QR2HttpApplication
+from repro.webdb.counters import Counters
 
 
 class _Job:
@@ -67,6 +69,26 @@ class _Job:
     def __init__(self, fn: Callable[[], object]) -> None:
         self.fn = fn
         self.future: "Future[object]" = Future()
+
+
+@dataclass
+class TierCounters(Counters):
+    """The tier's counters: peak admitted work, jobs completed (and how many
+    ran on their caller's thread), admissions refused, and what the
+    maintenance timers did — their failures with the last error string, so
+    operators see a sick timer."""
+
+    max_in_flight: int = 0
+    completed: int = 0
+    ran_inline: int = 0
+    rejected: int = 0
+    reaped_sessions: int = 0
+    warming_runs: int = 0
+    deadline_timeouts: int = 0
+    reaper_errors: int = 0
+    reaper_last_error: str = ""
+    warming_errors: int = 0
+    warming_last_error: str = ""
 
 
 class ConcurrentServingTier:
@@ -120,20 +142,8 @@ class ConcurrentServingTier:
         self._draining = False
         self._stopped = False
         self._closed = False
-        self._rejected = 0
-        self._completed = 0
-        self._ran_inline = 0
         self._running = 0
-        self._max_in_flight = 0
-        self._reaped_sessions = 0
-        self._warming_runs = 0
-        self._deadline_timeouts = 0
-        # Maintenance-thread failures used to vanish into a bare ``continue``;
-        # they now surface in the snapshot so operators see a sick timer.
-        self._reaper_errors = 0
-        self._reaper_last_error = ""
-        self._warming_errors = 0
-        self._warming_last_error = ""
+        self._counters = TierCounters()
 
         self._threads: List[threading.Thread] = [
             threading.Thread(target=self._worker_loop, name=f"qr2-worker-{i}", daemon=True)
@@ -168,15 +178,15 @@ class ConcurrentServingTier:
     def _admit_locked(self) -> None:
         """Refuse or count one unit of work; the condition is held."""
         if self._draining or self._stopped:
-            self._rejected += 1
+            self._counters.record("rejected")
             raise ServiceOverloadedError("serving tier is shutting down")
         if self._admitted >= self._depth:
-            self._rejected += 1
+            self._counters.record("rejected")
             raise ServiceOverloadedError(
                 f"admission queue full ({self._admitted} of {self._depth} in flight)"
             )
         self._admitted += 1
-        self._max_in_flight = max(self._max_in_flight, self._admitted)
+        self._counters.peak(max_in_flight=self._admitted)
 
     def submit(self, fn: Callable[[], object], key: Optional[str] = None) -> "Future[object]":
         """Admit one unit of work for the pool, serialized against other work
@@ -230,8 +240,8 @@ class ConcurrentServingTier:
         try:
             return fn()
         finally:
+            self._counters.record("ran_inline")
             with self._cond:
-                self._ran_inline += 1
                 self._finish_locked(key)
 
     # ------------------------------------------------------------------ #
@@ -288,25 +298,14 @@ class ConcurrentServingTier:
                 "workers": self._worker_count,
                 "queue_depth": self._depth,
                 "in_flight": self._admitted,
-                "max_in_flight": self._max_in_flight,
-                "completed": self._completed,
-                "ran_inline": self._ran_inline,
-                "rejected": self._rejected,
-                "reaped_sessions": self._reaped_sessions,
-                "warming_runs": self._warming_runs,
-                "deadline_timeouts": self._deadline_timeouts,
-                "reaper_errors": self._reaper_errors,
-                "reaper_last_error": self._reaper_last_error,
-                "warming_errors": self._warming_errors,
-                "warming_last_error": self._warming_last_error,
+                **self._counters.snapshot(),
                 "draining": self._draining,
             }
 
     def record_deadline_timeout(self) -> None:
         """Count one request whose caller gave up at the service deadline
         (the job itself keeps running to completion on its worker)."""
-        with self._cond:
-            self._deadline_timeouts += 1
+        self._counters.record("deadline_timeouts")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -337,7 +336,7 @@ class ConcurrentServingTier:
         """Completion bookkeeping of one job of ``key``, inline or pooled."""
         self._running -= 1
         self._admitted -= 1
-        self._completed += 1
+        self._counters.record("completed")
         if self._queues[key]:
             self._ready.append(key)
         else:
@@ -352,24 +351,20 @@ class ConcurrentServingTier:
             try:
                 reaped = self._service.expire_idle_sessions()
             except Exception as exc:  # noqa: BLE001 - the timer must survive
-                with self._cond:
-                    self._reaper_errors += 1
-                    self._reaper_last_error = f"{type(exc).__name__}: {exc}"
+                self._counters.record("reaper_errors")
+                self._counters.put(reaper_last_error=f"{type(exc).__name__}: {exc}")
                 continue
-            with self._cond:
-                self._reaped_sessions += reaped
+            self._counters.record("reaped_sessions", reaped)
 
     def _warmer_loop(self, interval: float) -> None:
         while not self._reaper_stop.wait(interval):
             try:
                 self._service.warmer.warm_once()
             except Exception as exc:  # noqa: BLE001 - the timer must survive
-                with self._cond:
-                    self._warming_errors += 1
-                    self._warming_last_error = f"{type(exc).__name__}: {exc}"
+                self._counters.record("warming_errors")
+                self._counters.put(warming_last_error=f"{type(exc).__name__}: {exc}")
                 continue
-            with self._cond:
-                self._warming_runs += 1
+            self._counters.record("warming_runs")
 
 
 class ConcurrentQR2Application:

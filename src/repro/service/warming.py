@@ -29,14 +29,34 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.service.popular import popular_functions
+from repro.webdb.counters import Counters
 
 
 def _canonical_key(spec: Mapping[str, object]) -> str:
     """Stable identity of a request specification (order-insensitive)."""
     return json.dumps(spec, sort_keys=True, default=str)
+
+
+@dataclass
+class WarmerCounters(Counters):
+    """Warming passes completed, and the specifications and pages they
+    replayed or skipped."""
+
+    runs: int = 0
+    warmed_requests: int = 0
+    warmed_pages: int = 0
+    skipped: int = 0
+
+
+@dataclass
+class TrackerCounters(Counters):
+    """Request specifications a :class:`PopularityTracker` observed."""
+
+    observations: int = 0
 
 
 class PopularityTracker:
@@ -57,7 +77,7 @@ class PopularityTracker:
         self._lock = threading.Lock()
         self._counts: Dict[str, int] = {}
         self._specs: Dict[str, Dict[str, object]] = {}
-        self._observations = 0
+        self._observations = TrackerCounters()
 
     def record(
         self,
@@ -76,8 +96,8 @@ class PopularityTracker:
             "algorithm": algorithm,
         }
         key = _canonical_key(spec)
+        self._observations.record("observations")
         with self._lock:
-            self._observations += 1
             self._counts[key] = self._counts.get(key, 0) + 1
             self._specs[key] = spec
             if len(self._counts) > self._max_specs:
@@ -103,10 +123,8 @@ class PopularityTracker:
     def snapshot(self) -> Dict[str, int]:
         """Tracker counters for the statistics panel."""
         with self._lock:
-            return {
-                "observations": self._observations,
-                "tracked_specs": len(self._counts),
-            }
+            tracked = len(self._counts)
+        return {**self._observations.snapshot(), "tracked_specs": tracked}
 
 
 class FeedWarmer:
@@ -134,11 +152,7 @@ class FeedWarmer:
         self._tracker = tracker
         self._top_requests = max(0, top_requests)
         self._pages = pages
-        self._lock = threading.Lock()
-        self._runs = 0
-        self._warmed_requests = 0
-        self._warmed_pages = 0
-        self._skipped = 0
+        self._counters = WarmerCounters()
 
     @property
     def tracker(self) -> Optional[PopularityTracker]:
@@ -215,11 +229,12 @@ class FeedWarmer:
                 skipped += 1
             finally:
                 self._service.close_session(session_id)
-        with self._lock:
-            self._runs += 1
-            self._warmed_requests += warmed_requests
-            self._warmed_pages += warmed_pages
-            self._skipped += skipped
+        self._counters.add(
+            runs=1,
+            warmed_requests=warmed_requests,
+            warmed_pages=warmed_pages,
+            skipped=skipped,
+        )
         return {
             "warmed_requests": warmed_requests,
             "warmed_pages": warmed_pages,
@@ -228,13 +243,7 @@ class FeedWarmer:
 
     def snapshot(self) -> Dict[str, object]:
         """Warmer counters for the statistics panel."""
-        with self._lock:
-            payload: Dict[str, object] = {
-                "runs": self._runs,
-                "warmed_requests": self._warmed_requests,
-                "warmed_pages": self._warmed_pages,
-                "skipped": self._skipped,
-            }
+        payload = self._counters.snapshot()
         if self._tracker is not None:
             payload["popularity"] = self._tracker.snapshot()
         return payload

@@ -56,6 +56,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.webdb.boxindex import BoxIndex
+from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.interface import Outcome, SearchResult, Settlement, TopKInterface
 from repro.webdb.query import SearchQuery
@@ -78,8 +79,9 @@ class FetchStatus(enum.Enum):
 
 
 @dataclass
-class CacheStatistics:
-    """Mutable, thread-safe hit/miss/coalesce accounting for one cache."""
+class CacheStatistics(Counters):
+    """Mutable, thread-safe hit/miss/coalesce accounting for one cache.  The
+    snapshot's hit rate comes from the same locked read as its counters."""
 
     hits: int = 0
     misses: int = 0
@@ -96,63 +98,22 @@ class CacheStatistics:
     stale_serves: int = 0
     stale_dropped: int = 0
 
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def record(self, field: str, count: int = 1) -> None:
-        """Add ``count`` to one counter (thread-safe)."""
-        with self._lock:
-            setattr(self, field, getattr(self, field) + count)
-
-    # The derived metrics are computed from a *single* locked read: reading
-    # the counters one by one outside the lock can interleave with a
-    # concurrent ``record`` and report a hit rate inconsistent with the
-    # counters it was computed from.
-    def _lookups_locked(self) -> int:
-        return self.hits + self.contained + self.coalesced + self.misses
-
-    def _hit_rate_locked(self) -> float:
-        total = self._lookups_locked()
-        if total == 0:
-            return 0.0
-        return (self.hits + self.contained + self.coalesced) / total
+    DERIVED_AFTER = {"stale_dropped": "hit_rate"}
+    ROUNDED = {"hit_rate": 4}
 
     @property
     def lookups(self) -> int:
         """Total lookups that were resolved (hits + contained + coalesced +
         misses)."""
-        with self._lock:
-            return self._lookups_locked()
+        return self.hits + self.contained + self.coalesced + self.misses
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served without a fresh remote query."""
-        with self._lock:
-            return self._hit_rate_locked()
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-dictionary snapshot for the service statistics panel.
-
-        The counters and the hit rate come from one locked read, so the rate
-        always matches the counters it is printed next to."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "coalesced": self.coalesced,
-                "contained": self.contained,
-                "evictions": self.evictions,
-                "expirations": self.expirations,
-                "invalidations": self.invalidations,
-                "delta_invalidations": self.delta_invalidations,
-                "delta_retired": self.delta_retired,
-                "delta_survivors": self.delta_survivors,
-                "delta_blocked_stores": self.delta_blocked_stores,
-                "stale_kept": self.stale_kept,
-                "stale_serves": self.stale_serves,
-                "stale_dropped": self.stale_dropped,
-                "hit_rate": round(self._hit_rate_locked(), 4),
-            }
+        total = self.lookups
+        if total == 0:
+            return 0.0
+        return (self.hits + self.contained + self.coalesced) / total
 
 
 @dataclass
@@ -461,10 +422,8 @@ class QueryResultCache:
                 self._inflight[key] = flight
                 owned[key] = flight
                 owner_position[key] = position
-        if hits:
-            self.statistics.record("hits", hits)
-        if contained:
-            self.statistics.record("contained", contained)
+        if hits or contained:
+            self.statistics.add(hits=hits, contained=contained)
 
         owner_results: Dict[CacheKey, Settlement] = {}
         if owned:
@@ -624,10 +583,7 @@ class QueryResultCache:
                 self._namespace_generations[namespace] = (
                     self._namespace_generations.get(namespace, 0) + 1
                 )
-        if removed:
-            self.statistics.record("invalidations", removed)
-        if parked:
-            self.statistics.record("stale_kept", parked)
+        self.statistics.add(invalidations=removed, stale_kept=parked)
         return removed
 
     def invalidate_delta(
@@ -668,13 +624,12 @@ class QueryResultCache:
                 if delta.may_match_query(self._stale[key].result.query):
                     del self._stale[key]
                     stale_purged += 1
-        self.statistics.record("delta_invalidations")
-        if stale_purged:
-            self.statistics.record("stale_dropped", stale_purged)
-        if retired:
-            self.statistics.record("delta_retired", len(retired))
-        if survivors:
-            self.statistics.record("delta_survivors", survivors)
+        self.statistics.add(
+            delta_invalidations=1,
+            stale_dropped=stale_purged,
+            delta_retired=len(retired),
+            delta_survivors=survivors,
+        )
         return retired
 
     # ------------------------------------------------------------------ #

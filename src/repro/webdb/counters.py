@@ -1,10 +1,12 @@
 """Query accounting: counters, budgets, and logs.
 
 The unit the paper optimizes is the number of search queries issued to the
-remote web database.  Three small utilities make that unit first-class:
+remote web database.  Four small utilities make that unit first-class:
 
-* :class:`QueryCounter` — thread-safe monotone counter shared by the parallel
-  executor and the sequential code paths;
+* :class:`Counters` — the base of every statistics holder behind the
+  service's statistics panel: a counter is declared once, as a field;
+* :class:`QueryCounter` — a one-field :class:`Counters` shared by the
+  parallel executor and the sequential code paths;
 * :class:`QueryBudget` — a counter with a hard cap that raises
   :class:`~repro.exceptions.QueryBudgetExceeded` when the reranking algorithm
   would exceed the caller's allowance;
@@ -14,29 +16,111 @@ remote web database.  Three small utilities make that unit first-class:
 
 from __future__ import annotations
 
+import functools
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
 
 from repro.exceptions import QueryBudgetExceeded
-from repro.webdb.interface import SearchResult
-from repro.webdb.query import SearchQuery
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.webdb.interface import SearchResult
+    from repro.webdb.query import SearchQuery
 
 
-class QueryCounter:
+@dataclass
+class Counters:
+    """Thread-safe counters declared once, as the fields of a dataclass.
+
+    A subclass lists its counters as fields in panel order (numbers, plus
+    lists and dictionaries); every method below walks that declaration under
+    one lock, so no holder writes its own locking, snapshot or reset.
+    ``DERIVED_AFTER`` places a derived ratio (a lock-free property over the
+    fields) in the snapshot right after its anchor field, and ``ROUNDED``
+    gives the digits a non-integer entry is rounded to there.
+    """
+
+    DERIVED_AFTER: ClassVar[Dict[str, str]] = {}
+    ROUNDED: ClassVar[Dict[str, int]] = {}
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def record(self, name: str, n: float = 1) -> None:
+        """Add ``n`` to one counter."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + n)
+
+    def add(self, **counts: object) -> None:
+        """Add to several counters in one step (a list field is extended)."""
+        with self._lock:
+            for name, n in counts.items():
+                setattr(self, name, getattr(self, name) + n)
+
+    def peak(self, **values: float) -> None:
+        """Raise each high-water mark to at least its value."""
+        with self._lock:
+            for name, value in values.items():
+                if value > getattr(self, name):
+                    setattr(self, name, value)
+
+    def put(self, **values: object) -> None:
+        """Overwrite last-value fields (a gauge, the last error seen)."""
+        with self._lock:
+            for name, value in values.items():
+                setattr(self, name, value)
+
+    def tally(self, name: str, key: object, n: int = 1) -> None:
+        """Add ``n`` to entry ``key`` of the dictionary counter ``name``."""
+        with self._lock:
+            counts = getattr(self, name)
+            counts[key] = counts.get(key, 0) + n
+
+    def read(self, *names: str):
+        """One consistent read: the value of a single name, else a tuple."""
+        with self._lock:
+            values = tuple(getattr(self, name) for name in names)
+        return values[0] if len(values) == 1 else values
+
+    def snapshot(self) -> Dict[str, object]:
+        """Every field in declaration order, each derived entry after its
+        anchor, from one locked read; lists and dictionaries are copied."""
+        order, containers = _layout(type(self))
+        with self._lock:
+            panel = {name: getattr(self, name) for name in order}
+            for name in containers:
+                panel[name] = panel[name].copy()
+        for name, digits in self.ROUNDED.items():
+            panel[name] = round(panel[name], digits)  # type: ignore[call-overload]
+        return panel
+
+    def reset(self) -> None:
+        """Zero every counter together (empty lists and dictionaries)."""
+        with self._lock:
+            for spec in fields(self):
+                setattr(self, spec.name, type(getattr(self, spec.name))())
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """A :class:`Counters` subclass's ``(snapshot order, container fields)``."""
+    specs = fields(cls)
+    derived = cls.DERIVED_AFTER  # type: ignore[attr-defined]
+    order = tuple(
+        entry for spec in specs for entry in (spec.name, derived.get(spec.name)) if entry
+    )
+    return order, tuple(spec.name for spec in specs if spec.default_factory is not MISSING)
+
+
+@dataclass
+class QueryCounter(Counters):
     """Thread-safe counter of queries issued against a web database."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._count = 0
+    count: int = 0
 
     def increment(self, amount: int = 1) -> int:
         """Add ``amount`` and return the new total."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        with self._lock:
-            self._count += amount
-            return self._count
+        return self.increment_capped(amount, None)[0]
 
     def increment_capped(self, amount: int, limit: Optional[int]) -> Tuple[int, bool]:
         """Atomically add ``amount`` unless the result would exceed ``limit``.
@@ -49,29 +133,18 @@ class QueryCounter:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         with self._lock:
-            if limit is not None and self._count + amount > limit:
-                return self._count, False
-            self._count += amount
-            return self._count, True
+            if limit is not None and self.count + amount > limit:
+                return self.count, False
+            self.count += amount
+            return self.count, True
 
     def decrement(self, amount: int = 1) -> int:
         """Subtract ``amount`` (floored at zero) and return the new total."""
         if amount < 0:
             raise ValueError("amount must be non-negative")
         with self._lock:
-            self._count = max(self._count - amount, 0)
-            return self._count
-
-    @property
-    def count(self) -> int:
-        """Current total."""
-        with self._lock:
-            return self._count
-
-    def reset(self) -> None:
-        """Reset the counter to zero."""
-        with self._lock:
-            self._count = 0
+            self.count = max(self.count - amount, 0)
+            return self.count
 
 
 class QueryBudget:

@@ -41,7 +41,6 @@ before anything is charged: it is a cache answer, not a scatter.
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -55,6 +54,7 @@ from repro.exceptions import (
     SourceUnavailableError,
 )
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
+from repro.webdb.counters import Counters
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
 from repro.webdb.faults import FaultInjector, FaultPlan
@@ -137,6 +137,20 @@ def partition_positions(
             )
         )
     return buckets, partitions
+
+
+@dataclass
+class ScatterCounters(Counters):
+    """A federation's scatter accounting: scatters served, shard queries
+    pruned, fan-out and merge depth, and each shard's cache hits (by index)."""
+
+    scatter_queries: int = 0
+    pruned_shard_queries: int = 0
+    fan_out_total: int = 0
+    fan_out_max: int = 0
+    rows_merged: int = 0
+    max_depth: int = 0
+    shard_cache_hits: Dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -227,14 +241,7 @@ class FederatedInterface(TopKInterface):
         self._partitions = list(partitions) if partitions is not None else None
         self._shard_by = shard_by
         self._cache = result_cache
-        self._lock = threading.Lock()
-        self._scatter_count = 0
-        self._pruned_shard_queries = 0
-        self._fanout_total = 0
-        self._fanout_max = 0
-        self._merge_rows_total = 0
-        self._merge_depth_max = 0
-        self._shard_cache_hits = [0] * len(self._shards)
+        self._counters = ScatterCounters()
 
     # ------------------------------------------------------------------ #
     # TopKInterface
@@ -327,9 +334,8 @@ class FederatedInterface(TopKInterface):
             pages.append(probed[0])
             if probed[1] is not FetchStatus.HIT:
                 status = FetchStatus.CONTAINED
-        with self._lock:
-            for index in targets:
-                self._shard_cache_hits[index] += 1
+        for index in targets:
+            self._counters.tally("shard_cache_hits", index)
         merged = self._merged(query, pages)
         if memoize and self._cache.store_claimed(
             facade, query, self._system_k, merged, claims
@@ -342,8 +348,7 @@ class FederatedInterface(TopKInterface):
         """Scatters served by the federation (each is one logical query;
         :meth:`shard_queries_issued` counts the underlying shard hits).  A
         query :meth:`probe` answered is not one."""
-        with self._lock:
-            return self._scatter_count
+        return self._counters.read("scatter_queries")
 
     # ------------------------------------------------------------------ #
     # Shard plumbing
@@ -386,8 +391,7 @@ class FederatedInterface(TopKInterface):
         )
         hits = sum(1 for _, status in resolved if status is not FetchStatus.MISS)
         if hits:
-            with self._lock:
-                self._shard_cache_hits[index] += hits
+            self._counters.tally("shard_cache_hits", index, hits)
         return [answer for answer, _ in resolved]
 
     def _gather(self, scatter: _Scatter, index: int, answer: Settlement) -> None:
@@ -428,13 +432,14 @@ class FederatedInterface(TopKInterface):
         merged = self._merged(scatter.query, pages, scatter.missing)
         total = sum(len(page.rows) for page in pages)
         fanout = len(scatter.targets)
-        with self._lock:
-            self._scatter_count += 1
-            self._pruned_shard_queries += len(self._shards) - fanout
-            self._fanout_total += fanout
-            self._fanout_max = max(self._fanout_max, fanout)
-            self._merge_rows_total += total
-            self._merge_depth_max = max(self._merge_depth_max, total)
+        # Marks first: a concurrent describe() never sees a mean above its max.
+        self._counters.peak(fan_out_max=fanout, max_depth=total)
+        self._counters.add(
+            scatter_queries=1,
+            pruned_shard_queries=len(self._shards) - fanout,
+            fan_out_total=fanout,
+            rows_merged=total,
+        )
         if merged.degraded:
             self._resilience_stats.record("degraded_scatters")
         return merged
@@ -640,10 +645,9 @@ class FederatedInterface(TopKInterface):
         return sizes.index(min(sizes))
 
     def reset_query_count(self) -> None:
-        """Reset the scatter counter and every shard's query counter
-        (benchmark repetitions)."""
-        with self._lock:
-            self._scatter_count = 0
+        """Reset every scatter counter together, and every shard's query
+        counter (benchmark repetitions)."""
+        self._counters.reset()
         for shard in self._shards:
             shard.reset_query_count()
 
@@ -679,14 +683,8 @@ class FederatedInterface(TopKInterface):
     def describe(self) -> Dict[str, object]:
         """Structured federation metrics for the service statistics panel:
         per-shard queries issued, merge depth, and scatter fan-out."""
-        with self._lock:
-            scatter = self._scatter_count
-            pruned = self._pruned_shard_queries
-            fanout_total = self._fanout_total
-            fanout_max = self._fanout_max
-            merge_rows = self._merge_rows_total
-            merge_max = self._merge_depth_max
-            cache_hits = list(self._shard_cache_hits)
+        counts = self._counters.snapshot()
+        scatter = counts["scatter_queries"]
         shards = []
         for index, stack in enumerate(self._stacks):
             stats = stack.statistics.snapshot()
@@ -705,7 +703,7 @@ class FederatedInterface(TopKInterface):
                     "queries": stats["queries"],
                     "rows_returned": stats["rows_returned"],
                     "elapsed_seconds": stats["elapsed_seconds"],
-                    "cache_hits": cache_hits[index],
+                    "cache_hits": counts["shard_cache_hits"].get(index, 0),
                 }
             )
         return {
@@ -715,16 +713,16 @@ class FederatedInterface(TopKInterface):
             "system_k": self._system_k,
             "scatter_queries": scatter,
             "shard_queries": self.shard_queries_issued(),
-            "pruned_shard_queries": pruned,
+            "pruned_shard_queries": counts["pruned_shard_queries"],
             "fan_out": {
-                "total": fanout_total,
-                "max": fanout_max,
-                "mean": (fanout_total / scatter) if scatter else 0.0,
+                "total": counts["fan_out_total"],
+                "max": counts["fan_out_max"],
+                "mean": (counts["fan_out_total"] / scatter) if scatter else 0.0,
             },
             "merge": {
-                "rows_merged": merge_rows,
-                "max_depth": merge_max,
-                "mean_depth": (merge_rows / scatter) if scatter else 0.0,
+                "rows_merged": counts["rows_merged"],
+                "max_depth": counts["max_depth"],
+                "mean_depth": (counts["rows_merged"] / scatter) if scatter else 0.0,
             },
             "shards": shards,
             "resilience": self.resilience_snapshot(),

@@ -18,12 +18,12 @@ The algorithms' correctness hinges on this trichotomy: a region is "covered"
 from __future__ import annotations
 
 import enum
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataset.schema import Schema
+from repro.webdb.counters import Counters
 from repro.webdb.query import SearchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -197,7 +197,7 @@ class TopKInterface(ABC):
 
 
 @dataclass
-class InterfaceStatistics:
+class InterfaceStatistics(Counters):
     """Mutable, thread-safe per-source statistics, kept by each
     :class:`~repro.webdb.stack.SourceStack`.  ``record`` is called
     concurrently from the source's query executor, so every fold happens
@@ -212,10 +212,7 @@ class InterfaceStatistics:
     elapsed_seconds: float = 0.0
     per_attribute_queries: Dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def record(self, result: SearchResult) -> None:
+    def record(self, result: SearchResult) -> None:  # type: ignore[override]
         """Fold one result into the statistics (thread-safe)."""
         with self._lock:
             self.queries += 1
@@ -231,16 +228,3 @@ class InterfaceStatistics:
                 self.per_attribute_queries[attribute] = (
                     self.per_attribute_queries.get(attribute, 0) + 1
                 )
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-dictionary snapshot for the service statistics panel."""
-        with self._lock:
-            return {
-                "queries": self.queries,
-                "overflow_queries": self.overflow_queries,
-                "underflow_queries": self.underflow_queries,
-                "valid_queries": self.valid_queries,
-                "rows_returned": self.rows_returned,
-                "elapsed_seconds": self.elapsed_seconds,
-                "per_attribute_queries": dict(self.per_attribute_queries),
-            }

@@ -38,6 +38,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     SourceUnavailableError,
 )
+from repro.webdb.counters import Counters
 
 T = TypeVar("T")
 
@@ -320,44 +321,25 @@ class Deadline:
             )
 
 
-class ResilienceStatistics:
+@dataclass
+class ResilienceStatistics(Counters):
     """Thread-safe counters shared by every guard of one source/reranker."""
 
-    _FIELDS = (
-        "attempts",
-        "retries",
-        "failed_attempts",
-        "short_circuits",
-        "breaker_opens",
-        "breaker_half_opens",
-        "breaker_closes",
-        "timeouts_paid",
-        "deadline_hits",
-        "retry_budget_exhausted",
-        "degraded_results",
-        "stale_serves",
-        "degraded_scatters",
-        "stale_shard_answers",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {name: 0 for name in self._FIELDS}
-        self._simulated_wait_seconds = 0.0
-
-    def record(self, field: str, count: int = 1) -> None:
-        with self._lock:
-            self._counts[field] += count
-
-    def record_wait(self, seconds: float) -> None:
-        with self._lock:
-            self._simulated_wait_seconds += seconds
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            snapshot: Dict[str, object] = dict(self._counts)
-            snapshot["simulated_wait_seconds"] = self._simulated_wait_seconds
-            return snapshot
+    attempts: int = 0
+    retries: int = 0
+    failed_attempts: int = 0
+    short_circuits: int = 0
+    breaker_opens: int = 0
+    breaker_half_opens: int = 0
+    breaker_closes: int = 0
+    timeouts_paid: int = 0
+    deadline_hits: int = 0
+    retry_budget_exhausted: int = 0
+    degraded_results: int = 0
+    stale_serves: int = 0
+    degraded_scatters: int = 0
+    stale_shard_answers: int = 0
+    simulated_wait_seconds: float = 0.0
 
 
 class SourceGuard:
@@ -460,8 +442,7 @@ class SourceGuard:
                 return result
             stats.record("failed_attempts", queries)
             if last_error.elapsed_seconds:
-                stats.record("timeouts_paid")
-                stats.record_wait(last_error.elapsed_seconds)
+                stats.add(timeouts_paid=1, simulated_wait_seconds=last_error.elapsed_seconds)
                 if deadline is not None:
                     deadline.charge(last_error.elapsed_seconds)
             self.breaker.record_failure()
@@ -475,8 +456,7 @@ class SourceGuard:
             if delays is None:
                 delays = self.policy.delays(token)
             wait = delays[attempt]
-            stats.record("retries", queries)
-            stats.record_wait(wait)
+            stats.add(retries=queries, simulated_wait_seconds=wait)
             if deadline is not None:
                 deadline.charge(wait)
         assert last_error is not None

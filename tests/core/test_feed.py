@@ -426,6 +426,31 @@ class TestFeedStore:
         assert fresh is not feed
         assert store.snapshot()["expirations"] == 1
 
+    def test_verified_tuples_and_work_count_only_while_the_store_holds_the_feed(self):
+        """The store's counters follow its live feeds: a retired feed's prefix
+        leaves ``verified_tuples``, and what its streams still do on it is
+        not counted (as when the store folded a feed's counters on retiring
+        it)."""
+        store = RerankFeedStore(max_feeds=2)
+        first = self._attach(store, SearchQuery.build(ranges={"price": (0.0, 100.0)}))
+        second = self._attach(store, SearchQuery.build(ranges={"price": (0.0, 200.0)}))
+        for position in range(3):
+            first.row_at(position)
+        second.row_at(0)
+        first.row_at(0)
+        snapshot = store.snapshot()
+        assert (snapshot["verified_tuples"], snapshot["leader_advances"]) == (4, 4)
+        assert snapshot["replayed_tuples"] == 1
+        self._attach(store, SearchQuery.build(ranges={"price": (0.0, 300.0)}))  # evicts first
+        first.row_at(0)
+        first.row_at(3)
+        first.note_promotion()
+        snapshot = store.snapshot()
+        assert (snapshot["feeds"], snapshot["evictions"]) == (2, 1)
+        assert snapshot["verified_tuples"] == 1
+        assert (snapshot["replayed_tuples"], snapshot["leader_advances"]) == (1, 4)
+        assert snapshot["promotions"] == snapshot["leaders"] == 0
+
     def test_feed_retired_while_leading_serves_its_streams_only(self):
         """Retirement — here racing a leader's advance — is a mark, not a
         teardown: the feed keeps replaying and advancing for the streams

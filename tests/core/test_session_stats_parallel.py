@@ -71,7 +71,7 @@ class TestSession:
         session.remember([{"id": "a", "price": 1.0}], "id")
         session.mark_emitted({"id": "a", "price": 1.0}, "id")
         session.push_pending([{"id": "b"}])
-        session.statistics.record_get_next(returned=True)
+        session.statistics.add(get_next_calls=1, tuples_returned=1)
         session.reset_for_new_request()
         assert session.seen_count() == 1
         assert session.emitted_count() == 0
@@ -107,11 +107,11 @@ class TestRerankStatistics:
 
     def test_counters(self):
         stats = RerankStatistics()
-        stats.record_cache_hit()
-        stats.record_dense_index_hit(2)
-        stats.record_dense_region(30)
-        stats.record_get_next(returned=True)
-        stats.record_get_next(returned=False)
+        stats.record("cache_hits")
+        stats.record("dense_index_hits", 2)
+        stats.add(dense_regions_built=1, crawled_tuples=30)
+        stats.add(get_next_calls=1, tuples_returned=1)
+        stats.record("get_next_calls")
         snapshot = stats.snapshot()
         assert snapshot["cache_hits"] == 1
         assert snapshot["dense_index_hits"] == 2
@@ -126,16 +126,6 @@ class TestRerankStatistics:
         stats.stop_timer()
         assert stats.wall_seconds >= 0.0
         assert stats.processing_seconds >= stats.simulated_seconds
-
-    def test_merge(self):
-        a, b = RerankStatistics(), RerankStatistics()
-        a.record_iteration(2, 1.0)
-        b.record_iteration(3, 2.0)
-        b.record_cache_hit()
-        a.merge(b)
-        assert a.external_queries == 5
-        assert a.cache_hits == 1
-        assert len(a.iteration_group_sizes) == 2
 
     def test_parallel_fraction_empty(self):
         assert RerankStatistics().parallel_fraction == 0.0

@@ -1,12 +1,15 @@
 """Tests for query accounting (counters, budgets, logs) and latency models."""
 
+import sys
 import threading
 import time
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 import pytest
 
 from repro.exceptions import QueryBudgetExceeded
-from repro.webdb.counters import QueryBudget, QueryCounter, QueryLog
+from repro.webdb.counters import Counters, QueryBudget, QueryCounter, QueryLog
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
@@ -38,6 +41,79 @@ class TestQueryCounter:
         for thread in threads:
             thread.join()
         assert counter.count == 4000
+
+
+@dataclass
+class _Sample(Counters):
+    hits: int = 0
+    misses: int = 0
+    wait_seconds: float = 0.0
+    deepest: int = 0
+    sizes: List[int] = field(default_factory=list)
+    per_key: Dict[str, int] = field(default_factory=dict)
+
+    DERIVED_AFTER = {"misses": "hit_rate"}
+    ROUNDED = {"hit_rate": 2, "wait_seconds": 1}
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+class TestCounters:
+    def test_snapshot_follows_the_declaration(self):
+        sample = _Sample()
+        sample.add(hits=2, misses=1, wait_seconds=0.26, sizes=[3])
+        sample.peak(deepest=4)
+        sample.peak(deepest=2)
+        sample.tally("per_key", "a", 2)
+        snapshot = sample.snapshot()
+        assert list(snapshot) == [
+            "hits", "misses", "hit_rate", "wait_seconds", "deepest", "sizes", "per_key",
+        ]  # fmt: skip
+        assert snapshot["hit_rate"] == 0.67 and snapshot["wait_seconds"] == 0.3
+        assert (snapshot["deepest"], snapshot["sizes"], snapshot["per_key"]) == (4, [3], {"a": 2})
+        # Containers are copies: later counting never reaches a snapshot.
+        sample.add(sizes=[5])
+        sample.tally("per_key", "a")
+        assert (snapshot["sizes"], snapshot["per_key"]) == ([3], {"a": 2})
+        assert sample.read("hits") == 2 and sample.read("hits", "deepest") == (2, 4)
+
+    def test_reset_zeroes_every_field_together(self):
+        sample = _Sample()
+        sample.add(hits=1, wait_seconds=1.5, sizes=[1])
+        sample.tally("per_key", "b")
+        sample.peak(deepest=3)
+        sample.reset()
+        assert sample.snapshot() == _Sample().snapshot()
+
+    def test_concurrent_counting_loses_no_update(self):
+        sample = _Sample()
+        rounds, workers = 2000, 8
+
+        def work(worker):
+            for step in range(rounds):
+                sample.add(hits=1, misses=2)
+                sample.record("wait_seconds", 1.0)
+                sample.peak(deepest=worker * rounds + step)
+                sample.tally("per_key", "k")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = rounds * workers
+        assert sample.read("hits", "misses", "wait_seconds") == (total, 2 * total, float(total))
+        assert sample.read("deepest") == total - 1
+        assert sample.per_key == {"k": total}
 
 
 class TestQueryBudget:

@@ -221,6 +221,23 @@ class TestFederatedInterface:
         federation.reset_query_count()
         assert federation.queries_issued() == 0
 
+    def test_reset_clears_every_scatter_counter_together(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
+        """Regression: a reset that zeroed the scatter count alone left the
+        fan-out and merge totals behind, so the means divided old totals by
+        the new count (fan-out 6.0 over 2 shards, mean depth 60 over a max
+        of 20)."""
+        federation = make_federation(diamond_catalog, diamond_schema_fixture, shards=2)
+        federation.search(SearchQuery.everything())
+        federation.search(SearchQuery.build(ranges={"carat": (0.5, 2.5)}))
+        federation.reset_query_count()
+        federation.search(SearchQuery.everything())
+        described = federation.describe()
+        assert described["scatter_queries"] == 1
+        assert described["fan_out"]["mean"] <= federation.shard_count
+        assert described["merge"]["mean_depth"] <= described["merge"]["max_depth"]
+
     def test_shard_cache_namespaces(self, diamond_catalog, diamond_schema_fixture):
         cache = QueryResultCache(max_entries=64)
         federation = make_federation(
