@@ -487,7 +487,6 @@ class FederatedInterface(TopKInterface):
             self._namespaces[index], query, self._stacks[index].system_k
         )
         if stale is not None:
-            self._resilience_stats.record("stale_serves")
             self._resilience_stats.record("stale_shard_answers")
         return stale
 

@@ -335,8 +335,6 @@ class ResilienceStatistics(Counters):
     timeouts_paid: int = 0
     deadline_hits: int = 0
     retry_budget_exhausted: int = 0
-    degraded_results: int = 0
-    stale_serves: int = 0
     degraded_scatters: int = 0
     stale_shard_answers: int = 0
     simulated_wait_seconds: float = 0.0
