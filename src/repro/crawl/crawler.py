@@ -144,7 +144,7 @@ class HiddenDatabaseCrawler:
                 or sub_query.membership_on(attribute) != parent.membership_on(attribute)
             )
             if predicate_changed:
-                statistics.tally("splits_per_attribute", attribute)
+                statistics.tally("splits_per_attribute", {attribute: 1})
 
     # ------------------------------------------------------------------ #
     # Split selection

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import MISSING, dataclass, field, fields
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import QueryBudgetExceeded
 
@@ -52,10 +52,13 @@ class Counters:
             setattr(self, name, getattr(self, name) + n)
 
     def add(self, **counts: object) -> None:
-        """Add to several counters in one step (a list field is extended)."""
+        """Add to several counters in one step (a list field is extended in
+        place)."""
         with self._lock:
             for name, n in counts.items():
-                setattr(self, name, getattr(self, name) + n)
+                value = getattr(self, name)
+                value += n
+                setattr(self, name, value)
 
     def peak(self, **values: float) -> None:
         """Raise each high-water mark to at least its value."""
@@ -70,17 +73,18 @@ class Counters:
             for name, value in values.items():
                 setattr(self, name, value)
 
-    def tally(self, name: str, key: object, n: int = 1) -> None:
-        """Add ``n`` to entry ``key`` of the dictionary counter ``name``."""
+    def tally(self, name: str, counts: Mapping[Any, int]) -> None:
+        """Add ``counts``, key by key, to the dictionary counter ``name``."""
         with self._lock:
-            counts = getattr(self, name)
-            counts[key] = counts.get(key, 0) + n
+            totals = getattr(self, name)
+            for key, n in counts.items():
+                totals[key] = totals.get(key, 0) + n
 
     def read(self, *names: str):
         """One consistent read: the value of a single name, else a tuple."""
         with self._lock:
-            values = tuple(getattr(self, name) for name in names)
-        return values[0] if len(values) == 1 else values
+            values = [getattr(self, name) for name in names]
+        return values[0] if len(values) == 1 else tuple(values)
 
     def snapshot(self) -> Dict[str, object]:
         """Every field in declaration order, each derived entry after its

@@ -334,8 +334,7 @@ class FederatedInterface(TopKInterface):
             pages.append(probed[0])
             if probed[1] is not FetchStatus.HIT:
                 status = FetchStatus.CONTAINED
-        for index in targets:
-            self._counters.tally("shard_cache_hits", index)
+        self._counters.tally("shard_cache_hits", dict.fromkeys(targets, 1))
         merged = self._merged(query, pages)
         if memoize and self._cache.store_claimed(
             facade, query, self._system_k, merged, claims
@@ -391,7 +390,7 @@ class FederatedInterface(TopKInterface):
         )
         hits = sum(1 for _, status in resolved if status is not FetchStatus.MISS)
         if hits:
-            self._counters.tally("shard_cache_hits", index, hits)
+            self._counters.tally("shard_cache_hits", {index: hits})
         return [answer for answer, _ in resolved]
 
     def _gather(self, scatter: _Scatter, index: int, answer: Settlement) -> None:

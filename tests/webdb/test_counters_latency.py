@@ -67,7 +67,7 @@ class TestCounters:
         sample.add(hits=2, misses=1, wait_seconds=0.26, sizes=[3])
         sample.peak(deepest=4)
         sample.peak(deepest=2)
-        sample.tally("per_key", "a", 2)
+        sample.tally("per_key", {"a": 2})
         snapshot = sample.snapshot()
         assert list(snapshot) == [
             "hits", "misses", "hit_rate", "wait_seconds", "deepest", "sizes", "per_key",
@@ -76,14 +76,14 @@ class TestCounters:
         assert (snapshot["deepest"], snapshot["sizes"], snapshot["per_key"]) == (4, [3], {"a": 2})
         # Containers are copies: later counting never reaches a snapshot.
         sample.add(sizes=[5])
-        sample.tally("per_key", "a")
+        sample.tally("per_key", {"a": 1})
         assert (snapshot["sizes"], snapshot["per_key"]) == ([3], {"a": 2})
         assert sample.read("hits") == 2 and sample.read("hits", "deepest") == (2, 4)
 
     def test_reset_zeroes_every_field_together(self):
         sample = _Sample()
         sample.add(hits=1, wait_seconds=1.5, sizes=[1])
-        sample.tally("per_key", "b")
+        sample.tally("per_key", {"b": 1})
         sample.peak(deepest=3)
         sample.reset()
         assert sample.snapshot() == _Sample().snapshot()
@@ -97,7 +97,7 @@ class TestCounters:
                 sample.add(hits=1, misses=2)
                 sample.record("wait_seconds", 1.0)
                 sample.peak(deepest=worker * rounds + step)
-                sample.tally("per_key", "k")
+                sample.tally("per_key", {"k": 1})
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
