@@ -26,9 +26,11 @@ intervals).  Adjacent and overlapping regions of the same signature are
 *coalesced* on insert — union of rows, widened box — which keeps the index
 small and lets :meth:`~DenseRegionIndex.covers` succeed on unions of
 separately crawled regions (fewer external queries, not just faster lookups).
-Rows inside a region are deduplicated by key, stored once as immutable
-mappings sorted on the region's primary axis, and returned as shared
-references; range selections are bisect spans.
+Rows inside a region are deduplicated by key, sorted on the region's
+primary axis, and kept as the read-only rows the crawl returned (a row that
+arrives writable, from a caller or the SQLite reload, is frozen once on
+insert); lookups return those same objects, and range selections are bisect
+spans.
 
 The seed's reference behaviour — append-only region lists, linear covering
 scans, per-call ``dict`` row copies, no coalescing — is kept as a test oracle
@@ -40,7 +42,6 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.regions import HyperRectangle
@@ -51,9 +52,7 @@ from repro.webdb.boxindex import BoxIndex
 from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.indexes import is_numeric
-from repro.webdb.query import RangePredicate, SearchQuery
-
-Row = Mapping[str, object]
+from repro.webdb.query import RangePredicate, Row, SearchQuery, freeze_row
 
 
 @dataclass
@@ -174,8 +173,8 @@ def _coalesce_box(
 
 @dataclass
 class _SortedRegion(IndexedRegion):
-    """An :class:`IndexedRegion` whose rows are deduplicated by key, stored
-    as immutable mappings, and sorted on the signature's primary axis.
+    """An :class:`IndexedRegion` whose rows are deduplicated by key, and
+    sorted on the signature's primary axis.
 
     ``values`` holds the primary-axis value of each row in the sorted
     (numeric) prefix of ``rows`` so range selections are bisect spans; rows
@@ -321,7 +320,7 @@ class DenseRegionIndex:
         key_column = self._schema.key
         rows_by_key: Dict[object, Row] = {}
         for row in rows:
-            rows_by_key[row[key_column]] = MappingProxyType(dict(row))
+            rows_by_key[row[key_column]] = freeze_row(row)
         region = _SortedRegion.build(box, rows_by_key, key_column)
         with self._lock:
             index = self._indexes.get(region.attributes)

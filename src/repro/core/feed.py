@@ -20,8 +20,8 @@ scratch.  This module amortizes the algorithm itself:
   coalescing of the PR 1 result cache, one layer up — whole reranked streams
   instead of single query answers).
 
-Rows are stored once as immutable mappings (the PR 4 dense-index pattern) and
-handed to followers as shared references; per-user dedup against the consumer
+The prefix holds the producer's read-only rows themselves and hands them to
+followers by reference, never copied; per-user dedup against the consumer
 session's emitted history still happens in the stream layer
 (:class:`~repro.core.reranker.FeedBackedStream`).
 
@@ -45,17 +45,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.session import Session
 from repro.core.stats import RerankStatistics
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta
-from repro.webdb.query import SearchQuery
-
-Row = Mapping[str, object]
+from repro.webdb.query import Row, SearchQuery
 
 #: ``(namespace, system_k, algorithm, canonical query, canonical ranking)`` —
 #: the full identity of one shareable Get-Next stream.
@@ -277,7 +274,7 @@ class RerankFeed:
                             # the flush), but the store will never hand the
                             # feed to a new session again.
                             self._stale = True
-                        self._rows.append(MappingProxyType(dict(row)))
+                        self._rows.append(row)
                         self._count_locked("verified_tuples")
                 self._condition.notify_all()
         if row is None:
@@ -293,7 +290,7 @@ class RerankFeed:
             self._count_locked("promotions")
 
     def verified_rows(self) -> List[Row]:
-        """Shared references to the verified prefix (immutable mappings)."""
+        """The verified prefix: the shared read-only rows themselves."""
         with self._condition:
             return list(self._rows)
 

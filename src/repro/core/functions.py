@@ -22,8 +22,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import RankingFunctionError
-
-Row = Mapping[str, object]
+from repro.webdb.query import Row
 
 
 class UserRankingFunction(ABC):

@@ -7,9 +7,9 @@ layer (and the examples) consume: it wraps any algorithm object exposing a
 and access to the per-request statistics — the user-visible side of the
 "get-next" button of the QR2 UI.
 
-Emitted rows are stored once as immutable mappings and handed out as shared
-references (the dense-index pattern of PR 4): ``top()`` and
-``returned_so_far`` are O(count) slices, not deep copies of the whole prefix.
+Emitted rows are the read-only :data:`~repro.webdb.query.Row`\\ s the
+algorithm produced, kept and handed out by reference: ``top()`` and
+``returned_so_far`` are O(count) slices of them, never copies.
 The check-emit-append step of :meth:`get_next` runs under a per-stream lock,
 so concurrent page requests against one stream interleave at tuple
 granularity instead of corrupting the emission history.  Subclasses override
@@ -21,19 +21,17 @@ there and hands off to the live algorithm past its end.
 from __future__ import annotations
 
 import threading
-from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Protocol
+from typing import Dict, Iterator, List, Optional, Protocol
 
 from repro.core.session import Session
 from repro.core.stats import RerankStatistics
-
-Row = Mapping[str, object]
+from repro.webdb.query import Row
 
 
 class GetNextAlgorithm(Protocol):
     """Structural interface of the algorithm objects this stream can drive."""
 
-    def next(self) -> Optional[Dict[str, object]]:  # pragma: no cover - protocol
+    def next(self) -> Optional[Row]:  # pragma: no cover - protocol
         """Return the next tuple, or ``None`` when exhausted."""
         ...
 
@@ -83,8 +81,8 @@ class GetNextStream:
 
     @property
     def returned_so_far(self) -> List[Row]:
-        """Every tuple already returned, in rank order (shared immutable
-        references — callers must not rely on mutating them)."""
+        """Every tuple already returned, in rank order (the shared read-only
+        rows themselves)."""
         with self._lock:
             return list(self._returned)
 
@@ -106,8 +104,6 @@ class GetNextStream:
             if row is None:
                 self._exhausted = True
                 return None
-            if not isinstance(row, MappingProxyType):
-                row = MappingProxyType(dict(row))
             self._returned.append(row)
             return row
 
@@ -135,7 +131,7 @@ class GetNextStream:
         """Return the first ``count`` tuples overall, fetching more if needed.
 
         Tuples already returned by earlier calls count toward ``count``.  The
-        returned rows are shared immutable references, not copies.
+        returned rows are the shared read-only rows, not copies.
         """
         if count < 0:
             raise ValueError("count must be non-negative")

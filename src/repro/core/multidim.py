@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Deque, Iterable, List, Mapping, Optional, Tuple
 
 from repro.config import RerankConfig
 from repro.core import contour
@@ -45,13 +45,12 @@ from repro.core.session import Session
 from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
 from repro.exceptions import RankingFunctionError
 from repro.webdb.interface import SearchResult
-from repro.webdb.query import RangePredicate, SearchQuery
+from repro.webdb.query import RangePredicate, Row, SearchQuery
 
-Row = Dict[str, object]
 #: The best candidate so far with the score it was found at: ``(score,
-#: str(key), row)``, ordered like the emission order.  The row is whatever
-#: reference the source handed over; only an emitted winner is copied.
-Best = Optional[Tuple[float, str, Mapping[str, object]]]
+#: str(key), row)``, ordered like the emission order.  The row is the shared
+#: read-only reference the source handed over, emitted as is.
+Best = Optional[Tuple[float, str, Row]]
 #: A box still to be searched, ``(box, split depth, min score, max score)``:
 #: the bounds of a fixed box never change, so they are computed at creation.
 OpenBox = Tuple[HyperRectangle, int, float, float]
@@ -129,7 +128,7 @@ class MultiDimGetNext:
             self._statistics.record("get_next_calls")
             return None
         self._frontier_score = best[0]
-        row = dict(best[2])
+        row = best[2]
         self._session.mark_emitted(row, self._engine.key_column)
         self._statistics.add(get_next_calls=1, tuples_returned=1)
         return row

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
@@ -48,9 +48,7 @@ from repro.core.session import Session
 from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
 from repro.exceptions import RankingFunctionError
 from repro.webdb.interface import SearchResult
-from repro.webdb.query import RangePredicate, SearchQuery
-
-Row = Dict[str, object]
+from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 #: Oriented values: the algorithms always *minimize*; descending rankings are
 #: handled by negating values on the way in and out.
@@ -494,7 +492,7 @@ class OneDimGetNext:
             result = self._engine.search(self._base_query.with_range(point))
             self._remember(result)
             if result.covers_query:
-                rows = [dict(row) for row in result.rows]
+                rows = list(result.rows)
             else:
                 # General-positioning violation: more than system-k tuples share
                 # this exact value.  Fall back to the hidden-database crawler.
@@ -513,7 +511,7 @@ class OneDimGetNext:
                 rows = [row for row in crawled if self._base_query.matches(row)]
         if self._config.enable_session_cache:
             self._session.remember(rows, key_column)
-        fresh = [dict(row) for row in rows if not self._session.has_emitted(row[key_column])]
+        fresh = [row for row in rows if not self._session.has_emitted(row[key_column])]
         fresh.sort(key=lambda row: str(row[key_column]))
         return fresh
 

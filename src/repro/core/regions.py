@@ -17,9 +17,7 @@ from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError
 from repro.webdb.indexes import is_numeric
-from repro.webdb.query import RangePredicate, SearchQuery
-
-Row = Mapping[str, object]
+from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from repro.core.functions import (
     SingleAttributeRanking,
     UserRankingFunction,
 )
-from repro.core.getnext import GetNextStream, Row
+from repro.core.getnext import GetNextStream
 from repro.core.multidim import MDVariant, MultiDimGetNext
 from repro.core.onedim import OneDimGetNext, OneDimVariant
 from repro.core.parallel import QueryEngine
@@ -40,7 +40,7 @@ from repro.webdb.delta import CatalogDelta
 from repro.webdb.counters import QueryBudget
 from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import TopKInterface
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import Row, SearchQuery
 
 
 class Algorithm(enum.Enum):

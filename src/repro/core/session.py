@@ -28,13 +28,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.functions import UserRankingFunction
 from repro.core.stats import RerankStatistics
-from repro.webdb.query import SearchQuery
-
-Row = Dict[str, object]
+from repro.webdb.query import Row, SearchQuery
 
 
 @dataclass
@@ -56,19 +54,19 @@ class Session:
     # ------------------------------------------------------------------ #
     # Seen-tuple cache
     # ------------------------------------------------------------------ #
-    def _hold(self, key: object, row: Mapping[str, object]) -> bool:
+    def _hold(self, key: object, row: Row) -> bool:
         """Keep ``row`` as the current version of ``key`` (lock held).  A row
-        equal to the version already held is neither copied nor logged again,
-        so a held row's identity says "still current"; returns True for a key
-        never seen before."""
+        equal to the version already held is not logged again, and no layer
+        copies a row, so a held row's identity says "still current"; returns
+        True for a key never seen before."""
         held = self._seen_tuples.get(key)
         if held is not None and held == row:
             return False
-        self._seen_tuples[key] = version = dict(row)
-        self._seen_log.append(version)
+        self._seen_tuples[key] = row
+        self._seen_log.append(row)
         return held is None
 
-    def remember(self, rows: Iterable[Mapping[str, object]], key_column: str) -> int:
+    def remember(self, rows: Iterable[Row], key_column: str) -> int:
         """Add rows to the seen-tuple cache; returns how many were new."""
         added = 0
         with self._lock:
@@ -93,7 +91,7 @@ class Session:
 
     def seen_since(self, cursor: int) -> List[Row]:
         """The tuple versions logged at positions ``cursor`` and later, in
-        arrival order (shared references: readers must not mutate them)."""
+        arrival order: the read-only rows themselves, shared, not copies."""
         with self._lock:
             return self._seen_log[cursor:]
 
@@ -106,7 +104,7 @@ class Session:
     # ------------------------------------------------------------------ #
     # Emission history
     # ------------------------------------------------------------------ #
-    def mark_emitted(self, row: Mapping[str, object], key_column: str) -> None:
+    def mark_emitted(self, row: Row, key_column: str) -> None:
         """Record that ``row`` has been returned to the user."""
         with self._lock:
             self._emitted.add(row[key_column])
@@ -127,10 +125,10 @@ class Session:
     # ------------------------------------------------------------------ #
     # Pending queue (tied tuples of the current value/score group)
     # ------------------------------------------------------------------ #
-    def push_pending(self, rows: Iterable[Mapping[str, object]]) -> None:
+    def push_pending(self, rows: Iterable[Row]) -> None:
         """Queue rows that are known to be the next ones to emit."""
         with self._lock:
-            self._pending.extend(dict(row) for row in rows)
+            self._pending.extend(rows)
 
     def pop_pending(self) -> Optional[Row]:
         """Pop the next queued row, or ``None``."""

@@ -31,9 +31,7 @@ from repro.core.onedim import OneDimGetNext, OneDimVariant
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.exceptions import RankingFunctionError
-from repro.webdb.query import SearchQuery
-
-Row = Dict[str, object]
+from repro.webdb.query import Row, SearchQuery
 
 _TOLERANCE = 1e-9
 
@@ -113,7 +111,7 @@ class ThresholdAlgorithmGetNext:
             self._statistics.record("get_next_calls")
             return None
         self._frontier_score = best[0]
-        row = dict(best[3])
+        row = best[3]
         self._session.mark_emitted(row, self._engine.key_column)
         self._statistics.add(get_next_calls=1, tuples_returned=1)
         return row
@@ -121,7 +119,7 @@ class ThresholdAlgorithmGetNext:
     # ------------------------------------------------------------------ #
     def _best_discovered(self) -> Optional[Tuple[float, str, int, Row]]:
         """The best discovered tuple not yet returned and not before the
-        frontier (held by reference; only an emitted winner is copied)."""
+        frontier (held by reference, as every row is)."""
         heap = self._candidates
         key_column = self._engine.key_column
         floor = self._frontier_score - _TOLERANCE

@@ -28,12 +28,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.exceptions import CrawlError
 from repro.webdb.counters import Counters, QueryBudget
 from repro.webdb.interface import TopKInterface
-from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
+from repro.webdb.query import InPredicate, RangePredicate, Row, SearchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - repro.core imports this module
     from repro.core.parallel import QueryEngine
-
-Row = Dict[str, object]
 
 #: Numeric ranges narrower than this are not split further; if such a range
 #: still overflows across every other attribute, the data violates even the
@@ -92,7 +90,7 @@ class HiddenDatabaseCrawler:
             next_frontier: List[SearchQuery] = []
             for level_query, result in zip(frontier, results):
                 for row in result.rows:
-                    collected[row[key_column]] = dict(row)
+                    collected[row[key_column]] = row
                 if result.covers_query:
                     statistics.record("leaves")
                     continue

@@ -14,8 +14,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.exceptions import SchemaError
 
-Row = Dict[str, object]
-
 
 class ColumnTable:
     """Column-major table with dictionary rows at the API boundary.
@@ -41,7 +39,7 @@ class ColumnTable:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_rows(
-        cls, rows: Iterable[Row], columns: Optional[Sequence[str]] = None
+        cls, rows: Iterable[Mapping[str, object]], columns: Optional[Sequence[str]] = None
     ) -> "ColumnTable":
         """Build a table from an iterable of row dictionaries.
 
@@ -83,7 +81,7 @@ class ColumnTable:
     def __bool__(self) -> bool:
         return self._length > 0
 
-    def __iter__(self) -> Iterator[Row]:
+    def __iter__(self) -> Iterator[Dict[str, object]]:
         return self.iter_rows()
 
     def __eq__(self, other: object) -> bool:
@@ -100,7 +98,7 @@ class ColumnTable:
             raise SchemaError(f"unknown column {name!r}")
         return list(self._columns[name])
 
-    def row(self, index: int) -> Row:
+    def row(self, index: int) -> Dict[str, object]:
         """Return row ``index`` as a dictionary."""
         if index < 0:
             index += self._length
@@ -108,12 +106,12 @@ class ColumnTable:
             raise IndexError(f"row index {index} out of range (0..{self._length - 1})")
         return {name: values[index] for name, values in self._columns.items()}
 
-    def iter_rows(self) -> Iterator[Row]:
+    def iter_rows(self) -> Iterator[Dict[str, object]]:
         """Iterate over rows as dictionaries."""
         for index in range(self._length):
             yield self.row(index)
 
-    def to_rows(self) -> List[Row]:
+    def to_rows(self) -> List[Dict[str, object]]:
         """Materialize all rows as a list of dictionaries."""
         return list(self.iter_rows())
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Tuple
 from repro.dataset.schema import AttributeKind, Schema
 from repro.exceptions import WireFormatError
 from repro.webdb.interface import Outcome, SearchResult
-from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
+from repro.webdb.query import InPredicate, RangePredicate, SearchQuery, freeze_row
 
 #: Suffixes used to encode a numeric range as two URL parameters.
 MIN_SUFFIX = "_min"
@@ -117,12 +117,22 @@ def encode_result(result: SearchResult, key_column: str) -> Dict[str, object]:
 
 
 def decode_result(payload: Mapping[str, object], query: SearchQuery) -> SearchResult:
-    """Decode the JSON payload of the search API back into a result."""
+    """Decode the JSON payload of the search API back into a result.
+
+    A remote answer is trusted no further than the top-k contract: its rows
+    are objects carrying the payload's ``key_column``, at most ``system_k``
+    of them, and it is ``underflow`` exactly when it has none.  Anything else
+    raises :class:`WireFormatError` before it can be cached and derived from."""
     try:
         outcome = Outcome(str(payload["outcome"]))
         system_k = int(payload["system_k"])  # type: ignore[arg-type]
-        rows = tuple(dict(row) for row in payload["rows"])  # type: ignore[union-attr]
+        key_column = str(payload["key_column"])
+        rows = tuple(map(freeze_row, payload["rows"]))  # type: ignore[call-overload]
         elapsed = float(payload.get("elapsed_seconds", 0.0))  # type: ignore[arg-type]
+        if any(key_column not in row for row in rows):
+            raise ValueError(f"a row lacks the key column {key_column!r}")
+        if len(rows) > system_k or (outcome is Outcome.UNDERFLOW) != (not rows):
+            raise ValueError(f"{outcome.value} with {len(rows)} rows at k={system_k}")
     except (KeyError, ValueError, TypeError) as exc:
         raise WireFormatError(f"malformed search response: {exc}") from exc
     return SearchResult(

@@ -39,8 +39,6 @@ from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import Counters
 from repro.webdb.query import SearchQuery
 
-Row = Dict[str, object]
-
 
 @dataclass
 class _ActiveRequest:

@@ -26,8 +26,7 @@ from repro.dataset.schema import Schema
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.connections import SQLiteConnections
 from repro.sqlstore.store import SQLiteTupleStore
-
-Row = Dict[str, object]
+from repro.webdb.query import Row
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.sqlstore.connections import SQLiteConnections
 from repro.webdb.cache import CacheKey, QueryResultCache
 from repro.webdb.interface import Outcome, SearchResult
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import SearchQuery, freeze_row
 
 #: Bumped whenever the table layout or the JSON payload shape changes; a
 #: spill recorded under any other version is ignored and recreated.
@@ -143,7 +143,7 @@ class ResultCacheStore:
         data = json.loads(payload)
         return SearchResult(
             query=SearchQuery.from_dict(data["query"]),
-            rows=tuple(dict(row) for row in data["rows"]),
+            rows=tuple(freeze_row(row) for row in data["rows"]),
             outcome=Outcome(data["outcome"]),
             system_k=int(data["system_k"]),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),

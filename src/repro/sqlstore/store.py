@@ -19,8 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.dataset.schema import Schema
 from repro.exceptions import SchemaError
 from repro.sqlstore.connections import SQLiteConnections
-
-Row = Dict[str, object]
+from repro.webdb.query import Row
 
 _SQL_TYPE = {True: "REAL", False: "TEXT"}
 
@@ -209,7 +208,7 @@ class SQLiteTupleStore:
             yield from batch
 
     def _record_to_row(self, columns: Sequence[str], record: Tuple) -> Row:
-        row: Row = {}
+        row: Dict[str, object] = {}
         for name, value in zip(columns, record):
             if name != self._schema.key and name in self._schema.numeric_names:
                 row[name] = float(value)

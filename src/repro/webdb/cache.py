@@ -30,6 +30,11 @@ re-issuing queries the service has already paid for.
 * **request coalescing** — when several sessions miss on the same key at the
   same time, exactly one remote query is issued and the other callers wait on
   its result (the classic "thundering herd" guard);
+* **one shared answer** — an answer is stored once, at zero round-trip cost,
+  and that same :class:`~repro.webdb.interface.SearchResult` is handed to
+  every ``HIT``, ``CONTAINED`` and ``COALESCED`` caller.  Its rows are
+  read-only :data:`~repro.webdb.query.Row`\\ s, so sharing needs no copy; only
+  the ``MISS`` caller gets its own result, carrying the real latency;
 * **generation-checked stores** — :meth:`QueryResultCache.invalidate` bumps a
   generation counter, and in-flight queries that began *before* the
   invalidation do not re-store their (possibly stale) results after it;
@@ -257,10 +262,10 @@ class QueryResultCache:
 
         Returns ``(result, status)`` where ``status`` is ``HIT`` for an exact
         entry or ``CONTAINED`` for an answer derived from a covering superset
-        entry, or ``None`` when neither exists.  Either way the result is a
-        fresh copy with ``elapsed_seconds=0.0`` — a cached answer costs no
-        round trip — and with copied rows so callers can never mutate the
-        stored entry.  Misses are *not* counted here (:meth:`fetch` owns miss
+        entry, or ``None`` when neither exists.  Either way the result is the
+        stored answer itself, at ``elapsed_seconds=0.0`` — a cached answer
+        costs no round trip — and its read-only rows are shared with every
+        other reader.  Misses are *not* counted here (:meth:`fetch` owns miss
         accounting); hits and containment answers are.
 
         ``memoize=False`` makes the probe strictly read-only: a derived
@@ -283,7 +288,7 @@ class QueryResultCache:
         self.statistics.record(
             "hits" if status is FetchStatus.HIT else "contained"
         )
-        return self._replay(result), status
+        return result, status
 
     def store(
         self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult
@@ -313,20 +318,17 @@ class QueryResultCache:
         system_k: int,
         result: SearchResult,
         claims: Sequence[Claim],
-    ) -> bool:
+    ) -> None:
         """:meth:`store` ``result`` unless a claimed namespace was
         invalidated, or touched by a delta that could match ``query``, since
-        its :meth:`claim` — the check a fetched MISS passes.  Returns whether
-        it was stored."""
+        its :meth:`claim` — the check a fetched MISS passes."""
         key = self.key_for(namespace, query, system_k)
         with self._lock:
-            if not all(
+            if all(
                 self._store_allowed_locked(claimed, query, generation, delta_seq)
                 for claimed, generation, delta_seq in claims
             ):
-                return False
-            self._store_locked(key, query, result)
-        return True
+                self._store_locked(key, query, result)
 
     def fetch(
         self,
@@ -398,17 +400,14 @@ class QueryResultCache:
             for position, key in enumerate(keys):
                 entry = self._live_entry(key)
                 if entry is not None:
-                    outcomes[position] = (self._replay(entry.result), FetchStatus.HIT)
+                    outcomes[position] = (entry.result, FetchStatus.HIT)
                     hits += 1
                     continue
                 derived = self._contained_answer_locked(
                     namespace, materialized[position], system_k, key
                 )
                 if derived is not None:
-                    outcomes[position] = (
-                        self._replay(derived),
-                        FetchStatus.CONTAINED,
-                    )
+                    outcomes[position] = (derived, FetchStatus.CONTAINED)
                     contained += 1
                     continue
                 if key in owned:
@@ -448,28 +447,21 @@ class QueryResultCache:
             with self._lock:
                 for (key, flight), result in zip(owned.items(), results):
                     self._inflight.pop(key, None)
-                    owner_results[key] = result
+                    # The MISS caller keeps its own answer, latency included.
+                    outcomes[owner_position[key]] = (result, FetchStatus.MISS)
                     if isinstance(result, Exception):
-                        flight.error = result
-                        outcomes[owner_position[key]] = (result, FetchStatus.MISS)
+                        flight.error = owner_results[key] = result
                         continue
-                    flight.result = result
+                    # Everyone else shares the one zero-cost answer stored.
+                    flight.result = owner_results[key] = shared = self._at_no_cost(result)
                     misses += 1
                     query = materialized[owner_position[key]]
                     if self._store_allowed_locked(namespace, query, generation, delta_seq):
-                        self._store_locked(key, query, result)
+                        self._store_locked(key, query, shared)
             for flight in owned.values():
                 flight.done.set()
             if misses:
                 self.statistics.record("misses", misses)
-            # The stored entry must never alias rows a caller can mutate, so
-            # the MISS caller also gets copied rows (but keeps the latency).
-            for key, result in owner_results.items():
-                if not isinstance(result, Exception):
-                    outcomes[owner_position[key]] = (
-                        replace(result, rows=tuple(dict(row) for row in result.rows)),
-                        FetchStatus.MISS,
-                    )
 
         hits = 0
         for position, key in duplicates:
@@ -477,7 +469,7 @@ class QueryResultCache:
             if isinstance(twin, Exception):
                 outcomes[position] = (twin, FetchStatus.MISS)
             else:
-                outcomes[position] = (self._replay(twin), FetchStatus.HIT)
+                outcomes[position] = (twin, FetchStatus.HIT)
                 hits += 1
         if hits:
             self.statistics.record("hits", hits)
@@ -486,7 +478,7 @@ class QueryResultCache:
             flight.done.wait()
             if flight.error is None and flight.result is not None:
                 self.statistics.record("coalesced")
-                outcomes[position] = (self._replay(flight.result), FetchStatus.COALESCED)
+                outcomes[position] = (flight.result, FetchStatus.COALESCED)
                 continue
             # The owning caller failed: contend for ownership of this one key
             # again (one waiter at a time wins it).
@@ -641,7 +633,7 @@ class QueryResultCache:
         """Replay a generation-stale parked entry for ``query``, or ``None``.
 
         Only used when the live source cannot answer (open breaker, retries
-        exhausted): the returned copy is marked ``stale`` *and* ``degraded``
+        exhausted): the returned answer is marked ``stale`` *and* ``degraded``
         and is forced to ``OVERFLOW`` by the caller's contract — a stale
         answer must never claim to cover its query, so no algorithm builds
         durable state (dense regions, feeds, emissions) from it.  TTL-expired
@@ -660,13 +652,7 @@ class QueryResultCache:
             self._stale.move_to_end(key)
             result = entry.result
         self.statistics.record("stale_serves")
-        stale = self._replay(result)
-        return replace(
-            stale,
-            outcome=Outcome.OVERFLOW,
-            degraded=True,
-            stale=True,
-        )
+        return replace(result, outcome=Outcome.OVERFLOW, degraded=True, stale=True)
 
     def _park_stale_locked(self, key: CacheKey, entry: _Entry) -> None:
         """Move one flushed entry into the bounded stale side-store."""
@@ -742,7 +728,7 @@ class QueryResultCache:
             # and break byte-identity with the fault-free run.
             return
         stamp = self._clock() if stored_at is None else stored_at
-        self._entries[key] = _Entry(result=result, stored_at=stamp)
+        self._entries[key] = _Entry(result=self._at_no_cost(result), stored_at=stamp)
         self._entries.move_to_end(key)
         # A fresh answer supersedes any parked stale copy of the same key.
         self._stale.pop(key, None)
@@ -795,7 +781,7 @@ class QueryResultCache:
                 continue
             matched = [row for row in entry.result.rows if query.matches(row)]
             overflow = len(matched) > system_k
-            # Shared with the covering entry: every read path copies (_replay).
+            # The covering entry's own read-only rows, shared.
             rows = tuple(matched[:system_k])
             if overflow:
                 outcome = Outcome.OVERFLOW
@@ -816,13 +802,12 @@ class QueryResultCache:
         return None
 
     @staticmethod
-    def _replay(result: SearchResult) -> SearchResult:
-        """A defensive copy of a stored result, at zero simulated cost."""
-        return replace(
-            result,
-            rows=tuple(dict(row) for row in result.rows),
-            elapsed_seconds=0.0,
-        )
+    def _at_no_cost(result: SearchResult) -> SearchResult:
+        """``result`` as the cache shares it: the same read-only rows, at
+        zero round-trip cost."""
+        if result.elapsed_seconds == 0.0:
+            return result
+        return replace(result, elapsed_seconds=0.0)
 
 
 #: Generic default names that cannot distinguish two interfaces sharing one

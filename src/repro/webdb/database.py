@@ -34,10 +34,8 @@ from repro.webdb.engine import ExecutionEngine, IndexedColumnarEngine, QueryPlan
 from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.interface import Outcome, SearchResult, TopKInterface
 from repro.webdb.latency import LatencyModel
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import Row, SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
-
-Row = Dict[str, object]
 
 
 def stream_sorted_columns(
@@ -381,7 +379,7 @@ class HiddenWebDatabase(TopKInterface):
 
     def all_matches(self, query: SearchQuery) -> List[Row]:
         """Every tuple matching ``query`` (bypasses the top-k truncation)."""
-        return [dict(row) for row in self._ranked_rows if query.matches(row)]
+        return [row for row in self._ranked_rows if query.matches(row)]
 
     def count_matches(self, query: SearchQuery) -> int:
         """Number of tuples matching ``query``."""

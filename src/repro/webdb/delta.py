@@ -37,9 +37,7 @@ from typing import (
     Tuple,
 )
 
-from repro.webdb.query import RangePredicate, SearchQuery
-
-Row = Mapping[str, object]
+from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 
 def _is_numeric(value: object) -> bool:

@@ -2,7 +2,7 @@
 
 The seed implementation answered every top-k query with a pure-Python scan
 over dictionary rows — per-row ``isinstance`` checks, ``dict.get`` lookups,
-and a ``dict(row)`` copy per hit.  That contract-first simplicity survives as
+and a copy of every hit.  That contract-first simplicity survives as
 ``tests/reference/engine.py``'s ``NaiveScanEngine``, the oracle the
 differential tests and the catalog-scale benchmark compare against.
 
@@ -40,9 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.webdb import arrays
 from repro.webdb.indexes import ColumnarCatalog, is_numeric
-from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
+from repro.webdb.query import InPredicate, RangePredicate, Row, SearchQuery
 
-Row = Dict[str, object]
 #: A block filter: rank positions in → surviving rank positions out.
 BlockFilter = Callable[[Sequence[int]], Sequence[int]]
 
@@ -55,7 +54,7 @@ class ExecutionEngine(ABC):
     @abstractmethod
     def execute(self, query: SearchQuery, k: int) -> Tuple[List[Row], bool]:
         """Return ``(matches, overflow)``: the first ``k`` matching rows in
-        hidden-rank order (fresh dictionaries) and whether more matched."""
+        hidden-rank order (read-only rows) and whether more matched."""
 
     def execute_many(
         self, queries: Sequence[SearchQuery], k: int

@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import SourceTimeoutError, SourceUnavailableError
+from repro.webdb.counters import Counters
 from repro.webdb.interface import SearchResult, TopKInterface
 from repro.webdb.query import SearchQuery
 
@@ -152,6 +154,18 @@ class FaultPlan:
         return replace(self, fail_from=start, fail_until=stop)
 
 
+@dataclass
+class FaultCounts(Counters):
+    """Queries an injector has seen, by the :class:`FaultKind` each drew
+    (``none`` counts clean passes)."""
+
+    none: int = 0
+    transient: int = 0
+    timeout: int = 0
+    slow: int = 0
+    fail_stop: int = 0
+
+
 class FaultInjector:
     """A scheduled fault stream in front of one source's ``search``.
 
@@ -170,7 +184,7 @@ class FaultInjector:
         self._index = 0
         self._active = True
         self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {kind.value: 0 for kind in FaultKind}
+        self._counts = FaultCounts()
 
     def search(self, query: SearchQuery) -> SearchResult:
         """Draw the next schedule slot, then fail, delay or pass ``query``."""
@@ -186,8 +200,7 @@ class FaultInjector:
                 start = self._index
                 self._index += count
                 slots = [self._plan.fault_at(index) for index in range(start, self._index)]
-            for kind, _ in slots:
-                self._counts[kind.value] += 1
+            self._counts.add(**Counter(kind.value for kind, _ in slots))
         return slots
 
     def apply(self, slot: Slot, query: SearchQuery) -> SearchResult:
@@ -255,8 +268,7 @@ class FaultInjector:
 
     def fault_counts(self) -> Dict[str, int]:
         """Per-kind counts of queries seen (``"none"`` counts clean passes)."""
-        with self._lock:
-            return dict(self._counts)
+        return self._counts.snapshot()
 
 
 def delayed(result: SearchResult, spike: float) -> SearchResult:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -65,7 +65,7 @@ from repro.webdb.interface import (
     TopKInterface,
     answers,
 )
-from repro.webdb.query import RangePredicate, SearchQuery
+from repro.webdb.query import RangePredicate, Row, SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
 from repro.webdb.resilience import (
     Deadline,
@@ -74,8 +74,6 @@ from repro.webdb.resilience import (
     guards_snapshot,
 )
 from repro.webdb.stack import SourceStack
-
-Row = Dict[str, object]
 
 
 def partition_positions(
@@ -336,11 +334,8 @@ class FederatedInterface(TopKInterface):
                 status = FetchStatus.CONTAINED
         self._counters.tally("shard_cache_hits", dict.fromkeys(targets, 1))
         merged = self._merged(query, pages)
-        if memoize and self._cache.store_claimed(
-            facade, query, self._system_k, merged, claims
-        ):
-            # The stored entry must never alias rows the caller can mutate.
-            merged = replace(merged, rows=tuple(dict(row) for row in merged.rows))
+        if memoize:
+            self._cache.store_claimed(facade, query, self._system_k, merged, claims)
         return merged, status
 
     def queries_issued(self) -> int:

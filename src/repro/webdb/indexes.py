@@ -6,8 +6,8 @@ columns, plus the per-attribute access structures the query planner consumes:
 
 * **raw columns** — one column per attribute, in hidden-rank order, holding
   the values exactly as they appear in the catalog, so result rows
-  materialized from columns are byte-identical to the naive scan's
-  ``dict(row)`` copies.  Under the buffer backends
+  materialized from columns equal the naive scan's row dictionaries, key
+  order included.  Under the buffer backends
   (:mod:`repro.webdb.arrays`), uniformly-typed numeric columns are packed
   into ``array('d')``/``array('q')`` buffers (numpy views when numpy is
   importable) — 8 bytes per value instead of a pointer plus a boxed object;
@@ -24,8 +24,9 @@ first use, under a lock: most attributes of a catalog are never constrained,
 and databases are constructed eagerly all over the test suite.
 
 Row *materialization* is lazy in the other direction: the catalog never
-stores row dictionaries.  :meth:`ColumnarCatalog.materialize` builds a fresh
-dictionary from the columns on demand, and :meth:`ColumnarCatalog.rows`
+stores rows.  :meth:`ColumnarCatalog.materialize` builds a tuple's read-only
+:data:`~repro.webdb.query.Row` from the columns on demand (every layer above
+shares that object; none copies it), and :meth:`ColumnarCatalog.rows`
 exposes the whole catalog as a lazy, read-only row sequence so reference
 paths (the naive scan engine, ground-truth helpers) keep working without the
 catalog ever being held twice in memory.
@@ -39,8 +40,7 @@ from array import array
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.webdb import arrays
-
-Row = Dict[str, object]
+from repro.webdb.query import Row, freeze_row
 
 #: The raw type pair behind :func:`is_numeric`; kept for isinstance checks.
 NUMERIC_TYPES = (int, float)
@@ -62,7 +62,7 @@ def is_numeric(value: object) -> bool:
 class CatalogRowView(Sequence):
     """Lazy, read-only row-sequence facade over a :class:`ColumnarCatalog`.
 
-    Each access materializes a fresh row dictionary, so holding the view
+    Each access materializes the tuple's read-only row, so holding the view
     costs nothing beyond the catalog itself.  Used wherever the seed code
     kept a ``List[Row]`` of the ranked catalog (the naive reference engine,
     ground-truth scans).
@@ -267,7 +267,7 @@ class ColumnarCatalog:
         return self._raw.get(name)
 
     def rows(self) -> CatalogRowView:
-        """The catalog as a lazy read-only sequence of row dictionaries."""
+        """The catalog as a lazy read-only sequence of rows."""
         return CatalogRowView(self)
 
     def scan_positions(self) -> Sequence[int]:
@@ -367,12 +367,13 @@ class ColumnarCatalog:
     # Row materialization
     # ------------------------------------------------------------------ #
     def materialize(self, rank: int) -> Row:
-        """Build a fresh row dictionary for the tuple at ``rank``."""
+        """The tuple at ``rank`` as a read-only :data:`Row`, built from the
+        columns."""
         raw = self._raw
-        return {name: raw[name][rank] for name in self._order}
+        return freeze_row({name: raw[name][rank] for name in self._order})
 
     def materialize_many(self, ranks: Sequence[int]) -> List[Row]:
-        """Fresh row dictionaries for ``ranks``, in the given order."""
+        """The read-only rows of ``ranks``, in the given order."""
         raw = self._raw
         order = self._order
-        return [{name: raw[name][rank] for name in order} for rank in ranks]
+        return [freeze_row({name: raw[name][rank] for name in order}) for rank in ranks]

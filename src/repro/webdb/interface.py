@@ -24,13 +24,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataset.schema import Schema
 from repro.webdb.counters import Counters
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import Row, SearchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.webdb.cache import FetchStatus
     from repro.webdb.resilience import ResilienceStatistics
-
-Row = Dict[str, object]
 
 
 class Outcome(enum.Enum):
@@ -51,7 +49,8 @@ class SearchResult:
         The query that produced this result.
     rows:
         Returned tuples, ordered by the hidden system ranking (best first).
-        At most ``system_k`` rows.
+        At most ``system_k`` rows, each a read-only
+        :data:`~repro.webdb.query.Row` that callers share and never copy.
     outcome:
         Overflow / valid / underflow classification.
     system_k:

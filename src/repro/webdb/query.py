@@ -17,12 +17,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError
 
+#: One tuple, as every layer holds it: read-only (a write raises
+#: ``TypeError``), built once where it enters the system and shared by
+#: reference from then on, so no layer keeps a defensive copy.
 Row = Mapping[str, object]
+
+
+def freeze_row(row: Mapping[str, object]) -> Row:
+    """``row`` as a :data:`Row`: itself when it already is one, otherwise a
+    read-only view of a private copy, so the caller keeps no writable alias."""
+    if isinstance(row, MappingProxyType):
+        return row
+    return MappingProxyType({**row})
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import hashlib
 from abc import ABC, abstractmethod
 from typing import Dict, Mapping, Sequence
 
-Row = Mapping[str, object]
+from repro.webdb.query import Row
 
 
 def _stable_unit_score(key: str, cache: Dict[str, float]) -> float:

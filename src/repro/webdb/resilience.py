@@ -143,6 +143,15 @@ class BreakerState:
     HALF_OPEN = "half_open"
 
 
+@dataclass
+class BreakerTransitions(Counters):
+    """A breaker's cumulative transitions, by the state each one entered."""
+
+    opened: int = 0
+    half_opened: int = 0
+    closed: int = 0
+
+
 class CircuitBreaker:
     """Closed → open → half-open circuit breaker for one source/shard.
 
@@ -172,7 +181,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_in_flight = False
-        self._transitions: Dict[str, int] = {"opened": 0, "half_opened": 0, "closed": 0}
+        self._transitions = BreakerTransitions()
 
     @property
     def state(self) -> str:
@@ -237,8 +246,7 @@ class CircuitBreaker:
 
     def transitions(self) -> Dict[str, int]:
         """Cumulative transition counts (``opened``/``half_opened``/``closed``)."""
-        with self._lock:
-            return dict(self._transitions)
+        return self._transitions.snapshot()
 
     def describe(self) -> Dict[str, object]:
         with self._lock:
@@ -247,7 +255,7 @@ class CircuitBreaker:
                 "name": self.name,
                 "state": self._state,
                 "consecutive_failures": self._consecutive_failures,
-                "transitions": dict(self._transitions),
+                "transitions": self._transitions.snapshot(),
             }
 
     def _open_locked(self) -> None:
@@ -265,7 +273,7 @@ class CircuitBreaker:
             self._transition_locked("half_opened", "breaker_half_opens")
 
     def _transition_locked(self, name: str, counter: str) -> None:
-        self._transitions[name] += 1
+        self._transitions.record(name)
         if self.statistics is not None:
             self.statistics.record(counter)
 

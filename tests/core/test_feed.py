@@ -19,7 +19,7 @@ from repro.core.session import Session
 from repro.core.stats import RerankStatistics
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import SearchQuery, freeze_row
 from tests.conftest import draw_request, page_through
 
 
@@ -373,7 +373,7 @@ class _ListProducerFactory:
         self._gate = gate
 
     def __call__(self) -> FeedProducer:
-        rows = iter(self._rows)
+        rows = map(freeze_row, self._rows)
         gate = self._gate
 
         class _Algorithm:

@@ -66,7 +66,7 @@ class TestQueryResultCache:
         assert cache.statistics.misses == 1
         assert cache.statistics.hits == 1
 
-    def test_hit_costs_zero_latency_and_copies_rows(self, bluenile_db):
+    def test_hit_costs_zero_latency_and_shares_read_only_rows(self, bluenile_db):
         cache = QueryResultCache()
         query = SearchQuery.everything()
         miss, _ = cache.fetch(
@@ -74,11 +74,12 @@ class TestQueryResultCache:
         )
         hit = cache.lookup("ns", query, bluenile_db.system_k)
         assert hit.elapsed_seconds == 0.0
-        # Mutating a returned row — miss or hit — must not corrupt the entry.
-        miss.rows[0]["price"] = -2.0
-        hit.rows[0]["price"] = -1.0
-        again = cache.lookup("ns", query, bluenile_db.system_k)
-        assert again.rows[0]["price"] not in (-1.0, -2.0)
+        # Every reader shares the stored answer; its rows refuse writes.
+        assert cache.lookup("ns", query, bluenile_db.system_k) is hit
+        assert all(a is b for a, b in zip(hit.rows, miss.rows))
+        for row in (miss.rows[0], hit.rows[0]):
+            with pytest.raises(TypeError):
+                row["price"] = -1.0
 
     def test_canonical_key_ignores_predicate_order(self, bluenile_db):
         cache = QueryResultCache()

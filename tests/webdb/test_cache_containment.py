@@ -178,9 +178,11 @@ class TestContainmentAnswering:
         assert again is not None and again[1] is FetchStatus.CONTAINED
         assert len(cache) == 2
 
-    def test_mutating_a_contained_answer_touches_no_stored_entry(self, bluenile_db):
+    def test_a_contained_answer_shares_the_covering_rows_and_refuses_writes(
+        self, bluenile_db
+    ):
         """The memoized derived entry shares its rows with the covering
-        entry; only the copies every read path makes are handed out."""
+        entry, and every reader gets those same read-only rows."""
         cache = QueryResultCache()
         k = bluenile_db.system_k
         wide, wide_result = _find_valid_query(bluenile_db)
@@ -191,15 +193,16 @@ class TestContainmentAnswering:
         )
         contained, status = cache.probe("bn", narrow, k)
         assert status is FetchStatus.CONTAINED and contained.rows
-        narrow_rows = [dict(row) for row in contained.rows]
-        wide_rows = [dict(row) for row in wide_result.rows]
+        wide_ids = {id(row) for row in wide_result.rows}
+        assert all(id(row) in wide_ids for row in contained.rows)
         for row in contained.rows:
-            row[predicate.attribute] = -1.0
-            row["mutated"] = True
+            with pytest.raises(TypeError):
+                row[predicate.attribute] = -1.0
+            with pytest.raises(TypeError):
+                row["mutated"] = True
         hit, status = cache.probe("bn", narrow, k)
-        assert status is FetchStatus.HIT
-        assert [dict(row) for row in hit.rows] == narrow_rows
-        assert [dict(row) for row in cache.probe("bn", wide, k)[0].rows] == wide_rows
+        assert status is FetchStatus.HIT and hit is contained
+        assert cache.probe("bn", wide, k)[0].rows == wide_result.rows
 
     def test_namespace_and_system_k_isolation(self, bluenile_db):
         cache = QueryResultCache()

@@ -67,9 +67,10 @@ class TestTopKContract:
         for row in result.rows:
             assert row["kind"] == "x" and row["price"] <= 20
 
-    def test_rows_are_copies(self, tiny_db):
+    def test_rows_are_read_only(self, tiny_db):
         result = tiny_db.search(SearchQuery.build(ranges={"price": (0, 3)}))
-        result.rows[0]["price"] = -1.0
+        with pytest.raises(TypeError):
+            result.rows[0]["price"] = -1.0
         again = tiny_db.search(SearchQuery.build(ranges={"price": (0, 3)}))
         assert again.rows[0]["price"] >= 0
 

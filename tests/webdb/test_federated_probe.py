@@ -164,6 +164,8 @@ def test_an_unchanged_federation_stores_the_merged_answer(
     answer, _ = federation.probe(sub_query)
     stored, status = cache.probe(federation.name, sub_query, K)
     assert status is FetchStatus.HIT and stored.rows == answer.rows
-    # The caller's rows are its own: mutating them never reaches the entry.
-    answer.rows[0]["price"] = -1.0
+    # The caller shares the stored rows, and they refuse writes.
+    assert all(a is b for a, b in zip(answer.rows, stored.rows))
+    with pytest.raises(TypeError):
+        answer.rows[0]["price"] = -1.0
     assert cache.probe(federation.name, sub_query, K)[0].rows == stored.rows
