@@ -41,9 +41,10 @@ from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction
 from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
-from repro.core.session import Session
+from repro.core.session import ChangeWatch, Session
 from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
 from repro.exceptions import RankingFunctionError
+from repro.webdb.delta import ChangeLog
 from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 
@@ -81,6 +82,7 @@ class MultiDimGetNext:
         config: Optional[RerankConfig] = None,
         variant: MDVariant = MDVariant.RERANK,
         dense_index: Optional[DenseRegionIndex] = None,
+        changes: Optional[ChangeLog] = None,
     ) -> None:
         if ranking.dimensionality < 2:
             raise RankingFunctionError(
@@ -107,7 +109,9 @@ class MultiDimGetNext:
         # acceleration the paper describes): regions whose contents are not
         # yet fully cached.  Only meaningful while the session cache is
         # enabled — without it, every call restarts from the full space.
+        # A catalog change that can match the filter query voids them.
         self._open_boxes: Optional[List[OpenBox]] = None
+        self._watch = ChangeWatch(changes or ChangeLog(), session, base_query)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -122,6 +126,8 @@ class MultiDimGetNext:
         if self._exhausted:
             self._statistics.record("get_next_calls")
             return None
+        if self._watch.changed():
+            self._open_boxes = None
         best = self._find_next_tuple()
         if best is None:
             self._exhausted = True

@@ -29,7 +29,22 @@ Variant-specific "find the next value":
 * **1D-RERANK** — 1D-BINARY plus the on-the-fly dense-region index: covered
   intervals are answered locally with zero queries, and an interval that has
   become dense while still overflowing is crawled once, indexed, and then
-  answered locally forever after.
+  answered locally forever after.  When the user query has filters beyond
+  the ranking attribute, a dense interval is first asked *with* them: if
+  that one query covers its answer it settles the interval, and only an
+  overflow falls back to the filter-free crawl.
+
+Every variant keeps a **verified prefix**: the oriented value up to which
+every matching tuple is already in the session cache.  An answer that
+covers its interval (VALID / UNDERFLOW, a dense-index lookup, a crawl) and
+starts at or below the prefix extends it; a stale or degraded answer never
+does.  A Get-Next whose best cached candidate lies inside the prefix emits
+it with no query, and a prefix reaching the domain edge exhausts the stream.
+The descent itself still starts at the frontier: the prefix only
+short-circuits.  The prefix trusts only current rows: before each call the
+stream's :class:`~repro.core.session.ChangeWatch` drops from the session
+cache every tuple a logged catalog change touched, and a change that can
+match the filter query drops the prefix back to the frontier.
 """
 
 from __future__ import annotations
@@ -44,10 +59,10 @@ from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import SingleAttributeRanking
 from repro.core.parallel import QueryEngine
 from repro.core.regions import interval_relative_width
-from repro.core.session import Session
+from repro.core.session import ChangeWatch, Session
 from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
-from repro.exceptions import RankingFunctionError
-from repro.webdb.interface import SearchResult
+from repro.webdb.delta import ChangeLog
+from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 #: Oriented values: the algorithms always *minimize*; descending rankings are
@@ -137,6 +152,7 @@ class OneDimGetNext:
         config: Optional[RerankConfig] = None,
         variant: OneDimVariant = OneDimVariant.RERANK,
         dense_index: Optional[DenseRegionIndex] = None,
+        changes: Optional[ChangeLog] = None,
     ) -> None:
         self._engine = engine
         self._base_query = base_query
@@ -160,6 +176,14 @@ class OneDimGetNext:
         )
         self._frontier: Optional[float] = None  # oriented value of the last group
         self._exhausted = False
+        # The verified prefix ``(end, inclusive)``: every matching tuple this
+        # stream may still emit up to ``end`` is in the session cache.  A
+        # catalog change that can match the filter query voids it.
+        self._proven: Tuple[float, bool] = (self._axis.oriented_lower, False)
+        self._watch = ChangeWatch(changes or ChangeLog(), session, base_query)
+        #: Filters beyond the ranking attribute's own range, which can thin a
+        #: dense interval below ``system_k``.
+        self._filtered = bool(base_query.without_attribute(attribute).constrained_attributes)
         # A 1D ranking's score *is* the oriented value, so the heap's best
         # candidate carries the free upper bound for the next value.
         self._candidates = session.cached_candidates(base_query, ranking, engine.key_column)
@@ -183,6 +207,9 @@ class OneDimGetNext:
         if self._exhausted:
             self._statistics.record("get_next_calls")
             return None
+        if self._watch.changed():
+            lower, include_lower = self._frontier_lower()
+            self._proven = (lower, not include_lower)
 
         next_value = self._find_next_oriented_value()
         if next_value is None:
@@ -236,6 +263,32 @@ class OneDimGetNext:
         if self._config.enable_session_cache:
             self._session.remember(result.rows, self._engine.key_column)
 
+    def _within_prefix(self, value: float) -> bool:
+        end, inclusive = self._proven
+        # A change logged during this call leaves rows in the session cache
+        # that the next call's catch-up drops: trust none of them now.
+        return (value < end or (inclusive and value == end)) and self._watch.current()
+
+    def _prove(self, interval: _Interval, result: Optional[SearchResult] = None) -> None:
+        """Extend the verified prefix over ``interval`` when it starts at or
+        below the prefix's end.  Every matching tuple in ``interval`` must be
+        remembered already: from ``result`` when it covers its query (a
+        stale or degraded answer proves nothing), or from a dense-index
+        lookup or a crawl when ``result`` is ``None``."""
+        if not self._config.enable_session_cache:
+            return
+        if result is not None and (
+            not result.covers_query or result.stale or result.degraded
+        ):
+            return
+        end, inclusive = self._proven
+        if interval.lower > end or (
+            interval.lower == end and not (inclusive or interval.include_lower)
+        ):
+            return
+        if interval.upper > end or (interval.upper == end and interval.include_upper):
+            self._proven = (interval.upper, interval.include_upper)
+
     def _cached_upper_bound(self) -> Optional[float]:
         """Best oriented value among cached, unemitted, matching tuples —
         a free upper bound for the next value."""
@@ -255,9 +308,13 @@ class OneDimGetNext:
         upper = self._axis.oriented_upper
         if lower > upper or (lower == upper and not include_lower):
             return None
-        interval = _Interval(lower, upper, include_lower, True)
-
         cached_bound = self._cached_upper_bound()
+        # Inside the verified prefix the best cached candidate is the next
+        # value, and a prefix reaching the domain edge with nothing cached
+        # proves the stream exhausted: no query either way.
+        if self._within_prefix(upper if cached_bound is None else cached_bound):
+            return cached_bound
+        interval = _Interval(lower, upper, include_lower, True)
         if self._variant is OneDimVariant.BASELINE:
             return self._baseline_search(interval, cached_bound)
         return self._binary_search(interval, cached_bound)
@@ -273,6 +330,7 @@ class OneDimGetNext:
         while True:
             result = self._search_interval(interval)
             self._remember(result)
+            self._prove(interval, result)
             values = self._eligible_values(result)
             if values:
                 candidate = min(values)
@@ -318,8 +376,10 @@ class OneDimGetNext:
             result = self._probe(interval)
             if result is None:
                 # The dense index covered the whole interval and found nothing.
+                self._prove(interval)
                 return None
             self._remember(result)
+            self._prove(interval, result)
             values = self._eligible_values(result)
             if values:
                 best = min(values)
@@ -354,10 +414,12 @@ class OneDimGetNext:
             if result is None:
                 # Served from the dense index: nothing beyond the frontier in
                 # the half, move the lower bound up.
+                self._prove(half)
                 lower, include_lower = midpoint, False
                 rounds += 1
                 continue
             self._remember(result)
+            self._prove(half, result)
             values = self._eligible_values(result)
             if result.is_underflow or not values:
                 lower, include_lower = midpoint, False
@@ -395,8 +457,6 @@ class OneDimGetNext:
                 ]
                 if not eligible:
                     return None
-                from repro.webdb.interface import Outcome
-
                 return SearchResult(
                     query=self._interval_query(interval),
                     rows=tuple(eligible),
@@ -430,11 +490,14 @@ class OneDimGetNext:
     ) -> Optional[float]:
         """The candidate interval has become dense.
 
-        1D-RERANK crawls it once (without the user's filters, so the region is
-        reusable), indexes it, and answers locally.  The other variants fall
-        back to baseline narrowing inside the small interval, which is correct
-        but pays the price on every request — exactly the behaviour gap the
-        paper demonstrates.
+        1D-RERANK answers it with the user's filters first when there are
+        any: they may thin the interval below ``system_k``, and then one
+        query settles it.  Otherwise (or when that query overflows) it crawls
+        the interval once without the filters, so the region is reusable,
+        indexes it, and answers locally.  The other variants fall back to
+        baseline narrowing inside the small interval, which is correct but
+        pays the price on every request — exactly the behaviour gap the paper
+        demonstrates.
         """
         if self._use_dense_index():
             predicate = self._axis.interval_predicate(lower, best, True, True)
@@ -442,6 +505,14 @@ class OneDimGetNext:
             rows = self._dense_index.lookup_interval(
                 self._axis.attribute, predicate, self._base_query
             )
+            if rows is None and self._filtered:
+                interval = _Interval(lower, best, include_lower, True)
+                result = self._search_interval(interval)
+                self._remember(result)
+                self._prove(interval, result)
+                if result.covers_query:
+                    values = self._eligible_values(result)
+                    return min(min(values), best) if values else best
             if rows is None:
                 region_query = SearchQuery((predicate,), ())
                 crawler = HiddenDatabaseCrawler(
@@ -458,6 +529,9 @@ class OneDimGetNext:
                     self._axis.attribute, predicate, self._base_query
                 )
             self._statistics.record("dense_index_hits")
+            if self._config.enable_session_cache:
+                self._session.remember(rows, self._engine.key_column)
+            self._prove(_Interval(lower, best, True, True))
             frontier_lower, frontier_inclusive = self._frontier_lower()
             eligible = [
                 self._oriented_value(row)
@@ -477,9 +551,17 @@ class OneDimGetNext:
     # Step 2: resolve the value group at the chosen value
     # ------------------------------------------------------------------ #
     def _resolve_value_group(self, oriented_value: float) -> List[Row]:
+        key_column = self._engine.key_column
+        if self._within_prefix(oriented_value):
+            # The whole group is cached: the candidates tied at the value.
+            best = self._candidates.best(*self._frontier_lower())
+            if best is not None and best[0] == oriented_value:
+                fresh = self._candidates.tied(oriented_value)
+                fresh.sort(key=lambda row: str(row[key_column]))
+                return fresh
         raw_value = self._axis.unorient(oriented_value)
         point = RangePredicate(self._axis.attribute, raw_value, raw_value)
-        key_column = self._engine.key_column
+        point_interval = _Interval(oriented_value, oriented_value, True, True)
 
         rows: Optional[List[Row]] = None
         if self._use_dense_index():
@@ -488,9 +570,11 @@ class OneDimGetNext:
             )
         if rows is not None:
             self._statistics.record("dense_index_hits")
+            self._prove(point_interval)
         else:
             result = self._engine.search(self._base_query.with_range(point))
             self._remember(result)
+            self._prove(point_interval, result)
             if result.covers_query:
                 rows = list(result.rows)
             else:
@@ -509,32 +593,9 @@ class OneDimGetNext:
                         self._axis.attribute, raw_value, raw_value, crawled
                     )
                 rows = [row for row in crawled if self._base_query.matches(row)]
+                self._prove(point_interval)
         if self._config.enable_session_cache:
             self._session.remember(rows, key_column)
         fresh = [row for row in rows if not self._session.has_emitted(row[key_column])]
         fresh.sort(key=lambda row: str(row[key_column]))
         return fresh
-
-
-def make_onedim_getnext(
-    engine: QueryEngine,
-    base_query: SearchQuery,
-    attribute: str,
-    ascending: bool,
-    session: Session,
-    variant: OneDimVariant = OneDimVariant.RERANK,
-    dense_index: Optional[DenseRegionIndex] = None,
-    config: Optional[RerankConfig] = None,
-) -> OneDimGetNext:
-    """Convenience constructor used by the service layer and MD-TA."""
-    if not attribute:
-        raise RankingFunctionError("attribute must be non-empty")
-    return OneDimGetNext(
-        engine=engine,
-        base_query=base_query,
-        ranking=SingleAttributeRanking(attribute, ascending=ascending),
-        session=session,
-        config=config,
-        variant=variant,
-        dense_index=dense_index,
-    )

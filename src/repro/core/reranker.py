@@ -36,7 +36,7 @@ from repro.core.ta import ThresholdAlgorithmGetNext
 from repro.exceptions import RankingFunctionError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.cache import CacheKey, QueryResultCache, default_namespace
-from repro.webdb.delta import CatalogDelta
+from repro.webdb.delta import CatalogDelta, ChangeLog
 from repro.webdb.counters import QueryBudget
 from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import TopKInterface
@@ -132,6 +132,10 @@ class QueryReranker:
             )
         else:
             self._feed_store = None
+        #: Every delta and invalidation, in order: live streams drop the
+        #: touched rows from their sessions, and what they proved before a
+        #: change that can match their filter query.
+        self._changes = ChangeLog()
         self._session_counter = itertools.count(1)
         self._feed_counter = itertools.count(1)
         self._lock = threading.Lock()
@@ -240,6 +244,7 @@ class QueryReranker:
         feeds_retired = 0
         if self._feed_store is not None:
             feeds_retired = self._feed_store.invalidate(self._cache_namespace)
+        self._changes.record()
         return {"cache_entries": cache_entries, "feeds_retired": feeds_retired}
 
     def apply_delta(
@@ -264,7 +269,13 @@ class QueryReranker:
         * rerank feeds whose filter query could surface a touched tuple
           are retired — surviving feeds keep replaying their verified
           prefixes, which stay valid because feed order is a pure
-          function of the tuples matching the filter.
+          function of the tuples matching the filter;
+        * the change is logged last, after every cache is retired: before
+          its next Get-Next a live stream drops every touched tuple from its
+          session cache and, when its filter query could match a touched
+          version, what it has proven (a 1D verified prefix, the MD open
+          boxes, TA's discovered tuples) — so re-proving never reads a stale
+          cache entry or a cached row of an older version.
 
         :meth:`invalidate` remains the full-flush fallback (and the
         correctness oracle the differential tests compare against).
@@ -310,6 +321,7 @@ class QueryReranker:
             summary["feeds_retired"] = self._feed_store.invalidate_delta(
                 self._cache_namespace, facade_delta
             )
+        self._changes.record(facade_delta)
         return summary
 
     def _new_session(self, label: str) -> Session:
@@ -428,6 +440,7 @@ class QueryReranker:
                 session=session,
                 config=self._config,
                 dense_index=self._dense_index,
+                changes=self._changes,
             )
         return MultiDimGetNext(
             engine=engine,
@@ -437,6 +450,7 @@ class QueryReranker:
             config=self._config,
             variant=_MD_VARIANTS[algorithm],
             dense_index=self._dense_index,
+            changes=self._changes,
         )
 
     def _build_feed_producer(
@@ -479,6 +493,7 @@ class QueryReranker:
             config=self._config,
             variant=_ONEDIM_VARIANTS[algorithm],
             dense_index=self._dense_index,
+            changes=self._changes,
         )
 
     @staticmethod

@@ -32,6 +32,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.functions import UserRankingFunction
 from repro.core.stats import RerankStatistics
+from repro.webdb.delta import ChangeLog
 from repro.webdb.query import Row, SearchQuery
 
 
@@ -48,6 +49,9 @@ class Session:
         self._seen_log: List[Row] = []
         self._emitted: set = set()
         self._pending: Deque[Row] = deque()
+        #: The sequence number of each source's change log the seen cache is
+        #: current to (see :meth:`catch_up`).
+        self._change_stamps: Dict[ChangeLog, int] = {}
         self.statistics = RerankStatistics()
         self.last_touched = self.created_at
 
@@ -74,6 +78,25 @@ class Session:
                 added += self._hold(row[key_column], row)
             self.last_touched = time.time()
         return added
+
+    def catch_up(self, changes: ChangeLog) -> None:
+        """Drop every seen tuple that a change logged in ``changes`` since the
+        last call may have touched, so no cached row outlives its tuple's
+        version; a change the log can no longer tell apart empties the cache.
+        A dropped tuple comes back only with the next answer that holds it."""
+        with self._lock:
+            stamp = self._change_stamps.get(changes, 0)
+            sequence, deltas = changes.since(stamp)
+            if sequence == stamp:
+                return
+            self._change_stamps[changes] = sequence
+            seen = self._seen_tuples
+            if deltas is None:
+                seen.clear()
+            elif seen:
+                for delta in deltas:
+                    for key in delta.keys:
+                        seen.pop(key, None)
 
     def seen_count(self) -> int:
         """Number of distinct tuples in the cache."""
@@ -223,3 +246,55 @@ class CandidateHeap:
                 return score, key_text, row
             heapq.heappop(heap)
         return None
+
+    def tied(self, score: float) -> List[Row]:
+        """Every candidate scoring exactly ``score``, the score :meth:`best`
+        just returned: a walk down the heap that stops below any entry
+        scoring more."""
+        heap = self._heap
+        found: Dict[object, Row] = {}
+        stack = [0] if heap else []
+        while stack:
+            index = stack.pop()
+            entry_score, _, _, row = heap[index]
+            if entry_score != score:
+                continue
+            key = row[self._key_column]
+            if self._session.is_candidate(key, row):
+                found[key] = row
+            stack.extend(child for child in (2 * index + 1, 2 * index + 2) if child < len(heap))
+        return list(found.values())
+
+
+class ChangeWatch:
+    """One live Get-Next stream's view of its source's :class:`ChangeLog`.
+
+    What a stream proves from its answers (a 1D verified prefix, the MD open
+    boxes, TA's discovered tuples) holds only while no change since can
+    match its filter query — the test cache entries and feeds are retired
+    by.  :meth:`changed` answers that before each Get-Next, and first catches
+    the session's seen cache up, so a proof rebuilt after a change never
+    rests on a cached row of an older version.
+    """
+
+    def __init__(self, changes: ChangeLog, session: Session, query: SearchQuery) -> None:
+        self._changes = changes
+        self._session = session
+        self._query = query
+        self._stamp = changes.sequence
+        session.catch_up(changes)
+
+    def current(self) -> bool:
+        """True while no change has been logged since :meth:`changed` last
+        looked: the session cache holds no row a change has touched."""
+        return self._changes.sequence == self._stamp
+
+    def changed(self) -> bool:
+        """True when a change logged since the last call can match the
+        stream's filter query."""
+        if self.current():
+            return False
+        sequence, deltas = self._changes.since(self._stamp)
+        self._session.catch_up(self._changes)
+        self._stamp = sequence
+        return deltas is None or any(delta.may_match_query(self._query) for delta in deltas)

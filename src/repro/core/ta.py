@@ -29,8 +29,9 @@ from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking, weighted
 from repro.core.onedim import OneDimGetNext, OneDimVariant
 from repro.core.parallel import QueryEngine
-from repro.core.session import Session
+from repro.core.session import ChangeWatch, Session
 from repro.exceptions import RankingFunctionError
+from repro.webdb.delta import ChangeLog
 from repro.webdb.query import Row, SearchQuery
 
 _TOLERANCE = 1e-9
@@ -48,6 +49,7 @@ class ThresholdAlgorithmGetNext:
         config: Optional[RerankConfig] = None,
         dense_index: Optional[DenseRegionIndex] = None,
         onedim_variant: OneDimVariant = OneDimVariant.RERANK,
+        changes: Optional[ChangeLog] = None,
     ) -> None:
         if ranking.dimensionality < 2:
             raise RankingFunctionError(
@@ -60,39 +62,53 @@ class ThresholdAlgorithmGetNext:
         self._config = config or engine.config
         self._dense_index = dense_index
         self._statistics = session.statistics
+        self._onedim_variant = onedim_variant
+        self._changes = changes or ChangeLog()
+        self._watch = ChangeWatch(self._changes, session, base_query)
 
         ranking.validate(engine.schema)
         base_query.validate(engine.schema)
 
-        # One sorted-access stream per ranking attribute.  Each stream owns a
-        # private session (its notion of "emitted" is its cursor position, not
-        # what the user has been shown) but shares the engine, so every query
-        # it issues is charged to this request.
         self._streams: Dict[str, OneDimGetNext] = {}
         self._latest_value: Dict[str, Optional[float]] = {}
         self._stream_done: Dict[str, bool] = {}
-        for attribute in ranking.attributes:
-            weight = ranking.weight(attribute)
-            self._streams[attribute] = OneDimGetNext(
-                engine=engine,
-                base_query=base_query,
-                ranking=SingleAttributeRanking(attribute, ascending=weight > 0),
-                session=Session(session_id=f"{session.session_id}:ta:{attribute}"),
-                config=self._config,
-                variant=onedim_variant,
-                dense_index=dense_index,
-            )
-            self._latest_value[attribute] = None
-            self._stream_done[attribute] = False
-
         #: Keys of every tuple discovered through any stream, and the heap of
         #: ``(score, str(key), arrival, row)`` they were pushed on — scored on
         #: discovery.  An entry found emitted or before the frontier is popped
         #: for good: neither condition can revert within a request.
         self._discovered: set = set()
         self._candidates: List[Tuple[float, str, int, Row]] = []
+        self._open_streams()
         self._frontier_score = -math.inf
         self._exhausted = False
+
+    def _open_streams(self) -> None:
+        """Start sorted access from the top of every list, with nothing
+        discovered: at construction, and again after a catalog change that
+        can match the filter query, which may have moved a tuple behind a
+        stream's cursor or dropped a discovered one.
+
+        One stream per ranking attribute.  Each owns a private session (its
+        notion of "emitted" is its cursor position, not what the user has
+        been shown) but shares the engine, so every query it issues is
+        charged to this request."""
+        for attribute in self._ranking.attributes:
+            self._streams[attribute] = OneDimGetNext(
+                engine=self._engine,
+                base_query=self._base_query,
+                ranking=SingleAttributeRanking(
+                    attribute, ascending=self._ranking.weight(attribute) > 0
+                ),
+                session=Session(session_id=f"{self._session.session_id}:ta:{attribute}"),
+                config=self._config,
+                variant=self._onedim_variant,
+                dense_index=self._dense_index,
+                changes=self._changes,
+            )
+            self._latest_value[attribute] = None
+            self._stream_done[attribute] = False
+        self._discovered.clear()
+        self._candidates.clear()
 
     # ------------------------------------------------------------------ #
     @property
@@ -105,6 +121,8 @@ class ThresholdAlgorithmGetNext:
         if self._exhausted:
             self._statistics.record("get_next_calls")
             return None
+        if self._watch.changed():
+            self._open_streams()
         best = self._find_next_tuple()
         if best is None:
             self._exhausted = True

@@ -186,24 +186,6 @@ class HiddenDatabaseCrawler:
         return None
 
 
-def crawl_value_group(
-    interface: TopKInterface,
-    base_query: SearchQuery,
-    attribute: str,
-    value: float,
-    budget: Optional[QueryBudget] = None,
-) -> Tuple[List[Row], CrawlStatistics]:
-    """Crawl every tuple matching ``base_query`` with ``attribute == value``.
-
-    This is the exact fallback described in the paper for the case where the
-    number of tuples sharing one ranking-attribute value exceeds ``system-k``.
-    """
-    point = RangePredicate(attribute, value, value)
-    query = base_query.with_range(point)
-    crawler = HiddenDatabaseCrawler(interface, budget=budget)
-    return crawler.crawl(query)
-
-
 class _EngineInterfaceAdapter:
     """Expose a :class:`~repro.core.parallel.QueryEngine` as a plain
     :class:`TopKInterface` so the crawler's queries are accounted (and

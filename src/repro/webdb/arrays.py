@@ -91,16 +91,6 @@ def float_buffer(values: Sequence[float], backend: str):
     return packed
 
 
-def int_buffer(values: Sequence[int], backend: str):
-    """Pack ``values`` (rank positions) into the backend's integer layout."""
-    if backend == "list":
-        return list(values)
-    packed = values if isinstance(values, array) else array(INT_TYPECODE, values)
-    if backend == "numpy":
-        return _np.frombuffer(packed, dtype=_np.int64)
-    return packed
-
-
 def is_float_buffer(column: object) -> bool:
     """True when ``column`` is a compact float buffer (not an object list)."""
     if isinstance(column, array):
@@ -252,10 +242,3 @@ def stable_argsort(values: Sequence[float], backend: str):
     if backend == "array":
         return array("d", sorted_values), array(INT_TYPECODE, positions)
     return sorted_values, positions
-
-
-def nan_free(column: object) -> bool:
-    """True when a float buffer holds no NaN (vectorized under numpy)."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return not bool(_np.isnan(column).any())
-    return all(value == value for value in column)

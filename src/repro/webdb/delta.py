@@ -13,7 +13,11 @@ generation bump:
 * a dense region changes only if some touched version lies inside its box
   (:meth:`CatalogDelta.may_intersect_sides` / :meth:`may_intersect_bounds`);
 * a rerank feed changes only if its filter query can match a touched version
-  (the hidden ranking is a per-row score, so untouched tuples never reorder).
+  (the hidden ranking is a per-row score, so untouched tuples never reorder);
+* a live Get-Next stream's proof (a 1D verified prefix, the MD open boxes,
+  TA's discovered tuples) holds only while no change in the source's
+  :class:`ChangeLog` since the proof can match the stream's filter query, and
+  a session's cached row only while no change since touched its key.
 
 The summary is *conservative*: it may flag an object whose exact answer is
 unchanged (the per-attribute bounds form a bounding box over all touched
@@ -25,8 +29,11 @@ suite checks it against the full-flush oracle.
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    Deque,
     Dict,
     FrozenSet,
     Iterable,
@@ -259,3 +266,49 @@ def merge_shard_deltas(
         deletes=merged.deletes,
         shard_deltas=tuple(shard_deltas),
     )
+
+
+class ChangeLog:
+    """One source's numbered sequence of catalog changes.
+
+    What was read from the source before a change may be out of date after
+    it: a session's cached rows and what a live Get-Next stream has proven
+    from its answers.  Each keeps the sequence number it is current to and
+    asks :meth:`since` for the changes after it.  A full invalidation is
+    logged as ``None``; it, and any change older than the bounded log's tail,
+    can no longer be told apart, so :meth:`since` then reports that anything
+    may have changed.
+    """
+
+    LIMIT = 32
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._sequence = 0
+        self._recent: Deque[Tuple[int, Optional[CatalogDelta]]] = deque(maxlen=self.LIMIT)
+
+    @property
+    def sequence(self) -> int:
+        """The number of the latest change (0 before any)."""
+        return self._sequence
+
+    def record(self, delta: Optional[CatalogDelta] = None) -> None:
+        """Log one change: a delta, or ``None`` for a full invalidation."""
+        with self._lock:
+            self._sequence += 1
+            self._recent.append((self._sequence, delta))
+
+    def since(self, stamp: int) -> Tuple[int, Optional[List[CatalogDelta]]]:
+        """``(sequence, deltas)``: the latest change's number and every delta
+        logged after ``stamp`` — ``None`` in place of the deltas when one of
+        those changes was a full invalidation or has left the log."""
+        with self._lock:
+            sequence = self._sequence
+            if sequence == stamp:
+                return sequence, []
+            if self._recent[0][0] > stamp + 1:
+                return sequence, None
+            deltas = [delta for number, delta in self._recent if number > stamp]
+        if any(delta is None for delta in deltas):
+            return sequence, None
+        return sequence, deltas  # type: ignore[return-value]

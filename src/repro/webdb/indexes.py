@@ -40,7 +40,7 @@ from array import array
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.webdb import arrays
-from repro.webdb.query import Row, freeze_row
+from repro.webdb.query import Row, adopt_row
 
 #: The raw type pair behind :func:`is_numeric`; kept for isinstance checks.
 NUMERIC_TYPES = (int, float)
@@ -370,10 +370,10 @@ class ColumnarCatalog:
         """The tuple at ``rank`` as a read-only :data:`Row`, built from the
         columns."""
         raw = self._raw
-        return freeze_row({name: raw[name][rank] for name in self._order})
+        return adopt_row({name: raw[name][rank] for name in self._order})
 
     def materialize_many(self, ranks: Sequence[int]) -> List[Row]:
         """The read-only rows of ``ranks``, in the given order."""
         raw = self._raw
         order = self._order
-        return [freeze_row({name: raw[name][rank] for name in order}) for rank in ranks]
+        return [adopt_row({name: raw[name][rank] for name in order}) for rank in ranks]

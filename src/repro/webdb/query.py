@@ -37,6 +37,12 @@ def freeze_row(row: Mapping[str, object]) -> Row:
     return MappingProxyType({**row})
 
 
+def adopt_row(row: Dict[str, object]) -> Row:
+    """A fresh ``row`` the caller gives up, as a :data:`Row` without a copy:
+    the caller must keep no reference to the dict it hands over."""
+    return MappingProxyType(row)
+
+
 @dataclass(frozen=True)
 class RangePredicate:
     """Numeric predicate ``lower (<|<=) attribute (<|<=) upper``.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.functions import (
     LinearRankingFunction,
@@ -320,15 +320,3 @@ def zillow_scenarios_md(schema: Schema) -> List[Scenario]:
             description="cheap, large, recent homes",
         ),
     ]
-
-
-def all_scenarios(
-    bluenile_schema: Schema, zillow_schema: Schema
-) -> Dict[str, List[Scenario]]:
-    """Every demonstration scenario grouped by suite name."""
-    return {
-        "bluenile_1d": bluenile_scenarios_1d(bluenile_schema),
-        "bluenile_md": bluenile_scenarios_md(bluenile_schema),
-        "zillow_1d": zillow_scenarios_1d(zillow_schema),
-        "zillow_md": zillow_scenarios_md(zillow_schema),
-    }

@@ -11,7 +11,7 @@ import pytest
 from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import SingleAttributeRanking
-from repro.core.onedim import OneDimGetNext, OneDimVariant, make_onedim_getnext
+from repro.core.onedim import OneDimGetNext, OneDimVariant
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.webdb.query import SearchQuery
@@ -193,10 +193,10 @@ class TestAlgorithmBehaviour:
         assert snapshot["external_queries"] == engine.queries_issued()
         assert snapshot["external_queries"] > 0
 
-    def test_factory_helper(self, bluenile_db):
+    def test_rerank_is_the_default_variant(self, bluenile_db):
         engine = QueryEngine(bluenile_db)
-        getnext = make_onedim_getnext(
-            engine, SearchQuery.everything(), "price", True, Session("x")
+        getnext = OneDimGetNext(
+            engine, SearchQuery.everything(), SingleAttributeRanking("price"), Session("x")
         )
         assert getnext.variant is OneDimVariant.RERANK
         first = getnext.next()

@@ -2,14 +2,21 @@
 
 import pytest
 
-from repro.crawl.crawler import HiddenDatabaseCrawler, crawl_value_group
+from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import CrawlError, QueryBudgetExceeded
 from repro.webdb.counters import QueryBudget
 from repro.webdb.database import HiddenWebDatabase
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import AttributeOrderRanking, RandomTieBreakRanking
+
+
+def crawl_value_group(interface, base_query, attribute, value):
+    """Crawl every tuple matching ``base_query`` with ``attribute == value``:
+    the fallback for more than ``system-k`` tuples sharing one value."""
+    point = RangePredicate(attribute, value, value)
+    return HiddenDatabaseCrawler(interface).crawl(base_query.with_range(point))
 
 
 def _clustered_db(cluster_size=60, other=40, system_k=10) -> HiddenWebDatabase:
