@@ -57,10 +57,9 @@ class DatabaseConfig:
         for range-filtered queries).
     latency_sleep:
         Whether the simulated latency actually blocks the calling thread
-        (``LatencyModel.realtime``) instead of merely being accounted for.
-        Enable it so that overlapping external round trips across worker
-        threads are observable in wall clock, exactly like a remote web
-        database.
+        instead of merely being accounted for: once per batch of queries,
+        for the batch's longest draw, so wall clock shows what a parallel
+        group saves.  The draws are the same either way.
 
     :func:`repro.webdb.build.build_source` is the one consumer: it takes this
     object whole.  Copies are made with :func:`dataclasses.replace`.
@@ -100,10 +99,6 @@ class RerankConfig:
     query_budget:
         Optional hard limit on the number of external queries a single
         Get-Next call may issue; ``None`` means unlimited.
-    parallel_workers:
-        Outstanding round trips QR2 fans out per source: the size of the one
-        query executor a :class:`~repro.core.reranker.QueryReranker` lends to
-        every engine of its source (not threads per stream).
     enable_parallel:
         Global switch for parallel query processing (the ablation benchmarks
         flip this off).
@@ -149,7 +144,6 @@ class RerankConfig:
     dense_split_depth: int = 12
     max_binary_rounds: int = 40
     query_budget: Optional[int] = None
-    parallel_workers: int = 8
     enable_parallel: bool = True
     enable_session_cache: bool = True
     enable_dense_index: bool = True

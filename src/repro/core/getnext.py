@@ -152,9 +152,8 @@ class GetNextStream:
     def close(self) -> None:
         """End the stream (idempotent): further Get-Next calls return
         ``None``; the prefix already returned stays readable.  The stream
-        holds nothing to release — its query engine borrows the source's
-        executor.  The service layer calls this when a request is replaced,
-        when its session expires, and at shutdown.
+        holds nothing to release.  The service layer calls this when a
+        request is replaced, when its session expires, and at shutdown.
         """
         with self._lock:
             self._closed = True

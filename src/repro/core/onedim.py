@@ -176,6 +176,7 @@ class OneDimGetNext:
         )
         self._frontier: Optional[float] = None  # oriented value of the last group
         self._exhausted = False
+        self._regroup = False  # the frontier's group awaits re-resolution
         # The verified prefix ``(end, inclusive)``: every matching tuple this
         # stream may still emit up to ``end`` is in the session cache.  A
         # catalog change that can match the filter query voids it.
@@ -199,6 +200,17 @@ class OneDimGetNext:
     def next(self) -> Optional[Row]:
         """Return the next tuple in the user's order, or ``None`` when the
         query answers are exhausted."""
+        if self._watch.changed():
+            # The change may have deleted or moved a queued tie, or moved a
+            # row onto the frontier: the frontier's group is resolved again
+            # (by a later call if this one's query fails).
+            self._session.clear_pending()
+            self._proven = (self._frontier_lower()[0], False)
+            self._regroup = self._frontier is not None
+        if self._regroup:
+            assert self._frontier is not None
+            self._session.push_pending(self._resolve_value_group(self._frontier))
+            self._regroup = False
         pending = self._session.pop_pending()
         if pending is not None:
             self._session.mark_emitted(pending, self._engine.key_column)
@@ -207,9 +219,6 @@ class OneDimGetNext:
         if self._exhausted:
             self._statistics.record("get_next_calls")
             return None
-        if self._watch.changed():
-            lower, include_lower = self._frontier_lower()
-            self._proven = (lower, not include_lower)
 
         next_value = self._find_next_oriented_value()
         if next_value is None:

@@ -5,15 +5,11 @@ Every external query a reranking algorithm issues goes through
 
 * **parallel execution** of query groups — the paper issues the verification
   queries that cover the region of interest, and the two sub-space searches of
-  an MD Get-Next, concurrently to hide the web database's latency; a parallel
-  group against an interface advertising ``supports_batched_search`` (every
-  in-process source whose latency is accounted, not slept — faults or not)
-  goes out as one ``settle_many`` call instead, which lets the execution
-  engine amortize plan setup across the group while the accounting rules
-  stay identical.  The engine owns no threads: it fans any other group out
-  over the executor it was handed (the source's, see
-  :class:`~repro.core.reranker.QueryReranker`) and issues the group inline,
-  same results and accounting, when it has none;
+  an MD Get-Next, concurrently to hide the web database's latency.  A group
+  goes out as one ``settle_many`` call on the source, which settles each
+  query on its own: an in-process database amortizes plan setup across the
+  batch, a remote adapter overlaps its round trips on the pool it owns.  The
+  engine holds no threads;
 * **shared result caching** — when a :class:`~repro.webdb.cache.QueryResultCache`
   is attached, queries the service has already paid for (in this session or
   any other session over the same source) are answered from memory at zero
@@ -37,16 +33,14 @@ from __future__ import annotations
 import enum
 import threading
 from collections import Counter
-from concurrent.futures import Executor
-from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import RerankConfig
 from repro.core.stats import RerankStatistics
 from repro.exceptions import SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget, QueryLog
-from repro.webdb.interface import SearchResult, Settlement, TopKInterface
+from repro.webdb.interface import SearchResult, TopKInterface
 from repro.webdb.query import SearchQuery
 
 
@@ -87,7 +81,6 @@ class QueryEngine:
         query_log: Optional[QueryLog] = None,
         result_cache: Optional[QueryResultCache] = None,
         cache_namespace: Optional[str] = None,
-        executor: Optional[Executor] = None,
     ) -> None:
         self._interface = interface
         self._config = config or RerankConfig()
@@ -101,8 +94,6 @@ class QueryEngine:
         self._key_column = interface.key_column
         self._group_counter = 0
         self._group_lock = threading.Lock()
-        # Borrowed, never shut down here: its owner outlives every engine.
-        self._executor = executor
         # The guards' shared counters (``None`` over an unguarded source),
         # read around each group to attribute retries to this request.
         self._resilience_stats = interface.resilience_statistics
@@ -228,22 +219,23 @@ class QueryEngine:
         # atomically, before issuing anything.
         self._budget.charge(len(pending))
 
-        # Phase 3: issue the misses.  Which mechanism runs is observed, not
-        # configured: a parallel group against an interface advertising
-        # batched search goes out as one ``settle_many`` call (amortizing the
-        # execution engine's plan setup), any other parallel group — a
-        # sleeping or remote source — fans out over the borrowed executor
-        # (overlapping real round trips), and the sequential ablation issues
-        # one by one, stopping at the first failure.  Each reports one
-        # outcome per query.
+        # Phase 3: issue the misses through the source's ``settle_many`` —
+        # a parallel group as one batch, the sequential ablation one query
+        # per batch, stopping at the first failure and leaving the tail
+        # unissued.  Each query of a batch settles on its own.
         guards = self._resilience_stats if pending else None
         retries_before = guards.read("retries") if guards is not None else 0
         use_parallel = self._config.enable_parallel and len(pending) > 1
         misses = [queries[index] for index in pending]
-        if use_parallel and self._interface.supports_batched_search:
-            issued, error = self._issue(misses, use_cache, self._interface.settle_many)
-        else:
-            issued, error = self._issue_each(misses, use_cache, parallel=use_parallel)
+        batches = [misses] if use_parallel else [[query] for query in misses]
+        issued: List[Settled] = []
+        error: Optional[BaseException] = None
+        for batch in batches:
+            if error is None:
+                outcomes, error = self._issue(batch, use_cache)
+            else:
+                outcomes = [(None, QueryOutcome.UNISSUED)] * len(batch)
+            issued.extend(outcomes)
         for index, outcome in zip(pending, issued):
             settled[index] = outcome
 
@@ -296,20 +288,19 @@ class QueryEngine:
         return results
 
     # ------------------------------------------------------------------ #
-    # Issue mechanisms: each returns one outcome per query, plus the first
-    # error nothing could answer for (raised by the caller after settlement).
+    # Issue
     # ------------------------------------------------------------------ #
     def _issue(
-        self,
-        queries: List[SearchQuery],
-        use_cache: bool,
-        settle: Callable[[List[SearchQuery]], Sequence[Settlement]],
+        self, queries: List[SearchQuery], use_cache: bool
     ) -> Tuple[List[Settled], Optional[BaseException]]:
-        """One ``settle`` call for ``queries``, through the coalescing cache
-        when enabled (which also reuses duplicates within the group).  A
-        query the source could not answer settles on its own (stale or
-        failed) while its answered siblings stay issued, paid and cached; a
-        raising call answered nothing."""
+        """One ``settle_many`` call for ``queries``, through the coalescing
+        cache when enabled (which also reuses duplicates within the batch):
+        one outcome per query, plus the first error nothing could answer for
+        (raised by the caller after settlement).  A query the source could
+        not answer settles on its own (stale or failed) while its answered
+        siblings stay issued, paid and cached; a raising call answered
+        nothing."""
+        settle = self._interface.settle_many
         try:
             if use_cache:
                 assert self._cache is not None
@@ -331,33 +322,6 @@ class QueryEngine:
             if outcome[1] is QueryOutcome.FAILED and first_error is None:
                 first_error = answer
         return settled, first_error
-
-    def _issue_each(
-        self, queries: List[SearchQuery], use_cache: bool, parallel: bool
-    ) -> Tuple[List[Settled], Optional[BaseException]]:
-        """One ``search`` round trip per query.  A parallel group attempts
-        every query — fanned out over the borrowed executor, or inline when
-        the engine was built without one; the sequential ablation leaves the
-        tail after the first failure unissued."""
-        issue = partial(self._issue, use_cache=use_cache, settle=self._search_each)
-        attempts: List[Callable[[], Tuple[List[Settled], Optional[BaseException]]]]
-        if parallel and self._executor is not None:
-            attempts = [self._executor.submit(issue, [query]).result for query in queries]
-        else:
-            attempts = [partial(issue, [query]) for query in queries]
-        settled: List[Settled] = []
-        first_error: Optional[BaseException] = None
-        for attempt in attempts:
-            if first_error is not None and not parallel:
-                settled.append((None, QueryOutcome.UNISSUED))
-                continue
-            (outcome,), error = attempt()
-            settled.append(outcome)
-            first_error = first_error or error
-        return settled, first_error
-
-    def _search_each(self, batch: List[SearchQuery]) -> List[SearchResult]:
-        return [self._interface.search(query) for query in batch]
 
     def _unanswered(
         self, query: SearchQuery, error: BaseException, use_cache: bool

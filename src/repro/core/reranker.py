@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -139,9 +138,6 @@ class QueryReranker:
         self._session_counter = itertools.count(1)
         self._feed_counter = itertools.count(1)
         self._lock = threading.Lock()
-        # The source's one query executor, lent to every engine; created by
-        # the first ``_build_engine`` after construction or ``close()``.
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     def _make_dense_index(
         self, cache: Optional[DenseRegionCache] = None
@@ -195,19 +191,13 @@ class QueryReranker:
         return self._interface.resilience_snapshot()
 
     def close(self) -> None:
-        """Release shared resources: every feed is retired and the source's
-        query executor is shut down once its running round trips finish.
-        Idempotent; the reranker remains usable — new requests rebuild their
-        feeds from scratch and get a fresh executor — but a stream created
-        before ``close()`` cannot be advanced after it over a source that
-        fans groups out (close streams first, as ``QR2Service.close`` does).
-        """
+        """Release shared resources: every feed is retired and the source is
+        closed (a remote adapter's query pool shuts down once its running
+        round trips finish).  Idempotent; the reranker and its live streams
+        remain usable — new requests rebuild their feeds from scratch."""
         if self._feed_store is not None:
             self._feed_store.invalidate()
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        self._interface.close()
 
     def invalidate(self, shard: Optional[int] = None) -> Dict[str, int]:
         """Retire cached state after the backing data changes.
@@ -392,23 +382,6 @@ class QueryReranker:
 
     # ------------------------------------------------------------------ #
     def _build_engine(self, statistics, budget: Optional[QueryBudget]) -> QueryEngine:
-        with self._lock:
-            if self._executor is None:
-                # One bounded pool per source, shared by every user-stream
-                # and feed-producer engine (threads spawn on ``submit`` only,
-                # so a batched source never starts one).  A bounded shared
-                # pool cannot deadlock as long as a task running on it never
-                # submits to it and never waits on work queued behind it.
-                # That holds today because the scatter below
-                # ``FederatedInterface.settle_many`` is sequential, the crawler
-                # calls ``search_group`` from the algorithm's thread, and a
-                # ``QueryResultCache`` flight's owner is by construction a
-                # thread already running its ``compute``.  Keep it true.
-                self._executor = ThreadPoolExecutor(
-                    max_workers=max(self._config.parallel_workers, 1),
-                    thread_name_prefix="qr2-query",
-                )
-            executor = self._executor
         return QueryEngine(
             self._interface,
             config=self._config,
@@ -416,7 +389,6 @@ class QueryReranker:
             budget=budget,
             result_cache=self._result_cache,
             cache_namespace=self._cache_namespace,
-            executor=executor,
         )
 
     def _build_algorithm(

@@ -158,6 +158,11 @@ class Session:
         with self._lock:
             return self._pending.popleft() if self._pending else None
 
+    def clear_pending(self) -> None:
+        """Drop every queued row."""
+        with self._lock:
+            self._pending.clear()
+
     # ------------------------------------------------------------------ #
     def reset_for_new_request(self) -> None:
         """Start a new reranking request within the same user session.

@@ -45,9 +45,11 @@ class InProcessTransport(Transport):
 
 class UrllibTransport(Transport):
     """Transport that performs real HTTP requests over persistent
-    connections: one ``http.client`` connection per calling thread (the
-    per-source ``qr2-query`` pool is the only multi-threaded caller), so an
-    external query costs a round trip, not a TCP handshake and a round trip."""
+    connections: one ``http.client`` connection per calling thread (a
+    :class:`~repro.webdb.remote.RemoteTopKInterface` overlaps a query
+    group's GETs on its ``qr2-query`` pool, and a single query runs on the
+    request's own thread), so an external query costs a round trip, not a
+    TCP handshake and a round trip."""
 
     def __init__(self, base_url: str, timeout_seconds: float = 10.0) -> None:
         self._base_url = base_url.rstrip("/")

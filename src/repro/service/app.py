@@ -178,7 +178,8 @@ class QR2Service:
     def close(self) -> None:
         """Persist the result cache (when configured), close every active
         request stream, then close every source's reranker (retiring its
-        feeds and shutting its query executor down).  Idempotent."""
+        feeds and closing its source, which ends a remote adapter's query
+        pool).  Idempotent."""
         if self._result_cache_store is not None:
             self.save_result_cache()
             self._result_cache_store.close()

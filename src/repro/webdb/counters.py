@@ -5,8 +5,8 @@ remote web database.  Four small utilities make that unit first-class:
 
 * :class:`Counters` — the base of every statistics holder behind the
   service's statistics panel: a counter is declared once, as a field;
-* :class:`QueryCounter` — a one-field :class:`Counters` shared by the
-  parallel executor and the sequential code paths;
+* :class:`QueryCounter` — a one-field, thread-safe :class:`Counters` that a
+  source counts its served queries in;
 * :class:`QueryBudget` — a counter with a hard cap that raises
   :class:`~repro.exceptions.QueryBudgetExceeded` when the reranking algorithm
   would exceed the caller's allowance;

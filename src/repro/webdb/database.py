@@ -220,13 +220,6 @@ class HiddenWebDatabase(TopKInterface):
     def system_k(self) -> int:
         return self._system_k
 
-    @property
-    def supports_batched_search(self) -> bool:
-        """Batched search is advertised whenever the latency model only
-        accounts (a sleeping model needs the query executor's real
-        concurrency to overlap its round trips)."""
-        return not self._latency.sleep
-
     def search(self, query: SearchQuery) -> SearchResult:
         """Execute a top-k query.
 
@@ -236,18 +229,20 @@ class HiddenWebDatabase(TopKInterface):
         if self._validate:
             query.validate(self._schema)
         self._counter.increment()
-        elapsed = self._latency.delay()
+        (elapsed,) = self._latency.delay()
         matches, overflow = self._engine.execute(query, self._system_k)
         return self._build_result(query, matches, overflow, elapsed)
 
     def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
         """Execute a batch of top-k queries in one call.
 
-        Each query is counted and charged latency exactly as if issued
-        through :meth:`search`; the batch only amortizes the execution
-        engine's per-group planning work (shared bound spans and candidate
-        lists).  Validation runs for the whole batch up front, so a rejected
-        query costs no query count at all.
+        Each query is counted and charged its own latency draw, in batch
+        order, exactly as if issued through :meth:`search`; a sleeping
+        latency model sleeps once, for the longest draw, because the batch
+        is one round trip.  The batch also amortizes the execution engine's
+        per-group planning work (shared bound spans and candidate lists).
+        Validation runs for the whole batch up front, so a rejected query
+        costs no query count at all.
         """
         materialized = list(queries)
         if self._validate:
@@ -256,7 +251,7 @@ class HiddenWebDatabase(TopKInterface):
         if not materialized:
             return []
         self._counter.increment(len(materialized))
-        elapsed = [self._latency.delay() for _ in materialized]
+        elapsed = self._latency.delay(len(materialized))
         executed = self._engine.execute_many(materialized, self._system_k)
         return [
             self._build_result(query, matches, overflow, seconds)

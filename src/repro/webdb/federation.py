@@ -252,13 +252,6 @@ class FederatedInterface(TopKInterface):
     def system_k(self) -> int:
         return self._system_k
 
-    @property
-    def supports_batched_search(self) -> bool:
-        """Batching is advertised when every shard can amortize it (no
-        sleeping latency model): a group is then scattered as one batch per
-        shard."""
-        return all(stack.supports_batched_search for stack in self._stacks)
-
     def search(self, query: SearchQuery) -> SearchResult:
         """Scatter ``query`` and gather one merged page (a group of one)."""
         return self.search_many([query])[0]
@@ -337,6 +330,10 @@ class FederatedInterface(TopKInterface):
         if memoize:
             self._cache.store_claimed(facade, query, self._system_k, merged, claims)
         return merged, status
+
+    def close(self) -> None:
+        for stack in self._stacks:
+            stack.close()
 
     def queries_issued(self) -> int:
         """Scatters served by the federation (each is one logical query;

@@ -144,29 +144,27 @@ class TopKInterface(ABC):
         """Name of the tuple identifier column."""
         return self.schema.key
 
-    @property
-    def supports_batched_search(self) -> bool:
-        """True when :meth:`search_many` is cheaper than issuing the queries
-        one by one (in-process engines that amortize planning work).  The
-        query engine only batches a group when this is set; remote adapters
-        keep the executor fan-out that overlaps their real round trips."""
-        return False
-
     def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
         """Execute a batch of queries; each counts as one query.
 
         The default simply loops over :meth:`search`; implementations that
-        can amortize per-batch work override it and advertise the fact via
-        :attr:`supports_batched_search`.
+        can amortize per-batch work (an in-process engine's planning, a
+        remote adapter's overlapping round trips) override it.
         """
         return [self.search(query) for query in queries]
 
     def settle_many(self, queries: Sequence[SearchQuery]) -> List[Settlement]:
         """Settle a batch query by query: each position holds that query's
         answer or the error that stopped it, and a raise means nothing was
-        answered.  The default is one :meth:`search_many` (a database
-        validates the whole batch before issuing any of it)."""
+        answered.  This is the one way the query engine issues queries: a
+        parallel group as one batch, the sequential ablation one query per
+        batch.  The default is one :meth:`search_many` (a database validates
+        the whole batch before issuing any of it)."""
         return list(self.search_many(queries))
+
+    def close(self) -> None:
+        """Release what the interface holds between batches (a remote
+        adapter's query pool); it stays usable.  Nothing by default."""
 
     def probe(
         self, query: SearchQuery, memoize: bool = True
@@ -199,9 +197,8 @@ class TopKInterface(ABC):
 class InterfaceStatistics(Counters):
     """Mutable, thread-safe per-source statistics, kept by each
     :class:`~repro.webdb.stack.SourceStack`.  ``record`` is called
-    concurrently from the source's query executor, so every fold happens
-    under one lock — unlocked ``+=`` on the counters loses increments under
-    parallel groups."""
+    concurrently by every request over the source, so every fold happens
+    under one lock — unlocked ``+=`` on the counters loses increments."""
 
     queries: int = 0
     overflow_queries: int = 0

@@ -4,15 +4,17 @@ Reranking a query through a third-party service is dominated by round trips to
 the remote web database (the paper's Fig. 4 reports 33 seconds for 27 queries
 against Zillow, i.e. roughly a second per query).  The latency model makes that
 cost explicit so that the parallel-processing benchmarks can demonstrate the
-wall-clock benefit of issuing verification queries concurrently.
+benefit of issuing verification queries together.
 
 Two modes are supported:
 
-* ``sleep=True`` — the model actually sleeps, so wall-clock measurements (and
-  thread-level parallelism) behave like a remote service;
+* ``sleep=True`` — the model actually sleeps, once per batch of queries sent
+  together, for the batch's longest round trip;
 * ``sleep=False`` — the model only *accounts* for the delay, returning the
   number of seconds a real call would have taken.  The benchmark harness uses
   this mode to report paper-comparable times without spending hours sleeping.
+
+Either way the draws are the same function of the seed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from typing import List
 
 
 @dataclass
@@ -53,24 +56,21 @@ class LatencyModel:
         self._rng = random.Random(self.seed)
         self._lock = threading.Lock()
 
-    def draw(self) -> float:
-        """Draw one latency value (seconds) without sleeping."""
-        if self.mean_seconds == 0.0:
-            return 0.0
-        with self._lock:
-            factor = self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-        return self.mean_seconds * factor
+    def delay(self, count: int = 1) -> List[float]:
+        """Apply the latency of ``count`` queries sent as one batch.
 
-    def delay(self) -> float:
-        """Apply one query's latency.
-
-        Returns the number of seconds attributed to the query.  When ``sleep``
-        is enabled the calling thread is blocked for that long, which is what
-        makes the parallel executor's wall-clock advantage observable.
+        Returns the seconds attributed to each query, drawn in batch order
+        under one hold of the lock.  When ``sleep`` is enabled the calling
+        thread is blocked once, for the longest of them: the batch is one
+        round trip, which is what the query engine charges a parallel group.
         """
-        seconds = self.draw()
-        if self.sleep and seconds > 0.0:
-            time.sleep(seconds)
+        if self.mean_seconds == 0.0:
+            return [0.0] * count
+        spread = (1.0 - self.jitter, 1.0 + self.jitter)
+        with self._lock:
+            seconds = [self.mean_seconds * self._rng.uniform(*spread) for _ in range(count)]
+        if self.sleep and seconds:
+            time.sleep(max(seconds))
         return seconds
 
     @staticmethod
@@ -82,8 +82,3 @@ class LatencyModel:
     def accounted(mean_seconds: float, jitter: float = 0.25, seed: int = 11) -> "LatencyModel":
         """Latency that is accounted for but never slept (benchmarks)."""
         return LatencyModel(mean_seconds=mean_seconds, jitter=jitter, sleep=False, seed=seed)
-
-    @staticmethod
-    def realtime(mean_seconds: float, jitter: float = 0.25, seed: int = 11) -> "LatencyModel":
-        """Latency that really sleeps (integration demos)."""
-        return LatencyModel(mean_seconds=mean_seconds, jitter=jitter, sleep=True, seed=seed)

@@ -11,30 +11,47 @@ parameters, performs a GET, and parses the JSON result back into a
 Running the reranking algorithms against this adapter (instead of directly
 against :class:`~repro.webdb.database.HiddenWebDatabase`) exercises exactly
 the code path the paper's third-party service runs in production.
+
+It is the one source whose round trips are real, so it is the one that holds
+threads: a batch (a parallel query group) overlaps its GETs on a bounded
+``qr2-query`` pool that the adapter owns and its ``close`` shuts down.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional, Sequence
 
 from repro.dataset.schema import Schema
 from repro.exceptions import RemoteInterfaceError
 from repro.httpsim import wire
 from repro.httpsim.client import HttpClient
 from repro.webdb.counters import QueryCounter
-from repro.webdb.interface import SearchResult, TopKInterface
+from repro.webdb.interface import SearchResult, Settlement, TopKInterface, answers
 from repro.webdb.query import SearchQuery
 
 
 class RemoteTopKInterface(TopKInterface):
-    """Top-k interface backed by a remote (or in-process) search API."""
+    """Top-k interface backed by a remote (or in-process) search API.
 
-    def __init__(self, client: HttpClient) -> None:
+    ``workers`` bounds the GETs one adapter has outstanding at once, however
+    many requests share it.  The pool starts on the first batch of two or
+    more queries (a single query runs on the caller's thread) and again on
+    the first after :meth:`close`.
+    """
+
+    def __init__(self, client: HttpClient, workers: int = 8) -> None:
+        if workers < 1:
+            raise ValueError("workers must be positive")
         self._client = client
+        self._workers = workers
         self._counter = QueryCounter()
         self._schema: Optional[Schema] = None
         self._system_k: Optional[int] = None
         self._name: Optional[str] = None
+        self._lock = threading.Lock()
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------ #
     # Lazy discovery of the remote search form
@@ -81,6 +98,40 @@ class RemoteTopKInterface(TopKInterface):
             raise RemoteInterfaceError("malformed search payload")
         self._counter.increment()
         return wire.decode_result(payload, query)
+
+    def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
+        return answers(self.settle_many(queries))
+
+    def settle_many(self, queries: Sequence[SearchQuery]) -> List[Settlement]:
+        """Overlap the batch's GETs on the adapter's pool; each query settles
+        on its own, so one that fails leaves its siblings answered."""
+        batch = list(queries)
+        if len(batch) < 2:  # nothing to overlap: no thread hop
+            return [self._settle(query) for query in batch]
+        self._discover()  # once, here, rather than raced by the workers
+        # Submitting under the lock keeps a concurrent close() from shutting
+        # the pool between its creation and the submissions.
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._workers, thread_name_prefix="qr2-query"
+                )
+            futures = [self._pool.submit(self._settle, query) for query in batch]
+        return [future.result() for future in futures]
+
+    def close(self) -> None:
+        """Shut the query pool down once its GETs finish; the adapter stays
+        usable and the next batch starts a fresh pool."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _settle(self, query: SearchQuery) -> Settlement:
+        try:
+            return self.search(query)
+        except Exception as error:  # noqa: BLE001 - settled, not raised
+            return error
 
     def queries_issued(self) -> int:
         """Number of search queries sent through this adapter."""

@@ -102,11 +102,6 @@ class SourceStack(TopKInterface):
     def key_column(self) -> str:
         return self.database.key_column
 
-    @property
-    def supports_batched_search(self) -> bool:
-        """The database's own answer (fault slots are drawn up front)."""
-        return self.database.supports_batched_search
-
     def search(self, query: SearchQuery) -> SearchResult:
         return self.search_many([query])[0]
 
@@ -154,6 +149,9 @@ class SourceStack(TopKInterface):
             if not isinstance(answer, Exception):
                 self.statistics.record(answer)
         return settled
+
+    def close(self) -> None:
+        self.database.close()
 
     def queries_issued(self) -> int:
         """Round trips that answered through this stack."""

@@ -159,9 +159,9 @@ def page_through(reranker, request, pages=2, page_size=5):
 
 
 def query_threads(before=()):
-    """The live ``qr2-query`` executor threads started since ``before`` (a
-    ``threading.enumerate()`` taken earlier) — other tests' rerankers may
-    still hold idle ones."""
+    """The live ``qr2-query`` pool threads started since ``before`` (a
+    ``threading.enumerate()`` taken earlier) — other tests' remote adapters
+    may still hold idle ones."""
     return [
         thread
         for thread in threading.enumerate()

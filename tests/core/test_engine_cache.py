@@ -3,7 +3,6 @@ budget / latency accounting fixes."""
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.exceptions import QueryBudgetExceeded, SourceUnavailableError
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.database import HiddenWebDatabase
-from repro.webdb.interface import TopKInterface
+from repro.webdb.interface import TopKInterface, answers
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import AttributeOrderRanking
@@ -275,11 +274,8 @@ class TestLatencyAccounting:
 
 
 class TestBatchedGroups:
-    """Groups against a batch-capable interface go through one
-    ``search_many`` call; cache semantics and accounting must not change."""
-
-    def test_interface_advertises_batching_without_sleep(self, timed_db):
-        assert timed_db.supports_batched_search
+    """A parallel group goes out as one ``settle_many`` call; cache semantics
+    and accounting must not change."""
 
     def test_batched_group_issues_one_search_many_call(self, timed_db, monkeypatch):
         calls = []
@@ -337,14 +333,19 @@ class TestBatchedGroups:
         # attempted zero round trips: the whole charge comes back.
         assert engine.budget.used == 0
         # The budget is intact and the engine still works.
+        monkeypatch.undo()
         engine.search(SearchQuery.build(ranges={"price": (300.0, 4000.0)}))
         assert engine.budget.used == 1
 
-    def test_sequential_config_never_batches(self, timed_db, monkeypatch):
-        def exploding(self, queries):
-            raise AssertionError("sequential groups must not batch")
+    def test_sequential_config_issues_one_query_per_batch(self, timed_db, monkeypatch):
+        calls = []
+        original = type(timed_db).search_many
 
-        monkeypatch.setattr(type(timed_db), "search_many", exploding)
+        def spying(self, queries):
+            calls.append(len(list(queries)))
+            return original(self, queries)
+
+        monkeypatch.setattr(type(timed_db), "search_many", spying)
         engine = QueryEngine(timed_db, config=RerankConfig(enable_parallel=False))
         results = engine.search_group(
             [
@@ -353,7 +354,35 @@ class TestBatchedGroups:
             ]
         )
         assert len(results) == 3
+        assert calls == [1, 1, 1]
         assert engine.statistics.simulated_seconds == pytest.approx(6.0)
+
+    def test_a_sleeping_group_is_one_round_trip(self, diamond_catalog, diamond_schema_fixture):
+        """A sleeping database draws the accounted model's latencies, in
+        batch order, and sleeps once per batch: a parallel group of four
+        takes about one query's latency, not four."""
+
+        def database(sleep):
+            latency = LatencyModel(0.05, jitter=0.25, sleep=sleep, seed=5)
+            return HiddenWebDatabase(
+                diamond_catalog,
+                diamond_schema_fixture,
+                AttributeOrderRanking("price"),
+                system_k=10,
+                latency=latency,
+            )
+
+        group = [SearchQuery.build(ranges={"price": (300.0, 4000.0 + i)}) for i in range(4)]
+        sleeping = QueryEngine(database(sleep=True))
+        started = time.perf_counter()
+        slept = sleeping.search_group(group)
+        elapsed = time.perf_counter() - started
+        accounted = QueryEngine(database(sleep=False)).search_group(group)
+        seconds = [result.elapsed_seconds for result in slept]
+        assert seconds == [result.elapsed_seconds for result in accounted]
+        assert len(set(seconds)) == 4
+        assert elapsed < 2 * 0.05
+        assert sleeping.statistics.simulated_seconds == pytest.approx(max(seconds))
 
     def test_partial_batch_failure_keeps_attempted_charges(self, timed_db, monkeypatch):
         """When the batch's own round trips succeed but a retry of another
@@ -451,16 +480,18 @@ class TestFetchMany:
 
 
 class _SettlingSource(TopKInterface):
-    """A source that counts the round trips it answered, raises for one
-    poison query, and advertises (or not) batched search."""
+    """A source that counts the round trips it answered and fails one poison
+    query.  Its ``settle_many`` raises for the whole batch, like a database
+    validating before it issues anything, or with ``settles_each`` settles
+    the poison query alone, like a remote adapter."""
 
     name = "settle"
 
-    def __init__(self, inner, batched, poison=None, error=None):
+    def __init__(self, inner, poison=None, error=None, settles_each=False):
         self._inner = inner
-        self._batched = batched
         self._poison = poison
         self._error = error
+        self._settles_each = settles_each
         self._lock = threading.Lock()
         self.answered = 0
 
@@ -472,22 +503,21 @@ class _SettlingSource(TopKInterface):
     def system_k(self):
         return self._inner.system_k
 
-    @property
-    def supports_batched_search(self):
-        return self._batched
-
     def search(self, query):
         return self.search_many([query])[0]
 
     def search_many(self, queries):
+        return answers(self.settle_many(queries))
+
+    def settle_many(self, queries):
         batch = list(queries)
-        # Like the real database, reject before issuing anything.
-        if self._poison in batch:
+        if self._poison in batch and not self._settles_each:
             raise self._error
-        results = self._inner.search_many(batch)
+        results = iter(self._inner.search_many([q for q in batch if q != self._poison]))
+        settled = [self._error if query == self._poison else next(results) for query in batch]
         with self._lock:
-            self.answered += len(results)
-        return results
+            self.answered += sum(1 for answer in settled if answer is not self._error)
+        return settled
 
 
 def _price_upto(upper):
@@ -495,26 +525,26 @@ def _price_upto(upper):
 
 
 class TestSettlementInvariant:
-    """``budget.used`` equals the round trips that answered, whatever the
-    issue mechanism and whatever became of each query of the group."""
+    """``budget.used`` equals the round trips that answered, whether the
+    group goes out as one batch or one query at a time, whether the source
+    fails a batch whole or settles each query on its own, and whatever
+    became of each query of the group."""
 
-    MECHANISMS = {
-        # name: (source advertises batching, RerankConfig.enable_parallel,
-        #        engine borrows an executor)
-        "batched": (True, True, False),
-        "fan-out": (False, True, True),
-        "inline": (False, True, False),
-        "sequential": (False, False, False),
-    }
+    #: name: RerankConfig.enable_parallel
+    MECHANISMS = {"batched": True, "sequential": False}
     FRESH = [_price_upto(4000.0), _price_upto(5000.0)]
 
+    @pytest.mark.parametrize("settles_each", [False, True], ids=["whole", "each"])
     @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
     @pytest.mark.parametrize(
         "scenario",
         ["hit", "contained", "coalesced", "issued", "failed", "stale"],
     )
-    def test_budget_equals_answered_round_trips(self, timed_db, mechanism, scenario):
-        batched, parallel, pooled = self.MECHANISMS[mechanism]
+    def test_budget_equals_answered_round_trips(
+        self, timed_db, mechanism, scenario, settles_each
+    ):
+        parallel = self.MECHANISMS[mechanism]
+        batch_fails_whole = parallel and not settles_each
         cache = QueryResultCache()
         namespace = _SettlingSource.name
         k = timed_db.system_k
@@ -572,14 +602,12 @@ class TestSettlementInvariant:
             cache.invalidate(namespace)
             poison, error = special, SourceUnavailableError("source down")
 
-        source = _SettlingSource(timed_db, batched, poison=poison, error=error)
-        executor = ThreadPoolExecutor(max_workers=2) if pooled else None
+        source = _SettlingSource(timed_db, poison=poison, error=error, settles_each=settles_each)
         engine = QueryEngine(
             source,
             config=RerankConfig(enable_parallel=parallel),
             result_cache=cache,
             budget=QueryBudget(10),
-            executor=executor,
         )
         raised = None
         try:
@@ -587,8 +615,6 @@ class TestSettlementInvariant:
         except (RuntimeError, SourceUnavailableError) as caught:
             raised = caught
         finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
             if owner is not None:
                 owner.join(timeout=5.0)
                 assert not owner.is_alive()
@@ -603,13 +629,11 @@ class TestSettlementInvariant:
         statistics = engine.statistics
         if scenario == "failed":
             assert isinstance(raised, RuntimeError)
-            # batched: the one call raised, nothing answered; a parallel
-            # group, pooled or inline: the two healthy queries answered;
-            # sequential: the tail went unissued.
-            assert source.answered == {
-                "batched": 0, "fan-out": 2, "inline": 2, "sequential": 1
-            }[mechanism]
-        elif scenario == "stale" and mechanism == "batched":
+            # A batch failed whole answered nothing; one settled query by
+            # query answered the two healthy queries; sequential: the tail
+            # went unissued.
+            assert source.answered == (0 if batch_fails_whole else 2 if parallel else 1)
+        elif scenario == "stale" and batch_fails_whole:
             # The one call failed for the whole batch: nothing is paid and
             # every query is served its parked copy.
             assert raised is None and source.answered == 0
@@ -629,38 +653,25 @@ class TestSettlementInvariant:
             if scenario == "stale":
                 assert results[1].stale and results[1].degraded
 
-    def test_engine_without_an_executor_matches_one_with(self, timed_db):
-        """A parallel group issued inline is indistinguishable from the same
-        group fanned out — results, statistics, simulated seconds — and when
-        one query fails the others are still issued, paid and cached."""
+    def test_a_failed_query_leaves_its_siblings_issued_paid_and_cached(self, timed_db):
+        """Over a source that settles each query of a batch on its own, one
+        query failing does not fail its group's siblings: they are issued,
+        paid and cached, and the group still raises."""
         down = _price_upto(2000.0)
         healthy = [_price_upto(4000.0), _price_upto(5000.0), _price_upto(6000.0)]
-        outcomes = {}
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            for name, lent in (("pooled", executor), ("inline", None)):
-                source = _SettlingSource(
-                    timed_db,
-                    batched=False,
-                    poison=down,
-                    error=SourceUnavailableError("source down"),
-                )
-                cache = QueryResultCache()
-                engine = QueryEngine(
-                    source, result_cache=cache, budget=QueryBudget(10), executor=lent
-                )
-                results = engine.search_group(healthy)
-                with pytest.raises(SourceUnavailableError):
-                    engine.search_group([healthy[0], down, _price_upto(7000.0)])
-                # The failed group's healthy miss was issued, paid and cached.
-                assert source.answered == engine.budget.used == 4
-                assert cache.probe(
-                    source.name, _price_upto(7000.0), source.system_k
-                ) is not None
-                outcomes[name] = (
-                    [(result.outcome, result.rows) for result in results],
-                    engine.statistics.snapshot(),
-                )
-        assert outcomes["inline"] == outcomes["pooled"]
-        statistics = outcomes["inline"][1]
+        source = _SettlingSource(
+            timed_db, poison=down, error=SourceUnavailableError("source down"), settles_each=True
+        )
+        cache = QueryResultCache()
+        engine = QueryEngine(source, result_cache=cache, budget=QueryBudget(10))
+        results = engine.search_group(healthy)
+        with pytest.raises(SourceUnavailableError):
+            engine.search_group([healthy[0], down, _price_upto(7000.0)])
+        assert source.answered == engine.budget.used == 4
+        assert cache.probe(source.name, _price_upto(7000.0), source.system_k) is not None
+        assert [result.rows for result in results] == [
+            timed_db.search(query).rows for query in healthy
+        ]
+        statistics = engine.statistics.snapshot()
         assert statistics["parallel_fraction"] == 1.0
         assert statistics["simulated_seconds"] == pytest.approx(2.0)

@@ -248,3 +248,38 @@ def test_rerank_pays_no_more_than_binary_on_the_1d_table():
         assert table["sc_1d", scenario, "rerank"] <= table["sc_1d", scenario, "binary"], scenario
     for repetition in range(2, 6):
         assert table["sc_idx", f"repetition_{repetition}", "rerank"] == 0
+
+
+@pytest.mark.parametrize("fails_once", [False, True])
+def test_a_queued_tie_follows_a_delta(fails_once):
+    """Five stones share the lowest price, so the first Get-Next emits one
+    and queues four.  Delete one queued stone and move another to a higher
+    price between two calls: the rest of the stream follows the changed
+    catalog, not the queue — also when the first call after the change
+    fails and the next one resolves the group instead."""
+    env = environment()
+    reranker = _feedless(env)
+    query = SearchQuery.everything()
+    ranking = SingleAttributeRanking("price", ascending=True)
+    stream = reranker.rerank(query, ranking, algorithm=Algorithm.RERANK)
+    first = [row["id"] for row in stream.next_page(1)]
+    tied = _oracle(env, query, ranking)[:5]
+    assert first == tied[:1]
+    rows = {row["id"]: row for row in env.bluenile.all_matches(query)}
+    assert {float(rows[key]["price"]) for key in tied} == {300.0}
+    deleted, moved = tied[1], tied[2]
+    reranker.apply_delta(deletes=[deleted], upserts=[{**rows[moved], "price": 305.0}])
+    if fails_once:
+        engine = stream._algorithm._engine
+        search = engine.search
+
+        def down(*args, **kwargs):
+            engine.search = search
+            raise RuntimeError("source down")
+
+        engine.search = down
+        with pytest.raises(RuntimeError):
+            stream.next_page(1)
+    rest = [row["id"] for row in stream.next_page(8)]
+    assert first + rest == _oracle(env, query, ranking)[:9]
+    assert deleted not in rest and rest.index(moved) > rest.index(tied[4])

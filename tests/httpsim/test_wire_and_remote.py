@@ -159,6 +159,35 @@ class TestRemoteInterface:
         assert [r["id"] for r in via_http.rows] == [r["id"] for r in direct.rows]
         assert remote.queries_issued() == 1
 
+    def test_a_failed_get_settles_alone(self, bluenile_db):
+        """A batch's GETs settle one by one: the query whose GET fails holds
+        its error, its siblings their answers, and ``search_many`` raises
+        that error once the batch has settled."""
+        server = SearchHttpServer(bluenile_db)
+        down = SearchQuery.build(ranges={"carat": (1.0, 1.5)})
+        down_params = wire.encode_query(down)
+
+        class OneQueryDown:
+            def handle(self, request):
+                if request.path == "/api/search" and dict(request.query_params) == down_params:
+                    return HttpResponse.error(500, "down")
+                return server.handle(request)
+
+        remote = RemoteTopKInterface(
+            HttpClient(InProcessTransport(OneQueryDown()), max_retries=0), workers=2
+        )
+        healthy = [SearchQuery.build(ranges={"carat": (0.5, upper)}) for upper in (1.0, 2.0)]
+        settled = remote.settle_many([healthy[0], down, healthy[1]])
+        remote.close()
+        assert isinstance(settled[1], RemoteInterfaceError)
+        assert [settled[0].rows, settled[2].rows] == [
+            bluenile_db.search(query).rows for query in healthy
+        ]
+        assert remote.queries_issued() == 2
+        with pytest.raises(RemoteInterfaceError):
+            remote.search_many(healthy + [down])
+        remote.close()
+
     def test_underflow_roundtrip(self, remote):
         # Prices are whole dollars, so a sub-dollar window strictly between two
         # integers can never match anything.

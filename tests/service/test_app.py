@@ -5,12 +5,16 @@ import threading
 import pytest
 
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
+from repro.core.reranker import QueryReranker
 from repro.dataset.diamonds import DiamondCatalogConfig
 from repro.dataset.housing import HousingCatalogConfig
 from repro.exceptions import DataSourceError, QueryError, SessionError
+from repro.httpsim.client import HttpClient, UrllibTransport
+from repro.httpsim.server import serve_database_over_socket
 from repro.service.app import QR2Service
-from repro.service.sources import DataSourceRegistry, build_default_registry
+from repro.service.sources import DataSource, DataSourceRegistry, build_default_registry
 from repro.webdb.faults import FaultPlan
+from repro.webdb.remote import RemoteTopKInterface
 from tests.conftest import query_threads
 from tests.reference import reference_text_grid
 
@@ -288,10 +292,9 @@ class TestStreamLifecycle:
         # close() is idempotent and leaves the registry usable.
         service.close()
 
-    def test_service_close_leaves_no_query_thread(self):
-        # Really sleeping shards cannot batch, so every lead fans out over its
-        # source's executor: replaced and abandoned streams hold no threads
-        # of their own, and closing the service ends the sources' pools.
+    def test_in_process_sources_start_no_query_thread(self):
+        # Really sleeping, perturbed shards settle every group on the
+        # request's own thread: only a remote adapter holds a query pool.
         before = threading.enumerate()
         registry = build_default_registry(
             diamond_config=DiamondCatalogConfig(size=200, seed=5),
@@ -306,14 +309,40 @@ class TestStreamLifecycle:
             ),
         )
         service = QR2Service(registry=registry)
-        workers = service.config.rerank.parallel_workers
         for sliders in ({"price": 1.0, "carat": -0.5}, {"price": -1.0, "carat": 0.5}):
             session_id = service.create_session()
             service.submit_query(session_id, "bluenile", sliders=sliders)
             service.submit_query(session_id, "zillow", sliders={"price": 1.0, "squarefeet": -0.5})
-        assert 0 < len(query_threads(before)) <= 2 * workers  # two sources
-        service.close()
         assert query_threads(before) == []
+        service.close()
+
+    def test_service_close_ends_the_remote_adapters_pool(self, bluenile_db):
+        workers = 2
+        handle = serve_database_over_socket(bluenile_db)
+        transport = UrllibTransport(handle.base_url)
+        before = threading.enumerate()
+        try:
+            remote = RemoteTopKInterface(HttpClient(transport), workers=workers)
+            registry = DataSourceRegistry()
+            registry.register(
+                DataSource(
+                    name="bluenile",
+                    title="Blue Nile over a socket",
+                    interface=remote,
+                    reranker=QueryReranker(remote),
+                    result_columns=["id", "price", "carat"],
+                )
+            )
+            service = QR2Service(registry=registry)
+            for sliders in ({"price": 1.0, "carat": -0.5}, {"price": -1.0, "carat": 0.5}):
+                session_id = service.create_session()
+                service.submit_query(session_id, "bluenile", sliders=sliders)
+            assert 0 < len(query_threads(before)) <= workers
+            service.close()
+            assert query_threads(before) == []
+        finally:
+            transport.close()
+            handle.shutdown()
 
     def test_panel_surfaces_feed_counters(self):
         # A private registry: the module-scoped one shares feed stores across

@@ -12,7 +12,7 @@ DATABASE_FIELDS = {
 }
 RERANK_FIELDS = {
     "dense_ratio_threshold", "dense_split_depth", "max_binary_rounds",
-    "query_budget", "parallel_workers", "enable_parallel",
+    "query_budget", "enable_parallel",
     "enable_session_cache", "enable_dense_index", "enable_result_cache",
     "result_cache_size", "result_cache_ttl_seconds",
     "enable_rerank_feed", "rerank_feed_size", "rerank_feed_ttl_seconds",
@@ -35,5 +35,5 @@ def test_config_field_sets_are_pinned():
     assert names(DatabaseConfig) == DATABASE_FIELDS
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
-    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 37
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 36
 

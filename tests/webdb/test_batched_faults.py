@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.config import DatabaseConfig, RerankConfig
+from repro.config import DatabaseConfig
 from repro.core.functions import LinearRankingFunction
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
@@ -204,8 +204,7 @@ def test_concurrent_batches_fail_per_key_and_never_compute_a_key_twice_at_once(b
 
 def _chaos_run(diamond_catalog, schema):
     """Twelve MD leads, two pages each, over a fresh perturbed 4-shard
-    federation with a four-worker pool; everything the fault schedule
-    decides, recorded."""
+    federation; everything the fault schedule decides, recorded."""
     federation = build_source(
         diamond_catalog,
         schema,
@@ -218,7 +217,7 @@ def _chaos_run(diamond_catalog, schema):
         name="chaos",
     )
     before = threading.enumerate()
-    reranker = QueryReranker(federation, config=RerankConfig(parallel_workers=4))
+    reranker = QueryReranker(federation)
     ranking = LinearRankingFunction(
         {"price": 1.0, "carat": -0.5},
         normalizer=MinMaxNormalizer.from_schema(schema, ["price", "carat"]),

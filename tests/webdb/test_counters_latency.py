@@ -177,25 +177,27 @@ class TestQueryLog:
 class TestLatencyModel:
     def test_disabled_model_never_delays(self):
         model = LatencyModel.disabled()
-        assert model.draw() == 0.0
-        assert model.delay() == 0.0
+        assert model.delay(3) == [0.0, 0.0, 0.0]
 
     def test_accounted_model_does_not_sleep(self):
         model = LatencyModel.accounted(5.0, jitter=0.0)
         start = time.perf_counter()
-        seconds = model.delay()
+        (seconds,) = model.delay()
         assert seconds == pytest.approx(5.0)
         assert time.perf_counter() - start < 0.5
 
-    def test_realtime_model_sleeps(self):
-        model = LatencyModel.realtime(0.05, jitter=0.0)
+    def test_sleeping_model_sleeps_once_per_batch_for_the_longest_draw(self):
+        sleeping = LatencyModel(0.05, jitter=0.5, sleep=True, seed=3)
         start = time.perf_counter()
-        model.delay()
-        assert time.perf_counter() - start >= 0.04
+        seconds = sleeping.delay(4)
+        elapsed = time.perf_counter() - start
+        # The draws are the accounted model's, in batch order.
+        assert seconds == LatencyModel.accounted(0.05, jitter=0.5, seed=3).delay(4)
+        assert max(seconds) <= elapsed < sum(seconds)
 
     def test_jitter_range(self):
         model = LatencyModel.accounted(1.0, jitter=0.5, seed=3)
-        draws = [model.draw() for _ in range(200)]
+        draws = model.delay(200)
         assert all(0.5 <= value <= 1.5 for value in draws)
         assert max(draws) - min(draws) > 0.1
 
@@ -208,4 +210,4 @@ class TestLatencyModel:
     def test_deterministic_given_seed(self):
         first = LatencyModel.accounted(1.0, jitter=0.3, seed=11)
         second = LatencyModel.accounted(1.0, jitter=0.3, seed=11)
-        assert [first.draw() for _ in range(5)] == [second.draw() for _ in range(5)]
+        assert first.delay(5) == second.delay(5)

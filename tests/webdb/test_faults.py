@@ -135,9 +135,6 @@ class TestFaultInjector:
     def test_stack_exposes_its_injector(self, bluenile_db):
         stack = SourceStack(bluenile_db, fault_plan=FaultPlan(seed=4, slow_rate=1.0))
         assert isinstance(stack.injector, FaultInjector)
-        # Slots are drawn up front, so a perturbing injector keeps the
-        # database's batched path.
-        assert stack.supports_batched_search
         stack.search(QUERY)
         assert stack.injector.schedule_index == 1
         assert stack.injector.fault_counts()["slow"] == 1

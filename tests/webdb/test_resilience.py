@@ -335,8 +335,6 @@ class TestResilientInterface:
         assert resilient.name == bluenile_db.name
         assert resilient.system_k == bluenile_db.system_k
         assert resilient.guard.name == bluenile_db.name
-        # A clean stack keeps the database's batched path.
-        assert resilient.supports_batched_search
 
     def test_noop_plan_batches_a_group_under_one_admission(
         self, bluenile_db, monkeypatch
