@@ -57,9 +57,9 @@ class DatabaseConfig:
         for range-filtered queries).
     latency_sleep:
         Whether the simulated latency actually blocks the calling thread
-        instead of merely being accounted for: once per batch of queries,
-        for the batch's longest draw, so wall clock shows what a parallel
-        group saves.  The draws are the same either way.
+        instead of merely being accounted for: once per batch, for its
+        longest draw (a federation's sequential scatter: once per shard).
+        The draws are the same either way.
 
     :func:`repro.webdb.build.build_source` is the one consumer: it takes this
     object whole.  Copies are made with :func:`dataclasses.replace`.

@@ -31,21 +31,20 @@ from repro.webdb.counters import QueryCounter
 from repro.webdb.interface import SearchResult, Settlement, TopKInterface, answers
 from repro.webdb.query import SearchQuery
 
+#: Bound on the GETs one adapter has in flight, however many requests share it.
+QUERY_WORKERS = 8
+
 
 class RemoteTopKInterface(TopKInterface):
     """Top-k interface backed by a remote (or in-process) search API.
 
-    ``workers`` bounds the GETs one adapter has outstanding at once, however
-    many requests share it.  The pool starts on the first batch of two or
-    more queries (a single query runs on the caller's thread) and again on
+    Its pool of :data:`QUERY_WORKERS` threads starts on the first batch of
+    two or more queries (one query runs on the caller's thread) and again on
     the first after :meth:`close`.
     """
 
-    def __init__(self, client: HttpClient, workers: int = 8) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
+    def __init__(self, client: HttpClient) -> None:
         self._client = client
-        self._workers = workers
         self._counter = QueryCounter()
         self._schema: Optional[Schema] = None
         self._system_k: Optional[int] = None
@@ -114,7 +113,7 @@ class RemoteTopKInterface(TopKInterface):
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers, thread_name_prefix="qr2-query"
+                    max_workers=QUERY_WORKERS, thread_name_prefix="qr2-query"
                 )
             futures = [self._pool.submit(self._settle, query) for query in batch]
         return [future.result() for future in futures]

@@ -13,10 +13,7 @@ from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
-from repro.httpsim.client import HttpClient, InProcessTransport
-from repro.httpsim.server import SearchHttpServer
 from repro.webdb.query import SearchQuery
-from repro.webdb.remote import RemoteTopKInterface
 
 from tests.conftest import assert_matches_ground_truth
 
@@ -101,22 +98,6 @@ class TestConfigurationVariants:
         truth = bluenile_db.true_ranking(SearchQuery.everything(), ranking.score, limit=5)
         assert_matches_ground_truth(rows, truth, ranking)
         assert stream.statistics.dense_regions_built >= 1
-
-    def test_single_worker_remote_adapter(self, bluenile_db):
-        remote = RemoteTopKInterface(
-            HttpClient(InProcessTransport(SearchHttpServer(bluenile_db))), workers=1
-        )
-        ranking = LinearRankingFunction(
-            {"price": 1.0, "carat": -0.5},
-            normalizer=MinMaxNormalizer.from_schema(bluenile_db.schema, ["price", "carat"]),
-        )
-        reranker = QueryReranker(remote)
-        rows = reranker.rerank(
-            SearchQuery.everything(), ranking, algorithm=Algorithm.BINARY
-        ).top(4)
-        reranker.close()
-        truth = bluenile_db.true_ranking(SearchQuery.everything(), ranking.score, limit=4)
-        assert_matches_ground_truth(rows, truth, ranking)
 
     def test_tiny_query_budget_still_serves_cached_answers(self, bluenile_db):
         """Once the budget is exhausted, further Get-Next calls raise — but the

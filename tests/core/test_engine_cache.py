@@ -3,6 +3,7 @@ budget / latency accounting fixes."""
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.interface import TopKInterface, answers
+from repro.webdb import latency as latency_module
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import AttributeOrderRanking
@@ -357,10 +359,15 @@ class TestBatchedGroups:
         assert calls == [1, 1, 1]
         assert engine.statistics.simulated_seconds == pytest.approx(6.0)
 
-    def test_a_sleeping_group_is_one_round_trip(self, diamond_catalog, diamond_schema_fixture):
+    def test_a_sleeping_group_is_one_round_trip(
+        self, diamond_catalog, diamond_schema_fixture, monkeypatch
+    ):
         """A sleeping database draws the accounted model's latencies, in
         batch order, and sleeps once per batch: a parallel group of four
-        takes about one query's latency, not four."""
+        sleeps one query's latency, not four."""
+        slept_for = []
+        # Only the latency model's clock: other threads keep the real sleep.
+        monkeypatch.setattr(latency_module, "time", SimpleNamespace(sleep=slept_for.append))
 
         def database(sleep):
             latency = LatencyModel(0.05, jitter=0.25, sleep=sleep, seed=5)
@@ -374,14 +381,13 @@ class TestBatchedGroups:
 
         group = [SearchQuery.build(ranges={"price": (300.0, 4000.0 + i)}) for i in range(4)]
         sleeping = QueryEngine(database(sleep=True))
-        started = time.perf_counter()
         slept = sleeping.search_group(group)
-        elapsed = time.perf_counter() - started
         accounted = QueryEngine(database(sleep=False)).search_group(group)
         seconds = [result.elapsed_seconds for result in slept]
         assert seconds == [result.elapsed_seconds for result in accounted]
         assert len(set(seconds)) == 4
-        assert elapsed < 2 * 0.05
+        assert slept_for == [max(seconds)]
+        assert sum(slept_for) < 2 * 0.05
         assert sleeping.statistics.simulated_seconds == pytest.approx(max(seconds))
 
     def test_partial_batch_failure_keeps_attempted_charges(self, timed_db, monkeypatch):

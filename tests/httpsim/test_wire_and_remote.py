@@ -173,9 +173,7 @@ class TestRemoteInterface:
                     return HttpResponse.error(500, "down")
                 return server.handle(request)
 
-        remote = RemoteTopKInterface(
-            HttpClient(InProcessTransport(OneQueryDown()), max_retries=0), workers=2
-        )
+        remote = RemoteTopKInterface(HttpClient(InProcessTransport(OneQueryDown()), max_retries=0))
         healthy = [SearchQuery.build(ranges={"carat": (0.5, upper)}) for upper in (1.0, 2.0)]
         settled = remote.settle_many([healthy[0], down, healthy[1]])
         remote.close()

@@ -14,7 +14,7 @@ from repro.httpsim.server import serve_database_over_socket
 from repro.service.app import QR2Service
 from repro.service.sources import DataSource, DataSourceRegistry, build_default_registry
 from repro.webdb.faults import FaultPlan
-from repro.webdb.remote import RemoteTopKInterface
+from repro.webdb.remote import QUERY_WORKERS, RemoteTopKInterface
 from tests.conftest import query_threads
 from tests.reference import reference_text_grid
 
@@ -317,12 +317,11 @@ class TestStreamLifecycle:
         service.close()
 
     def test_service_close_ends_the_remote_adapters_pool(self, bluenile_db):
-        workers = 2
         handle = serve_database_over_socket(bluenile_db)
         transport = UrllibTransport(handle.base_url)
         before = threading.enumerate()
         try:
-            remote = RemoteTopKInterface(HttpClient(transport), workers=workers)
+            remote = RemoteTopKInterface(HttpClient(transport))
             registry = DataSourceRegistry()
             registry.register(
                 DataSource(
@@ -337,7 +336,7 @@ class TestStreamLifecycle:
             for sliders in ({"price": 1.0, "carat": -0.5}, {"price": -1.0, "carat": 0.5}):
                 session_id = service.create_session()
                 service.submit_query(session_id, "bluenile", sliders=sliders)
-            assert 0 < len(query_threads(before)) <= workers
+            assert 0 < len(query_threads(before)) <= QUERY_WORKERS
             service.close()
             assert query_threads(before) == []
         finally:

@@ -25,11 +25,10 @@ from repro.webdb.faults import FaultPlan
 from repro.webdb.federation import FederatedInterface
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import AttributeOrderRanking
-from repro.webdb.remote import RemoteTopKInterface
+from repro.webdb.remote import QUERY_WORKERS, RemoteTopKInterface
 from repro.webdb.stack import SourceStack
 from tests.conftest import query_threads
 
-WORKERS = 3
 #: Perturbing yet never failing: a slow draw only inflates the accounted
 #: latency.
 PLAN = FaultPlan(seed=5, slow_rate=0.2)
@@ -56,11 +55,11 @@ def database(diamond_catalog, diamond_schema_fixture):
 
 @pytest.fixture()
 def remote(database):
-    """The database over a real socket, behind a ``WORKERS``-thread adapter."""
+    """The database over a real socket, behind the adapter."""
     handle = serve_database_over_socket(database)
     transport = UrllibTransport(handle.base_url)
     try:
-        yield RemoteTopKInterface(HttpClient(transport), workers=WORKERS)
+        yield RemoteTopKInterface(HttpClient(transport))
     finally:
         transport.close()
         handle.shutdown()
@@ -113,14 +112,9 @@ def test_a_single_query_runs_on_the_callers_thread(remote, database):
     assert settled.rows == remote.search(query).rows == database.search(query).rows
     assert query_threads(before) == []
     remote.search_many([query, _price_upto(4000.0)])
-    assert 0 < len(query_threads(before)) <= WORKERS
+    assert 0 < len(query_threads(before)) <= QUERY_WORKERS
     remote.close()
     assert query_threads(before) == []
-
-
-def test_workers_must_be_positive():
-    with pytest.raises(ValueError):
-        RemoteTopKInterface(HttpClient(UrllibTransport("http://127.0.0.1:1")), workers=0)
 
 
 @pytest.mark.parametrize("wrapper", ["stack", "federation"])
@@ -135,17 +129,17 @@ def test_closing_a_source_over_the_adapter_ends_its_pool(remote, database, wrapp
     assert [r.rows for r in source.search_many(group)] == [
         r.rows for r in database.search_many(group)
     ]
-    assert 0 < len(query_threads(before)) <= WORKERS
+    assert 0 < len(query_threads(before)) <= QUERY_WORKERS
     source.close()
     assert query_threads(before) == []
 
 
-def test_threads_stay_within_workers_and_end_with_close(remote):
+def test_threads_stay_within_the_bound_and_end_with_close(remote):
     before = threading.enumerate()
     reranker = QueryReranker(remote)
     for index in range(24):  # 24 feeds, 24 producer engines, one pool
         _lead(reranker, index)
-        assert 0 < len(query_threads(before)) <= WORKERS
+        assert 0 < len(query_threads(before)) <= QUERY_WORKERS
     assert reranker.feed_store.snapshot()["created"] == 24
     reranker.close()
     assert query_threads(before) == []
@@ -164,7 +158,7 @@ def test_the_adapter_serves_the_databases_pages_before_and_after_close(remote, d
     # New requests rebuild their feeds and the adapter starts a fresh pool.
     assert [_lead(reranker, index) for index in range(3)] == expected
     assert reranker.feed_store.snapshot()["created"] == 6
-    assert 0 < len(query_threads(before)) <= WORKERS
+    assert 0 < len(query_threads(before)) <= QUERY_WORKERS
     reranker.close()
     assert query_threads(before) == []
 
