@@ -1,4 +1,3 @@
-"""The paper's figures and demonstration scenarios as ``bench_*.py`` modules
-(one per row of the experiment index heading ``repro.workloads.experiments``,
-plus the ablations and the nightly catalog-scale tier), beside
-``request_path/`` — the repo's one benchmark for cost."""
+"""``request_path/`` — the repo's one benchmark for cost — and the nightly
+data-scale tier ``bench_catalog_scale.py``.  The paper's own figures are
+pinned by ``tests/workloads/paper_currency.txt``, not benchmarked here."""

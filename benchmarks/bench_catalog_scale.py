@@ -1,6 +1,6 @@
 """CATALOG-SCALE — the buffer-backed columnar engine at 10⁴/10⁵/10⁶ tuples.
 
-Every other bench runs at request scale on a 10⁴-tuple catalog; this tier
+``request_path/`` runs at request scale on a 10⁴-tuple catalog; this tier
 gates *data* scale.  A deterministic synthetic catalog
 (:func:`~repro.dataset.generators.generate_scale_catalog`) is written
 straight to SQLite, streamed back out through the store's batched cursor,
@@ -38,16 +38,16 @@ the nightly ``scale-bench`` CI job runs the full tier and uploads
 from __future__ import annotations
 
 import gc
+import platform
 import random
 import resource
 import statistics
 import time
 import tracemalloc
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
-from benchmarks._tables import backend_metadata, print_table
 from repro.dataset.generators import generate_scale_catalog, scale_catalog_schema
 from repro.sqlstore.store import SQLiteTupleStore
 from repro.webdb import arrays
@@ -78,6 +78,30 @@ _SCHEMA = scale_catalog_schema()
 _STORES: Dict[int, SQLiteTupleStore] = {}
 _GENERATE_SECONDS: Dict[int, float] = {}
 _DELTA_MEDIAN_MS: Dict[int, float] = {}
+
+
+def print_table(title: str, header: str, rows: Iterable[str]) -> None:
+    """Print a small table (shown with ``-s`` / in captured output)."""
+    print("\n" + title)
+    print("-" * max(len(title), len(header)))
+    print(header)
+    for row in rows:
+        print(row)
+
+
+def backend_metadata() -> Dict[str, object]:
+    """Environment metadata every bench record carries.
+
+    History records are compared across machines; whether numpy was
+    importable (and therefore which concrete layout the default
+    ``"buffer"`` backend resolved to) changes the columnar engine's absolute
+    numbers, so it must be visible in ``extra_info``.
+    """
+    return {
+        "columnar_backend": arrays.resolve_backend("buffer"),
+        "numpy_available": arrays.numpy_available(),
+        "python": platform.python_version(),
+    }
 
 
 def _ranking() -> FeaturedScoreRanking:

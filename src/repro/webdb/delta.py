@@ -20,8 +20,9 @@ generation bump:
   a session's cached row only while no change since touched its key.
 
 The summary is *conservative*: it may flag an object whose exact answer is
-unchanged (the per-attribute bounds form a bounding box over all touched
-versions), but it never clears an object that a touched version matches —
+unchanged (each attribute is tested on its own, so two touched versions that
+each satisfy a different predicate flag the query together), but it never
+clears an object that a touched version matches —
 that direction is what correctness rests on, and the randomized differential
 suite checks it against the full-flush oracle.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -57,12 +59,13 @@ class CatalogDelta:
     """Summary of one catalog mutation.
 
     ``keys`` are the primary keys of every tuple touched (inserted, updated,
-    or deleted).  ``numeric_bounds`` maps each attribute to the closed
-    ``(lower, upper)`` hull of the numeric values any touched *version* (old
-    or new) carried on it; ``categorical_values`` collects the exact value
-    sets for membership predicates.  An attribute absent from both maps means
-    no touched version carried a usable value on it — a predicate on that
-    attribute can therefore never match a touched tuple.
+    or deleted).  ``numeric_values`` maps each attribute to the sorted,
+    distinct numeric values the touched *versions* (old and new) carried on
+    it — the values, not their hull, so a repriced tuple does not flag the
+    queries between its old and new price; ``categorical_values`` collects
+    the exact value sets for membership predicates.  An attribute absent
+    from both maps means no touched version carried a usable value on it —
+    a predicate on that attribute can therefore never match a touched tuple.
 
     ``shard_deltas`` carries the per-shard sub-deltas of a federated
     mutation as ``(shard_index, delta)`` pairs; each sub-delta's
@@ -71,7 +74,7 @@ class CatalogDelta:
 
     namespace: str
     keys: FrozenSet[object] = frozenset()
-    numeric_bounds: Mapping[str, Tuple[float, float]] = field(default_factory=dict)
+    numeric_values: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
     categorical_values: Mapping[str, FrozenSet[object]] = field(default_factory=dict)
     upserts: int = 0
     deletes: int = 0
@@ -95,7 +98,7 @@ class CatalogDelta:
         a cached answer is stale when any of those versions matched it.
         """
         keys: List[object] = []
-        bounds: Dict[str, List[float]] = {}
+        numbers: Dict[str, set] = {}
         values: Dict[str, set] = {}
         for row in touched_rows:
             keys.append(row[key_column])
@@ -103,17 +106,12 @@ class CatalogDelta:
                 if _is_numeric(value):
                     numeric = float(value)
                     if not math.isnan(numeric):
-                        hull = bounds.get(attribute)
-                        if hull is None:
-                            bounds[attribute] = [numeric, numeric]
-                        else:
-                            hull[0] = min(hull[0], numeric)
-                            hull[1] = max(hull[1], numeric)
+                        numbers.setdefault(attribute, set()).add(numeric)
                 values.setdefault(attribute, set()).add(value)
         return CatalogDelta(
             namespace=namespace,
             keys=frozenset(keys),
-            numeric_bounds={name: (lo, hi) for name, (lo, hi) in bounds.items()},
+            numeric_values={name: tuple(sorted(found)) for name, found in numbers.items()},
             categorical_values={
                 name: frozenset(collected) for name, collected in values.items()
             },
@@ -127,7 +125,7 @@ class CatalogDelta:
     ) -> "CatalogDelta":
         """Union several deltas into one under a new namespace."""
         keys: set = set()
-        bounds: Dict[str, Tuple[float, float]] = {}
+        numbers: Dict[str, set] = {}
         values: Dict[str, set] = {}
         upserts = 0
         deletes = 0
@@ -135,18 +133,14 @@ class CatalogDelta:
             keys.update(delta.keys)
             upserts += delta.upserts
             deletes += delta.deletes
-            for attribute, (lo, hi) in delta.numeric_bounds.items():
-                existing = bounds.get(attribute)
-                if existing is None:
-                    bounds[attribute] = (lo, hi)
-                else:
-                    bounds[attribute] = (min(existing[0], lo), max(existing[1], hi))
+            for attribute, found in delta.numeric_values.items():
+                numbers.setdefault(attribute, set()).update(found)
             for attribute, collected in delta.categorical_values.items():
                 values.setdefault(attribute, set()).update(collected)
         return CatalogDelta(
             namespace=namespace,
             keys=frozenset(keys),
-            numeric_bounds=bounds,
+            numeric_values={name: tuple(sorted(found)) for name, found in numbers.items()},
             categorical_values={
                 name: frozenset(collected) for name, collected in values.items()
             },
@@ -166,6 +160,16 @@ class CatalogDelta:
         """True when ``key`` belongs to a touched tuple."""
         return key in self.keys
 
+    def _admits_touched(self, predicate: RangePredicate) -> bool:
+        """Does ``predicate`` admit a value some touched version carried?"""
+        found = self.numeric_values.get(predicate.attribute, ())
+        index = bisect_left(found, predicate.lower)
+        while index < len(found) and found[index] <= predicate.upper:
+            if predicate.matches(found[index]):
+                return True
+            index += 1
+        return False
+
     # ------------------------------------------------------------------ #
     # Matching (the invalidation predicate of every layer)
     # ------------------------------------------------------------------ #
@@ -179,14 +183,8 @@ class CatalogDelta:
         """
         if self.is_empty:
             return False
-        for predicate in query.ranges:
-            hull = self.numeric_bounds.get(predicate.attribute)
-            if hull is None:
-                return False
-            if predicate.intersect(
-                RangePredicate(predicate.attribute, hull[0], hull[1])
-            ) is None:
-                return False
+        if not all(self._admits_touched(predicate) for predicate in query.ranges):
+            return False
         for predicate in query.memberships:
             touched = self.categorical_values.get(predicate.attribute)
             if touched is None or not (predicate.values & touched):
@@ -199,30 +197,16 @@ class CatalogDelta:
         Used by the dense-region index: a region's crawled row set is stale
         only if a touched tuple version falls inside its bounding box.
         """
-        if self.is_empty:
-            return False
-        for side in sides:
-            hull = self.numeric_bounds.get(side.attribute)
-            if hull is None:
-                return False
-            if side.intersect(RangePredicate(side.attribute, hull[0], hull[1])) is None:
-                return False
-        return True
+        return not self.is_empty and all(self._admits_touched(side) for side in sides)
 
     def may_intersect_bounds(
         self, bounds: Mapping[str, Tuple[float, float]]
     ) -> bool:
         """Box-intersection test over plain ``{attr: (lo, hi)}`` bounds
         (the persisted :class:`~repro.sqlstore.dense_cache.StoredRegion` form)."""
-        if self.is_empty:
-            return False
-        for attribute, (lo, hi) in bounds.items():
-            hull = self.numeric_bounds.get(attribute)
-            if hull is None:
-                return False
-            if hull[1] < lo or hull[0] > hi:
-                return False
-        return True
+        return self.may_intersect_sides(
+            RangePredicate(attribute, lo, hi) for attribute, (lo, hi) in bounds.items()
+        )
 
     # ------------------------------------------------------------------ #
     def with_namespace(self, namespace: str) -> "CatalogDelta":
@@ -230,7 +214,7 @@ class CatalogDelta:
         return CatalogDelta(
             namespace=namespace,
             keys=self.keys,
-            numeric_bounds=self.numeric_bounds,
+            numeric_values=self.numeric_values,
             categorical_values=self.categorical_values,
             upserts=self.upserts,
             deletes=self.deletes,
@@ -245,7 +229,7 @@ class CatalogDelta:
             "upserts": self.upserts,
             "deletes": self.deletes,
             "attributes": sorted(
-                set(self.numeric_bounds) | set(self.categorical_values)
+                set(self.numeric_values) | set(self.categorical_values)
             ),
             "shards": len(self.shard_deltas),
         }
@@ -260,7 +244,7 @@ def merge_shard_deltas(
     return CatalogDelta(
         namespace=merged.namespace,
         keys=merged.keys,
-        numeric_bounds=merged.numeric_bounds,
+        numeric_values=merged.numeric_values,
         categorical_values=merged.categorical_values,
         upserts=merged.upserts,
         deletes=merged.deletes,

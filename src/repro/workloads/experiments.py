@@ -20,8 +20,9 @@ SC-BW     :func:`run_best_worst_cases` — the paper's best- and worst-case
 ========  ====================================================================
 
 Every function returns plain data (lists of :class:`ExperimentResult` or
-dictionaries) and leaves presentation to the benchmarks / examples, so the
-same harness drives ``pytest-benchmark`` and the example scripts.
+dictionaries).  ``tests/workloads/paper_currency.py`` is their one presenter:
+it runs each driver over one small environment and pins what every cell paid
+in ``paper_currency.txt``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.config import DatabaseConfig, RerankConfig
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
+from repro.core.stats import RerankStatistics
 from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
 from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog, housing_schema
 from repro.dataset.schema import Schema
@@ -56,42 +58,32 @@ class ExperimentResult:
     """Outcome of running one (scenario, algorithm) cell."""
 
     scenario: str
-    source: str
     algorithm: str
-    dimensionality: int
-    correlation: str
     tuples_returned: int
     external_queries: int
-    processing_seconds: float
-    parallel_fraction: float
-    dense_regions_built: int
-    dense_index_hits: int
-    cache_hits: int
+    parallel_queries: int
+    simulated_seconds: float
 
-    def as_row(self) -> Dict[str, object]:
-        """Dictionary row for tabular rendering."""
-        return {
-            "scenario": self.scenario,
-            "source": self.source,
-            "algorithm": self.algorithm,
-            "dim": self.dimensionality,
-            "correlation": self.correlation,
-            "returned": self.tuples_returned,
-            "queries": self.external_queries,
-            "seconds": round(self.processing_seconds, 2),
-            "parallel_fraction": round(self.parallel_fraction, 3),
-            "dense_regions": self.dense_regions_built,
-            "index_hits": self.dense_index_hits,
-            "cache_hits": self.cache_hits,
-        }
+
+def paid(statistics: RerankStatistics) -> Dict[str, object]:
+    """What one request paid in the paper's two currencies: external queries
+    (``parallel_queries`` of them in parallel groups) and simulated seconds,
+    which are a function of the seed — unlike ``processing_seconds``, which
+    adds local wall time."""
+    return {
+        "external_queries": statistics.external_queries,
+        "parallel_queries": statistics.parallel_queries,
+        "simulated_seconds": statistics.simulated_seconds,
+    }
 
 
 @dataclass
 class ExperimentEnvironment:
     """Shared simulated environment: both web databases plus configurations.
 
-    ``catalog_scale`` shrinks the catalogs for fast benchmark runs (1.0 is the
-    default size used for the reported numbers; tests use 0.1).
+    ``catalog_scale`` shrinks the catalogs (1.0 is the full default size;
+    the pinned paper table, ``tests/workloads/paper_currency.txt``, uses
+    0.08).
     """
 
     catalog_scale: float = 1.0
@@ -196,20 +188,9 @@ def _run_cell(
     """Fetch the top-``depth`` answers of one scenario with one algorithm."""
     stream = reranker.rerank(scenario.query, scenario.ranking, algorithm=algorithm)
     stream.top(depth)
-    snapshot = stream.statistics.snapshot()
+    statistics = stream.statistics
     return ExperimentResult(
-        scenario=scenario.name,
-        source=scenario.source,
-        algorithm=algorithm.value,
-        dimensionality=scenario.dimensionality,
-        correlation=scenario.correlation.value,
-        tuples_returned=int(snapshot["tuples_returned"]),
-        external_queries=int(snapshot["external_queries"]),
-        processing_seconds=float(snapshot["processing_seconds"]),
-        parallel_fraction=float(snapshot["parallel_fraction"]),
-        dense_regions_built=int(snapshot["dense_regions_built"]),
-        dense_index_hits=int(snapshot["dense_index_hits"]),
-        cache_hits=int(snapshot["cache_hits"]),
+        scenario.name, algorithm.value, statistics.tuples_returned, **paid(statistics)
     )
 
 
@@ -244,21 +225,11 @@ def run_fig2_parallelism(
         reranker = environment.make_reranker("bluenile")
         stream = reranker.rerank(SearchQuery.everything(), ranking, algorithm=Algorithm.RERANK)
         stream.top(depth)
-        snapshot = stream.statistics.snapshot()
-        group_sizes = list(snapshot["iteration_group_sizes"])
+        statistics = stream.statistics
         output[label] = {
-            "ranking": ranking.describe(),
-            "iterations": snapshot["iterations"],
-            "parallel_iterations": snapshot["parallel_iterations"],
-            "parallel_fraction": snapshot["parallel_fraction"],
-            "queries": snapshot["external_queries"],
-            "parallel_queries": snapshot["parallel_queries"],
-            "parallel_query_fraction": (
-                snapshot["parallel_queries"] / snapshot["external_queries"]
-                if snapshot["external_queries"]
-                else 0.0
-            ),
-            "iteration_group_sizes": group_sizes,
+            **paid(statistics),
+            "parallel_fraction": statistics.parallel_fraction,
+            "parallel_query_fraction": statistics.parallel_query_fraction,
         }
     return output
 
@@ -274,8 +245,8 @@ def run_fig4_statistics(
     of one Zillow reranking request with ``price - 0.3 squarefeet``.
 
     The paper reports 27 queries taking 33 seconds against the live site; the
-    simulation reports the same two numbers under its ~1 s/query latency
-    model.
+    simulation reports the query count and the simulated seconds of its
+    ~1 s/query latency model (a parallel group costs one round trip).
     """
     environment = environment or ExperimentEnvironment()
     schema = environment.housing_schema
@@ -286,17 +257,10 @@ def run_fig4_statistics(
     reranker = environment.make_reranker("zillow")
     stream = reranker.rerank(SearchQuery.everything(), ranking, algorithm=Algorithm.RERANK)
     rows = stream.next_page(page_size)
-    snapshot = stream.statistics.snapshot()
     return {
-        "ranking": ranking.describe(),
-        "page_size": page_size,
+        **paid(stream.statistics),
         "rows_returned": len(rows),
-        "external_queries": snapshot["external_queries"],
-        "processing_seconds": snapshot["processing_seconds"],
-        "sequential_equivalent_seconds": snapshot["simulated_seconds"]
-        if not environment.rerank_config.enable_parallel
-        else None,
-        "paper_reference": {"external_queries": 27, "processing_seconds": 33.0},
+        "paper_reference": {"external_queries": 27, "seconds": 33.0},
     }
 
 
@@ -333,23 +297,6 @@ def default_md_scenarios(environment: ExperimentEnvironment) -> List[Scenario]:
     return bluenile_scenarios_md(environment.diamond_schema) + zillow_scenarios_md(
         environment.housing_schema
     )
-
-
-def summarize_by_correlation(results: Sequence[ExperimentResult]) -> Dict[str, Dict[str, float]]:
-    """Mean query cost per (correlation class, algorithm) — the shape of the
-    paper's 1D/MD narrative (binary/rerank win when the user ranking fights
-    the hidden ranking)."""
-    grouped: Dict[str, Dict[str, List[int]]] = {}
-    for result in results:
-        grouped.setdefault(result.correlation, {}).setdefault(result.algorithm, []).append(
-            result.external_queries
-        )
-    return {
-        correlation: {
-            algorithm: pystats.mean(queries) for algorithm, queries in by_algorithm.items()
-        }
-        for correlation, by_algorithm in grouped.items()
-    }
 
 
 # --------------------------------------------------------------------------- #
@@ -389,37 +336,27 @@ def run_onthefly_indexing(
     shared_rerank = environment.make_reranker(
         "bluenile", replace(environment.rerank_config, enable_rerank_feed=False)
     )
-    rerank_costs: List[int] = []
-    rerank_seconds: List[float] = []
-    for _ in range(repetitions):
-        stream = shared_rerank.rerank(query, ranking, algorithm=Algorithm.RERANK)
-        stream.top(depth)
-        rerank_costs.append(stream.statistics.external_queries)
-        rerank_seconds.append(stream.statistics.processing_seconds)
 
-    binary_costs: List[int] = []
-    binary_seconds: List[float] = []
-    for _ in range(repetitions):
-        fresh_binary = environment.make_reranker("bluenile")
-        stream = fresh_binary.rerank(query, ranking, algorithm=Algorithm.BINARY)
+    def _run(reranker: QueryReranker, algorithm: Algorithm) -> Dict[str, object]:
+        stream = reranker.rerank(query, ranking, algorithm=algorithm)
         stream.top(depth)
-        binary_costs.append(stream.statistics.external_queries)
-        binary_seconds.append(stream.statistics.processing_seconds)
+        return paid(stream.statistics)
 
+    rerank_runs = [_run(shared_rerank, Algorithm.RERANK) for _ in range(repetitions)]
+    binary_runs = [
+        _run(environment.make_reranker("bluenile"), Algorithm.BINARY)
+        for _ in range(repetitions)
+    ]
+    rerank_costs = [run["external_queries"] for run in rerank_runs]
+    binary_costs = [run["external_queries"] for run in binary_runs]
     return {
-        "ranking": ranking.describe(),
-        "query": query.describe(),
-        "repetitions": repetitions,
-        "depth": depth,
+        "rerank_runs": rerank_runs,
+        "binary_runs": binary_runs,
         "rerank_costs": rerank_costs,
         "binary_costs": binary_costs,
-        "rerank_seconds": rerank_seconds,
-        "binary_seconds": binary_seconds,
-        "rerank_amortized": pystats.mean(rerank_costs),
         "binary_amortized": pystats.mean(binary_costs),
         "rerank_warm_cost": pystats.mean(rerank_costs[1:]) if repetitions > 1 else None,
         "index_regions": shared_rerank.dense_index.region_count(),
-        "index_tuples": shared_rerank.dense_index.tuple_count(),
     }
 
 
@@ -456,12 +393,7 @@ def run_best_worst_cases(
     def _run(reranker: QueryReranker, query, ranking, algorithm: Algorithm):
         stream = reranker.rerank(query, ranking, algorithm=algorithm)
         stream.top(depth)
-        return {
-            "queries": stream.statistics.external_queries,
-            "seconds": round(stream.statistics.processing_seconds, 2),
-            "dense_regions_built": stream.statistics.dense_regions_built,
-            "dense_index_hits": stream.statistics.dense_index_hits,
-        }
+        return paid(stream.statistics)
 
     # Feed ablated on the shared reranker: the warm TA run measures the
     # dense index's amortization, not a feed replay.
@@ -489,17 +421,10 @@ def run_best_worst_cases(
     lwr_cluster = environment.bluenile.value_multiplicity("length_width_ratio").get(1.0, 0)
     return {
         "worst_case": {
-            "ranking": worst_ranking.describe(),
             "ta_cold": worst_cold,
             "ta_warm": worst_warm,
             "rerank": worst_rerank,
             "lwr_cluster_size": lwr_cluster,
-            "lwr_cluster_fraction": lwr_cluster / environment.bluenile.size,
         },
-        "best_case": {
-            "ranking": best_ranking.describe(),
-            "ta": best_ta,
-            "rerank": best_rerank,
-        },
-        "depth": depth,
+        "best_case": {"ta": best_ta, "rerank": best_rerank},
     }

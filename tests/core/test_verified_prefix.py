@@ -240,7 +240,7 @@ def test_rerank_pays_no_more_than_binary_on_the_1d_table():
     indexing workload to zero after its first repetition."""
     table = {
         (driver, scenario, algorithm): queries
-        for driver, scenario, algorithm, queries, _ in read_table()
+        for driver, scenario, algorithm, queries, *_ in read_table()
     }
     scenarios = {scenario for driver, scenario, _ in table if driver == "sc_1d"}
     assert len(scenarios) == 9

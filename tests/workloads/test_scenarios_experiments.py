@@ -12,7 +12,6 @@ from repro.workloads.experiments import (
     run_fig4_statistics,
     run_onthefly_indexing,
     run_scenario_suite,
-    summarize_by_correlation,
 )
 from repro.workloads.scenarios import (
     CorrelationClass,
@@ -26,8 +25,8 @@ from repro.workloads.scenarios import (
 
 @pytest.fixture(scope="module")
 def environment() -> ExperimentEnvironment:
-    # A small environment keeps the harness tests fast while still showing the
-    # qualitative shapes; the benchmarks use larger catalogs.
+    # The pinned paper table's environment: small, fast, and still showing
+    # the qualitative shapes.
     return ExperimentEnvironment(catalog_scale=0.08, system_k=10, latency_seconds=1.0)
 
 
@@ -90,7 +89,7 @@ class TestHarness:
         output = run_fig2_parallelism(environment, depth=4)
         assert set(output) == {"2d", "3d"}
         for label, payload in output.items():
-            assert payload["queries"] > 0
+            assert payload["external_queries"] > 0
             assert 0.0 <= payload["parallel_fraction"] <= 1.0
             # The paper's headline: the vast majority of queries go out in
             # parallel groups.
@@ -100,10 +99,12 @@ class TestHarness:
         output = run_fig4_statistics(environment, page_size=5)
         assert output["rows_returned"] == 5
         assert output["external_queries"] > 0
-        assert output["processing_seconds"] > 0
-        assert output["paper_reference"]["external_queries"] == 27
+        # Simulated seconds only: a parallel group costs one round trip, so
+        # the request takes fewer seconds than it issues ~1 s queries.
+        assert 0 < output["simulated_seconds"] < output["external_queries"]
+        assert output["paper_reference"] == {"external_queries": 27, "seconds": 33.0}
 
-    def test_scenario_suite_and_summary(self, environment):
+    def test_scenario_suite(self, environment):
         scenarios = bluenile_scenarios_1d(environment.diamond_schema)[:2]
         results = run_scenario_suite(
             scenarios, [Algorithm.BINARY, Algorithm.RERANK], environment, depth=3
@@ -112,9 +113,6 @@ class TestHarness:
         for result in results:
             assert result.tuples_returned == 3
             assert result.external_queries > 0
-        summary = summarize_by_correlation(results)
-        for algorithms in summary.values():
-            assert set(algorithms) <= {"binary", "rerank"}
 
     def test_ta_skipped_for_1d_scenarios(self, environment):
         scenarios = bluenile_scenarios_1d(environment.diamond_schema)[:1]
@@ -135,12 +133,6 @@ class TestHarness:
         worst, best = output["worst_case"], output["best_case"]
         assert worst["lwr_cluster_size"] > environment.system_k
         # The worst case costs (much) more than the best case the first time...
-        assert worst["ta_cold"]["queries"] > best["ta"]["queries"]
+        assert worst["ta_cold"]["external_queries"] > best["ta"]["external_queries"]
         # ...and warms up once the dense region is indexed.
-        assert worst["ta_warm"]["queries"] < worst["ta_cold"]["queries"]
-
-    def test_experiment_result_row(self, environment):
-        scenarios = zillow_scenarios_1d(environment.housing_schema)[:1]
-        results = run_scenario_suite(scenarios, [Algorithm.RERANK], environment, depth=2)
-        row = results[0].as_row()
-        assert {"scenario", "algorithm", "queries", "seconds"} <= set(row)
+        assert worst["ta_warm"]["external_queries"] < worst["ta_cold"]["external_queries"]
