@@ -3,9 +3,9 @@
 The paper's system exposes a handful of operational knobs: the web database's
 ``system-k`` (how many results its public interface returns), the density
 threshold at which ``(1D/MD)-RERANK`` switches from binary probing to crawling
-and indexing a region, the number of worker threads used for parallel query
-processing, and the simulated network latency.  They are grouped here so the
-rest of the library never hard-codes magic numbers.
+and indexing a region, whether query groups are issued in parallel, and the
+simulated network latency.  They are grouped here so the rest of the library
+never hard-codes magic numbers.
 """
 
 from __future__ import annotations
@@ -90,12 +90,8 @@ class RerankConfig:
         Number of consecutive overflowing splits after which the RERANK
         variants treat a region as dense and crawl/index it, even if it is not
         yet narrow.  The BINARY variants ignore this and keep splitting until
-        ``max_binary_rounds`` — which is exactly the performance gap the paper
-        attributes to on-the-fly indexing.
-    max_binary_rounds:
-        Hard cap on the number of binary-search halvings before a region is
-        treated as dense regardless of its width (protects against adversarial
-        value distributions).
+        :data:`~repro.core.dense_index.MAX_BINARY_ROUNDS` — which is exactly
+        the performance gap the paper attributes to on-the-fly indexing.
     query_budget:
         Optional hard limit on the number of external queries a single
         Get-Next call may issue; ``None`` means unlimited.
@@ -104,9 +100,6 @@ class RerankConfig:
         flip this off).
     enable_session_cache:
         Global switch for the per-session seen-tuple cache.
-    enable_dense_index:
-        Global switch for on-the-fly dense-region indexing (BASELINE/BINARY
-        algorithms run with this off).
     enable_result_cache:
         Global switch for the shared query-result cache: identical external
         queries (same canonical predicates, same ``system-k``) are answered
@@ -142,11 +135,9 @@ class RerankConfig:
 
     dense_ratio_threshold: float = 0.005
     dense_split_depth: int = 12
-    max_binary_rounds: int = 40
     query_budget: Optional[int] = None
     enable_parallel: bool = True
     enable_session_cache: bool = True
-    enable_dense_index: bool = True
     enable_result_cache: bool = True
     result_cache_size: int = 4096
     result_cache_ttl_seconds: Optional[float] = None

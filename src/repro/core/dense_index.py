@@ -24,7 +24,7 @@ The structure is sublinear.  Regions are stored per attribute signature in a
 a walk over the regions straddling the probe (one step for the disjoint 1D
 intervals).  Adjacent and overlapping regions of the same signature are
 *coalesced* on insert — union of rows, widened box — which keeps the index
-small and lets :meth:`~DenseRegionIndex.covers` succeed on unions of
+small and lets :meth:`~DenseRegionIndex.lookup` succeed on unions of
 separately crawled regions (fewer external queries, not just faster lookups).
 Rows inside a region are deduplicated by key, sorted on the region's
 primary axis, and kept as the read-only rows the crawl returned (a row that
@@ -44,7 +44,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
+from repro.core.stats import RerankStatistics
+from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.dataset.schema import Schema
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
@@ -52,6 +55,7 @@ from repro.webdb.boxindex import BoxIndex
 from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.indexes import is_numeric
+from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, Row, SearchQuery, freeze_row
 
 
@@ -385,19 +389,14 @@ class DenseRegionIndex:
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
-    def covering_region(self, box: HyperRectangle) -> Optional[IndexedRegion]:
+    def _find_locked(self, box: HyperRectangle) -> Optional["_SortedRegion"]:
         """A stored region that fully covers ``box``, or ``None``.
 
         Coverage is judged on the same attribute signature only: a stored
         ``price`` interval covers a requested ``price`` sub-interval, but a
         stored ``(price, carat)`` box is not used to answer a pure ``price``
         question (it does cover it logically, but the bookkeeping cost is not
-        worth it at this catalog scale).
-        """
-        with self._lock:
-            return self._find_locked(box)
-
-    def _find_locked(self, box: HyperRectangle) -> Optional["_SortedRegion"]:
+        worth it at this catalog scale)."""
         index = self._indexes.get(tuple(sorted(box.attributes)))
         if index is None:
             return None
@@ -406,27 +405,18 @@ class DenseRegionIndex:
                 return region
         return None
 
-    def covers(self, box: HyperRectangle) -> bool:
-        """True when a stored region fully covers ``box``."""
-        return self.covering_region(box) is not None
-
-    def covers_interval(self, attribute: str, interval: RangePredicate) -> bool:
-        """True when a stored 1D region fully covers ``interval``."""
-        box = HyperRectangle((interval,))
-        return self.covers(box)
-
     def lookup(
         self,
         box: HyperRectangle,
         base_query: Optional[SearchQuery] = None,
     ) -> Optional[List[Row]]:
-        """Single-pass covered lookup: every known tuple inside ``box`` that
-        also matches ``base_query``, or ``None`` when ``box`` is not covered.
+        """Covered lookup: every known tuple inside ``box`` that also
+        matches ``base_query``, or ``None`` when ``box`` is not covered.
 
-        This replaces the ``covers()``-then-``rows_in()`` double call on the
-        algorithms' hot path: one signature walk decides coverage *and*
-        produces the answer.  A covered-but-empty answer is ``[]``, never
-        ``None``.  Rows are shared immutable mappings (no copies).
+        One signature walk decides coverage *and* produces the answer.  A
+        covered-but-empty answer is ``[]``, never ``None``.  Rows are shared
+        immutable mappings (no copies).  Counted in :meth:`describe`'s
+        ``lookups`` and ``hits``.
         """
         with self._lock:
             region = self._find_locked(box)
@@ -451,24 +441,15 @@ class DenseRegionIndex:
     ) -> List[Row]:
         """Every known tuple inside ``box`` that also matches ``base_query``.
 
-        Raises :class:`DenseRegionError` when ``box`` is not covered — callers
-        that cannot handle a miss must use this; :meth:`lookup` is the
-        single-pass variant returning ``None`` instead.
+        Raises :class:`DenseRegionError` when ``box`` is not covered; unlike
+        :meth:`lookup` it is not counted (:func:`dense_rows` reads a region
+        back with it right after indexing it).
         """
         with self._lock:
             region = self._find_locked(box)
         if region is None:
             raise DenseRegionError(f"region not covered by the index: {box.describe()}")
         return region.select(box, base_query)
-
-    def rows_in_interval(
-        self,
-        attribute: str,
-        interval: RangePredicate,
-        base_query: Optional[SearchQuery] = None,
-    ) -> List[Row]:
-        """1D convenience wrapper around :meth:`rows_in`."""
-        return self.rows_in(HyperRectangle((interval,)), base_query)
 
     # ------------------------------------------------------------------ #
     # Introspection / maintenance
@@ -511,3 +492,50 @@ class DenseRegionIndex:
             "per_signature": per_signature,
             "persistent": self._cache is not None,
         }
+
+
+#: Split depth after which the BINARY algorithms (and MD-BASELINE) treat a
+#: still-overflowing region as dense and crawl it without indexing it (RERANK
+#: stops at ``RerankConfig.dense_split_depth``): a guard against adversarial
+#: value distributions, not a tuning knob.
+MAX_BINARY_ROUNDS = 40
+
+
+def crawl_region(
+    engine: QueryEngine, statistics: RerankStatistics, query: SearchQuery
+) -> List[Row]:
+    """Every tuple matching ``query``, crawled through ``engine``; counted
+    on ``statistics`` as one dense region built and its crawled tuples."""
+    rows, crawl = HiddenDatabaseCrawler(engine).crawl(query)
+    statistics.add(dense_regions_built=1, crawled_tuples=crawl.tuples_retrieved)
+    return rows
+
+
+def dense_rows(
+    engine: QueryEngine,
+    statistics: RerankStatistics,
+    index: DenseRegionIndex,
+    box: HyperRectangle,
+    base_query: SearchQuery,
+    ask: Optional[SearchQuery] = None,
+) -> Tuple[List[Row], Optional[SearchResult]]:
+    """The rows inside ``box`` that match ``base_query``, and the answer to
+    ``ask`` when it was asked.
+
+    ``box`` is looked up in ``index`` first.  On a miss, ``ask`` — the region
+    with the user's filters, which may thin it below ``system_k`` — gets one
+    query: when its answer covers it, its rows are the answer.  Otherwise
+    ``box`` is crawled *without* the filters, so any later query can reuse
+    it, indexed, and read back.  Rows served by the index (after a crawl or
+    not) count as a ``dense_index_hits`` on ``statistics``.
+    """
+    rows = index.lookup(box, base_query)
+    if rows is not None:
+        statistics.record("dense_index_hits")
+        return rows, None
+    answer = engine.search(ask) if ask is not None else None
+    if answer is not None and answer.covers_query:
+        return list(answer.rows), answer
+    index.add_region(box, crawl_region(engine, statistics, SearchQuery(box.sides, ())))
+    statistics.record("dense_index_hits")
+    return index.rows_in(box, base_query), answer

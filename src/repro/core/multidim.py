@@ -37,12 +37,16 @@ from typing import Deque, Iterable, List, Mapping, Optional, Tuple
 
 from repro.config import RerankConfig
 from repro.core import contour
-from repro.core.dense_index import DenseRegionIndex
+from repro.core.dense_index import (
+    MAX_BINARY_ROUNDS,
+    DenseRegionIndex,
+    crawl_region,
+    dense_rows,
+)
 from repro.core.functions import LinearRankingFunction
 from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
 from repro.core.session import ChangeWatch, Session
-from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
 from repro.exceptions import RankingFunctionError
 from repro.webdb.delta import ChangeLog
 from repro.webdb.interface import SearchResult
@@ -71,7 +75,8 @@ class MDVariant(enum.Enum):
 
 
 class MultiDimGetNext:
-    """Get-Next driver for multi-attribute (linear) reranking."""
+    """Get-Next driver for multi-attribute (linear) reranking; MD-RERANK
+    requires ``dense_index``."""
 
     def __init__(
         self,
@@ -95,7 +100,19 @@ class MultiDimGetNext:
         self._session = session
         self._config = config or engine.config
         self._variant = variant
-        self._dense_index = dense_index
+        if variant is MDVariant.RERANK and dense_index is None:
+            raise ValueError("MD-RERANK needs a dense-region index")
+        #: The index this stream reads and grows; ``None`` for every variant
+        #: but RERANK, which is the one place that is decided.  A box still
+        #: overflowing at ``_dense_depth`` splits is treated as dense:
+        #: MD-RERANK switches to crawling/indexing early, MD-BINARY keeps
+        #: splitting until the hard cap and then crawls without remembering.
+        self._dense_index = dense_index if variant is MDVariant.RERANK else None
+        self._dense_depth = (
+            self._config.dense_split_depth
+            if self._dense_index is not None
+            else MAX_BINARY_ROUNDS
+        )
         self._statistics = session.statistics
 
         schema = engine.schema
@@ -177,30 +194,6 @@ class MultiDimGetNext:
         if self._config.enable_session_cache:
             self._session.remember(result.rows, self._engine.key_column)
 
-    def _use_dense_index(self) -> bool:
-        return (
-            self._variant is MDVariant.RERANK
-            and self._config.enable_dense_index
-            and self._dense_index is not None
-        )
-
-    def _crawl_box(
-        self, box: HyperRectangle, with_base_filter: bool
-    ) -> List[Row]:
-        """Crawl every tuple in ``box`` (optionally restricted to the user's
-        filters) through the public interface."""
-        region_query = SearchQuery(tuple(box.sides), ())
-        if with_base_filter:
-            region_query = box.to_query(self._base_query)
-        crawler = HiddenDatabaseCrawler(
-            _EngineInterfaceAdapter(self._engine)
-        )
-        rows, crawl_stats = crawler.crawl(region_query)
-        self._statistics.add(
-            dense_regions_built=1, crawled_tuples=crawl_stats.tuples_retrieved
-        )
-        return rows
-
     # ------------------------------------------------------------------ #
     # The search itself
     # ------------------------------------------------------------------ #
@@ -235,10 +228,11 @@ class MultiDimGetNext:
                     queue.append((narrowed, depth))
                     continue
                 # The contour could not shrink the box; fall through and split.
-            if depth >= self._config.max_binary_rounds or (
+            if depth >= MAX_BINARY_ROUNDS or (
                 box.max_relative_width(self._engine.schema) <= _POINT_WIDTH
             ):
-                rows = self._crawl_box(box, with_base_filter=True)
+                query = box.to_query(self._base_query)
+                rows = crawl_region(self._engine, self._statistics, query)
                 best = self._update_best(rows, best)
                 continue
             low, high = box.split(box.widest_attribute(self._engine.schema))
@@ -340,7 +334,7 @@ class MultiDimGetNext:
             batch, work = work, []
             to_query: List[Tuple[HyperRectangle, int]] = []
             for box, depth, _, _ in batch:
-                if self._use_dense_index():
+                if self._dense_index is not None:
                     rows = self._dense_index.lookup(box, self._base_query)
                     if rows is not None:
                         self._statistics.record("dense_index_hits")
@@ -350,7 +344,7 @@ class MultiDimGetNext:
                         continue
                 dense = (
                     box.max_relative_width(schema) < self._config.dense_ratio_threshold
-                    or depth >= self._dense_depth_limit()
+                    or depth >= self._dense_depth
                 )
                 if dense:
                     best = self._resolve_dense_box(box, best)
@@ -385,39 +379,24 @@ class MultiDimGetNext:
         self._store_open_boxes(deferred)
         return best
 
-    def _dense_depth_limit(self) -> int:
-        """Split depth after which a still-overflowing box is treated as dense.
-
-        MD-RERANK switches to crawling/indexing early; MD-BINARY keeps
-        splitting until the hard cap and then crawls without remembering."""
-        if self._use_dense_index():
-            return self._config.dense_split_depth
-        return self._config.max_binary_rounds
-
     def _resolve_dense_box(self, box: HyperRectangle, best: Best) -> Best:
-        """A box is dense (or too deep).  MD-RERANK crawls it without the user
-        filters and indexes it; MD-BINARY crawls it with the filters and pays
-        again next time."""
-        if self._use_dense_index():
-            assert self._dense_index is not None
-            # Index the closed version of the box: half-open sides come from
-            # binary splits, and a closed superset both simplifies persistence
-            # and guarantees the coverage invariant after a cache reload.  The
-            # crawl decision is keyed on the closed box (what would be stored)
-            # so the interval and naive implementations build identical
-            # coverage from identical crawls.
+        """A box is dense (or too deep).  MD-RERANK answers it from the
+        dense-region index, which crawls it without the user filters on a
+        miss; MD-BINARY crawls it with the filters and pays again next time."""
+        if self._dense_index is None:
+            query = box.to_query(self._base_query)
+            rows = crawl_region(self._engine, self._statistics, query)
+        else:
+            # Index the closed version of the box (half-open sides come from
+            # binary splits): it simplifies persistence, keeps the coverage
+            # invariant after a cache reload, and keys the crawl decision on
+            # what is stored, so the interval and naive indexes build
+            # identical coverage from identical crawls.
             closed_box = HyperRectangle.from_bounds(box.bounds())
-            covered = self._dense_index.lookup(closed_box, self._base_query)
-            if covered is None:
-                crawled = self._crawl_box(closed_box, with_base_filter=False)
-                self._dense_index.add_region(closed_box, crawled)
-                covered = self._dense_index.rows_in(closed_box, self._base_query)
+            covered, _ = dense_rows(
+                self._engine, self._statistics, self._dense_index, closed_box, self._base_query
+            )
             rows = [row for row in covered if box.contains(row)]
-            self._statistics.record("dense_index_hits")
-            if self._config.enable_session_cache:
-                self._session.remember(rows, self._engine.key_column)
-            return self._update_best(rows, best)
-        rows = self._crawl_box(box, with_base_filter=True)
         if self._config.enable_session_cache:
             self._session.remember(rows, self._engine.key_column)
         return self._update_best(rows, best)

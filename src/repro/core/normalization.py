@@ -90,7 +90,8 @@ def discover_attribute_range(
     config=None,
 ) -> Tuple[float, float]:
     """Discover the true (observed) min and max of ``attribute`` using the
-    1D-RERANK Get-Next primitive in both directions.
+    1D-BINARY Get-Next primitive in both directions (a one-off discovery has
+    no use for a dense-region index).
 
     This issues a handful of queries to the web database; services typically
     do it once per source at boot and cache the result.
@@ -116,7 +117,7 @@ def discover_attribute_range(
             ranking=SingleAttributeRanking(attribute, ascending=ascending),
             session=session,
             config=effective_config,
-            variant=OneDimVariant.RERANK,
+            variant=OneDimVariant.BINARY,
         )
         first = getnext.next()
         if first is None:

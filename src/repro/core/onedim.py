@@ -52,15 +52,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.config import RerankConfig
-from repro.core.dense_index import DenseRegionIndex
+from repro.core.dense_index import (
+    MAX_BINARY_ROUNDS,
+    DenseRegionIndex,
+    crawl_region,
+    dense_rows,
+)
 from repro.core.functions import SingleAttributeRanking
 from repro.core.parallel import QueryEngine
-from repro.core.regions import interval_relative_width
+from repro.core.regions import HyperRectangle, interval_relative_width
 from repro.core.session import ChangeWatch, Session
-from repro.crawl.crawler import HiddenDatabaseCrawler, _EngineInterfaceAdapter
 from repro.webdb.delta import ChangeLog
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import RangePredicate, Row, SearchQuery
@@ -141,7 +145,8 @@ class _Interval:
 
 
 class OneDimGetNext:
-    """Get-Next driver for single-attribute reranking."""
+    """Get-Next driver for single-attribute reranking; 1D-RERANK requires
+    ``dense_index``."""
 
     def __init__(
         self,
@@ -160,7 +165,20 @@ class OneDimGetNext:
         self._session = session
         self._config = config or engine.config
         self._variant = variant
-        self._dense_index = dense_index
+        if variant is OneDimVariant.RERANK and dense_index is None:
+            raise ValueError("1D-RERANK needs a dense-region index")
+        #: The index this stream reads and grows; ``None`` for every variant
+        #: but RERANK, which is the one place that is decided.  1D-RERANK
+        #: declares an interval dense as soon as it has survived
+        #: ``dense_split_depth`` overflowing halvings (or has become very
+        #: narrow); 1D-BINARY only gives up at the hard cap and therefore
+        #: keeps paying in dense regions.
+        self._dense_index = dense_index if variant is OneDimVariant.RERANK else None
+        self._round_limit = (
+            self._config.dense_split_depth
+            if self._dense_index is not None
+            else MAX_BINARY_ROUNDS
+        )
         self._statistics = session.statistics
 
         schema = engine.schema
@@ -258,15 +276,19 @@ class OneDimGetNext:
         )
         return self._base_query.with_range(predicate)
 
-    def _eligible_values(self, result: SearchResult) -> List[float]:
-        """Oriented values of returned rows strictly beyond the frontier."""
+    def _eligible(self, rows: Iterable[Row]) -> List[Row]:
+        """The rows strictly beyond the frontier."""
         lower, include_lower = self._frontier_lower()
-        values = []
-        for row in result.rows:
-            value = self._oriented_value(row)
-            if value > lower or (include_lower and value == lower):
-                values.append(value)
-        return values
+        return [
+            row
+            for row in rows
+            if self._oriented_value(row) > lower
+            or (include_lower and self._oriented_value(row) == lower)
+        ]
+
+    def _eligible_values(self, rows: Iterable[Row]) -> List[float]:
+        """Oriented values of the rows strictly beyond the frontier."""
+        return [self._oriented_value(row) for row in self._eligible(rows)]
 
     def _remember(self, result: SearchResult) -> None:
         if self._config.enable_session_cache:
@@ -340,7 +362,7 @@ class OneDimGetNext:
             result = self._search_interval(interval)
             self._remember(result)
             self._prove(interval, result)
-            values = self._eligible_values(result)
+            values = self._eligible_values(result.rows)
             if values:
                 candidate = min(values)
                 if best is None or candidate < best:
@@ -389,7 +411,7 @@ class OneDimGetNext:
                 return None
             self._remember(result)
             self._prove(interval, result)
-            values = self._eligible_values(result)
+            values = self._eligible_values(result.rows)
             if values:
                 best = min(values)
             if result.covers_query or best is None:
@@ -401,22 +423,13 @@ class OneDimGetNext:
         while True:
             width = upper - lower
             relative = self._relative_width(lower, upper)
-            # 1D-RERANK declares the interval dense as soon as it has survived
-            # ``dense_split_depth`` overflowing halvings (or has become very
-            # narrow); 1D-BINARY only gives up at the hard cap and therefore
-            # keeps paying in dense regions.
-            round_limit = (
-                self._config.dense_split_depth
-                if self._use_dense_index()
-                else self._config.max_binary_rounds
-            )
             dense = (
                 relative < self._config.dense_ratio_threshold
-                or rounds >= round_limit
+                or rounds >= self._round_limit
                 or width <= _EPSILON
             )
             if dense:
-                return self._resolve_dense_interval(lower, upper, include_lower, best)
+                return self._resolve_dense_interval(lower, include_lower, best)
             midpoint = lower + width / 2.0
             half = _Interval(lower, midpoint, include_lower, True)
             result = self._probe(half)
@@ -429,7 +442,7 @@ class OneDimGetNext:
                 continue
             self._remember(result)
             self._prove(half, result)
-            values = self._eligible_values(result)
+            values = self._eligible_values(result.rows)
             if result.is_underflow or not values:
                 lower, include_lower = midpoint, False
             elif result.covers_query:
@@ -447,23 +460,16 @@ class OneDimGetNext:
         eligible tuple (the caller treats it like an underflow), or a synthetic
         "covered" result when the index produced the answer locally.
         """
-        if self._use_dense_index():
+        if self._dense_index is not None:
             predicate = self._axis.interval_predicate(
                 interval.lower, interval.upper, interval.include_lower, interval.include_upper
             )
-            assert self._dense_index is not None
             rows = self._dense_index.lookup_interval(
                 self._axis.attribute, predicate, self._base_query
             )
             if rows is not None:
                 self._statistics.record("dense_index_hits")
-                lower, include_lower = self._frontier_lower()
-                eligible = [
-                    row
-                    for row in rows
-                    if self._oriented_value(row) > lower
-                    or (include_lower and self._oriented_value(row) == lower)
-                ]
+                eligible = self._eligible(rows)
                 if not eligible:
                     return None
                 return SearchResult(
@@ -478,83 +484,45 @@ class OneDimGetNext:
     def _search_interval(self, interval: _Interval) -> SearchResult:
         return self._engine.search(self._interval_query(interval))
 
-    def _relative_width(self, lower: float, upper: float) -> float:
-        predicate = self._axis.interval_predicate(lower, upper, True, True)
-        return interval_relative_width(predicate, self._engine.schema)
+    def _closed(self, lower: float, upper: float) -> RangePredicate:
+        """The raw closed range over the oriented ``[lower, upper]``."""
+        return self._axis.interval_predicate(lower, upper, True, True)
 
-    def _use_dense_index(self) -> bool:
-        return (
-            self._variant is OneDimVariant.RERANK
-            and self._config.enable_dense_index
-            and self._dense_index is not None
-        )
+    def _relative_width(self, lower: float, upper: float) -> float:
+        return interval_relative_width(self._closed(lower, upper), self._engine.schema)
 
     # .................................................................. #
     def _resolve_dense_interval(
-        self,
-        lower: float,
-        upper: float,
-        include_lower: bool,
-        best: float,
+        self, lower: float, include_lower: bool, best: float
     ) -> Optional[float]:
         """The candidate interval has become dense.
 
-        1D-RERANK answers it with the user's filters first when there are
-        any: they may thin the interval below ``system_k``, and then one
-        query settles it.  Otherwise (or when that query overflows) it crawls
-        the interval once without the filters, so the region is reusable,
-        indexes it, and answers locally.  The other variants fall back to
-        baseline narrowing inside the small interval, which is correct but
-        pays the price on every request — exactly the behaviour gap the paper
-        demonstrates.
+        1D-RERANK answers it from the dense-region index.  On a miss it asks
+        the interval with the user's filters first when there are any: they
+        may thin it below ``system_k``, and then one query settles it.
+        Otherwise (or when that query overflows) it crawls the interval once
+        without the filters, so the region is reusable, indexes it, and
+        answers locally.  The other variants fall back to baseline narrowing
+        inside the small interval, which is correct but pays the price on
+        every request — exactly the behaviour gap the paper demonstrates.
         """
-        if self._use_dense_index():
-            predicate = self._axis.interval_predicate(lower, best, True, True)
-            assert self._dense_index is not None
-            rows = self._dense_index.lookup_interval(
-                self._axis.attribute, predicate, self._base_query
-            )
-            if rows is None and self._filtered:
-                interval = _Interval(lower, best, include_lower, True)
-                result = self._search_interval(interval)
-                self._remember(result)
-                self._prove(interval, result)
-                if result.covers_query:
-                    values = self._eligible_values(result)
-                    return min(min(values), best) if values else best
-            if rows is None:
-                region_query = SearchQuery((predicate,), ())
-                crawler = HiddenDatabaseCrawler(
-                    _EngineInterfaceAdapter(self._engine)
-                )
-                crawled, crawl_stats = crawler.crawl(region_query)
-                self._dense_index.add_interval(
-                    self._axis.attribute, predicate.lower, predicate.upper, crawled
-                )
-                self._statistics.add(
-                    dense_regions_built=1, crawled_tuples=crawl_stats.tuples_retrieved
-                )
-                rows = self._dense_index.rows_in_interval(
-                    self._axis.attribute, predicate, self._base_query
-                )
-            self._statistics.record("dense_index_hits")
+        interval = _Interval(lower, best, include_lower, True)
+        if self._dense_index is None:
+            return self._baseline_search(interval, cached_bound=best)
+        rows, answer = dense_rows(
+            self._engine, self._statistics, self._dense_index,
+            HyperRectangle((self._closed(lower, best),)), self._base_query,
+            ask=self._interval_query(interval) if self._filtered else None,
+        )
+        if answer is not None:
+            self._remember(answer)
+            self._prove(interval, answer)
+        if answer is None or not answer.covers_query:
             if self._config.enable_session_cache:
                 self._session.remember(rows, self._engine.key_column)
             self._prove(_Interval(lower, best, True, True))
-            frontier_lower, frontier_inclusive = self._frontier_lower()
-            eligible = [
-                self._oriented_value(row)
-                for row in rows
-                if self._oriented_value(row) > frontier_lower
-                or (frontier_inclusive and self._oriented_value(row) == frontier_lower)
-            ]
-            if eligible:
-                return min(min(eligible), best)
-            return best
-
-        # BASELINE-style narrowing restricted to the dense interval.
-        interval = _Interval(lower, best, include_lower, True)
-        return self._baseline_search(interval, cached_bound=best)
+        values = self._eligible_values(rows)
+        return min(min(values), best) if values else best
 
     # ------------------------------------------------------------------ #
     # Step 2: resolve the value group at the chosen value
@@ -568,41 +536,28 @@ class OneDimGetNext:
                 fresh = self._candidates.tied(oriented_value)
                 fresh.sort(key=lambda row: str(row[key_column]))
                 return fresh
-        raw_value = self._axis.unorient(oriented_value)
-        point = RangePredicate(self._axis.attribute, raw_value, raw_value)
-        point_interval = _Interval(oriented_value, oriented_value, True, True)
-
-        rows: Optional[List[Row]] = None
-        if self._use_dense_index():
-            rows = self._dense_index.lookup_interval(
-                self._axis.attribute, point, self._base_query
+        point = _Interval(oriented_value, oriented_value, True, True)
+        group = self._closed(oriented_value, oriented_value)
+        # The point is asked with the filters first (after the dense index,
+        # if any): the group is crawled only when more than system-k tuples
+        # share the value (a general-positioning violation).
+        if self._dense_index is not None:
+            rows, answer = dense_rows(
+                self._engine, self._statistics, self._dense_index,
+                HyperRectangle((group,)), self._base_query,
+                ask=self._interval_query(point),
             )
-        if rows is not None:
-            self._statistics.record("dense_index_hits")
-            self._prove(point_interval)
         else:
-            result = self._engine.search(self._base_query.with_range(point))
-            self._remember(result)
-            self._prove(point_interval, result)
-            if result.covers_query:
-                rows = list(result.rows)
-            else:
-                # General-positioning violation: more than system-k tuples share
-                # this exact value.  Fall back to the hidden-database crawler.
-                crawler = HiddenDatabaseCrawler(
-                    _EngineInterfaceAdapter(self._engine)
-                )
-                region_query = SearchQuery((point,), ())
-                crawled, crawl_stats = crawler.crawl(region_query)
-                self._statistics.add(
-                    dense_regions_built=1, crawled_tuples=crawl_stats.tuples_retrieved
-                )
-                if self._use_dense_index():
-                    self._dense_index.add_interval(
-                        self._axis.attribute, raw_value, raw_value, crawled
-                    )
+            answer = self._search_interval(point)
+            rows = list(answer.rows)
+            if not answer.covers_query:
+                crawled = crawl_region(self._engine, self._statistics, SearchQuery((group,), ()))
                 rows = [row for row in crawled if self._base_query.matches(row)]
-                self._prove(point_interval)
+        if answer is not None:
+            self._remember(answer)
+        # The group is complete: the asked answer covered it, or the index
+        # or a crawl produced it.
+        self._prove(point, answer if answer is not None and answer.covers_query else None)
         if self._config.enable_session_cache:
             self._session.remember(rows, key_column)
         fresh = [row for row in rows if not self._session.has_emitted(row[key_column])]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.config import RerankConfig
@@ -32,6 +32,7 @@ from repro.core.onedim import OneDimGetNext, OneDimVariant
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.core.ta import ThresholdAlgorithmGetNext
+from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.exceptions import RankingFunctionError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.cache import CacheKey, QueryResultCache, default_namespace
@@ -107,6 +108,10 @@ class QueryReranker:
     ) -> None:
         self._interface = interface
         self._config = config or RerankConfig()
+        #: The persistent region store, kept across :meth:`invalidate` (which
+        #: detaches it from the index) so :meth:`verify_dense_cache` can
+        #: re-verify and re-attach it.
+        self._dense_cache = dense_cache
         self._dense_index = self._make_dense_index(dense_cache)
         self._result_cache: Optional[QueryResultCache] = (
             result_cache
@@ -216,7 +221,7 @@ class QueryReranker:
 
         A persistent dense-region cache is detached by invalidation (its
         on-disk regions would otherwise be reloaded stale); re-verify and
-        re-attach via a fresh reranker or :meth:`verify_dense_cache`.
+        re-attach it with :meth:`verify_dense_cache`.
         """
         cache_entries = 0
         if shard is not None:
@@ -490,32 +495,22 @@ class QueryReranker:
     # ------------------------------------------------------------------ #
     def verify_dense_cache(self) -> Dict[str, int]:
         """Boot-time verification of the persistent dense-region cache against
-        the live database (the paper refreshes the MySQL cache at start-up).
+        the live database (the paper refreshes the MySQL cache at start-up),
+        then a fresh index over the refreshed cache — which re-attaches a
+        cache that :meth:`invalidate` detached.
 
-        Returns the refresh counters; a no-op when no persistent cache is
-        attached.
+        Each stored region is re-crawled through a :class:`QueryEngine` over
+        the interface with no result cache, so it reads only live answers.
+        Returns the refresh counters; a no-op when no persistent cache was
+        given.
         """
-        cache = self._dense_index.cache
+        cache = self._dense_cache
         if cache is None:
             return {"checked": 0, "refreshed": 0, "unchanged": 0}
-
-        from repro.crawl.crawler import HiddenDatabaseCrawler
-        from repro.webdb.query import RangePredicate
-
-        def crawl_region(bounds: Mapping[str, tuple]) -> list:
-            region_query = SearchQuery(
-                tuple(
-                    RangePredicate(name, float(low), float(high))
-                    for name, (low, high) in bounds.items()
-                ),
-                (),
-            )
-            crawler = HiddenDatabaseCrawler(self._interface)
-            rows, _ = crawler.crawl(region_query)
-            return rows
-
-        counters = cache.verify_and_refresh(crawl_region)
-        # Rebuild the in-memory index from the refreshed cache.
+        crawler = HiddenDatabaseCrawler(QueryEngine(self._interface))
+        counters = cache.verify_and_refresh(
+            lambda bounds: crawler.crawl(SearchQuery.build(ranges=bounds))[0]
+        )
         self._dense_index = self._make_dense_index(cache)
         return counters
 

@@ -38,7 +38,8 @@ _TOLERANCE = 1e-9
 
 
 class ThresholdAlgorithmGetNext:
-    """Get-Next driver implementing MD-TA."""
+    """Get-Next driver implementing MD-TA.  Its sorted-access streams are
+    1D-RERANK streams sharing ``dense_index``."""
 
     def __init__(
         self,
@@ -46,9 +47,8 @@ class ThresholdAlgorithmGetNext:
         base_query: SearchQuery,
         ranking: LinearRankingFunction,
         session: Session,
+        dense_index: DenseRegionIndex,
         config: Optional[RerankConfig] = None,
-        dense_index: Optional[DenseRegionIndex] = None,
-        onedim_variant: OneDimVariant = OneDimVariant.RERANK,
         changes: Optional[ChangeLog] = None,
     ) -> None:
         if ranking.dimensionality < 2:
@@ -62,7 +62,6 @@ class ThresholdAlgorithmGetNext:
         self._config = config or engine.config
         self._dense_index = dense_index
         self._statistics = session.statistics
-        self._onedim_variant = onedim_variant
         self._changes = changes or ChangeLog()
         self._watch = ChangeWatch(self._changes, session, base_query)
 
@@ -101,7 +100,7 @@ class ThresholdAlgorithmGetNext:
                 ),
                 session=Session(session_id=f"{self._session.session_id}:ta:{attribute}"),
                 config=self._config,
-                variant=self._onedim_variant,
+                variant=OneDimVariant.RERANK,
                 dense_index=self._dense_index,
                 changes=self._changes,
             )

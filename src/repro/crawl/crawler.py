@@ -18,16 +18,19 @@ Numeric attributes are split at their midpoint; categorical attributes are
 partitioned value by value.  The number of queries issued is proportional to
 the number of leaves, which is within a constant factor of the optimal crawl
 for a fixed ``k`` (each valid leaf returns up to ``k`` fresh tuples).
+Queries go through a :class:`~repro.core.parallel.QueryEngine`, one group
+per breadth-first level, so a crawl is accounted, parallelised and
+budgeted like every other query of the request that needed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.exceptions import CrawlError
-from repro.webdb.counters import Counters, QueryBudget
-from repro.webdb.interface import TopKInterface
+from repro.webdb.counters import Counters
+from repro.webdb.interface import SearchResult
 from repro.webdb.query import InPredicate, RangePredicate, Row, SearchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - repro.core imports this module
@@ -52,16 +55,12 @@ class CrawlStatistics(Counters):
 
 
 class HiddenDatabaseCrawler:
-    """Retrieve every tuple matching a query through a top-k interface."""
+    """Retrieve every tuple matching a query through a :class:`QueryEngine`,
+    whose accounting, parallelism and query budget every crawl query
+    shares with the rest of its request."""
 
-    def __init__(
-        self,
-        interface: TopKInterface,
-        budget: Optional[QueryBudget] = None,
-        max_depth: int = 60,
-    ) -> None:
-        self._interface = interface
-        self._budget = budget
+    def __init__(self, engine: "QueryEngine", max_depth: int = 60) -> None:
+        self._engine = engine
         self._max_depth = max_depth
 
     # ------------------------------------------------------------------ #
@@ -69,18 +68,21 @@ class HiddenDatabaseCrawler:
         """Return every tuple matching ``query`` plus crawl statistics.
 
         The crawl proceeds breadth-first: every query of one level is issued
-        as a single group, so when the interface supports grouped (parallel)
-        execution — the :class:`~repro.core.parallel.QueryEngine` adapter does
-        — the crawl's round trips are overlapped exactly like the covering
-        queries of the MD algorithms.
+        as one engine group, so its round trips overlap exactly like the
+        covering queries of the MD algorithms.  The group bypasses the
+        result cache: crawl sub-regions are effectively unique, so they
+        never *store* into the shared cache (that would churn its LRU; the
+        dense-region index is their reuse layer), but they still read it —
+        the crawl's root query is usually the overflowing query the
+        algorithm just paid for.
 
         Raises :class:`CrawlError` when the region cannot be fully retrieved
-        (which, with this interface, only happens when more than ``system-k``
-        tuples are identical on every searchable attribute).
+        (which only happens when more than ``system-k`` tuples are identical
+        on every searchable attribute).
         """
         statistics = CrawlStatistics()
         collected: Dict[object, Row] = {}
-        key_column = self._interface.key_column
+        key_column = self._engine.key_column
 
         frontier: List[SearchQuery] = [query]
         depth = 0
@@ -117,16 +119,10 @@ class HiddenDatabaseCrawler:
     # ------------------------------------------------------------------ #
     def _search_level(
         self, queries: List[SearchQuery], statistics: CrawlStatistics
-    ) -> List:
-        """Issue one breadth-first level of queries, grouped when possible."""
-        if self._budget is not None:
-            self._budget.charge(len(queries))
+    ) -> List[SearchResult]:
+        """Issue one breadth-first level of queries as one engine group."""
         statistics.record("queries_issued", len(queries))
-        group_search = getattr(self._interface, "search_group", None)
-        if callable(group_search) and len(queries) > 1:
-            results = group_search(queries)
-        else:
-            results = [self._interface.search(query) for query in queries]
+        results = self._engine.search_group(queries, bypass_cache=True)
         overflowed = sum(1 for result in results if result.is_overflow)
         statistics.record("overflow_queries", overflowed)
         return results
@@ -150,7 +146,7 @@ class HiddenDatabaseCrawler:
     def _choose_split(self, query: SearchQuery) -> Optional[List[SearchQuery]]:
         """Pick the attribute whose domain can shrink the result set the most
         and return the sub-queries obtained by partitioning it."""
-        schema = self._interface.schema
+        schema = self._engine.schema
         best_numeric: Optional[Tuple[float, str, RangePredicate]] = None
         for name in schema.numeric_names:
             effective = query.effective_range(name, schema)
@@ -184,40 +180,3 @@ class HiddenDatabaseCrawler:
                 query.with_membership(InPredicate.of(name, values[middle:])),
             ]
         return None
-
-
-class _EngineInterfaceAdapter:
-    """Expose a :class:`~repro.core.parallel.QueryEngine` as a plain
-    :class:`TopKInterface` so the crawler's queries are accounted (and
-    parallelised) like every other external query of the 1D and MD
-    algorithms.  The engine also enforces the query budget, which is why the
-    crawler itself is not handed one."""
-
-    def __init__(self, engine: "QueryEngine") -> None:
-        self._engine = engine
-
-    @property
-    def schema(self):
-        return self._engine.schema
-
-    @property
-    def system_k(self) -> int:
-        return self._engine.system_k
-
-    @property
-    def key_column(self) -> str:
-        return self._engine.key_column
-
-    def search(self, query: SearchQuery):
-        # Crawler region queries are effectively unique (finely partitioned
-        # sub-regions), so they never *store* into the shared result cache —
-        # that would churn its LRU; the dense-region index is their reuse
-        # layer.  They still read it: the crawl's root query is usually the
-        # overflowing query the algorithm just paid for.
-        return self._engine.search(query, bypass_cache=True)
-
-    def search_group(self, queries):
-        return self._engine.search_group(queries, bypass_cache=True)
-
-    def queries_issued(self) -> int:
-        return self._engine.queries_issued()

@@ -8,7 +8,7 @@ semantics are interval-only and tested separately.
 
 import pytest
 
-from repro.core.dense_index import DenseRegionIndex
+from repro.core.dense_index import DenseRegionIndex, IndexedRegion
 from repro.core.regions import HyperRectangle
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
@@ -45,22 +45,22 @@ def naive_index(diamond_schema_fixture) -> NaiveDenseRegionIndex:
 class TestCoverage:
     def test_interval_coverage(self, index):
         index.add_interval("price", 0.0, 100.0, ROWS)
-        assert index.covers_interval("price", RangePredicate("price", 10.0, 50.0))
-        assert not index.covers_interval("price", RangePredicate("price", 50.0, 150.0))
-        assert not index.covers_interval("carat", RangePredicate("carat", 1.0, 2.0))
+        assert index.lookup_interval("price", RangePredicate("price", 10.0, 50.0)) is not None
+        assert index.lookup_interval("price", RangePredicate("price", 50.0, 150.0)) is None
+        assert index.lookup_interval("carat", RangePredicate("carat", 1.0, 2.0)) is None
 
     def test_box_coverage_same_signature_only(self, index):
         box = HyperRectangle.from_bounds({"price": (0.0, 100.0), "carat": (0.0, 3.0)})
         index.add_region(box, ROWS)
         inner = HyperRectangle.from_bounds({"price": (10.0, 20.0), "carat": (1.0, 2.0)})
-        assert index.covers(inner)
+        assert index.lookup(inner) is not None
         # A 1D question is not answered by the 2D region.
-        assert not index.covers_interval("price", RangePredicate("price", 10.0, 20.0))
+        assert index.lookup_interval("price", RangePredicate("price", 10.0, 20.0)) is None
 
     def test_half_open_request_covered_by_closed_region(self, index):
         index.add_interval("price", 0.0, 100.0, ROWS)
         half_open = RangePredicate("price", 10.0, 100.0, include_lower=False)
-        assert index.covers_interval("price", half_open)
+        assert index.lookup_interval("price", half_open) is not None
 
     def test_rows_in_requires_coverage(self, index):
         with pytest.raises(DenseRegionError):
@@ -68,15 +68,15 @@ class TestCoverage:
 
 
 class TestLookups:
-    def test_rows_in_interval_filters_by_interval(self, index):
+    def test_lookup_filters_by_interval(self, index):
         index.add_interval("price", 0.0, 100.0, ROWS)
-        rows = index.rows_in_interval("price", RangePredicate("price", 15.0, 100.0))
+        rows = index.lookup_interval("price", RangePredicate("price", 15.0, 100.0))
         assert {row["id"] for row in rows} == {"b", "c"}
 
-    def test_rows_in_interval_filters_by_base_query(self, index):
+    def test_lookup_filters_by_base_query(self, index):
         index.add_interval("price", 0.0, 100.0, ROWS)
         base = SearchQuery.build(ranges={"carat": (1.4, 3.0)})
-        rows = index.rows_in_interval("price", RangePredicate("price", 0.0, 100.0), base)
+        rows = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0), base)
         assert {row["id"] for row in rows} == {"b", "c"}
 
     def test_lookup_single_pass(self, index):
@@ -105,18 +105,18 @@ class TestLookups:
         the naive impl hands out copies, the interval impl hands out shared
         *immutable* mappings (no per-call copies)."""
         index.add_interval("price", 0.0, 100.0, ROWS)
-        rows = index.rows_in_interval("price", RangePredicate("price", 0.0, 100.0))
+        rows = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
         try:
             rows[0]["price"] = -1
         except TypeError:
             pass  # interval impl: immutable mapping refuses the write
-        again = index.rows_in_interval("price", RangePredicate("price", 0.0, 100.0))
+        again = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
         assert all(row["price"] >= 0 for row in again)
 
     def test_interval_rows_are_shared_immutable(self, interval_index):
         interval_index.add_interval("price", 0.0, 100.0, ROWS)
-        first = interval_index.rows_in_interval("price", RangePredicate("price", 0.0, 100.0))
-        second = interval_index.rows_in_interval("price", RangePredicate("price", 0.0, 100.0))
+        first = interval_index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
+        second = interval_index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
         # Same underlying objects (no dict() copies on the read path) ...
         assert {id(row) for row in first} == {id(row) for row in second}
         # ... and every one of them rejects mutation.
@@ -128,7 +128,7 @@ class TestLookups:
         mine = [dict(row) for row in ROWS]
         index.add_interval("price", 0.0, 100.0, mine)
         mine[0]["price"] = -999.0
-        rows = index.rows_in_interval("price", RangePredicate("price", 0.0, 100.0))
+        rows = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
         assert all(row["price"] >= 0 for row in rows)
 
 
@@ -140,15 +140,14 @@ class TestCoalescing:
         assert interval_index.coalesced_count() == 1
         # The union is covered even though neither inserted region covers it.
         probe = RangePredicate("price", 5.0, 25.0)
-        assert interval_index.covers_interval("price", probe)
         rows = interval_index.lookup_interval("price", probe)
-        assert {row["id"] for row in rows} == {"a", "b"}
+        assert rows is not None and {row["id"] for row in rows} == {"a", "b"}
 
     def test_naive_does_not_merge(self, naive_index):
         naive_index.add_interval("price", 0.0, 15.0, ROWS[:1])
         naive_index.add_interval("price", 15.0, 35.0, ROWS[1:])
         assert naive_index.region_count() == 2
-        assert not naive_index.covers_interval("price", RangePredicate("price", 5.0, 25.0))
+        assert naive_index.lookup_interval("price", RangePredicate("price", 5.0, 25.0)) is None
 
     def test_overlapping_intervals_dedup_rows(self, interval_index):
         interval_index.add_interval("price", 0.0, 25.0, ROWS[:2])
@@ -169,7 +168,7 @@ class TestCoalescing:
         interval_index.add_interval("price", 0.0, 10.0, ROWS[:1])
         interval_index.add_interval("price", 20.0, 40.0, ROWS[1:])
         assert interval_index.region_count() == 2
-        assert not interval_index.covers_interval("price", RangePredicate("price", 5.0, 25.0))
+        assert interval_index.lookup_interval("price", RangePredicate("price", 5.0, 25.0)) is None
 
     def test_one_insert_bridges_many_regions(self, interval_index):
         interval_index.add_interval("price", 0.0, 10.0, ROWS[:1])
@@ -199,7 +198,7 @@ class TestCoalescing:
         # space, so they must stay separate.
         assert interval_index.region_count() == 2
         spanning = HyperRectangle.from_bounds({"price": (10.0, 30.0), "carat": (0.0, 2.5)})
-        assert not interval_index.covers(spanning)
+        assert interval_index.lookup(spanning) is None
 
 
 class TestBookkeeping:
@@ -253,12 +252,9 @@ class TestBookkeeping:
         index.clear()
         assert index.describe()["delta_retired"] == 0
 
-    def test_cached_region_attributes(self, index):
+    def test_cached_region_attributes(self):
         box = HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 3.0)})
-        index.add_region(box, ROWS)
-        region = index.covering_region(
-            HyperRectangle.from_bounds({"price": (1.0, 2.0), "carat": (1.0, 2.0)})
-        )
+        region = IndexedRegion(box=box, rows=list(ROWS))
         # Computed once at construction, in sorted order.
         assert region.attributes == ("carat", "price")
         assert region.attributes is region.attributes
@@ -291,7 +287,7 @@ class TestPersistence:
         cache2 = DenseRegionCache(diamond_schema_fixture, path=path)
         second = INDEXES[impl](diamond_schema_fixture, cache=cache2)
         point = RangePredicate("length_width_ratio", 1.0, 1.0)
-        assert second.covers_interval("length_width_ratio", point)
-        assert len(second.rows_in_interval("length_width_ratio", point)) == 4
+        rows = second.lookup_interval("length_width_ratio", point)
+        assert rows is not None and len(rows) == 4
         assert second.describe()["persistent"]
         cache2.close()

@@ -72,13 +72,12 @@ class TestFilterEdgeCases:
 
 
 class TestConfigurationVariants:
-    def test_rerank_without_dense_index_still_correct(self, bluenile_db):
-        config = RerankConfig(enable_dense_index=False)
+    def test_binary_without_dense_index_still_correct(self, bluenile_db):
         query = SearchQuery.build(ranges={"length_width_ratio": (0.995, 1.3)})
         ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
         depth = bluenile_db.system_k + 3
-        stream = QueryReranker(bluenile_db, config=config).rerank(
-            query, ranking, algorithm=Algorithm.RERANK
+        stream = QueryReranker(bluenile_db).rerank(
+            query, ranking, algorithm=Algorithm.BINARY
         )
         rows = stream.top(depth)
         truth = bluenile_db.true_ranking(query, ranking.score, limit=depth)

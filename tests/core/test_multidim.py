@@ -134,6 +134,16 @@ class TestBehaviour:
                 session=Session("x"),
             )
 
+    def test_rerank_needs_a_dense_index(self, bluenile_db):
+        ranking = make_ranking(bluenile_db.schema, {"price": 1.0, "carat": -0.5})
+        with pytest.raises(ValueError):
+            MultiDimGetNext(
+                engine=QueryEngine(bluenile_db),
+                base_query=SearchQuery.everything(),
+                ranking=ranking,
+                session=Session("x"),
+            )
+
     def test_baseline_is_not_cheaper_than_binary_when_anticorrelated(self, bluenile_price_db):
         ranking = make_ranking(bluenile_price_db.schema, {"price": -1.0, "carat": -0.5})
         _, baseline_engine, _ = run_md(

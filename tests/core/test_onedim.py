@@ -195,8 +195,13 @@ class TestAlgorithmBehaviour:
 
     def test_rerank_is_the_default_variant(self, bluenile_db):
         engine = QueryEngine(bluenile_db)
+        ranking = SingleAttributeRanking("price")
+        # RERANK is never a hidden BINARY: it needs the index it grows.
+        with pytest.raises(ValueError):
+            OneDimGetNext(engine, SearchQuery.everything(), ranking, Session("x"))
         getnext = OneDimGetNext(
-            engine, SearchQuery.everything(), SingleAttributeRanking("price"), Session("x")
+            engine, SearchQuery.everything(), ranking, Session("x"),
+            dense_index=DenseRegionIndex(bluenile_db.schema),
         )
         assert getnext.variant is OneDimVariant.RERANK
         first = getnext.next()

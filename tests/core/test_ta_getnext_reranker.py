@@ -3,17 +3,21 @@
 import pytest
 
 from repro.config import RerankConfig
+from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.getnext import GetNextStream
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
+from repro.core.regions import HyperRectangle
 from repro.core.reranker import Algorithm, QueryReranker, RerankRequest
 from repro.core.session import Session
 from repro.core.ta import ThresholdAlgorithmGetNext
 from repro.exceptions import RankingFunctionError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.counters import QueryBudget
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
+from repro.webdb.ranking import FeaturedScoreRanking
 
 from tests.conftest import assert_matches_ground_truth
 
@@ -30,7 +34,8 @@ class TestThresholdAlgorithm:
         session = Session("ta-test")
         engine = QueryEngine(database, config=config, statistics=session.statistics)
         getnext = ThresholdAlgorithmGetNext(
-            engine=engine, base_query=query, ranking=ranking, session=session, config=config
+            engine=engine, base_query=query, ranking=ranking, session=session,
+            dense_index=DenseRegionIndex(database.schema), config=config,
         )
         rows = []
         for _ in range(depth):
@@ -81,6 +86,7 @@ class TestThresholdAlgorithm:
                 base_query=SearchQuery.everything(),
                 ranking=LinearRankingFunction({"price": 1.0}),
                 session=Session("x"),
+                dense_index=DenseRegionIndex(bluenile_db.schema),
             )
 
     def test_variant_name(self, bluenile_db):
@@ -90,6 +96,7 @@ class TestThresholdAlgorithm:
             base_query=SearchQuery.everything(),
             ranking=ranking,
             session=Session("x"),
+            dense_index=DenseRegionIndex(bluenile_db.schema),
         )
         assert getnext.variant == "ta"
 
@@ -233,6 +240,39 @@ class TestQueryReranker:
         assert counters["checked"] >= 1
         assert counters["refreshed"] == 0  # the database did not change
         assert counters["checked"] == counters["unchanged"]
+
+    def test_verify_dense_cache_after_invalidate_reattaches_live_regions(
+        self, diamond_catalog, diamond_schema_fixture, tmp_path
+    ):
+        # A private database: the test deletes a stone behind the reranker.
+        database = HiddenWebDatabase(
+            diamond_catalog,
+            diamond_schema_fixture,
+            FeaturedScoreRanking("price", boost_weight=2500.0),
+            system_k=10,
+        )
+        cache = DenseRegionCache(database.schema, path=str(tmp_path / "dense.sqlite"))
+        reranker = QueryReranker(database, dense_cache=cache)
+        ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+        query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+        reranker.rerank(query, ranking, algorithm=Algorithm.RERANK).top(
+            database.system_k + 5
+        )
+        stored = cache.regions()[0]
+        deleted = cache.rows_for_region(stored)[0]["id"]
+        database.apply_delta(deletes=[deleted])
+        reranker.invalidate()
+        assert reranker.dense_index.region_count() == 0
+
+        counters = reranker.verify_dense_cache()
+        assert counters["checked"] == len(cache.regions()) >= 1
+        assert counters["refreshed"] >= 1
+        assert reranker.dense_index.cache is cache
+        assert reranker.dense_index.region_count() >= 1
+        box = HyperRectangle.from_bounds(stored.bounds)
+        rows = reranker.dense_index.lookup(box)
+        assert rows is not None and deleted not in {row["id"] for row in rows}
+        cache.close()
 
     def test_verify_dense_cache_without_cache_is_noop(self, bluenile_reranker):
         assert bluenile_reranker.verify_dense_cache() == {

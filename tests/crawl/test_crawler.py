@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.parallel import QueryEngine
 from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
@@ -16,7 +17,7 @@ def crawl_value_group(interface, base_query, attribute, value):
     """Crawl every tuple matching ``base_query`` with ``attribute == value``:
     the fallback for more than ``system-k`` tuples sharing one value."""
     point = RangePredicate(attribute, value, value)
-    return HiddenDatabaseCrawler(interface).crawl(base_query.with_range(point))
+    return HiddenDatabaseCrawler(QueryEngine(interface)).crawl(base_query.with_range(point))
 
 
 def _clustered_db(cluster_size=60, other=40, system_k=10) -> HiddenWebDatabase:
@@ -50,7 +51,7 @@ def _clustered_db(cluster_size=60, other=40, system_k=10) -> HiddenWebDatabase:
 class TestCrawlCompleteness:
     def test_crawl_retrieves_every_matching_tuple(self, bluenile_db):
         query = SearchQuery.build(ranges={"price": (500, 5000)})
-        crawler = HiddenDatabaseCrawler(bluenile_db)
+        crawler = HiddenDatabaseCrawler(QueryEngine(bluenile_db))
         rows, stats = crawler.crawl(query)
         truth = bluenile_db.all_matches(query)
         assert {row["id"] for row in rows} == {row["id"] for row in truth}
@@ -61,7 +62,7 @@ class TestCrawlCompleteness:
         # A narrow region that does not overflow should cost exactly one query.
         query = SearchQuery.build(ranges={"carat": (4.5, 5.0)})
         assert not bluenile_db.search(query).is_overflow
-        crawler = HiddenDatabaseCrawler(bluenile_db)
+        crawler = HiddenDatabaseCrawler(QueryEngine(bluenile_db))
         rows, stats = crawler.crawl(query)
         assert stats.queries_issued == 1
         assert {row["id"] for row in rows} == {
@@ -81,14 +82,14 @@ class TestCrawlCompleteness:
 
     def test_crawl_whole_clustered_database(self):
         database = _clustered_db()
-        crawler = HiddenDatabaseCrawler(database)
+        crawler = HiddenDatabaseCrawler(QueryEngine(database))
         rows, _ = crawler.crawl(SearchQuery.everything())
         assert len(rows) == database.size
 
     def test_crawl_respects_base_filter(self):
         database = _clustered_db()
         query = SearchQuery.build(memberships={"kind": ["a"]})
-        crawler = HiddenDatabaseCrawler(database)
+        crawler = HiddenDatabaseCrawler(QueryEngine(database))
         rows, _ = crawler.crawl(query)
         assert all(row["kind"] == "a" for row in rows)
         assert {row["id"] for row in rows} == {
@@ -108,12 +109,30 @@ class TestCrawlCompleteness:
         assert len(rows) > bluenile_db.system_k  # it really is a violation
 
 
+class TestCrawlAccounting:
+    def test_crawl_lands_in_the_engines_statistics(self):
+        # Each breadth-first level is one engine group, and every level's
+        # round trips are external queries of the request that crawled.
+        engine = QueryEngine(_clustered_db())
+        assert engine.search(SearchQuery.everything()).is_overflow
+        rows, stats = HiddenDatabaseCrawler(engine).crawl(SearchQuery.everything())
+        assert len(rows) == 100
+        assert stats.max_depth >= 1
+        levels = engine.statistics.iteration_group_sizes[1:]
+        assert len(levels) == stats.max_depth + 1
+        assert levels[0] == 1 and all(size >= 2 for size in levels[1:])
+        assert sum(levels) == stats.queries_issued
+        assert engine.statistics.external_queries == 1 + stats.queries_issued
+        assert len(engine.query_log) == 1 + stats.queries_issued
+
+
 class TestCrawlLimits:
     def test_budget_enforced(self, bluenile_db):
-        budget = QueryBudget(3)
-        crawler = HiddenDatabaseCrawler(bluenile_db, budget=budget)
+        engine = QueryEngine(bluenile_db, budget=QueryBudget(3))
+        crawler = HiddenDatabaseCrawler(engine)
         with pytest.raises(QueryBudgetExceeded):
             crawler.crawl(SearchQuery.everything())
+        assert engine.budget.used <= 3
 
     def test_unsplittable_identical_tuples_raise(self):
         # More than k tuples identical on every searchable attribute cannot be
@@ -129,18 +148,18 @@ class TestCrawlLimits:
             AttributeOrderRanking("price"),
             system_k=5,
         )
-        crawler = HiddenDatabaseCrawler(database)
+        crawler = HiddenDatabaseCrawler(QueryEngine(database))
         with pytest.raises(CrawlError):
             crawler.crawl(SearchQuery.everything())
 
     def test_max_depth_enforced(self):
         database = _clustered_db()
-        crawler = HiddenDatabaseCrawler(database, max_depth=1)
+        crawler = HiddenDatabaseCrawler(QueryEngine(database), max_depth=1)
         with pytest.raises(CrawlError):
             crawler.crawl(SearchQuery.everything())
 
     def test_statistics_snapshot_keys(self, bluenile_db):
-        crawler = HiddenDatabaseCrawler(bluenile_db)
+        crawler = HiddenDatabaseCrawler(QueryEngine(bluenile_db))
         _, stats = crawler.crawl(SearchQuery.build(ranges={"carat": (0.2, 0.6)}))
         snapshot = stats.snapshot()
         assert {"queries_issued", "overflow_queries", "leaves", "tuples_retrieved"} <= set(snapshot)

@@ -100,21 +100,11 @@ class NaiveDenseRegionIndex:
         return retired
 
     # -- lookups -------------------------------------------------------- #
-    def covering_region(self, box: HyperRectangle) -> Optional[IndexedRegion]:
-        with self._lock:
-            return self._find_locked(box)
-
     def _find_locked(self, box: HyperRectangle) -> Optional[IndexedRegion]:
         for region in self._regions.get(tuple(sorted(box.attributes)), []):
             if region.box.covers(box):
                 return region
         return None
-
-    def covers(self, box: HyperRectangle) -> bool:
-        return self.covering_region(box) is not None
-
-    def covers_interval(self, attribute: str, interval: RangePredicate) -> bool:
-        return self.covers(HyperRectangle((interval,)))
 
     def lookup(
         self, box: HyperRectangle, base_query: Optional[SearchQuery] = None
@@ -139,18 +129,11 @@ class NaiveDenseRegionIndex:
     def rows_in(
         self, box: HyperRectangle, base_query: Optional[SearchQuery] = None
     ) -> List[Row]:
-        region = self.covering_region(box)
+        with self._lock:
+            region = self._find_locked(box)
         if region is None:
             raise DenseRegionError(f"region not covered by the index: {box.describe()}")
         return self._select(region, box, base_query)
-
-    def rows_in_interval(
-        self,
-        attribute: str,
-        interval: RangePredicate,
-        base_query: Optional[SearchQuery] = None,
-    ) -> List[Row]:
-        return self.rows_in(HyperRectangle((interval,)), base_query)
 
     @staticmethod
     def _select(

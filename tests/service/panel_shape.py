@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
+from repro.core.parallel import QueryEngine
 from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.dataset.diamonds import DiamondCatalogConfig
 from repro.dataset.housing import HousingCatalogConfig
@@ -95,7 +96,7 @@ def capture() -> Dict[str, Shape]:
         finally:
             tier.close()
         db = registry.get("bluenile").interface
-        _, statistics = HiddenDatabaseCrawler(db).crawl(
+        _, statistics = HiddenDatabaseCrawler(QueryEngine(db)).crawl(
             SearchQuery.build(ranges={"price": (300.0, 3000.0)})
         )
         shapes["crawl"] = list(shape(statistics.snapshot()))

@@ -11,9 +11,9 @@ DATABASE_FIELDS = {
     "shard_by", "latency_sleep", "fault_plan",
 }
 RERANK_FIELDS = {
-    "dense_ratio_threshold", "dense_split_depth", "max_binary_rounds",
+    "dense_ratio_threshold", "dense_split_depth",
     "query_budget", "enable_parallel",
-    "enable_session_cache", "enable_dense_index", "enable_result_cache",
+    "enable_session_cache", "enable_result_cache",
     "result_cache_size", "result_cache_ttl_seconds",
     "enable_rerank_feed", "rerank_feed_size", "rerank_feed_ttl_seconds",
     "resilience",
@@ -35,5 +35,5 @@ def test_config_field_sets_are_pinned():
     assert names(DatabaseConfig) == DATABASE_FIELDS
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
-    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 36
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 34
 
