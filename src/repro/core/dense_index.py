@@ -467,10 +467,6 @@ class DenseRegionIndex:
         with self._lock:
             return self._tuple_count
 
-    def coalesced_count(self) -> int:
-        """Number of region merges performed on insert."""
-        return self._events.read("coalesced")
-
     def signatures(self) -> List[Tuple[str, ...]]:
         """Attribute signatures that currently have at least one region."""
         with self._lock:

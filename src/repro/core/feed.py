@@ -25,10 +25,11 @@ followers by reference, never copied; per-user dedup against the consumer
 session's emitted history still happens in the stream layer
 (:class:`~repro.core.reranker.FeedBackedStream`).
 
-**Invalidation** mirrors the PR 3 generation counters: a feed is stamped with
-the generation of its namespace at creation — a token combining the store's
-own invalidation counters with the attached
-:class:`~repro.webdb.cache.QueryResultCache` generation — and
+**Invalidation** reads the namespace's :class:`~repro.webdb.delta.ChangeLog`
+— the attached :class:`~repro.webdb.cache.QueryResultCache`'s, or the store's
+own when it has no cache.  A feed is stamped with the log's count of full
+invalidations at creation (a delta retires only the feeds it can match, in
+:meth:`RerankFeedStore.invalidate_delta`), and
 
 * :meth:`RerankFeedStore.attach` refuses (and retires) feeds whose stamp no
   longer matches, so post-invalidation sessions always rebuild from the live
@@ -51,17 +52,12 @@ from repro.core.session import Session
 from repro.core.stats import RerankStatistics
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import Counters
-from repro.webdb.delta import CatalogDelta
+from repro.webdb.delta import CatalogDelta, ChangeLog, ChangeLogs
 from repro.webdb.query import Row, SearchQuery
 
 #: ``(namespace, system_k, algorithm, canonical query, canonical ranking)`` —
 #: the full identity of one shareable Get-Next stream.
 FeedKey = Tuple[str, int, str, Tuple, Tuple]
-
-#: Generation token a feed must match to stay (re-)attachable: the store's
-#: own (global, namespace) invalidation counters plus the result cache's
-#: (global, namespace) generation for the same namespace.
-GenerationToken = Tuple[int, int, Tuple[int, int]]
 
 
 def ranking_canonical_key(ranking) -> Optional[Tuple]:
@@ -132,21 +128,22 @@ class RerankFeed:
         key: FeedKey,
         key_column: str,
         factory: Callable[[], FeedProducer],
-        generation: GenerationToken,
-        generation_probe: Callable[[], GenerationToken],
+        changes: ChangeLog,
         counters: FeedStoreCounters,
         clock: Callable[[], float] = time.monotonic,
         query: Optional[SearchQuery] = None,
     ) -> None:
         self.key = key
         self.key_column = key_column
-        self.generation = generation
+        #: The namespace's change log, and its count of full invalidations
+        #: when the feed was created: the feed is current while they agree.
+        self._changes = changes
+        self._stamp = changes.invalidations
         #: The feed's filter query, kept for delta invalidation: the emission
         #: order can only change when a touched tuple version matches it.
         self.query = query
         self.created_at = clock()
         self._factory = factory
-        self._generation_probe = generation_probe
         self._counters = counters
         self._condition = threading.Condition()
         self._rows: List[Row] = []
@@ -169,6 +166,12 @@ class RerankFeed:
         """True once the producer has emitted its last tuple."""
         with self._condition:
             return self._exhausted
+
+    @property
+    def current(self) -> bool:
+        """True while no full invalidation of the namespace was logged since
+        the feed was created."""
+        return self._changes.invalidations == self._stamp
 
     @property
     def stale(self) -> bool:
@@ -249,7 +252,7 @@ class RerankFeed:
         finally:
             if statistics is not None and mark is not None:
                 statistics.absorb_since(producer.statistics, mark)
-            fresh = self._generation_probe() == self.generation
+            fresh = self.current
             degraded_advance = (
                 producer.statistics.degradation_mark() != degradation_before
             )
@@ -297,7 +300,8 @@ class RerankFeed:
 
 class RerankFeedStore:
     """LRU+TTL store of :class:`RerankFeed` objects for one source namespace
-    family, generation-tied to the shared query-result cache.
+    family, outdated by the full invalidations in the shared query-result
+    cache's change logs.
 
     Parameters
     ----------
@@ -308,11 +312,11 @@ class RerankFeedStore:
         Feed lifetime measured from creation; ``None`` disables expiry (the
         simulated databases are immutable).
     result_cache:
-        The shared :class:`~repro.webdb.cache.QueryResultCache`, if any.  Its
-        per-namespace generation is folded into every feed's generation
-        stamp, so ``cache.invalidate(namespace)`` transitively invalidates
-        the namespace's feeds — a feed must never outlive the query answers
-        it was derived from.
+        The shared :class:`~repro.webdb.cache.QueryResultCache`, if any.  The
+        store reads and records in its per-namespace change logs, so
+        ``cache.invalidate(namespace)`` transitively invalidates the
+        namespace's feeds — a feed must never outlive the query answers it
+        was derived from.  Without a cache the store keeps its own logs.
     """
 
     def __init__(
@@ -328,16 +332,12 @@ class RerankFeedStore:
             raise ValueError("ttl_seconds must be positive or None")
         self._max_feeds = max_feeds
         self._ttl = ttl_seconds
-        self._result_cache = result_cache
+        self._changes = (
+            result_cache.changes if result_cache is not None else ChangeLogs()
+        )
         self._clock = clock
         self._lock = threading.Lock()
         self._feeds: "OrderedDict[FeedKey, RerankFeed]" = OrderedDict()
-        # Generation counters live under their own lock: a leader probes them
-        # from inside its feed's critical section, and the main lock may be
-        # held while retiring feeds — separate locks keep the order acyclic.
-        self._generation_lock = threading.Lock()
-        self._global_generation = 0
-        self._namespace_generations: Dict[str, int] = {}
         self._counters = FeedStoreCounters()
 
     # ------------------------------------------------------------------ #
@@ -355,21 +355,6 @@ class RerankFeedStore:
         with self._lock:
             return len(self._feeds)
 
-    def generation(self, namespace: str) -> GenerationToken:
-        """The current generation token of ``namespace`` — the stamp a feed
-        must carry to be attachable."""
-        with self._generation_lock:
-            own = (
-                self._global_generation,
-                self._namespace_generations.get(namespace, 0),
-            )
-        cache_generation = (
-            self._result_cache.generation(namespace)
-            if self._result_cache is not None
-            else (0, 0)
-        )
-        return own[0], own[1], cache_generation
-
     # ------------------------------------------------------------------ #
     def attach(
         self,
@@ -384,9 +369,9 @@ class RerankFeedStore:
         """Get-or-create the feed for one canonical request.
 
         Returns ``None`` when the ranking cannot be canonicalized — the
-        caller falls back to a private, unshared stream.  A stored feed whose
-        generation stamp is outdated (store or result-cache invalidation) or
-        whose TTL has lapsed is retired and rebuilt fresh.
+        caller falls back to a private, unshared stream.  A stored feed that
+        a full invalidation (of the store or the result cache) outdated, or
+        whose TTL has lapsed, is retired and rebuilt fresh.
         """
         ranking_key = ranking_canonical_key(ranking)
         if ranking_key is None:
@@ -399,7 +384,7 @@ class RerankFeedStore:
             ranking_key,
         )
         now = self._clock()
-        generation = self.generation(namespace)
+        changes = self._changes(namespace)
         with self._lock:
             feed = self._feeds.get(key)
             if feed is not None:
@@ -407,7 +392,7 @@ class RerankFeedStore:
                 if expired:
                     self._retire_locked(key, "expirations")
                     feed = None
-                elif feed.stale or feed.generation != generation:
+                elif feed.stale or not feed.current:
                     self._retire_locked(key, "invalidations")
                     feed = None
             if feed is None:
@@ -415,8 +400,7 @@ class RerankFeedStore:
                     key,
                     key_column,
                     factory,
-                    generation,
-                    generation_probe=lambda ns=namespace: self.generation(ns),
+                    changes,
                     counters=self._counters,
                     clock=self._clock,
                     query=query,
@@ -432,16 +416,11 @@ class RerankFeedStore:
         return feed
 
     def invalidate(self, namespace: Optional[str] = None) -> int:
-        """Retire every feed (or every feed of one namespace) and bump the
-        matching generation counter so in-flight leaders cannot keep their
-        now-stale prefixes attachable; returns the number retired."""
-        with self._generation_lock:
-            if namespace is None:
-                self._global_generation += 1
-            else:
-                self._namespace_generations[namespace] = (
-                    self._namespace_generations.get(namespace, 0) + 1
-                )
+        """Retire every feed (or every feed of one namespace) and log a full
+        invalidation of the namespace (of every namespace) so in-flight
+        leaders cannot keep their now-stale prefixes attachable; returns the
+        number retired."""
+        self._changes.record(namespace)
         removed = 0
         with self._lock:
             doomed = [
@@ -458,8 +437,8 @@ class RerankFeedStore:
         """Retire only the feeds of ``namespace`` whose filter query ``delta``
         can match; returns the number retired.
 
-        No generation counter is bumped: surviving feeds stay attachable and
-        keep their verified prefixes.  That is sound because a feed's
+        A delta is not a full invalidation: surviving feeds stay attachable
+        and keep their verified prefixes.  That is sound because a feed's
         emission order is a pure function of the tuples matching its filter
         query — when no touched version matches it, neither the match set
         nor any matched tuple's attribute values changed, so the prefix is

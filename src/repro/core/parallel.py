@@ -17,8 +17,7 @@ Every external query a reranking algorithm issues goes through
   onto a single round trip;
 * **accounting** — per-iteration group sizes (the paper's Fig. 2 metric),
   external-query counts, simulated latency (a parallel group costs one round
-  trip, i.e. the *maximum* of its members' latencies, not the sum), and the
-  query log;
+  trip, i.e. the *maximum* of its members' latencies, not the sum);
 * **budget enforcement** — the optional hard cap on external queries.  The
   charge is atomic check-then-issue: a group that would exceed the budget
   raises *before* any of its queries runs and leaves ``budget.used`` exactly
@@ -31,7 +30,6 @@ free of threading and bookkeeping concerns.
 from __future__ import annotations
 
 import enum
-import threading
 from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,7 +37,7 @@ from repro.config import RerankConfig
 from repro.core.stats import RerankStatistics
 from repro.exceptions import SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
-from repro.webdb.counters import QueryBudget, QueryLog
+from repro.webdb.counters import QueryBudget
 from repro.webdb.interface import SearchResult, TopKInterface
 from repro.webdb.query import SearchQuery
 
@@ -51,7 +49,7 @@ class QueryOutcome(enum.Enum):
     HIT = "hit"  #: answered from a stored entry
     CONTAINED = "contained"  #: derived from a covering superset entry
     COALESCED = "coalesced"  #: rode along another caller's round trip
-    STALE = "stale"  #: the round trip failed; a generation-stale entry answered
+    STALE = "stale"  #: the round trip failed; an invalidated entry answered
     FAILED = "failed"  #: the round trip raised and nothing could answer
     UNISSUED = "unissued"  #: never attempted (sequential tail after a failure)
 
@@ -78,7 +76,6 @@ class QueryEngine:
         config: Optional[RerankConfig] = None,
         statistics: Optional[RerankStatistics] = None,
         budget: Optional[QueryBudget] = None,
-        query_log: Optional[QueryLog] = None,
         result_cache: Optional[QueryResultCache] = None,
         cache_namespace: Optional[str] = None,
     ) -> None:
@@ -86,14 +83,11 @@ class QueryEngine:
         self._config = config or RerankConfig()
         self.statistics = statistics or RerankStatistics()
         self._budget = budget or QueryBudget(self._config.query_budget)
-        self.query_log = query_log or QueryLog()
         self._cache = result_cache if self._config.enable_result_cache else None
         self._cache_namespace = cache_namespace or default_namespace(interface)
         # Read per row by the MD algorithms: resolve the interface's property
         # chain (stack -> database -> schema) once.
         self._key_column = interface.key_column
-        self._group_counter = 0
-        self._group_lock = threading.Lock()
         # The guards' shared counters (``None`` over an unguarded source),
         # read around each group to attribute retries to this request.
         self._resilience_stats = interface.resilience_statistics
@@ -148,11 +142,6 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _next_group_id(self) -> int:
-        with self._group_lock:
-            self._group_counter += 1
-            return self._group_counter
-
     def search(self, query: SearchQuery, bypass_cache: bool = False) -> SearchResult:
         """Issue a single query (an iteration of group size one)."""
         return self.search_group([query], bypass_cache=bypass_cache)[0]
@@ -185,7 +174,6 @@ class QueryEngine:
         """
         if not queries:
             return []
-        group_id = self._next_group_id()
         use_cache = self._cache is not None and not bypass_cache
 
         # Phase 1: resolve what we can from the shared cache (zero cost) —
@@ -257,15 +245,8 @@ class QueryEngine:
         for result, outcome in settled:  # type: ignore[misc]
             assert result is not None
             results.append(result)
-            paid = outcome is QueryOutcome.ISSUED
-            if paid:
+            if outcome is QueryOutcome.ISSUED:
                 issued_latencies.append(result.elapsed_seconds)
-            # Cached answers are logged distinctly from issued ones.
-            self.query_log.record(
-                result,
-                parallel_group=group_id if (use_parallel and paid) else None,
-                cached=not paid,
-            )
         if self._config.enable_parallel:
             group_latency = max(issued_latencies, default=0.0)
         else:
@@ -328,7 +309,7 @@ class QueryEngine:
     ) -> Settled:
         """Settle a query whose round trip raised.  When the source is
         unavailable (retries exhausted, circuit open) and the resilience
-        policy allows it, a generation-stale cache entry — an answer flushed
+        policy allows it, an invalidated cache entry — an answer flushed
         by an earlier invalidation, still within its TTL — is served instead
         of failing, marked ``stale``/``degraded``."""
         if (

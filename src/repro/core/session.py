@@ -140,11 +140,6 @@ class Session:
         with self._lock:
             return key in self._emitted
 
-    def emitted_count(self) -> int:
-        """Number of tuples returned so far (the ``h`` of top-h)."""
-        with self._lock:
-            return len(self._emitted)
-
     # ------------------------------------------------------------------ #
     # Pending queue (tied tuples of the current value/score group)
     # ------------------------------------------------------------------ #

@@ -19,11 +19,12 @@ different interface contract:
   differs from the caller's expectation for that namespace.  The
   overflow/valid/underflow trichotomy is only meaningful relative to ``k``,
   so an entry from a re-configured interface must never be replayed;
-* **generation stamps** — every entry records the namespace's live-cache
-  generation token at snapshot time.  :meth:`ResultCacheStore.save` re-reads
-  the token after writing and drops any namespace whose generation moved
-  mid-save (an ``invalidate`` racing the snapshot would otherwise persist
-  entries the live cache had already flushed), and
+* **change stamps** — every entry records its namespace's live-cache change
+  sequence (``QueryResultCache.changes``) at snapshot time, in the
+  ``generation`` column.  :meth:`ResultCacheStore.save` re-reads the
+  sequence after writing and drops any namespace whose sequence moved
+  mid-save (an ``invalidate`` or a delta racing the snapshot would otherwise
+  persist entries the live cache had already retired), and
   :meth:`ResultCacheStore.load` skips rows whose stamp disagrees with the
   namespace stamp recorded in the meta table.
 
@@ -50,7 +51,7 @@ from repro.webdb.query import SearchQuery, freeze_row
 
 #: Bumped whenever the table layout or the JSON payload shape changes; a
 #: spill recorded under any other version is ignored and recreated.
-#: v2: entries carry the namespace's cache-generation stamp.
+#: v2: entries carry their namespace's change stamp.
 SCHEMA_VERSION = 2
 
 
@@ -89,7 +90,7 @@ class ResultCacheStore:
             )
             # The version check runs before the entries table is created:
             # a version bump may change the column set (v1 → v2 added the
-            # generation stamp), so an incompatible spill's table must be
+            # change stamp), so an incompatible spill's table must be
             # dropped outright, not merely emptied.
             row = connection.execute(
                 "SELECT value FROM result_cache_meta WHERE key = 'schema_version'"
@@ -157,18 +158,16 @@ class ResultCacheStore:
 
         Returns the number of entries persisted.  The snapshot preserves LRU
         order so a future load re-stores entries oldest-first.  Every entry
-        is stamped with its namespace's generation token; after the write the
-        live token is read again, and a namespace whose generation moved
-        mid-save is deleted from the spill — the racing ``invalidate`` has
-        already flushed those entries from the live cache, and persisting
-        them would resurrect them at the next warm load."""
-        entries, tokens = cache.export_snapshot()
-        generations: Dict[str, str] = {
-            namespace: json.dumps(token) for namespace, token in tokens.items()
-        }
+        is stamped with its namespace's change sequence; after the write the
+        live sequence is read again, and a namespace whose sequence moved
+        mid-save is deleted from the spill — the racing ``invalidate`` or
+        delta may have retired those entries from the live cache (and pruned
+        them from the spill before this write), and persisting them would
+        resurrect them at the next warm load."""
+        entries, sequences = cache.export_snapshot()
+        stamps = {namespace: str(sequence) for namespace, sequence in sequences.items()}
         rows = []
         for position, (namespace, system_k, result) in enumerate(entries):
-            stamp = generations[namespace]
             rows.append(
                 (
                     namespace,
@@ -176,7 +175,7 @@ class ResultCacheStore:
                     repr(result.query.canonical_key()),
                     self._serialize(result),
                     position,
-                    stamp,
+                    stamps[namespace],
                 )
             )
         persisted = len(rows)
@@ -198,11 +197,11 @@ class ResultCacheStore:
                 "INSERT OR REPLACE INTO result_cache_meta (key, value) VALUES (?, ?)",
                 [
                     (f"generation:{namespace}", stamp)
-                    for namespace, stamp in generations.items()
+                    for namespace, stamp in stamps.items()
                 ],
             )
-            for namespace, stamp in generations.items():
-                if json.dumps(cache.generation(namespace)) != stamp:
+            for namespace, stamp in stamps.items():
+                if str(cache.changes(namespace).sequence) != stamp:
                     dropped = connection.execute(
                         "SELECT COUNT(*) FROM result_cache_entries WHERE namespace = ?",
                         (namespace,),
@@ -254,7 +253,7 @@ class ResultCacheStore:
             ):
                 continue
             if stamps.get(namespace) != generation:
-                # Stamped under a different generation than the namespace's
+                # Stamped under a different sequence than the namespace's
                 # recorded one: a partial or raced save left it behind.
                 continue
             result = self._deserialize(payload)

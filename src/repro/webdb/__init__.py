@@ -12,7 +12,7 @@ from repro.webdb.ranking import (
     SystemRankingFunction,
 )
 from repro.webdb.cache import FetchStatus, QueryResultCache
-from repro.webdb.counters import QueryBudget, QueryCounter, QueryLog
+from repro.webdb.counters import QueryBudget, QueryCounter
 from repro.webdb.federation import FederatedInterface, partition_positions
 from repro.webdb.engine import ExecutionEngine, IndexedColumnarEngine, QueryPlan
 from repro.webdb.indexes import ColumnarCatalog
@@ -42,7 +42,6 @@ __all__ = [
     "RandomTieBreakRanking",
     "QueryCounter",
     "QueryBudget",
-    "QueryLog",
     "LatencyModel",
     "FederatedInterface",
     "SourceStack",

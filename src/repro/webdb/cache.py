@@ -35,15 +35,14 @@ re-issuing queries the service has already paid for.
   every ``HIT``, ``CONTAINED`` and ``COALESCED`` caller.  Its rows are
   read-only :data:`~repro.webdb.query.Row`\\ s, so sharing needs no copy; only
   the ``MISS`` caller gets its own result, carrying the real latency;
-* **generation-checked stores** — :meth:`QueryResultCache.invalidate` bumps a
-  generation counter, and in-flight queries that began *before* the
-  invalidation do not re-store their (possibly stale) results after it;
-* **delta invalidation** — :meth:`QueryResultCache.invalidate_delta` retires
-  only the entries whose query a :class:`~repro.webdb.delta.CatalogDelta`
-  can match, leaving unrelated entries (and the namespace generation) alone.
-  A bounded per-namespace delta log extends the in-flight store guard: a
-  query claimed before a delta only re-stores if no intervening delta could
-  have changed its answer.
+* **change-checked stores** — every namespace has a
+  :class:`~repro.webdb.delta.ChangeLog` (``QueryResultCache.changes``);
+  :meth:`QueryResultCache.invalidate` logs a full invalidation in it, and
+  :meth:`QueryResultCache.invalidate_delta` logs the
+  :class:`~repro.webdb.delta.CatalogDelta` after retiring only the entries
+  whose query it can match.  A query in flight across either is stored only
+  when no change logged since it was claimed could have changed its answer;
+  the feed store and the SQLite spill stamp themselves from the same log.
 
 Because a valid/underflow result proves the caller has observed *every* tuple
 matching the query, replaying a cached result preserves the paper's
@@ -56,21 +55,21 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from collections import OrderedDict, defaultdict, deque
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.webdb.boxindex import BoxIndex
 from repro.webdb.counters import Counters
-from repro.webdb.delta import CatalogDelta
+from repro.webdb.delta import CatalogDelta, ChangeLogs
 from repro.webdb.interface import Outcome, SearchResult, Settlement, TopKInterface
 from repro.webdb.query import SearchQuery
 
 #: ``(namespace, system_k, canonical query key)`` — the full cache identity.
 CacheKey = Tuple[str, int, Tuple]
 
-#: ``(namespace, generation, delta sequence)`` a derived store is checked against.
-Claim = Tuple[str, Tuple[int, int], int]
+#: ``(namespace, change sequence)`` a derived store is checked against.
+Claim = Tuple[str, int]
 
 
 class FetchStatus(enum.Enum):
@@ -80,7 +79,7 @@ class FetchStatus(enum.Enum):
     HIT = "hit"  #: answered from a stored entry, zero round trips
     COALESCED = "coalesced"  #: rode along another caller's in-flight query
     CONTAINED = "contained"  #: derived from a covering superset entry
-    STALE = "stale"  #: generation-stale entry served while the source is down
+    STALE = "stale"  #: invalidated entry served while the source is down
 
 
 @dataclass
@@ -177,17 +176,13 @@ class QueryResultCache:
         #: ``(namespace, system_k)`` → covering (non-overflow) entries usable
         #: for containment answering, keyed like ``_entries``: ``(key, query)``.
         self._covering: Dict[Tuple[str, int], BoxIndex] = defaultdict(BoxIndex)
-        #: Generation counters bumped by :meth:`invalidate`: stores from
-        #: queries claimed under an older generation are dropped.
-        self._global_generation = 0
-        self._namespace_generations: Dict[str, int] = {}
-        #: Per-namespace delta sequence + bounded log of recent deltas: a
-        #: store claimed at sequence ``s`` is accepted only when every delta
-        #: logged after ``s`` provably cannot match the stored query.  A
-        #: sequence older than the log's tail is conservatively dropped.
-        self._delta_seqs: Dict[str, int] = {}
-        self._delta_logs: Dict[str, Deque[Tuple[int, CatalogDelta]]] = {}
-        #: Generation-stale side-store: entries flushed by :meth:`invalidate`
+        #: ``changes(namespace)`` is the namespace's change log: the cache
+        #: logs its invalidations and deltas there under the lock, the feed
+        #: store its own invalidations.  A store claimed at sequence ``s`` is
+        #: accepted only when every change logged after ``s`` is a delta
+        #: that provably cannot match the stored query.
+        self.changes = ChangeLogs()
+        #: Stale side-store: entries flushed by :meth:`invalidate`
         #: are kept here (bounded, LRU) so :meth:`serve_stale` can answer a
         #: query while its source's breaker is open.  Delta-retired entries
         #: never enter (the delta *proves* them wrong), and a later delta
@@ -195,9 +190,6 @@ class QueryResultCache:
         #: an ``apply_delta`` that touched its query.
         self._stale: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self.statistics = CacheStatistics()
-
-    #: How many recent deltas per namespace the in-flight store guard keeps.
-    DELTA_LOG_LIMIT = 32
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -299,15 +291,11 @@ class QueryResultCache:
             self._store_locked(key, query, result)
 
     def claim(self, namespaces: Sequence[str]) -> List[Claim]:
-        """Each namespace's current generation and delta sequence, for a
-        later :meth:`store_claimed` of an answer derived from them."""
+        """Each namespace's current change sequence, for a later
+        :meth:`store_claimed` of an answer derived from them."""
         with self._lock:
             return [
-                (
-                    namespace,
-                    self._generation_locked(namespace),
-                    self._delta_seqs.get(namespace, 0),
-                )
+                (namespace, self.changes(namespace).sequence)
                 for namespace in namespaces
             ]
 
@@ -325,8 +313,8 @@ class QueryResultCache:
         key = self.key_for(namespace, query, system_k)
         with self._lock:
             if all(
-                self._store_allowed_locked(claimed, query, generation, delta_seq)
-                for claimed, generation, delta_seq in claims
+                self._store_allowed_locked(claimed, query, stamp)
+                for claimed, stamp in claims
             ):
                 self._store_locked(key, query, result)
 
@@ -395,8 +383,7 @@ class QueryResultCache:
         with self._lock:
             # A store is dropped when an invalidation (or a delta that could
             # match) lands between this claim and the store.
-            generation = self._generation_locked(namespace)
-            delta_seq = self._delta_seqs.get(namespace, 0)
+            stamp = self.changes(namespace).sequence
             for position, key in enumerate(keys):
                 entry = self._live_entry(key)
                 if entry is not None:
@@ -456,7 +443,7 @@ class QueryResultCache:
                     flight.result = owner_results[key] = shared = self._at_no_cost(result)
                     misses += 1
                     query = materialized[owner_position[key]]
-                    if self._store_allowed_locked(namespace, query, generation, delta_seq):
+                    if self._store_allowed_locked(namespace, query, stamp):
                         self._store_locked(key, query, shared)
             for flight in owned.values():
                 flight.done.set()
@@ -500,10 +487,10 @@ class QueryResultCache:
     # ------------------------------------------------------------------ #
     def export_snapshot(
         self,
-    ) -> Tuple[List[Tuple[str, int, SearchResult]], Dict[str, Tuple[int, int]]]:
+    ) -> Tuple[List[Tuple[str, int, SearchResult]], Dict[str, int]]:
         """Stable snapshot of the live entries for persistence adapters, plus
-        each exported namespace's generation token, captured under one lock
-        acquisition.
+        each exported namespace's change sequence as its stamp, captured
+        under one lock acquisition.
 
         One ``(namespace, system_k, result)`` triple per entry in LRU order
         (least recently used first, so re-storing in order reproduces the
@@ -511,9 +498,9 @@ class QueryResultCache:
         needs to re-:meth:`store` the entry.  Expired entries are skipped
         without being counted as expirations.
 
-        Persistence adapters need the pairing to be atomic: a generation
-        read *after* a racing ``invalidate`` would stamp already-flushed
-        entries with the post-flush token, re-legitimizing them at the next
+        Persistence adapters need the pairing to be atomic: a stamp read
+        *after* a racing ``invalidate`` or delta would stamp already-retired
+        entries with the later sequence, re-legitimizing them at the next
         warm load."""
         now = self._clock()
         with self._lock:
@@ -522,34 +509,25 @@ class QueryResultCache:
                 for key, entry in self._entries.items()
                 if self._ttl is None or now - entry.stored_at < self._ttl
             ]
-            generations = {
-                namespace: self._generation_locked(namespace)
+            stamps = {
+                namespace: self.changes(namespace).sequence
                 for namespace in {namespace for namespace, _, _ in entries}
             }
-        return entries, generations
+        return entries, stamps
 
     # ------------------------------------------------------------------ #
     # Invalidation
     # ------------------------------------------------------------------ #
-    def generation(self, namespace: str) -> Tuple[int, int]:
-        """The namespace's current generation token (global, namespace).
-
-        Bumped by every :meth:`invalidate` covering the namespace.  Derived
-        caches — the shared rerank feed store folds this into its feed
-        stamps — compare tokens to detect that their source answers were
-        flushed and must not be reused."""
-        with self._lock:
-            return self._generation_locked(namespace)
-
     def invalidate(self, namespace: Optional[str] = None) -> int:
         """Drop every entry (or every entry of one namespace); returns the
         number removed.
 
-        The namespace's generation counter is bumped, so in-flight queries
-        that began *before* the invalidation complete normally for their
-        callers but do **not** re-store their results — without the counter a
-        slow pre-invalidation query could resurrect a stale entry after the
-        flush.
+        A full invalidation is logged in the namespace's change log (in every
+        log when no namespace is given), so in-flight queries that began
+        *before* the invalidation complete normally for their callers but do
+        **not** re-store their results — without it a slow pre-invalidation
+        query could resurrect a stale entry after the flush — and the
+        namespace's feeds are outdated.
 
         Flushed entries are parked in the bounded stale side-store: they may
         no longer answer normal lookups, but :meth:`serve_stale` can replay
@@ -563,7 +541,6 @@ class QueryResultCache:
                 parked = removed
                 self._entries.clear()
                 self._covering.clear()
-                self._global_generation += 1
             else:
                 doomed = [key for key in self._entries if key[0] == namespace]
                 for key in doomed:
@@ -572,9 +549,7 @@ class QueryResultCache:
                     self._forget_covering_locked(key)
                 removed = len(doomed)
                 parked = removed
-                self._namespace_generations[namespace] = (
-                    self._namespace_generations.get(namespace, 0) + 1
-                )
+            self.changes.record(namespace)
         self.statistics.add(invalidations=removed, stale_kept=parked)
         return removed
 
@@ -584,10 +559,10 @@ class QueryResultCache:
         """Retire only the entries of ``namespace`` whose query ``delta`` can
         match; returns the retired keys (for spill pruning).
 
-        The namespace generation is **not** bumped — surviving entries stay
-        servable and derived caches keyed on the generation stay warm.
-        In-flight queries claimed before this call are covered by the delta
-        log: their store is dropped iff the delta could match their query.
+        Surviving entries stay servable, and the namespace's feeds stay
+        attachable (a feed counts only full invalidations).  The delta is
+        logged in the namespace's change log, so a query claimed before this
+        call is stored only if the delta cannot match it.
         """
         if delta.is_empty:
             return []
@@ -595,13 +570,7 @@ class QueryResultCache:
         survivors = 0
         stale_purged = 0
         with self._lock:
-            sequence = self._delta_seqs.get(namespace, 0) + 1
-            self._delta_seqs[namespace] = sequence
-            log = self._delta_logs.get(namespace)
-            if log is None:
-                log = deque(maxlen=self.DELTA_LOG_LIMIT)
-                self._delta_logs[namespace] = log
-            log.append((sequence, delta))
+            self.changes.record(namespace, delta)
             for key in [k for k in self._entries if k[0] == namespace]:
                 entry = self._entries[key]
                 if delta.may_match_query(entry.result.query):
@@ -630,7 +599,7 @@ class QueryResultCache:
     def serve_stale(
         self, namespace: str, query: SearchQuery, system_k: int
     ) -> Optional[SearchResult]:
-        """Replay a generation-stale parked entry for ``query``, or ``None``.
+        """Replay an invalidated, parked entry for ``query``, or ``None``.
 
         Only used when the live source cannot answer (open breaker, retries
         exhausted): the returned answer is marked ``stale`` *and* ``degraded``
@@ -667,40 +636,23 @@ class QueryResultCache:
     # ------------------------------------------------------------------ #
     # Internals (call with the lock held)
     # ------------------------------------------------------------------ #
-    def _generation_locked(self, namespace: str) -> Tuple[int, int]:
-        """The generation token a store must match to be accepted: bumped
-        globally by a full invalidation, per namespace by a scoped one."""
-        return (
-            self._global_generation,
-            self._namespace_generations.get(namespace, 0),
-        )
-
     def _store_allowed_locked(
-        self,
-        namespace: str,
-        query: SearchQuery,
-        generation: Tuple[int, int],
-        delta_seq: int,
+        self, namespace: str, query: SearchQuery, stamp: int
     ) -> bool:
-        """May a result claimed under ``(generation, delta_seq)`` be stored?
+        """May a result claimed at change sequence ``stamp`` be stored?
 
-        A full invalidation (generation mismatch) always drops the store.  A
-        delta logged after the claim drops it only when the delta could match
-        the stored query; a claim older than the log's tail is dropped
-        conservatively (the trimmed deltas can no longer be checked)."""
-        if self._generation_locked(namespace) != generation:
-            return False
-        current = self._delta_seqs.get(namespace, 0)
-        if current == delta_seq:
+        A full invalidation logged after the claim, or a claim older than
+        the log's tail, always drops the store; a delta drops it only when it
+        could match the stored query (counted as ``delta_blocked_stores``)."""
+        log = self.changes(namespace)
+        if log.sequence == stamp:
             return True
-        log = self._delta_logs.get(namespace)
-        if log is None or not log or log[0][0] > delta_seq + 1:
+        _, deltas = log.since(stamp)
+        if deltas is None:
+            return False
+        if any(delta.may_match_query(query) for delta in deltas):
             self.statistics.record("delta_blocked_stores")
             return False
-        for sequence, delta in log:
-            if sequence > delta_seq and delta.may_match_query(query):
-                self.statistics.record("delta_blocked_stores")
-                return False
         return True
 
     def _live_entry(self, key: CacheKey) -> Optional[_Entry]:

@@ -1,7 +1,7 @@
-"""Query accounting: counters, budgets, and logs.
+"""Query accounting: counters and budgets.
 
 The unit the paper optimizes is the number of search queries issued to the
-remote web database.  Four small utilities make that unit first-class:
+remote web database.  Three small utilities make that unit first-class:
 
 * :class:`Counters` — the base of every statistics holder behind the
   service's statistics panel: a counter is declared once, as a field;
@@ -9,23 +9,17 @@ remote web database.  Four small utilities make that unit first-class:
   source counts its served queries in;
 * :class:`QueryBudget` — a counter with a hard cap that raises
   :class:`~repro.exceptions.QueryBudgetExceeded` when the reranking algorithm
-  would exceed the caller's allowance;
-* :class:`QueryLog` — an append-only record of the issued queries used by the
-  tests (to assert no duplicate work) and the statistics panel.
+  would exceed the caller's allowance.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import MISSING, dataclass, field, fields
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Optional, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import QueryBudgetExceeded
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.webdb.interface import SearchResult
-    from repro.webdb.query import SearchQuery
 
 
 @dataclass
@@ -197,99 +191,3 @@ class QueryBudget:
         when a charged query turns out to be served without a round trip,
         e.g. it coalesced onto another session's identical in-flight query)."""
         self._counter.decrement(amount)
-
-    def can_afford(self, amount: int = 1) -> bool:
-        """True when ``amount`` more queries fit under the cap."""
-        if self._limit is None:
-            return True
-        return self.used + amount <= self._limit
-
-
-@dataclass
-class QueryLogEntry:
-    """One issued query plus a summary of its result."""
-
-    query: SearchQuery
-    outcome: str
-    returned: int
-    elapsed_seconds: float
-    parallel_group: Optional[int] = None
-    cached: bool = False
-
-    def describe(self) -> str:
-        """Single-line rendering for logs."""
-        tag = f" group={self.parallel_group}" if self.parallel_group is not None else ""
-        if self.cached:
-            tag += " cached"
-        return (
-            f"[{self.outcome:>9}] {self.returned:>3} rows "
-            f"{self.elapsed_seconds:6.3f}s{tag}  {self.query.describe()}"
-        )
-
-
-@dataclass
-class QueryLog:
-    """Append-only log of every query one reranking request issued."""
-
-    entries: List[QueryLogEntry] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def record(
-        self,
-        result: SearchResult,
-        parallel_group: Optional[int] = None,
-        cached: bool = False,
-    ) -> None:
-        """Append one result to the log (thread-safe)."""
-        entry = QueryLogEntry(
-            query=result.query,
-            outcome=result.outcome.value,
-            returned=len(result.rows),
-            elapsed_seconds=result.elapsed_seconds,
-            parallel_group=parallel_group,
-            cached=cached,
-        )
-        with self._lock:
-            self.entries.append(entry)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.entries)
-
-    def outcome_counts(self) -> Dict[str, int]:
-        """Histogram of outcomes across the log."""
-        counts: Dict[str, int] = {}
-        with self._lock:
-            for entry in self.entries:
-                counts[entry.outcome] = counts.get(entry.outcome, 0) + 1
-        return counts
-
-    def duplicate_queries(self) -> List[Tuple]:
-        """Canonical keys of queries *issued* more than once (the tests assert
-        the RERANK algorithms keep this list small).  Cache hits are excluded:
-        a repeat answered from the shared result cache is not duplicate work."""
-        seen: Dict[Tuple, int] = {}
-        with self._lock:
-            for entry in self.entries:
-                if entry.cached:
-                    continue
-                key = entry.query.canonical_key()
-                seen[key] = seen.get(key, 0) + 1
-        return [key for key, count in seen.items() if count > 1]
-
-    def total_elapsed(self) -> float:
-        """Sum of per-query elapsed times (sequential-equivalent cost)."""
-        with self._lock:
-            return sum(entry.elapsed_seconds for entry in self.entries)
-
-    def describe(self, limit: int = 50) -> str:
-        """Multi-line rendering of the first ``limit`` entries."""
-        with self._lock:
-            shown = self.entries[:limit]
-            extra = len(self.entries) - len(shown)
-        lines = [entry.describe() for entry in shown]
-        if extra > 0:
-            lines.append(f"... ({extra} more queries)")
-        return "\n".join(lines)

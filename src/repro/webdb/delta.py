@@ -5,8 +5,8 @@ A catalog mutation (``HiddenWebDatabase.apply_delta``) produces a
 per-attribute summary of the *values* those tuples carried before and after
 the change.  Each caching layer can then answer one question locally —
 "could this cached object have surfaced a touched tuple?" — and retire only
-what the change can actually affect, instead of cold-starting on a global
-generation bump:
+what the change can actually affect, instead of cold-starting on a full
+invalidation:
 
 * a :class:`~repro.webdb.query.SearchQuery` cache entry changes only if some
   touched tuple version *matches* the query (:meth:`CatalogDelta.may_match_query`);
@@ -156,10 +156,6 @@ class CatalogDelta:
         """True when the mutation touched no tuples."""
         return not self.keys
 
-    def contains_key(self, key: object) -> bool:
-        """True when ``key`` belongs to a touched tuple."""
-        return key in self.keys
-
     def _admits_touched(self, predicate: RangePredicate) -> bool:
         """Does ``predicate`` admit a value some touched version carried?"""
         found = self.numeric_values.get(predicate.attribute, ())
@@ -256,9 +252,10 @@ class ChangeLog:
     """One source's numbered sequence of catalog changes.
 
     What was read from the source before a change may be out of date after
-    it: a session's cached rows and what a live Get-Next stream has proven
-    from its answers.  Each keeps the sequence number it is current to and
-    asks :meth:`since` for the changes after it.  A full invalidation is
+    it: a session's cached rows, what a live Get-Next stream has proven from
+    its answers, a result-cache answer still in flight, a rerank feed, a
+    spilled cache snapshot.  Each keeps the sequence number it is current to
+    and asks :meth:`since` for the changes after it.  A full invalidation is
     logged as ``None``; it, and any change older than the bounded log's tail,
     can no longer be told apart, so :meth:`since` then reports that anything
     may have changed.
@@ -269,6 +266,7 @@ class ChangeLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._sequence = 0
+        self._invalidations = 0
         self._recent: Deque[Tuple[int, Optional[CatalogDelta]]] = deque(maxlen=self.LIMIT)
 
     @property
@@ -276,10 +274,19 @@ class ChangeLog:
         """The number of the latest change (0 before any)."""
         return self._sequence
 
+    @property
+    def invalidations(self) -> int:
+        """How many of the changes were full invalidations: what a derived
+        object that survives a delta it cannot match (a rerank feed) is
+        stamped with."""
+        return self._invalidations
+
     def record(self, delta: Optional[CatalogDelta] = None) -> None:
         """Log one change: a delta, or ``None`` for a full invalidation."""
         with self._lock:
             self._sequence += 1
+            if delta is None:
+                self._invalidations += 1
             self._recent.append((self._sequence, delta))
 
     def since(self, stamp: int) -> Tuple[int, Optional[List[CatalogDelta]]]:
@@ -296,3 +303,28 @@ class ChangeLog:
         if any(delta is None for delta in deltas):
             return sequence, None
         return sequence, deltas  # type: ignore[return-value]
+
+
+class ChangeLogs:
+    """One :class:`ChangeLog` per cache namespace, created on first use.
+
+    Calling it returns a namespace's log; :meth:`record` logs a change in one
+    namespace, or in every namespace at once."""
+
+    def __init__(self) -> None:
+        self._logs: Dict[str, ChangeLog] = {}
+
+    def __call__(self, namespace: str) -> ChangeLog:
+        log = self._logs.get(namespace)
+        if log is None:
+            log = self._logs.setdefault(namespace, ChangeLog())
+        return log
+
+    def record(
+        self, namespace: Optional[str], delta: Optional[CatalogDelta] = None
+    ) -> None:
+        """Log ``delta`` (``None``: a full invalidation) in ``namespace``'s
+        log, or in every log when ``namespace`` is ``None``."""
+        logs = list(self._logs.values()) if namespace is None else [self(namespace)]
+        for log in logs:
+            log.record(delta)

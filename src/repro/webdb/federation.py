@@ -470,7 +470,7 @@ class FederatedInterface(TopKInterface):
     def _stale_shard_answer(
         self, index: int, query: SearchQuery
     ) -> Optional[SearchResult]:
-        """A generation-stale cached answer for a failed shard, when the
+        """An invalidated cached answer for a failed shard, when the
         resilience policy allows serving it (marked stale + degraded)."""
         if self._cache is None or not self._resilience.serve_stale_on_error:
             return None

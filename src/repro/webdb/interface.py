@@ -60,13 +60,13 @@ class SearchResult:
     degraded:
         True when the answer is known-incomplete: one or more federated
         shards could not be reached (``missing_shards`` names them) or the
-        answer was served from a generation-stale cache entry.  Degraded
+        answer was served from an invalidated cache entry.  Degraded
         results are always classified ``OVERFLOW`` — they never claim to
         cover their query — and are never stored in the result cache.
     missing_shards:
         Names of the shards that contributed nothing to a degraded scatter.
     stale:
-        True when the rows came from a generation-stale cache entry served
+        True when the rows came from an invalidated cache entry served
         while the live source was unavailable.
     """
 

@@ -75,7 +75,7 @@ class ResilienceConfig:
         Per-query budget of simulated seconds across the whole scatter
         (round trips + timeouts + backoff waits); ``None`` = unlimited.
     serve_stale_on_error:
-        Whether a generation-stale cache entry may answer for a source whose
+        Whether an invalidated cache entry may answer for a source whose
         live query failed (the answer is marked degraded + stale).
     """
 

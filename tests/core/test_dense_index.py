@@ -137,7 +137,7 @@ class TestCoalescing:
         interval_index.add_interval("price", 0.0, 15.0, ROWS[:1])
         interval_index.add_interval("price", 15.0, 35.0, ROWS[1:])
         assert interval_index.region_count() == 1
-        assert interval_index.coalesced_count() == 1
+        assert interval_index.describe()["coalesced"] == 1
         # The union is covered even though neither inserted region covers it.
         probe = RangePredicate("price", 5.0, 25.0)
         rows = interval_index.lookup_interval("price", probe)

@@ -106,16 +106,14 @@ class TestEngineResultCache:
         assert engine.statistics.external_queries == 3
         assert engine.statistics.result_cache_hits == 1
 
-    def test_cached_entries_excluded_from_duplicate_log(self, timed_db):
+    def test_a_cached_repeat_is_not_issued_again(self, timed_db):
         cache = QueryResultCache()
         engine = QueryEngine(timed_db, result_cache=cache)
         query = SearchQuery.build(ranges={"price": (300.0, 4000.0)})
         engine.search(query)
         engine.search(query)
-        assert len(engine.query_log) == 2
-        assert engine.query_log.duplicate_queries() == []
-        cached_flags = [entry.cached for entry in engine.query_log.entries]
-        assert cached_flags == [False, True]
+        assert engine.statistics.external_queries == 1
+        assert engine.statistics.result_cache_hits == 1
 
     def test_config_switch_disables_cache(self, timed_db):
         cache = QueryResultCache()

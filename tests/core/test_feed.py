@@ -19,6 +19,7 @@ from repro.core.session import Session
 from repro.core.stats import RerankStatistics
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import SearchQuery, freeze_row
 from tests.conftest import draw_request, page_through
 
@@ -286,7 +287,7 @@ class TestReplayDedup:
 
 
 # --------------------------------------------------------------------------- #
-# Invalidation (generation counters, mirroring the PR 3 result-cache test)
+# Invalidation (the namespace's change log, as the result cache uses it)
 # --------------------------------------------------------------------------- #
 class TestFeedInvalidation:
     def test_store_invalidation_retires_feeds(self, bluenile_db):
@@ -308,7 +309,7 @@ class TestFeedInvalidation:
         fresh.next_page(3)
         assert fresh.statistics.feed_leader_advances == 3
 
-    def test_result_cache_invalidation_bumps_feed_generation(self, bluenile_db):
+    def test_result_cache_invalidation_outdates_the_feed(self, bluenile_db):
         reranker = QueryReranker(bluenile_db, config=RerankConfig())
         namespace = reranker.result_cache is not None
         assert namespace
@@ -325,9 +326,10 @@ class TestFeedInvalidation:
         assert fresh.feed.depth == 0
 
     def test_inflight_leader_cannot_restore_stale_prefix(self, bluenile_db):
-        """Mirror of the PR 3 generation-counter test: an invalidation while
-        a leader is mid-stream marks its feed stale; the leader's own caller
-        completes normally, but the stale prefix never re-enters the store."""
+        """Mirror of the result cache's in-flight store guard: an
+        invalidation while a leader is mid-stream marks its feed stale; the
+        leader's own caller completes normally, but the stale prefix never
+        re-enters the store."""
         reranker = QueryReranker(bluenile_db, config=RerankConfig())
         leader = reranker.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
         leader.next_page(2)
@@ -350,15 +352,38 @@ class TestFeedInvalidation:
         assert fresh.statistics.feed_replayed_tuples == 0
         assert _ids(rows) == _ids(leader.returned_so_far)
 
-    def test_store_generation_probe_combines_cache_generation(self):
-        cache = QueryResultCache()
+    @pytest.mark.parametrize("with_cache", [True, False])
+    def test_full_invalidations_outdate_feeds_and_deltas_do_not(self, with_cache):
+        cache = QueryResultCache() if with_cache else None
         store = RerankFeedStore(result_cache=cache)
-        before = store.generation("ns")
-        cache.invalidate("ns")
-        after = store.generation("ns")
-        assert before != after
-        store.invalidate("ns")
-        assert store.generation("ns") != after
+        factory = _ListProducerFactory([{"id": "a"}])
+
+        def attach(namespace: str = "ns"):
+            return store.attach(
+                namespace, QUERY, RANKING, "rerank", 10, "id", factory
+            )
+
+        feed = attach()
+        other = attach("other")
+        delta = CatalogDelta.from_rows("ns", "id", [{"id": "x", "price": -5.0}])
+        if cache is not None:
+            # A delta that cannot match the feed's query leaves it current,
+            # whichever layer logs it.
+            assert cache.invalidate_delta("ns", delta) == []
+        assert store.invalidate_delta("ns", delta) == 0
+        assert feed.current and attach() is feed
+
+        if cache is not None:
+            # A cache invalidation outdates the namespace's feeds (they are
+            # retired at the next attach) and only that namespace's.
+            cache.invalidate("ns")
+            assert not feed.current and other.current
+            feed = attach()
+        assert store.invalidate("ns") == 1
+        assert feed.stale and not feed.current and other.current
+        assert attach() is not feed
+        store.invalidate()
+        assert not other.current and attach("other") is not other
 
 
 # --------------------------------------------------------------------------- #

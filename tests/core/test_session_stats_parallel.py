@@ -56,7 +56,7 @@ class TestSession:
         session.mark_emitted({"id": "b", "price": 2.0}, "id")
         assert session.has_emitted("a") and session.has_emitted("b")
         assert not session.has_emitted("c")
-        assert session.emitted_count() == 2
+        assert session.describe()["emitted"] == 2
 
     def test_pending_queue_fifo(self):
         session = Session("s1")
@@ -74,7 +74,7 @@ class TestSession:
         session.statistics.add(get_next_calls=1, tuples_returned=1)
         session.reset_for_new_request()
         assert session.seen_count() == 1
-        assert session.emitted_count() == 0
+        assert session.describe()["emitted"] == 0
         assert session.pop_pending() is None
         assert session.statistics.get_next_calls == 0
 
@@ -139,7 +139,7 @@ class TestQueryEngine:
         assert engine.statistics.iterations == 1
         assert engine.statistics.sequential_queries == 1
         assert engine.queries_issued() == 1
-        assert len(engine.query_log) == 1
+        assert engine.statistics.result_cache_hits == 0
 
     def test_group_search_is_one_parallel_iteration(self, bluenile_db):
         engine = QueryEngine(bluenile_db)

@@ -68,18 +68,19 @@ class TestShardScopedInvalidation:
         assert cache is not None and federation is not None
         shard0_ns, shard1_ns = federation.shard_namespaces
         federated_ns = "fedinv"
-        generations_before = {
-            ns: cache.generation(ns) for ns in (shard0_ns, shard1_ns, federated_ns)
+        sequences_before = {
+            ns: cache.changes(ns).sequence
+            for ns in (shard0_ns, shard1_ns, federated_ns)
         }
 
         outcome = reranker.invalidate(shard=0)
         assert outcome["cache_entries"] > 0
 
-        # Shard 0's namespace and the federated namespace were bumped; the
-        # sibling's generation — and therefore its entries — survive.
-        assert cache.generation(shard0_ns) != generations_before[shard0_ns]
-        assert cache.generation(federated_ns) != generations_before[federated_ns]
-        assert cache.generation(shard1_ns) == generations_before[shard1_ns]
+        # Shard 0's log and the federated namespace's log moved; the
+        # sibling's log did not — and therefore its entries survive.
+        assert cache.changes(shard0_ns).sequence != sequences_before[shard0_ns]
+        assert cache.changes(federated_ns).sequence != sequences_before[federated_ns]
+        assert cache.changes(shard1_ns).sequence == sequences_before[shard1_ns]
 
     def test_sibling_cache_entries_keep_serving(self, reranker):
         federation = reranker.federation
@@ -104,12 +105,12 @@ class TestShardScopedInvalidation:
         populate(reranker)
         cache = reranker.result_cache
         namespaces = reranker.federation.shard_namespaces
-        before = {ns: cache.generation(ns) for ns in namespaces}
+        before = {ns: cache.changes(ns).sequence for ns in namespaces}
         outcome = reranker.invalidate()
         assert outcome["cache_entries"] > 0
-        assert all(cache.generation(ns) != before[ns] for ns in namespaces)
+        assert all(cache.changes(ns).sequence != before[ns] for ns in namespaces)
 
-    def test_feed_generations_retire(self, diamond_catalog, diamond_schema_fixture):
+    def test_feeds_retire(self, diamond_catalog, diamond_schema_fixture):
         reranker = make_reranker(diamond_catalog, diamond_schema_fixture)
         ranking = SingleAttributeRanking("carat", ascending=False)
         query = SearchQuery.everything()

@@ -9,6 +9,8 @@ every row it touched from the session cache, so no stream, live or built
 later on the same session, serves a cached row of an older version.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -21,7 +23,7 @@ from repro.core.onedim import OneDimGetNext, OneDimVariant
 from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm
 from repro.core.session import ChangeWatch, Session
-from repro.webdb.delta import CatalogDelta, ChangeLog
+from repro.webdb.delta import CatalogDelta, ChangeLog, ChangeLogs
 from repro.webdb.query import SearchQuery
 
 from tests.workloads.paper_currency import environment, read_table
@@ -92,6 +94,44 @@ def test_change_log_reports_the_deltas_since_a_stamp():
     assert log.since(2) == (2 + ChangeLog.LIMIT, [_DELTA] * ChangeLog.LIMIT)
     # A stamp older than the log's tail cannot be checked either.
     assert log.since(1)[1] is None
+
+
+def test_change_logs_count_full_invalidations_per_namespace():
+    logs = ChangeLogs()
+    first, second = logs("a"), logs("b")
+    assert logs("a") is first
+    logs.record("a", _DELTA)
+    assert (first.sequence, first.invalidations) == (1, 0)
+    logs.record("a")
+    assert (first.sequence, first.invalidations) == (2, 1)
+    assert (second.sequence, second.invalidations) == (0, 0)
+    logs.record(None)  # every namespace at once
+    assert (first.invalidations, second.invalidations) == (2, 1)
+
+
+def test_change_logs_lose_no_change_to_concurrent_first_use():
+    """Threads that meet a namespace for the first time together must share
+    one log: a second log would drop the changes recorded in it."""
+    logs, workers, rounds = ChangeLogs(), 8, 2000
+    start = threading.Barrier(workers)
+
+    def work() -> None:
+        start.wait(timeout=30.0)
+        for step in range(rounds):
+            logs(f"ns{step}").record()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(logs(f"ns{step}").sequence == workers for step in range(rounds))
 
 
 def test_a_watch_sees_only_changes_that_can_match_its_query():

@@ -123,7 +123,7 @@ class TestCrawlAccounting:
         assert levels[0] == 1 and all(size >= 2 for size in levels[1:])
         assert sum(levels) == stats.queries_issued
         assert engine.statistics.external_queries == 1 + stats.queries_issued
-        assert len(engine.query_log) == 1 + stats.queries_issued
+        assert engine.statistics.result_cache_hits == 0
 
 
 class TestCrawlLimits:

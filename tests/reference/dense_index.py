@@ -157,9 +157,6 @@ class NaiveDenseRegionIndex:
         with self._lock:
             return self._tuple_count
 
-    def coalesced_count(self) -> int:
-        return 0
-
     def signatures(self) -> List[Tuple[str, ...]]:
         with self._lock:
             return [sig for sig, regions in self._regions.items() if regions]

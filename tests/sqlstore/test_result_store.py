@@ -7,6 +7,7 @@ import pytest
 
 from repro.sqlstore.result_store import SCHEMA_VERSION, ResultCacheStore
 from repro.webdb.cache import FetchStatus, QueryResultCache
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import SearchQuery
 
 
@@ -206,6 +207,36 @@ class TestGenerationStamps:
         assert store.entry_count() == 0
         warmed = QueryResultCache()
         assert store.load(warmed) == 0
+        store.close()
+
+    def test_save_racing_a_delta_never_persists_a_retired_entry(self, bluenile_db):
+        """The catalog-delta path (``QR2Service.apply_delta``) retires the
+        entries a delta can match and prunes them from the spill; when that
+        lands between the snapshot and the write, the write must not bring
+        them back."""
+        store = ResultCacheStore(":memory:")
+        repriced = dict(bluenile_db.search(SearchQuery.everything()).rows[0])
+        delta = CatalogDelta.from_rows(
+            "bluenile-test", bluenile_db.key_column, [repriced], upserts=1
+        )
+
+        class _RacingCache(QueryResultCache):
+            def export_snapshot(self):
+                snapshot = super().export_snapshot()
+                store.prune(self.invalidate_delta("bluenile-test", delta))
+                return snapshot
+
+        cache = _RacingCache()
+        _populate(cache, bluenile_db)
+        store.save(cache)
+        warmed = QueryResultCache()
+        store.load(warmed)
+        def keys(entries):
+            return {(ns, k, result.query.canonical_key()) for ns, k, result in entries}
+
+        live = keys(QueryResultCache.export_snapshot(cache)[0])
+        spilled = keys(warmed.export_snapshot()[0])
+        assert len(live) < 3 and spilled <= live
         store.close()
 
     def test_unraced_namespaces_survive_a_raced_save(self, bluenile_db):

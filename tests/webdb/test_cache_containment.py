@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.parallel import QueryEngine
 from repro.webdb.cache import CacheStatistics, FetchStatus, QueryResultCache
 from repro.webdb.counters import QueryBudget
-from repro.webdb.delta import CatalogDelta
+from repro.webdb.delta import CatalogDelta, ChangeLog
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 from tests.reference import covering_count, covering_scan
@@ -378,6 +378,32 @@ class TestInvalidationGeneration:
         thread.join(timeout=5.0)
         assert outcomes[0][1] is FetchStatus.MISS
         assert cache.lookup("ns", query, bluenile_db.system_k) is not None
+
+    def test_deltas_drop_only_the_stores_they_can_match(self, bluenile_db):
+        """A delta that cannot match the in-flight query lets it store; a
+        claim older than the change log's tail is dropped like one that
+        crossed a full invalidation, and only a matching delta counts as
+        ``delta_blocked_stores``."""
+        cache = QueryResultCache()
+        query = SearchQuery.build(ranges={"price": (0.0, 5000.0)})
+        elsewhere = CatalogDelta.from_rows(
+            "ns", "id", [{"id": "x", "price": 9.0e9}], upserts=1
+        )
+        thread, release, outcomes = self._gated_fetch(cache, bluenile_db, query)
+        cache.invalidate_delta("ns", elsewhere)
+        release.set()
+        thread.join(timeout=5.0)
+        assert cache.lookup("ns", query, bluenile_db.system_k) is not None
+
+        cache.invalidate("ns")
+        thread, release, outcomes = self._gated_fetch(cache, bluenile_db, query)
+        for _ in range(ChangeLog.LIMIT + 1):
+            cache.invalidate_delta("ns", elsewhere)
+        release.set()
+        thread.join(timeout=5.0)
+        assert outcomes[0][1] is FetchStatus.MISS
+        assert cache.lookup("ns", query, bluenile_db.system_k) is None
+        assert cache.statistics.snapshot()["delta_blocked_stores"] == 0
 
     def test_fetch_many_stores_dropped_after_invalidation(self, bluenile_db):
         cache = QueryResultCache()

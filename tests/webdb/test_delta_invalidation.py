@@ -134,7 +134,7 @@ def test_delta_bounds_and_matching():
     ]
     delta = CatalogDelta.from_rows("ns", "id", rows, upserts=1)
     assert not delta.is_empty
-    assert delta.contains_key("a") and not delta.contains_key("b")
+    assert "a" in delta.keys and "b" not in delta.keys
     assert delta.numeric_values["price"] == (100.0, 140.0)
     assert delta.categorical_values["cut"] == frozenset({"Ideal"})
     hit = SearchQuery.build(ranges={"price": (120.0, 200.0)})
@@ -184,7 +184,7 @@ def test_merge_shard_deltas_carries_parts():
     assert merged.numeric_values["price"] == (10.0, 90.0)
     assert merged.upserts == 1 and merged.deletes == 1
     assert [index for index, _ in merged.shard_deltas] == [0, 1]
-    assert merged.contains_key("a") and merged.contains_key("b")
+    assert merged.keys == {"a", "b"}
 
 
 # --------------------------------------------------------------------- #
