@@ -3,9 +3,8 @@
 The paper's system exposes a handful of operational knobs: the web database's
 ``system-k`` (how many results its public interface returns), the density
 threshold at which ``(1D/MD)-RERANK`` switches from binary probing to crawling
-and indexing a region, whether query groups are issued in parallel, and the
-simulated network latency.  They are grouped here so the rest of the library
-never hard-codes magic numbers.
+and indexing a region, and the simulated network latency.  They are grouped
+here so the rest of the library never hard-codes magic numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.webdb.cache import QueryResultCache
 from repro.webdb.faults import FaultPlan
 from repro.webdb.resilience import ResilienceConfig
 
@@ -92,24 +90,6 @@ class RerankConfig:
         yet narrow.  The BINARY variants ignore this and keep splitting until
         :data:`~repro.core.dense_index.MAX_BINARY_ROUNDS` — which is exactly
         the performance gap the paper attributes to on-the-fly indexing.
-    query_budget:
-        Optional hard limit on the number of external queries a single
-        Get-Next call may issue; ``None`` means unlimited.
-    enable_parallel:
-        Global switch for parallel query processing (the ablation benchmarks
-        flip this off).
-    enable_session_cache:
-        Global switch for the per-session seen-tuple cache.
-    enable_result_cache:
-        Global switch for the shared query-result cache: identical external
-        queries (same canonical predicates, same ``system-k``) are answered
-        from memory at zero budget and zero simulated latency, and identical
-        in-flight queries coalesce onto one round trip.
-    result_cache_size:
-        LRU capacity of the shared result cache (entries).
-    result_cache_ttl_seconds:
-        Lifetime of a cached result; ``None`` disables expiry (correct for
-        the immutable simulated databases).
     enable_rerank_feed:
         Global switch for the shared rerank feed: sessions requesting the
         same canonical *(query, ranking, algorithm)* share one materialized
@@ -117,13 +97,7 @@ class RerankConfig:
         *leader*), later and concurrent sessions replay its verified
         emission prefix at zero external queries and zero algorithm work.
         Turning it off exactly reproduces the unshared per-session
-        behaviour (the ablation benchmarks do).
-    rerank_feed_size:
-        LRU capacity of the feed store (distinct canonical requests kept
-        materialized).
-    rerank_feed_ttl_seconds:
-        Lifetime of a feed from creation; ``None`` disables expiry (correct
-        for the immutable simulated databases).
+        behaviour (the SC-IDX and SC-BW experiment drivers do).
     resilience:
         Retry / circuit-breaker / deadline policy applied to every source
         query (see :class:`~repro.webdb.resilience.ResilienceConfig`); the
@@ -135,28 +109,8 @@ class RerankConfig:
 
     dense_ratio_threshold: float = 0.005
     dense_split_depth: int = 12
-    query_budget: Optional[int] = None
-    enable_parallel: bool = True
-    enable_session_cache: bool = True
-    enable_result_cache: bool = True
-    result_cache_size: int = 4096
-    result_cache_ttl_seconds: Optional[float] = None
     enable_rerank_feed: bool = True
-    rerank_feed_size: int = 256
-    rerank_feed_ttl_seconds: Optional[float] = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-
-    def make_result_cache(self) -> Optional[QueryResultCache]:
-        """A fresh query-result cache sized by the ``result_cache_*`` knobs,
-        or ``None`` when the cache is disabled.  Whoever builds a source
-        creates the cache and hands the same object to the federation (shard
-        namespaces) and the reranker (federated namespace)."""
-        if not self.enable_result_cache:
-            return None
-        return QueryResultCache(
-            max_entries=self.result_cache_size,
-            ttl_seconds=self.result_cache_ttl_seconds,
-        )
 
 
 @dataclass(frozen=True)
@@ -215,9 +169,6 @@ class ServiceConfig:
         ``None`` disables background warming (explicit
         :meth:`~repro.service.warming.FeedWarmer.warm_once` calls still
         work).
-    ``warming_top_requests``
-        How many of the most popular observed request specs each warming
-        pass replays (on top of the source's curated popular sliders).
     ``warming_pages``
         Pages fetched per warmed request — how deep each re-led feed's
         verified prefix extends.
@@ -235,5 +186,4 @@ class ServiceConfig:
     reaper_interval_seconds: Optional[float] = None
     request_deadline_seconds: Optional[float] = None
     warming_interval_seconds: Optional[float] = None
-    warming_top_requests: int = 8
     warming_pages: int = 2

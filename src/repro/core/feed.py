@@ -26,9 +26,9 @@ session's emitted history still happens in the stream layer
 (:class:`~repro.core.reranker.FeedBackedStream`).
 
 **Invalidation** reads the namespace's :class:`~repro.webdb.delta.ChangeLog`
-— the attached :class:`~repro.webdb.cache.QueryResultCache`'s, or the store's
-own when it has no cache.  A feed is stamped with the log's count of full
-invalidations at creation (a delta retires only the feeds it can match, in
+in the store's :class:`~repro.webdb.cache.QueryResultCache`.  A feed is
+stamped with the log's count of full invalidations at creation (a delta
+retires only the feeds it can match, in
 :meth:`RerankFeedStore.invalidate_delta`), and
 
 * :meth:`RerankFeedStore.attach` refuses (and retires) feeds whose stamp no
@@ -52,7 +52,7 @@ from repro.core.session import Session
 from repro.core.stats import RerankStatistics
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import Counters
-from repro.webdb.delta import CatalogDelta, ChangeLog, ChangeLogs
+from repro.webdb.delta import CatalogDelta, ChangeLog
 from repro.webdb.query import Row, SearchQuery
 
 #: ``(namespace, system_k, algorithm, canonical query, canonical ranking)`` —
@@ -305,25 +305,25 @@ class RerankFeedStore:
 
     Parameters
     ----------
+    result_cache:
+        The shared :class:`~repro.webdb.cache.QueryResultCache`.  The store
+        reads and records in its per-namespace change logs, so
+        ``cache.invalidate(namespace)`` transitively invalidates the
+        namespace's feeds — a feed must never outlive the query answers it
+        was derived from.
     max_feeds:
         LRU capacity; the least-recently-attached feed is retired when an
         attach would exceed it.
     ttl_seconds:
         Feed lifetime measured from creation; ``None`` disables expiry (the
         simulated databases are immutable).
-    result_cache:
-        The shared :class:`~repro.webdb.cache.QueryResultCache`, if any.  The
-        store reads and records in its per-namespace change logs, so
-        ``cache.invalidate(namespace)`` transitively invalidates the
-        namespace's feeds — a feed must never outlive the query answers it
-        was derived from.  Without a cache the store keeps its own logs.
     """
 
     def __init__(
         self,
+        result_cache: QueryResultCache,
         max_feeds: int = 256,
         ttl_seconds: Optional[float] = None,
-        result_cache: Optional[QueryResultCache] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_feeds <= 0:
@@ -332,9 +332,7 @@ class RerankFeedStore:
             raise ValueError("ttl_seconds must be positive or None")
         self._max_feeds = max_feeds
         self._ttl = ttl_seconds
-        self._changes = (
-            result_cache.changes if result_cache is not None else ChangeLogs()
-        )
+        self._changes = result_cache.changes
         self._clock = clock
         self._lock = threading.Lock()
         self._feeds: "OrderedDict[FeedKey, RerankFeed]" = OrderedDict()

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Deque, Iterable, List, Mapping, Optional, Tuple
+from typing import Deque, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import RerankConfig
 from repro.core import contour
@@ -49,7 +49,6 @@ from repro.core.regions import HyperRectangle
 from repro.core.session import ChangeWatch, Session
 from repro.exceptions import RankingFunctionError
 from repro.webdb.delta import ChangeLog
-from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 #: The best candidate so far with the score it was found at: ``(score,
@@ -124,9 +123,8 @@ class MultiDimGetNext:
         self._candidates = session.cached_candidates(base_query, ranking, engine.key_column)
         # Open boxes carried across Get-Next calls (the session-cache
         # acceleration the paper describes): regions whose contents are not
-        # yet fully cached.  Only meaningful while the session cache is
-        # enabled — without it, every call restarts from the full space.
-        # A catalog change that can match the filter query voids them.
+        # yet fully cached.  A catalog change that can match the filter query
+        # voids them.
         self._open_boxes: Optional[List[OpenBox]] = None
         self._watch = ChangeWatch(changes or ChangeLog(), session, base_query)
 
@@ -160,8 +158,6 @@ class MultiDimGetNext:
     # Eligibility and candidate tracking
     # ------------------------------------------------------------------ #
     def _seed_from_cache(self) -> Best:
-        if not self._config.enable_session_cache:
-            return None
         best = self._candidates.best(self._frontier_score - _TOLERANCE)
         if best is not None:
             self._statistics.record("cache_hits")
@@ -190,9 +186,8 @@ class MultiDimGetNext:
                 best = (score, str(key), row)
         return best
 
-    def _remember(self, result: SearchResult) -> None:
-        if self._config.enable_session_cache:
-            self._session.remember(result.rows, self._engine.key_column)
+    def _remember(self, rows: Sequence[Row]) -> None:
+        self._session.remember(rows, self._engine.key_column)
 
     # ------------------------------------------------------------------ #
     # The search itself
@@ -211,7 +206,7 @@ class MultiDimGetNext:
             if self._prunable(box, best):
                 continue
             result = self._engine.search(box.to_query(self._base_query))
-            self._remember(result)
+            self._remember(result.rows)
             previous_score = best[0] if best is not None else math.inf
             best = self._update_best(result.rows, best)
             if result.covers_query:
@@ -289,22 +284,14 @@ class MultiDimGetNext:
     def _initial_open_boxes(self) -> List[OpenBox]:
         """Open boxes to start the current Get-Next call from.
 
-        While the session cache is enabled the open-box list persists across
-        calls: a box is removed permanently only once every tuple inside it is
-        either emitted or sitting in the session cache, so later calls never
-        re-query regions that have already been fully observed.  With the
-        cache disabled there is nowhere to keep those tuples, so every call
-        restarts from the full space (stateless but still correct).
+        The open-box list persists across calls: a box is removed permanently
+        only once every tuple inside it is either emitted or sitting in the
+        session cache, so later calls never re-query regions that have
+        already been fully observed.
         """
-        if not self._config.enable_session_cache:
-            return [self._open(self._space, 0)]
         if self._open_boxes is None:
             self._open_boxes = [self._open(self._space, 0)]
         return self._open_boxes
-
-    def _store_open_boxes(self, boxes: List[OpenBox]) -> None:
-        if self._config.enable_session_cache:
-            self._open_boxes = boxes
 
     def _partition_search(self, best: Best) -> Best:
         """Shared loop of MD-BINARY and MD-RERANK: batched (parallel) queries,
@@ -338,8 +325,7 @@ class MultiDimGetNext:
                     rows = self._dense_index.lookup(box, self._base_query)
                     if rows is not None:
                         self._statistics.record("dense_index_hits")
-                        if self._config.enable_session_cache:
-                            self._session.remember(rows, self._engine.key_column)
+                        self._remember(rows)
                         best = self._update_best(rows, best)
                         continue
                 dense = (
@@ -353,11 +339,7 @@ class MultiDimGetNext:
 
             if not to_query:
                 continue
-            if (
-                self._config.enable_parallel
-                and len(to_query) == 1
-                and to_query[0][1] > 0
-            ):
+            if len(to_query) == 1 and to_query[0][1] > 0:
                 # Verification stage with a single remaining region: the paper
                 # splits the region and searches the two sub-spaces
                 # independently (and therefore in parallel) rather than
@@ -368,7 +350,7 @@ class MultiDimGetNext:
             queries = [box.to_query(self._base_query) for box, _ in to_query]
             results = self._engine.search_group(queries)
             for (box, depth), result in zip(to_query, results):
-                self._remember(result)
+                self._remember(result.rows)
                 best = self._update_best(result.rows, best)
                 if result.covers_query:
                     continue
@@ -376,7 +358,7 @@ class MultiDimGetNext:
                 work.append(self._open(low, depth + 1))
                 work.append(self._open(high, depth + 1))
 
-        self._store_open_boxes(deferred)
+        self._open_boxes = deferred
         return best
 
     def _resolve_dense_box(self, box: HyperRectangle, best: Best) -> Best:
@@ -397,6 +379,5 @@ class MultiDimGetNext:
                 self._engine, self._statistics, self._dense_index, closed_box, self._base_query
             )
             rows = [row for row in covered if box.contains(row)]
-        if self._config.enable_session_cache:
-            self._session.remember(rows, self._engine.key_column)
+        self._remember(rows)
         return self._update_best(rows, best)

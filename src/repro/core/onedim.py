@@ -52,7 +52,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import RerankConfig
 from repro.core.dense_index import (
@@ -290,9 +290,8 @@ class OneDimGetNext:
         """Oriented values of the rows strictly beyond the frontier."""
         return [self._oriented_value(row) for row in self._eligible(rows)]
 
-    def _remember(self, result: SearchResult) -> None:
-        if self._config.enable_session_cache:
-            self._session.remember(result.rows, self._engine.key_column)
+    def _remember(self, rows: Sequence[Row]) -> None:
+        self._session.remember(rows, self._engine.key_column)
 
     def _within_prefix(self, value: float) -> bool:
         end, inclusive = self._proven
@@ -306,8 +305,6 @@ class OneDimGetNext:
         remembered already: from ``result`` when it covers its query (a
         stale or degraded answer proves nothing), or from a dense-index
         lookup or a crawl when ``result`` is ``None``."""
-        if not self._config.enable_session_cache:
-            return
         if result is not None and (
             not result.covers_query or result.stale or result.degraded
         ):
@@ -323,8 +320,6 @@ class OneDimGetNext:
     def _cached_upper_bound(self) -> Optional[float]:
         """Best oriented value among cached, unemitted, matching tuples —
         a free upper bound for the next value."""
-        if not self._config.enable_session_cache:
-            return None
         best = self._candidates.best(*self._frontier_lower())
         if best is None:
             return None
@@ -360,7 +355,7 @@ class OneDimGetNext:
             interval = _Interval(interval.lower, best, interval.include_lower, True)
         while True:
             result = self._search_interval(interval)
-            self._remember(result)
+            self._remember(result.rows)
             self._prove(interval, result)
             values = self._eligible_values(result.rows)
             if values:
@@ -409,7 +404,7 @@ class OneDimGetNext:
                 # The dense index covered the whole interval and found nothing.
                 self._prove(interval)
                 return None
-            self._remember(result)
+            self._remember(result.rows)
             self._prove(interval, result)
             values = self._eligible_values(result.rows)
             if values:
@@ -440,7 +435,7 @@ class OneDimGetNext:
                 lower, include_lower = midpoint, False
                 rounds += 1
                 continue
-            self._remember(result)
+            self._remember(result.rows)
             self._prove(half, result)
             values = self._eligible_values(result.rows)
             if result.is_underflow or not values:
@@ -515,11 +510,10 @@ class OneDimGetNext:
             ask=self._interval_query(interval) if self._filtered else None,
         )
         if answer is not None:
-            self._remember(answer)
+            self._remember(answer.rows)
             self._prove(interval, answer)
         if answer is None or not answer.covers_query:
-            if self._config.enable_session_cache:
-                self._session.remember(rows, self._engine.key_column)
+            self._remember(rows)
             self._prove(_Interval(lower, best, True, True))
         values = self._eligible_values(rows)
         return min(min(values), best) if values else best
@@ -554,12 +548,11 @@ class OneDimGetNext:
                 crawled = crawl_region(self._engine, self._statistics, SearchQuery((group,), ()))
                 rows = [row for row in crawled if self._base_query.matches(row)]
         if answer is not None:
-            self._remember(answer)
+            self._remember(answer.rows)
         # The group is complete: the asked answer covered it, or the index
         # or a crawl produced it.
         self._prove(point, answer if answer is not None and answer.covers_query else None)
-        if self._config.enable_session_cache:
-            self._session.remember(rows, key_column)
+        self._remember(rows)
         fresh = [row for row in rows if not self._session.has_emitted(row[key_column])]
         fresh.sort(key=lambda row: str(row[key_column]))
         return fresh

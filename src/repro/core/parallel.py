@@ -16,9 +16,10 @@ Every external query a reranking algorithm issues goes through
   budget and zero simulated latency, and identical in-flight queries coalesce
   onto a single round trip;
 * **accounting** — per-iteration group sizes (the paper's Fig. 2 metric),
-  external-query counts, simulated latency (a parallel group costs one round
-  trip, i.e. the *maximum* of its members' latencies, not the sum);
-* **budget enforcement** — the optional hard cap on external queries.  The
+  external-query counts, simulated latency (a group costs one round trip,
+  i.e. the *maximum* of its members' latencies, not the sum);
+* **budget enforcement** — an optional per-request cap on external queries
+  (a caller-supplied :class:`~repro.webdb.counters.QueryBudget`).  The
   charge is atomic check-then-issue: a group that would exceed the budget
   raises *before* any of its queries runs and leaves ``budget.used`` exactly
   equal to the number of queries actually issued.
@@ -51,7 +52,6 @@ class QueryOutcome(enum.Enum):
     COALESCED = "coalesced"  #: rode along another caller's round trip
     STALE = "stale"  #: the round trip failed; an invalidated entry answered
     FAILED = "failed"  #: the round trip raised and nothing could answer
-    UNISSUED = "unissued"  #: never attempted (sequential tail after a failure)
 
 
 _OUTCOME_OF = {
@@ -67,8 +67,9 @@ Settled = Tuple[Optional[SearchResult], QueryOutcome]
 
 
 class QueryEngine:
-    """Issues queries against one top-k interface with accounting, optional
-    parallelism, and optional shared result caching."""
+    """Issues query groups against one top-k interface, each as one
+    round trip, with accounting and optional shared result caching (the
+    crawler's verification engine runs without a cache)."""
 
     def __init__(
         self,
@@ -82,8 +83,8 @@ class QueryEngine:
         self._interface = interface
         self._config = config or RerankConfig()
         self.statistics = statistics or RerankStatistics()
-        self._budget = budget or QueryBudget(self._config.query_budget)
-        self._cache = result_cache if self._config.enable_result_cache else None
+        self._budget = budget or QueryBudget()
+        self._cache = result_cache
         self._cache_namespace = cache_namespace or default_namespace(interface)
         # Read per row by the MD algorithms: resolve the interface's property
         # chain (stack -> database -> schema) once.
@@ -112,7 +113,7 @@ class QueryEngine:
 
     @property
     def result_cache(self) -> Optional[QueryResultCache]:
-        """The shared result cache, or ``None`` when caching is off."""
+        """The shared result cache, or ``None`` for an uncached engine."""
         return self._cache
 
     @property
@@ -166,11 +167,9 @@ class QueryEngine:
         round trip *before* any of them is issued; a group that trips the
         budget raises with ``budget.used`` unchanged.
 
-        When parallel processing is enabled the group's simulated latency is
-        the *maximum* over its issued queries (one round trip) regardless of
-        group size — a group of one costs the same under either accounting
-        rule, and using one rule keeps size-1 and size-2 groups consistent;
-        with parallelism disabled latencies add up.
+        The misses go out as one batch, so the group's simulated latency is
+        the *maximum* over its issued queries: one round trip, whatever the
+        group's size.
         """
         if not queries:
             return []
@@ -207,32 +206,22 @@ class QueryEngine:
         # atomically, before issuing anything.
         self._budget.charge(len(pending))
 
-        # Phase 3: issue the misses through the source's ``settle_many`` —
-        # a parallel group as one batch, the sequential ablation one query
-        # per batch, stopping at the first failure and leaving the tail
-        # unissued.  Each query of a batch settles on its own.
+        # Phase 3: issue the misses as one batch through the source's
+        # ``settle_many``.  Each query of the batch settles on its own.
         guards = self._resilience_stats if pending else None
         retries_before = guards.read("retries") if guards is not None else 0
-        use_parallel = self._config.enable_parallel and len(pending) > 1
-        misses = [queries[index] for index in pending]
-        batches = [misses] if use_parallel else [[query] for query in misses]
-        issued: List[Settled] = []
         error: Optional[BaseException] = None
-        for batch in batches:
-            if error is None:
-                outcomes, error = self._issue(batch, use_cache)
-            else:
-                outcomes = [(None, QueryOutcome.UNISSUED)] * len(batch)
-            issued.extend(outcomes)
-        for index, outcome in zip(pending, issued):
-            settled[index] = outcome
+        if pending:
+            issued, error = self._issue([queries[index] for index in pending], use_cache)
+            for index, outcome in zip(pending, issued):
+                settled[index] = outcome
 
         # Phase 4: the one settlement.  Everything charged up front that did
-        # not end as this engine's answered round trip — failed, never
-        # issued, coalesced onto another caller's trip, answered by an entry
-        # stored between probe and fetch, or served stale — is handed back
-        # before any exception propagates, so ``budget.used`` always equals
-        # the round trips that answered.
+        # not end as this engine's answered round trip — failed, coalesced
+        # onto another caller's trip, answered by an entry stored between
+        # probe and fetch, or served stale — is handed back before any
+        # exception propagates, so ``budget.used`` always equals the round
+        # trips that answered.
         tally = Counter(outcome for _, outcome in settled)  # type: ignore[misc]
         self._budget.refund(len(pending) - tally[QueryOutcome.ISSUED])
         if error is not None:
@@ -247,16 +236,12 @@ class QueryEngine:
             results.append(result)
             if outcome is QueryOutcome.ISSUED:
                 issued_latencies.append(result.elapsed_seconds)
-        if self._config.enable_parallel:
-            group_latency = max(issued_latencies, default=0.0)
-        else:
-            group_latency = sum(issued_latencies)
         # Best-effort attribution: the guards' counters are shared across
         # concurrent requests, so the delta may include a neighbour's
         # retries; the aggregate across all requests stays exact.
         retried = guards.read("retries") - retries_before if guards is not None else 0
         self.statistics.record_iteration(
-            len(issued_latencies), group_latency, parallel=use_parallel
+            len(issued_latencies), max(issued_latencies, default=0.0)
         )
         self.statistics.add(
             result_cache_hits=tally[QueryOutcome.HIT],

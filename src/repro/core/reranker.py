@@ -113,10 +113,8 @@ class QueryReranker:
         #: re-verify and re-attach it.
         self._dense_cache = dense_cache
         self._dense_index = self._make_dense_index(dense_cache)
-        self._result_cache: Optional[QueryResultCache] = (
-            result_cache
-            if result_cache is not None
-            else self._config.make_result_cache()
+        self._result_cache = (
+            result_cache if result_cache is not None else QueryResultCache()
         )
         self._cache_namespace = default_namespace(interface)
         # Federated sources: the facade caches per shard (shard-scoped
@@ -128,14 +126,11 @@ class QueryReranker:
         self._federation: Optional[FederatedInterface] = (
             interface if isinstance(interface, FederatedInterface) else None
         )
-        if self._config.enable_rerank_feed:
-            self._feed_store: Optional[RerankFeedStore] = RerankFeedStore(
-                max_feeds=self._config.rerank_feed_size,
-                ttl_seconds=self._config.rerank_feed_ttl_seconds,
-                result_cache=self._result_cache,
-            )
-        else:
-            self._feed_store = None
+        self._feed_store: Optional[RerankFeedStore] = (
+            RerankFeedStore(self._result_cache)
+            if self._config.enable_rerank_feed
+            else None
+        )
         #: Every delta and invalidation, in order: live streams drop the
         #: touched rows from their sessions, and what they proved before a
         #: change that can match their filter query.
@@ -175,10 +170,11 @@ class QueryReranker:
         return self._federation
 
     @property
-    def result_cache(self) -> Optional[QueryResultCache]:
-        """The shared query-result cache (``None`` when disabled).  Sessions
-        created through this reranker — and any other reranker handed the same
-        cache object — reuse each other's query answers."""
+    def result_cache(self) -> QueryResultCache:
+        """The shared query-result cache (a private one unless the caller
+        handed one in).  Sessions created through this reranker — and any
+        other reranker handed the same cache object — reuse each other's
+        query answers."""
         return self._result_cache
 
     @property
@@ -233,8 +229,7 @@ class QueryReranker:
         elif self._federation is not None:
             for index in range(self._federation.shard_count):
                 cache_entries += self._federation.invalidate_shard(index)
-        if self._result_cache is not None:
-            cache_entries += self._result_cache.invalidate(self._cache_namespace)
+        cache_entries += self._result_cache.invalidate(self._cache_namespace)
         self._dense_index = self._make_dense_index()
         feeds_retired = 0
         if self._feed_store is not None:
@@ -298,18 +293,13 @@ class QueryReranker:
         if delta.is_empty:
             return summary
         facade_delta = delta.with_namespace(self._cache_namespace)
-        if self._result_cache is not None:
+        retired_keys.extend(
+            self._result_cache.invalidate_delta(self._cache_namespace, facade_delta)
+        )
+        for _, shard_delta in delta.shard_deltas:
             retired_keys.extend(
-                self._result_cache.invalidate_delta(
-                    self._cache_namespace, facade_delta
-                )
+                self._result_cache.invalidate_delta(shard_delta.namespace, shard_delta)
             )
-            for _, shard_delta in delta.shard_deltas:
-                retired_keys.extend(
-                    self._result_cache.invalidate_delta(
-                        shard_delta.namespace, shard_delta
-                    )
-                )
         summary["cache_entries_retired"] = len(retired_keys)
         summary["regions_retired"] = self._dense_index.invalidate_delta(facade_delta)
         if self._feed_store is not None:

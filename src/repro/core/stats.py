@@ -88,27 +88,18 @@ class RerankStatistics(Counters):
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record_iteration(
-        self,
-        group_size: int,
-        simulated_seconds: float,
-        parallel: Optional[bool] = None,
-    ) -> None:
+    def record_iteration(self, group_size: int, simulated_seconds: float) -> None:
         """Record one algorithm iteration that issued ``group_size`` external
-        queries costing ``simulated_seconds`` of simulated latency for the
-        whole group.  ``parallel`` states whether the group was actually
-        executed concurrently (default: it was whenever it had more than one
-        member)."""
+        queries as one round trip costing ``simulated_seconds`` of simulated
+        latency; a group of more than one query went out in parallel."""
         if group_size <= 0:
             return
-        if parallel is None:
-            parallel = group_size > 1
         with self._lock:
             self.iterations += 1
             self.external_queries += group_size
             self.iteration_group_sizes.append(group_size)
             self.simulated_seconds += simulated_seconds
-            if parallel and group_size > 1:
+            if group_size > 1:
                 self.parallel_iterations += 1
                 self.parallel_queries += group_size
             else:

@@ -177,8 +177,7 @@ class ThresholdAlgorithmGetNext:
             if self._base_query.matches(row):
                 entry = (self._ranking.score(row), str(key), len(self._discovered), row)
                 heapq.heappush(self._candidates, entry)
-        if self._config.enable_session_cache:
-            self._session.remember([row], self._engine.key_column)
+        self._session.remember([row], self._engine.key_column)
 
     # ------------------------------------------------------------------ #
     def _find_next_tuple(self) -> Optional[Tuple[float, str, int, Row]]:

@@ -145,24 +145,6 @@ def categorical_column(
     return rng.choices(list(categories), weights=weights, k=count)
 
 
-def jitter_ties(
-    rng: random.Random,
-    values: Sequence[float],
-    fraction: float,
-    magnitude: float,
-    lower: float,
-    upper: float,
-) -> List[float]:
-    """Copy ``values`` nudging a random ``fraction`` of them by up to
-    ``magnitude`` — used to control how many exact ties a column contains."""
-    out = []
-    for value in values:
-        if rng.random() < fraction:
-            value = min(max(value + rng.uniform(-magnitude, magnitude), lower), upper)
-        out.append(value)
-    return out
-
-
 def round_column(values: Sequence[float], decimals: int) -> List[float]:
     """Round every value to ``decimals`` places (web sites display rounded
     numbers, which is what their search filters operate on)."""
@@ -228,18 +210,6 @@ def summarize_column(values: Sequence[float]) -> Dict[str, float]:
         "max": ordered[-1],
         "mean": sum(ordered) / n,
     }
-
-
-def split_domain(
-    lower: float, upper: float, parts: int
-) -> List[Tuple[float, float]]:
-    """Split ``[lower, upper]`` into ``parts`` equal-width sub-intervals."""
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    if lower > upper:
-        raise ValueError("inverted domain")
-    width = (upper - lower) / parts
-    return [(lower + i * width, lower + (i + 1) * width) for i in range(parts)]
 
 
 # --------------------------------------------------------------------- #

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
 
@@ -234,40 +234,3 @@ class Schema:
         """All column names stored for a tuple: the key plus every attribute."""
         return [self.key] + self.names
 
-
-def schema_from_rows(
-    rows: Iterable[Dict[str, object]],
-    key: str = "id",
-    rankable: Optional[Sequence[str]] = None,
-) -> Schema:
-    """Infer a :class:`Schema` from an iterable of row dictionaries.
-
-    Numeric columns become numeric attributes with bounds set to the observed
-    minimum/maximum; string columns become categorical attributes with the
-    observed distinct values.  ``rankable`` restricts which numeric attributes
-    are offered for ranking (default: all of them).
-    """
-    materialized = list(rows)
-    if not materialized:
-        raise SchemaError("cannot infer a schema from zero rows")
-    first = materialized[0]
-    attributes: List[Attribute] = []
-    for name, value in first.items():
-        if name == key:
-            continue
-        column = [row[name] for row in materialized]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            numeric_column = [float(v) for v in column]
-            is_rankable = rankable is None or name in rankable
-            attributes.append(
-                Attribute.numeric(
-                    name,
-                    min(numeric_column),
-                    max(numeric_column),
-                    rankable=is_rankable,
-                )
-            )
-        else:
-            categories = sorted({str(v) for v in column})
-            attributes.append(Attribute.categorical(name, categories))
-    return Schema(attributes=tuple(attributes), key=key)

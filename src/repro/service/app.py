@@ -96,7 +96,7 @@ class QR2Service:
         else:
             # One cache for every session and source (namespaced per source),
             # owned here so it can be snapshotted to the spill.
-            self._shared_result_cache = self._config.rerank.make_result_cache()
+            self._shared_result_cache = QueryResultCache()
             self._registry = build_default_registry(
                 database_config=self._config.database,
                 rerank_config=self._config.rerank,
@@ -132,7 +132,6 @@ class QR2Service:
         self._warmer = FeedWarmer(
             self,
             tracker=self._popularity,
-            top_requests=self._config.warming_top_requests,
             pages=self._config.warming_pages,
         )
 
@@ -155,8 +154,7 @@ class QR2Service:
     @property
     def result_cache(self) -> Optional[QueryResultCache]:
         """The one result cache shared by every source of the default
-        registry (``None`` when caching is disabled or the caller supplied
-        its own registry)."""
+        registry (``None`` when the caller supplied its own registry)."""
         return self._shared_result_cache
 
     @property
@@ -464,7 +462,6 @@ class QR2Service:
     def _statistics_panel(self, request: _ActiveRequest) -> Dict[str, object]:
         snapshot = request.stream.statistics.snapshot()
         reranker = request.source.reranker
-        result_cache = reranker.result_cache
         feed_store = reranker.feed_store
         # Sharded sources: per-shard queries issued, merge depth, and scatter
         # fan-out from the federated interface's describe() — whose
@@ -484,7 +481,7 @@ class QR2Service:
             "description": request.stream.description,
             **{name: snapshot[name] for name in _PANEL_REQUEST},
             "dense_index": reranker.dense_index.describe(),
-            "result_cache": result_cache.snapshot() if result_cache else None,
+            "result_cache": reranker.result_cache.snapshot(),
             "rerank_feed": feed_store.snapshot() if feed_store else None,
             "federation": federation,
             "result_cache_persistence": (

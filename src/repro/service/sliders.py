@@ -69,20 +69,3 @@ def sliders_from_ranking(ranking: UserRankingFunction) -> Dict[str, float]:
             sliders[attribute] = max(-1.0, min(1.0, weight))
         return sliders
     raise RankingFunctionError(f"unsupported ranking type {type(ranking).__name__}")
-
-
-def describe_sliders(sliders: Mapping[str, float]) -> str:
-    """Render slider positions the way the paper writes its functions
-    (``price - 0.1 carat - 0.5 depth``)."""
-    active = [(name, float(value)) for name, value in sliders.items() if float(value) != 0.0]
-    if not active:
-        return "(no preference)"
-    parts = []
-    for index, (name, value) in enumerate(sorted(active, key=lambda item: -abs(item[1]))):
-        magnitude = abs(value)
-        rendered = name if magnitude == 1.0 else f"{magnitude:g} {name}"
-        if index == 0:
-            parts.append(rendered if value > 0 else f"- {rendered}")
-        else:
-            parts.append(f"+ {rendered}" if value > 0 else f"- {rendered}")
-    return " ".join(parts)

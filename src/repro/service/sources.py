@@ -112,17 +112,16 @@ def build_default_registry(
     one file per source, suffixing the given path — matching the shared MySQL
     cache of the deployed system.
 
-    When the rerank configuration enables the query-result cache, all sources
-    share a single :class:`QueryResultCache` (namespaced per source) so that
-    every session of the service reuses every other session's query answers:
-    the ``result_cache`` given, or one built here from ``rerank_config``.
+    All sources share a single :class:`QueryResultCache` (namespaced per
+    source) so that every session of the service reuses every other
+    session's query answers: the ``result_cache`` given, or a fresh one.
     """
     diamond_config = diamond_config or DiamondCatalogConfig()
     housing_config = housing_config or HousingCatalogConfig()
     database_config = database_config or DatabaseConfig()
     rerank_config = rerank_config or RerankConfig()
     if result_cache is None:
-        result_cache = rerank_config.make_result_cache()
+        result_cache = QueryResultCache()
 
     registry = DataSourceRegistry()
     registry.register(
@@ -178,7 +177,7 @@ def _make_source(
     rerank_config: RerankConfig,
     dense_cache_path: Optional[str],
     result_columns: List[str],
-    result_cache: Optional[QueryResultCache] = None,
+    result_cache: QueryResultCache,
 ) -> DataSource:
     # A sharded source names its shards "{name}#{i}", giving each its own
     # cache namespace, while the reranker keys its cache/feed state under

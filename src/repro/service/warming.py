@@ -35,6 +35,10 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.service.popular import popular_functions
 from repro.webdb.counters import Counters
 
+#: How many of the most popular observed request specifications each
+#: warming pass replays, on top of the source's curated popular sliders.
+TOP_REQUESTS = 8
+
 
 def _canonical_key(spec: Mapping[str, object]) -> str:
     """Stable identity of a request specification (order-insensitive)."""
@@ -143,14 +147,12 @@ class FeedWarmer:
         self,
         service,
         tracker: Optional[PopularityTracker] = None,
-        top_requests: int = 8,
         pages: int = 2,
     ) -> None:
         if pages <= 0:
             raise ValueError("pages must be positive")
         self._service = service
         self._tracker = tracker
-        self._top_requests = max(0, top_requests)
         self._pages = pages
         self._counters = WarmerCounters()
 
@@ -178,8 +180,8 @@ class FeedWarmer:
                 if key not in seen:
                     seen.add(key)
                     specs.append(spec)
-        if self._tracker is not None and self._top_requests > 0:
-            for spec in self._tracker.top(self._top_requests):
+        if self._tracker is not None:
+            for spec in self._tracker.top(TOP_REQUESTS):
                 if spec["source"] not in source_names:
                     continue
                 key = _canonical_key(spec)

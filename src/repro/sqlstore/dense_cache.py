@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import DenseRegionError
@@ -173,7 +173,9 @@ class DenseRegionCache:
     # ------------------------------------------------------------------ #
     def verify_and_refresh(self, crawl_region) -> Dict[str, int]:
         """Re-crawl every stored region with ``crawl_region(bounds) -> rows``
-        and replace regions whose contents changed.
+        and replace regions whose contents changed: a tuple that entered or
+        left the region, or a stored tuple whose values differ from the live
+        one (a repriced row keeps its key).
 
         Returns counters ``{"checked": .., "refreshed": .., "unchanged": ..}``.
         The crawl callback is injected so this module stays independent of the
@@ -183,15 +185,22 @@ class DenseRegionCache:
         for region in self.regions():
             counters["checked"] += 1
             fresh_rows = crawl_region(region.bounds)
-            fresh_keys = sorted(str(row[self._schema.key]) for row in fresh_rows)
-            cached_keys = sorted(str(key) for key in region.tuple_keys)
-            if fresh_keys == cached_keys:
+            cached_rows = self._tuples.get_many(region.tuple_keys).values()
+            if self._by_key(fresh_rows) == self._by_key(cached_rows):
                 counters["unchanged"] += 1
                 continue
             self.drop_region(region.region_id)
             self.store_region(region.bounds, fresh_rows)
             counters["refreshed"] += 1
         return counters
+
+    def _by_key(self, rows: Iterable[Row]) -> Dict[str, Tuple[object, ...]]:
+        """``rows`` by stringified key, each as its attribute values: the
+        form in which a crawled row and its stored copy compare equal (the
+        store keeps keys as text and numbers as floats)."""
+        key = self._schema.key
+        names = self._schema.names
+        return {str(row[key]): tuple(row[name] for name in names) for row in rows}
 
     def close(self) -> None:
         """Close every underlying connection, whichever thread opened it."""

@@ -357,12 +357,12 @@ class QueryResultCache:
         ``HIT``\\ s, queries a stored covering superset entry can answer are
         ``CONTAINED``, keys another caller is already computing are coalesced
         onto that caller's flight, duplicates within the batch ride on the
-        batch's own computation (the later occurrences are ``HIT``\\ s, exactly
-        as in the sequential path where the first store answers the repeat),
-        and the remaining keys are claimed by this caller.  The claimed
-        queries are then computed in a single ``compute_many`` call — this is
-        what lets a batched interface amortize planning work across a
-        parallel group — stored, and published to any coalesced waiters.
+        batch's own computation (the later occurrences are ``HIT``\\ s, as if
+        the first occurrence's store answered the repeat), and the remaining
+        keys are claimed by this caller.  The claimed queries are then
+        computed in a single ``compute_many`` call — this is what lets a
+        batched interface amortize planning work across a parallel group —
+        stored, and published to any coalesced waiters.
 
         Returns ``(result, status)`` pairs aligned with ``queries``.  An
         error in one position of ``compute_many``'s answer (see

@@ -157,8 +157,7 @@ class TopKInterface(ABC):
         """Settle a batch query by query: each position holds that query's
         answer or the error that stopped it, and a raise means nothing was
         answered.  This is the one way the query engine issues queries: a
-        parallel group as one batch, the sequential ablation one query per
-        batch.  The default is one :meth:`search_many` (a database validates
+        group as one batch.  The default is one :meth:`search_many` (a database validates
         the whole batch before issuing any of it)."""
         return list(self.search_many(queries))
 

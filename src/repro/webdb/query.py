@@ -336,14 +336,6 @@ class SearchQuery:
             return replace(self, ranges=others + (merged,))
         return replace(self, ranges=self.ranges + (predicate,))
 
-    def try_with_range(self, predicate: RangePredicate) -> Optional["SearchQuery"]:
-        """Like :meth:`with_range` but returns ``None`` instead of raising when
-        the conjunction is unsatisfiable."""
-        existing = self.range_on(predicate.attribute)
-        if existing is not None and existing.intersect(predicate) is None:
-            return None
-        return self.with_range(predicate)
-
     def with_membership(self, predicate: InPredicate) -> "SearchQuery":
         """Conjoin an IN predicate, intersecting with any existing predicate."""
         existing = self.membership_on(predicate.attribute)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 from repro.webdb.query import Row
 
@@ -153,24 +153,3 @@ class RandomTieBreakRanking(SystemRankingFunction):
 
     def describe(self) -> str:
         return "random(stable)"
-
-
-def composite_ranking(
-    rankings: Sequence[SystemRankingFunction], weights: Sequence[float]
-) -> SystemRankingFunction:
-    """Weighted combination of several rankings (used to build system rankings
-    with a controlled degree of correlation to a visible attribute)."""
-    if len(rankings) != len(weights) or not rankings:
-        raise ValueError("rankings and weights must be non-empty and equal length")
-
-    class _Composite(SystemRankingFunction):
-        def score(self, row: Row) -> float:
-            return sum(w * r.score(row) for r, w in zip(rankings, weights))
-
-        def describe(self) -> str:
-            parts = ", ".join(
-                f"{w:g}*{r.describe()}" for r, w in zip(rankings, weights)
-            )
-            return f"composite({parts})"
-
-    return _Composite()

@@ -41,6 +41,7 @@ from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog
 from repro.dataset.schema import Schema
 from repro.dataset.table import ColumnTable
 from repro.webdb.build import build_source
+from repro.webdb.cache import QueryResultCache
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
@@ -62,17 +63,20 @@ class ExperimentResult:
     tuples_returned: int
     external_queries: int
     parallel_queries: int
+    round_trips: int
     simulated_seconds: float
 
 
 def paid(statistics: RerankStatistics) -> Dict[str, object]:
     """What one request paid in the paper's two currencies: external queries
-    (``parallel_queries`` of them in parallel groups) and simulated seconds,
-    which are a function of the seed — unlike ``processing_seconds``, which
-    adds local wall time."""
+    (``parallel_queries`` of them in parallel groups, all of them in
+    ``round_trips`` iterations) and simulated seconds, which are a function
+    of the seed — unlike ``processing_seconds``, which adds local wall
+    time."""
     return {
         "external_queries": statistics.external_queries,
         "parallel_queries": statistics.parallel_queries,
+        "round_trips": statistics.iterations,
         "simulated_seconds": statistics.simulated_seconds,
     }
 
@@ -160,7 +164,7 @@ class ExperimentEnvironment:
         share one result cache, fixed when the federation is built."""
         catalog, schema, ranking, _ = self.source(source)
         config = config or self.rerank_config
-        result_cache = config.make_result_cache()
+        result_cache = QueryResultCache()
         federation = build_source(
             catalog,
             schema,

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config import RerankConfig
 from repro.core.parallel import QueryEngine
 from repro.exceptions import QueryBudgetExceeded, SourceUnavailableError
 from repro.webdb.cache import QueryResultCache
@@ -75,11 +74,9 @@ class TestEngineResultCache:
         assert second.statistics.result_cache_hits == 4
         assert second.statistics.simulated_seconds == 0.0
 
-    def test_duplicate_query_within_sequential_group_hits(self, timed_db):
+    def test_duplicate_query_within_a_group_hits(self, timed_db):
         cache = QueryResultCache()
-        engine = QueryEngine(
-            timed_db, config=RerankConfig(enable_parallel=False), result_cache=cache
-        )
+        engine = QueryEngine(timed_db, result_cache=cache)
         query = SearchQuery.build(ranges={"price": (300.0, 4000.0)})
         results = engine.search_group([query, query])
         assert len(results) == 2
@@ -114,18 +111,6 @@ class TestEngineResultCache:
         engine.search(query)
         assert engine.statistics.external_queries == 1
         assert engine.statistics.result_cache_hits == 1
-
-    def test_config_switch_disables_cache(self, timed_db):
-        cache = QueryResultCache()
-        engine = QueryEngine(
-            timed_db, config=RerankConfig(enable_result_cache=False), result_cache=cache
-        )
-        assert engine.result_cache is None
-        query = SearchQuery.everything()
-        engine.search(query)
-        engine.search(query)
-        assert engine.statistics.external_queries == 2
-
 
 class TestBudgetAccuracy:
     def test_refused_group_does_not_inflate_used(self, bluenile_db):
@@ -206,22 +191,6 @@ class _FlakyInterface(TopKInterface):
 
 
 class TestBudgetOnGroupFailure:
-    def test_sequential_failure_refunds_unissued_tail(self, bluenile_db):
-        flaky = _FlakyInterface(bluenile_db, poison_upper=2000.0)
-        engine = QueryEngine(
-            flaky, config=RerankConfig(enable_parallel=False), budget=QueryBudget(10)
-        )
-        queries = [
-            SearchQuery.build(ranges={"price": (300.0, 1000.0)}),  # issued
-            SearchQuery.build(ranges={"price": (300.0, 2000.0)}),  # raises
-            SearchQuery.build(ranges={"price": (300.0, 3000.0)}),  # never issued
-        ]
-        with pytest.raises(RuntimeError):
-            engine.search_group(queries)
-        # Only the answered round trip stays charged: the failed attempt and
-        # the unissued tail are both refunded.
-        assert engine.budget.used == 1
-
     def test_failure_refunds_coalesced_and_hit_charges(self, bluenile_db):
         flaky = _FlakyInterface(bluenile_db, poison_upper=2000.0)
         cache = QueryResultCache()
@@ -230,7 +199,6 @@ class TestBudgetOnGroupFailure:
         warm.search(shared)
         engine = QueryEngine(
             flaky,
-            config=RerankConfig(enable_parallel=False),
             result_cache=cache,
             cache_namespace="flaky",
             budget=QueryBudget(10),
@@ -246,9 +214,9 @@ class TestBudgetOnGroupFailure:
 
 class TestLatencyAccounting:
     def test_single_query_group_uses_same_rule_as_larger_groups(self, timed_db):
-        """With parallelism enabled a group of one and a group of two must be
-        accounted under the same (max) rule."""
-        engine = QueryEngine(timed_db, config=RerankConfig(enable_parallel=True))
+        """A group of one and a group of two are accounted under the same
+        (max) rule."""
+        engine = QueryEngine(timed_db)
         engine.search_group([SearchQuery.build(ranges={"price": (300.0, 4000.0)})])
         assert engine.statistics.simulated_seconds == pytest.approx(2.0)
         engine.search_group(
@@ -257,25 +225,14 @@ class TestLatencyAccounting:
                 for i in range(2)
             ]
         )
-        # One round trip per group under the parallel rule: 2.0 + 2.0.
+        # One round trip per group: 2.0 + 2.0.
         assert engine.statistics.simulated_seconds == pytest.approx(4.0)
         assert engine.statistics.sequential_queries == 1
         assert engine.statistics.parallel_queries == 2
 
-    def test_sequential_group_still_sums(self, timed_db):
-        engine = QueryEngine(timed_db, config=RerankConfig(enable_parallel=False))
-        engine.search_group(
-            [
-                SearchQuery.build(ranges={"price": (300.0, 4000.0 + i)})
-                for i in range(3)
-            ]
-        )
-        assert engine.statistics.simulated_seconds == pytest.approx(6.0)
-
-
 class TestBatchedGroups:
-    """A parallel group goes out as one ``settle_many`` call; cache semantics
-    and accounting must not change."""
+    """A group goes out as one ``settle_many`` call; cache semantics and
+    accounting must not change."""
 
     def test_batched_group_issues_one_search_many_call(self, timed_db, monkeypatch):
         calls = []
@@ -336,26 +293,6 @@ class TestBatchedGroups:
         monkeypatch.undo()
         engine.search(SearchQuery.build(ranges={"price": (300.0, 4000.0)}))
         assert engine.budget.used == 1
-
-    def test_sequential_config_issues_one_query_per_batch(self, timed_db, monkeypatch):
-        calls = []
-        original = type(timed_db).search_many
-
-        def spying(self, queries):
-            calls.append(len(list(queries)))
-            return original(self, queries)
-
-        monkeypatch.setattr(type(timed_db), "search_many", spying)
-        engine = QueryEngine(timed_db, config=RerankConfig(enable_parallel=False))
-        results = engine.search_group(
-            [
-                SearchQuery.build(ranges={"price": (300.0, 4000.0 + i)})
-                for i in range(3)
-            ]
-        )
-        assert len(results) == 3
-        assert calls == [1, 1, 1]
-        assert engine.statistics.simulated_seconds == pytest.approx(6.0)
 
     def test_a_sleeping_group_is_one_round_trip(
         self, diamond_catalog, diamond_schema_fixture, monkeypatch
@@ -530,35 +467,37 @@ def _price_upto(upper):
 
 class TestSettlementInvariant:
     """``budget.used`` equals the round trips that answered, whether the
-    group goes out as one batch or one query at a time, whether the source
-    fails a batch whole or settles each query on its own, and whatever
-    became of each query of the group."""
+    source fails a batch whole or settles each query on its own, whatever
+    became of each query of the group, and wherever in the group the query
+    that met that fate sits."""
 
-    #: name: RerankConfig.enable_parallel
-    MECHANISMS = {"batched": True, "sequential": False}
     FRESH = [_price_upto(4000.0), _price_upto(5000.0)]
+    #: name: index of the special query in the group of three
+    POSITIONS = {"middle": 1, "last": 2}
 
+    def _group(self, special, position):
+        group = list(self.FRESH)
+        group.insert(self.POSITIONS[position], special)
+        return group
+
+    @pytest.mark.parametrize("position", sorted(POSITIONS))
     @pytest.mark.parametrize("settles_each", [False, True], ids=["whole", "each"])
-    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
     @pytest.mark.parametrize(
         "scenario",
         ["hit", "contained", "coalesced", "issued", "failed", "stale"],
     )
     def test_budget_equals_answered_round_trips(
-        self, timed_db, mechanism, scenario, settles_each
+        self, timed_db, scenario, settles_each, position
     ):
-        parallel = self.MECHANISMS[mechanism]
-        batch_fails_whole = parallel and not settles_each
         cache = QueryResultCache()
         namespace = _SettlingSource.name
         k = timed_db.system_k
         special = _price_upto(2000.0)
-        group = [self.FRESH[0], special, self.FRESH[1]]
         poison = error = None
         owner = None
         if scenario == "hit":
             # A duplicate within the group rides its twin's round trip.
-            group = [self.FRESH[0], self.FRESH[0], self.FRESH[1]]
+            special = self.FRESH[0]
         elif scenario == "contained":
             # A stored covering (valid) entry answers its subset for free.
             lower, upper = timed_db.schema.domain_bounds("price")
@@ -578,8 +517,8 @@ class TestSettlementInvariant:
             special = SearchQuery.build(
                 ranges={"price": (bounds.lower, (bounds.lower + bounds.upper) / 2)}
             )
-            group = [self.FRESH[0], special, self.FRESH[1]]
-        elif scenario == "coalesced":
+        group = self._group(special, position)
+        if scenario == "coalesced":
             # Another caller owns the in-flight round trip for ``special``.
             release = threading.Event()
 
@@ -607,12 +546,7 @@ class TestSettlementInvariant:
             poison, error = special, SourceUnavailableError("source down")
 
         source = _SettlingSource(timed_db, poison=poison, error=error, settles_each=settles_each)
-        engine = QueryEngine(
-            source,
-            config=RerankConfig(enable_parallel=parallel),
-            result_cache=cache,
-            budget=QueryBudget(10),
-        )
+        engine = QueryEngine(source, result_cache=cache, budget=QueryBudget(10))
         raised = None
         try:
             results = engine.search_group(group)
@@ -634,10 +568,9 @@ class TestSettlementInvariant:
         if scenario == "failed":
             assert isinstance(raised, RuntimeError)
             # A batch failed whole answered nothing; one settled query by
-            # query answered the two healthy queries; sequential: the tail
-            # went unissued.
-            assert source.answered == (0 if batch_fails_whole else 2 if parallel else 1)
-        elif scenario == "stale" and batch_fails_whole:
+            # query answered the two healthy queries.
+            assert source.answered == (2 if settles_each else 0)
+        elif scenario == "stale" and not settles_each:
             # The one call failed for the whole batch: nothing is paid and
             # every query is served its parked copy.
             assert raised is None and source.answered == 0
@@ -655,7 +588,8 @@ class TestSettlementInvariant:
             }[scenario]
             assert witness == 1
             if scenario == "stale":
-                assert results[1].stale and results[1].degraded
+                served = results[self.POSITIONS[position]]
+                assert served.stale and served.degraded
 
     def test_a_failed_query_leaves_its_siblings_issued_paid_and_cached(self, timed_db):
         """Over a source that settles each query of a batch on its own, one

@@ -352,10 +352,9 @@ class TestFeedInvalidation:
         assert fresh.statistics.feed_replayed_tuples == 0
         assert _ids(rows) == _ids(leader.returned_so_far)
 
-    @pytest.mark.parametrize("with_cache", [True, False])
-    def test_full_invalidations_outdate_feeds_and_deltas_do_not(self, with_cache):
-        cache = QueryResultCache() if with_cache else None
-        store = RerankFeedStore(result_cache=cache)
+    def test_full_invalidations_outdate_feeds_and_deltas_do_not(self):
+        cache = QueryResultCache()
+        store = RerankFeedStore(cache)
         factory = _ListProducerFactory([{"id": "a"}])
 
         def attach(namespace: str = "ns"):
@@ -366,19 +365,17 @@ class TestFeedInvalidation:
         feed = attach()
         other = attach("other")
         delta = CatalogDelta.from_rows("ns", "id", [{"id": "x", "price": -5.0}])
-        if cache is not None:
-            # A delta that cannot match the feed's query leaves it current,
-            # whichever layer logs it.
-            assert cache.invalidate_delta("ns", delta) == []
+        # A delta that cannot match the feed's query leaves it current,
+        # whichever layer logs it.
+        assert cache.invalidate_delta("ns", delta) == []
         assert store.invalidate_delta("ns", delta) == 0
         assert feed.current and attach() is feed
 
-        if cache is not None:
-            # A cache invalidation outdates the namespace's feeds (they are
-            # retired at the next attach) and only that namespace's.
-            cache.invalidate("ns")
-            assert not feed.current and other.current
-            feed = attach()
+        # A cache invalidation outdates the namespace's feeds (they are
+        # retired at the next attach) and only that namespace's.
+        cache.invalidate("ns")
+        assert not feed.current and other.current
+        feed = attach()
         assert store.invalidate("ns") == 1
         assert feed.stale and not feed.current and other.current
         assert attach() is not feed
@@ -425,7 +422,7 @@ class TestFeedStore:
         )
 
     def test_lru_eviction_retires_oldest_feed(self):
-        store = RerankFeedStore(max_feeds=2)
+        store = RerankFeedStore(QueryResultCache(), max_feeds=2)
         queries = [
             SearchQuery.build(ranges={"price": (0.0, float(100 + i))})
             for i in range(3)
@@ -441,7 +438,7 @@ class TestFeedStore:
 
     def test_ttl_expiry_rebuilds_the_feed(self):
         clock = [0.0]
-        store = RerankFeedStore(ttl_seconds=10.0, clock=lambda: clock[0])
+        store = RerankFeedStore(QueryResultCache(), ttl_seconds=10.0, clock=lambda: clock[0])
         query = SearchQuery.build(ranges={"price": (0.0, 100.0)})
         feed = self._attach(store, query)
         clock[0] = 5.0
@@ -456,7 +453,7 @@ class TestFeedStore:
         leaves ``verified_tuples``, and what its streams still do on it is
         not counted (as when the store folded a feed's counters on retiring
         it)."""
-        store = RerankFeedStore(max_feeds=2)
+        store = RerankFeedStore(QueryResultCache(), max_feeds=2)
         first = self._attach(store, SearchQuery.build(ranges={"price": (0.0, 100.0)}))
         second = self._attach(store, SearchQuery.build(ranges={"price": (0.0, 200.0)}))
         for position in range(3):
@@ -480,7 +477,7 @@ class TestFeedStore:
         """Retirement — here racing a leader's advance — is a mark, not a
         teardown: the feed keeps replaying and advancing for the streams
         that hold it, and is never handed to a new session."""
-        store = RerankFeedStore()
+        store = RerankFeedStore(QueryResultCache())
         leading, retired = threading.Event(), threading.Event()
 
         def gate():
@@ -511,7 +508,7 @@ class TestFeedStore:
         assert fresh is not feed and fresh.depth == 0 and not fresh.stale
 
     def test_row_at_validates_and_counts(self):
-        store = RerankFeedStore()
+        store = RerankFeedStore(QueryResultCache())
         query = SearchQuery.build(ranges={"price": (0.0, 100.0)})
         feed = self._attach(store, query)
         stats = RerankStatistics()

@@ -162,37 +162,20 @@ class TestBehaviour:
         assert session.statistics.parallel_iterations >= 1
         assert session.statistics.parallel_fraction > 0.0
 
-    def test_disabling_parallel_still_correct(self, bluenile_db):
-        config = RerankConfig(enable_parallel=False)
-        ranking = make_ranking(bluenile_db.schema, {"price": 1.0, "carat": -0.5})
-        rows, _, session = run_md(
-            bluenile_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=5, config=config
-        )
-        truth = bluenile_db.true_ranking(SearchQuery.everything(), ranking.score, limit=5)
-        assert_matches_ground_truth(rows, truth, ranking)
-        assert session.statistics.parallel_iterations == 0
-
-    def test_disabling_session_cache_still_correct(self, bluenile_db):
-        config = RerankConfig(enable_session_cache=False)
-        ranking = make_ranking(bluenile_db.schema, {"price": 1.0, "carat": -0.5})
-        rows, _, _ = run_md(
-            bluenile_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=6, config=config
-        )
-        truth = bluenile_db.true_ranking(SearchQuery.everything(), ranking.score, limit=6)
-        assert_matches_ground_truth(rows, truth, ranking)
-
     def test_session_cache_reduces_cost_of_deep_paging(self, zillow_db):
+        """Ten Get-Next calls reuse the tuples and open boxes the first one
+        paid for: they cost well under ten times one call (36 queries
+        against 20 at k = 10)."""
         ranking = make_ranking(zillow_db.schema, {"price": 1.0, "squarefeet": -0.3})
-        cached_rows, cached_engine, _ = run_md(
-            zillow_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=10,
-            config=RerankConfig(enable_session_cache=True),
+        _, first_engine, _ = run_md(
+            zillow_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=1
         )
-        uncached_rows, uncached_engine, _ = run_md(
-            zillow_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=10,
-            config=RerankConfig(enable_session_cache=False),
+        rows, deep_engine, _ = run_md(
+            zillow_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=10
         )
-        assert [r["id"] for r in cached_rows] == [r["id"] for r in uncached_rows]
-        assert cached_engine.queries_issued() < uncached_engine.queries_issued()
+        truth = zillow_db.true_ranking(SearchQuery.everything(), ranking.score, limit=10)
+        assert_matches_ground_truth(rows, truth, ranking)
+        assert deep_engine.queries_issued() < 3 * first_engine.queries_issued()
 
     def test_dense_regions_indexed_and_amortized(self, bluenile_db):
         """With an aggressive dense threshold, MD-RERANK builds regions on the

@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro.config import RerankConfig
 from repro.core.functions import SingleAttributeRanking
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
@@ -164,15 +163,11 @@ class TestQueryEngine:
             system_k=10,
             latency=LatencyModel.accounted(2.0, jitter=0.0),
         )
-        parallel_engine = QueryEngine(timed, config=RerankConfig(enable_parallel=True))
-        sequential_engine = QueryEngine(timed, config=RerankConfig(enable_parallel=False))
+        engine = QueryEngine(timed)
         queries = [SearchQuery.build(ranges={"carat": (0.5, 1.0 + i)}) for i in range(3)]
-        parallel_engine.search_group(queries)
-        sequential_engine.search_group(queries)
-        assert parallel_engine.statistics.simulated_seconds == pytest.approx(2.0)
-        assert sequential_engine.statistics.simulated_seconds == pytest.approx(6.0)
-        # Sequential groups do not count as parallel iterations.
-        assert sequential_engine.statistics.parallel_iterations == 0
+        engine.search_group(queries)
+        assert engine.statistics.simulated_seconds == pytest.approx(2.0)
+        assert engine.statistics.parallel_iterations == 1
 
     def test_empty_group_is_noop(self, bluenile_db):
         engine = QueryEngine(bluenile_db)

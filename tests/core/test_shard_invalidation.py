@@ -16,6 +16,7 @@ from repro.config import DatabaseConfig, RerankConfig
 from repro.core.functions import SingleAttributeRanking
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.webdb.build import build_source
+from repro.webdb.cache import QueryResultCache
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
 
@@ -25,7 +26,7 @@ RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
 def make_reranker(catalog, schema, config=None):
     config = config or RerankConfig()
     # Facade and reranker share one cache, fixed when the source is built.
-    cache = config.make_result_cache()
+    cache = QueryResultCache()
     federation = build_source(
         catalog,
         schema,

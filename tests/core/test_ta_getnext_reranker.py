@@ -180,6 +180,72 @@ class TestQueryReranker:
         truth = zillow_db.true_ranking(SearchQuery.everything(), ranking.score, limit=5)
         assert_matches_ground_truth(rows, truth, ranking)
 
+    @pytest.mark.parametrize(
+        "dimensions, algorithm",
+        [(1, algorithm) for algorithm in Algorithm if algorithm is not Algorithm.TA]
+        + [(2, algorithm) for algorithm in Algorithm],
+        ids=lambda value: value.value if isinstance(value, Algorithm) else f"{value}d",
+    )
+    def test_every_query_is_accounted_in_exactly_one_round_trip(
+        self, bluenile_reranker, zillow_reranker, zillow_db, dimensions, algorithm
+    ):
+        """Every group an algorithm issues is one iteration; a group of more
+        than one query went out in parallel, a group of one did not."""
+        if dimensions == 1:
+            reranker, ranking = bluenile_reranker, SingleAttributeRanking("carat", ascending=False)
+        else:
+            reranker = zillow_reranker
+            ranking = make_ranking(zillow_db.schema, {"price": 1.0, "squarefeet": -0.3})
+        stream = reranker.rerank(SearchQuery.everything(), ranking, algorithm=algorithm)
+        stream.top(8)
+        statistics = stream.statistics
+        sizes = statistics.iteration_group_sizes
+        assert statistics.iterations == len(sizes) > 0
+        assert statistics.external_queries == sum(sizes)
+        assert statistics.parallel_iterations == sum(1 for size in sizes if size > 1)
+        assert statistics.parallel_queries == sum(size for size in sizes if size > 1)
+        assert statistics.sequential_queries == sum(size for size in sizes if size == 1)
+
+    def test_a_private_result_cache_answers_a_repeated_request(self, bluenile_db):
+        """A reranker handed no cache owns one: a second session of the same
+        request (the feed off, so it cannot replay) reuses the first's
+        answers."""
+        reranker = QueryReranker(bluenile_db, config=RerankConfig(enable_rerank_feed=False))
+        ranking = make_ranking(bluenile_db.schema, {"price": 1.0, "carat": -0.5})
+        first = reranker.rerank(SearchQuery.everything(), ranking)
+        first_rows = first.top(5)
+        assert len(reranker.result_cache) > 0
+        second = reranker.rerank(SearchQuery.everything(), ranking)
+        assert [row["id"] for row in second.top(5)] == [row["id"] for row in first_rows]
+        assert second.statistics.result_cache_hits > 0
+        assert second.statistics.external_queries < first.statistics.external_queries
+
+    def test_invalidate_flushes_the_private_result_cache(self, bluenile_db):
+        reranker = QueryReranker(bluenile_db)
+        reranker.rerank(SearchQuery.everything(), SingleAttributeRanking("price")).top(5)
+        entries = len(reranker.result_cache)
+        assert entries > 0
+        assert reranker.invalidate()["cache_entries"] == entries
+        assert len(reranker.result_cache) == 0
+
+    def test_apply_delta_retires_matching_private_cache_entries(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
+        # A private database: the test reprices a stone.
+        database = HiddenWebDatabase(
+            diamond_catalog,
+            diamond_schema_fixture,
+            FeaturedScoreRanking("price", boost_weight=2500.0),
+            system_k=10,
+        )
+        reranker = QueryReranker(database)
+        ranking = SingleAttributeRanking("price", ascending=True)
+        rows = reranker.rerank(SearchQuery.everything(), ranking).top(5)
+        entries = len(reranker.result_cache)
+        summary = reranker.apply_delta(upserts=[{**rows[0], "price": rows[0]["price"] + 1.0}])
+        assert 0 < summary["cache_entries_retired"] <= entries
+        assert len(reranker.result_cache) == entries - summary["cache_entries_retired"]
+
     def test_md_requires_linear_function(self, bluenile_reranker):
         class FakeRanking(SingleAttributeRanking):
             @property

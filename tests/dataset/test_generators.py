@@ -53,11 +53,6 @@ class TestNumericColumns:
         with pytest.raises(ValueError):
             gen.clustered_column(rng, 10, 1.0, 1.5, 0, 2)
 
-    def test_jitter_ties_stays_in_bounds(self, rng):
-        values = [1.0] * 100
-        jittered = gen.jitter_ties(rng, values, fraction=1.0, magnitude=0.5, lower=0.8, upper=1.2)
-        assert all(0.8 <= v <= 1.2 for v in jittered)
-
     def test_round_column(self):
         assert gen.round_column([1.234, 5.678], 1) == [1.2, 5.7]
 
@@ -108,18 +103,6 @@ class TestStatisticsHelpers:
     def test_summarize_empty_raises(self):
         with pytest.raises(ValueError):
             gen.summarize_column([])
-
-    def test_split_domain(self):
-        parts = gen.split_domain(0.0, 10.0, 4)
-        assert parts[0] == (0.0, 2.5)
-        assert parts[-1] == (7.5, 10.0)
-        assert len(parts) == 4
-
-    def test_split_domain_invalid(self):
-        with pytest.raises(ValueError):
-            gen.split_domain(0, 1, 0)
-        with pytest.raises(ValueError):
-            gen.split_domain(2, 1, 2)
 
     def test_determinism_from_seed(self):
         first = gen.lognormal_column(gen.make_rng(7), 50, 100, 0.5, 1, 1000)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataset.schema import Attribute, AttributeKind, Schema, schema_from_rows
+from repro.dataset.schema import Attribute, AttributeKind, Schema
 from repro.exceptions import SchemaError
 
 
@@ -129,24 +129,3 @@ class TestSchema:
 
     def test_columns_order(self):
         assert self._schema().columns() == ["id", "price", "carat", "cut"]
-
-
-class TestSchemaInference:
-    def test_infer_from_rows(self):
-        rows = [
-            {"id": "a", "price": 10.0, "cut": "good"},
-            {"id": "b", "price": 20.0, "cut": "ideal"},
-        ]
-        schema = schema_from_rows(rows)
-        assert schema.domain_bounds("price") == (10.0, 20.0)
-        assert set(schema.require_categorical("cut").categories) == {"good", "ideal"}
-
-    def test_infer_respects_rankable_list(self):
-        rows = [{"id": "a", "price": 10.0, "stock": 5.0}]
-        schema = schema_from_rows(rows, rankable=["price"])
-        assert schema.attribute("price").rankable
-        assert not schema.attribute("stock").rankable
-
-    def test_infer_from_zero_rows_rejected(self):
-        with pytest.raises(SchemaError):
-            schema_from_rows([])

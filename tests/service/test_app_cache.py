@@ -12,13 +12,11 @@ SLIDERS = {"price": 1.0, "carat": -0.5}
 FILTERS = {"ranges": {"carat": (0.5, 3.0)}}
 
 
-def _make_service(enable_result_cache: bool) -> QR2Service:
+def _make_service() -> QR2Service:
     # The rerank feed is ablated: these tests isolate the result cache, and
     # with the feed on the second session replays the whole stream for free
-    # in *both* modes, hiding the cache's effect.
-    rerank_config = RerankConfig(
-        enable_result_cache=enable_result_cache, enable_rerank_feed=False
-    )
+    # whether or not the cache kept the first session's answers.
+    rerank_config = RerankConfig(enable_rerank_feed=False)
     registry = build_default_registry(
         diamond_config=DiamondCatalogConfig(size=350, seed=5),
         housing_config=HousingCatalogConfig(size=400, seed=6),
@@ -45,17 +43,19 @@ def _run_session(service: QR2Service, algorithm: str = "rerank"):
 
 class TestServiceResultCache:
     def test_second_session_issues_strictly_fewer_queries_than_uncached(self):
-        # Uncached baseline: the same request, run twice, pays full price
-        # twice (modulo the shared dense-region index).
-        uncached = _make_service(enable_result_cache=False)
+        # Uncached baseline: the same request, run twice with the cache
+        # emptied in between, pays full price twice (modulo the shared
+        # dense-region index).
+        uncached = _make_service()
         uncached_first = _run_session(uncached)
+        uncached.registry.get("bluenile").reranker.result_cache.invalidate()
         uncached_second = _run_session(uncached)
         uncached_total = (
             uncached_first["statistics"]["external_queries"]
             + uncached_second["statistics"]["external_queries"]
         )
 
-        cached = _make_service(enable_result_cache=True)
+        cached = _make_service()
         cached_first = _run_session(cached)
         cached_second = _run_session(cached)
         cached_total = (
@@ -81,7 +81,7 @@ class TestServiceResultCache:
         ]
 
     def test_statistics_panel_surfaces_cache_counters(self):
-        service = _make_service(enable_result_cache=True)
+        service = _make_service()
         _run_session(service)
         response = _run_session(service)
         panel = response["statistics"]
@@ -94,15 +94,8 @@ class TestServiceResultCache:
         assert 0.0 <= cache_snapshot["hit_rate"] <= 1.0
         assert cache_snapshot["entries"] > 0
 
-    def test_uncached_panel_reports_no_cache(self):
-        service = _make_service(enable_result_cache=False)
-        response = _run_session(service)
-        panel = response["statistics"]
-        assert panel["result_cache"] is None
-        assert panel["result_cache_hits"] == 0
-
     def test_sources_share_one_cache_with_distinct_namespaces(self):
-        service = _make_service(enable_result_cache=True)
+        service = _make_service()
         bluenile = service.registry.get("bluenile")
         zillow = service.registry.get("zillow")
         assert bluenile.reranker.result_cache is zillow.reranker.result_cache

@@ -10,7 +10,7 @@ from repro.service.popular import (
     popular_function,
     popular_functions,
 )
-from repro.service.sliders import describe_sliders, ranking_from_sliders, sliders_from_ranking
+from repro.service.sliders import ranking_from_sliders, sliders_from_ranking
 
 
 class TestRankingFromSliders:
@@ -60,12 +60,6 @@ class TestRankingFromSliders:
         assert sliders_from_ranking(SingleAttributeRanking("price", ascending=False)) == {
             "price": -1.0
         }
-
-    def test_describe_sliders(self):
-        text = describe_sliders({"price": 1.0, "carat": -0.5})
-        assert text == "price - 0.5 carat"
-        assert describe_sliders({}) == "(no preference)"
-        assert describe_sliders({"depth": -1.0}) == "- depth"
 
 
 class TestPopularFunctions:

@@ -9,7 +9,7 @@ from repro.service.app import QR2Service
 from repro.service.popular import popular_functions
 from repro.service.sliders import ranking_from_sliders
 from repro.service.sources import build_default_registry
-from repro.service.warming import PopularityTracker
+from repro.service.warming import TOP_REQUESTS, FeedWarmer, PopularityTracker
 from repro.webdb.query import SearchQuery
 
 PAGES = 2
@@ -40,6 +40,45 @@ class TestPopularityTracker:
         assert only["algorithm"] == "ta"
         assert only["filters"] == {"ranges": {"carat": [1, 2]}}
         assert tracker.top(0) == []
+
+
+class _RecordingService:
+    """The public surface a warmer drives, recording each submitted spec."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def create_session(self):
+        return "warm"
+
+    def submit_query(self, session_id, source, filters, sliders, ranking, algorithm):
+        self.submitted.append((source, dict(sliders)))
+
+    def get_next_page(self, session_id):
+        return {"exhausted": True}
+
+    def close_session(self, session_id):
+        pass
+
+
+def test_warm_once_replays_only_the_most_popular_observed_requests():
+    """Past the curated sliders (none for a custom source), one pass replays
+    the ``TOP_REQUESTS`` most popular observed specs of the named sources."""
+    tracker = PopularityTracker()
+    for rank in range(TOP_REQUESTS + 3):
+        for _ in range(TOP_REQUESTS + 3 - rank):
+            tracker.record("custom", None, {f"a{rank}": 1.0}, None, "rerank")
+    tracker.record("other", None, {"b": 1.0}, None, "rerank")
+    service = _RecordingService()
+    counters = FeedWarmer(service, tracker=tracker, pages=1).warm_once(["custom"])
+    assert counters == {
+        "warmed_requests": TOP_REQUESTS,
+        "warmed_pages": TOP_REQUESTS,
+        "skipped": 0,
+    }
+    assert service.submitted == [
+        ("custom", {f"a{rank}": 1.0}) for rank in range(TOP_REQUESTS)
+    ]
 
 
 def test_warm_once_releads_a_feed_retired_by_a_delta():

@@ -90,3 +90,58 @@ class TestDenseRegionCache:
         assert counters == {"checked": 2, "refreshed": 1, "unchanged": 1}
         sizes = sorted(len(region.tuple_keys) for region in cache.regions())
         assert sizes == [2, 5]
+
+
+def _changed(change):
+    """The live rows of a stored ``_rows(4)`` region after ``change``."""
+    rows = _rows(4)
+    if change == "repriced":
+        rows[2] = {**rows[2], "price": 500.0}
+    elif change == "recategorized":
+        rows[2] = {**rows[2], "kind": "b"}
+    elif change == "shrunk":
+        del rows[2]
+    elif change == "swapped":
+        rows[2] = {**rows[2], "id": "t9"}
+    return rows
+
+
+class TestBootVerificationByValue:
+    """``verify_and_refresh`` compares a region's rows, not only its keys."""
+
+    @pytest.mark.parametrize("change", ["repriced", "recategorized", "shrunk", "swapped"])
+    def test_a_region_whose_rows_changed_is_refreshed(self, schema, change):
+        cache = DenseRegionCache(schema)
+        cache.store_region({"ratio": (1.0, 1.0)}, _rows(4))
+        counters = cache.verify_and_refresh(lambda bounds: _changed(change))
+        assert counters == {"checked": 1, "refreshed": 1, "unchanged": 0}
+        [region] = cache.regions()
+        assert sorted(cache.rows_for_region(region), key=lambda row: row["id"]) == sorted(
+            _changed(change), key=lambda row: row["id"]
+        )
+
+    @pytest.mark.parametrize(
+        "live",
+        [
+            pytest.param(lambda: list(reversed(_rows(4))), id="reordered"),
+            pytest.param(
+                lambda: [{**row, "price": int(row["price"]), "ratio": 1} for row in _rows(4)],
+                id="integral-numbers",
+            ),
+        ],
+    )
+    def test_a_region_equal_by_value_is_unchanged(self, schema, live):
+        """Row order, and a number's type (the store keeps floats), are not
+        changes."""
+        cache = DenseRegionCache(schema)
+        stored = cache.store_region({"ratio": (1.0, 1.0)}, _rows(4))
+        counters = cache.verify_and_refresh(lambda bounds: live())
+        assert counters == {"checked": 1, "refreshed": 0, "unchanged": 1}
+        assert cache.regions() == [stored]
+
+    def test_integer_keys_stored_as_text_are_unchanged(self, schema):
+        rows = [{**row, "id": index} for index, row in enumerate(_rows(4))]
+        cache = DenseRegionCache(schema)
+        cache.store_region({"ratio": (1.0, 1.0)}, rows)
+        counters = cache.verify_and_refresh(lambda bounds: rows)
+        assert counters == {"checked": 1, "refreshed": 0, "unchanged": 1}

@@ -11,11 +11,7 @@ DATABASE_FIELDS = {
     "shard_by", "latency_sleep", "fault_plan",
 }
 RERANK_FIELDS = {
-    "dense_ratio_threshold", "dense_split_depth",
-    "query_budget", "enable_parallel",
-    "enable_session_cache", "enable_result_cache",
-    "result_cache_size", "result_cache_ttl_seconds",
-    "enable_rerank_feed", "rerank_feed_size", "rerank_feed_ttl_seconds",
+    "dense_ratio_threshold", "dense_split_depth", "enable_rerank_feed",
     "resilience",
 }
 SERVICE_FIELDS = {
@@ -23,7 +19,7 @@ SERVICE_FIELDS = {
     "dense_cache_path", "result_cache_path", "database", "rerank",
     "serving_workers", "admission_queue_depth",
     "reaper_interval_seconds", "request_deadline_seconds",
-    "warming_interval_seconds", "warming_top_requests", "warming_pages",
+    "warming_interval_seconds", "warming_pages",
 }
 
 
@@ -35,5 +31,5 @@ def test_config_field_sets_are_pinned():
     assert names(DatabaseConfig) == DATABASE_FIELDS
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
-    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 34
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 25
 

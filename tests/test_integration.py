@@ -13,10 +13,13 @@ from repro.config import RerankConfig
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
+from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
 from repro.httpsim.client import HttpClient, InProcessTransport
 from repro.httpsim.server import SearchHttpServer
 from repro.sqlstore.dense_cache import DenseRegionCache
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
+from repro.webdb.ranking import FeaturedScoreRanking
 from repro.webdb.remote import RemoteTopKInterface
 
 from tests.conftest import assert_matches_ground_truth
@@ -87,6 +90,48 @@ class TestPersistentDenseCacheLifecycle:
         rows = warm.top(depth)
         assert len(rows) == depth
         assert warm.statistics.external_queries < cold.statistics.external_queries
+        second_cache.close()
+
+    def test_boot_verification_refreshes_a_row_changed_while_down(self, tmp_path):
+        """A region whose key set is intact but one of whose rows changed
+        value while no instance was running is refreshed at boot, and the
+        next request serves the live row, not the stored one."""
+        config = DiamondCatalogConfig(size=2000, seed=3)
+        schema = diamond_schema(config)
+        database = HiddenWebDatabase(
+            generate_diamond_catalog(config),
+            schema,
+            FeaturedScoreRanking("price", boost_weight=2500.0),
+            system_k=10,
+        )
+        path = str(tmp_path / "dense-cache.sqlite")
+        region_query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+        ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+
+        first_cache = DenseRegionCache(schema, path=path)
+        QueryReranker(database, dense_cache=first_cache).rerank(region_query, ranking).top(20)
+        [region] = first_cache.regions()
+        stored = first_cache.rows_for_region(region)
+        first_cache.close()
+
+        # While no instance runs, a cheap tuple of the region is repriced
+        # out of the price filter below.
+        victim = min(stored, key=lambda row: (row["price"], row["id"]))
+        assert victim["price"] <= 1000.0
+        database.apply_delta(upserts=[{**victim, "price": 12648.0}])
+
+        second_cache = DenseRegionCache(schema, path=path)
+        second = QueryReranker(database, dense_cache=second_cache)
+        counters = second.verify_dense_cache()
+        assert counters == {"checked": 1, "refreshed": 1, "unchanged": 0}
+        cheap = SearchQuery.build(
+            ranges={"length_width_ratio": (0.99, 1.2), "price": (0.0, 1000.0)}
+        )
+        rows = second.rerank(cheap, ranking).top(500)
+        assert victim["id"] not in {row["id"] for row in rows}
+        truth = database.true_ranking(cheap, ranking.score)
+        assert len(rows) == len(truth)
+        assert_matches_ground_truth(rows, truth, ranking)
         second_cache.close()
 
     def test_results_identical_with_and_without_cache(self, bluenile_db, tmp_path):

@@ -297,7 +297,7 @@ class TestFederatedDelta:
 
         schema = diamond_schema_fixture
         config = RerankConfig()
-        cache = config.make_result_cache()
+        cache = QueryResultCache()
         federation = make_federation(
             diamond_catalog, schema, shards=4, by=by, result_cache=cache
         )
@@ -394,7 +394,7 @@ def test_reranker_over_federation_matches_unsharded(
     — and exactly the scatters that reached a shard."""
     request = draw_request(random.Random(seed), diamond_schema_fixture)
     config = RerankConfig()
-    cache = config.make_result_cache()
+    cache = QueryResultCache()
     federation = make_federation(
         diamond_catalog, diamond_schema_fixture, shards=shards, by=by, result_cache=cache
     )

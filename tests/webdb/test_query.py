@@ -150,11 +150,6 @@ class TestSearchQuery:
         with pytest.raises(QueryError):
             query.with_range(RangePredicate("price", 20, 30))
 
-    def test_try_with_range_returns_none_on_empty(self):
-        query = SearchQuery.build(ranges={"price": (0, 10)})
-        assert query.try_with_range(RangePredicate("price", 20, 30)) is None
-        assert query.try_with_range(RangePredicate("price", 5, 30)) is not None
-
     def test_with_membership_intersects(self):
         query = SearchQuery.build(memberships={"cut": ["good", "ideal"]})
         narrowed = query.with_membership(InPredicate.of("cut", ["ideal", "astor"]))

@@ -7,7 +7,6 @@ from repro.webdb.ranking import (
     FeaturedScoreRanking,
     LinearSystemRanking,
     RandomTieBreakRanking,
-    composite_ranking,
 )
 
 
@@ -87,22 +86,3 @@ class TestRandomTieBreakRanking:
         first = ranked_ids(RandomTieBreakRanking(salt="one"), rows)
         second = ranked_ids(RandomTieBreakRanking(salt="two"), rows)
         assert first != second
-
-
-class TestCompositeRanking:
-    def test_composite_combines_scores(self):
-        price = AttributeOrderRanking("price")
-        carat = AttributeOrderRanking("carat", ascending=False)
-        composite = composite_ranking([price, carat], [1.0, 1000.0])
-        # Carat dominates with its large weight.
-        assert ranked_ids(composite) == ranked_ids(carat)
-
-    def test_composite_validates_lengths(self):
-        with pytest.raises(ValueError):
-            composite_ranking([AttributeOrderRanking("price")], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            composite_ranking([], [])
-
-    def test_describe(self):
-        composite = composite_ranking([AttributeOrderRanking("price")], [2.0])
-        assert "composite" in composite.describe()

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.config import DatabaseConfig, RerankConfig
+from repro.config import DatabaseConfig
 from repro.core.functions import LinearRankingFunction
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
@@ -32,8 +32,6 @@ from tests.conftest import query_threads
 #: Perturbing yet never failing: a slow draw only inflates the accounted
 #: latency.
 PLAN = FaultPlan(seed=5, slow_rate=0.2)
-#: No result cache: a request after close() pays its round trips again.
-UNCACHED = RerankConfig(enable_result_cache=False)
 
 
 def _source(diamond_catalog, schema, config):
@@ -148,14 +146,16 @@ def test_threads_stay_within_the_bound_and_end_with_close(remote):
 
 
 def test_the_adapter_serves_the_databases_pages_before_and_after_close(remote, database):
-    expected = [_lead(QueryReranker(database, config=UNCACHED), index) for index in range(3)]
+    expected = [_lead(QueryReranker(database), index) for index in range(3)]
     assert all(expected)
     before = threading.enumerate()
-    reranker = QueryReranker(remote, config=UNCACHED)
+    reranker = QueryReranker(remote)
     assert [_lead(reranker, index) for index in range(3)] == expected
     reranker.close()
     assert query_threads(before) == []
-    # New requests rebuild their feeds and the adapter starts a fresh pool.
+    # New requests rebuild their feeds and, with the answers they paid for
+    # dropped, pay their round trips again on a fresh pool.
+    reranker.result_cache.invalidate()
     assert [_lead(reranker, index) for index in range(3)] == expected
     assert reranker.feed_store.snapshot()["created"] == 6
     assert 0 < len(query_threads(before)) <= QUERY_WORKERS
@@ -167,12 +167,13 @@ def test_the_adapter_serves_the_databases_pages_before_and_after_close(remote, d
 def test_a_stream_opened_before_close_advances_after_it(kind, request, database):
     source = request.getfixturevalue(kind)
     query = SearchQuery.build(ranges={"price": (400.0, 9000.0)})
-    reference = QueryReranker(database, config=UNCACHED)
+    reference = QueryReranker(database)
     expected = reference.rerank(query, _ranking(reference), algorithm=Algorithm.RERANK)
-    reranker = QueryReranker(source, config=UNCACHED)
+    reranker = QueryReranker(source)
     stream = reranker.rerank(query, _ranking(reranker), algorithm=Algorithm.RERANK)
     first = stream.next_page(5)
     reranker.close()
+    reranker.result_cache.invalidate()
     second = stream.next_page(5)
     reranker.close()
     assert [row["id"] for row in first + second] == [

@@ -2,12 +2,13 @@
 
 Runs the six drivers of :mod:`repro.workloads.experiments` at their default
 depths over one small fixed environment, plus the MD suite over a 4-shard
-rank-partitioned federation (``sc_fed``, result cache on) and the ablations
-of QR2's design choices (``abl``), and lists what each cell paid:
+rank-partitioned federation (``sc_fed``) and sweeps of QR2's engineering
+choices (``abl``), and lists what each cell paid:
 
 * ``external_queries`` — the paper's metric;
 * ``parallel_queries`` — how many of them went out in parallel groups (Fig. 2
   plots ``parallel_queries / external_queries``);
+* ``round_trips`` — the iterations they went out in, one round trip each;
 * ``simulated_seconds`` — the accounted latency of the seeded ~1 s/query
   model, a parallel group costing one round trip.  It is a function of the
   seed; each source draws from one latency stream, so a cell's seconds
@@ -51,12 +52,12 @@ from repro.workloads.experiments import (
 TABLE = Path(__file__).with_name("paper_currency.txt")
 HEADER = (
     "driver", "scenario", "algorithm", "external_queries", "parallel_queries",
-    "simulated_seconds", "paper_reference",
+    "round_trips", "simulated_seconds", "paper_reference",
 )
 
 #: ``(driver, scenario, algorithm, external queries, parallel queries,
-#: simulated seconds, the paper's figure)``.
-Row = Tuple[str, str, str, int, int, float, Optional[str]]
+#: round trips, simulated seconds, the paper's figure)``.
+Row = Tuple[str, str, str, int, int, int, float, Optional[str]]
 
 #: Fig. 2: the share of queries issued in parallel (3D: over 90 %; 2D: 44 of 45).
 FIG2_PAPER = {"3d": "0.90 parallel", "2d": "0.97 parallel"}
@@ -74,7 +75,8 @@ def _row(driver: str, scenario: str, algorithm: str, cost: Mapping[str, object],
     """One cell from a :func:`~repro.workloads.experiments.paid` record."""
     return (
         driver, scenario, algorithm, int(cost["external_queries"]),
-        int(cost["parallel_queries"]), round(float(cost["simulated_seconds"]), 3), paper,
+        int(cost["parallel_queries"]), int(cost["round_trips"]),
+        round(float(cost["simulated_seconds"]), 3), paper,
     )
 
 
@@ -85,27 +87,18 @@ def _top(reranker: QueryReranker, query, ranking, algorithm: Algorithm, depth: i
 
 
 def ablations(env: ExperimentEnvironment) -> List[Row]:
-    """QR2's engineering choices, each switched off or swept, for one fixed
-    request: the paper's 2D Blue Nile function over the whole catalog (and,
-    for the dense-region trigger, the SC-IDX request, cold then warm on one
-    reranker with the rerank feed off, so the warm run reads the dense index
-    rather than a feed replay)."""
+    """QR2's engineering choices, each swept, for one fixed request: the
+    paper's 2D Blue Nile function over the whole catalog (and, for the
+    dense-region trigger, the SC-IDX request, cold then warm on one reranker
+    with the rerank feed off, so the warm run reads the dense index rather
+    than a feed replay)."""
     ranking = LinearRankingFunction(
         {"price": 1.0, "carat": -0.5},
         normalizer=MinMaxNormalizer.from_schema(env.diamond_schema, ["price", "carat"]),
     )
     everything = SearchQuery.everything()
     rerank = Algorithm.RERANK.value
-
-    def reference(database: HiddenWebDatabase, config: RerankConfig):
-        reranker = QueryReranker(database, config=config)
-        return _top(reranker, everything, ranking, Algorithm.RERANK, ABLATION_DEPTH)
-
     rows: List[Row] = []
-    for name, switch in (("parallel", "enable_parallel"), ("session_cache", "enable_session_cache")):
-        for on in (True, False):
-            cost = reference(env.bluenile, RerankConfig(**{switch: on}))
-            rows.append(_row("abl", f"{name}_{'on' if on else 'off'}", rerank, cost))
     for system_k in (10, 20, 50):
         database = HiddenWebDatabase(
             env.diamond_catalog,
@@ -115,7 +108,8 @@ def ablations(env: ExperimentEnvironment) -> List[Row]:
             latency=LatencyModel.accounted(env.latency_seconds, seed=env.seed),
             name="bluenile",
         )
-        rows.append(_row("abl", f"system_k_{system_k}", rerank, reference(database, RerankConfig())))
+        cost = _top(QueryReranker(database), everything, ranking, Algorithm.RERANK, ABLATION_DEPTH)
+        rows.append(_row("abl", f"system_k_{system_k}", rerank, cost))
     lwr = SingleAttributeRanking("length_width_ratio", ascending=True)
     cluster = SearchQuery.build(ranges={"length_width_ratio": (0.995, 1.6)})
     for depth in (6, 12, 40):
@@ -169,7 +163,8 @@ def measure() -> List[Row]:
 
 def render(rows: List[Row]) -> str:
     cells = [HEADER] + [
-        (*row[:3], str(row[3]), str(row[4]), f"{row[5]:.3f}", "-" if row[6] is None else row[6])
+        (*row[:3], str(row[3]), str(row[4]), str(row[5]), f"{row[6]:.3f}",
+         "-" if row[7] is None else row[7])
         for row in rows
     ]
     widths = [max(len(row[column]) for row in cells) for column in range(len(HEADER))]
@@ -182,10 +177,12 @@ def render(rows: List[Row]) -> str:
 def read_table(path: Path = TABLE) -> List[Row]:
     rows: List[Row] = []
     for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        driver, scenario, algorithm, queries, parallel, seconds, paper = line.split(maxsplit=6)
+        driver, scenario, algorithm, queries, parallel, trips, seconds, paper = (
+            line.split(maxsplit=7)
+        )
         rows.append(
-            (driver, scenario, algorithm, int(queries), int(parallel), float(seconds),
-             None if paper == "-" else paper)
+            (driver, scenario, algorithm, int(queries), int(parallel), int(trips),
+             float(seconds), None if paper == "-" else paper)
         )
     return rows
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.reranker import Algorithm
+from repro.core.stats import RerankStatistics
 from repro.workloads.experiments import (
     ExperimentEnvironment,
     default_1d_scenarios,
@@ -11,6 +12,7 @@ from repro.workloads.experiments import (
     run_fig2_parallelism,
     run_fig4_statistics,
     run_onthefly_indexing,
+    paid,
     run_scenario_suite,
 )
 from repro.workloads.scenarios import (
@@ -95,6 +97,14 @@ class TestHarness:
             # parallel groups.
             assert payload["parallel_query_fraction"] > 0.5
 
+    def test_fig2_round_trips_are_fewer_than_queries(self, environment):
+        """A parallel group is one round trip: each function pays fewer
+        round trips than queries, and its sequential queries at most one
+        round trip each."""
+        for payload in run_fig2_parallelism(environment, depth=4).values():
+            sequential = payload["external_queries"] - payload["parallel_queries"]
+            assert sequential <= payload["round_trips"] < payload["external_queries"]
+
     def test_fig4_statistics(self, environment):
         output = run_fig4_statistics(environment, page_size=5)
         assert output["rows_returned"] == 5
@@ -113,6 +123,7 @@ class TestHarness:
         for result in results:
             assert result.tuples_returned == 3
             assert result.external_queries > 0
+            assert 0 < result.round_trips <= result.external_queries
 
     def test_ta_skipped_for_1d_scenarios(self, environment):
         scenarios = bluenile_scenarios_1d(environment.diamond_schema)[:1]
@@ -136,3 +147,17 @@ class TestHarness:
         assert worst["ta_cold"]["external_queries"] > best["ta"]["external_queries"]
         # ...and warms up once the dense region is indexed.
         assert worst["ta_warm"]["external_queries"] < worst["ta_cold"]["external_queries"]
+
+
+class TestPaid:
+    def test_round_trips_are_the_iterations(self):
+        statistics = RerankStatistics()
+        statistics.record_iteration(3, 1.5)
+        statistics.record_iteration(1, 0.5)
+        statistics.record_iteration(0, 9.0)
+        assert paid(statistics) == {
+            "external_queries": 4,
+            "parallel_queries": 3,
+            "round_trips": 2,
+            "simulated_seconds": 2.0,
+        }
