@@ -26,6 +26,7 @@ import urllib.request
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
 from repro.core.reranker import QueryReranker
 from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
+from repro.dataset.table import format_grid
 from repro.httpsim.client import HttpClient, UrllibTransport
 from repro.httpsim.server import serve_database_over_socket
 from repro.service.app import QR2Service
@@ -94,6 +95,7 @@ def main() -> None:
         # -------------------------------------------------------------- #
         sources = get_json(f"{qr2.base_url}/qr2/sources")
         print("sources advertised by QR2:", [s["name"] for s in sources["sources"]])
+        columns = get_json(f"{qr2.base_url}/qr2/sources/bluenile")["result_columns"]
 
         session = post_json(f"{qr2.base_url}/qr2/sessions", {})
         session_id = session["session_id"]
@@ -110,7 +112,7 @@ def main() -> None:
                 "page_size": 5,
             },
         )
-        print(first_page["rendered"])
+        print(format_grid(columns, first_page["rows"]))
         print("statistics:", {
             "external_queries": first_page["statistics"]["external_queries"],
             "processing_seconds": round(first_page["statistics"]["processing_seconds"], 2),
@@ -118,7 +120,7 @@ def main() -> None:
 
         print("\nget-next (page 2):")
         second_page = post_json(f"{qr2.base_url}/qr2/next", {"session_id": session_id})
-        print(second_page["rendered"])
+        print(format_grid(columns, second_page["rows"]))
 
         meta = get_json(f"{site.base_url}/api/meta")
         print(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
 from repro.dataset.diamonds import DiamondCatalogConfig
 from repro.dataset.housing import HousingCatalogConfig
+from repro.dataset.table import format_grid
 from repro.service.app import QR2Service
 from repro.service.popular import popular_functions
 from repro.service.sources import build_default_registry
@@ -36,9 +37,9 @@ def build_service() -> QR2Service:
     return QR2Service(registry=registry, config=ServiceConfig(default_page_size=5))
 
 
-def print_page(response) -> None:
-    """Render one result page plus its statistics panel."""
-    print(response["rendered"])
+def print_page(response, columns) -> None:
+    """Render one result page plus what its request paid for."""
+    print(format_grid(columns, response["rows"]))
     stats = response["statistics"]
     print(
         f"  [statistics] {stats['external_queries']} queries issued to the web "
@@ -61,6 +62,7 @@ def main() -> None:
     print()
 
     session_id = service.create_session()
+    columns = service.describe_source("zillow")["result_columns"]
 
     # ------------------------------------------------------------------ #
     # Scenario 1: the Fig. 4 function (price - 0.3 squarefeet) with filters.
@@ -78,10 +80,10 @@ def main() -> None:
         sliders={"price": 1.0, "squarefeet": -0.3},
         page_size=5,
     )
-    print_page(response)
+    print_page(response, columns)
 
     print("Pressing get-next for the second page...")
-    print_page(service.get_next_page(session_id))
+    print_page(service.get_next_page(session_id), columns)
 
     # ------------------------------------------------------------------ #
     # Scenario 2: the paper's best case — price + squarefeet.
@@ -95,7 +97,7 @@ def main() -> None:
         sliders={"price": 1.0, "squarefeet": 1.0},
         page_size=5,
     )
-    print_page(response)
+    print_page(response, columns)
 
     # ------------------------------------------------------------------ #
     # Scenario 3: simple 1D ordering the site itself does not offer.
@@ -110,7 +112,7 @@ def main() -> None:
         ranking={"attribute": "year_built", "ascending": False},
         page_size=5,
     )
-    print_page(response)
+    print_page(response, columns)
 
     print("Session summary:", service.session_info(session_id))
 

@@ -244,18 +244,16 @@ class RerankFeed:
         # followers replaying earlier positions are never blocked behind it.
         row: Optional[Row] = None
         completed = False
-        mark = producer.statistics.checkpoint() if statistics is not None else None
-        degradation_before = producer.statistics.degradation_mark()
+        mark = producer.statistics.checkpoint()
         try:
             row = producer.algorithm.next()
             completed = True
         finally:
-            if statistics is not None and mark is not None:
-                statistics.absorb_since(producer.statistics, mark)
+            # Absorbing the advance's work also tells whether it served
+            # degraded data; a call with no panel still needs that verdict.
+            sink = statistics if statistics is not None else RerankStatistics()
+            degraded_advance = sink.absorb_since(producer.statistics, mark)
             fresh = self.current
-            degraded_advance = (
-                producer.statistics.degradation_mark() != degradation_before
-            )
             with self._condition:
                 self._advancing = False
                 if completed:

@@ -547,11 +547,9 @@ class FeedBackedStream(GetNextStream):
             if not replayed and not self._led:
                 self._led = True
                 self._feed.note_promotion()
+            counts = {"feed_hits": 1} if replayed else {"feed_leader_advances": 1}
             if row is None:
-                if replayed:
-                    statistics.add(feed_hits=1, get_next_calls=1)
-                else:
-                    statistics.add(feed_leader_advances=1, get_next_calls=1)
+                statistics.add(get_next_calls=1, **counts)
                 return None
             self._position += 1
             # Per-user dedup over replayed rows: the live algorithms never
@@ -559,13 +557,11 @@ class FeedBackedStream(GetNextStream):
             # replay path must not either.  The position is still counted —
             # its cost (for led advances, already absorbed above) must
             # reconcile with the feed-level counters.
-            duplicate = self._session.has_emitted(row[key_column])
-            if replayed:
-                statistics.add(feed_hits=1, feed_replayed_tuples=int(not duplicate))
-            else:
-                statistics.record("feed_leader_advances")
-            if duplicate:
+            if self._session.has_emitted(row[key_column]):
+                statistics.add(**counts)
                 continue
             self._session.mark_emitted(row, key_column)
-            statistics.add(get_next_calls=1, tuples_returned=1)
+            statistics.add(
+                get_next_calls=1, tuples_returned=1, feed_replayed_tuples=int(replayed), **counts
+            )
             return row

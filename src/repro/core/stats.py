@@ -10,9 +10,10 @@ session-cache and dense-index hits, and crawl volume.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.webdb.counters import Counters
 
@@ -105,13 +106,6 @@ class RerankStatistics(Counters):
             else:
                 self.sequential_queries += group_size
 
-    def degradation_mark(self) -> Tuple[int, int]:
-        """Mark of the degradation counters; compare a later mark to detect
-        that an operation served degraded or stale data (the shared rerank
-        feed uses this to refuse extending its verified prefix from a
-        degraded advance)."""
-        return self.read("degraded_results", "stale_serves")
-
     # ------------------------------------------------------------------ #
     # Derived metrics
     # ------------------------------------------------------------------ #
@@ -153,25 +147,27 @@ class RerankStatistics(Counters):
     # ------------------------------------------------------------------ #
     # Folding one statistics object into another
     # ------------------------------------------------------------------ #
-    def checkpoint(self) -> Dict[str, float]:
+    def checkpoint(self) -> Tuple[Tuple[float, ...], int]:
         """Lightweight mark of the absorbable counters, for later
         :meth:`absorb_since` delta accounting."""
         with self._lock:
-            mark: Dict[str, float] = {name: getattr(self, name) for name in _ABSORBED}
-            mark["iteration_group_sizes"] = len(self.iteration_group_sizes)
-            return mark
+            return _absorbed(self), len(self.iteration_group_sizes)
 
-    def absorb_since(self, other: "RerankStatistics", mark: Dict[str, float]) -> None:
+    def absorb_since(self, other: "RerankStatistics", mark: Tuple[Tuple[float, ...], int]) -> bool:
         """Fold into this object the algorithm work ``other`` accumulated
-        since ``mark`` (a :meth:`checkpoint` of ``other``).
+        since ``mark`` (a :meth:`checkpoint` of ``other``), counter by
+        counter that moved; True when that work served degraded or stale data.
 
         Used by shared rerank feeds: the stream leading an advance absorbs the
         producer's per-advance delta, so its statistics panel reflects exactly
         the external queries and latency its Get-Next call caused."""
+        values, groups = mark
         with other._lock:
-            delta = {name: getattr(other, name) - mark[name] for name in _ABSORBED}
-            tail = other.iteration_group_sizes[int(mark["iteration_group_sizes"]):]
-        self.add(iteration_group_sizes=tail, **delta)
+            now = _absorbed(other)
+            tail = other.iteration_group_sizes[groups:]
+        moved = {name: new - old for name, new, old in zip(_ABSORBED, now, values) if new != old}
+        self.add(iteration_group_sizes=tail, **moved)
+        return "degraded_results" in moved or "stale_serves" in moved
 
 
 #: Emission and feed counters a feed leader must *not* absorb from the shared
@@ -188,3 +184,4 @@ _NOT_ABSORBED = (
 _ABSORBED = tuple(
     spec.name for spec in fields(RerankStatistics) if spec.name not in _NOT_ABSORBED
 )
+_absorbed = operator.attrgetter(*_ABSORBED)

@@ -7,8 +7,8 @@ exposes the operations behind the three sections of the QR2 UI:
 * **Filtering section** → the ``filters`` dictionary of :meth:`submit_query`;
 * **Ranking section** → the ``sliders`` / ``ranking`` specification (plus the
   popular-function suggestions);
-* **Search results & statistics** → :meth:`get_next_page` and the statistics
-  snapshot included in every response.
+* **Search results & statistics** → :meth:`get_next_page`, whose pages carry
+  what their request paid for, and :meth:`statistics`, the full panel.
 
 Responses are plain dictionaries so the HTTP layer
 (:mod:`repro.service.httpapp`), the examples, and the tests can consume them
@@ -18,9 +18,8 @@ directly.
 from __future__ import annotations
 
 import threading
-import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.config import ServiceConfig
@@ -28,7 +27,6 @@ from repro.core.functions import UserRankingFunction, from_specification
 from repro.core.getnext import GetNextStream
 from repro.core.reranker import Algorithm
 from repro.core.session import Session
-from repro.dataset.table import format_grid
 from repro.exceptions import QueryError, SessionError
 from repro.service.popular import popular_functions
 from repro.service.sliders import ranking_from_sliders
@@ -48,7 +46,6 @@ class _ActiveRequest:
     stream: GetNextStream
     page_size: int
     pages_served: int = 0
-    created_at: float = field(default_factory=time.time)
 
 
 @dataclass
@@ -74,6 +71,8 @@ _PANEL_REQUEST = ("external_queries", "processing_seconds", "parallel_fraction",
                   "coalesced_queries", "result_cache_hit_rate", "dense_index_hits",
                   "dense_regions_built", "tuples_returned", "feed_hits",
                   "feed_replayed_tuples", "feed_leader_advances")  # fmt: skip
+#: The request's own entries of the panel's ``resilience`` block.
+_RESILIENCE_REQUEST = ("degraded_results", "stale_serves", "retried_queries")
 #: Delta summary entries summed into :class:`ServiceCounters`.
 _DELTA_TOTALS = ("upserts", "deletes", "cache_entries_retired", "regions_retired",
                  "feeds_retired", "spill_entries_pruned")  # fmt: skip
@@ -339,7 +338,8 @@ class QR2Service:
         (``{"ranges": {...}, "memberships": {...}}``); the ranking preference
         is given either as ``sliders`` (the MD slider UI) or as ``ranking``
         (an explicit 1D/weights specification).  The first result page is
-        returned along with the statistics panel.
+        returned with the request's counters (render its rows with
+        :func:`repro.dataset.table.format_grid`).
         """
         with self._session_lock(session_id):
             session = self._session(session_id)
@@ -440,9 +440,9 @@ class QR2Service:
         # Bracket the advance with the degradation counters: movement means
         # some answer under this page came back partial or stale, and the
         # page must say so instead of passing as a full answer.
-        mark = request.stream.statistics.degradation_mark()
+        mark = request.stream.statistics.read("degraded_results", "stale_serves")
         rows = request.stream.next_page(request.page_size)
-        degraded = request.stream.statistics.degradation_mark() != mark
+        degraded = request.stream.statistics.read("degraded_results", "stale_serves") != mark
         if degraded:
             self._counters.record("degraded_pages")
         request.pages_served += 1
@@ -453,19 +453,29 @@ class QR2Service:
             "page": request.pages_served,
             "page_size": request.page_size,
             "rows": [{name: row[name] for name in columns} for row in rows],
-            "rendered": format_grid(columns, rows),
             "exhausted": request.stream.exhausted,
             "degraded": degraded,
-            "statistics": self._statistics_panel(request),
+            "statistics": self._request_panel(request),
+        }
+
+    def _request_panel(self, request: _ActiveRequest) -> Dict[str, object]:
+        """What the request paid for: its counters and its own resilience."""
+        snapshot = request.stream.statistics.snapshot()
+        return {
+            "description": request.stream.description,
+            **{name: snapshot[name] for name in _PANEL_REQUEST},
+            "resilience": {name: snapshot[name] for name in _RESILIENCE_REQUEST},
         }
 
     def _statistics_panel(self, request: _ActiveRequest) -> Dict[str, object]:
-        snapshot = request.stream.statistics.snapshot()
+        """The request panel with the service-scope blocks."""
+        request_panel = self._request_panel(request)
+        request_resilience = request_panel.pop("resilience")
         reranker = request.source.reranker
         feed_store = reranker.feed_store
         # Sharded sources: per-shard queries issued, merge depth, and scatter
         # fan-out from the federated interface's describe() — whose
-        # ``resilience`` block is the guards' snapshot, taken once per page
+        # ``resilience`` block is the guards' snapshot, taken once per panel
         # and reused for ``resilience.source`` below.
         federation = (
             reranker.federation.describe() if reranker.federation is not None else None
@@ -478,8 +488,7 @@ class QR2Service:
             else reranker.resilience_snapshot()
         )
         return {
-            "description": request.stream.description,
-            **{name: snapshot[name] for name in _PANEL_REQUEST},
+            **request_panel,
             "dense_index": reranker.dense_index.describe(),
             "result_cache": reranker.result_cache.snapshot(),
             "rerank_feed": feed_store.snapshot() if feed_store else None,
@@ -503,9 +512,7 @@ class QR2Service:
             # from this request's statistics.
             "resilience": {
                 "source": source_resilience,
-                "degraded_results": snapshot["degraded_results"],
-                "stale_serves": snapshot["stale_serves"],
-                "retried_queries": snapshot["retried_queries"],
+                **request_resilience,
                 "degraded_pages": degraded_pages,
             },
         }

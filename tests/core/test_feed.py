@@ -507,6 +507,37 @@ class TestFeedStore:
         fresh = self._attach(store, query)
         assert fresh is not feed and fresh.depth == 0 and not fresh.stale
 
+    @pytest.mark.parametrize("absorbing", [False, True], ids=["bare", "absorbing"])
+    @pytest.mark.parametrize("counter", ["degraded_results", "stale_serves"])
+    def test_degraded_advance_poisons_the_feed(self, absorbing, counter):
+        """An advance that served degraded or stale data hands the leader its
+        row, but the feed is never handed to a new session again — whether
+        or not the call has a panel to absorb the advance's work into."""
+        store = RerankFeedStore(QueryResultCache())
+        producers, degrade = [], threading.Event()
+
+        def gate():
+            producers[0].statistics.record("retried_queries")
+            if degrade.is_set():
+                producers[0].statistics.record(counter)
+
+        def factory():
+            producers.append(_ListProducerFactory(self.ROWS, gate)())
+            return producers[0]
+
+        query = SearchQuery.build(ranges={"price": (0.0, 100.0)})
+        feed = self._attach(store, query, factory)
+        stats = RerankStatistics() if absorbing else None
+        assert feed.row_at(0, statistics=stats)[1] is False
+        assert not feed.stale and self._attach(store, query) is feed
+        degrade.set()
+        row, replayed = feed.row_at(1, statistics=stats)
+        assert row["id"] == 1 and not replayed
+        assert feed.stale
+        if absorbing:
+            assert stats.read("retried_queries", counter) == (2, 1)
+        assert self._attach(store, query) is not feed
+
     def test_row_at_validates_and_counts(self):
         store = RerankFeedStore(QueryResultCache())
         query = SearchQuery.build(ranges={"price": (0.0, 100.0)})

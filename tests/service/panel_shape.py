@@ -1,13 +1,15 @@
 """The statistics panel's shape: every key path, in order, with its value's type.
 
-Captures four panels over small deterministic services:
+Captures four panels and the result pages over small deterministic services:
 
 * ``unsharded`` — ``QR2Service.statistics()`` over one-shard sources;
 * ``sharded_faulty`` — the same over a 2-shard service with a ``FaultPlan``
   and a result-cache spill, after a submit, a next page, a catalog delta and
   one warming pass;
 * ``tier`` — ``ConcurrentServingTier.snapshot()``;
-* ``crawl`` — ``CrawlStatistics.snapshot()`` of one crawl.
+* ``crawl`` — ``CrawlStatistics.snapshot()`` of one crawl;
+* ``page`` — the submit page and the next page of the ``unsharded`` run,
+  rows opaque: a page carries only what its request paid for.
 
 ``panel_shape.json`` beside this file is that capture; it is regenerated,
 never edited::
@@ -39,9 +41,9 @@ from repro.webdb.query import SearchQuery
 
 FIXTURE = Path(__file__).with_name("panel_shape.json")
 
-#: Dictionaries keyed by data (attribute names, region signatures): only
-#: their type is part of the shape.
-OPAQUE = frozenset({"per_signature", "per_attribute_queries", "splits_per_attribute"})
+#: Dictionaries keyed by data (attribute names, region signatures) and a
+#: page's rows: only their type is part of the shape.
+OPAQUE = frozenset({"per_signature", "per_attribute_queries", "splits_per_attribute", "rows"})
 
 SLIDERS = {"price": 1.0, "carat": -0.5}
 
@@ -52,8 +54,9 @@ Shape = List[Tuple[str, str]]
 def shape(value: object, path: str = "") -> Iterator[Tuple[str, str]]:
     """Every leaf of ``value`` as ``(path, type name)``; list items of
     dictionaries are addressed ``path[i]``."""
-    leaf = path.rsplit(".", 1)[-1]
-    if isinstance(value, dict) and leaf not in OPAQUE:
+    if path.rsplit(".", 1)[-1] in OPAQUE:
+        yield path, type(value).__name__
+    elif isinstance(value, dict):
         for key, item in value.items():
             yield from shape(item, f"{path}.{key}" if path else str(key))
     elif isinstance(value, list) and value and all(isinstance(item, dict) for item in value):
@@ -63,11 +66,14 @@ def shape(value: object, path: str = "") -> Iterator[Tuple[str, str]]:
         yield path, type(value).__name__
 
 
-def _exercise(service: QR2Service, delta: bool) -> Dict[str, object]:
-    """Submit, page, optionally apply a delta and warm; the final panel."""
+def _exercise(service: QR2Service, delta: bool) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """Submit, page, optionally apply a delta and warm; the two pages and
+    the final panel."""
     session_id = service.create_session()
-    service.submit_query(session_id, "bluenile", sliders=SLIDERS)
-    service.get_next_page(session_id)
+    pages = {
+        "submit": service.submit_query(session_id, "bluenile", sliders=SLIDERS),
+        "next": service.get_next_page(session_id),
+    }
     if delta:
         db = service.registry.get("bluenile").interface
         victim = dict(db.all_matches(SearchQuery.everything())[0])
@@ -75,11 +81,11 @@ def _exercise(service: QR2Service, delta: bool) -> Dict[str, object]:
         victim["price"] = min(high, float(victim["price"]) + (high - low) * 0.005)
         service.apply_delta("bluenile", upserts=[victim])
         service.warmer.warm_once()
-    return service.statistics(session_id)
+    return pages, service.statistics(session_id)
 
 
 def capture() -> Dict[str, Shape]:
-    """The four shapes, in a fixed order."""
+    """The five shapes, in a fixed order."""
     shapes: Dict[str, Shape] = {}
     registry = build_default_registry(
         diamond_config=DiamondCatalogConfig(size=250, seed=5),
@@ -89,7 +95,9 @@ def capture() -> Dict[str, Shape]:
     )
     service = QR2Service(registry=registry, config=ServiceConfig(default_page_size=5))
     try:
-        shapes["unsharded"] = list(shape(_exercise(service, delta=False)))
+        pages, panel = _exercise(service, delta=False)
+        shapes["unsharded"] = list(shape(panel))
+        shapes["page"] = list(shape(pages))
         tier = ConcurrentServingTier(service, workers=1)
         try:
             shapes["tier"] = list(shape(tier.snapshot()))
@@ -116,10 +124,12 @@ def capture() -> Dict[str, Shape]:
             )
         )
         try:
-            shapes["sharded_faulty"] = list(shape(_exercise(sharded, delta=True)))
+            shapes["sharded_faulty"] = list(shape(_exercise(sharded, delta=True)[1]))
         finally:
             sharded.close()
-    return {name: shapes[name] for name in ("unsharded", "sharded_faulty", "tier", "crawl")}
+    return {
+        name: shapes[name] for name in ("unsharded", "sharded_faulty", "tier", "crawl", "page")
+    }
 
 
 def render(shapes: Dict[str, Shape]) -> str:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
 from repro.core.reranker import QueryReranker
+from repro.dataset.table import format_grid
 from repro.dataset.diamonds import DiamondCatalogConfig
 from repro.dataset.housing import HousingCatalogConfig
 from repro.exceptions import DataSourceError, QueryError, SessionError
@@ -158,10 +159,16 @@ class TestQueryFlow:
         assert response["statistics"]["tuples_returned"] == 5
         assert service.session_info(session_id)["seen_tuples"] >= seen_before
 
-    def test_rendered_table_present(self, service):
+    def test_rendered_table_present(self, registry, service):
+        """A page carries no text grid; the caller renders its rows."""
+        source = registry.get("bluenile")
+        columns = source.result_columns or source.schema.columns()
         session_id = service.create_session()
         response = service.submit_query(session_id, "bluenile", sliders={"price": 1.0})
-        assert "price" in response["rendered"]
+        assert "rendered" not in response
+        grid = format_grid(columns, response["rows"])
+        assert "price" in grid
+        assert grid == reference_text_grid(columns, response["rows"])
 
     def test_rendered_is_byte_identical_to_the_table_round_trip(self, registry, service):
         """Every page, down to the empty one past exhaustion, renders as the
@@ -179,7 +186,39 @@ class TestQueryFlow:
             pages.append(page)
         assert len(pages) >= 3
         for page in pages:
-            assert page["rendered"] == reference_text_grid(columns, page["rows"], max_rows=4)
+            grid = format_grid(columns, page["rows"])
+            assert grid == reference_text_grid(columns, page["rows"], max_rows=4)
+
+    def test_page_statistics_are_the_panels_request_entries(self, service):
+        """After every page, each entry of the page's ``statistics`` (the
+        request counters and its own ``resilience`` entries) reads as in the
+        full panel, which adds the service blocks around them."""
+        session_id = service.create_session()
+        page = service.submit_query(
+            session_id, "bluenile", filters={"ranges": {"carat": (2.5, 5.0)}},
+            sliders={"price": -1.0, "carat": 0.75}, page_size=4,
+        )  # fmt: skip
+        assert page["statistics"]["external_queries"] > 0
+        pages = 1
+        while True:
+            statistics = page["statistics"]
+            panel = service.statistics(session_id)
+            assert set(statistics["resilience"]) == {
+                "degraded_results", "stale_serves", "retried_queries",
+            }  # fmt: skip
+            for name, value in statistics.items():
+                if name == "resilience":
+                    for entry, count in value.items():
+                        assert panel["resilience"][entry] == count, entry
+                else:
+                    assert panel[name] == value, name
+            assert {"result_cache", "rerank_feed", "warming"} <= set(panel) - set(statistics)
+            assert "source" in panel["resilience"]
+            if not page["rows"]:
+                break
+            page = service.get_next_page(session_id)
+            pages += 1
+        assert pages >= 3
 
     def test_exhausted_flag_on_small_result(self, service):
         session_id = service.create_session()
@@ -366,7 +405,8 @@ class TestStreamLifecycle:
         assert second["statistics"]["feed_hits"] == 5
         assert second["statistics"]["feed_replayed_tuples"] == 5
         assert second["statistics"]["external_queries"] == 0
-        store_snapshot = second["statistics"]["rerank_feed"]
+        assert "rerank_feed" not in second["statistics"]
+        store_snapshot = service.statistics(other)["rerank_feed"]
         assert store_snapshot is not None
         assert store_snapshot["followers"] >= 1
         assert [row["id"] for row in second["rows"]] == [

@@ -84,7 +84,7 @@ class TestServiceResultCache:
         service = _make_service()
         _run_session(service)
         response = _run_session(service)
-        panel = response["statistics"]
+        panel = service.statistics(response["session_id"])
         assert "result_cache_hits" in panel
         assert "coalesced_queries" in panel
         assert "result_cache_hit_rate" in panel

@@ -84,6 +84,30 @@ class TestRoutes:
         assert stats.ok
         assert stats.json()["external_queries"] >= payload["statistics"]["external_queries"]
 
+    def test_statistics_route_returns_the_full_panel(self, application):
+        """A page carries its request's counters; the service blocks are on
+        ``GET /qr2/statistics``, as in the panel the library returns."""
+        session_id = _post(application, "/qr2/sessions", {}).json()["session_id"]
+        page = _post(
+            application,
+            "/qr2/query",
+            {"session_id": session_id, "source": "zillow", "sliders": {"price": 1.0}},
+        ).json()
+        assert "rendered" not in page
+        assert not {"result_cache", "rerank_feed", "warming"} & set(page["statistics"])
+        assert "source" not in page["statistics"]["resilience"]
+
+        response = application.handle(HttpRequest.get("/qr2/statistics", {"session": session_id}))
+        assert response.ok
+        panel = response.json()
+        assert panel["result_cache"]["misses"] >= 0
+        assert panel["rerank_feed"]["created"] >= 1
+        assert panel["resilience"]["source"] is not None
+        assert panel == json.loads(json.dumps(application.service.statistics(session_id)))
+        for name, value in page["statistics"].items():
+            if name != "resilience":
+                assert panel[name] == value, name
+
     def test_query_requires_json_object(self, application):
         response = application.handle(
             HttpRequest(method="POST", path="/qr2/query", body=json.dumps([1, 2]))

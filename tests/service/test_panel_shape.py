@@ -1,4 +1,5 @@
-"""The statistics panel's keys, their order and their types: pin them."""
+"""The statistics panel's and the result page's keys, their order and their
+types: pin them."""
 
 import pytest
 
@@ -10,7 +11,7 @@ def captured():
     return capture()
 
 
-@pytest.mark.parametrize("name", ["unsharded", "sharded_faulty", "tier", "crawl"])
+@pytest.mark.parametrize("name", ["unsharded", "sharded_faulty", "tier", "crawl", "page"])
 def test_panel_shape_matches_the_committed_fixture(captured, name):
     """Regenerate ``panel_shape.json`` with ``python -m
     tests.service.panel_shape`` when a change reshapes the panel, and say so."""

@@ -41,7 +41,8 @@ class TestServicePersistence:
         assert statistics["result_cache_hits"] > 0
         # ...and returns byte-identical pages.
         assert warm_response["rows"] == cold_response["rows"]
-        assert statistics["result_cache_persistence"] == {
+        panel = warm.statistics(warm_response["session_id"])
+        assert panel["result_cache_persistence"] == {
             "path": path,
             "warm_loaded_entries": saved,
         }
@@ -63,7 +64,8 @@ class TestServicePersistence:
         assert service.result_cache is not None  # the one shared cache
         assert service.save_result_cache() == 0
         response = _run_request(service)
-        assert response["statistics"]["result_cache_persistence"] is None
+        panel = service.statistics(response["session_id"])
+        assert panel["result_cache_persistence"] is None
         service.close()  # must be a safe no-op
 
     def test_warm_entries_enable_containment_for_new_queries(self, tmp_path):
