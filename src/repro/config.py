@@ -99,7 +99,7 @@ class RerankConfig:
         Turning it off exactly reproduces the unshared per-session
         behaviour (the SC-IDX and SC-BW experiment drivers do).
     resilience:
-        Retry / circuit-breaker / deadline policy applied to every source
+        Retry / circuit-breaker policy applied to every source
         query (see :class:`~repro.webdb.resilience.ResilienceConfig`); the
         registry hands it to each source's
         :class:`~repro.webdb.stack.SourceStack` when the source is built.
@@ -153,11 +153,9 @@ class ServiceConfig:
         disables the reaper.
     ``request_deadline_seconds``
         Wall-clock ceiling on one admitted request's execution in the
-        concurrent tier; a request that exceeds it fails with a structured
-        ``503`` (:class:`~repro.exceptions.DeadlineExceededError`) while the
-        worker finishes in the background.  ``None`` disables the ceiling.
-        Distinct from the *simulated* per-query deadline of
-        :attr:`RerankConfig.resilience`, which bounds a single scatter.
+        concurrent tier; a request that exceeds it is answered with a
+        structured ``503`` while the worker finishes in the background.
+        ``None`` disables the ceiling.
 
     The ``warming_*`` knobs configure the background feed warmer
     (:mod:`repro.service.warming`), which re-leads retired feeds and

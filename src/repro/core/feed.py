@@ -43,7 +43,6 @@ retires only the feeds it can match, in
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -101,7 +100,6 @@ class FeedStoreCounters(Counters):
     invalidations: int = 0
     delta_invalidations: int = 0
     evictions: int = 0
-    expirations: int = 0
     replayed_tuples: int = 0
     leader_advances: int = 0
     promotions: int = 0
@@ -130,7 +128,6 @@ class RerankFeed:
         factory: Callable[[], FeedProducer],
         changes: ChangeLog,
         counters: FeedStoreCounters,
-        clock: Callable[[], float] = time.monotonic,
         query: Optional[SearchQuery] = None,
     ) -> None:
         self.key = key
@@ -142,7 +139,6 @@ class RerankFeed:
         #: The feed's filter query, kept for delta invalidation: the emission
         #: order can only change when a touched tuple version matches it.
         self.query = query
-        self.created_at = clock()
         self._factory = factory
         self._counters = counters
         self._condition = threading.Condition()
@@ -188,9 +184,9 @@ class RerankFeed:
             self._counters.record(name)
 
     def retire(self) -> None:
-        """Mark the feed as removed from the store (evicted, expired, or
-        invalidated): it is stale from here on, so it can never re-enter the
-        store, and its prefix leaves the store's ``verified_tuples``.
+        """Mark the feed as removed from the store (evicted or invalidated):
+        it is stale from here on, so it can never re-enter the store, and
+        its prefix leaves the store's ``verified_tuples``.
         Already-attached streams keep replaying and advancing it."""
         with self._condition:
             self._stale = True
@@ -297,7 +293,7 @@ class RerankFeed:
 
 
 class RerankFeedStore:
-    """LRU+TTL store of :class:`RerankFeed` objects for one source namespace
+    """LRU store of :class:`RerankFeed` objects for one source namespace
     family, outdated by the full invalidations in the shared query-result
     cache's change logs.
 
@@ -312,26 +308,17 @@ class RerankFeedStore:
     max_feeds:
         LRU capacity; the least-recently-attached feed is retired when an
         attach would exceed it.
-    ttl_seconds:
-        Feed lifetime measured from creation; ``None`` disables expiry (the
-        simulated databases are immutable).
     """
 
     def __init__(
         self,
         result_cache: QueryResultCache,
         max_feeds: int = 256,
-        ttl_seconds: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_feeds <= 0:
             raise ValueError("max_feeds must be positive")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive or None")
         self._max_feeds = max_feeds
-        self._ttl = ttl_seconds
         self._changes = result_cache.changes
-        self._clock = clock
         self._lock = threading.Lock()
         self._feeds: "OrderedDict[FeedKey, RerankFeed]" = OrderedDict()
         self._counters = FeedStoreCounters()
@@ -341,11 +328,6 @@ class RerankFeedStore:
     def max_feeds(self) -> int:
         """The LRU capacity."""
         return self._max_feeds
-
-    @property
-    def ttl_seconds(self) -> Optional[float]:
-        """Feed lifetime, or ``None`` when feeds never expire."""
-        return self._ttl
 
     def __len__(self) -> int:
         with self._lock:
@@ -366,8 +348,8 @@ class RerankFeedStore:
 
         Returns ``None`` when the ranking cannot be canonicalized — the
         caller falls back to a private, unshared stream.  A stored feed that
-        a full invalidation (of the store or the result cache) outdated, or
-        whose TTL has lapsed, is retired and rebuilt fresh.
+        a full invalidation (of the store or the result cache) outdated is
+        retired and rebuilt fresh.
         """
         ranking_key = ranking_canonical_key(ranking)
         if ranking_key is None:
@@ -379,18 +361,12 @@ class RerankFeedStore:
             query.canonical_key(),
             ranking_key,
         )
-        now = self._clock()
         changes = self._changes(namespace)
         with self._lock:
             feed = self._feeds.get(key)
-            if feed is not None:
-                expired = self._ttl is not None and now - feed.created_at >= self._ttl
-                if expired:
-                    self._retire_locked(key, "expirations")
-                    feed = None
-                elif feed.stale or not feed.current:
-                    self._retire_locked(key, "invalidations")
-                    feed = None
+            if feed is not None and (feed.stale or not feed.current):
+                self._retire_locked(key, "invalidations")
+                feed = None
             if feed is None:
                 feed = RerankFeed(
                     key,
@@ -398,7 +374,6 @@ class RerankFeedStore:
                     factory,
                     changes,
                     counters=self._counters,
-                    clock=self._clock,
                     query=query,
                 )
                 self._feeds[key] = feed
@@ -463,7 +438,6 @@ class RerankFeedStore:
             "feeds": len(self),
             **self._counters.snapshot(),
             "max_feeds": self._max_feeds,
-            "ttl_seconds": self._ttl,
         }
 
     # ------------------------------------------------------------------ #

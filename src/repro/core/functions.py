@@ -257,6 +257,14 @@ class LinearRankingFunction(UserRankingFunction):
         return ("md", tuple(self._weights.items()), normalizer_key)
 
 
+def weight_value(attribute: object, value: object) -> float:
+    """``value`` as the weight (or slider position) of ``attribute``: an
+    ``int`` or ``float``, never a ``bool`` or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RankingFunctionError(f"weight of {attribute!r} must be a number, not {value!r}")
+    return float(value)
+
+
 class MinMaxNormalizerProtocol:
     """Structural type for normalizers (avoids a circular import with
     :mod:`repro.core.normalization`)."""
@@ -291,7 +299,7 @@ def from_specification(
         if not isinstance(weights, Mapping):
             raise RankingFunctionError("'weights' must be a mapping")
         return LinearRankingFunction(
-            {str(k): float(v) for k, v in weights.items()},  # type: ignore[arg-type]
+            {str(k): weight_value(k, v) for k, v in weights.items()},
             normalizer=normalizer,
             enforce_slider_range=True,
         )

@@ -293,15 +293,10 @@ class QueryEngine:
         self, query: SearchQuery, error: BaseException, use_cache: bool
     ) -> Settled:
         """Settle a query whose round trip raised.  When the source is
-        unavailable (retries exhausted, circuit open) and the resilience
-        policy allows it, an invalidated cache entry — an answer flushed
-        by an earlier invalidation, still within its TTL — is served instead
-        of failing, marked ``stale``/``degraded``."""
-        if (
-            use_cache
-            and isinstance(error, SourceUnavailableError)
-            and self._config.resilience.serve_stale_on_error
-        ):
+        unavailable (retries exhausted, circuit open), an invalidated cache
+        entry — an answer flushed by an earlier invalidation — is served
+        instead of failing, marked ``stale``/``degraded``."""
+        if use_cache and isinstance(error, SourceUnavailableError):
             assert self._cache is not None
             stale = self._cache.serve_stale(
                 self._cache_namespace, query, self._interface.system_k

@@ -106,11 +106,3 @@ class CircuitOpenError(SourceUnavailableError):
     ``retry_after_seconds`` hint is the time until the breaker admits a
     half-open probe."""
 
-
-class DeadlineExceededError(QR2Error):
-    """The per-query deadline was exhausted before the scatter-gather (or
-    retry loop) completed.  The HTTP layer maps this to a ``503``."""
-
-    def __init__(self, message: str, *, elapsed_seconds: float = 0.0) -> None:
-        super().__init__(message)
-        self.elapsed_seconds = elapsed_seconds

@@ -20,14 +20,14 @@ from __future__ import annotations
 import threading
 import uuid
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import ServiceConfig
 from repro.core.functions import UserRankingFunction, from_specification
 from repro.core.getnext import GetNextStream
 from repro.core.reranker import Algorithm
 from repro.core.session import Session
-from repro.exceptions import QueryError, SessionError
+from repro.exceptions import QueryError, RankingFunctionError, SessionError
 from repro.service.popular import popular_functions
 from repro.service.sliders import ranking_from_sliders
 from repro.service.sources import DataSource, DataSourceRegistry, build_default_registry
@@ -76,6 +76,24 @@ _RESILIENCE_REQUEST = ("degraded_results", "stale_serves", "retried_queries")
 #: Delta summary entries summed into :class:`ServiceCounters`.
 _DELTA_TOTALS = ("upserts", "deletes", "cache_entries_retired", "regions_retired",
                  "feeds_retired", "spill_entries_pruned")  # fmt: skip
+
+
+def _bounds(attribute: object, bounds: object) -> Tuple[float, float]:
+    """A range filter's ``[low, high]``: exactly two numbers."""
+    if (
+        not isinstance(bounds, (list, tuple))
+        or len(bounds) != 2
+        or any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in bounds)
+    ):
+        raise QueryError(f"range of {attribute!r} must be a pair of numbers, not {bounds!r}")
+    return float(bounds[0]), float(bounds[1])
+
+
+def _members(attribute: object, values: object) -> List[object]:
+    """A membership filter's values: a list (or tuple)."""
+    if not isinstance(values, (list, tuple)):
+        raise QueryError(f"membership of {attribute!r} must be a list, not {values!r}")
+    return list(values)
 
 
 class QR2Service:
@@ -396,6 +414,8 @@ class QR2Service:
     def _effective_page_size(self, page_size: Optional[int]) -> int:
         if page_size is None:
             return self._config.default_page_size
+        if isinstance(page_size, bool) or not isinstance(page_size, int):
+            raise QueryError(f"page_size must be an integer, not {page_size!r}")
         if page_size <= 0:
             raise QueryError("page_size must be positive")
         return min(page_size, self._config.max_page_size)
@@ -404,13 +424,15 @@ class QR2Service:
         self, filters: Optional[Mapping[str, object]], source: DataSource
     ) -> SearchQuery:
         filters = filters or {}
+        if not isinstance(filters, Mapping):
+            raise QueryError("'filters' must be a mapping")
         ranges = filters.get("ranges", {})
         memberships = filters.get("memberships", {})
         if not isinstance(ranges, Mapping) or not isinstance(memberships, Mapping):
             raise QueryError("'ranges' and 'memberships' must be mappings")
         query = SearchQuery.build(
-            ranges={str(k): (float(v[0]), float(v[1])) for k, v in ranges.items()},
-            memberships={str(k): list(v) for k, v in memberships.items()},
+            ranges={str(k): _bounds(k, v) for k, v in ranges.items()},
+            memberships={str(k): _members(k, v) for k, v in memberships.items()},
         )
         query.validate(source.schema)
         return query
@@ -426,6 +448,8 @@ class QR2Service:
         if sliders is not None:
             return ranking_from_sliders(sliders, source.schema)
         if ranking is not None:
+            if not isinstance(ranking, Mapping):
+                raise RankingFunctionError("'ranking' must be a mapping")
             function = from_specification(ranking)
             function.validate(source.schema)
             if function.dimensionality > 1:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.exceptions import DeadlineExceededError, QR2Error, SourceUnavailableError
+from repro.exceptions import QR2Error, SourceUnavailableError
 from repro.httpsim.messages import HttpRequest, HttpResponse
 from repro.httpsim.server import (
     ApplicationSocketHandler,
@@ -50,9 +50,8 @@ class QR2HttpApplication:
         """Dispatch one request.
 
         Expected application errors (:class:`QR2Error`) map to 400, except
-        the availability family — :class:`DeadlineExceededError` and
         :class:`SourceUnavailableError` (which includes circuit-open and
-        timeout errors) — which maps to a structured 503 with a
+        timeout errors), which maps to a structured 503 with a
         ``Retry-After`` hint: the request was well-formed, the backing source
         just cannot answer right now.  Anything else is a bug in the service,
         reported as a structured 500 JSON body instead of propagating and
@@ -60,10 +59,10 @@ class QR2HttpApplication:
         """
         try:
             return self._route(request)
-        except (DeadlineExceededError, SourceUnavailableError) as exc:
-            # Must precede the QR2Error arm: both are QR2Error subclasses.
+        except SourceUnavailableError as exc:
+            # Must precede the QR2Error arm: it is a QR2Error subclass.
             headers = {}
-            retry_after = getattr(exc, "retry_after_seconds", None)
+            retry_after = exc.retry_after_seconds
             if retry_after is not None and retry_after > 0:
                 headers["retry-after"] = str(int(math.ceil(retry_after)))
             return HttpResponse.json_response(
@@ -72,7 +71,7 @@ class QR2HttpApplication:
                     "unavailable": True,
                     "retry": True,
                     "exception": type(exc).__name__,
-                    "source": getattr(exc, "source", ""),
+                    "source": exc.source,
                 },
                 status=503,
                 headers=headers,

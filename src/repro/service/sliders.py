@@ -21,6 +21,7 @@ from repro.core.functions import (
     LinearRankingFunction,
     SingleAttributeRanking,
     UserRankingFunction,
+    weight_value,
 )
 from repro.core.normalization import MinMaxNormalizer
 from repro.dataset.schema import Schema
@@ -39,7 +40,10 @@ def ranking_from_sliders(
     two or more produce a normalized linear function.  Slider values outside
     ``[-1, 1]`` are rejected, mirroring the UI widget's range.
     """
-    active = {name: float(value) for name, value in sliders.items() if float(value) != 0.0}
+    if not isinstance(sliders, Mapping):
+        raise RankingFunctionError("'sliders' must be a mapping")
+    positions = {name: weight_value(name, value) for name, value in sliders.items()}
+    active = {name: value for name, value in positions.items() if value != 0.0}
     if not active:
         raise RankingFunctionError("at least one slider must be non-zero")
     for name, value in active.items():

@@ -25,8 +25,9 @@ re-issuing queries the service has already paid for.
   same trichotomy — at zero round trips (status ``CONTAINED``).  Overflow
   entries are truncated and must never answer subsets.  A
   :class:`~repro.webdb.boxindex.BoxIndex` per scope finds the candidates;
-* **LRU + TTL eviction** — bounded memory, and a freshness horizon for
-  deployments where the hidden database mutates;
+* **LRU eviction** — bounded memory; freshness comes from invalidation
+  (:meth:`QueryResultCache.invalidate`,
+  :meth:`QueryResultCache.invalidate_delta`), not from a timer;
 * **request coalescing** — when several sessions miss on the same key at the
   same time, exactly one remote query is issued and the other callers wait on
   its result (the classic "thundering herd" guard);
@@ -47,14 +48,14 @@ re-issuing queries the service has already paid for.
 Because a valid/underflow result proves the caller has observed *every* tuple
 matching the query, replaying a cached result preserves the paper's
 overflow/valid/underflow semantics exactly: the classification is a pure
-function of the query, ``system_k``, and the database state the TTL bounds.
+function of the query, ``system_k``, and the database state no logged
+change has moved since.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-import time
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -92,7 +93,6 @@ class CacheStatistics(Counters):
     coalesced: int = 0
     contained: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
     delta_invalidations: int = 0
     delta_retired: int = 0
@@ -120,14 +120,6 @@ class CacheStatistics(Counters):
         return (self.hits + self.contained + self.coalesced) / total
 
 
-@dataclass
-class _Entry:
-    """One stored result plus its insertion timestamp."""
-
-    result: SearchResult
-    stored_at: float
-
-
 class _InFlight:
     """Rendezvous for callers coalescing onto one in-flight remote query."""
 
@@ -138,18 +130,13 @@ class _InFlight:
 
 
 class QueryResultCache:
-    """Thread-safe, shared LRU+TTL cache of top-k search results.
+    """Thread-safe, shared LRU cache of top-k search results.
 
     Parameters
     ----------
     max_entries:
         LRU capacity; the least-recently-used entry is evicted when a store
         would exceed it.
-    ttl_seconds:
-        Entry lifetime; ``None`` disables expiry (the simulated databases are
-        immutable, so the default service configuration runs without a TTL).
-    clock:
-        Monotonic time source, injectable for the TTL tests.
 
     A miss may be answered from a stored *covering* (valid/underflow) entry
     of a superset query by filtering its rank-ordered rows through the subset
@@ -157,21 +144,12 @@ class QueryResultCache:
     truncated and never answer subsets.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 4096,
-        ttl_seconds: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive or None")
         self._max_entries = max_entries
-        self._ttl = ttl_seconds
-        self._clock = clock
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, SearchResult]" = OrderedDict()
         self._inflight: Dict[CacheKey, _InFlight] = {}
         #: ``(namespace, system_k)`` → covering (non-overflow) entries usable
         #: for containment answering, keyed like ``_entries``: ``(key, query)``.
@@ -188,7 +166,7 @@ class QueryResultCache:
         #: never enter (the delta *proves* them wrong), and a later delta
         #: matching a parked entry purges it — a stale serve can never cross
         #: an ``apply_delta`` that touched its query.
-        self._stale: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
+        self._stale: "OrderedDict[CacheKey, SearchResult]" = OrderedDict()
         self.statistics = CacheStatistics()
 
     # ------------------------------------------------------------------ #
@@ -198,11 +176,6 @@ class QueryResultCache:
     def max_entries(self) -> int:
         """The LRU capacity."""
         return self._max_entries
-
-    @property
-    def ttl_seconds(self) -> Optional[float]:
-        """Entry lifetime, or ``None`` when entries never expire."""
-        return self._ttl
 
     def __len__(self) -> int:
         with self._lock:
@@ -224,7 +197,6 @@ class QueryResultCache:
                 len(index) for index in self._covering.values()
             )
         payload["max_entries"] = self._max_entries
-        payload["ttl_seconds"] = self._ttl
         return payload
 
     # ------------------------------------------------------------------ #
@@ -267,9 +239,9 @@ class QueryResultCache:
         """
         key = self.key_for(namespace, query, system_k)
         with self._lock:
-            entry = self._live_entry(key)
-            if entry is not None:
-                result, status = entry.result, FetchStatus.HIT
+            stored = self._live_entry(key)
+            if stored is not None:
+                result, status = stored, FetchStatus.HIT
             else:
                 derived = self._contained_answer_locked(
                     namespace, query, system_k, key, memoize=memoize
@@ -385,9 +357,9 @@ class QueryResultCache:
             # match) lands between this claim and the store.
             stamp = self.changes(namespace).sequence
             for position, key in enumerate(keys):
-                entry = self._live_entry(key)
-                if entry is not None:
-                    outcomes[position] = (entry.result, FetchStatus.HIT)
+                stored = self._live_entry(key)
+                if stored is not None:
+                    outcomes[position] = (stored, FetchStatus.HIT)
                     hits += 1
                     continue
                 derived = self._contained_answer_locked(
@@ -495,20 +467,14 @@ class QueryResultCache:
         One ``(namespace, system_k, result)`` triple per entry in LRU order
         (least recently used first, so re-storing in order reproduces the
         eviction order).  The result carries its query, which is all a loader
-        needs to re-:meth:`store` the entry.  Expired entries are skipped
-        without being counted as expirations.
+        needs to re-:meth:`store` the entry.
 
         Persistence adapters need the pairing to be atomic: a stamp read
         *after* a racing ``invalidate`` or delta would stamp already-retired
         entries with the later sequence, re-legitimizing them at the next
         warm load."""
-        now = self._clock()
         with self._lock:
-            entries = [
-                (key[0], key[1], entry.result)
-                for key, entry in self._entries.items()
-                if self._ttl is None or now - entry.stored_at < self._ttl
-            ]
+            entries = [(key[0], key[1], result) for key, result in self._entries.items()]
             stamps = {
                 namespace: self.changes(namespace).sequence
                 for namespace in {namespace for namespace, _, _ in entries}
@@ -536,8 +502,8 @@ class QueryResultCache:
         with self._lock:
             if namespace is None:
                 removed = len(self._entries)
-                for key, entry in self._entries.items():
-                    self._park_stale_locked(key, entry)
+                for key, result in self._entries.items():
+                    self._park_stale_locked(key, result)
                 parked = removed
                 self._entries.clear()
                 self._covering.clear()
@@ -572,8 +538,7 @@ class QueryResultCache:
         with self._lock:
             self.changes.record(namespace, delta)
             for key in [k for k in self._entries if k[0] == namespace]:
-                entry = self._entries[key]
-                if delta.may_match_query(entry.result.query):
+                if delta.may_match_query(self._entries[key].query):
                     del self._entries[key]
                     self._forget_covering_locked(key)
                     retired.append(key)
@@ -582,7 +547,7 @@ class QueryResultCache:
             # A stale parked entry the delta could match must never be
             # replayed by serve_stale: its rows are provably out of date.
             for key in [k for k in self._stale if k[0] == namespace]:
-                if delta.may_match_query(self._stale[key].result.query):
+                if delta.may_match_query(self._stale[key].query):
                     del self._stale[key]
                     stale_purged += 1
         self.statistics.add(
@@ -605,29 +570,24 @@ class QueryResultCache:
         exhausted): the returned answer is marked ``stale`` *and* ``degraded``
         and is forced to ``OVERFLOW`` by the caller's contract — a stale
         answer must never claim to cover its query, so no algorithm builds
-        durable state (dense regions, feeds, emissions) from it.  TTL-expired
-        parked entries are dropped, and entries a catalog delta touched were
-        already purged at ``invalidate_delta`` time.
+        durable state (dense regions, feeds, emissions) from it.  Entries a
+        catalog delta touched were already purged at ``invalidate_delta``
+        time.
         """
         key = self.key_for(namespace, query, system_k)
         with self._lock:
-            entry = self._stale.get(key)
-            if entry is None:
-                return None
-            if self._ttl is not None and self._clock() - entry.stored_at >= self._ttl:
-                del self._stale[key]
-                self.statistics.record("stale_dropped")
+            result = self._stale.get(key)
+            if result is None:
                 return None
             self._stale.move_to_end(key)
-            result = entry.result
         self.statistics.record("stale_serves")
         return replace(result, outcome=Outcome.OVERFLOW, degraded=True, stale=True)
 
-    def _park_stale_locked(self, key: CacheKey, entry: _Entry) -> None:
+    def _park_stale_locked(self, key: CacheKey, result: SearchResult) -> None:
         """Move one flushed entry into the bounded stale side-store."""
-        if entry.result.degraded or entry.result.stale:
+        if result.degraded or result.stale:
             return  # never replay an answer that was itself degraded
-        self._stale[key] = entry
+        self._stale[key] = result
         self._stale.move_to_end(key)
         while len(self._stale) > self._max_entries:
             self._stale.popitem(last=False)
@@ -655,32 +615,19 @@ class QueryResultCache:
             return False
         return True
 
-    def _live_entry(self, key: CacheKey) -> Optional[_Entry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if self._ttl is not None and self._clock() - entry.stored_at >= self._ttl:
-            del self._entries[key]
-            self._forget_covering_locked(key)
-            self.statistics.record("expirations")
-            return None
-        self._entries.move_to_end(key)
-        return entry
+    def _live_entry(self, key: CacheKey) -> Optional[SearchResult]:
+        result = self._entries.get(key)
+        if result is not None:
+            self._entries.move_to_end(key)
+        return result
 
-    def _store_locked(
-        self,
-        key: CacheKey,
-        query: SearchQuery,
-        result: SearchResult,
-        stored_at: Optional[float] = None,
-    ) -> None:
+    def _store_locked(self, key: CacheKey, query: SearchQuery, result: SearchResult) -> None:
         if result.degraded or result.stale:
             # A partial or stale answer is request-scoped by design: caching
             # it would keep serving the degraded rows after the source heals
             # and break byte-identity with the fault-free run.
             return
-        stamp = self._clock() if stored_at is None else stored_at
-        self._entries[key] = _Entry(result=self._at_no_cost(result), stored_at=stamp)
+        self._entries[key] = self._at_no_cost(result)
         self._entries.move_to_end(key)
         # A fresh answer supersedes any parked stale copy of the same key.
         self._stale.pop(key, None)
@@ -716,9 +663,7 @@ class QueryResultCache:
         reproduces the overflow/valid/underflow trichotomy bit for bit.
 
         With ``memoize`` (the default) the derived result is stored under
-        ``key`` — inheriting the *source* entry's ``stored_at`` so derivation
-        never extends the TTL freshness horizon of the underlying
-        observation — and repeats of the subset query become exact hits.
+        ``key``, and repeats of the subset query become exact hits.
         Cache-bypassing callers (the crawler) pass ``memoize=False``: their
         effectively unique queries would only churn the LRU.  Returns
         ``None`` when no live covering superset exists.
@@ -727,11 +672,10 @@ class QueryResultCache:
         for covering_key, covering_query in index.covering(query):
             if not covering_query.contains(query):
                 continue
-            # May discard the entry just handed over (``covering`` allows it).
-            entry = self._live_entry(covering_key)
-            if entry is None:
+            covering = self._live_entry(covering_key)
+            if covering is None:
                 continue
-            matched = [row for row in entry.result.rows if query.matches(row)]
+            matched = [row for row in covering.rows if query.matches(row)]
             overflow = len(matched) > system_k
             # The covering entry's own read-only rows, shared.
             rows = tuple(matched[:system_k])
@@ -749,7 +693,7 @@ class QueryResultCache:
                 elapsed_seconds=0.0,
             )
             if memoize:
-                self._store_locked(key, query, derived, stored_at=entry.stored_at)
+                self._store_locked(key, query, derived)
             return derived
         return None
 

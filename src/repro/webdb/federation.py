@@ -48,11 +48,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Schema
-from repro.exceptions import (
-    DeadlineExceededError,
-    QueryError,
-    SourceUnavailableError,
-)
+from repro.exceptions import QueryError, SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import Counters
 from repro.webdb.database import HiddenWebDatabase
@@ -67,12 +63,7 @@ from repro.webdb.interface import (
 )
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
-from repro.webdb.resilience import (
-    Deadline,
-    ResilienceConfig,
-    ResilienceStatistics,
-    guards_snapshot,
-)
+from repro.webdb.resilience import ResilienceConfig, ResilienceStatistics, guards_snapshot
 from repro.webdb.stack import SourceStack
 
 
@@ -157,10 +148,8 @@ class _Scatter:
 
     query: SearchQuery
     targets: List[int]
-    deadline: Deadline
     pages: List[SearchResult] = field(default_factory=list)
     missing: List[str] = field(default_factory=list)
-    unavailable: Optional[SourceUnavailableError] = None  #: the last shard's
     error: Optional[Exception] = None  #: fails the query; its shards stop
 
 
@@ -223,13 +212,13 @@ class FederatedInterface(TopKInterface):
             raise QueryError(f"shard names must be unique: {self._namespaces}")
         if self.name in self._namespaces:
             raise QueryError(f"federation name {self.name!r} collides with a shard")
-        self._resilience = resilience or ResilienceConfig()
+        resilience = resilience or ResilienceConfig()
         self._resilience_stats = ResilienceStatistics()
         self._stacks = [
             SourceStack(
                 shard,
                 fault_plan=fault_plans[index] if fault_plans is not None else None,
-                resilience=self._resilience,
+                resilience=resilience,
                 resilience_statistics=self._resilience_stats,
                 clock=clock,
                 name=self._namespaces[index],
@@ -264,10 +253,10 @@ class FederatedInterface(TopKInterface):
         settled on its own.
 
         Every shard, in index order, gets the group's queries that target it
-        and still have time left as one batch (through the shard cache when
-        there is one).  A shard that fails a query (retries exhausted,
-        breaker open) does not fail that query: its stale cached answer is
-        replayed when permitted, otherwise the shard is recorded in
+        as one batch (through the shard cache when there is one).  A shard
+        that fails a query (retries exhausted, breaker open) does not fail
+        that query: its stale cached answer is replayed when there is one,
+        otherwise the shard is recorded in
         ``missing_shards`` and the merged result is returned *degraded* —
         forced to ``OVERFLOW`` so it never claims to cover the query, and
         never stored in the result cache.  Only a query to which **no** shard
@@ -276,19 +265,13 @@ class FederatedInterface(TopKInterface):
         batch = list(queries)
         for query in batch:
             query.validate(self._schema)
-        seconds = self._resilience.deadline_seconds
-        scatters = [_Scatter(q, self._targets_for(q), Deadline(seconds)) for q in batch]
-        for index, namespace in enumerate(self._namespaces):
-            live: List[_Scatter] = []
-            for scatter in scatters:
-                if scatter.error is not None or index not in scatter.targets:
-                    continue
-                if scatter.deadline.expired:
-                    # Out of time: the remaining shards go unqueried and are
-                    # reported missing instead of being paid for.
-                    scatter.missing.append(namespace)
-                else:
-                    live.append(scatter)
+        scatters = [_Scatter(query, self._targets_for(query)) for query in batch]
+        for index in range(len(self._shards)):
+            live = [
+                scatter
+                for scatter in scatters
+                if scatter.error is None and index in scatter.targets
+            ]
             if live:
                 for scatter, answer in zip(live, self._shard_settle(index, live)):
                     self._gather(scatter, index, answer)
@@ -364,21 +347,16 @@ class FederatedInterface(TopKInterface):
         return targets
 
     def _shard_settle(self, index: int, scatters: List[_Scatter]) -> List[Settlement]:
-        """Settle one shard's batch, each query under its own deadline."""
+        """Settle one shard's batch, each query on its own."""
         stack = self._stacks[index]
-        deadlines = {id(scatter.query): scatter.deadline for scatter in scatters}
-
-        def settle(batch: Sequence[SearchQuery]) -> List[Settlement]:
-            return stack.settle_many(batch, [deadlines[id(query)] for query in batch])
-
         queries = [scatter.query for scatter in scatters]
         if self._cache is None:
-            return settle(queries)
+            return stack.settle_many(queries)
         # The stack's guard wraps only the remote compute: cache hits never
         # touch the breaker, so cached answers keep serving while a shard is
         # down, and breaker state reflects only real round trips.
         resolved = self._cache.fetch_many(
-            self._namespaces[index], queries, stack.system_k, settle
+            self._namespaces[index], queries, stack.system_k, stack.settle_many
         )
         hits = sum(1 for _, status in resolved if status is not FetchStatus.MISS)
         if hits:
@@ -388,18 +366,16 @@ class FederatedInterface(TopKInterface):
     def _gather(self, scatter: _Scatter, index: int, answer: Settlement) -> None:
         """Fold shard ``index``'s answer for one query into its scatter."""
         if not isinstance(answer, Exception):
-            scatter.deadline.charge(answer.elapsed_seconds)
             scatter.pages.append(answer)
         elif isinstance(answer, SourceUnavailableError):
-            scatter.unavailable = answer
             stale = self._stale_shard_answer(index, scatter.query)
             if stale is not None:
                 scatter.pages.append(stale)
             else:
                 scatter.missing.append(self._namespaces[index])
         else:
-            # A deadline spent inside the shard's retries (or any error but
-            # the shard being down) fails the query; later shards skip it.
+            # Any error but the shard being down fails the query; later
+            # shards skip it.
             scatter.error = answer
 
     def _merge(self, scatter: _Scatter) -> Settlement:
@@ -408,13 +384,7 @@ class FederatedInterface(TopKInterface):
             return scatter.error
         pages = scatter.pages
         if scatter.targets and not pages:
-            # Nothing answered, live or stale: the whole federation is down,
-            # or (no shard failed) the deadline left no room for even one.
-            if scatter.unavailable is None:
-                return DeadlineExceededError(
-                    f"{self.name}: deadline exhausted before any shard answered",
-                    elapsed_seconds=scatter.deadline.spent,
-                )
+            # Nothing answered, live or stale: the whole federation is down.
             return SourceUnavailableError(
                 f"{self.name}: no shard reachable ({', '.join(scatter.missing)})",
                 source=self.name,
@@ -470,9 +440,9 @@ class FederatedInterface(TopKInterface):
     def _stale_shard_answer(
         self, index: int, query: SearchQuery
     ) -> Optional[SearchResult]:
-        """An invalidated cached answer for a failed shard, when the
-        resilience policy allows serving it (marked stale + degraded)."""
-        if self._cache is None or not self._resilience.serve_stale_on_error:
+        """An invalidated cached answer for a failed shard, when the cache
+        kept one (marked stale + degraded)."""
+        if self._cache is None:
             return None
         stale = self._cache.serve_stale(
             self._namespaces[index], query, self._stacks[index].system_k

@@ -109,7 +109,7 @@ class SearchResult:
 
 
 #: How :meth:`TopKInterface.settle_many` settles one query of a batch: its
-#: answer, or the error that stopped it (source unavailable, deadline spent).
+#: answer, or the error that stopped it (source unavailable, breaker open).
 Settlement = Union[SearchResult, Exception]
 
 

@@ -1,4 +1,4 @@
-"""Resilience policies for unreliable sources: retries, breakers, deadlines.
+"""Resilience policies for unreliable sources: retries and circuit breakers.
 
 :mod:`repro.webdb.faults` makes sources fail on a deterministic schedule;
 this module is the other half — the policies that keep a federation serving
@@ -7,21 +7,15 @@ through those faults:
 * :class:`RetryPolicy` — capped exponential backoff with *decorrelated
   jitter* (the AWS architecture-blog variant: each delay is drawn uniformly
   from ``[base, 3 * previous]`` and capped), seeded so the delay sequence is
-  replayable, plus an optional cumulative retry budget so a dying source
-  cannot consume unbounded retry work;
+  replayable;
 * :class:`CircuitBreaker` — the classic closed → open → half-open automaton
   per source/shard.  While open, calls are rejected *without* paying the
   source's round trip; after ``recovery_seconds`` a single half-open probe is
   admitted, and its outcome closes or re-opens the circuit;
-* :class:`Deadline` — a per-query budget of *simulated* seconds threaded
-  through scatter-gather: every round trip, timeout, and backoff wait is
-  charged against it, and once exhausted the remaining shards are skipped
-  (partial answer) or the query fails with
-  :class:`~repro.exceptions.DeadlineExceededError`.
 * :class:`SourceGuard` — one source/shard's retry loop wired through its
   breaker, the guard stage of a :class:`~repro.webdb.stack.SourceStack`.
 
-Delays are charged in simulated time (and against the deadline), never slept:
+Timeouts and backoff waits are charged in simulated time, never slept:
 the chaos tests assert deterministic counters, not wall clock.
 """
 
@@ -33,11 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-from repro.exceptions import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    SourceUnavailableError,
-)
+from repro.exceptions import CircuitOpenError, SourceUnavailableError
 from repro.webdb.counters import Counters
 
 T = TypeVar("T")
@@ -50,44 +40,31 @@ class ResilienceConfig:
     """Resilience knobs for one reranker's sources.
 
     With perfectly reliable sources the defaults change nothing: no fault
-    means no retry, a breaker that never sees a failure never opens, and the
-    default deadline is unlimited — which is why this config can be on by
-    default.
+    means no retry, and a breaker that never sees a failure never opens —
+    which is why this config can be on by default.
 
     Parameters
     ----------
     max_attempts:
         Attempts per query (1 initial + ``max_attempts - 1`` retries).
     backoff_base_seconds / backoff_cap_seconds:
-        Bounds of the decorrelated-jitter backoff; delays are charged to the
-        query's deadline in simulated time.
+        Bounds of the decorrelated-jitter backoff; delays are charged in
+        simulated time.
     backoff_seed:
         Seed of the replayable jitter stream.
-    retry_budget:
-        Optional cumulative cap on retries across a guard's lifetime; once
-        spent, failures are not retried (fail fast).  ``None`` = unlimited.
     breaker_failure_threshold:
         Consecutive failures that trip the breaker open.
     breaker_recovery_seconds:
         Wall-clock seconds an open breaker waits before admitting one
         half-open probe.
-    deadline_seconds:
-        Per-query budget of simulated seconds across the whole scatter
-        (round trips + timeouts + backoff waits); ``None`` = unlimited.
-    serve_stale_on_error:
-        Whether an invalidated cache entry may answer for a source whose
-        live query failed (the answer is marked degraded + stale).
     """
 
     max_attempts: int = 3
     backoff_base_seconds: float = 0.05
     backoff_cap_seconds: float = 2.0
     backoff_seed: int = 17
-    retry_budget: Optional[int] = None
     breaker_failure_threshold: int = 5
     breaker_recovery_seconds: float = 30.0
-    deadline_seconds: Optional[float] = None
-    serve_stale_on_error: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -278,57 +255,6 @@ class CircuitBreaker:
             self.statistics.record(counter)
 
 
-class Deadline:
-    """A per-query budget of simulated seconds.
-
-    The scatter loop charges every source round trip, injected timeout, and
-    backoff wait against the deadline.  Charging is *conservative-serial*:
-    even round trips that overlap in wall clock are summed, so a deadline is
-    a deterministic property of the query/fault schedule, never of thread
-    scheduling.
-    """
-
-    def __init__(self, seconds: Optional[float]) -> None:
-        self._limit = seconds
-        self._spent = 0.0
-        self._lock = threading.Lock()
-
-    @property
-    def limit(self) -> Optional[float]:
-        return self._limit
-
-    @property
-    def spent(self) -> float:
-        with self._lock:
-            return self._spent
-
-    def charge(self, seconds: float) -> None:
-        """Account ``seconds`` of simulated waiting against the deadline."""
-        if seconds <= 0:
-            return
-        with self._lock:
-            self._spent += seconds
-
-    def remaining(self) -> float:
-        if self._limit is None:
-            return float("inf")
-        with self._lock:
-            return max(0.0, self._limit - self._spent)
-
-    @property
-    def expired(self) -> bool:
-        return self.remaining() <= 0.0
-
-    def require(self, context: str) -> None:
-        """Raise :class:`DeadlineExceededError` when the budget is spent."""
-        if self._limit is not None and self.remaining() <= 0.0:
-            raise DeadlineExceededError(
-                f"deadline of {self._limit:.3f}s exhausted {context} "
-                f"(spent {self.spent:.3f}s)",
-                elapsed_seconds=self.spent,
-            )
-
-
 @dataclass
 class ResilienceStatistics(Counters):
     """Thread-safe counters shared by every guard of one source/reranker."""
@@ -341,8 +267,6 @@ class ResilienceStatistics(Counters):
     breaker_half_opens: int = 0
     breaker_closes: int = 0
     timeouts_paid: int = 0
-    deadline_hits: int = 0
-    retry_budget_exhausted: int = 0
     degraded_scatters: int = 0
     stale_shard_answers: int = 0
     simulated_wait_seconds: float = 0.0
@@ -363,15 +287,12 @@ class SourceGuard:
         policy: RetryPolicy,
         breaker: CircuitBreaker,
         statistics: Optional[ResilienceStatistics] = None,
-        retry_budget: Optional[int] = None,
     ) -> None:
         self.name = name
         self.policy = policy
         self.breaker = breaker
         self.statistics = statistics or ResilienceStatistics()
         breaker.statistics = self.statistics
-        self._retry_budget = retry_budget
-        self._retries_spent = 0
         self._calls = 0
         self._lock = threading.Lock()
 
@@ -393,21 +314,15 @@ class SourceGuard:
                 name=name,
             ),
             statistics=statistics,
-            retry_budget=config.retry_budget,
         )
 
-    def call(
-        self,
-        supply: Callable[[], T],
-        deadline: Optional[Deadline] = None,
-        queries: int = 1,
-    ) -> T:
+    def call(self, supply: Callable[[], T], queries: int = 1) -> T:
         """Run ``supply`` under the guard's breaker + retry policy.
 
         Raises :class:`CircuitOpenError` without invoking ``supply`` while
         the breaker is open; otherwise retries retryable failures up to the
         policy's attempt count, charging every failed attempt's elapsed time
-        and backoff wait to ``deadline``.  The attempt counters count the
+        and backoff wait as simulated waiting.  The attempt counters count the
         ``queries`` ``supply`` carries under this one admission; backoff
         delays are drawn only when a retry is about to wait.
         """
@@ -426,12 +341,6 @@ class SourceGuard:
         delays: Optional[List[float]] = None
         last_error: Optional[SourceUnavailableError] = None
         for attempt in range(self.policy.max_attempts):
-            if deadline is not None:
-                try:
-                    deadline.require(f"before attempt {attempt + 1} on {self.name}")
-                except DeadlineExceededError:
-                    stats.record("deadline_hits")
-                    raise
             stats.record("attempts", queries)
             try:
                 result = supply()
@@ -449,40 +358,22 @@ class SourceGuard:
             stats.record("failed_attempts", queries)
             if last_error.elapsed_seconds:
                 stats.add(timeouts_paid=1, simulated_wait_seconds=last_error.elapsed_seconds)
-                if deadline is not None:
-                    deadline.charge(last_error.elapsed_seconds)
             self.breaker.record_failure()
             if self.breaker.is_open:
                 break  # tripping the breaker ends the retry loop
             if attempt >= self.policy.max_attempts - 1:
                 break
-            if not self._spend_retry():
-                stats.record("retry_budget_exhausted")
-                break
             if delays is None:
                 delays = self.policy.delays(token)
-            wait = delays[attempt]
-            stats.add(retries=queries, simulated_wait_seconds=wait)
-            if deadline is not None:
-                deadline.charge(wait)
+            stats.add(retries=queries, simulated_wait_seconds=delays[attempt])
         assert last_error is not None
         raise last_error
 
-    def _spend_retry(self) -> bool:
-        if self._retry_budget is None:
-            return True
-        with self._lock:
-            if self._retries_spent >= self._retry_budget:
-                return False
-            self._retries_spent += 1
-            return True
-
     def describe(self) -> Dict[str, object]:
         with self._lock:
-            retries_spent = self._retries_spent
             calls = self._calls
         description = self.breaker.describe()
-        description.update({"calls": calls, "retries_spent": retries_spent})
+        description["calls"] = calls
         return description
 
 

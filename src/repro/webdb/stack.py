@@ -31,7 +31,6 @@ from repro.webdb.interface import (
 )
 from repro.webdb.query import SearchQuery
 from repro.webdb.resilience import (
-    Deadline,
     ResilienceConfig,
     ResilienceStatistics,
     SourceGuard,
@@ -50,7 +49,7 @@ class SourceStack(TopKInterface):
     fault_plan:
         Deterministic fault schedule; ``None`` builds no injector.
     resilience:
-        Retry / breaker / deadline policy of the guard (defaults are inert
+        Retry / breaker policy of the guard (defaults are inert
         against a reliable source).
     resilience_statistics:
         Counters the guard records into; a federation passes one shared
@@ -77,13 +76,14 @@ class SourceStack(TopKInterface):
     ) -> None:
         self.database = database
         self.name: str = name or getattr(database, "name", "source")
-        config = resilience or ResilienceConfig()
-        self._deadline_seconds = config.deadline_seconds
         self.injector: Optional[FaultInjector] = (
             FaultInjector(database, fault_plan) if fault_plan is not None else None
         )
         self.guard: SourceGuard = SourceGuard.from_config(
-            self.name, config, statistics=resilience_statistics, clock=clock
+            self.name,
+            resilience or ResilienceConfig(),
+            statistics=resilience_statistics,
+            clock=clock,
         )
         self.statistics = InterfaceStatistics()
 
@@ -108,11 +108,7 @@ class SourceStack(TopKInterface):
     def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
         return answers(self.settle_many(queries))
 
-    def settle_many(
-        self,
-        queries: Sequence[SearchQuery],
-        deadlines: Optional[Sequence[Deadline]] = None,
-    ) -> List[Settlement]:
+    def settle_many(self, queries: Sequence[SearchQuery]) -> List[Settlement]:
         """Issue ``queries`` through the guard, settling each on its own.
 
         Every query draws its fault slot up front, in batch order.  The ones
@@ -120,31 +116,25 @@ class SourceStack(TopKInterface):
         under one guard admission (a SLOW slot adds its spike to the query's
         round trip); each faulted query gets a guard call of its own, whose
         first attempt raises the drawn fault and whose retries draw fresh
-        slots.  ``deadlines`` (aligned with ``queries``) give each query of a
-        scatter one budget across its shards — the batch admission is held
-        to the tightest — otherwise each guard call gets a fresh one.
+        slots.
         """
         batch = list(queries)
         count = len(batch)
         injector = self.injector
         slots = injector.draw(count) if injector and injector.perturbs else [CLEAN] * count
-        limits = list(deadlines) if deadlines is not None else [None] * count
         settled: List[Settlement] = [None] * count  # type: ignore[list-item]
         passing = [position for position in range(count) if slots[position][0] in PASSING]
         if passing:
             clean = [batch[position] for position in passing]
             supply = partial(self.database.search_many, clean)
-            tightest = (
-                min((limits[p] for p in passing), key=Deadline.remaining) if deadlines else None
-            )
-            for position, answer in zip(passing, self._guarded(supply, tightest, len(clean))):
+            for position, answer in zip(passing, self._guarded(supply, len(clean))):
                 if not isinstance(answer, Exception):
                     answer = delayed(answer, slots[position][1])
                 settled[position] = answer
         for position in range(count):
             if settled[position] is None:
                 attempt = partial(self._attempt, batch[position], [slots[position]])
-                settled[position] = self._guarded(attempt, limits[position])[0]
+                settled[position] = self._guarded(attempt)[0]
         for answer in settled:
             if not isinstance(answer, Exception):
                 self.statistics.record(answer)
@@ -173,16 +163,11 @@ class SourceStack(TopKInterface):
         return [injector.apply(drawn.pop(), query) if drawn else injector.search(query)]
 
     def _guarded(
-        self,
-        supply: Callable[[], List[SearchResult]],
-        deadline: Optional[Deadline],
-        queries: int = 1,
+        self, supply: Callable[[], List[SearchResult]], queries: int = 1
     ) -> List[Settlement]:
         """One guard call for ``queries`` queries; an error settles them all."""
-        if deadline is None:
-            deadline = Deadline(self._deadline_seconds)
         try:
-            return self.guard.call(supply, deadline, queries)
+            return self.guard.call(supply, queries)
         except Exception as error:  # noqa: BLE001 - raised once the batch settles
             return [error] * queries
 

@@ -436,18 +436,6 @@ class TestFeedStore:
         again = self._attach(store, queries[0])
         assert again is not feeds[0]
 
-    def test_ttl_expiry_rebuilds_the_feed(self):
-        clock = [0.0]
-        store = RerankFeedStore(QueryResultCache(), ttl_seconds=10.0, clock=lambda: clock[0])
-        query = SearchQuery.build(ranges={"price": (0.0, 100.0)})
-        feed = self._attach(store, query)
-        clock[0] = 5.0
-        assert self._attach(store, query) is feed
-        clock[0] = 15.0
-        fresh = self._attach(store, query)
-        assert fresh is not feed
-        assert store.snapshot()["expirations"] == 1
-
     def test_verified_tuples_and_work_count_only_while_the_store_holds_the_feed(self):
         """The store's counters follow its live feeds: a retired feed's prefix
         leaves ``verified_tuples``, and what its streams still do on it is

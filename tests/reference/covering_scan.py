@@ -20,21 +20,14 @@ def covering_scan(
 ) -> Optional[CacheKey]:
     """The first live covering entry of ``(namespace, system_k)`` whose
     query contains ``query``, or ``None``."""
-    now = cache._clock()
-    ttl = cache.ttl_seconds
-    for key, entry in cache._entries.items():
+    for key, result in cache._entries.items():
         if key[0] != namespace or key[1] != system_k:
             continue
-        if not entry.result.covers_query:
-            continue
-        if ttl is not None and now - entry.stored_at >= ttl:
-            continue
-        if entry.result.query.contains(query):
+        if result.covers_query and result.query.contains(query):
             return key
     return None
 
 
 def covering_count(cache: QueryResultCache) -> int:
-    """How many stored entries may answer subsets (expired ones included:
-    an entry leaves the cache when a lookup or eviction touches it)."""
-    return sum(1 for entry in cache._entries.values() if entry.result.covers_query)
+    """How many stored entries may answer subsets."""
+    return sum(1 for result in cache._entries.values() if result.covers_query)

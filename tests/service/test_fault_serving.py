@@ -11,7 +11,6 @@ from repro.dataset.diamonds import DiamondCatalogConfig
 from repro.dataset.housing import HousingCatalogConfig
 from repro.exceptions import (
     CircuitOpenError,
-    DeadlineExceededError,
     QueryError,
     RemoteInterfaceError,
 )
@@ -56,18 +55,6 @@ class TestAvailability503s:
         assert payload["retry"] is True
         assert payload["exception"] == "CircuitOpenError"
         assert payload["source"] == "bluenile#1"
-
-    def test_deadline_exceeded_maps_to_503(self, registry, monkeypatch):
-        application = QR2HttpApplication(make_service(registry))
-
-        def too_slow(name):
-            raise DeadlineExceededError("deadline spent", elapsed_seconds=1.2)
-
-        monkeypatch.setattr(application.service, "describe_source", too_slow)
-        response = application.handle(HttpRequest.get("/qr2/sources/bluenile"))
-        assert response.status == 503
-        assert "retry-after" not in response.headers
-        assert response.json()["exception"] == "DeadlineExceededError"
 
     def test_plain_query_errors_stay_400(self, registry, monkeypatch):
         application = QR2HttpApplication(make_service(registry))

@@ -124,6 +124,60 @@ class TestRoutes:
         )
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"filters": [1, 2]},
+            {"filters": {"ranges": {"price": 5}}},
+            {"filters": {"ranges": {"price": [5]}}},
+            {"filters": {"ranges": {"price": ["a", "b"]}}},
+            {"filters": {"memberships": {"cut": 5}}},
+            {"page_size": "ten"},
+            {"sliders": {"price": "x"}},
+        ],
+        ids=[
+            "filters-list",
+            "range-number",
+            "range-single",
+            "range-strings",
+            "membership-number",
+            "page-size-string",
+            "slider-string",
+        ],
+    )
+    def test_malformed_query_body_is_400_and_the_session_still_serves(
+        self, application, malformed
+    ):
+        """A body of the wrong shape is the caller's error (400), not a
+        crash of the service (500), and it leaves the session usable."""
+        session_id = _post(application, "/qr2/sessions", {}).json()["session_id"]
+        valid = {
+            "session_id": session_id,
+            "source": "bluenile",
+            "filters": {"ranges": {"price": [1000, 5000]}},
+            "sliders": {"price": 1.0},
+            "page_size": 5,
+        }
+        response = _post(application, "/qr2/query", {**valid, **malformed})
+        assert response.status == 400, response.body
+        served = _post(application, "/qr2/query", valid)
+        assert served.ok, served.body
+        assert len(served.json()["rows"]) == 5
+
+    @pytest.mark.parametrize(
+        "ranking",
+        [5, {"weights": {"price": "x", "carat": -0.5}}],
+        ids=["ranking-number", "weight-string"],
+    )
+    def test_malformed_ranking_is_400(self, application, ranking):
+        session_id = _post(application, "/qr2/sessions", {}).json()["session_id"]
+        response = _post(
+            application,
+            "/qr2/query",
+            {"session_id": session_id, "source": "bluenile", "ranking": ranking},
+        )
+        assert response.status == 400, response.body
+
     def test_unknown_route_404(self, application):
         assert application.handle(HttpRequest.get("/qr2/nope")).status == 404
 

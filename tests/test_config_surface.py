@@ -1,10 +1,12 @@
 """Pins the configuration surface: every independently settable field of the
-three config dataclasses, by name.  Adding a knob is a deliberate diff here,
-with the two callers that need different values named in the PR."""
+three config dataclasses, and of the resilience policy nested in
+``RerankConfig.resilience``, by name.  Adding a knob is a deliberate diff
+here, with the two callers that need different values named in the PR."""
 
 from dataclasses import fields
 
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
+from repro.webdb.resilience import ResilienceConfig
 
 DATABASE_FIELDS = {
     "system_k", "latency_seconds", "latency_jitter", "seed", "shards",
@@ -21,6 +23,10 @@ SERVICE_FIELDS = {
     "reaper_interval_seconds", "request_deadline_seconds",
     "warming_interval_seconds", "warming_pages",
 }
+RESILIENCE_FIELDS = {
+    "max_attempts", "backoff_base_seconds", "backoff_cap_seconds",
+    "backoff_seed", "breaker_failure_threshold", "breaker_recovery_seconds",
+}
 
 
 def names(config_class) -> set:
@@ -32,4 +38,9 @@ def test_config_field_sets_are_pinned():
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
     assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 25
+
+
+def test_resilience_policy_fields_are_pinned():
+    assert names(ResilienceConfig) == RESILIENCE_FIELDS
+    assert len(RESILIENCE_FIELDS) == 6
 

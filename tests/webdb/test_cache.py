@@ -43,14 +43,6 @@ class _CountingInterface:
         return self.calls
 
 
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 class TestQueryResultCache:
     def test_miss_then_hit(self, bluenile_db):
         cache = QueryResultCache()
@@ -108,17 +100,6 @@ class TestQueryResultCache:
         # valid / underflow trichotomy is only meaningful relative to k.
         assert cache.lookup("ns", query, 20) is None
         assert cache.lookup("ns", query, 10) is not None
-
-    def test_ttl_expiry(self, bluenile_db):
-        clock = _FakeClock()
-        cache = QueryResultCache(ttl_seconds=10.0, clock=clock)
-        query = SearchQuery.everything()
-        cache.fetch("ns", query, bluenile_db.system_k, lambda: bluenile_db.search(query))
-        clock.now = 9.999
-        assert cache.lookup("ns", query, bluenile_db.system_k) is not None
-        clock.now = 10.0 + 9.999  # lookup above refreshed LRU order, not TTL
-        assert cache.lookup("ns", query, bluenile_db.system_k) is None
-        assert cache.statistics.expirations == 1
 
     def test_lru_eviction(self, bluenile_db):
         cache = QueryResultCache(max_entries=2)
@@ -213,17 +194,14 @@ class TestQueryResultCache:
         assert cache.statistics.coalesced + cache.statistics.hits == 7
 
     def test_snapshot_shape(self):
-        snapshot = QueryResultCache(max_entries=10, ttl_seconds=5.0).snapshot()
+        snapshot = QueryResultCache(max_entries=10).snapshot()
         assert snapshot["entries"] == 0
         assert snapshot["max_entries"] == 10
-        assert snapshot["ttl_seconds"] == 5.0
         assert snapshot["hit_rate"] == 0.0
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             QueryResultCache(max_entries=0)
-        with pytest.raises(ValueError):
-            QueryResultCache(ttl_seconds=0.0)
 
 
 class TestDefaultNamespace:

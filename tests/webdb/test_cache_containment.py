@@ -134,32 +134,6 @@ class TestContainmentAnswering:
         )
         assert cache.probe("bn", narrow, bluenile_db.system_k) is None
 
-    def test_derived_entry_inherits_source_ttl(self, bluenile_db):
-        """A containment answer is an observation made at the *source*
-        entry's time, so memoizing it must not extend the TTL horizon —
-        otherwise chained derivations could replay stale data forever."""
-
-        class Clock:
-            now = 0.0
-
-            def __call__(self):
-                return self.now
-
-        clock = Clock()
-        cache = QueryResultCache(ttl_seconds=10.0, clock=clock)
-        wide, wide_result = _find_valid_query(bluenile_db)
-        cache.store("bn", wide, bluenile_db.system_k, wide_result)
-        predicate = wide.ranges[0]
-        narrow = SearchQuery.build(
-            ranges={predicate.attribute: (predicate.lower, predicate.upper - 1e-9)}
-        )
-        clock.now = 9.0  # derive (and memoize) just before the source expires
-        probe = cache.probe("bn", narrow, bluenile_db.system_k)
-        assert probe is not None and probe[1] is FetchStatus.CONTAINED
-        clock.now = 10.5  # past the *source* observation's lifetime
-        assert cache.probe("bn", narrow, bluenile_db.system_k) is None
-        assert cache.probe("bn", wide, bluenile_db.system_k) is None
-
     def test_read_only_probe_does_not_memoize(self, bluenile_db):
         """``memoize=False`` (the crawler's bypass path) derives the answer
         without storing it, so one-off queries cannot churn the LRU."""
@@ -639,22 +613,15 @@ def _assert_is_the_answer(result, query, system_k):
 
 
 class TestIndexedLookupMatchesTheScan:
-    """Random store / probe / fetch / fetch_many / invalidate / delta / clock
-    sequences over a small LRU with a TTL: before every containment lookup
+    """Random store / probe / fetch / fetch_many / invalidate / delta
+    sequences over a small LRU: before every containment lookup
     the linear scan over the cache's own live entries is evaluated, and the
     indexed lookup must find a covering entry iff the scan does."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_found_iff_the_scan_finds_and_derived_rows_are_the_answer(self, data):
-        class Clock:
-            now = 0.0
-
-            def __call__(self):
-                return self.now
-
-        clock = Clock()
-        cache = QueryResultCache(max_entries=6, ttl_seconds=5.0, clock=clock)
+        cache = QueryResultCache(max_entries=6)
         indexed = cache._contained_answer_locked
 
         def checked(namespace, query, system_k, key, memoize=True):
@@ -670,9 +637,9 @@ class TestIndexedLookupMatchesTheScan:
         def draw_query(scope):
             # Mostly a narrowing of a covering entry in scope, so that lookups
             # find covers (and near misses on exclusive bounds).
-            in_scope = [entry for key, entry in cache._entries.items() if key[:2] == scope]
-            covering = [entry for entry in in_scope if entry.result.covers_query]
-            stored = [entry.result.query for entry in covering or in_scope]
+            in_scope = [result for key, result in cache._entries.items() if key[:2] == scope]
+            covering = [result for result in in_scope if result.covers_query]
+            stored = [result.query for result in covering or in_scope]
             within = None
             if stored and data.draw(st.integers(0, 3)):
                 within = data.draw(st.sampled_from(stored))
@@ -682,7 +649,7 @@ class TestIndexedLookupMatchesTheScan:
             kind = data.draw(
                 st.sampled_from(
                     ["store"] * 4 + ["probe"] * 3
-                    + ["fetch", "fetch_many", "invalidate", "delta", "tick"]
+                    + ["fetch", "fetch_many", "invalidate", "delta"]
                 )
             )
             namespace, k = data.draw(st.sampled_from([("ns1", 3)] * 3 + [("ns1", 4), ("ns2", 3)]))
@@ -708,10 +675,8 @@ class TestIndexedLookupMatchesTheScan:
                     _assert_is_the_answer(result, query, k)
             elif kind == "invalidate":
                 cache.invalidate(data.draw(st.sampled_from([namespace, None])))
-            elif kind == "delta":
+            else:
                 touched = data.draw(st.sets(st.sampled_from(range(len(CATALOG))), min_size=1, max_size=3))
                 rows = [CATALOG[i] for i in sorted(touched)]
                 cache.invalidate_delta(namespace, CatalogDelta.from_rows(namespace, "id", rows))
-            else:
-                clock.now += data.draw(st.sampled_from([0.5, 2.0, 4.0]))
             assert cache.snapshot()["covering_entries"] == covering_count(cache)
