@@ -520,18 +520,18 @@ def dense_rows(
 
     ``box`` is looked up in ``index`` first.  On a miss, ``ask`` — the region
     with the user's filters, which may thin it below ``system_k`` — gets one
-    query: when its answer covers it, its rows are the answer.  Otherwise
-    ``box`` is crawled *without* the filters, so any later query can reuse
-    it, indexed, and read back.  Rows served by the index (after a crawl or
-    not) count as a ``dense_index_hits`` on ``statistics``.
+    query: when its answer proves it, its observed rows are the answer.
+    Otherwise ``box`` is crawled *without* the filters, so any later query
+    can reuse it, indexed, and read back.  Rows served by the index (after a
+    crawl or not) count as a ``dense_index_hits`` on ``statistics``.
     """
     rows = index.lookup(box, base_query)
     if rows is not None:
         statistics.record("dense_index_hits")
         return rows, None
     answer = engine.search(ask) if ask is not None else None
-    if answer is not None and answer.covers_query:
-        return list(answer.rows), answer
+    if answer is not None and answer.proves_query:
+        return list(answer.observed_rows), answer
     index.add_region(box, crawl_region(engine, statistics, SearchQuery(box.sides, ())))
     statistics.record("dense_index_hits")
     return index.rows_in(box, base_query), answer

@@ -206,10 +206,10 @@ class MultiDimGetNext:
             if self._prunable(box, best):
                 continue
             result = self._engine.search(box.to_query(self._base_query))
-            self._remember(result.rows)
+            self._remember(result.observed_rows)
             previous_score = best[0] if best is not None else math.inf
-            best = self._update_best(result.rows, best)
-            if result.covers_query:
+            best = self._update_best(result.observed_rows, best)
+            if result.proves_query:
                 continue
             if best is not None and best[0] < previous_score - _TOLERANCE:
                 narrowed = self._narrow_by_contour(box, best[0])
@@ -350,9 +350,9 @@ class MultiDimGetNext:
             queries = [box.to_query(self._base_query) for box, _ in to_query]
             results = self._engine.search_group(queries)
             for (box, depth), result in zip(to_query, results):
-                self._remember(result.rows)
-                best = self._update_best(result.rows, best)
-                if result.covers_query:
+                self._remember(result.observed_rows)
+                best = self._update_best(result.observed_rows, best)
+                if result.proves_query:
                     continue
                 low, high = box.split(box.widest_attribute(schema))
                 work.append(self._open(low, depth + 1))

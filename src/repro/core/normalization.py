@@ -127,17 +127,3 @@ def discover_attribute_range(
             )
         extremes[ascending] = float(first[attribute])  # type: ignore[arg-type]
     return extremes[True], extremes[False]
-
-
-def discovered_normalizer(
-    interface: TopKInterface,
-    attributes,
-    base_query: Optional[SearchQuery] = None,
-    config=None,
-) -> MinMaxNormalizer:
-    """Build a normalizer whose bounds are discovered through the interface."""
-    bounds = {}
-    for attribute in attributes:
-        low, high = discover_attribute_range(interface, attribute, base_query, config)
-        bounds[attribute] = (low, high)
-    return MinMaxNormalizer(bounds)

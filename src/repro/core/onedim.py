@@ -302,11 +302,11 @@ class OneDimGetNext:
     def _prove(self, interval: _Interval, result: Optional[SearchResult] = None) -> None:
         """Extend the verified prefix over ``interval`` when it starts at or
         below the prefix's end.  Every matching tuple in ``interval`` must be
-        remembered already: from ``result`` when it covers its query (a
+        remembered already: from ``result`` when it proves its query (a
         stale or degraded answer proves nothing), or from a dense-index
         lookup or a crawl when ``result`` is ``None``."""
         if result is not None and (
-            not result.covers_query or result.stale or result.degraded
+            not result.proves_query or result.stale or result.degraded
         ):
             return
         end, inclusive = self._proven
@@ -355,14 +355,14 @@ class OneDimGetNext:
             interval = _Interval(interval.lower, best, interval.include_lower, True)
         while True:
             result = self._search_interval(interval)
-            self._remember(result.rows)
+            self._remember(result.observed_rows)
             self._prove(interval, result)
-            values = self._eligible_values(result.rows)
+            values = self._eligible_values(result.observed_rows)
             if values:
                 candidate = min(values)
                 if best is None or candidate < best:
                     best = candidate
-            if result.covers_query:
+            if result.proves_query:
                 return best
             # Overflow: the true next value is at most `best`; shrink and retry.
             if best is None:
@@ -404,12 +404,12 @@ class OneDimGetNext:
                 # The dense index covered the whole interval and found nothing.
                 self._prove(interval)
                 return None
-            self._remember(result.rows)
+            self._remember(result.observed_rows)
             self._prove(interval, result)
-            values = self._eligible_values(result.rows)
+            values = self._eligible_values(result.observed_rows)
             if values:
                 best = min(values)
-            if result.covers_query or best is None:
+            if result.proves_query or best is None:
                 return best
         lower, include_lower = interval.lower, interval.include_lower
         upper = best  # a real tuple value: the answer lies in (lower, upper]
@@ -435,12 +435,12 @@ class OneDimGetNext:
                 lower, include_lower = midpoint, False
                 rounds += 1
                 continue
-            self._remember(result.rows)
+            self._remember(result.observed_rows)
             self._prove(half, result)
-            values = self._eligible_values(result.rows)
+            values = self._eligible_values(result.observed_rows)
             if result.is_underflow or not values:
                 lower, include_lower = midpoint, False
-            elif result.covers_query:
+            elif result.proves_query:
                 return min(min(values), best)
             else:
                 candidate = min(values)
@@ -510,9 +510,9 @@ class OneDimGetNext:
             ask=self._interval_query(interval) if self._filtered else None,
         )
         if answer is not None:
-            self._remember(answer.rows)
+            self._remember(answer.observed_rows)
             self._prove(interval, answer)
-        if answer is None or not answer.covers_query:
+        if answer is None or not answer.proves_query:
             self._remember(rows)
             self._prove(_Interval(lower, best, True, True))
         values = self._eligible_values(rows)
@@ -543,15 +543,15 @@ class OneDimGetNext:
             )
         else:
             answer = self._search_interval(point)
-            rows = list(answer.rows)
-            if not answer.covers_query:
+            rows = list(answer.observed_rows)
+            if not answer.proves_query:
                 crawled = crawl_region(self._engine, self._statistics, SearchQuery((group,), ()))
                 rows = [row for row in crawled if self._base_query.matches(row)]
         if answer is not None:
-            self._remember(answer.rows)
-        # The group is complete: the asked answer covered it, or the index
+            self._remember(answer.observed_rows)
+        # The group is complete: the asked answer proved it, or the index
         # or a crawl produced it.
-        self._prove(point, answer if answer is not None and answer.covers_query else None)
+        self._prove(point, answer if answer is not None and answer.proves_query else None)
         self._remember(rows)
         fresh = [row for row in rows if not self._session.has_emitted(row[key_column])]
         fresh.sort(key=lambda row: str(row[key_column]))

@@ -91,9 +91,9 @@ class HiddenDatabaseCrawler:
             results = self._search_level(frontier, statistics)
             next_frontier: List[SearchQuery] = []
             for level_query, result in zip(frontier, results):
-                for row in result.rows:
+                for row in result.observed_rows:
                     collected[row[key_column]] = row
-                if result.covers_query:
+                if result.proves_query:
                     statistics.record("leaves")
                     continue
                 if depth >= self._max_depth:

@@ -581,7 +581,9 @@ class QueryResultCache:
                 return None
             self._stale.move_to_end(key)
         self.statistics.record("stale_serves")
-        return replace(result, outcome=Outcome.OVERFLOW, degraded=True, stale=True)
+        return replace(
+            result, outcome=Outcome.OVERFLOW, degraded=True, stale=True, complete_rows=None
+        )
 
     def _park_stale_locked(self, key: CacheKey, result: SearchResult) -> None:
         """Move one flushed entry into the bounded stale side-store."""

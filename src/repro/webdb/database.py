@@ -376,10 +376,6 @@ class HiddenWebDatabase(TopKInterface):
         """Every tuple matching ``query`` (bypasses the top-k truncation)."""
         return [row for row in self._ranked_rows if query.matches(row)]
 
-    def count_matches(self, query: SearchQuery) -> int:
-        """Number of tuples matching ``query``."""
-        return sum(1 for row in self._ranked_rows if query.matches(row))
-
     def true_ranking(
         self,
         query: SearchQuery,

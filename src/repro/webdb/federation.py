@@ -26,7 +26,10 @@ Correctness of the scatter-gather merge:
   order equals the unsharded hidden-rank order exactly;
 * the outcome trichotomy is preserved: any shard overflow implies the global
   query overflows (that shard alone has unreturned matches); otherwise every
-  matching tuple was gathered, and the total count classifies the result.
+  matching tuple was gathered, and the total count classifies the result;
+* disjoint shards whose pages all cover the query have together returned
+  every match, so the full merge is the complete answer: beyond ``k`` it is
+  kept as ``complete_rows`` beside the truncated ``OVERFLOW`` page.
 
 Every shard is issued through its own
 :class:`~repro.webdb.stack.SourceStack` (fault injector, guard, statistics),
@@ -131,7 +134,8 @@ def partition_positions(
 @dataclass
 class ScatterCounters(Counters):
     """A federation's scatter accounting: scatters served, shard queries
-    pruned, fan-out and merge depth, and each shard's cache hits (by index)."""
+    pruned, fan-out, merge depth, scatters whose merge proved more than ``k``
+    matches, and each shard's cache hits (by index)."""
 
     scatter_queries: int = 0
     pruned_shard_queries: int = 0
@@ -139,6 +143,7 @@ class ScatterCounters(Counters):
     fan_out_max: int = 0
     rows_merged: int = 0
     max_depth: int = 0
+    complete_merges: int = 0
     shard_cache_hits: Dict[int, int] = field(default_factory=dict)
 
 
@@ -400,6 +405,7 @@ class FederatedInterface(TopKInterface):
             pruned_shard_queries=len(self._shards) - fanout,
             fan_out_total=fanout,
             rows_merged=total,
+            complete_merges=int(merged.complete_rows is not None),
         )
         if merged.degraded:
             self._resilience_stats.record("degraded_scatters")
@@ -412,13 +418,16 @@ class FederatedInterface(TopKInterface):
 
         Every page is in hidden-rank order under the shared sort key and
         keys are unique across shards, so a k-way merge yields exactly the
-        rows a full sort would, ranking only the ``system_k`` it keeps."""
+        rows a full sort would, ranking only the ``system_k`` it keeps (all
+        of them, as ``complete_rows``, when every page covered the query)."""
         stale = any(page.stale for page in pages)
         degraded = bool(missing) or stale
+        covered = not degraded and not any(page.is_overflow for page in pages)
         total = sum(len(page.rows) for page in pages)
         merged = heapq.merge(*(page.rows for page in pages), key=self._sort_key)
-        rows = tuple(islice(merged, self._system_k))
-        if degraded or total > self._system_k or any(page.is_overflow for page in pages):
+        complete = tuple(merged) if covered and total > self._system_k else None
+        rows = complete[: self._system_k] if complete else tuple(islice(merged, self._system_k))
+        if not covered or total > self._system_k:
             # A degraded merge can never prove coverage: unseen shards may
             # hold matches, so the trichotomy is pinned at OVERFLOW.
             outcome = Outcome.OVERFLOW
@@ -435,6 +444,7 @@ class FederatedInterface(TopKInterface):
             degraded=degraded,
             missing_shards=tuple(missing),
             stale=stale,
+            complete_rows=complete,
         )
 
     def _stale_shard_answer(
@@ -475,11 +485,6 @@ class FederatedInterface(TopKInterface):
         ``stack.guard`` / ``stack.injector`` are that shard's breaker and
         fault schedule."""
         return list(self._stacks)
-
-    @property
-    def shard_namespaces(self) -> List[str]:
-        """Cache namespace of each shard (its database name)."""
-        return list(self._namespaces)
 
     @property
     def shard_count(self) -> int:
@@ -683,6 +688,7 @@ class FederatedInterface(TopKInterface):
                 "rows_merged": counts["rows_merged"],
                 "max_depth": counts["max_depth"],
                 "mean_depth": (counts["rows_merged"] / scatter) if scatter else 0.0,
+                "complete_merges": counts["complete_merges"],
             },
             "shards": shards,
             "resilience": self.resilience_snapshot(),

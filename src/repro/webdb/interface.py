@@ -68,6 +68,9 @@ class SearchResult:
     stale:
         True when the rows came from an invalidated cache entry served
         while the live source was unavailable.
+    complete_rows:
+        Every matching tuple in rank order (``rows`` is its prefix), when an
+        overflowing answer's source saw them all.  Never set when degraded.
     """
 
     query: SearchQuery
@@ -78,6 +81,7 @@ class SearchResult:
     degraded: bool = False
     missing_shards: Tuple[str, ...] = ()
     stale: bool = False
+    complete_rows: Optional[Tuple[Row, ...]] = None
 
     @property
     def is_overflow(self) -> bool:
@@ -90,15 +94,20 @@ class SearchResult:
         return self.outcome is Outcome.UNDERFLOW
 
     @property
-    def is_valid(self) -> bool:
-        """True when every matching tuple was returned."""
-        return self.outcome is Outcome.VALID
-
-    @property
     def covers_query(self) -> bool:
         """True when the caller has now observed *every* tuple matching the
         query (the definition of a covered region in the paper)."""
         return self.outcome in (Outcome.VALID, Outcome.UNDERFLOW)
+
+    @property
+    def observed_rows(self) -> Tuple[Row, ...]:
+        """Every tuple the caller saw: ``complete_rows`` when kept, else ``rows``."""
+        return self.rows if self.complete_rows is None else self.complete_rows
+
+    @property
+    def proves_query(self) -> bool:
+        """True when :attr:`observed_rows` holds every tuple matching the query."""
+        return self.covers_query or self.complete_rows is not None
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -510,7 +510,7 @@ class TestSettlementInvariant:
                     )
                     for i in range(256)
                 )
-                if 0 < timed_db.count_matches(query) <= k
+                if 0 < len(timed_db.all_matches(query)) <= k
             )
             cache.store(namespace, covering, k, timed_db.search(covering))
             bounds = covering.range_on("price")

@@ -13,11 +13,7 @@ from repro.core.functions import (
     from_specification,
     weighted,
 )
-from repro.core.normalization import (
-    MinMaxNormalizer,
-    discover_attribute_range,
-    discovered_normalizer,
-)
+from repro.core.normalization import MinMaxNormalizer, discover_attribute_range
 from repro.core.regions import HyperRectangle
 from repro.exceptions import RankingFunctionError
 from repro.webdb.query import SearchQuery
@@ -183,7 +179,9 @@ class TestDiscoveredRange:
             discover_attribute_range(bluenile_db, "carat", base_query=query)
 
     def test_discovered_normalizer(self, bluenile_db):
-        normalizer = discovered_normalizer(bluenile_db, ["carat"])
+        normalizer = MinMaxNormalizer(
+            {"carat": discover_attribute_range(bluenile_db, "carat")}
+        )
         values = bluenile_db.attribute_values("carat")
         assert normalizer.normalize("carat", min(values)) == 0.0
         assert normalizer.normalize("carat", max(values)) == 1.0

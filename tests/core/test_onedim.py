@@ -97,7 +97,7 @@ class TestCorrectness:
 
     def test_exhausts_small_result_set(self, bluenile_db, variant):
         query = SearchQuery.build(ranges={"carat": (4.0, 5.0)})
-        expected = bluenile_db.count_matches(query)
+        expected = len(bluenile_db.all_matches(query))
         rows, _, _ = run_onedim(bluenile_db, query, "carat", True, variant, depth=expected + 10)
         assert len(rows) == expected
 

@@ -67,7 +67,7 @@ class TestShardScopedInvalidation:
         cache = reranker.result_cache
         federation = reranker.federation
         assert cache is not None and federation is not None
-        shard0_ns, shard1_ns = federation.shard_namespaces
+        shard0_ns, shard1_ns = [shard["name"] for shard in federation.describe()["shards"]]
         federated_ns = "fedinv"
         sequences_before = {
             ns: cache.changes(ns).sequence
@@ -105,7 +105,7 @@ class TestShardScopedInvalidation:
     def test_invalidate_all_shards(self, reranker):
         populate(reranker)
         cache = reranker.result_cache
-        namespaces = reranker.federation.shard_namespaces
+        namespaces = [shard["name"] for shard in reranker.federation.describe()["shards"]]
         before = {ns: cache.changes(ns).sequence for ns in namespaces}
         outcome = reranker.invalidate()
         assert outcome["cache_entries"] > 0

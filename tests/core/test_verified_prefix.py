@@ -24,6 +24,7 @@ from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm
 from repro.core.session import ChangeWatch, Session
 from repro.webdb.delta import CatalogDelta, ChangeLog, ChangeLogs
+from repro.webdb.interface import Outcome
 from repro.webdb.query import SearchQuery
 
 from tests.workloads.paper_currency import environment, read_table
@@ -58,7 +59,7 @@ def test_only_a_fresh_covering_answer_lets_the_next_call_skip_its_query(
 ):
     # Few enough stones that the first broad query returns them all (VALID).
     query = SearchQuery.build(ranges={"carat": (2.5, 5.0)})
-    assert bluenile_db.search(query).is_valid
+    assert bluenile_db.search(query).outcome is Outcome.VALID
     stream, engine = _onedim(bluenile_db, query, stale=stale)
     assert stream.next() is not None
     before = engine.queries_issued()

@@ -4,9 +4,10 @@
 the rows they build.  An MD lead and a 1D lead then run with the result
 cache, the dense-region index and the rerank feed on, over an unsharded
 source and over a 2-shard federation.  Every row the run left behind — the
-pages emitted, the sessions' seen logs, the cache entries, the dense regions
-and the feed prefixes — must be one of those objects (``is``, not ``==``):
-no layer copies a row it passes on.
+pages emitted, the sessions' seen logs, the cache entries (with the complete
+match sets federated merges keep), the dense regions and the feed prefixes —
+must be one of those objects (``is``, not ``==``): no layer copies a row it
+passes on.
 """
 
 import pytest
@@ -22,6 +23,12 @@ from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
 
 PAGE = 10
+
+#: The 1D lead's attribute per shard count.  Over two shards the merge proves
+#: the MD lead's regions and a ``depth`` lead's without a crawl, so the
+#: sharded lead ranks by ``length_width_ratio``: its first value group (70
+#: round stones at 1.0) overflows every shard, and is crawled.
+ONE_DIM_ATTRIBUTE = {1: "depth", 2: "length_width_ratio"}
 
 
 @pytest.fixture()
@@ -56,7 +63,8 @@ def held_rows(reranker, streams):
         places["feed"] += feed.verified_rows()
         places["seen log"] += feed._producer.session.seen_since(0)
     entries, _ = reranker.result_cache.export_snapshot()
-    places["cache"] += [row for _, _, result in entries for row in result.rows]
+    for _, _, result in entries:
+        places["cache"] += [*result.rows, *(result.complete_rows or ())]
     for index in reranker.dense_index._indexes.values():
         places["dense regions"] += [row for region in index for row in region.rows]
     return places
@@ -86,7 +94,7 @@ def test_every_held_row_is_the_one_the_catalog_built(
             assert md_lead.next_page(PAGE)
         one_dim = reranker.rerank(
             SearchQuery.everything(),
-            SingleAttributeRanking("depth", ascending=True),
+            SingleAttributeRanking(ONE_DIM_ATTRIBUTE[shards], ascending=True),
             Algorithm.RERANK,
         )
         assert one_dim.next_page(PAGE)

@@ -36,7 +36,7 @@ def _find_valid_query(db, attribute="carat"):
     for count in (max(2, db.system_k // 2), db.system_k - 1, 3, 2):
         query = SearchQuery.build(ranges={attribute: (float(values[-count]), top)})
         result = db.search(query)
-        if result.is_valid:
+        if result.outcome is Outcome.VALID:
             return query, result
     raise AssertionError("fixture catalog yields no covering query; adjust bounds")
 

@@ -107,7 +107,6 @@ class TestTopKContract:
 class TestGroundTruthHelpers:
     def test_all_matches_and_count(self, tiny_db):
         query = SearchQuery.build(ranges={"price": (0, 9)})
-        assert tiny_db.count_matches(query) == 10
         assert len(tiny_db.all_matches(query)) == 10
 
     def test_true_ranking_orders_by_score(self, tiny_db):

@@ -18,6 +18,7 @@ from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError
 from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
+from repro.webdb.interface import Outcome
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 from repro.webdb.ranking import (
     AttributeOrderRanking,
@@ -211,7 +212,7 @@ class TestEdgeCases:
         # 7 matches against k=7: valid, every tuple observed.
         query = SearchQuery((RangePredicate("price", 0.0, 7.0, True, False),))
         reference = naive.search(query)
-        assert reference.is_valid
+        assert reference.outcome is Outcome.VALID
         assert_identical(reference, indexed.search(query), query)
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.config import DatabaseConfig, RerankConfig
+from repro.core.parallel import QueryEngine
 from repro.core.reranker import QueryReranker
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
@@ -13,8 +14,9 @@ from repro.exceptions import QueryError, SchemaError
 from repro.sqlstore.store import SQLiteTupleStore
 from repro.webdb import arrays
 from repro.webdb.build import build_source
-from repro.webdb.cache import QueryResultCache
+from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
+from repro.webdb.faults import FaultPlan
 from repro.webdb.federation import FederatedInterface, partition_positions
 from repro.webdb.interface import Outcome
 from repro.webdb.query import RangePredicate, SearchQuery
@@ -169,7 +171,7 @@ class TestFederatedInterface:
             candidate = SearchQuery.build(
                 ranges={"price": (lower + step * width, lower + (step + 1) * width)}
             )
-            count = reference.count_matches(candidate)
+            count = len(reference.all_matches(candidate))
             if 0 < count <= 10:
                 query = candidate
                 break
@@ -243,7 +245,8 @@ class TestFederatedInterface:
         federation = make_federation(
             diamond_catalog, diamond_schema_fixture, shards=2, result_cache=cache
         )
-        assert federation.shard_namespaces == ["fedtest#0", "fedtest#1"]
+        described = federation.describe()
+        assert [described["shards"][i]["name"] for i in range(2)] == ["fedtest#0", "fedtest#1"]
         query = SearchQuery.everything()
         federation.search(query)
         first_hits = federation.shard_queries_issued()
@@ -281,6 +284,138 @@ class TestFederatedInterface:
         assert federation.true_ranking(query, score, limit=12) == (
             reference_db.true_ranking(query, score, limit=12)
         )
+
+
+def draw_window(rng, sorted_values):
+    """A filter on one or two attributes whose first window holds 1–60 of the
+    400 tuples: a drawn merge covers, overflows a shard, or proves more than
+    ``k`` matches."""
+    attributes = rng.sample(sorted(sorted_values), rng.choice([1, 2]))
+    values = sorted_values[attributes[0]]
+    start = rng.randrange(len(values))
+    stop = min(len(values) - 1, start + rng.randint(0, 59))
+    ranges = {attributes[0]: (values[start], values[stop])}
+    for attribute in attributes[1:]:
+        values = sorted_values[attribute]
+        ranges[attribute] = (values[len(values) // 10], values[-1])
+    return SearchQuery.build(ranges=ranges)
+
+
+def every_shard_covers(federation, query):
+    """True when each shard alone holds at most its ``k`` matches of ``query``
+    (a shard the query is pruned from holds none)."""
+    return all(
+        len(shard.all_matches(query)) <= shard.system_k for shard in federation.shards
+    )
+
+
+def find_complete_query(federation, reference_db, sorted_values, seed):
+    """A drawn query whose merge proves more than ``k`` matches."""
+    rng = random.Random(seed)
+    for _ in range(500):
+        query = draw_window(rng, sorted_values)
+        if every_shard_covers(federation, query) and (
+            len(reference_db.all_matches(query)) > federation.system_k
+        ):
+            return query
+    raise AssertionError("no query proving more than k matches was drawn")
+
+
+@pytest.fixture(scope="module")
+def sorted_values(diamond_catalog):
+    rows = diamond_catalog.to_rows()
+    return {
+        name: sorted(float(row[name]) for row in rows) for name in ("price", "carat", "depth")
+    }
+
+
+class TestCompleteMerge:
+    """A merge of shard pages that all cover the query keeps the whole match
+    set beside the truncated page, and only then."""
+
+    @pytest.mark.parametrize("by", ["rank", "price"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_complete_rows_are_every_match_exactly_when_proven(
+        self, diamond_catalog, diamond_schema_fixture, reference_db, sorted_values, shards, by
+    ):
+        cache = QueryResultCache()
+        federation = make_federation(
+            diamond_catalog, diamond_schema_fixture, shards=shards, by=by, result_cache=cache
+        )
+        engine = QueryEngine(federation, result_cache=cache)
+        facade = default_namespace(federation)
+        rng = random.Random(f"{shards}-{by}")
+        proven = 0
+        for _ in range(300):
+            query = draw_window(rng, sorted_values)
+            expected = reference_db.search(query)
+            got = engine.search(query)
+            assert got.outcome is expected.outcome, query.describe()
+            assert [dict(r) for r in got.rows] == [dict(r) for r in expected.rows]
+            matches = reference_db.all_matches(query)
+            if every_shard_covers(federation, query) and len(matches) > federation.system_k:
+                proven += 1
+                assert got.complete_rows is not None, query.describe()
+                assert [dict(r) for r in got.complete_rows] == [dict(r) for r in matches]
+                assert got.observed_rows == got.complete_rows and got.proves_query
+                hit = cache.probe(facade, query, federation.system_k)
+                assert hit is not None and hit[1] is FetchStatus.HIT
+                assert hit[0].complete_rows == got.complete_rows
+            else:
+                assert got.complete_rows is None, query.describe()
+                assert got.proves_query is got.covers_query
+        assert proven >= 10
+        # A repeated query is a facade hit, not a merge.
+        assert 0 < federation.describe()["merge"]["complete_merges"] <= proven
+
+    def test_degraded_or_stale_merge_never_carries_it(
+        self, diamond_catalog, diamond_schema_fixture, reference_db, sorted_values
+    ):
+        cache = QueryResultCache()
+        federation = build_source(
+            diamond_catalog, diamond_schema_fixture, RANKING,
+            DatabaseConfig(
+                system_k=10, shards=4, fault_plan=FaultPlan(seed=31, transient_rate=0.0001)
+            ),
+            name="fedtest", result_cache=cache,
+        )
+        query = find_complete_query(federation, reference_db, sorted_values, seed=4)
+        assert federation.search(query).complete_rows is not None
+        engine = QueryEngine(federation, result_cache=cache)
+        assert engine.search(query).complete_rows is not None
+
+        # Shard 1's entries are parked stale, then the shard goes down: its
+        # stale page makes the merge stale, and it proves nothing.
+        federation.invalidate_shard(1)
+        injector = federation.fault_injectors()[1]
+        injector.set_plan(injector.plan.with_fail_window(0))
+        stale = federation.search(query)
+        assert stale.stale and stale.degraded
+        assert stale.complete_rows is None and not stale.proves_query
+
+        # A query shard 1 never answered: the live shards still cover it and
+        # hold more than k matches together, but the merge is degraded.
+        rng = random.Random(7)
+        for _ in range(500):
+            other = draw_window(rng, sorted_values)
+            live = [
+                len(shard.all_matches(other))
+                for index, shard in enumerate(federation.shards)
+                if index != 1
+            ]
+            if other != query and max(live) <= 10 < sum(live):
+                break
+        else:
+            raise AssertionError("no degraded query proving more than k was drawn")
+        degraded = federation.search(other)
+        assert degraded.degraded and degraded.missing_shards == ("fedtest#1",)
+        assert degraded.complete_rows is None and not degraded.proves_query
+
+        # The facade's own entry, replayed stale, drops its complete set too.
+        cache.invalidate(default_namespace(federation))
+        replayed = cache.serve_stale(default_namespace(federation), query, 10)
+        assert replayed is not None and replayed.stale
+        assert replayed.complete_rows is None and not replayed.proves_query
 
 
 class TestFederatedDelta:
