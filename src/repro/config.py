@@ -117,17 +117,13 @@ class RerankConfig:
 class ServiceConfig:
     """Configuration of the QR2 web service facade.
 
-    The service keeps one :class:`~repro.webdb.cache.QueryResultCache` for
-    *all* sessions and sources (namespaced per source), so the query savings
-    compound across users.
-
-    ``result_cache_path`` enables SQLite persistence of that shared result
-    cache (:class:`~repro.sqlstore.result_store.ResultCacheStore`): the
-    service warm-loads the spill at construction and
-    :meth:`~repro.service.app.QR2Service.save_result_cache` snapshots it, so
-    a restarted service replays the previous deployment's query answers with
-    zero external round trips.  Spills recorded under a different store
-    schema version or a source's changed ``system_k`` are ignored.
+    The default registry keeps one in-memory
+    :class:`~repro.webdb.cache.QueryResultCache` for *all* sessions and
+    sources (namespaced per source), so the query savings compound across
+    users; answers do not outlive the process.  ``dense_cache_path`` names
+    the one persistent cache, the dense-region index's (re-checked against
+    the live source by
+    :meth:`~repro.core.reranker.QueryReranker.verify_dense_cache`).
 
     ``database`` configures the simulated sources the default registry
     builds — notably :attr:`DatabaseConfig.shards`: with ``shards > 1``
@@ -176,7 +172,6 @@ class ServiceConfig:
     max_page_size: int = 100
     session_ttl_seconds: float = 3600.0
     dense_cache_path: Optional[str] = None
-    result_cache_path: Optional[str] = None
     database: DatabaseConfig = field(default_factory=DatabaseConfig)
     rerank: RerankConfig = field(default_factory=RerankConfig)
     serving_workers: int = 8

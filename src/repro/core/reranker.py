@@ -16,7 +16,7 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
@@ -35,7 +35,7 @@ from repro.core.ta import ThresholdAlgorithmGetNext
 from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.exceptions import RankingFunctionError
 from repro.sqlstore.dense_cache import DenseRegionCache
-from repro.webdb.cache import CacheKey, QueryResultCache, default_namespace
+from repro.webdb.cache import QueryResultCache, default_namespace
 from repro.webdb.delta import CatalogDelta, ChangeLog
 from repro.webdb.counters import QueryBudget
 from repro.webdb.federation import FederatedInterface
@@ -269,9 +269,8 @@ class QueryReranker:
 
         :meth:`invalidate` remains the full-flush fallback (and the
         correctness oracle the differential tests compare against).
-        Returns a summary including ``retired_cache_keys`` so callers
-        owning a spill (:class:`~repro.sqlstore.result_store.ResultCacheStore`)
-        can prune the same entries from disk.
+        Returns a summary: the delta, its upsert and delete counts, and how
+        many cache entries, dense regions and feeds it retired.
         """
         mutate = getattr(self._interface, "apply_delta", None)
         if mutate is None:
@@ -280,27 +279,21 @@ class QueryReranker:
                 "wrap a HiddenWebDatabase or FederatedInterface"
             )
         delta: CatalogDelta = mutate(upserts=upserts, deletes=deletes)
-        retired_keys: List[CacheKey] = []
         summary: Dict[str, object] = {
             "upserts": delta.upserts,
             "deletes": delta.deletes,
             "cache_entries_retired": 0,
             "regions_retired": 0,
             "feeds_retired": 0,
-            "retired_cache_keys": retired_keys,
             "delta": delta,
         }
         if delta.is_empty:
             return summary
         facade_delta = delta.with_namespace(self._cache_namespace)
-        retired_keys.extend(
-            self._result_cache.invalidate_delta(self._cache_namespace, facade_delta)
-        )
+        retired = self._result_cache.invalidate_delta(self._cache_namespace, facade_delta)
         for _, shard_delta in delta.shard_deltas:
-            retired_keys.extend(
-                self._result_cache.invalidate_delta(shard_delta.namespace, shard_delta)
-            )
-        summary["cache_entries_retired"] = len(retired_keys)
+            retired += self._result_cache.invalidate_delta(shard_delta.namespace, shard_delta)
+        summary["cache_entries_retired"] = retired
         summary["regions_retired"] = self._dense_index.invalidate_delta(facade_delta)
         if self._feed_store is not None:
             summary["feeds_retired"] = self._feed_store.invalidate_delta(

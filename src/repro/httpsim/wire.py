@@ -47,7 +47,11 @@ def decode_query(params: Mapping[str, str], schema: Schema) -> SearchQuery:
     """Decode URL parameters back into a :class:`SearchQuery`.
 
     Unknown parameters raise :class:`WireFormatError` — a third-party service
-    must notice immediately when it targets the wrong form fields.
+    must notice immediately when it targets the wrong form fields — and so
+    does a second bound on a side already bound (``price_min`` beside
+    ``price_gt``): keeping either one would answer a different query than
+    was asked, depending on parameter order.  :func:`encode_query` never
+    emits both.
     """
     bounds: Dict[str, Dict[str, Tuple[float, bool]]] = {}
     memberships: List[InPredicate] = []
@@ -71,7 +75,10 @@ def decode_query(params: Mapping[str, str], schema: Schema) -> SearchQuery:
             raise WireFormatError(
                 f"parameter {raw_name!r} has non-numeric value {raw_value!r}"
             ) from exc
-        bounds.setdefault(name, {})[side] = (numeric_value, inclusive)
+        sides = bounds.setdefault(name, {})
+        if side in sides:
+            raise WireFormatError(f"parameter {raw_name!r} bounds {name!r} twice on one side")
+        sides[side] = (numeric_value, inclusive)
 
     ranges: List[RangePredicate] = []
     for name, sides in bounds.items():

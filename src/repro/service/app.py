@@ -32,8 +32,6 @@ from repro.service.popular import popular_functions
 from repro.service.sliders import ranking_from_sliders
 from repro.service.sources import DataSource, DataSourceRegistry, build_default_registry
 from repro.service.warming import FeedWarmer, PopularityTracker
-from repro.sqlstore.result_store import ResultCacheStore
-from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import Counters
 from repro.webdb.query import SearchQuery
 
@@ -61,7 +59,6 @@ class ServiceCounters(Counters):
     cache_entries_retired: int = 0
     regions_retired: int = 0
     feeds_retired: int = 0
-    spill_entries_pruned: int = 0
     degraded_pages: int = 0
 
 
@@ -75,7 +72,7 @@ _PANEL_REQUEST = ("external_queries", "processing_seconds", "parallel_fraction",
 _RESILIENCE_REQUEST = ("degraded_results", "stale_serves", "retried_queries")
 #: Delta summary entries summed into :class:`ServiceCounters`.
 _DELTA_TOTALS = ("upserts", "deletes", "cache_entries_retired", "regions_retired",
-                 "feeds_retired", "spill_entries_pruned")  # fmt: skip
+                 "feeds_retired")  # fmt: skip
 
 
 def _bounds(attribute: object, bounds: object) -> Tuple[float, float]:
@@ -105,33 +102,11 @@ class QR2Service:
         config: Optional[ServiceConfig] = None,
     ) -> None:
         self._config = config or ServiceConfig()
-        self._shared_result_cache: Optional[QueryResultCache] = None
-        self._result_cache_store: Optional[ResultCacheStore] = None
-        self._warm_loaded_entries = 0
-        if registry is not None:
-            self._registry = registry
-        else:
-            # One cache for every session and source (namespaced per source),
-            # owned here so it can be snapshotted to the spill.
-            self._shared_result_cache = QueryResultCache()
-            self._registry = build_default_registry(
-                database_config=self._config.database,
-                rerank_config=self._config.rerank,
-                dense_cache_path=self._config.dense_cache_path,
-                result_cache=self._shared_result_cache,
-            )
-        if (
-            self._shared_result_cache is not None
-            and self._config.result_cache_path is not None
-        ):
-            self._result_cache_store = ResultCacheStore(self._config.result_cache_path)
-            expected = {
-                name: self._registry.get(name).interface.system_k
-                for name in self._registry.names()
-            }
-            self._warm_loaded_entries = self._result_cache_store.load(
-                self._shared_result_cache, expected_system_k=expected
-            )
+        self._registry = registry or build_default_registry(
+            database_config=self._config.database,
+            rerank_config=self._config.rerank,
+            dense_cache_path=self._config.dense_cache_path,
+        )
         self._sessions: Dict[str, Session] = {}
         self._requests: Dict[str, _ActiveRequest] = {}
         self._lock = threading.Lock()
@@ -154,7 +129,7 @@ class QR2Service:
 
     @property
     def config(self) -> ServiceConfig:
-        """The service configuration (serving knobs, page sizes, TTLs)."""
+        """The service configuration (serving knobs, page sizes, session TTL)."""
         return self._config
 
     # ------------------------------------------------------------------ #
@@ -165,40 +140,10 @@ class QR2Service:
         """The data-source registry behind this service."""
         return self._registry
 
-    # ------------------------------------------------------------------ #
-    # Result-cache persistence
-    # ------------------------------------------------------------------ #
-    @property
-    def result_cache(self) -> Optional[QueryResultCache]:
-        """The one result cache shared by every source of the default
-        registry (``None`` when the caller supplied its own registry)."""
-        return self._shared_result_cache
-
-    @property
-    def warm_loaded_entries(self) -> int:
-        """Entries restored from the SQLite spill at construction."""
-        return self._warm_loaded_entries
-
-    def save_result_cache(self) -> int:
-        """Snapshot the shared result cache to the configured SQLite spill.
-
-        Returns the number of entries written, or 0 when persistence is not
-        configured.  Call it at shutdown (or periodically) so the next boot
-        warm-starts from this process's paid-for answers."""
-        if self._result_cache_store is None:
-            return 0
-        assert self._shared_result_cache is not None
-        return self._result_cache_store.save(self._shared_result_cache)
-
     def close(self) -> None:
-        """Persist the result cache (when configured), close every active
-        request stream, then close every source's reranker (retiring its
-        feeds and closing its source, which ends a remote adapter's query
-        pool).  Idempotent."""
-        if self._result_cache_store is not None:
-            self.save_result_cache()
-            self._result_cache_store.close()
-            self._result_cache_store = None
+        """Close every active request stream, then close every source's
+        reranker (retiring its feeds and closing its source, which ends a
+        remote adapter's query pool).  Idempotent."""
         with self._lock:
             requests = list(self._requests.values())
             self._requests.clear()
@@ -316,21 +261,12 @@ class QR2Service:
 
         Delegates to :meth:`~repro.core.reranker.QueryReranker.apply_delta`
         (cache entries, dense regions, and feeds whose queries could match a
-        touched tuple version are flushed; everything else keeps serving)
-        and additionally prunes the retired entries from the SQLite spill
-        when persistence is configured — a warm restart after the delta
-        replays precisely the surviving entries.  Returns the retirement
-        summary; cumulative counters appear in the statistics panel's
-        ``invalidation`` block.
+        touched tuple version are flushed; everything else keeps serving).
+        Returns the retirement summary; cumulative counters appear in the
+        statistics panel's ``invalidation`` block.
         """
         source = self._registry.get(source_name)
         summary = source.reranker.apply_delta(upserts=upserts, deletes=deletes)
-        pruned = 0
-        if self._result_cache_store is not None:
-            pruned = self._result_cache_store.prune(
-                summary["retired_cache_keys"]  # type: ignore[arg-type]
-            )
-        summary["spill_entries_pruned"] = pruned
         self._counters.add(
             deltas=1,
             **{name: int(summary[name]) for name in _DELTA_TOTALS},  # type: ignore[call-overload]
@@ -517,14 +453,6 @@ class QR2Service:
             "result_cache": reranker.result_cache.snapshot(),
             "rerank_feed": feed_store.snapshot() if feed_store else None,
             "federation": federation,
-            "result_cache_persistence": (
-                {
-                    "path": self._config.result_cache_path,
-                    "warm_loaded_entries": self._warm_loaded_entries,
-                }
-                if self._result_cache_store is not None
-                else None
-            ),
             # Cumulative delta-invalidation and warming activity (service
             # scope, not per-request: deltas and warming passes are not tied
             # to any one session).

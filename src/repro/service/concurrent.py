@@ -478,7 +478,7 @@ class ConcurrentQR2Application:
 
     def close(self, timeout: Optional[float] = None, close_service: bool = True) -> None:
         """Drain the tier, stop its workers/reaper, and (by default) close the
-        service — persisting caches and closing the sources (a remote
+        service — closing its request streams and sources (a remote
         adapter's query pool ends).  Idempotent."""
         self._tier.close(timeout=timeout)
         if close_service:

@@ -104,7 +104,6 @@ def build_default_registry(
     database_config: Optional[DatabaseConfig] = None,
     rerank_config: Optional[RerankConfig] = None,
     dense_cache_path: Optional[str] = None,
-    result_cache: Optional[QueryResultCache] = None,
 ) -> DataSourceRegistry:
     """Build the registry with the two simulated sources of the demonstration.
 
@@ -114,14 +113,13 @@ def build_default_registry(
 
     All sources share a single :class:`QueryResultCache` (namespaced per
     source) so that every session of the service reuses every other
-    session's query answers: the ``result_cache`` given, or a fresh one.
+    session's query answers.
     """
     diamond_config = diamond_config or DiamondCatalogConfig()
     housing_config = housing_config or HousingCatalogConfig()
     database_config = database_config or DatabaseConfig()
     rerank_config = rerank_config or RerankConfig()
-    if result_cache is None:
-        result_cache = QueryResultCache()
+    result_cache = QueryResultCache()
 
     registry = DataSourceRegistry()
     registry.register(

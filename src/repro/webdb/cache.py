@@ -43,7 +43,7 @@ re-issuing queries the service has already paid for.
   :class:`~repro.webdb.delta.CatalogDelta` after retiring only the entries
   whose query it can match.  A query in flight across either is stored only
   when no change logged since it was claimed could have changed its answer;
-  the feed store and the SQLite spill stamp themselves from the same log.
+  the feed store stamps itself from the same log.
 
 Because a valid/underflow result proves the caller has observed *every* tuple
 matching the query, replaying a cached result preserves the paper's
@@ -455,33 +455,6 @@ class QueryResultCache:
         return complete
 
     # ------------------------------------------------------------------ #
-    # Persistence support
-    # ------------------------------------------------------------------ #
-    def export_snapshot(
-        self,
-    ) -> Tuple[List[Tuple[str, int, SearchResult]], Dict[str, int]]:
-        """Stable snapshot of the live entries for persistence adapters, plus
-        each exported namespace's change sequence as its stamp, captured
-        under one lock acquisition.
-
-        One ``(namespace, system_k, result)`` triple per entry in LRU order
-        (least recently used first, so re-storing in order reproduces the
-        eviction order).  The result carries its query, which is all a loader
-        needs to re-:meth:`store` the entry.
-
-        Persistence adapters need the pairing to be atomic: a stamp read
-        *after* a racing ``invalidate`` or delta would stamp already-retired
-        entries with the later sequence, re-legitimizing them at the next
-        warm load."""
-        with self._lock:
-            entries = [(key[0], key[1], result) for key, result in self._entries.items()]
-            stamps = {
-                namespace: self.changes(namespace).sequence
-                for namespace in {namespace for namespace, _, _ in entries}
-            }
-        return entries, stamps
-
-    # ------------------------------------------------------------------ #
     # Invalidation
     # ------------------------------------------------------------------ #
     def invalidate(self, namespace: Optional[str] = None) -> int:
@@ -519,11 +492,9 @@ class QueryResultCache:
         self.statistics.add(invalidations=removed, stale_kept=parked)
         return removed
 
-    def invalidate_delta(
-        self, namespace: str, delta: CatalogDelta
-    ) -> List[CacheKey]:
+    def invalidate_delta(self, namespace: str, delta: CatalogDelta) -> int:
         """Retire only the entries of ``namespace`` whose query ``delta`` can
-        match; returns the retired keys (for spill pruning).
+        match; returns the number retired.
 
         Surviving entries stay servable, and the namespace's feeds stay
         attachable (a feed counts only full invalidations).  The delta is
@@ -531,8 +502,8 @@ class QueryResultCache:
         call is stored only if the delta cannot match it.
         """
         if delta.is_empty:
-            return []
-        retired: List[CacheKey] = []
+            return 0
+        retired = 0
         survivors = 0
         stale_purged = 0
         with self._lock:
@@ -541,7 +512,7 @@ class QueryResultCache:
                 if delta.may_match_query(self._entries[key].query):
                     del self._entries[key]
                     self._forget_covering_locked(key)
-                    retired.append(key)
+                    retired += 1
                 else:
                     survivors += 1
             # A stale parked entry the delta could match must never be
@@ -553,7 +524,7 @@ class QueryResultCache:
         self.statistics.add(
             delta_invalidations=1,
             stale_dropped=stale_purged,
-            delta_retired=len(retired),
+            delta_retired=retired,
             delta_survivors=survivors,
         )
         return retired

@@ -253,12 +253,11 @@ class ChangeLog:
 
     What was read from the source before a change may be out of date after
     it: a session's cached rows, what a live Get-Next stream has proven from
-    its answers, a result-cache answer still in flight, a rerank feed, a
-    spilled cache snapshot.  Each keeps the sequence number it is current to
-    and asks :meth:`since` for the changes after it.  A full invalidation is
-    logged as ``None``; it, and any change older than the bounded log's tail,
-    can no longer be told apart, so :meth:`since` then reports that anything
-    may have changed.
+    its answers, a result-cache answer still in flight, a rerank feed.  Each
+    keeps the sequence number it is current to and asks :meth:`since` for
+    the changes after it.  A full invalidation is logged as ``None``; it, and
+    any change older than the bounded log's tail, can no longer be told
+    apart, so :meth:`since` then reports that anything may have changed.
     """
 
     LIMIT = 32

@@ -409,41 +409,3 @@ class SearchQuery:
         if not parts:
             return "TRUE"
         return " AND ".join(parts)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form used by the HTTP wire format."""
-        return {
-            "ranges": [
-                {
-                    "attribute": p.attribute,
-                    "lower": p.lower,
-                    "upper": p.upper,
-                    "include_lower": p.include_lower,
-                    "include_upper": p.include_upper,
-                }
-                for p in self.ranges
-            ],
-            "memberships": [
-                {"attribute": p.attribute, "values": sorted(p.values)}
-                for p in self.memberships
-            ],
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "SearchQuery":
-        """Inverse of :meth:`to_dict`."""
-        ranges = tuple(
-            RangePredicate(
-                attribute=str(item["attribute"]),
-                lower=float(item.get("lower", -math.inf)),
-                upper=float(item.get("upper", math.inf)),
-                include_lower=bool(item.get("include_lower", True)),
-                include_upper=bool(item.get("include_upper", True)),
-            )
-            for item in payload.get("ranges", [])  # type: ignore[union-attr]
-        )
-        memberships = tuple(
-            InPredicate.of(str(item["attribute"]), item["values"])  # type: ignore[index]
-            for item in payload.get("memberships", [])  # type: ignore[union-attr]
-        )
-        return SearchQuery(ranges, memberships)

@@ -367,7 +367,7 @@ class TestFeedInvalidation:
         delta = CatalogDelta.from_rows("ns", "id", [{"id": "x", "price": -5.0}])
         # A delta that cannot match the feed's query leaves it current,
         # whichever layer logs it.
-        assert cache.invalidate_delta("ns", delta) == []
+        assert cache.invalidate_delta("ns", delta) == 0
         assert store.invalidate_delta("ns", delta) == 0
         assert feed.current and attach() is feed
 

@@ -15,14 +15,40 @@ from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.remote import RemoteTopKInterface
 
 
+#: Every shape a query's bounds take, for the round trip through the wire.
+QUERY_SHAPES = {
+    "everything": SearchQuery.everything(),
+    "closed": SearchQuery((RangePredicate("price", 500, 2000),), ()),
+    "open_lower_only": SearchQuery(
+        (RangePredicate("price", 500, math.inf, include_lower=False),), ()
+    ),
+    "open_upper_only": SearchQuery(
+        (RangePredicate("price", -math.inf, 2000, include_upper=False),), ()
+    ),
+    "point": SearchQuery((RangePredicate("carat", 1.0, 1.0),), ()),
+    "inexact_float": SearchQuery((RangePredicate("carat", 0.1 + 0.2, 1 / 3),), ()),
+    "memberships_only": SearchQuery.build(
+        memberships={"cut": ["ideal", "good"], "shape": ["round"]}
+    ),
+    "ranges_and_membership": SearchQuery.build(
+        ranges={"price": (500, 2000), "carat": (0.5, 2.0)},
+        memberships={"cut": ["ideal", "good"]},
+    ),
+    "mixed_exclusivity": SearchQuery(
+        (
+            RangePredicate("price", 500, 2000, include_lower=False),
+            RangePredicate("carat", 0.5, 2.0, include_upper=False),
+        ),
+        SearchQuery.build(memberships={"color": ["D", "E"]}).memberships,
+    ),
+}
+
+
 class TestQueryWireFormat:
-    def test_encode_decode_roundtrip(self, diamond_schema_fixture):
-        query = SearchQuery.build(
-            ranges={"price": (500, 2000), "carat": (0.5, 2.0)},
-            memberships={"cut": ["ideal", "good"]},
-        )
-        params = wire.encode_query(query)
-        decoded = wire.decode_query(params, diamond_schema_fixture)
+    @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
+    def test_encode_decode_roundtrip(self, diamond_schema_fixture, shape):
+        query = QUERY_SHAPES[shape]
+        decoded = wire.decode_query(wire.encode_query(query), diamond_schema_fixture)
         assert decoded.canonical_key() == query.canonical_key()
 
     def test_exclusive_bounds_roundtrip(self, diamond_schema_fixture):
@@ -54,6 +80,50 @@ class TestQueryWireFormat:
     def test_decode_rejects_categorical_range(self, diamond_schema_fixture):
         with pytest.raises(Exception):
             wire.decode_query({"cut_min": "1"}, diamond_schema_fixture)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"price_gt": "7", "price_min": "5"},
+            {"price_min": "5", "price_gt": "7"},
+            {"price_lt": "7", "price_max": "9"},
+            {"price_max": "9", "price_lt": "7"},
+        ],
+    )
+    def test_decode_rejects_a_side_bound_twice(self, diamond_schema_fixture, params):
+        # Keeping either bound would answer a wider query than was asked,
+        # and which one survived would depend on parameter order.
+        with pytest.raises(WireFormatError):
+            wire.decode_query(params, diamond_schema_fixture)
+
+    @pytest.mark.parametrize(
+        "params, include_lower, include_upper",
+        [
+            ({"price_min": "5", "price_max": "9"}, True, True),
+            ({"price_min": "5", "price_lt": "9"}, True, False),
+            ({"price_gt": "5", "price_max": "9"}, False, True),
+            ({"price_gt": "5", "price_lt": "9"}, False, False),
+        ],
+    )
+    def test_decode_takes_one_bound_per_side(
+        self, diamond_schema_fixture, params, include_lower, include_upper
+    ):
+        predicate = wire.decode_query(params, diamond_schema_fixture).range_on("price")
+        assert predicate == RangePredicate(
+            "price", 5.0, 9.0, include_lower=include_lower, include_upper=include_upper
+        )
+
+    def test_decode_rejects_a_membership_on_a_numeric_attribute(self, diamond_schema_fixture):
+        with pytest.raises(WireFormatError):
+            wire.decode_query({"price": "5"}, diamond_schema_fixture)
+
+    def test_decode_rejects_an_empty_membership(self, diamond_schema_fixture):
+        with pytest.raises(WireFormatError):
+            wire.decode_query({"cut": ","}, diamond_schema_fixture)
+
+    def test_search_server_answers_a_side_bound_twice_with_400(self, bluenile_db):
+        request = HttpRequest.get("/api/search", {"price_gt": "7", "price_min": "5"})
+        assert SearchHttpServer(bluenile_db).handle(request).status == 400
 
     def test_schema_roundtrip(self, diamond_schema_fixture):
         payload = wire.encode_schema(diamond_schema_fixture)

@@ -3,9 +3,8 @@
 Captures four panels and the result pages over small deterministic services:
 
 * ``unsharded`` — ``QR2Service.statistics()`` over one-shard sources;
-* ``sharded_faulty`` — the same over a 2-shard service with a ``FaultPlan``
-  and a result-cache spill, after a submit, a next page, a catalog delta and
-  one warming pass;
+* ``sharded_faulty`` — the same over a 2-shard service with a ``FaultPlan``,
+  after a submit, a next page, a catalog delta and one warming pass;
 * ``tier`` — ``ConcurrentServingTier.snapshot()``;
 * ``crawl`` — ``CrawlStatistics.snapshot()`` of one crawl;
 * ``page`` — the submit page and the next page of the ``unsharded`` run,
@@ -23,8 +22,6 @@ drops, renames or reorders a panel key has to say so.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
@@ -111,22 +108,20 @@ def capture() -> Dict[str, Shape]:
     finally:
         service.close()
 
-    with tempfile.TemporaryDirectory() as scratch:
-        sharded = QR2Service(
-            config=ServiceConfig(
-                default_page_size=5,
-                result_cache_path=os.path.join(scratch, "results.sqlite"),
-                database=DatabaseConfig(
-                    system_k=10,
-                    shards=2,
-                    fault_plan=FaultPlan(seed=3, transient_rate=0.05, slow_rate=0.1),
-                ),
-            )
+    sharded = QR2Service(
+        config=ServiceConfig(
+            default_page_size=5,
+            database=DatabaseConfig(
+                system_k=10,
+                shards=2,
+                fault_plan=FaultPlan(seed=3, transient_rate=0.05, slow_rate=0.1),
+            ),
         )
-        try:
-            shapes["sharded_faulty"] = list(shape(_exercise(sharded, delta=True)[1]))
-        finally:
-            sharded.close()
+    )
+    try:
+        shapes["sharded_faulty"] = list(shape(_exercise(sharded, delta=True)[1]))
+    finally:
+        sharded.close()
     return {
         name: shapes[name] for name in ("unsharded", "sharded_faulty", "tier", "crawl", "page")
     }

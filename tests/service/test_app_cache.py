@@ -7,6 +7,7 @@ from repro.dataset.diamonds import DiamondCatalogConfig
 from repro.dataset.housing import HousingCatalogConfig
 from repro.service.app import QR2Service
 from repro.service.sources import build_default_registry
+from repro.webdb.query import SearchQuery
 
 SLIDERS = {"price": 1.0, "carat": -0.5}
 FILTERS = {"ranges": {"carat": (0.5, 3.0)}}
@@ -109,3 +110,38 @@ class TestServiceResultCache:
         assert "zillow" in namespaces
         assert "bluenile" not in namespaces
 
+
+    def test_each_default_registry_builds_its_own_cache(self):
+        first, second = _make_service(), _make_service()
+        assert (
+            first.registry.get("bluenile").reranker.result_cache
+            is not second.registry.get("bluenile").reranker.result_cache
+        )
+        _run_session(first)
+        assert len(first.registry.get("bluenile").reranker.result_cache) > 0
+        assert len(second.registry.get("bluenile").reranker.result_cache) == 0
+
+    def test_a_delta_retires_live_entries_and_the_panel_sums_them(self):
+        service = _make_service()
+        response = _run_session(service)
+        cache = service.registry.get("bluenile").reranker.result_cache
+        db = service.registry.get("bluenile").interface
+        retired = []
+        for row in db.all_matches(SearchQuery.build(ranges=FILTERS["ranges"]))[:2]:
+            before = len(cache)
+            summary = service.apply_delta(
+                "bluenile", upserts=[{**row, "price": float(row["price"]) + 1.0}]
+            )
+            assert set(summary) == {
+                "upserts", "deletes", "cache_entries_retired", "regions_retired",
+                "feeds_retired", "delta",
+            }
+            assert summary["cache_entries_retired"] == before - len(cache)
+            retired.append(summary)
+        assert retired[0]["cache_entries_retired"] > 0
+
+        invalidation = service.statistics(response["session_id"])["invalidation"]
+        assert invalidation["deltas"] == 2
+        for name in ("upserts", "deletes", "cache_entries_retired", "regions_retired",
+                     "feeds_retired"):  # fmt: skip
+            assert invalidation[name] == sum(summary[name] for summary in retired)

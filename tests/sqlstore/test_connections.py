@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.dataset.schema import Attribute, Schema
-from repro.sqlstore import DenseRegionCache, ResultCacheStore, SQLiteTupleStore
+from repro.sqlstore import DenseRegionCache, SQLiteTupleStore
 from repro.sqlstore.connections import SQLiteConnections
 
 SCHEMA = Schema(key="id", attributes=(Attribute.numeric("price", 0, 100),))
@@ -16,14 +16,12 @@ SCHEMA = Schema(key="id", attributes=(Attribute.numeric("price", 0, 100),))
 STORES = {
     "tuple_store": lambda path: SQLiteTupleStore(SCHEMA, path=path),
     "dense_cache": lambda path: DenseRegionCache(SCHEMA, path=path),
-    "result_store": ResultCacheStore,
 }
 
 #: A read each store answers from its own tables.
 PROBES = {
     "tuple_store": SQLiteTupleStore.count,
     "dense_cache": DenseRegionCache.tuple_count,
-    "result_store": ResultCacheStore.entry_count,
 }
 
 

@@ -18,7 +18,7 @@ RERANK_FIELDS = {
 }
 SERVICE_FIELDS = {
     "default_page_size", "max_page_size", "session_ttl_seconds",
-    "dense_cache_path", "result_cache_path", "database", "rerank",
+    "dense_cache_path", "database", "rerank",
     "serving_workers", "admission_queue_depth",
     "reaper_interval_seconds", "request_deadline_seconds",
     "warming_interval_seconds", "warming_pages",
@@ -37,7 +37,7 @@ def test_config_field_sets_are_pinned():
     assert names(DatabaseConfig) == DATABASE_FIELDS
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
-    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 25
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 24
 
 
 def test_resilience_policy_fields_are_pinned():

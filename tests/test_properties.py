@@ -28,6 +28,7 @@ from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError, SchemaError
+from repro.httpsim import wire
 from repro.webdb import arrays
 from repro.webdb.build import build_source
 from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
@@ -134,12 +135,12 @@ class TestQueryAlgebraProperties:
         st.sampled_from(["a", "b", "c"]),
     )
     @settings(max_examples=50, deadline=None)
-    def test_query_dict_roundtrip_preserves_matching(self, x, y, kind):
+    def test_query_wire_roundtrip_preserves_matching(self, x, y, kind):
         query = SearchQuery.build(
             ranges={"x": (x, min(x + 10, 100)), "y": (0, y + 1)},
             memberships={"kind": ["a", "b"]},
         )
-        rebuilt = SearchQuery.from_dict(query.to_dict())
+        rebuilt = wire.decode_query(wire.encode_query(query), catalog_schema())
         row = {"x": x + 1, "y": y, "kind": kind}
         assert query.matches(row) == rebuilt.matches(row)
 

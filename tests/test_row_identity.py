@@ -62,8 +62,7 @@ def held_rows(reranker, streams):
         feed = stream.feed
         places["feed"] += feed.verified_rows()
         places["seen log"] += feed._producer.session.seen_since(0)
-    entries, _ = reranker.result_cache.export_snapshot()
-    for _, _, result in entries:
+    for result in reranker.result_cache._entries.values():
         places["cache"] += [*result.rows, *(result.complete_rows or ())]
     for index in reranker.dense_index._indexes.values():
         places["dense regions"] += [row for region in index for row in region.rows]

@@ -1,7 +1,6 @@
 """Rows that re-enter the system from outside the catalog — a reloaded
-result-cache spill, a reloaded dense-region cache, a decoded wire answer —
-come back equal to the originals and as read-only rows, like every row the
-catalog builds."""
+dense-region cache, a decoded wire answer — come back equal to the originals
+and as read-only rows, like every row the catalog builds."""
 
 import pytest
 
@@ -9,8 +8,6 @@ from repro.core.dense_index import DenseRegionIndex
 from repro.core.regions import HyperRectangle
 from repro.httpsim import wire
 from repro.sqlstore.dense_cache import DenseRegionCache
-from repro.sqlstore.result_store import ResultCacheStore
-from repro.webdb.cache import QueryResultCache
 from repro.webdb.query import RangePredicate, SearchQuery
 
 
@@ -19,22 +16,6 @@ def assert_read_only_copies(reloaded, originals):
     for row in reloaded:
         with pytest.raises(TypeError):
             row["price"] = -1.0
-
-
-def test_a_result_cache_spill_reloads_read_only_rows(bluenile_db):
-    query = SearchQuery.build(ranges={"price": (500.0, 4000.0)})
-    original = bluenile_db.search(query)
-    cache = QueryResultCache()
-    cache.store("bn", query, bluenile_db.system_k, original)
-    store = ResultCacheStore()
-    try:
-        assert store.save(cache) == 1
-        warm = QueryResultCache()
-        assert store.load(warm) == 1
-    finally:
-        store.close()
-    reloaded = warm.lookup("bn", query, bluenile_db.system_k)
-    assert_read_only_copies(reloaded.rows, original.rows)
 
 
 def test_a_dense_region_cache_reloads_read_only_rows(bluenile_db, tmp_path):

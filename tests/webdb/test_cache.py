@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.interface import Outcome
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 
@@ -202,6 +203,58 @@ class TestQueryResultCache:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             QueryResultCache(max_entries=0)
+
+
+#: Disjoint price bands, so no band answers another by containment.
+BANDS = [
+    SearchQuery.build(ranges={"price": (low, low + 500.0)})
+    for low in (500.0, 1500.0, 2500.0, 3500.0)
+]
+
+
+def _banded_cache(db, namespaces=("a", "b")):
+    cache = QueryResultCache()
+    for namespace in namespaces:
+        for query in BANDS:
+            cache.fetch(namespace, query, db.system_k, lambda query=query: db.search(query))
+    return cache
+
+
+def _repricing(namespace, price):
+    return CatalogDelta.from_rows(namespace, "id", [{"id": "x", "price": price}], upserts=1)
+
+
+class TestDeltaRetirement:
+    """``invalidate_delta`` retires the entries of one namespace a delta can
+    match and returns how many, as ``invalidate`` does."""
+
+    def test_an_empty_delta_retires_and_logs_nothing(self, bluenile_db):
+        cache = _banded_cache(bluenile_db)
+        sequence = cache.changes("a").sequence
+        assert cache.invalidate_delta("a", CatalogDelta(namespace="a")) == 0
+        assert len(cache) == 2 * len(BANDS)
+        assert cache.changes("a").sequence == sequence
+
+    @pytest.mark.parametrize("price", [600.0, 1999.0, 3600.0, 9000.0])
+    def test_returns_the_number_of_entries_it_retired(self, bluenile_db, price):
+        cache = _banded_cache(bluenile_db)
+        delta = _repricing("a", price)
+        expected = sum(delta.may_match_query(query) for query in BANDS)
+        before = len(cache)
+        assert cache.invalidate_delta("a", delta) == expected == before - len(cache)
+        assert cache.statistics.snapshot()["delta_retired"] == expected
+        for query in BANDS:
+            assert cache.lookup("b", query, bluenile_db.system_k) is not None
+            kept = cache.lookup("a", query, bluenile_db.system_k) is not None
+            assert kept is not delta.may_match_query(query)
+
+    def test_purged_stale_entries_are_not_counted(self, bluenile_db):
+        cache = _banded_cache(bluenile_db, namespaces=("a",))
+        assert cache.invalidate("a") == len(BANDS)
+        assert cache.invalidate_delta("a", _repricing("a", 600.0)) == 0
+        assert cache.statistics.snapshot()["stale_dropped"] == 1
+        assert cache.serve_stale("a", BANDS[0], bluenile_db.system_k) is None
+        assert cache.serve_stale("a", BANDS[1], bluenile_db.system_k) is not None
 
 
 class TestDefaultNamespace:

@@ -16,9 +16,8 @@ randomized change-sets, with the pre-existing full-flush
 * **federated** — the same differential holds when the delta reranker runs
   over a sharded federation (rank- and attribute-partitioned) while the
   oracle recomputes over the equivalent unsharded database;
-* **warm restart** — after pruning retired entries from the SQLite spill, a
-  fresh cache warm-loads exactly the surviving entries and replays them with
-  zero external queries.
+* **survivors serve** — after a delta, every result-cache entry it left in
+  place still answers its query with zero external queries.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import pytest
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
-from repro.sqlstore.result_store import ResultCacheStore
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.workloads.experiments import ExperimentEnvironment
@@ -118,7 +116,7 @@ def _random_localized_delta(rng: random.Random, db, sequence: int):
 
 
 def _occupancy(reranker: QueryReranker):
-    cache_entries = len(reranker.result_cache.export_snapshot()[0])
+    cache_entries = len(reranker.result_cache)
     feeds = len(reranker.feed_store)
     regions = int(reranker.dense_index.describe()["regions"])
     return cache_entries, feeds, regions
@@ -208,9 +206,7 @@ def test_randomized_differential_unsharded():
         before = _occupancy(subject)
         summary = subject.apply_delta(upserts=upserts, deletes=deletes)
         after = _occupancy(subject)
-        assert summary["cache_entries_retired"] == len(
-            summary["retired_cache_keys"]
-        )
+        assert summary["cache_entries_retired"] == before[0] - after[0]
         for slot in range(3):
             total_before[slot] += before[slot]
             total_after[slot] += after[slot]
@@ -277,9 +273,9 @@ def test_randomized_differential_federated(shard_by, seed):
 
 
 # --------------------------------------------------------------------- #
-# Warm restart from the pruned spill
+# Survivors keep serving
 # --------------------------------------------------------------------- #
-def test_warm_restart_after_delta_replays_survivors():
+def test_surviving_entries_serve_after_a_delta():
     env = _environment()
     db = env.bluenile
     subject = env.make_reranker("bluenile")
@@ -287,40 +283,30 @@ def test_warm_restart_after_delta_replays_survivors():
     for request in pool:
         _first_pages(subject, request)
 
-    store = ResultCacheStore(":memory:")
     cache = subject.result_cache
-    saved = store.save(cache)
-    assert saved == len(cache.export_snapshot()[0]) > 0
-
+    before = len(cache)
     low, high = db.schema.domain_bounds("price")
     victim = dict(db.all_matches(SearchQuery.everything())[0])
     victim["price"] = min(high, float(victim["price"]) + (high - low) * 0.005)
     summary = subject.apply_delta(upserts=[victim])
-    retired = summary["retired_cache_keys"]
-    assert retired, "the delta should retire at least one entry"
-    pruned = store.prune(retired)
-    assert pruned == len(retired)
-    assert store.entry_count() == saved - pruned
+    survivors = list(cache._entries.items())
+    assert summary["cache_entries_retired"] == before - len(survivors)
+    assert summary["cache_entries_retired"], "the delta should retire at least one entry"
+    assert survivors, "the delta should leave entries in place"
 
-    survivors, _ = cache.export_snapshot()
-    fresh = type(cache)()
-    loaded = store.load(fresh)
-    assert loaded == store.entry_count() == len(survivors)
-
-    # Every surviving entry replays from the warm cache with zero external
+    # Every surviving entry answers from the cache with zero external
     # queries: the compute path must never run.
     def forbidden():
-        raise AssertionError("warm replay must not issue external queries")
+        raise AssertionError("a surviving entry must not issue external queries")
 
-    for namespace, system_k, result in survivors:
-        replay, status = fresh.fetch(
+    for (namespace, system_k, _), result in survivors:
+        replay, status = cache.fetch(
             namespace, result.query, system_k, compute=forbidden
         )
         assert status.name in ("HIT", "CONTAINED")
         assert [dict(row) for row in replay.rows] == [
             dict(row) for row in result.rows
         ]
-    store.close()
 
 
 # --------------------------------------------------------------------- #
@@ -346,9 +332,5 @@ def test_delta_blocks_overlapping_inflight_store():
     cache.fetch(namespace, query, db.system_k, compute=compute_and_mutate)
     # The store raced a delta whose hull overlaps the query: it must have
     # been blocked, leaving the cache empty for this namespace.
-    assert not [
-        entry
-        for entry in cache.export_snapshot()[0]
-        if entry[0] == namespace
-    ]
+    assert not [key for key in cache._entries if key[0] == namespace]
     assert cache.statistics.snapshot()["delta_blocked_stores"] >= 1

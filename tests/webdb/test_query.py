@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.exceptions import QueryError
+from repro.httpsim import wire
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 
 
@@ -29,14 +30,14 @@ class TestRangePredicate:
             RangePredicate("price", 10, 10, include_lower=False)
 
     @pytest.mark.parametrize("lower, upper", [(math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan)])
-    def test_nan_bound_rejected(self, lower, upper):
+    def test_nan_bound_rejected(self, lower, upper, diamond_schema_fixture):
         with pytest.raises(QueryError):
             RangePredicate("price", lower, upper)
         with pytest.raises(QueryError):
             SearchQuery.build(ranges={"price": (lower, upper)})
-        payload = {"ranges": [{"attribute": "price", "lower": lower, "upper": upper}]}
+        params = {"price_min": repr(lower), "price_max": repr(upper)}
         with pytest.raises(QueryError):
-            SearchQuery.from_dict(payload)
+            wire.decode_query(params, diamond_schema_fixture)
 
     def test_point_predicate(self):
         predicate = RangePredicate("price", 10, 10)
@@ -200,13 +201,6 @@ class TestSearchQuery:
         text = query.describe()
         assert "price" in text and "cut" in text and " AND " in text
         assert SearchQuery.everything().describe() == "TRUE"
-
-    def test_dict_roundtrip(self):
-        query = SearchQuery.build(
-            ranges={"price": (0, 1)}, memberships={"cut": ["good", "ideal"]}
-        )
-        rebuilt = SearchQuery.from_dict(query.to_dict())
-        assert rebuilt.canonical_key() == query.canonical_key()
 
     def test_constrained_attributes(self):
         query = SearchQuery.build(ranges={"price": (0, 1)}, memberships={"cut": ["good"]})
