@@ -131,41 +131,22 @@ class ServiceConfig:
     :class:`~repro.webdb.federation.FederatedInterface` while the service
     semantics (pages, statistics, caching) stay identical.
 
+    A session idle for longer than ``session_ttl_seconds`` is dropped by
+    :meth:`~repro.service.app.QR2Service.create_session`, which sweeps the
+    session table at most once per TTL.
+
     The ``serving_*`` knobs configure the concurrent serving tier
     (:mod:`repro.service.concurrent`):
 
     ``serving_workers``
-        Worker threads executing admitted requests (distinct sessions run in
-        parallel; requests for one session never interleave).
+        Admitted requests that may run at once, each on the thread that
+        carried it (distinct sessions run in parallel; requests for one
+        session never interleave).
     ``admission_queue_depth``
         Maximum number of admitted-but-unfinished requests.  A submit beyond
         this depth is rejected immediately with
         :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429) instead
         of queueing unboundedly.
-    ``reaper_interval_seconds``
-        Period of the background session reaper owned by the concurrent
-        tier (runs :meth:`~repro.service.app.QR2Service.expire_idle_sessions`
-        on a timer thread, started and stopped with the tier); ``None``
-        disables the reaper.
-    ``request_deadline_seconds``
-        Wall-clock ceiling on one admitted request's execution in the
-        concurrent tier; a request that exceeds it is answered with a
-        structured ``503`` while the worker finishes in the background.
-        ``None`` disables the ceiling.
-
-    The ``warming_*`` knobs configure the background feed warmer
-    (:mod:`repro.service.warming`), which re-leads retired feeds and
-    re-fills the result cache for the head of the popularity distribution
-    after a catalog delta:
-
-    ``warming_interval_seconds``
-        Period of the warmer timer thread owned by the concurrent tier;
-        ``None`` disables background warming (explicit
-        :meth:`~repro.service.warming.FeedWarmer.warm_once` calls still
-        work).
-    ``warming_pages``
-        Pages fetched per warmed request — how deep each re-led feed's
-        verified prefix extends.
     """
 
     default_page_size: int = 10
@@ -176,7 +157,3 @@ class ServiceConfig:
     rerank: RerankConfig = field(default_factory=RerankConfig)
     serving_workers: int = 8
     admission_queue_depth: int = 64
-    reaper_interval_seconds: Optional[float] = None
-    request_deadline_seconds: Optional[float] = None
-    warming_interval_seconds: Optional[float] = None
-    warming_pages: int = 2

@@ -1,6 +1,7 @@
 """The QR2 web-service layer: data sources, sessions, slider-based ranking
 specifications, popular-function suggestions, a JSON HTTP API, and the
-concurrent serving tier (worker pool + bounded admission) that fronts it."""
+concurrent serving tier (bounded admission and per-session serialization on
+the request's own thread) that fronts it."""
 
 from repro.service.app import QR2Service
 from repro.service.concurrent import ConcurrentQR2Application, ConcurrentServingTier

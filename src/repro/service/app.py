@@ -18,6 +18,7 @@ directly.
 from __future__ import annotations
 
 import threading
+import time
 import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -116,16 +117,13 @@ class QR2Service:
         # same session can never interleave — Get-Next semantics depend on the
         # emission history advancing one page at a time.
         self._session_locks: Dict[str, threading.RLock] = {}
+        # When ``create_session`` last swept idle sessions (session clock).
+        self._swept_at = float("-inf")
         # Cumulative delta and degraded-page counters, and the
-        # popularity-driven warmer; the concurrent tier owns the timer that
-        # runs the warmer in the background.
+        # popularity-driven warmer (run by an explicit ``warm_once``).
         self._counters = ServiceCounters()
         self._popularity = PopularityTracker()
-        self._warmer = FeedWarmer(
-            self,
-            tracker=self._popularity,
-            pages=self._config.warming_pages,
-        )
+        self._warmer = FeedWarmer(self, tracker=self._popularity)
 
     @property
     def config(self) -> ServiceConfig:
@@ -171,7 +169,18 @@ class QR2Service:
     # Sessions
     # ------------------------------------------------------------------ #
     def create_session(self) -> str:
-        """Create a new user session and return its identifier."""
+        """Create a new user session and return its identifier.
+
+        At most once per ``session_ttl_seconds`` it first expires idle
+        sessions (:meth:`expire_idle_sessions`), so the session table stays
+        bounded with no timer thread."""
+        now = time.time()
+        with self._lock:
+            sweep = now - self._swept_at >= self._config.session_ttl_seconds
+            if sweep:
+                self._swept_at = now
+        if sweep:
+            self.expire_idle_sessions()
         session_id = uuid.uuid4().hex
         with self._lock:
             self._sessions[session_id] = Session(session_id=session_id)
@@ -200,14 +209,22 @@ class QR2Service:
         """Drop a session immediately (its active stream is closed).  Returns
         False for unknown sessions; used by the feed warmer's throwaway
         sessions and callers that know a session is done rather than waiting
-        out the idle TTL."""
-        with self._lock:
-            if self._sessions.pop(session_id, None) is None:
-                return False
-            self._session_locks.pop(session_id, None)
-            request = self._requests.pop(session_id, None)
-        if request is not None:
-            request.stream.close()
+        out the idle TTL.
+
+        A request in flight on the session finishes first: the session's
+        lock is taken, blocking, before anything is dropped."""
+        try:
+            lock = self._session_lock(session_id)
+        except SessionError:
+            return False
+        with lock:
+            with self._lock:
+                if self._sessions.pop(session_id, None) is None:
+                    return False
+                self._session_locks.pop(session_id, None)
+                request = self._requests.pop(session_id, None)
+            if request is not None:
+                request.stream.close()
         return True
 
     def expire_idle_sessions(self) -> int:
@@ -216,7 +233,7 @@ class QR2Service:
 
         A session whose serialization lock is currently held (a request is
         mid-flight on another thread) is never expired — it is by definition
-        not idle, and reaping it would close the stream under the worker."""
+        not idle, and expiring it would close the stream under the request."""
         removed = 0
         dropped: List[_ActiveRequest] = []
         with self._lock:
@@ -245,9 +262,8 @@ class QR2Service:
     # ------------------------------------------------------------------ #
     @property
     def warmer(self) -> FeedWarmer:
-        """The popularity-driven feed warmer (the concurrent tier runs it on
-        a timer when ``warming_interval_seconds`` is configured; callers can
-        invoke :meth:`~repro.service.warming.FeedWarmer.warm_once` directly)."""
+        """The popularity-driven feed warmer; a caller runs a pass with
+        :meth:`~repro.service.warming.FeedWarmer.warm_once`."""
         return self._warmer
 
     def apply_delta(

@@ -55,7 +55,7 @@ class QR2HttpApplication:
         ``Retry-After`` hint: the request was well-formed, the backing source
         just cannot answer right now.  Anything else is a bug in the service,
         reported as a structured 500 JSON body instead of propagating and
-        killing the calling handler/worker thread.
+        killing the calling handler thread.
         """
         try:
             return self._route(request)

@@ -19,10 +19,9 @@ Popularity comes from two places, mirroring the QR2 UI:
 
 Warming runs through throwaway sessions and the public service API, so a
 warmed request exercises the same feed-attach and cache-store paths a user
-request would — nothing is special-cased.  The concurrent serving tier
-(:mod:`repro.service.concurrent`) owns the optional background timer that
-calls :meth:`FeedWarmer.warm_once` periodically
-(``ServiceConfig.warming_interval_seconds``).
+request would — nothing is special-cased.  Nothing runs a pass in the
+background: a caller invokes :meth:`FeedWarmer.warm_once` (for example right
+after :meth:`~repro.service.app.QR2Service.apply_delta`).
 """
 
 from __future__ import annotations

@@ -95,11 +95,7 @@ def capture() -> Dict[str, Shape]:
         pages, panel = _exercise(service, delta=False)
         shapes["unsharded"] = list(shape(panel))
         shapes["page"] = list(shape(pages))
-        tier = ConcurrentServingTier(service, workers=1)
-        try:
-            shapes["tier"] = list(shape(tier.snapshot()))
-        finally:
-            tier.close()
+        shapes["tier"] = list(shape(ConcurrentServingTier(service, workers=1).snapshot()))
         db = registry.get("bluenile").interface
         _, statistics = HiddenDatabaseCrawler(QueryEngine(db)).crawl(
             SearchQuery.build(ranges={"price": (300.0, 3000.0)})

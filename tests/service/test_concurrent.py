@@ -1,5 +1,6 @@
-"""Tests for the concurrent serving tier (worker pool, admission control,
-per-session serialization, drain, reaper) and the 500-hardened HTTP layer."""
+"""Tests for the concurrent serving tier (admission control, the running
+bound, per-session serialization, drain), session expiry, and the
+500-hardened HTTP layer."""
 
 import http.client
 import json
@@ -40,101 +41,125 @@ def make_service(registry, **config_kwargs) -> QR2Service:
     return QR2Service(registry=registry, config=ServiceConfig(**config_kwargs))
 
 
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.002)
+
+
+def in_thread(target):
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+def joined(*threads):
+    for thread in threads:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
 class TestTierScheduling:
+    def test_a_job_runs_on_the_calling_thread(self, registry):
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=4)
+        assert tier.submit(threading.get_ident, key="a") == threading.get_ident()
+        snapshot = tier.snapshot()
+        assert (snapshot["completed"], snapshot["in_flight"]) == (1, 0)
+
     def test_distinct_keys_run_in_parallel(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=4, queue_depth=16)
         barrier = threading.Barrier(3, timeout=5.0)
+        results = []
 
         def job():
-            barrier.wait()  # passes only if >= 2 jobs overlap (plus this thread)
+            barrier.wait()  # passes only if both jobs overlap (plus this thread)
             return "done"
 
-        try:
-            futures = [tier.submit(job, key=f"k{i}") for i in range(2)]
-            barrier.wait()
-            assert [f.result(timeout=5.0) for f in futures] == ["done", "done"]
-        finally:
-            tier.close()
+        callers = [
+            in_thread(lambda i=i: results.append(tier.submit(job, key=f"k{i}")))
+            for i in range(2)
+        ]
+        barrier.wait()
+        joined(*callers)
+        assert results == ["done", "done"]
 
-    def test_same_key_jobs_never_interleave_and_keep_order(self, registry):
+    def test_same_key_jobs_never_interleave_and_run_in_arrival_order(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=8, queue_depth=64)
-        events = []
+        order = []
         lock = threading.Lock()
         active = {"count": 0, "max": 0}
+        release = threading.Event()
 
-        def job(index):
-            with lock:
-                active["count"] += 1
-                active["max"] = max(active["max"], active["count"])
-            time.sleep(0.005)
-            with lock:
-                events.append(index)
-                active["count"] -= 1
+        def job(index, gate=None):
+            def run():
+                with lock:
+                    active["count"] += 1
+                    active["max"] = max(active["max"], active["count"])
+                if gate is not None:
+                    assert gate.wait(timeout=5.0)
+                with lock:
+                    order.append(index)
+                    active["count"] -= 1
+                return index
 
-        try:
-            futures = [tier.submit(lambda i=i: job(i), key="session:a") for i in range(12)]
-            for future in futures:
-                future.result(timeout=10.0)
-        finally:
-            tier.close()
-        assert events == list(range(12))  # FIFO per key
+            return run
+
+        callers = [in_thread(lambda: tier.submit(job(0, release), key="session:a"))]
+        wait_until(lambda: active["count"] == 1)
+        for index in range(1, 12):
+            # Each caller is admitted before the next starts: arrival order.
+            callers.append(in_thread(lambda i=index: tier.submit(job(i), key="session:a")))
+            wait_until(lambda n=index + 1: tier.snapshot()["in_flight"] == n)
+        assert order == []
+        release.set()
+        joined(*callers)
+        assert order == list(range(12))  # FIFO per key
         assert active["max"] == 1  # never two in flight for one key
+        assert tier.snapshot()["completed"] == 12
 
-    def test_job_error_propagates_to_future_not_worker(self, registry):
+    def test_job_error_reaches_its_caller_and_the_tier_keeps_serving(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
 
         def boom():
             raise RuntimeError("kaboom")
 
-        try:
-            future = tier.submit(boom, key="x")
-            with pytest.raises(RuntimeError):
-                future.result(timeout=5.0)
-            # The worker survived and keeps serving.
-            assert tier.execute(lambda: 41 + 1, key="x") == 42
-        finally:
-            tier.close()
+        with pytest.raises(RuntimeError, match="kaboom"):
+            tier.submit(boom, key="x")
+        assert tier.snapshot()["in_flight"] == 0  # a failed job is finished too
+        assert tier.submit(lambda: 41 + 1, key="x") == 42
+        assert tier.snapshot()["completed"] == 2
 
 
 class TestAdmissionControl:
     def test_full_queue_rejects_without_executing(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=1, queue_depth=2)
         release = threading.Event()
-        started = threading.Event()
+        results, ran = [], []
 
         def blocker():
-            started.set()
             release.wait(timeout=10.0)
             return "ok"
 
-        try:
-            first = tier.submit(blocker, key="a")
-            assert started.wait(timeout=5.0)
-            second = tier.submit(lambda: "queued", key="b")  # fills the queue
-            with pytest.raises(ServiceOverloadedError):
-                tier.submit(lambda: "rejected", key="c")
-            assert tier.snapshot()["rejected"] == 1
-            release.set()
-            assert first.result(timeout=5.0) == "ok"
-            assert second.result(timeout=5.0) == "queued"
-        finally:
-            release.set()
-            tier.close()
+        callers = [in_thread(lambda: results.append(tier.submit(blocker, key="a")))]
+        wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+        # Waits for the one slot; the queue is now full.
+        callers.append(in_thread(lambda: results.append(tier.submit(lambda: "queued", key="b"))))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 2)
+        with pytest.raises(ServiceOverloadedError, match="full"):
+            tier.submit(lambda: ran.append("c"), key="c")
+        assert ran == [] and tier.snapshot()["rejected"] == 1
+        release.set()
+        joined(*callers)
+        assert results == ["ok", "queued"]
 
     def test_application_maps_overload_to_429(self, registry):
         service = make_service(registry, serving_workers=1, admission_queue_depth=1)
         app = ConcurrentQR2Application(service)
         release = threading.Event()
-        started = threading.Event()
-
-        def blocker():
-            started.set()
-            release.wait(timeout=10.0)
-            return "ok"
-
+        holder = in_thread(lambda: app.tier.submit(lambda: release.wait(timeout=10.0), key="hold"))
         try:
-            app.tier.submit(blocker, key="hold")
-            assert started.wait(timeout=5.0)
+            wait_until(lambda: app.tier.snapshot()["in_flight"] == 1)
             response = app.handle(HttpRequest.get("/qr2/sources"))
             assert response.status == 429
             payload = response.json()
@@ -142,31 +167,38 @@ class TestAdmissionControl:
             assert "full" in payload["error"]
         finally:
             release.set()
+            joined(holder)
             app.close(close_service=False)
 
 
 class TestDrainAndShutdown:
     def test_drain_waits_for_inflight_and_rejects_new_work(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
-        results = []
+        release = threading.Event()
+        caller = in_thread(lambda: tier.submit(lambda: release.wait(timeout=5.0), key="a"))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+        assert tier.drain(timeout=0.05) is False
+        release.set()
+        assert tier.drain(timeout=5.0) is True
+        joined(caller)
+        ran = []
+        with pytest.raises(ServiceOverloadedError, match="shutting down"):
+            tier.submit(lambda: ran.append("late"))
+        assert ran == []
+        snapshot = tier.snapshot()
+        assert (snapshot["completed"], snapshot["rejected"]) == (1, 1)
 
-        def slow(index):
-            time.sleep(0.05)
-            results.append(index)
-            return index
-
-        futures = [tier.submit(lambda i=i: slow(i), key=f"k{i}") for i in range(4)]
-        assert tier.drain(timeout=10.0)
-        assert sorted(results) == [0, 1, 2, 3]
-        assert all(future.done() for future in futures)
-        with pytest.raises(ServiceOverloadedError):
-            tier.submit(lambda: "late")
-        assert tier.close(timeout=5.0)
-
-    def test_close_is_idempotent(self, registry):
+    def test_drain_is_idempotent(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
-        assert tier.close(timeout=5.0)
-        assert tier.close(timeout=5.0)
+        assert tier.drain(timeout=5.0) is True
+        assert tier.drain(timeout=5.0) is True
+        assert tier.snapshot()["draining"] is True
+
+    def test_application_close_is_idempotent(self, registry):
+        app = ConcurrentQR2Application(make_service(registry))
+        app.close(timeout=5.0, close_service=False)
+        app.close(timeout=5.0, close_service=False)
+        assert app.tier.snapshot()["draining"] is True
 
     def test_application_close_drains_and_closes_service(self):
         registry = make_registry()
@@ -186,77 +218,17 @@ class TestDrainAndShutdown:
         assert stream.closed
         assert app.handle(HttpRequest.get("/qr2/sources")).status == 429
 
-
-def wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition not reached in time"
-        time.sleep(0.002)
-
-
-def in_thread(target):
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    return thread
-
-
-class TestCallerRuns:
-    """``execute`` runs the job on the calling thread when its key is idle
-    and a slot is free — under the same bounds as the pool."""
-
-    def test_idle_key_and_free_slot_run_on_the_calling_thread(self, registry):
-        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=4)
+    def test_constructing_the_application_starts_no_thread(self, registry):
+        before = threading.active_count()
+        app = ConcurrentQR2Application(QR2Service(registry=registry))
         try:
-            assert tier.execute(threading.get_ident, key="a") == threading.get_ident()
-            snapshot = tier.snapshot()
-            assert (snapshot["completed"], snapshot["ran_inline"]) == (1, 1)
-            assert list(snapshot)[4:6] == ["completed", "ran_inline"]
-            with pytest.raises(ZeroDivisionError):
-                tier.execute(lambda: 1 / 0, key="a")
-            assert tier.snapshot()["in_flight"] == 0  # a failed inline job is finished too
+            assert threading.active_count() == before
         finally:
-            tier.close()
+            app.close(close_service=False)
 
-    def test_mixed_inline_and_queued_jobs_of_one_key_keep_submission_order(self, registry):
-        tier = ConcurrentServingTier(make_service(registry), workers=4, queue_depth=16)
-        order, threads_used = [], {}
-        release = threading.Event()
 
-        def job(index, gate=None):
-            def run():
-                if gate is not None:
-                    assert gate.wait(timeout=5.0)
-                order.append(index)
-                threads_used[index] = threading.current_thread().name
-                return index
-
-            return run
-
-        try:
-            callers = [in_thread(lambda: tier.execute(job(0, release), key="s"))]  # inline
-            wait_until(lambda: tier.snapshot()["in_flight"] == 1)
-            queued = [tier.submit(job(1), key="s")]
-            callers.append(in_thread(lambda: tier.execute(job(2), key="s")))  # key busy: queued
-            wait_until(lambda: tier.snapshot()["in_flight"] == 3)
-            queued.append(tier.submit(job(3), key="s"))
-            assert order == []
-            release.set()
-            assert [future.result(timeout=5.0) for future in queued] == [1, 3]
-            for caller in callers:
-                caller.join(timeout=5.0)
-                assert not caller.is_alive()
-            assert tier.execute(job(4), key="s") == 4  # idle again: inline
-            assert order == [0, 1, 2, 3, 4]
-            assert [threads_used[i].startswith("qr2-worker") for i in range(5)] == [
-                False, True, True, True, False,
-            ]  # fmt: skip
-            snapshot = tier.snapshot()
-            assert (snapshot["completed"], snapshot["ran_inline"]) == (5, 2)
-        finally:
-            release.set()
-            tier.close()
-
-    def test_inline_and_pooled_jobs_share_the_running_bound(self, registry):
+class TestBounds:
+    def test_running_jobs_never_exceed_workers(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
         lock = threading.Lock()
         running = peak = 0
@@ -271,65 +243,43 @@ class TestCallerRuns:
             with lock:
                 running -= 1
 
-        try:
-            callers = [in_thread(lambda i=i: tier.execute(job, key=f"k{i}")) for i in range(4)]
-            wait_until(lambda: tier.snapshot()["in_flight"] == 4)
-            time.sleep(0.05)  # time for a third job to start, were the bound not shared
-            assert running == 2
-            release.set()
-            for caller in callers:
-                caller.join(timeout=5.0)
-                assert not caller.is_alive()
-            snapshot = tier.snapshot()
-            assert peak == 2
-            assert (snapshot["completed"], snapshot["ran_inline"]) == (4, 2)
-            assert snapshot["max_in_flight"] == 4
-        finally:
-            release.set()
-            tier.close()
+        callers = [in_thread(lambda i=i: tier.submit(job, key=f"k{i}")) for i in range(4)]
+        # Admission and the slot check are one critical section, and a
+        # waiting job wakes only when one finishes: once all four are
+        # admitted and two run, nothing else can start before the release.
+        wait_until(lambda: tier.snapshot()["in_flight"] == 4 and running == 2)
+        release.set()
+        joined(*callers)
+        snapshot = tier.snapshot()
+        assert peak == 2
+        assert (snapshot["completed"], snapshot["max_in_flight"]) == (4, 4)
 
-    def test_drain_waits_for_an_inline_job(self, registry):
+    def test_a_job_waiting_behind_its_key_holds_no_slot(self, registry):
         tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
         release = threading.Event()
-        try:
-            caller = in_thread(lambda: tier.execute(lambda: release.wait(timeout=5.0), key="a"))
-            wait_until(lambda: tier.snapshot()["in_flight"] == 1)
-            assert tier.drain(timeout=0.05) is False
-            release.set()
-            assert tier.drain(timeout=5.0) is True
-            caller.join(timeout=5.0)
-            assert not caller.is_alive()
-            assert tier.snapshot()["ran_inline"] == 1
-        finally:
-            release.set()
-            tier.close()
-
-    @pytest.mark.parametrize("workers", [1, 2])  # 1: refused on the queued path; 2: inline
-    def test_full_queue_refuses_execute_before_running(self, registry, workers):
-        tier = ConcurrentServingTier(make_service(registry), workers=workers, queue_depth=1)
-        release = threading.Event()
-        ran = []
-        try:
-            caller = in_thread(lambda: tier.execute(lambda: release.wait(timeout=5.0), key="a"))
-            wait_until(lambda: tier.snapshot()["in_flight"] == 1)
-            with pytest.raises(ServiceOverloadedError):
-                tier.execute(lambda: ran.append("b"), key="b")
-            assert ran == [] and tier.snapshot()["rejected"] == 1
-            release.set()
-            caller.join(timeout=5.0)
-            assert not caller.is_alive()
-        finally:
-            release.set()
-            tier.close()
+        order = []
+        first = in_thread(lambda: tier.submit(lambda: release.wait(timeout=5.0), key="s"))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+        second = in_thread(lambda: tier.submit(lambda: order.append("s2"), key="s"))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 2)
+        # One job runs and one waits on its key: the second slot is free.
+        other = threading.Event()
+        joined(in_thread(lambda: tier.submit(other.set, key="t")))
+        assert other.is_set() and order == []
+        release.set()
+        joined(first, second)
+        assert order == ["s2"]
 
     def test_bounds_hold_under_contention(self, registry):
         """More callers than slots and keys, a shortened switch interval:
-        a lost update to the shared running count or a key's busy mark
-        would show as two jobs of one key, or three jobs, at once."""
-        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=64)
+        a lost update to the shared running count or a key's queue would
+        show as two jobs of one key, three jobs at once, or an admission
+        count that does not return to zero."""
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=6)
         lock = threading.Lock()
         active = []
         violations = []
+        rejected = [0]
 
         def job(key):
             def run():
@@ -346,56 +296,144 @@ class TestCallerRuns:
         def caller(lane):
             for index in range(40):
                 key = f"k{(lane + index) % 3}"
-                if index % 4 == 3:
-                    tier.submit(job(key), key=key).result(timeout=10.0)
-                else:
-                    tier.execute(job(key), key=key)
+                try:
+                    tier.submit(job(key), key=key)
+                except ServiceOverloadedError:
+                    with lock:
+                        rejected[0] += 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            callers = [in_thread(lambda lane=lane: caller(lane)) for lane in range(8)]
-            for thread in callers:
-                thread.join(timeout=20.0)
-                assert not thread.is_alive()
-            snapshot = tier.snapshot()
-            assert violations == []
-            assert (snapshot["completed"], snapshot["in_flight"], snapshot["rejected"]) == (320, 0, 0)
-            assert 0 < snapshot["ran_inline"] < 320
+            joined(*[in_thread(lambda lane=lane: caller(lane)) for lane in range(8)])
         finally:
             sys.setswitchinterval(interval)
-            tier.close()
+        snapshot = tier.snapshot()
+        assert violations == []
+        assert snapshot["in_flight"] == 0
+        assert snapshot["max_in_flight"] <= 6
+        assert snapshot["rejected"] == rejected[0]
+        assert snapshot["completed"] + snapshot["rejected"] == 320
 
 
-class TestSessionReaper:
-    def test_reaper_expires_idle_sessions_without_manual_calls(self, registry):
-        service = make_service(registry, session_ttl_seconds=0.0)
-        tier = ConcurrentServingTier(
-            service, workers=1, queue_depth=4, reaper_interval_seconds=0.02
-        )
+class TestCallerRuns:
+    """Every job runs on the thread that submitted it; the tier's bounds
+    decide only when it starts."""
+
+    def test_a_job_queued_behind_its_key_runs_on_its_own_caller(self, registry):
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
+        release = threading.Event()
+        ran_on = {}
+
+        def job(name, gate=None):
+            def run():
+                if gate is not None:
+                    assert gate.wait(timeout=5.0)
+                ran_on[name] = threading.get_ident()
+
+            return run
+
+        first = in_thread(lambda: tier.submit(job("first", release), key="s"))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+        second = in_thread(lambda: tier.submit(job("second"), key="s"))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 2)
+        release.set()
+        joined(first, second)
+        assert ran_on == {"first": first.ident, "second": second.ident}
+
+    def test_drain_waits_for_an_inline_job(self, registry):
+        """Drain waits for the running job and for the one admitted
+        behind it on the same key."""
+        tier = ConcurrentServingTier(make_service(registry), workers=2, queue_depth=8)
+        release = threading.Event()
+        order = []
+        first = in_thread(lambda: tier.submit(lambda: release.wait(timeout=5.0), key="a"))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+        second = in_thread(lambda: tier.submit(lambda: order.append("second"), key="a"))
+        wait_until(lambda: tier.snapshot()["in_flight"] == 2)
+        assert tier.drain(timeout=0.05) is False
+        assert order == []
+        release.set()
+        assert tier.drain(timeout=5.0) is True
+        joined(first, second)
+        assert order == ["second"]
+        assert tier.snapshot()["completed"] == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])  # 1: no slot free; 2: a slot free
+    def test_full_queue_refuses_execute_before_running(self, registry, workers):
+        """The admission depth refuses work whether or not a slot is free."""
+        tier = ConcurrentServingTier(make_service(registry), workers=workers, queue_depth=1)
+        release = threading.Event()
+        ran = []
+        holder = in_thread(lambda: tier.submit(lambda: release.wait(timeout=5.0), key="a"))
         try:
-            service.create_session()
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                if tier.snapshot()["reaped_sessions"] >= 1:
-                    break
-                time.sleep(0.01)
-            assert tier.snapshot()["reaped_sessions"] >= 1
-            with service._lock:
-                assert not service._sessions
+            wait_until(lambda: tier.snapshot()["in_flight"] == 1)
+            with pytest.raises(ServiceOverloadedError, match="full"):
+                tier.submit(lambda: ran.append("b"), key="b")
+            assert ran == [] and tier.snapshot()["rejected"] == 1
         finally:
-            tier.close()
+            release.set()
+            joined(holder)
+        assert tier.submit(lambda: "after", key="b") == "after"
 
-    def test_reaper_stops_with_the_tier(self, registry):
-        service = make_service(registry, session_ttl_seconds=0.0)
-        tier = ConcurrentServingTier(
-            service, workers=1, queue_depth=4, reaper_interval_seconds=0.01
-        )
-        tier.close()
-        service.create_session()
-        time.sleep(0.05)
+
+class TestSessionExpiry:
+    """A default-config service bounds its session table: ``create_session``
+    expires idle sessions, at most once per TTL, with no thread."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [time.time()]
+        monkeypatch.setattr(time, "time", lambda: now[0])
+        return now
+
+    def test_create_session_drops_sessions_idle_past_the_ttl(self, registry, clock):
+        service = QR2Service(registry=registry)
+        idle = service.create_session()
+        service.submit_query(idle, "bluenile", sliders={"price": 1.0})
+        stream = service._requests[idle].stream
+        clock[0] += service.config.session_ttl_seconds + 1.0
+        fresh = service.create_session()
         with service._lock:
-            assert len(service._sessions) == 1  # nothing reaps after close
+            assert set(service._sessions) == {fresh}
+        assert stream.closed
+
+    def test_a_busy_session_survives_the_sweep(self, registry, clock):
+        service = QR2Service(registry=registry)
+        ttl = service.config.session_ttl_seconds
+        busy = service.create_session()
+        lock = service._session_lock(busy)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():  # a request in flight on another thread
+            with lock:
+                holding.set()
+                release.wait(timeout=10.0)
+
+        holder = in_thread(hold)
+        assert holding.wait(timeout=5.0)
+        clock[0] += ttl + 1.0
+        service.create_session()
+        with service._lock:
+            assert busy in service._sessions
+        release.set()
+        joined(holder)
+        clock[0] += ttl + 1.0
+        service.create_session()
+        with service._lock:
+            assert busy not in service._sessions
+
+    def test_create_session_sweeps_at_most_once_per_ttl(self, registry, clock, monkeypatch):
+        service = QR2Service(registry=registry)
+        sweeps = []
+        expire = service.expire_idle_sessions
+        monkeypatch.setattr(service, "expire_idle_sessions", lambda: sweeps.append(expire()))
+        for _ in range(1000):
+            service.create_session()
+        assert len(sweeps) == 1
+        clock[0] += service.config.session_ttl_seconds
+        service.create_session()
+        assert len(sweeps) == 2
 
     def test_busy_session_is_not_reaped_mid_request(self, registry):
         service = make_service(registry, session_ttl_seconds=0.0)
@@ -404,7 +442,7 @@ class TestSessionReaper:
         holding = threading.Event()
         release = threading.Event()
 
-        def hold():  # simulates a request in flight on a worker thread
+        def hold():  # simulates a request in flight on another thread
             with lock:
                 holding.set()
                 release.wait(timeout=10.0)
@@ -418,6 +456,29 @@ class TestSessionReaper:
             release.set()
             holder.join(timeout=5.0)
         assert service.expire_idle_sessions() == 1
+
+    def test_close_session_waits_for_the_request_in_flight(self, registry):
+        service = make_service(registry)
+        session_id = service.create_session()
+        service.submit_query(session_id, "bluenile", sliders={"price": 1.0})
+        stream = service._requests[session_id].stream
+        lock = service._session_lock(session_id)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():  # a page being served on another thread
+            with lock:
+                holding.set()
+                release.wait(timeout=10.0)
+
+        holder = in_thread(hold)
+        assert holding.wait(timeout=5.0)
+        closed = []
+        closer = in_thread(lambda: closed.append(service.close_session(session_id)))
+        closer.join(timeout=0.05)
+        assert closer.is_alive() and not stream.closed
+        release.set()
+        joined(holder, closer)
+        assert closed == [True] and stream.closed
 
 
 class TestConcurrentServiceSafety:
@@ -586,7 +647,7 @@ class TestConcurrentServiceSafety:
         """The machine-independent guard on the warm page's transport and
         hand-off: five requests on one ``http.client`` connection are one
         accepted connection, no thread beyond the first request's, and each
-        runs on that connection's own handler thread, not on a pool worker."""
+        runs on that connection's own handler thread."""
         app = ConcurrentQR2Application(make_service(make_registry()))
         ran_on = []
         inner_handle = app._inner.handle
@@ -616,9 +677,7 @@ class TestConcurrentServiceSafety:
             assert handle.connections_accepted == 1
             assert threading.active_count() == threads_after_first
             assert len(ran_on) == 5 and len(set(ran_on)) == 1
-            assert not ran_on[0].name.startswith("qr2-worker")
-            snapshot = app.tier.snapshot()
-            assert (snapshot["completed"], snapshot["ran_inline"]) == (5, 5)
+            assert app.tier.snapshot()["completed"] == 5
         finally:
             connection.close()
             handle.shutdown()

@@ -12,7 +12,7 @@ from repro.service.sources import build_default_registry
 from repro.service.warming import TOP_REQUESTS, FeedWarmer, PopularityTracker
 from repro.webdb.query import SearchQuery
 
-PAGES = 2
+PAGES = 2  # FeedWarmer's default depth
 PAGE_SIZE = 5
 
 
@@ -83,8 +83,9 @@ def test_warm_once_replays_only_the_most_popular_observed_requests():
 
 def test_warm_once_releads_a_feed_retired_by_a_delta():
     """Organic traffic → delta retires the popular feed → one warming pass →
-    the next user pages ``warming_pages`` deep at zero external queries, and
-    sees what an independent recompute over the mutated catalog produces."""
+    the next user pages as deep as the warmer (``PAGES``) at zero external
+    queries, and sees what an independent recompute over the mutated catalog
+    produces."""
     registry = build_default_registry(
         diamond_config=DiamondCatalogConfig(size=350, seed=8),
         housing_config=HousingCatalogConfig(size=350, seed=9),
@@ -95,7 +96,7 @@ def test_warm_once_releads_a_feed_retired_by_a_delta():
     )
     service = QR2Service(
         registry=registry,
-        config=ServiceConfig(default_page_size=PAGE_SIZE, warming_pages=PAGES),
+        config=ServiceConfig(default_page_size=PAGE_SIZE),
     )
     db = registry.get("bluenile").interface
     sliders = dict(popular_functions("bluenile")[0].sliders)

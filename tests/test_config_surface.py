@@ -20,8 +20,6 @@ SERVICE_FIELDS = {
     "default_page_size", "max_page_size", "session_ttl_seconds",
     "dense_cache_path", "database", "rerank",
     "serving_workers", "admission_queue_depth",
-    "reaper_interval_seconds", "request_deadline_seconds",
-    "warming_interval_seconds", "warming_pages",
 }
 RESILIENCE_FIELDS = {
     "max_attempts", "backoff_base_seconds", "backoff_cap_seconds",
@@ -37,7 +35,7 @@ def test_config_field_sets_are_pinned():
     assert names(DatabaseConfig) == DATABASE_FIELDS
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
-    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 24
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 20
 
 
 def test_resilience_policy_fields_are_pinned():
