@@ -286,10 +286,6 @@ class RerankFeed:
         with self._condition:
             self._count_locked("promotions")
 
-    def verified_rows(self) -> List[Row]:
-        """The verified prefix: the shared read-only rows themselves."""
-        with self._condition:
-            return list(self._rows)
 
 
 class RerankFeedStore:

@@ -276,10 +276,7 @@ class MinMaxNormalizerProtocol:
         raise NotImplementedError
 
 
-def from_specification(
-    specification: Mapping[str, object],
-    normalizer: Optional[MinMaxNormalizerProtocol] = None,
-) -> UserRankingFunction:
+def from_specification(specification: Mapping[str, object]) -> UserRankingFunction:
     """Build a ranking function from a plain-dictionary specification.
 
     Two shapes are accepted, mirroring the two UI modes::
@@ -300,7 +297,6 @@ def from_specification(
             raise RankingFunctionError("'weights' must be a mapping")
         return LinearRankingFunction(
             {str(k): weight_value(k, v) for k, v in weights.items()},
-            normalizer=normalizer,
             enforce_slider_range=True,
         )
     raise RankingFunctionError(

@@ -75,19 +75,12 @@ class MinMaxNormalizer:
             {name: schema.domain_bounds(name) for name in attributes}
         )
 
-    @staticmethod
-    def from_observed(
-        observed: Mapping[str, Tuple[float, float]]
-    ) -> "MinMaxNormalizer":
-        """Bounds provided explicitly (for example, discovered bounds)."""
-        return MinMaxNormalizer({k: (float(a), float(b)) for k, (a, b) in observed.items()})
 
 
 def discover_attribute_range(
     interface: TopKInterface,
     attribute: str,
     base_query: Optional[SearchQuery] = None,
-    config=None,
 ) -> Tuple[float, float]:
     """Discover the true (observed) min and max of ``attribute`` using the
     1D-BINARY Get-Next primitive in both directions (a one-off discovery has
@@ -104,19 +97,19 @@ def discover_attribute_range(
     from repro.core.session import Session
     from repro.config import RerankConfig
 
-    effective_config = config or RerankConfig()
+    config = RerankConfig()
     query = base_query or SearchQuery.everything()
 
     extremes = {}
     for ascending in (True, False):
-        engine = QueryEngine(interface, config=effective_config)
+        engine = QueryEngine(interface, config=config)
         session = Session(session_id=f"normalize-{attribute}-{ascending}")
         getnext = OneDimGetNext(
             engine=engine,
             base_query=query,
             ranking=SingleAttributeRanking(attribute, ascending=ascending),
             session=session,
-            config=effective_config,
+            config=config,
             variant=OneDimVariant.BINARY,
         )
         first = getnext.next()

@@ -355,19 +355,6 @@ class QueryReranker:
         algorithm_object = self._build_algorithm(engine, query, ranking, session, algorithm)
         return GetNextStream(algorithm_object, session, description=description)
 
-    def top(
-        self,
-        query: SearchQuery,
-        ranking: UserRankingFunction,
-        count: int,
-        algorithm: Algorithm = Algorithm.RERANK,
-    ) -> GetNextStream:
-        """Convenience: create a stream and eagerly fetch its first ``count``
-        answers (they remain available via ``returned_so_far``)."""
-        stream = self.rerank(query, ranking, algorithm=algorithm)
-        stream.top(count)
-        return stream
-
     # ------------------------------------------------------------------ #
     def _build_engine(self, statistics, budget: Optional[QueryBudget]) -> QueryEngine:
         return QueryEngine(

@@ -118,13 +118,10 @@ class ColumnTable:
     # ------------------------------------------------------------------ #
     # Pretty printing (used by the examples and the statistics panel)
     # ------------------------------------------------------------------ #
-    def to_text(self, max_rows: int = 20, float_format: str = "{:.2f}") -> str:
+    def to_text(self, max_rows: int = 20) -> str:
         """Render the table as a fixed-width text grid."""
         return format_grid(
-            self.columns,
-            self.to_rows()[:max_rows],
-            hidden_rows=len(self) - max_rows,
-            float_format=float_format,
+            self.columns, self.to_rows()[:max_rows], hidden_rows=len(self) - max_rows
         )
 
 

@@ -70,10 +70,6 @@ class WireFormatError(QR2Error):
     """An HTTP request or response could not be encoded or decoded."""
 
 
-class RemoteInterfaceError(QR2Error):
-    """The HTTP-backed search interface returned an error response."""
-
-
 class SourceUnavailableError(QR2Error):
     """A source (or shard) could not answer a query: every retry failed, its
     circuit breaker is open, or its fault schedule says it is down.  Carries
@@ -93,6 +89,12 @@ class SourceUnavailableError(QR2Error):
         self.source = source
         self.elapsed_seconds = elapsed_seconds
         self.retry_after_seconds = retry_after_seconds
+
+
+class RemoteInterfaceError(SourceUnavailableError):
+    """The HTTP-backed search interface could not answer: the site was
+    unreachable or kept answering an error status after the client's
+    retries (a 429's ``Retry-After`` becomes ``retry_after_seconds``)."""
 
 
 class SourceTimeoutError(SourceUnavailableError):

@@ -157,7 +157,10 @@ class HttpClient:
         response = self.get(path, params)
         if not response.ok:
             raise RemoteInterfaceError(
-                f"GET {path} failed with status {response.status}: {response.body[:200]}"
+                f"GET {path} failed with status {response.status}: {response.body[:200]}",
+                retry_after_seconds=response.retry_after_seconds()
+                if response.status == 429
+                else None,
             )
         return response.json()
 

@@ -26,7 +26,8 @@ thread that carried it.
     :func:`~repro.service.httpapp.serve_qr2_over_socket`.  It extracts the
     session identifier from each request to use as the serialization key
     (session-less requests get a unique key and run fully parallel) and maps
-    admission rejections to structured ``429`` JSON responses.
+    admission rejections to structured ``429`` JSON responses; every other
+    error, a crash included, is the wrapped application's 400 / 503 / 500.
 
 Idle sessions are expired by :meth:`QR2Service.create_session`, not by a
 timer.  ``tests/service/test_concurrent.py`` holds the byte-identity claim
@@ -44,7 +45,6 @@ from functools import partial
 from time import monotonic
 from typing import Callable, Deque, Dict, Optional
 
-from repro.config import ServiceConfig
 from repro.exceptions import ServiceOverloadedError
 from repro.httpsim.messages import HttpRequest, HttpResponse
 from repro.service.app import QR2Service
@@ -168,13 +168,9 @@ class ConcurrentQR2Application:
     holds those threads to the tier's bounds.  Every request runs on its
     connection's own thread."""
 
-    def __init__(
-        self,
-        service: Optional[QR2Service] = None,
-        config: Optional[ServiceConfig] = None,
-    ) -> None:
+    def __init__(self, service: Optional[QR2Service] = None) -> None:
         if service is None:
-            service = QR2Service(config=config)
+            service = QR2Service()
         self._service = service
         self._inner = QR2HttpApplication(service)
         self._tier = ConcurrentServingTier(service)
@@ -191,7 +187,11 @@ class ConcurrentQR2Application:
 
     # ------------------------------------------------------------------ #
     def handle(self, request: HttpRequest) -> HttpResponse:
-        """Admit and run one request within the tier's bounds."""
+        """Admit and run one request within the tier's bounds.
+
+        Only a refused admission is answered here (``429``); every error of
+        the request itself, a crash included, is already a response from
+        :meth:`QR2HttpApplication.handle`."""
         try:
             return self._tier.submit(  # type: ignore[return-value]
                 partial(self._inner.handle, request), key=self._serialization_key(request)
@@ -203,15 +203,6 @@ class ConcurrentQR2Application:
                 # Shed load with an explicit back-off hint; the simulated
                 # HTTP client honors it before its next attempt.
                 headers={"retry-after": "1"},
-            )
-        except Exception as exc:  # noqa: BLE001 - the serving boundary
-            return HttpResponse.json_response(
-                {
-                    "error": "internal server error",
-                    "exception": type(exc).__name__,
-                    "detail": str(exc),
-                },
-                status=500,
             )
 
     @staticmethod

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
-from repro.exceptions import DataSourceError
-
 
 @dataclass(frozen=True)
 class PopularFunction:
@@ -100,12 +98,3 @@ def popular_functions(source_name: str) -> List[PopularFunction]:
     """Suggestions for ``source_name`` (empty list for unknown custom sources)."""
     return list(_BY_SOURCE.get(source_name, []))
 
-
-def popular_function(source_name: str, function_name: str) -> PopularFunction:
-    """Look up one suggestion by name."""
-    for function in popular_functions(source_name):
-        if function.name == function_name:
-            return function
-    raise DataSourceError(
-        f"no popular function {function_name!r} for source {source_name!r}"
-    )

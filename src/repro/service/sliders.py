@@ -15,7 +15,7 @@ the UI layer of the original system does in its ranking section.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.core.functions import (
     LinearRankingFunction,
@@ -29,9 +29,7 @@ from repro.exceptions import RankingFunctionError
 
 
 def ranking_from_sliders(
-    sliders: Mapping[str, float],
-    schema: Schema,
-    normalizer: Optional[MinMaxNormalizer] = None,
+    sliders: Mapping[str, float], schema: Schema
 ) -> UserRankingFunction:
     """Turn slider positions into a ranking function.
 
@@ -57,8 +55,7 @@ def ranking_from_sliders(
     if len(active) == 1:
         name, value = next(iter(active.items()))
         return SingleAttributeRanking(name, ascending=value > 0)
-    if normalizer is None:
-        normalizer = MinMaxNormalizer.from_schema(schema, active.keys())
+    normalizer = MinMaxNormalizer.from_schema(schema, active.keys())
     return LinearRankingFunction(active, normalizer=normalizer, enforce_slider_range=True)
 
 

@@ -109,7 +109,8 @@ def build_default_registry(
 
     ``dense_cache_path`` enables the persistent (SQLite) dense-region cache —
     one file per source, suffixing the given path — matching the shared MySQL
-    cache of the deployed system.
+    cache of the deployed system; each is verified against its live catalog
+    before the registry is returned.
 
     All sources share a single :class:`QueryResultCache` (namespaced per
     source) so that every session of the service reuses every other
@@ -198,6 +199,9 @@ def _make_source(
         dense_cache=dense_cache,
         result_cache=result_cache,
     )
+    # The stored regions may predate a catalog change: re-crawl them before
+    # the first request (the paper refreshes its cache at start-up).
+    reranker.verify_dense_cache()
     return DataSource(
         name=name,
         title=title,

@@ -16,9 +16,8 @@ sorted indexes, and rank arrays in one of three representations:
 
 ``"buffer"`` (the default) resolves to ``"numpy"`` when numpy is
 importable and ``"array"`` otherwise, so the compact layout never becomes a
-hard dependency.  Setting the environment variable ``REPRO_DISABLE_NUMPY``
-to a non-empty value forces the stdlib fallback even when numpy is
-installed (used by tests and benchmark A/B runs).
+hard dependency.  ``backend="array"`` picks the stdlib layout explicitly
+even where numpy is installed.
 
 The helpers in this module are the *only* place backend types are
 dispatched: the engine asks for a range filter / candidate sorter / position
@@ -28,15 +27,11 @@ catalog handed it.
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
+try:  # pragma: no cover - which branch runs depends on the machine
+    import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
 

@@ -15,9 +15,8 @@ Every per-shard seed is a pure function of the shard index (latency
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError
@@ -45,7 +44,6 @@ def build_source(
     name: str,
     resilience: Optional[ResilienceConfig] = None,
     result_cache: Optional[QueryResultCache] = None,
-    clock: Callable[[], float] = time.monotonic,
 ) -> TopKInterface:
     """Build the source ``config`` describes over the catalog ``rows``.
 
@@ -58,7 +56,7 @@ def build_source(
     :class:`~repro.webdb.federation.FederatedInterface` over shards named
     ``"{name}#{i}"`` — each its own cache namespace — that caches shard
     answers in ``result_cache``.  ``resilience`` is the policy of every
-    guard and ``clock`` their breakers' recovery clock.
+    guard.
     """
     columns = stream_sorted_columns(
         rows, schema, system_ranking, validate=not isinstance(rows, SQLiteTupleStore)
@@ -84,7 +82,6 @@ def build_source(
             database(0, name, columns),
             fault_plan=config.fault_plan,
             resilience=resilience,
-            clock=clock,
         )
     keys = columns[schema.key]
     if len(set(keys)) != len(keys):
@@ -114,7 +111,6 @@ def build_source(
         if plan is None
         else [replace(plan, seed=plan.seed + index) for index in range(len(shards))],
         resilience=resilience,
-        clock=clock,
     )
 
 

@@ -202,19 +202,6 @@ class QueryResultCache:
     # ------------------------------------------------------------------ #
     # Lookup / store
     # ------------------------------------------------------------------ #
-    def lookup(
-        self, namespace: str, query: SearchQuery, system_k: int
-    ) -> Optional[SearchResult]:
-        """Return the cached result for ``query``, or ``None`` on a miss.
-
-        Kept for callers that do not care *how* the answer was found; use
-        :meth:`probe` to distinguish exact hits from containment answers.
-        """
-        outcome = self.probe(namespace, query, system_k)
-        if outcome is None:
-            return None
-        return outcome[0]
-
     def probe(
         self,
         namespace: str,

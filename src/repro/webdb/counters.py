@@ -61,12 +61,6 @@ class Counters:
                 if value > getattr(self, name):
                     setattr(self, name, value)
 
-    def put(self, **values: object) -> None:
-        """Overwrite last-value fields (a gauge, the last error seen)."""
-        with self._lock:
-            for name, value in values.items():
-                setattr(self, name, value)
-
     def tally(self, name: str, counts: Mapping[Any, int]) -> None:
         """Add ``counts``, key by key, to the dictionary counter ``name``."""
         with self._lock:

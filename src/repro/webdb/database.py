@@ -93,10 +93,6 @@ class HiddenWebDatabase(TopKInterface):
         Number of tuples returned per query.
     latency:
         Per-query latency model (accounting and/or sleeping).
-    validate_queries:
-        When True (default) queries are validated against the schema, which is
-        what a real site's form enforces; the crawler tests rely on invalid
-        queries being rejected.
     name:
         Display name used in logs and the service's source registry.
     """
@@ -108,7 +104,6 @@ class HiddenWebDatabase(TopKInterface):
         system_ranking: SystemRankingFunction,
         system_k: int = 20,
         latency: Optional[LatencyModel] = None,
-        validate_queries: bool = True,
         name: str = "webdb",
     ) -> None:
         # One validating pass over the rows, one sort, one transpose; the
@@ -117,12 +112,7 @@ class HiddenWebDatabase(TopKInterface):
         columns = stream_sorted_columns(catalog, schema, system_ranking)
         self._init_from_columnar(
             ColumnarCatalog.from_columns(columns, list(columns), schema.key),
-            schema,
-            system_ranking,
-            system_k,
-            latency,
-            validate_queries,
-            name,
+            schema, system_ranking, system_k, latency, name,
         )
 
     @classmethod
@@ -134,7 +124,6 @@ class HiddenWebDatabase(TopKInterface):
         *,
         system_k: int = 20,
         latency: Optional[LatencyModel] = None,
-        validate_queries: bool = True,
         name: str = "webdb",
     ) -> "HiddenWebDatabase":
         """Wrap an already rank-ordered :class:`ColumnarCatalog` directly.
@@ -147,13 +136,7 @@ class HiddenWebDatabase(TopKInterface):
         """
         database = cls.__new__(cls)
         database._init_from_columnar(
-            columnar,
-            schema,
-            system_ranking,
-            system_k,
-            latency,
-            validate_queries,
-            name,
+            columnar, schema, system_ranking, system_k, latency, name
         )
         return database
 
@@ -164,7 +147,6 @@ class HiddenWebDatabase(TopKInterface):
         system_ranking: SystemRankingFunction,
         system_k: int,
         latency: Optional[LatencyModel],
-        validate_queries: bool,
         name: str,
     ) -> None:
         if system_k <= 0:
@@ -172,7 +154,6 @@ class HiddenWebDatabase(TopKInterface):
         self._schema = schema
         self._system_k = system_k
         self._latency = latency or LatencyModel.disabled()
-        self._validate = validate_queries
         self._counter = QueryCounter()
         self._lock = threading.Lock()
         self.name = name
@@ -226,8 +207,7 @@ class HiddenWebDatabase(TopKInterface):
         Returns the first ``system_k`` matching tuples in hidden-rank order and
         classifies the outcome as overflow / valid / underflow.
         """
-        if self._validate:
-            query.validate(self._schema)
+        query.validate(self._schema)
         self._counter.increment()
         (elapsed,) = self._latency.delay()
         matches, overflow = self._engine.execute(query, self._system_k)
@@ -245,9 +225,8 @@ class HiddenWebDatabase(TopKInterface):
         costs no query count at all.
         """
         materialized = list(queries)
-        if self._validate:
-            for query in materialized:
-                query.validate(self._schema)
+        for query in materialized:
+            query.validate(self._schema)
         if not materialized:
             return []
         self._counter.increment(len(materialized))
@@ -390,13 +369,6 @@ class HiddenWebDatabase(TopKInterface):
             return matches[:limit]
         return matches
 
-    def tuple_by_key(self, key: object) -> Row:
-        """Fetch one tuple by its key (simulates opening its detail page)."""
-        rank = self._columnar.rank_of.get(key)
-        if rank is None:
-            raise QueryError(f"unknown tuple key {key!r}")
-        return self._columnar.materialize(rank)
-
     def attribute_values(self, attribute: str) -> List[float]:
         """All values of a numeric attribute (ground truth for tests).
 
@@ -428,15 +400,6 @@ class HiddenWebDatabase(TopKInterface):
             memo[attribute] = counts
             cached = counts
         return dict(cached)
-
-    def system_rank_of(self, key: object) -> int:
-        """Position of a tuple in the hidden global ranking (diagnostics).
-
-        O(1): ranks are precomputed at construction."""
-        rank = self._columnar.rank_of.get(key)
-        if rank is None:
-            raise QueryError(f"unknown tuple key {key!r}")
-        return rank
 
     @property
     def engine_name(self) -> str:

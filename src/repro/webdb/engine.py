@@ -11,9 +11,9 @@ structures of :class:`~repro.webdb.indexes.ColumnarCatalog`.  A query is
 compiled into a :class:`QueryPlan`:
 
 * every predicate becomes a **block filter** — a closure applying the
-  predicate to a block of rank positions with a single list comprehension
-  (one C-level loop per predicate per block instead of a Python-level
-  function call per row);
+  predicate to a block of :data:`BLOCK_SIZE` rank positions with a single
+  list comprehension (one C-level loop per predicate per block instead of
+  a Python-level function call per row);
 * ``bisect`` over the per-attribute sorted value arrays and the posting-list
   lengths yield an exact **match-count estimate** per predicate;
 * the planner then picks between a **rank-order scan** over all positions
@@ -44,6 +44,11 @@ from repro.webdb.query import InPredicate, RangePredicate, Row, SearchQuery
 
 #: A block filter: rank positions in → surviving rank positions out.
 BlockFilter = Callable[[Sequence[int]], Sequence[int]]
+
+#: Rank positions the indexed engine filters per step.  Blocks keep the
+#: intermediate candidate lists small under early termination while
+#: amortizing the per-block Python overhead.
+BLOCK_SIZE = 1024
 
 
 class ExecutionEngine(ABC):
@@ -117,20 +122,14 @@ class IndexedColumnarEngine(ExecutionEngine):
     Parameters
     ----------
     catalog:
-        The columnar snapshot to execute over.
-    block_size:
-        Rank positions processed per filter application.  Blocks keep the
-        intermediate candidate lists small under early termination while
-        amortizing the per-block Python overhead.
+        The columnar snapshot to execute over, :data:`BLOCK_SIZE` rank
+        positions per filter application.
     """
 
     name = "indexed"
 
-    def __init__(self, catalog: ColumnarCatalog, block_size: int = 1024) -> None:
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
+    def __init__(self, catalog: ColumnarCatalog) -> None:
         self._catalog = catalog
-        self._block = block_size
 
     # ------------------------------------------------------------------ #
     # ExecutionEngine
@@ -386,10 +385,9 @@ class IndexedColumnarEngine(ExecutionEngine):
         checks instead of truthiness, which is ambiguous for arrays.
         """
         hits: List[int] = []
-        block_size = self._block
         total = len(positions)
-        for start in range(0, total, block_size):
-            block: Sequence[int] = positions[start : start + block_size]
+        for start in range(0, total, BLOCK_SIZE):
+            block: Sequence[int] = positions[start : start + BLOCK_SIZE]
             for block_filter in filters:
                 block = block_filter(block)
                 if len(block) == 0:

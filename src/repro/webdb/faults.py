@@ -149,9 +149,6 @@ class FaultPlan:
             return FaultKind.SLOW, spike
         return FaultKind.NONE, 0.0
 
-    def with_fail_window(self, start: int, stop: Optional[int] = None) -> "FaultPlan":
-        """Copy of this plan with a fail-stop window set."""
-        return replace(self, fail_from=start, fail_until=stop)
 
 
 @dataclass

@@ -479,14 +479,6 @@ class FederatedInterface(TopKInterface):
         return list(self._shards)
 
     @property
-    def shard_stacks(self) -> List[SourceStack]:
-        """Each shard's source stack: all shard traffic flows through these,
-        so ``stack.statistics`` aggregates the per-shard budget spent and
-        ``stack.guard`` / ``stack.injector`` are that shard's breaker and
-        fault schedule."""
-        return list(self._stacks)
-
-    @property
     def shard_count(self) -> int:
         """Number of shards federated behind this interface."""
         return len(self._shards)

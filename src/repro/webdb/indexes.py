@@ -175,7 +175,7 @@ class ColumnarCatalog:
             name: arrays.pack_raw_column(columns[name], self.backend)
             for name in self._order
         }
-        #: key → position in the hidden global ranking (O(1) ``system_rank_of``).
+        #: key → position in the hidden global ranking (``has_key``, deltas).
         self.rank_of: Dict[object, int] = (
             {key: rank for rank, key in enumerate(self._raw[key_column])}
             if rank_of is None

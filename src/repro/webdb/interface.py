@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataset.schema import Schema
@@ -112,9 +112,9 @@ class SearchResult:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def keys(self, key_column: str = "id") -> List[object]:
-        """Tuple identifiers of the returned rows, in rank order."""
-        return [row[key_column] for row in self.rows]
+    def keys(self) -> List[object]:
+        """Tuple identifiers (``id``) of the returned rows, in rank order."""
+        return [row["id"] for row in self.rows]
 
 
 #: How :meth:`TopKInterface.settle_many` settles one query of a batch: its
@@ -203,18 +203,15 @@ class TopKInterface(ABC):
 
 @dataclass
 class InterfaceStatistics(Counters):
-    """Mutable, thread-safe per-source statistics, kept by each
-    :class:`~repro.webdb.stack.SourceStack`.  ``record`` is called
+    """Per-source query count, rows returned and simulated seconds, kept by
+    each :class:`~repro.webdb.stack.SourceStack` (``queries_issued`` and the
+    federation's per-shard panel read them).  ``record`` is called
     concurrently by every request over the source, so every fold happens
     under one lock — unlocked ``+=`` on the counters loses increments."""
 
     queries: int = 0
-    overflow_queries: int = 0
-    underflow_queries: int = 0
-    valid_queries: int = 0
     rows_returned: int = 0
     elapsed_seconds: float = 0.0
-    per_attribute_queries: Dict[str, int] = field(default_factory=dict)
 
     def record(self, result: SearchResult) -> None:  # type: ignore[override]
         """Fold one result into the statistics (thread-safe)."""
@@ -222,13 +219,3 @@ class InterfaceStatistics(Counters):
             self.queries += 1
             self.rows_returned += len(result.rows)
             self.elapsed_seconds += result.elapsed_seconds
-            if result.outcome is Outcome.OVERFLOW:
-                self.overflow_queries += 1
-            elif result.outcome is Outcome.UNDERFLOW:
-                self.underflow_queries += 1
-            else:
-                self.valid_queries += 1
-            for attribute in result.query.constrained_attributes:
-                self.per_attribute_queries[attribute] = (
-                    self.per_attribute_queries.get(attribute, 0) + 1
-                )

@@ -105,30 +105,16 @@ class FeaturedScoreRanking(SystemRankingFunction):
     queries (a requirement of the top-k interface contract).
     """
 
-    def __init__(
-        self,
-        attribute: str,
-        key_column: str = "id",
-        attribute_weight: float = 1.0,
-        boost_weight: float = 0.35,
-        ascending: bool = True,
-    ) -> None:
+    def __init__(self, attribute: str, boost_weight: float = 0.35) -> None:
         self.attribute = attribute
-        self.key_column = key_column
-        self.attribute_weight = attribute_weight
         self.boost_weight = boost_weight
-        self.ascending = ascending
         # Bounded by the number of distinct keys ever scored.
         self._boost_cache: Dict[str, float] = {}
 
-    def _boost(self, row: Row) -> float:
-        key = str(row.get(self.key_column, ""))
-        return _stable_unit_score(key, self._boost_cache)
-
     def score(self, row: Row) -> float:
         value = float(row[self.attribute])  # type: ignore[arg-type]
-        direction = 1.0 if self.ascending else -1.0
-        return direction * self.attribute_weight * value + self.boost_weight * self._boost(row)
+        boost = _stable_unit_score(str(row.get("id", "")), self._boost_cache)
+        return value + self.boost_weight * boost
 
     def describe(self) -> str:
         return f"featured({self.attribute}, boost={self.boost_weight:g})"
@@ -142,13 +128,12 @@ class RandomTieBreakRanking(SystemRankingFunction):
     which is the hardest regime for the BASELINE algorithms.
     """
 
-    def __init__(self, key_column: str = "id", salt: str = "qr2") -> None:
-        self.key_column = key_column
+    def __init__(self, salt: str = "qr2") -> None:
         self.salt = salt
         self._score_cache: Dict[str, float] = {}
 
     def score(self, row: Row) -> float:
-        key = f"{self.salt}:{row.get(self.key_column, '')}"
+        key = f"{self.salt}:{row.get('id', '')}"
         return _stable_unit_score(key, self._score_cache)
 
     def describe(self) -> str:

@@ -152,18 +152,14 @@ class ExperimentEnvironment:
         return QueryReranker(self.database(source), config=config or self.rerank_config)
 
     def make_federated_reranker(
-        self,
-        source: str,
-        shards: int,
-        by: str = "rank",
-        config: Optional[RerankConfig] = None,
+        self, source: str, shards: int, by: str = "rank"
     ) -> QueryReranker:
         """A fresh reranker over a fresh federated facade of the *same*
         catalog a source's unsharded database serves — the precondition for
         byte-identical differentials between the two.  Facade and reranker
         share one result cache, fixed when the federation is built."""
         catalog, schema, ranking, _ = self.source(source)
-        config = config or self.rerank_config
+        config = self.rerank_config
         result_cache = QueryResultCache()
         federation = build_source(
             catalog,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.functions import (
     LinearRankingFunction,
@@ -61,15 +61,11 @@ class Scenario:
         )
 
 
-def measure_correlation(
-    database: HiddenWebDatabase,
-    scenario: Scenario,
-    sample_limit: int = 2000,
-) -> float:
+def measure_correlation(database: HiddenWebDatabase, scenario: Scenario) -> float:
     """Pearson correlation between the user score and the hidden system score
-    over the tuples matching the scenario's query (ground truth; used by tests
-    to confirm the declared correlation class)."""
-    matches = database.all_matches(scenario.query)[:sample_limit]
+    over the first 2000 tuples matching the scenario's query (ground truth;
+    used by tests to confirm the declared correlation class)."""
+    matches = database.all_matches(scenario.query)[:2000]
     if len(matches) < 3:
         return 0.0
     user_scores = [scenario.ranking.score(row) for row in matches]

@@ -376,7 +376,7 @@ class TestBatchedGroups:
         # `healthy` was attempted (one real round trip, now cached); only the
         # poisoned query's charge was refunded.
         assert engine.budget.used == 1
-        assert cache.lookup(namespace, healthy, timed_db.system_k) is not None
+        assert cache.probe(namespace, healthy, timed_db.system_k) is not None
 
 
 class TestFetchMany:

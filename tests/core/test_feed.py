@@ -485,7 +485,7 @@ class TestFeedStore:
         leader.join(timeout=5.0)
         assert not leader.is_alive()
 
-        assert led == [(feed.verified_rows()[0], False)]
+        assert [(row["id"], replayed) for row, replayed in led] == [(0, False)]
         assert feed.stale
         # The streams that hold the retired feed go on: replay, then lead.
         assert feed.row_at(0) == (led[0][0], True)

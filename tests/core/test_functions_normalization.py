@@ -154,8 +154,8 @@ class TestMinMaxNormalizer:
         normalizer = MinMaxNormalizer.from_schema(diamond_schema_fixture, ["price", "carat"])
         assert normalizer.normalize("price", diamond_schema_fixture.domain_bounds("price")[0]) == 0.0
 
-    def test_from_observed(self):
-        normalizer = MinMaxNormalizer.from_observed({"price": (1, 3)})
+    def test_explicit_integer_bounds(self):
+        normalizer = MinMaxNormalizer({"price": (1, 3)})
         assert normalizer.normalize("price", 2) == pytest.approx(0.5)
 
 

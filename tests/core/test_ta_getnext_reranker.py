@@ -265,9 +265,10 @@ class TestQueryReranker:
         with pytest.raises(RankingFunctionError):
             bluenile_reranker.rerank(SearchQuery.everything(), FakeRanking("price"))
 
-    def test_top_convenience(self, bluenile_reranker, bluenile_db):
+    def test_top_answers_stay_in_returned_so_far(self, bluenile_reranker):
         ranking = SingleAttributeRanking("price", ascending=True)
-        stream = bluenile_reranker.top(SearchQuery.everything(), ranking, count=4)
+        stream = bluenile_reranker.rerank(SearchQuery.everything(), ranking)
+        assert stream.top(4) == stream.returned_so_far
         assert len(stream.returned_so_far) == 4
 
     def test_budget_propagates(self, bluenile_price_db):

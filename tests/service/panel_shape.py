@@ -40,7 +40,7 @@ FIXTURE = Path(__file__).with_name("panel_shape.json")
 
 #: Dictionaries keyed by data (attribute names, region signatures) and a
 #: page's rows: only their type is part of the shape.
-OPAQUE = frozenset({"per_signature", "per_attribute_queries", "splits_per_attribute", "rows"})
+OPAQUE = frozenset({"per_signature", "splits_per_attribute", "rows"})
 
 SLIDERS = {"price": 1.0, "carat": -0.5}
 

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
+from repro.core.reranker import QueryReranker
 from repro.dataset.diamonds import DiamondCatalogConfig
 from repro.dataset.housing import HousingCatalogConfig
 from repro.exceptions import (
@@ -15,10 +16,12 @@ from repro.exceptions import (
 )
 from repro.httpsim.client import HttpClient, Transport
 from repro.httpsim.messages import HttpRequest, HttpResponse
+from repro.httpsim.server import SearchHttpServer
 from repro.service.app import QR2Service
 from repro.service.concurrent import ConcurrentQR2Application
 from repro.service.httpapp import QR2HttpApplication
-from repro.service.sources import build_default_registry
+from repro.service.sources import DataSource, DataSourceRegistry, build_default_registry
+from repro.webdb.remote import RemoteTopKInterface
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,69 @@ class TestAvailability503s:
             lambda name: (_ for _ in ()).throw(QueryError("bad query")),
         )
         assert application.handle(HttpRequest.get("/qr2/sources/x")).status == 400
+
+
+class FailingSearchTransport(Transport):
+    """A site whose search form answers, but whose search endpoint keeps
+    answering ``response``."""
+
+    def __init__(self, database, response):
+        self._site = SearchHttpServer(database)
+        self._response = response
+
+    def send(self, request):
+        if request.path == "/api/search":
+            return self._response
+        return self._site.handle(request)
+
+
+class TestRemoteOutage503s:
+    """A remote source that stays down after the client's retries is
+    unavailable, not a bad request."""
+
+    @staticmethod
+    def query_through(database, response):
+        remote = RemoteTopKInterface(
+            HttpClient(FailingSearchTransport(database, response), sleeper=lambda _: None)
+        )
+        registry = DataSourceRegistry()
+        registry.register(
+            DataSource(
+                name="bluenile",
+                title="Blue Nile via HTTP",
+                interface=remote,
+                reranker=QueryReranker(remote, config=RerankConfig()),
+            )
+        )
+        application = QR2HttpApplication(make_service(registry))
+        session = application.handle(HttpRequest.post_json("/qr2/sessions", {})).json()
+        return application.handle(
+            HttpRequest.post_json(
+                "/qr2/query",
+                {
+                    "session_id": session["session_id"],
+                    "source": "bluenile",
+                    "sliders": {"price": 1.0, "carat": -0.5},
+                },
+            )
+        )
+
+    def test_server_errors_answer_503(self, bluenile_db):
+        response = self.query_through(
+            bluenile_db, HttpResponse(status=503, headers={}, body="down")
+        )
+        assert response.status == 503
+        payload = response.json()
+        assert payload["unavailable"] is True
+        assert payload["exception"] == "RemoteInterfaceError"
+
+    def test_rate_limit_answers_503_with_its_retry_after(self, bluenile_db):
+        response = self.query_through(
+            bluenile_db, HttpResponse(status=429, headers={"Retry-After": "7"}, body="")
+        )
+        assert response.status == 503
+        assert response.headers["retry-after"] == "7"
+        assert response.json()["unavailable"] is True
 
 
 class TestConcurrentTierOverload:

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
-from repro.exceptions import DataSourceError, RankingFunctionError
+from repro.exceptions import RankingFunctionError
 from repro.service.popular import (
     BLUENILE_POPULAR,
     ZILLOW_POPULAR,
-    popular_function,
     popular_functions,
 )
 from repro.service.sliders import ranking_from_sliders, sliders_from_ranking
@@ -72,12 +71,9 @@ class TestPopularFunctions:
         assert {"best_case_price_sqft", "paper_fig4_demo"} <= names
 
     def test_lookup_by_name(self):
-        function = popular_function("bluenile", "paper_3d_demo")
-        assert function.sliders == {"price": 1.0, "carat": -0.1, "depth": -0.5}
-
-    def test_unknown_function_raises(self):
-        with pytest.raises(DataSourceError):
-            popular_function("bluenile", "nope")
+        by_name = {function.name: function for function in popular_functions("bluenile")}
+        assert by_name["paper_3d_demo"].sliders == {"price": 1.0, "carat": -0.1, "depth": -0.5}
+        assert "nope" not in by_name
 
     def test_unknown_source_has_no_suggestions(self):
         assert popular_functions("unknown") == []

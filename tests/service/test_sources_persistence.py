@@ -39,6 +39,36 @@ class TestPersistentRegistry:
         assert (tmp_path / "qr2-cache.bluenile.sqlite").exists()
         assert (tmp_path / "qr2-cache.zillow.sqlite").exists()
 
+    def test_boot_verifies_regions_stored_over_another_catalog(self, tmp_path):
+        """A registry that boots on a dense-region cache written over a
+        different catalog re-crawls the stored regions before its first
+        request: the page equals the live ground truth."""
+        from repro.core.functions import SingleAttributeRanking
+        from repro.webdb.query import SearchQuery
+
+        prefix = str(tmp_path / "qr2-cache")
+        query = SearchQuery.build(ranges={"length_width_ratio": (0.995, 1.3)})
+        ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+
+        def boot_and_page(diamond_seed):
+            registry = build_default_registry(
+                diamond_config=DiamondCatalogConfig(size=400, seed=diamond_seed),
+                housing_config=HousingCatalogConfig(size=200, seed=5),
+                database_config=DatabaseConfig(system_k=10),
+                dense_cache_path=prefix,
+            )
+            source = registry.get("bluenile")
+            rows = source.reranker.rerank(query, ranking).top(25)
+            truth = source.interface.database.true_ranking(query, ranking.score, limit=25)
+            source.reranker.close()
+            registry.get("zillow").reranker.close()
+            return [row["id"] for row in rows], [row["id"] for row in truth]
+
+        first, first_truth = boot_and_page(21)
+        assert first == first_truth
+        second, second_truth = boot_and_page(22)
+        assert second == second_truth
+
     def test_registry_register_replaces(self):
         registry = build_default_registry(
             diamond_config=DiamondCatalogConfig(size=220, seed=31),

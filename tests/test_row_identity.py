@@ -60,7 +60,7 @@ def held_rows(reranker, streams):
         places["emitted"] += stream.returned_so_far
         places["seen log"] += stream.session.seen_since(0)
         feed = stream.feed
-        places["feed"] += feed.verified_rows()
+        places["feed"] += [feed.row_at(position)[0] for position in range(feed.depth)]
         places["seen log"] += feed._producer.session.seen_since(0)
     for result in reranker.result_cache._entries.values():
         places["cache"] += [*result.rows, *(result.complete_rows or ())]

@@ -52,8 +52,8 @@ class TestQueryResultCache:
             "bluenile", query, bluenile_db.system_k, lambda: bluenile_db.search(query)
         )
         assert status is FetchStatus.MISS
-        hit = cache.lookup("bluenile", query, bluenile_db.system_k)
-        assert hit is not None
+        hit, status = cache.probe("bluenile", query, bluenile_db.system_k)
+        assert status is FetchStatus.HIT
         assert hit.outcome is result.outcome
         assert [row["id"] for row in hit.rows] == [row["id"] for row in result.rows]
         assert cache.statistics.misses == 1
@@ -65,10 +65,10 @@ class TestQueryResultCache:
         miss, _ = cache.fetch(
             "ns", query, bluenile_db.system_k, lambda: bluenile_db.search(query)
         )
-        hit = cache.lookup("ns", query, bluenile_db.system_k)
+        hit, _ = cache.probe("ns", query, bluenile_db.system_k)
         assert hit.elapsed_seconds == 0.0
         # Every reader shares the stored answer; its rows refuse writes.
-        assert cache.lookup("ns", query, bluenile_db.system_k) is hit
+        assert cache.probe("ns", query, bluenile_db.system_k)[0] is hit
         assert all(a is b for a, b in zip(hit.rows, miss.rows))
         for row in (miss.rows[0], hit.rows[0]):
             with pytest.raises(TypeError):
@@ -85,13 +85,13 @@ class TestQueryResultCache:
             (InPredicate.of("cut", ["ideal"]),),
         )
         cache.fetch("ns", a, bluenile_db.system_k, lambda: bluenile_db.search(a))
-        assert cache.lookup("ns", b, bluenile_db.system_k) is not None
+        assert cache.probe("ns", b, bluenile_db.system_k) is not None
 
     def test_namespaces_are_isolated(self, bluenile_db):
         cache = QueryResultCache()
         query = SearchQuery.everything()
         cache.fetch("one", query, bluenile_db.system_k, lambda: bluenile_db.search(query))
-        assert cache.lookup("two", query, bluenile_db.system_k) is None
+        assert cache.probe("two", query, bluenile_db.system_k) is None
 
     def test_system_k_change_invalidates(self, bluenile_db):
         cache = QueryResultCache()
@@ -99,8 +99,8 @@ class TestQueryResultCache:
         cache.fetch("ns", query, 10, lambda: bluenile_db.search(query))
         # A different system-k must never see the old entry: the overflow /
         # valid / underflow trichotomy is only meaningful relative to k.
-        assert cache.lookup("ns", query, 20) is None
-        assert cache.lookup("ns", query, 10) is not None
+        assert cache.probe("ns", query, 20) is None
+        assert cache.probe("ns", query, 10) is not None
 
     def test_lru_eviction(self, bluenile_db):
         cache = QueryResultCache(max_entries=2)
@@ -114,9 +114,9 @@ class TestQueryResultCache:
         assert len(cache) == 2
         assert cache.statistics.evictions == 1
         # The oldest entry was evicted; the two youngest survive.
-        assert cache.lookup("ns", queries[0], bluenile_db.system_k) is None
-        assert cache.lookup("ns", queries[1], bluenile_db.system_k) is not None
-        assert cache.lookup("ns", queries[2], bluenile_db.system_k) is not None
+        assert cache.probe("ns", queries[0], bluenile_db.system_k) is None
+        assert cache.probe("ns", queries[1], bluenile_db.system_k) is not None
+        assert cache.probe("ns", queries[2], bluenile_db.system_k) is not None
 
     def test_lru_touch_on_hit(self, bluenile_db):
         cache = QueryResultCache(max_entries=2)
@@ -127,10 +127,10 @@ class TestQueryResultCache:
             cache.fetch(
                 "ns", query, bluenile_db.system_k, lambda q=query: bluenile_db.search(q)
             )
-        cache.lookup("ns", q0, bluenile_db.system_k)  # touch q0: q1 becomes LRU
+        cache.probe("ns", q0, bluenile_db.system_k)  # touch q0: q1 becomes LRU
         cache.fetch("ns", q2, bluenile_db.system_k, lambda: bluenile_db.search(q2))
-        assert cache.lookup("ns", q1, bluenile_db.system_k) is None
-        assert cache.lookup("ns", q0, bluenile_db.system_k) is not None
+        assert cache.probe("ns", q1, bluenile_db.system_k) is None
+        assert cache.probe("ns", q0, bluenile_db.system_k) is not None
 
     def test_invalidate_namespace_and_all(self, bluenile_db):
         cache = QueryResultCache()
@@ -140,8 +140,8 @@ class TestQueryResultCache:
                 namespace, query, bluenile_db.system_k, lambda: bluenile_db.search(query)
             )
         assert cache.invalidate("a") == 1
-        assert cache.lookup("a", query, bluenile_db.system_k) is None
-        assert cache.lookup("b", query, bluenile_db.system_k) is not None
+        assert cache.probe("a", query, bluenile_db.system_k) is None
+        assert cache.probe("b", query, bluenile_db.system_k) is not None
         assert cache.invalidate() == 1
         assert len(cache) == 0
 
@@ -244,8 +244,8 @@ class TestDeltaRetirement:
         assert cache.invalidate_delta("a", delta) == expected == before - len(cache)
         assert cache.statistics.snapshot()["delta_retired"] == expected
         for query in BANDS:
-            assert cache.lookup("b", query, bluenile_db.system_k) is not None
-            kept = cache.lookup("a", query, bluenile_db.system_k) is not None
+            assert cache.probe("b", query, bluenile_db.system_k) is not None
+            kept = cache.probe("a", query, bluenile_db.system_k) is not None
             assert kept is not delta.may_match_query(query)
 
     def test_purged_stale_entries_are_not_counted(self, bluenile_db):

@@ -326,12 +326,12 @@ class TestInvalidationGeneration:
         thread.join(timeout=5.0)
         result, status = outcomes[0]
         assert status is FetchStatus.MISS  # the caller still gets its answer
-        assert cache.lookup("ns", query, bluenile_db.system_k) is None
+        assert cache.probe("ns", query, bluenile_db.system_k) is None
         # Post-invalidation queries store normally again.
         cache.fetch(
             "ns", query, bluenile_db.system_k, lambda: bluenile_db.search(query)
         )
-        assert cache.lookup("ns", query, bluenile_db.system_k) is not None
+        assert cache.probe("ns", query, bluenile_db.system_k) is not None
 
     def test_global_invalidate_also_drops_stale_stores(self, bluenile_db):
         cache = QueryResultCache()
@@ -341,7 +341,7 @@ class TestInvalidationGeneration:
         release.set()
         thread.join(timeout=5.0)
         assert outcomes[0][1] is FetchStatus.MISS
-        assert cache.lookup("ns", query, bluenile_db.system_k) is None
+        assert cache.probe("ns", query, bluenile_db.system_k) is None
 
     def test_invalidating_other_namespace_does_not_drop_store(self, bluenile_db):
         cache = QueryResultCache()
@@ -351,7 +351,7 @@ class TestInvalidationGeneration:
         release.set()
         thread.join(timeout=5.0)
         assert outcomes[0][1] is FetchStatus.MISS
-        assert cache.lookup("ns", query, bluenile_db.system_k) is not None
+        assert cache.probe("ns", query, bluenile_db.system_k) is not None
 
     def test_deltas_drop_only_the_stores_they_can_match(self, bluenile_db):
         """A delta that cannot match the in-flight query lets it store; a
@@ -367,7 +367,7 @@ class TestInvalidationGeneration:
         cache.invalidate_delta("ns", elsewhere)
         release.set()
         thread.join(timeout=5.0)
-        assert cache.lookup("ns", query, bluenile_db.system_k) is not None
+        assert cache.probe("ns", query, bluenile_db.system_k) is not None
 
         cache.invalidate("ns")
         thread, release, outcomes = self._gated_fetch(cache, bluenile_db, query)
@@ -376,7 +376,7 @@ class TestInvalidationGeneration:
         release.set()
         thread.join(timeout=5.0)
         assert outcomes[0][1] is FetchStatus.MISS
-        assert cache.lookup("ns", query, bluenile_db.system_k) is None
+        assert cache.probe("ns", query, bluenile_db.system_k) is None
         assert cache.statistics.snapshot()["delta_blocked_stores"] == 0
 
     def test_fetch_many_stores_dropped_after_invalidation(self, bluenile_db):

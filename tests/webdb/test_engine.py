@@ -18,6 +18,8 @@ from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError
 from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
+from repro.webdb.engine import IndexedColumnarEngine
+from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.interface import Outcome
 from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 from repro.webdb.ranking import (
@@ -57,17 +59,31 @@ def make_rows(rng: random.Random, count: int):
     ]
 
 
-def engine_pair(rows, schema, ranking, k, validate=True):
+def engine_pair(rows, schema, ranking, k):
     catalog = ColumnTable.from_rows(rows)
-    naive = NaiveScanDatabase(
-        catalog, schema, ranking, system_k=k,
-        validate_queries=validate, name="naive-db",
-    )
-    indexed = HiddenWebDatabase(
-        catalog, schema, ranking, system_k=k,
-        validate_queries=validate, name="indexed-db",
-    )
+    naive = NaiveScanDatabase(catalog, schema, ranking, system_k=k, name="naive-db")
+    indexed = HiddenWebDatabase(catalog, schema, ranking, system_k=k, name="indexed-db")
     return naive, indexed
+
+
+def raw_engine_pair(rows, schema, ranking):
+    """The two raw engines over one rank-ordered catalog, with no database
+    (and so no schema validation) in front of them."""
+    columns = stream_sorted_columns(rows, schema, ranking)
+    catalog = ColumnarCatalog.from_columns(columns, list(columns), schema.key)
+    return NaiveScanEngine(catalog.rows()), IndexedColumnarEngine(catalog)
+
+
+def assert_engines_agree(naive, indexed, query, k=10):
+    """Both raw engines return byte-identical rows and the same overflow
+    flag; returns the reference rows and flag."""
+    naive_rows, naive_overflow = naive.execute(query, k)
+    indexed_rows, indexed_overflow = indexed.execute(query, k)
+    assert naive_overflow == indexed_overflow, f"query: {query!r}"
+    assert [list(row.items()) for row in naive_rows] == [
+        list(row.items()) for row in indexed_rows
+    ], f"query: {query!r}"
+    return naive_rows, naive_overflow
 
 
 def assert_identical(reference, candidate, query):
@@ -217,52 +233,41 @@ class TestEdgeCases:
 
 
 class TestUnvalidatedQueries:
-    """With schema validation off, the engines must agree even on nonsense
-    queries — unknown attributes, type-mismatched predicates — because the
-    naive scan gives them well-defined (if surprising) semantics."""
+    """Below the database's schema validation, the engines must agree even
+    on nonsense queries — unknown attributes, type-mismatched predicates —
+    because the naive scan gives them well-defined (if surprising)
+    semantics.  These drive the raw engines directly."""
 
     @pytest.fixture()
     def pair(self):
         rng = random.Random(29)
         rows = make_rows(rng, 150)
-        return engine_pair(rows, make_schema(), RANKINGS[3], 5, validate=False)
+        return raw_engine_pair(rows, make_schema(), RANKINGS[3])
 
     def test_range_on_unknown_attribute(self, pair):
-        naive, indexed = pair
         query = SearchQuery((RangePredicate("ghost", 0.0, 1.0),))
-        reference = naive.search(query)
-        assert reference.is_underflow
-        assert_identical(reference, indexed.search(query), query)
+        assert assert_engines_agree(*pair, query, k=5) == ([], False)
 
     def test_range_on_categorical_attribute(self, pair):
-        naive, indexed = pair
         query = SearchQuery((RangePredicate("kind", 0.0, 100.0),))
-        reference = naive.search(query)
-        assert reference.is_underflow
-        assert_identical(reference, indexed.search(query), query)
+        assert assert_engines_agree(*pair, query, k=5) == ([], False)
 
     def test_membership_on_numeric_attribute(self, pair):
-        naive, indexed = pair
         query = SearchQuery(memberships=(InPredicate.of("size", [3.0, 7.0]),))
-        assert_identical(naive.search(query), indexed.search(query), query)
+        assert_engines_agree(*pair, query, k=5)
 
     def test_membership_on_unknown_attribute(self, pair):
-        naive, indexed = pair
         query = SearchQuery(memberships=(InPredicate.of("ghost", ["x"]),))
-        reference = naive.search(query)
-        assert reference.is_underflow
-        assert_identical(reference, indexed.search(query), query)
+        assert assert_engines_agree(*pair, query, k=5) == ([], False)
         # ``row.get`` yields None for a missing attribute, so an IN predicate
         # containing None matches *every* row — in both engines.
         query = SearchQuery(memberships=(InPredicate("ghost", frozenset([None])),))
-        reference = naive.search(query)
-        assert reference.is_overflow
-        assert_identical(reference, indexed.search(query), query)
+        rows, overflow = assert_engines_agree(*pair, query, k=5)
+        assert len(rows) == 5 and overflow
 
     def test_membership_with_unknown_category_values(self, pair):
-        naive, indexed = pair
         query = SearchQuery(memberships=(InPredicate.of("kind", ["alpha", "zzz"]),))
-        assert_identical(naive.search(query), indexed.search(query), query)
+        assert_engines_agree(*pair, query, k=5)
 
 
 class TestBatchedSearch:
@@ -390,22 +395,9 @@ class TestNumericValueSemantics:
 
     @staticmethod
     def _raw_pair(rows):
-        from repro.webdb.engine import IndexedColumnarEngine
-        from repro.webdb.indexes import ColumnarCatalog
-
         order = list(rows[0].keys())
         catalog = ColumnarCatalog(rows, order, "id")
         return NaiveScanEngine(rows), IndexedColumnarEngine(catalog)
-
-    @staticmethod
-    def _assert_engines_agree(naive, indexed, query, k=10):
-        naive_rows, naive_overflow = naive.execute(query, k)
-        indexed_rows, indexed_overflow = indexed.execute(query, k)
-        assert naive_overflow == indexed_overflow, f"query: {query!r}"
-        assert [list(row.items()) for row in naive_rows] == [
-            list(row.items()) for row in indexed_rows
-        ], f"query: {query!r}"
-        return naive_rows
 
     def test_nan_matches_no_range_in_either_engine(self):
         rows = [{"id": f"t{i}", "x": float(i)} for i in range(6)]
@@ -416,7 +408,7 @@ class TestNumericValueSemantics:
             SearchQuery((RangePredicate("x"),), ()),  # unbounded range
             SearchQuery((RangePredicate("x", upper=3.0),), ()),
         ):
-            matched = self._assert_engines_agree(naive, indexed, query)
+            matched, _ = assert_engines_agree(naive, indexed, query)
             assert all(row["id"] != "t2" for row in matched)
 
     def test_bool_matches_no_range_in_either_engine(self):
@@ -429,7 +421,7 @@ class TestNumericValueSemantics:
         ]
         naive, indexed = self._raw_pair(rows)
         query = SearchQuery.build(ranges={"x": (0.0, 2.0)})
-        matched = self._assert_engines_agree(naive, indexed, query)
+        matched, _ = assert_engines_agree(naive, indexed, query)
         # True/False are int subclasses but must not satisfy the range; the
         # genuine 0 and 1.0 values must.
         assert [row["id"] for row in matched] == ["t1", "t3"]
@@ -441,7 +433,7 @@ class TestNumericValueSemantics:
             SearchQuery.build(ranges={"x": (0.0, 1.0)}),
             SearchQuery((RangePredicate("x"),), ()),
         ):
-            matched = self._assert_engines_agree(naive, indexed, query)
+            matched, _ = assert_engines_agree(naive, indexed, query)
             assert matched == []
 
 
@@ -529,9 +521,6 @@ class TestBackendDifferential:
         """Columns that must refuse buffer packing (NaN, bool, mixed types)
         keep the engines byte-identical on every backend.  NaN rows cannot
         pass schema validation, so this drives the raw engines directly."""
-        from repro.webdb.engine import IndexedColumnarEngine
-        from repro.webdb.indexes import ColumnarCatalog
-
         rng = random.Random(67)
         rows = []
         for i in range(120):
@@ -559,12 +548,7 @@ class TestBackendDifferential:
                 )
             )
             for k in (5, 30):
-                naive_rows, naive_overflow = naive.execute(query, k)
-                indexed_rows, indexed_overflow = indexed.execute(query, k)
-                assert naive_overflow == indexed_overflow, f"query: {query!r}"
-                assert [list(row.items()) for row in naive_rows] == [
-                    list(row.items()) for row in indexed_rows
-                ], f"query: {query!r}"
+                assert_engines_agree(naive, indexed, query, k)
 
     def test_numpy_backend_requires_numpy(self, monkeypatch):
         from repro.webdb import arrays

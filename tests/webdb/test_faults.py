@@ -45,20 +45,20 @@ class TestFaultPlan:
         assert 0.15 < fraction < 0.25
 
     def test_fail_window_beats_every_draw(self):
-        plan = FaultPlan(seed=5, transient_rate=0.5).with_fail_window(10, 20)
+        plan = FaultPlan(seed=5, transient_rate=0.5, fail_from=10, fail_until=20)
         for index in range(10):
             assert plan.fault_at(10 + index)[0] is FaultKind.FAIL_STOP
         assert plan.fault_at(9)[0] is not FaultKind.FAIL_STOP
         assert plan.fault_at(20)[0] is not FaultKind.FAIL_STOP
 
     def test_open_ended_fail_window_never_heals(self):
-        plan = FaultPlan(seed=5).with_fail_window(0)
+        plan = FaultPlan(seed=5, fail_from=0)
         assert plan.fault_at(10_000)[0] is FaultKind.FAIL_STOP
 
     def test_noop_detection(self):
         assert FaultPlan().is_noop
         assert not FaultPlan(transient_rate=0.1).is_noop
-        assert not FaultPlan().with_fail_window(0).is_noop
+        assert not FaultPlan(fail_from=0).is_noop
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestFaultInjector:
 
     def test_timeout_carries_simulated_cost(self, bluenile_db):
         injector = FaultInjector(
-            bluenile_db, FaultPlan(seed=1, timeout_seconds=2.5).with_fail_window(0)
+            bluenile_db, FaultPlan(seed=1, timeout_seconds=2.5, fail_from=0)
         )
         with pytest.raises(SourceTimeoutError) as excinfo:
             injector.search(QUERY)

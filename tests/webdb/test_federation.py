@@ -2,6 +2,7 @@
 one source-build path (``build_source``)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -388,7 +389,7 @@ class TestCompleteMerge:
         # stale page makes the merge stale, and it proves nothing.
         federation.invalidate_shard(1)
         injector = federation.fault_injectors()[1]
-        injector.set_plan(injector.plan.with_fail_window(0))
+        injector.set_plan(replace(injector.plan, fail_from=0))
         stale = federation.search(query)
         assert stale.stale and stale.degraded
         assert stale.complete_rows is None and not stale.proves_query
@@ -439,8 +440,8 @@ class TestFederatedDelta:
         reranker = QueryReranker(federation, config=config, result_cache=cache)
         ranking = SingleAttributeRanking("price", ascending=True)
         first, other = federation.shards[0], federation.shards[2]
-        victim = first.tuple_by_key(first._ranked_rows[0]["id"])
-        bystander = other.tuple_by_key(other._ranked_rows[0]["id"])
+        victim = first.all_matches(SearchQuery.everything())[0]
+        bystander = other.all_matches(SearchQuery.everything())[0]
         low, high = schema.domain_bounds("price")
         query = SearchQuery.build(ranges={"price": (low, victim["price"] + 1.0)})
 
@@ -463,8 +464,8 @@ class TestFederatedDelta:
                     ]
                 )
             assert [shard._published for shard in federation.shards] == published
-            assert first.tuple_by_key(victim["id"]) == victim
-            assert other.tuple_by_key(bystander["id"]) == bystander
+            assert victim in first.all_matches(SearchQuery.everything())
+            assert bystander in other.all_matches(SearchQuery.everything())
             assert federation.size == len(diamond_catalog)
             assert page() == before == federation.true_ranking(
                 query, ranking.score, limit=50
@@ -504,7 +505,7 @@ class TestFederatedDelta:
             False, False, False, True,
         ]
         assert federation.size == len(diamond_catalog)
-        assert federation.shards[3].tuple_by_key(cheap["id"]) == dear
+        assert dear in federation.shards[3].all_matches(SearchQuery.everything())
 
 
 SKEW_SCHEMA = Schema(

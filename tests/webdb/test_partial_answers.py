@@ -1,6 +1,8 @@
 """Tests for partial-answer serving: degraded scatters, stale serving, and
 the degraded-result cache exclusion."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import DatabaseConfig
@@ -9,6 +11,7 @@ from repro.webdb.build import build_source
 from repro.webdb.cache import FetchStatus, QueryResultCache
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.faults import FaultPlan
+from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
@@ -19,15 +22,30 @@ RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
 QUERY = SearchQuery.build(ranges={"price": (300.0, 6000.0)})
 
 
-def make_federation(catalog, schema, shards=3, fault_plan=None, **kwargs):
-    """``kwargs`` are build_source's keyword arguments (resilience, clock,
-    result_cache)."""
-    return build_source(
+def make_federation(catalog, schema, shards=3, fault_plan=None, clock=None, **kwargs):
+    """``kwargs`` are build_source's keyword arguments (resilience,
+    result_cache).  A ``clock`` for the shard breakers' recovery is taken by
+    the federation itself, so with one the built shards and their fault
+    plans are federated again under it."""
+    federation = build_source(
         catalog,
         schema,
         RANKING,
         DatabaseConfig(system_k=10, shards=shards, fault_plan=fault_plan),
         name="partial",
+        **kwargs,
+    )
+    if clock is None:
+        return federation
+    return FederatedInterface(
+        federation.shards,
+        RANKING,
+        name="partial",
+        fault_plans=[
+            None if injector is None else injector.plan
+            for injector in federation.fault_injectors()
+        ],
+        clock=clock,
         **kwargs,
     )
 
@@ -44,7 +62,7 @@ def kill_shard(federation, index):
     """Put shard ``index`` into a permanent fail-stop outage."""
     injector = federation.fault_injectors()[index]
     assert injector is not None
-    injector.set_plan(injector.plan.with_fail_window(0))
+    injector.set_plan(replace(injector.plan, fail_from=0))
 
 
 @pytest.fixture()
@@ -72,10 +90,7 @@ class TestDegradedScatter:
     ):
         kill_shard(faulted_federation, 1)
         degraded = faulted_federation.search(QUERY)
-        live = [
-            faulted_federation.shard_stacks[index].search(QUERY)
-            for index in (0, 2)
-        ]
+        live = [faulted_federation.shards[index].search(QUERY) for index in (0, 2)]
         expected = [row for result in live for row in result.rows]
         expected.sort(key=RANKING.sort_key(diamond_schema_fixture.key))
         assert [row["id"] for row in degraded.rows] == [
