@@ -82,14 +82,9 @@ class RerankConfig:
     dense_ratio_threshold:
         A candidate region is declared *dense* when its width has shrunk below
         this fraction of the attribute's (normalized) domain while its queries
-        still overflow.  Dense regions are crawled and indexed instead of being
-        probed further.
-    dense_split_depth:
-        Number of consecutive overflowing splits after which the RERANK
-        variants treat a region as dense and crawl/index it, even if it is not
-        yet narrow.  The BINARY variants ignore this and keep splitting until
-        :data:`~repro.core.dense_index.MAX_BINARY_ROUNDS` — which is exactly
-        the performance gap the paper attributes to on-the-fly indexing.
+        still overflow (or after :data:`~repro.core.dense_index.MAX_BINARY_ROUNDS`
+        splits).  Dense regions are crawled instead of being probed further;
+        the RERANK variants also index them.
     enable_rerank_feed:
         Global switch for the shared rerank feed: sessions requesting the
         same canonical *(query, ranking, algorithm)* share one materialized
@@ -108,7 +103,6 @@ class RerankConfig:
     """
 
     dense_ratio_threshold: float = 0.005
-    dense_split_depth: int = 12
     enable_rerank_feed: bool = True
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 

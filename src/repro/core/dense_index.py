@@ -490,10 +490,10 @@ class DenseRegionIndex:
         }
 
 
-#: Split depth after which the BINARY algorithms (and MD-BASELINE) treat a
-#: still-overflowing region as dense and crawl it without indexing it (RERANK
-#: stops at ``RerankConfig.dense_split_depth``): a guard against adversarial
-#: value distributions, not a tuning knob.
+#: Split depth after which every algorithm treats a still-overflowing region
+#: as dense and crawls it, however wide it still is (RERANK indexes what it
+#: crawls, the others do not): a guard against adversarial value
+#: distributions, not a tuning knob.
 MAX_BINARY_ROUNDS = 40
 
 

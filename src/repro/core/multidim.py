@@ -102,16 +102,11 @@ class MultiDimGetNext:
         if variant is MDVariant.RERANK and dense_index is None:
             raise ValueError("MD-RERANK needs a dense-region index")
         #: The index this stream reads and grows; ``None`` for every variant
-        #: but RERANK, which is the one place that is decided.  A box still
-        #: overflowing at ``_dense_depth`` splits is treated as dense:
-        #: MD-RERANK switches to crawling/indexing early, MD-BINARY keeps
-        #: splitting until the hard cap and then crawls without remembering.
+        #: but RERANK, which is the one place that is decided.  Every variant
+        #: crawls a box once it is narrower than ``dense_ratio_threshold`` or
+        #: :data:`MAX_BINARY_ROUNDS` splits deep; only MD-RERANK looks boxes up
+        #: in the index first and remembers what it crawled.
         self._dense_index = dense_index if variant is MDVariant.RERANK else None
-        self._dense_depth = (
-            self._config.dense_split_depth
-            if self._dense_index is not None
-            else MAX_BINARY_ROUNDS
-        )
         self._statistics = session.statistics
 
         schema = engine.schema
@@ -330,7 +325,7 @@ class MultiDimGetNext:
                         continue
                 dense = (
                     box.max_relative_width(schema) < self._config.dense_ratio_threshold
-                    or depth >= self._dense_depth
+                    or depth >= MAX_BINARY_ROUNDS
                 )
                 if dense:
                     best = self._resolve_dense_box(box, best)

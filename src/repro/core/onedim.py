@@ -168,17 +168,11 @@ class OneDimGetNext:
         if variant is OneDimVariant.RERANK and dense_index is None:
             raise ValueError("1D-RERANK needs a dense-region index")
         #: The index this stream reads and grows; ``None`` for every variant
-        #: but RERANK, which is the one place that is decided.  1D-RERANK
-        #: declares an interval dense as soon as it has survived
-        #: ``dense_split_depth`` overflowing halvings (or has become very
-        #: narrow); 1D-BINARY only gives up at the hard cap and therefore
-        #: keeps paying in dense regions.
+        #: but RERANK, which is the one place that is decided.  Every variant
+        #: crawls an interval narrower than ``dense_ratio_threshold`` or
+        #: :data:`MAX_BINARY_ROUNDS` halvings deep; only 1D-RERANK looks it up
+        #: in the index first and remembers what it crawled.
         self._dense_index = dense_index if variant is OneDimVariant.RERANK else None
-        self._round_limit = (
-            self._config.dense_split_depth
-            if self._dense_index is not None
-            else MAX_BINARY_ROUNDS
-        )
         self._statistics = session.statistics
 
         schema = engine.schema
@@ -420,7 +414,7 @@ class OneDimGetNext:
             relative = self._relative_width(lower, upper)
             dense = (
                 relative < self._config.dense_ratio_threshold
-                or rounds >= self._round_limit
+                or rounds >= MAX_BINARY_ROUNDS
                 or width <= _EPSILON
             )
             if dense:

@@ -14,9 +14,12 @@ QR2 needs to retrieve *every* tuple matching a predicate in two situations:
 The crawler implements the core idea of that line of work: recursively
 partition the query region on *other* attributes until every leaf query stops
 overflowing, so the union of the leaves' results is the complete answer.
-Numeric attributes are split at their midpoint; categorical attributes are
-partitioned value by value.  The number of queries issued is proportional to
-the number of leaves, which is within a constant factor of the optimal crawl
+An overflowing node is halved at the midpoint of the numeric attribute that
+splits the rows its answer returned most evenly (the widest relative to its
+domain on a tie); categorical attributes are partitioned value by value.  A cut
+at the rows' median would not bound the depth: the rows are the hidden
+ranking's top ``k``, not a sample.  The number of queries issued is proportional
+to the number of leaves, which is within a constant factor of the optimal crawl
 for a fixed ``k`` (each valid leaf returns up to ``k`` fresh tuples).
 Queries go through a :class:`~repro.core.parallel.QueryEngine`, one group
 per breadth-first level, so a crawl is accounted, parallelised and
@@ -26,7 +29,7 @@ budgeted like every other query of the request that needed it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CrawlError
 from repro.webdb.counters import Counters
@@ -101,7 +104,7 @@ class HiddenDatabaseCrawler:
                         f"crawl exceeded maximum depth {self._max_depth} for query "
                         f"{level_query.describe()}"
                     )
-                split = self._choose_split(level_query)
+                split = self._choose_split(level_query, result.observed_rows)
                 if split is None:
                     raise CrawlError(
                         "region overflows but no attribute can be split further: "
@@ -143,27 +146,29 @@ class HiddenDatabaseCrawler:
     # ------------------------------------------------------------------ #
     # Split selection
     # ------------------------------------------------------------------ #
-    def _choose_split(self, query: SearchQuery) -> Optional[List[SearchQuery]]:
-        """Pick the attribute whose domain can shrink the result set the most
-        and return the sub-queries obtained by partitioning it."""
+    def _choose_split(
+        self, query: SearchQuery, rows: Sequence[Row]
+    ) -> Optional[List[SearchQuery]]:
+        """Halve the numeric attribute whose midpoint splits ``rows`` (the
+        overflowing answer already paid for) most evenly, the widest relative
+        to its domain on a tie, and return the two sub-queries; with every
+        numeric attribute pinned, partition a categorical one instead."""
         schema = self._engine.schema
-        best_numeric: Optional[Tuple[float, str, RangePredicate]] = None
+        best_numeric: Optional[Tuple[Tuple[int, float], RangePredicate, float]] = None
         for name in schema.numeric_names:
             effective = query.effective_range(name, schema)
-            if effective.is_point:
-                continue
             width = effective.width
-            domain_lower, domain_upper = schema.domain_bounds(name)
-            domain_width = max(domain_upper - domain_lower, _MINIMUM_SPLIT_WIDTH)
-            relative_width = width / domain_width
             if width <= _MINIMUM_SPLIT_WIDTH:
                 continue
-            candidate = (relative_width, name, effective)
-            if best_numeric is None or candidate[0] > best_numeric[0]:
-                best_numeric = candidate
-        if best_numeric is not None:
-            _, name, effective = best_numeric
+            domain_lower, domain_upper = schema.domain_bounds(name)
+            domain_width = max(domain_upper - domain_lower, _MINIMUM_SPLIT_WIDTH)
             midpoint = (effective.lower + effective.upper) / 2.0
+            below = sum(1 for row in rows if row[name] <= midpoint)
+            key = (min(below, len(rows) - below), width / domain_width)
+            if best_numeric is None or key > best_numeric[0]:
+                best_numeric = (key, effective, midpoint)
+        if best_numeric is not None:
+            _, effective, midpoint = best_numeric
             low, high = effective.split(midpoint)
             return [query.with_range(low), query.with_range(high)]
 

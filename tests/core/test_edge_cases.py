@@ -85,7 +85,7 @@ class TestConfigurationVariants:
         assert stream.statistics.dense_index_hits == 0
 
     def test_aggressive_dense_threshold_still_correct(self, bluenile_db):
-        config = RerankConfig(dense_ratio_threshold=0.2, dense_split_depth=2)
+        config = RerankConfig(dense_ratio_threshold=0.2)
         ranking = LinearRankingFunction(
             {"price": 1.0, "carat": -0.5},
             normalizer=MinMaxNormalizer.from_schema(bluenile_db.schema, ["price", "carat"]),

@@ -180,7 +180,7 @@ class TestBehaviour:
     def test_dense_regions_indexed_and_amortized(self, bluenile_db):
         """With an aggressive dense threshold, MD-RERANK builds regions on the
         first request and answers the second one mostly from the index."""
-        config = RerankConfig(dense_split_depth=4)
+        config = RerankConfig(dense_ratio_threshold=0.05)
         index = DenseRegionIndex(bluenile_db.schema)
         ranking = make_ranking(
             bluenile_db.schema, {"price": 1.0, "length_width_ratio": 1.0}

@@ -4,13 +4,20 @@ import pytest
 
 from repro.core.parallel import QueryEngine
 from repro.crawl.crawler import HiddenDatabaseCrawler
+from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
+from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog, housing_schema
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import CrawlError, QueryBudgetExceeded
 from repro.webdb.counters import QueryBudget
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import RangePredicate, SearchQuery
-from repro.webdb.ranking import AttributeOrderRanking, RandomTieBreakRanking
+from repro.webdb.ranking import (
+    AttributeOrderRanking,
+    FeaturedScoreRanking,
+    RandomTieBreakRanking,
+)
+from tests.reference import WidestMidpointCrawler
 
 
 def crawl_value_group(interface, base_query, attribute, value):
@@ -163,3 +170,71 @@ class TestCrawlLimits:
         _, stats = crawler.crawl(SearchQuery.build(ranges={"carat": (0.2, 0.6)}))
         snapshot = stats.snapshot()
         assert {"queries_issued", "overflow_queries", "leaves", "tuples_retrieved"} <= set(snapshot)
+
+
+def _split_oracle_databases():
+    """4 000-tuple Blue Nile (seed 7) and Zillow (seed 8) catalogs at k = 10,
+    each under three hidden rankings, with the regions crawled on each."""
+    diamonds = DiamondCatalogConfig(size=4000, seed=7)
+    housing = HousingCatalogConfig(size=4000, seed=8)
+    catalogs = (
+        (
+            "bluenile", generate_diamond_catalog(diamonds), diamond_schema(diamonds),
+            [SearchQuery.build(ranges={"table": (value, value)})
+             for value in (52, 54, 56, 57, 58, 60, 63)]
+            + [
+                SearchQuery.build(ranges={"length_width_ratio": (0.995, 1.01)}),
+                SearchQuery.build(ranges={"price": (500, 900)}),
+                SearchQuery.build(ranges={"carat": (0.3, 0.32)}),
+                SearchQuery.build(ranges={"depth": (61, 61)}),
+            ],
+        ),
+        (
+            "zillow", generate_housing_catalog(housing), housing_schema(housing),
+            [SearchQuery.build(ranges={"year_built": (value, value)})
+             for value in (1950, 1975, 2000)]
+            + [
+                SearchQuery.build(ranges={"squarefeet": (1500, 1520)}),
+                SearchQuery.build(ranges={"price": (200_000, 205_000)}),
+            ],
+        ),
+    )
+    for name, catalog, schema, regions in catalogs:
+        for ranking in (
+            FeaturedScoreRanking("price"),
+            AttributeOrderRanking("price"),
+            RandomTieBreakRanking(),
+        ):
+            database = HiddenWebDatabase(catalog, schema, ranking, system_k=10, name=name)
+            yield f"{name}/{type(ranking).__name__}", database, regions
+
+
+class TestSplitFromTheAnswer:
+    def test_no_region_costs_more_or_goes_deeper_than_the_widest_midpoint_rule(self):
+        for label, database, regions in _split_oracle_databases():
+            for query in regions:
+                rows, stats = HiddenDatabaseCrawler(QueryEngine(database)).crawl(query)
+                _, oracle = WidestMidpointCrawler(QueryEngine(database)).crawl(query)
+                where = (label, query.describe())
+                assert {row["id"] for row in rows} == {
+                    row["id"] for row in database.all_matches(query)
+                }, where
+                assert stats.queries_issued <= oracle.queries_issued, where
+                assert stats.max_depth <= oracle.max_depth, where
+
+    def test_split_skips_the_widest_attribute_when_every_row_is_on_one_side(self):
+        # "price" is the widest range relative to its domain, but every
+        # answered row lies below its midpoint; "ratio" divides them evenly,
+        # so it is halved instead.
+        crawler = HiddenDatabaseCrawler(QueryEngine(_clustered_db()))
+        query = SearchQuery.build(ranges={"ratio": (0.5, 2.5)})
+        rows = [
+            {"id": f"r{i}", "price": 10.0 * i, "ratio": 0.6 + 0.2 * i, "kind": "a"}
+            for i in range(10)
+        ]
+        low, high = crawler._choose_split(query, rows)
+        assert low.range_on("ratio").upper == high.range_on("ratio").lower == 1.5
+        assert low.range_on("price") is None and high.range_on("price") is None
+        # With nothing answered the widest attribute is halved, as before.
+        low, high = crawler._choose_split(query, [])
+        assert low.range_on("price").upper == high.range_on("price").lower == 500.0

@@ -14,7 +14,8 @@ grid before ``format_grid`` read the page's rows directly; the sixth,
 ``RebuildDatabase``, is the rebuild-the-whole-catalog ``apply_delta`` that
 ``ColumnarCatalog.spliced`` replaced; the seventh, ``covering_scan``, is the
 linear walk over every covering entry in scope that the result cache's
-``BoxIndex`` replaced.
+``BoxIndex`` replaced; the eighth, ``WidestMidpointCrawler``, is the crawler
+splitting the widest attribute without reading the overflowing answer.
 
 Importable as ``tests.reference`` with the repository root on ``sys.path``
 (``python -m pytest`` from the root, or ``PYTHONPATH=src:.``).
@@ -23,6 +24,7 @@ Importable as ``tests.reference`` with the repository root on ``sys.path``
 from tests.reference.candidates import reference_candidates
 from tests.reference.catalog_rebuild import RebuildDatabase
 from tests.reference.covering_scan import covering_count, covering_scan
+from tests.reference.crawler import WidestMidpointCrawler
 from tests.reference.dense_index import NaiveDenseRegionIndex, NaiveIndexReranker
 from tests.reference.engine import (
     NaiveScanDatabase,
@@ -37,6 +39,7 @@ __all__ = [
     "NaiveScanDatabase",
     "NaiveScanEngine",
     "RebuildDatabase",
+    "WidestMidpointCrawler",
     "covering_count",
     "covering_scan",
     "database_on_layout",

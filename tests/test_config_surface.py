@@ -13,8 +13,7 @@ DATABASE_FIELDS = {
     "shard_by", "latency_sleep", "fault_plan",
 }
 RERANK_FIELDS = {
-    "dense_ratio_threshold", "dense_split_depth", "enable_rerank_feed",
-    "resilience",
+    "dense_ratio_threshold", "enable_rerank_feed", "resilience",
 }
 SERVICE_FIELDS = {
     "default_page_size", "max_page_size", "session_ttl_seconds",
@@ -35,7 +34,7 @@ def test_config_field_sets_are_pinned():
     assert names(DatabaseConfig) == DATABASE_FIELDS
     assert names(RerankConfig) == RERANK_FIELDS
     assert names(ServiceConfig) == SERVICE_FIELDS
-    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 20
+    assert len(DATABASE_FIELDS) + len(RERANK_FIELDS) + len(SERVICE_FIELDS) == 19
 
 
 def test_resilience_policy_fields_are_pinned():

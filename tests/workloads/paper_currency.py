@@ -87,11 +87,10 @@ def _top(reranker: QueryReranker, query, ranking, algorithm: Algorithm, depth: i
 
 
 def ablations(env: ExperimentEnvironment) -> List[Row]:
-    """QR2's engineering choices, each swept, for one fixed request: the
-    paper's 2D Blue Nile function over the whole catalog (and, for the
-    dense-region trigger, the SC-IDX request, cold then warm on one reranker
-    with the rerank feed off, so the warm run reads the dense index rather
-    than a feed replay)."""
+    """``system_k`` swept for one fixed request, the paper's 2D Blue Nile
+    function over the whole catalog; then the dense-region index's reuse:
+    the SC-IDX request, cold then warm on one reranker with the rerank feed
+    off, so the warm run reads the dense index rather than a feed replay."""
     ranking = LinearRankingFunction(
         {"price": 1.0, "carat": -0.5},
         normalizer=MinMaxNormalizer.from_schema(env.diamond_schema, ["price", "carat"]),
@@ -112,13 +111,10 @@ def ablations(env: ExperimentEnvironment) -> List[Row]:
         rows.append(_row("abl", f"system_k_{system_k}", rerank, cost))
     lwr = SingleAttributeRanking("length_width_ratio", ascending=True)
     cluster = SearchQuery.build(ranges={"length_width_ratio": (0.995, 1.6)})
-    for depth in (6, 12, 40):
-        reranker = QueryReranker(
-            env.bluenile, config=RerankConfig(dense_split_depth=depth, enable_rerank_feed=False)
-        )
-        for run in ("cold", "warm"):
-            cost = _top(reranker, cluster, lwr, Algorithm.RERANK, ABLATION_DEPTH)
-            rows.append(_row("abl", f"dense_depth_{depth}_{run}", rerank, cost))
+    reranker = QueryReranker(env.bluenile, config=RerankConfig(enable_rerank_feed=False))
+    for run in ("cold", "warm"):
+        cost = _top(reranker, cluster, lwr, Algorithm.RERANK, ABLATION_DEPTH)
+        rows.append(_row("abl", f"dense_cluster_{run}", rerank, cost))
     return rows
 
 
