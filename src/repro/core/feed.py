@@ -27,9 +27,7 @@ session's emitted history still happens in the stream layer
 
 **Invalidation** reads the namespace's :class:`~repro.webdb.delta.ChangeLog`
 in the store's :class:`~repro.webdb.cache.QueryResultCache`.  A feed is
-stamped with the log's count of full invalidations at creation (a delta
-retires only the feeds it can match, in
-:meth:`RerankFeedStore.invalidate_delta`), and
+stamped with the log's count of full invalidations at creation, and
 
 * :meth:`RerankFeedStore.attach` refuses (and retires) feeds whose stamp no
   longer matches, so post-invalidation sessions always rebuild from the live
@@ -38,6 +36,13 @@ retires only the feeds it can match, in
   after an invalidation mark the feed *stale*; the feed keeps serving the
   streams already attached to it (exactly like an in-flight cached query
   completes normally for its callers) but can never re-enter the store.
+
+A delta is not a full invalidation.  :meth:`RerankFeedStore.invalidate_delta`
+retires only a feed whose filter query some touched version matches, and of
+those only a feed that is exhausted, stale or mid-advance, or whose last
+verified row a matching version ranks at or before.  A surviving feed keeps
+its prefix, and its producer continues from the frontier: the producer's own
+change watch voids what it proved before the change.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.session import Session
@@ -128,7 +134,8 @@ class RerankFeed:
         factory: Callable[[], FeedProducer],
         changes: ChangeLog,
         counters: FeedStoreCounters,
-        query: Optional[SearchQuery] = None,
+        query: SearchQuery,
+        ranking,
     ) -> None:
         self.key = key
         self.key_column = key_column
@@ -136,9 +143,11 @@ class RerankFeed:
         #: when the feed was created: the feed is current while they agree.
         self._changes = changes
         self._stamp = changes.invalidations
-        #: The feed's filter query, kept for delta invalidation: the emission
-        #: order can only change when a touched tuple version matches it.
+        #: The feed's filter query and ranking, kept for delta invalidation:
+        #: the prefix changes only when a touched version matching the query
+        #: ranks at or before its last row.
         self.query = query
+        self.ranking = ranking
         self._factory = factory
         self._counters = counters
         self._condition = threading.Condition()
@@ -192,6 +201,30 @@ class RerankFeed:
             self._stale = True
             self._held = False
             self._counters.record("verified_tuples", -len(self._rows))
+
+    def survives(self, delta: CatalogDelta) -> bool:
+        """True when ``delta`` cannot change the verified prefix: no touched
+        version matches the feed's query or, when one does, the feed is
+        idle, not exhausted, not stale, and every matching version (or the
+        delta's best corner, which none beats) scores past its last row by
+        more than 1e-9.  Asked only after the change is logged, so an
+        advance that starts later re-proves through the producer's change
+        watch."""
+        matching = delta.matching_versions(self.query)
+        first = next(matching, None)
+        if first is None:
+            return True
+        with self._condition:
+            if self._exhausted or self._stale or self._advancing:
+                return False
+            if not self._rows:
+                return True
+            last = self.ranking.score(self._rows[-1]) + 1e-9
+        score = self.ranking.score
+        corner = delta.best_corner(self.ranking)
+        if corner is not None and score(corner) > last:
+            return True
+        return all(score(version) > last for version in chain((first,), matching))
 
     # ------------------------------------------------------------------ #
     # The Get-Next sharing protocol
@@ -371,6 +404,7 @@ class RerankFeedStore:
                     changes,
                     counters=self._counters,
                     query=query,
+                    ranking=ranking,
                 )
                 self._feeds[key] = feed
                 self._counters.record("created")
@@ -401,31 +435,26 @@ class RerankFeedStore:
         return removed
 
     def invalidate_delta(self, namespace: str, delta: CatalogDelta) -> int:
-        """Retire only the feeds of ``namespace`` whose filter query ``delta``
-        can match; returns the number retired.
+        """Retire the feeds of ``namespace`` whose prefix ``delta`` can
+        reach (:meth:`RerankFeed.survives`); returns the number retired.
 
-        A delta is not a full invalidation: surviving feeds stay attachable
-        and keep their verified prefixes.  That is sound because a feed's
-        emission order is a pure function of the tuples matching its filter
-        query — when no touched version matches it, neither the match set
-        nor any matched tuple's attribute values changed, so the prefix is
-        still exactly what a fresh session would be served.  A feed created
-        without a query (defensive ``None``) is always retired.
+        Surviving feeds stay attachable and keep their verified prefixes.
+        That is sound because a feed's emission order is a pure function of
+        the tuples matching its filter query: when every touched version
+        that matches it ranks after the last verified row, the prefix is
+        still exactly what a fresh session would be served.
         """
         if delta.is_empty:
             return 0
-        removed = 0
         with self._lock:
             doomed = [
                 key
                 for key, feed in self._feeds.items()
-                if key[0] == namespace
-                and (feed.query is None or delta.may_match_query(feed.query))
+                if key[0] == namespace and not feed.survives(delta)
             ]
             for key in doomed:
                 self._retire_locked(key, "delta_invalidations")
-                removed += 1
-        return removed
+        return len(doomed)
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:

@@ -250,22 +250,26 @@ class QueryReranker:
         shards), and the returned :class:`~repro.webdb.delta.CatalogDelta`
         is threaded through every caching layer:
 
-        * result-cache entries whose query could match a touched tuple
-          version are flushed (facade namespace *and*, for federated
+        * result-cache entries whose query a touched tuple version matches
+          are flushed (facade namespace *and*, for federated
           sources, each touched shard's namespace — sibling shards'
           entries survive untouched);
-        * dense regions whose box intersects the delta's bounds are
+        * dense regions whose box holds a touched version are
           dropped (and any persistent dense-region cache rows behind them);
-        * rerank feeds whose filter query could surface a touched tuple
-          are retired — surviving feeds keep replaying their verified
-          prefixes, which stay valid because feed order is a pure
-          function of the tuples matching the filter;
-        * the change is logged last, after every cache is retired: before
-          its next Get-Next a live stream drops every touched tuple from its
+        * the change is logged after every cache is retired: before its
+          next Get-Next a live stream drops every touched tuple from its
           session cache and, when its filter query could match a touched
           version, what it has proven (a 1D verified prefix, the MD open
           boxes, TA's discovered tuples) — so re-proving never reads a stale
-          cache entry or a cached row of an older version.
+          cache entry or a cached row of an older version;
+        * rerank feeds are decided last, after the log: a feed whose filter
+          query a touched version matches is retired when such a version
+          ranks at or before its last verified row, or when the feed is
+          exhausted, stale or mid-advance.  A surviving feed keeps its
+          prefix (feed order is a pure function of the tuples matching the
+          filter) and its producer continues from the frontier through its
+          own change watch; an advance that starts after the log can only
+          re-prove.
 
         :meth:`invalidate` remains the full-flush fallback (and the
         correctness oracle the differential tests compare against).
@@ -295,11 +299,11 @@ class QueryReranker:
             retired += self._result_cache.invalidate_delta(shard_delta.namespace, shard_delta)
         summary["cache_entries_retired"] = retired
         summary["regions_retired"] = self._dense_index.invalidate_delta(facade_delta)
+        self._changes.record(facade_delta)
         if self._feed_store is not None:
             summary["feeds_retired"] = self._feed_store.invalidate_delta(
                 self._cache_namespace, facade_delta
             )
-        self._changes.record(facade_delta)
         return summary
 
     def _new_session(self, label: str) -> Session:

@@ -276,8 +276,9 @@ class QR2Service:
         the derived state it could have perturbed.
 
         Delegates to :meth:`~repro.core.reranker.QueryReranker.apply_delta`
-        (cache entries, dense regions, and feeds whose queries could match a
-        touched tuple version are flushed; everything else keeps serving).
+        (cache entries and dense regions a touched tuple version matches are
+        flushed, and feeds whose prefix such a version reaches are retired;
+        everything else keeps serving).
         Returns the retirement summary; cumulative counters appear in the
         statistics panel's ``invalidation`` block.
         """

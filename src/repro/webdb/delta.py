@@ -1,44 +1,48 @@
 """Structured catalog change-sets for scoped invalidation.
 
 A catalog mutation (``HiddenWebDatabase.apply_delta``) produces a
-:class:`CatalogDelta`: the keys of every touched tuple plus a conservative
-per-attribute summary of the *values* those tuples carried before and after
-the change.  Each caching layer can then answer one question locally —
-"could this cached object have surfaced a touched tuple?" — and retire only
+:class:`CatalogDelta`: the keys of every touched tuple plus the touched tuple
+*versions* themselves — the row each tuple had before the change and the row
+it has after it.  Each caching layer can then answer one question locally —
+"could this cached object have surfaced a touched version?" — and retire only
 what the change can actually affect, instead of cold-starting on a full
 invalidation:
 
 * a :class:`~repro.webdb.query.SearchQuery` cache entry changes only if some
-  touched tuple version *matches* the query (:meth:`CatalogDelta.may_match_query`);
+  touched version *matches* the query (:meth:`CatalogDelta.may_match_query`);
 * a dense region changes only if some touched version lies inside its box
   (:meth:`CatalogDelta.may_intersect_sides` / :meth:`may_intersect_bounds`);
-* a rerank feed changes only if its filter query can match a touched version
-  (the hidden ranking is a per-row score, so untouched tuples never reorder);
+* a rerank feed's verified prefix changes only if some touched version that
+  matches its filter query ranks at or before the prefix's last row (the
+  hidden ranking is a per-row score, so untouched tuples never reorder);
 * a live Get-Next stream's proof (a 1D verified prefix, the MD open boxes,
   TA's discovered tuples) holds only while no change in the source's
   :class:`ChangeLog` since the proof can match the stream's filter query, and
   a session's cached row only while no change since touched its key.
 
-The summary is *conservative*: it may flag an object whose exact answer is
-unchanged (each attribute is tested on its own, so two touched versions that
-each satisfy a different predicate flag the query together), but it never
-clears an object that a touched version matches —
-that direction is what correctness rests on, and the randomized differential
-suite checks it against the full-flush oracle.
+The test is *exact*: an object is flagged only when one single version
+satisfies every one of its predicates.  Two versions that each satisfy a
+different predicate flag nothing.  Each range predicate is first tested
+against the touched values of its attribute alone (a bisection); only the
+versions that pass every such test are matched whole.  The
+randomized differential suite checks the result against the full-flush
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import (
     Deque,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -49,23 +53,15 @@ from typing import (
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 
-def _is_numeric(value: object) -> bool:
-    """Genuinely numeric: bool is an ``int`` subclass but never a slider value."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CatalogDelta:
     """Summary of one catalog mutation.
 
     ``keys`` are the primary keys of every tuple touched (inserted, updated,
-    or deleted).  ``numeric_values`` maps each attribute to the sorted,
-    distinct numeric values the touched *versions* (old and new) carried on
-    it — the values, not their hull, so a repriced tuple does not flag the
-    queries between its old and new price; ``categorical_values`` collects
-    the exact value sets for membership predicates.  An attribute absent
-    from both maps means no touched version carried a usable value on it —
-    a predicate on that attribute can therefore never match a touched tuple.
+    or deleted); ``versions`` are the touched rows — the old version of each
+    updated or deleted tuple and the new version of each upserted one — so a
+    repriced tuple flags what its old or its new row matches, never what
+    lies between them.
 
     ``shard_deltas`` carries the per-shard sub-deltas of a federated
     mutation as ``(shard_index, delta)`` pairs; each sub-delta's
@@ -74,15 +70,14 @@ class CatalogDelta:
 
     namespace: str
     keys: FrozenSet[object] = frozenset()
-    numeric_values: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
-    categorical_values: Mapping[str, FrozenSet[object]] = field(default_factory=dict)
+    versions: Tuple[Row, ...] = ()
     upserts: int = 0
     deletes: int = 0
     shard_deltas: Tuple[Tuple[int, "CatalogDelta"], ...] = ()
+    _columns: Dict[str, Tuple[Tuple[float, ...], Tuple[int, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
     @staticmethod
     def from_rows(
         namespace: str,
@@ -97,103 +92,91 @@ class CatalogDelta:
         the new version of each upserted tuple, and each deleted tuple —
         a cached answer is stale when any of those versions matched it.
         """
-        keys: List[object] = []
-        numbers: Dict[str, set] = {}
-        values: Dict[str, set] = {}
-        for row in touched_rows:
-            keys.append(row[key_column])
-            for attribute, value in row.items():
-                if _is_numeric(value):
-                    numeric = float(value)
-                    if not math.isnan(numeric):
-                        numbers.setdefault(attribute, set()).add(numeric)
-                values.setdefault(attribute, set()).add(value)
+        versions = tuple(touched_rows)
         return CatalogDelta(
             namespace=namespace,
-            keys=frozenset(keys),
-            numeric_values={name: tuple(sorted(found)) for name, found in numbers.items()},
-            categorical_values={
-                name: frozenset(collected) for name, collected in values.items()
-            },
+            keys=frozenset(row[key_column] for row in versions),
+            versions=versions,
             upserts=upserts,
             deletes=deletes,
         )
 
-    @staticmethod
-    def merge(
-        namespace: str, deltas: Sequence["CatalogDelta"]
-    ) -> "CatalogDelta":
-        """Union several deltas into one under a new namespace."""
-        keys: set = set()
-        numbers: Dict[str, set] = {}
-        values: Dict[str, set] = {}
-        upserts = 0
-        deletes = 0
-        for delta in deltas:
-            keys.update(delta.keys)
-            upserts += delta.upserts
-            deletes += delta.deletes
-            for attribute, found in delta.numeric_values.items():
-                numbers.setdefault(attribute, set()).update(found)
-            for attribute, collected in delta.categorical_values.items():
-                values.setdefault(attribute, set()).update(collected)
-        return CatalogDelta(
-            namespace=namespace,
-            keys=frozenset(keys),
-            numeric_values={name: tuple(sorted(found)) for name, found in numbers.items()},
-            categorical_values={
-                name: frozenset(collected) for name, collected in values.items()
-            },
-            upserts=upserts,
-            deletes=deletes,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     @property
     def is_empty(self) -> bool:
         """True when the mutation touched no tuples."""
         return not self.keys
 
-    def _admits_touched(self, predicate: RangePredicate) -> bool:
-        """Does ``predicate`` admit a value some touched version carried?"""
-        found = self.numeric_values.get(predicate.attribute, ())
-        index = bisect_left(found, predicate.lower)
-        while index < len(found) and found[index] <= predicate.upper:
-            if predicate.matches(found[index]):
-                return True
-            index += 1
-        return False
+    def _column(self, attribute: str) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
+        """The numbers the touched versions carry on ``attribute``, sorted,
+        beside the positions in ``versions`` that carry them (built once)."""
+        column = self._columns.get(attribute)
+        if column is None:
+            pairs = sorted(
+                (float(value), index)
+                for index, row in enumerate(self.versions)
+                if isinstance(value := row.get(attribute), (int, float))
+                and not math.isnan(value)
+            )
+            column = (
+                tuple(value for value, _ in pairs),
+                tuple(index for _, index in pairs),
+            )
+            self._columns[attribute] = column
+        return column
 
-    # ------------------------------------------------------------------ #
-    # Matching (the invalidation predicate of every layer)
-    # ------------------------------------------------------------------ #
+    @property
+    def numeric_values(self) -> Dict[str, Tuple[float, ...]]:
+        """The sorted, distinct numeric values the touched versions carried,
+        per attribute."""
+        names = dict.fromkeys(name for row in self.versions for name in row)
+        return {
+            name: tuple(dict.fromkeys(values))
+            for name in names
+            if (values := self._column(name)[0])
+        }
+
+    def matching_versions(self, query: SearchQuery) -> Iterator[Row]:
+        """The touched versions that match ``query``, lazily.
+
+        Each range predicate bisects its attribute's touched values; only
+        the versions inside every such slice are matched whole."""
+        positions: Optional[set] = None
+        for predicate in query.ranges:
+            values, order = self._column(predicate.attribute)
+            inside = order[
+                bisect_left(values, predicate.lower) : bisect_right(values, predicate.upper)
+            ]
+            positions = set(inside) if positions is None else positions.intersection(inside)
+            if not positions:
+                return iter(())
+        versions = self.versions
+        found = versions if positions is None else (versions[index] for index in positions)
+        return (row for row in found if query.matches(row))
+
+    def best_corner(self, ranking) -> Optional[Row]:
+        """A point no touched version beats under the monotone ``ranking``:
+        on each ranking attribute, the touched number the ranking prefers
+        (``None`` when some version carries no number there)."""
+        corner = {}
+        for attribute in ranking.attributes:
+            values, _ = self._column(attribute)
+            if len(values) < len(self.versions):
+                return None
+            corner[attribute] = values[0] if ranking.weight(attribute) > 0 else values[-1]
+        return corner
+
     def may_match_query(self, query: SearchQuery) -> bool:
-        """Could any touched tuple version match ``query``?
-
-        Conservative per-attribute test: every predicate of the query must
-        admit at least one touched value on its attribute.  ``False`` is a
-        proof that no touched version matches the query (each predicate is
-        necessary for a row match), so the cached object survives.
-        """
-        if self.is_empty:
-            return False
-        if not all(self._admits_touched(predicate) for predicate in query.ranges):
-            return False
-        for predicate in query.memberships:
-            touched = self.categorical_values.get(predicate.attribute)
-            if touched is None or not (predicate.values & touched):
-                return False
-        return True
+        """Does some touched version match ``query``?  ``False`` proves that
+        the query's answer is unchanged, so a cached object survives."""
+        return next(self.matching_versions(query), None) is not None
 
     def may_intersect_sides(self, sides: Iterable[RangePredicate]) -> bool:
-        """Could any touched version lie inside the box with these sides?
+        """Does some touched version lie inside the box with these sides?
 
         Used by the dense-region index: a region's crawled row set is stale
         only if a touched tuple version falls inside its bounding box.
         """
-        return not self.is_empty and all(self._admits_touched(side) for side in sides)
+        return self.may_match_query(SearchQuery(ranges=tuple(sides)))
 
     def may_intersect_bounds(
         self, bounds: Mapping[str, Tuple[float, float]]
@@ -204,31 +187,9 @@ class CatalogDelta:
             RangePredicate(attribute, lo, hi) for attribute, (lo, hi) in bounds.items()
         )
 
-    # ------------------------------------------------------------------ #
     def with_namespace(self, namespace: str) -> "CatalogDelta":
         """The same change-set attributed to a different cache namespace."""
-        return CatalogDelta(
-            namespace=namespace,
-            keys=self.keys,
-            numeric_values=self.numeric_values,
-            categorical_values=self.categorical_values,
-            upserts=self.upserts,
-            deletes=self.deletes,
-            shard_deltas=self.shard_deltas,
-        )
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-friendly summary for logs and the statistics panel."""
-        return {
-            "namespace": self.namespace,
-            "touched_keys": len(self.keys),
-            "upserts": self.upserts,
-            "deletes": self.deletes,
-            "attributes": sorted(
-                set(self.numeric_values) | set(self.categorical_values)
-            ),
-            "shards": len(self.shard_deltas),
-        }
+        return replace(self, namespace=namespace)
 
 
 def merge_shard_deltas(
@@ -236,14 +197,13 @@ def merge_shard_deltas(
 ) -> CatalogDelta:
     """Merge per-shard deltas into a federation-level delta that keeps the
     shard breakdown attached (for shard-namespace cache invalidation)."""
-    merged = CatalogDelta.merge(namespace, [delta for _, delta in shard_deltas])
+    parts = [delta for _, delta in shard_deltas]
     return CatalogDelta(
-        namespace=merged.namespace,
-        keys=merged.keys,
-        numeric_values=merged.numeric_values,
-        categorical_values=merged.categorical_values,
-        upserts=merged.upserts,
-        deletes=merged.deletes,
+        namespace=namespace,
+        keys=frozenset(chain.from_iterable(delta.keys for delta in parts)),
+        versions=tuple(chain.from_iterable(delta.versions for delta in parts)),
+        upserts=sum(delta.upserts for delta in parts),
+        deletes=sum(delta.deletes for delta in parts),
         shard_deltas=tuple(shard_deltas),
     )
 

@@ -113,8 +113,15 @@ def test_warm_once_releads_a_feed_retired_by_a_delta():
             service.close_session(session_id)
 
     try:
-        user_pages()  # seeds the feed and the tracker
-        victim = dict(db.all_matches(SearchQuery.everything())[0])
+        served = user_pages()  # seeds the feed and the tracker
+        # Reprice a row of the feed's prefix: its old version ranks inside
+        # the prefix, so the delta retires the feed.
+        key = db.schema.key
+        victim = next(
+            dict(row)
+            for row in db.all_matches(SearchQuery.everything())
+            if row[key] == served[0][0][key]
+        )
         low, high = db.schema.domain_bounds("price")
         victim["price"] = min(high, float(victim["price"]) + (high - low) * 0.005)
         summary = service.apply_delta("bluenile", upserts=[victim])
