@@ -36,7 +36,7 @@ def build_bluenile(size: int = 2000) -> HiddenWebDatabase:
     config = DiamondCatalogConfig(size=size, seed=2018)
     return HiddenWebDatabase(
         catalog=generate_diamond_catalog(config),
-        schema=diamond_schema(config),
+        schema=diamond_schema(),
         system_ranking=FeaturedScoreRanking("price", boost_weight=2500.0),
         system_k=20,
         latency=LatencyModel.accounted(1.0, seed=7),

@@ -33,7 +33,7 @@ def build_web_database() -> HiddenWebDatabase:
     config = DiamondCatalogConfig(size=2000, seed=42)
     return HiddenWebDatabase(
         catalog=generate_diamond_catalog(config),
-        schema=diamond_schema(config),
+        schema=diamond_schema(),
         system_ranking=FeaturedScoreRanking("price", boost_weight=2500.0),
         system_k=20,
         latency=LatencyModel.accounted(1.0, seed=42),

@@ -61,7 +61,7 @@ def main() -> None:
     config = DiamondCatalogConfig(size=1200, seed=3)
     database = HiddenWebDatabase(
         catalog=generate_diamond_catalog(config),
-        schema=diamond_schema(config),
+        schema=diamond_schema(),
         system_ranking=FeaturedScoreRanking("price", boost_weight=2500.0),
         system_k=20,
         latency=LatencyModel.disabled(),

@@ -1,10 +1,13 @@
 """Central configuration objects for the QR2 reproduction.
 
-The paper's system exposes a handful of operational knobs: the web database's
-``system-k`` (how many results its public interface returns), the density
-threshold at which ``(1D/MD)-RERANK`` switches from binary probing to crawling
-and indexing a region, and the simulated network latency.  They are grouped
-here so the rest of the library never hard-codes magic numbers.
+Every field here is one that some caller sets: the web database's
+``system-k`` (how many results its public interface returns), the simulated
+network latency, the shard topology and fault plan, the shared rerank feed
+switch and the service's limits.  Values no caller varies are constants
+beside the code that reads them (the density threshold is
+:data:`~repro.core.dense_index.DENSE_RATIO_THRESHOLD`; the retry / breaker
+policy is the default of :class:`~repro.webdb.resilience.RetryPolicy` and
+:class:`~repro.webdb.resilience.CircuitBreaker`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.webdb.faults import FaultPlan
-from repro.webdb.resilience import ResilienceConfig
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,13 @@ class DatabaseConfig:
 
 @dataclass(frozen=True)
 class RerankConfig:
-    """Configuration of the reranking algorithms.
+    """Configuration of a :class:`~repro.core.reranker.QueryReranker`.
+
+    The Get-Next algorithms and the query engine take no configuration; the
+    one choice callers make differently is whether sessions share work.
 
     Parameters
     ----------
-    dense_ratio_threshold:
-        A candidate region is declared *dense* when its width has shrunk below
-        this fraction of the attribute's (normalized) domain while its queries
-        still overflow (or after :data:`~repro.core.dense_index.MAX_BINARY_ROUNDS`
-        splits).  Dense regions are crawled instead of being probed further;
-        the RERANK variants also index them.
     enable_rerank_feed:
         Global switch for the shared rerank feed: sessions requesting the
         same canonical *(query, ranking, algorithm)* share one materialized
@@ -93,18 +92,9 @@ class RerankConfig:
         emission prefix at zero external queries and zero algorithm work.
         Turning it off exactly reproduces the unshared per-session
         behaviour (the SC-IDX and SC-BW experiment drivers do).
-    resilience:
-        Retry / circuit-breaker policy applied to every source
-        query (see :class:`~repro.webdb.resilience.ResilienceConfig`); the
-        registry hands it to each source's
-        :class:`~repro.webdb.stack.SourceStack` when the source is built.
-        The defaults are inert against reliable sources — no fault means no
-        retry and a breaker that never opens — so resilience is always on.
     """
 
-    dense_ratio_threshold: float = 0.005
     enable_rerank_feed: bool = True
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
 
 @dataclass(frozen=True)

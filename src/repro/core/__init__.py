@@ -6,7 +6,7 @@ from repro.core.functions import (
     SingleAttributeRanking,
     UserRankingFunction,
 )
-from repro.core.normalization import MinMaxNormalizer, discover_attribute_range
+from repro.core.normalization import MinMaxNormalizer
 from repro.core.session import Session
 from repro.core.reranker import Algorithm, QueryReranker, RerankRequest
 from repro.core.getnext import GetNextStream
@@ -17,7 +17,6 @@ __all__ = [
     "LinearRankingFunction",
     "SingleAttributeRanking",
     "MinMaxNormalizer",
-    "discover_attribute_range",
     "Session",
     "Algorithm",
     "QueryReranker",

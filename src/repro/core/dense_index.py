@@ -490,11 +490,23 @@ class DenseRegionIndex:
         }
 
 
+#: A still-overflowing region whose widest side has shrunk below this
+#: fraction of its attribute's domain is *dense*: every algorithm crawls it
+#: instead of splitting it further (RERANK indexes what it crawls, the
+#: others do not).
+DENSE_RATIO_THRESHOLD = 0.005
+
 #: Split depth after which every algorithm treats a still-overflowing region
-#: as dense and crawls it, however wide it still is (RERANK indexes what it
-#: crawls, the others do not): a guard against adversarial value
+#: as dense however wide it still is: a guard against adversarial value
 #: distributions, not a tuning knob.
 MAX_BINARY_ROUNDS = 40
+
+
+def is_dense(relative_width: float, depth: int) -> bool:
+    """Whether a still-overflowing region ``depth`` splits deep, whose widest
+    side spans ``relative_width`` of its domain, is crawled rather than
+    split: the one rule of the 1D and MD algorithms."""
+    return relative_width < DENSE_RATIO_THRESHOLD or depth >= MAX_BINARY_ROUNDS
 
 
 def crawl_region(

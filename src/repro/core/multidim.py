@@ -35,13 +35,13 @@ import math
 from collections import deque
 from typing import Deque, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import RerankConfig
 from repro.core import contour
 from repro.core.dense_index import (
     MAX_BINARY_ROUNDS,
     DenseRegionIndex,
     crawl_region,
     dense_rows,
+    is_dense,
 )
 from repro.core.functions import LinearRankingFunction
 from repro.core.parallel import QueryEngine
@@ -83,7 +83,6 @@ class MultiDimGetNext:
         base_query: SearchQuery,
         ranking: LinearRankingFunction,
         session: Session,
-        config: Optional[RerankConfig] = None,
         variant: MDVariant = MDVariant.RERANK,
         dense_index: Optional[DenseRegionIndex] = None,
         changes: Optional[ChangeLog] = None,
@@ -97,15 +96,13 @@ class MultiDimGetNext:
         self._base_query = base_query
         self._ranking = ranking
         self._session = session
-        self._config = config or engine.config
         self._variant = variant
         if variant is MDVariant.RERANK and dense_index is None:
             raise ValueError("MD-RERANK needs a dense-region index")
         #: The index this stream reads and grows; ``None`` for every variant
         #: but RERANK, which is the one place that is decided.  Every variant
-        #: crawls a box once it is narrower than ``dense_ratio_threshold`` or
-        #: :data:`MAX_BINARY_ROUNDS` splits deep; only MD-RERANK looks boxes up
-        #: in the index first and remembers what it crawled.
+        #: crawls a box once :func:`is_dense` says so; only MD-RERANK looks
+        #: boxes up in the index first and remembers what it crawled.
         self._dense_index = dense_index if variant is MDVariant.RERANK else None
         self._statistics = session.statistics
 
@@ -323,11 +320,7 @@ class MultiDimGetNext:
                         self._remember(rows)
                         best = self._update_best(rows, best)
                         continue
-                dense = (
-                    box.max_relative_width(schema) < self._config.dense_ratio_threshold
-                    or depth >= MAX_BINARY_ROUNDS
-                )
-                if dense:
+                if is_dense(box.max_relative_width(schema), depth):
                     best = self._resolve_dense_box(box, best)
                     continue
                 to_query.append((box, depth))

@@ -54,13 +54,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.config import RerankConfig
-from repro.core.dense_index import (
-    MAX_BINARY_ROUNDS,
-    DenseRegionIndex,
-    crawl_region,
-    dense_rows,
-)
+from repro.core.dense_index import DenseRegionIndex, crawl_region, dense_rows, is_dense
 from repro.core.functions import SingleAttributeRanking
 from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle, interval_relative_width
@@ -154,7 +148,6 @@ class OneDimGetNext:
         base_query: SearchQuery,
         ranking: SingleAttributeRanking,
         session: Session,
-        config: Optional[RerankConfig] = None,
         variant: OneDimVariant = OneDimVariant.RERANK,
         dense_index: Optional[DenseRegionIndex] = None,
         changes: Optional[ChangeLog] = None,
@@ -163,15 +156,13 @@ class OneDimGetNext:
         self._base_query = base_query
         self._ranking = ranking
         self._session = session
-        self._config = config or engine.config
         self._variant = variant
         if variant is OneDimVariant.RERANK and dense_index is None:
             raise ValueError("1D-RERANK needs a dense-region index")
         #: The index this stream reads and grows; ``None`` for every variant
         #: but RERANK, which is the one place that is decided.  Every variant
-        #: crawls an interval narrower than ``dense_ratio_threshold`` or
-        #: :data:`MAX_BINARY_ROUNDS` halvings deep; only 1D-RERANK looks it up
-        #: in the index first and remembers what it crawled.
+        #: crawls an interval once :func:`is_dense` says so; only 1D-RERANK
+        #: looks it up in the index first and remembers what it crawled.
         self._dense_index = dense_index if variant is OneDimVariant.RERANK else None
         self._statistics = session.statistics
 
@@ -412,12 +403,7 @@ class OneDimGetNext:
         while True:
             width = upper - lower
             relative = self._relative_width(lower, upper)
-            dense = (
-                relative < self._config.dense_ratio_threshold
-                or rounds >= MAX_BINARY_ROUNDS
-                or width <= _EPSILON
-            )
-            if dense:
+            if is_dense(relative, rounds) or width <= _EPSILON:
                 return self._resolve_dense_interval(lower, include_lower, best)
             midpoint = lower + width / 2.0
             half = _Interval(lower, midpoint, include_lower, True)

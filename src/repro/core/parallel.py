@@ -34,7 +34,6 @@ import enum
 from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
-from repro.config import RerankConfig
 from repro.core.stats import RerankStatistics
 from repro.exceptions import SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
@@ -74,14 +73,12 @@ class QueryEngine:
     def __init__(
         self,
         interface: TopKInterface,
-        config: Optional[RerankConfig] = None,
         statistics: Optional[RerankStatistics] = None,
         budget: Optional[QueryBudget] = None,
         result_cache: Optional[QueryResultCache] = None,
         cache_namespace: Optional[str] = None,
     ) -> None:
         self._interface = interface
-        self._config = config or RerankConfig()
         self.statistics = statistics or RerankStatistics()
         self._budget = budget or QueryBudget()
         self._cache = result_cache
@@ -100,11 +97,6 @@ class QueryEngine:
     def interface(self) -> TopKInterface:
         """The underlying top-k interface."""
         return self._interface
-
-    @property
-    def config(self) -> RerankConfig:
-        """The engine's configuration."""
-        return self._config
 
     @property
     def budget(self) -> QueryBudget:

@@ -2,8 +2,9 @@
 
 :class:`QueryReranker` is the public entry point of the library: it owns the
 pieces that are shared across requests (the top-k interface, the dense-region
-index, the configuration) and turns a *(filter query, ranking function,
-algorithm)* triple into a :class:`~repro.core.getnext.GetNextStream`.
+index, the result cache and the rerank feed) and turns a *(filter query,
+ranking function, algorithm)* triple into a
+:class:`~repro.core.getnext.GetNextStream`.
 
 It also implements the algorithm selection the QR2 system performs: 1D ranking
 functions are served by the 1D algorithms, multi-attribute functions by the MD
@@ -107,7 +108,7 @@ class QueryReranker:
         result_cache: Optional[QueryResultCache] = None,
     ) -> None:
         self._interface = interface
-        self._config = config or RerankConfig()
+        config = config or RerankConfig()
         #: The persistent region store, kept across :meth:`invalidate` (which
         #: detaches it from the index) so :meth:`verify_dense_cache` can
         #: re-verify and re-attach it.
@@ -128,7 +129,7 @@ class QueryReranker:
         )
         self._feed_store: Optional[RerankFeedStore] = (
             RerankFeedStore(self._result_cache)
-            if self._config.enable_rerank_feed
+            if config.enable_rerank_feed
             else None
         )
         #: Every delta and invalidation, in order: live streams drop the
@@ -152,11 +153,6 @@ class QueryReranker:
     def interface(self) -> TopKInterface:
         """The web database interface this reranker talks to."""
         return self._interface
-
-    @property
-    def config(self) -> RerankConfig:
-        """The reranker's configuration."""
-        return self._config
 
     @property
     def dense_index(self) -> DenseRegionIndex:
@@ -363,7 +359,6 @@ class QueryReranker:
     def _build_engine(self, statistics, budget: Optional[QueryBudget]) -> QueryEngine:
         return QueryEngine(
             self._interface,
-            config=self._config,
             statistics=statistics,
             budget=budget,
             result_cache=self._result_cache,
@@ -389,7 +384,6 @@ class QueryReranker:
                 base_query=query,
                 ranking=self._require_linear(ranking),
                 session=session,
-                config=self._config,
                 dense_index=self._dense_index,
                 changes=self._changes,
             )
@@ -398,7 +392,6 @@ class QueryReranker:
             base_query=query,
             ranking=self._require_linear(ranking),
             session=session,
-            config=self._config,
             variant=_MD_VARIANTS[algorithm],
             dense_index=self._dense_index,
             changes=self._changes,
@@ -441,7 +434,6 @@ class QueryReranker:
             base_query=query,
             ranking=self._effective_onedim(ranking),
             session=session,
-            config=self._config,
             variant=_ONEDIM_VARIANTS[algorithm],
             dense_index=self._dense_index,
             changes=self._changes,

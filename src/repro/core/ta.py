@@ -24,7 +24,6 @@ import heapq
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking, weighted
 from repro.core.onedim import OneDimGetNext, OneDimVariant
@@ -48,7 +47,6 @@ class ThresholdAlgorithmGetNext:
         ranking: LinearRankingFunction,
         session: Session,
         dense_index: DenseRegionIndex,
-        config: Optional[RerankConfig] = None,
         changes: Optional[ChangeLog] = None,
     ) -> None:
         if ranking.dimensionality < 2:
@@ -59,7 +57,6 @@ class ThresholdAlgorithmGetNext:
         self._base_query = base_query
         self._ranking = ranking
         self._session = session
-        self._config = config or engine.config
         self._dense_index = dense_index
         self._statistics = session.statistics
         self._changes = changes or ChangeLog()
@@ -99,7 +96,6 @@ class ThresholdAlgorithmGetNext:
                     attribute, ascending=self._ranking.weight(attribute) > 0
                 ),
                 session=Session(session_id=f"{self._session.session_id}:ta:{attribute}"),
-                config=self._config,
                 variant=OneDimVariant.RERANK,
                 dense_index=self._dense_index,
                 changes=self._changes,

@@ -20,7 +20,7 @@ depend on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.dataset import generators as gen
 from repro.dataset.schema import Attribute, Schema
@@ -33,65 +33,39 @@ COLORS = ("J", "I", "H", "G", "F", "E", "D")
 CLARITIES = ("SI2", "SI1", "VS2", "VS1", "VVS2", "VVS1", "IF", "FL")
 
 
+#: Search-form bounds of the numeric attributes, read by both the schema and
+#: the generator.
+PRICE_BOUNDS = (300.0, 60000.0)
+CARAT_BOUNDS = (0.2, 5.0)
+DEPTH_BOUNDS = (55.0, 70.0)
+TABLE_BOUNDS = (50.0, 65.0)
+LWR_BOUNDS = (0.95, 2.5)
+#: Fraction of stones whose ``length_width_ratio`` is exactly 1.0: the paper
+#: reports about 20 % on the live site, and the worst-case benchmark depends
+#: on this cluster exceeding the web database's ``system-k``.
+LWR_CLUSTER_FRACTION = 0.20
+
+
 @dataclass(frozen=True)
 class DiamondCatalogConfig:
-    """Knobs for the synthetic diamond catalog.
-
-    ``lwr_cluster_fraction`` is the fraction of stones whose
-    ``length_width_ratio`` is exactly 1.0; the paper reports about 20 % on the
-    live site, and the worst-case benchmark depends on this cluster exceeding
-    the web database's ``system-k``.
-    """
+    """Size and seed of the synthetic diamond catalog; its shape is the
+    module constants above."""
 
     size: int = 4000
     seed: int = 20180416
-    price_lower: float = 300.0
-    price_upper: float = 60000.0
-    carat_lower: float = 0.2
-    carat_upper: float = 5.0
-    depth_lower: float = 55.0
-    depth_upper: float = 70.0
-    table_lower: float = 50.0
-    table_upper: float = 65.0
-    lwr_lower: float = 0.95
-    lwr_upper: float = 2.5
-    lwr_cluster_fraction: float = 0.20
 
 
-def diamond_schema(config: DiamondCatalogConfig = DiamondCatalogConfig()) -> Schema:
+def diamond_schema() -> Schema:
     """Schema of the simulated Blue Nile database."""
     return Schema(
         key="id",
         attributes=(
+            Attribute.numeric("price", *PRICE_BOUNDS, description="Price in USD"),
+            Attribute.numeric("carat", *CARAT_BOUNDS, description="Carat weight"),
+            Attribute.numeric("depth", *DEPTH_BOUNDS, description="Depth percentage"),
+            Attribute.numeric("table", *TABLE_BOUNDS, description="Table percentage"),
             Attribute.numeric(
-                "price",
-                config.price_lower,
-                config.price_upper,
-                description="Price in USD",
-            ),
-            Attribute.numeric(
-                "carat",
-                config.carat_lower,
-                config.carat_upper,
-                description="Carat weight",
-            ),
-            Attribute.numeric(
-                "depth",
-                config.depth_lower,
-                config.depth_upper,
-                description="Depth percentage",
-            ),
-            Attribute.numeric(
-                "table",
-                config.table_lower,
-                config.table_upper,
-                description="Table percentage",
-            ),
-            Attribute.numeric(
-                "length_width_ratio",
-                config.lwr_lower,
-                config.lwr_upper,
-                description="Length to width ratio",
+                "length_width_ratio", *LWR_BOUNDS, description="Length to width ratio"
             ),
             Attribute.categorical("shape", SHAPES, description="Diamond shape"),
             Attribute.categorical("cut", CUTS, description="Cut grade"),
@@ -114,8 +88,8 @@ def generate_diamond_catalog(
             count,
             median=0.9,
             sigma=0.55,
-            lower=config.carat_lower,
-            upper=config.carat_upper,
+            lower=CARAT_BOUNDS[0],
+            upper=CARAT_BOUNDS[1],
         ),
         decimals=2,
     )
@@ -125,33 +99,31 @@ def generate_diamond_catalog(
     for weight in carat:
         base = 2800.0 * (weight ** 1.9)
         noisy = base * rng.uniform(0.7, 1.45)
-        price.append(
-            round(min(max(noisy, config.price_lower), config.price_upper), 0)
-        )
+        price.append(round(min(max(noisy, PRICE_BOUNDS[0]), PRICE_BOUNDS[1]), 0))
 
     depth = gen.round_column(
         gen.correlated_column(
             rng,
             base=[rng.uniform(0.0, 1.0) for _ in range(count)],
-            slope=(config.depth_upper - config.depth_lower) * 0.35,
-            intercept=config.depth_lower + 4.0,
+            slope=(DEPTH_BOUNDS[1] - DEPTH_BOUNDS[0]) * 0.35,
+            intercept=DEPTH_BOUNDS[0] + 4.0,
             noise_sigma=1.2,
-            lower=config.depth_lower,
-            upper=config.depth_upper,
+            lower=DEPTH_BOUNDS[0],
+            upper=DEPTH_BOUNDS[1],
         ),
         decimals=1,
     )
     table = gen.round_column(
-        gen.uniform_column(rng, count, config.table_lower + 2.0, config.table_upper - 2.0),
+        gen.uniform_column(rng, count, TABLE_BOUNDS[0] + 2.0, TABLE_BOUNDS[1] - 2.0),
         decimals=1,
     )
     lwr = gen.clustered_column(
         rng,
         count,
         cluster_value=1.0,
-        cluster_fraction=config.lwr_cluster_fraction,
-        lower=config.lwr_lower,
-        upper=config.lwr_upper,
+        cluster_fraction=LWR_CLUSTER_FRACTION,
+        lower=LWR_BOUNDS[0],
+        upper=LWR_BOUNDS[1],
         decimals=2,
     )
 
@@ -190,11 +162,3 @@ def _shapes_consistent_with_lwr(rng, lwr: List[float]) -> List[str]:
         else:
             shapes.append(rng.choice(("oval", "pear", "emerald", "radiant")))
     return shapes
-
-
-def catalog_statistics(catalog: ColumnTable) -> Dict[str, Dict[str, float]]:
-    """Numeric summaries for the example scripts and documentation."""
-    return {
-        name: gen.summarize_column([float(v) for v in catalog.column(name)])
-        for name in ("price", "carat", "depth", "table", "length_width_ratio")
-    }

@@ -185,33 +185,6 @@ def assign_ids(prefix: str, count: int) -> List[str]:
     return [f"{prefix}-{index:06d}" for index in range(count)]
 
 
-def summarize_column(values: Sequence[float]) -> Dict[str, float]:
-    """Small numeric summary used by the examples when printing catalogs."""
-    ordered = sorted(float(v) for v in values)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("cannot summarize an empty column")
-
-    def percentile(q: float) -> float:
-        position = q * (n - 1)
-        low = int(math.floor(position))
-        high = int(math.ceil(position))
-        if low == high:
-            return ordered[low]
-        weight = position - low
-        return ordered[low] * (1 - weight) + ordered[high] * weight
-
-    return {
-        "count": float(n),
-        "min": ordered[0],
-        "p25": percentile(0.25),
-        "median": percentile(0.5),
-        "p75": percentile(0.75),
-        "max": ordered[-1],
-        "mean": sum(ordered) / n,
-    }
-
-
 # --------------------------------------------------------------------- #
 # Data-scale synthetic catalog (the 10⁶-tuple benchmark tier)
 # --------------------------------------------------------------------- #

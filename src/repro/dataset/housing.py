@@ -15,7 +15,7 @@ generator reproduces the properties the demo scenarios rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.dataset import generators as gen
 from repro.dataset.schema import Attribute, Schema
@@ -34,70 +34,46 @@ CITIES = (
 HOME_TYPES = ("house", "condo", "townhouse", "apartment", "lot")
 
 
+#: Search-form bounds of the numeric attributes the generator draws within,
+#: read by both the schema and the generator.
+PRICE_BOUNDS = (40000.0, 2500000.0)
+SQFT_BOUNDS = (350.0, 9000.0)
+YEAR_BOUNDS = (1900, 2018)
+LOT_BOUNDS = (0.05, 10.0)
+#: Spread of the listing price per square foot around its 165 USD mean.
+PRICE_PER_SQFT_NOISE = 45.0
+#: The metro area's ZIP codes, drawn once from the default catalog seed so
+#: that catalogs of every seed share one schema.
+ZIPCODES = tuple(gen.zipcode_pool(gen.make_rng(20180417), 24))
+
+
 @dataclass(frozen=True)
 class HousingCatalogConfig:
-    """Knobs for the synthetic housing catalog."""
+    """Size and seed of the synthetic housing catalog; its shape is the
+    module constants above."""
 
     size: int = 6000
     seed: int = 20180417
-    price_lower: float = 40000.0
-    price_upper: float = 2500000.0
-    sqft_lower: float = 350.0
-    sqft_upper: float = 9000.0
-    year_lower: int = 1900
-    year_upper: int = 2018
-    lot_lower: float = 0.05
-    lot_upper: float = 10.0
-    price_per_sqft_noise: float = 45.0
 
 
-def housing_schema(config: HousingCatalogConfig = HousingCatalogConfig()) -> Schema:
+def housing_schema() -> Schema:
     """Schema of the simulated Zillow database."""
     return Schema(
         key="id",
         attributes=(
+            Attribute.numeric("price", *PRICE_BOUNDS, description="Listing price in USD"),
+            Attribute.numeric("squarefeet", *SQFT_BOUNDS, description="Interior living area"),
+            Attribute.numeric("bedrooms", 0, 8, description="Number of bedrooms"),
+            Attribute.numeric("bathrooms", 1, 7, description="Number of bathrooms"),
             Attribute.numeric(
-                "price",
-                config.price_lower,
-                config.price_upper,
-                description="Listing price in USD",
+                "year_built", *YEAR_BOUNDS, description="Year the home was built"
             ),
+            Attribute.numeric("lot_size", *LOT_BOUNDS, description="Lot size in acres"),
             Attribute.numeric(
-                "squarefeet",
-                config.sqft_lower,
-                config.sqft_upper,
-                description="Interior living area",
-            ),
-            Attribute.numeric(
-                "bedrooms", 0, 8, description="Number of bedrooms"
-            ),
-            Attribute.numeric(
-                "bathrooms", 1, 7, description="Number of bathrooms"
-            ),
-            Attribute.numeric(
-                "year_built",
-                config.year_lower,
-                config.year_upper,
-                description="Year the home was built",
-            ),
-            Attribute.numeric(
-                "lot_size",
-                config.lot_lower,
-                config.lot_upper,
-                description="Lot size in acres",
-            ),
-            Attribute.numeric(
-                "price_per_sqft",
-                5.0,
-                1500.0,
-                description="Price per square foot",
+                "price_per_sqft", 5.0, 1500.0, description="Price per square foot"
             ),
             Attribute.categorical("city", CITIES, description="City"),
-            Attribute.categorical(
-                "zipcode",
-                tuple(gen.zipcode_pool(gen.make_rng(config.seed), 24)),
-                description="ZIP code",
-            ),
+            Attribute.categorical("zipcode", ZIPCODES, description="ZIP code"),
             Attribute.categorical("home_type", HOME_TYPES, description="Home type"),
         ),
     )
@@ -116,8 +92,8 @@ def generate_housing_catalog(
             count,
             median=1900.0,
             sigma=0.42,
-            lower=config.sqft_lower,
-            upper=config.sqft_upper,
+            lower=SQFT_BOUNDS[0],
+            upper=SQFT_BOUNDS[1],
         ),
         decimals=0,
     )
@@ -127,36 +103,30 @@ def generate_housing_catalog(
     price: List[float] = []
     price_per_sqft: List[float] = []
     for area in sqft:
-        unit_price = max(35.0, rng.gauss(165.0, config.price_per_sqft_noise))
-        listing_price = min(
-            max(area * unit_price, config.price_lower), config.price_upper
-        )
+        unit_price = max(35.0, rng.gauss(165.0, PRICE_PER_SQFT_NOISE))
+        listing_price = min(max(area * unit_price, PRICE_BOUNDS[0]), PRICE_BOUNDS[1])
         price.append(round(listing_price, 0))
         price_per_sqft.append(round(listing_price / max(area, 1.0), 2))
 
     bedrooms = gen.integer_column(rng, count, 0, 8, mode=3)
     bathrooms = gen.integer_column(rng, count, 1, 7, mode=2)
-    year_built = gen.integer_column(
-        rng, count, config.year_lower, config.year_upper, mode=1995
-    )
+    year_built = gen.integer_column(rng, count, *YEAR_BOUNDS, mode=1995)
     lot_size = gen.round_column(
         gen.lognormal_column(
             rng,
             count,
             median=0.25,
             sigma=0.8,
-            lower=config.lot_lower,
-            upper=config.lot_upper,
+            lower=LOT_BOUNDS[0],
+            upper=LOT_BOUNDS[1],
         ),
         decimals=2,
     )
 
-    schema = housing_schema(config)
-    zip_values = schema.require_categorical("zipcode").categories
     city = gen.categorical_column(
         rng, count, CITIES, weights=(30, 22, 20, 10, 8, 6, 4)
     )
-    zipcode = gen.categorical_column(rng, count, zip_values)
+    zipcode = gen.categorical_column(rng, count, ZIPCODES)
     home_type = gen.categorical_column(
         rng, count, HOME_TYPES, weights=(62, 14, 12, 8, 4)
     )
@@ -176,11 +146,3 @@ def generate_housing_catalog(
             "home_type": home_type,
         }
     )
-
-
-def catalog_statistics(catalog: ColumnTable) -> Dict[str, Dict[str, float]]:
-    """Numeric summaries for the example scripts and documentation."""
-    return {
-        name: gen.summarize_column([float(v) for v in catalog.column(name)])
-        for name in ("price", "squarefeet", "bedrooms", "year_built", "lot_size")
-    }

@@ -128,7 +128,7 @@ def build_default_registry(
             name="bluenile",
             title="Blue Nile (simulated diamond catalog)",
             catalog=generate_diamond_catalog(diamond_config),
-            schema=diamond_schema(diamond_config),
+            schema=diamond_schema(),
             system_ranking=FeaturedScoreRanking("price", boost_weight=2500.0),
             database_config=database_config,
             rerank_config=rerank_config,
@@ -145,7 +145,7 @@ def build_default_registry(
             name="zillow",
             title="Zillow (simulated housing catalog)",
             catalog=generate_housing_catalog(housing_config),
-            schema=housing_schema(housing_config),
+            schema=housing_schema(),
             system_ranking=FeaturedScoreRanking("price", boost_weight=150000.0),
             database_config=database_config,
             rerank_config=rerank_config,
@@ -187,7 +187,6 @@ def _make_source(
         system_ranking,
         database_config,
         name=name,
-        resilience=rerank_config.resilience,
         result_cache=result_cache,
     )
     dense_cache = (

@@ -28,7 +28,6 @@ from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.interface import TopKInterface
 from repro.webdb.latency import LatencyModel
 from repro.webdb.ranking import SystemRankingFunction
-from repro.webdb.resilience import ResilienceConfig
 from repro.webdb.stack import SourceStack
 
 if TYPE_CHECKING:  # pragma: no cover - repro.config imports repro.webdb
@@ -42,7 +41,6 @@ def build_source(
     config: "DatabaseConfig",
     *,
     name: str,
-    resilience: Optional[ResilienceConfig] = None,
     result_cache: Optional[QueryResultCache] = None,
 ) -> TopKInterface:
     """Build the source ``config`` describes over the catalog ``rows``.
@@ -55,8 +53,8 @@ def build_source(
     other count partitions the catalog (``config.shard_by``) and returns a
     :class:`~repro.webdb.federation.FederatedInterface` over shards named
     ``"{name}#{i}"`` — each its own cache namespace — that caches shard
-    answers in ``result_cache``.  ``resilience`` is the policy of every
-    guard.
+    answers in ``result_cache``.  Every guard runs the default retry /
+    breaker policy of :class:`~repro.webdb.stack.SourceStack`.
     """
     columns = stream_sorted_columns(
         rows, schema, system_ranking, validate=not isinstance(rows, SQLiteTupleStore)
@@ -78,11 +76,7 @@ def build_source(
         )
 
     if config.shards == 1:
-        return SourceStack(
-            database(0, name, columns),
-            fault_plan=config.fault_plan,
-            resilience=resilience,
-        )
+        return SourceStack(database(0, name, columns), fault_plan=config.fault_plan)
     keys = columns[schema.key]
     if len(set(keys)) != len(keys):
         # Each shard checks only its own keys; copies of one key dealt to
@@ -110,7 +104,6 @@ def build_source(
         fault_plans=None
         if plan is None
         else [replace(plan, seed=plan.seed + index) for index in range(len(shards))],
-        resilience=resilience,
     )
 
 

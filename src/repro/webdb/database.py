@@ -279,7 +279,8 @@ class HiddenWebDatabase(TopKInterface):
 
         The work follows the change, not the catalog: old versions are
         looked up by key, each new version bisects the served rank order
-        (``log n`` hidden-score calls) and the successor is
+        (``log n`` hidden-score calls on :meth:`ColumnarCatalog.view`, which
+        builds no row) and the successor is
         :meth:`ColumnarCatalog.spliced` from the served catalog.  ``_lock``
         serializes writers only; searches keep the snapshot they started on.
         """
@@ -319,7 +320,7 @@ class HiddenWebDatabase(TopKInterface):
             )
 
             def rank_key(rank: int):
-                return sort_key(columnar.materialize(rank))
+                return sort_key(columnar.view(rank))
 
             ranks = range(columnar.size)
             inserted = [

@@ -124,17 +124,6 @@ class CatalogDelta:
             self._columns[attribute] = column
         return column
 
-    @property
-    def numeric_values(self) -> Dict[str, Tuple[float, ...]]:
-        """The sorted, distinct numeric values the touched versions carried,
-        per attribute."""
-        names = dict.fromkeys(name for row in self.versions for name in row)
-        return {
-            name: tuple(dict.fromkeys(values))
-            for name in names
-            if (values := self._column(name)[0])
-        }
-
     def matching_versions(self, query: SearchQuery) -> Iterator[Row]:
         """The touched versions that match ``query``, lazily.
 

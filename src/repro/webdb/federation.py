@@ -66,7 +66,7 @@ from repro.webdb.interface import (
 )
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 from repro.webdb.ranking import SystemRankingFunction
-from repro.webdb.resilience import ResilienceConfig, ResilienceStatistics, guards_snapshot
+from repro.webdb.resilience import ResilienceStatistics, guards_snapshot
 from repro.webdb.stack import SourceStack
 
 
@@ -167,7 +167,8 @@ class FederatedInterface(TopKInterface):
     byte (see the module docstring for the argument).
 
     Each shard sits behind its own :class:`~repro.webdb.stack.SourceStack`,
-    built here from ``fault_plans[i]`` and ``resilience``; the stacks' guards
+    built here from ``fault_plans[i]`` with the default retry / breaker
+    policy and ``clock`` as its breaker's recovery clock; the stacks' guards
     share one :class:`~repro.webdb.resilience.ResilienceStatistics`.  With a
     ``result_cache``, shard answers are cached under per-shard namespaces:
     :meth:`invalidate_shard` retires exactly one shard's entries while
@@ -185,7 +186,6 @@ class FederatedInterface(TopKInterface):
         shard_by: str = "rank",
         result_cache: Optional[QueryResultCache] = None,
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-        resilience: Optional[ResilienceConfig] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not shards:
@@ -217,13 +217,11 @@ class FederatedInterface(TopKInterface):
             raise QueryError(f"shard names must be unique: {self._namespaces}")
         if self.name in self._namespaces:
             raise QueryError(f"federation name {self.name!r} collides with a shard")
-        resilience = resilience or ResilienceConfig()
         self._resilience_stats = ResilienceStatistics()
         self._stacks = [
             SourceStack(
                 shard,
                 fault_plan=fault_plans[index] if fault_plans is not None else None,
-                resilience=resilience,
                 resilience_statistics=self._resilience_stats,
                 clock=clock,
                 name=self._namespaces[index],

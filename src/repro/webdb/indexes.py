@@ -92,6 +92,24 @@ class CatalogRowView(Sequence):
             yield materialize(rank)
 
 
+class RankView:
+    """The tuple at one rank, read through ``[]`` / ``get`` straight from the
+    columns: enough for a ranking function's sort key, with no row built."""
+
+    __slots__ = ("_raw", "_rank")
+
+    def __init__(self, raw: Mapping[str, Sequence[object]], rank: int) -> None:
+        self._raw = raw
+        self._rank = rank
+
+    def __getitem__(self, name: str) -> object:
+        return self._raw[name][self._rank]
+
+    def get(self, name: str, default: object = None) -> object:
+        column = self._raw.get(name)
+        return default if column is None else column[self._rank]
+
+
 class ColumnarCatalog:
     """Column-major snapshot of a catalog in hidden-rank order.
 
@@ -371,6 +389,10 @@ class ColumnarCatalog:
         columns."""
         raw = self._raw
         return adopt_row({name: raw[name][rank] for name in self._order})
+
+    def view(self, rank: int) -> RankView:
+        """Read-only access to the tuple at ``rank`` without materializing it."""
+        return RankView(self._raw, rank)  # type: ignore[arg-type]
 
     def materialize_many(self, ranks: Sequence[int]) -> List[Row]:
         """The read-only rows of ``ranks``, in the given order."""

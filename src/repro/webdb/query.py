@@ -109,11 +109,6 @@ class RangePredicate:
         """Width of the range (``inf`` for unbounded ranges)."""
         return self.upper - self.lower
 
-    @property
-    def is_point(self) -> bool:
-        """True when the predicate pins a single value."""
-        return self.lower == self.upper
-
     def intersect(self, other: "RangePredicate") -> Optional["RangePredicate"]:
         """Intersection with another range on the same attribute.
 

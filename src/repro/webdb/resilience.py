@@ -35,46 +35,13 @@ T = TypeVar("T")
 _TOKEN_HASH = 2654435761
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Resilience knobs for one reranker's sources.
-
-    With perfectly reliable sources the defaults change nothing: no fault
-    means no retry, and a breaker that never sees a failure never opens —
-    which is why this config can be on by default.
-
-    Parameters
-    ----------
-    max_attempts:
-        Attempts per query (1 initial + ``max_attempts - 1`` retries).
-    backoff_base_seconds / backoff_cap_seconds:
-        Bounds of the decorrelated-jitter backoff; delays are charged in
-        simulated time.
-    backoff_seed:
-        Seed of the replayable jitter stream.
-    breaker_failure_threshold:
-        Consecutive failures that trip the breaker open.
-    breaker_recovery_seconds:
-        Wall-clock seconds an open breaker waits before admitting one
-        half-open probe.
-    """
-
-    max_attempts: int = 3
-    backoff_base_seconds: float = 0.05
-    backoff_cap_seconds: float = 2.0
-    backoff_seed: int = 17
-    breaker_failure_threshold: int = 5
-    breaker_recovery_seconds: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be at least 1")
-
-
 class RetryPolicy:
-    """Capped exponential backoff with seeded decorrelated jitter."""
+    """Capped exponential backoff with seeded decorrelated jitter.
+
+    The defaults are the policy of every source stack's guard: three
+    attempts, 0.05–2.0 s of backoff drawn from seed 17.  With a reliable
+    source they change nothing — no fault means no retry.
+    """
 
     def __init__(
         self,
@@ -89,15 +56,6 @@ class RetryPolicy:
         self.base_seconds = base_seconds
         self.cap_seconds = cap_seconds
         self.seed = seed
-
-    @classmethod
-    def from_config(cls, config: ResilienceConfig) -> "RetryPolicy":
-        return cls(
-            max_attempts=config.max_attempts,
-            base_seconds=config.backoff_base_seconds,
-            cap_seconds=config.backoff_cap_seconds,
-            seed=config.backoff_seed,
-        )
 
     def delays(self, token: int = 0) -> List[float]:
         """The backoff delays between the attempts of one call (length
@@ -132,6 +90,8 @@ class BreakerTransitions(Counters):
 class CircuitBreaker:
     """Closed → open → half-open circuit breaker for one source/shard.
 
+    The defaults are every source stack's breaker: five consecutive
+    failures open it, and 30 s later it admits one half-open probe.
     ``clock`` is injectable (tests drive recovery without sleeping).  All
     transitions are recorded so statistics panels can show the breaker's
     history — into the breaker's own counts and, at the moment they happen,
@@ -150,8 +110,8 @@ class CircuitBreaker:
             raise ValueError("failure_threshold must be at least 1")
         self.name = name
         self.statistics: Optional[ResilienceStatistics] = None
-        self._failure_threshold = failure_threshold
-        self._recovery_seconds = recovery_seconds
+        self.failure_threshold = failure_threshold
+        self.recovery_seconds = recovery_seconds
         self._clock = clock
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
@@ -208,7 +168,7 @@ class CircuitBreaker:
                 self._open_locked()  # failed probe: back to open, timer restarts
             elif (
                 self._state == BreakerState.CLOSED
-                and self._consecutive_failures >= self._failure_threshold
+                and self._consecutive_failures >= self.failure_threshold
             ):
                 self._open_locked()
 
@@ -219,7 +179,7 @@ class CircuitBreaker:
             self._maybe_half_open_locked()
             if self._state != BreakerState.OPEN:
                 return 0.0
-            return max(0.0, self._opened_at + self._recovery_seconds - self._clock())
+            return max(0.0, self._opened_at + self.recovery_seconds - self._clock())
 
     def transitions(self) -> Dict[str, int]:
         """Cumulative transition counts (``opened``/``half_opened``/``closed``)."""
@@ -243,7 +203,7 @@ class CircuitBreaker:
     def _maybe_half_open_locked(self) -> None:
         if (
             self._state == BreakerState.OPEN
-            and self._clock() >= self._opened_at + self._recovery_seconds
+            and self._clock() >= self._opened_at + self.recovery_seconds
         ):
             self._state = BreakerState.HALF_OPEN
             self._probe_in_flight = False
@@ -295,26 +255,6 @@ class SourceGuard:
         breaker.statistics = self.statistics
         self._calls = 0
         self._lock = threading.Lock()
-
-    @classmethod
-    def from_config(
-        cls,
-        name: str,
-        config: ResilienceConfig,
-        statistics: Optional[ResilienceStatistics] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> "SourceGuard":
-        return cls(
-            name=name,
-            policy=RetryPolicy.from_config(config),
-            breaker=CircuitBreaker(
-                failure_threshold=config.breaker_failure_threshold,
-                recovery_seconds=config.breaker_recovery_seconds,
-                clock=clock,
-                name=name,
-            ),
-            statistics=statistics,
-        )
 
     def call(self, supply: Callable[[], T], queries: int = 1) -> T:
         """Run ``supply`` under the guard's breaker + retry policy.

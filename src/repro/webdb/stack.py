@@ -31,8 +31,9 @@ from repro.webdb.interface import (
 )
 from repro.webdb.query import SearchQuery
 from repro.webdb.resilience import (
-    ResilienceConfig,
+    CircuitBreaker,
     ResilienceStatistics,
+    RetryPolicy,
     SourceGuard,
     guards_snapshot,
 )
@@ -48,9 +49,6 @@ class SourceStack(TopKInterface):
         adapter, ...).
     fault_plan:
         Deterministic fault schedule; ``None`` builds no injector.
-    resilience:
-        Retry / breaker policy of the guard (defaults are inert
-        against a reliable source).
     resilience_statistics:
         Counters the guard records into; a federation passes one shared
         object to all of its shards' stacks.
@@ -59,6 +57,8 @@ class SourceStack(TopKInterface):
     name:
         Guard / breaker name; defaults to the database's ``name``.
 
+    The guard runs the default :class:`RetryPolicy` and
+    :class:`CircuitBreaker`, which are inert against a reliable source.
     Cache hits are resolved *above* the stack (query engine, federation), so
     the guard only ever sees real round trips.  Attributes this class does
     not define (``apply_delta``, ``has_key``, ``true_ranking``, ``size``,
@@ -69,7 +69,6 @@ class SourceStack(TopKInterface):
         self,
         database: TopKInterface,
         fault_plan: Optional[FaultPlan] = None,
-        resilience: Optional[ResilienceConfig] = None,
         resilience_statistics: Optional[ResilienceStatistics] = None,
         clock: Callable[[], float] = time.monotonic,
         name: Optional[str] = None,
@@ -79,11 +78,11 @@ class SourceStack(TopKInterface):
         self.injector: Optional[FaultInjector] = (
             FaultInjector(database, fault_plan) if fault_plan is not None else None
         )
-        self.guard: SourceGuard = SourceGuard.from_config(
+        self.guard = SourceGuard(
             self.name,
-            resilience or ResilienceConfig(),
+            RetryPolicy(),
+            CircuitBreaker(clock=clock, name=self.name),
             statistics=resilience_statistics,
-            clock=clock,
         )
         self.statistics = InterfaceStatistics()
 

@@ -103,8 +103,8 @@ class ExperimentEnvironment:
         housing_config = HousingCatalogConfig(
             size=max(int(6000 * self.catalog_scale), 200), seed=self.seed + 1
         )
-        self.diamond_schema = diamond_schema(diamond_config)
-        self.housing_schema = housing_schema(housing_config)
+        self.diamond_schema = diamond_schema()
+        self.housing_schema = housing_schema()
         latency = LatencyModel.accounted(self.latency_seconds, seed=self.seed)
         self.diamond_catalog = generate_diamond_catalog(diamond_config)
         self.housing_catalog = generate_housing_catalog(housing_config)
@@ -174,7 +174,6 @@ class ExperimentEnvironment:
             ),
             name=source,
             result_cache=result_cache,
-            resilience=config.resilience,
         )
         return QueryReranker(federation, config=config, result_cache=result_cache)
 

@@ -9,6 +9,7 @@ the general-positioning fallback.
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import pytest
 
@@ -26,8 +27,10 @@ from repro.dataset.housing import (
     generate_housing_catalog,
     housing_schema,
 )
+from repro.webdb import stack
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
+from repro.webdb.resilience import CircuitBreaker, RetryPolicy
 from repro.webdb.ranking import AttributeOrderRanking, FeaturedScoreRanking
 
 
@@ -60,15 +63,15 @@ def housing_catalog(housing_config):
 
 
 @pytest.fixture(scope="session")
-def diamond_schema_fixture(diamond_config):
+def diamond_schema_fixture():
     """Schema of the diamond catalog."""
-    return diamond_schema(diamond_config)
+    return diamond_schema()
 
 
 @pytest.fixture(scope="session")
-def housing_schema_fixture(housing_config):
+def housing_schema_fixture():
     """Schema of the housing catalog."""
-    return housing_schema(housing_config)
+    return housing_schema()
 
 
 @pytest.fixture(scope="session")
@@ -191,4 +194,16 @@ def assert_matches_ground_truth(stream_rows, truth_rows, ranking, key_column="id
     for score, keys in got_groups.items():
         assert keys <= truth_groups.get(score, set()) or keys >= truth_groups.get(score, set()), (
             f"keys at score {score} differ: {keys} vs {truth_groups.get(score)}"
+        )
+
+
+def set_guard_policy(monkeypatch, max_attempts, failure_threshold=None):
+    """For the rest of the test, every source stack built gets a guard that
+    makes ``max_attempts`` attempts per query and, when given, a breaker
+    that opens after ``failure_threshold`` consecutive failures; the rest of
+    the policy keeps its defaults."""
+    monkeypatch.setattr(stack, "RetryPolicy", partial(RetryPolicy, max_attempts=max_attempts))
+    if failure_threshold is not None:
+        monkeypatch.setattr(
+            stack, "CircuitBreaker", partial(CircuitBreaker, failure_threshold=failure_threshold)
         )

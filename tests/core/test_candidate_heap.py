@@ -9,7 +9,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import RerankConfig
 from repro.core import contour
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
@@ -166,14 +165,12 @@ def _md_lead_counts(bluenile_db, monkeypatch):
     ranking = Counting(
         weights, normalizer=MinMaxNormalizer.from_schema(bluenile_db.schema, list(weights))
     )
-    config = RerankConfig()
     session = Session("guard")
     getnext = MultiDimGetNext(
-        engine=QueryEngine(bluenile_db, config=config, statistics=session.statistics),
+        engine=QueryEngine(bluenile_db, statistics=session.statistics),
         base_query=SearchQuery.build(ranges={"price": (500.0, 9000.0)}),
         ranking=ranking,
         session=session,
-        config=config,
         dense_index=DenseRegionIndex(bluenile_db.schema),
     )
     assert all(getnext.next() is not None for _ in range(50))

@@ -187,7 +187,7 @@ def test_interval_counters_match_structure(diamond_schema_fixture):
     assert interval.region_count() == sum(interval.describe()["per_signature"].values())
 
 
-def test_region_heavy_rerank_matches_reference_index_end_to_end(bluenile_db):
+def test_region_heavy_rerank_matches_reference_index_end_to_end(bluenile_db, monkeypatch):
     """1D-RERANK over nested and shifted windows around the big
     ``length_width_ratio = 1.0`` cluster, with an eager density threshold so
     the shared index accumulates overlapping regions (feed off: repeats must
@@ -196,7 +196,8 @@ def test_region_heavy_rerank_matches_reference_index_end_to_end(bluenile_db):
     external queries than the linear reference."""
     ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
     windows = [(0.995, 1.6), (0.99, 1.2), (0.995, 1.3), (1.05, 1.5), (1.15, 1.8), (1.0, 1.45)]
-    config = RerankConfig(dense_ratio_threshold=0.02, enable_rerank_feed=False)
+    monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.02)
+    config = RerankConfig(enable_rerank_feed=False)
     runs = {}
     for impl, reranker_class in (("naive", NaiveIndexReranker), ("interval", QueryReranker)):
         reranker = reranker_class(bluenile_db, config=config)

@@ -9,6 +9,7 @@ disabled, budget exhaustion mid-stream, and configuration copy helpers.
 import pytest
 
 from repro.config import RerankConfig, ServiceConfig
+from repro.core import dense_index
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
@@ -84,13 +85,21 @@ class TestConfigurationVariants:
         assert_matches_ground_truth(rows, truth, ranking)
         assert stream.statistics.dense_index_hits == 0
 
-    def test_aggressive_dense_threshold_still_correct(self, bluenile_db):
-        config = RerankConfig(dense_ratio_threshold=0.2)
+    def test_density_rule_reads_its_two_constants(self, monkeypatch):
+        threshold, depth = dense_index.DENSE_RATIO_THRESHOLD, dense_index.MAX_BINARY_ROUNDS
+        assert dense_index.is_dense(threshold / 2, 0)
+        assert not dense_index.is_dense(threshold, depth - 1)
+        assert dense_index.is_dense(1.0, depth)
+        monkeypatch.setattr(dense_index, "DENSE_RATIO_THRESHOLD", 0.2)
+        assert dense_index.is_dense(0.1, 0)
+
+    def test_aggressive_dense_threshold_still_correct(self, bluenile_db, monkeypatch):
+        monkeypatch.setattr(dense_index, "DENSE_RATIO_THRESHOLD", 0.2)
         ranking = LinearRankingFunction(
             {"price": 1.0, "carat": -0.5},
             normalizer=MinMaxNormalizer.from_schema(bluenile_db.schema, ["price", "carat"]),
         )
-        stream = QueryReranker(bluenile_db, config=config).rerank(
+        stream = QueryReranker(bluenile_db).rerank(
             SearchQuery.everything(), ranking, algorithm=Algorithm.RERANK
         )
         rows = stream.top(5)

@@ -13,10 +13,9 @@ from repro.core.functions import (
     from_specification,
     weighted,
 )
-from repro.core.normalization import MinMaxNormalizer, discover_attribute_range
+from repro.core.normalization import MinMaxNormalizer
 from repro.core.regions import HyperRectangle
 from repro.exceptions import RankingFunctionError
-from repro.webdb.query import SearchQuery
 
 
 class TestSingleAttributeRanking:
@@ -157,34 +156,6 @@ class TestMinMaxNormalizer:
     def test_explicit_integer_bounds(self):
         normalizer = MinMaxNormalizer({"price": (1, 3)})
         assert normalizer.normalize("price", 2) == pytest.approx(0.5)
-
-
-class TestDiscoveredRange:
-    def test_discover_matches_ground_truth(self, bluenile_db):
-        low, high = discover_attribute_range(bluenile_db, "carat")
-        values = bluenile_db.attribute_values("carat")
-        assert low == pytest.approx(min(values))
-        assert high == pytest.approx(max(values))
-
-    def test_discover_respects_filter(self, bluenile_db):
-        query = SearchQuery.build(ranges={"price": (1000.0, 5000.0)})
-        low, high = discover_attribute_range(bluenile_db, "carat", base_query=query)
-        carats = [row["carat"] for row in bluenile_db.all_matches(query)]
-        assert low == pytest.approx(min(carats))
-        assert high == pytest.approx(max(carats))
-
-    def test_discover_empty_query_raises(self, bluenile_db):
-        query = SearchQuery.build(ranges={"price": (300.4, 300.6)})
-        with pytest.raises(RankingFunctionError):
-            discover_attribute_range(bluenile_db, "carat", base_query=query)
-
-    def test_discovered_normalizer(self, bluenile_db):
-        normalizer = MinMaxNormalizer(
-            {"carat": discover_attribute_range(bluenile_db, "carat")}
-        )
-        values = bluenile_db.attribute_values("carat")
-        assert normalizer.normalize("carat", min(values)) == 0.0
-        assert normalizer.normalize("carat", max(values)) == 1.0
 
 
 # --------------------------------------------------------------------------- #

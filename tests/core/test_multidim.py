@@ -3,7 +3,6 @@ RERANK) against brute-force ground truth."""
 
 import pytest
 
-from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.multidim import MDVariant, MultiDimGetNext
@@ -24,16 +23,14 @@ def make_ranking(schema, weights):
     )
 
 
-def run_md(database, query, ranking, variant, depth, config=None, dense_index=None, session=None):
-    config = config or RerankConfig()
+def run_md(database, query, ranking, variant, depth, dense_index=None, session=None):
     session = session or Session("md-test")
-    engine = QueryEngine(database, config=config, statistics=session.statistics)
+    engine = QueryEngine(database, statistics=session.statistics)
     getnext = MultiDimGetNext(
         engine=engine,
         base_query=query,
         ranking=ranking,
         session=session,
-        config=config,
         variant=variant,
         dense_index=dense_index
         if dense_index is not None
@@ -177,21 +174,21 @@ class TestBehaviour:
         assert_matches_ground_truth(rows, truth, ranking)
         assert deep_engine.queries_issued() < 3 * first_engine.queries_issued()
 
-    def test_dense_regions_indexed_and_amortized(self, bluenile_db):
+    def test_dense_regions_indexed_and_amortized(self, bluenile_db, monkeypatch):
         """With an aggressive dense threshold, MD-RERANK builds regions on the
         first request and answers the second one mostly from the index."""
-        config = RerankConfig(dense_ratio_threshold=0.05)
+        monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.05)
         index = DenseRegionIndex(bluenile_db.schema)
         ranking = make_ranking(
             bluenile_db.schema, {"price": 1.0, "length_width_ratio": 1.0}
         )
         _, cold_engine, cold_session = run_md(
             bluenile_db, SearchQuery.everything(), ranking, MDVariant.RERANK,
-            depth=8, config=config, dense_index=index,
+            depth=8, dense_index=index,
         )
         _, warm_engine, warm_session = run_md(
             bluenile_db, SearchQuery.everything(), ranking, MDVariant.RERANK,
-            depth=8, config=config, dense_index=index,
+            depth=8, dense_index=index,
         )
         assert cold_session.statistics.dense_regions_built >= 1
         assert index.region_count() >= 1

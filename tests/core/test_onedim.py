@@ -8,7 +8,6 @@ groups larger than ``system-k``).
 
 import pytest
 
-from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import SingleAttributeRanking
 from repro.core.onedim import OneDimGetNext, OneDimVariant
@@ -28,21 +27,18 @@ def run_onedim(
     ascending,
     variant,
     depth,
-    config=None,
     dense_index=None,
     session=None,
 ):
-    config = config or RerankConfig()
     session = session or Session("test")
     # Mirror QueryReranker: the engine writes its accounting into the
     # session's statistics object so the statistics panel sees one total.
-    engine = QueryEngine(database, config=config, statistics=session.statistics)
+    engine = QueryEngine(database, statistics=session.statistics)
     getnext = OneDimGetNext(
         engine=engine,
         base_query=query,
         ranking=SingleAttributeRanking(attribute, ascending=ascending),
         session=session,
-        config=config,
         variant=variant,
         dense_index=dense_index
         if dense_index is not None
@@ -167,17 +163,16 @@ class TestAlgorithmBehaviour:
     def test_session_cache_reduces_queries_for_follow_up(self, bluenile_db):
         """Re-running a request inside the same session benefits from the
         seen-tuple cache (the paper's user-level cache)."""
-        config = RerankConfig()
         session = Session("shared")
         query = SearchQuery.build(ranges={"carat": (0.5, 2.0)})
         rows_first, first_engine, _ = run_onedim(
             bluenile_db, query, "carat", True, OneDimVariant.RERANK, depth=5,
-            config=config, session=session,
+            session=session,
         )
         session.reset_for_new_request()
         rows_second, second_engine, _ = run_onedim(
             bluenile_db, query, "carat", True, OneDimVariant.RERANK, depth=5,
-            config=config, session=session,
+            session=session,
         )
         assert [r["id"] for r in rows_first] == [r["id"] for r in rows_second]
         assert second_engine.queries_issued() <= first_engine.queries_issued()
@@ -211,14 +206,12 @@ class TestAlgorithmBehaviour:
         from repro.webdb.counters import QueryBudget
         from repro.exceptions import QueryBudgetExceeded
 
-        config = RerankConfig()
-        engine = QueryEngine(bluenile_price_db, config=config, budget=QueryBudget(2))
+        engine = QueryEngine(bluenile_price_db, budget=QueryBudget(2))
         getnext = OneDimGetNext(
             engine=engine,
             base_query=SearchQuery.everything(),
             ranking=SingleAttributeRanking("price", ascending=False),
             session=Session("budgeted"),
-            config=config,
             variant=OneDimVariant.BASELINE,
         )
         with pytest.raises(QueryBudgetExceeded):

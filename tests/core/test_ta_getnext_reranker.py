@@ -29,13 +29,12 @@ def make_ranking(schema, weights):
 
 
 class TestThresholdAlgorithm:
-    def run_ta(self, database, query, ranking, depth, config=None):
-        config = config or RerankConfig()
+    def run_ta(self, database, query, ranking, depth):
         session = Session("ta-test")
-        engine = QueryEngine(database, config=config, statistics=session.statistics)
+        engine = QueryEngine(database, statistics=session.statistics)
         getnext = ThresholdAlgorithmGetNext(
             engine=engine, base_query=query, ranking=ranking, session=session,
-            dense_index=DenseRegionIndex(database.schema), config=config,
+            dense_index=DenseRegionIndex(database.schema),
         )
         rows = []
         for _ in range(depth):

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
@@ -33,9 +32,8 @@ from tests.workloads.paper_currency import environment, read_table
 def _onedim(database, query, stale=False):
     """A 1D-RERANK stream by price over ``database``; with ``stale`` every
     answer it receives is marked as served from a stale cache entry."""
-    config = RerankConfig()
     session = Session("prefix")
-    engine = QueryEngine(database, config=config, statistics=session.statistics)
+    engine = QueryEngine(database, statistics=session.statistics)
     if stale:
         search = engine.search
         engine.search = lambda q, bypass_cache=False: replace(  # type: ignore[method-assign]
@@ -46,7 +44,6 @@ def _onedim(database, query, stale=False):
         base_query=query,
         ranking=SingleAttributeRanking("price", ascending=True),
         session=session,
-        config=config,
         variant=OneDimVariant.RERANK,
         dense_index=DenseRegionIndex(database.schema),
     )

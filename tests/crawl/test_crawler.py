@@ -179,7 +179,7 @@ def _split_oracle_databases():
     housing = HousingCatalogConfig(size=4000, seed=8)
     catalogs = (
         (
-            "bluenile", generate_diamond_catalog(diamonds), diamond_schema(diamonds),
+            "bluenile", generate_diamond_catalog(diamonds), diamond_schema(),
             [SearchQuery.build(ranges={"table": (value, value)})
              for value in (52, 54, 56, 57, 58, 60, 63)]
             + [
@@ -190,7 +190,7 @@ def _split_oracle_databases():
             ],
         ),
         (
-            "zillow", generate_housing_catalog(housing), housing_schema(housing),
+            "zillow", generate_housing_catalog(housing), housing_schema(),
             [SearchQuery.build(ranges={"year_built": (value, value)})
              for value in (1950, 1975, 2000)]
             + [

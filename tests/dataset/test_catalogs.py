@@ -14,13 +14,13 @@ from repro.dataset.diamonds import (
     CUTS,
     SHAPES,
     DiamondCatalogConfig,
-    catalog_statistics,
     diamond_schema,
     generate_diamond_catalog,
 )
 from repro.dataset.housing import (
     CITIES,
     HOME_TYPES,
+    YEAR_BOUNDS,
     HousingCatalogConfig,
     generate_housing_catalog,
     housing_schema,
@@ -69,11 +69,6 @@ class TestDiamondCatalog:
         )
         assert other.to_rows() != generate_diamond_catalog(diamond_config).to_rows()
 
-    def test_catalog_statistics_keys(self, diamond_catalog):
-        stats = catalog_statistics(diamond_catalog)
-        assert set(stats) == {"price", "carat", "depth", "table", "length_width_ratio"}
-        assert stats["price"]["min"] >= 300.0
-
     def test_schema_rankable_attributes(self, diamond_schema_fixture):
         rankable = diamond_schema_fixture.rankable_names
         assert "price" in rankable and "carat" in rankable
@@ -111,10 +106,19 @@ class TestHousingCatalog:
         second = generate_housing_catalog(housing_config)
         assert first.to_rows() == second.to_rows()
 
-    def test_year_built_within_domain(self, housing_catalog, housing_config):
+    def test_year_built_within_domain(self, housing_catalog):
         years = [float(v) for v in housing_catalog.column("year_built")]
-        assert min(years) >= housing_config.year_lower
-        assert max(years) <= housing_config.year_upper
+        assert min(years) >= YEAR_BOUNDS[0]
+        assert max(years) <= YEAR_BOUNDS[1]
+
+    @pytest.mark.parametrize("seed", [5, 2019])
+    def test_every_seed_conforms_to_the_one_schema(self, seed):
+        """The schema takes no seed: a catalog of any seed, ZIP codes
+        included, validates against it."""
+        catalog = generate_housing_catalog(HousingCatalogConfig(size=200, seed=seed))
+        schema = housing_schema()
+        for row in catalog.iter_rows():
+            schema.validate_row(row)
 
     def test_schema_rankable_attributes(self, housing_schema_fixture):
         rankable = housing_schema_fixture.rankable_names

@@ -93,17 +93,6 @@ class TestStatisticsHelpers:
         with pytest.raises(ValueError):
             gen.pearson([1.0], [1.0])
 
-    def test_summarize_column(self):
-        summary = gen.summarize_column([1.0, 2.0, 3.0, 4.0])
-        assert summary["min"] == 1.0
-        assert summary["max"] == 4.0
-        assert summary["median"] == 2.5
-        assert summary["count"] == 4.0
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(ValueError):
-            gen.summarize_column([])
-
     def test_determinism_from_seed(self):
         first = gen.lognormal_column(gen.make_rng(7), 50, 100, 0.5, 1, 1000)
         second = gen.lognormal_column(gen.make_rng(7), 50, 100, 0.5, 1, 1000)

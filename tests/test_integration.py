@@ -97,7 +97,7 @@ class TestPersistentDenseCacheLifecycle:
         value while no instance was running is refreshed at boot, and the
         next request serves the live row, not the stored one."""
         config = DiamondCatalogConfig(size=2000, seed=3)
-        schema = diamond_schema(config)
+        schema = diamond_schema()
         database = HiddenWebDatabase(
             generate_diamond_catalog(config),
             schema,

@@ -384,6 +384,35 @@ class TestDeltaApplication:
         assert scores == sorted(scores)
 
     @pytest.mark.parametrize("backend", ["list", "array", "buffer"])
+    def test_repricing_materializes_only_the_leaving_versions(self, monkeypatch, backend):
+        """The insertion bisect reads the hidden ranking's inputs from the
+        columns: a 100-row repricing materializes the 100 versions it
+        replaces (they go into the delta) and nothing else."""
+        from repro.webdb.indexes import ColumnarCatalog
+        from repro.webdb.ranking import FeaturedScoreRanking
+
+        ranking = FeaturedScoreRanking("price", boost_weight=25.0)
+        database = self.repricing_db(5_000, ranking, backend)
+        victims = [dict(database._ranked_rows[rank]) for rank in range(1_000, 1_100)]
+        materialized = []
+        materialize = ColumnarCatalog.materialize
+
+        def counting_materialize(catalog, rank):
+            materialized.append(rank)
+            return materialize(catalog, rank)
+
+        monkeypatch.setattr(ColumnarCatalog, "materialize", counting_materialize)
+        delta = database.apply_delta(
+            upserts=[dict(row, price=row["price"] * 0.5) for row in victims]
+        )
+        assert sorted(materialized) == list(range(1_000, 1_100))
+        assert len(delta.versions) == 200
+        monkeypatch.undo()
+        sort_key = ranking.sort_key("id")
+        keys = [sort_key(row) for row in database._ranked_rows]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("backend", ["list", "array", "buffer"])
     def test_a_reader_keeps_the_snapshot_it_started_with(self, backend):
         """The published ``(catalog, engine)`` pair taken before a delta
         still answers the old catalog afterwards, and none of its columns

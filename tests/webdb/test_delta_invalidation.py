@@ -145,7 +145,6 @@ def test_delta_bounds_and_matching():
     delta = CatalogDelta.from_rows("ns", "id", rows, upserts=1)
     assert not delta.is_empty
     assert "a" in delta.keys and "b" not in delta.keys
-    assert delta.numeric_values["price"] == (100.0, 140.0)
     assert delta.versions == tuple(rows)
     hit = SearchQuery.build(ranges={"price": (120.0, 200.0)})
     miss = SearchQuery.build(ranges={"price": (200.0, 300.0)})
@@ -191,7 +190,7 @@ def test_merge_shard_deltas_carries_parts():
         "ns#1", "id", [{"id": "b", "price": 90.0}], deletes=1
     )
     merged = merge_shard_deltas("ns", [(0, first), (1, second)])
-    assert merged.numeric_values["price"] == (10.0, 90.0)
+    assert [row["price"] for row in merged.versions] == [10.0, 90.0]
     assert merged.upserts == 1 and merged.deletes == 1
     assert [index for index, _ in merged.shard_deltas] == [0, 1]
     assert merged.keys == {"a", "b"}

@@ -15,7 +15,9 @@ from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
-from repro.webdb.resilience import ResilienceConfig
+from repro.webdb.resilience import CircuitBreaker
+
+from tests.conftest import set_guard_policy
 
 
 RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
@@ -23,10 +25,10 @@ QUERY = SearchQuery.build(ranges={"price": (300.0, 6000.0)})
 
 
 def make_federation(catalog, schema, shards=3, fault_plan=None, clock=None, **kwargs):
-    """``kwargs`` are build_source's keyword arguments (resilience,
-    result_cache).  A ``clock`` for the shard breakers' recovery is taken by
-    the federation itself, so with one the built shards and their fault
-    plans are federated again under it."""
+    """``kwargs`` are build_source's keyword arguments (result_cache).  A
+    ``clock`` for the shard breakers' recovery is taken by the federation
+    itself, so with one the built shards and their fault plans are
+    federated again under it."""
     federation = build_source(
         catalog,
         schema,
@@ -125,7 +127,7 @@ class TestDegradedScatter:
         # reach its probe window, then replay the same trace.
         for injector in faulted_federation.fault_injectors():
             injector.deactivate()
-        clock.now += ResilienceConfig().breaker_recovery_seconds + 1.0
+        clock.now += CircuitBreaker().recovery_seconds + 1.0
         for query in queries:
             healed = faulted_federation.search(query)
             clean = reference.search(query)
@@ -136,13 +138,13 @@ class TestDegradedScatter:
             ]
 
     def test_resilient_scatter_retries_transients_clean(
-        self, diamond_catalog, diamond_schema_fixture
+        self, diamond_catalog, diamond_schema_fixture, monkeypatch
     ):
+        set_guard_policy(monkeypatch, max_attempts=8, failure_threshold=100)
         federation = make_federation(
             diamond_catalog,
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=47, transient_rate=0.25),
-            resilience=ResilienceConfig(max_attempts=8, breaker_failure_threshold=100),
         )
         for i in range(20):
             query = SearchQuery.build(ranges={"price": (300.0, 900.0 + 50.0 * i)})
@@ -155,7 +157,7 @@ class TestDegradedScatter:
 
 @pytest.mark.parametrize("seed", [31, 47, 2018])
 def test_chaos_run_is_a_pure_function_of_the_plan_seed(
-    diamond_catalog, diamond_schema_fixture, seed
+    diamond_catalog, diamond_schema_fixture, seed, monkeypatch
 ):
     """Rebuilding the federation from the same ``FaultPlan`` and replaying
     the same scatter trace lands on the same fault draws: per-shard schedule
@@ -164,13 +166,13 @@ def test_chaos_run_is_a_pure_function_of_the_plan_seed(
     trace = [
         SearchQuery.build(ranges={"price": (300.0, 900.0 + 150.0 * i)}) for i in range(20)
     ]
+    set_guard_policy(monkeypatch, max_attempts=2, failure_threshold=100)
 
     def run():
         federation = make_federation(
             diamond_catalog,
             diamond_schema_fixture,
             fault_plan=plan,
-            resilience=ResilienceConfig(max_attempts=2, breaker_failure_threshold=100),
             clock=FakeClock(),
         )
         answers = [federation.search(query) for query in trace]

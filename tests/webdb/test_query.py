@@ -41,7 +41,7 @@ class TestRangePredicate:
 
     def test_point_predicate(self):
         predicate = RangePredicate("price", 10, 10)
-        assert predicate.is_point and predicate.matches(10)
+        assert predicate.width == 0 and predicate.matches(10)
 
     def test_width(self):
         assert RangePredicate("price", 10, 30).width == 20

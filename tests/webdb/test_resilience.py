@@ -20,12 +20,13 @@ from repro.webdb.ranking import FeaturedScoreRanking
 from repro.webdb.resilience import (
     BreakerState,
     CircuitBreaker,
-    ResilienceConfig,
     ResilienceStatistics,
     RetryPolicy,
     SourceGuard,
 )
 from repro.webdb.stack import SourceStack
+
+from tests.conftest import set_guard_policy
 
 
 QUERY = SearchQuery.build(ranges={"price": (300.0, 5000.0)})
@@ -235,14 +236,11 @@ class TestSourceGuard:
 class TestResilientInterface:
     """The source stack is the resilient interface of a single source."""
 
-    def test_retries_ride_over_scheduled_transients(self, bluenile_db):
-        # ~30% transient faults; three attempts per query almost always find
+    def test_retries_ride_over_scheduled_transients(self, bluenile_db, monkeypatch):
+        # ~30% transient faults; six attempts per query almost always find
         # a clean draw, so every query answers and the counters show retries.
-        resilient = SourceStack(
-            bluenile_db,
-            fault_plan=FaultPlan(seed=13, transient_rate=0.3),
-            resilience=ResilienceConfig(max_attempts=6, breaker_failure_threshold=50),
-        )
+        set_guard_policy(monkeypatch, max_attempts=6, failure_threshold=50)
+        resilient = SourceStack(bluenile_db, fault_plan=FaultPlan(seed=13, transient_rate=0.3))
         for i in range(40):
             query = SearchQuery.build(ranges={"price": (300.0, 1000.0 + i)})
             result = resilient.search(query)
@@ -253,11 +251,11 @@ class TestResilientInterface:
         assert resilient.statistics.queries == 40
 
     def test_snapshot_shape_matches_federation(
-        self, bluenile_db, diamond_catalog, diamond_schema_fixture
+        self, bluenile_db, diamond_catalog, diamond_schema_fixture, monkeypatch
     ):
         plan = FaultPlan(seed=13, transient_rate=0.1)
-        config = ResilienceConfig(max_attempts=4)
-        unsharded = SourceStack(bluenile_db, fault_plan=plan, resilience=config)
+        set_guard_policy(monkeypatch, max_attempts=4)
+        unsharded = SourceStack(bluenile_db, fault_plan=plan)
         ranking = FeaturedScoreRanking("price", boost_weight=2500.0)
         federation = FederatedInterface(
             [
@@ -269,7 +267,6 @@ class TestResilientInterface:
             ranking,
             name="parity",
             fault_plans=[plan],
-            resilience=config,
         )
         for source in (unsharded, federation):
             source.search(QUERY)
