@@ -345,15 +345,6 @@ class DenseRegionIndex:
         if persist and self._cache is not None:
             self._cache.store_region(box.bounds(), list(rows))
 
-    def clear(self) -> None:
-        """Drop every in-memory region and reset every counter (the
-        persistent cache is left alone)."""
-        with self._lock:
-            self._indexes.clear()
-            self._region_count = 0
-            self._tuple_count = 0
-        self._events.reset()
-
     def invalidate_delta(self, delta: CatalogDelta) -> int:
         """Retire only the regions whose box a catalog delta can intersect;
         returns the number retired.
@@ -466,11 +457,6 @@ class DenseRegionIndex:
         maintained incrementally — O(1)."""
         with self._lock:
             return self._tuple_count
-
-    def signatures(self) -> List[Tuple[str, ...]]:
-        """Attribute signatures that currently have at least one region."""
-        with self._lock:
-            return [sig for sig, index in self._indexes.items() if len(index)]
 
     def describe(self) -> Dict[str, object]:
         """Summary used by the service's statistics endpoint."""

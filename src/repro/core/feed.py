@@ -25,24 +25,14 @@ followers by reference, never copied; per-user dedup against the consumer
 session's emitted history still happens in the stream layer
 (:class:`~repro.core.reranker.FeedBackedStream`).
 
-**Invalidation** reads the namespace's :class:`~repro.webdb.delta.ChangeLog`
-in the store's :class:`~repro.webdb.cache.QueryResultCache`.  A feed is
-stamped with the log's count of full invalidations at creation, and
-
-* :meth:`RerankFeedStore.attach` refuses (and retires) feeds whose stamp no
-  longer matches, so post-invalidation sessions always rebuild from the live
-  database, and
-* an in-flight leader re-checks the stamp before appending: rows produced
-  after an invalidation mark the feed *stale*; the feed keeps serving the
-  streams already attached to it (exactly like an in-flight cached query
-  completes normally for its callers) but can never re-enter the store.
-
-A delta is not a full invalidation.  :meth:`RerankFeedStore.invalidate_delta`
-retires only a feed whose filter query some touched version matches, and of
-those only a feed that is exhausted, stale or mid-advance, or whose last
-verified row a matching version ranks at or before.  A surviving feed keeps
-its prefix, and its producer continues from the frontier: the producer's own
-change watch voids what it proved before the change.
+**Invalidation** is by catalog delta only.
+:meth:`RerankFeedStore.invalidate_delta` retires only a feed whose filter
+query some touched version matches, and of those only a feed that is
+exhausted, stale or mid-advance, or whose last verified row a matching
+version ranks at or before.  A surviving feed keeps its prefix, and its
+producer continues from the frontier: the producer's own change watch voids
+what it proved before the change.  A retired feed is *stale*: it keeps
+serving the streams already attached to it but never re-enters the store.
 """
 
 from __future__ import annotations
@@ -55,9 +45,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.session import Session
 from repro.core.stats import RerankStatistics
-from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import Counters
-from repro.webdb.delta import CatalogDelta, ChangeLog
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import Row, SearchQuery
 
 #: ``(namespace, system_k, algorithm, canonical query, canonical ranking)`` —
@@ -97,13 +86,13 @@ class FeedProducer:
 @dataclass
 class FeedStoreCounters(Counters):
     """A feed store's counters: feeds created, attaches that followed an
-    existing feed, feeds retired by each cause, the replay and leader work
-    its feeds did while it held them, and the verified prefix length across
-    its live feeds (a gauge: a retired feed's prefix leaves it)."""
+    existing feed, feeds retired by a delta or evicted, the replay and
+    leader work its feeds did while it held them, and the verified prefix
+    length across its live feeds (a gauge: a retired feed's prefix leaves
+    it)."""
 
     created: int = 0
     followers: int = 0
-    invalidations: int = 0
     delta_invalidations: int = 0
     evictions: int = 0
     replayed_tuples: int = 0
@@ -132,17 +121,12 @@ class RerankFeed:
         key: FeedKey,
         key_column: str,
         factory: Callable[[], FeedProducer],
-        changes: ChangeLog,
         counters: FeedStoreCounters,
         query: SearchQuery,
         ranking,
     ) -> None:
         self.key = key
         self.key_column = key_column
-        #: The namespace's change log, and its count of full invalidations
-        #: when the feed was created: the feed is current while they agree.
-        self._changes = changes
-        self._stamp = changes.invalidations
         #: The feed's filter query and ranking, kept for delta invalidation:
         #: the prefix changes only when a touched version matching the query
         #: ranks at or before its last row.
@@ -173,15 +157,10 @@ class RerankFeed:
             return self._exhausted
 
     @property
-    def current(self) -> bool:
-        """True while no full invalidation of the namespace was logged since
-        the feed was created."""
-        return self._changes.invalidations == self._stamp
-
-    @property
     def stale(self) -> bool:
-        """True once an invalidation has outdated this feed; it keeps serving
-        already-attached streams but can never re-enter the store."""
+        """True once the feed was retired or an advance served degraded data;
+        it keeps serving already-attached streams but can never re-enter the
+        store."""
         with self._condition:
             return self._stale
 
@@ -193,9 +172,9 @@ class RerankFeed:
             self._counters.record(name)
 
     def retire(self) -> None:
-        """Mark the feed as removed from the store (evicted or invalidated):
-        it is stale from here on, so it can never re-enter the store, and
-        its prefix leaves the store's ``verified_tuples``.
+        """Mark the feed as removed from the store (evicted, retired by a
+        delta or closed): it is stale from here on, so it can never re-enter
+        the store, and its prefix leaves the store's ``verified_tuples``.
         Already-attached streams keep replaying and advancing it."""
         with self._condition:
             self._stale = True
@@ -282,7 +261,6 @@ class RerankFeed:
             # degraded data; a call with no panel still needs that verdict.
             sink = statistics if statistics is not None else RerankStatistics()
             degraded_advance = sink.absorb_since(producer.statistics, mark)
-            fresh = self.current
             with self._condition:
                 self._advancing = False
                 if completed:
@@ -291,18 +269,11 @@ class RerankFeed:
                     else:
                         if degraded_advance:
                             # The advance ran against a partially reachable
-                            # (or stale-served) source, so this row's place in
-                            # the canonical order is not certified.  The
-                            # leader still gets its row, but the feed is
-                            # poisoned: the store stops handing it to new
-                            # sessions and a healthy feed is rebuilt fresh.
-                            self._stale = True
-                        if not fresh:
-                            # Produced after an invalidation: the prefix from
-                            # here on is stale.  Keep serving the streams that
-                            # already share this feed (they coalesced before
-                            # the flush), but the store will never hand the
-                            # feed to a new session again.
+                            # source, so this row's place in the canonical
+                            # order is not certified.  The leader still gets
+                            # its row, but the feed is poisoned: the store
+                            # stops handing it to new sessions and a healthy
+                            # feed is rebuilt fresh.
                             self._stale = True
                         self._rows.append(row)
                         self._count_locked("verified_tuples")
@@ -323,31 +294,19 @@ class RerankFeed:
 
 class RerankFeedStore:
     """LRU store of :class:`RerankFeed` objects for one source namespace
-    family, outdated by the full invalidations in the shared query-result
-    cache's change logs.
+    family, retired by the catalog deltas that reach their prefixes.
 
     Parameters
     ----------
-    result_cache:
-        The shared :class:`~repro.webdb.cache.QueryResultCache`.  The store
-        reads and records in its per-namespace change logs, so
-        ``cache.invalidate(namespace)`` transitively invalidates the
-        namespace's feeds — a feed must never outlive the query answers it
-        was derived from.
     max_feeds:
         LRU capacity; the least-recently-attached feed is retired when an
         attach would exceed it.
     """
 
-    def __init__(
-        self,
-        result_cache: QueryResultCache,
-        max_feeds: int = 256,
-    ) -> None:
+    def __init__(self, max_feeds: int = 256) -> None:
         if max_feeds <= 0:
             raise ValueError("max_feeds must be positive")
         self._max_feeds = max_feeds
-        self._changes = result_cache.changes
         self._lock = threading.Lock()
         self._feeds: "OrderedDict[FeedKey, RerankFeed]" = OrderedDict()
         self._counters = FeedStoreCounters()
@@ -376,9 +335,8 @@ class RerankFeedStore:
         """Get-or-create the feed for one canonical request.
 
         Returns ``None`` when the ranking cannot be canonicalized — the
-        caller falls back to a private, unshared stream.  A stored feed that
-        a full invalidation (of the store or the result cache) outdated is
-        retired and rebuilt fresh.
+        caller falls back to a private, unshared stream.  A stored feed a
+        degraded advance poisoned is retired and rebuilt fresh.
         """
         ranking_key = ranking_canonical_key(ranking)
         if ranking_key is None:
@@ -390,18 +348,16 @@ class RerankFeedStore:
             query.canonical_key(),
             ranking_key,
         )
-        changes = self._changes(namespace)
         with self._lock:
             feed = self._feeds.get(key)
-            if feed is not None and (feed.stale or not feed.current):
-                self._retire_locked(key, "invalidations")
+            if feed is not None and feed.stale:
+                self._retire_locked(key)
                 feed = None
             if feed is None:
                 feed = RerankFeed(
                     key,
                     key_column,
                     factory,
-                    changes,
                     counters=self._counters,
                     query=query,
                     ranking=ranking,
@@ -416,23 +372,14 @@ class RerankFeedStore:
                 self._retire_locked(oldest, "evictions")
         return feed
 
-    def invalidate(self, namespace: Optional[str] = None) -> int:
-        """Retire every feed (or every feed of one namespace) and log a full
-        invalidation of the namespace (of every namespace) so in-flight
-        leaders cannot keep their now-stale prefixes attachable; returns the
-        number retired."""
-        self._changes.record(namespace)
-        removed = 0
+    def close(self) -> int:
+        """Retire every feed; returns the number retired.  Closing is not a
+        data change, so it logs none: answers in flight still store."""
         with self._lock:
-            doomed = [
-                key
-                for key in self._feeds
-                if namespace is None or key[0] == namespace
-            ]
+            doomed = list(self._feeds)
             for key in doomed:
-                self._retire_locked(key, "invalidations")
-                removed += 1
-        return removed
+                self._retire_locked(key)
+        return len(doomed)
 
     def invalidate_delta(self, namespace: str, delta: CatalogDelta) -> int:
         """Retire the feeds of ``namespace`` whose prefix ``delta`` can
@@ -466,9 +413,10 @@ class RerankFeedStore:
         }
 
     # ------------------------------------------------------------------ #
-    def _retire_locked(self, key: FeedKey, reason: str) -> None:
+    def _retire_locked(self, key: FeedKey, reason: Optional[str] = None) -> None:
         feed = self._feeds.pop(key, None)
         if feed is None:
             return
-        self._counters.record(reason)
+        if reason is not None:
+            self._counters.record(reason)
         feed.retire()

@@ -37,7 +37,7 @@ Variant-specific "find the next value":
 Every variant keeps a **verified prefix**: the oriented value up to which
 every matching tuple is already in the session cache.  An answer that
 covers its interval (VALID / UNDERFLOW, a dense-index lookup, a crawl) and
-starts at or below the prefix extends it; a stale or degraded answer never
+starts at or below the prefix extends it; a degraded answer never
 does.  A Get-Next whose best cached candidate lies inside the prefix emits
 it with no query, and a prefix reaching the domain edge exhausts the stream.
 The descent itself still starts at the frontier: the prefix only
@@ -288,11 +288,9 @@ class OneDimGetNext:
         """Extend the verified prefix over ``interval`` when it starts at or
         below the prefix's end.  Every matching tuple in ``interval`` must be
         remembered already: from ``result`` when it proves its query (a
-        stale or degraded answer proves nothing), or from a dense-index
+        degraded answer proves nothing), or from a dense-index
         lookup or a crawl when ``result`` is ``None``."""
-        if result is not None and (
-            not result.proves_query or result.stale or result.degraded
-        ):
+        if result is not None and (not result.proves_query or result.degraded):
             return
         end, inclusive = self._proven
         if interval.lower > end or (

@@ -35,7 +35,6 @@ from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.stats import RerankStatistics
-from repro.exceptions import SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget
 from repro.webdb.interface import SearchResult, TopKInterface
@@ -49,8 +48,7 @@ class QueryOutcome(enum.Enum):
     HIT = "hit"  #: answered from a stored entry
     CONTAINED = "contained"  #: derived from a covering superset entry
     COALESCED = "coalesced"  #: rode along another caller's round trip
-    STALE = "stale"  #: the round trip failed; an invalidated entry answered
-    FAILED = "failed"  #: the round trip raised and nothing could answer
+    FAILED = "failed"  #: the round trip raised
 
 
 _OUTCOME_OF = {
@@ -58,7 +56,6 @@ _OUTCOME_OF = {
     FetchStatus.HIT: QueryOutcome.HIT,
     FetchStatus.CONTAINED: QueryOutcome.CONTAINED,
     FetchStatus.COALESCED: QueryOutcome.COALESCED,
-    FetchStatus.STALE: QueryOutcome.STALE,
 }
 
 #: One query's answer (``None`` when it has none) and how it was settled.
@@ -210,8 +207,8 @@ class QueryEngine:
 
         # Phase 4: the one settlement.  Everything charged up front that did
         # not end as this engine's answered round trip — failed, coalesced
-        # onto another caller's trip, answered by an entry stored between
-        # probe and fetch, or served stale — is handed back before any
+        # onto another caller's trip, or answered by an entry stored between
+        # probe and fetch — is handed back before any
         # exception propagates, so ``budget.used`` always equals the round
         # trips that answered.
         tally = Counter(outcome for _, outcome in settled)  # type: ignore[misc]
@@ -240,7 +237,6 @@ class QueryEngine:
             contained_answers=tally[QueryOutcome.CONTAINED],
             coalesced_queries=tally[QueryOutcome.COALESCED],
             degraded_results=sum(1 for result in results if result.degraded),
-            stale_serves=sum(1 for result in results if result.stale),
             retried_queries=retried,
         )
         return results
@@ -253,11 +249,10 @@ class QueryEngine:
     ) -> Tuple[List[Settled], Optional[BaseException]]:
         """One ``settle_many`` call for ``queries``, through the coalescing
         cache when enabled (which also reuses duplicates within the batch):
-        one outcome per query, plus the first error nothing could answer for
-        (raised by the caller after settlement).  A query the source could
-        not answer settles on its own (stale or failed) while its answered
-        siblings stay issued, paid and cached; a raising call answered
-        nothing."""
+        one outcome per query, plus the first error (raised by the caller
+        after settlement).  A query the source could not answer fails on its
+        own while its answered siblings stay issued, paid and cached; a
+        raising call answered nothing."""
         settle = self._interface.settle_many
         try:
             if use_cache:
@@ -271,28 +266,11 @@ class QueryEngine:
             resolved = [(error, FetchStatus.MISS)] * len(queries)
         settled: List[Settled] = []
         first_error: Optional[BaseException] = None
-        for query, (answer, status) in zip(queries, resolved):
+        for answer, status in resolved:
             if not isinstance(answer, BaseException):
                 settled.append((answer, _OUTCOME_OF[status]))
                 continue
-            outcome = self._unanswered(query, answer, use_cache)
-            settled.append(outcome)
-            if outcome[1] is QueryOutcome.FAILED and first_error is None:
+            settled.append((None, QueryOutcome.FAILED))
+            if first_error is None:
                 first_error = answer
         return settled, first_error
-
-    def _unanswered(
-        self, query: SearchQuery, error: BaseException, use_cache: bool
-    ) -> Settled:
-        """Settle a query whose round trip raised.  When the source is
-        unavailable (retries exhausted, circuit open), an invalidated cache
-        entry — an answer flushed by an earlier invalidation — is served
-        instead of failing, marked ``stale``/``degraded``."""
-        if use_cache and isinstance(error, SourceUnavailableError):
-            assert self._cache is not None
-            stale = self._cache.serve_stale(
-                self._cache_namespace, query, self._interface.system_k
-            )
-            if stale is not None:
-                return stale, QueryOutcome.STALE
-        return None, QueryOutcome.FAILED

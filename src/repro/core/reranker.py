@@ -109,9 +109,8 @@ class QueryReranker:
     ) -> None:
         self._interface = interface
         config = config or RerankConfig()
-        #: The persistent region store, kept across :meth:`invalidate` (which
-        #: detaches it from the index) so :meth:`verify_dense_cache` can
-        #: re-verify and re-attach it.
+        #: The persistent region store, re-verified against the live source by
+        #: :meth:`verify_dense_cache`.
         self._dense_cache = dense_cache
         self._dense_index = self._make_dense_index(dense_cache)
         self._result_cache = (
@@ -128,23 +127,21 @@ class QueryReranker:
             interface if isinstance(interface, FederatedInterface) else None
         )
         self._feed_store: Optional[RerankFeedStore] = (
-            RerankFeedStore(self._result_cache)
+            RerankFeedStore()
             if config.enable_rerank_feed
             else None
         )
-        #: Every delta and invalidation, in order: live streams drop the
-        #: touched rows from their sessions, and what they proved before a
-        #: change that can match their filter query.
+        #: Every delta, in order: live streams drop the touched rows from
+        #: their sessions, and what they proved before a change that can
+        #: match their filter query.
         self._changes = ChangeLog()
         self._session_counter = itertools.count(1)
         self._feed_counter = itertools.count(1)
         self._lock = threading.Lock()
 
-    def _make_dense_index(
-        self, cache: Optional[DenseRegionCache] = None
-    ) -> DenseRegionIndex:
+    def _make_dense_index(self, cache: Optional[DenseRegionCache]) -> DenseRegionIndex:
         """A fresh dense-region index (loading ``cache``'s regions, if any);
-        called at construction and whenever the index is rebuilt.  The
+        called at construction and by :meth:`verify_dense_cache`.  The
         reference oracle under ``tests/reference/`` overrides this."""
         return DenseRegionIndex(self._interface.schema, cache=cache)
 
@@ -191,47 +188,12 @@ class QueryReranker:
         """Release shared resources: every feed is retired and the source is
         closed (a remote adapter's query pool shuts down once its running
         round trips finish).  Idempotent; the reranker and its live streams
-        remain usable — new requests rebuild their feeds from scratch."""
+        remain usable — new requests rebuild their feeds from scratch.
+        Closing changes no data: it logs no change, and the result cache
+        keeps every entry, including answers still in flight."""
         if self._feed_store is not None:
-            self._feed_store.invalidate()
+            self._feed_store.close()
         self._interface.close()
-
-    def invalidate(self, shard: Optional[int] = None) -> Dict[str, int]:
-        """Retire cached state after the backing data changes.
-
-        Over an unsharded source (``shard=None`` required) this flushes the
-        source's result-cache namespace, rebuilds the dense-region index, and
-        retires the source's rerank feeds.
-
-        Over a federated source, ``shard=i`` retires exactly shard *i*'s
-        result-cache namespace plus the state derived from *all* shards,
-        which a single shard's change invalidates: the federated-namespace
-        cache entries (merged pages), the dense index, and the source's
-        feeds.  **Sibling shards' cache entries survive untouched**, which is
-        the point of shard-scoped namespaces.  ``shard=None`` retires every
-        shard.
-
-        A persistent dense-region cache is detached by invalidation (its
-        on-disk regions would otherwise be reloaded stale); re-verify and
-        re-attach it with :meth:`verify_dense_cache`.
-        """
-        cache_entries = 0
-        if shard is not None:
-            if self._federation is None:
-                raise ValueError(
-                    "shard-scoped invalidation requires a federated source"
-                )
-            cache_entries += self._federation.invalidate_shard(shard)
-        elif self._federation is not None:
-            for index in range(self._federation.shard_count):
-                cache_entries += self._federation.invalidate_shard(index)
-        cache_entries += self._result_cache.invalidate(self._cache_namespace)
-        self._dense_index = self._make_dense_index()
-        feeds_retired = 0
-        if self._feed_store is not None:
-            feeds_retired = self._feed_store.invalidate(self._cache_namespace)
-        self._changes.record()
-        return {"cache_entries": cache_entries, "feeds_retired": feeds_retired}
 
     def apply_delta(
         self,
@@ -244,7 +206,8 @@ class QueryReranker:
         The mutation is delegated to the interface's ``apply_delta`` (plain
         database or federation — the federation routes rows to owning
         shards), and the returned :class:`~repro.webdb.delta.CatalogDelta`
-        is threaded through every caching layer:
+        is threaded through every caching layer — the one way a change
+        reaches them:
 
         * result-cache entries whose query a touched tuple version matches
           are flushed (facade namespace *and*, for federated
@@ -267,10 +230,10 @@ class QueryReranker:
           own change watch; an advance that starts after the log can only
           re-prove.
 
-        :meth:`invalidate` remains the full-flush fallback (and the
-        correctness oracle the differential tests compare against).
-        Returns a summary: the delta, its upsert and delete counts, and how
-        many cache entries, dense regions and feeds it retired.
+        A source that sends no deltas is refreshed by a restart plus
+        :meth:`verify_dense_cache`.  Returns a summary: the delta, its upsert
+        and delete counts, and how many cache entries, dense regions and
+        feeds it retired.
         """
         mutate = getattr(self._interface, "apply_delta", None)
         if mutate is None:
@@ -462,8 +425,7 @@ class QueryReranker:
     def verify_dense_cache(self) -> Dict[str, int]:
         """Boot-time verification of the persistent dense-region cache against
         the live database (the paper refreshes the MySQL cache at start-up),
-        then a fresh index over the refreshed cache — which re-attaches a
-        cache that :meth:`invalidate` detached.
+        then a fresh index over the refreshed cache.
 
         Each stored region is re-crawled through a :class:`QueryEngine` over
         the interface with no result cache, so it reads only live answers.

@@ -49,7 +49,6 @@ class RerankStatistics(Counters):
     feed_replayed_tuples: int = 0
     feed_leader_advances: int = 0
     degraded_results: int = 0
-    stale_serves: int = 0
     retried_queries: int = 0
 
     #: Each derived ratio follows the counter it closes over.
@@ -156,7 +155,7 @@ class RerankStatistics(Counters):
     def absorb_since(self, other: "RerankStatistics", mark: Tuple[Tuple[float, ...], int]) -> bool:
         """Fold into this object the algorithm work ``other`` accumulated
         since ``mark`` (a :meth:`checkpoint` of ``other``), counter by
-        counter that moved; True when that work served degraded or stale data.
+        counter that moved; True when that work served degraded data.
 
         Used by shared rerank feeds: the stream leading an advance absorbs the
         producer's per-advance delta, so its statistics panel reflects exactly
@@ -167,7 +166,7 @@ class RerankStatistics(Counters):
             tail = other.iteration_group_sizes[groups:]
         moved = {name: new - old for name, new, old in zip(_ABSORBED, now, values) if new != old}
         self.add(iteration_group_sizes=tail, **moved)
-        return "degraded_results" in moved or "stale_serves" in moved
+        return "degraded_results" in moved
 
 
 #: Emission and feed counters a feed leader must *not* absorb from the shared

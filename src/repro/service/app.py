@@ -51,8 +51,7 @@ class _ActiveRequest:
 class ServiceCounters(Counters):
     """Service-scope counters: catalog deltas applied and what they retired
     (the panel's ``invalidation`` block), then the pages served with the
-    degradation counters moving underneath them (a shard dark, a stale
-    serve)."""
+    degradation counter moving underneath them (a shard dark)."""
 
     deltas: int = 0
     upserts: int = 0
@@ -70,7 +69,7 @@ _PANEL_REQUEST = ("external_queries", "processing_seconds", "parallel_fraction",
                   "dense_regions_built", "tuples_returned", "feed_hits",
                   "feed_replayed_tuples", "feed_leader_advances")  # fmt: skip
 #: The request's own entries of the panel's ``resilience`` block.
-_RESILIENCE_REQUEST = ("degraded_results", "stale_serves", "retried_queries")
+_RESILIENCE_REQUEST = ("degraded_results", "retried_queries")
 #: Delta summary entries summed into :class:`ServiceCounters`.
 _DELTA_TOTALS = ("upserts", "deletes", "cache_entries_retired", "regions_retired",
                  "feeds_retired")  # fmt: skip
@@ -414,12 +413,12 @@ class QR2Service:
 
     def _serve_page(self, session_id: str) -> Dict[str, object]:
         request = self._active_request(session_id)
-        # Bracket the advance with the degradation counters: movement means
-        # some answer under this page came back partial or stale, and the
-        # page must say so instead of passing as a full answer.
-        mark = request.stream.statistics.read("degraded_results", "stale_serves")
+        # Bracket the advance with the degradation counter: movement means
+        # some answer under this page came back partial, and the page must
+        # say so instead of passing as a full answer.
+        mark = request.stream.statistics.read("degraded_results")
         rows = request.stream.next_page(request.page_size)
-        degraded = request.stream.statistics.read("degraded_results", "stale_serves") != mark
+        degraded = request.stream.statistics.read("degraded_results") != mark
         if degraded:
             self._counters.record("degraded_pages")
         request.pages_served += 1
@@ -475,7 +474,7 @@ class QR2Service:
             # to any one session).
             "invalidation": invalidation,
             "warming": self._warmer.snapshot(),
-            # Retries, breaker transitions, degraded/stale serving.  The
+            # Retries, breaker transitions, degraded serving.  The
             # ``source`` block is the guards' shared counters (``None`` over
             # a bare, unguarded interface); the per-request counters come
             # from this request's statistics.

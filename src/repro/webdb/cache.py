@@ -25,9 +25,8 @@ re-issuing queries the service has already paid for.
   same trichotomy — at zero round trips (status ``CONTAINED``).  Overflow
   entries are truncated and must never answer subsets.  A
   :class:`~repro.webdb.boxindex.BoxIndex` per scope finds the candidates;
-* **LRU eviction** — bounded memory; freshness comes from invalidation
-  (:meth:`QueryResultCache.invalidate`,
-  :meth:`QueryResultCache.invalidate_delta`), not from a timer;
+* **LRU eviction** — bounded memory; freshness comes from catalog deltas
+  (:meth:`QueryResultCache.invalidate_delta`), not from a timer;
 * **request coalescing** — when several sessions miss on the same key at the
   same time, exactly one remote query is issued and the other callers wait on
   its result (the classic "thundering herd" guard);
@@ -38,12 +37,11 @@ re-issuing queries the service has already paid for.
   the ``MISS`` caller gets its own result, carrying the real latency;
 * **change-checked stores** — every namespace has a
   :class:`~repro.webdb.delta.ChangeLog` (``QueryResultCache.changes``);
-  :meth:`QueryResultCache.invalidate` logs a full invalidation in it, and
   :meth:`QueryResultCache.invalidate_delta` logs the
   :class:`~repro.webdb.delta.CatalogDelta` after retiring only the entries
-  whose query it can match.  A query in flight across either is stored only
-  when no change logged since it was claimed could have changed its answer;
-  the feed store stamps itself from the same log.
+  whose query it can match.  A query in flight across a delta is stored only
+  when no change logged since it was claimed could have changed its answer.
+  A source that sends no deltas is refreshed by a restart.
 
 Because a valid/underflow result proves the caller has observed *every* tuple
 matching the query, replaying a cached result preserves the paper's
@@ -80,7 +78,6 @@ class FetchStatus(enum.Enum):
     HIT = "hit"  #: answered from a stored entry, zero round trips
     COALESCED = "coalesced"  #: rode along another caller's in-flight query
     CONTAINED = "contained"  #: derived from a covering superset entry
-    STALE = "stale"  #: invalidated entry served while the source is down
 
 
 @dataclass
@@ -93,16 +90,12 @@ class CacheStatistics(Counters):
     coalesced: int = 0
     contained: int = 0
     evictions: int = 0
-    invalidations: int = 0
     delta_invalidations: int = 0
     delta_retired: int = 0
     delta_survivors: int = 0
     delta_blocked_stores: int = 0
-    stale_kept: int = 0
-    stale_serves: int = 0
-    stale_dropped: int = 0
 
-    DERIVED_AFTER = {"stale_dropped": "hit_rate"}
+    DERIVED_AFTER = {"delta_blocked_stores": "hit_rate"}
     ROUNDED = {"hit_rate": 4}
 
     @property
@@ -155,18 +148,10 @@ class QueryResultCache:
         #: for containment answering, keyed like ``_entries``: ``(key, query)``.
         self._covering: Dict[Tuple[str, int], BoxIndex] = defaultdict(BoxIndex)
         #: ``changes(namespace)`` is the namespace's change log: the cache
-        #: logs its invalidations and deltas there under the lock, the feed
-        #: store its own invalidations.  A store claimed at sequence ``s`` is
-        #: accepted only when every change logged after ``s`` is a delta
-        #: that provably cannot match the stored query.
+        #: logs its deltas there under the lock.  A store claimed at
+        #: sequence ``s`` is accepted only when every delta logged after
+        #: ``s`` provably cannot match the stored query.
         self.changes = ChangeLogs()
-        #: Stale side-store: entries flushed by :meth:`invalidate`
-        #: are kept here (bounded, LRU) so :meth:`serve_stale` can answer a
-        #: query while its source's breaker is open.  Delta-retired entries
-        #: never enter (the delta *proves* them wrong), and a later delta
-        #: matching a parked entry purges it — a stale serve can never cross
-        #: an ``apply_delta`` that touched its query.
-        self._stale: "OrderedDict[CacheKey, SearchResult]" = OrderedDict()
         self.statistics = CacheStatistics()
 
     # ------------------------------------------------------------------ #
@@ -189,9 +174,11 @@ class QueryResultCache:
     def snapshot(self) -> Dict[str, object]:
         """Counters plus occupancy, for the service statistics panel."""
         payload = self.statistics.snapshot()
+        # Nothing serves a stale answer; the key stays, at 0, because
+        # ``benchmarks/request_path/spans.py`` reads it.
+        payload["stale_serves"] = 0
         with self._lock:
             payload["entries"] = len(self._entries)
-            payload["stale_entries"] = len(self._stale)
             payload["in_flight"] = len(self._inflight)
             payload["covering_entries"] = sum(
                 len(index) for index in self._covering.values()
@@ -266,9 +253,9 @@ class QueryResultCache:
         result: SearchResult,
         claims: Sequence[Claim],
     ) -> None:
-        """:meth:`store` ``result`` unless a claimed namespace was
-        invalidated, or touched by a delta that could match ``query``, since
-        its :meth:`claim` — the check a fetched MISS passes."""
+        """:meth:`store` ``result`` unless a claimed namespace was touched by
+        a delta that could match ``query`` since its :meth:`claim` — the
+        check a fetched MISS passes."""
         key = self.key_for(namespace, query, system_k)
         with self._lock:
             if all(
@@ -340,8 +327,8 @@ class QueryResultCache:
         hits = 0
         contained = 0
         with self._lock:
-            # A store is dropped when an invalidation (or a delta that could
-            # match) lands between this claim and the store.
+            # A store is dropped when a delta that could match it lands
+            # between this claim and the store.
             stamp = self.changes(namespace).sequence
             for position, key in enumerate(keys):
                 stored = self._live_entry(key)
@@ -444,57 +431,20 @@ class QueryResultCache:
     # ------------------------------------------------------------------ #
     # Invalidation
     # ------------------------------------------------------------------ #
-    def invalidate(self, namespace: Optional[str] = None) -> int:
-        """Drop every entry (or every entry of one namespace); returns the
-        number removed.
-
-        A full invalidation is logged in the namespace's change log (in every
-        log when no namespace is given), so in-flight queries that began
-        *before* the invalidation complete normally for their callers but do
-        **not** re-store their results — without it a slow pre-invalidation
-        query could resurrect a stale entry after the flush — and the
-        namespace's feeds are outdated.
-
-        Flushed entries are parked in the bounded stale side-store: they may
-        no longer answer normal lookups, but :meth:`serve_stale` can replay
-        them (marked degraded) while their source is unreachable."""
-        parked = 0
-        with self._lock:
-            if namespace is None:
-                removed = len(self._entries)
-                for key, result in self._entries.items():
-                    self._park_stale_locked(key, result)
-                parked = removed
-                self._entries.clear()
-                self._covering.clear()
-            else:
-                doomed = [key for key in self._entries if key[0] == namespace]
-                for key in doomed:
-                    self._park_stale_locked(key, self._entries[key])
-                    del self._entries[key]
-                    self._forget_covering_locked(key)
-                removed = len(doomed)
-                parked = removed
-            self.changes.record(namespace)
-        self.statistics.add(invalidations=removed, stale_kept=parked)
-        return removed
-
     def invalidate_delta(self, namespace: str, delta: CatalogDelta) -> int:
         """Retire only the entries of ``namespace`` whose query ``delta`` can
         match; returns the number retired.
 
-        Surviving entries stay servable, and the namespace's feeds stay
-        attachable (a feed counts only full invalidations).  The delta is
-        logged in the namespace's change log, so a query claimed before this
-        call is stored only if the delta cannot match it.
+        Surviving entries stay servable.  The delta is logged in the
+        namespace's change log, so a query claimed before this call is stored
+        only if the delta cannot match it.
         """
         if delta.is_empty:
             return 0
         retired = 0
         survivors = 0
-        stale_purged = 0
         with self._lock:
-            self.changes.record(namespace, delta)
+            self.changes(namespace).record(delta)
             for key in [k for k in self._entries if k[0] == namespace]:
                 if delta.may_match_query(self._entries[key].query):
                     del self._entries[key]
@@ -502,56 +452,12 @@ class QueryResultCache:
                     retired += 1
                 else:
                     survivors += 1
-            # A stale parked entry the delta could match must never be
-            # replayed by serve_stale: its rows are provably out of date.
-            for key in [k for k in self._stale if k[0] == namespace]:
-                if delta.may_match_query(self._stale[key].query):
-                    del self._stale[key]
-                    stale_purged += 1
         self.statistics.add(
             delta_invalidations=1,
-            stale_dropped=stale_purged,
             delta_retired=retired,
             delta_survivors=survivors,
         )
         return retired
-
-    # ------------------------------------------------------------------ #
-    # Stale serving (graceful degradation)
-    # ------------------------------------------------------------------ #
-    def serve_stale(
-        self, namespace: str, query: SearchQuery, system_k: int
-    ) -> Optional[SearchResult]:
-        """Replay an invalidated, parked entry for ``query``, or ``None``.
-
-        Only used when the live source cannot answer (open breaker, retries
-        exhausted): the returned answer is marked ``stale`` *and* ``degraded``
-        and is forced to ``OVERFLOW`` by the caller's contract — a stale
-        answer must never claim to cover its query, so no algorithm builds
-        durable state (dense regions, feeds, emissions) from it.  Entries a
-        catalog delta touched were already purged at ``invalidate_delta``
-        time.
-        """
-        key = self.key_for(namespace, query, system_k)
-        with self._lock:
-            result = self._stale.get(key)
-            if result is None:
-                return None
-            self._stale.move_to_end(key)
-        self.statistics.record("stale_serves")
-        return replace(
-            result, outcome=Outcome.OVERFLOW, degraded=True, stale=True, complete_rows=None
-        )
-
-    def _park_stale_locked(self, key: CacheKey, result: SearchResult) -> None:
-        """Move one flushed entry into the bounded stale side-store."""
-        if result.degraded or result.stale:
-            return  # never replay an answer that was itself degraded
-        self._stale[key] = result
-        self._stale.move_to_end(key)
-        while len(self._stale) > self._max_entries:
-            self._stale.popitem(last=False)
-            self.statistics.record("stale_dropped")
 
     # ------------------------------------------------------------------ #
     # Internals (call with the lock held)
@@ -561,9 +467,9 @@ class QueryResultCache:
     ) -> bool:
         """May a result claimed at change sequence ``stamp`` be stored?
 
-        A full invalidation logged after the claim, or a claim older than
-        the log's tail, always drops the store; a delta drops it only when it
-        could match the stored query (counted as ``delta_blocked_stores``)."""
+        A claim older than the log's tail always drops the store; a delta
+        drops it only when it could match the stored query (counted as
+        ``delta_blocked_stores``)."""
         log = self.changes(namespace)
         if log.sequence == stamp:
             return True
@@ -582,15 +488,13 @@ class QueryResultCache:
         return result
 
     def _store_locked(self, key: CacheKey, query: SearchQuery, result: SearchResult) -> None:
-        if result.degraded or result.stale:
-            # A partial or stale answer is request-scoped by design: caching
-            # it would keep serving the degraded rows after the source heals
-            # and break byte-identity with the fault-free run.
+        if result.degraded:
+            # A partial answer is request-scoped by design: caching it would
+            # keep serving the degraded rows after the source heals and break
+            # byte-identity with the fault-free run.
             return
         self._entries[key] = self._at_no_cost(result)
         self._entries.move_to_end(key)
-        # A fresh answer supersedes any parked stale copy of the same key.
-        self._stale.pop(key, None)
         if result.covers_query:
             # Only covering (valid/underflow) results may answer subset
             # queries: an overflow result is truncated at ``k`` and proves

@@ -5,8 +5,7 @@ A catalog mutation (``HiddenWebDatabase.apply_delta``) produces a
 *versions* themselves — the row each tuple had before the change and the row
 it has after it.  Each caching layer can then answer one question locally —
 "could this cached object have surfaced a touched version?" — and retire only
-what the change can actually affect, instead of cold-starting on a full
-invalidation:
+what the change can actually affect, instead of cold-starting:
 
 * a :class:`~repro.webdb.query.SearchQuery` cache entry changes only if some
   touched version *matches* the query (:meth:`CatalogDelta.may_match_query`);
@@ -25,8 +24,8 @@ satisfies every one of its predicates.  Two versions that each satisfy a
 different predicate flag nothing.  Each range predicate is first tested
 against the touched values of its attribute alone (a bisection); only the
 versions that pass every such test are matched whole.  The
-randomized differential suite checks the result against the full-flush
-oracle.
+randomized differential suite checks the result against a freshly built
+reranker over the same changed source.
 """
 
 from __future__ import annotations
@@ -198,15 +197,16 @@ def merge_shard_deltas(
 
 
 class ChangeLog:
-    """One source's numbered sequence of catalog changes.
+    """One source's numbered sequence of catalog deltas.
 
-    What was read from the source before a change may be out of date after
+    What was read from the source before a delta may be out of date after
     it: a session's cached rows, what a live Get-Next stream has proven from
-    its answers, a result-cache answer still in flight, a rerank feed.  Each
-    keeps the sequence number it is current to and asks :meth:`since` for
-    the changes after it.  A full invalidation is logged as ``None``; it, and
-    any change older than the bounded log's tail, can no longer be told
-    apart, so :meth:`since` then reports that anything may have changed.
+    its answers, a result-cache answer still in flight.  Each keeps the
+    sequence number it is current to and asks :meth:`since` for the deltas
+    after it.  A delta older than the bounded log's tail can no longer be
+    read back, so :meth:`since` then reports that anything may have changed.
+    A delta is the one change the log knows: a source that sends none is
+    refreshed by a restart.
     """
 
     LIMIT = 32
@@ -214,50 +214,35 @@ class ChangeLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._sequence = 0
-        self._invalidations = 0
-        self._recent: Deque[Tuple[int, Optional[CatalogDelta]]] = deque(maxlen=self.LIMIT)
+        self._recent: Deque[Tuple[int, CatalogDelta]] = deque(maxlen=self.LIMIT)
 
     @property
     def sequence(self) -> int:
-        """The number of the latest change (0 before any)."""
+        """The number of the latest delta (0 before any)."""
         return self._sequence
 
-    @property
-    def invalidations(self) -> int:
-        """How many of the changes were full invalidations: what a derived
-        object that survives a delta it cannot match (a rerank feed) is
-        stamped with."""
-        return self._invalidations
-
-    def record(self, delta: Optional[CatalogDelta] = None) -> None:
-        """Log one change: a delta, or ``None`` for a full invalidation."""
+    def record(self, delta: CatalogDelta) -> None:
+        """Log one delta."""
         with self._lock:
             self._sequence += 1
-            if delta is None:
-                self._invalidations += 1
             self._recent.append((self._sequence, delta))
 
     def since(self, stamp: int) -> Tuple[int, Optional[List[CatalogDelta]]]:
-        """``(sequence, deltas)``: the latest change's number and every delta
+        """``(sequence, deltas)``: the latest delta's number and every delta
         logged after ``stamp`` — ``None`` in place of the deltas when one of
-        those changes was a full invalidation or has left the log."""
+        them has left the log."""
         with self._lock:
             sequence = self._sequence
             if sequence == stamp:
                 return sequence, []
             if self._recent[0][0] > stamp + 1:
                 return sequence, None
-            deltas = [delta for number, delta in self._recent if number > stamp]
-        if any(delta is None for delta in deltas):
-            return sequence, None
-        return sequence, deltas  # type: ignore[return-value]
+            return sequence, [delta for number, delta in self._recent if number > stamp]
 
 
 class ChangeLogs:
-    """One :class:`ChangeLog` per cache namespace, created on first use.
-
-    Calling it returns a namespace's log; :meth:`record` logs a change in one
-    namespace, or in every namespace at once."""
+    """One :class:`ChangeLog` per cache namespace, created on first use:
+    calling it returns a namespace's log."""
 
     def __init__(self) -> None:
         self._logs: Dict[str, ChangeLog] = {}
@@ -267,12 +252,3 @@ class ChangeLogs:
         if log is None:
             log = self._logs.setdefault(namespace, ChangeLog())
         return log
-
-    def record(
-        self, namespace: Optional[str], delta: Optional[CatalogDelta] = None
-    ) -> None:
-        """Log ``delta`` (``None``: a full invalidation) in ``namespace``'s
-        log, or in every log when ``namespace`` is ``None``."""
-        logs = list(self._logs.values()) if namespace is None else [self(namespace)]
-        for log in logs:
-            log.record(delta)

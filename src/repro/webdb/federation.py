@@ -35,10 +35,11 @@ Every shard is issued through its own
 :class:`~repro.webdb.stack.SourceStack` (fault injector, guard, statistics),
 built once when the federation is constructed.  The facade can additionally
 cache per shard: given a :class:`~repro.webdb.cache.QueryResultCache`, each
-shard's answers are stored under that shard's own namespace, so invalidating
-one shard never retires a sibling shard's entries.  A query every shard can
-answer from its namespace is answered by :meth:`FederatedInterface.probe`
-before anything is charged: it is a cache answer, not a scatter.
+shard's answers are stored under that shard's own namespace, so a delta
+routed to one shard never retires a sibling shard's entries.  A query every
+shard can answer from its namespace is answered by
+:meth:`FederatedInterface.probe` before anything is charged: it is a cache
+answer, not a scatter.
 """
 
 from __future__ import annotations
@@ -170,10 +171,10 @@ class FederatedInterface(TopKInterface):
     built here from ``fault_plans[i]`` with the default retry / breaker
     policy and ``clock`` as its breaker's recovery clock; the stacks' guards
     share one :class:`~repro.webdb.resilience.ResilienceStatistics`.  With a
-    ``result_cache``, shard answers are cached under per-shard namespaces:
-    :meth:`invalidate_shard` retires exactly one shard's entries while
-    sibling shards' cached answers keep serving.  Guards and cache are fixed
-    at construction — nothing re-binds them later.
+    ``result_cache``, shard answers are cached under per-shard namespaces: a
+    delta retires only its touched shards' entries while sibling shards'
+    cached answers keep serving.  Guards and cache are fixed at
+    construction — nothing re-binds them later.
     """
 
     def __init__(
@@ -258,8 +259,7 @@ class FederatedInterface(TopKInterface):
         Every shard, in index order, gets the group's queries that target it
         as one batch (through the shard cache when there is one).  A shard
         that fails a query (retries exhausted, breaker open) does not fail
-        that query: its stale cached answer is replayed when there is one,
-        otherwise the shard is recorded in
+        that query: the shard is recorded in
         ``missing_shards`` and the merged result is returned *degraded* —
         forced to ``OVERFLOW`` so it never claims to cover the query, and
         never stored in the result cache.  Only a query to which **no** shard
@@ -291,9 +291,9 @@ class FederatedInterface(TopKInterface):
         counted.
 
         With ``memoize`` the merged answer is stored under the facade
-        namespace, as a fetched miss is — unless an invalidation, or a delta
-        that could match ``query``, reached the facade or one of the shards
-        since their lookups began."""
+        namespace, as a fetched miss is — unless a delta that could match
+        ``query`` reached the facade or one of the shards since their lookups
+        began."""
         if self._cache is None:
             return None
         targets = self._targets_for(query)
@@ -371,11 +371,7 @@ class FederatedInterface(TopKInterface):
         if not isinstance(answer, Exception):
             scatter.pages.append(answer)
         elif isinstance(answer, SourceUnavailableError):
-            stale = self._stale_shard_answer(index, scatter.query)
-            if stale is not None:
-                scatter.pages.append(stale)
-            else:
-                scatter.missing.append(self._namespaces[index])
+            scatter.missing.append(self._namespaces[index])
         else:
             # Any error but the shard being down fails the query; later
             # shards skip it.
@@ -387,7 +383,7 @@ class FederatedInterface(TopKInterface):
             return scatter.error
         pages = scatter.pages
         if scatter.targets and not pages:
-            # Nothing answered, live or stale: the whole federation is down.
+            # Nothing answered: the whole federation is down.
             return SourceUnavailableError(
                 f"{self.name}: no shard reachable ({', '.join(scatter.missing)})",
                 source=self.name,
@@ -418,8 +414,7 @@ class FederatedInterface(TopKInterface):
         keys are unique across shards, so a k-way merge yields exactly the
         rows a full sort would, ranking only the ``system_k`` it keeps (all
         of them, as ``complete_rows``, when every page covered the query)."""
-        stale = any(page.stale for page in pages)
-        degraded = bool(missing) or stale
+        degraded = bool(missing)
         covered = not degraded and not any(page.is_overflow for page in pages)
         total = sum(len(page.rows) for page in pages)
         merged = heapq.merge(*(page.rows for page in pages), key=self._sort_key)
@@ -441,23 +436,8 @@ class FederatedInterface(TopKInterface):
             elapsed_seconds=max((page.elapsed_seconds for page in pages), default=0.0),
             degraded=degraded,
             missing_shards=tuple(missing),
-            stale=stale,
             complete_rows=complete,
         )
-
-    def _stale_shard_answer(
-        self, index: int, query: SearchQuery
-    ) -> Optional[SearchResult]:
-        """An invalidated cached answer for a failed shard, when the cache
-        kept one (marked stale + degraded)."""
-        if self._cache is None:
-            return None
-        stale = self._cache.serve_stale(
-            self._namespaces[index], query, self._stacks[index].system_k
-        )
-        if stale is not None:
-            self._resilience_stats.record("stale_shard_answers")
-        return stale
 
     def _shortest_retry_hint(self) -> Optional[float]:
         """The soonest any shard's breaker would admit a probe (for the
@@ -504,21 +484,6 @@ class FederatedInterface(TopKInterface):
         return guards_snapshot(
             self._resilience_stats, [stack.guard for stack in self._stacks]
         )
-
-    def invalidate_shard(self, index: int) -> int:
-        """Retire shard ``index``'s cached answers (returns entries removed).
-
-        Sibling shards' namespaces are untouched — their cached answers keep
-        serving.  Callers owning federated-level state derived from *all*
-        shards (merged cache entries, feeds, dense regions) must retire that
-        state themselves; :meth:`repro.core.reranker.QueryReranker.invalidate`
-        does.
-        """
-        if not 0 <= index < len(self._shards):
-            raise QueryError(f"no shard {index}; federation has {len(self._shards)}")
-        if self._cache is None:
-            return 0
-        return self._cache.invalidate(self._namespaces[index])
 
     # ------------------------------------------------------------------ #
     # Mutation

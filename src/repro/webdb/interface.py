@@ -59,15 +59,12 @@ class SearchResult:
         Simulated (or real, for the HTTP adapter) round-trip time.
     degraded:
         True when the answer is known-incomplete: one or more federated
-        shards could not be reached (``missing_shards`` names them) or the
-        answer was served from an invalidated cache entry.  Degraded
-        results are always classified ``OVERFLOW`` — they never claim to
-        cover their query — and are never stored in the result cache.
+        shards could not be reached (``missing_shards`` names them).
+        Degraded results are always classified ``OVERFLOW`` — they never
+        claim to cover their query — and are never stored in the result
+        cache.
     missing_shards:
         Names of the shards that contributed nothing to a degraded scatter.
-    stale:
-        True when the rows came from an invalidated cache entry served
-        while the live source was unavailable.
     complete_rows:
         Every matching tuple in rank order (``rows`` is its prefix), when an
         overflowing answer's source saw them all.  Never set when degraded.
@@ -80,7 +77,6 @@ class SearchResult:
     elapsed_seconds: float = 0.0
     degraded: bool = False
     missing_shards: Tuple[str, ...] = ()
-    stale: bool = False
     complete_rows: Optional[Tuple[Row, ...]] = None
 
     @property

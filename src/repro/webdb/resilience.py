@@ -228,7 +228,6 @@ class ResilienceStatistics(Counters):
     breaker_closes: int = 0
     timeouts_paid: int = 0
     degraded_scatters: int = 0
-    stale_shard_answers: int = 0
     simulated_wait_seconds: float = 0.0
 
 

@@ -209,11 +209,27 @@ class TestBookkeeping:
         )
         assert index.region_count() == 2
         assert index.tuple_count() == 5
-        assert ("price",) in index.signatures()
-        assert ("carat", "price") in index.signatures()
         description = index.describe()
+        assert description["per_signature"] == {"price": 1, "carat+price": 1}
         assert description["regions"] == 2 and not description["persistent"]
         assert description["impl"] == index.impl
+
+    def test_a_delta_retires_only_the_regions_it_reaches(self, index):
+        index.add_interval("price", 0.0, 15.0, ROWS[:1])
+        index.add_interval("price", 25.0, 35.0, ROWS[2:])
+        index.add_region(
+            HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 1.2)}), ROWS[:1]
+        )
+        # Row "a" lies in the first interval and in the box; "c" is untouched.
+        delta = CatalogDelta.from_rows("db", "id", ROWS[:1])
+        assert index.invalidate_delta(delta) == 2
+        assert index.region_count() == 1 and index.tuple_count() == 1
+        description = index.describe()
+        assert description["delta_retired"] == 2
+        # A signature left with no region is gone from the summary.
+        assert description["per_signature"] == {"price": 1}
+        assert index.lookup_interval("price", RangePredicate("price", 5.0, 10.0)) is None
+        assert index.lookup_interval("price", RangePredicate("price", 28.0, 32.0)) == ROWS[2:]
 
     def test_counters_track_coalescing(self, interval_index):
         interval_index.add_interval("price", 0.0, 20.0, ROWS[:2])
@@ -232,25 +248,6 @@ class TestBookkeeping:
         description = interval_index.describe()
         assert description["lookups"] == 2
         assert description["hits"] == 1
-
-    def test_clear(self, index):
-        index.add_interval("price", 0.0, 30.0, ROWS[:2])
-        index.add_interval("price", 30.0, 50.0, ROWS[2:])
-        index.lookup_interval("price", RangePredicate("price", 1.0, 2.0))
-        index.clear()
-        assert index.region_count() == 0
-        assert index.tuple_count() == 0
-        description = index.describe()
-        # Every counter resets with the regions, merges and lookups included.
-        assert description["coalesced"] == 0
-        assert description["lookups"] == 0
-        assert description["hits"] == 0
-
-    def test_clear_resets_delta_retired(self, index):
-        index.add_interval("price", 0.0, 30.0, ROWS[:2])
-        assert index.invalidate_delta(CatalogDelta.from_rows("db", "id", ROWS[:1])) == 1
-        index.clear()
-        assert index.describe()["delta_retired"] == 0
 
     def test_cached_region_attributes(self):
         box = HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 3.0)})

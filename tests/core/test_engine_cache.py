@@ -11,6 +11,7 @@ from repro.core.parallel import QueryEngine
 from repro.exceptions import QueryBudgetExceeded, SourceUnavailableError
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.interface import TopKInterface, answers
 from repro.webdb import latency as latency_module
@@ -484,7 +485,7 @@ class TestSettlementInvariant:
     @pytest.mark.parametrize("settles_each", [False, True], ids=["whole", "each"])
     @pytest.mark.parametrize(
         "scenario",
-        ["hit", "contained", "coalesced", "issued", "failed", "stale"],
+        ["hit", "contained", "coalesced", "issued", "failed", "retired"],
     )
     def test_budget_equals_answered_round_trips(
         self, timed_db, scenario, settles_each, position
@@ -537,12 +538,16 @@ class TestSettlementInvariant:
             threading.Timer(0.05, release.set).start()
         elif scenario == "failed":
             poison, error = special, RuntimeError("remote exploded")
-        elif scenario == "stale":
-            # The group was answered once and flushed by an invalidation (the
-            # copies parked); the source is now down for ``special``.
+        elif scenario == "retired":
+            # The group was answered once, then a delta touching a tuple
+            # every query of it matches retired all three entries; the
+            # source is now down for ``special``.  A retired answer is gone:
+            # nothing serves it in place of the failed round trip.
             for query in group:
                 cache.fetch(namespace, query, k, lambda: timed_db.search(query))
-            cache.invalidate(namespace)
+            touched = timed_db.all_matches(special)[0]
+            delta = CatalogDelta.from_rows(namespace, timed_db.schema.key, [touched])
+            assert cache.invalidate_delta(namespace, delta) == 3
             poison, error = special, SourceUnavailableError("source down")
 
         source = _SettlingSource(timed_db, poison=poison, error=error, settles_each=settles_each)
@@ -565,17 +570,12 @@ class TestSettlementInvariant:
 
         # And each cell did exercise what its name says.
         statistics = engine.statistics
-        if scenario == "failed":
-            assert isinstance(raised, RuntimeError)
+        if scenario in ("failed", "retired"):
+            assert isinstance(raised, (RuntimeError, SourceUnavailableError))
             # A batch failed whole answered nothing; one settled query by
             # query answered the two healthy queries.
             assert source.answered == (2 if settles_each else 0)
-        elif scenario == "stale" and not settles_each:
-            # The one call failed for the whole batch: nothing is paid and
-            # every query is served its parked copy.
-            assert raised is None and source.answered == 0
-            assert statistics.stale_serves == 3
-            assert all(result.stale for result in results)
+            assert cache.probe(namespace, special, k) is None
         else:
             assert raised is None and len(results) == 3
             assert source.answered == (3 if scenario == "issued" else 2)
@@ -584,12 +584,8 @@ class TestSettlementInvariant:
                 "contained": statistics.contained_answers,
                 "coalesced": statistics.coalesced_queries,
                 "issued": 1,
-                "stale": statistics.stale_serves,
             }[scenario]
             assert witness == 1
-            if scenario == "stale":
-                served = results[self.POSITIONS[position]]
-                assert served.stale and served.degraded
 
     def test_a_failed_query_leaves_its_siblings_issued_paid_and_cached(self, timed_db):
         """Over a source that settles each query of a batch on its own, one

@@ -287,10 +287,10 @@ class TestReplayDedup:
 
 
 # --------------------------------------------------------------------------- #
-# Invalidation (the namespace's change log, as the result cache uses it)
+# Retirement: closing the store, and deltas it cannot match
 # --------------------------------------------------------------------------- #
-class TestFeedInvalidation:
-    def test_store_invalidation_retires_feeds(self, bluenile_db):
+class TestFeedRetirement:
+    def test_closing_the_store_retires_feeds(self, bluenile_db):
         reranker = QueryReranker(bluenile_db, config=RerankConfig())
         stream = reranker.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
         stream.next_page(3)
@@ -298,7 +298,7 @@ class TestFeedInvalidation:
         assert store is not None and len(store) == 1
         first_feed = stream.feed
 
-        assert store.invalidate() == 1
+        assert store.close() == 1
         assert len(store) == 0
         assert first_feed.stale
 
@@ -309,78 +309,35 @@ class TestFeedInvalidation:
         fresh.next_page(3)
         assert fresh.statistics.feed_leader_advances == 3
 
-    def test_result_cache_invalidation_outdates_the_feed(self, bluenile_db):
-        reranker = QueryReranker(bluenile_db, config=RerankConfig())
-        namespace = reranker.result_cache is not None
-        assert namespace
-        stream = reranker.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
-        stream.next_page(3)
-        old_feed = stream.feed
+    def test_closing_the_store_twice_retires_nothing_more(self):
+        store = RerankFeedStore()
+        factory = _ListProducerFactory([{"id": "a"}])
+        feeds = [
+            store.attach(namespace, QUERY, RANKING, "rerank", 10, "id", factory)
+            for namespace in ("ns", "other")
+        ]
+        assert store.close() == 2
+        assert all(feed.stale for feed in feeds) and len(store) == 0
+        assert store.close() == 0
+        # A closed store still serves: the next attach builds a new feed.
+        fresh = store.attach("ns", QUERY, RANKING, "rerank", 10, "id", factory)
+        assert fresh not in feeds and not fresh.stale
 
-        # Flushing the *source* answers must transitively outdate the feed: a
-        # feed must never outlive the query answers it was derived from.
-        reranker.result_cache.invalidate(reranker._cache_namespace)
-
-        fresh = reranker.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
-        assert fresh.feed is not old_feed
-        assert fresh.feed.depth == 0
-
-    def test_inflight_leader_cannot_restore_stale_prefix(self, bluenile_db):
-        """Mirror of the result cache's in-flight store guard: an
-        invalidation while a leader is mid-stream marks its feed stale; the
-        leader's own caller completes normally, but the stale prefix never
-        re-enters the store."""
-        reranker = QueryReranker(bluenile_db, config=RerankConfig())
-        leader = reranker.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
-        leader.next_page(2)
-        inflight_feed = leader.feed
-
-        reranker.result_cache.invalidate(reranker._cache_namespace)
-
-        # The in-flight leader keeps serving its caller (like a pre-flush
-        # query completing for its waiters) ...
-        more = leader.next_page(2)
-        assert len(more) == 2
-        # ... but its post-invalidation appends marked the feed stale ...
-        assert inflight_feed.stale
-        # ... so a new session never attaches to it: the store hands out a
-        # fresh feed that recomputes from scratch.
-        fresh = reranker.rerank(QUERY, RANKING, algorithm=Algorithm.RERANK)
-        assert fresh.feed is not inflight_feed
-        rows = fresh.next_page(4)
-        assert fresh.statistics.feed_leader_advances == 4
-        assert fresh.statistics.feed_replayed_tuples == 0
-        assert _ids(rows) == _ids(leader.returned_so_far)
-
-    def test_full_invalidations_outdate_feeds_and_deltas_do_not(self):
+    def test_a_delta_that_cannot_match_keeps_the_feed(self):
         cache = QueryResultCache()
-        store = RerankFeedStore(cache)
+        store = RerankFeedStore()
         factory = _ListProducerFactory([{"id": "a"}])
 
-        def attach(namespace: str = "ns"):
-            return store.attach(
-                namespace, QUERY, RANKING, "rerank", 10, "id", factory
-            )
+        def attach():
+            return store.attach("ns", QUERY, RANKING, "rerank", 10, "id", factory)
 
         feed = attach()
-        other = attach("other")
         delta = CatalogDelta.from_rows("ns", "id", [{"id": "x", "price": -5.0}])
-        # A delta that cannot match the feed's query leaves it current,
-        # whichever layer logs it.
+        # Whichever layer logs it, a delta that cannot match the feed's query
+        # retires nothing.
         assert cache.invalidate_delta("ns", delta) == 0
         assert store.invalidate_delta("ns", delta) == 0
-        assert feed.current and attach() is feed
-
-        # A cache invalidation outdates the namespace's feeds (they are
-        # retired at the next attach) and only that namespace's.
-        cache.invalidate("ns")
-        assert not feed.current and other.current
-        feed = attach()
-        assert store.invalidate("ns") == 1
-        assert feed.stale and not feed.current and other.current
-        assert attach() is not feed
-        store.invalidate()
-        assert not other.current and attach("other") is not other
+        assert not feed.stale and attach() is feed
 
 
 # --------------------------------------------------------------------------- #
@@ -422,7 +379,7 @@ class TestFeedStore:
         )
 
     def test_lru_eviction_retires_oldest_feed(self):
-        store = RerankFeedStore(QueryResultCache(), max_feeds=2)
+        store = RerankFeedStore(max_feeds=2)
         queries = [
             SearchQuery.build(ranges={"price": (0.0, float(100 + i))})
             for i in range(3)
@@ -441,7 +398,7 @@ class TestFeedStore:
         leaves ``verified_tuples``, and what its streams still do on it is
         not counted (as when the store folded a feed's counters on retiring
         it)."""
-        store = RerankFeedStore(QueryResultCache(), max_feeds=2)
+        store = RerankFeedStore(max_feeds=2)
         first = self._attach(store, SearchQuery.build(ranges={"price": (0.0, 100.0)}))
         second = self._attach(store, SearchQuery.build(ranges={"price": (0.0, 200.0)}))
         for position in range(3):
@@ -465,7 +422,7 @@ class TestFeedStore:
         """Retirement — here racing a leader's advance — is a mark, not a
         teardown: the feed keeps replaying and advancing for the streams
         that hold it, and is never handed to a new session."""
-        store = RerankFeedStore(QueryResultCache())
+        store = RerankFeedStore()
         leading, retired = threading.Event(), threading.Event()
 
         def gate():
@@ -480,7 +437,7 @@ class TestFeedStore:
         )
         leader.start()
         assert leading.wait(5.0)
-        assert store.invalidate("ns") == 1  # retires the feed mid-advance
+        assert store.close() == 1  # retires the feed mid-advance
         retired.set()
         leader.join(timeout=5.0)
         assert not leader.is_alive()
@@ -496,18 +453,17 @@ class TestFeedStore:
         assert fresh is not feed and fresh.depth == 0 and not fresh.stale
 
     @pytest.mark.parametrize("absorbing", [False, True], ids=["bare", "absorbing"])
-    @pytest.mark.parametrize("counter", ["degraded_results", "stale_serves"])
-    def test_degraded_advance_poisons_the_feed(self, absorbing, counter):
-        """An advance that served degraded or stale data hands the leader its
-        row, but the feed is never handed to a new session again — whether
-        or not the call has a panel to absorb the advance's work into."""
-        store = RerankFeedStore(QueryResultCache())
+    def test_degraded_advance_poisons_the_feed(self, absorbing):
+        """An advance that served degraded data hands the leader its row, but
+        the feed is never handed to a new session again — whether or not the
+        call has a panel to absorb the advance's work into."""
+        store = RerankFeedStore()
         producers, degrade = [], threading.Event()
 
         def gate():
             producers[0].statistics.record("retried_queries")
             if degrade.is_set():
-                producers[0].statistics.record(counter)
+                producers[0].statistics.record("degraded_results")
 
         def factory():
             producers.append(_ListProducerFactory(self.ROWS, gate)())
@@ -523,11 +479,11 @@ class TestFeedStore:
         assert row["id"] == 1 and not replayed
         assert feed.stale
         if absorbing:
-            assert stats.read("retried_queries", counter) == (2, 1)
+            assert stats.read("retried_queries", "degraded_results") == (2, 1)
         assert self._attach(store, query) is not feed
 
     def test_row_at_validates_and_counts(self):
-        store = RerankFeedStore(QueryResultCache())
+        store = RerankFeedStore()
         query = SearchQuery.build(ranges={"price": (0.0, 100.0)})
         feed = self._attach(store, query)
         stats = RerankStatistics()

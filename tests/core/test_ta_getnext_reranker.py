@@ -219,14 +219,6 @@ class TestQueryReranker:
         assert second.statistics.result_cache_hits > 0
         assert second.statistics.external_queries < first.statistics.external_queries
 
-    def test_invalidate_flushes_the_private_result_cache(self, bluenile_db):
-        reranker = QueryReranker(bluenile_db)
-        reranker.rerank(SearchQuery.everything(), SingleAttributeRanking("price")).top(5)
-        entries = len(reranker.result_cache)
-        assert entries > 0
-        assert reranker.invalidate()["cache_entries"] == entries
-        assert len(reranker.result_cache) == 0
-
     def test_apply_delta_retires_matching_private_cache_entries(
         self, diamond_catalog, diamond_schema_fixture
     ):
@@ -244,6 +236,20 @@ class TestQueryReranker:
         summary = reranker.apply_delta(upserts=[{**rows[0], "price": rows[0]["price"] + 1.0}])
         assert 0 < summary["cache_entries_retired"] <= entries
         assert len(reranker.result_cache) == entries - summary["cache_entries_retired"]
+
+    def test_close_keeps_the_private_result_cache(self, bluenile_db):
+        # Closing changes no data: a repeat of a request served before it is
+        # answered from the cache at zero external queries.
+        reranker = QueryReranker(bluenile_db)
+        ranking = SingleAttributeRanking("price", ascending=True)
+        first = reranker.rerank(SearchQuery.everything(), ranking)
+        rows = first.top(5)
+        entries = len(reranker.result_cache)
+        reranker.close()
+        assert len(reranker.result_cache) == entries > 0
+        again = reranker.rerank(SearchQuery.everything(), ranking)
+        assert again.top(5) == rows
+        assert again.statistics.external_queries == 0
 
     def test_md_requires_linear_function(self, bluenile_reranker):
         class FakeRanking(SingleAttributeRanking):
@@ -307,7 +313,7 @@ class TestQueryReranker:
         assert counters["refreshed"] == 0  # the database did not change
         assert counters["checked"] == counters["unchanged"]
 
-    def test_verify_dense_cache_after_invalidate_reattaches_live_regions(
+    def test_a_restart_plus_verify_dense_cache_serves_live_regions(
         self, diamond_catalog, diamond_schema_fixture, tmp_path
     ):
         # A private database: the test deletes a stone behind the reranker.
@@ -327,9 +333,10 @@ class TestQueryReranker:
         stored = cache.regions()[0]
         deleted = cache.rows_for_region(stored)[0]["id"]
         database.apply_delta(deletes=[deleted])
-        reranker.invalidate()
-        assert reranker.dense_index.region_count() == 0
-
+        # No delta reached the reranker: the store is refreshed the paper's
+        # way, by a restart over the same store verified against the source.
+        reranker.close()
+        reranker = QueryReranker(database, dense_cache=cache)
         counters = reranker.verify_dense_cache()
         assert counters["checked"] == len(cache.regions()) >= 1
         assert counters["refreshed"] >= 1

@@ -65,15 +65,6 @@ class NaiveDenseRegionIndex:
         if persist and self._cache is not None:
             self._cache.store_region(box.bounds(), list(rows))
 
-    def clear(self) -> None:
-        with self._lock:
-            self._regions.clear()
-            self._region_count = 0
-            self._tuple_count = 0
-            self._lookups = 0
-            self._hits = 0
-            self._delta_retired = 0
-
     def invalidate_delta(self, delta: CatalogDelta) -> int:
         if delta.is_empty:
             return 0
@@ -157,10 +148,6 @@ class NaiveDenseRegionIndex:
         with self._lock:
             return self._tuple_count
 
-    def signatures(self) -> List[Tuple[str, ...]]:
-        with self._lock:
-            return [sig for sig, regions in self._regions.items() if regions]
-
     def describe(self) -> Dict[str, object]:
         with self._lock:
             return {
@@ -183,7 +170,5 @@ class NaiveIndexReranker(QueryReranker):
     """A :class:`QueryReranker` whose dense-region index is the linear
     reference (at construction and after every rebuild)."""
 
-    def _make_dense_index(
-        self, cache: Optional[DenseRegionCache] = None
-    ) -> DenseRegionIndex:
+    def _make_dense_index(self, cache: Optional[DenseRegionCache]) -> DenseRegionIndex:
         return NaiveDenseRegionIndex(self._interface.schema, cache=cache)  # type: ignore[return-value]

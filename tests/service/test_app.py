@@ -204,7 +204,7 @@ class TestQueryFlow:
             statistics = page["statistics"]
             panel = service.statistics(session_id)
             assert set(statistics["resilience"]) == {
-                "degraded_results", "stale_serves", "retried_queries",
+                "degraded_results", "retried_queries",
             }  # fmt: skip
             for name, value in statistics.items():
                 if name == "resilience":

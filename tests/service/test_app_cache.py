@@ -44,13 +44,10 @@ def _run_session(service: QR2Service, algorithm: str = "rerank"):
 
 class TestServiceResultCache:
     def test_second_session_issues_strictly_fewer_queries_than_uncached(self):
-        # Uncached baseline: the same request, run twice with the cache
-        # emptied in between, pays full price twice (modulo the shared
-        # dense-region index).
-        uncached = _make_service()
-        uncached_first = _run_session(uncached)
-        uncached.registry.get("bluenile").reranker.result_cache.invalidate()
-        uncached_second = _run_session(uncached)
+        # Uncached baseline: the same request, run on two fresh services,
+        # pays full price twice.
+        uncached_first = _run_session(_make_service())
+        uncached_second = _run_session(_make_service())
         uncached_total = (
             uncached_first["statistics"]["external_queries"]
             + uncached_second["statistics"]["external_queries"]

@@ -17,6 +17,7 @@ from repro.webdb.build import build_source
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.database import HiddenWebDatabase
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.faults import FaultKind, FaultPlan
 from repro.webdb.federation import FederatedInterface
 from repro.webdb.query import SearchQuery
@@ -64,19 +65,24 @@ class TestUnshardedStack:
         for sibling in queries[1:]:
             assert cache.probe(stack.name, sibling, stack.system_k) is not None
 
-    def test_a_failed_query_is_served_stale_when_a_copy_is_parked(self, bluenile_db):
+    def test_a_failed_query_is_not_answered_by_an_entry_a_delta_retired(self, bluenile_db):
         stack = SourceStack(bluenile_db, fault_plan=GROUP_OF_FOUR_PLAN)
         cache = QueryResultCache()
         queries = group(4)
-        doomed = queries[0]
-        cache.fetch(stack.name, doomed, stack.system_k, lambda: bluenile_db.search(doomed))
-        cache.invalidate(stack.name)  # parks the copy
+        for query in queries:
+            cache.fetch(stack.name, query, stack.system_k, lambda q=query: bluenile_db.search(q))
+        # A tuple every query of the group matches changed: all four
+        # answers retire, and nothing keeps a copy of them.
+        touched = bluenile_db.all_matches(queries[0])[0]
+        delta = CatalogDelta.from_rows(stack.name, bluenile_db.schema.key, [touched])
+        assert cache.invalidate_delta(stack.name, delta) == 4
         engine = QueryEngine(stack, result_cache=cache, budget=QueryBudget(10))
-        results = engine.search_group(queries)
-        assert results[0].stale and results[0].degraded
-        assert not any(result.stale for result in results[1:])
-        assert engine.budget.used == engine.statistics.external_queries == 3
-        assert engine.statistics.stale_serves == 1
+        with pytest.raises(SourceUnavailableError):
+            engine.search_group(queries)
+        assert engine.budget.used == stack.statistics.queries == 3
+        assert cache.probe(stack.name, queries[0], stack.system_k) is None
+        for sibling in queries[1:]:
+            assert cache.probe(stack.name, sibling, stack.system_k) is not None
 
     def test_one_database_batch_plus_one_guard_call_per_faulted_query(
         self, bluenile_db, monkeypatch

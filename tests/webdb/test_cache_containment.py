@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.parallel import QueryEngine
-from repro.webdb.cache import CacheStatistics, FetchStatus, QueryResultCache
+from repro.core.reranker import QueryReranker
+from repro.webdb.cache import CacheStatistics, FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget
 from repro.webdb.delta import CatalogDelta, ChangeLog
 from repro.webdb.interface import Outcome, SearchResult
@@ -315,39 +316,35 @@ class TestInvalidationGeneration:
         assert started.wait(timeout=5.0)
         return thread, release, outcomes
 
-    def test_invalidate_drops_store_from_preinvalidation_query(self, bluenile_db):
-        """Regression: an in-flight query that began before invalidate() must
-        not resurrect its (stale) result afterwards."""
+    #: A delta touching a stone priced inside every gated query below.
+    MATCHING = CatalogDelta.from_rows("ns", "id", [{"id": "x", "price": 100.0}], upserts=1)
+
+    def test_a_matching_delta_drops_the_store_of_a_query_claimed_before_it(
+        self, bluenile_db
+    ):
+        """Regression: an in-flight query that began before a delta it can
+        match must not resurrect its out-of-date result afterwards."""
         cache = QueryResultCache()
         query = SearchQuery.build(ranges={"price": (0.0, 5000.0)})
         thread, release, outcomes = self._gated_fetch(cache, bluenile_db, query)
-        cache.invalidate("ns")
+        cache.invalidate_delta("ns", self.MATCHING)
         release.set()
         thread.join(timeout=5.0)
         result, status = outcomes[0]
         assert status is FetchStatus.MISS  # the caller still gets its answer
         assert cache.probe("ns", query, bluenile_db.system_k) is None
-        # Post-invalidation queries store normally again.
+        assert cache.statistics.snapshot()["delta_blocked_stores"] == 1
+        # Queries claimed after the delta store normally again.
         cache.fetch(
             "ns", query, bluenile_db.system_k, lambda: bluenile_db.search(query)
         )
         assert cache.probe("ns", query, bluenile_db.system_k) is not None
 
-    def test_global_invalidate_also_drops_stale_stores(self, bluenile_db):
+    def test_a_delta_in_another_namespace_does_not_drop_the_store(self, bluenile_db):
         cache = QueryResultCache()
         query = SearchQuery.build(ranges={"price": (0.0, 5000.0)})
         thread, release, outcomes = self._gated_fetch(cache, bluenile_db, query)
-        cache.invalidate()
-        release.set()
-        thread.join(timeout=5.0)
-        assert outcomes[0][1] is FetchStatus.MISS
-        assert cache.probe("ns", query, bluenile_db.system_k) is None
-
-    def test_invalidating_other_namespace_does_not_drop_store(self, bluenile_db):
-        cache = QueryResultCache()
-        query = SearchQuery.build(ranges={"price": (0.0, 5000.0)})
-        thread, release, outcomes = self._gated_fetch(cache, bluenile_db, query)
-        cache.invalidate("unrelated")
+        cache.invalidate_delta("unrelated", self.MATCHING.with_namespace("unrelated"))
         release.set()
         thread.join(timeout=5.0)
         assert outcomes[0][1] is FetchStatus.MISS
@@ -355,9 +352,9 @@ class TestInvalidationGeneration:
 
     def test_deltas_drop_only_the_stores_they_can_match(self, bluenile_db):
         """A delta that cannot match the in-flight query lets it store; a
-        claim older than the change log's tail is dropped like one that
-        crossed a full invalidation, and only a matching delta counts as
-        ``delta_blocked_stores``."""
+        claim older than the change log's tail is dropped, since the deltas
+        it missed can no longer be read back, and only a matching delta
+        counts as ``delta_blocked_stores``."""
         cache = QueryResultCache()
         query = SearchQuery.build(ranges={"price": (0.0, 5000.0)})
         elsewhere = CatalogDelta.from_rows(
@@ -369,7 +366,7 @@ class TestInvalidationGeneration:
         thread.join(timeout=5.0)
         assert cache.probe("ns", query, bluenile_db.system_k) is not None
 
-        cache.invalidate("ns")
+        cache = QueryResultCache()
         thread, release, outcomes = self._gated_fetch(cache, bluenile_db, query)
         for _ in range(ChangeLog.LIMIT + 1):
             cache.invalidate_delta("ns", elsewhere)
@@ -379,7 +376,31 @@ class TestInvalidationGeneration:
         assert cache.probe("ns", query, bluenile_db.system_k) is None
         assert cache.statistics.snapshot()["delta_blocked_stores"] == 0
 
-    def test_fetch_many_stores_dropped_after_invalidation(self, bluenile_db):
+    def test_closing_a_reranker_is_not_a_data_change(self, bluenile_db, zillow_db):
+        """Answers claimed before ``QueryReranker.close()`` still store and
+        then hit: closing retires feeds but logs no change, neither in its
+        own namespace nor in another source's sharing the cache."""
+        cache = QueryResultCache()
+        closing = QueryReranker(bluenile_db, result_cache=cache)
+        QueryReranker(zillow_db, result_cache=cache)
+        query = SearchQuery.everything()
+        sources = [(db, default_namespace(db)) for db in (bluenile_db, zillow_db)]
+        flights = [
+            self._gated_fetch(cache, db, query, namespace=namespace)
+            for db, namespace in sources
+        ]
+        sequences = [cache.changes(namespace).sequence for _, namespace in sources]
+        closing.close()
+        for thread, release, _ in flights:
+            release.set()
+            thread.join(timeout=5.0)
+        assert [cache.changes(namespace).sequence for _, namespace in sources] == sequences
+        for (db, namespace), (_, _, outcomes) in zip(sources, flights):
+            assert outcomes[0][1] is FetchStatus.MISS
+            hit = cache.probe(namespace, query, db.system_k)
+            assert hit is not None and hit[1] is FetchStatus.HIT
+
+    def test_fetch_many_stores_dropped_after_a_matching_delta(self, bluenile_db):
         cache = QueryResultCache()
         queries = [
             SearchQuery.build(ranges={"price": (0.0, 4000.0 + i)}) for i in range(3)
@@ -399,7 +420,7 @@ class TestInvalidationGeneration:
         )
         thread.start()
         assert started.wait(timeout=5.0)
-        cache.invalidate("ns")
+        cache.invalidate_delta("ns", self.MATCHING)
         release.set()
         thread.join(timeout=5.0)
         assert [status for _, status in outcomes[0]] == [FetchStatus.MISS] * 3
@@ -649,7 +670,7 @@ class TestIndexedLookupMatchesTheScan:
             kind = data.draw(
                 st.sampled_from(
                     ["store"] * 4 + ["probe"] * 3
-                    + ["fetch", "fetch_many", "invalidate", "delta"]
+                    + ["fetch", "fetch_many", "delta"]
                 )
             )
             namespace, k = data.draw(st.sampled_from([("ns1", 3)] * 3 + [("ns1", 4), ("ns2", 3)]))
@@ -673,8 +694,6 @@ class TestIndexedLookupMatchesTheScan:
                 )
                 for query, (result, _) in zip(queries, outcomes):
                     _assert_is_the_answer(result, query, k)
-            elif kind == "invalidate":
-                cache.invalidate(data.draw(st.sampled_from([namespace, None])))
             else:
                 touched = data.draw(st.sets(st.sampled_from(range(len(CATALOG))), min_size=1, max_size=3))
                 rows = [CATALOG[i] for i in sorted(touched)]

@@ -1,15 +1,16 @@
 """Randomized differential suite for the delta-invalidation pipeline.
 
 The delta path (:meth:`QueryReranker.apply_delta`) must be *sound* — every
-page served after a catalog change is byte-identical to what a full-flush
+page served after a catalog change is byte-identical to what a cold
 recompute produces — and *selective* — state whose queries cannot match the
 touched tuples keeps serving.  Both properties are checked here against
-randomized change-sets, with the pre-existing full-flush
-:meth:`QueryReranker.invalidate` acting as the correctness oracle:
+randomized change-sets, with a freshly built reranker over the same mutated
+source (new result cache, dense index and feed store) as the correctness
+oracle:
 
 * **oracle byte-identity** — after every delta, each pool request's first
-  pages from the delta-invalidated reranker equal the pages a fully flushed
-  reranker recomputes over the same mutated data, row for row;
+  pages from the delta-invalidated reranker equal the pages a fresh
+  reranker computes over the same mutated data, row for row;
 * **survival** — deltas touching ≤1% of the catalog retire only overlapping
   state: aggregate survival of result-cache entries, dense regions, and
   rerank feeds stays ≥90%;
@@ -22,7 +23,7 @@ randomized change-sets, with the pre-existing full-flush
   when one single touched version satisfies all of its predicates;
 * **feeds past their prefix** — a feed whose matching touched versions all
   rank after its last verified row keeps its prefix, and streams reading
-  past it still equal the full-flush oracle.
+  past it still equal the fresh oracle.
 """
 
 from __future__ import annotations
@@ -203,7 +204,6 @@ def test_randomized_differential_unsharded():
     env = _environment()
     db = env.bluenile
     subject = env.make_reranker("bluenile")
-    oracle = env.make_reranker("bluenile")
     pool = _request_pool(db.schema)
     rng = random.Random(20180406)
 
@@ -222,8 +222,8 @@ def test_randomized_differential_unsharded():
             total_before[slot] += before[slot]
             total_after[slot] += after[slot]
 
-        # Full-flush oracle over the same (already mutated) database.
-        oracle.invalidate()
+        # A fresh oracle over the same (already mutated) database.
+        oracle = env.make_reranker("bluenile")
         for request in pool:
             assert _first_pages(subject, request) == _first_pages(
                 oracle, request
@@ -241,7 +241,7 @@ def test_randomized_differential_unsharded():
 
 
 # --------------------------------------------------------------------- #
-# Randomized differential: federated vs unsharded full-flush oracle
+# Randomized differential: federated vs a fresh unsharded oracle
 # --------------------------------------------------------------------- #
 #: Seed 15568 reprices rows across many cached price intervals: a delta that
 #: flagged every interval between a row's old and new price (their hull)
@@ -251,7 +251,6 @@ def test_randomized_differential_unsharded():
 def test_randomized_differential_federated(shard_by, seed):
     env = _environment()
     subject = env.make_federated_reranker("bluenile", 3, by=shard_by)
-    oracle = env.make_reranker("bluenile")
     federation = subject.interface
     pool = _request_pool(federation.schema)
     rng = random.Random(seed)
@@ -268,9 +267,10 @@ def test_randomized_differential_federated(shard_by, seed):
         after = _occupancy(subject)
         delta = summary["delta"]
         assert delta.shard_deltas, "federated delta must carry shard parts"
-        # Mirror the mutation into the oracle's unsharded database and flush.
+        # Mirror the mutation into the unsharded database; a fresh oracle
+        # reads it.
         env.bluenile.apply_delta(upserts=upserts, deletes=deletes)
-        oracle.invalidate()
+        oracle = env.make_reranker("bluenile")
         for slot in range(3):
             total_before[slot] += before[slot]
             total_after[slot] += after[slot]
@@ -489,7 +489,7 @@ def test_a_feed_mid_advance_is_retired_and_an_idle_one_kept():
     """The same delta — one version ranking after the prefix — keeps the feed
     while it is idle and retires it while a leader is inside an advance,
     whose row may rest on proofs made before the change."""
-    store = RerankFeedStore(QueryResultCache())
+    store = RerankFeedStore()
     entered, release = threading.Event(), threading.Event()
     calls = itertools.count()
     rows = iter([{"id": 0, "carat": 0.0}, {"id": 1, "carat": 1.0}])
@@ -576,7 +576,6 @@ def test_reading_past_a_surviving_prefix_equals_the_oracle(shards, seed):
         if shards is None
         else env.make_federated_reranker("bluenile", shards, by="rank")
     )
-    oracle = env.make_reranker("bluenile")
     rng = random.Random(seed)
     requests = _deep_requests(env.bluenile.schema)
     leaders = [_lead(subject, query, ranking, depth, algorithm) for query, ranking, algorithm, depth in requests]
@@ -585,7 +584,7 @@ def test_reading_past_a_surviving_prefix_equals_the_oracle(shards, seed):
     subject.apply_delta(upserts=upserts)
     if shards is not None:
         env.bluenile.apply_delta(upserts=upserts)
-    oracle.invalidate()
+    oracle = env.make_reranker("bluenile")
 
     survived = 0
     for (query, ranking, algorithm, depth), (stream, pages) in zip(requests, leaders):

@@ -256,21 +256,6 @@ class TestFederatedInterface:
         described = federation.describe()
         assert all(info["cache_hits"] == 1 for info in described["shards"])
 
-    def test_invalidate_shard_is_scoped(self, diamond_catalog, diamond_schema_fixture):
-        cache = QueryResultCache(max_entries=64)
-        federation = make_federation(
-            diamond_catalog, diamond_schema_fixture, shards=2, result_cache=cache
-        )
-        federation.search(SearchQuery.everything())
-        baseline = federation.shard_queries_issued()
-        removed = federation.invalidate_shard(0)
-        assert removed > 0
-        federation.search(SearchQuery.everything())
-        # Only shard 0 re-queried; shard 1 still served from its namespace.
-        assert federation.shard_queries_issued() == baseline + 1
-        with pytest.raises(QueryError):
-            federation.invalidate_shard(7)
-
     def test_ground_truth_helpers_merge_shards(
         self, diamond_catalog, diamond_schema_fixture, reference_db
     ):
@@ -369,7 +354,7 @@ class TestCompleteMerge:
         # A repeated query is a facade hit, not a merge.
         assert 0 < federation.describe()["merge"]["complete_merges"] <= proven
 
-    def test_degraded_or_stale_merge_never_carries_it(
+    def test_degraded_merge_never_carries_it(
         self, diamond_catalog, diamond_schema_fixture, reference_db, sorted_values
     ):
         cache = QueryResultCache()
@@ -385,17 +370,11 @@ class TestCompleteMerge:
         engine = QueryEngine(federation, result_cache=cache)
         assert engine.search(query).complete_rows is not None
 
-        # Shard 1's entries are parked stale, then the shard goes down: its
-        # stale page makes the merge stale, and it proves nothing.
-        federation.invalidate_shard(1)
+        # Shard 1 goes down.  A query it never answered: the live shards
+        # still cover it and hold more than k matches together, but the merge
+        # is degraded.
         injector = federation.fault_injectors()[1]
         injector.set_plan(replace(injector.plan, fail_from=0))
-        stale = federation.search(query)
-        assert stale.stale and stale.degraded
-        assert stale.complete_rows is None and not stale.proves_query
-
-        # A query shard 1 never answered: the live shards still cover it and
-        # hold more than k matches together, but the merge is degraded.
         rng = random.Random(7)
         for _ in range(500):
             other = draw_window(rng, sorted_values)
@@ -411,12 +390,6 @@ class TestCompleteMerge:
         degraded = federation.search(other)
         assert degraded.degraded and degraded.missing_shards == ("fedtest#1",)
         assert degraded.complete_rows is None and not degraded.proves_query
-
-        # The facade's own entry, replayed stale, drops its complete set too.
-        cache.invalidate(default_namespace(federation))
-        replayed = cache.serve_stale(default_namespace(federation), query, 10)
-        assert replayed is not None and replayed.stale
-        assert replayed.complete_rows is None and not replayed.proves_query
 
 
 class TestFederatedDelta:

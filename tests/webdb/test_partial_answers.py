@@ -1,15 +1,16 @@
-"""Tests for partial-answer serving: degraded scatters, stale serving, and
-the degraded-result cache exclusion."""
+"""Tests for partial-answer serving: degraded scatters and the
+degraded-result cache exclusion."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.config import DatabaseConfig
+from repro.core.reranker import QueryReranker
+from repro.dataset.diamonds import DEPTH_BOUNDS
 from repro.exceptions import SourceUnavailableError
 from repro.webdb.build import build_source
 from repro.webdb.cache import FetchStatus, QueryResultCache
-from repro.webdb.delta import CatalogDelta
 from repro.webdb.faults import FaultPlan
 from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import Outcome, SearchResult
@@ -191,6 +192,52 @@ def test_chaos_run_is_a_pure_function_of_the_plan_seed(
     assert all(counts.get("transient", 0) > 0 for _, counts in shards)
 
 
+class TestRetiredEntriesNeverServed:
+    @pytest.mark.parametrize("shard", [0, 1, 2])
+    def test_a_dead_shard_is_missing_though_it_answered_before_a_delta(
+        self, diamond_catalog, diamond_schema_fixture, shard
+    ):
+        """A shard whose cached answer a delta retired and which then dies
+        is named in ``missing_shards``: the live shards answer from their
+        cache, and no version of the changed tuple is served."""
+        cache = QueryResultCache()
+        federation = make_federation(
+            diamond_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            result_cache=cache,
+        )
+        reranker = QueryReranker(federation, result_cache=cache)
+        owner = federation.shards[shard]
+        before = federation.search(QUERY)
+        touched = next(row for row in before.rows if owner.has_key(row["id"]))
+        low, high = DEPTH_BOUNDS
+        changed = {**touched, "depth": low if touched["depth"] != low else high}
+        assert reranker.apply_delta(upserts=[changed])["cache_entries_retired"] == 1
+        kill_shard(federation, shard)
+        live_queries = [
+            federation.shards[index].queries_issued()
+            for index in range(3)
+            if index != shard
+        ]
+
+        after = federation.search(QUERY)
+        assert after.degraded and after.outcome is Outcome.OVERFLOW
+        assert after.missing_shards == (f"partial#{shard}",)
+        served = [row["id"] for row in after.rows]
+        assert touched["id"] not in served
+        # Every row the live shards placed in the whole answer's top k is
+        # in the top k of their union, answered from their cached entries.
+        assert {
+            row["id"] for row in before.rows if not owner.has_key(row["id"])
+        } <= set(served)
+        assert [
+            federation.shards[index].queries_issued()
+            for index in range(3)
+            if index != shard
+        ] == live_queries
+
+
 class TestDegradedNeverCached:
     def test_fetch_does_not_store_degraded_results(self, bluenile_db):
         cache = QueryResultCache()
@@ -211,45 +258,3 @@ class TestDegradedNeverCached:
         assert second_status is FetchStatus.MISS
         # The clean answer, in contrast, was stored.
         assert cache.probe("ns", QUERY, 10) is not None
-
-
-class TestStaleServing:
-    def make_warm_cache(self, bluenile_db):
-        cache = QueryResultCache()
-        result, _ = cache.fetch(
-            "ns", QUERY, 10, lambda: bluenile_db.search(QUERY)
-        )
-        return cache, result
-
-    def test_invalidate_parks_then_serve_stale_answers(self, bluenile_db):
-        cache, fresh = self.make_warm_cache(bluenile_db)
-        cache.invalidate("ns")
-        assert cache.probe("ns", QUERY, 10) is None
-        stale = cache.serve_stale("ns", QUERY, 10)
-        assert stale is not None
-        assert stale.stale and stale.degraded
-        assert stale.outcome is Outcome.OVERFLOW
-        assert [row["id"] for row in stale.rows] == [
-            row["id"] for row in fresh.rows
-        ]
-
-    def test_stale_serve_never_crosses_apply_delta(self, bluenile_db):
-        cache, fresh = self.make_warm_cache(bluenile_db)
-        cache.invalidate("ns")
-        assert cache.serve_stale("ns", QUERY, 10) is not None
-        # A delta touching a row the query may match retires the parked copy:
-        # stale serving must never resurrect data across an apply_delta.
-        victim = dict(fresh.rows[0])
-        delta = CatalogDelta.from_rows("ns", "id", [victim], upserts=1)
-        cache.invalidate_delta("ns", delta)
-        assert cache.serve_stale("ns", QUERY, 10) is None
-
-    def test_fresh_store_supersedes_parked_stale_copy(self, bluenile_db):
-        cache, _ = self.make_warm_cache(bluenile_db)
-        cache.invalidate("ns")
-        result, status = cache.fetch(
-            "ns", QUERY, 10, lambda: bluenile_db.search(QUERY)
-        )
-        assert status is FetchStatus.MISS and not result.stale
-        stats = cache.statistics.snapshot()
-        assert stats["stale_kept"] >= 1

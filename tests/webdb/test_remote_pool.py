@@ -146,17 +146,16 @@ def test_threads_stay_within_the_bound_and_end_with_close(remote):
 
 
 def test_the_adapter_serves_the_databases_pages_before_and_after_close(remote, database):
-    expected = [_lead(QueryReranker(database), index) for index in range(3)]
+    expected = [_lead(QueryReranker(database), index) for index in range(6)]
     assert all(expected)
     before = threading.enumerate()
     reranker = QueryReranker(remote)
-    assert [_lead(reranker, index) for index in range(3)] == expected
+    assert [_lead(reranker, index) for index in range(3)] == expected[:3]
     reranker.close()
     assert query_threads(before) == []
-    # New requests rebuild their feeds and, with the answers they paid for
-    # dropped, pay their round trips again on a fresh pool.
-    reranker.result_cache.invalidate()
-    assert [_lead(reranker, index) for index in range(3)] == expected
+    # New requests build their own feeds and pay their round trips on a
+    # fresh pool.
+    assert [_lead(reranker, index) for index in range(3, 6)] == expected[3:]
     assert reranker.feed_store.snapshot()["created"] == 6
     assert 0 < len(query_threads(before)) <= QUERY_WORKERS
     reranker.close()
@@ -173,8 +172,9 @@ def test_a_stream_opened_before_close_advances_after_it(kind, request, database)
     stream = reranker.rerank(query, _ranking(reranker), algorithm=Algorithm.RERANK)
     first = stream.next_page(5)
     reranker.close()
-    reranker.result_cache.invalidate()
+    paid = stream.statistics.external_queries
     second = stream.next_page(5)
+    assert stream.statistics.external_queries > paid
     reranker.close()
     assert [row["id"] for row in first + second] == [
         row["id"] for row in expected.next_page(10)
