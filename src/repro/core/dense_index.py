@@ -48,13 +48,12 @@ from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
 from repro.core.stats import RerankStatistics
 from repro.crawl.crawler import HiddenDatabaseCrawler
-from repro.dataset.schema import Schema
+from repro.dataset.schema import Schema, is_numeric
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.boxindex import BoxIndex
 from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta
-from repro.webdb.indexes import is_numeric
 from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, Row, SearchQuery, freeze_row
 

@@ -20,6 +20,7 @@ there and hands off to the live algorithm past its end.
 
 from __future__ import annotations
 
+import enum
 import threading
 from typing import Dict, Iterator, List, Optional, Protocol
 
@@ -34,6 +35,15 @@ class GetNextAlgorithm(Protocol):
     def next(self) -> Optional[Row]:  # pragma: no cover - protocol
         """Return the next tuple, or ``None`` when exhausted."""
         ...
+
+
+class Variant(enum.Enum):
+    """Which 1D or MD algorithm to run; RERANK is BINARY plus the
+    on-the-fly dense-region index."""
+
+    BASELINE = "baseline"
+    BINARY = "binary"
+    RERANK = "rerank"
 
 
 class GetNextStream:

@@ -30,7 +30,6 @@ The variants differ in how they work the list:
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import deque
 from typing import Deque, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -44,6 +43,7 @@ from repro.core.dense_index import (
     is_dense,
 )
 from repro.core.functions import LinearRankingFunction
+from repro.core.getnext import Variant
 from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
 from repro.core.session import ChangeWatch, Session
@@ -65,14 +65,6 @@ _TOLERANCE = 1e-9
 _POINT_WIDTH = 1e-12
 
 
-class MDVariant(enum.Enum):
-    """Which MD algorithm to run."""
-
-    BASELINE = "baseline"
-    BINARY = "binary"
-    RERANK = "rerank"
-
-
 class MultiDimGetNext:
     """Get-Next driver for multi-attribute (linear) reranking; MD-RERANK
     requires ``dense_index``."""
@@ -83,7 +75,7 @@ class MultiDimGetNext:
         base_query: SearchQuery,
         ranking: LinearRankingFunction,
         session: Session,
-        variant: MDVariant = MDVariant.RERANK,
+        variant: Variant = Variant.RERANK,
         dense_index: Optional[DenseRegionIndex] = None,
         changes: Optional[ChangeLog] = None,
     ) -> None:
@@ -97,13 +89,13 @@ class MultiDimGetNext:
         self._ranking = ranking
         self._session = session
         self._variant = variant
-        if variant is MDVariant.RERANK and dense_index is None:
+        if variant is Variant.RERANK and dense_index is None:
             raise ValueError("MD-RERANK needs a dense-region index")
         #: The index this stream reads and grows; ``None`` for every variant
         #: but RERANK, which is the one place that is decided.  Every variant
         #: crawls a box once :func:`is_dense` says so; only MD-RERANK looks
         #: boxes up in the index first and remembers what it crawled.
-        self._dense_index = dense_index if variant is MDVariant.RERANK else None
+        self._dense_index = dense_index if variant is Variant.RERANK else None
         self._statistics = session.statistics
 
         schema = engine.schema
@@ -124,7 +116,7 @@ class MultiDimGetNext:
     # Public API
     # ------------------------------------------------------------------ #
     @property
-    def variant(self) -> MDVariant:
+    def variant(self) -> Variant:
         """The algorithm variant in use."""
         return self._variant
 
@@ -186,7 +178,7 @@ class MultiDimGetNext:
     # ------------------------------------------------------------------ #
     def _find_next_tuple(self) -> Best:
         best = self._seed_from_cache()
-        if self._variant is MDVariant.BASELINE:
+        if self._variant is Variant.BASELINE:
             return self._baseline_search(best)
         return self._partition_search(best)
 

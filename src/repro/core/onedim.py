@@ -49,13 +49,13 @@ match the filter query drops the prefix back to the frontier.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dense_index import DenseRegionIndex, crawl_region, dense_rows, is_dense
 from repro.core.functions import SingleAttributeRanking
+from repro.core.getnext import Variant
 from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle, interval_relative_width
 from repro.core.session import ChangeWatch, Session
@@ -66,14 +66,6 @@ from repro.webdb.query import RangePredicate, Row, SearchQuery
 #: Oriented values: the algorithms always *minimize*; descending rankings are
 #: handled by negating values on the way in and out.
 _EPSILON = 1e-12
-
-
-class OneDimVariant(enum.Enum):
-    """Which 1D algorithm to run."""
-
-    BASELINE = "baseline"
-    BINARY = "binary"
-    RERANK = "rerank"
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,7 @@ class OneDimGetNext:
         base_query: SearchQuery,
         ranking: SingleAttributeRanking,
         session: Session,
-        variant: OneDimVariant = OneDimVariant.RERANK,
+        variant: Variant = Variant.RERANK,
         dense_index: Optional[DenseRegionIndex] = None,
         changes: Optional[ChangeLog] = None,
     ) -> None:
@@ -157,13 +149,13 @@ class OneDimGetNext:
         self._ranking = ranking
         self._session = session
         self._variant = variant
-        if variant is OneDimVariant.RERANK and dense_index is None:
+        if variant is Variant.RERANK and dense_index is None:
             raise ValueError("1D-RERANK needs a dense-region index")
         #: The index this stream reads and grows; ``None`` for every variant
         #: but RERANK, which is the one place that is decided.  Every variant
         #: crawls an interval once :func:`is_dense` says so; only 1D-RERANK
         #: looks it up in the index first and remembers what it crawled.
-        self._dense_index = dense_index if variant is OneDimVariant.RERANK else None
+        self._dense_index = dense_index if variant is Variant.RERANK else None
         self._statistics = session.statistics
 
         schema = engine.schema
@@ -196,7 +188,7 @@ class OneDimGetNext:
     # Public API
     # ------------------------------------------------------------------ #
     @property
-    def variant(self) -> OneDimVariant:
+    def variant(self) -> Variant:
         """The algorithm variant in use."""
         return self._variant
 
@@ -324,7 +316,7 @@ class OneDimGetNext:
         if self._within_prefix(upper if cached_bound is None else cached_bound):
             return cached_bound
         interval = _Interval(lower, upper, include_lower, True)
-        if self._variant is OneDimVariant.BASELINE:
+        if self._variant is Variant.BASELINE:
             return self._baseline_search(interval, cached_bound)
         return self._binary_search(interval, cached_bound)
 

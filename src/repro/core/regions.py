@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.dataset.schema import Schema
+from repro.dataset.schema import Schema, is_numeric
 from repro.exceptions import QueryError
-from repro.webdb.indexes import is_numeric
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 

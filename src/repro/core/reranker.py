@@ -17,7 +17,7 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
@@ -27,9 +27,9 @@ from repro.core.functions import (
     SingleAttributeRanking,
     UserRankingFunction,
 )
-from repro.core.getnext import GetNextStream
-from repro.core.multidim import MDVariant, MultiDimGetNext
-from repro.core.onedim import OneDimGetNext, OneDimVariant
+from repro.core.getnext import GetNextStream, Variant
+from repro.core.multidim import MultiDimGetNext
+from repro.core.onedim import OneDimGetNext
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.core.ta import ThresholdAlgorithmGetNext
@@ -65,19 +65,9 @@ class Algorithm(enum.Enum):
             ) from exc
 
 
-_ONEDIM_VARIANTS = {
-    Algorithm.BASELINE: OneDimVariant.BASELINE,
-    Algorithm.BINARY: OneDimVariant.BINARY,
-    Algorithm.RERANK: OneDimVariant.RERANK,
+def _variant(algorithm: Algorithm) -> Variant:
     # TA degenerates to 1D-RERANK when there is only one ranking attribute.
-    Algorithm.TA: OneDimVariant.RERANK,
-}
-
-_MD_VARIANTS = {
-    Algorithm.BASELINE: MDVariant.BASELINE,
-    Algorithm.BINARY: MDVariant.BINARY,
-    Algorithm.RERANK: MDVariant.RERANK,
-}
+    return Variant.RERANK if algorithm is Algorithm.TA else Variant(algorithm.value)
 
 
 @dataclass(frozen=True)
@@ -195,19 +185,14 @@ class QueryReranker:
             self._feed_store.close()
         self._interface.close()
 
-    def apply_delta(
-        self,
-        upserts: Sequence[Mapping[str, object]] = (),
-        deletes: Sequence[object] = (),
-    ) -> Dict[str, object]:
-        """Mutate the backing source and retire *exactly* the derived state
-        the change could have perturbed.
+    def apply_delta(self, delta: CatalogDelta) -> Dict[str, object]:
+        """Retire *exactly* the derived state a catalog change could have
+        perturbed.
 
-        The mutation is delegated to the interface's ``apply_delta`` (plain
-        database or federation — the federation routes rows to owning
-        shards), and the returned :class:`~repro.webdb.delta.CatalogDelta`
-        is threaded through every caching layer — the one way a change
-        reaches them:
+        The change was made on the site (a database, or a federation that
+        routes rows to owning shards); the reranker only consumes the
+        :class:`~repro.webdb.delta.CatalogDelta` the site returned, threaded
+        through every caching layer — the one way a change reaches them:
 
         * result-cache entries whose query a touched tuple version matches
           are flushed (facade namespace *and*, for federated
@@ -235,13 +220,6 @@ class QueryReranker:
         and delete counts, and how many cache entries, dense regions and
         feeds it retired.
         """
-        mutate = getattr(self._interface, "apply_delta", None)
-        if mutate is None:
-            raise TypeError(
-                "interface does not support apply_delta; "
-                "wrap a HiddenWebDatabase or FederatedInterface"
-            )
-        delta: CatalogDelta = mutate(upserts=upserts, deletes=deletes)
         summary: Dict[str, object] = {
             "upserts": delta.upserts,
             "deletes": delta.deletes,
@@ -355,7 +333,7 @@ class QueryReranker:
             base_query=query,
             ranking=self._require_linear(ranking),
             session=session,
-            variant=_MD_VARIANTS[algorithm],
+            variant=_variant(algorithm),
             dense_index=self._dense_index,
             changes=self._changes,
         )
@@ -397,7 +375,7 @@ class QueryReranker:
             base_query=query,
             ranking=self._effective_onedim(ranking),
             session=session,
-            variant=_ONEDIM_VARIANTS[algorithm],
+            variant=_variant(algorithm),
             dense_index=self._dense_index,
             changes=self._changes,
         )

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking, weighted
-from repro.core.onedim import OneDimGetNext, OneDimVariant
+from repro.core.getnext import Variant
+from repro.core.onedim import OneDimGetNext
 from repro.core.parallel import QueryEngine
 from repro.core.session import ChangeWatch, Session
 from repro.exceptions import RankingFunctionError
@@ -96,7 +97,7 @@ class ThresholdAlgorithmGetNext:
                     attribute, ascending=self._ranking.weight(attribute) > 0
                 ),
                 session=Session(session_id=f"{self._session.session_id}:ta:{attribute}"),
-                variant=OneDimVariant.RERANK,
+                variant=Variant.RERANK,
                 dense_index=self._dense_index,
                 changes=self._changes,
             )

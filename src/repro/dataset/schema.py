@@ -12,10 +12,24 @@ before they are sent to the database.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
+
+
+def is_numeric(value: object) -> bool:
+    """The exact value test range predicates apply: a real number.
+
+    Mirrors :meth:`~repro.webdb.query.SearchQuery.matches` so the site's
+    execution engines and QR2's region tests stay identical: ``bool`` is
+    excluded (``True`` must not satisfy a range containing ``1.0`` even though
+    it is an ``int`` subclass) and ``NaN`` is excluded (it satisfies no range).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not (isinstance(value, float) and math.isnan(value))
 
 
 class AttributeKind(enum.Enum):

@@ -271,18 +271,20 @@ class QR2Service:
         upserts: Sequence[Mapping[str, object]] = (),
         deletes: Sequence[object] = (),
     ) -> Dict[str, object]:
-        """Apply a catalog change-set to ``source_name`` and retire exactly
-        the derived state it could have perturbed.
+        """Apply a catalog change-set to ``source_name``'s site and retire
+        exactly the derived state it could have perturbed.
 
-        Delegates to :meth:`~repro.core.reranker.QueryReranker.apply_delta`
-        (cache entries and dense regions a touched tuple version matches are
-        flushed, and feeds whose prefix such a version reaches are retired;
-        everything else keeps serving).
+        The site makes the change; its delta goes to
+        :meth:`~repro.core.reranker.QueryReranker.apply_delta` (cache entries
+        and dense regions a touched tuple version matches are flushed, and
+        feeds whose prefix such a version reaches are retired; everything
+        else keeps serving).
         Returns the retirement summary; cumulative counters appear in the
         statistics panel's ``invalidation`` block.
         """
         source = self._registry.get(source_name)
-        summary = source.reranker.apply_delta(upserts=upserts, deletes=deletes)
+        delta = source.interface.apply_delta(upserts=upserts, deletes=deletes)  # type: ignore[attr-defined]
+        summary = source.reranker.apply_delta(delta)
         self._counters.add(
             deltas=1,
             **{name: int(summary[name]) for name in _DELTA_TOTALS},  # type: ignore[call-overload]

@@ -2,10 +2,11 @@
 
 The QR2 UI lets the user pick a data source (Blue Nile or Zillow) before
 filtering and ranking.  :class:`DataSourceRegistry` is the service-side
-counterpart: it maps a source name to the top-k interface to query, the
-reranker that owns that source's dense-region index, and presentation
-metadata (which attributes appear in the filtering section, which ones are
-offered for ranking, which columns the result table shows).
+counterpart: it maps a source name to the site behind it, the reranker
+that queries that site through its source stack and owns its dense-region
+index, and presentation metadata (which attributes appear in the filtering
+section, which ones are offered for ranking, which columns the result table
+shows).
 
 :func:`build_default_registry` wires up the two simulated sources the
 reproduction ships with, mirroring the demo configuration.
@@ -28,11 +29,17 @@ from repro.webdb.build import build_source
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.interface import TopKInterface
 from repro.webdb.ranking import FeaturedScoreRanking, SystemRankingFunction
+from repro.webdb.stack import SourceStack
 
 
 @dataclass
 class DataSource:
-    """One web database the service can rerank."""
+    """One web database the service can rerank.
+
+    ``interface`` is the site itself — a database, or a federation that
+    routes a change to its shards — where catalog changes are made; the
+    reranker reaches it only through its source stack's top-k interface.
+    """
 
     name: str
     title: str
@@ -181,7 +188,7 @@ def _make_source(
     # A sharded source names its shards "{name}#{i}", giving each its own
     # cache namespace, while the reranker keys its cache/feed state under
     # the federated name — above the shard layer.
-    database = build_source(
+    stack = build_source(
         catalog,
         schema,
         system_ranking,
@@ -193,7 +200,7 @@ def _make_source(
         DenseRegionCache(schema, path=dense_cache_path) if dense_cache_path else None
     )
     reranker = QueryReranker(
-        database,
+        stack,
         config=rerank_config,
         dense_cache=dense_cache,
         result_cache=result_cache,
@@ -204,7 +211,7 @@ def _make_source(
     return DataSource(
         name=name,
         title=title,
-        interface=database,
+        interface=stack.database if isinstance(stack, SourceStack) else stack,
         reranker=reranker,
         result_columns=result_columns,
     )

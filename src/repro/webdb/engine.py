@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.dataset.schema import is_numeric
 from repro.webdb import arrays
-from repro.webdb.indexes import ColumnarCatalog, is_numeric
+from repro.webdb.indexes import ColumnarCatalog
 from repro.webdb.query import InPredicate, RangePredicate, Row, SearchQuery
 
 #: A block filter: rank positions in → surviving rank positions out.

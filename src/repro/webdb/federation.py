@@ -10,7 +10,7 @@ let the rest of the library stay shard-agnostic:
   in hidden-rank order, so every shard sees the same score distribution) or
   **by attribute range** (contiguous quantile slices of one numeric
   attribute, which enables shard pruning for range-filtered queries);
-* :class:`FederatedInterface` — presents the shard databases as a single
+* :class:`FederatedInterface` — presents the shard sources as a single
   :class:`~repro.webdb.interface.TopKInterface`.  A query group **scatters**
   to the non-pruned shards, one batch per shard; each query **gathers** its
   shards' top-k pages and merges them by the (shared) hidden system ranking
@@ -55,7 +55,6 @@ from repro.dataset.schema import Schema
 from repro.exceptions import QueryError, SourceUnavailableError
 from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
 from repro.webdb.counters import Counters
-from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
 from repro.webdb.faults import FaultInjector, FaultPlan
 from repro.webdb.interface import (
@@ -160,7 +159,7 @@ class _Scatter:
 
 
 class FederatedInterface(TopKInterface):
-    """N shard databases presented as one top-k source.
+    """N shard sources presented as one top-k source.
 
     A query group scatters to every shard its queries cannot be pruned from,
     gathers the per-shard pages, and merges them by the shared hidden system
@@ -452,8 +451,8 @@ class FederatedInterface(TopKInterface):
     # Cache / shard management
     # ------------------------------------------------------------------ #
     @property
-    def shards(self) -> List[HiddenWebDatabase]:
-        """The shard databases (reference order = shard index)."""
+    def shards(self) -> List[TopKInterface]:
+        """The shard sources (reference order = shard index)."""
         return list(self._shards)
 
     @property
@@ -617,9 +616,7 @@ class FederatedInterface(TopKInterface):
                 {
                     "name": self._namespaces[index],
                     "partition": partition,
-                    "size": self._shards[index].size,
                     "system_k": self._shards[index].system_k,
-                    "engine": self._shards[index].engine_name,
                     "queries": stats["queries"],
                     "rows_returned": stats["rows_returned"],
                     "elapsed_seconds": stats["elapsed_seconds"],

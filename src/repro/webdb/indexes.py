@@ -34,29 +34,13 @@ catalog ever being held twice in memory.
 
 from __future__ import annotations
 
-import math
 import threading
 from array import array
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.dataset.schema import is_numeric
 from repro.webdb import arrays
 from repro.webdb.query import Row, adopt_row
-
-#: The raw type pair behind :func:`is_numeric`; kept for isinstance checks.
-NUMERIC_TYPES = (int, float)
-
-
-def is_numeric(value: object) -> bool:
-    """The exact value test range predicates apply: a real number.
-
-    Mirrors :meth:`~repro.webdb.query.SearchQuery.matches` so both execution
-    engines stay differentially identical: ``bool`` is excluded (``True``
-    must not satisfy a range containing ``1.0`` even though it is an ``int``
-    subclass) and ``NaN`` is excluded (it satisfies no range).
-    """
-    if isinstance(value, bool) or not isinstance(value, NUMERIC_TYPES):
-        return False
-    return not (isinstance(value, float) and math.isnan(value))
 
 
 class CatalogRowView(Sequence):

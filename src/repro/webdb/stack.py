@@ -10,8 +10,10 @@ the source is built::
 :class:`SourceStack` is that composition behind ``settle_many`` (``search``
 and ``search_many`` raise the first error of their batch).  An unsharded
 source is one stack; a :class:`~repro.webdb.federation.FederatedInterface`
-holds one per shard.  The stages are plain attributes — ``.injector``,
-``.guard``, ``.statistics`` — so nothing ever has to hunt for them.
+holds one per shard.  The stages are plain attributes — ``.database``,
+``.injector``, ``.guard``, ``.statistics`` — so nothing ever has to hunt for
+them.  A stack is only a top-k interface: site operations (``apply_delta``,
+``has_key``, ``true_ranking``, ...) are called on the site itself.
 """
 
 from __future__ import annotations
@@ -60,9 +62,7 @@ class SourceStack(TopKInterface):
     The guard runs the default :class:`RetryPolicy` and
     :class:`CircuitBreaker`, which are inert against a reliable source.
     Cache hits are resolved *above* the stack (query engine, federation), so
-    the guard only ever sees real round trips.  Attributes this class does
-    not define (``apply_delta``, ``has_key``, ``true_ranking``, ``size``,
-    ...) resolve on the database.
+    the guard only ever sees real round trips.
     """
 
     def __init__(
@@ -169,9 +169,3 @@ class SourceStack(TopKInterface):
             return self.guard.call(supply, queries)
         except Exception as error:  # noqa: BLE001 - raised once the batch settles
             return [error] * queries
-
-    def __getattr__(self, name: str):
-        # Mutation and ground-truth helpers live on the database.
-        if name == "database":  # not yet set: no database to ask
-            raise AttributeError(name)
-        return getattr(self.database, name)

@@ -46,6 +46,7 @@ from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking, SystemRankingFunction
+from repro.webdb.stack import SourceStack
 from repro.workloads.scenarios import (
     Scenario,
     bluenile_scenarios_1d,
@@ -148,8 +149,11 @@ class ExperimentEnvironment:
         return self.source(source)[3]
 
     def make_reranker(self, source: str, config: Optional[RerankConfig] = None) -> QueryReranker:
-        """A fresh reranker (fresh dense-region index) over a source."""
-        return QueryReranker(self.database(source), config=config or self.rerank_config)
+        """A fresh reranker (fresh dense-region index) over a fresh source
+        stack on a source's database, as the service stacks its sources."""
+        return QueryReranker(
+            SourceStack(self.database(source)), config=config or self.rerank_config
+        )
 
     def make_federated_reranker(
         self, source: str, shards: int, by: str = "rank"

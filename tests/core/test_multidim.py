@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
-from repro.core.multidim import MDVariant, MultiDimGetNext
+from repro.core.getnext import Variant
+from repro.core.multidim import MultiDimGetNext
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
@@ -14,7 +15,7 @@ from repro.webdb.query import SearchQuery
 
 from tests.conftest import assert_matches_ground_truth
 
-VARIANTS = [MDVariant.BASELINE, MDVariant.BINARY, MDVariant.RERANK]
+VARIANTS = [Variant.BASELINE, Variant.BINARY, Variant.RERANK]
 
 
 def make_ranking(schema, weights):
@@ -144,17 +145,17 @@ class TestBehaviour:
     def test_baseline_is_not_cheaper_than_binary_when_anticorrelated(self, bluenile_price_db):
         ranking = make_ranking(bluenile_price_db.schema, {"price": -1.0, "carat": -0.5})
         _, baseline_engine, _ = run_md(
-            bluenile_price_db, SearchQuery.everything(), ranking, MDVariant.BASELINE, depth=4
+            bluenile_price_db, SearchQuery.everything(), ranking, Variant.BASELINE, depth=4
         )
         _, binary_engine, _ = run_md(
-            bluenile_price_db, SearchQuery.everything(), ranking, MDVariant.BINARY, depth=4
+            bluenile_price_db, SearchQuery.everything(), ranking, Variant.BINARY, depth=4
         )
         assert binary_engine.queries_issued() <= baseline_engine.queries_issued()
 
     def test_parallel_groups_recorded_for_binary(self, bluenile_db):
         ranking = make_ranking(bluenile_db.schema, {"price": 1.0, "carat": -0.5})
         _, _, session = run_md(
-            bluenile_db, SearchQuery.everything(), ranking, MDVariant.BINARY, depth=5
+            bluenile_db, SearchQuery.everything(), ranking, Variant.BINARY, depth=5
         )
         assert session.statistics.parallel_iterations >= 1
         assert session.statistics.parallel_fraction > 0.0
@@ -165,10 +166,10 @@ class TestBehaviour:
         against 20 at k = 10)."""
         ranking = make_ranking(zillow_db.schema, {"price": 1.0, "squarefeet": -0.3})
         _, first_engine, _ = run_md(
-            zillow_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=1
+            zillow_db, SearchQuery.everything(), ranking, Variant.RERANK, depth=1
         )
         rows, deep_engine, _ = run_md(
-            zillow_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=10
+            zillow_db, SearchQuery.everything(), ranking, Variant.RERANK, depth=10
         )
         truth = zillow_db.true_ranking(SearchQuery.everything(), ranking.score, limit=10)
         assert_matches_ground_truth(rows, truth, ranking)
@@ -183,11 +184,11 @@ class TestBehaviour:
             bluenile_db.schema, {"price": 1.0, "length_width_ratio": 1.0}
         )
         _, cold_engine, cold_session = run_md(
-            bluenile_db, SearchQuery.everything(), ranking, MDVariant.RERANK,
+            bluenile_db, SearchQuery.everything(), ranking, Variant.RERANK,
             depth=8, dense_index=index,
         )
         _, warm_engine, warm_session = run_md(
-            bluenile_db, SearchQuery.everything(), ranking, MDVariant.RERANK,
+            bluenile_db, SearchQuery.everything(), ranking, Variant.RERANK,
             depth=8, dense_index=index,
         )
         assert cold_session.statistics.dense_regions_built >= 1
@@ -198,7 +199,7 @@ class TestBehaviour:
     def test_statistics_totals_consistent(self, bluenile_db):
         ranking = make_ranking(bluenile_db.schema, {"price": 1.0, "carat": -0.5})
         rows, engine, session = run_md(
-            bluenile_db, SearchQuery.everything(), ranking, MDVariant.RERANK, depth=4
+            bluenile_db, SearchQuery.everything(), ranking, Variant.RERANK, depth=4
         )
         snapshot = session.statistics.snapshot()
         assert snapshot["tuples_returned"] == len(rows) == 4

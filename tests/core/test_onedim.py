@@ -10,14 +10,15 @@ import pytest
 
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import SingleAttributeRanking
-from repro.core.onedim import OneDimGetNext, OneDimVariant
+from repro.core.getnext import Variant
+from repro.core.onedim import OneDimGetNext
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.webdb.query import SearchQuery
 
 from tests.conftest import assert_matches_ground_truth
 
-VARIANTS = [OneDimVariant.BASELINE, OneDimVariant.BINARY, OneDimVariant.RERANK]
+VARIANTS = [Variant.BASELINE, Variant.BINARY, Variant.RERANK]
 
 
 def run_onedim(
@@ -124,11 +125,11 @@ class TestAlgorithmBehaviour:
         keep returning useless tuples."""
         _, baseline_engine, _ = run_onedim(
             bluenile_price_db, SearchQuery.everything(), "price", False,
-            OneDimVariant.BASELINE, depth=5,
+            Variant.BASELINE, depth=5,
         )
         _, binary_engine, _ = run_onedim(
             bluenile_price_db, SearchQuery.everything(), "price", False,
-            OneDimVariant.BINARY, depth=5,
+            Variant.BINARY, depth=5,
         )
         assert binary_engine.queries_issued() <= baseline_engine.queries_issued()
 
@@ -137,7 +138,7 @@ class TestAlgorithmBehaviour:
         query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         depth = bluenile_db.system_k + 5
         _, _, session = run_onedim(
-            bluenile_db, query, "length_width_ratio", True, OneDimVariant.RERANK,
+            bluenile_db, query, "length_width_ratio", True, Variant.RERANK,
             depth=depth, dense_index=index,
         )
         assert index.region_count() >= 1
@@ -150,11 +151,11 @@ class TestAlgorithmBehaviour:
         query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         depth = bluenile_db.system_k + 5
         _, cold_engine, _ = run_onedim(
-            bluenile_db, query, "length_width_ratio", True, OneDimVariant.RERANK,
+            bluenile_db, query, "length_width_ratio", True, Variant.RERANK,
             depth=depth, dense_index=index,
         )
         _, warm_engine, warm_session = run_onedim(
-            bluenile_db, query, "length_width_ratio", True, OneDimVariant.RERANK,
+            bluenile_db, query, "length_width_ratio", True, Variant.RERANK,
             depth=depth, dense_index=index,
         )
         assert warm_engine.queries_issued() < cold_engine.queries_issued() / 2
@@ -166,12 +167,12 @@ class TestAlgorithmBehaviour:
         session = Session("shared")
         query = SearchQuery.build(ranges={"carat": (0.5, 2.0)})
         rows_first, first_engine, _ = run_onedim(
-            bluenile_db, query, "carat", True, OneDimVariant.RERANK, depth=5,
+            bluenile_db, query, "carat", True, Variant.RERANK, depth=5,
             session=session,
         )
         session.reset_for_new_request()
         rows_second, second_engine, _ = run_onedim(
-            bluenile_db, query, "carat", True, OneDimVariant.RERANK, depth=5,
+            bluenile_db, query, "carat", True, Variant.RERANK, depth=5,
             session=session,
         )
         assert [r["id"] for r in rows_first] == [r["id"] for r in rows_second]
@@ -180,7 +181,7 @@ class TestAlgorithmBehaviour:
 
     def test_statistics_are_recorded(self, bluenile_db):
         _, engine, session = run_onedim(
-            bluenile_db, SearchQuery.everything(), "carat", True, OneDimVariant.RERANK, depth=3
+            bluenile_db, SearchQuery.everything(), "carat", True, Variant.RERANK, depth=3
         )
         snapshot = session.statistics.snapshot()
         assert snapshot["get_next_calls"] == 3
@@ -198,7 +199,7 @@ class TestAlgorithmBehaviour:
             engine, SearchQuery.everything(), ranking, Session("x"),
             dense_index=DenseRegionIndex(bluenile_db.schema),
         )
-        assert getnext.variant is OneDimVariant.RERANK
+        assert getnext.variant is Variant.RERANK
         first = getnext.next()
         assert first is not None
 
@@ -212,7 +213,7 @@ class TestAlgorithmBehaviour:
             base_query=SearchQuery.everything(),
             ranking=SingleAttributeRanking("price", ascending=False),
             session=Session("budgeted"),
-            variant=OneDimVariant.BASELINE,
+            variant=Variant.BASELINE,
         )
         with pytest.raises(QueryBudgetExceeded):
             for _ in range(10):

@@ -1,8 +1,8 @@
 """Shard-scoped invalidation: a delta on one shard retires that shard's
 cached state, siblings survive.
 
-A catalog change routed to shard *i* by :meth:`QueryReranker.apply_delta`
-must retire
+A catalog change the federation routed to shard *i* must, once its delta
+reaches :meth:`QueryReranker.apply_delta`, retire
 
 * what shard *i*'s result-cache namespace holds that a touched version
   matches (the facade's scatter-path entries), and
@@ -72,6 +72,12 @@ def reshaped(row):
     return {**row, "depth": low if row["depth"] != low else high}
 
 
+def change(reranker: QueryReranker, rows):
+    """Upsert ``rows`` on the site — the federation routes each to the shard
+    that owns it — and hand the reranker the delta."""
+    return reranker.apply_delta(reranker.federation.apply_delta(upserts=rows))
+
+
 def populate(reranker: QueryReranker) -> None:
     """Serve one request so cache namespaces, feed, and indexes hold state."""
     stream = reranker.rerank(EVERYTHING, BY_CARAT, algorithm=Algorithm.RERANK)
@@ -90,8 +96,9 @@ def test_an_unsharded_delta_carries_no_shard_parts(diamond_catalog, diamond_sche
         result_cache=cache,
     )
     reranker = QueryReranker(source, result_cache=cache)
-    row = dict(source.all_matches(EVERYTHING)[0])
-    delta = reranker.apply_delta(upserts=[reshaped(row)])["delta"]
+    database = source.database
+    row = dict(database.all_matches(EVERYTHING)[0])
+    delta = reranker.apply_delta(database.apply_delta(upserts=[reshaped(row)]))["delta"]
     assert delta.shard_deltas == ()
     assert delta.keys == {row["id"]}
     # The one namespace of an unsharded source logged it.
@@ -106,7 +113,7 @@ class TestShardScopedDelta:
         sibling = namespaces[1 - shard]
         before = sequences(reranker)
 
-        summary = reranker.apply_delta(upserts=[reshaped(shard_row(reranker, shard))])
+        summary = change(reranker, [reshaped(shard_row(reranker, shard))])
         assert [index for index, _ in summary["delta"].shard_deltas] == [shard]
         assert summary["cache_entries_retired"] > 0
 
@@ -121,7 +128,7 @@ class TestShardScopedDelta:
         federation = reranker.federation
         federation.search(EVERYTHING)  # populates both shard namespaces
         baseline = federation.shard_queries_issued()
-        reranker.apply_delta(upserts=[reshaped(shard_row(reranker, 0))])
+        change(reranker, [reshaped(shard_row(reranker, 0))])
         federation.search(EVERYTHING)
         # Only shard 0 re-queried; shard 1 answered from its namespace.
         assert federation.shard_queries_issued() == baseline + 1
@@ -142,7 +149,7 @@ class TestShardScopedDelta:
         )
         assert index.region_count() == 2
 
-        summary = reranker.apply_delta(upserts=[reshaped(row)])
+        summary = change(reranker, [reshaped(row)])
         # The index merges rows from all shards: whichever shard the change
         # landed on, the region holding the tuple retires and the other
         # region keeps answering.
@@ -156,7 +163,7 @@ class TestShardScopedDelta:
         populate(reranker)
         before = sequences(reranker)
         rows = [reshaped(shard_row(reranker, index)) for index in (0, 1)]
-        summary = reranker.apply_delta(upserts=rows)
+        summary = change(reranker, rows)
         assert sorted(index for index, _ in summary["delta"].shard_deltas) == [0, 1]
         assert summary["cache_entries_retired"] > 0
         after = sequences(reranker)
@@ -173,7 +180,7 @@ class TestShardScopedDelta:
         # The new version carries the largest carat the domain allows, so it
         # ranks first: the feed's verified prefix no longer holds.
         row = shard_row(reranker, shard)
-        summary = reranker.apply_delta(upserts=[{**row, "carat": CARAT_BOUNDS[1]}])
+        summary = change(reranker, [{**row, "carat": CARAT_BOUNDS[1]}])
         assert summary["feeds_retired"] == 1
         # The feed was retired: the next session must re-lead (no feed hit)
         # and serves the changed tuple first.

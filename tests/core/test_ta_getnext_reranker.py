@@ -233,7 +233,8 @@ class TestQueryReranker:
         ranking = SingleAttributeRanking("price", ascending=True)
         rows = reranker.rerank(SearchQuery.everything(), ranking).top(5)
         entries = len(reranker.result_cache)
-        summary = reranker.apply_delta(upserts=[{**rows[0], "price": rows[0]["price"] + 1.0}])
+        repriced = {**rows[0], "price": rows[0]["price"] + 1.0}
+        summary = reranker.apply_delta(database.apply_delta(upserts=[repriced]))
         assert 0 < summary["cache_entries_retired"] <= entries
         assert len(reranker.result_cache) == entries - summary["cache_entries_retired"]
 

@@ -17,8 +17,9 @@ import pytest
 
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
+from repro.core.getnext import Variant
 from repro.core.normalization import MinMaxNormalizer
-from repro.core.onedim import OneDimGetNext, OneDimVariant
+from repro.core.onedim import OneDimGetNext
 from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm
 from repro.core.session import ChangeWatch, Session
@@ -44,7 +45,7 @@ def _onedim(database, query, degraded=False):
         base_query=query,
         ranking=SingleAttributeRanking("price", ascending=True),
         session=session,
-        variant=OneDimVariant.RERANK,
+        variant=Variant.RERANK,
         dense_index=DenseRegionIndex(database.schema),
     )
     return stream, engine
@@ -179,7 +180,7 @@ def test_a_live_stream_sees_a_delta_that_matches_its_query(kind):
     stream = reranker.rerank(SearchQuery.everything(), ranking, algorithm=Algorithm.RERANK)
     first = stream.next_page(5)
     copy = {**first[-1], "id": "copy-of-last", "price": first[-1]["price"] + 0.01}
-    reranker.apply_delta(upserts=[copy])
+    reranker.apply_delta(env.bluenile.apply_delta(upserts=[copy]))
     second = stream.next_page(5)
     rows = env.bluenile.all_matches(SearchQuery.everything())
     oracle = sorted(rows, key=lambda row: (ranking.score(row), str(row["id"])))
@@ -229,12 +230,14 @@ def test_a_row_changed_between_pages_is_served_as_it_now_is(kind, carat, change)
     rows = {row["id"]: row for row in env.bluenile.all_matches(query)}
     changed = _oracle(env, query, ranking)[5:7]
     if change == "delete":
-        reranker.apply_delta(deletes=changed)
+        reranker.apply_delta(env.bluenile.apply_delta(deletes=changed))
     elif change == "move":
         top = max(float(row["price"]) for row in rows.values())
-        reranker.apply_delta(upserts=[{**rows[key], "price": top} for key in changed])
+        moved = [{**rows[key], "price": top} for key in changed]
+        reranker.apply_delta(env.bluenile.apply_delta(upserts=moved))
     else:
-        reranker.apply_delta(upserts=[{**rows[key], "carat": 1.0} for key in changed])
+        left = [{**rows[key], "carat": 1.0} for key in changed]
+        reranker.apply_delta(env.bluenile.apply_delta(upserts=left))
     second = [row["id"] for row in stream.next_page(5)]
     assert second == _oracle(env, query, ranking)[5:10]
     assert not set(second) & set(changed)
@@ -250,7 +253,7 @@ def test_a_new_request_on_a_reused_session_skips_a_deleted_row(kind):
     session = Session("reused")
     reranker.rerank(query, ranking, algorithm=algorithm, session=session).next_page(5)
     deleted = _oracle(env, query, ranking)[3:8]
-    reranker.apply_delta(deletes=deleted)
+    reranker.apply_delta(env.bluenile.apply_delta(deletes=deleted))
     session.reset_for_new_request()
     stream = reranker.rerank(query, ranking, algorithm=algorithm, session=session)
     assert [row["id"] for row in stream.next_page(10)] == _oracle(env, query, ranking)[:10]
@@ -269,7 +272,8 @@ def test_a_delta_outside_the_query_keeps_the_proof():
     algorithm = stream._algorithm
     proven = algorithm._proven
     outside = env.bluenile.all_matches(SearchQuery.everything())[0]
-    reranker.apply_delta(upserts=[{**outside, "id": "far-away", "carat": 4.9}])
+    far_away = {**outside, "id": "far-away", "carat": 4.9}
+    reranker.apply_delta(env.bluenile.apply_delta(upserts=[far_away]))
     stream.next_page(1)
     assert algorithm._proven >= proven
 
@@ -308,7 +312,9 @@ def test_a_queued_tie_follows_a_delta(fails_once):
     rows = {row["id"]: row for row in env.bluenile.all_matches(query)}
     assert {float(rows[key]["price"]) for key in tied} == {300.0}
     deleted, moved = tied[1], tied[2]
-    reranker.apply_delta(deletes=[deleted], upserts=[{**rows[moved], "price": 305.0}])
+    reranker.apply_delta(
+        env.bluenile.apply_delta(deletes=[deleted], upserts=[{**rows[moved], "price": 305.0}])
+    )
     if fails_once:
         engine = stream._algorithm._engine
         search = engine.search

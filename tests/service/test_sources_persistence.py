@@ -59,7 +59,7 @@ class TestPersistentRegistry:
             )
             source = registry.get("bluenile")
             rows = source.reranker.rerank(query, ranking).top(25)
-            truth = source.interface.database.true_ranking(query, ranking.score, limit=25)
+            truth = source.interface.true_ranking(query, ranking.score, limit=25)
             source.reranker.close()
             registry.get("zillow").reranker.close()
             return [row["id"] for row in rows], [row["id"] for row in truth]

@@ -179,10 +179,10 @@ class TestInstrumentedInterface:
         assert wrapped.system_k == tiny_db.system_k
         assert wrapped.key_column == "id"
         assert wrapped.database is tiny_db
-        # Mutation and ground-truth helpers resolve on the database.
         assert wrapped.name == tiny_db.name
-        assert wrapped.size == tiny_db.size
-        assert wrapped.has_key("t0")
+        # Site operations are not forwarded: they are called on the site.
+        assert not hasattr(wrapped, "size") and not hasattr(wrapped, "has_key")
+        assert tiny_db.has_key("t0")
 
 
 class TestStreamingCatalogLoad:

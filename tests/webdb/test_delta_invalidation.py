@@ -215,7 +215,7 @@ def test_randomized_differential_unsharded():
     for sequence in range(6):
         upserts, deletes = _random_localized_delta(rng, db, sequence)
         before = _occupancy(subject)
-        summary = subject.apply_delta(upserts=upserts, deletes=deletes)
+        summary = subject.apply_delta(db.apply_delta(upserts=upserts, deletes=deletes))
         after = _occupancy(subject)
         assert summary["cache_entries_retired"] == before[0] - after[0]
         for slot in range(3):
@@ -263,7 +263,7 @@ def test_randomized_differential_federated(shard_by, seed):
     for sequence in range(4):
         upserts, deletes = _random_localized_delta(rng, env.bluenile, sequence)
         before = _occupancy(subject)
-        summary = subject.apply_delta(upserts=upserts, deletes=deletes)
+        summary = subject.apply_delta(federation.apply_delta(upserts=upserts, deletes=deletes))
         after = _occupancy(subject)
         delta = summary["delta"]
         assert delta.shard_deltas, "federated delta must carry shard parts"
@@ -299,7 +299,7 @@ def test_surviving_entries_serve_after_a_delta():
     low, high = db.schema.domain_bounds("price")
     victim = dict(db.all_matches(SearchQuery.everything())[0])
     victim["price"] = min(high, float(victim["price"]) + (high - low) * 0.005)
-    summary = subject.apply_delta(upserts=[victim])
+    summary = subject.apply_delta(db.apply_delta(upserts=[victim]))
     survivors = list(cache._entries.items())
     assert summary["cache_entries_retired"] == before - len(survivors)
     assert summary["cache_entries_retired"], "the delta should retire at least one entry"
@@ -422,7 +422,7 @@ def test_a_version_ranked_after_the_prefix_keeps_the_feed_and_its_free_replay():
     last = pages[-1][-1]["price"]
     victim = _dearest(db)
     victim["price"] = last + 1e-6  # ranks after the last verified row
-    summary = subject.apply_delta(upserts=[victim])
+    summary = subject.apply_delta(db.apply_delta(upserts=[victim]))
     assert summary["feeds_retired"] == 0
 
     follower = subject.rerank(query, BY_PRICE)
@@ -458,7 +458,7 @@ def test_a_version_at_or_before_the_last_row_retires_the_feed(case):
     subject = env.make_reranker("bluenile")
     query = SearchQuery.everything()
     leader, pages = _lead(subject, query)
-    summary = subject.apply_delta(upserts=[_retiring_version(db, pages, case)])
+    summary = subject.apply_delta(db.apply_delta(upserts=[_retiring_version(db, pages, case)]))
     assert summary["feeds_retired"] == 1
     assert leader.feed.stale
     leader.close()
@@ -479,7 +479,7 @@ def test_an_exhausted_feed_is_retired_by_a_matching_version_after_it():
     leader, pages = _lead(subject, query, pages=3)
     assert leader.feed.exhausted and len(pages[-1]) < PAGE_SIZE
     newcomer = dict(_dearest(db), id="delta-newcomer", price=low + 199.0)
-    assert subject.apply_delta(upserts=[newcomer])["feeds_retired"] == 1
+    assert subject.apply_delta(db.apply_delta(upserts=[newcomer]))["feeds_retired"] == 1
     leader.close()
     rows = [row for page in _read(subject, query, pages=3) for row in page]
     assert rows[-1]["id"] == "delta-newcomer"
@@ -581,7 +581,8 @@ def test_reading_past_a_surviving_prefix_equals_the_oracle(shards, seed):
     leaders = [_lead(subject, query, ranking, depth, algorithm) for query, ranking, algorithm, depth in requests]
 
     upserts = _band_repricing(rng, env.bluenile)
-    subject.apply_delta(upserts=upserts)
+    site = env.bluenile if shards is None else subject.federation
+    subject.apply_delta(site.apply_delta(upserts=upserts))
     if shards is not None:
         env.bluenile.apply_delta(upserts=upserts)
     oracle = env.make_reranker("bluenile")

@@ -7,11 +7,16 @@ from dataclasses import replace
 import pytest
 
 from repro.config import DatabaseConfig, RerankConfig
+from repro.core.functions import LinearRankingFunction
+from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
-from repro.core.reranker import QueryReranker
+from repro.core.reranker import Algorithm, QueryReranker
+from repro.dataset.diamonds import DiamondCatalogConfig, diamond_schema, generate_diamond_catalog
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
 from repro.exceptions import QueryError, SchemaError
+from repro.httpsim.client import HttpClient, InProcessTransport
+from repro.httpsim.server import SearchHttpServer
 from repro.sqlstore.store import SQLiteTupleStore
 from repro.webdb import arrays
 from repro.webdb.build import build_source
@@ -22,6 +27,7 @@ from repro.webdb.federation import FederatedInterface, partition_positions
 from repro.webdb.interface import Outcome
 from repro.webdb.query import RangePredicate, SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
+from repro.webdb.remote import RemoteTopKInterface
 from repro.webdb.stack import SourceStack
 from tests.conftest import draw_request, page_through
 
@@ -431,10 +437,12 @@ class TestFederatedDelta:
             published = [shard._published for shard in federation.shards]
             with pytest.raises(SchemaError):
                 reranker.apply_delta(
-                    upserts=[
-                        dict(victim, price=victim["price"] * 0.5 + low),
-                        dict(bystander, price=high * 10.0),
-                    ]
+                    federation.apply_delta(
+                        upserts=[
+                            dict(victim, price=victim["price"] * 0.5 + low),
+                            dict(bystander, price=high * 10.0),
+                        ]
+                    )
                 )
             assert [shard._published for shard in federation.shards] == published
             assert victim in first.all_matches(SearchQuery.everything())
@@ -520,6 +528,45 @@ def test_reranker_over_federation_matches_unsharded(
     described = federation.describe()
     assert queries == described["scatter_queries"]
     assert described["shard_queries"] >= queries
+
+
+def test_a_federation_of_remote_shards_pages_and_describes_like_a_local_one():
+    """A shard is any top-k interface: three shards each served over the
+    search API page a RERANK request exactly as the same shard databases
+    federated in process, and the panel describes the federation from the
+    interface alone (the shards' sizes and engines are the site's)."""
+    catalog = generate_diamond_catalog(DiamondCatalogConfig(size=2000, seed=7))
+    schema = diamond_schema()
+    local = build_source(
+        catalog, schema, RANKING, DatabaseConfig(system_k=10, shards=3), name="bluenile"
+    )
+    remote = FederatedInterface(
+        [
+            RemoteTopKInterface(HttpClient(InProcessTransport(SearchHttpServer(shard))))
+            for shard in local.shards
+        ],
+        RANKING,
+        name="bluenile",
+    )
+    ranking = LinearRankingFunction(
+        {"price": 1.0, "carat": -0.5},
+        normalizer=MinMaxNormalizer.from_schema(schema, ["price", "carat"]),
+    )
+    pages = []
+    for federation in (local, remote):
+        reranker = QueryReranker(federation)
+        stream = reranker.rerank(SearchQuery.everything(), ranking, algorithm=Algorithm.RERANK)
+        try:
+            pages.append([stream.next_page(10) for _ in range(2)])
+        finally:
+            reranker.close()
+    assert pages[0] == pages[1] and len(pages[0][1]) == 10
+    described = remote.describe()
+    assert [shard["name"] for shard in described["shards"]] == [
+        shard["name"] for shard in local.describe()["shards"]
+    ]
+    assert described["scatter_queries"] > 0
+    assert all("size" not in shard and "engine" not in shard for shard in described["shards"])
 
 
 def skewed_catalog() -> ColumnTable:

@@ -213,7 +213,8 @@ class TestRetiredEntriesNeverServed:
         touched = next(row for row in before.rows if owner.has_key(row["id"]))
         low, high = DEPTH_BOUNDS
         changed = {**touched, "depth": low if touched["depth"] != low else high}
-        assert reranker.apply_delta(upserts=[changed])["cache_entries_retired"] == 1
+        summary = reranker.apply_delta(federation.apply_delta(upserts=[changed]))
+        assert summary["cache_entries_retired"] == 1
         kill_shard(federation, shard)
         live_queries = [
             federation.shards[index].queries_issued()

@@ -12,7 +12,9 @@ choices (``abl``), and lists what each cell paid:
 * ``simulated_seconds`` — the accounted latency of the seeded ~1 s/query
   model, a parallel group costing one round trip.  It is a function of the
   seed; each source draws from one latency stream, so a cell's seconds
-  depend on the cells before it on that source.
+  depend on the cells before it on that source;
+* ``shard_queries`` — on the ``sc_fed`` rows, the queries the federation's
+  shards answered (a scatter asks up to one per shard); ``-`` elsewhere.
 
 ``paper_currency.txt`` beside this file is that list; it is regenerated,
 never edited::
@@ -52,12 +54,12 @@ from repro.workloads.experiments import (
 TABLE = Path(__file__).with_name("paper_currency.txt")
 HEADER = (
     "driver", "scenario", "algorithm", "external_queries", "parallel_queries",
-    "round_trips", "simulated_seconds", "paper_reference",
+    "round_trips", "simulated_seconds", "shard_queries", "paper_reference",
 )
 
 #: ``(driver, scenario, algorithm, external queries, parallel queries,
-#: round trips, simulated seconds, the paper's figure)``.
-Row = Tuple[str, str, str, int, int, int, float, Optional[str]]
+#: round trips, simulated seconds, shard queries, the paper's figure)``.
+Row = Tuple[str, str, str, int, int, int, float, Optional[int], Optional[str]]
 
 #: Fig. 2: the share of queries issued in parallel (3D: over 90 %; 2D: 44 of 45).
 FIG2_PAPER = {"3d": "0.90 parallel", "2d": "0.97 parallel"}
@@ -71,12 +73,12 @@ def environment() -> ExperimentEnvironment:
 
 
 def _row(driver: str, scenario: str, algorithm: str, cost: Mapping[str, object],
-         paper: Optional[str] = None) -> Row:
+         paper: Optional[str] = None, shard_queries: Optional[int] = None) -> Row:
     """One cell from a :func:`~repro.workloads.experiments.paid` record."""
     return (
         driver, scenario, algorithm, int(cost["external_queries"]),
         int(cost["parallel_queries"]), int(cost["round_trips"]),
-        round(float(cost["simulated_seconds"]), 3), paper,
+        round(float(cost["simulated_seconds"]), 3), shard_queries, paper,
     )
 
 
@@ -142,7 +144,10 @@ def measure() -> List[Row]:
         for algorithm in Algorithm:
             reranker = env.make_federated_reranker(scenario.source, shards=4)
             cost = _top(reranker, scenario.query, scenario.ranking, algorithm, 5)
-            rows.append(_row("sc_fed", scenario.name, algorithm.value, cost))
+            shard_queries = reranker.federation.shard_queries_issued()
+            rows.append(
+                _row("sc_fed", scenario.name, algorithm.value, cost, shard_queries=shard_queries)
+            )
     indexing = run_onthefly_indexing(env)
     for algorithm in ("rerank", "binary"):
         for repetition, cost in enumerate(indexing[f"{algorithm}_runs"], start=1):
@@ -160,7 +165,7 @@ def measure() -> List[Row]:
 def render(rows: List[Row]) -> str:
     cells = [HEADER] + [
         (*row[:3], str(row[3]), str(row[4]), str(row[5]), f"{row[6]:.3f}",
-         "-" if row[7] is None else row[7])
+         "-" if row[7] is None else str(row[7]), "-" if row[8] is None else row[8])
         for row in rows
     ]
     widths = [max(len(row[column]) for row in cells) for column in range(len(HEADER))]
@@ -173,12 +178,13 @@ def render(rows: List[Row]) -> str:
 def read_table(path: Path = TABLE) -> List[Row]:
     rows: List[Row] = []
     for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        driver, scenario, algorithm, queries, parallel, trips, seconds, paper = (
-            line.split(maxsplit=7)
+        driver, scenario, algorithm, queries, parallel, trips, seconds, shard, paper = (
+            line.split(maxsplit=8)
         )
         rows.append(
             (driver, scenario, algorithm, int(queries), int(parallel), int(trips),
-             float(seconds), None if paper == "-" else paper)
+             float(seconds), None if shard == "-" else int(shard),
+             None if paper == "-" else paper)
         )
     return rows
 
