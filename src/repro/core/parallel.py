@@ -165,24 +165,17 @@ class QueryEngine:
         use_cache = self._cache is not None and not bypass_cache
 
         # Phase 1: resolve what we can from the shared cache (zero cost) —
-        # exact hits and containment answers derived from covering superset
-        # entries alike — then from the source's own caches (a federation
-        # whose every target shard can answer from its namespace).  Bypassed
-        # groups still *read* the caches; they stay strictly read-only: no
-        # memoization of derived answers (the crawler's queries would churn
-        # the LRU).
+        # exact hits and containment answers alike; this is the group's one
+        # containment lookup — then from the source's own caches (a
+        # federation whose every target shard can answer from its
+        # namespace).  Bypassed groups still *read* the caches, strictly
+        # read-only: the crawler's queries would churn the LRU.
         settled: List[Optional[Settled]] = [None] * len(queries)
         pending: List[int] = []
+        cache, system_k = self._cache, self._interface.system_k
         for index, query in enumerate(queries):
-            probed = (
-                self._cache.probe(
-                    self._cache_namespace,
-                    query,
-                    self._interface.system_k,
-                    memoize=use_cache,
-                )
-                if self._cache is not None
-                else None
+            probed = None if cache is None else cache.probe(
+                self._cache_namespace, query, system_k, memoize=use_cache
             )
             if probed is None:
                 probed = self._interface.probe(query, memoize=use_cache)
@@ -247,10 +240,12 @@ class QueryEngine:
     def _issue(
         self, queries: List[SearchQuery], use_cache: bool
     ) -> Tuple[List[Settled], Optional[BaseException]]:
-        """One ``settle_many`` call for ``queries``, through the coalescing
-        cache when enabled (which also reuses duplicates within the batch):
-        one outcome per query, plus the first error (raised by the caller
-        after settlement).  A query the source could not answer fails on its
+        """One ``settle_many`` call for ``queries``, through the cache's
+        ``fetch_many`` when enabled (it rechecks exact entries, coalesces
+        concurrent misses and reuses duplicates within the batch; the group
+        was just probed, so it derives no containment answer): one outcome
+        per query, plus the first error (raised by the caller after
+        settlement).  A query the source could not answer fails on its
         own while its answered siblings stay issued, paid and cached; a
         raising call answered nothing."""
         settle = self._interface.settle_many

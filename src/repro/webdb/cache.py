@@ -17,19 +17,25 @@ re-issuing queries the service has already paid for.
   overflow/valid/underflow trichotomy is only meaningful relative to ``k``);
 * **per-interface namespaces** — one cache instance can be shared across every
   data source of a service without results bleeding between databases;
-* **containment answering** — a miss on query ``Q`` can be satisfied by any
-  stored *covering* (valid/underflow) entry for a superset query
-  ``Q' ⊇ Q``: a non-overflow result provably holds **every** tuple matching
-  ``Q'``, so filtering its rank-ordered rows through ``Q.matches`` yields
-  exactly what the database would return for ``Q`` — same rows, same order,
-  same trichotomy — at zero round trips (status ``CONTAINED``).  Overflow
-  entries are truncated and must never answer subsets.  A
-  :class:`~repro.webdb.boxindex.BoxIndex` per scope finds the candidates;
+* **containment answering** — :meth:`QueryResultCache.probe` answers a
+  query ``Q`` from any stored *covering* (valid/underflow) entry for a
+  superset query ``Q' ⊇ Q``: a non-overflow result provably holds **every**
+  tuple matching ``Q'``, so filtering its rank-ordered rows through
+  ``Q.matches`` yields exactly what the database would return for ``Q`` —
+  same rows, same order, same trichotomy — at zero round trips (status
+  ``CONTAINED``).  Overflow entries are truncated and must never answer
+  subsets.  A :class:`~repro.webdb.boxindex.BoxIndex` per scope finds the
+  candidates.  Containment is the probe's job alone: a caller probes before
+  it issues, so :meth:`QueryResultCache.fetch_many` rechecks only exact
+  entries;
 * **LRU eviction** — bounded memory; freshness comes from catalog deltas
   (:meth:`QueryResultCache.invalidate_delta`), not from a timer;
 * **request coalescing** — when several sessions miss on the same key at the
   same time, exactly one remote query is issued and the other callers wait on
-  its result (the classic "thundering herd" guard);
+  its result (the classic "thundering herd" guard).  A federation's shard
+  batches are looked up, issued and stored in one pass, with no coalescing
+  below the facade: identical federated queries already coalesce on the
+  facade's key;
 * **one shared answer** — an answer is stored once, at zero round-trip cost,
   and that same :class:`~repro.webdb.interface.SearchResult` is handed to
   every ``HIT``, ``CONTAINED`` and ``COALESCED`` caller.  Its rows are
@@ -55,7 +61,7 @@ from __future__ import annotations
 import enum
 import threading
 from collections import OrderedDict, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.webdb.boxindex import BoxIndex
@@ -114,28 +120,20 @@ class CacheStatistics(Counters):
 
 
 class _InFlight:
-    """Rendezvous for callers coalescing onto one in-flight remote query."""
+    """Rendezvous for callers coalescing onto one in-flight remote query: its
+    owner holds ``done`` from the claim until it publishes the answer."""
 
     def __init__(self) -> None:
-        self.done = threading.Event()
+        self.done = threading.Lock()
+        self.done.acquire()
         self.result: Optional[SearchResult] = None
         self.error: Optional[BaseException] = None
 
 
 class QueryResultCache:
-    """Thread-safe, shared LRU cache of top-k search results.
-
-    Parameters
-    ----------
-    max_entries:
-        LRU capacity; the least-recently-used entry is evicted when a store
-        would exceed it.
-
-    A miss may be answered from a stored *covering* (valid/underflow) entry
-    of a superset query by filtering its rank-ordered rows through the subset
-    query's predicates (status ``CONTAINED``).  Overflow entries are
-    truncated and never answer subsets.
-    """
+    """Thread-safe, shared LRU cache of top-k search results (see the module
+    docstring).  ``max_entries`` is the LRU capacity: the least-recently-used
+    entry is evicted when a store would exceed it."""
 
     def __init__(self, max_entries: int = 4096) -> None:
         if max_entries <= 0:
@@ -203,8 +201,10 @@ class QueryResultCache:
         entry, or ``None`` when neither exists.  Either way the result is the
         stored answer itself, at ``elapsed_seconds=0.0`` — a cached answer
         costs no round trip — and its read-only rows are shared with every
-        other reader.  Misses are *not* counted here (:meth:`fetch` owns miss
-        accounting); hits and containment answers are.
+        other reader.  It is the one lookup that walks the covering index:
+        callers probe before they issue.  Misses are *not* counted here
+        (:meth:`fetch` owns miss accounting); hits and containment answers
+        are.
 
         ``memoize=False`` makes the probe strictly read-only: a derived
         containment answer is returned but not stored under ``query``'s key.
@@ -271,17 +271,10 @@ class QueryResultCache:
         system_k: int,
         compute: Callable[[], SearchResult],
     ) -> Tuple[SearchResult, FetchStatus]:
-        """Resolve ``query`` through the cache, coalescing concurrent misses.
-
-        Exactly one caller per key runs ``compute`` (the remote query); every
-        concurrent caller blocks on that computation and shares its result.
-        When the owning caller fails, one waiter at a time retries ownership,
-        so a transient remote failure never poisons the key.
-
-        Returns the result plus how it was satisfied; ``MISS`` results carry
-        the real ``elapsed_seconds``; ``HIT``/``CONTAINED``/``COALESCED``
-        results cost zero.  A batch of one through :meth:`fetch_many`.
-        """
+        """:meth:`fetch_many` for one query, with ``compute`` as its remote
+        query: the result plus how it was satisfied (``MISS`` carries the real
+        ``elapsed_seconds``; ``HIT`` and ``COALESCED`` cost zero), or the
+        computation's error raised."""
         ((answer, status),) = self.fetch_many(
             namespace, [query], system_k, lambda batch: [compute()]
         )
@@ -296,19 +289,23 @@ class QueryResultCache:
         system_k: int,
         compute_many: Callable[[List[SearchQuery]], Sequence[Settlement]],
     ) -> List[Tuple[Settlement, FetchStatus]]:
-        """Batched :meth:`fetch`: resolve a whole query group through the
-        cache with at most one ``compute_many`` round trip.
+        """Resolve a query group through the cache with at most one
+        ``compute_many`` round trip, coalescing concurrent misses.
 
         Under one lock pass, every query is classified: live entries are
-        ``HIT``\\ s, queries a stored covering superset entry can answer are
-        ``CONTAINED``, keys another caller is already computing are coalesced
-        onto that caller's flight, duplicates within the batch ride on the
-        batch's own computation (the later occurrences are ``HIT``\\ s, as if
-        the first occurrence's store answered the repeat), and the remaining
-        keys are claimed by this caller.  The claimed queries are then
-        computed in a single ``compute_many`` call — this is what lets a
-        batched interface amortize planning work across a parallel group —
-        stored, and published to any coalesced waiters.
+        ``HIT``\\ s (an answer stored since the caller's :meth:`probe`), keys
+        another caller is already computing are coalesced onto that caller's
+        flight, duplicates within the batch ride on the batch's own
+        computation (the later occurrences are ``HIT``\\ s, as if the first
+        occurrence's store answered the repeat), and the remaining keys are
+        claimed by this caller.  The covering index is not walked: the
+        caller has just probed every query, and containment is the probe's
+        job.  The claimed queries are then computed in a single
+        ``compute_many`` call — this is what lets a batched interface
+        amortize planning work across a parallel group — stored, and
+        published to any coalesced waiters.  When the owner's flight fails,
+        one waiter at a time retries ownership, so a transient remote failure
+        never poisons the key.
 
         Returns ``(result, status)`` pairs aligned with ``queries``.  An
         error in one position of ``compute_many``'s answer (see
@@ -325,7 +322,6 @@ class QueryResultCache:
         duplicates: List[Tuple[int, CacheKey]] = []
         waiting: List[Tuple[int, CacheKey, _InFlight]] = []
         hits = 0
-        contained = 0
         with self._lock:
             # A store is dropped when a delta that could match it lands
             # between this claim and the store.
@@ -335,13 +331,6 @@ class QueryResultCache:
                 if stored is not None:
                     outcomes[position] = (stored, FetchStatus.HIT)
                     hits += 1
-                    continue
-                derived = self._contained_answer_locked(
-                    namespace, materialized[position], system_k, key
-                )
-                if derived is not None:
-                    outcomes[position] = (derived, FetchStatus.CONTAINED)
-                    contained += 1
                     continue
                 if key in owned:
                     duplicates.append((position, key))
@@ -354,8 +343,8 @@ class QueryResultCache:
                 self._inflight[key] = flight
                 owned[key] = flight
                 owner_position[key] = position
-        if hits or contained:
-            self.statistics.add(hits=hits, contained=contained)
+        if hits:
+            self.statistics.record("hits", hits)
 
         owner_results: Dict[CacheKey, Settlement] = {}
         if owned:
@@ -374,7 +363,7 @@ class QueryResultCache:
                     for key in owned:
                         self._inflight.pop(key, None)
                 for flight in owned.values():
-                    flight.done.set()
+                    flight.done.release()
                 raise
             misses = 0
             with self._lock:
@@ -392,7 +381,7 @@ class QueryResultCache:
                     if self._store_allowed_locked(namespace, query, stamp):
                         self._store_locked(key, query, shared)
             for flight in owned.values():
-                flight.done.set()
+                flight.done.release()
             if misses:
                 self.statistics.record("misses", misses)
 
@@ -408,7 +397,8 @@ class QueryResultCache:
             self.statistics.record("hits", hits)
 
         for position, key, flight in waiting:
-            flight.done.wait()
+            with flight.done:  # free once the owner has published
+                pass
             if flight.error is None and flight.result is not None:
                 self.statistics.record("coalesced")
                 outcomes[position] = (flight.result, FetchStatus.COALESCED)
@@ -422,11 +412,8 @@ class QueryResultCache:
             except Exception as error:  # noqa: BLE001 - siblings already answered
                 outcomes[position] = (error, FetchStatus.MISS)
 
-        complete: List[Tuple[Settlement, FetchStatus]] = []
-        for outcome in outcomes:
-            assert outcome is not None, "fetch_many left a query unresolved"
-            complete.append(outcome)
-        return complete
+        assert None not in outcomes, "fetch_many left a query unresolved"
+        return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
     # Invalidation
@@ -518,19 +505,14 @@ class QueryResultCache:
         key: CacheKey,
         memoize: bool = True,
     ) -> Optional[SearchResult]:
-        """Derive ``query``'s answer from a stored covering superset entry.
+        """Derive ``query``'s answer from a stored covering superset entry
+        (see the module docstring), or ``None`` when no live one exists.
 
-        A covering (valid/underflow) entry for ``Q' ⊇ Q`` holds *every* tuple
-        matching ``Q'`` in hidden-rank order, so the tuples matching ``Q``
-        are exactly the entry rows passing ``Q.matches`` — in the same rank
-        order the database itself would return.  Truncating at ``system_k``
-        reproduces the overflow/valid/underflow trichotomy bit for bit.
-
-        With ``memoize`` (the default) the derived result is stored under
-        ``key``, and repeats of the subset query become exact hits.
-        Cache-bypassing callers (the crawler) pass ``memoize=False``: their
-        effectively unique queries would only churn the LRU.  Returns
-        ``None`` when no live covering superset exists.
+        The tuples matching ``Q ⊆ Q'`` are exactly the covering entry's rows
+        passing ``Q.matches``, in the rank order the database would return;
+        truncating at ``system_k`` reproduces the trichotomy bit for bit.
+        With ``memoize`` the derived result is stored under ``key``, so a
+        repeat of the subset query is an exact hit (see :meth:`probe`).
         """
         index = self._covering[(namespace, system_k)]
         for covering_key, covering_query in index.covering(query):
@@ -563,11 +545,14 @@ class QueryResultCache:
 
     @staticmethod
     def _at_no_cost(result: SearchResult) -> SearchResult:
-        """``result`` as the cache shares it: the same read-only rows, at
-        zero round-trip cost."""
+        """``result`` as the cache shares it: every field kept, the same
+        read-only rows, at zero round-trip cost.  The frozen answer's fields
+        are copied as they are, without re-running its constructor."""
         if result.elapsed_seconds == 0.0:
             return result
-        return replace(result, elapsed_seconds=0.0)
+        shared = object.__new__(SearchResult)
+        shared.__dict__.update(result.__dict__, elapsed_seconds=0.0)
+        return shared
 
 
 #: Generic default names that cannot distinguish two interfaces sharing one

@@ -33,13 +33,13 @@ Correctness of the scatter-gather merge:
 
 Every shard is issued through its own
 :class:`~repro.webdb.stack.SourceStack` (fault injector, guard, statistics),
-built once when the federation is constructed.  The facade can additionally
-cache per shard: given a :class:`~repro.webdb.cache.QueryResultCache`, each
-shard's answers are stored under that shard's own namespace, so a delta
-routed to one shard never retires a sibling shard's entries.  A query every
-shard can answer from its namespace is answered by
-:meth:`FederatedInterface.probe` before anything is charged: it is a cache
-answer, not a scatter.
+built once when the federation is constructed.  Given a
+:class:`~repro.webdb.cache.QueryResultCache`, each shard's answers are stored
+under that shard's own namespace, so a delta routed to one shard never
+retires a sibling shard's entries; a shard batch is looked up, issued and
+stored in one pass.  A query every shard can answer from its namespace is
+answered by :meth:`FederatedInterface.probe` before anything is charged: it
+is a cache answer, not a scatter.
 """
 
 from __future__ import annotations
@@ -169,11 +169,8 @@ class FederatedInterface(TopKInterface):
     Each shard sits behind its own :class:`~repro.webdb.stack.SourceStack`,
     built here from ``fault_plans[i]`` with the default retry / breaker
     policy and ``clock`` as its breaker's recovery clock; the stacks' guards
-    share one :class:`~repro.webdb.resilience.ResilienceStatistics`.  With a
-    ``result_cache``, shard answers are cached under per-shard namespaces: a
-    delta retires only its touched shards' entries while sibling shards'
-    cached answers keep serving.  Guards and cache are fixed at
-    construction — nothing re-binds them later.
+    share one :class:`~repro.webdb.resilience.ResilienceStatistics`.  Guards
+    and the per-shard cache namespaces are fixed at construction.
     """
 
     def __init__(
@@ -255,14 +252,13 @@ class FederatedInterface(TopKInterface):
         """Scatter a group and gather one merged page per query, each
         settled on its own.
 
-        Every shard, in index order, gets the group's queries that target it
-        as one batch (through the shard cache when there is one).  A shard
-        that fails a query (retries exhausted, breaker open) does not fail
-        that query: the shard is recorded in
-        ``missing_shards`` and the merged result is returned *degraded* —
-        forced to ``OVERFLOW`` so it never claims to cover the query, and
-        never stored in the result cache.  Only a query to which **no** shard
-        contributed anything settles as an error.
+        Every shard, in index order, settles the group's queries that target
+        it as one batch (:meth:`_shard_settle`).  A shard that fails a query
+        (retries exhausted, breaker open) does not fail that query: the shard
+        is recorded in ``missing_shards`` and the merged result is returned
+        *degraded* — forced to ``OVERFLOW`` so it never claims to cover the
+        query, and never stored in the result cache.  Only a query to which
+        **no** shard contributed anything settles as an error.
         """
         batch = list(queries)
         for query in batch:
@@ -349,21 +345,44 @@ class FederatedInterface(TopKInterface):
         return targets
 
     def _shard_settle(self, index: int, scatters: List[_Scatter]) -> List[Settlement]:
-        """Settle one shard's batch, each query on its own."""
+        """Settle one shard's batch, each query on its own, in one cache
+        pass: one claim of the shard's namespace, one probe per query, one
+        ``settle_many`` of the shard stack for the misses (a repeat asked
+        once), and one store per answered miss.  Nothing coalesces here:
+        identical federated queries already coalesce on the facade's key."""
         stack = self._stacks[index]
         queries = [scatter.query for scatter in scatters]
-        if self._cache is None:
+        cache = self._cache
+        if cache is None:
             return stack.settle_many(queries)
-        # The stack's guard wraps only the remote compute: cache hits never
-        # touch the breaker, so cached answers keep serving while a shard is
-        # down, and breaker state reflects only real round trips.
-        resolved = self._cache.fetch_many(
-            self._namespaces[index], queries, stack.system_k, stack.settle_many
-        )
-        hits = sum(1 for _, status in resolved if status is not FetchStatus.MISS)
+        namespace, system_k = self._namespaces[index], stack.system_k
+        claims = cache.claim([namespace])
+        settled: List[Optional[Settlement]] = []
+        misses: Dict[Tuple, List[int]] = {}
+        for position, query in enumerate(queries):
+            probed = cache.probe(namespace, query, system_k)
+            settled.append(None if probed is None else probed[0])
+            if probed is None:
+                misses.setdefault(query.canonical_key(), []).append(position)
+        if misses:
+            # The stack's guard wraps only the round trip: cache hits never
+            # touch the breaker, so cached answers keep serving while a shard
+            # is down, and breaker state reflects only real round trips.
+            issued = [queries[positions[0]] for positions in misses.values()]
+            answered = 0
+            for query, positions, answer in zip(
+                issued, misses.values(), stack.settle_many(issued)
+            ):
+                for position in positions:
+                    settled[position] = answer
+                if not isinstance(answer, Exception):
+                    answered += 1
+                    cache.store_claimed(namespace, query, system_k, answer, claims)
+            cache.statistics.record("misses", answered)
+        hits = len(queries) - len(misses)
         if hits:
             self._counters.tally("shard_cache_hits", {index: hits})
-        return [answer for answer, _ in resolved]
+        return settled  # type: ignore[return-value]
 
     def _gather(self, scatter: _Scatter, index: int, answer: Settlement) -> None:
         """Fold shard ``index``'s answer for one query into its scatter."""

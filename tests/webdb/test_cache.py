@@ -1,7 +1,10 @@
 """Tests for the shared query-result cache and the caching wrapper."""
 
+import random
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -180,6 +183,61 @@ class TestQueryResultCache:
         assert statuses.count(FetchStatus.MISS) == 1
         assert cache.statistics.misses == 1
         assert cache.statistics.coalesced + cache.statistics.hits == 7
+
+    def test_each_key_is_answered_once_under_switch_pressure(self, bluenile_db):
+        """16 threads on a 1 µs switch interval fetch each round's keys in
+        their own order, and each key's first attempt fails: a flight's
+        failure reaches only its own waiters, who contend again, so every
+        key is answered exactly once and every caller but a failed owner
+        gets that answer."""
+        cache = QueryResultCache()
+        k = bluenile_db.system_k
+        rounds = [
+            [SearchQuery.build(ranges={"price": (100.0 + r, 1000.0 + i)}) for i in range(4)]
+            for r in range(25)
+        ]
+        lock = threading.Lock()
+        answered, failed = Counter(), Counter()
+        wrong = []
+
+        def compute_many(batch):
+            results = []
+            for query in batch:
+                key = query.canonical_key()
+                with lock:
+                    first = not failed[key]
+                    (failed if first else answered)[key] += 1
+                results.append(RuntimeError("first attempt") if first else bluenile_db.search(query))
+            return results
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for keys in rounds:
+                batch = rng.sample(keys, len(keys))
+                for query, (answer, status) in zip(
+                    batch, cache.fetch_many("ns", batch, k, compute_many)
+                ):
+                    if isinstance(answer, RuntimeError):
+                        continue
+                    if answer.keys() != bluenile_db.search(query).keys():
+                        wrong.append((query, status))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        everything = {query.canonical_key() for keys in rounds for query in keys}
+        assert set(answered) == set(failed) == everything
+        assert set(answered.values()) == set(failed.values()) == {1}
+        assert not wrong
+        assert not cache.snapshot()["in_flight"]
 
     def test_snapshot_shape(self):
         snapshot = QueryResultCache(max_entries=10).snapshot()

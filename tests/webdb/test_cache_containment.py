@@ -190,26 +190,43 @@ class TestContainmentAnswering:
         assert cache.probe("other", narrow, bluenile_db.system_k) is None
         assert cache.probe("bn", narrow, bluenile_db.system_k + 1) is None
 
-    def test_fetch_many_reports_contained(self, bluenile_db):
+    def test_containment_is_the_probes_job_and_fetch_many_rechecks_exact_entries(
+        self, bluenile_db
+    ):
+        """A caller probes, then fetches what missed.  The contained answer
+        the probe memoized is a ``HIT`` at fetch; a query only a covering
+        entry could answer is issued by a fetch no probe preceded."""
         cache = QueryResultCache()
+        k = bluenile_db.system_k
         wide, wide_result = _find_valid_query(bluenile_db)
-        cache.store("bn", wide, bluenile_db.system_k, wide_result)
+        cache.store("bn", wide, k, wide_result)
         predicate = wide.ranges[0]
         narrow = SearchQuery.build(
             ranges={predicate.attribute: (predicate.lower, predicate.upper - 1e-9)}
         )
-        fresh_needed = SearchQuery.build(ranges={"depth": (0.0, 100.0)})
-        outcomes = cache.fetch_many(
-            "bn",
-            [narrow, fresh_needed],
-            bluenile_db.system_k,
-            lambda queries: [bluenile_db.search(q) for q in queries],
+        unprobed = SearchQuery.build(
+            ranges={predicate.attribute: (predicate.lower + 1e-9, predicate.upper)}
         )
-        assert outcomes[0][1] is FetchStatus.CONTAINED
-        assert outcomes[1][1] is FetchStatus.MISS
+        fresh_needed = SearchQuery.build(ranges={"depth": (0.0, 100.0)})
+        probed = cache.probe("bn", narrow, k)
+        assert probed is not None and probed[1] is FetchStatus.CONTAINED
+        assert cache.probe("bn", fresh_needed, k) is None
+        issued = []
+
+        def compute_many(queries):
+            issued.extend(queries)
+            return [bluenile_db.search(q) for q in queries]
+
+        outcomes = cache.fetch_many("bn", [narrow, fresh_needed, unprobed], k, compute_many)
+        assert [status for _, status in outcomes] == [
+            FetchStatus.HIT, FetchStatus.MISS, FetchStatus.MISS
+        ]
+        assert outcomes[0][0] is probed[0]
+        assert issued == [fresh_needed, unprobed]
         assert [row["id"] for row in outcomes[0][0].rows] == [
             row["id"] for row in bluenile_db.search(narrow).rows
         ]
+        assert cache.statistics.contained == 1
 
     def test_random_superset_subset_pairs_identical_to_fresh_query(self, bluenile_db):
         """Property test: for random superset/subset pairs, a containment

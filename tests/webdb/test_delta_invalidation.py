@@ -314,7 +314,7 @@ def test_surviving_entries_serve_after_a_delta():
         replay, status = cache.fetch(
             namespace, result.query, system_k, compute=forbidden
         )
-        assert status.name in ("HIT", "CONTAINED")
+        assert status.name == "HIT"
         assert [dict(row) for row in replay.rows] == [
             dict(row) for row in result.rows
         ]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import DatabaseConfig
+from repro.core.parallel import QueryEngine
 from repro.core.reranker import QueryReranker
 from repro.dataset.diamonds import DEPTH_BOUNDS
 from repro.exceptions import SourceUnavailableError
@@ -237,6 +238,51 @@ class TestRetiredEntriesNeverServed:
             for index in range(3)
             if index != shard
         ] == live_queries
+
+
+class TestHealThenReread:
+    def test_a_degraded_group_stores_nothing_that_outlives_the_outage(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
+        """A group served while shard 1 is down stores its live shards'
+        answers and nothing else; after the heal the same group answers as
+        a fault-free federation does."""
+        clock = FakeClock()
+        cache = QueryResultCache()
+        federation = make_federation(
+            diamond_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            clock=clock,
+            result_cache=cache,
+        )
+        reference = make_federation(diamond_catalog, diamond_schema_fixture)
+        engine = QueryEngine(federation, result_cache=cache)
+        queries = [
+            SearchQuery.build(ranges={"price": (300.0, 1500.0 + 100.0 * i)})
+            for i in range(8)
+        ]
+        kill_shard(federation, 1)
+        assert all(page.degraded for page in engine.search_group(queries))
+        k = federation.system_k
+        for query in queries:
+            for namespace in ("partial", "partial#1"):
+                assert cache.probe(namespace, query, k, memoize=False) is None
+            for index in (0, 2):
+                stored = cache.probe(f"partial#{index}", query, k, memoize=False)
+                assert stored is not None and stored[1] is FetchStatus.HIT
+                assert stored[0].keys() == federation.shards[index].search(query).keys()
+
+        for injector in federation.fault_injectors():
+            injector.deactivate()
+        clock.now += CircuitBreaker().recovery_seconds + 1.0
+        healed = engine.search_group(queries)
+        for query, page in zip(queries, healed):
+            clean = reference.search(query)
+            assert not page.degraded and page.missing_shards == ()
+            assert page.outcome is clean.outcome
+            assert page.keys() == clean.keys()
+            assert page.complete_rows == clean.complete_rows
 
 
 class TestDegradedNeverCached:
