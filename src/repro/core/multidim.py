@@ -5,10 +5,13 @@ call must find, among the tuples matching the filter query, the eligible tuple
 with the smallest score — where *eligible* means "not yet returned and not
 scoring before the already-returned frontier".
 
-All variants follow the covering strategy of the VLDB'16 paper: maintain the
-best candidate seen so far and a work-list of axis-aligned boxes that might
-still contain a better tuple (the *region of interest* under the candidate's
-rank contour).  A box is retired when
+All variants follow the covering strategy of the VLDB'16 paper: a work-list of
+axis-aligned boxes that might still contain a better tuple than the best
+candidate seen so far (the *region of interest* under the candidate's rank
+contour).  Every answer is remembered in the session before anything is
+decided, so the best candidate is always the head of the stream's
+:class:`~repro.core.session.CandidateHeap`: each seen row is filtered and
+scored once, when the heap absorbs it.  A box is retired when
 
 * a query on it does not overflow (everything inside has been observed),
 * its minimum achievable score cannot beat the candidate (covered by the
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core import contour
 from repro.core.dense_index import (
@@ -51,7 +54,7 @@ from repro.exceptions import RankingFunctionError
 from repro.webdb.delta import ChangeLog
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 
-#: The best candidate so far with the score it was found at: ``(score,
+#: The best candidate so far, as the candidate heap returns it: ``(score,
 #: str(key), row)``, ordered like the emission order.  The row is the shared
 #: read-only reference the source handed over, emitted as is.
 Best = Optional[Tuple[float, str, Row]]
@@ -139,13 +142,15 @@ class MultiDimGetNext:
         return row
 
     # ------------------------------------------------------------------ #
-    # Eligibility and candidate tracking
+    # Candidate tracking
     # ------------------------------------------------------------------ #
-    def _seed_from_cache(self) -> Best:
-        best = self._candidates.best(self._frontier_score - _TOLERANCE)
-        if best is not None:
-            self._statistics.record("cache_hits")
-        return best
+    def _best(self) -> Best:
+        """The best candidate the session has seen: not yet returned,
+        matching the filters, not before the frontier."""
+        return self._candidates.best(self._frontier_score - _TOLERANCE)
+
+    def _remember(self, rows: Sequence[Row]) -> None:
+        self._session.remember(rows, self._engine.key_column)
 
     # ------------------------------------------------------------------ #
     # Box bookkeeping
@@ -156,28 +161,13 @@ class MultiDimGetNext:
             return True
         return best is not None and bounds.minimum >= best[0] - _TOLERANCE
 
-    def _update_best(self, rows: Iterable[Mapping[str, object]], best: Best) -> Best:
-        """Fold ``rows`` into ``best``: each eligible row (not yet returned,
-        matching the filters, not before the frontier) is scored once."""
-        key_column = self._engine.key_column
-        floor = self._frontier_score - _TOLERANCE
-        for row in rows:
-            key = row[key_column]
-            if self._session.has_emitted(key) or not self._base_query.matches(row):
-                continue
-            score = self._ranking.score(row)
-            if score >= floor and (best is None or (score, str(key)) < best[:2]):
-                best = (score, str(key), row)
-        return best
-
-    def _remember(self, rows: Sequence[Row]) -> None:
-        self._session.remember(rows, self._engine.key_column)
-
     # ------------------------------------------------------------------ #
     # The search itself
     # ------------------------------------------------------------------ #
     def _find_next_tuple(self) -> Best:
-        best = self._seed_from_cache()
+        best = self._best()
+        if best is not None:
+            self._statistics.record("cache_hits")
         if self._variant is Variant.BASELINE:
             return self._baseline_search(best)
         return self._partition_search(best)
@@ -192,7 +182,7 @@ class MultiDimGetNext:
             result = self._engine.search(box.to_query(self._base_query))
             self._remember(result.observed_rows)
             previous_score = best[0] if best is not None else math.inf
-            best = self._update_best(result.observed_rows, best)
+            best = self._best()
             if result.proves_query:
                 continue
             if best is not None and best[0] < previous_score - _TOLERANCE:
@@ -211,8 +201,8 @@ class MultiDimGetNext:
                 box.max_relative_width(self._engine.schema) <= _POINT_WIDTH
             ):
                 query = box.to_query(self._base_query)
-                rows = crawl_region(self._engine, self._statistics, query)
-                best = self._update_best(rows, best)
+                self._remember(crawl_region(self._engine, self._statistics, query))
+                best = self._best()
                 continue
             low, high = box.split(box.widest_attribute(self._engine.schema))
             queue.append((low, depth + 1))
@@ -310,38 +300,36 @@ class MultiDimGetNext:
                     if rows is not None:
                         self._statistics.record("dense_index_hits")
                         self._remember(rows)
-                        best = self._update_best(rows, best)
                         continue
                 if is_dense(box.max_relative_width(schema), depth):
-                    best = self._resolve_dense_box(box, best)
+                    self._resolve_dense_box(box)
                     continue
                 to_query.append((box, depth))
 
-            if not to_query:
-                continue
-            if len(to_query) == 1 and to_query[0][1] > 0:
-                # Verification stage with a single remaining region: the paper
-                # splits the region and searches the two sub-spaces
-                # independently (and therefore in parallel) rather than
-                # issuing one broad query and waiting on it.
-                box, depth = to_query[0]
-                low, high = box.split(box.widest_attribute(schema))
-                to_query = [(low, depth + 1), (high, depth + 1)]
-            queries = [box.to_query(self._base_query) for box, _ in to_query]
-            results = self._engine.search_group(queries)
-            for (box, depth), result in zip(to_query, results):
-                self._remember(result.observed_rows)
-                best = self._update_best(result.observed_rows, best)
-                if result.proves_query:
-                    continue
-                low, high = box.split(box.widest_attribute(schema))
-                work.append(self._open(low, depth + 1))
-                work.append(self._open(high, depth + 1))
+            if to_query:
+                if len(to_query) == 1 and to_query[0][1] > 0:
+                    # Verification stage with a single remaining region: the
+                    # paper splits the region and searches the two sub-spaces
+                    # independently (and therefore in parallel) rather than
+                    # issuing one broad query and waiting on it.
+                    box, depth = to_query[0]
+                    low, high = box.split(box.widest_attribute(schema))
+                    to_query = [(low, depth + 1), (high, depth + 1)]
+                queries = [box.to_query(self._base_query) for box, _ in to_query]
+                results = self._engine.search_group(queries)
+                for (box, depth), result in zip(to_query, results):
+                    self._remember(result.observed_rows)
+                    if result.proves_query:
+                        continue
+                    low, high = box.split(box.widest_attribute(schema))
+                    work.append(self._open(low, depth + 1))
+                    work.append(self._open(high, depth + 1))
+            best = self._best()
 
         self._open_boxes = deferred
         return best
 
-    def _resolve_dense_box(self, box: HyperRectangle, best: Best) -> Best:
+    def _resolve_dense_box(self, box: HyperRectangle) -> None:
         """A box is dense (or too deep).  MD-RERANK answers it from the
         dense-region index, which crawls it without the user filters on a
         miss; MD-BINARY crawls it with the filters and pays again next time."""
@@ -360,4 +348,3 @@ class MultiDimGetNext:
             )
             rows = [row for row in covered if box.contains(row)]
         self._remember(rows)
-        return self._update_best(rows, best)

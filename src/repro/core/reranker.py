@@ -204,7 +204,7 @@ class QueryReranker:
           next Get-Next a live stream drops every touched tuple from its
           session cache and, when its filter query could match a touched
           version, what it has proven (a 1D verified prefix, the MD open
-          boxes, TA's discovered tuples) — so re-proving never reads a stale
+          boxes, TA's sorted-access cursors) — so re-proving never reads a stale
           cache entry or a cached row of an older version;
         * rerank feeds are decided last, after the log: a feed whose filter
           query a touched version matches is retired when such a version

@@ -270,7 +270,7 @@ class ChangeWatch:
     """One live Get-Next stream's view of its source's :class:`ChangeLog`.
 
     What a stream proves from its answers (a 1D verified prefix, the MD open
-    boxes, TA's discovered tuples) holds only while no change since can
+    boxes, TA's sorted-access cursors) holds only while no change since can
     match its filter query — the test cache entries and feeds are retired
     by.  :meth:`changed` answers that before each Get-Next, and first catches
     the session's seen cache up, so a proof rebuilt after a change never

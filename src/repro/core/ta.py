@@ -16,13 +16,18 @@ threshold
 
 no undiscovered tuple can beat it, because every list is consumed in the
 direction its weight prefers.
+
+The candidates are the stream's :class:`~repro.core.session.CandidateHeap`
+over everything the session has seen, not only what the sorted-access
+streams discovered: a seen row is a current tuple (the session drops what a
+change touched), so the rule stays sound, and each row is scored once, when
+the heap absorbs it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking, weighted
@@ -69,21 +74,17 @@ class ThresholdAlgorithmGetNext:
         self._streams: Dict[str, OneDimGetNext] = {}
         self._latest_value: Dict[str, Optional[float]] = {}
         self._stream_done: Dict[str, bool] = {}
-        #: Keys of every tuple discovered through any stream, and the heap of
-        #: ``(score, str(key), arrival, row)`` they were pushed on — scored on
-        #: discovery.  An entry found emitted or before the frontier is popped
-        #: for good: neither condition can revert within a request.
-        self._discovered: set = set()
-        self._candidates: List[Tuple[float, str, int, Row]] = []
+        self._candidates = session.cached_candidates(base_query, ranking, engine.key_column)
         self._open_streams()
         self._frontier_score = -math.inf
         self._exhausted = False
 
     def _open_streams(self) -> None:
-        """Start sorted access from the top of every list, with nothing
-        discovered: at construction, and again after a catalog change that
-        can match the filter query, which may have moved a tuple behind a
-        stream's cursor or dropped a discovered one.
+        """Start sorted access from the top of every list: at construction,
+        and again after a catalog change that can match the filter query,
+        which may have moved a tuple behind a stream's cursor.  The
+        candidates need no reset: the session has already dropped every row
+        the change may have touched.
 
         One stream per ranking attribute.  Each owns a private session (its
         notion of "emitted" is its cursor position, not what the user has
@@ -103,8 +104,6 @@ class ThresholdAlgorithmGetNext:
             )
             self._latest_value[attribute] = None
             self._stream_done[attribute] = False
-        self._discovered.clear()
-        self._candidates.clear()
 
     # ------------------------------------------------------------------ #
     @property
@@ -125,24 +124,16 @@ class ThresholdAlgorithmGetNext:
             self._statistics.record("get_next_calls")
             return None
         self._frontier_score = best[0]
-        row = best[3]
+        row = best[2]
         self._session.mark_emitted(row, self._engine.key_column)
         self._statistics.add(get_next_calls=1, tuples_returned=1)
         return row
 
     # ------------------------------------------------------------------ #
-    def _best_discovered(self) -> Optional[Tuple[float, str, int, Row]]:
-        """The best discovered tuple not yet returned and not before the
-        frontier (held by reference, as every row is)."""
-        heap = self._candidates
-        key_column = self._engine.key_column
-        floor = self._frontier_score - _TOLERANCE
-        while heap:
-            score, _, _, row = heap[0]
-            if score >= floor and not self._session.has_emitted(row[key_column]):
-                return heap[0]
-            heapq.heappop(heap)
-        return None
+    def _best(self) -> Optional[Tuple[float, str, Row]]:
+        """``(score, str(key), row)`` of the best seen tuple not yet returned
+        and not before the frontier."""
+        return self._candidates.best(self._frontier_score - _TOLERANCE)
 
     def _threshold(self) -> Optional[float]:
         """Current TA threshold, or ``None`` until every live stream has
@@ -166,19 +157,12 @@ class ThresholdAlgorithmGetNext:
         if row is None:
             self._stream_done[attribute] = True
             return
-        value = float(row[attribute])  # type: ignore[arg-type]
-        self._latest_value[attribute] = value
-        key = row[self._engine.key_column]
-        if key not in self._discovered:
-            self._discovered.add(key)
-            if self._base_query.matches(row):
-                entry = (self._ranking.score(row), str(key), len(self._discovered), row)
-                heapq.heappush(self._candidates, entry)
+        self._latest_value[attribute] = float(row[attribute])  # type: ignore[arg-type]
         self._session.remember([row], self._engine.key_column)
 
     # ------------------------------------------------------------------ #
-    def _find_next_tuple(self) -> Optional[Tuple[float, str, int, Row]]:
-        best = self._best_discovered()
+    def _find_next_tuple(self) -> Optional[Tuple[float, str, Row]]:
+        best = self._best()
 
         while True:
             threshold = self._threshold()
@@ -187,11 +171,11 @@ class ThresholdAlgorithmGetNext:
                     return best
             if self._any_stream_done():
                 # An exhausted stream has walked every matching tuple, so the
-                # best eligible discovered tuple (possibly None) is the answer.
+                # best eligible seen tuple (possibly None) is the answer.
                 return best
 
             # One round of sorted access: advance every live stream by one.
             for attribute in self._ranking.attributes:
                 if not self._stream_done[attribute]:
                     self._advance_stream(attribute)
-            best = self._best_discovered()
+            best = self._best()

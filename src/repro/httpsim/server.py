@@ -29,7 +29,7 @@ from __future__ import annotations
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.exceptions import QueryError, SchemaError, WireFormatError
 from repro.httpsim import wire
@@ -230,9 +230,15 @@ class _ConnectionTrackingServer(ThreadingHTTPServer):
 class SocketServerHandle:
     """Handle over a background socket server (host, port, and shutdown)."""
 
-    def __init__(self, server: _ConnectionTrackingServer, thread: threading.Thread) -> None:
+    def __init__(
+        self,
+        server: _ConnectionTrackingServer,
+        thread: threading.Thread,
+        on_shutdown: Optional[Callable[[], None]] = None,
+    ) -> None:
         self._server = server
         self._thread = thread
+        self._on_shutdown = on_shutdown
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -258,16 +264,22 @@ class SocketServerHandle:
         self._server.close_connections()
         self._server.server_close()
         self._thread.join(timeout=5.0)
+        if self._on_shutdown is not None:
+            self._on_shutdown()
 
 
 def serve_application_over_socket(
-    application: object, host: str, port: int
+    application: object,
+    host: str,
+    port: int,
+    on_shutdown: Optional[Callable[[], None]] = None,
 ) -> SocketServerHandle:
     """Serve an in-process application over a real TCP socket in a daemon
     thread.
 
     ``port=0`` binds an ephemeral port; the chosen port is available from the
-    returned handle.  The caller is responsible for calling ``shutdown()``.
+    returned handle.  The caller is responsible for calling ``shutdown()``,
+    which runs ``on_shutdown`` last.
     """
     handler_class = type(
         "BoundSocketHandler", (ApplicationSocketHandler,), {"application": application}
@@ -278,7 +290,7 @@ def serve_application_over_socket(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
-    return SocketServerHandle(server, thread)
+    return SocketServerHandle(server, thread, on_shutdown)
 
 
 def serve_database_over_socket(

@@ -21,6 +21,7 @@ The same handler object also works in-process (without sockets) through
 
 from __future__ import annotations
 
+import gc
 import math
 from typing import Optional
 
@@ -134,10 +135,18 @@ def serve_qr2_over_socket(
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> SocketServerHandle:
-    """Serve the QR2 JSON API on a real TCP socket in a daemon thread."""
-    return serve_application_over_socket(
-        application or QR2HttpApplication(), host, port
-    )
+    """Serve the QR2 JSON API on a real TCP socket in a daemon thread.
+
+    The application and its catalogs live as long as the server, so once
+    they exist everything allocated so far is frozen out of the cyclic
+    collector (``gc.freeze``) and its full collections stop walking that
+    start-up heap.  ``shutdown()`` unfreezes it, so a process that starts
+    many servers does not pin their cyclic garbage.  The server owns its
+    process's collector this way; the :class:`QR2Service` library does
+    not."""
+    application = application or QR2HttpApplication()
+    gc.freeze()
+    return serve_application_over_socket(application, host, port, on_shutdown=gc.unfreeze)
 
 
 def main() -> None:  # pragma: no cover - interactive entry point

@@ -15,7 +15,7 @@ what the change can actually affect, instead of cold-starting:
   matches its filter query ranks at or before the prefix's last row (the
   hidden ranking is a per-row score, so untouched tuples never reorder);
 * a live Get-Next stream's proof (a 1D verified prefix, the MD open boxes,
-  TA's discovered tuples) holds only while no change in the source's
+  TA's sorted-access cursors) holds only while no change in the source's
   :class:`ChangeLog` since the proof can match the stream's filter query, and
   a session's cached row only while no change since touched its key.
 

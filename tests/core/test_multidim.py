@@ -10,10 +10,13 @@ from repro.core.multidim import MultiDimGetNext
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
 from repro.core.session import Session
+from repro.dataset.diamonds import diamond_schema, generate_diamond_catalog
 from repro.exceptions import RankingFunctionError
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
+from repro.webdb.ranking import FeaturedScoreRanking
 
-from tests.conftest import assert_matches_ground_truth
+from tests.conftest import SMALL_DIAMONDS, assert_matches_ground_truth
 
 VARIANTS = [Variant.BASELINE, Variant.BINARY, Variant.RERANK]
 
@@ -120,6 +123,28 @@ class TestCorrectness:
         rows, _, _ = run_md(bluenile_db, SearchQuery.everything(), ranking, variant, depth=5)
         truth = bluenile_db.true_ranking(SearchQuery.everything(), ranking.score, limit=5)
         assert_matches_ground_truth(rows, truth, ranking)
+
+    def test_a_cluster_denser_than_k_is_crawled(self, variant):
+        """More than k tuples share the best point, so no query separates
+        them: the box around them is crawled, and the tuples only the crawl
+        returned are emitted in their place too."""
+        schema = diamond_schema()
+        database = HiddenWebDatabase(
+            generate_diamond_catalog(SMALL_DIAMONDS),
+            schema,
+            FeaturedScoreRanking("price", boost_weight=2500.0),
+            system_k=10,
+        )
+        everything = SearchQuery.everything()
+        cheapest, _ = schema.domain_bounds("price")
+        _, largest = schema.domain_bounds("carat")
+        cluster = database.all_matches(everything)[:2 * database.system_k]
+        database.apply_delta(upserts=[dict(row, price=cheapest, carat=largest) for row in cluster])
+        ranking = make_ranking(schema, {"price": 1.0, "carat": -0.5})
+        rows, _, session = run_md(database, everything, ranking, variant, depth=len(cluster) + 5)
+        truth = database.true_ranking(everything, ranking.score, limit=len(cluster) + 5)
+        assert_matches_ground_truth(rows, truth, ranking)
+        assert session.statistics.dense_regions_built >= 1
 
 
 class TestBehaviour:

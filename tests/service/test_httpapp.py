@@ -1,5 +1,6 @@
 """Tests for the QR2 JSON HTTP API (in-process and over a real socket)."""
 
+import gc
 import http.client
 import json
 import socket
@@ -222,6 +223,16 @@ class TestRoutes:
 
 
 class TestSocketDeployment:
+    def test_the_start_up_heap_is_frozen_only_while_serving(self, application):
+        """The server takes the heap it starts on out of the cyclic
+        collector and hands it back on shutdown."""
+        handle = serve_qr2_over_socket(application)
+        try:
+            assert gc.get_freeze_count() > 0
+        finally:
+            handle.shutdown()
+        assert gc.get_freeze_count() == 0
+
     def test_end_to_end_over_socket(self, application):
         handle = serve_qr2_over_socket(application)
         try:
