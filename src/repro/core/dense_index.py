@@ -388,12 +388,8 @@ class DenseRegionIndex:
         question (it does cover it logically, but the bookkeeping cost is not
         worth it at this catalog scale)."""
         index = self._indexes.get(tuple(sorted(box.attributes)))
-        if index is None:
-            return None
-        for region in index.covering(box):
-            if region.box.covers(box):
-                return region
-        return None
+        # Every region the walk yields contains ``box`` on each of its sides.
+        return None if index is None else next(index.covering(box), None)
 
     def lookup(
         self,

@@ -165,11 +165,9 @@ class QueryEngine:
         use_cache = self._cache is not None and not bypass_cache
 
         # Phase 1: resolve what we can from the shared cache (zero cost) —
-        # exact hits and containment answers alike; this is the group's one
-        # containment lookup — then from the source's own caches (a
-        # federation whose every target shard can answer from its
-        # namespace).  Bypassed groups still *read* the caches, strictly
-        # read-only: the crawler's queries would churn the LRU.
+        # exact hits and containment answers alike — then from the source
+        # (a federation with a stored part for every target shard).  Bypassed
+        # groups read, strictly read-only: the crawler would churn the LRU.
         settled: List[Optional[Settled]] = [None] * len(queries)
         pending: List[int] = []
         cache, system_k = self._cache, self._interface.system_k

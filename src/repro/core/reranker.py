@@ -107,12 +107,9 @@ class QueryReranker:
             result_cache if result_cache is not None else QueryResultCache()
         )
         self._cache_namespace = default_namespace(interface)
-        # Federated sources: the facade caches per shard (shard-scoped
-        # namespaces, in the cache the federation was built with) while the
-        # engines above it cache under the federated namespace — the feed
-        # and cache keys stay above the shard layer.  The reranker only reads
-        # the interface it is given: guards and shard cache were fixed when
-        # the source was built.
+        # Federated sources: cache and feed keys stay above the shard layer.
+        # The reranker only reads the interface it is given: guards and the
+        # cache the shard parts are read from were fixed when it was built.
         self._federation: Optional[FederatedInterface] = (
             interface if isinstance(interface, FederatedInterface) else None
         )
@@ -195,9 +192,8 @@ class QueryReranker:
         through every caching layer — the one way a change reaches them:
 
         * result-cache entries whose query a touched tuple version matches
-          are flushed (facade namespace *and*, for federated
-          sources, each touched shard's namespace — sibling shards'
-          entries survive untouched);
+          are flushed; a federated entry keeps, as parts, the pages of the
+          shards whose part of the change cannot match its query;
         * dense regions whose box holds a touched version are
           dropped (and any persistent dense-region cache rows behind them);
         * the change is logged after every cache is retired: before its
@@ -231,10 +227,9 @@ class QueryReranker:
         if delta.is_empty:
             return summary
         facade_delta = delta.with_namespace(self._cache_namespace)
-        retired = self._result_cache.invalidate_delta(self._cache_namespace, facade_delta)
-        for _, shard_delta in delta.shard_deltas:
-            retired += self._result_cache.invalidate_delta(shard_delta.namespace, shard_delta)
-        summary["cache_entries_retired"] = retired
+        summary["cache_entries_retired"] = self._result_cache.invalidate_delta(
+            self._cache_namespace, facade_delta
+        )
         summary["regions_retired"] = self._dense_index.invalidate_delta(facade_delta)
         self._changes.record(facade_delta)
         if self._feed_store is not None:

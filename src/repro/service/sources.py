@@ -185,9 +185,8 @@ def _make_source(
     result_columns: List[str],
     result_cache: QueryResultCache,
 ) -> DataSource:
-    # A sharded source names its shards "{name}#{i}", giving each its own
-    # cache namespace, while the reranker keys its cache/feed state under
-    # the federated name — above the shard layer.
+    # The reranker keys its cache and feed state under the source's name;
+    # a sharded source's entries keep its shards' pages.
     stack = build_source(
         catalog,
         schema,

@@ -1,4 +1,4 @@
-"""Covering-box index: which stored boxes can contain a probe box?
+"""Covering-box index: which stored boxes contain a probe box on every side?
 
 A *box* is a ``SearchQuery`` or a ``HyperRectangle`` (``ranges`` plus
 ``memberships``).  Boxes are grouped by *signature* — sorted range attributes,
@@ -7,10 +7,10 @@ and membership attributes are subsets of its own.  A group is sorted by lower
 bound on its first range attribute (its *axis*; without one, every box spans
 ``[-inf, inf]``) beside a prefix maximum of upper bounds: a probe bisects its
 lower bound and walks backward until that maximum drops below its upper bound,
-so it costs the bisect plus the boxes straddling it on the axis.  The walk only
-prunes what provably cannot cover; exclusive bounds, ties, the other axes and
-membership values are the caller's exact check.  ``RangePredicate`` rejects
-NaN bounds, so the order is total.
+so it costs the bisect plus the boxes straddling it on the axis.  It yields
+only those that contain the probe on every range side, exclusive bounds
+respected; membership values are the caller's exact check.  ``RangePredicate``
+rejects NaN bounds, so the order is total.
 """
 
 from __future__ import annotations
@@ -22,17 +22,29 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 #: Sorted range attributes, sorted membership attributes.
 Signature = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
+#: ``(lower, exclusive)`` or ``(upper, inclusive)``: an exclusive bound sorts
+#: inside the inclusive one at the same value.
+Bound = Tuple[float, bool]
+
+
+def _bounds(side) -> Tuple[Bound, Bound]:
+    """A range side's lower and upper bounds."""
+    return (side.lower, not side.include_lower), (side.upper, side.include_upper)
+
 
 class _Group:
-    """The boxes of one signature, in axis order; kept when emptied."""
+    """One signature's boxes, in axis order, with all their bounds; kept
+    when emptied."""
 
     def __init__(self, signature: Signature) -> None:
+        self.attributes = signature[0]
         self.ranges = frozenset(signature[0])
         self.memberships = frozenset(signature[1])
         self.axis: Optional[str] = signature[0][0] if signature[0] else None
         self.lowers: List[float] = []
         self.uppers: List[float] = []
         self.reach: List[float] = []  #: ``reach[i] == max(uppers[: i + 1])``
+        self.sides: List[Tuple[Tuple[Bound, Bound], ...]] = []
         self.keys: List[Hashable] = []
         self.payloads: List[object] = []
 
@@ -82,6 +94,7 @@ class BoxIndex:
         group.lowers.insert(position, lower)
         group.uppers.insert(position, upper)
         group.reach.insert(position, math.nan)  # never equal: refresh sets it
+        group.sides.insert(position, tuple(_bounds(sides[name]) for name in group.attributes))
         group.keys.insert(position, key)
         group.payloads.insert(position, payload)
         group.refresh(position)
@@ -94,14 +107,14 @@ class BoxIndex:
             return
         group, lower = located
         position = group.keys.index(key, bisect_left(group.lowers, lower))
-        for column in (group.lowers, group.uppers, group.reach, group.keys, group.payloads):
+        for column in (group.lowers, group.uppers, group.reach, group.sides, group.keys, group.payloads):
             del column[position]
         group.refresh(position)
 
     def covering(self, box) -> Iterator[object]:
-        """Payloads of the stored boxes that may contain ``box`` (a superset
-        of those that do).  The caller may discard the entry it was just
-        handed before resuming; any other change invalidates the walk."""
+        """Payloads of the stored boxes that contain ``box`` on every range
+        side.  The caller may discard the entry it was just handed before
+        resuming; any other change invalidates the walk."""
         sides = {side.attribute: side for side in box.ranges}
         names = frozenset(sides)
         memberships = frozenset(p.attribute for p in box.memberships)
@@ -109,11 +122,17 @@ class BoxIndex:
             if not (group.ranges <= names and group.memberships <= memberships):
                 continue
             lower, upper = group.bounds(sides)
-            uppers, reach, payloads = group.uppers, group.reach, group.payloads
+            wanted = [_bounds(sides[name]) for name in group.attributes]
+            uppers, reach, stored, payloads = group.uppers, group.reach, group.sides, group.payloads
             position = bisect_right(group.lowers, lower)
             while position:
                 position -= 1
                 if reach[position] < upper:
                     break  # nothing at or before here reaches the upper bound
-                if uppers[position] >= upper:
+                if uppers[position] < upper:
+                    continue
+                for (low, high), (want_low, want_high) in zip(stored[position], wanted):
+                    if low > want_low or high < want_high:
+                        break  # this side does not hold the probe's
+                else:
                     yield payloads[position]

@@ -52,8 +52,8 @@ def build_source(
     returns a :class:`~repro.webdb.stack.SourceStack` named ``name``; any
     other count partitions the catalog (``config.shard_by``) and returns a
     :class:`~repro.webdb.federation.FederatedInterface` over shards named
-    ``"{name}#{i}"`` — each its own cache namespace — that caches shard
-    answers in ``result_cache``.  Every guard runs the default retry /
+    ``"{name}#{i}"`` that reads the shard parts of its entries in
+    ``result_cache``.  Every guard runs the default retry /
     breaker policy of :class:`~repro.webdb.stack.SourceStack`.
     """
     columns = stream_sorted_columns(

@@ -32,10 +32,11 @@ re-issuing queries the service has already paid for.
   (:meth:`QueryResultCache.invalidate_delta`), not from a timer;
 * **request coalescing** — when several sessions miss on the same key at the
   same time, exactly one remote query is issued and the other callers wait on
-  its result (the classic "thundering herd" guard).  A federation's shard
-  batches are looked up, issued and stored in one pass, with no coalescing
-  below the facade: identical federated queries already coalesce on the
-  facade's key;
+  its result (the classic "thundering herd" guard);
+* **one entry per federated query** — it keeps the shard pages its answer
+  was merged from, the parts :meth:`QueryResultCache.shard_parts` reads.  A
+  degraded merge keeps only its live shards' pages, and a delta that reaches
+  an entry only the pages of the shards it did not touch: neither is served;
 * **one shared answer** — an answer is stored once, at zero round-trip cost,
   and that same :class:`~repro.webdb.interface.SearchResult` is handed to
   every ``HIT``, ``CONTAINED`` and ``COALESCED`` caller.  Its rows are
@@ -61,7 +62,7 @@ from __future__ import annotations
 import enum
 import threading
 from collections import OrderedDict, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.webdb.boxindex import BoxIndex
@@ -72,10 +73,6 @@ from repro.webdb.query import SearchQuery
 
 #: ``(namespace, system_k, canonical query key)`` — the full cache identity.
 CacheKey = Tuple[str, int, Tuple]
-
-#: ``(namespace, change sequence)`` a derived store is checked against.
-Claim = Tuple[str, int]
-
 
 class FetchStatus(enum.Enum):
     """How a :meth:`QueryResultCache.fetch` call was satisfied."""
@@ -142,8 +139,8 @@ class QueryResultCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, SearchResult]" = OrderedDict()
         self._inflight: Dict[CacheKey, _InFlight] = {}
-        #: ``(namespace, system_k)`` → covering (non-overflow) entries usable
-        #: for containment answering, keyed like ``_entries``: ``(key, query)``.
+        #: ``(namespace, system_k)`` → entries with a covering answer or shard
+        #: page, keyed like ``_entries``: ``(key, query)``.
         self._covering: Dict[Tuple[str, int], BoxIndex] = defaultdict(BoxIndex)
         #: ``changes(namespace)`` is the namespace's change log: the cache
         #: logs its deltas there under the lock.  A store claimed at
@@ -236,32 +233,48 @@ class QueryResultCache:
         with self._lock:
             self._store_locked(key, query, result)
 
-    def claim(self, namespaces: Sequence[str]) -> List[Claim]:
-        """Each namespace's current change sequence, for a later
-        :meth:`store_claimed` of an answer derived from them."""
+    def shard_parts(
+        self, namespace: str, query: SearchQuery, system_k: int, shards: Sequence[int]
+    ) -> Tuple[int, Dict[int, SearchResult], bool]:
+        """``query``'s stored parts for the ``shards`` it targets, by shard
+        index, in one lock pass: the exact entry's page, whatever its outcome,
+        else a containing entry's covering page, filtered as :meth:`probe`
+        filters.  Also the change sequence (for :meth:`store_claimed`) and
+        whether any part was derived."""
+        wanted = set(shards)
+        key = self.key_for(namespace, query, system_k)
         with self._lock:
-            return [
-                (namespace, self.changes(namespace).sequence)
-                for namespace in namespaces
-            ]
+            stamp = self.changes(namespace).sequence
+            parts = {}
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                exact = self._entries[key].shard_pages
+                parts = {i: self._at_no_cost(page) for i, page in exact if i in wanted}
+            found = len(parts)
+            walk = self._covering[(namespace, system_k)].covering(query) if found < len(wanted) else ()
+            for covering_key, covering_query in walk:
+                pages = [
+                    (i, page)
+                    for i, page in self._entries[covering_key].shard_pages
+                    if page.covers_query and i in wanted and i not in parts
+                ]
+                if pages and covering_query.contains(query):
+                    self._entries.move_to_end(covering_key)
+                    for i, page in pages:
+                        parts[i] = self._filtered(page.rows, query, page.system_k)
+                    if len(parts) == len(wanted):
+                        break
+        return stamp, parts, len(parts) > found
 
     def store_claimed(
-        self,
-        namespace: str,
-        query: SearchQuery,
-        system_k: int,
-        result: SearchResult,
-        claims: Sequence[Claim],
+        self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult, stamp: int
     ) -> None:
-        """:meth:`store` ``result`` unless a claimed namespace was touched by
-        a delta that could match ``query`` since its :meth:`claim` — the
+        """:meth:`store` ``result`` unless a delta that could match ``query``
+        was logged in ``namespace`` since change sequence ``stamp`` — the
         check a fetched MISS passes."""
         key = self.key_for(namespace, query, system_k)
         with self._lock:
-            if all(
-                self._store_allowed_locked(claimed, query, stamp)
-                for claimed, stamp in claims
-            ):
+            if self._store_allowed_locked(namespace, query, stamp):
                 self._store_locked(key, query, result)
 
     def fetch(
@@ -420,7 +433,9 @@ class QueryResultCache:
     # ------------------------------------------------------------------ #
     def invalidate_delta(self, namespace: str, delta: CatalogDelta) -> int:
         """Retire only the entries of ``namespace`` whose query ``delta`` can
-        match; returns the number retired.
+        match; returns the number retired.  A retired federated entry keeps,
+        as parts, the pages of the shards whose part of ``delta`` cannot
+        match its query.
 
         Surviving entries stay servable.  The delta is logged in the
         namespace's change log, so a query claimed before this call is stored
@@ -433,12 +448,21 @@ class QueryResultCache:
         with self._lock:
             self.changes(namespace).record(delta)
             for key in [k for k in self._entries if k[0] == namespace]:
-                if delta.may_match_query(self._entries[key].query):
-                    del self._entries[key]
-                    self._forget_covering_locked(key)
-                    retired += 1
-                else:
+                stored = self._entries[key]
+                if not delta.may_match_query(stored.query):
                     survivors += 1
+                    continue
+                retired += 1
+                del self._entries[key]
+                self._forget_covering_locked(key)
+                touched = {i for i, part in delta.shard_deltas if part.may_match_query(stored.query)}
+                kept = tuple((i, page) for i, page in stored.shard_pages if i not in touched)
+                if kept and delta.shard_deltas:
+                    # Parts only: degraded, so never served as an answer.
+                    self._store_locked(key, stored.query, replace(
+                        stored, rows=(), outcome=Outcome.OVERFLOW, degraded=True,
+                        complete_rows=None, shard_pages=kept,
+                    ))
         self.statistics.add(
             delta_invalidations=1,
             delta_retired=retired,
@@ -469,23 +493,26 @@ class QueryResultCache:
         return True
 
     def _live_entry(self, key: CacheKey) -> Optional[SearchResult]:
+        """The answer stored under ``key`` (an entry of shard parts is none)."""
         result = self._entries.get(key)
-        if result is not None:
-            self._entries.move_to_end(key)
+        if result is None or result.degraded:
+            return None
+        self._entries.move_to_end(key)
         return result
 
     def _store_locked(self, key: CacheKey, query: SearchQuery, result: SearchResult) -> None:
         if result.degraded:
-            # A partial answer is request-scoped by design: caching it would
-            # keep serving the degraded rows after the source heals and break
-            # byte-identity with the fault-free run.
-            return
+            # A partial answer served after the heal would break byte-identity:
+            # only its live shards' pages are kept, as parts, never over one.
+            existing = self._entries.get(key)
+            if not result.shard_pages or (existing is not None and not existing.degraded):
+                return
         self._entries[key] = self._at_no_cost(result)
         self._entries.move_to_end(key)
-        if result.covers_query:
-            # Only covering (valid/underflow) results may answer subset
-            # queries: an overflow result is truncated at ``k`` and proves
-            # nothing about which subset tuples the database holds.
+        if result.covers_query or any(page.covers_query for _, page in result.shard_pages):
+            # Only covering (valid/underflow) results and pages may answer
+            # subset queries: an overflow result is truncated at ``k`` and
+            # proves nothing about which subset tuples the database holds.
             self._covering[key[:2]].add(key, query, (key, query))
         else:
             self._forget_covering_locked(key)
@@ -516,32 +543,33 @@ class QueryResultCache:
         """
         index = self._covering[(namespace, system_k)]
         for covering_key, covering_query in index.covering(query):
-            if not covering_query.contains(query):
+            covering = self._entries.get(covering_key)
+            # An entry indexed for its covering shard pages alone is no answer.
+            if covering is None or not covering.covers_query or not covering_query.contains(query):
                 continue
-            covering = self._live_entry(covering_key)
-            if covering is None:
-                continue
-            matched = [row for row in covering.rows if query.matches(row)]
-            overflow = len(matched) > system_k
-            # The covering entry's own read-only rows, shared.
-            rows = tuple(matched[:system_k])
-            if overflow:
-                outcome = Outcome.OVERFLOW
-            elif rows:
-                outcome = Outcome.VALID
-            else:
-                outcome = Outcome.UNDERFLOW
-            derived = SearchResult(
-                query=query,
-                rows=rows,
-                outcome=outcome,
-                system_k=system_k,
-                elapsed_seconds=0.0,
-            )
+            self._entries.move_to_end(covering_key)
+            derived = self._filtered(covering.rows, query, system_k)
             if memoize:
                 self._store_locked(key, query, derived)
             return derived
         return None
+
+    @staticmethod
+    def _filtered(rows, query: SearchQuery, system_k: int) -> SearchResult:
+        """``query``'s answer, bit for bit, from a containing query's covering rows."""
+        matched = [row for row in rows if query.matches(row)]
+        overflow = len(matched) > system_k
+        # The covering entry's own read-only rows, shared.
+        kept = tuple(matched[:system_k])
+        if overflow:
+            outcome = Outcome.OVERFLOW
+        elif kept:
+            outcome = Outcome.VALID
+        else:
+            outcome = Outcome.UNDERFLOW
+        return SearchResult(
+            query=query, rows=kept, outcome=outcome, system_k=system_k, elapsed_seconds=0.0
+        )
 
     @staticmethod
     def _at_no_cost(result: SearchResult) -> SearchResult:

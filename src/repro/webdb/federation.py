@@ -33,13 +33,13 @@ Correctness of the scatter-gather merge:
 
 Every shard is issued through its own
 :class:`~repro.webdb.stack.SourceStack` (fault injector, guard, statistics),
-built once when the federation is constructed.  Given a
-:class:`~repro.webdb.cache.QueryResultCache`, each shard's answers are stored
-under that shard's own namespace, so a delta routed to one shard never
-retires a sibling shard's entries; a shard batch is looked up, issued and
-stored in one pass.  A query every shard can answer from its namespace is
-answered by :meth:`FederatedInterface.probe` before anything is charged: it
-is a cache answer, not a scatter.
+built once when the federation is constructed.  A merged answer carries the
+shard pages it was merged from, so a federated query takes one entry of the
+:class:`~repro.webdb.cache.QueryResultCache`: the query engine's.  The
+federation stores nothing; it reads each query's shard parts with one read of
+its namespace and scatters only to the targets no part answers.  A query
+every target has a part for is answered by :meth:`FederatedInterface.probe`
+before anything is charged: it is a cache answer, not a scatter.
 """
 
 from __future__ import annotations
@@ -149,11 +149,11 @@ class ScatterCounters(Counters):
 
 @dataclass
 class _Scatter:
-    """One query's progress through a group's shard loop."""
+    """One query's progress through a group's shard loop; pages by shard."""
 
     query: SearchQuery
     targets: List[int]
-    pages: List[SearchResult] = field(default_factory=list)
+    pages: Dict[int, SearchResult] = field(default_factory=dict)
     missing: List[str] = field(default_factory=list)
     error: Optional[Exception] = None  #: fails the query; its shards stop
 
@@ -170,7 +170,8 @@ class FederatedInterface(TopKInterface):
     built here from ``fault_plans[i]`` with the default retry / breaker
     policy and ``clock`` as its breaker's recovery clock; the stacks' guards
     share one :class:`~repro.webdb.resilience.ResilienceStatistics`.  Guards
-    and the per-shard cache namespaces are fixed at construction.
+    and the result cache the shard parts are read from are fixed at
+    construction.
     """
 
     def __init__(
@@ -209,11 +210,12 @@ class FederatedInterface(TopKInterface):
                     f"shard {index} has system_k={shard.system_k} below the "
                     f"federated k={self._system_k}"
                 )
-        self._namespaces = [default_namespace(shard) for shard in self._shards]
-        if len(set(self._namespaces)) != len(self._namespaces):
-            raise QueryError(f"shard names must be unique: {self._namespaces}")
-        if self.name in self._namespaces:
+        self._shard_names = [default_namespace(shard) for shard in self._shards]
+        if len(set(self._shard_names)) != len(self._shard_names):
+            raise QueryError(f"shard names must be unique: {self._shard_names}")
+        if self.name in self._shard_names:
             raise QueryError(f"federation name {self.name!r} collides with a shard")
+        self._namespace = default_namespace(self)
         self._resilience_stats = ResilienceStatistics()
         self._stacks = [
             SourceStack(
@@ -221,7 +223,7 @@ class FederatedInterface(TopKInterface):
                 fault_plan=fault_plans[index] if fault_plans is not None else None,
                 resilience_statistics=self._resilience_stats,
                 clock=clock,
-                name=self._namespaces[index],
+                name=self._shard_names[index],
             )
             for index, shard in enumerate(self._shards)
         ]
@@ -252,65 +254,62 @@ class FederatedInterface(TopKInterface):
         """Scatter a group and gather one merged page per query, each
         settled on its own.
 
-        Every shard, in index order, settles the group's queries that target
-        it as one batch (:meth:`_shard_settle`).  A shard that fails a query
-        (retries exhausted, breaker open) does not fail that query: the shard
-        is recorded in ``missing_shards`` and the merged result is returned
-        *degraded* — forced to ``OVERFLOW`` so it never claims to cover the
-        query, and never stored in the result cache.  Only a query to which
-        **no** shard contributed anything settles as an error.
+        Each query first reads its stored shard parts; every shard, in index
+        order, then settles the group's queries that target it without a
+        part as one batch (a repeat asked once).  A shard that fails a query
+        (retries exhausted, breaker open) does not fail that query: it is
+        named in ``missing_shards`` and the merge is *degraded* — forced to
+        ``OVERFLOW`` so it never claims to cover the query, and never served
+        from the result cache.  Only a query to which **no** shard
+        contributed anything settles as an error.
         """
         batch = list(queries)
         for query in batch:
             query.validate(self._schema)
         scatters = [_Scatter(query, self._targets_for(query)) for query in batch]
-        for index in range(len(self._shards)):
-            live = [
-                scatter
-                for scatter in scatters
-                if scatter.error is None and index in scatter.targets
-            ]
-            if live:
-                for scatter, answer in zip(live, self._shard_settle(index, live)):
+        for scatter in scatters if self._cache is not None else ():
+            _, scatter.pages, _ = self._cache.shard_parts(
+                self._namespace, scatter.query, self._system_k, scatter.targets
+            )
+            self._counters.tally("shard_cache_hits", dict.fromkeys(scatter.pages, 1))
+        for index, stack in enumerate(self._stacks):
+            asked: Dict[Tuple, List[_Scatter]] = {}
+            for scatter in scatters:
+                if scatter.error is None and index in scatter.targets and index not in scatter.pages:
+                    asked.setdefault(scatter.query.canonical_key(), []).append(scatter)
+            if not asked:
+                continue
+            # The stack's guard wraps only the round trip: stored parts never
+            # touch the breaker, so they keep serving while a shard is down.
+            settled = stack.settle_many([group[0].query for group in asked.values()])
+            for group, answer in zip(asked.values(), settled):
+                for scatter in group:
                     self._gather(scatter, index, answer)
         return [self._merge(scatter) for scatter in scatters]
 
     def probe(
         self, query: SearchQuery, memoize: bool = True
     ) -> Optional[Tuple[SearchResult, FetchStatus]]:
-        """Answer ``query`` when every shard it targets can from its own
-        cache namespace (a live entry or a covering superset entry), merged
-        as a scatter would be: ``HIT`` when every shard hit, else
-        ``CONTAINED``.  ``None`` at the first shard that cannot.  No round
-        trip is made, so it is not a scatter: only the shard cache hits are
-        counted.
-
-        With ``memoize`` the merged answer is stored under the facade
-        namespace, as a fetched miss is — unless a delta that could match
-        ``query`` reached the facade or one of the shards since their lookups
-        began."""
+        """Answer ``query`` when every shard it targets has a stored part,
+        merged as a scatter would be: ``HIT`` when every part is the exact
+        entry's page, else ``CONTAINED``; else ``None``.  No round trip is
+        made, so only the parts are counted, as shard cache hits.  With
+        ``memoize`` the answer is stored as a fetched miss is, unless a delta
+        that could match ``query`` came since the parts were read."""
         if self._cache is None:
             return None
         targets = self._targets_for(query)
-        namespaces = [self._namespaces[index] for index in targets]
-        facade = default_namespace(self)
-        claims = self._cache.claim([facade, *namespaces]) if memoize else []
-        pages: List[SearchResult] = []
-        status = FetchStatus.HIT
-        for index, namespace in zip(targets, namespaces):
-            probed = self._cache.probe(
-                namespace, query, self._stacks[index].system_k, memoize=memoize
-            )
-            if probed is None:
-                return None
-            pages.append(probed[0])
-            if probed[1] is not FetchStatus.HIT:
-                status = FetchStatus.CONTAINED
+        stamp, parts, derived = self._cache.shard_parts(
+            self._namespace, query, self._system_k, targets
+        )
+        if len(parts) < len(targets):
+            return None
         self._counters.tally("shard_cache_hits", dict.fromkeys(targets, 1))
-        merged = self._merged(query, pages)
+        merged = self._merged(query, parts)
         if memoize:
-            self._cache.store_claimed(facade, query, self._system_k, merged, claims)
-        return merged, status
+            self._cache.store_claimed(self._namespace, query, self._system_k, merged, stamp)
+        self._cache.statistics.record("contained" if derived else "hits")
+        return merged, FetchStatus.CONTAINED if derived else FetchStatus.HIT
 
     def close(self) -> None:
         for stack in self._stacks:
@@ -344,52 +343,12 @@ class FederatedInterface(TopKInterface):
             targets.append(index)
         return targets
 
-    def _shard_settle(self, index: int, scatters: List[_Scatter]) -> List[Settlement]:
-        """Settle one shard's batch, each query on its own, in one cache
-        pass: one claim of the shard's namespace, one probe per query, one
-        ``settle_many`` of the shard stack for the misses (a repeat asked
-        once), and one store per answered miss.  Nothing coalesces here:
-        identical federated queries already coalesce on the facade's key."""
-        stack = self._stacks[index]
-        queries = [scatter.query for scatter in scatters]
-        cache = self._cache
-        if cache is None:
-            return stack.settle_many(queries)
-        namespace, system_k = self._namespaces[index], stack.system_k
-        claims = cache.claim([namespace])
-        settled: List[Optional[Settlement]] = []
-        misses: Dict[Tuple, List[int]] = {}
-        for position, query in enumerate(queries):
-            probed = cache.probe(namespace, query, system_k)
-            settled.append(None if probed is None else probed[0])
-            if probed is None:
-                misses.setdefault(query.canonical_key(), []).append(position)
-        if misses:
-            # The stack's guard wraps only the round trip: cache hits never
-            # touch the breaker, so cached answers keep serving while a shard
-            # is down, and breaker state reflects only real round trips.
-            issued = [queries[positions[0]] for positions in misses.values()]
-            answered = 0
-            for query, positions, answer in zip(
-                issued, misses.values(), stack.settle_many(issued)
-            ):
-                for position in positions:
-                    settled[position] = answer
-                if not isinstance(answer, Exception):
-                    answered += 1
-                    cache.store_claimed(namespace, query, system_k, answer, claims)
-            cache.statistics.record("misses", answered)
-        hits = len(queries) - len(misses)
-        if hits:
-            self._counters.tally("shard_cache_hits", {index: hits})
-        return settled  # type: ignore[return-value]
-
     def _gather(self, scatter: _Scatter, index: int, answer: Settlement) -> None:
         """Fold shard ``index``'s answer for one query into its scatter."""
         if not isinstance(answer, Exception):
-            scatter.pages.append(answer)
+            scatter.pages[index] = answer
         elif isinstance(answer, SourceUnavailableError):
-            scatter.missing.append(self._namespaces[index])
+            scatter.missing.append(self._shard_names[index])
         else:
             # Any error but the shard being down fails the query; later
             # shards skip it.
@@ -408,7 +367,7 @@ class FederatedInterface(TopKInterface):
                 retry_after_seconds=self._shortest_retry_hint(),
             )
         merged = self._merged(scatter.query, pages, scatter.missing)
-        total = sum(len(page.rows) for page in pages)
+        total = sum(len(page.rows) for page in pages.values())
         fanout = len(scatter.targets)
         # Marks first: a concurrent describe() never sees a mean above its max.
         self._counters.peak(fan_out_max=fanout, max_depth=total)
@@ -424,18 +383,19 @@ class FederatedInterface(TopKInterface):
         return merged
 
     def _merged(
-        self, query: SearchQuery, pages: List[SearchResult], missing: Sequence[str] = ()
+        self, query: SearchQuery, pages: Dict[int, SearchResult], missing: Sequence[str] = ()
     ) -> SearchResult:
-        """The shard ``pages`` answering ``query`` merged into one page.
+        """The shard ``pages`` (by shard index) answering ``query`` merged
+        into one page that carries them.
 
         Every page is in hidden-rank order under the shared sort key and
         keys are unique across shards, so a k-way merge yields exactly the
         rows a full sort would, ranking only the ``system_k`` it keeps (all
         of them, as ``complete_rows``, when every page covered the query)."""
         degraded = bool(missing)
-        covered = not degraded and not any(page.is_overflow for page in pages)
-        total = sum(len(page.rows) for page in pages)
-        merged = heapq.merge(*(page.rows for page in pages), key=self._sort_key)
+        covered = not degraded and not any(page.is_overflow for page in pages.values())
+        total = sum(len(page.rows) for page in pages.values())
+        merged = heapq.merge(*(page.rows for page in pages.values()), key=self._sort_key)
         complete = tuple(merged) if covered and total > self._system_k else None
         rows = complete[: self._system_k] if complete else tuple(islice(merged, self._system_k))
         if not covered or total > self._system_k:
@@ -451,10 +411,11 @@ class FederatedInterface(TopKInterface):
             rows=rows,
             outcome=outcome,
             system_k=self._system_k,
-            elapsed_seconds=max((page.elapsed_seconds for page in pages), default=0.0),
+            elapsed_seconds=max((page.elapsed_seconds for page in pages.values()), default=0.0),
             degraded=degraded,
             missing_shards=tuple(missing),
             complete_rows=complete,
+            shard_pages=tuple(sorted(pages.items())),
         )
 
     def _shortest_retry_hint(self) -> Optional[float]:
@@ -633,7 +594,7 @@ class FederatedInterface(TopKInterface):
             )
             shards.append(
                 {
-                    "name": self._namespaces[index],
+                    "name": self._shard_names[index],
                     "partition": partition,
                     "system_k": self._shards[index].system_k,
                     "queries": stats["queries"],

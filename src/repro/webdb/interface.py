@@ -61,13 +61,16 @@ class SearchResult:
         True when the answer is known-incomplete: one or more federated
         shards could not be reached (``missing_shards`` names them).
         Degraded results are always classified ``OVERFLOW`` — they never
-        claim to cover their query — and are never stored in the result
-        cache.
+        claim to cover their query — and the result cache never serves one:
+        it keeps only its ``shard_pages``.
     missing_shards:
         Names of the shards that contributed nothing to a degraded scatter.
     complete_rows:
         Every matching tuple in rank order (``rows`` is its prefix), when an
         overflowing answer's source saw them all.  Never set when degraded.
+    shard_pages:
+        A federated answer's ``(shard index, page)`` pairs it was merged
+        from: the parts its result-cache entry keeps for later scatters.
     """
 
     query: SearchQuery
@@ -78,6 +81,7 @@ class SearchResult:
     degraded: bool = False
     missing_shards: Tuple[str, ...] = ()
     complete_rows: Optional[Tuple[Row, ...]] = None
+    shard_pages: Tuple[Tuple[int, "SearchResult"], ...] = ()
 
     @property
     def is_overflow(self) -> bool:
@@ -176,8 +180,7 @@ class TopKInterface(ABC):
         """Answer ``query`` from the source's own caches, with no round trip
         and nothing charged: ``(result, HIT | CONTAINED)``, or ``None`` when
         it needs issuing.  The query engine asks after its own cache misses;
-        only a source caching below the engine (a federation's shard
-        namespaces) can answer."""
+        only a federation, from the shard parts of its entries, can."""
         return None
 
     def queries_issued(self) -> int:

@@ -1,24 +1,27 @@
 """Shard-scoped invalidation: a delta on one shard retires that shard's
 cached state, siblings survive.
 
-A catalog change the federation routed to shard *i* must, once its delta
-reaches :meth:`QueryReranker.apply_delta`, retire
+A federated query takes one result-cache entry, under the federation's
+namespace, holding the shard pages its answer was merged from.  A catalog
+change the federation routed to shard *i* must, once its delta reaches
+:meth:`QueryReranker.apply_delta`, retire
 
-* what shard *i*'s result-cache namespace holds that a touched version
-  matches (the facade's scatter-path entries), and
+* the merged answer of every entry a touched version matches, and shard
+  *i*'s page of it — while the sibling shards' pages stay, as parts a reread
+  asks no sibling for — and
 * what the state merged from *all* shards holds that a touched version
-  reaches — the federated-namespace cache entries, the dense regions whose
-  box holds it, and the source's rerank feeds whose prefix it ranks into —
+  reaches — the dense regions whose box holds it, and the source's rerank
+  feeds whose prefix it ranks into.
 
-while sibling shards' cache entries keep serving and their change logs do
-not move.  Each case runs over a rank-partitioned and a price-partitioned
-federation of two shards.
+Each case runs over a rank-partitioned and a price-partitioned federation of
+two shards.
 """
 
 import pytest
 
 from repro.config import DatabaseConfig, RerankConfig
 from repro.core.functions import SingleAttributeRanking
+from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.diamonds import CARAT_BOUNDS, DEPTH_BOUNDS
 from repro.webdb.build import build_source
@@ -51,13 +54,36 @@ def reranker(request, diamond_catalog, diamond_schema_fixture) -> QueryReranker:
     return make_reranker(diamond_catalog, diamond_schema_fixture, by=request.param)
 
 
-def shard_namespaces(reranker):
-    return [shard["name"] for shard in reranker.federation.describe()["shards"]]
+def sequence(reranker):
+    """The federation's namespace's change sequence: the one log a delta
+    moves."""
+    return reranker.result_cache.changes(NAME).sequence
 
 
-def sequences(reranker):
-    cache = reranker.result_cache
-    return {ns: cache.changes(ns).sequence for ns in [NAME, *shard_namespaces(reranker)]}
+def entries(reranker):
+    return dict(reranker.result_cache._entries)
+
+
+def assert_trimmed(before, after, delta):
+    """Each entry ``delta`` reaches lost its answer and the pages of the
+    shards whose part of the change matches its query, and kept the other
+    pages as parts; every other entry is untouched."""
+    reached = 0
+    for key, stored in before.items():
+        if not delta.may_match_query(stored.query):
+            assert after[key] is stored
+            continue
+        reached += 1
+        touched = {
+            index for index, part in delta.shard_deltas if part.may_match_query(stored.query)
+        }
+        kept = tuple((index, page) for index, page in stored.shard_pages if index not in touched)
+        if not kept:
+            assert key not in after
+            continue
+        assert after[key].degraded and after[key].rows == ()
+        assert after[key].shard_pages == kept
+    return reached
 
 
 def shard_row(reranker, index):
@@ -79,7 +105,7 @@ def change(reranker: QueryReranker, rows):
 
 
 def populate(reranker: QueryReranker) -> None:
-    """Serve one request so cache namespaces, feed, and indexes hold state."""
+    """Serve one request so the cache, feed, and indexes hold state."""
     stream = reranker.rerank(EVERYTHING, BY_CARAT, algorithm=Algorithm.RERANK)
     stream.next_page(5)
     stream.close()
@@ -109,29 +135,34 @@ class TestShardScopedDelta:
     @pytest.mark.parametrize("shard", [0, 1])
     def test_one_shard_retires_sibling_survives(self, reranker, shard):
         populate(reranker)
-        namespaces = shard_namespaces(reranker)
-        sibling = namespaces[1 - shard]
-        before = sequences(reranker)
+        before, logged = entries(reranker), sequence(reranker)
 
         summary = change(reranker, [reshaped(shard_row(reranker, shard))])
-        assert [index for index, _ in summary["delta"].shard_deltas] == [shard]
+        delta = summary["delta"]
+        assert [index for index, _ in delta.shard_deltas] == [shard]
         assert summary["cache_entries_retired"] > 0
-
-        # The changed shard's log and the federated namespace's log moved;
-        # the sibling's log did not — and therefore its entries survive.
-        after = sequences(reranker)
-        assert after[namespaces[shard]] == before[namespaces[shard]] + 1
-        assert after[NAME] == before[NAME] + 1
-        assert after[sibling] == before[sibling]
+        # The federation's one log moved once; each entry the change reaches
+        # dropped its answer and this shard's page, and kept its sibling's.
+        assert sequence(reranker) == logged + 1
+        after = entries(reranker)
+        assert assert_trimmed(before, after, delta) == summary["cache_entries_retired"]
+        kept = [stored for stored in after.values() if stored.degraded]
+        assert kept and all([index for index, _ in stored.shard_pages] == [1 - shard] for stored in kept)
 
     def test_sibling_cache_entries_keep_serving(self, reranker):
         federation = reranker.federation
-        federation.search(EVERYTHING)  # populates both shard namespaces
-        baseline = federation.shard_queries_issued()
-        change(reranker, [reshaped(shard_row(reranker, 0))])
-        federation.search(EVERYTHING)
-        # Only shard 0 re-queried; shard 1 answered from its namespace.
-        assert federation.shard_queries_issued() == baseline + 1
+        engine = QueryEngine(federation, result_cache=reranker.result_cache)
+        engine.search(EVERYTHING)  # one entry holding both shards' pages
+        baseline = [shard.queries_issued() for shard in federation.shards]
+        row = reshaped(shard_row(reranker, 0))
+        summary = change(reranker, [row])
+        assert summary["cache_entries_retired"] == 1
+        page = engine.search(EVERYTHING)
+        # Only shard 0 re-queried; shard 1 answered from its kept page.
+        asked = [shard.queries_issued() - b for shard, b in zip(federation.shards, baseline)]
+        assert asked == [1, 0]
+        assert page.keys() == [r["id"] for r in federation.all_matches(EVERYTHING)[:10]]
+        assert federation.describe()["shards"][1]["cache_hits"] == 1
 
     @pytest.mark.parametrize("shard", [0, 1])
     def test_any_shard_retires_the_dense_regions_it_reaches(self, reranker, shard):
@@ -159,15 +190,16 @@ class TestShardScopedDelta:
         assert index.lookup_interval("price", near) is None
         assert index.lookup_interval("price", RangePredicate("price", *far)) is not None
 
-    def test_a_delta_on_every_shard_moves_every_log(self, reranker):
+    def test_a_delta_on_every_shard_trims_every_shard(self, reranker):
         populate(reranker)
-        before = sequences(reranker)
+        before, logged = entries(reranker), sequence(reranker)
         rows = [reshaped(shard_row(reranker, index)) for index in (0, 1)]
         summary = change(reranker, rows)
-        assert sorted(index for index, _ in summary["delta"].shard_deltas) == [0, 1]
+        delta = summary["delta"]
+        assert sorted(index for index, _ in delta.shard_deltas) == [0, 1]
         assert summary["cache_entries_retired"] > 0
-        after = sequences(reranker)
-        assert all(after[ns] == before[ns] + 1 for ns in before)
+        assert sequence(reranker) == logged + 1
+        assert assert_trimmed(before, entries(reranker), delta) == summary["cache_entries_retired"]
 
     @pytest.mark.parametrize("shard", [0, 1])
     def test_a_delta_ranking_into_the_prefix_retires_the_feed(self, reranker, shard):
@@ -194,8 +226,8 @@ class TestShardScopedDelta:
 
     def test_closing_the_reranker_moves_no_log(self, reranker):
         populate(reranker)
-        entries = len(reranker.result_cache)
-        before = sequences(reranker)
+        stored = len(reranker.result_cache)
+        before = sequence(reranker)
         reranker.close()
-        assert sequences(reranker) == before
-        assert len(reranker.result_cache) == entries > 0
+        assert sequence(reranker) == before
+        assert len(reranker.result_cache) == stored > 0

@@ -80,3 +80,24 @@ def test_covering_yields_every_containing_box(operations, data):
         index.discard(key)
     assert expected <= walked
     assert len(index) == len(stored) - len(walked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    boxes=st.lists(_boxes(), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_covering_yields_no_box_that_fails_a_range_side(boxes, data):
+    """Every yielded box contains the probe on each of its range sides, and
+    every box that contains the probe whole is yielded."""
+    index = BoxIndex()
+    for key, box in enumerate(boxes):
+        index.add(key, box, key)
+    for _ in range(10):
+        probe = data.draw(_boxes(data.draw(st.sampled_from(boxes))) if data.draw(st.booleans()) else _boxes())
+        yielded = list(index.covering(probe))
+        assert {key for key, box in enumerate(boxes) if box.contains(probe)} <= set(yielded)
+        for key in yielded:
+            for side in boxes[key].ranges:
+                narrower = probe.range_on(side.attribute)
+                assert narrower is not None and side.contains(narrower), (boxes[key], probe)

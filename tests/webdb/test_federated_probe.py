@@ -1,6 +1,7 @@
-"""A federated query every shard answers from its cache namespace is a cache
+"""A federated query every target shard has a stored part for is a cache
 answer: it is resolved at the engine's probe, costs no budget and is not a
-scatter (``FederatedInterface.probe``)."""
+scatter (``FederatedInterface.probe``).  The parts live in the one entry the
+engine stores per federated query: its answer's shard pages."""
 
 import pytest
 
@@ -98,32 +99,32 @@ def test_zero_trip_group_under_an_exhausted_budget(
     assert federation.queries_issued() == scatters
 
 
-def test_every_shard_hit_is_a_hit_and_a_miss_stops_the_walk(
+def test_every_exact_part_is_a_hit_and_a_missing_part_is_a_miss(
     diamond_catalog, diamond_schema_fixture, window
 ):
     cache = QueryResultCache()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
     assert federation.probe(window) is None
-    federation.search(window)
+    QueryEngine(federation, result_cache=cache).search(window)
     result, status = federation.probe(window, memoize=False)
     assert status is FetchStatus.HIT
     assert result.outcome is Outcome.OVERFLOW and result.elapsed_seconds == 0.0
     assert list(result.rows) == federation.all_matches(window)[:K]
-    # A delta reached one shard: its entry retires, and that shard needs a
-    # round trip again.
+    # A delta reached one shard: the entry's answer and that shard's page
+    # retire, and only that shard needs a round trip again.
     row = dict(federation.all_matches(window)[0])
     delta = federation.apply_delta(upserts=[dict(row, carat=row["carat"] + 0.01)])
-    ((_, shard_delta),) = delta.shard_deltas
-    assert cache.invalidate_delta(shard_delta.namespace, shard_delta) == 1
-    siblings = [f"probed#{index}" for index in range(4)]
-    siblings.remove(shard_delta.namespace)
-    assert all(cache.probe(namespace, window, K) is not None for namespace in siblings)
+    ((touched, _),) = delta.shard_deltas
+    assert cache.invalidate_delta(federation.name, delta) == 1
+    assert cache.probe(federation.name, window, K) is None
+    _, parts, derived = cache.shard_parts(federation.name, window, K, range(4))
+    assert sorted(parts) == sorted(set(range(4)) - {touched}) and not derived
     assert federation.probe(window) is None
     assert federation.queries_issued() == 1
 
 
 class _Interleaved(QueryResultCache):
-    """Runs ``interleave`` after the shard lookups, just before the merged
+    """Runs ``interleave`` after the part read, just before the merged
     answer is stored under the facade namespace."""
 
     interleave = staticmethod(lambda: None)
@@ -138,16 +139,13 @@ def test_a_shard_change_before_the_facade_store_drops_it(
 ):
     cache = _Interleaved()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
-    federation.search(window)
+    QueryEngine(federation, result_cache=cache).search(window)
     sub_query = sub_queries(window)[0]
     row = dict(federation.all_matches(sub_query)[0])
 
     def mutate():
-        # Only the shard namespaces hear of it: their claims alone must
-        # stop the store.
         delta = federation.apply_delta(upserts=[dict(row, carat=row["carat"] + 0.01)])
-        for _, shard_delta in delta.shard_deltas:
-            cache.invalidate_delta(shard_delta.namespace, shard_delta)
+        cache.invalidate_delta(federation.name, delta)
 
     cache.interleave = mutate
     probed = federation.probe(sub_query)
@@ -162,7 +160,7 @@ def test_an_unchanged_federation_stores_the_merged_answer(
 ):
     cache = QueryResultCache()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
-    federation.search(window)
+    QueryEngine(federation, result_cache=cache).search(window)
     sub_query = sub_queries(window)[0]
     answer, _ = federation.probe(sub_query)
     stored, status = cache.probe(federation.name, sub_query, K)

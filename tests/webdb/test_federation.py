@@ -247,7 +247,9 @@ class TestFederatedInterface:
         assert described["fan_out"]["mean"] <= federation.shard_count
         assert described["merge"]["mean_depth"] <= described["merge"]["max_depth"]
 
-    def test_shard_cache_namespaces(self, diamond_catalog, diamond_schema_fixture):
+    def test_shard_parts_come_from_the_one_facade_entry(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
         cache = QueryResultCache(max_entries=64)
         federation = make_federation(
             diamond_catalog, diamond_schema_fixture, shards=2, result_cache=cache
@@ -256,8 +258,11 @@ class TestFederatedInterface:
         assert [described["shards"][i]["name"] for i in range(2)] == ["fedtest#0", "fedtest#1"]
         query = SearchQuery.everything()
         federation.search(query)
+        assert len(cache) == 0  # the federation itself stores nothing
+        QueryEngine(federation, result_cache=cache).search(query)
+        assert len(cache) == 1
         first_hits = federation.shard_queries_issued()
-        federation.search(query)  # served from the per-shard cache
+        federation.search(query)  # every shard's part read from that entry
         assert federation.shard_queries_issued() == first_hits
         described = federation.describe()
         assert all(info["cache_hits"] == 1 for info in described["shards"])

@@ -6,10 +6,13 @@ from dataclasses import replace
 import pytest
 
 from repro.config import DatabaseConfig
+from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
+from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
-from repro.core.reranker import QueryReranker
+from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.diamonds import DEPTH_BOUNDS
-from repro.exceptions import SourceUnavailableError
+from repro.exceptions import QueryBudgetExceeded, SourceUnavailableError
+from repro.webdb.counters import QueryBudget
 from repro.webdb.build import build_source
 from repro.webdb.cache import FetchStatus, QueryResultCache
 from repro.webdb.faults import FaultPlan
@@ -198,9 +201,9 @@ class TestRetiredEntriesNeverServed:
     def test_a_dead_shard_is_missing_though_it_answered_before_a_delta(
         self, diamond_catalog, diamond_schema_fixture, shard
     ):
-        """A shard whose cached answer a delta retired and which then dies
-        is named in ``missing_shards``: the live shards answer from their
-        cache, and no version of the changed tuple is served."""
+        """A shard whose cached page a delta retired and which then dies is
+        named in ``missing_shards``: the live shards' parts of the one
+        entry answer, and no version of the changed tuple is served."""
         cache = QueryResultCache()
         federation = make_federation(
             diamond_catalog,
@@ -209,8 +212,9 @@ class TestRetiredEntriesNeverServed:
             result_cache=cache,
         )
         reranker = QueryReranker(federation, result_cache=cache)
+        engine = QueryEngine(federation, result_cache=cache)
         owner = federation.shards[shard]
-        before = federation.search(QUERY)
+        before = engine.search(QUERY)
         touched = next(row for row in before.rows if owner.has_key(row["id"]))
         low, high = DEPTH_BOUNDS
         changed = {**touched, "depth": low if touched["depth"] != low else high}
@@ -223,13 +227,13 @@ class TestRetiredEntriesNeverServed:
             if index != shard
         ]
 
-        after = federation.search(QUERY)
+        after = engine.search(QUERY)
         assert after.degraded and after.outcome is Outcome.OVERFLOW
         assert after.missing_shards == (f"partial#{shard}",)
         served = [row["id"] for row in after.rows]
         assert touched["id"] not in served
         # Every row the live shards placed in the whole answer's top k is
-        # in the top k of their union, answered from their cached entries.
+        # in the top k of their union, answered from their stored parts.
         assert {
             row["id"] for row in before.rows if not owner.has_key(row["id"])
         } <= set(served)
@@ -241,12 +245,13 @@ class TestRetiredEntriesNeverServed:
 
 
 class TestHealThenReread:
-    def test_a_degraded_group_stores_nothing_that_outlives_the_outage(
+    def test_a_degraded_group_keeps_only_parts_and_the_reread_asks_the_healed_shard(
         self, diamond_catalog, diamond_schema_fixture
     ):
-        """A group served while shard 1 is down stores its live shards'
-        answers and nothing else; after the heal the same group answers as
-        a fault-free federation does."""
+        """A group served while shard 1 is down is never stored as an
+        answer: only the live shards' pages are kept, as parts.  After the
+        heal the same group asks shard 1 alone and answers as a fault-free
+        federation and the brute-force oracle do."""
         clock = FakeClock()
         cache = QueryResultCache()
         federation = make_federation(
@@ -266,23 +271,73 @@ class TestHealThenReread:
         assert all(page.degraded for page in engine.search_group(queries))
         k = federation.system_k
         for query in queries:
-            for namespace in ("partial", "partial#1"):
-                assert cache.probe(namespace, query, k, memoize=False) is None
-            for index in (0, 2):
-                stored = cache.probe(f"partial#{index}", query, k, memoize=False)
-                assert stored is not None and stored[1] is FetchStatus.HIT
-                assert stored[0].keys() == federation.shards[index].search(query).keys()
+            assert cache.probe("partial", query, k, memoize=False) is None
+            assert federation.probe(query, memoize=False) is None
+            _, parts, _ = cache.shard_parts("partial", query, k, range(3))
+            assert sorted(parts) == [0, 2]
+            for index, page in parts.items():
+                assert page.keys() == federation.shards[index].search(query).keys()
 
         for injector in federation.fault_injectors():
             injector.deactivate()
         clock.now += CircuitBreaker().recovery_seconds + 1.0
+        asked = [shard.queries_issued() for shard in federation.shards]
         healed = engine.search_group(queries)
+        assert [
+            shard.queries_issued() - before for shard, before in zip(federation.shards, asked)
+        ] == [0, len(queries), 0]
         for query, page in zip(queries, healed):
             clean = reference.search(query)
             assert not page.degraded and page.missing_shards == ()
             assert page.outcome is clean.outcome
             assert page.keys() == clean.keys()
             assert page.complete_rows == clean.complete_rows
+            assert page.keys() == [row["id"] for row in federation.all_matches(query)[:k]]
+        # The healed answers are stored whole: a reread is a plain hit.
+        assert all(cache.probe("partial", query, k) is not None for query in queries)
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "ta"])
+    def test_a_reread_on_the_same_reranker_equals_a_fresh_reranker(
+        self, diamond_catalog, diamond_schema_fixture, case
+    ):
+        """Kill a shard and serve a degraded request on a reranker (a dead
+        shard makes its descent split degraded answers until the request's
+        budget stops it), heal, and reread on the same reranker: the page
+        equals a freshly built reranker's and the brute-force oracle."""
+        clock = FakeClock()
+        cache = QueryResultCache()
+        federation = make_federation(
+            diamond_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            clock=clock,
+            result_cache=cache,
+        )
+        reranker = QueryReranker(federation, result_cache=cache)
+        query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+        if case == "1d":
+            ranking, algorithm = SingleAttributeRanking("carat", ascending=False), Algorithm.RERANK
+        else:
+            ranking = LinearRankingFunction(
+                {"price": 1.0, "carat": -0.5},
+                normalizer=MinMaxNormalizer.from_schema(diamond_schema_fixture, ["price", "carat"]),
+            )
+            algorithm = Algorithm.TA if case == "ta" else Algorithm.RERANK
+        kill_shard(federation, 1)
+        degraded = reranker.rerank(query, ranking, algorithm, budget=QueryBudget(60))
+        with pytest.raises(QueryBudgetExceeded):
+            degraded.top(5)
+        assert reranker.resilience_snapshot()["degraded_scatters"] > 0
+
+        for injector in federation.fault_injectors():
+            injector.deactivate()
+        clock.now += CircuitBreaker().recovery_seconds + 1.0
+        reread = [row["id"] for row in reranker.rerank(query, ranking, algorithm).top(10)]
+        fresh = QueryReranker(make_federation(diamond_catalog, diamond_schema_fixture))
+        assert reread == [row["id"] for row in fresh.rerank(query, ranking, algorithm).top(10)]
+        oracle = federation.all_matches(query)
+        oracle.sort(key=lambda row: (ranking.score(row), str(row["id"])))
+        assert reread == [row["id"] for row in oracle[:10]]
 
 
 class TestDegradedNeverCached:

@@ -1,18 +1,23 @@
 """The federated query path does each cache job once.
 
-The engine probes the facade namespace (the group's one containment lookup),
-the federation probe tries the first shard, and a scatter resolves each
-shard's batch in one pass: one probe per query, one round trip for the
-misses, one store per answered miss.  Nothing coalesces below the facade,
-because identical federated queries already coalesce on the facade's key.
+A federated query takes one result-cache entry, under the federation's
+namespace, and that entry keeps the shard pages its answer was merged from.
+The engine probes the namespace (the group's one containment lookup), the
+federation probe reads the query's shard parts, and a scatter reads them
+again before it asks the shards no part answers: each read walks the one
+covering index once.  Nothing coalesces below the facade, and a
+cache-bypassing group stores nothing.
 """
 
 import dataclasses
+import random
+import sys
 import threading
 from collections import Counter
 
 from repro.config import DatabaseConfig
 from repro.core.parallel import QueryEngine
+from repro.core.reranker import QueryReranker
 from repro.webdb.boxindex import BoxIndex
 from repro.webdb.build import build_source
 from repro.webdb.cache import QueryResultCache
@@ -47,6 +52,7 @@ def test_the_shared_copy_keeps_every_field_but_the_latency():
         "degraded": True,
         "missing_shards": ("walked#1",),
         "complete_rows": (first, second),
+        "shard_pages": ((0, SearchResult(QUERY, (first,), Outcome.VALID, 10)),),
     }
     fields = dataclasses.fields(SearchResult)
     missing = {field.name for field in fields} - set(values)
@@ -63,7 +69,7 @@ def test_the_shared_copy_keeps_every_field_but_the_latency():
     assert QueryResultCache._at_no_cost(shared) is shared
 
 
-def test_a_cold_federated_miss_walks_each_covering_index_once(
+def test_a_cold_federated_miss_walks_the_covering_index_once_per_read(
     diamond_catalog, diamond_schema_fixture, monkeypatch
 ):
     cache = QueryResultCache()
@@ -88,15 +94,38 @@ def test_a_cold_federated_miss_walks_each_covering_index_once(
 
     scope_of = {id(index): scope[0] for scope, index in cache._covering.items()}
     walked = Counter({scope_of[index]: count for index, count in walks.items()})
-    # The facade once (the engine's probe); each shard once in the scatter,
-    # and the first shard once more in the federation's probe.
-    assert walked == {
-        "walked": 1, "walked#0": 2, "walked#1": 1, "walked#2": 1, "walked#3": 1
-    }
+    # The engine's probe, the federation's probe and the scatter's part
+    # read: one walk each, all of the federation's one namespace.
+    assert walked == {"walked": 3}
     assert flights == ["walked"]
     assert federation.queries_issued() == 1
     assert federation.shard_queries_issued() == 4
     assert page.rows == federation.search(QUERY).rows
+    # One entry, holding the four shard pages its answer was merged from.
+    assert len(cache) == 1
+    stored, _ = cache.probe("walked", QUERY, federation.system_k)
+    assert [index for index, _ in stored.shard_pages] == [0, 1, 2, 3]
+    for index, shard_page in stored.shard_pages:
+        assert shard_page.keys() == federation.shards[index].search(QUERY).keys()
+
+
+def test_a_bypassed_group_over_a_federation_stores_nothing(
+    diamond_catalog, diamond_schema_fixture
+):
+    cache = QueryResultCache()
+    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    queries = [
+        SearchQuery.build(ranges={"price": (300.0 + 50.0 * i, 900.0 + 150.0 * i)})
+        for i in range(16)
+    ]
+    engine = QueryEngine(federation, result_cache=cache)
+    pages = engine.search_group(queries, bypass_cache=True)
+    assert [page.keys() for page in pages] == [
+        [row["id"] for row in federation.all_matches(query)[:10]] for query in queries
+    ]
+    assert engine.statistics.external_queries == 16
+    assert len(cache) == 0
+    assert cache.snapshot()["covering_entries"] == 0
 
 
 def test_identical_cold_queries_from_two_engines_make_one_scatter(
@@ -145,3 +174,51 @@ def test_identical_cold_queries_from_two_engines_make_one_scatter(
     assert (lead["external_queries"], follow["external_queries"]) == (1, 0)
     assert follow["coalesced_queries"] == 1
     assert [engine.budget.used for engine in engines] == [1, 0]
+
+
+def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
+    diamond_catalog, diamond_schema_fixture
+):
+    """Four engines scatter over one cache while deltas reprice tuples: once
+    they stop, every stored answer and every kept shard page equals what
+    the changed federation answers now."""
+    cache = QueryResultCache()
+    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    reranker = QueryReranker(federation, result_cache=cache)
+    queries = [
+        SearchQuery.build(ranges={"price": (300.0 + 40.0 * i, 1500.0 + 200.0 * i)})
+        for i in range(12)
+    ]
+    repriced = federation.all_matches(QUERY)[:30]
+    stop, errors = threading.Event(), []
+
+    def scatter(seed):
+        engine, rng = QueryEngine(federation, result_cache=cache), random.Random(seed)
+        try:
+            while not stop.is_set():
+                engine.search_group(rng.sample(queries, 3))
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=scatter, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for row in repriced:
+            change = federation.apply_delta(upserts=[{**row, "price": row["price"] + 37.0}])
+            reranker.apply_delta(change)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    k = federation.system_k
+    for stored in list(cache._entries.values()):
+        query = stored.query
+        if not stored.degraded:
+            assert stored.keys() == [row["id"] for row in federation.all_matches(query)[:k]]
+        for index, page in stored.shard_pages:
+            assert page.keys() == federation.shards[index].search(query).keys()
