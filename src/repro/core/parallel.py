@@ -146,11 +146,11 @@ class QueryEngine:
         superset entry) cost zero budget and zero simulated latency, and
         misses identical to an in-flight query (from any session sharing the
         cache) coalesce onto that query's round trip.  ``bypass_cache`` makes the
-        cache read-only for the group — hits are still reused (the crawl's
-        root region query is typically the overflowing query that was just
-        paid for), but misses are issued directly and never stored.  The
-        crawler uses it: its finely partitioned sub-region queries are
-        effectively unique and would only churn the LRU.
+        cache read-only for the group's answers — hits are still reused (the
+        crawl's root region query is typically the overflowing query just paid
+        for), but misses are issued directly and only a federated answer's
+        shard pages are kept, as parts.  The crawler uses it: its finely
+        partitioned sub-region queries are effectively unique.
 
         The budget is charged atomically for the queries that actually need a
         round trip *before* any of them is issued; a group that trips the
@@ -246,15 +246,19 @@ class QueryEngine:
         settlement).  A query the source could not answer fails on its
         own while its answered siblings stay issued, paid and cached; a
         raising call answered nothing."""
-        settle = self._interface.settle_many
+        settle, cache = self._interface.settle_many, self._cache
+        namespace, system_k = self._cache_namespace, self._interface.system_k
         try:
             if use_cache:
-                assert self._cache is not None
-                resolved = self._cache.fetch_many(
-                    self._cache_namespace, queries, self._interface.system_k, settle
-                )
+                assert cache is not None
+                resolved = cache.fetch_many(namespace, queries, system_k, settle)
             else:
-                resolved = [(answer, FetchStatus.MISS) for answer in settle(queries)]
+                stamp = cache.changes(namespace).sequence if cache is not None else 0
+                answered = settle(queries)
+                for query, answer in zip(queries, answered):
+                    if cache is not None and getattr(answer, "shard_pages", ()):  # no answer
+                        cache.store_claimed(namespace, query, system_k, answer, stamp, parts=True)
+                resolved = [(answer, FetchStatus.MISS) for answer in answered]
         except BaseException as error:  # noqa: BLE001 - re-raised after settlement
             resolved = [(error, FetchStatus.MISS)] * len(queries)
         settled: List[Settled] = []
@@ -267,3 +271,4 @@ class QueryEngine:
             if first_error is None:
                 first_error = answer
         return settled, first_error
+

@@ -74,8 +74,8 @@ class HiddenDatabaseCrawler:
         as one engine group, so its round trips overlap exactly like the
         covering queries of the MD algorithms.  The group bypasses the
         result cache: crawl sub-regions are effectively unique, so they
-        never *store* into the shared cache (that would churn its LRU; the
-        dense-region index is their reuse layer), but they still read it —
+        store no answer in the shared cache (only a federation's shard pages,
+        as parts; the dense-region index is their reuse layer), but read it —
         the crawl's root query is usually the overflowing query the
         algorithm just paid for.
 

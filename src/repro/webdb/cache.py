@@ -35,8 +35,8 @@ re-issuing queries the service has already paid for.
   its result (the classic "thundering herd" guard);
 * **one entry per federated query** — it keeps the shard pages its answer
   was merged from, the parts :meth:`QueryResultCache.shard_parts` reads.  A
-  degraded merge keeps only its live shards' pages, and a delta that reaches
-  an entry only the pages of the shards it did not touch: neither is served;
+  degraded merge keeps its live shards' pages, a bypassed group its pages, a
+  reached entry its untouched shards' pages: as parts, never as an answer;
 * **one shared answer** — an answer is stored once, at zero round-trip cost,
   and that same :class:`~repro.webdb.interface.SearchResult` is handed to
   every ``HIT``, ``CONTAINED`` and ``COALESCED`` caller.  Its rows are
@@ -191,22 +191,16 @@ class QueryResultCache:
         system_k: int,
         memoize: bool = True,
     ) -> Optional[Tuple[SearchResult, FetchStatus]]:
-        """Resolve ``query`` from stored entries only (no remote issuance).
-
-        Returns ``(result, status)`` where ``status`` is ``HIT`` for an exact
-        entry or ``CONTAINED`` for an answer derived from a covering superset
-        entry, or ``None`` when neither exists.  Either way the result is the
-        stored answer itself, at ``elapsed_seconds=0.0`` — a cached answer
-        costs no round trip — and its read-only rows are shared with every
-        other reader.  It is the one lookup that walks the covering index:
-        callers probe before they issue.  Misses are *not* counted here
-        (:meth:`fetch` owns miss accounting); hits and containment answers
-        are.
-
-        ``memoize=False`` makes the probe strictly read-only: a derived
-        containment answer is returned but not stored under ``query``'s key.
-        Cache-bypassing callers use it so their one-off queries never churn
-        the LRU.
+        """Resolve ``query`` from stored answers only (no remote issuance):
+        ``(result, HIT)`` for an exact entry, ``(result, CONTAINED)`` for an
+        answer derived from a covering superset entry, or ``None``.  The
+        result is the stored answer itself at ``elapsed_seconds=0.0`` — a
+        cached answer costs no round trip — its read-only rows shared with
+        every reader.  Hits and containment answers are counted here, misses
+        by :meth:`fetch_many`; callers probe before they issue, as containment
+        is the probe's job.  ``memoize=False`` makes the probe strictly
+        read-only (a derived answer is not stored under ``query``'s key), so a
+        cache-bypassing caller never churns the LRU.
         """
         key = self.key_for(namespace, query, system_k)
         with self._lock:
@@ -214,15 +208,11 @@ class QueryResultCache:
             if stored is not None:
                 result, status = stored, FetchStatus.HIT
             else:
-                derived = self._contained_answer_locked(
-                    namespace, query, system_k, key, memoize=memoize
-                )
+                derived = self._contained_answer_locked(namespace, query, system_k, key, memoize)
                 if derived is None:
                     return None
                 result, status = derived, FetchStatus.CONTAINED
-        self.statistics.record(
-            "hits" if status is FetchStatus.HIT else "contained"
-        )
+        self.statistics.record("hits" if status is FetchStatus.HIT else "contained")
         return result, status
 
     def store(
@@ -267,12 +257,15 @@ class QueryResultCache:
         return stamp, parts, len(parts) > found
 
     def store_claimed(
-        self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult, stamp: int
+        self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult, stamp: int,
+        parts: bool = False,
     ) -> None:
         """:meth:`store` ``result`` unless a delta that could match ``query``
         was logged in ``namespace`` since change sequence ``stamp`` — the
-        check a fetched MISS passes."""
+        check a fetched MISS passes.  With ``parts`` only its shard pages are
+        kept, as parts (what a cache-bypassing group leaves)."""
         key = self.key_for(namespace, query, system_k)
+        result = _parts_only(result, result.shard_pages) if parts else result
         with self._lock:
             if self._store_allowed_locked(namespace, query, stamp):
                 self._store_locked(key, query, result)
@@ -311,9 +304,8 @@ class QueryResultCache:
         flight, duplicates within the batch ride on the batch's own
         computation (the later occurrences are ``HIT``\\ s, as if the first
         occurrence's store answered the repeat), and the remaining keys are
-        claimed by this caller.  The covering index is not walked: the
-        caller has just probed every query, and containment is the probe's
-        job.  The claimed queries are then computed in a single
+        claimed by this caller; the covering index is not walked (the caller
+        has just probed).  The claimed queries are then computed in a single
         ``compute_many`` call — this is what lets a batched interface
         amortize planning work across a parallel group — stored, and
         published to any coalesced waiters.  When the owner's flight fails,
@@ -453,16 +445,16 @@ class QueryResultCache:
                     survivors += 1
                     continue
                 retired += 1
-                del self._entries[key]
-                self._forget_covering_locked(key)
                 touched = {i for i, part in delta.shard_deltas if part.may_match_query(stored.query)}
-                kept = tuple((i, page) for i, page in stored.shard_pages if i not in touched)
-                if kept and delta.shard_deltas:
-                    # Parts only: degraded, so never served as an answer.
-                    self._store_locked(key, stored.query, replace(
-                        stored, rows=(), outcome=Outcome.OVERFLOW, degraded=True,
-                        complete_rows=None, shard_pages=kept,
-                    ))
+                kept = [(i, page) for i, page in stored.shard_pages if i not in touched]
+                if not (kept and delta.shard_deltas):
+                    del self._entries[key]
+                    self._covering[key[:2]].discard(key)
+                    continue
+                # Assigned in place, so the kept parts keep the entry's LRU slot.
+                self._entries[key] = _parts_only(stored, kept)
+                if not any(page.covers_query for _, page in kept):
+                    self._covering[key[:2]].discard(key)
         self.statistics.add(
             delta_invalidations=1,
             delta_retired=retired,
@@ -495,18 +487,19 @@ class QueryResultCache:
     def _live_entry(self, key: CacheKey) -> Optional[SearchResult]:
         """The answer stored under ``key`` (an entry of shard parts is none)."""
         result = self._entries.get(key)
-        if result is None or result.degraded:
+        if result is None or not _is_answer(result):
             return None
         self._entries.move_to_end(key)
         return result
 
     def _store_locked(self, key: CacheKey, query: SearchQuery, result: SearchResult) -> None:
-        if result.degraded:
+        if not _is_answer(result):
             # A partial answer served after the heal would break byte-identity:
             # only its live shards' pages are kept, as parts, never over one.
             existing = self._entries.get(key)
-            if not result.shard_pages or (existing is not None and not existing.degraded):
+            if not result.shard_pages or (existing is not None and _is_answer(existing)):
                 return
+            result = _parts_only(result, result.shard_pages)
         self._entries[key] = self._at_no_cost(result)
         self._entries.move_to_end(key)
         if result.covers_query or any(page.covers_query for _, page in result.shard_pages):
@@ -515,14 +508,11 @@ class QueryResultCache:
             # proves nothing about which subset tuples the database holds.
             self._covering[key[:2]].add(key, query, (key, query))
         else:
-            self._forget_covering_locked(key)
+            self._covering[key[:2]].discard(key)
         while len(self._entries) > self._max_entries:
             evicted, _ = self._entries.popitem(last=False)
-            self._forget_covering_locked(evicted)
+            self._covering[evicted[:2]].discard(evicted)
             self.statistics.record("evictions")
-
-    def _forget_covering_locked(self, key: CacheKey) -> None:
-        self._covering[key[:2]].discard(key)
 
     def _contained_answer_locked(
         self,
@@ -581,6 +571,18 @@ class QueryResultCache:
         shared = object.__new__(SearchResult)
         shared.__dict__.update(result.__dict__, elapsed_seconds=0.0)
         return shared
+
+
+def _parts_only(result: SearchResult, pages) -> SearchResult:
+    """The entry keeping ``result``'s shard ``pages`` as parts, no answer: no rows,
+    ``OVERFLOW`` (never covering), not :func:`_is_answer`, ``missing_shards`` as was."""
+    return replace(result, rows=(), outcome=Outcome.OVERFLOW, degraded=True,
+                   complete_rows=None, shard_pages=tuple(pages))
+
+
+def _is_answer(entry: SearchResult) -> bool:
+    """May ``entry`` be served?  A degraded merge or a parts-only entry may not."""
+    return not entry.degraded
 
 
 #: Generic default names that cannot distinguish two interfaces sharing one

@@ -360,11 +360,13 @@ class FederatedInterface(TopKInterface):
             return scatter.error
         pages = scatter.pages
         if scatter.targets and not pages:
-            # Nothing answered: the whole federation is down.
+            # Nothing answered: the whole federation is down.  Retry when the
+            # soonest shard breaker would admit a probe.
+            waits = [stack.guard.breaker.seconds_until_probe() for stack in self._stacks]
             return SourceUnavailableError(
                 f"{self.name}: no shard reachable ({', '.join(scatter.missing)})",
                 source=self.name,
-                retry_after_seconds=self._shortest_retry_hint(),
+                retry_after_seconds=min((wait for wait in waits if wait > 0), default=None),
             )
         merged = self._merged(scatter.query, pages, scatter.missing)
         total = sum(len(page.rows) for page in pages.values())
@@ -417,15 +419,6 @@ class FederatedInterface(TopKInterface):
             complete_rows=complete,
             shard_pages=tuple(sorted(pages.items())),
         )
-
-    def _shortest_retry_hint(self) -> Optional[float]:
-        """The soonest any shard's breaker would admit a probe (for the
-        ``Retry-After`` hint of a total-outage 503)."""
-        waits = [stack.guard.breaker.seconds_until_probe() for stack in self._stacks]
-        positive = [wait for wait in waits if wait > 0]
-        if not positive:
-            return None
-        return min(positive)
 
     # ------------------------------------------------------------------ #
     # Cache / shard management

@@ -64,11 +64,16 @@ def entries(reranker):
     return dict(reranker.result_cache._entries)
 
 
-def assert_trimmed(before, after, delta):
+def assert_trimmed(reranker, before, delta):
     """Each entry ``delta`` reaches lost its answer and the pages of the
     shards whose part of the change matches its query, and kept the other
-    pages as parts; every other entry is untouched."""
-    reached = 0
+    pages as parts, never served, in its place in the LRU; every other entry
+    is untouched.  Returns how many entries it reached, and the kept parts'
+    shard indexes by entry."""
+    cache = reranker.result_cache
+    after = entries(reranker)
+    assert list(after) == [key for key in before if key in after]
+    reached, kept_shards = 0, {}
     for key, stored in before.items():
         if not delta.may_match_query(stored.query):
             assert after[key] is stored
@@ -81,9 +86,10 @@ def assert_trimmed(before, after, delta):
         if not kept:
             assert key not in after
             continue
-        assert after[key].degraded and after[key].rows == ()
         assert after[key].shard_pages == kept
-    return reached
+        assert cache._live_entry(key) is None
+        kept_shards[key] = [index for index, _ in kept]
+    return reached, kept_shards
 
 
 def shard_row(reranker, index):
@@ -144,10 +150,9 @@ class TestShardScopedDelta:
         # The federation's one log moved once; each entry the change reaches
         # dropped its answer and this shard's page, and kept its sibling's.
         assert sequence(reranker) == logged + 1
-        after = entries(reranker)
-        assert assert_trimmed(before, after, delta) == summary["cache_entries_retired"]
-        kept = [stored for stored in after.values() if stored.degraded]
-        assert kept and all([index for index, _ in stored.shard_pages] == [1 - shard] for stored in kept)
+        reached, kept = assert_trimmed(reranker, before, delta)
+        assert reached == summary["cache_entries_retired"]
+        assert kept and all(shards == [1 - shard] for shards in kept.values())
 
     def test_sibling_cache_entries_keep_serving(self, reranker):
         federation = reranker.federation
@@ -199,7 +204,8 @@ class TestShardScopedDelta:
         assert sorted(index for index, _ in delta.shard_deltas) == [0, 1]
         assert summary["cache_entries_retired"] > 0
         assert sequence(reranker) == logged + 1
-        assert assert_trimmed(before, entries(reranker), delta) == summary["cache_entries_retired"]
+        reached, _ = assert_trimmed(reranker, before, delta)
+        assert reached == summary["cache_entries_retired"]
 
     @pytest.mark.parametrize("shard", [0, 1])
     def test_a_delta_ranking_into_the_prefix_retires_the_feed(self, reranker, shard):

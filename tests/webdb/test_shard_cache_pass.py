@@ -6,7 +6,7 @@ The engine probes the namespace (the group's one containment lookup), the
 federation probe reads the query's shard parts, and a scatter reads them
 again before it asks the shards no part answers: each read walks the one
 covering index once.  Nothing coalesces below the facade, and a
-cache-bypassing group stores nothing.
+cache-bypassing group keeps its shard pages as parts, never an answer.
 """
 
 import dataclasses
@@ -109,9 +109,12 @@ def test_a_cold_federated_miss_walks_the_covering_index_once_per_read(
         assert shard_page.keys() == federation.shards[index].search(QUERY).keys()
 
 
-def test_a_bypassed_group_over_a_federation_stores_nothing(
+def test_a_bypassed_group_over_a_federation_stores_parts_and_no_answer(
     diamond_catalog, diamond_schema_fixture
 ):
+    """A crawl query over a federation takes one entry of shard parts, under
+    the federation's namespace, that is never served as an answer; its pages
+    answer a later scatter's parts, so a repeat asks no shard."""
     cache = QueryResultCache()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
     queries = [
@@ -120,12 +123,24 @@ def test_a_bypassed_group_over_a_federation_stores_nothing(
     ]
     engine = QueryEngine(federation, result_cache=cache)
     pages = engine.search_group(queries, bypass_cache=True)
-    assert [page.keys() for page in pages] == [
-        [row["id"] for row in federation.all_matches(query)[:10]] for query in queries
-    ]
+    expected = [[row["id"] for row in federation.all_matches(query)[:10]] for query in queries]
+    assert [page.keys() for page in pages] == expected
     assert engine.statistics.external_queries == 16
-    assert len(cache) == 0
-    assert cache.snapshot()["covering_entries"] == 0
+    k = federation.system_k
+    assert len(cache) == len(queries)
+    for query in queries:
+        assert cache.probe("walked", query, k, memoize=False) is None
+        _, parts, derived = cache.shard_parts("walked", query, k, range(4))
+        assert sorted(parts) == [0, 1, 2, 3] and not derived
+        for index, page in parts.items():
+            assert page.keys() == federation.shards[index].search(query).keys()
+
+    shard_queries = federation.shard_queries_issued()
+    again = engine.search_group(queries, bypass_cache=True)
+    assert [page.keys() for page in again] == expected
+    assert federation.shard_queries_issued() == shard_queries
+    assert engine.statistics.external_queries == 16
+    assert len(cache) == len(queries)
 
 
 def test_identical_cold_queries_from_two_engines_make_one_scatter(
@@ -179,9 +194,10 @@ def test_identical_cold_queries_from_two_engines_make_one_scatter(
 def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
     diamond_catalog, diamond_schema_fixture
 ):
-    """Four engines scatter over one cache while deltas reprice tuples: once
-    they stop, every stored answer and every kept shard page equals what
-    the changed federation answers now."""
+    """Four engines scatter over one cache, two of them bypassing it as a
+    crawl does, while deltas reprice tuples: once they stop, every answer
+    the cache serves and every kept shard page equals what the changed
+    federation answers now."""
     cache = QueryResultCache()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
     reranker = QueryReranker(federation, result_cache=cache)
@@ -196,7 +212,8 @@ def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
         engine, rng = QueryEngine(federation, result_cache=cache), random.Random(seed)
         try:
             while not stop.is_set():
-                engine.search_group(rng.sample(queries, 3))
+                # Odd threads bypass the cache, as a crawl does: parts only.
+                engine.search_group(rng.sample(queries, 3), bypass_cache=seed % 2 == 1)
         except Exception as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
@@ -216,9 +233,61 @@ def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
         sys.setswitchinterval(interval)
     assert not errors and not any(thread.is_alive() for thread in threads)
     k = federation.system_k
-    for stored in list(cache._entries.values()):
+    for (namespace, _, _), stored in list(cache._entries.items()):
         query = stored.query
-        if not stored.degraded:
-            assert stored.keys() == [row["id"] for row in federation.all_matches(query)[:k]]
+        served = cache.probe(namespace, query, k, memoize=False)
+        if served is not None:
+            assert served[0].keys() == [row["id"] for row in federation.all_matches(query)[:k]]
         for index, page in stored.shard_pages:
             assert page.keys() == federation.shards[index].search(query).keys()
+
+
+def test_a_delta_keeps_the_reached_entrys_parts_in_its_lru_slot(
+    diamond_catalog, diamond_schema_fixture
+):
+    """The parts a delta leaves of an entry stay where the entry was in the
+    LRU: at capacity they are evicted before the answers stored after it."""
+    cache = QueryResultCache(max_entries=3)
+    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    reranker = QueryReranker(federation, result_cache=cache)
+    engine = QueryEngine(federation, result_cache=cache)
+    first, second, third, fourth = (
+        SearchQuery.build(ranges={"price": (low, low + 700.0)})
+        for low in (300.0, 2000.0, 4000.0, 6000.0)
+    )
+    for query in (first, second, third):
+        engine.search(query)
+    row = federation.all_matches(first)[0]
+    change = federation.apply_delta(upserts=[{**row, "price": row["price"] + 1.0}])
+    summary = reranker.apply_delta(change)
+    assert summary["cache_entries_retired"] == 1
+    k = federation.system_k
+    # Neither read moves an entry: the parts are not served, nothing is stored.
+    assert cache.probe("walked", first, k, memoize=False) is None
+    assert len(cache) == 3
+
+    engine.search(fourth)
+    _, parts, _ = cache.shard_parts("walked", first, k, range(4))
+    assert parts == {}
+    assert all(cache.probe("walked", query, k) is not None for query in (second, third, fourth))
+
+
+def test_a_delta_during_a_bypassed_scatter_drops_its_parts(
+    diamond_catalog, diamond_schema_fixture, monkeypatch
+):
+    """A bypassed group's parts pass the check a fetched miss passes: a
+    delta that lands while its shards answer, and can match it, drops them."""
+    cache = QueryResultCache()
+    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    reranker = QueryReranker(federation, result_cache=cache)
+    row = federation.all_matches(QUERY)[0]
+    settle = federation.settle_many
+
+    def racing(queries):
+        answered = settle(queries)
+        reranker.apply_delta(federation.apply_delta(upserts=[{**row, "price": row["price"] + 1.0}]))
+        return answered
+
+    monkeypatch.setattr(federation, "settle_many", racing)
+    QueryEngine(federation, result_cache=cache).search_group([QUERY], bypass_cache=True)
+    assert len(cache) == 0
