@@ -516,7 +516,9 @@ def dense_rows(
     query: when its answer proves it, its observed rows are the answer.
     Otherwise ``box`` is crawled *without* the filters, so any later query
     can reuse it, indexed, and read back.  Rows served by the index (after a
-    crawl or not) count as a ``dense_index_hits`` on ``statistics``.
+    crawl or not) count as a ``dense_index_hits`` on ``statistics``.  A crawl
+    that received a degraded answer saw only the live shards: its rows
+    answer this request, but the region is not indexed.
     """
     rows = index.lookup(box, base_query)
     if rows is not None:
@@ -525,6 +527,10 @@ def dense_rows(
     answer = engine.search(ask) if ask is not None else None
     if answer is not None and answer.proves_query:
         return list(answer.observed_rows), answer
-    index.add_region(box, crawl_region(engine, statistics, SearchQuery(box.sides, ())))
+    degraded = engine.statistics.read("degraded_results")
+    crawled = crawl_region(engine, statistics, SearchQuery(box.sides, ()))
+    if engine.statistics.read("degraded_results") != degraded:
+        return [row for row in crawled if base_query.matches(row)], answer
+    index.add_region(box, crawled)
     statistics.record("dense_index_hits")
     return index.rows_in(box, base_query), answer

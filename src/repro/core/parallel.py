@@ -132,25 +132,21 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def search(self, query: SearchQuery, bypass_cache: bool = False) -> SearchResult:
+    def search(self, query: SearchQuery) -> SearchResult:
         """Issue a single query (an iteration of group size one)."""
-        return self.search_group([query], bypass_cache=bypass_cache)[0]
+        return self.search_group([query])[0]
 
-    def search_group(
-        self, queries: Sequence[SearchQuery], bypass_cache: bool = False
-    ) -> List[SearchResult]:
-        """Issue a group of queries belonging to one algorithm iteration.
+    def search_group(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
+        """Issue a group of queries belonging to one algorithm iteration —
+        a Get-Next step's verification queries or one level of a crawl alike.
 
         With a result cache attached, each query is first resolved against the
         cache: exact hits and containment answers (derived from a covering
         superset entry) cost zero budget and zero simulated latency, and
         misses identical to an in-flight query (from any session sharing the
-        cache) coalesce onto that query's round trip.  ``bypass_cache`` makes the
-        cache read-only for the group's answers — hits are still reused (the
-        crawl's root region query is typically the overflowing query just paid
-        for), but misses are issued directly and only a federated answer's
-        shard pages are kept, as parts.  The crawler uses it: its finely
-        partitioned sub-region queries are effectively unique.
+        cache) coalesce onto that query's round trip.  Every answer is then
+        stored (a degraded one only as its live shards' pages), so a second
+        crawl of the same region is answered from memory.
 
         The budget is charged atomically for the queries that actually need a
         round trip *before* any of them is issued; a group that trips the
@@ -162,21 +158,17 @@ class QueryEngine:
         """
         if not queries:
             return []
-        use_cache = self._cache is not None and not bypass_cache
 
         # Phase 1: resolve what we can from the shared cache (zero cost) —
         # exact hits and containment answers alike — then from the source
-        # (a federation with a stored part for every target shard).  Bypassed
-        # groups read, strictly read-only: the crawler would churn the LRU.
+        # (a federation with a stored part for every target shard).
         settled: List[Optional[Settled]] = [None] * len(queries)
         pending: List[int] = []
         cache, system_k = self._cache, self._interface.system_k
         for index, query in enumerate(queries):
-            probed = None if cache is None else cache.probe(
-                self._cache_namespace, query, system_k, memoize=use_cache
-            )
+            probed = None if cache is None else cache.probe(self._cache_namespace, query, system_k)
             if probed is None:
-                probed = self._interface.probe(query, memoize=use_cache)
+                probed = self._interface.probe(query)
             if probed is None:
                 pending.append(index)
             else:
@@ -192,7 +184,7 @@ class QueryEngine:
         retries_before = guards.read("retries") if guards is not None else 0
         error: Optional[BaseException] = None
         if pending:
-            issued, error = self._issue([queries[index] for index in pending], use_cache)
+            issued, error = self._issue([queries[index] for index in pending])
             for index, outcome in zip(pending, issued):
                 settled[index] = outcome
 
@@ -236,29 +228,25 @@ class QueryEngine:
     # Issue
     # ------------------------------------------------------------------ #
     def _issue(
-        self, queries: List[SearchQuery], use_cache: bool
+        self, queries: List[SearchQuery]
     ) -> Tuple[List[Settled], Optional[BaseException]]:
         """One ``settle_many`` call for ``queries``, through the cache's
-        ``fetch_many`` when enabled (it rechecks exact entries, coalesces
-        concurrent misses and reuses duplicates within the batch; the group
-        was just probed, so it derives no containment answer): one outcome
-        per query, plus the first error (raised by the caller after
-        settlement).  A query the source could not answer fails on its
-        own while its answered siblings stay issued, paid and cached; a
-        raising call answered nothing."""
+        ``fetch_many`` when one is attached (it rechecks exact entries,
+        coalesces concurrent misses, reuses duplicates within the batch and
+        stores every answer; the group was just probed, so it derives no
+        containment answer), else settled directly: one outcome per query,
+        plus the first error (raised by the caller after settlement).  A
+        query the source could not answer fails on its own while its
+        answered siblings stay issued, paid and cached; a raising call
+        answered nothing."""
         settle, cache = self._interface.settle_many, self._cache
-        namespace, system_k = self._cache_namespace, self._interface.system_k
         try:
-            if use_cache:
-                assert cache is not None
-                resolved = cache.fetch_many(namespace, queries, system_k, settle)
+            if cache is not None:
+                resolved = cache.fetch_many(
+                    self._cache_namespace, queries, self._interface.system_k, settle
+                )
             else:
-                stamp = cache.changes(namespace).sequence if cache is not None else 0
-                answered = settle(queries)
-                for query, answer in zip(queries, answered):
-                    if cache is not None and getattr(answer, "shard_pages", ()):  # no answer
-                        cache.store_claimed(namespace, query, system_k, answer, stamp, parts=True)
-                resolved = [(answer, FetchStatus.MISS) for answer in answered]
+                resolved = [(answer, FetchStatus.MISS) for answer in settle(queries)]
         except BaseException as error:  # noqa: BLE001 - re-raised after settlement
             resolved = [(error, FetchStatus.MISS)] * len(queries)
         settled: List[Settled] = []

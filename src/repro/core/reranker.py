@@ -402,16 +402,22 @@ class QueryReranker:
 
         Each stored region is re-crawled through a :class:`QueryEngine` over
         the interface with no result cache, so it reads only live answers.
-        Returns the refresh counters; a no-op when no persistent cache was
-        given.
+        A re-crawl that received a degraded answer cannot verify its region,
+        which is dropped until a request crawls it again.  Returns the
+        refresh counters; a no-op when no persistent cache was given.
         """
         cache = self._dense_cache
         if cache is None:
             return {"checked": 0, "refreshed": 0, "unchanged": 0}
-        crawler = HiddenDatabaseCrawler(QueryEngine(self._interface))
-        counters = cache.verify_and_refresh(
-            lambda bounds: crawler.crawl(SearchQuery.build(ranges=bounds))[0]
-        )
+        engine = QueryEngine(self._interface)
+        crawler = HiddenDatabaseCrawler(engine)
+
+        def crawl(bounds):
+            degraded = engine.statistics.read("degraded_results")
+            rows, _ = crawler.crawl(SearchQuery.build(ranges=bounds))
+            return rows if engine.statistics.read("degraded_results") == degraded else None
+
+        counters = cache.verify_and_refresh(crawl)
         self._dense_index = self._make_dense_index(cache)
         return counters
 

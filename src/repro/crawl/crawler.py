@@ -72,12 +72,12 @@ class HiddenDatabaseCrawler:
 
         The crawl proceeds breadth-first: every query of one level is issued
         as one engine group, so its round trips overlap exactly like the
-        covering queries of the MD algorithms.  The group bypasses the
-        result cache: crawl sub-regions are effectively unique, so they
-        store no answer in the shared cache (only a federation's shard pages,
-        as parts; the dense-region index is their reuse layer), but read it —
-        the crawl's root query is usually the overflowing query the
-        algorithm just paid for.
+        covering queries of the MD algorithms.  The group reads and stores
+        the engine's result cache like any other: the crawl's root query is
+        usually the overflowing query the algorithm just paid for, and a
+        second crawl of the same region issues no query.  A degraded answer
+        (a federation shard down) is a leaf when its live shards cover it,
+        so the crawl returns what they hold.
 
         Raises :class:`CrawlError` when the region cannot be fully retrieved
         (which only happens when more than ``system-k`` tuples are identical
@@ -125,7 +125,7 @@ class HiddenDatabaseCrawler:
     ) -> List[SearchResult]:
         """Issue one breadth-first level of queries as one engine group."""
         statistics.record("queries_issued", len(queries))
-        results = self._engine.search_group(queries, bypass_cache=True)
+        results = self._engine.search_group(queries)
         overflowed = sum(1 for result in results if result.is_overflow)
         statistics.record("overflow_queries", overflowed)
         return results

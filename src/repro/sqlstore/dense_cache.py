@@ -175,7 +175,8 @@ class DenseRegionCache:
         """Re-crawl every stored region with ``crawl_region(bounds) -> rows``
         and replace regions whose contents changed: a tuple that entered or
         left the region, or a stored tuple whose values differ from the live
-        one (a repriced row keeps its key).
+        one (a repriced row keeps its key).  A region the callback cannot
+        crawl whole (it returns ``None``) is dropped, counted as refreshed.
 
         Returns counters ``{"checked": .., "refreshed": .., "unchanged": ..}``.
         The crawl callback is injected so this module stays independent of the
@@ -185,12 +186,14 @@ class DenseRegionCache:
         for region in self.regions():
             counters["checked"] += 1
             fresh_rows = crawl_region(region.bounds)
-            cached_rows = self._tuples.get_many(region.tuple_keys).values()
-            if self._by_key(fresh_rows) == self._by_key(cached_rows):
+            if fresh_rows is not None and self._by_key(fresh_rows) == self._by_key(
+                self._tuples.get_many(region.tuple_keys).values()
+            ):
                 counters["unchanged"] += 1
                 continue
             self.drop_region(region.region_id)
-            self.store_region(region.bounds, fresh_rows)
+            if fresh_rows is not None:
+                self.store_region(region.bounds, fresh_rows)
             counters["refreshed"] += 1
         return counters
 

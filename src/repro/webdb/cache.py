@@ -35,8 +35,8 @@ re-issuing queries the service has already paid for.
   its result (the classic "thundering herd" guard);
 * **one entry per federated query** — it keeps the shard pages its answer
   was merged from, the parts :meth:`QueryResultCache.shard_parts` reads.  A
-  degraded merge keeps its live shards' pages, a bypassed group its pages, a
-  reached entry its untouched shards' pages: as parts, never as an answer;
+  degraded merge keeps its live shards' pages, a reached entry its untouched
+  shards' pages: as parts, never as an answer;
 * **one shared answer** — an answer is stored once, at zero round-trip cost,
   and that same :class:`~repro.webdb.interface.SearchResult` is handed to
   every ``HIT``, ``CONTAINED`` and ``COALESCED`` caller.  Its rows are
@@ -189,7 +189,6 @@ class QueryResultCache:
         namespace: str,
         query: SearchQuery,
         system_k: int,
-        memoize: bool = True,
     ) -> Optional[Tuple[SearchResult, FetchStatus]]:
         """Resolve ``query`` from stored answers only (no remote issuance):
         ``(result, HIT)`` for an exact entry, ``(result, CONTAINED)`` for an
@@ -198,9 +197,8 @@ class QueryResultCache:
         cached answer costs no round trip — its read-only rows shared with
         every reader.  Hits and containment answers are counted here, misses
         by :meth:`fetch_many`; callers probe before they issue, as containment
-        is the probe's job.  ``memoize=False`` makes the probe strictly
-        read-only (a derived answer is not stored under ``query``'s key), so a
-        cache-bypassing caller never churns the LRU.
+        is the probe's job.  A derived answer is stored under ``query``'s key,
+        so a repeat is an exact hit.
         """
         key = self.key_for(namespace, query, system_k)
         with self._lock:
@@ -208,7 +206,7 @@ class QueryResultCache:
             if stored is not None:
                 result, status = stored, FetchStatus.HIT
             else:
-                derived = self._contained_answer_locked(namespace, query, system_k, key, memoize)
+                derived = self._contained_answer_locked(namespace, query, system_k, key)
                 if derived is None:
                     return None
                 result, status = derived, FetchStatus.CONTAINED
@@ -257,15 +255,12 @@ class QueryResultCache:
         return stamp, parts, len(parts) > found
 
     def store_claimed(
-        self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult, stamp: int,
-        parts: bool = False,
+        self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult, stamp: int
     ) -> None:
         """:meth:`store` ``result`` unless a delta that could match ``query``
         was logged in ``namespace`` since change sequence ``stamp`` — the
-        check a fetched MISS passes.  With ``parts`` only its shard pages are
-        kept, as parts (what a cache-bypassing group leaves)."""
+        check a fetched MISS passes."""
         key = self.key_for(namespace, query, system_k)
-        result = _parts_only(result, result.shard_pages) if parts else result
         with self._lock:
             if self._store_allowed_locked(namespace, query, stamp):
                 self._store_locked(key, query, result)
@@ -520,7 +515,6 @@ class QueryResultCache:
         query: SearchQuery,
         system_k: int,
         key: CacheKey,
-        memoize: bool = True,
     ) -> Optional[SearchResult]:
         """Derive ``query``'s answer from a stored covering superset entry
         (see the module docstring), or ``None`` when no live one exists.
@@ -528,8 +522,8 @@ class QueryResultCache:
         The tuples matching ``Q ⊆ Q'`` are exactly the covering entry's rows
         passing ``Q.matches``, in the rank order the database would return;
         truncating at ``system_k`` reproduces the trichotomy bit for bit.
-        With ``memoize`` the derived result is stored under ``key``, so a
-        repeat of the subset query is an exact hit (see :meth:`probe`).
+        The derived result is stored under ``key``, so a repeat of the subset
+        query is an exact hit (see :meth:`probe`).
         """
         index = self._covering[(namespace, system_k)]
         for covering_key, covering_query in index.covering(query):
@@ -539,8 +533,7 @@ class QueryResultCache:
                 continue
             self._entries.move_to_end(covering_key)
             derived = self._filtered(covering.rows, query, system_k)
-            if memoize:
-                self._store_locked(key, query, derived)
+            self._store_locked(key, query, derived)
             return derived
         return None
 

@@ -258,10 +258,10 @@ class FederatedInterface(TopKInterface):
         order, then settles the group's queries that target it without a
         part as one batch (a repeat asked once).  A shard that fails a query
         (retries exhausted, breaker open) does not fail that query: it is
-        named in ``missing_shards`` and the merge is *degraded* — forced to
-        ``OVERFLOW`` so it never claims to cover the query, and never served
-        from the result cache.  Only a query to which **no** shard
-        contributed anything settles as an error.
+        named in ``missing_shards`` and the merge is *degraded* — classified
+        over its live shards' pages alone, so a descent or a crawl stops
+        where they cover it, and never served from the result cache.  Only a
+        query to which **no** shard contributed anything settles as an error.
         """
         batch = list(queries)
         for query in batch:
@@ -287,15 +287,13 @@ class FederatedInterface(TopKInterface):
                     self._gather(scatter, index, answer)
         return [self._merge(scatter) for scatter in scatters]
 
-    def probe(
-        self, query: SearchQuery, memoize: bool = True
-    ) -> Optional[Tuple[SearchResult, FetchStatus]]:
+    def probe(self, query: SearchQuery) -> Optional[Tuple[SearchResult, FetchStatus]]:
         """Answer ``query`` when every shard it targets has a stored part,
         merged as a scatter would be: ``HIT`` when every part is the exact
         entry's page, else ``CONTAINED``; else ``None``.  No round trip is
-        made, so only the parts are counted, as shard cache hits.  With
-        ``memoize`` the answer is stored as a fetched miss is, unless a delta
-        that could match ``query`` came since the parts were read."""
+        made, so only the parts are counted, as shard cache hits.  The answer
+        is stored as a fetched miss is, unless a delta that could match
+        ``query`` came since the parts were read."""
         if self._cache is None:
             return None
         targets = self._targets_for(query)
@@ -306,8 +304,7 @@ class FederatedInterface(TopKInterface):
             return None
         self._counters.tally("shard_cache_hits", dict.fromkeys(targets, 1))
         merged = self._merged(query, parts)
-        if memoize:
-            self._cache.store_claimed(self._namespace, query, self._system_k, merged, stamp)
+        self._cache.store_claimed(self._namespace, query, self._system_k, merged, stamp)
         self._cache.statistics.record("contained" if derived else "hits")
         return merged, FetchStatus.CONTAINED if derived else FetchStatus.HIT
 
@@ -393,16 +390,17 @@ class FederatedInterface(TopKInterface):
         Every page is in hidden-rank order under the shared sort key and
         keys are unique across shards, so a k-way merge yields exactly the
         rows a full sort would, ranking only the ``system_k`` it keeps (all
-        of them, as ``complete_rows``, when every page covered the query)."""
+        of them, as ``complete_rows``, when every page covered the query).
+        A degraded merge is classified over the ``pages`` of its live shards:
+        it proves coverage of them alone, so it keeps no ``complete_rows``,
+        and the cache keeps it only as parts."""
         degraded = bool(missing)
-        covered = not degraded and not any(page.is_overflow for page in pages.values())
+        covered = not any(page.is_overflow for page in pages.values())
         total = sum(len(page.rows) for page in pages.values())
         merged = heapq.merge(*(page.rows for page in pages.values()), key=self._sort_key)
-        complete = tuple(merged) if covered and total > self._system_k else None
+        complete = tuple(merged) if covered and not degraded and total > self._system_k else None
         rows = complete[: self._system_k] if complete else tuple(islice(merged, self._system_k))
         if not covered or total > self._system_k:
-            # A degraded merge can never prove coverage: unseen shards may
-            # hold matches, so the trichotomy is pinned at OVERFLOW.
             outcome = Outcome.OVERFLOW
         elif total == 0:
             outcome = Outcome.UNDERFLOW

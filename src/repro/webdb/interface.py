@@ -60,9 +60,9 @@ class SearchResult:
     degraded:
         True when the answer is known-incomplete: one or more federated
         shards could not be reached (``missing_shards`` names them).
-        Degraded results are always classified ``OVERFLOW`` — they never
-        claim to cover their query — and the result cache never serves one:
-        it keeps only its ``shard_pages``.
+        A degraded result is classified over the shards that answered: it
+        covers its query only within the request that received it, and the
+        result cache never serves one: it keeps only its ``shard_pages``.
     missing_shards:
         Names of the shards that contributed nothing to a degraded scatter.
     complete_rows:
@@ -174,9 +174,7 @@ class TopKInterface(ABC):
         """Release what the interface holds between batches (a remote
         adapter's query pool); it stays usable.  Nothing by default."""
 
-    def probe(
-        self, query: SearchQuery, memoize: bool = True
-    ) -> Optional[Tuple[SearchResult, "FetchStatus"]]:
+    def probe(self, query: SearchQuery) -> Optional[Tuple[SearchResult, "FetchStatus"]]:
         """Answer ``query`` from the source's own caches, with no round trip
         and nothing charged: ``(result, HIT | CONTAINED)``, or ``None`` when
         it needs issuing.  The query engine asks after its own cache misses;

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.parallel import QueryEngine
+from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.exceptions import QueryBudgetExceeded, SourceUnavailableError
 from repro.webdb.cache import QueryResultCache
 from repro.webdb.counters import QueryBudget
@@ -85,24 +86,20 @@ class TestEngineResultCache:
         assert engine.statistics.result_cache_hits == 1
         assert engine.statistics.simulated_seconds == pytest.approx(2.0)
 
-    def test_bypass_cache_for_crawler_queries(self, timed_db):
+    def test_a_second_crawl_of_the_same_region_issues_no_query(self, timed_db):
+        """A crawl's level groups read and store the cache like any other
+        group, so crawling the same region again through the same engine
+        is answered from memory at zero queries and zero latency."""
         cache = QueryResultCache()
         engine = QueryEngine(timed_db, result_cache=cache)
-        query = SearchQuery.build(ranges={"price": (300.0, 4000.0)})
-        # Bypassed (crawler-style) queries never store into the cache...
-        engine.search(query, bypass_cache=True)
-        engine.search(query, bypass_cache=True)
-        assert engine.statistics.external_queries == 2
-        assert engine.statistics.result_cache_hits == 0
-        assert len(cache) == 0
-        engine.search(query)
-        assert engine.statistics.external_queries == 3
-        assert len(cache) == 1
-        # ...but they do read it: once a normal query paid for the entry, a
-        # bypassed repeat (the crawl's root region query) reuses it for free.
-        engine.search(query, bypass_cache=True)
-        assert engine.statistics.external_queries == 3
-        assert engine.statistics.result_cache_hits == 1
+        query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+        first, crawl = HiddenDatabaseCrawler(engine).crawl(query)
+        paid = engine.statistics.read("external_queries", "simulated_seconds")
+        assert crawl.queries_issued > 1 and paid[0] == crawl.queries_issued
+        again, recrawl = HiddenDatabaseCrawler(engine).crawl(query)
+        assert engine.statistics.read("external_queries", "simulated_seconds") == paid
+        assert engine.statistics.result_cache_hits == recrawl.queries_issued
+        assert [row["id"] for row in again] == [row["id"] for row in first]
 
     def test_a_cached_repeat_is_not_issued_again(self, timed_db):
         cache = QueryResultCache()

@@ -37,9 +37,7 @@ def _onedim(database, query, degraded=False):
     engine = QueryEngine(database, statistics=session.statistics)
     if degraded:
         search = engine.search
-        engine.search = lambda q, bypass_cache=False: replace(  # type: ignore[method-assign]
-            search(q, bypass_cache), degraded=True
-        )
+        engine.search = lambda q: replace(search(q), degraded=True)  # type: ignore[method-assign]
     stream = OneDimGetNext(
         engine=engine,
         base_query=query,

@@ -135,24 +135,6 @@ class TestContainmentAnswering:
         )
         assert cache.probe("bn", narrow, bluenile_db.system_k) is None
 
-    def test_read_only_probe_does_not_memoize(self, bluenile_db):
-        """``memoize=False`` (the crawler's bypass path) derives the answer
-        without storing it, so one-off queries cannot churn the LRU."""
-        cache = QueryResultCache()
-        wide, wide_result = _find_valid_query(bluenile_db)
-        cache.store("bn", wide, bluenile_db.system_k, wide_result)
-        predicate = wide.ranges[0]
-        narrow = SearchQuery.build(
-            ranges={predicate.attribute: (predicate.lower, predicate.upper - 1e-9)}
-        )
-        probe = cache.probe("bn", narrow, bluenile_db.system_k, memoize=False)
-        assert probe is not None and probe[1] is FetchStatus.CONTAINED
-        assert len(cache) == 1  # only the covering entry, nothing memoized
-        # A memoizing probe afterwards still derives (and now stores).
-        again = cache.probe("bn", narrow, bluenile_db.system_k)
-        assert again is not None and again[1] is FetchStatus.CONTAINED
-        assert len(cache) == 2
-
     def test_a_contained_answer_shares_the_covering_rows_and_refuses_writes(
         self, bluenile_db
     ):
@@ -527,7 +509,7 @@ class TestContainmentLookupWork:
             for lower, expected in ((0.1, FetchStatus.CONTAINED), (0.6, None)):
                 query = SearchQuery((RangePredicate("x", i + lower, i + lower + 0.3),))
                 contains_calls[0] = 0
-                outcome = cache.probe("ns", query, 3, memoize=False)
+                outcome = cache.probe("ns", query, 3)
                 assert (outcome and outcome[1]) == expected
                 assert contains_calls[0] <= 2
                 probes += 1
@@ -553,7 +535,7 @@ class TestContainmentLookupWork:
                     )
                 )
                 contains_calls[0] = 0
-                assert cache.probe("ns", query, 3, memoize=False) is None
+                assert cache.probe("ns", query, 3) is None
                 assert contains_calls[0] <= 65
 
 
@@ -662,9 +644,9 @@ class TestIndexedLookupMatchesTheScan:
         cache = QueryResultCache(max_entries=6)
         indexed = cache._contained_answer_locked
 
-        def checked(namespace, query, system_k, key, memoize=True):
+        def checked(namespace, query, system_k, key):
             expected = covering_scan(cache, namespace, query, system_k)
-            derived = indexed(namespace, query, system_k, key, memoize=memoize)
+            derived = indexed(namespace, query, system_k, key)
             assert (derived is None) == (expected is None)
             if derived is not None:
                 _assert_is_the_answer(derived, query, system_k)
@@ -697,7 +679,7 @@ class TestIndexedLookupMatchesTheScan:
                 cache.store(namespace, query, k, _answer(query, k, degraded))
             elif kind == "probe":
                 query = draw_query((namespace, k))
-                outcome = cache.probe(namespace, query, k, memoize=data.draw(st.booleans()))
+                outcome = cache.probe(namespace, query, k)
                 if outcome is not None:
                     _assert_is_the_answer(outcome[0], query, k)
             elif kind == "fetch":

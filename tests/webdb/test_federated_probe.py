@@ -106,7 +106,7 @@ def test_every_exact_part_is_a_hit_and_a_missing_part_is_a_miss(
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
     assert federation.probe(window) is None
     QueryEngine(federation, result_cache=cache).search(window)
-    result, status = federation.probe(window, memoize=False)
+    result, status = federation.probe(window)
     assert status is FetchStatus.HIT
     assert result.outcome is Outcome.OVERFLOW and result.elapsed_seconds == 0.0
     assert list(result.rows) == federation.all_matches(window)[:K]

@@ -10,8 +10,9 @@ from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm, QueryReranker
-from repro.dataset.diamonds import DEPTH_BOUNDS
-from repro.exceptions import QueryBudgetExceeded, SourceUnavailableError
+from repro.dataset.diamonds import DEPTH_BOUNDS, DiamondCatalogConfig, generate_diamond_catalog
+from repro.exceptions import SourceUnavailableError
+from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.build import build_source
 from repro.webdb.cache import FetchStatus, QueryResultCache
@@ -72,6 +73,51 @@ def kill_shard(federation, index):
     injector.set_plan(replace(injector.plan, fail_from=0))
 
 
+def record_missing(federation):
+    """Spy on ``federation``'s scatters: the returned set collects the
+    ``missing_shards`` of every degraded answer they settle."""
+    missing = set()
+    settle = federation.settle_many
+
+    def recorded(queries):
+        answered = settle(queries)
+        for answer in answered:
+            if isinstance(answer, SearchResult) and answer.degraded:
+                missing.update(answer.missing_shards)
+        return answered
+
+    federation.settle_many = recorded
+    return missing
+
+
+def ranked(ranking, rows):
+    """The ids of ``rows`` in ``ranking``'s order, ties by id."""
+    return [row["id"] for row in sorted(rows, key=lambda row: (ranking.score(row), str(row["id"])))]
+
+
+def rankings(schema):
+    """The 1D ``price`` and ``table``, 2D and 3D rankings of the dead-shard cases."""
+
+    def linear(weights):
+        return LinearRankingFunction(
+            weights, normalizer=MinMaxNormalizer.from_schema(schema, list(weights))
+        )
+
+    return {
+        "1d-price": SingleAttributeRanking("price", ascending=True),
+        "1d-table": SingleAttributeRanking("table", ascending=True),
+        "2d": linear({"price": 1.0, "carat": -0.5}),
+        "3d": linear({"price": 1.0, "carat": -0.5, "depth": 0.3}),
+    }
+
+
+@pytest.fixture(scope="module")
+def large_catalog():
+    """2 000 stones: enough that a 1D ``price`` descent over ``price`` in
+    [300, 1500] crawls a dense region."""
+    return generate_diamond_catalog(DiamondCatalogConfig(size=2000, seed=7))
+
+
 @pytest.fixture()
 def faulted_federation(diamond_catalog, diamond_schema_fixture):
     """3-shard federation carrying (noop-rate) injectors on every shard so
@@ -89,8 +135,30 @@ class TestDegradedScatter:
         result = faulted_federation.search(QUERY)
         assert result.degraded
         assert result.missing_shards == ("partial#1",)
-        # Degraded answers never claim coverage.
+        # Classified over the live shards: their pages overflow this wide query.
         assert result.outcome is Outcome.OVERFLOW
+        assert result.complete_rows is None
+
+    def test_a_degraded_merge_is_classified_over_its_live_shards(self, faulted_federation):
+        """A degraded merge covers its query when every live shard's page
+        does, and overflows past ``k`` like a clean one, but it never keeps
+        ``complete_rows``: the dead shard may hold more matches."""
+        kill_shard(faulted_federation, 1)
+        k = faulted_federation.system_k
+        seen = set()
+        for upper in range(320, 2000, 40):
+            query = SearchQuery.build(ranges={"price": (300.0, float(upper))})
+            result = faulted_federation.search(query)
+            live = [faulted_federation.shards[index].search(query) for index in (0, 2)]
+            total = sum(len(page.rows) for page in live)
+            if any(page.is_overflow for page in live) or total > k:
+                expected = Outcome.OVERFLOW
+            else:
+                expected = Outcome.VALID if total else Outcome.UNDERFLOW
+            assert result.degraded and result.outcome is expected
+            assert result.complete_rows is None
+            seen.add(expected)
+        assert Outcome.VALID in seen and Outcome.OVERFLOW in seen
 
     def test_degraded_merge_keeps_live_shards_in_merged_order(
         self, faulted_federation, diamond_schema_fixture
@@ -271,8 +339,8 @@ class TestHealThenReread:
         assert all(page.degraded for page in engine.search_group(queries))
         k = federation.system_k
         for query in queries:
-            assert cache.probe("partial", query, k, memoize=False) is None
-            assert federation.probe(query, memoize=False) is None
+            assert cache.probe("partial", query, k) is None
+            assert federation.probe(query) is None
             _, parts, _ = cache.shard_parts("partial", query, k, range(3))
             assert sorted(parts) == [0, 2]
             for index, page in parts.items():
@@ -296,18 +364,23 @@ class TestHealThenReread:
         # The healed answers are stored whole: a reread is a plain hit.
         assert all(cache.probe("partial", query, k) is not None for query in queries)
 
-    @pytest.mark.parametrize("case", ["1d", "2d", "ta"])
+    @pytest.mark.parametrize("case", ["1d", "2d", "ta", "1d-price-2000"])
     def test_a_reread_on_the_same_reranker_equals_a_fresh_reranker(
-        self, diamond_catalog, diamond_schema_fixture, case
+        self, request, diamond_schema_fixture, case
     ):
-        """Kill a shard and serve a degraded request on a reranker (a dead
-        shard makes its descent split degraded answers until the request's
-        budget stops it), heal, and reread on the same reranker: the page
-        equals a freshly built reranker's and the brute-force oracle."""
+        """Kill a shard and serve a request on a reranker: it ends with a
+        page flagged degraded, whose answers name the dead shard.  Heal, and
+        reread on the same reranker: the page equals a freshly built
+        reranker's and the brute-force oracle.  The 2 000-stone ``price``
+        case crawls a dense region while the shard is dead; the region must
+        not outlive the request."""
+        catalog = request.getfixturevalue(
+            "large_catalog" if case == "1d-price-2000" else "diamond_catalog"
+        )
         clock = FakeClock()
         cache = QueryResultCache()
         federation = make_federation(
-            diamond_catalog,
+            catalog,
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
             clock=clock,
@@ -315,7 +388,9 @@ class TestHealThenReread:
         )
         reranker = QueryReranker(federation, result_cache=cache)
         query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
-        if case == "1d":
+        if case == "1d-price-2000":
+            ranking, algorithm = rankings(diamond_schema_fixture)["1d-price"], Algorithm.RERANK
+        elif case == "1d":
             ranking, algorithm = SingleAttributeRanking("carat", ascending=False), Algorithm.RERANK
         else:
             ranking = LinearRankingFunction(
@@ -324,20 +399,128 @@ class TestHealThenReread:
             )
             algorithm = Algorithm.TA if case == "ta" else Algorithm.RERANK
         kill_shard(federation, 1)
-        degraded = reranker.rerank(query, ranking, algorithm, budget=QueryBudget(60))
-        with pytest.raises(QueryBudgetExceeded):
-            degraded.top(5)
-        assert reranker.resilience_snapshot()["degraded_scatters"] > 0
+        missing = record_missing(federation)
+        degraded = reranker.rerank(query, ranking, algorithm, budget=QueryBudget(500))
+        assert len(degraded.top(5)) == 5
+        assert degraded.statistics.read("degraded_results") > 0
+        assert missing == {"partial#1"}
 
         for injector in federation.fault_injectors():
             injector.deactivate()
         clock.now += CircuitBreaker().recovery_seconds + 1.0
         reread = [row["id"] for row in reranker.rerank(query, ranking, algorithm).top(10)]
-        fresh = QueryReranker(make_federation(diamond_catalog, diamond_schema_fixture))
+        fresh = QueryReranker(make_federation(catalog, diamond_schema_fixture))
         assert reread == [row["id"] for row in fresh.rerank(query, ranking, algorithm).top(10)]
-        oracle = federation.all_matches(query)
-        oracle.sort(key=lambda row: (ranking.score(row), str(row["id"])))
-        assert reread == [row["id"] for row in oracle[:10]]
+        assert reread == ranked(ranking, federation.all_matches(query))[:10]
+
+    def test_a_degraded_crawl_persists_no_region_and_a_reload_reads_the_oracle(
+        self, large_catalog, diamond_schema_fixture, tmp_path
+    ):
+        """The dense-region SQLite cache outlives the process: a region
+        crawled while a shard is dead is not stored, and a reranker reloaded
+        from the file after the heal reads the oracle's page."""
+        path = str(tmp_path / "dense.sqlite")
+        clock = FakeClock()
+        cache = QueryResultCache()
+        federation = make_federation(
+            large_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            clock=clock,
+            result_cache=cache,
+        )
+        query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+        ranking = rankings(diamond_schema_fixture)["1d-price"]
+        kill_shard(federation, 1)
+        dense = DenseRegionCache(diamond_schema_fixture, path=path)
+        served = QueryReranker(federation, dense_cache=dense, result_cache=cache)
+        stream = served.rerank(query, ranking, Algorithm.RERANK, budget=QueryBudget(500))
+        assert len(stream.top(10)) == 10
+        assert stream.statistics.read("degraded_results") > 0
+        assert stream.statistics.read("dense_regions_built") > 0
+        assert dense.regions() == [] and served.dense_index.region_count() == 0
+        dense.close()
+
+        for injector in federation.fault_injectors():
+            injector.deactivate()
+        clock.now += CircuitBreaker().recovery_seconds + 1.0
+        reloaded_cache = DenseRegionCache(diamond_schema_fixture, path=path)
+        reloaded = QueryReranker(federation, dense_cache=reloaded_cache, result_cache=cache)
+        page = [row["id"] for row in reloaded.rerank(query, ranking, Algorithm.RERANK).top(10)]
+        assert page == ranked(ranking, federation.all_matches(query))[:10]
+        # A crawl over the healed federation is stored as before.
+        assert reloaded_cache.regions()
+        reloaded_cache.close()
+
+
+    def test_a_boot_verification_over_a_dead_shard_drops_the_region(
+        self, large_catalog, diamond_schema_fixture, tmp_path
+    ):
+        """A region stored before an outage cannot be verified while a
+        shard is down at boot: it is dropped, not refreshed from the live
+        shards, and after the heal a request reads the oracle's page."""
+        path = str(tmp_path / "dense.sqlite")
+        query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+        ranking = rankings(diamond_schema_fixture)["1d-price"]
+        dense = DenseRegionCache(diamond_schema_fixture, path=path)
+        first = QueryReranker(
+            make_federation(large_catalog, diamond_schema_fixture), dense_cache=dense
+        )
+        first.rerank(query, ranking, Algorithm.RERANK).top(10)
+        stored = len(dense.regions())
+        assert stored > 0
+        dense.close()
+
+        clock = FakeClock()
+        federation = make_federation(
+            large_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            clock=clock,
+        )
+        kill_shard(federation, 1)
+        rebooted_cache = DenseRegionCache(diamond_schema_fixture, path=path)
+        rebooted = QueryReranker(federation, dense_cache=rebooted_cache)
+        counters = rebooted.verify_dense_cache()
+        assert counters == {"checked": stored, "refreshed": stored, "unchanged": 0}
+        assert rebooted_cache.regions() == [] and rebooted.dense_index.region_count() == 0
+
+        for injector in federation.fault_injectors():
+            injector.deactivate()
+        clock.now += CircuitBreaker().recovery_seconds + 1.0
+        page = [row["id"] for row in rebooted.rerank(query, ranking, Algorithm.RERANK).top(10)]
+        assert page == ranked(ranking, federation.all_matches(query))[:10]
+        rebooted_cache.close()
+
+
+class TestDeadShardEndsTheRequest:
+    @pytest.mark.parametrize("case", ["1d-price", "1d-table", "2d", "3d"])
+    def test_a_request_over_a_dead_shard_ends_with_the_live_shards_page(
+        self, large_catalog, diamond_schema_fixture, case
+    ):
+        """With a shard in permanent fail-stop, a RERANK request over the
+        whole catalog ends well inside its budget: each degraded answer is
+        classified over the live shards, so a descent or a crawl stops
+        splitting where they cover it.  The page equals the brute-force
+        oracle over the live shards and is flagged degraded."""
+        cache = QueryResultCache()
+        federation = make_federation(
+            large_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            result_cache=cache,
+        )
+        reranker = QueryReranker(federation, result_cache=cache)
+        ranking = rankings(diamond_schema_fixture)[case]
+        query = SearchQuery.everything()
+        kill_shard(federation, 1)
+        missing = record_missing(federation)
+        stream = reranker.rerank(query, ranking, Algorithm.RERANK, budget=QueryBudget(500))
+        page = [row["id"] for row in stream.top(10)]
+        live = [row for index in (0, 2) for row in federation.shards[index].all_matches(query)]
+        assert page == ranked(ranking, live)[:10]
+        assert stream.statistics.read("degraded_results") > 0
+        assert missing == {"partial#1"}
 
 
 class TestDegradedNeverCached:

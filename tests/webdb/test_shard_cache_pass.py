@@ -5,8 +5,8 @@ namespace, and that entry keeps the shard pages its answer was merged from.
 The engine probes the namespace (the group's one containment lookup), the
 federation probe reads the query's shard parts, and a scatter reads them
 again before it asks the shards no part answers: each read walks the one
-covering index once.  Nothing coalesces below the facade, and a
-cache-bypassing group keeps its shard pages as parts, never an answer.
+covering index once.  Nothing coalesces below the facade, and a crawl's
+groups store their answers like any other group.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ from collections import Counter
 from repro.config import DatabaseConfig
 from repro.core.parallel import QueryEngine
 from repro.core.reranker import QueryReranker
+from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.webdb.boxindex import BoxIndex
 from repro.webdb.build import build_source
 from repro.webdb.cache import QueryResultCache
@@ -109,38 +110,34 @@ def test_a_cold_federated_miss_walks_the_covering_index_once_per_read(
         assert shard_page.keys() == federation.shards[index].search(QUERY).keys()
 
 
-def test_a_bypassed_group_over_a_federation_stores_parts_and_no_answer(
+def test_a_crawl_over_a_federation_stores_one_answer_per_query(
     diamond_catalog, diamond_schema_fixture
 ):
-    """A crawl query over a federation takes one entry of shard parts, under
-    the federation's namespace, that is never served as an answer; its pages
-    answer a later scatter's parts, so a repeat asks no shard."""
+    """Each crawl query over a federation takes one entry, under the
+    federation's namespace, that answers the query and keeps its four shard
+    pages; a second crawl of the region is answered from those entries and
+    asks no shard."""
     cache = QueryResultCache()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
-    queries = [
-        SearchQuery.build(ranges={"price": (300.0 + 50.0 * i, 900.0 + 150.0 * i)})
-        for i in range(16)
-    ]
     engine = QueryEngine(federation, result_cache=cache)
-    pages = engine.search_group(queries, bypass_cache=True)
-    expected = [[row["id"] for row in federation.all_matches(query)[:10]] for query in queries]
-    assert [page.keys() for page in pages] == expected
-    assert engine.statistics.external_queries == 16
+    region = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+    rows, crawl = HiddenDatabaseCrawler(engine).crawl(region)
+    assert sorted(row["id"] for row in rows) == sorted(
+        row["id"] for row in federation.all_matches(region)
+    )
+    assert crawl.queries_issued > 1
+    assert engine.statistics.external_queries == len(cache) == crawl.queries_issued
     k = federation.system_k
-    assert len(cache) == len(queries)
-    for query in queries:
-        assert cache.probe("walked", query, k, memoize=False) is None
-        _, parts, derived = cache.shard_parts("walked", query, k, range(4))
-        assert sorted(parts) == [0, 1, 2, 3] and not derived
-        for index, page in parts.items():
-            assert page.keys() == federation.shards[index].search(query).keys()
+    for stored in list(cache._entries.values()):
+        served, _ = cache.probe("walked", stored.query, k)
+        assert served.keys() == [row["id"] for row in federation.all_matches(stored.query)[:k]]
+        assert [index for index, _ in served.shard_pages] == [0, 1, 2, 3]
 
     shard_queries = federation.shard_queries_issued()
-    again = engine.search_group(queries, bypass_cache=True)
-    assert [page.keys() for page in again] == expected
+    again, _ = HiddenDatabaseCrawler(engine).crawl(region)
+    assert [row["id"] for row in again] == [row["id"] for row in rows]
     assert federation.shard_queries_issued() == shard_queries
-    assert engine.statistics.external_queries == 16
-    assert len(cache) == len(queries)
+    assert engine.statistics.external_queries == crawl.queries_issued
 
 
 def test_identical_cold_queries_from_two_engines_make_one_scatter(
@@ -194,10 +191,9 @@ def test_identical_cold_queries_from_two_engines_make_one_scatter(
 def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
     diamond_catalog, diamond_schema_fixture
 ):
-    """Four engines scatter over one cache, two of them bypassing it as a
-    crawl does, while deltas reprice tuples: once they stop, every answer
-    the cache serves and every kept shard page equals what the changed
-    federation answers now."""
+    """Four engines scatter over one cache while deltas reprice tuples:
+    once they stop, every answer the cache serves and every kept shard page
+    equals what the changed federation answers now."""
     cache = QueryResultCache()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
     reranker = QueryReranker(federation, result_cache=cache)
@@ -212,8 +208,7 @@ def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
         engine, rng = QueryEngine(federation, result_cache=cache), random.Random(seed)
         try:
             while not stop.is_set():
-                # Odd threads bypass the cache, as a crawl does: parts only.
-                engine.search_group(rng.sample(queries, 3), bypass_cache=seed % 2 == 1)
+                engine.search_group(rng.sample(queries, 3))
         except Exception as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
@@ -235,7 +230,7 @@ def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
     k = federation.system_k
     for (namespace, _, _), stored in list(cache._entries.items()):
         query = stored.query
-        served = cache.probe(namespace, query, k, memoize=False)
+        served = cache.probe(namespace, query, k)
         if served is not None:
             assert served[0].keys() == [row["id"] for row in federation.all_matches(query)[:k]]
         for index, page in stored.shard_pages:
@@ -263,7 +258,7 @@ def test_a_delta_keeps_the_reached_entrys_parts_in_its_lru_slot(
     assert summary["cache_entries_retired"] == 1
     k = federation.system_k
     # Neither read moves an entry: the parts are not served, nothing is stored.
-    assert cache.probe("walked", first, k, memoize=False) is None
+    assert cache.probe("walked", first, k) is None
     assert len(cache) == 3
 
     engine.search(fourth)
@@ -272,11 +267,11 @@ def test_a_delta_keeps_the_reached_entrys_parts_in_its_lru_slot(
     assert all(cache.probe("walked", query, k) is not None for query in (second, third, fourth))
 
 
-def test_a_delta_during_a_bypassed_scatter_drops_its_parts(
+def test_a_delta_during_a_scatter_drops_its_answer_and_parts(
     diamond_catalog, diamond_schema_fixture, monkeypatch
 ):
-    """A bypassed group's parts pass the check a fetched miss passes: a
-    delta that lands while its shards answer, and can match it, drops them."""
+    """A delta that lands while a scatter's shards answer, and can match its
+    query, drops the whole entry: its answer and its shard pages."""
     cache = QueryResultCache()
     federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
     reranker = QueryReranker(federation, result_cache=cache)
@@ -289,5 +284,5 @@ def test_a_delta_during_a_bypassed_scatter_drops_its_parts(
         return answered
 
     monkeypatch.setattr(federation, "settle_many", racing)
-    QueryEngine(federation, result_cache=cache).search_group([QUERY], bypass_cache=True)
+    QueryEngine(federation, result_cache=cache).search_group([QUERY])
     assert len(cache) == 0
