@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.stats import RerankStatistics
-from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
+from repro.webdb.cache import FetchStatus, Parts, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget
-from repro.webdb.interface import SearchResult, TopKInterface
+from repro.webdb.interface import SearchResult, Settlement, TopKInterface
 from repro.webdb.query import SearchQuery
 
 
@@ -144,9 +144,11 @@ class QueryEngine:
         cache: exact hits and containment answers (derived from a covering
         superset entry) cost zero budget and zero simulated latency, and
         misses identical to an in-flight query (from any session sharing the
-        cache) coalesce onto that query's round trip.  Every answer is then
-        stored (a degraded one only as its live shards' pages), so a second
-        crawl of the same region is answered from memory.
+        cache) coalesce onto that query's round trip.  Over a federation a
+        miss's stored shard parts are merged into a cache answer when they
+        cover every target shard, else handed to the scatter.  Every answer
+        is then stored (a degraded one only as its live shards' pages), so a
+        second crawl of the same region is answered from memory.
 
         The budget is charged atomically for the queries that actually need a
         round trip *before* any of them is issued; a group that trips the
@@ -160,15 +162,24 @@ class QueryEngine:
             return []
 
         # Phase 1: resolve what we can from the shared cache (zero cost) —
-        # exact hits and containment answers alike — then from the source
-        # (a federation with a stored part for every target shard).
+        # exact hits, containment answers, and a federated query whose every
+        # target shard has a stored part, merged by the source.  A miss keeps
+        # the parts its probe read for the scatter.
         settled: List[Optional[Settled]] = [None] * len(queries)
         pending: List[int] = []
-        cache, system_k = self._cache, self._interface.system_k
+        parts: Dict[Tuple, Mapping[int, SearchResult]] = {}
+        since: Optional[int] = None  # when the first (oldest) parts were read
+        cache, namespace, system_k = self._cache, self._cache_namespace, self._interface.system_k
         for index, query in enumerate(queries):
-            probed = None if cache is None else cache.probe(self._cache_namespace, query, system_k)
-            if probed is None:
-                probed = self._interface.probe(query)
+            probed = None if cache is None else cache.probe(namespace, query, system_k)
+            if isinstance(probed, Parts):
+                merged = self._interface.merge_parts(query, probed.pages)
+                if merged is None:
+                    parts[query.canonical_key()] = probed.pages
+                    since = probed.stamp if since is None else since
+                    probed = None
+                else:
+                    probed = cache.store_merged(namespace, query, system_k, merged, probed)
             if probed is None:
                 pending.append(index)
             else:
@@ -184,7 +195,7 @@ class QueryEngine:
         retries_before = guards.read("retries") if guards is not None else 0
         error: Optional[BaseException] = None
         if pending:
-            issued, error = self._issue([queries[index] for index in pending])
+            issued, error = self._issue([queries[index] for index in pending], parts, since)
             for index, outcome in zip(pending, issued):
                 settled[index] = outcome
 
@@ -228,22 +239,31 @@ class QueryEngine:
     # Issue
     # ------------------------------------------------------------------ #
     def _issue(
-        self, queries: List[SearchQuery]
+        self,
+        queries: List[SearchQuery],
+        parts: Dict[Tuple, Mapping[int, SearchResult]],
+        since: Optional[int],
     ) -> Tuple[List[Settled], Optional[BaseException]]:
         """One ``settle_many`` call for ``queries``, through the cache's
         ``fetch_many`` when one is attached (it rechecks exact entries,
         coalesces concurrent misses, reuses duplicates within the batch and
         stores every answer; the group was just probed, so it derives no
         containment answer), else settled directly: one outcome per query,
-        plus the first error (raised by the caller after settlement).  A
-        query the source could not answer fails on its own while its
-        answered siblings stay issued, paid and cached; a raising call
-        answered nothing."""
+        plus the first error (raised by the caller after settlement).  The
+        shard ``parts`` the probe read, by canonical key, go with the batch,
+        whose answers are stored only if no delta logged ``since`` that read
+        could match them.  A query the source could not answer fails on its
+        own while its answered siblings stay issued, paid and cached; a
+        raising call answered nothing."""
         settle, cache = self._interface.settle_many, self._cache
+        if parts:
+            def settle(batch: List[SearchQuery]) -> List[Settlement]:
+                found = [parts.get(query.canonical_key(), {}) for query in batch]
+                return self._interface.settle_many(batch, found)
         try:
             if cache is not None:
                 resolved = cache.fetch_many(
-                    self._cache_namespace, queries, self._interface.system_k, settle
+                    self._cache_namespace, queries, self._interface.system_k, settle, since
                 )
             else:
                 resolved = [(answer, FetchStatus.MISS) for answer in settle(queries)]

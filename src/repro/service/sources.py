@@ -187,14 +187,7 @@ def _make_source(
 ) -> DataSource:
     # The reranker keys its cache and feed state under the source's name;
     # a sharded source's entries keep its shards' pages.
-    stack = build_source(
-        catalog,
-        schema,
-        system_ranking,
-        database_config,
-        name=name,
-        result_cache=result_cache,
-    )
+    stack = build_source(catalog, schema, system_ranking, database_config, name=name)
     dense_cache = (
         DenseRegionCache(schema, path=dense_cache_path) if dense_cache_path else None
     )

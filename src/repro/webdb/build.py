@@ -16,12 +16,11 @@ Every per-shard seed is a pure function of the shard index (latency
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence
 
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError
 from repro.sqlstore.store import SQLiteTupleStore
-from repro.webdb.cache import QueryResultCache
 from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
 from repro.webdb.federation import FederatedInterface, partition_positions
 from repro.webdb.indexes import ColumnarCatalog
@@ -41,7 +40,6 @@ def build_source(
     config: "DatabaseConfig",
     *,
     name: str,
-    result_cache: Optional[QueryResultCache] = None,
 ) -> TopKInterface:
     """Build the source ``config`` describes over the catalog ``rows``.
 
@@ -52,9 +50,8 @@ def build_source(
     returns a :class:`~repro.webdb.stack.SourceStack` named ``name``; any
     other count partitions the catalog (``config.shard_by``) and returns a
     :class:`~repro.webdb.federation.FederatedInterface` over shards named
-    ``"{name}#{i}"`` that reads the shard parts of its entries in
-    ``result_cache``.  Every guard runs the default retry /
-    breaker policy of :class:`~repro.webdb.stack.SourceStack`.
+    ``"{name}#{i}"``.  Every guard runs the default retry / breaker policy
+    of :class:`~repro.webdb.stack.SourceStack`.
     """
     columns = stream_sorted_columns(
         rows, schema, system_ranking, validate=not isinstance(rows, SQLiteTupleStore)
@@ -98,7 +95,6 @@ def build_source(
         system_k=config.system_k,
         partitions=partitions,
         shard_by=config.shard_by,
-        result_cache=result_cache,
         # Shards draw independent fault streams from the one plan, yet each
         # stream stays replayable.
         fault_plans=None

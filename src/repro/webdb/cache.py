@@ -34,9 +34,11 @@ re-issuing queries the service has already paid for.
   same time, exactly one remote query is issued and the other callers wait on
   its result (the classic "thundering herd" guard);
 * **one entry per federated query** — it keeps the shard pages its answer
-  was merged from, the parts :meth:`QueryResultCache.shard_parts` reads.  A
-  degraded merge keeps its live shards' pages, a reached entry its untouched
-  shards' pages: as parts, never as an answer;
+  was merged from.  A degraded merge keeps its live shards' pages, a reached
+  entry its untouched shards' pages: as parts, never as an answer.  The
+  probe is the one read of a namespace: without an answer, its one walk of
+  the covering index hands back the query's :class:`Parts`, which the query
+  engine has the federation merge or reuse in its scatter;
 * **one shared answer** — an answer is stored once, at zero round-trip cost,
   and that same :class:`~repro.webdb.interface.SearchResult` is handed to
   every ``HIT``, ``CONTAINED`` and ``COALESCED`` caller.  Its rows are
@@ -63,7 +65,7 @@ import enum
 import threading
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.webdb.boxindex import BoxIndex
 from repro.webdb.counters import Counters
@@ -114,6 +116,18 @@ class CacheStatistics(Counters):
         if total == 0:
             return 0.0
         return (self.hits + self.contained + self.coalesced) / total
+
+
+@dataclass(frozen=True)
+class Parts:
+    """What :meth:`QueryResultCache.probe` read of a query no stored answer
+    answers: its stored shard ``pages`` by shard index, the change sequence
+    ``stamp`` they were read at, and the shards whose page is ``exact`` (the
+    query's own entry's, not filtered from a containing entry's)."""
+
+    stamp: int
+    pages: Dict[int, SearchResult]
+    exact: FrozenSet[int]
 
 
 class _InFlight:
@@ -189,29 +203,71 @@ class QueryResultCache:
         namespace: str,
         query: SearchQuery,
         system_k: int,
-    ) -> Optional[Tuple[SearchResult, FetchStatus]]:
-        """Resolve ``query`` from stored answers only (no remote issuance):
-        ``(result, HIT)`` for an exact entry, ``(result, CONTAINED)`` for an
-        answer derived from a covering superset entry, or ``None``.  The
-        result is the stored answer itself at ``elapsed_seconds=0.0`` — a
-        cached answer costs no round trip — its read-only rows shared with
-        every reader.  Hits and containment answers are counted here, misses
-        by :meth:`fetch_many`; callers probe before they issue, as containment
-        is the probe's job.  A derived answer is stored under ``query``'s key,
-        so a repeat is an exact hit.
+    ) -> Union[Tuple[SearchResult, FetchStatus], Parts, None]:
+        """Resolve ``query`` from stored entries only (no remote issuance), in
+        one lock pass: ``(result, HIT)`` for an exact answer, else one walk of
+        the covering index, which yields ``(result, CONTAINED)`` for an answer
+        derived from the first containing answer.  The result is the stored
+        answer itself at ``elapsed_seconds=0.0`` — a cached answer costs no
+        round trip — its read-only rows shared with every reader.  A derived
+        answer is stored under ``query``'s key, so a repeat is an exact hit.
+
+        Without an answer, the same walk has gathered ``query``'s shard
+        parts: the exact entry's pages, whatever their outcome, else a
+        containing entry's covering pages, filtered as containment filters.
+        They come back as :class:`Parts` (``None`` when there are none).
+        Hits and containment answers are counted here, misses by
+        :meth:`fetch_many`; callers probe before they issue.
         """
         key = self.key_for(namespace, query, system_k)
         with self._lock:
-            stored = self._live_entry(key)
-            if stored is not None:
-                result, status = stored, FetchStatus.HIT
-            else:
-                derived = self._contained_answer_locked(namespace, query, system_k, key)
-                if derived is None:
-                    return None
-                result, status = derived, FetchStatus.CONTAINED
-        self.statistics.record("hits" if status is FetchStatus.HIT else "contained")
-        return result, status
+            answer = self._live_entry(key)
+            if answer is not None:
+                self.statistics.record("hits")
+                return answer, FetchStatus.HIT
+            entry = self._entries.get(key)
+            pages = {} if entry is None else {i: self._at_no_cost(p) for i, p in entry.shard_pages}
+            exact, givers = frozenset(pages), []
+            index = self._covering[(namespace, system_k)]
+            for covering_key, covering_query in index.covering(query):
+                covering = self._entries[covering_key]
+                # A covering answer answers; any other entry lends its covering pages.
+                lent = () if covering.covers_query else [
+                    (i, page) for i, page in covering.shard_pages
+                    if page.covers_query and i not in pages
+                ]
+                if not (covering.covers_query or lent) or not covering_query.contains(query):
+                    continue
+                if covering.covers_query:
+                    self._entries.move_to_end(covering_key)
+                    derived = self._filtered(covering.rows, query, system_k)
+                    self._store_locked(key, query, derived)
+                    self.statistics.record("contained")
+                    return derived, FetchStatus.CONTAINED
+                givers.append(covering_key)
+                for i, page in lent:
+                    pages[i] = self._filtered(page.rows, query, page.system_k)
+            if not pages:
+                return None
+            for used in ([key] if entry is not None else []) + givers:
+                self._entries.move_to_end(used)
+            return Parts(self.changes(namespace).sequence, pages, exact)
+
+    def store_merged(
+        self, namespace: str, query: SearchQuery, system_k: int, merged: SearchResult, parts: Parts
+    ) -> Tuple[SearchResult, FetchStatus]:
+        """Count ``merged``, the answer merged from ``parts`` alone, as a
+        ``HIT`` when every part it was merged from is exact, else as
+        ``CONTAINED``, and store it as a fetched miss is stored: unless a
+        delta that could match ``query`` was logged since the parts were
+        read."""
+        derived = any(i not in parts.exact for i, _ in merged.shard_pages)
+        key = self.key_for(namespace, query, system_k)
+        with self._lock:
+            if self._store_allowed_locked(namespace, query, parts.stamp):
+                self._store_locked(key, query, merged)
+        self.statistics.record("contained" if derived else "hits")
+        return merged, FetchStatus.CONTAINED if derived else FetchStatus.HIT
 
     def store(
         self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult
@@ -220,50 +276,6 @@ class QueryResultCache:
         key = self.key_for(namespace, query, system_k)
         with self._lock:
             self._store_locked(key, query, result)
-
-    def shard_parts(
-        self, namespace: str, query: SearchQuery, system_k: int, shards: Sequence[int]
-    ) -> Tuple[int, Dict[int, SearchResult], bool]:
-        """``query``'s stored parts for the ``shards`` it targets, by shard
-        index, in one lock pass: the exact entry's page, whatever its outcome,
-        else a containing entry's covering page, filtered as :meth:`probe`
-        filters.  Also the change sequence (for :meth:`store_claimed`) and
-        whether any part was derived."""
-        wanted = set(shards)
-        key = self.key_for(namespace, query, system_k)
-        with self._lock:
-            stamp = self.changes(namespace).sequence
-            parts = {}
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                exact = self._entries[key].shard_pages
-                parts = {i: self._at_no_cost(page) for i, page in exact if i in wanted}
-            found = len(parts)
-            walk = self._covering[(namespace, system_k)].covering(query) if found < len(wanted) else ()
-            for covering_key, covering_query in walk:
-                pages = [
-                    (i, page)
-                    for i, page in self._entries[covering_key].shard_pages
-                    if page.covers_query and i in wanted and i not in parts
-                ]
-                if pages and covering_query.contains(query):
-                    self._entries.move_to_end(covering_key)
-                    for i, page in pages:
-                        parts[i] = self._filtered(page.rows, query, page.system_k)
-                    if len(parts) == len(wanted):
-                        break
-        return stamp, parts, len(parts) > found
-
-    def store_claimed(
-        self, namespace: str, query: SearchQuery, system_k: int, result: SearchResult, stamp: int
-    ) -> None:
-        """:meth:`store` ``result`` unless a delta that could match ``query``
-        was logged in ``namespace`` since change sequence ``stamp`` — the
-        check a fetched MISS passes."""
-        key = self.key_for(namespace, query, system_k)
-        with self._lock:
-            if self._store_allowed_locked(namespace, query, stamp):
-                self._store_locked(key, query, result)
 
     def fetch(
         self,
@@ -289,6 +301,7 @@ class QueryResultCache:
         queries: Sequence[SearchQuery],
         system_k: int,
         compute_many: Callable[[List[SearchQuery]], Sequence[Settlement]],
+        since: Optional[int] = None,
     ) -> List[Tuple[Settlement, FetchStatus]]:
         """Resolve a query group through the cache with at most one
         ``compute_many`` round trip, coalescing concurrent misses.
@@ -313,6 +326,9 @@ class QueryResultCache:
         flight alone: nothing is stored, its waiters contend for the key
         again, and the caller gets ``(error, MISS)`` there.  When
         ``compute_many`` raises, every claimed flight fails and it propagates.
+        A batch that reuses shard parts its caller's :meth:`probe` read passes
+        their ``since`` stamp: its answers are stored only if no delta logged
+        since then could match them.
         """
         materialized = list(queries)
         keys = [self.key_for(namespace, query, system_k) for query in materialized]
@@ -324,8 +340,8 @@ class QueryResultCache:
         hits = 0
         with self._lock:
             # A store is dropped when a delta that could match it lands
-            # between this claim and the store.
-            stamp = self.changes(namespace).sequence
+            # between this claim (or the parts' read) and the store.
+            stamp = self.changes(namespace).sequence if since is None else since
             for position, key in enumerate(keys):
                 stored = self._live_entry(key)
                 if stored is not None:
@@ -407,7 +423,7 @@ class QueryResultCache:
             # again (one waiter at a time wins it).
             try:
                 outcomes[position] = self.fetch_many(
-                    namespace, [materialized[position]], system_k, compute_many
+                    namespace, [materialized[position]], system_k, compute_many, since
                 )[0]
             except Exception as error:  # noqa: BLE001 - siblings already answered
                 outcomes[position] = (error, FetchStatus.MISS)
@@ -508,34 +524,6 @@ class QueryResultCache:
             evicted, _ = self._entries.popitem(last=False)
             self._covering[evicted[:2]].discard(evicted)
             self.statistics.record("evictions")
-
-    def _contained_answer_locked(
-        self,
-        namespace: str,
-        query: SearchQuery,
-        system_k: int,
-        key: CacheKey,
-    ) -> Optional[SearchResult]:
-        """Derive ``query``'s answer from a stored covering superset entry
-        (see the module docstring), or ``None`` when no live one exists.
-
-        The tuples matching ``Q ⊆ Q'`` are exactly the covering entry's rows
-        passing ``Q.matches``, in the rank order the database would return;
-        truncating at ``system_k`` reproduces the trichotomy bit for bit.
-        The derived result is stored under ``key``, so a repeat of the subset
-        query is an exact hit (see :meth:`probe`).
-        """
-        index = self._covering[(namespace, system_k)]
-        for covering_key, covering_query in index.covering(query):
-            covering = self._entries.get(covering_key)
-            # An entry indexed for its covering shard pages alone is no answer.
-            if covering is None or not covering.covers_query or not covering_query.contains(query):
-                continue
-            self._entries.move_to_end(covering_key)
-            derived = self._filtered(covering.rows, query, system_k)
-            self._store_locked(key, query, derived)
-            return derived
-        return None
 
     @staticmethod
     def _filtered(rows, query: SearchQuery, system_k: int) -> SearchResult:

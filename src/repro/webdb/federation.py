@@ -33,13 +33,14 @@ Correctness of the scatter-gather merge:
 
 Every shard is issued through its own
 :class:`~repro.webdb.stack.SourceStack` (fault injector, guard, statistics),
-built once when the federation is constructed.  A merged answer carries the
-shard pages it was merged from, so a federated query takes one entry of the
-:class:`~repro.webdb.cache.QueryResultCache`: the query engine's.  The
-federation stores nothing; it reads each query's shard parts with one read of
-its namespace and scatters only to the targets no part answers.  A query
-every target has a part for is answered by :meth:`FederatedInterface.probe`
-before anything is charged: it is a cache answer, not a scatter.
+built once when the federation is constructed.  The federation holds no
+cache.  A merged answer carries the shard pages it was merged from, so a
+federated query takes one entry of the query engine's
+:class:`~repro.webdb.cache.QueryResultCache`, whose probe hands back a missed
+query's stored shard parts.  :meth:`FederatedInterface.merge_parts` merges
+them when every target has one: a cache answer, not a scatter.  Otherwise
+they travel with the batch to :meth:`FederatedInterface.settle_many`, which
+scatters only to the targets no part answers.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from repro.dataset.schema import Schema
 from repro.exceptions import QueryError, SourceUnavailableError
-from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
+from repro.webdb.cache import default_namespace
 from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
 from repro.webdb.faults import FaultInjector, FaultPlan
@@ -170,8 +171,7 @@ class FederatedInterface(TopKInterface):
     built here from ``fault_plans[i]`` with the default retry / breaker
     policy and ``clock`` as its breaker's recovery clock; the stacks' guards
     share one :class:`~repro.webdb.resilience.ResilienceStatistics`.  Guards
-    and the result cache the shard parts are read from are fixed at
-    construction.
+    are fixed at construction.
     """
 
     def __init__(
@@ -182,7 +182,6 @@ class FederatedInterface(TopKInterface):
         system_k: Optional[int] = None,
         partitions: Optional[Sequence[Optional[RangePredicate]]] = None,
         shard_by: str = "rank",
-        result_cache: Optional[QueryResultCache] = None,
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -215,7 +214,6 @@ class FederatedInterface(TopKInterface):
             raise QueryError(f"shard names must be unique: {self._shard_names}")
         if self.name in self._shard_names:
             raise QueryError(f"federation name {self.name!r} collides with a shard")
-        self._namespace = default_namespace(self)
         self._resilience_stats = ResilienceStatistics()
         self._stacks = [
             SourceStack(
@@ -229,7 +227,6 @@ class FederatedInterface(TopKInterface):
         ]
         self._partitions = list(partitions) if partitions is not None else None
         self._shard_by = shard_by
-        self._cache = result_cache
         self._counters = ScatterCounters()
 
     # ------------------------------------------------------------------ #
@@ -250,14 +247,20 @@ class FederatedInterface(TopKInterface):
     def search_many(self, queries: Sequence[SearchQuery]) -> List[SearchResult]:
         return answers(self.settle_many(queries))
 
-    def settle_many(self, queries: Sequence[SearchQuery]) -> List[Settlement]:
+    def settle_many(
+        self,
+        queries: Sequence[SearchQuery],
+        parts: Optional[Sequence[Mapping[int, SearchResult]]] = None,
+    ) -> List[Settlement]:
         """Scatter a group and gather one merged page per query, each
         settled on its own.
 
-        Each query first reads its stored shard parts; every shard, in index
-        order, then settles the group's queries that target it without a
-        part as one batch (a repeat asked once).  A shard that fails a query
-        (retries exhausted, breaker open) does not fail that query: it is
+        ``parts`` (aligned with ``queries``) are the stored shard pages, by
+        shard index, the caller's cache probe read; without them every
+        target shard is asked.  Every shard, in index order, settles the
+        group's queries that target it without a part as one batch (a
+        repeat asked once).  A shard that fails a query (retries
+        exhausted, breaker open) does not fail that query: it is
         named in ``missing_shards`` and the merge is *degraded* — classified
         over its live shards' pages alone, so a descent or a crawl stops
         where they cover it, and never served from the result cache.  Only a
@@ -267,10 +270,8 @@ class FederatedInterface(TopKInterface):
         for query in batch:
             query.validate(self._schema)
         scatters = [_Scatter(query, self._targets_for(query)) for query in batch]
-        for scatter in scatters if self._cache is not None else ():
-            _, scatter.pages, _ = self._cache.shard_parts(
-                self._namespace, scatter.query, self._system_k, scatter.targets
-            )
+        for scatter, found in zip(scatters, parts or ()):
+            scatter.pages = {i: found[i] for i in scatter.targets if i in found}
             self._counters.tally("shard_cache_hits", dict.fromkeys(scatter.pages, 1))
         for index, stack in enumerate(self._stacks):
             asked: Dict[Tuple, List[_Scatter]] = {}
@@ -287,26 +288,18 @@ class FederatedInterface(TopKInterface):
                     self._gather(scatter, index, answer)
         return [self._merge(scatter) for scatter in scatters]
 
-    def probe(self, query: SearchQuery) -> Optional[Tuple[SearchResult, FetchStatus]]:
-        """Answer ``query`` when every shard it targets has a stored part,
-        merged as a scatter would be: ``HIT`` when every part is the exact
-        entry's page, else ``CONTAINED``; else ``None``.  No round trip is
-        made, so only the parts are counted, as shard cache hits.  The answer
-        is stored as a fetched miss is, unless a delta that could match
-        ``query`` came since the parts were read."""
-        if self._cache is None:
-            return None
+    def merge_parts(
+        self, query: SearchQuery, parts: Mapping[int, SearchResult]
+    ) -> Optional[SearchResult]:
+        """``query``'s answer merged, as a scatter would merge it, from the
+        stored ``parts`` (shard pages by index) when every shard it targets
+        has one, else ``None``.  No round trip is made, so only the parts
+        are counted, as shard cache hits."""
         targets = self._targets_for(query)
-        stamp, parts, derived = self._cache.shard_parts(
-            self._namespace, query, self._system_k, targets
-        )
-        if len(parts) < len(targets):
+        if any(i not in parts for i in targets):
             return None
         self._counters.tally("shard_cache_hits", dict.fromkeys(targets, 1))
-        merged = self._merged(query, parts)
-        self._cache.store_claimed(self._namespace, query, self._system_k, merged, stamp)
-        self._cache.statistics.record("contained" if derived else "hits")
-        return merged, FetchStatus.CONTAINED if derived else FetchStatus.HIT
+        return self._merged(query, {i: parts[i] for i in targets})
 
     def close(self) -> None:
         for stack in self._stacks:
@@ -315,7 +308,7 @@ class FederatedInterface(TopKInterface):
     def queries_issued(self) -> int:
         """Scatters served by the federation (each is one logical query;
         :meth:`shard_queries_issued` counts the underlying shard hits).  A
-        query :meth:`probe` answered is not one."""
+        query :meth:`merge_parts` answered is not one."""
         return self._counters.read("scatter_queries")
 
     # ------------------------------------------------------------------ #

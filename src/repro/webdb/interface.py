@@ -20,14 +20,13 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.dataset.schema import Schema
 from repro.webdb.counters import Counters
 from repro.webdb.query import Row, SearchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.webdb.cache import FetchStatus
     from repro.webdb.resilience import ResilienceStatistics
 
 
@@ -174,11 +173,14 @@ class TopKInterface(ABC):
         """Release what the interface holds between batches (a remote
         adapter's query pool); it stays usable.  Nothing by default."""
 
-    def probe(self, query: SearchQuery) -> Optional[Tuple[SearchResult, "FetchStatus"]]:
-        """Answer ``query`` from the source's own caches, with no round trip
-        and nothing charged: ``(result, HIT | CONTAINED)``, or ``None`` when
-        it needs issuing.  The query engine asks after its own cache misses;
-        only a federation, from the shard parts of its entries, can."""
+    def merge_parts(
+        self, query: SearchQuery, parts: Mapping[int, SearchResult]
+    ) -> Optional[SearchResult]:
+        """``query``'s answer merged from stored shard ``parts`` (pages by
+        shard index, read by the query engine's cache probe) when they cover
+        every shard it targets, else ``None``.  Only a federation has shards;
+        the engine hands it the parts of the queries it still issues with
+        their batch (:meth:`~repro.webdb.federation.FederatedInterface.settle_many`)."""
         return None
 
     def queries_issued(self) -> int:

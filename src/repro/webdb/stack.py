@@ -61,8 +61,8 @@ class SourceStack(TopKInterface):
 
     The guard runs the default :class:`RetryPolicy` and
     :class:`CircuitBreaker`, which are inert against a reliable source.
-    Cache hits are resolved *above* the stack (query engine, federation), so
-    the guard only ever sees real round trips.
+    Cache hits and stored shard parts are resolved *above* the stack, by the
+    query engine's cache probe, so the guard only ever sees real round trips.
     """
 
     def __init__(

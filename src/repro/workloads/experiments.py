@@ -41,7 +41,6 @@ from repro.dataset.housing import HousingCatalogConfig, generate_housing_catalog
 from repro.dataset.schema import Schema
 from repro.dataset.table import ColumnTable
 from repro.webdb.build import build_source
-from repro.webdb.cache import QueryResultCache
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import SearchQuery
@@ -160,11 +159,8 @@ class ExperimentEnvironment:
     ) -> QueryReranker:
         """A fresh reranker over a fresh federated facade of the *same*
         catalog a source's unsharded database serves — the precondition for
-        byte-identical differentials between the two.  Facade and reranker
-        share one result cache, fixed when the federation is built."""
+        byte-identical differentials between the two."""
         catalog, schema, ranking, _ = self.source(source)
-        config = self.rerank_config
-        result_cache = QueryResultCache()
         federation = build_source(
             catalog,
             schema,
@@ -177,9 +173,8 @@ class ExperimentEnvironment:
                 shard_by=by,
             ),
             name=source,
-            result_cache=result_cache,
         )
-        return QueryReranker(federation, config=config, result_cache=result_cache)
+        return QueryReranker(federation, config=self.rerank_config)
 
 
 def _run_cell(

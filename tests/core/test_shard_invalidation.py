@@ -36,7 +36,6 @@ BY_CARAT = SingleAttributeRanking("carat", ascending=False)
 
 
 def make_reranker(catalog, schema, by="rank"):
-    # Facade and reranker share one cache, fixed when the source is built.
     cache = QueryResultCache()
     federation = build_source(
         catalog,
@@ -44,7 +43,6 @@ def make_reranker(catalog, schema, by="rank"):
         RANKING,
         DatabaseConfig(system_k=10, shards=2, shard_by=by),
         name=NAME,
-        result_cache=cache,
     )
     return QueryReranker(federation, config=RerankConfig(), result_cache=cache)
 
@@ -125,7 +123,6 @@ def test_an_unsharded_delta_carries_no_shard_parts(diamond_catalog, diamond_sche
         RANKING,
         DatabaseConfig(system_k=10),
         name="solo",
-        result_cache=cache,
     )
     reranker = QueryReranker(source, result_cache=cache)
     database = source.database

@@ -80,7 +80,6 @@ def test_every_held_row_is_the_one_the_catalog_built(
         FeaturedScoreRanking("price", boost_weight=2500.0),
         DatabaseConfig(system_k=10, shards=shards),
         name="identity",
-        result_cache=cache,
     )
     reranker = QueryReranker(source, config=RerankConfig(), result_cache=cache)
     md = LinearRankingFunction(

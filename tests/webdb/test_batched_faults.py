@@ -14,7 +14,7 @@ from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.exceptions import SourceUnavailableError
 from repro.webdb.build import build_source
-from repro.webdb.cache import QueryResultCache
+from repro.webdb.cache import FetchStatus, Parts, QueryResultCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.delta import CatalogDelta
@@ -123,7 +123,6 @@ class TestFederation:
             shards,
             RANKING,
             name="settle",
-            result_cache=cache,
             fault_plans=[None, GROUP_OF_THREE_PLAN, None],
         )
         engine = QueryEngine(federation, result_cache=cache, budget=QueryBudget(10))
@@ -132,9 +131,11 @@ class TestFederation:
         assert results[1].degraded and results[1].missing_shards == ("settle#1",)
         assert [results[0].degraded, results[2].degraded] == [False, False]
         assert engine.budget.used == 3
-        assert cache.probe("settle", queries[1], 10) is None
+        # The degraded answer is kept only as its live shards' parts.
+        kept = cache.probe("settle", queries[1], 10)
+        assert isinstance(kept, Parts) and sorted(kept.pages) == [0, 2]
         for sibling in (queries[0], queries[2]):
-            assert cache.probe("settle", sibling, 10) is not None
+            assert cache.probe("settle", sibling, 10)[1] is FetchStatus.HIT
         # Each shard saw the group as one batch.
         assert federation.describe()["scatter_queries"] == 3
 

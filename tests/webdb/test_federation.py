@@ -47,11 +47,11 @@ def reference_db(diamond_catalog, diamond_schema_fixture) -> HiddenWebDatabase:
     )
 
 
-def make_federation(catalog, schema, shards=2, by="rank", **kwargs):
+def make_federation(catalog, schema, shards=2, by="rank"):
     return build_source(
         catalog, schema, RANKING,
         DatabaseConfig(system_k=10, shards=shards, shard_by=by),
-        name="fedtest", **kwargs,
+        name="fedtest",
     )
 
 
@@ -251,19 +251,20 @@ class TestFederatedInterface:
         self, diamond_catalog, diamond_schema_fixture
     ):
         cache = QueryResultCache(max_entries=64)
-        federation = make_federation(
-            diamond_catalog, diamond_schema_fixture, shards=2, result_cache=cache
-        )
+        federation = make_federation(diamond_catalog, diamond_schema_fixture, shards=2)
         described = federation.describe()
         assert [described["shards"][i]["name"] for i in range(2)] == ["fedtest#0", "fedtest#1"]
         query = SearchQuery.everything()
-        federation.search(query)
-        assert len(cache) == 0  # the federation itself stores nothing
         QueryEngine(federation, result_cache=cache).search(query)
         assert len(cache) == 1
+        stored, _ = cache.probe("fedtest", query, federation.system_k)
         first_hits = federation.shard_queries_issued()
-        federation.search(query)  # every shard's part read from that entry
-        assert federation.shard_queries_issued() == first_hits
+        federation.search(query)  # the federation holds no cache: both shards asked
+        assert federation.shard_queries_issued() == first_hits + 2
+        # Handed that entry's pages as parts, the scatter asks no shard.
+        (merged,) = federation.settle_many([query], [dict(stored.shard_pages)])
+        assert federation.shard_queries_issued() == first_hits + 2
+        assert merged.rows == stored.rows
         described = federation.describe()
         assert all(info["cache_hits"] == 1 for info in described["shards"])
 
@@ -336,9 +337,7 @@ class TestCompleteMerge:
         self, diamond_catalog, diamond_schema_fixture, reference_db, sorted_values, shards, by
     ):
         cache = QueryResultCache()
-        federation = make_federation(
-            diamond_catalog, diamond_schema_fixture, shards=shards, by=by, result_cache=cache
-        )
+        federation = make_federation(diamond_catalog, diamond_schema_fixture, shards=shards, by=by)
         engine = QueryEngine(federation, result_cache=cache)
         facade = default_namespace(federation)
         rng = random.Random(f"{shards}-{by}")
@@ -374,7 +373,7 @@ class TestCompleteMerge:
             DatabaseConfig(
                 system_k=10, shards=4, fault_plan=FaultPlan(seed=31, transient_rate=0.0001)
             ),
-            name="fedtest", result_cache=cache,
+            name="fedtest",
         )
         query = find_complete_query(federation, reference_db, sorted_values, seed=4)
         assert federation.search(query).complete_rows is not None
@@ -419,7 +418,7 @@ class TestFederatedDelta:
         config = RerankConfig()
         cache = QueryResultCache()
         federation = make_federation(
-            diamond_catalog, schema, shards=4, by=by, result_cache=cache
+            diamond_catalog, schema, shards=4, by=by
         )
         reranker = QueryReranker(federation, config=config, result_cache=cache)
         ranking = SingleAttributeRanking("price", ascending=True)
@@ -518,7 +517,7 @@ def test_reranker_over_federation_matches_unsharded(
     config = RerankConfig()
     cache = QueryResultCache()
     federation = make_federation(
-        diamond_catalog, diamond_schema_fixture, shards=shards, by=by, result_cache=cache
+        diamond_catalog, diamond_schema_fixture, shards=shards, by=by
     )
     unsharded = QueryReranker(reference_db, config=config)
     sharded = QueryReranker(federation, config=config, result_cache=cache)

@@ -15,7 +15,7 @@ from repro.exceptions import SourceUnavailableError
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.build import build_source
-from repro.webdb.cache import FetchStatus, QueryResultCache
+from repro.webdb.cache import FetchStatus, Parts, QueryResultCache
 from repro.webdb.faults import FaultPlan
 from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import Outcome, SearchResult
@@ -30,18 +30,16 @@ RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
 QUERY = SearchQuery.build(ranges={"price": (300.0, 6000.0)})
 
 
-def make_federation(catalog, schema, shards=3, fault_plan=None, clock=None, **kwargs):
-    """``kwargs`` are build_source's keyword arguments (result_cache).  A
-    ``clock`` for the shard breakers' recovery is taken by the federation
-    itself, so with one the built shards and their fault plans are
-    federated again under it."""
+def make_federation(catalog, schema, shards=3, fault_plan=None, clock=None):
+    """A ``clock`` for the shard breakers' recovery is taken by the
+    federation itself, so with one the built shards and their fault plans
+    are federated again under it."""
     federation = build_source(
         catalog,
         schema,
         RANKING,
         DatabaseConfig(system_k=10, shards=shards, fault_plan=fault_plan),
         name="partial",
-        **kwargs,
     )
     if clock is None:
         return federation
@@ -54,7 +52,6 @@ def make_federation(catalog, schema, shards=3, fault_plan=None, clock=None, **kw
             for injector in federation.fault_injectors()
         ],
         clock=clock,
-        **kwargs,
     )
 
 
@@ -79,8 +76,8 @@ def record_missing(federation):
     missing = set()
     settle = federation.settle_many
 
-    def recorded(queries):
-        answered = settle(queries)
+    def recorded(queries, parts=None):
+        answered = settle(queries, parts)
         for answer in answered:
             if isinstance(answer, SearchResult) and answer.degraded:
                 missing.update(answer.missing_shards)
@@ -277,7 +274,6 @@ class TestRetiredEntriesNeverServed:
             diamond_catalog,
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
-            result_cache=cache,
         )
         reranker = QueryReranker(federation, result_cache=cache)
         engine = QueryEngine(federation, result_cache=cache)
@@ -327,7 +323,6 @@ class TestHealThenReread:
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
             clock=clock,
-            result_cache=cache,
         )
         reference = make_federation(diamond_catalog, diamond_schema_fixture)
         engine = QueryEngine(federation, result_cache=cache)
@@ -339,11 +334,10 @@ class TestHealThenReread:
         assert all(page.degraded for page in engine.search_group(queries))
         k = federation.system_k
         for query in queries:
-            assert cache.probe("partial", query, k) is None
-            assert federation.probe(query) is None
-            _, parts, _ = cache.shard_parts("partial", query, k, range(3))
-            assert sorted(parts) == [0, 2]
-            for index, page in parts.items():
+            parts = cache.probe("partial", query, k)
+            assert isinstance(parts, Parts) and sorted(parts.pages) == [0, 2]
+            assert federation.merge_parts(query, parts.pages) is None
+            for index, page in parts.pages.items():
                 assert page.keys() == federation.shards[index].search(query).keys()
 
         for injector in federation.fault_injectors():
@@ -362,7 +356,7 @@ class TestHealThenReread:
             assert page.complete_rows == clean.complete_rows
             assert page.keys() == [row["id"] for row in federation.all_matches(query)[:k]]
         # The healed answers are stored whole: a reread is a plain hit.
-        assert all(cache.probe("partial", query, k) is not None for query in queries)
+        assert all(cache.probe("partial", query, k)[1] is FetchStatus.HIT for query in queries)
 
     @pytest.mark.parametrize("case", ["1d", "2d", "ta", "1d-price-2000"])
     def test_a_reread_on_the_same_reranker_equals_a_fresh_reranker(
@@ -384,7 +378,6 @@ class TestHealThenReread:
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
             clock=clock,
-            result_cache=cache,
         )
         reranker = QueryReranker(federation, result_cache=cache)
         query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
@@ -427,7 +420,6 @@ class TestHealThenReread:
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
             clock=clock,
-            result_cache=cache,
         )
         query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
         ranking = rankings(diamond_schema_fixture)["1d-price"]
@@ -493,6 +485,33 @@ class TestHealThenReread:
         rebooted_cache.close()
 
 
+    def test_a_running_verification_over_a_dead_shard_drops_the_region(
+        self, large_catalog, diamond_schema_fixture, tmp_path
+    ):
+        """Verification reads live answers only, even on a running reranker
+        whose result cache holds the region's crawl: with shard 1 down the
+        region cannot be verified, so it is dropped, not kept unchanged."""
+        query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+        ranking = rankings(diamond_schema_fixture)["1d-price"]
+        federation = make_federation(
+            large_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+        )
+        dense = DenseRegionCache(diamond_schema_fixture, path=str(tmp_path / "dense.sqlite"))
+        reranker = QueryReranker(federation, dense_cache=dense)
+        reranker.rerank(query, ranking, Algorithm.RERANK).top(10)
+        assert len(dense.regions()) == 1 and len(reranker.result_cache) > 0
+
+        kill_shard(federation, 1)
+        asked = federation.resilience_snapshot()["failed_attempts"]
+        counters = reranker.verify_dense_cache()
+        assert counters == {"checked": 1, "refreshed": 1, "unchanged": 0}
+        assert federation.resilience_snapshot()["failed_attempts"] > asked
+        assert dense.regions() == [] and reranker.dense_index.region_count() == 0
+        dense.close()
+
+
 class TestDeadShardEndsTheRequest:
     @pytest.mark.parametrize("case", ["1d-price", "1d-table", "2d", "3d"])
     def test_a_request_over_a_dead_shard_ends_with_the_live_shards_page(
@@ -508,7 +527,6 @@ class TestDeadShardEndsTheRequest:
             large_catalog,
             diamond_schema_fixture,
             fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
-            result_cache=cache,
         )
         reranker = QueryReranker(federation, result_cache=cache)
         ranking = rankings(diamond_schema_fixture)[case]

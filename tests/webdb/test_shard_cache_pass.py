@@ -2,11 +2,11 @@
 
 A federated query takes one result-cache entry, under the federation's
 namespace, and that entry keeps the shard pages its answer was merged from.
-The engine probes the namespace (the group's one containment lookup), the
-federation probe reads the query's shard parts, and a scatter reads them
-again before it asks the shards no part answers: each read walks the one
-covering index once.  Nothing coalesces below the facade, and a crawl's
-groups store their answers like any other group.
+The engine's probe is the one read of the namespace: one walk of its
+covering index finds an answer or the query's shard parts, and the parts
+are either merged into an answer or handed to the scatter, which asks only
+the shards no part answers.  Nothing coalesces below the facade, and a
+crawl's groups store their answers like any other group.
 """
 
 import dataclasses
@@ -15,13 +15,15 @@ import sys
 import threading
 from collections import Counter
 
+import pytest
+
 from repro.config import DatabaseConfig
 from repro.core.parallel import QueryEngine
 from repro.core.reranker import QueryReranker
 from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.webdb.boxindex import BoxIndex
 from repro.webdb.build import build_source
-from repro.webdb.cache import QueryResultCache
+from repro.webdb.cache import FetchStatus, Parts, QueryResultCache
 from repro.webdb.counters import QueryBudget
 from repro.webdb.interface import Outcome, SearchResult
 from repro.webdb.query import SearchQuery, freeze_row
@@ -31,12 +33,31 @@ RANKING = FeaturedScoreRanking("price", boost_weight=2500.0)
 QUERY = SearchQuery.build(ranges={"price": (300.0, 6000.0)})
 
 
-def make_federation(catalog, schema, cache):
+def make_federation(catalog, schema):
     return build_source(
         catalog, schema, RANKING,
         DatabaseConfig(system_k=10, shards=4, shard_by="rank"),
-        name="walked", result_cache=cache,
+        name="walked",
     )
+
+
+def count_walks(monkeypatch):
+    """Count ``BoxIndex.covering`` walks, by index object."""
+    walks = Counter()
+    covering = BoxIndex.covering
+
+    def counted(index, box):
+        walks[id(index)] += 1
+        return covering(index, box)
+
+    monkeypatch.setattr(BoxIndex, "covering", counted)
+    return walks
+
+
+def walked_scopes(cache, walks):
+    """``walks`` by the namespace of the covering index walked."""
+    scope_of = {id(index): scope[0] for scope, index in cache._covering.items()}
+    return Counter({scope_of[index]: count for index, count in walks.items()})
 
 
 def test_the_shared_copy_keeps_every_field_but_the_latency():
@@ -74,15 +95,8 @@ def test_a_cold_federated_miss_walks_the_covering_index_once_per_read(
     diamond_catalog, diamond_schema_fixture, monkeypatch
 ):
     cache = QueryResultCache()
-    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
-    walks = Counter()
-    covering = BoxIndex.covering
-
-    def counted(index, box):
-        walks[id(index)] += 1
-        return covering(index, box)
-
-    monkeypatch.setattr(BoxIndex, "covering", counted)
+    federation = make_federation(diamond_catalog, diamond_schema_fixture)
+    walks = count_walks(monkeypatch)
     flights = []
 
     class Registry(dict):
@@ -93,11 +107,8 @@ def test_a_cold_federated_miss_walks_the_covering_index_once_per_read(
     cache._inflight = Registry()
     (page,) = QueryEngine(federation, result_cache=cache).search_group([QUERY])
 
-    scope_of = {id(index): scope[0] for scope, index in cache._covering.items()}
-    walked = Counter({scope_of[index]: count for index, count in walks.items()})
-    # The engine's probe, the federation's probe and the scatter's part
-    # read: one walk each, all of the federation's one namespace.
-    assert walked == {"walked": 3}
+    # The engine's probe is the one read of the federation's namespace.
+    assert walked_scopes(cache, walks) == {"walked": 1}
     assert flights == ["walked"]
     assert federation.queries_issued() == 1
     assert federation.shard_queries_issued() == 4
@@ -110,6 +121,27 @@ def test_a_cold_federated_miss_walks_the_covering_index_once_per_read(
         assert shard_page.keys() == federation.shards[index].search(QUERY).keys()
 
 
+def test_an_all_parts_probe_hit_walks_the_covering_index_once(
+    diamond_catalog, diamond_schema_fixture, monkeypatch
+):
+    """A sub-query of an overflowing answer whose every shard page covered
+    it is answered from those pages: one walk finds them, and the merged
+    answer is a containment answer, asking no shard."""
+    prices = sorted(float(price) for price in diamond_catalog.column("price"))
+    window = SearchQuery.build(ranges={"price": (prices[100], prices[124])})
+    cache = QueryResultCache()
+    federation = make_federation(diamond_catalog, diamond_schema_fixture)
+    engine = QueryEngine(federation, result_cache=cache)
+    assert engine.search(window).is_overflow
+    walks = count_walks(monkeypatch)
+    sub_query = SearchQuery.build(ranges={"price": (prices[100], prices[110])})
+    page = engine.search(sub_query)
+    assert walked_scopes(cache, walks) == {"walked": 1}
+    assert engine.statistics.contained_answers == 1
+    assert federation.queries_issued() == 1
+    assert page.keys() == [row["id"] for row in federation.all_matches(sub_query)[:10]]
+
+
 def test_a_crawl_over_a_federation_stores_one_answer_per_query(
     diamond_catalog, diamond_schema_fixture
 ):
@@ -118,7 +150,7 @@ def test_a_crawl_over_a_federation_stores_one_answer_per_query(
     pages; a second crawl of the region is answered from those entries and
     asks no shard."""
     cache = QueryResultCache()
-    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    federation = make_federation(diamond_catalog, diamond_schema_fixture)
     engine = QueryEngine(federation, result_cache=cache)
     region = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
     rows, crawl = HiddenDatabaseCrawler(engine).crawl(region)
@@ -147,7 +179,7 @@ def test_identical_cold_queries_from_two_engines_make_one_scatter(
     trip is held open: it coalesces on the facade's key, is refunded, and
     the shards see one query each."""
     cache = QueryResultCache()
-    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    federation = make_federation(diamond_catalog, diamond_schema_fixture)
     engines = [
         QueryEngine(federation, result_cache=cache, budget=QueryBudget()) for _ in range(2)
     ]
@@ -195,7 +227,7 @@ def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
     once they stop, every answer the cache serves and every kept shard page
     equals what the changed federation answers now."""
     cache = QueryResultCache()
-    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    federation = make_federation(diamond_catalog, diamond_schema_fixture)
     reranker = QueryReranker(federation, result_cache=cache)
     queries = [
         SearchQuery.build(ranges={"price": (300.0 + 40.0 * i, 1500.0 + 200.0 * i)})
@@ -231,7 +263,7 @@ def test_scatters_racing_deltas_leave_only_current_entries_and_parts(
     for (namespace, _, _), stored in list(cache._entries.items()):
         query = stored.query
         served = cache.probe(namespace, query, k)
-        if served is not None:
+        if isinstance(served, tuple):
             assert served[0].keys() == [row["id"] for row in federation.all_matches(query)[:k]]
         for index, page in stored.shard_pages:
             assert page.keys() == federation.shards[index].search(query).keys()
@@ -243,7 +275,7 @@ def test_a_delta_keeps_the_reached_entrys_parts_in_its_lru_slot(
     """The parts a delta leaves of an entry stay where the entry was in the
     LRU: at capacity they are evicted before the answers stored after it."""
     cache = QueryResultCache(max_entries=3)
-    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    federation = make_federation(diamond_catalog, diamond_schema_fixture)
     reranker = QueryReranker(federation, result_cache=cache)
     engine = QueryEngine(federation, result_cache=cache)
     first, second, third, fourth = (
@@ -257,32 +289,60 @@ def test_a_delta_keeps_the_reached_entrys_parts_in_its_lru_slot(
     summary = reranker.apply_delta(change)
     assert summary["cache_entries_retired"] == 1
     k = federation.system_k
-    # Neither read moves an entry: the parts are not served, nothing is stored.
-    assert cache.probe("walked", first, k) is None
     assert len(cache) == 3
+    assert next(iter(cache._entries)) == cache.key_for("walked", first, k)
 
     engine.search(fourth)
-    _, parts, _ = cache.shard_parts("walked", first, k, range(4))
-    assert parts == {}
-    assert all(cache.probe("walked", query, k) is not None for query in (second, third, fourth))
+    assert cache.probe("walked", first, k) is None
+    assert all(
+        cache.probe("walked", query, k)[1] is FetchStatus.HIT for query in (second, third, fourth)
+    )
 
 
+@pytest.mark.parametrize("racer", ["settle_many", "probe"])
 def test_a_delta_during_a_scatter_drops_its_answer_and_parts(
-    diamond_catalog, diamond_schema_fixture, monkeypatch
+    diamond_catalog, diamond_schema_fixture, monkeypatch, racer
 ):
-    """A delta that lands while a scatter's shards answer, and can match its
-    query, drops the whole entry: its answer and its shard pages."""
+    """A delta that can match a scatter's query drops the merged answer and
+    the pages it brought, whether it lands while the shards answer or after
+    the engine's probe read the parts the scatter reuses: nothing stale is
+    stored."""
     cache = QueryResultCache()
-    federation = make_federation(diamond_catalog, diamond_schema_fixture, cache)
+    federation = make_federation(diamond_catalog, diamond_schema_fixture)
     reranker = QueryReranker(federation, result_cache=cache)
-    row = federation.all_matches(QUERY)[0]
-    settle = federation.settle_many
+    k = federation.system_k
 
-    def racing(queries):
-        answered = settle(queries)
+    def reprice(row):
         reranker.apply_delta(federation.apply_delta(upserts=[{**row, "price": row["price"] + 1.0}]))
+
+    if racer == "probe":
+        # Shard 0's page retires; shard 1 then changes after the probe has
+        # read its part, and the scatter asks shard 0 alone.
+        QueryEngine(federation, result_cache=cache).search(QUERY)
+        first, second = (
+            next(r for r in federation.all_matches(QUERY) if federation.shards[i].has_key(r["id"]))
+            for i in (0, 1)
+        )
+        reprice(first)
+        row, target = second, cache
+    else:
+        row, target = federation.all_matches(QUERY)[0], federation
+    read = getattr(target, racer)
+
+    def racing(*args):
+        answered = read(*args)
+        reprice(row)
         return answered
 
-    monkeypatch.setattr(federation, "settle_many", racing)
+    monkeypatch.setattr(target, racer, racing)
+    asked = federation.shard_queries_issued()
     QueryEngine(federation, result_cache=cache).search_group([QUERY])
-    assert len(cache) == 0
+    monkeypatch.undo()
+    if racer == "settle_many":
+        assert len(cache) == 0
+        return
+    assert federation.shard_queries_issued() == asked + 1
+    parts = cache.probe("walked", QUERY, k)
+    assert isinstance(parts, Parts) and sorted(parts.pages) == [2, 3]
+    for index, page in parts.pages.items():
+        assert page.rows == federation.shards[index].search(QUERY).rows
