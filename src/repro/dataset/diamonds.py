@@ -95,11 +95,11 @@ def generate_diamond_catalog(
     )
     # Price grows super-linearly with carat; add multiplicative noise so the
     # correlation is strong but not degenerate.
-    price: List[float] = []
-    for weight in carat:
-        base = 2800.0 * (weight ** 1.9)
-        noisy = base * rng.uniform(0.7, 1.45)
-        price.append(round(min(max(noisy, PRICE_BOUNDS[0]), PRICE_BOUNDS[1]), 0))
+    low, high = PRICE_BOUNDS
+    price = [
+        round(min(max(2800.0 * weight**1.9 * rng.uniform(0.7, 1.45), low), high), 0)
+        for weight in carat
+    ]
 
     depth = gen.round_column(
         gen.correlated_column(

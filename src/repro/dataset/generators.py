@@ -51,11 +51,7 @@ def lognormal_column(
     cheap end overflow much more often than near the expensive end).
     """
     mu = math.log(median)
-    values = []
-    for _ in range(count):
-        value = math.exp(rng.gauss(mu, sigma))
-        values.append(min(max(value, lower), upper))
-    return values
+    return [min(max(math.exp(rng.gauss(mu, sigma)), lower), upper) for _ in range(count)]
 
 
 def correlated_column(
@@ -73,11 +69,10 @@ def correlated_column(
     which yields a configurable Pearson correlation: small ``noise_sigma``
     gives near-perfect correlation, large values approach independence.
     """
-    values = []
-    for b in base:
-        value = slope * b + intercept + rng.gauss(0.0, noise_sigma)
-        values.append(min(max(value, lower), upper))
-    return values
+    return [
+        min(max(slope * b + intercept + rng.gauss(0.0, noise_sigma), lower), upper)
+        for b in base
+    ]
 
 
 def uniform_column(
@@ -97,11 +92,7 @@ def integer_column(
     """
     if mode is None:
         return [rng.randint(lower, upper) for _ in range(count)]
-    values = []
-    for _ in range(count):
-        value = rng.triangular(lower, upper, mode)
-        values.append(int(round(value)))
-    return values
+    return [int(round(rng.triangular(lower, upper, mode))) for _ in range(count)]
 
 
 def clustered_column(
@@ -124,13 +115,12 @@ def clustered_column(
     """
     if not 0.0 <= cluster_fraction <= 1.0:
         raise ValueError("cluster_fraction must lie in [0, 1]")
-    values = []
-    for _ in range(count):
-        if rng.random() < cluster_fraction:
-            values.append(cluster_value)
-        else:
-            values.append(round(rng.uniform(lower, upper), decimals))
-    return values
+    return [
+        cluster_value
+        if rng.random() < cluster_fraction
+        else round(rng.uniform(lower, upper), decimals)
+        for _ in range(count)
+    ]
 
 
 def categorical_column(
@@ -230,7 +220,7 @@ def generate_scale_catalog(
     This is the feeding half of the data-scale tier: tuples are generated
     and upserted batch by batch, so at no point does the catalog exist in
     Python memory — it is streamed back out with
-    :meth:`~repro.sqlstore.store.SQLiteTupleStore.iter_rows` at load time.
+    :meth:`~repro.sqlstore.store.SQLiteTupleStore.iter_columns` at load time.
     The value stream depends only on ``seed`` and the running row index
     (never on ``batch_size``), so any two invocations produce identical
     stores.  Returns the number of rows written.

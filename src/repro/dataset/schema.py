@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import filterfalse
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
 
@@ -30,6 +31,10 @@ def is_numeric(value: object) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return not (isinstance(value, float) and math.isnan(value))
+
+
+#: The types :meth:`Attribute.contains_all` admits with no per-value test.
+_REAL_TYPES = frozenset((int, float, bool))
 
 
 class AttributeKind(enum.Enum):
@@ -113,12 +118,22 @@ class Attribute:
 
     def contains(self, value: object) -> bool:
         """Return True when ``value`` lies in the advertised domain."""
-        if self.is_numeric:
-            if not isinstance(value, (int, float)):
-                return False
-            assert self.lower is not None and self.upper is not None
-            return self.lower <= float(value) <= self.upper
-        return value in self.categories
+        return self.contains_all((value,))
+
+    def contains_all(self, values: Sequence[object]) -> bool:
+        """True when every one of ``values`` is a category, or an ``int`` /
+        ``float`` (``bool`` included) that ``float`` puts inside the closed
+        bounds, never NaN; each test is one C-speed pass over the column."""
+        if not self.is_numeric:
+            return all(map(self.categories.__contains__, values))
+        if not set(map(type, values)) <= _REAL_TYPES and not all(
+            isinstance(value, (int, float)) for value in values
+        ):
+            return False
+        floats = list(map(float, values)) or [self.lower]  # no value lies inside
+        if any(map(math.isnan, floats)):
+            return False
+        return self.lower <= min(floats) <= max(floats) <= self.upper  # type: ignore[operator]
 
     @staticmethod
     def numeric(
@@ -231,17 +246,25 @@ class Schema:
         assert attribute.lower is not None and attribute.upper is not None
         return attribute.lower, attribute.upper
 
-    def validate_row(self, row: Dict[str, object]) -> None:
-        """Validate that ``row`` carries the key and legal attribute values."""
-        if self.key not in row:
+    def validate_row(self, row: Mapping[str, object]) -> None:
+        """Validate that ``row`` carries the key and legal attribute values:
+        the one-row case of :meth:`validate_columns`."""
+        self.validate_columns({name: (value,) for name, value in row.items()})
+
+    def validate_columns(self, columns: Mapping[str, Sequence[object]]) -> None:
+        """Validate ``columns`` (equal-length, at least one row) column by
+        column: every row carries the key and every attribute, and each
+        attribute column passes :meth:`Attribute.contains_all`."""
+        if self.key not in columns:
             raise SchemaError(f"row is missing key column {self.key!r}")
         for attribute in self.attributes:
-            if attribute.name not in row:
+            values = columns.get(attribute.name)
+            if values is None:
                 raise SchemaError(f"row is missing attribute {attribute.name!r}")
-            if not attribute.contains(row[attribute.name]):
+            if not attribute.contains_all(values):
+                value = next(filterfalse(attribute.contains, values))
                 raise SchemaError(
-                    f"value {row[attribute.name]!r} outside domain of "
-                    f"attribute {attribute.name!r}"
+                    f"value {value!r} outside domain of attribute {attribute.name!r}"
                 )
 
     def columns(self) -> List[str]:

@@ -10,7 +10,8 @@ fixed-width text rendering.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
 
@@ -43,24 +44,12 @@ class ColumnTable:
     ) -> "ColumnTable":
         """Build a table from an iterable of row dictionaries.
 
-        When ``columns`` is omitted the column order of the first row is used.
-        Missing values raise :class:`SchemaError` — the simulated databases
-        always produce complete rows, so a hole indicates a bug upstream.
+        When ``columns`` is omitted the column order of the first row is used
+        (zero rows then make no column, which a table refuses).  Missing
+        values raise :class:`SchemaError` — the simulated databases always
+        produce complete rows, so a hole indicates a bug upstream.
         """
-        materialized = list(rows)
-        if columns is None:
-            if not materialized:
-                raise SchemaError(
-                    "cannot infer columns from zero rows; pass columns explicitly"
-                )
-            columns = list(materialized[0].keys())
-        data: Dict[str, List[object]] = {name: [] for name in columns}
-        for row in materialized:
-            for name in columns:
-                if name not in row:
-                    raise SchemaError(f"row is missing column {name!r}")
-                data[name].append(row[name])
-        return cls(data)
+        return cls(transpose(rows, columns))
 
     @classmethod
     def empty(cls, columns: Sequence[str]) -> "ColumnTable":
@@ -111,6 +100,11 @@ class ColumnTable:
         for index in range(self._length):
             yield self.row(index)
 
+    def iter_columns(self) -> Iterator[Dict[str, List[object]]]:
+        """The table as one batch of its columns (shared, do not mutate),
+        the form :func:`~repro.webdb.database.stream_sorted_columns` reads."""
+        yield dict(self._columns)
+
     def to_rows(self) -> List[Dict[str, object]]:
         """Materialize all rows as a list of dictionaries."""
         return list(self.iter_rows())
@@ -123,6 +117,24 @@ class ColumnTable:
         return format_grid(
             self.columns, self.to_rows()[:max_rows], hidden_rows=len(self) - max_rows
         )
+
+
+def transpose(
+    rows: Iterable[Mapping[str, object]], names: Optional[Sequence[str]] = None
+) -> Dict[str, Tuple[object, ...]]:
+    """The columns ``names`` (by default the first row's, in its order) of
+    ``rows``, read in one pass with no per-value append; a row missing one of
+    them raises :class:`SchemaError`.  No row and no ``names`` give ``{}``."""
+    iterator = iter(rows)
+    first = next(iterator, None)
+    if first is None:
+        return {name: () for name in names or ()}
+    names = list(first) if names is None else names
+    try:
+        records = [tuple(map(row.__getitem__, names)) for row in chain((first,), iterator)]
+    except KeyError as error:
+        raise SchemaError(f"row is missing column {error.args[0]!r}") from None
+    return dict(zip(names, zip(*records)))
 
 
 def format_grid(

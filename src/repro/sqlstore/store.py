@@ -13,10 +13,13 @@ persistent — the production configuration) and in ``:memory:`` (tests).
 
 from __future__ import annotations
 
+import sqlite3
 import threading
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Schema
+from repro.dataset.table import transpose
 from repro.exceptions import SchemaError
 from repro.sqlstore.connections import SQLiteConnections
 from repro.webdb.query import Row
@@ -45,50 +48,42 @@ class SQLiteTupleStore:
     # ------------------------------------------------------------------ #
     # Schema plumbing
     # ------------------------------------------------------------------ #
-    def _column_definitions(self) -> List[str]:
-        definitions = [f"{_quote_identifier(self._schema.key)} TEXT PRIMARY KEY"]
-        for attribute in self._schema.attributes:
-            sql_type = _SQL_TYPE[attribute.is_numeric]
-            definitions.append(f"{_quote_identifier(attribute.name)} {sql_type}")
-        return definitions
-
     def _create_table(self) -> None:
-        columns = ", ".join(self._column_definitions())
-        statement = f"CREATE TABLE IF NOT EXISTS {_quote_identifier(self._table)} ({columns})"
+        table = _quote_identifier(self._table)
+        definitions = [f"{_quote_identifier(self._schema.key)} TEXT PRIMARY KEY"] + [
+            f"{_quote_identifier(attribute.name)} {_SQL_TYPE[attribute.is_numeric]}"
+            for attribute in self._schema.attributes
+        ]
         with self._write_lock:
             connection = self._connection()
-            connection.execute(statement)
-            for attribute in self._schema.attributes:
-                if attribute.is_numeric:
-                    index_name = f"idx_{self._table}_{attribute.name}"
-                    connection.execute(
-                        f"CREATE INDEX IF NOT EXISTS {_quote_identifier(index_name)} "
-                        f"ON {_quote_identifier(self._table)} "
-                        f"({_quote_identifier(attribute.name)})"
-                    )
+            connection.execute(f"CREATE TABLE IF NOT EXISTS {table} ({', '.join(definitions)})")
+            for name in self._schema.numeric_names:
+                index = _quote_identifier(f"idx_{self._table}_{name}")
+                connection.execute(
+                    f"CREATE INDEX IF NOT EXISTS {index} ON {table} ({_quote_identifier(name)})"
+                )
             connection.commit()
 
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
     def upsert(self, rows: Iterable[Row]) -> int:
-        """Insert or replace ``rows``; returns the number of rows written."""
+        """Insert or replace ``rows``; returns the number of rows written.
+        The rows are validated column by column before anything is written."""
         columns = self._schema.columns()
-        placeholders = ", ".join("?" for _ in columns)
-        column_sql = ", ".join(_quote_identifier(name) for name in columns)
-        statement = (
-            f"INSERT OR REPLACE INTO {_quote_identifier(self._table)} "
-            f"({column_sql}) VALUES ({placeholders})"
-        )
-        payload = []
-        for row in rows:
-            self._schema.validate_row(dict(row))
-            payload.append(tuple(row[name] for name in columns))
-        if not payload:
+        data = transpose(rows, columns)
+        if not data[self._schema.key]:
             return 0
+        self._schema.validate_columns(data)
+        payload = list(zip(*data.values()))
+        column_sql = ", ".join(map(_quote_identifier, columns))
         with self._write_lock:
             connection = self._connection()
-            connection.executemany(statement, payload)
+            connection.executemany(
+                f"INSERT OR REPLACE INTO {_quote_identifier(self._table)} ({column_sql}) "
+                f"VALUES ({', '.join('?' * len(columns))})",
+                payload,
+            )
             connection.commit()
         return len(payload)
 
@@ -109,19 +104,31 @@ class SQLiteTupleStore:
         )
         return int(cursor.fetchone()[0])
 
+    def _select(self, where: str = "", parameters: Sequence[object] = ()) -> sqlite3.Cursor:
+        """Every column (``schema.columns()`` order) of the tuples ``where`` admits."""
+        column_sql = ", ".join(map(_quote_identifier, self._schema.columns()))
+        return self._connection().execute(
+            f"SELECT {column_sql} FROM {_quote_identifier(self._table)} {where}", parameters
+        )
+
+    def _columns(self, records: Sequence[Tuple]) -> Dict[str, Sequence[object]]:
+        """``records`` of :meth:`_select` transposed, numeric columns as ``float``."""
+        numeric = set(self._schema.numeric_names)
+        return {
+            name: list(map(float, values)) if name in numeric else values
+            for name, values in zip(self._schema.columns(), zip(*records))
+        }
+
+    def _rows(self, records: Sequence[Tuple]) -> List[Row]:
+        """``records`` of :meth:`_select` as row dictionaries."""
+        columns = self._columns(records)
+        return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
     def get(self, key: object) -> Optional[Row]:
         """Fetch one tuple by key, or ``None``."""
-        columns = self._schema.columns()
-        column_sql = ", ".join(_quote_identifier(name) for name in columns)
-        cursor = self._connection().execute(
-            f"SELECT {column_sql} FROM {_quote_identifier(self._table)} "
-            f"WHERE {_quote_identifier(self._schema.key)} = ?",
-            (key,),
-        )
-        record = cursor.fetchone()
-        if record is None:
-            return None
-        return self._record_to_row(columns, record)
+        key_sql = _quote_identifier(self._schema.key)
+        record = self._select(f"WHERE {key_sql} = ?", (key,)).fetchone()
+        return None if record is None else self._rows((record,))[0]
 
     def get_many(self, keys: Sequence[object]) -> Dict[object, Row]:
         """Fetch many tuples by key in chunked ``IN`` queries.
@@ -130,22 +137,16 @@ class SQLiteTupleStore:
         Used by the dense-region cache at boot, where fetching a region's
         tuples one ``SELECT`` at a time dominates warm-start latency.
         """
-        columns = self._schema.columns()
-        column_sql = ", ".join(_quote_identifier(name) for name in columns)
-        key_column = _quote_identifier(self._schema.key)
-        key_index = columns.index(self._schema.key)
+        key_column = self._schema.key
         found: Dict[object, Row] = {}
         chunk_size = 500  # stay well under SQLite's bound-parameter limit
         for start in range(0, len(keys), chunk_size):
             chunk = list(keys[start : start + chunk_size])
             placeholders = ", ".join("?" for _ in chunk)
-            cursor = self._connection().execute(
-                f"SELECT {column_sql} FROM {_quote_identifier(self._table)} "
-                f"WHERE {key_column} IN ({placeholders})",
-                chunk,
+            cursor = self._select(
+                f"WHERE {_quote_identifier(key_column)} IN ({placeholders})", chunk
             )
-            for record in cursor.fetchall():
-                found[record[key_index]] = self._record_to_row(columns, record)
+            found.update((row[key_column], row) for row in self._rows(cursor.fetchall()))
         return found
 
     def range_scan(
@@ -160,61 +161,39 @@ class SQLiteTupleStore:
         self._schema.require_numeric(attribute)
         lower_op = ">=" if include_lower else ">"
         upper_op = "<=" if include_upper else "<"
-        columns = self._schema.columns()
-        column_sql = ", ".join(_quote_identifier(name) for name in columns)
-        cursor = self._connection().execute(
-            f"SELECT {column_sql} FROM {_quote_identifier(self._table)} "
-            f"WHERE {_quote_identifier(attribute)} {lower_op} ? "
-            f"AND {_quote_identifier(attribute)} {upper_op} ? "
-            f"ORDER BY {_quote_identifier(attribute)} ASC",
+        column = _quote_identifier(attribute)
+        cursor = self._select(
+            f"WHERE {column} {lower_op} ? AND {column} {upper_op} ? ORDER BY {column} ASC",
             (lower, upper),
         )
-        return [self._record_to_row(columns, record) for record in cursor.fetchall()]
+        return self._rows(cursor.fetchall())
 
     def all_rows(self) -> List[Row]:
         """Every stored tuple."""
-        columns = self._schema.columns()
-        column_sql = ", ".join(_quote_identifier(name) for name in columns)
-        cursor = self._connection().execute(
-            f"SELECT {column_sql} FROM {_quote_identifier(self._table)}"
-        )
-        return [self._record_to_row(columns, record) for record in cursor.fetchall()]
+        return self._rows(self._select().fetchall())
 
-    def iter_rows(self, batch_size: int = 10_000) -> Iterator[List[Row]]:
-        """Stream every stored tuple in batches of at most ``batch_size``.
-
-        At no point does the full table live in Python memory as row
-        dictionaries, so million-tuple catalogs can be transposed into
-        columns as they stream (iterating the store flattens these batches
-        for :func:`repro.webdb.database.stream_sorted_columns`).
-        """
+    def _batches(self, batch_size: int) -> Iterator[List[Tuple]]:
+        """Every stored record, in ``fetchmany`` batches of at most
+        ``batch_size``."""
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        columns = self._schema.columns()
-        column_sql = ", ".join(_quote_identifier(name) for name in columns)
-        cursor = self._connection().execute(
-            f"SELECT {column_sql} FROM {_quote_identifier(self._table)}"
-        )
+        cursor = self._select()
         cursor.arraysize = batch_size
-        while True:
-            records = cursor.fetchmany(batch_size)
-            if not records:
-                break
-            yield [self._record_to_row(columns, record) for record in records]
+        return iter(partial(cursor.fetchmany, batch_size), [])
 
-    def __iter__(self) -> Iterator[Row]:
-        """Every stored tuple, streamed through the batched cursor."""
-        for batch in self.iter_rows():
-            yield from batch
+    def iter_rows(self, batch_size: int = 10_000) -> Iterator[List[Row]]:
+        """Stream every stored tuple as row dictionaries, in batches of at
+        most ``batch_size``; the full table never lives in Python memory."""
+        for records in self._batches(batch_size):
+            yield self._rows(records)
 
-    def _record_to_row(self, columns: Sequence[str], record: Tuple) -> Row:
-        row: Dict[str, object] = {}
-        for name, value in zip(columns, record):
-            if name != self._schema.key and name in self._schema.numeric_names:
-                row[name] = float(value)
-            else:
-                row[name] = value
-        return row
+    def iter_columns(self, batch_size: int = 10_000) -> Iterator[Dict[str, Sequence[object]]]:
+        """Stream every stored tuple as columns, one ``fetchmany`` batch of
+        at most ``batch_size`` records at a time, with no row dictionary
+        built: :func:`repro.webdb.database.stream_sorted_columns` loads a
+        store this way."""
+        for records in self._batches(batch_size):
+            yield self._columns(records)
 
     def close(self) -> None:
         """Close every underlying connection, whichever thread opened it."""

@@ -27,6 +27,7 @@ catalog handed it.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Callable, List, Sequence, Tuple
 
@@ -111,8 +112,8 @@ def pack_raw_column(values: List[object], backend: str) -> object:
     keeps the original list so materialized rows carry the original
     objects.
 
-    A single fused pass decides and converts together, bailing on the first
-    non-conforming value.  Raw buffers are always stdlib ``array`` objects —
+    One pass over the value types decides, and ``array`` converts at C
+    speed.  Raw buffers are always stdlib ``array`` objects —
     even under the numpy backend — so materialized rows contain plain Python
     ``float``/``int`` values (a ``np.float64`` would not be JSON
     serializable and would not be byte-identical downstream); the numpy
@@ -125,27 +126,14 @@ def pack_raw_column(values: List[object], backend: str) -> object:
         return values if values else []
     if backend == "list" or not values:
         return values
-    first = values[0]
-    if type(first) is float:
-        packed_floats = array("d")
-        append = packed_floats.append
-        for value in values:
-            # ``value != value`` is the NaN check, fused into the same pass.
-            if type(value) is not float or value != value:
-                return values
-            append(value)
-        return packed_floats
-    if type(first) is int:
-        packed_ints = array(INT_TYPECODE)
-        append_int = packed_ints.append
-        for value in values:
-            if type(value) is not int:
-                return values
-            try:
-                append_int(value)
-            except OverflowError:
-                return values
-        return packed_ints
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return values if any(map(math.isnan, values)) else array("d", values)
+    if kinds == {int}:
+        try:
+            return array(INT_TYPECODE, values)
+        except OverflowError:
+            return values
     return values
 
 

@@ -5,8 +5,9 @@ endpoint.  :func:`build_source` turns a catalog plus a
 :class:`~repro.config.DatabaseConfig` into that endpoint through one
 pipeline, whatever the input kind and topology::
 
-    rows -> hidden-rank-ordered columns -> position buckets
-         -> ColumnarCatalog.from_columns -> HiddenWebDatabase -> SourceStack
+    columns (or rows, transposed once) -> hidden-rank-ordered columns
+         -> position buckets -> ColumnarCatalog.from_columns
+         -> HiddenWebDatabase -> SourceStack
          (-> FederatedInterface when the catalog is sharded)
 
 Every per-shard seed is a pure function of the shard index (latency
@@ -43,10 +44,11 @@ def build_source(
 ) -> TopKInterface:
     """Build the source ``config`` describes over the catalog ``rows``.
 
-    ``rows`` is a :class:`~repro.dataset.table.ColumnTable`, a
-    :class:`~repro.sqlstore.store.SQLiteTupleStore` or any iterable of row
-    dictionaries; everything but a store (which validated on upsert) is
-    validated against ``schema`` as it is read.  ``config.shards == 1``
+    ``rows`` is a :class:`~repro.dataset.table.ColumnTable` or a
+    :class:`~repro.sqlstore.store.SQLiteTupleStore`, read column by column,
+    or any iterable of row dictionaries, transposed once; everything but a
+    store (which validated on upsert) is validated against ``schema``
+    column by column.  ``config.shards == 1``
     returns a :class:`~repro.webdb.stack.SourceStack` named ``name``; any
     other count partitions the catalog (``config.shard_by``) and returns a
     :class:`~repro.webdb.federation.FederatedInterface` over shards named

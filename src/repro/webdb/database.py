@@ -26,12 +26,12 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.dataset.schema import Schema
-from repro.dataset.table import ColumnTable
+from repro.dataset.table import ColumnTable, transpose
 from repro.exceptions import QueryError
 from repro.webdb.counters import QueryCounter
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.engine import ExecutionEngine, IndexedColumnarEngine, QueryPlan
-from repro.webdb.indexes import ColumnarCatalog
+from repro.webdb.indexes import ColumnarCatalog, RankView
 from repro.webdb.interface import Outcome, SearchResult, TopKInterface
 from repro.webdb.latency import LatencyModel
 from repro.webdb.query import Row, SearchQuery
@@ -44,37 +44,38 @@ def stream_sorted_columns(
     system_ranking: SystemRankingFunction,
     validate: bool = True,
 ) -> Dict[str, List[object]]:
-    """Read rows once into hidden-rank-ordered columns.
+    """Read a catalog once into hidden-rank-ordered columns.
 
-    This is the one catalog-load path: ``rows`` is any iterable of row
-    dictionaries — a :class:`~repro.dataset.table.ColumnTable` iterates
-    lazily, a :class:`~repro.sqlstore.store.SQLiteTupleStore` streams its
-    batched cursor — so the catalog never exists as a list of row
-    dictionaries.  Per row only its hidden sort key is retained; the catalog
-    is then rank-ordered by permuting the accumulated columns.
-
-    Columns come out in the order the rows carry them (the schema's column
-    order for an empty input).  ``validate`` passes every row through
-    ``schema.validate_row`` in the same pass; a store validated its rows on
-    upsert, so its loaders turn the check off.
+    The one catalog-load path builds no row dictionary: a source with
+    ``iter_columns`` (a :class:`~repro.dataset.table.ColumnTable`, a
+    :class:`~repro.sqlstore.store.SQLiteTupleStore`) hands over column
+    batches, and any other iterable of row dictionaries is transposed once.
+    Sort keys are read through :class:`~repro.webdb.indexes.RankView`, and
+    the rank order is applied to every column once.  Columns come out in
+    the source's order (the schema's for an empty input).  ``validate``
+    runs ``schema.validate_columns``; a store validated its rows on upsert,
+    so its loaders turn the check off.
     """
+    source = getattr(rows, "iter_columns", None)
     columns: Dict[str, List[object]] = {}
-    sort_keys: List[object] = []
-    key_of = system_ranking.sort_key(schema.key)
-    for row in rows:
-        if validate:
-            schema.validate_row(row)  # type: ignore[arg-type]
+    for batch in source() if source is not None else (transpose(rows),):
         if not columns:
-            columns = {name: [] for name in row}
-        sort_keys.append(key_of(row))
+            columns = {name: [] for name in batch}
         for name, column in columns.items():
-            column.append(row[name])
-    if not columns:
+            column.extend(batch[name])
+    size = len(next(iter(columns.values()), ()))
+    if not size:
         return {name: [] for name in schema.columns()}
-    order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
+    if validate:
+        schema.validate_columns(columns)
+    key_of = system_ranking.sort_key(schema.key)
+    sort_keys = [key_of(RankView(columns, rank)) for rank in range(size)]
+    order = sorted(range(size), key=sort_keys.__getitem__)
     del sort_keys
-    for name, column in columns.items():
-        columns[name] = [column[i] for i in order]
+    if size > 1:  # one index would make itemgetter return a value, not a tuple
+        take = itemgetter(*order)
+        for column in columns.values():
+            column[:] = take(column)
     return columns
 
 
@@ -106,9 +107,9 @@ class HiddenWebDatabase(TopKInterface):
         latency: Optional[LatencyModel] = None,
         name: str = "webdb",
     ) -> None:
-        # One validating pass over the rows, one sort, one transpose; the
-        # columnar catalog (plus its key→rank map) is the only copy of the
-        # data and everything row-shaped is materialized lazily from it.
+        # One validating pass and one permutation per column; the columnar
+        # catalog (plus its key→rank map) is the only copy of the data and
+        # everything row-shaped is materialized lazily from it.
         columns = stream_sorted_columns(catalog, schema, system_ranking)
         self._init_from_columnar(
             ColumnarCatalog.from_columns(columns, list(columns), schema.key),
@@ -286,8 +287,8 @@ class HiddenWebDatabase(TopKInterface):
         """
         upsert_rows = [dict(row) for row in upserts]
         delete_keys = list(deletes)
-        for row in upsert_rows:
-            self._schema.validate_row(row)
+        if upsert_rows:
+            self._schema.validate_columns(transpose(upsert_rows, self._schema.columns()))
         key_column = self._schema.key
         with self._lock:
             columnar = self._columnar

@@ -15,13 +15,17 @@ grid before ``format_grid`` read the page's rows directly; the sixth,
 ``ColumnarCatalog.spliced`` replaced; the seventh, ``covering_scan``, is the
 linear walk over every covering entry in scope that the result cache's
 ``BoxIndex`` replaced; the eighth, ``WidestMidpointCrawler``, is the crawler
-splitting the widest attribute without reading the overflowing answer.
+splitting the widest attribute without reading the overflowing answer; the
+ninth, ``reference_sorted_columns``, is the row-at-a-time catalog load (with
+its per-value ``reference_validate_row``) that the column-wise
+``stream_sorted_columns`` replaced.
 
 Importable as ``tests.reference`` with the repository root on ``sys.path``
 (``python -m pytest`` from the root, or ``PYTHONPATH=src:.``).
 """
 
 from tests.reference.candidates import reference_candidates
+from tests.reference.catalog_load import reference_sorted_columns, reference_validate_row
 from tests.reference.catalog_rebuild import RebuildDatabase
 from tests.reference.covering_scan import covering_count, covering_scan
 from tests.reference.crawler import WidestMidpointCrawler
@@ -44,5 +48,7 @@ __all__ = [
     "covering_scan",
     "database_on_layout",
     "reference_candidates",
+    "reference_sorted_columns",
     "reference_text_grid",
+    "reference_validate_row",
 ]

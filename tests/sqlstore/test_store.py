@@ -170,3 +170,24 @@ class TestIterRows:
     def test_invalid_batch_size_rejected(self, store):
         with pytest.raises(ValueError):
             next(store.iter_rows(batch_size=0))
+
+
+class TestIterColumns:
+    def test_batches_are_the_row_batches_transposed(self, store):
+        """Each column batch holds exactly the values (and value types) of
+        the row batch at the same cursor position, integers stored in a
+        numeric column read back as ``float``."""
+        store.upsert(_many_rows(25) + [{"id": "int", "price": 7, "carat": 1, "cut": "good"}])
+        row_batches = list(store.iter_rows(batch_size=7))
+        column_batches = list(store.iter_columns(batch_size=7))
+        assert [len(batch["id"]) for batch in column_batches] == [7, 7, 7, 5]
+        for rows, columns in zip(row_batches, column_batches):
+            assert list(columns) == store._schema.columns()
+            for name, values in columns.items():
+                assert [(type(v), v) for v in values] == [(type(r[name]), r[name]) for r in rows]
+
+    def test_empty_store_and_invalid_batch_size(self, store):
+        assert list(store.iter_columns()) == []
+        with pytest.raises(ValueError):
+            next(store.iter_columns(batch_size=0))
+

@@ -406,6 +406,38 @@ class TestHealThenReread:
         assert reread == [row["id"] for row in fresh.rerank(query, ranking, algorithm).top(10)]
         assert reread == ranked(ranking, federation.all_matches(query))[:10]
 
+    def test_a_feed_led_over_a_dead_shard_is_not_replayed_after_the_heal(
+        self, diamond_catalog, diamond_schema_fixture
+    ):
+        """The rerank feed store outlives a request: a feed led while shard 1
+        is down holds a degraded prefix.  After the heal, a new session for
+        the same request reads the live oracle, not that prefix."""
+        clock = FakeClock()
+        federation = make_federation(
+            diamond_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            clock=clock,
+        )
+        reranker = QueryReranker(federation, result_cache=QueryResultCache())
+        query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+        ranking = SingleAttributeRanking("carat", ascending=False)
+        oracle = ranked(ranking, federation.all_matches(query))[:10]
+        kill_shard(federation, 1)
+        led = reranker.rerank(query, ranking, Algorithm.RERANK)
+        degraded = [row["id"] for row in led.top(10)]
+        assert led.statistics.read("degraded_results") > 0
+        assert led.feed.stale and degraded != oracle
+        assert reranker.feed_store.snapshot()["created"] == 1
+
+        for injector in federation.fault_injectors():
+            injector.deactivate()
+        clock.now += CircuitBreaker().recovery_seconds + 1.0
+        reread = reranker.rerank(query, ranking, Algorithm.RERANK)
+        assert reread.feed is not led.feed and not reread.feed.stale
+        assert [row["id"] for row in reread.top(10)] == oracle
+        assert reranker.feed_store.snapshot()["created"] == 2
+
     def test_a_degraded_crawl_persists_no_region_and_a_reload_reads_the_oracle(
         self, large_catalog, diamond_schema_fixture, tmp_path
     ):
