@@ -26,9 +26,10 @@ The variants differ in how they work the list:
   disagrees with the hidden system ranking.
 * **MD-BINARY** — repeatedly halves boxes along their widest side, querying a
   whole batch of boxes in parallel each iteration.
-* **MD-RERANK** — MD-BINARY plus the on-the-fly dense-region index: covered
-  boxes are answered locally, and boxes that become dense while still
-  overflowing are crawled once and indexed for every future query.
+* **MD-RERANK** — MD-BINARY plus the on-the-fly dense-region index: boxes
+  that become dense while still overflowing are crawled once and
+  registered, and a dense box inside a registered one is read from the
+  result cache at zero queries by every future query.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class MultiDimGetNext:
         #: The index this stream reads and grows; ``None`` for every variant
         #: but RERANK, which is the one place that is decided.  Every variant
         #: crawls a box once :func:`is_dense` says so; only MD-RERANK looks
-        #: boxes up in the index first and remembers what it crawled.
+        #: a dense box up in the index first and remembers what it crawled.
         self._dense_index = dense_index if variant is Variant.RERANK else None
         self._statistics = session.statistics
 
@@ -295,12 +296,6 @@ class MultiDimGetNext:
             batch, work = work, []
             to_query: List[Tuple[HyperRectangle, int]] = []
             for box, depth, _, _ in batch:
-                if self._dense_index is not None:
-                    rows = self._dense_index.lookup(box, self._base_query)
-                    if rows is not None:
-                        self._statistics.record("dense_index_hits")
-                        self._remember(rows)
-                        continue
                 if is_dense(box.max_relative_width(schema), depth):
                     self._resolve_dense_box(box)
                     continue
@@ -330,18 +325,16 @@ class MultiDimGetNext:
         return best
 
     def _resolve_dense_box(self, box: HyperRectangle) -> None:
-        """A box is dense (or too deep).  MD-RERANK answers it from the
-        dense-region index, which crawls it without the user filters on a
+        """A box is dense (or too deep).  MD-RERANK reads it from a
+        registered covering box, and crawls it without the user filters on a
         miss; MD-BINARY crawls it with the filters and pays again next time."""
         if self._dense_index is None:
             query = box.to_query(self._base_query)
             rows = crawl_region(self._engine, self._statistics, query)
         else:
-            # Index the closed version of the box (half-open sides come from
-            # binary splits): it simplifies persistence, keeps the coverage
-            # invariant after a cache reload, and keys the crawl decision on
-            # what is stored, so the interval and naive indexes build
-            # identical coverage from identical crawls.
+            # Register the closed version of the box (half-open sides come
+            # from binary splits): it is what persistence stores, so a
+            # reloaded box covers what the crawl covered.
             closed_box = HyperRectangle.from_bounds(box.bounds())
             covered, _ = dense_rows(
                 self._engine, self._statistics, self._dense_index, closed_box, self._base_query

@@ -26,17 +26,17 @@ Variant-specific "find the next value":
   interval; underflow moves the lower bound up, anything else moves the upper
   bound down (to the smallest value returned).  Degrades badly when many
   tuples crowd a tiny interval.
-* **1D-RERANK** — 1D-BINARY plus the on-the-fly dense-region index: covered
-  intervals are answered locally with zero queries, and an interval that has
-  become dense while still overflowing is crawled once, indexed, and then
-  answered locally forever after.  When the user query has filters beyond
-  the ranking attribute, a dense interval is first asked *with* them: if
-  that one query covers its answer it settles the interval, and only an
-  overflow falls back to the filter-free crawl.
+* **1D-RERANK** — 1D-BINARY plus the on-the-fly dense-region index: an
+  interval that has become dense while still overflowing is crawled once
+  and registered, and a dense interval inside a registered one is read from
+  the result cache at zero queries ever after.  When the user query has
+  filters beyond the ranking attribute, a dense interval is first asked
+  *with* them: if that one query covers its answer it settles the interval,
+  and only an overflow falls back to the filter-free crawl.
 
 Every variant keeps a **verified prefix**: the oriented value up to which
 every matching tuple is already in the session cache.  An answer that
-covers its interval (VALID / UNDERFLOW, a dense-index lookup, a crawl) and
+covers its interval (VALID / UNDERFLOW, a dense-index read, a crawl) and
 starts at or below the prefix extends it; a degraded answer never
 does.  A Get-Next whose best cached candidate lies inside the prefix emits
 it with no query, and a prefix reaching the domain edge exhausts the stream.
@@ -60,7 +60,7 @@ from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle, interval_relative_width
 from repro.core.session import ChangeWatch, Session
 from repro.webdb.delta import ChangeLog
-from repro.webdb.interface import Outcome, SearchResult
+from repro.webdb.interface import SearchResult
 from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 #: Oriented values: the algorithms always *minimize*; descending rankings are
@@ -281,7 +281,7 @@ class OneDimGetNext:
         below the prefix's end.  Every matching tuple in ``interval`` must be
         remembered already: from ``result`` when it proves its query (a
         degraded answer proves nothing), or from a dense-index
-        lookup or a crawl when ``result`` is ``None``."""
+        read or a crawl when ``result`` is ``None``."""
         if result is not None and (not result.proves_query or result.degraded):
             return
         end, inclusive = self._proven
@@ -370,15 +370,12 @@ class OneDimGetNext:
     def _binary_search(
         self, interval: _Interval, cached_bound: Optional[float]
     ) -> Optional[float]:
-        """Binary descent; 1D-RERANK adds index lookups and dense crawling."""
+        """Binary descent; 1D-RERANK reads and grows the dense-region index
+        once the interval is dense."""
         best = cached_bound
         if best is None:
             # Establish existence (and a first upper bound) with one broad query.
-            result = self._probe(interval)
-            if result is None:
-                # The dense index covered the whole interval and found nothing.
-                self._prove(interval)
-                return None
+            result = self._search_interval(interval)
             self._remember(result.observed_rows)
             self._prove(interval, result)
             values = self._eligible_values(result.observed_rows)
@@ -397,14 +394,7 @@ class OneDimGetNext:
                 return self._resolve_dense_interval(lower, include_lower, best)
             midpoint = lower + width / 2.0
             half = _Interval(lower, midpoint, include_lower, True)
-            result = self._probe(half)
-            if result is None:
-                # Served from the dense index: nothing beyond the frontier in
-                # the half, move the lower bound up.
-                self._prove(half)
-                lower, include_lower = midpoint, False
-                rounds += 1
-                continue
+            result = self._search_interval(half)
             self._remember(result.observed_rows)
             self._prove(half, result)
             values = self._eligible_values(result.observed_rows)
@@ -417,34 +407,6 @@ class OneDimGetNext:
                 best = min(best, candidate)
                 upper = candidate
             rounds += 1
-
-    def _probe(self, interval: _Interval) -> Optional[SearchResult]:
-        """Query an interval, preferring the dense-region index when allowed.
-
-        Returns ``None`` when the index covered the interval and contained no
-        eligible tuple (the caller treats it like an underflow), or a synthetic
-        "covered" result when the index produced the answer locally.
-        """
-        if self._dense_index is not None:
-            predicate = self._axis.interval_predicate(
-                interval.lower, interval.upper, interval.include_lower, interval.include_upper
-            )
-            rows = self._dense_index.lookup_interval(
-                self._axis.attribute, predicate, self._base_query
-            )
-            if rows is not None:
-                self._statistics.record("dense_index_hits")
-                eligible = self._eligible(rows)
-                if not eligible:
-                    return None
-                return SearchResult(
-                    query=self._interval_query(interval),
-                    rows=tuple(eligible),
-                    outcome=Outcome.VALID,
-                    system_k=self._engine.system_k,
-                    elapsed_seconds=0.0,
-                )
-        return self._search_interval(interval)
 
     def _search_interval(self, interval: _Interval) -> SearchResult:
         return self._engine.search(self._interval_query(interval))
@@ -462,12 +424,13 @@ class OneDimGetNext:
     ) -> Optional[float]:
         """The candidate interval has become dense.
 
-        1D-RERANK answers it from the dense-region index.  On a miss it asks
+        1D-RERANK reads it from a registered covering box
+        (:func:`~repro.core.dense_index.dense_rows`).  On a miss it asks
         the interval with the user's filters first when there are any: they
         may thin it below ``system_k``, and then one query settles it.
         Otherwise (or when that query overflows) it crawls the interval once
-        without the filters, so the region is reusable, indexes it, and
-        answers locally.  The other variants fall back to baseline narrowing
+        without the filters, so the region is reusable, and registers it.
+        The other variants fall back to baseline narrowing
         inside the small interval, which is correct but pays the price on
         every request — exactly the behaviour gap the paper demonstrates.
         """

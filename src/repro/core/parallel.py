@@ -64,8 +64,7 @@ Settled = Tuple[Optional[SearchResult], QueryOutcome]
 
 class QueryEngine:
     """Issues query groups against one top-k interface, each as one
-    round trip, with accounting and optional shared result caching (the
-    crawler's verification engine runs without a cache)."""
+    round trip, with accounting and optional shared result caching."""
 
     def __init__(
         self,

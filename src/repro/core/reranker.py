@@ -102,7 +102,7 @@ class QueryReranker:
         #: The persistent region store, re-verified against the live source by
         #: :meth:`verify_dense_cache`.
         self._dense_cache = dense_cache
-        self._dense_index = self._make_dense_index(dense_cache)
+        self._dense_index = DenseRegionIndex(dense_cache)
         self._result_cache = (
             result_cache if result_cache is not None else QueryResultCache()
         )
@@ -125,12 +125,6 @@ class QueryReranker:
         self._session_counter = itertools.count(1)
         self._feed_counter = itertools.count(1)
         self._lock = threading.Lock()
-
-    def _make_dense_index(self, cache: Optional[DenseRegionCache]) -> DenseRegionIndex:
-        """A fresh dense-region index (loading ``cache``'s regions, if any);
-        called at construction and by :meth:`verify_dense_cache`.  The
-        reference oracle under ``tests/reference/`` overrides this."""
-        return DenseRegionIndex(self._interface.schema, cache=cache)
 
     # ------------------------------------------------------------------ #
     @property
@@ -401,16 +395,20 @@ class QueryReranker:
         then a fresh index over the refreshed cache.
 
         Each stored region is re-crawled through a :class:`QueryEngine` over
-        the interface with no result cache, so it reads only live answers.
-        A re-crawl that received a degraded answer cannot verify its region,
-        which is dropped until a request crawls it again.  Returns the
-        refresh counters; a no-op when no persistent cache was given.
+        a result cache of its own, so it reads only live answers.  A re-crawl
+        that received a degraded answer cannot verify its region, which is
+        dropped until a request crawls it again.  The live answers are then
+        stored in the shared result cache, where a request's crawl of a
+        verified region reads them at zero queries.  Returns the refresh
+        counters; a no-op when no persistent cache was given.
         """
         cache = self._dense_cache
         if cache is None:
             return {"checked": 0, "refreshed": 0, "unchanged": 0}
-        engine = QueryEngine(self._interface)
+        live = QueryResultCache()
+        engine = QueryEngine(self._interface, result_cache=live, cache_namespace=self._cache_namespace)
         crawler = HiddenDatabaseCrawler(engine)
+        since = self._result_cache.changes(self._cache_namespace).sequence
 
         def crawl(bounds):
             degraded = engine.statistics.read("degraded_results")
@@ -418,7 +416,8 @@ class QueryReranker:
             return rows if engine.statistics.read("degraded_results") == degraded else None
 
         counters = cache.verify_and_refresh(crawl)
-        self._dense_index = self._make_dense_index(cache)
+        self._result_cache.absorb(live, since)
+        self._dense_index = DenseRegionIndex(cache)
         return counters
 
 

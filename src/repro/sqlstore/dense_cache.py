@@ -10,9 +10,10 @@ that component on SQLite: it stores
   in a metadata table, and
 * the *crawled tuples* themselves, in a :class:`~repro.sqlstore.store.SQLiteTupleStore`.
 
-The in-memory index used on the hot path lives in
-:mod:`repro.core.dense_index`; this module is only about durability and
-boot-time verification.
+The in-memory registry of crawled boxes lives in
+:mod:`repro.core.dense_index`, and the rows a request reads are the result
+cache's entries; this module is only about durability and boot-time
+verification.
 """
 
 from __future__ import annotations
@@ -146,10 +147,8 @@ class DenseRegionCache:
         return stored
 
     def rows_for_region(self, region: StoredRegion) -> List[Row]:
-        """The crawled tuples belonging to ``region``, in stored-key order.
-
-        Fetched as chunked batch lookups (one region used to cost one
-        ``SELECT`` per tuple, which dominated index warm-start time)."""
+        """The crawled tuples belonging to ``region``, in stored-key order,
+        fetched as chunked batch lookups."""
         found = self._tuples.get_many(region.tuple_keys)
         rows = []
         for key in region.tuple_keys:

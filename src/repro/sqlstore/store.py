@@ -4,7 +4,9 @@ The paper persists the shared dense-region cache in MySQL because it can grow
 beyond main memory and is shared between users.  MySQL is not available here,
 so :class:`SQLiteTupleStore` provides the same capability on the standard
 library's ``sqlite3``: create a table per web-database schema, upsert crawled
-tuples, and run indexed range scans over numeric attributes.
+tuples, read them back by key, and scan numeric ranges.  The table is keyed by
+the tuple key alone: readers go by key or scan the whole table, so no
+per-attribute index is maintained on write.
 
 Connections are per-thread (:class:`~repro.sqlstore.connections.SQLiteConnections`),
 writes are guarded by a lock, and the store works both on-disk (shared,
@@ -57,11 +59,6 @@ class SQLiteTupleStore:
         with self._write_lock:
             connection = self._connection()
             connection.execute(f"CREATE TABLE IF NOT EXISTS {table} ({', '.join(definitions)})")
-            for name in self._schema.numeric_names:
-                index = _quote_identifier(f"idx_{self._table}_{name}")
-                connection.execute(
-                    f"CREATE INDEX IF NOT EXISTS {index} ON {table} ({_quote_identifier(name)})"
-                )
             connection.commit()
 
     # ------------------------------------------------------------------ #

@@ -277,6 +277,17 @@ class QueryResultCache:
         with self._lock:
             self._store_locked(key, query, result)
 
+    def absorb(self, other: "QueryResultCache", since: int) -> None:
+        """Store every entry of ``other``, least recently used first, as a
+        fetched miss is stored: unless a delta logged in its namespace since
+        change sequence ``since`` could match its query."""
+        with other._lock:
+            entries = list(other._entries.items())
+        with self._lock:
+            for key, result in entries:
+                if self._store_allowed_locked(key[0], result.query, since):
+                    self._store_locked(key, result.query, result)
+
     def fetch(
         self,
         namespace: str,

@@ -151,7 +151,7 @@ def _lead_50(bluenile_db, driver, counts):
         base_query=SearchQuery.build(ranges={"price": (500.0, 9000.0)}),
         ranking=_counting_ranking(bluenile_db.schema, counts),
         session=session,
-        dense_index=DenseRegionIndex(bluenile_db.schema),
+        dense_index=DenseRegionIndex(),
     )
     assert all(getnext.next() is not None for _ in range(50))
     counts["seen"] = session.seen_count()

@@ -1,24 +1,27 @@
 """Tests for the on-the-fly dense-region index.
 
-Most tests run against both implementations (``interval`` — the sublinear
-coalescing structure — and ``naive`` — the seed's linear reference); behaviour
-they share is the contract.  Coalescing semantics and shared-immutable-row
-semantics are interval-only and tested separately.
+The index is a registry of the closed boxes crawled whole; their rows live
+in the result cache.  The registry's coverage, bookkeeping, delta retirement
+and persistence are tested on the index alone; :func:`dense_rows` — the one
+reader — is tested through a :class:`QueryEngine` over a result cache, with
+the brute-force scan of the database as the oracle.
 """
 
 import pytest
 
-from repro.core.dense_index import DenseRegionIndex, IndexedRegion
+from repro.config import DatabaseConfig, RerankConfig
+from repro.core.dense_index import DenseRegionIndex, crawl_region, dense_rows
+from repro.core.functions import SingleAttributeRanking
+from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
-from repro.exceptions import DenseRegionError
+from repro.core.reranker import Algorithm, QueryReranker
 from repro.sqlstore.dense_cache import DenseRegionCache
+from repro.webdb.build import build_source
+from repro.webdb.cache import QueryResultCache
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import RangePredicate, SearchQuery
-from tests.reference import NaiveDenseRegionIndex
-
-#: The production index and its linear reference oracle, by ``describe()["impl"]``.
-INDEXES = {"interval": DenseRegionIndex, "naive": NaiveDenseRegionIndex}
-
+from repro.webdb.ranking import FeaturedScoreRanking
+from tests.conftest import assert_matches_ground_truth
 
 ROWS = [
     {"id": "a", "price": 10.0, "carat": 1.0},
@@ -27,25 +30,16 @@ ROWS = [
 ]
 
 
-@pytest.fixture(params=["interval", "naive"])
-def index(request, diamond_schema_fixture) -> DenseRegionIndex:
-    return INDEXES[request.param](diamond_schema_fixture)
-
-
 @pytest.fixture()
-def interval_index(diamond_schema_fixture) -> DenseRegionIndex:
-    return DenseRegionIndex(diamond_schema_fixture)
-
-
-@pytest.fixture()
-def naive_index(diamond_schema_fixture) -> NaiveDenseRegionIndex:
-    return NaiveDenseRegionIndex(diamond_schema_fixture)
+def index() -> DenseRegionIndex:
+    return DenseRegionIndex()
 
 
 class TestCoverage:
     def test_interval_coverage(self, index):
         index.add_interval("price", 0.0, 100.0, ROWS)
-        assert index.lookup_interval("price", RangePredicate("price", 10.0, 50.0)) is not None
+        registered = HyperRectangle.from_bounds({"price": (0.0, 100.0)})
+        assert index.lookup_interval("price", RangePredicate("price", 10.0, 50.0)) == registered
         assert index.lookup_interval("price", RangePredicate("price", 50.0, 150.0)) is None
         assert index.lookup_interval("carat", RangePredicate("carat", 1.0, 2.0)) is None
 
@@ -53,7 +47,9 @@ class TestCoverage:
         box = HyperRectangle.from_bounds({"price": (0.0, 100.0), "carat": (0.0, 3.0)})
         index.add_region(box, ROWS)
         inner = HyperRectangle.from_bounds({"price": (10.0, 20.0), "carat": (1.0, 2.0)})
-        assert index.lookup(inner) is not None
+        assert index.lookup(inner) == box
+        outer = HyperRectangle.from_bounds({"price": (0.0, 200.0), "carat": (0.0, 3.0)})
+        assert index.lookup(outer) is None
         # A 1D question is not answered by the 2D region.
         assert index.lookup_interval("price", RangePredicate("price", 10.0, 20.0)) is None
 
@@ -62,143 +58,13 @@ class TestCoverage:
         half_open = RangePredicate("price", 10.0, 100.0, include_lower=False)
         assert index.lookup_interval("price", half_open) is not None
 
-    def test_rows_in_requires_coverage(self, index):
-        with pytest.raises(DenseRegionError):
-            index.rows_in(HyperRectangle.from_bounds({"price": (0.0, 1.0)}))
-
-
-class TestLookups:
-    def test_lookup_filters_by_interval(self, index):
-        index.add_interval("price", 0.0, 100.0, ROWS)
-        rows = index.lookup_interval("price", RangePredicate("price", 15.0, 100.0))
-        assert {row["id"] for row in rows} == {"b", "c"}
-
-    def test_lookup_filters_by_base_query(self, index):
-        index.add_interval("price", 0.0, 100.0, ROWS)
-        base = SearchQuery.build(ranges={"carat": (1.4, 3.0)})
-        rows = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0), base)
-        assert {row["id"] for row in rows} == {"b", "c"}
-
-    def test_lookup_single_pass(self, index):
-        index.add_interval("price", 0.0, 100.0, ROWS)
-        rows = index.lookup_interval("price", RangePredicate("price", 15.0, 100.0))
-        assert rows is not None
-        assert {row["id"] for row in rows} == {"b", "c"}
-        # Uncovered: None (not an exception, unlike rows_in).
-        assert index.lookup_interval("price", RangePredicate("price", 50.0, 150.0)) is None
-        # Covered but empty: [] — distinguishable from a miss.
-        empty = index.lookup_interval("price", RangePredicate("price", 11.0, 12.0))
-        assert empty == []
-
-    def test_lookup_md_box(self, index):
-        box = HyperRectangle.from_bounds({"price": (0.0, 100.0), "carat": (0.0, 3.0)})
-        index.add_region(box, ROWS)
-        inner = HyperRectangle.from_bounds({"price": (5.0, 25.0), "carat": (0.5, 1.6)})
-        rows = index.lookup(inner)
-        assert rows is not None
-        assert {row["id"] for row in rows} == {"a", "b"}
-        outer = HyperRectangle.from_bounds({"price": (0.0, 200.0), "carat": (0.0, 3.0)})
-        assert index.lookup(outer) is None
-
-    def test_callers_cannot_mutate_index_state(self, index):
-        """Mutating what a lookup returned must never corrupt the index:
-        the naive impl hands out copies, the interval impl hands out shared
-        *immutable* mappings (no per-call copies)."""
-        index.add_interval("price", 0.0, 100.0, ROWS)
-        rows = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
-        try:
-            rows[0]["price"] = -1
-        except TypeError:
-            pass  # interval impl: immutable mapping refuses the write
-        again = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
-        assert all(row["price"] >= 0 for row in again)
-
-    def test_interval_rows_are_shared_immutable(self, interval_index):
-        interval_index.add_interval("price", 0.0, 100.0, ROWS)
-        first = interval_index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
-        second = interval_index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
-        # Same underlying objects (no dict() copies on the read path) ...
-        assert {id(row) for row in first} == {id(row) for row in second}
-        # ... and every one of them rejects mutation.
-        for row in first:
-            with pytest.raises(TypeError):
-                row["price"] = -1
-
-    def test_add_region_does_not_alias_caller_rows(self, index):
-        mine = [dict(row) for row in ROWS]
-        index.add_interval("price", 0.0, 100.0, mine)
-        mine[0]["price"] = -999.0
-        rows = index.lookup_interval("price", RangePredicate("price", 0.0, 100.0))
-        assert all(row["price"] >= 0 for row in rows)
-
-
-class TestCoalescing:
-    def test_adjacent_intervals_merge(self, interval_index):
-        interval_index.add_interval("price", 0.0, 15.0, ROWS[:1])
-        interval_index.add_interval("price", 15.0, 35.0, ROWS[1:])
-        assert interval_index.region_count() == 1
-        assert interval_index.describe()["coalesced"] == 1
-        # The union is covered even though neither inserted region covers it.
-        probe = RangePredicate("price", 5.0, 25.0)
-        rows = interval_index.lookup_interval("price", probe)
-        assert rows is not None and {row["id"] for row in rows} == {"a", "b"}
-
-    def test_naive_does_not_merge(self, naive_index):
-        naive_index.add_interval("price", 0.0, 15.0, ROWS[:1])
-        naive_index.add_interval("price", 15.0, 35.0, ROWS[1:])
-        assert naive_index.region_count() == 2
-        assert naive_index.lookup_interval("price", RangePredicate("price", 5.0, 25.0)) is None
-
-    def test_overlapping_intervals_dedup_rows(self, interval_index):
-        interval_index.add_interval("price", 0.0, 25.0, ROWS[:2])
-        interval_index.add_interval("price", 15.0, 40.0, ROWS[1:])
-        assert interval_index.region_count() == 1
-        # "b" sits in both inserted regions but is stored once.
-        assert interval_index.tuple_count() == 3
-        rows = interval_index.lookup_interval("price", RangePredicate("price", 0.0, 40.0))
-        assert sorted(row["id"] for row in rows) == ["a", "b", "c"]
-
-    def test_nested_interval_absorbed(self, interval_index):
-        interval_index.add_interval("price", 0.0, 100.0, ROWS)
-        interval_index.add_interval("price", 10.0, 20.0, ROWS[:2])
-        assert interval_index.region_count() == 1
-        assert interval_index.tuple_count() == 3
-
-    def test_gap_prevents_merge(self, interval_index):
-        interval_index.add_interval("price", 0.0, 10.0, ROWS[:1])
-        interval_index.add_interval("price", 20.0, 40.0, ROWS[1:])
-        assert interval_index.region_count() == 2
-        assert interval_index.lookup_interval("price", RangePredicate("price", 5.0, 25.0)) is None
-
-    def test_one_insert_bridges_many_regions(self, interval_index):
-        interval_index.add_interval("price", 0.0, 10.0, ROWS[:1])
-        interval_index.add_interval("price", 20.0, 30.0, ROWS[2:])
-        interval_index.add_interval("price", 5.0, 25.0, ROWS[1:2])
-        assert interval_index.region_count() == 1
-        rows = interval_index.lookup_interval("price", RangePredicate("price", 0.0, 30.0))
-        assert sorted(row["id"] for row in rows) == ["a", "b", "c"]
-
-    def test_stackable_md_boxes_merge(self, interval_index):
-        left = HyperRectangle.from_bounds({"price": (0.0, 20.0), "carat": (0.0, 3.0)})
-        right = HyperRectangle.from_bounds({"price": (20.0, 40.0), "carat": (0.0, 3.0)})
-        interval_index.add_region(left, ROWS[:2])
-        interval_index.add_region(right, ROWS[2:])
-        assert interval_index.region_count() == 1
-        spanning = HyperRectangle.from_bounds({"price": (10.0, 30.0), "carat": (1.0, 2.0)})
-        rows = interval_index.lookup(spanning)
-        assert rows is not None
-        assert {row["id"] for row in rows} == {"a", "b", "c"}
-
-    def test_misaligned_md_boxes_do_not_merge(self, interval_index):
-        a = HyperRectangle.from_bounds({"price": (0.0, 20.0), "carat": (0.0, 2.0)})
-        b = HyperRectangle.from_bounds({"price": (20.0, 40.0), "carat": (0.0, 3.0)})
-        interval_index.add_region(a, ROWS[:2])
-        interval_index.add_region(b, ROWS[2:])
-        # Their union is L-shaped, not a box: merging would claim uncrawled
-        # space, so they must stay separate.
-        assert interval_index.region_count() == 2
-        spanning = HyperRectangle.from_bounds({"price": (10.0, 30.0), "carat": (0.0, 2.5)})
-        assert interval_index.lookup(spanning) is None
+    def test_boxes_are_kept_as_added(self, index):
+        """Adjacent boxes are not merged: their union is covered by neither."""
+        index.add_interval("price", 0.0, 15.0, ROWS[:1])
+        index.add_interval("price", 15.0, 35.0, ROWS[1:])
+        index.add_interval("price", 15.0, 35.0, ROWS[1:])
+        assert index.region_count() == 2
+        assert index.lookup_interval("price", RangePredicate("price", 5.0, 25.0)) is None
 
 
 class TestBookkeeping:
@@ -208,11 +74,9 @@ class TestBookkeeping:
             HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 3.0)}), ROWS
         )
         assert index.region_count() == 2
-        assert index.tuple_count() == 5
         description = index.describe()
         assert description["per_signature"] == {"price": 1, "carat+price": 1}
         assert description["regions"] == 2 and not description["persistent"]
-        assert description["impl"] == index.impl
 
     def test_a_delta_retires_only_the_regions_it_reaches(self, index):
         index.add_interval("price", 0.0, 15.0, ROWS[:1])
@@ -223,46 +87,34 @@ class TestBookkeeping:
         # Row "a" lies in the first interval and in the box; "c" is untouched.
         delta = CatalogDelta.from_rows("db", "id", ROWS[:1])
         assert index.invalidate_delta(delta) == 2
-        assert index.region_count() == 1 and index.tuple_count() == 1
+        assert index.region_count() == 1
         description = index.describe()
         assert description["delta_retired"] == 2
         # A signature left with no region is gone from the summary.
         assert description["per_signature"] == {"price": 1}
         assert index.lookup_interval("price", RangePredicate("price", 5.0, 10.0)) is None
-        assert index.lookup_interval("price", RangePredicate("price", 28.0, 32.0)) == ROWS[2:]
+        assert index.lookup_interval("price", RangePredicate("price", 28.0, 32.0)) is not None
 
-    def test_counters_track_coalescing(self, interval_index):
-        interval_index.add_interval("price", 0.0, 20.0, ROWS[:2])
-        interval_index.add_interval("price", 20.0, 40.0, ROWS[2:])
-        assert interval_index.region_count() == 1
-        assert interval_index.tuple_count() == 3
-        description = interval_index.describe()
-        assert description["regions"] == 1
-        assert description["tuples"] == 3
-        assert description["coalesced"] == 1
+    def test_an_empty_index_counts_a_miss(self, index):
+        assert index.lookup_interval("price", RangePredicate("price", 0.0, 10.0)) is None
+        assert index.invalidate_delta(CatalogDelta.from_rows("db", "id", ROWS)) == 0
+        description = index.describe()
+        assert (description["regions"], description["lookups"], description["hits"]) == (0, 1, 0)
+        assert description["per_signature"] == {}
 
-    def test_lookup_counters(self, interval_index):
-        interval_index.add_interval("price", 0.0, 50.0, ROWS)
-        interval_index.lookup_interval("price", RangePredicate("price", 0.0, 10.0))
-        interval_index.lookup_interval("price", RangePredicate("price", 60.0, 90.0))
-        description = interval_index.describe()
+    def test_lookup_counters(self, index):
+        index.add_interval("price", 0.0, 50.0, ROWS)
+        index.lookup_interval("price", RangePredicate("price", 0.0, 10.0))
+        index.lookup_interval("price", RangePredicate("price", 60.0, 90.0))
+        description = index.describe()
         assert description["lookups"] == 2
         assert description["hits"] == 1
 
-    def test_cached_region_attributes(self):
-        box = HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 3.0)})
-        region = IndexedRegion(box=box, rows=list(ROWS))
-        # Computed once at construction, in sorted order.
-        assert region.attributes == ("carat", "price")
-        assert region.attributes is region.attributes
-
 
 class TestPersistence:
-    @pytest.mark.parametrize("impl", ["interval", "naive"])
-    def test_regions_survive_reload(self, diamond_schema_fixture, tmp_path, impl):
-        path = str(tmp_path / f"dense-{impl}.sqlite")
+    def test_regions_and_their_rows_survive_reload(self, diamond_schema_fixture, tmp_path):
+        path = str(tmp_path / "dense.sqlite")
         cache = DenseRegionCache(diamond_schema_fixture, path=path)
-        first = INDEXES[impl](diamond_schema_fixture, cache=cache)
         rows = [
             {
                 "id": f"d{i}",
@@ -278,13 +130,273 @@ class TestPersistence:
             }
             for i in range(4)
         ]
-        first.add_interval("length_width_ratio", 1.0, 1.0, rows)
+        DenseRegionIndex(cache).add_interval("length_width_ratio", 1.0, 1.0, rows)
         cache.close()
 
-        cache2 = DenseRegionCache(diamond_schema_fixture, path=path)
-        second = INDEXES[impl](diamond_schema_fixture, cache=cache2)
+        reopened = DenseRegionCache(diamond_schema_fixture, path=path)
+        second = DenseRegionIndex(reopened)
         point = RangePredicate("length_width_ratio", 1.0, 1.0)
-        rows = second.lookup_interval("length_width_ratio", point)
-        assert rows is not None and len(rows) == 4
+        assert second.lookup_interval("length_width_ratio", point) is not None
         assert second.describe()["persistent"]
-        cache2.close()
+        [stored] = reopened.regions()
+        assert [row["id"] for row in reopened.rows_for_region(stored)] == [
+            row["id"] for row in rows
+        ]
+        reopened.close()
+
+
+    def test_a_retired_region_is_not_resurrected_by_a_reload(
+        self, diamond_schema_fixture, tmp_path
+    ):
+        path = str(tmp_path / "dense.sqlite")
+        cache = DenseRegionCache(diamond_schema_fixture, path=path)
+        index = DenseRegionIndex(cache)
+        index.add_interval("price", 0.0, 15.0, [])
+        index.add_interval("price", 25.0, 35.0, [])
+        assert index.invalidate_delta(CatalogDelta.from_rows("db", "id", ROWS[:1])) == 1
+        cache.close()
+
+        reopened = DenseRegionCache(diamond_schema_fixture, path=path)
+        second = DenseRegionIndex(reopened)
+        assert [stored.bounds for stored in reopened.regions()] == [{"price": (25.0, 35.0)}]
+        assert second.region_count() == 1
+        assert second.lookup_interval("price", RangePredicate("price", 5.0, 10.0)) is None
+        reopened.close()
+
+    def test_a_reload_stores_nothing_again(self, diamond_schema_fixture, tmp_path):
+        """Loading the stored boxes registers them without writing them back."""
+        path = str(tmp_path / "dense.sqlite")
+        cache = DenseRegionCache(diamond_schema_fixture, path=path)
+        DenseRegionIndex(cache).add_interval("price", 0.0, 15.0, [])
+        for _ in range(2):
+            assert DenseRegionIndex(cache).region_count() == 1
+        assert len(cache.regions()) == 1
+        cache.close()
+
+
+def _truth(database, box, base_query):
+    return sorted(
+        row["id"]
+        for row in database.all_matches(base_query)
+        if box.contains(row)
+    )
+
+
+class TestDenseRows:
+    def test_a_registered_box_is_read_from_the_result_cache(self, bluenile_db):
+        """The first read crawls and registers the box; a read of a box
+        inside it, with filters, crawls the registered box again through the
+        cache at zero queries and returns the oracle's rows."""
+        cache = QueryResultCache()
+        index = DenseRegionIndex()
+        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        everything = SearchQuery.everything()
+
+        first = QueryEngine(bluenile_db, result_cache=cache)
+        rows, answer = dense_rows(first, first.statistics, index, box, everything)
+        assert answer is None and first.queries_issued() > 0
+        assert sorted(row["id"] for row in rows) == _truth(bluenile_db, box, everything)
+        assert index.region_count() == 1
+
+        inner = HyperRectangle.from_bounds({"length_width_ratio": (1.0, 1.1)})
+        cheap = SearchQuery.build(ranges={"price": (0.0, 2000.0)})
+        second = QueryEngine(bluenile_db, result_cache=cache)
+        ask = SearchQuery.build(ranges={"length_width_ratio": (1.0, 1.1), "price": (0.0, 2000.0)})
+        rows, answer = dense_rows(second, second.statistics, index, inner, cheap, ask=ask)
+        assert answer is None and second.queries_issued() == 0
+        assert sorted(row["id"] for row in rows) == _truth(bluenile_db, inner, cheap)
+        assert second.statistics.dense_index_hits == 1
+        assert index.describe()["hits"] == 1
+
+
+    def test_crawl_region_counts_one_region_and_its_tuples(self, bluenile_db):
+        query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+        engine = QueryEngine(bluenile_db)
+        rows = crawl_region(engine, engine.statistics, query)
+        assert sorted(row["id"] for row in rows) == sorted(
+            row["id"] for row in bluenile_db.all_matches(query)
+        )
+        assert engine.statistics.dense_regions_built == 1
+        assert engine.statistics.crawled_tuples == len(rows)
+
+    def test_a_repeated_read_registers_the_box_once_and_costs_nothing(self, bluenile_db):
+        cache = QueryResultCache()
+        index = DenseRegionIndex()
+        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        everything = SearchQuery.everything()
+        reads = []
+        for _ in range(3):
+            engine = QueryEngine(bluenile_db, result_cache=cache)
+            rows, _ = dense_rows(engine, engine.statistics, index, box, everything)
+            assert sorted(row["id"] for row in rows) == _truth(bluenile_db, box, everything)
+            reads.append((engine.queries_issued(), engine.statistics.dense_regions_built))
+        assert reads[0][0] > 0 and reads[0][1] == 1
+        assert reads[1:] == [(0, 0), (0, 0)]
+        assert index.region_count() == 1
+
+    def test_a_hit_honours_open_sides_and_membership_filters(self, bluenile_db):
+        """A half-open box inside a registered closed one, read with a
+        membership filter, returns exactly the oracle's rows: the boundary
+        value is left out and the filter applied."""
+        cache = QueryResultCache()
+        index = DenseRegionIndex()
+        everything = SearchQuery.everything()
+        registered = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        first = QueryEngine(bluenile_db, result_cache=cache)
+        dense_rows(first, first.statistics, index, registered, everything)
+
+        half_open = HyperRectangle(
+            (RangePredicate("length_width_ratio", 1.0, 1.2, include_lower=False),)
+        )
+        shape = bluenile_db.all_matches(registered.to_query(everything))[0]["shape"]
+        filtered = SearchQuery.build(memberships={"shape": [shape]})
+        second = QueryEngine(bluenile_db, result_cache=cache)
+        rows, _ = dense_rows(second, second.statistics, index, half_open, filtered)
+        assert second.queries_issued() == 0
+        assert rows and all(row["length_width_ratio"] > 1.0 for row in rows)
+        assert sorted(row["id"] for row in rows) == _truth(bluenile_db, half_open, filtered)
+
+    def test_a_proving_ask_answers_without_a_crawl(self, bluenile_db):
+        """A filtered region thinner than ``system_k`` is answered by its one
+        query: nothing is crawled or registered."""
+        index = DenseRegionIndex()
+        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        stone = bluenile_db.all_matches(box.to_query(SearchQuery.everything()))[0]
+        thin = SearchQuery.build(ranges={"price": (stone["price"], stone["price"])})
+        engine = QueryEngine(bluenile_db, result_cache=QueryResultCache())
+        rows, answer = dense_rows(
+            engine, engine.statistics, index, box, thin, ask=box.to_query(thin)
+        )
+        assert answer is not None and answer.proves_query
+        assert engine.queries_issued() == 1
+        assert sorted(row["id"] for row in rows) == _truth(bluenile_db, box, thin)
+        assert index.region_count() == 0
+        assert engine.statistics.dense_regions_built == 0
+        assert engine.statistics.dense_index_hits == 0
+
+    def test_an_overflowing_ask_crawls_the_box_without_the_filters(self, bluenile_db):
+        """When the filtered region still overflows, the box is crawled
+        unfiltered and registered; the rows returned are the filtered ones,
+        beside the overflowing answer."""
+        index = DenseRegionIndex()
+        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        cheap = SearchQuery.build(ranges={"price": (0.0, 5000.0)})
+        engine = QueryEngine(bluenile_db, result_cache=QueryResultCache())
+        rows, answer = dense_rows(
+            engine, engine.statistics, index, box, cheap, ask=box.to_query(cheap)
+        )
+        assert answer is not None and not answer.proves_query
+        assert sorted(row["id"] for row in rows) == _truth(bluenile_db, box, cheap)
+        assert index.lookup(box) == box
+        assert engine.statistics.dense_regions_built == 1
+        assert engine.statistics.dense_index_hits == 1
+
+    def test_a_box_of_another_signature_is_crawled_anew(self, bluenile_db):
+        """A registered 1D box does not answer a 2D box inside it: the 2D
+        box pays its own crawl, and each signature keeps its own box."""
+        cache = QueryResultCache()
+        index = DenseRegionIndex()
+        everything = SearchQuery.everything()
+        ratio = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        first = QueryEngine(bluenile_db, result_cache=cache)
+        dense_rows(first, first.statistics, index, ratio, everything)
+
+        box = HyperRectangle.from_bounds(
+            {"length_width_ratio": (0.99, 1.2), "carat": (0.2, 1.0)}
+        )
+        second = QueryEngine(bluenile_db, result_cache=cache)
+        rows, _ = dense_rows(second, second.statistics, index, box, everything)
+        assert second.statistics.dense_regions_built == 1
+        assert sorted(row["id"] for row in rows) == _truth(bluenile_db, box, everything)
+        assert index.describe()["per_signature"] == {
+            "length_width_ratio": 1,
+            "carat+length_width_ratio": 1,
+        }
+
+    def test_a_registered_box_read_over_another_cache_pays_and_stays_right(
+        self, bluenile_db
+    ):
+        """The registry holds no row: read through an engine whose cache
+        lacks the crawl's entries, a hit crawls again at a cost, and its
+        rows are still the oracle's, each once."""
+        index = DenseRegionIndex()
+        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        everything = SearchQuery.everything()
+        first = QueryEngine(bluenile_db, result_cache=QueryResultCache())
+        dense_rows(first, first.statistics, index, box, everything)
+
+        inner = HyperRectangle.from_bounds({"length_width_ratio": (1.0, 1.0)})
+        second = QueryEngine(bluenile_db, result_cache=QueryResultCache())
+        rows, answer = dense_rows(second, second.statistics, index, inner, everything)
+        assert answer is None and second.queries_issued() > 0
+        assert second.statistics.dense_index_hits == 1
+        assert second.statistics.dense_regions_built == 0
+        ids = [row["id"] for row in rows]
+        assert len(ids) == len(set(ids))
+        assert sorted(ids) == _truth(bluenile_db, inner, everything)
+
+
+def test_a_verified_region_over_a_federation_is_read_at_zero_queries(
+    diamond_catalog, diamond_schema_fixture, tmp_path
+):
+    """Boot verification over a 3-shard federation stores its live answers
+    in the shared result cache: the restarted reranker reads the region at
+    zero queries, and its page equals the brute-force ranking."""
+    path = str(tmp_path / "dense.sqlite")
+    query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+
+    def federation():
+        return build_source(
+            diamond_catalog,
+            diamond_schema_fixture,
+            FeaturedScoreRanking("price", boost_weight=2500.0),
+            DatabaseConfig(system_k=10, shards=3),
+            name="verified",
+        )
+
+    first = DenseRegionCache(diamond_schema_fixture, path=path)
+    QueryReranker(federation(), dense_cache=first).rerank(query, ranking).top(20)
+    [stored] = first.regions()
+    first.close()
+
+    second = DenseRegionCache(diamond_schema_fixture, path=path)
+    source = federation()
+    reranker = QueryReranker(source, dense_cache=second)
+    assert reranker.verify_dense_cache() == {"checked": 1, "refreshed": 0, "unchanged": 1}
+    box = HyperRectangle.from_bounds(stored.bounds)
+    engine = QueryEngine(source, result_cache=reranker.result_cache)
+    everything = SearchQuery.everything()
+    rows, _ = dense_rows(engine, engine.statistics, reranker.dense_index, box, everything)
+    assert engine.queries_issued() == 0
+    assert sorted(row["id"] for row in rows) == _truth(source, box, everything)
+    stream = reranker.rerank(query, ranking)
+    page = stream.top(20)
+    assert stream.statistics.dense_regions_built == 0
+    truth = sorted(source.all_matches(query), key=lambda row: (ranking.score(row), str(row["id"])))
+    assert_matches_ground_truth(page, truth[:20], ranking)
+    second.close()
+
+
+def test_region_heavy_rerank_matches_the_oracle(bluenile_db, monkeypatch):
+    """1D-RERANK over nested and shifted windows around the big
+    ``length_width_ratio = 1.0`` cluster, with an eager density threshold so
+    the shared index registers overlapping regions (feed off: repeats must
+    reach the index, not a replay).  Every page equals the brute-force
+    ranking, and the repeats cost nothing."""
+    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+    windows = [(0.995, 1.6), (0.99, 1.2), (0.995, 1.3), (1.05, 1.5), (1.15, 1.8), (1.0, 1.45)]
+    monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.02)
+    reranker = QueryReranker(bluenile_db, config=RerankConfig(enable_rerank_feed=False))
+    costs = []
+    for window in windows * 2:
+        query = SearchQuery.build(ranges={"length_width_ratio": window})
+        stream = reranker.rerank(query, ranking, Algorithm.RERANK)
+        rows = stream.top(10)
+        truth = bluenile_db.true_ranking(query, ranking.score, limit=10)
+        assert_matches_ground_truth(rows, truth, ranking)
+        costs.append(stream.statistics.external_queries)
+    assert reranker.dense_index.region_count() >= 1
+    assert reranker.dense_index.describe()["hits"] >= 1
+    assert costs[len(windows):] == [0] * len(windows)
+    reranker.close()

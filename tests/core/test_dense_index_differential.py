@@ -1,36 +1,65 @@
-"""Randomized differential suite: naive vs interval dense-region index.
+"""Randomized differential suite: the dense-region registry against a list.
 
-The two implementations must agree wherever both can answer, and the interval
-implementation must stay *sound* where it answers more (coalesced unions):
-every covered lookup is checked against brute-force ground truth computed
-from the row universe the regions were built from.
+:class:`~repro.core.dense_index.DenseRegionIndex` keeps the boxes crawled
+whole in one :class:`~repro.webdb.boxindex.BoxIndex` per attribute
+signature.  Its reference here is the plainest registry there is: a list of
+the distinct boxes added, where a probe is covered when one box of the same
+signature contains it on every side, and a delta retires exactly the boxes
+one touched version lies inside.
 
-The region generator deliberately produces overlapping, adjacent, and nested
-regions — the shapes coalescing must handle — and every region honours the
-index invariant (its rows are *all* universe tuples inside its box).
+The region generator deliberately produces overlapping, adjacent and nested
+regions, 1D and 2D, and the probes include half-open sides; the end-to-end
+cases check the pages :func:`~repro.core.dense_index.dense_rows` serves from
+the registry against the brute-force ranking.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+import threading
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
-from repro.core.functions import SingleAttributeRanking
+from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
+from repro.core.normalization import MinMaxNormalizer
 from repro.core.regions import HyperRectangle
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.sqlstore.dense_cache import DenseRegionCache
+from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import RangePredicate, SearchQuery
-from tests.conftest import page_through
-from tests.reference import NaiveDenseRegionIndex, NaiveIndexReranker
+from tests.conftest import assert_matches_ground_truth
 
-INDEXES = {"interval": DenseRegionIndex, "naive": NaiveDenseRegionIndex}
+#: The diamond schema's domains, so the persisted rows are valid tuples.
+PRICE = (300.0, 60000.0)
+CARAT = (0.2, 5.0)
+SEEDS = [7, 41, 2018, 5, 613]
 
-PRICE = (0.0, 1000.0)
-CARAT = (0.0, 10.0)
+
+class ListRegistry:
+    """The brute-force registry: every distinct box added, scanned whole."""
+
+    def __init__(self) -> None:
+        self.boxes: List[HyperRectangle] = []
+
+    def add(self, box: HyperRectangle) -> None:
+        if box not in self.boxes:
+            self.boxes.append(box)
+
+    def covering(self, probe: HyperRectangle) -> List[HyperRectangle]:
+        return [
+            box
+            for box in self.boxes
+            if set(box.attributes) == set(probe.attributes)
+            and all(box.side(side.attribute).contains(side) for side in probe.sides)
+        ]
+
+    def retire(self, versions) -> int:
+        reached = [box for box in self.boxes if any(box.contains(row) for row in versions)]
+        self.boxes = [box for box in self.boxes if box not in reached]
+        return len(reached)
 
 
 def _universe(rng: random.Random, size: int = 300) -> List[Dict[str, object]]:
@@ -44,10 +73,6 @@ def _universe(rng: random.Random, size: int = 300) -> List[Dict[str, object]]:
     ]
 
 
-def _rows_inside(universe, box: HyperRectangle) -> List[Dict[str, object]]:
-    return [row for row in universe if box.contains(row)]
-
-
 def _random_interval(rng: random.Random, domain: Tuple[float, float]) -> Tuple[float, float]:
     width = rng.uniform(0.01, 0.35) * (domain[1] - domain[0])
     lower = rng.uniform(domain[0], domain[1] - width)
@@ -55,232 +80,296 @@ def _random_interval(rng: random.Random, domain: Tuple[float, float]) -> Tuple[f
 
 
 def _random_regions(rng: random.Random) -> List[HyperRectangle]:
-    """A mix of independent, adjacent, nested, and overlapping regions."""
+    """A mix of independent, adjacent, nested, repeated and overlapping
+    regions, 1D on ``price`` and 2D on ``(price, carat)``."""
     boxes: List[HyperRectangle] = []
-    cursor = PRICE[0]
     for _ in range(25):
         lower, upper = _random_interval(rng, PRICE)
         kind = rng.random()
-        if kind < 0.25 and boxes:
-            # Adjacent: start exactly where a previous 1D region ended.
-            previous = boxes[-1]
-            if previous.attributes == ("price",):
-                side = previous.side("price")
-                width = round(rng.uniform(5.0, 60.0), 2)
-                lower, upper = side.upper, min(side.upper + width, PRICE[1])
-        elif kind < 0.45 and boxes:
-            # Nested: strictly inside a previous 1D region.
-            previous = boxes[-1]
-            if previous.attributes == ("price",):
-                side = previous.side("price")
-                if side.width > 2.0:
-                    lower = round(side.lower + side.width * 0.25, 2)
-                    upper = round(side.lower + side.width * 0.75, 2)
+        previous = boxes[-1] if boxes and boxes[-1].attributes == ("price",) else None
+        if previous is not None and kind < 0.25:
+            # Adjacent: start exactly where the previous region ended.
+            side = previous.side("price")
+            width = rng.uniform(0.005, 0.06) * (PRICE[1] - PRICE[0])
+            lower, upper = side.upper, min(round(side.upper + width, 2), PRICE[1])
+        elif previous is not None and kind < 0.45:
+            # Nested: strictly inside the previous region.
+            side = previous.side("price")
+            lower = round(side.lower + side.width * 0.25, 2)
+            upper = round(side.lower + side.width * 0.75, 2)
+        elif previous is not None and kind < 0.55:
+            # The same crawl again.
+            lower, upper = previous.side("price").lower, previous.side("price").upper
         if lower >= upper:
             continue
         boxes.append(HyperRectangle.from_bounds({"price": (lower, upper)}))
-        cursor = upper
     for _ in range(12):
         p_lower, p_upper = _random_interval(rng, PRICE)
         c_lower, c_upper = _random_interval(rng, CARAT)
-        if rng.random() < 0.4 and boxes:
+        if boxes and boxes[-1].attributes == ("carat", "price") and rng.random() < 0.4:
+            # Stacked on the previous box along price (the shape binary
+            # splits produce).
             previous = boxes[-1]
-            if previous.attributes == ("carat", "price"):
-                # Stackable: same carat side, price interval starting at the
-                # previous upper bound (the shape binary splits produce).
-                c_lower = previous.side("carat").lower
-                c_upper = previous.side("carat").upper
-                p_lower = previous.side("price").upper
-                p_upper = round(min(p_lower + rng.uniform(10.0, 80.0), PRICE[1]), 2)
+            c_lower, c_upper = previous.side("carat").lower, previous.side("carat").upper
+            p_lower = previous.side("price").upper
+            width = rng.uniform(0.01, 0.08) * (PRICE[1] - PRICE[0])
+            p_upper = round(min(p_lower + width, PRICE[1]), 2)
         if p_lower >= p_upper or c_lower >= c_upper:
             continue
         boxes.append(
-            HyperRectangle.from_bounds(
-                {"price": (p_lower, p_upper), "carat": (c_lower, c_upper)}
-            )
+            HyperRectangle.from_bounds({"price": (p_lower, p_upper), "carat": (c_lower, c_upper)})
         )
     return boxes
 
 
-def _random_probe(rng: random.Random) -> HyperRectangle:
+def _random_side(rng: random.Random, attribute: str, lower: float, upper: float) -> RangePredicate:
+    """A side over ``[lower, upper]`` whose bounds are open now and then
+    (a point stays closed)."""
+    if lower == upper:
+        return RangePredicate(attribute, lower, upper)
+    return RangePredicate(attribute, lower, upper, rng.random() < 0.8, rng.random() < 0.8)
+
+
+def _random_probe(rng: random.Random, regions: List[HyperRectangle]) -> HyperRectangle:
+    """Half the probes are drawn inside a registered region, so the covered
+    path is exercised; the rest anywhere, with open sides now and then."""
+    if rng.random() < 0.5:
+        box = rng.choice(regions)
+        sides = []
+        for side in box.sides:
+            lower = round(rng.uniform(side.lower, side.upper), 2)
+            upper = round(rng.uniform(lower, side.upper), 2)
+            sides.append(_random_side(rng, side.attribute, lower, upper))
+        return HyperRectangle(tuple(sides))
     if rng.random() < 0.6:
         lower, upper = _random_interval(rng, PRICE)
-        include_lower = rng.random() < 0.8
-        include_upper = rng.random() < 0.8
-        return HyperRectangle(
-            (RangePredicate("price", lower, upper, include_lower, include_upper),)
-        )
-    p_lower, p_upper = _random_interval(rng, PRICE)
-    c_lower, c_upper = _random_interval(rng, CARAT)
+        return HyperRectangle((_random_side(rng, "price", lower, upper),))
     return HyperRectangle.from_bounds(
-        {"price": (p_lower, p_upper), "carat": (c_lower, c_upper)}
+        {"price": _random_interval(rng, PRICE), "carat": _random_interval(rng, CARAT)}
     )
 
 
-def _ground_truth(
-    universe,
-    probe: HyperRectangle,
-    base_query: Optional[SearchQuery],
-) -> List[Dict[str, object]]:
-    selected = []
-    for row in universe:
-        if not probe.contains(row):
-            continue
-        if base_query is not None and not base_query.matches(row):
-            continue
-        selected.append(row)
-    return sorted(selected, key=lambda row: str(row["id"]))
+def _check_lookup(index: DenseRegionIndex, reference: ListRegistry, probe) -> bool:
+    """The index answers ``probe`` exactly when the list does, with one of
+    the list's covering boxes (a reloaded box may list its sides in another
+    order); returns whether it was covered."""
+    covering = [box.bounds() for box in reference.covering(probe)]
+    found = index.lookup(probe)
+    if not covering:
+        assert found is None
+        return False
+    assert found is not None and found.bounds() in covering
+    return True
 
 
-def _normalize(rows) -> List[Dict[str, object]]:
-    return sorted((dict(row) for row in rows), key=lambda row: str(row["id"]))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_differential_random_regions(seed):
+    rng = random.Random(seed)
+    regions = _random_regions(rng)
+    index, reference = DenseRegionIndex(), ListRegistry()
+    for box in regions:
+        index.add_region(box, [])
+        reference.add(box)
+    assert index.region_count() == len(reference.boxes)
+
+    covered = sum(_check_lookup(index, reference, _random_probe(rng, regions)) for _ in range(300))
+    # The probe generator must exercise both paths.
+    assert 20 < covered < 300
 
 
-@pytest.mark.parametrize("seed", [7, 41, 2018])
-def test_differential_random_regions(diamond_schema_fixture, seed):
+def test_lookup_counters_match_reference():
+    rng = random.Random(99)
+    regions = _random_regions(rng)
+    index, reference = DenseRegionIndex(), ListRegistry()
+    covered = 0
+    for step, box in enumerate(regions, start=1):
+        index.add_region(box, [])
+        reference.add(box)
+        covered += _check_lookup(index, reference, _random_probe(rng, regions))
+        description = index.describe()
+        # The counters equal a from-scratch count after every insert.
+        assert description["regions"] == len(reference.boxes)
+        assert description["regions"] == sum(description["per_signature"].values())
+        assert description["lookups"] == step and description["hits"] == covered
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_delta_retirement_matches_reference(seed):
+    """A delta retires exactly the boxes one touched version lies inside,
+    counted as ``delta_retired``; the survivors answer as the list does."""
     rng = random.Random(seed)
     universe = _universe(rng)
-    naive = NaiveDenseRegionIndex(diamond_schema_fixture)
-    interval = DenseRegionIndex(diamond_schema_fixture)
-    for box in _random_regions(rng):
-        rows = _rows_inside(universe, box)
-        naive.add_region(box, rows)
-        interval.add_region(box, rows)
+    regions = _random_regions(rng)
+    index, reference = DenseRegionIndex(), ListRegistry()
+    for box in regions:
+        index.add_region(box, [row for row in universe if box.contains(row)])
+        reference.add(box)
 
-    # Coalescing can only shrink the structure, never lose coverage.
-    assert interval.region_count() <= naive.region_count()
-
-    base_queries = [None, SearchQuery.build(ranges={"carat": (2.0, 8.0)})]
-    covered_probes = 0
-    extra_coverage = 0
-    for _ in range(250):
-        probe = _random_probe(rng)
-        base = rng.choice(base_queries)
-        naive_rows = naive.lookup(probe, base)
-        interval_rows = interval.lookup(probe, base)
-        if naive_rows is not None:
-            # Whatever the seed index answers, the interval index must too.
-            assert interval_rows is not None
-        if interval_rows is None:
-            continue
-        covered_probes += 1
-        if naive_rows is None:
-            extra_coverage += 1
-        truth = _ground_truth(universe, probe, base)
-        assert _normalize(interval_rows) == truth
-        if naive_rows is not None:
-            assert _normalize(naive_rows) == truth
-    # The probe generator must actually exercise the covered path.
-    assert covered_probes > 20
+    retired = 0
+    for _ in range(4):
+        touched = rng.sample(universe, rng.randint(1, 3))
+        # An update touches the old version and the new one.
+        moved = [dict(row, price=round(rng.uniform(*PRICE), 2)) for row in touched[:1]]
+        delta = CatalogDelta.from_rows("db", "id", touched + moved, upserts=len(touched))
+        expected = reference.retire(touched + moved)
+        assert index.invalidate_delta(delta) == expected
+        retired += expected
+        assert index.region_count() == len(reference.boxes)
+        for _ in range(60):
+            _check_lookup(index, reference, _random_probe(rng, regions))
+    assert index.describe()["delta_retired"] == retired
+    assert index.invalidate_delta(CatalogDelta.from_rows("db", "id", [])) == 0
 
 
-def test_interval_counters_match_structure(diamond_schema_fixture):
-    rng = random.Random(99)
-    universe = _universe(rng)
-    interval = DenseRegionIndex(diamond_schema_fixture)
-    for box in _random_regions(rng):
-        interval.add_region(box, _rows_inside(universe, box))
-        # The incremental counters must equal a from-scratch re-summation
-        # after every insert, merges included.
-        description = interval.describe()
-        assert description["regions"] == sum(description["per_signature"].values())
-    assert interval.region_count() == sum(interval.describe()["per_signature"].values())
+def _full_row(i: int, price: float, carat: float) -> Dict[str, object]:
+    return {
+        "id": f"d{i}",
+        "price": price,
+        "carat": carat,
+        "depth": 60.0,
+        "table": 55.0,
+        "length_width_ratio": 1.0,
+        "shape": "round",
+        "cut": "ideal",
+        "color": "D",
+        "clarity": "IF",
+    }
 
 
-def test_region_heavy_rerank_matches_reference_index_end_to_end(bluenile_db, monkeypatch):
-    """1D-RERANK over nested and shifted windows around the big
-    ``length_width_ratio = 1.0`` cluster, with an eager density threshold so
-    the shared index accumulates overlapping regions (feed off: repeats must
-    reach the index, not a replay).  Same pages under both indexes, and the
-    interval index — coalescing can only remove crawls — issues no more
-    external queries than the linear reference."""
-    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
-    windows = [(0.995, 1.6), (0.99, 1.2), (0.995, 1.3), (1.05, 1.5), (1.15, 1.8), (1.0, 1.45)]
-    monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.02)
-    config = RerankConfig(enable_rerank_feed=False)
-    runs = {}
-    for impl, reranker_class in (("naive", NaiveIndexReranker), ("interval", QueryReranker)):
-        reranker = reranker_class(bluenile_db, config=config)
-        served = [
-            page_through(
-                reranker,
-                (ranking, Algorithm.RERANK, SearchQuery.build(ranges={"length_width_ratio": window})),
-                pages=1,
-                page_size=10,
-            )
-            for window in windows * 2
-        ]
-        assert reranker.dense_index.describe()["impl"] == impl
-        assert reranker.dense_index.region_count() >= 1
-        runs[impl] = ([pages for pages, _ in served], sum(cost for _, cost in served))
-        reranker.close()
-    assert runs["interval"][0] == runs["naive"][0]
-    assert runs["interval"][1] <= runs["naive"][1]
-
-
-@pytest.mark.parametrize("impl", ["interval", "naive"])
-def test_persistence_roundtrip_preserves_answers(diamond_schema_fixture, tmp_path, impl):
-    """Coalesced in-memory state must reload from the (uncoalesced,
-    append-only) DenseRegionCache with identical answers."""
-    rng = random.Random(4)
-    lo, hi = diamond_schema_fixture.domain_bounds("price")
-
-    def full_row(i: int, price: float) -> Dict[str, object]:
-        return {
-            "id": f"d{i}",
-            "price": price,
-            "carat": 1.0,
-            "depth": 60.0,
-            "table": 55.0,
-            "length_width_ratio": 1.0,
-            "shape": "round",
-            "cut": "ideal",
-            "color": "D",
-            "clarity": "IF",
-        }
-
-    universe = [full_row(i, round(rng.uniform(lo, hi), 2)) for i in range(120)]
-    span = hi - lo
-    # Overlapping and adjacent price intervals: coalesce into few regions.
-    intervals = [
-        (lo, lo + 0.30 * span),
-        (lo + 0.25 * span, lo + 0.50 * span),  # overlaps the first
-        (lo + 0.50 * span, lo + 0.60 * span),  # adjacent to the second
-        (lo + 0.80 * span, hi),                # separate
+@pytest.mark.parametrize("seed", [4, 19, 77])
+def test_persistence_roundtrip_preserves_answers(diamond_schema_fixture, tmp_path, seed):
+    """The regions persisted beside their rows reload into an index that
+    answers every probe as the one that stored them; a region a delta
+    retired before the restart stays retired."""
+    rng = random.Random(seed)
+    universe = [
+        _full_row(i, round(rng.uniform(*PRICE), 2), round(rng.uniform(*CARAT), 2))
+        for i in range(120)
     ]
-
-    path = str(tmp_path / f"dense-{impl}.sqlite")
+    regions = _random_regions(rng)
+    path = str(tmp_path / "dense.sqlite")
     cache = DenseRegionCache(diamond_schema_fixture, path=path)
-    first = INDEXES[impl](diamond_schema_fixture, cache=cache)
-    for lower, upper in intervals:
-        box = HyperRectangle.from_bounds({"price": (lower, upper)})
-        first.add_interval("price", lower, upper, _rows_inside(universe, box))
-    probes = [
-        RangePredicate("price", lo + 0.10 * span, lo + 0.45 * span),  # union only
-        RangePredicate("price", lo + 0.05 * span, lo + 0.20 * span),
-        RangePredicate("price", lo + 0.85 * span, lo + 0.95 * span),
-        RangePredicate("price", lo + 0.65 * span, lo + 0.75 * span),  # gap
-    ]
-    before = [
-        (rows := first.lookup_interval("price", probe)) is not None
-        and _normalize(rows)
-        for probe in probes
-    ]
-    regions_before = first.region_count()
-    tuples_before = first.tuple_count()
+    first, reference = DenseRegionIndex(cache), ListRegistry()
+    for box in regions:
+        first.add_region(box, [row for row in universe if box.contains(row)])
+        reference.add(box)
+    touched = rng.sample(universe, 2)
+    reference.retire(touched)
+    first.invalidate_delta(CatalogDelta.from_rows("db", "id", touched, upserts=2))
+    probes = [_random_probe(rng, regions) for _ in range(150)]
+    before = [first.lookup(probe) for probe in probes]
     cache.close()
 
-    cache2 = DenseRegionCache(diamond_schema_fixture, path=path)
-    second = INDEXES[impl](diamond_schema_fixture, cache=cache2)
-    after = [
-        (rows := second.lookup_interval("price", probe)) is not None
-        and _normalize(rows)
-        for probe in probes
+    reopened = DenseRegionCache(diamond_schema_fixture, path=path)
+    second = DenseRegionIndex(reopened)
+    assert second.region_count() == first.region_count() == len(reference.boxes)
+    assert [second.lookup(probe) is not None for probe in probes] == [
+        found is not None for found in before
     ]
-    assert after == before
-    assert second.region_count() == regions_before
-    assert second.tuple_count() == tuples_before
-    if impl == "interval":
-        # The reloaded index re-coalesces the append-only spill.
-        assert regions_before == 2
-    cache2.close()
+    for probe in probes:
+        _check_lookup(second, reference, probe)
+    for stored in reopened.regions():
+        box = HyperRectangle.from_bounds(stored.bounds)
+        assert stored.bounds in [registered.bounds() for registered in reference.boxes]
+        assert sorted(row["id"] for row in reopened.rows_for_region(stored)) == sorted(
+            row["id"] for row in universe if box.contains(row)
+        )
+    reopened.close()
+
+
+def test_concurrent_registration_matches_reference():
+    """Threads registering and looking up at once leave the registry the
+    list of every distinct box, with every lookup counted."""
+    rng = random.Random(3)
+    regions = _random_regions(rng)
+    probes = [_random_probe(rng, regions) for _ in range(50)]
+    index, reference = DenseRegionIndex(), ListRegistry()
+    for box in regions:
+        reference.add(box)
+    barrier = threading.Barrier(4)
+
+    def work(offset: int) -> None:
+        barrier.wait()
+        for position in range(offset, len(regions), 2):
+            index.add_region(regions[position], [])
+            for probe in probes[position % 5 :: 5]:
+                found = index.lookup(probe)
+                assert found is None or found in reference.covering(probe)
+
+    threads = [threading.Thread(target=work, args=(offset % 2,)) for offset in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert index.region_count() == len(reference.boxes)
+    for probe in probes:
+        _check_lookup(index, reference, probe)
+    assert index.describe()["lookups"] == sum(
+        len(probes[position % 5 :: 5]) for position in range(len(regions))
+    ) * 2 + len(probes)
+
+
+def _random_windows(rng: random.Random, count: int = 5) -> List[Tuple[float, float]]:
+    """Nested and shifted windows around the ``length_width_ratio = 1.0``
+    cluster of round stones."""
+    return [
+        (round(rng.uniform(0.98, 1.0), 3), round(rng.uniform(1.05, 1.8), 3))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_region_heavy_rerank_matches_the_oracle_end_to_end(bluenile_db, monkeypatch, seed):
+    """1D-RERANK over random windows around the cluster, with an eager
+    density threshold so the shared registry holds overlapping regions
+    (feed off: repeats must reach the registry, not a replay).  Every page
+    equals the brute-force ranking, and the repeats cost nothing."""
+    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+    windows = _random_windows(random.Random(seed))
+    monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.02)
+    reranker = QueryReranker(bluenile_db, config=RerankConfig(enable_rerank_feed=False))
+    costs = []
+    for window in windows * 2:
+        query = SearchQuery.build(ranges={"length_width_ratio": window})
+        stream = reranker.rerank(query, ranking, Algorithm.RERANK)
+        rows = stream.top(10)
+        assert_matches_ground_truth(
+            rows, bluenile_db.true_ranking(query, ranking.score, limit=10), ranking
+        )
+        costs.append(stream.statistics.external_queries)
+    assert reranker.dense_index.region_count() >= 1
+    assert costs[len(windows) :] == [0] * len(windows)
+    reranker.close()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_md_region_heavy_rerank_matches_the_oracle_end_to_end(bluenile_db, monkeypatch, seed):
+    """MD-RERANK over random price filters, ranking by price and
+    ``length_width_ratio`` with an eager density threshold: every page
+    equals the brute-force ranking, a repeat reads its crawled boxes from
+    the registry and costs nothing."""
+    rng = random.Random(seed)
+    monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.05)
+    weights = {"price": 1.0, "length_width_ratio": 1.0}
+    ranking = LinearRankingFunction(
+        weights, normalizer=MinMaxNormalizer.from_schema(bluenile_db.schema, list(weights))
+    )
+    low, high = bluenile_db.schema.domain_bounds("price")
+    filters: List[SearchQuery] = [SearchQuery.everything()]
+    for _ in range(2):
+        upper = round(rng.uniform(low + 0.3 * (high - low), high), 2)
+        filters.append(SearchQuery.build(ranges={"price": (low, upper)}))
+    reranker = QueryReranker(bluenile_db, config=RerankConfig(enable_rerank_feed=False))
+    first_costs, repeat_costs = [], []
+    for costs in (first_costs, repeat_costs):
+        for query in filters:
+            stream = reranker.rerank(query, ranking, Algorithm.RERANK)
+            rows = stream.top(8)
+            assert_matches_ground_truth(
+                rows, bluenile_db.true_ranking(query, ranking.score, limit=8), ranking
+            )
+            costs.append(stream.statistics)
+    assert sum(s.dense_regions_built for s in first_costs) >= 1
+    assert [s.external_queries for s in repeat_costs] == [0] * len(filters)
+    assert sum(s.dense_index_hits for s in repeat_costs) >= 1
+    reranker.close()

@@ -12,6 +12,7 @@ from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.dataset.diamonds import diamond_schema, generate_diamond_catalog
 from repro.exceptions import RankingFunctionError
+from repro.webdb.cache import QueryResultCache
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
@@ -27,9 +28,11 @@ def make_ranking(schema, weights):
     )
 
 
-def run_md(database, query, ranking, variant, depth, dense_index=None, session=None):
+def run_md(
+    database, query, ranking, variant, depth, dense_index=None, session=None, result_cache=None
+):
     session = session or Session("md-test")
-    engine = QueryEngine(database, statistics=session.statistics)
+    engine = QueryEngine(database, statistics=session.statistics, result_cache=result_cache)
     getnext = MultiDimGetNext(
         engine=engine,
         base_query=query,
@@ -38,7 +41,7 @@ def run_md(database, query, ranking, variant, depth, dense_index=None, session=N
         variant=variant,
         dense_index=dense_index
         if dense_index is not None
-        else DenseRegionIndex(database.schema),
+        else DenseRegionIndex(),
     )
     rows = []
     for _ in range(depth):
@@ -202,24 +205,29 @@ class TestBehaviour:
 
     def test_dense_regions_indexed_and_amortized(self, bluenile_db, monkeypatch):
         """With an aggressive dense threshold, MD-RERANK builds regions on the
-        first request and answers the second one mostly from the index."""
+        first request; the second one, sharing the index and the result
+        cache, reads them at zero queries."""
         monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.05)
-        index = DenseRegionIndex(bluenile_db.schema)
+        index = DenseRegionIndex()
+        cache = QueryResultCache()
         ranking = make_ranking(
             bluenile_db.schema, {"price": 1.0, "length_width_ratio": 1.0}
         )
         _, cold_engine, cold_session = run_md(
             bluenile_db, SearchQuery.everything(), ranking, Variant.RERANK,
-            depth=8, dense_index=index,
+            depth=8, dense_index=index, result_cache=cache,
         )
-        _, warm_engine, warm_session = run_md(
+        rows, warm_engine, warm_session = run_md(
             bluenile_db, SearchQuery.everything(), ranking, Variant.RERANK,
-            depth=8, dense_index=index,
+            depth=8, dense_index=index, result_cache=cache,
         )
         assert cold_session.statistics.dense_regions_built >= 1
         assert index.region_count() >= 1
-        assert warm_engine.queries_issued() <= cold_engine.queries_issued()
+        assert cold_engine.queries_issued() > 0 and warm_engine.queries_issued() == 0
         assert warm_session.statistics.dense_index_hits >= 1
+        assert warm_session.statistics.dense_regions_built == 0
+        truth = bluenile_db.true_ranking(SearchQuery.everything(), ranking.score, limit=8)
+        assert_matches_ground_truth(rows, truth, ranking)
 
     def test_statistics_totals_consistent(self, bluenile_db):
         ranking = make_ranking(bluenile_db.schema, {"price": 1.0, "carat": -0.5})

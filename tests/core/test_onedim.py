@@ -8,11 +8,13 @@ groups larger than ``system-k``).
 
 import pytest
 
+from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import SingleAttributeRanking
 from repro.core.getnext import Variant
 from repro.core.onedim import OneDimGetNext
 from repro.core.parallel import QueryEngine
+from repro.core.reranker import Algorithm, QueryReranker
 from repro.core.session import Session
 from repro.webdb.query import SearchQuery
 
@@ -43,7 +45,7 @@ def run_onedim(
         variant=variant,
         dense_index=dense_index
         if dense_index is not None
-        else DenseRegionIndex(database.schema),
+        else DenseRegionIndex(),
     )
     rows = []
     for _ in range(depth):
@@ -134,7 +136,7 @@ class TestAlgorithmBehaviour:
         assert binary_engine.queries_issued() <= baseline_engine.queries_issued()
 
     def test_rerank_indexes_dense_value_group(self, bluenile_db):
-        index = DenseRegionIndex(bluenile_db.schema)
+        index = DenseRegionIndex()
         query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         depth = bluenile_db.system_k + 5
         _, _, session = run_onedim(
@@ -145,21 +147,21 @@ class TestAlgorithmBehaviour:
         assert session.statistics.dense_regions_built >= 1
 
     def test_rerank_amortizes_with_shared_index(self, bluenile_db):
-        """A second identical request answered with the already-built index
-        must issue far fewer external queries."""
-        index = DenseRegionIndex(bluenile_db.schema)
+        """A second identical request on the same reranker (feed off, so it
+        runs the algorithm) reads the dense region the first one crawled
+        from the shared result cache and issues far fewer external queries."""
+        reranker = QueryReranker(bluenile_db, config=RerankConfig(enable_rerank_feed=False))
         query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+        ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
         depth = bluenile_db.system_k + 5
-        _, cold_engine, _ = run_onedim(
-            bluenile_db, query, "length_width_ratio", True, Variant.RERANK,
-            depth=depth, dense_index=index,
-        )
-        _, warm_engine, warm_session = run_onedim(
-            bluenile_db, query, "length_width_ratio", True, Variant.RERANK,
-            depth=depth, dense_index=index,
-        )
-        assert warm_engine.queries_issued() < cold_engine.queries_issued() / 2
-        assert warm_session.statistics.dense_index_hits >= 1
+        cold = reranker.rerank(query, ranking, Algorithm.RERANK)
+        cold.top(depth)
+        warm = reranker.rerank(query, ranking, Algorithm.RERANK)
+        rows = warm.top(depth)
+        assert warm.statistics.external_queries < cold.statistics.external_queries / 2
+        assert warm.statistics.dense_index_hits >= 1
+        truth = bluenile_db.true_ranking(query, ranking.score, limit=depth)
+        assert_matches_ground_truth(rows, truth, ranking)
 
     def test_session_cache_reduces_queries_for_follow_up(self, bluenile_db):
         """Re-running a request inside the same session benefits from the
@@ -197,7 +199,7 @@ class TestAlgorithmBehaviour:
             OneDimGetNext(engine, SearchQuery.everything(), ranking, Session("x"))
         getnext = OneDimGetNext(
             engine, SearchQuery.everything(), ranking, Session("x"),
-            dense_index=DenseRegionIndex(bluenile_db.schema),
+            dense_index=DenseRegionIndex(),
         )
         assert getnext.variant is Variant.RERANK
         first = getnext.next()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import RerankConfig
-from repro.core.dense_index import DenseRegionIndex
+from repro.core.dense_index import DenseRegionIndex, dense_rows
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.getnext import GetNextStream
 from repro.core.normalization import MinMaxNormalizer
@@ -34,7 +34,7 @@ class TestThresholdAlgorithm:
         engine = QueryEngine(database, statistics=session.statistics)
         getnext = ThresholdAlgorithmGetNext(
             engine=engine, base_query=query, ranking=ranking, session=session,
-            dense_index=DenseRegionIndex(database.schema),
+            dense_index=DenseRegionIndex(),
         )
         rows = []
         for _ in range(depth):
@@ -85,7 +85,7 @@ class TestThresholdAlgorithm:
                 base_query=SearchQuery.everything(),
                 ranking=LinearRankingFunction({"price": 1.0}),
                 session=Session("x"),
-                dense_index=DenseRegionIndex(bluenile_db.schema),
+                dense_index=DenseRegionIndex(),
             )
 
     def test_variant_name(self, bluenile_db):
@@ -95,7 +95,7 @@ class TestThresholdAlgorithm:
             base_query=SearchQuery.everything(),
             ranking=ranking,
             session=Session("x"),
-            dense_index=DenseRegionIndex(bluenile_db.schema),
+            dense_index=DenseRegionIndex(),
         )
         assert getnext.variant == "ta"
 
@@ -343,9 +343,14 @@ class TestQueryReranker:
         assert counters["refreshed"] >= 1
         assert reranker.dense_index.cache is cache
         assert reranker.dense_index.region_count() >= 1
+        # The verified region is read from the result cache at zero queries.
         box = HyperRectangle.from_bounds(stored.bounds)
-        rows = reranker.dense_index.lookup(box)
-        assert rows is not None and deleted not in {row["id"] for row in rows}
+        engine = QueryEngine(database, result_cache=reranker.result_cache)
+        rows, _ = dense_rows(
+            engine, engine.statistics, reranker.dense_index, box, SearchQuery.everything()
+        )
+        assert engine.queries_issued() == 0
+        assert rows and deleted not in {row["id"] for row in rows}
         cache.close()
 
     def test_verify_dense_cache_without_cache_is_noop(self, bluenile_reranker):

@@ -44,7 +44,7 @@ def _onedim(database, query, degraded=False):
         ranking=SingleAttributeRanking("price", ascending=True),
         session=session,
         variant=Variant.RERANK,
-        dense_index=DenseRegionIndex(database.schema),
+        dense_index=DenseRegionIndex(),
     )
     return stream, engine
 

@@ -1,22 +1,20 @@
 """Reference implementations kept as test oracles.
 
-The seed's row-at-a-time scan engine and its linear dense-region index are
-what the production implementations (``IndexedColumnarEngine``, the interval
-``DenseRegionIndex``) are differentially tested and benchmarked against.
-They are substituted, never configured: a subclass overrides the one private
-construction hook (``HiddenWebDatabase._make_engine``,
-``QueryReranker._make_dense_index``).  The third oracle, the pure-Python
-``"list"`` column layout, is ``ColumnarCatalog(backend="list")``; the fourth,
-``reference_candidates``, is the seed's sort-everything read of the session
-cache that each stream's ``CandidateHeap`` replaced; the fifth,
+The seed's row-at-a-time scan engine is what the production engine
+(``IndexedColumnarEngine``) is differentially tested and benchmarked against.
+It is substituted, never configured: a subclass overrides the one private
+construction hook (``HiddenWebDatabase._make_engine``).  The second
+oracle, the pure-Python ``"list"`` column layout, is
+``ColumnarCatalog(backend="list")``; the third, ``reference_candidates``, is the seed's sort-everything read of the session
+cache that each stream's ``CandidateHeap`` replaced; the fourth,
 ``reference_text_grid``, is the table round trip that rendered a page's text
-grid before ``format_grid`` read the page's rows directly; the sixth,
+grid before ``format_grid`` read the page's rows directly; the fifth,
 ``RebuildDatabase``, is the rebuild-the-whole-catalog ``apply_delta`` that
-``ColumnarCatalog.spliced`` replaced; the seventh, ``covering_scan``, is the
+``ColumnarCatalog.spliced`` replaced; the sixth, ``covering_scan``, is the
 linear walk over every covering entry in scope that the result cache's
-``BoxIndex`` replaced; the eighth, ``WidestMidpointCrawler``, is the crawler
+``BoxIndex`` replaced; the seventh, ``WidestMidpointCrawler``, is the crawler
 splitting the widest attribute without reading the overflowing answer; the
-ninth, ``reference_sorted_columns``, is the row-at-a-time catalog load (with
+eighth, ``reference_sorted_columns``, is the row-at-a-time catalog load (with
 its per-value ``reference_validate_row``) that the column-wise
 ``stream_sorted_columns`` replaced.
 
@@ -29,7 +27,6 @@ from tests.reference.catalog_load import reference_sorted_columns, reference_val
 from tests.reference.catalog_rebuild import RebuildDatabase
 from tests.reference.covering_scan import covering_count, covering_scan
 from tests.reference.crawler import WidestMidpointCrawler
-from tests.reference.dense_index import NaiveDenseRegionIndex, NaiveIndexReranker
 from tests.reference.engine import (
     NaiveScanDatabase,
     NaiveScanEngine,
@@ -38,8 +35,6 @@ from tests.reference.engine import (
 from tests.reference.text_grid import reference_text_grid
 
 __all__ = [
-    "NaiveDenseRegionIndex",
-    "NaiveIndexReranker",
     "NaiveScanDatabase",
     "NaiveScanEngine",
     "RebuildDatabase",

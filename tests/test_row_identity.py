@@ -5,9 +5,9 @@ the rows they build.  An MD lead and a 1D lead then run with the result
 cache, the dense-region index and the rerank feed on, over an unsharded
 source and over a 2-shard federation.  Every row the run left behind — the
 pages emitted, the sessions' seen logs, the cache entries (with the complete
-match sets federated merges keep), the dense regions and the feed prefixes —
-must be one of those objects (``is``, not ``==``): no layer copies a row it
-passes on.
+match sets federated merges keep, and the rows of every crawled dense region)
+and the feed prefixes — must be one of those objects (``is``, not ``==``): no
+layer copies a row it passes on.
 """
 
 import pytest
@@ -55,7 +55,7 @@ def built(monkeypatch):
 
 def held_rows(reranker, streams):
     """Every row the run left in the places that hold rows, by place."""
-    places = {"emitted": [], "seen log": [], "cache": [], "dense regions": [], "feed": []}
+    places = {"emitted": [], "seen log": [], "cache": [], "feed": []}
     for stream in streams:
         places["emitted"] += stream.returned_so_far
         places["seen log"] += stream.session.seen_since(0)
@@ -64,8 +64,6 @@ def held_rows(reranker, streams):
         places["seen log"] += feed._producer.session.seen_since(0)
     for result in reranker.result_cache._entries.values():
         places["cache"] += [*result.rows, *(result.complete_rows or ())]
-    for index in reranker.dense_index._indexes.values():
-        places["dense regions"] += [row for region in index for row in region.rows]
     return places
 
 

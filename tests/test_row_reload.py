@@ -4,11 +4,11 @@ and as read-only rows, like every row the catalog builds."""
 
 import pytest
 
-from repro.core.dense_index import DenseRegionIndex
-from repro.core.regions import HyperRectangle
+from repro.core.functions import SingleAttributeRanking
+from repro.core.reranker import Algorithm, QueryReranker
 from repro.httpsim import wire
 from repro.sqlstore.dense_cache import DenseRegionCache
-from repro.webdb.query import RangePredicate, SearchQuery
+from repro.webdb.query import SearchQuery
 
 
 def assert_read_only_copies(reloaded, originals):
@@ -18,27 +18,29 @@ def assert_read_only_copies(reloaded, originals):
             row["price"] = -1.0
 
 
-def test_a_dense_region_cache_reloads_read_only_rows(bluenile_db, tmp_path):
-    interval = RangePredicate("price", 500.0, 800.0)
-    originals = bluenile_db.all_matches(SearchQuery((interval,), ()))
+def test_a_reloaded_dense_region_serves_read_only_rows(bluenile_db, tmp_path):
+    """A reranker over a reloaded, verified dense-region cache serves the
+    region's rows equal to the catalog's, and read-only."""
+    query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+    ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
+    depth = bluenile_db.system_k + 5
     path = str(tmp_path / "dense.sqlite")
     first = DenseRegionCache(bluenile_db.schema, path=path)
-    DenseRegionIndex(bluenile_db.schema, cache=first).add_region(
-        HyperRectangle((interval,)), originals
-    )
+    QueryReranker(bluenile_db, dense_cache=first).rerank(query, ranking, Algorithm.RERANK).top(depth)
+    assert first.regions()
     first.close()
     second = DenseRegionCache(bluenile_db.schema, path=path)
     try:
-        reloaded = DenseRegionIndex(bluenile_db.schema, cache=second).rows_in(
-            HyperRectangle((interval,))
-        )
+        reranker = QueryReranker(bluenile_db, dense_cache=second)
+        reranker.verify_dense_cache()
+        stream = reranker.rerank(query, ranking, Algorithm.RERANK)
+        served = stream.top(depth)
     finally:
         second.close()
+    assert stream.statistics.dense_index_hits >= 1
     key = bluenile_db.key_column
-    assert_read_only_copies(
-        sorted(reloaded, key=lambda row: row[key]),
-        sorted(originals, key=lambda row: row[key]),
-    )
+    catalog = {row[key]: row for row in bluenile_db.all_matches(query)}
+    assert_read_only_copies(served, [catalog[row[key]] for row in served])
 
 
 def test_a_decoded_wire_answer_holds_read_only_rows(bluenile_db):

@@ -304,6 +304,33 @@ class TestDeltaRetirement:
             assert kept is not delta.may_match_query(query)
 
 
+class TestAbsorb:
+    """``absorb`` stores another cache's entries as a fetched miss is
+    stored: an entry that a delta logged since the read can match is
+    dropped."""
+
+    def test_absorbed_entries_are_hits_at_no_cost(self, bluenile_db):
+        cache = QueryResultCache()
+        cache.absorb(_banded_cache(bluenile_db, namespaces=("a",)), cache.changes("a").sequence)
+        assert len(cache) == len(BANDS)
+        for query in BANDS:
+            answer, status = cache.probe("a", query, bluenile_db.system_k)
+            assert status is FetchStatus.HIT and answer.elapsed_seconds == 0.0
+            assert answer.keys() == bluenile_db.search(query).keys()
+
+    @pytest.mark.parametrize("price", [600.0, 9000.0])
+    def test_a_delta_logged_since_the_read_drops_what_it_can_match(self, bluenile_db, price):
+        read = _banded_cache(bluenile_db, namespaces=("a",))
+        cache = QueryResultCache()
+        since = cache.changes("a").sequence
+        delta = _repricing("a", price)
+        cache.invalidate_delta("a", delta)
+        cache.absorb(read, since)
+        for query in BANDS:
+            stored = cache.probe("a", query, bluenile_db.system_k) is not None
+            assert stored is not delta.may_match_query(query)
+
+
 class TestDefaultNamespace:
     def test_namespace_defaults_to_interface_name(self, bluenile_db):
         assert default_namespace(bluenile_db) == bluenile_db.name

@@ -21,6 +21,10 @@ oracle:
   place still answers its query with zero external queries;
 * **exact versions** — a query, cache entry or dense box is flagged only
   when one single touched version satisfies all of its predicates;
+* **dense regions read the cache** — a registered box whose crawl entries
+  were evicted pays queries on its next read and stays right; a delta inside
+  the box retires it with its entries, one outside it leaves the next read
+  at zero queries;
 * **feeds past their prefix** — a feed whose matching touched versions all
   rank after its last verified row keeps its prefix, and streams reading
   past it still equal the fresh oracle.
@@ -34,17 +38,22 @@ import threading
 
 import pytest
 
-from repro.core.dense_index import DenseRegionIndex
+from repro.config import RerankConfig
+from repro.core.dense_index import DenseRegionIndex, dense_rows
 from repro.core.feed import FeedProducer, RerankFeedStore
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
+from repro.core.parallel import QueryEngine
 from repro.core.regions import HyperRectangle
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.core.session import Session
 from repro.webdb.cache import QueryResultCache
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.delta import CatalogDelta, merge_shard_deltas
 from repro.webdb.query import RangePredicate, SearchQuery
+from repro.webdb.ranking import FeaturedScoreRanking
 from repro.workloads.experiments import ExperimentEnvironment
+from tests.conftest import assert_matches_ground_truth
 
 PAGE_SIZE = 10
 PAGES = 2
@@ -376,10 +385,87 @@ def test_versions_that_each_satisfy_one_predicate_flag_nothing(
     box = HyperRectangle.from_bounds(crossed)
     assert not delta.may_intersect_bounds(crossed)
     assert not delta.may_intersect_sides(box.sides)
-    index = DenseRegionIndex(diamond_schema_fixture)
+    index = DenseRegionIndex()
     index.add_region(box, [])
     assert index.invalidate_delta(delta) == 0
     assert index.lookup(box) is not None
+
+
+# --------------------------------------------------------------------- #
+# Dense regions: the registry's rows are the result cache's entries
+# --------------------------------------------------------------------- #
+CLUSTER = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+BY_RATIO = SingleAttributeRanking("length_width_ratio", ascending=True)
+ROUND = HyperRectangle.from_bounds({"length_width_ratio": (1.0, 1.0)})
+
+
+def _cluster_reranker(catalog, schema, cache):
+    """A private database (the tests change it) and a reranker over
+    ``cache`` with the feed off, so a repeat runs the algorithm."""
+    database = HiddenWebDatabase(
+        catalog, schema, FeaturedScoreRanking("price", boost_weight=2500.0), system_k=10
+    )
+    config = RerankConfig(enable_rerank_feed=False)
+    return database, QueryReranker(database, config=config, result_cache=cache)
+
+
+def _cluster_page(reranker, database):
+    """Read past the round-stone cluster, whose value group is crawled;
+    the page must equal the brute-force ranking.  Returns its statistics."""
+    stream = reranker.rerank(CLUSTER, BY_RATIO, Algorithm.RERANK)
+    rows = stream.top(database.system_k + 5)
+    truth = database.true_ranking(CLUSTER, BY_RATIO.score, limit=len(rows))
+    assert_matches_ground_truth(rows, truth, BY_RATIO)
+    return stream.statistics
+
+
+def test_an_evicted_crawl_makes_a_dense_hit_pay_and_stay_right(
+    diamond_catalog, diamond_schema_fixture
+):
+    cache = QueryResultCache(max_entries=4)
+    database, reranker = _cluster_reranker(diamond_catalog, diamond_schema_fixture, cache)
+    cold = _cluster_page(reranker, database)
+    assert cold.dense_regions_built >= 1 and cache.statistics.evictions > 0
+    warm = _cluster_page(reranker, database)
+    assert warm.dense_index_hits >= 1 and warm.dense_regions_built == 0
+    assert warm.external_queries > 0
+
+
+def test_a_delta_retires_a_dense_box_with_its_entries_and_spares_the_rest(
+    diamond_catalog, diamond_schema_fixture
+):
+    cache = QueryResultCache()
+    database, reranker = _cluster_reranker(diamond_catalog, diamond_schema_fixture, cache)
+    _cluster_page(reranker, database)
+    box = reranker.dense_index.lookup(ROUND)
+    assert box is not None
+    inside = box.to_query(SearchQuery.everything())
+
+    # A repriced stone outside the box: the box and its entries serve on.
+    elongated = SearchQuery.build(ranges={"length_width_ratio": (1.3, 3.0)})
+    outside = dict(database.all_matches(elongated)[0])
+    outside["price"] += 1.0
+    summary = reranker.apply_delta(database.apply_delta(upserts=[outside]))
+    assert summary["regions_retired"] == 0
+    warm = _cluster_page(reranker, database)
+    assert warm.dense_index_hits >= 1 and warm.external_queries == 0
+
+    # A repriced stone inside it: the box goes, and so do its crawl's
+    # entries, so crawling it again pays and reads the new version.
+    changed = dict(database.all_matches(inside)[0])
+    changed["price"] += 1.0
+    summary = reranker.apply_delta(database.apply_delta(upserts=[changed]))
+    assert summary["regions_retired"] >= 1 and reranker.dense_index.lookup(box) is None
+    engine = QueryEngine(database, result_cache=cache)
+    rows, _ = dense_rows(
+        engine, engine.statistics, reranker.dense_index, box, SearchQuery.everything()
+    )
+    assert engine.queries_issued() > 0
+    assert sorted(map(dict, rows), key=lambda row: row["id"]) == sorted(
+        map(dict, database.all_matches(inside)), key=lambda row: row["id"]
+    )
+    assert changed in [dict(row) for row in rows]
+    assert reranker.dense_index.lookup(box) == box
 
 
 # --------------------------------------------------------------------- #
