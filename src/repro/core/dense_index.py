@@ -23,7 +23,7 @@ live ones.
 
 Boxes are stored *without* the user's filter predicates: they describe the
 database's content inside an attribute-space box, so any user query can reuse
-them by filtering locally.  Every region is also persisted, rows included, to
+them by filtering locally.  Every box is also persisted, without its rows, to
 a :class:`~repro.sqlstore.dense_cache.DenseRegionCache` when one is given (the
 paper's MySQL store): a restarted service loads its boxes, and
 :meth:`~repro.core.reranker.QueryReranker.verify_dense_cache` re-crawls them
@@ -79,15 +79,16 @@ class DenseRegionIndex:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def add_region(self, box: HyperRectangle, rows: Sequence[Mapping[str, object]]) -> None:
-        """Register ``box`` as crawled whole; ``rows``, *every* database
-        tuple inside it, are persisted when a region store is attached."""
+    def add_region(self, box: HyperRectangle, rows: Sequence[Mapping[str, object]] = ()) -> None:
+        """Register ``box`` as crawled whole, and persist it when a region
+        store is attached.  ``rows`` is ignored: the crawl's answers are the
+        result cache's entries."""
         self._register(box)
         if self._cache is not None:
-            self._cache.store_region(box.bounds(), list(rows))
+            self._cache.store_region(box.bounds())
 
     def add_interval(
-        self, attribute: str, lower: float, upper: float, rows: Sequence[Mapping[str, object]]
+        self, attribute: str, lower: float, upper: float, rows: Sequence[Mapping[str, object]] = ()
     ) -> None:
         """:meth:`add_region` for a 1D region."""
         self.add_region(HyperRectangle.from_bounds({attribute: (lower, upper)}), rows)
@@ -229,6 +230,6 @@ def dense_rows(
     degraded = engine.statistics.read("degraded_results")
     crawled = crawl_region(engine, statistics, SearchQuery(box.sides, ()))
     if engine.statistics.read("degraded_results") == degraded:
-        index.add_region(box, crawled)
+        index.add_region(box)
         statistics.record("dense_index_hits")
     return [row for row in crawled if base_query.matches(row)], answer

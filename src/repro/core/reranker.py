@@ -399,7 +399,8 @@ class QueryReranker:
         that received a degraded answer cannot verify its region, which is
         dropped until a request crawls it again.  The live answers are then
         stored in the shared result cache, where a request's crawl of a
-        verified region reads them at zero queries.  Returns the refresh
+        verified region reads them at zero queries.  Returns
+        :meth:`~repro.sqlstore.dense_cache.DenseRegionCache.verify`'s
         counters; a no-op when no persistent cache was given.
         """
         cache = self._dense_cache
@@ -410,12 +411,12 @@ class QueryReranker:
         crawler = HiddenDatabaseCrawler(engine)
         since = self._result_cache.changes(self._cache_namespace).sequence
 
-        def crawl(bounds):
+        def crawl(bounds) -> bool:
             degraded = engine.statistics.read("degraded_results")
-            rows, _ = crawler.crawl(SearchQuery.build(ranges=bounds))
-            return rows if engine.statistics.read("degraded_results") == degraded else None
+            crawler.crawl(SearchQuery.build(ranges=bounds))
+            return engine.statistics.read("degraded_results") == degraded
 
-        counters = cache.verify_and_refresh(crawl)
+        counters = cache.verify(crawl)
         self._result_cache.absorb(live, since)
         self._dense_index = DenseRegionIndex(cache)
         return counters

@@ -33,8 +33,9 @@ def is_numeric(value: object) -> bool:
     return not (isinstance(value, float) and math.isnan(value))
 
 
-#: The types :meth:`Attribute.contains_all` admits with no per-value test.
-_REAL_TYPES = frozenset((int, float, bool))
+#: The types :meth:`Attribute.contains_all` admits with no per-value test
+#: (``bool`` is not one: no range predicate matches it).
+_REAL_TYPES = frozenset((int, float))
 
 
 class AttributeKind(enum.Enum):
@@ -121,14 +122,12 @@ class Attribute:
         return self.contains_all((value,))
 
     def contains_all(self, values: Sequence[object]) -> bool:
-        """True when every one of ``values`` is a category, or an ``int`` /
-        ``float`` (``bool`` included) that ``float`` puts inside the closed
-        bounds, never NaN; each test is one C-speed pass over the column."""
+        """True when every one of ``values`` is a category, or a value
+        :func:`is_numeric` admits that ``float`` puts inside the closed
+        bounds; each test is one C-speed pass over the column."""
         if not self.is_numeric:
             return all(map(self.categories.__contains__, values))
-        if not set(map(type, values)) <= _REAL_TYPES and not all(
-            isinstance(value, (int, float)) for value in values
-        ):
+        if not set(map(type, values)) <= _REAL_TYPES and not all(map(is_numeric, values)):
             return False
         floats = list(map(float, values)) or [self.lower]  # no value lies inside
         if any(map(math.isnan, floats)):

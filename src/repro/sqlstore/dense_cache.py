@@ -4,16 +4,14 @@
 answer future queries locally.  The cache is shared across all sessions of the
 service, so the paper persists it in MySQL and verifies it against the live
 web database when the service boots.  :class:`DenseRegionCache` reproduces
-that component on SQLite: it stores
-
-* the *region descriptors* (which attribute or attribute set, which bounds),
-  in a metadata table, and
-* the *crawled tuples* themselves, in a :class:`~repro.sqlstore.store.SQLiteTupleStore`.
+that component on SQLite: it stores the *region descriptors* — which
+attribute or attribute set, which bounds — and no row.
 
 The in-memory registry of crawled boxes lives in
 :mod:`repro.core.dense_index`, and the rows a request reads are the result
-cache's entries; this module is only about durability and boot-time
-verification.
+cache's entries; boot-time verification re-crawls each stored box into the
+result cache, so a restart reads live rows.  This module is only about
+durability.
 """
 
 from __future__ import annotations
@@ -21,13 +19,14 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import DenseRegionError
 from repro.sqlstore.connections import SQLiteConnections
-from repro.sqlstore.store import SQLiteTupleStore
-from repro.webdb.query import Row
+
+#: A persisted region's closed interval per attribute.
+Bounds = Mapping[str, Tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,11 @@ class StoredRegion:
 
     ``bounds`` maps each attribute of the region to its ``(lower, upper)``
     closed interval; 1D regions have a single entry, MD regions one per
-    ranking attribute.  ``tuple_keys`` are the keys of the crawled tuples that
-    belong to the region.
+    ranking attribute.
     """
 
     region_id: int
-    bounds: Mapping[str, Tuple[float, float]]
-    tuple_keys: Tuple[object, ...]
+    bounds: Bounds
 
     @property
     def attributes(self) -> Tuple[str, ...]:
@@ -51,39 +48,38 @@ class StoredRegion:
 
 
 class DenseRegionCache:
-    """Durable storage for dense regions and their crawled tuples."""
+    """Durable storage for the boxes of the dense regions crawled whole."""
 
     def __init__(self, schema: Schema, path: str = ":memory:") -> None:
         self._schema = schema
-        self._tuples = SQLiteTupleStore(schema, path=path, table="dense_tuples")
         self._lock = threading.Lock()
         self._connections = SQLiteConnections(path)
         self._connection = self._connections.get
-        self._create_tables()
-
-    def _create_tables(self) -> None:
         with self._lock:
             connection = self._connection()
             connection.execute(
                 """
-                CREATE TABLE IF NOT EXISTS dense_regions (
+                CREATE TABLE IF NOT EXISTS dense_boxes (
                     region_id INTEGER PRIMARY KEY AUTOINCREMENT,
-                    bounds_json TEXT NOT NULL,
-                    keys_json TEXT NOT NULL
+                    bounds_json TEXT NOT NULL
                 )
                 """
             )
             connection.commit()
 
+    def _write(self, sql: str, parameters: Tuple = ()) -> int:
+        """Run one write statement and commit; returns the last row id."""
+        with self._lock:
+            connection = self._connection()
+            cursor = connection.execute(sql, parameters)
+            connection.commit()
+            return int(cursor.lastrowid or 0)
+
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def store_region(
-        self,
-        bounds: Mapping[str, Tuple[float, float]],
-        rows: Sequence[Row],
-    ) -> StoredRegion:
-        """Persist one crawled region and its tuples."""
+    def store_region(self, bounds: Bounds) -> StoredRegion:
+        """Persist one crawled region's box."""
         if not bounds:
             raise DenseRegionError("a dense region needs at least one bounded attribute")
         for attribute, (lower, upper) in bounds.items():
@@ -92,119 +88,60 @@ class DenseRegionCache:
                 raise DenseRegionError(
                     f"inverted bounds for {attribute!r}: ({lower}, {upper})"
                 )
-        self._tuples.upsert(rows)
-        keys = [row[self._schema.key] for row in rows]
-        bounds_json = json.dumps(
-            {name: [float(low), float(high)] for name, (low, high) in bounds.items()},
-            sort_keys=True,
+        floats = {name: (float(low), float(high)) for name, (low, high) in bounds.items()}
+        region_id = self._write(
+            "INSERT INTO dense_boxes (bounds_json) VALUES (?)",
+            (json.dumps(floats, sort_keys=True),),
         )
-        keys_json = json.dumps(keys)
-        with self._lock:
-            connection = self._connection()
-            cursor = connection.execute(
-                "INSERT INTO dense_regions (bounds_json, keys_json) VALUES (?, ?)",
-                (bounds_json, keys_json),
-            )
-            connection.commit()
-            region_id = int(cursor.lastrowid)
-        return StoredRegion(
-            region_id=region_id,
-            bounds={name: (float(low), float(high)) for name, (low, high) in bounds.items()},
-            tuple_keys=tuple(keys),
-        )
+        return StoredRegion(region_id, floats)
 
     def drop_region(self, region_id: int) -> None:
-        """Remove one region descriptor (tuples remain; they are harmless)."""
-        with self._lock:
-            connection = self._connection()
-            connection.execute("DELETE FROM dense_regions WHERE region_id = ?", (region_id,))
-            connection.commit()
+        """Remove one region."""
+        self._write("DELETE FROM dense_boxes WHERE region_id = ?", (region_id,))
 
     def clear(self) -> None:
-        """Remove every region and every cached tuple."""
-        with self._lock:
-            connection = self._connection()
-            connection.execute("DELETE FROM dense_regions")
-            connection.commit()
-        self._tuples.delete_all()
+        """Remove every region."""
+        self._write("DELETE FROM dense_boxes")
 
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
     def regions(self) -> List[StoredRegion]:
         """All persisted regions."""
-        cursor = self._connection().execute(
-            "SELECT region_id, bounds_json, keys_json FROM dense_regions"
-        )
-        stored = []
-        for region_id, bounds_json, keys_json in cursor.fetchall():
-            bounds = {
-                name: (float(pair[0]), float(pair[1]))
-                for name, pair in json.loads(bounds_json).items()
-            }
-            keys = tuple(json.loads(keys_json))
-            stored.append(StoredRegion(int(region_id), bounds, keys))
-        return stored
-
-    def rows_for_region(self, region: StoredRegion) -> List[Row]:
-        """The crawled tuples belonging to ``region``, in stored-key order,
-        fetched as chunked batch lookups."""
-        found = self._tuples.get_many(region.tuple_keys)
-        rows = []
-        for key in region.tuple_keys:
-            # Keys round-trip through JSON while the store's key column is
-            # TEXT, so a non-string key may come back as its string form.
-            row = found.get(key) or found.get(str(key))
-            if row is None:
-                raise DenseRegionError(
-                    f"region {region.region_id} references missing tuple {key!r}"
-                )
-            rows.append(row)
-        return rows
-
-    def tuple_count(self) -> int:
-        """Number of cached tuples across all regions."""
-        return self._tuples.count()
+        cursor = self._connection().execute("SELECT region_id, bounds_json FROM dense_boxes")
+        return [
+            StoredRegion(
+                int(region_id),
+                {name: (float(low), float(high)) for name, (low, high) in json.loads(text).items()},
+            )
+            for region_id, text in cursor.fetchall()
+        ]
 
     # ------------------------------------------------------------------ #
     # Boot-time verification (paper: "before the system boots up we verify
     # the cache and update the changes from the web database")
     # ------------------------------------------------------------------ #
-    def verify_and_refresh(self, crawl_region) -> Dict[str, int]:
-        """Re-crawl every stored region with ``crawl_region(bounds) -> rows``
-        and replace regions whose contents changed: a tuple that entered or
-        left the region, or a stored tuple whose values differ from the live
-        one (a repriced row keeps its key).  A region the callback cannot
-        crawl whole (it returns ``None``) is dropped, counted as refreshed.
+    def verify(self, crawl_region: Callable[[Bounds], bool]) -> Dict[str, int]:
+        """Re-crawl every stored region with ``crawl_region(bounds)``, which
+        says whether it crawled the box whole, and drop each region it could
+        not.  The crawl is injected so this module stays independent of the
+        crawler and of the live database; what it read is its own business.
 
-        Returns counters ``{"checked": .., "refreshed": .., "unchanged": ..}``.
-        The crawl callback is injected so this module stays independent of the
-        crawler and of the live database.
+        Returns ``{"checked": .., "refreshed": .., "unchanged": ..}``: the
+        regions crawled, those dropped from the store, and those kept as
+        stored.  No row is stored, so a kept region is not compared with
+        what it held before.
         """
         counters = {"checked": 0, "refreshed": 0, "unchanged": 0}
         for region in self.regions():
             counters["checked"] += 1
-            fresh_rows = crawl_region(region.bounds)
-            if fresh_rows is not None and self._by_key(fresh_rows) == self._by_key(
-                self._tuples.get_many(region.tuple_keys).values()
-            ):
+            if crawl_region(region.bounds):
                 counters["unchanged"] += 1
-                continue
-            self.drop_region(region.region_id)
-            if fresh_rows is not None:
-                self.store_region(region.bounds, fresh_rows)
-            counters["refreshed"] += 1
+            else:
+                self.drop_region(region.region_id)
+                counters["refreshed"] += 1
         return counters
-
-    def _by_key(self, rows: Iterable[Row]) -> Dict[str, Tuple[object, ...]]:
-        """``rows`` by stringified key, each as its attribute values: the
-        form in which a crawled row and its stored copy compare equal (the
-        store keeps keys as text and numbers as floats)."""
-        key = self._schema.key
-        names = self._schema.names
-        return {str(row[key]): tuple(row[name] for name in names) for row in rows}
 
     def close(self) -> None:
         """Close every underlying connection, whichever thread opened it."""
-        self._tuples.close()
         self._connections.close()

@@ -1,10 +1,11 @@
 """SQLite-backed tuple store.
 
-The paper persists the shared dense-region cache in MySQL because it can grow
-beyond main memory and is shared between users.  MySQL is not available here,
-so :class:`SQLiteTupleStore` provides the same capability on the standard
-library's ``sqlite3``: create a table per web-database schema, upsert crawled
-tuples, read them back by key, and scan numeric ranges.  The table is keyed by
+The paper keeps QR2's shared state in MySQL because it can grow beyond main
+memory and is shared between users.  MySQL is not available here, so
+:class:`SQLiteTupleStore` keeps tuples on the standard library's ``sqlite3``
+(a simulated site's catalog loads from it at scale): create a table per
+web-database schema, upsert tuples, read them back by key, stream them in
+batches, and scan numeric ranges.  The table is keyed by
 the tuple key alone: readers go by key or scan the whole table, so no
 per-attribute index is maintained on write.
 
@@ -84,13 +85,6 @@ class SQLiteTupleStore:
             connection.commit()
         return len(payload)
 
-    def delete_all(self) -> None:
-        """Remove every stored tuple."""
-        with self._write_lock:
-            connection = self._connection()
-            connection.execute(f"DELETE FROM {_quote_identifier(self._table)}")
-            connection.commit()
-
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
@@ -126,25 +120,6 @@ class SQLiteTupleStore:
         key_sql = _quote_identifier(self._schema.key)
         record = self._select(f"WHERE {key_sql} = ?", (key,)).fetchone()
         return None if record is None else self._rows((record,))[0]
-
-    def get_many(self, keys: Sequence[object]) -> Dict[object, Row]:
-        """Fetch many tuples by key in chunked ``IN`` queries.
-
-        Returns a ``{key: row}`` mapping; missing keys are simply absent.
-        Used by the dense-region cache at boot, where fetching a region's
-        tuples one ``SELECT`` at a time dominates warm-start latency.
-        """
-        key_column = self._schema.key
-        found: Dict[object, Row] = {}
-        chunk_size = 500  # stay well under SQLite's bound-parameter limit
-        for start in range(0, len(keys), chunk_size):
-            chunk = list(keys[start : start + chunk_size])
-            placeholders = ", ".join("?" for _ in chunk)
-            cursor = self._select(
-                f"WHERE {_quote_identifier(key_column)} IN ({placeholders})", chunk
-            )
-            found.update((row[key_column], row) for row in self._rows(cursor.fetchall()))
-        return found
 
     def range_scan(
         self,

@@ -112,25 +112,10 @@ class TestBookkeeping:
 
 
 class TestPersistence:
-    def test_regions_and_their_rows_survive_reload(self, diamond_schema_fixture, tmp_path):
+    def test_regions_survive_reload(self, diamond_schema_fixture, tmp_path):
         path = str(tmp_path / "dense.sqlite")
         cache = DenseRegionCache(diamond_schema_fixture, path=path)
-        rows = [
-            {
-                "id": f"d{i}",
-                "price": 1000.0 + i,
-                "carat": 1.0,
-                "depth": 60.0,
-                "table": 55.0,
-                "length_width_ratio": 1.0,
-                "shape": "round",
-                "cut": "ideal",
-                "color": "D",
-                "clarity": "IF",
-            }
-            for i in range(4)
-        ]
-        DenseRegionIndex(cache).add_interval("length_width_ratio", 1.0, 1.0, rows)
+        DenseRegionIndex(cache).add_interval("length_width_ratio", 1.0, 1.0)
         cache.close()
 
         reopened = DenseRegionCache(diamond_schema_fixture, path=path)
@@ -139,9 +124,7 @@ class TestPersistence:
         assert second.lookup_interval("length_width_ratio", point) is not None
         assert second.describe()["persistent"]
         [stored] = reopened.regions()
-        assert [row["id"] for row in reopened.rows_for_region(stored)] == [
-            row["id"] for row in rows
-        ]
+        assert stored.bounds == {"length_width_ratio": (1.0, 1.0)}
         reopened.close()
 
 

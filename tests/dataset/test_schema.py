@@ -53,6 +53,23 @@ class TestAttribute:
         assert not attribute.contains(9.99)
         assert not attribute.contains("10")
 
+    def test_contains_refuses_bool_in_a_numeric_column(self):
+        """No range predicate matches ``True`` (``is_numeric`` and
+        ``SearchQuery.matches`` refuse it), so a stored ``True`` would match
+        the unconstrained query and no range spanning the domain: the
+        column test refuses it, alone or mixed with real numbers, whichever
+        branch (exact types or the per-value fallback) decides."""
+        attribute = Attribute.numeric("price", 0, 100)
+        assert attribute.contains(1) and attribute.contains_all([0, 1.0])
+        assert not attribute.contains(True)
+        assert not attribute.contains_all([1.0, False])
+
+        class Real(float):
+            pass
+
+        assert attribute.contains_all([Real(3.0), 1])
+        assert not attribute.contains_all([Real(3.0), True])
+
     def test_contains_categorical(self):
         attribute = Attribute.categorical("cut", ["good", "ideal"])
         assert attribute.contains("good")
@@ -121,6 +138,10 @@ class TestSchema:
     def test_validate_row_missing_attribute(self):
         with pytest.raises(SchemaError):
             self._schema().validate_row({"id": "x", "price": 10.0, "cut": "good"})
+
+    def test_validate_row_refuses_a_bool_price(self):
+        with pytest.raises(SchemaError):
+            self._schema().validate_row({"id": "x", "price": True, "carat": 1.0, "cut": "good"})
 
     def test_validate_row_out_of_domain(self):
         row = {"id": "x", "price": 10000.0, "carat": 1.0, "cut": "good"}

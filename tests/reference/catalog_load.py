@@ -23,8 +23,9 @@ from repro.webdb.ranking import SystemRankingFunction
 
 def reference_validate_row(schema: Schema, row: Mapping[str, object]) -> None:
     """The per-row rule: the key and every attribute present, a numeric
-    value an ``int``/``float`` inside the closed domain once ``float``-ed,
-    a categorical value among the categories."""
+    value an ``int``/``float`` (never a ``bool``, which no range predicate
+    matches) inside the closed domain once ``float``-ed, a categorical value
+    among the categories."""
     if schema.key not in row:
         raise SchemaError(f"row is missing key column {schema.key!r}")
     for attribute in schema.attributes:
@@ -32,7 +33,7 @@ def reference_validate_row(schema: Schema, row: Mapping[str, object]) -> None:
             raise SchemaError(f"row is missing attribute {attribute.name!r}")
         value = row[attribute.name]
         if attribute.is_numeric:
-            inside = isinstance(value, (int, float)) and (
+            inside = isinstance(value, (int, float)) and not isinstance(value, bool) and (
                 attribute.lower <= float(value) <= attribute.upper  # type: ignore[operator]
             )
         else:

@@ -21,7 +21,7 @@ STORES = {
 #: A read each store answers from its own tables.
 PROBES = {
     "tuple_store": SQLiteTupleStore.count,
-    "dense_cache": DenseRegionCache.tuple_count,
+    "dense_cache": lambda store: len(store.regions()),
 }
 
 

