@@ -37,6 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.stats import RerankStatistics
 from repro.webdb.cache import FetchStatus, Parts, QueryResultCache, default_namespace
 from repro.webdb.counters import QueryBudget
+from repro.webdb.federation import FederatedInterface
 from repro.webdb.interface import SearchResult, Settlement, TopKInterface
 from repro.webdb.query import SearchQuery
 
@@ -79,6 +80,9 @@ class QueryEngine:
         self._budget = budget or QueryBudget()
         self._cache = result_cache
         self._cache_namespace = cache_namespace or default_namespace(interface)
+        if result_cache is not None and not isinstance(interface, FederatedInterface):
+            # An unsharded source's proving answers coalesce into regions.
+            result_cache.register_domains(self._cache_namespace, interface.schema)
         # Read per row by the MD algorithms: resolve the interface's property
         # chain (stack -> database -> schema) once.
         self._key_column = interface.key_column

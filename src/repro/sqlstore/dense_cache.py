@@ -41,11 +41,6 @@ class StoredRegion:
     region_id: int
     bounds: Bounds
 
-    @property
-    def attributes(self) -> Tuple[str, ...]:
-        """Attributes the region constrains, sorted for stable identity."""
-        return tuple(sorted(self.bounds.keys()))
-
 
 class DenseRegionCache:
     """Durable storage for the boxes of the dense regions crawled whole."""
@@ -55,17 +50,10 @@ class DenseRegionCache:
         self._lock = threading.Lock()
         self._connections = SQLiteConnections(path)
         self._connection = self._connections.get
-        with self._lock:
-            connection = self._connection()
-            connection.execute(
-                """
-                CREATE TABLE IF NOT EXISTS dense_boxes (
-                    region_id INTEGER PRIMARY KEY AUTOINCREMENT,
-                    bounds_json TEXT NOT NULL
-                )
-                """
-            )
-            connection.commit()
+        self._write(
+            "CREATE TABLE IF NOT EXISTS dense_boxes"
+            " (region_id INTEGER PRIMARY KEY AUTOINCREMENT, bounds_json TEXT NOT NULL)"
+        )
 
     def _write(self, sql: str, parameters: Tuple = ()) -> int:
         """Run one write statement and commit; returns the last row id."""
@@ -85,9 +73,7 @@ class DenseRegionCache:
         for attribute, (lower, upper) in bounds.items():
             self._schema.require_numeric(attribute)
             if lower > upper:
-                raise DenseRegionError(
-                    f"inverted bounds for {attribute!r}: ({lower}, {upper})"
-                )
+                raise DenseRegionError(f"inverted bounds for {attribute!r}: ({lower}, {upper})")
         floats = {name: (float(low), float(high)) for name, (low, high) in bounds.items()}
         region_id = self._write(
             "INSERT INTO dense_boxes (bounds_json) VALUES (?)",
@@ -98,10 +84,6 @@ class DenseRegionCache:
     def drop_region(self, region_id: int) -> None:
         """Remove one region."""
         self._write("DELETE FROM dense_boxes WHERE region_id = ?", (region_id,))
-
-    def clear(self) -> None:
-        """Remove every region."""
-        self._write("DELETE FROM dense_boxes")
 
     # ------------------------------------------------------------------ #
     # Reads

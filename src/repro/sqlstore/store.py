@@ -4,10 +4,9 @@ The paper keeps QR2's shared state in MySQL because it can grow beyond main
 memory and is shared between users.  MySQL is not available here, so
 :class:`SQLiteTupleStore` keeps tuples on the standard library's ``sqlite3``
 (a simulated site's catalog loads from it at scale): create a table per
-web-database schema, upsert tuples, read them back by key, stream them in
-batches, and scan numeric ranges.  The table is keyed by
-the tuple key alone: readers go by key or scan the whole table, so no
-per-attribute index is maintained on write.
+web-database schema, upsert tuples, stream them back in batches, and scan
+numeric ranges.  The table is keyed by the tuple key alone: readers scan
+the whole table, so no per-attribute index is maintained on write.
 
 Connections are per-thread (:class:`~repro.sqlstore.connections.SQLiteConnections`),
 writes are guarded by a lock, and the store works both on-disk (shared,
@@ -19,7 +18,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.dataset.schema import Schema
 from repro.dataset.table import transpose
@@ -88,13 +87,6 @@ class SQLiteTupleStore:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def count(self) -> int:
-        """Number of stored tuples."""
-        cursor = self._connection().execute(
-            f"SELECT COUNT(*) FROM {_quote_identifier(self._table)}"
-        )
-        return int(cursor.fetchone()[0])
-
     def _select(self, where: str = "", parameters: Sequence[object] = ()) -> sqlite3.Cursor:
         """Every column (``schema.columns()`` order) of the tuples ``where`` admits."""
         column_sql = ", ".join(map(_quote_identifier, self._schema.columns()))
@@ -114,12 +106,6 @@ class SQLiteTupleStore:
         """``records`` of :meth:`_select` as row dictionaries."""
         columns = self._columns(records)
         return [dict(zip(columns, values)) for values in zip(*columns.values())]
-
-    def get(self, key: object) -> Optional[Row]:
-        """Fetch one tuple by key, or ``None``."""
-        key_sql = _quote_identifier(self._schema.key)
-        record = self._select(f"WHERE {key_sql} = ?", (key,)).fetchone()
-        return None if record is None else self._rows((record,))[0]
 
     def range_scan(
         self,

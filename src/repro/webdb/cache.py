@@ -28,6 +28,12 @@ re-issuing queries the service has already paid for.
   candidates.  Containment is the probe's job alone: a caller probes before
   it issues, so :meth:`QueryResultCache.fetch_many` rechecks only exact
   entries;
+* **coalesced regions** — proving answers of an unsharded namespace that
+  abut on one attribute and agree on the rest are stored again as one
+  *region entry* over their union (see :meth:`QueryResultCache._coalesce_locked`),
+  so a descent's leaves reassemble the boxes it split, and containment
+  answers any query inside one.  A region is keyed apart from the site's
+  answer to the same box, so an exact hit still returns the site's page;
 * **LRU eviction** — bounded memory; freshness comes from catalog deltas
   (:meth:`QueryResultCache.invalidate_delta`), not from a timer;
 * **request coalescing** — when several sessions miss on the same key at the
@@ -71,10 +77,12 @@ from repro.webdb.boxindex import BoxIndex
 from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta, ChangeLogs
 from repro.webdb.interface import Outcome, SearchResult, Settlement, TopKInterface
-from repro.webdb.query import SearchQuery
+from repro.webdb.query import RangePredicate, SearchQuery
 
-#: ``(namespace, system_k, canonical query key)`` — the full cache identity.
+#: ``(namespace, system_k, canonical query key)`` — the full cache identity;
+#: a region's canonical key ends in :data:`_REGION`.
 CacheKey = Tuple[str, int, Tuple]
+_REGION = "region"
 
 class FetchStatus(enum.Enum):
     """How a :meth:`QueryResultCache.fetch` call was satisfied."""
@@ -156,6 +164,13 @@ class QueryResultCache:
         #: ``(namespace, system_k)`` → entries with a covering answer or shard
         #: page, keyed like ``_entries``: ``(key, query)``.
         self._covering: Dict[Tuple[str, int], BoxIndex] = defaultdict(BoxIndex)
+        #: Namespace → advertised ``(lower, upper)`` per numeric attribute;
+        #: only a registered namespace's answers coalesce.
+        self._domains: Dict[str, Dict[str, Tuple[float, float]]] = {}
+        #: Each side of each range of a coalescing entry, flat: ``(hash of
+        #: the rest of its box, is upper, bound, inclusive)`` → the key of
+        #: the last entry stored with that side (see :func:`_rest`).
+        self._edges: Dict[Tuple[int, bool, float, bool], CacheKey] = {}
         #: ``changes(namespace)`` is the namespace's change log: the cache
         #: logs its deltas there under the lock.  A store claimed at
         #: sequence ``s`` is accepted only when every delta logged after
@@ -195,6 +210,14 @@ class QueryResultCache:
         payload["max_entries"] = self._max_entries
         return payload
 
+    def register_domains(self, namespace: str, schema) -> None:
+        """Let the answers of ``namespace``, an unsharded source with
+        ``schema``, coalesce into regions (a no-op once registered)."""
+        with self._lock:
+            if namespace not in self._domains:
+                numeric = [a for a in schema.attributes if a.is_numeric]
+                self._domains[namespace] = {a.name: (a.lower, a.upper) for a in numeric}
+
     # ------------------------------------------------------------------ #
     # Lookup / store
     # ------------------------------------------------------------------ #
@@ -207,7 +230,7 @@ class QueryResultCache:
         """Resolve ``query`` from stored entries only (no remote issuance), in
         one lock pass: ``(result, HIT)`` for an exact answer, else one walk of
         the covering index, which yields ``(result, CONTAINED)`` for an answer
-        derived from the first containing answer.  The result is the stored
+        derived from the first containing answer or region.  The result is the stored
         answer itself at ``elapsed_seconds=0.0`` — a cached answer costs no
         round trip — its read-only rows shared with every reader.  A derived
         answer is stored under ``query``'s key, so a repeat is an exact hit.
@@ -231,16 +254,17 @@ class QueryResultCache:
             index = self._covering[(namespace, system_k)]
             for covering_key, covering_query in index.covering(query):
                 covering = self._entries[covering_key]
-                # A covering answer answers; any other entry lends its covering pages.
-                lent = () if covering.covers_query else [
+                # A covering answer or a region answers; any other entry lends its covering pages.
+                answers = covering.covers_query or _coalesces(covering)
+                lent = () if answers else [
                     (i, page) for i, page in covering.shard_pages
                     if page.covers_query and i not in pages
                 ]
-                if not (covering.covers_query or lent) or not covering_query.contains(query):
+                if not (answers or lent) or not covering_query.contains(query):
                     continue
-                if covering.covers_query:
+                if answers:
                     self._entries.move_to_end(covering_key)
-                    derived = self._filtered(covering.rows, query, system_k)
+                    derived = self._filtered(covering.observed_rows, query, system_k)
                     self._store_locked(key, query, derived)
                     self.statistics.record("contained")
                     return derived, FetchStatus.CONTAINED
@@ -470,8 +494,7 @@ class QueryResultCache:
                 touched = {i for i, part in delta.shard_deltas if part.may_match_query(stored.query)}
                 kept = [(i, page) for i, page in stored.shard_pages if i not in touched]
                 if not (kept and delta.shard_deltas):
-                    del self._entries[key]
-                    self._covering[key[:2]].discard(key)
+                    self._forget_locked(key)
                     continue
                 # Assigned in place, so the kept parts keep the entry's LRU slot.
                 self._entries[key] = _parts_only(stored, kept)
@@ -522,36 +545,96 @@ class QueryResultCache:
             if not result.shard_pages or (existing is not None and _is_answer(existing)):
                 return
             result = _parts_only(result, result.shard_pages)
-        self._entries[key] = self._at_no_cost(result)
+        if key in self._entries:
+            self._unlink_locked(key, self._entries[key])
+        self._entries[key] = result = self._at_no_cost(result)
         self._entries.move_to_end(key)
-        if result.covers_query or any(page.covers_query for _, page in result.shard_pages):
-            # Only covering (valid/underflow) results and pages may answer
-            # subset queries: an overflow result is truncated at ``k`` and
-            # proves nothing about which subset tuples the database holds.
+        coalesces = _coalesces(result)
+        if coalesces or result.covers_query or any(p.covers_query for _, p in result.shard_pages):
+            # Only covering (valid/underflow) results, regions and pages may
+            # answer subset queries: an overflow result is truncated at ``k``
+            # and proves nothing about which subset tuples the database holds.
             self._covering[key[:2]].add(key, query, (key, query))
         else:
             self._covering[key[:2]].discard(key)
         while len(self._entries) > self._max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._covering[evicted[:2]].discard(evicted)
+            self._forget_locked(next(iter(self._entries)))
             self.statistics.record("evictions")
+        if coalesces and key[0] in self._domains:
+            self._coalesce_locked(key, result)
+
+    def _forget_locked(self, key: CacheKey) -> None:
+        """Remove the entry under ``key`` from every structure."""
+        self._unlink_locked(key, self._entries.pop(key))
+        self._covering[key[:2]].discard(key)
+
+    def _unlink_locked(self, key: CacheKey, entry: SearchResult) -> None:
+        """Drop the edges ``entry``, stored under ``key``, still owns."""
+        for side in _sides(key) if _coalesces(entry) else ():
+            if self._edges.get(side) == key:
+                del self._edges[side]
+
+    def _twin_locked(self, namespace: str, system_k: int, box: Tuple):
+        """The first entry abutting ``box`` (canonical ranges, memberships) on
+        one attribute and agreeing with it elsewhere, as ``(its key, other
+        ranges, low side, high side, whether it is the high side)``."""
+        ranges, memberships = box
+        for position, own in enumerate(ranges):
+            rest = ranges[:position] + ranges[position + 1 :]
+            edge = hash((namespace, system_k, rest, memberships, own[0]))  # as in _sides
+            above = self._edges.get((edge, False, own[2], not own[4]))
+            found = above or self._edges.get((edge, True, own[1], not own[3]))
+            other = found and next((side for side in found[2][0] if side[0] == own[0]), None)
+            # Equal hashes of unequal rests are no twins.
+            if other and (*found[:2], found[2][1], tuple(s for s in found[2][0] if s is not other)) == (
+                namespace, system_k, memberships, rest
+            ):
+                return (found, rest) + ((own, other, True) if above else (other, own, False))
+        return None
+
+    def _coalesce_locked(self, key: CacheKey, result: SearchResult) -> None:
+        """Record the sides of ``result``, just stored under ``key``, merge it
+        with twin after twin (:meth:`_twin_locked`), short of a union stored
+        already (as a region or a proving answer), and store the union as
+        one region entry, rows in merge order, low side first; the regions
+        it covers are forgotten."""
+        namespace, system_k, box, memberships = key[0], key[1], key[2][:2], key[2][1]
+        self._edges.update(dict.fromkeys(_sides(key), key))
+        twin = self._twin_locked(namespace, system_k, box)
+        rows, covered, region = result.observed_rows, [], None
+        while twin is not None:
+            found, rest, low, high, above = twin
+            union = (low[0], low[1], high[2], low[3], high[4])
+            domain = self._domains[namespace].get(union[0])
+            # A range spanning the attribute's whole domain is no range: an
+            # exclusive bound sorts inside the inclusive one at its value.
+            spans = domain is not None and (union[1], not union[3]) <= (domain[0], False) and (
+                union[2], union[4]) >= (domain[1], True)
+            box = (rest if spans else tuple(sorted(rest + (union,))), memberships)
+            plain = self._entries.get((namespace, system_k, box))
+            if (namespace, system_k, box + (_REGION,)) in self._entries or (
+                plain is not None and _coalesces(plain)
+            ):
+                break
+            other = self._entries[found].observed_rows
+            rows = rows + other if above else other + rows
+            covered.append(found)
+            region = box
+            twin = self._twin_locked(namespace, system_k, box)
+        if region is None:
+            return
+        for merged in covered:
+            if len(merged[2]) == 3:
+                self._forget_locked(merged)
+        query = SearchQuery(tuple(RangePredicate(*r) for r in region[0]), result.query.memberships)
+        region_key = (namespace, system_k, region + (_REGION,))
+        self._store_locked(region_key, query, _answer(query, rows, system_k))
 
     @staticmethod
     def _filtered(rows, query: SearchQuery, system_k: int) -> SearchResult:
-        """``query``'s answer, bit for bit, from a containing query's covering rows."""
-        matched = [row for row in rows if query.matches(row)]
-        overflow = len(matched) > system_k
-        # The covering entry's own read-only rows, shared.
-        kept = tuple(matched[:system_k])
-        if overflow:
-            outcome = Outcome.OVERFLOW
-        elif kept:
-            outcome = Outcome.VALID
-        else:
-            outcome = Outcome.UNDERFLOW
-        return SearchResult(
-            query=query, rows=kept, outcome=outcome, system_k=system_k, elapsed_seconds=0.0
-        )
+        """``query``'s answer, bit for bit, from a containing query's covering
+        rows (the covering entry's own read-only rows, shared)."""
+        return _answer(query, tuple(row for row in rows if query.matches(row)), system_k)
 
     @staticmethod
     def _at_no_cost(result: SearchResult) -> SearchResult:
@@ -572,9 +655,33 @@ def _parts_only(result: SearchResult, pages) -> SearchResult:
                    complete_rows=None, shard_pages=tuple(pages))
 
 
+def _sides(key: CacheKey):
+    """The edge keys of the box stored under ``key``, two per range: each
+    starts with the hash of what a box abutting it there shares with it."""
+    (ranges, memberships), rest = key[2][:2], key[:2]
+    for position, (attribute, lower, upper, include_lower, include_upper) in enumerate(ranges):
+        edge = hash((*rest, ranges[:position] + ranges[position + 1 :], memberships, attribute))
+        yield from ((edge, False, lower, include_lower), (edge, True, upper, include_upper))
+
+
 def _is_answer(entry: SearchResult) -> bool:
     """May ``entry`` be served?  A degraded merge or a parts-only entry may not."""
     return not entry.degraded
+
+
+def _coalesces(entry: SearchResult) -> bool:
+    """Does ``entry`` coalesce, and answer the queries it contains from every
+    row it keeps: an unsharded, servable answer that proves its query?  (A
+    federated complete merge lends its shard pages instead.)"""
+    return entry.proves_query and not (entry.degraded or entry.shard_pages)
+
+
+def _answer(query: SearchQuery, rows: Tuple, system_k: int) -> SearchResult:
+    """``query``'s answer at no cost from ``rows``, every tuple matching it."""
+    overflow = len(rows) > system_k
+    outcome = Outcome.OVERFLOW if overflow else Outcome.VALID if rows else Outcome.UNDERFLOW
+    return SearchResult(query=query, rows=rows[:system_k], outcome=outcome, system_k=system_k,
+                        complete_rows=rows if overflow else None)
 
 
 #: Generic default names that cannot distinguish two interfaces sharing one

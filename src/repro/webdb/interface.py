@@ -50,6 +50,11 @@ class SearchResult:
         Returned tuples, ordered by the hidden system ranking (best first).
         At most ``system_k`` rows, each a read-only
         :data:`~repro.webdb.query.Row` that callers share and never copy.
+        A result-cache region (the union of abutting proving answers) and
+        an answer filtered from one hold each leaf's rows in site order,
+        leaves in the order they were merged, lower side first: when the
+        answer spans leaves, ``rows`` is not the site's top-k, and an
+        overflowing one proves its query through ``complete_rows``.
     outcome:
         Overflow / valid / underflow classification.
     system_k:

@@ -20,7 +20,7 @@ STORES = {
 
 #: A read each store answers from its own tables.
 PROBES = {
-    "tuple_store": SQLiteTupleStore.count,
+    "tuple_store": lambda store: len(store.all_rows()),
     "dense_cache": lambda store: len(store.regions()),
 }
 

@@ -73,7 +73,7 @@ class TestColumnsEqualTheRowWiseLoad:
         expected = reference_sorted_columns(store, schema, BLUENILE, validate=validate)
         actual = stream_sorted_columns(store, schema, BLUENILE, validate=validate)
         assert typed(actual) == typed(expected)
-        assert len(actual["id"]) == store.count()
+        assert len(actual["id"]) == len(store.all_rows())
 
     def test_row_dictionaries(self, small_store):
         """A list of row dictionaries and a one-shot generator over them are
