@@ -167,10 +167,9 @@ class QueryResultCache:
         #: Namespace → advertised ``(lower, upper)`` per numeric attribute;
         #: only a registered namespace's answers coalesce.
         self._domains: Dict[str, Dict[str, Tuple[float, float]]] = {}
-        #: Each side of each range of a coalescing entry, flat: ``(hash of
-        #: the rest of its box, is upper, bound, inclusive)`` → the key of
-        #: the last entry stored with that side (see :func:`_rest`).
-        self._edges: Dict[Tuple[int, bool, float, bool], CacheKey] = {}
+        #: The hash of each side (:func:`_sides`) of each coalescing entry
+        #: → the key of the last entry stored with that side.
+        self._edges: Dict[int, CacheKey] = {}
         #: ``changes(namespace)`` is the namespace's change log: the cache
         #: logs its deltas there under the lock.  A store claimed at
         #: sequence ``s`` is accepted only when every delta logged after
@@ -569,8 +568,8 @@ class QueryResultCache:
         self._covering[key[:2]].discard(key)
 
     def _unlink_locked(self, key: CacheKey, entry: SearchResult) -> None:
-        """Drop the edges ``entry``, stored under ``key``, still owns."""
-        for side in _sides(key) if _coalesces(entry) else ():
+        """Drop the sides ``entry``, stored under ``key``, still owns."""
+        for side in map(hash, _sides(key)) if _coalesces(entry) else ():
             if self._edges.get(side) == key:
                 del self._edges[side]
 
@@ -581,15 +580,14 @@ class QueryResultCache:
         ranges, memberships = box
         for position, own in enumerate(ranges):
             rest = ranges[:position] + ranges[position + 1 :]
-            edge = hash((namespace, system_k, rest, memberships, own[0]))  # as in _sides
-            above = self._edges.get((edge, False, own[2], not own[4]))
-            found = above or self._edges.get((edge, True, own[1], not own[3]))
-            other = found and next((side for side in found[2][0] if side[0] == own[0]), None)
-            # Equal hashes of unequal rests are no twins.
-            if other and (*found[:2], found[2][1], tuple(s for s in found[2][0] if s is not other)) == (
-                namespace, system_k, memberships, rest
-            ):
-                return (found, rest) + ((own, other, True) if above else (other, own, False))
+            above, below = (False, own[2], not own[4]), (True, own[1], not own[3])
+            for side in (above, below):
+                edge = (namespace, system_k, rest, memberships, own[0]) + side
+                found = self._edges.get(hash(edge))
+                # A side is indexed by its hash: the twin must really have it.
+                if found is not None and edge in _sides(found):
+                    other = next(theirs for theirs in found[2][0] if theirs[0] == own[0])
+                    return (found, rest) + ((own, other, True) if side is above else (other, own, False))
         return None
 
     def _coalesce_locked(self, key: CacheKey, result: SearchResult) -> None:
@@ -599,7 +597,7 @@ class QueryResultCache:
         one region entry, rows in merge order, low side first; the regions
         it covers are forgotten."""
         namespace, system_k, box, memberships = key[0], key[1], key[2][:2], key[2][1]
-        self._edges.update(dict.fromkeys(_sides(key), key))
+        self._edges.update(dict.fromkeys(map(hash, _sides(key)), key))
         twin = self._twin_locked(namespace, system_k, box)
         rows, covered, region = result.observed_rows, [], None
         while twin is not None:
@@ -656,12 +654,13 @@ def _parts_only(result: SearchResult, pages) -> SearchResult:
 
 
 def _sides(key: CacheKey):
-    """The edge keys of the box stored under ``key``, two per range: each
-    starts with the hash of what a box abutting it there shares with it."""
-    (ranges, memberships), rest = key[2][:2], key[:2]
+    """The sides of the box stored under ``key``, two per range: what a box
+    abutting it there shares with it (scope, other ranges, memberships,
+    attribute), then ``(is upper, bound, inclusive)``."""
+    (ranges, memberships), scope = key[2][:2], key[:2]
     for position, (attribute, lower, upper, include_lower, include_upper) in enumerate(ranges):
-        edge = hash((*rest, ranges[:position] + ranges[position + 1 :], memberships, attribute))
-        yield from ((edge, False, lower, include_lower), (edge, True, upper, include_upper))
+        rest = (*scope, ranges[:position] + ranges[position + 1 :], memberships, attribute)
+        yield from (rest + (False, lower, include_lower), rest + (True, upper, include_upper))
 
 
 def _is_answer(entry: SearchResult) -> bool:
