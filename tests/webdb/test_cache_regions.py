@@ -13,8 +13,9 @@ cleaned with the entries it indexes.
 """
 
 import random
+import sys
+import threading
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -325,6 +326,43 @@ def test_a_1d_tiling_stored_in_any_order_reassembles_the_whole_interval(seed):
     rng.shuffle(leaves)
     for leaf in leaves:
         _store(cache, db, leaf)
+    everything = SearchQuery.everything()
+    answer, status = cache.probe("regions", everything, SYSTEM_K)
+    assert status is FetchStatus.CONTAINED
+    _assert_answers_like_the_database(db, everything, answer)
+
+
+def test_concurrent_stores_reassemble_a_tiling_like_serial_ones():
+    """Eight threads store a 1D tiling's leaves at once while they probe:
+    the store and its coalescing run under the cache lock, so the side index
+    points at live entries only and the whole interval is answered."""
+    db, cache = _database(_catalog(200)), _cache()
+    leaves = _proving_split(db, "x")
+    answers = {leaf: db.search(leaf) for leaf in leaves}
+    errors = []
+
+    def work(lane):
+        try:
+            mine = leaves[lane::8]
+            random.Random(lane).shuffle(mine)
+            for leaf in mine:
+                cache.store("regions", leaf, SYSTEM_K, answers[leaf])
+                cache.probe("regions", leaf, SYSTEM_K)
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(lane,)) for lane in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    assert set(cache._edges.values()) <= set(cache._entries)
     everything = SearchQuery.everything()
     answer, status = cache.probe("regions", everything, SYSTEM_K)
     assert status is FetchStatus.CONTAINED
