@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.functions import LinearRankingFunction, weighted
-from repro.core.regions import HyperRectangle
+from repro.webdb.query import SearchQuery
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ScoreBounds:
             raise ValueError(f"inverted score bounds: {self.minimum} > {self.maximum}")
 
 
-def score_bounds(function: LinearRankingFunction, box: HyperRectangle) -> ScoreBounds:
+def score_bounds(function: LinearRankingFunction, box: SearchQuery) -> ScoreBounds:
     """Exact score bounds of ``function`` over ``box``.
 
     Because the function is linear and the box axis-aligned, the extrema occur
@@ -50,7 +50,7 @@ def score_bounds(function: LinearRankingFunction, box: HyperRectangle) -> ScoreB
     minimum = 0.0
     maximum = 0.0
     for term in function.terms:
-        side = box.side(term[0])
+        side = box.range_on(term[0])
         low = weighted(term, side.lower)
         high = weighted(term, side.upper)
         minimum += min(low, high)
@@ -60,7 +60,7 @@ def score_bounds(function: LinearRankingFunction, box: HyperRectangle) -> ScoreB
 
 def contour_crossing(
     function: LinearRankingFunction,
-    box: HyperRectangle,
+    box: SearchQuery,
     attribute: str,
     score: float,
 ) -> Optional[float]:
@@ -79,12 +79,12 @@ def contour_crossing(
     for term in function.terms:
         if term[0] == attribute:
             continue
-        side = box.side(term[0])
+        side = box.range_on(term[0])
         other_minimum += min(weighted(term, side.lower), weighted(term, side.upper))
     target = (score - other_minimum) / weight
     # Undo normalization to express the crossing in raw attribute units.
     normalizer = function.normalizer
     if normalizer is not None:
         target = normalizer.denormalize(attribute, target)
-    side = box.side(attribute)
+    side = box.range_on(attribute)
     return min(max(target, side.lower), side.upper)

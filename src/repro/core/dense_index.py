@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.parallel import QueryEngine
-from repro.core.regions import HyperRectangle
+from repro.core.regions import closed_bounds
 from repro.core.stats import RerankStatistics
 from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.sqlstore.dense_cache import DenseRegionCache
@@ -69,7 +69,7 @@ class DenseRegionIndex:
         self._events = DenseIndexCounters()
         if cache is not None:
             for stored in cache.regions():
-                self._register(HyperRectangle.from_bounds(stored.bounds))
+                self._register(SearchQuery.build(ranges=stored.bounds))
 
     @property
     def cache(self) -> Optional[DenseRegionCache]:
@@ -79,22 +79,22 @@ class DenseRegionIndex:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def add_region(self, box: HyperRectangle, rows: Sequence[Mapping[str, object]] = ()) -> None:
+    def add_region(self, box: SearchQuery, rows: Sequence[Mapping[str, object]] = ()) -> None:
         """Register ``box`` as crawled whole, and persist it when a region
         store is attached.  ``rows`` is ignored: the crawl's answers are the
         result cache's entries."""
         self._register(box)
         if self._cache is not None:
-            self._cache.store_region(box.bounds())
+            self._cache.store_region(closed_bounds(box))
 
     def add_interval(
         self, attribute: str, lower: float, upper: float, rows: Sequence[Mapping[str, object]] = ()
     ) -> None:
         """:meth:`add_region` for a 1D region."""
-        self.add_region(HyperRectangle.from_bounds({attribute: (lower, upper)}), rows)
+        self.add_region(SearchQuery.build(ranges={attribute: (lower, upper)}), rows)
 
-    def _register(self, box: HyperRectangle) -> None:
-        signature = tuple(sorted(box.attributes))
+    def _register(self, box: SearchQuery) -> None:
+        signature = tuple(sorted(box.constrained_attributes))
         with self._lock:
             self._indexes.setdefault(signature, BoxIndex()).add(box, box, box)
 
@@ -114,7 +114,7 @@ class DenseRegionIndex:
         with self._lock:
             for signature, index in list(self._indexes.items()):
                 for box in list(index):
-                    if delta.may_intersect_sides(box.sides):
+                    if delta.may_match_query(box):
                         index.discard(box)
                         retired += 1
                 if not len(index):
@@ -122,14 +122,14 @@ class DenseRegionIndex:
         self._events.record("delta_retired", retired)
         if self._cache is not None:
             for stored in self._cache.regions():
-                if delta.may_intersect_bounds(stored.bounds):
+                if delta.may_match_query(SearchQuery.build(ranges=stored.bounds)):
                     self._cache.drop_region(stored.region_id)
         return retired
 
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
-    def lookup(self, box: HyperRectangle) -> Optional[HyperRectangle]:
+    def lookup(self, box: SearchQuery) -> Optional[SearchQuery]:
         """A registered box that covers ``box``, or ``None``; counted in
         :meth:`describe`'s ``lookups`` and ``hits``.
 
@@ -138,15 +138,15 @@ class DenseRegionIndex:
         stored ``(price, carat)`` box is not used to answer a pure ``price``
         question."""
         with self._lock:
-            index = self._indexes.get(tuple(sorted(box.attributes)))
+            index = self._indexes.get(tuple(sorted(box.constrained_attributes)))
             # Every box the walk yields contains ``box`` on each of its sides.
             covering = None if index is None else next(index.covering(box), None)
         self._events.add(lookups=1, hits=covering is not None)
         return covering
 
-    def lookup_interval(self, attribute: str, interval: RangePredicate) -> Optional[HyperRectangle]:
+    def lookup_interval(self, attribute: str, interval: RangePredicate) -> Optional[SearchQuery]:
         """:meth:`lookup` for a 1D region."""
-        return self.lookup(HyperRectangle((interval,)))
+        return self.lookup(SearchQuery((interval,)))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -201,7 +201,7 @@ def dense_rows(
     engine: QueryEngine,
     statistics: RerankStatistics,
     index: DenseRegionIndex,
-    box: HyperRectangle,
+    box: SearchQuery,
     base_query: SearchQuery,
     ask: Optional[SearchQuery] = None,
 ) -> Tuple[List[Row], Optional[SearchResult]]:
@@ -221,14 +221,14 @@ def dense_rows(
     """
     covering = index.lookup(box)
     if covering is not None:
-        rows, _ = HiddenDatabaseCrawler(engine).crawl(SearchQuery(covering.sides, ()))
+        rows, _ = HiddenDatabaseCrawler(engine).crawl(covering)
         statistics.record("dense_index_hits")
-        return [row for row in rows if box.contains(row) and base_query.matches(row)], None
+        return [row for row in rows if box.matches(row) and base_query.matches(row)], None
     answer = engine.search(ask) if ask is not None else None
     if answer is not None and answer.proves_query:
         return list(answer.observed_rows), answer
     degraded = engine.statistics.read("degraded_results")
-    crawled = crawl_region(engine, statistics, SearchQuery(box.sides, ()))
+    crawled = crawl_region(engine, statistics, box)
     if engine.statistics.read("degraded_results") == degraded:
         index.add_region(box)
         statistics.record("dense_index_hits")

@@ -38,7 +38,7 @@ import math
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from repro.core import contour
+from repro.core import contour, regions
 from repro.core.dense_index import (
     MAX_BINARY_ROUNDS,
     DenseRegionIndex,
@@ -49,7 +49,6 @@ from repro.core.dense_index import (
 from repro.core.functions import LinearRankingFunction
 from repro.core.getnext import Variant
 from repro.core.parallel import QueryEngine
-from repro.core.regions import HyperRectangle
 from repro.core.session import ChangeWatch, Session
 from repro.exceptions import RankingFunctionError
 from repro.webdb.delta import ChangeLog
@@ -61,7 +60,7 @@ from repro.webdb.query import RangePredicate, Row, SearchQuery
 Best = Optional[Tuple[float, str, Row]]
 #: A box still to be searched, ``(box, split depth, min score, max score)``:
 #: the bounds of a fixed box never change, so they are computed at creation.
-OpenBox = Tuple[HyperRectangle, int, float, float]
+OpenBox = Tuple[SearchQuery, int, float, float]
 
 _TOLERANCE = 1e-9
 #: Boxes narrower than this (relative to the domain) on every side are treated
@@ -105,7 +104,7 @@ class MultiDimGetNext:
         schema = engine.schema
         ranking.validate(schema)
         base_query.validate(schema)
-        self._space = HyperRectangle.full_space(ranking.attributes, schema, base_query)
+        self._space = regions.full_space(ranking.attributes, schema, base_query)
         self._frontier_score = -math.inf
         self._exhausted = False
         self._candidates = session.cached_candidates(base_query, ranking, engine.key_column)
@@ -156,7 +155,7 @@ class MultiDimGetNext:
     # ------------------------------------------------------------------ #
     # Box bookkeeping
     # ------------------------------------------------------------------ #
-    def _prunable(self, box: HyperRectangle, best: Best) -> bool:
+    def _prunable(self, box: SearchQuery, best: Best) -> bool:
         bounds = contour.score_bounds(self._ranking, box)
         if bounds.maximum < self._frontier_score - _TOLERANCE:
             return True
@@ -175,12 +174,12 @@ class MultiDimGetNext:
 
     # .................................................................. #
     def _baseline_search(self, best: Best) -> Best:
-        queue: Deque[Tuple[HyperRectangle, int]] = deque([(self._space, 0)])
+        queue: Deque[Tuple[SearchQuery, int]] = deque([(self._space, 0)])
         while queue:
             box, depth = queue.popleft()
             if self._prunable(box, best):
                 continue
-            result = self._engine.search(box.to_query(self._base_query))
+            result = self._engine.search(regions.to_query(box, self._base_query))
             self._remember(result.observed_rows)
             previous_score = best[0] if best is not None else math.inf
             best = self._best()
@@ -199,20 +198,20 @@ class MultiDimGetNext:
                     continue
                 # The contour could not shrink the box; fall through and split.
             if depth >= MAX_BINARY_ROUNDS or (
-                box.max_relative_width(self._engine.schema) <= _POINT_WIDTH
+                regions.max_relative_width(box, self._engine.schema) <= _POINT_WIDTH
             ):
-                query = box.to_query(self._base_query)
+                query = regions.to_query(box, self._base_query)
                 self._remember(crawl_region(self._engine, self._statistics, query))
                 best = self._best()
                 continue
-            low, high = box.split(box.widest_attribute(self._engine.schema))
+            low, high = regions.split(box, regions.widest_attribute(box, self._engine.schema))
             queue.append((low, depth + 1))
             queue.append((high, depth + 1))
         return best
 
     def _narrow_by_contour(
-        self, box: HyperRectangle, best_score: float
-    ) -> Optional[HyperRectangle]:
+        self, box: SearchQuery, best_score: float
+    ) -> Optional[SearchQuery]:
         """Shrink ``box`` to the bounding box of its intersection with the open
         half-space ``f(x) < best_score`` (a superset of the true region of
         interest, which is all the covering argument needs).
@@ -222,9 +221,9 @@ class MultiDimGetNext:
         narrowing at all — the caller then falls back to splitting."""
         new_sides: List[RangePredicate] = []
         changed = False
-        for attribute in box.attributes:
+        for attribute in box.constrained_attributes:
             crossing = contour.contour_crossing(self._ranking, box, attribute, best_score)
-            side = box.side(attribute)
+            side = box.range_on(attribute)
             if crossing is None:
                 new_sides.append(side)
                 continue
@@ -249,10 +248,10 @@ class MultiDimGetNext:
                 )
         if not changed:
             return box
-        return HyperRectangle(tuple(new_sides))
+        return SearchQuery(tuple(new_sides))
 
     # .................................................................. #
-    def _open(self, box: HyperRectangle, depth: int) -> OpenBox:
+    def _open(self, box: SearchQuery, depth: int) -> OpenBox:
         bounds = contour.score_bounds(self._ranking, box)
         return box, depth, bounds.minimum, bounds.maximum
 
@@ -294,9 +293,9 @@ class MultiDimGetNext:
             # The whole frontier of open boxes is queried as one parallel
             # group — the covering queries the paper issues concurrently.
             batch, work = work, []
-            to_query: List[Tuple[HyperRectangle, int]] = []
+            to_query: List[Tuple[SearchQuery, int]] = []
             for box, depth, _, _ in batch:
-                if is_dense(box.max_relative_width(schema), depth):
+                if is_dense(regions.max_relative_width(box, schema), depth):
                     self._resolve_dense_box(box)
                     continue
                 to_query.append((box, depth))
@@ -308,15 +307,15 @@ class MultiDimGetNext:
                     # independently (and therefore in parallel) rather than
                     # issuing one broad query and waiting on it.
                     box, depth = to_query[0]
-                    low, high = box.split(box.widest_attribute(schema))
+                    low, high = regions.split(box, regions.widest_attribute(box, schema))
                     to_query = [(low, depth + 1), (high, depth + 1)]
-                queries = [box.to_query(self._base_query) for box, _ in to_query]
+                queries = [regions.to_query(box, self._base_query) for box, _ in to_query]
                 results = self._engine.search_group(queries)
                 for (box, depth), result in zip(to_query, results):
                     self._remember(result.observed_rows)
                     if result.proves_query:
                         continue
-                    low, high = box.split(box.widest_attribute(schema))
+                    low, high = regions.split(box, regions.widest_attribute(box, schema))
                     work.append(self._open(low, depth + 1))
                     work.append(self._open(high, depth + 1))
             best = self._best()
@@ -324,20 +323,20 @@ class MultiDimGetNext:
         self._open_boxes = deferred
         return best
 
-    def _resolve_dense_box(self, box: HyperRectangle) -> None:
+    def _resolve_dense_box(self, box: SearchQuery) -> None:
         """A box is dense (or too deep).  MD-RERANK reads it from a
         registered covering box, and crawls it without the user filters on a
         miss; MD-BINARY crawls it with the filters and pays again next time."""
         if self._dense_index is None:
-            query = box.to_query(self._base_query)
+            query = regions.to_query(box, self._base_query)
             rows = crawl_region(self._engine, self._statistics, query)
         else:
             # Register the closed version of the box (half-open sides come
             # from binary splits): it is what persistence stores, so a
             # reloaded box covers what the crawl covered.
-            closed_box = HyperRectangle.from_bounds(box.bounds())
+            closed_box = SearchQuery.build(ranges=regions.closed_bounds(box))
             covered, _ = dense_rows(
                 self._engine, self._statistics, self._dense_index, closed_box, self._base_query
             )
-            rows = [row for row in covered if box.contains(row)]
+            rows = [row for row in covered if box.matches(row)]
         self._remember(rows)

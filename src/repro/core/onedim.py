@@ -57,7 +57,7 @@ from repro.core.dense_index import DenseRegionIndex, crawl_region, dense_rows, i
 from repro.core.functions import SingleAttributeRanking
 from repro.core.getnext import Variant
 from repro.core.parallel import QueryEngine
-from repro.core.regions import HyperRectangle, interval_relative_width
+from repro.core.regions import interval_relative_width
 from repro.core.session import ChangeWatch, Session
 from repro.webdb.delta import ChangeLog
 from repro.webdb.interface import SearchResult
@@ -439,7 +439,7 @@ class OneDimGetNext:
             return self._baseline_search(interval, cached_bound=best)
         rows, answer = dense_rows(
             self._engine, self._statistics, self._dense_index,
-            HyperRectangle((self._closed(lower, best),)), self._base_query,
+            SearchQuery((self._closed(lower, best),)), self._base_query,
             ask=self._interval_query(interval) if self._filtered else None,
         )
         if answer is not None:
@@ -471,14 +471,14 @@ class OneDimGetNext:
         if self._dense_index is not None:
             rows, answer = dense_rows(
                 self._engine, self._statistics, self._dense_index,
-                HyperRectangle((group,)), self._base_query,
+                SearchQuery((group,)), self._base_query,
                 ask=self._interval_query(point),
             )
         else:
             answer = self._search_interval(point)
             rows = list(answer.observed_rows)
             if not answer.proves_query:
-                crawled = crawl_region(self._engine, self._statistics, SearchQuery((group,), ()))
+                crawled = crawl_region(self._engine, self._statistics, SearchQuery((group,)))
                 rows = [row for row in crawled if self._base_query.matches(row)]
         if answer is not None:
             self._remember(answer.observed_rows)

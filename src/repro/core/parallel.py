@@ -30,7 +30,6 @@ free of threading and bookkeeping concerns.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,25 +41,10 @@ from repro.webdb.interface import SearchResult, Settlement, TopKInterface
 from repro.webdb.query import SearchQuery
 
 
-class QueryOutcome(enum.Enum):
-    """How one query of a group was settled.  Only ``ISSUED`` is paid for."""
-
-    ISSUED = "issued"  #: this engine's round trip answered
-    HIT = "hit"  #: answered from a stored entry
-    CONTAINED = "contained"  #: derived from a covering superset entry
-    COALESCED = "coalesced"  #: rode along another caller's round trip
-    FAILED = "failed"  #: the round trip raised
-
-
-_OUTCOME_OF = {
-    FetchStatus.MISS: QueryOutcome.ISSUED,
-    FetchStatus.HIT: QueryOutcome.HIT,
-    FetchStatus.CONTAINED: QueryOutcome.CONTAINED,
-    FetchStatus.COALESCED: QueryOutcome.COALESCED,
-}
-
-#: One query's answer (``None`` when it has none) and how it was settled.
-Settled = Tuple[Optional[SearchResult], QueryOutcome]
+#: One query's answer and how the cache settled it.  A ``None`` answer is a
+#: failed round trip; only a ``MISS`` with an answer — this engine's round
+#: trip answered — is paid for.
+Settled = Tuple[Optional[SearchResult], FetchStatus]
 
 
 class QueryEngine:
@@ -186,7 +170,7 @@ class QueryEngine:
             if probed is None:
                 pending.append(index)
             else:
-                settled[index] = (probed[0], _OUTCOME_OF[probed[1]])
+                settled[index] = probed
 
         # Phase 2: charge the budget for the round trips we are about to pay,
         # atomically, before issuing anything.
@@ -199,8 +183,8 @@ class QueryEngine:
         error: Optional[BaseException] = None
         if pending:
             issued, error = self._issue([queries[index] for index in pending], parts, since)
-            for index, outcome in zip(pending, issued):
-                settled[index] = outcome
+            for index, settlement in zip(pending, issued):
+                settled[index] = settlement
 
         # Phase 4: the one settlement.  Everything charged up front that did
         # not end as this engine's answered round trip — failed, coalesced
@@ -208,8 +192,10 @@ class QueryEngine:
         # probe and fetch — is handed back before any
         # exception propagates, so ``budget.used`` always equals the round
         # trips that answered.
-        tally = Counter(outcome for _, outcome in settled)  # type: ignore[misc]
-        self._budget.refund(len(pending) - tally[QueryOutcome.ISSUED])
+        tally = Counter(
+            status for answer, status in settled if answer is not None  # type: ignore[misc]
+        )
+        self._budget.refund(len(pending) - tally[FetchStatus.MISS])
         if error is not None:
             raise error
 
@@ -217,10 +203,10 @@ class QueryEngine:
         # queries and simulated latency; a fully cached group costs nothing.
         results: List[SearchResult] = []
         issued_latencies: List[float] = []
-        for result, outcome in settled:  # type: ignore[misc]
+        for result, status in settled:  # type: ignore[misc]
             assert result is not None
             results.append(result)
-            if outcome is QueryOutcome.ISSUED:
+            if status is FetchStatus.MISS:
                 issued_latencies.append(result.elapsed_seconds)
         # Best-effort attribution: the guards' counters are shared across
         # concurrent requests, so the delta may include a neighbour's
@@ -230,9 +216,9 @@ class QueryEngine:
             len(issued_latencies), max(issued_latencies, default=0.0)
         )
         self.statistics.add(
-            result_cache_hits=tally[QueryOutcome.HIT],
-            contained_answers=tally[QueryOutcome.CONTAINED],
-            coalesced_queries=tally[QueryOutcome.COALESCED],
+            result_cache_hits=tally[FetchStatus.HIT],
+            contained_answers=tally[FetchStatus.CONTAINED],
+            coalesced_queries=tally[FetchStatus.COALESCED],
             degraded_results=sum(1 for result in results if result.degraded),
             retried_queries=retried,
         )
@@ -251,7 +237,7 @@ class QueryEngine:
         ``fetch_many`` when one is attached (it rechecks exact entries,
         coalesces concurrent misses, reuses duplicates within the batch and
         stores every answer; the group was just probed, so it derives no
-        containment answer), else settled directly: one outcome per query,
+        containment answer), else settled directly: one ``Settled`` per query,
         plus the first error (raised by the caller after settlement).  The
         shard ``parts`` the probe read, by canonical key, go with the batch,
         whose answers are stored only if no delta logged ``since`` that read
@@ -275,11 +261,9 @@ class QueryEngine:
         settled: List[Settled] = []
         first_error: Optional[BaseException] = None
         for answer, status in resolved:
-            if not isinstance(answer, BaseException):
-                settled.append((answer, _OUTCOME_OF[status]))
-                continue
-            settled.append((None, QueryOutcome.FAILED))
-            if first_error is None:
+            failed = isinstance(answer, BaseException)
+            settled.append((None if failed else answer, status))
+            if failed and first_error is None:
                 first_error = answer
         return settled, first_error
 

@@ -1,16 +1,17 @@
 """Covering-box index: which stored boxes contain a probe box on every side?
 
-A *box* is a ``SearchQuery`` or a ``HyperRectangle`` (``ranges`` plus
-``memberships``).  Boxes are grouped by *signature* — sorted range attributes,
-sorted membership attributes — and a probe walks only the groups whose range
-and membership attributes are subsets of its own.  A group is sorted by lower
-bound on its first range attribute (its *axis*; without one, every box spans
-``[-inf, inf]``) beside a prefix maximum of upper bounds: a probe bisects its
-lower bound and walks backward until that maximum drops below its upper bound,
-so it costs the bisect plus the boxes straddling it on the axis.  It yields
-only those that contain the probe on every range side, exclusive bounds
-respected; membership values are the caller's exact check.  ``RangePredicate``
-rejects NaN bounds, so the order is total.
+A *box* is a ``SearchQuery``: its ``ranges`` are the sides, its
+``memberships`` (none for a dense region) the rest.  Boxes are grouped by
+*signature* — sorted range attributes, sorted membership attributes — and a
+probe walks only the groups whose range and membership attributes are
+subsets of its own.  A group is sorted by lower bound on its first range
+attribute (its *axis*; without one, every box spans ``[-inf, inf]``) beside
+a prefix maximum of upper bounds: a probe bisects its lower bound and walks
+backward until that maximum drops below its upper bound, so it costs the
+bisect plus the boxes straddling it on the axis.  It yields only those that
+contain the probe on every range side, exclusive bounds respected;
+membership values are the caller's exact check.  ``RangePredicate`` rejects
+NaN bounds, so the order is total.
 """
 
 from __future__ import annotations

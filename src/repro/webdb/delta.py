@@ -9,8 +9,8 @@ what the change can actually affect, instead of cold-starting:
 
 * a :class:`~repro.webdb.query.SearchQuery` cache entry changes only if some
   touched version *matches* the query (:meth:`CatalogDelta.may_match_query`);
-* a dense region changes only if some touched version lies inside its box
-  (:meth:`CatalogDelta.may_intersect_sides` / :meth:`may_intersect_bounds`);
+* a dense region is a box of ranges, so it changes only if some touched
+  version matches it — the same :meth:`CatalogDelta.may_match_query` test;
 * a rerank feed's verified prefix changes only if some touched version that
   matches its filter query ranks at or before the prefix's last row (the
   hidden ranking is a per-row score, so untouched tuples never reorder);
@@ -43,13 +43,12 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.webdb.query import RangePredicate, Row, SearchQuery
+from repro.webdb.query import Row, SearchQuery
 
 
 @dataclass(frozen=True)
@@ -157,23 +156,6 @@ class CatalogDelta:
         """Does some touched version match ``query``?  ``False`` proves that
         the query's answer is unchanged, so a cached object survives."""
         return next(self.matching_versions(query), None) is not None
-
-    def may_intersect_sides(self, sides: Iterable[RangePredicate]) -> bool:
-        """Does some touched version lie inside the box with these sides?
-
-        Used by the dense-region index: a region's crawled row set is stale
-        only if a touched tuple version falls inside its bounding box.
-        """
-        return self.may_match_query(SearchQuery(ranges=tuple(sides)))
-
-    def may_intersect_bounds(
-        self, bounds: Mapping[str, Tuple[float, float]]
-    ) -> bool:
-        """Box-intersection test over plain ``{attr: (lo, hi)}`` bounds
-        (the persisted :class:`~repro.sqlstore.dense_cache.StoredRegion` form)."""
-        return self.may_intersect_sides(
-            RangePredicate(attribute, lo, hi) for attribute, (lo, hi) in bounds.items()
-        )
 
     def with_namespace(self, namespace: str) -> "CatalogDelta":
         """The same change-set attributed to a different cache namespace."""

@@ -10,13 +10,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import contour
+from repro.core import contour, regions
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.multidim import MultiDimGetNext
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
-from repro.core.regions import HyperRectangle
 from repro.core.session import Session
 from repro.core.ta import ThresholdAlgorithmGetNext
 from repro.webdb.query import SearchQuery
@@ -169,14 +168,14 @@ def _md_lead_counts(bluenile_db, monkeypatch):
         counts["bounds"] += 1
         return bounds(function, box)
 
-    split = HyperRectangle.split
+    split = regions.split
 
-    def counting_split(self, attribute):
+    def counting_split(box, attribute):
         counts["boxes"] += 2
-        return split(self, attribute)
+        return split(box, attribute)
 
     monkeypatch.setattr(contour, "score_bounds", counting_bounds)
-    monkeypatch.setattr(HyperRectangle, "split", counting_split)
+    monkeypatch.setattr(regions, "split", counting_split)
     return _lead_50(bluenile_db, MultiDimGetNext, counts)
 
 

@@ -13,7 +13,7 @@ from repro.config import DatabaseConfig, RerankConfig
 from repro.core.dense_index import DenseRegionIndex, crawl_region, dense_rows
 from repro.core.functions import SingleAttributeRanking
 from repro.core.parallel import QueryEngine
-from repro.core.regions import HyperRectangle
+from repro.core.regions import to_query
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.build import build_source
@@ -38,17 +38,17 @@ def index() -> DenseRegionIndex:
 class TestCoverage:
     def test_interval_coverage(self, index):
         index.add_interval("price", 0.0, 100.0, ROWS)
-        registered = HyperRectangle.from_bounds({"price": (0.0, 100.0)})
+        registered = SearchQuery.build(ranges={"price": (0.0, 100.0)})
         assert index.lookup_interval("price", RangePredicate("price", 10.0, 50.0)) == registered
         assert index.lookup_interval("price", RangePredicate("price", 50.0, 150.0)) is None
         assert index.lookup_interval("carat", RangePredicate("carat", 1.0, 2.0)) is None
 
     def test_box_coverage_same_signature_only(self, index):
-        box = HyperRectangle.from_bounds({"price": (0.0, 100.0), "carat": (0.0, 3.0)})
+        box = SearchQuery.build(ranges={"price": (0.0, 100.0), "carat": (0.0, 3.0)})
         index.add_region(box, ROWS)
-        inner = HyperRectangle.from_bounds({"price": (10.0, 20.0), "carat": (1.0, 2.0)})
+        inner = SearchQuery.build(ranges={"price": (10.0, 20.0), "carat": (1.0, 2.0)})
         assert index.lookup(inner) == box
-        outer = HyperRectangle.from_bounds({"price": (0.0, 200.0), "carat": (0.0, 3.0)})
+        outer = SearchQuery.build(ranges={"price": (0.0, 200.0), "carat": (0.0, 3.0)})
         assert index.lookup(outer) is None
         # A 1D question is not answered by the 2D region.
         assert index.lookup_interval("price", RangePredicate("price", 10.0, 20.0)) is None
@@ -71,7 +71,7 @@ class TestBookkeeping:
     def test_counts_and_signatures(self, index):
         index.add_interval("price", 0.0, 50.0, ROWS[:2])
         index.add_region(
-            HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 3.0)}), ROWS
+            SearchQuery.build(ranges={"price": (0.0, 50.0), "carat": (0.0, 3.0)}), ROWS
         )
         assert index.region_count() == 2
         description = index.describe()
@@ -82,7 +82,7 @@ class TestBookkeeping:
         index.add_interval("price", 0.0, 15.0, ROWS[:1])
         index.add_interval("price", 25.0, 35.0, ROWS[2:])
         index.add_region(
-            HyperRectangle.from_bounds({"price": (0.0, 50.0), "carat": (0.0, 1.2)}), ROWS[:1]
+            SearchQuery.build(ranges={"price": (0.0, 50.0), "carat": (0.0, 1.2)}), ROWS[:1]
         )
         # Row "a" lies in the first interval and in the box; "c" is untouched.
         delta = CatalogDelta.from_rows("db", "id", ROWS[:1])
@@ -161,7 +161,7 @@ def _truth(database, box, base_query):
     return sorted(
         row["id"]
         for row in database.all_matches(base_query)
-        if box.contains(row)
+        if box.matches(row)
     )
 
 
@@ -172,7 +172,7 @@ class TestDenseRows:
         cache at zero queries and returns the oracle's rows."""
         cache = QueryResultCache()
         index = DenseRegionIndex()
-        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        box = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         everything = SearchQuery.everything()
 
         first = QueryEngine(bluenile_db, result_cache=cache)
@@ -181,7 +181,7 @@ class TestDenseRows:
         assert sorted(row["id"] for row in rows) == _truth(bluenile_db, box, everything)
         assert index.region_count() == 1
 
-        inner = HyperRectangle.from_bounds({"length_width_ratio": (1.0, 1.1)})
+        inner = SearchQuery.build(ranges={"length_width_ratio": (1.0, 1.1)})
         cheap = SearchQuery.build(ranges={"price": (0.0, 2000.0)})
         second = QueryEngine(bluenile_db, result_cache=cache)
         ask = SearchQuery.build(ranges={"length_width_ratio": (1.0, 1.1), "price": (0.0, 2000.0)})
@@ -205,7 +205,7 @@ class TestDenseRows:
     def test_a_repeated_read_registers_the_box_once_and_costs_nothing(self, bluenile_db):
         cache = QueryResultCache()
         index = DenseRegionIndex()
-        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        box = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         everything = SearchQuery.everything()
         reads = []
         for _ in range(3):
@@ -224,14 +224,14 @@ class TestDenseRows:
         cache = QueryResultCache()
         index = DenseRegionIndex()
         everything = SearchQuery.everything()
-        registered = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        registered = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         first = QueryEngine(bluenile_db, result_cache=cache)
         dense_rows(first, first.statistics, index, registered, everything)
 
-        half_open = HyperRectangle(
+        half_open = SearchQuery(
             (RangePredicate("length_width_ratio", 1.0, 1.2, include_lower=False),)
         )
-        shape = bluenile_db.all_matches(registered.to_query(everything))[0]["shape"]
+        shape = bluenile_db.all_matches(registered)[0]["shape"]
         filtered = SearchQuery.build(memberships={"shape": [shape]})
         second = QueryEngine(bluenile_db, result_cache=cache)
         rows, _ = dense_rows(second, second.statistics, index, half_open, filtered)
@@ -243,12 +243,12 @@ class TestDenseRows:
         """A filtered region thinner than ``system_k`` is answered by its one
         query: nothing is crawled or registered."""
         index = DenseRegionIndex()
-        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
-        stone = bluenile_db.all_matches(box.to_query(SearchQuery.everything()))[0]
+        box = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
+        stone = bluenile_db.all_matches(box)[0]
         thin = SearchQuery.build(ranges={"price": (stone["price"], stone["price"])})
         engine = QueryEngine(bluenile_db, result_cache=QueryResultCache())
         rows, answer = dense_rows(
-            engine, engine.statistics, index, box, thin, ask=box.to_query(thin)
+            engine, engine.statistics, index, box, thin, ask=to_query(box, thin)
         )
         assert answer is not None and answer.proves_query
         assert engine.queries_issued() == 1
@@ -262,11 +262,11 @@ class TestDenseRows:
         unfiltered and registered; the rows returned are the filtered ones,
         beside the overflowing answer."""
         index = DenseRegionIndex()
-        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        box = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         cheap = SearchQuery.build(ranges={"price": (0.0, 5000.0)})
         engine = QueryEngine(bluenile_db, result_cache=QueryResultCache())
         rows, answer = dense_rows(
-            engine, engine.statistics, index, box, cheap, ask=box.to_query(cheap)
+            engine, engine.statistics, index, box, cheap, ask=to_query(box, cheap)
         )
         assert answer is not None and not answer.proves_query
         assert sorted(row["id"] for row in rows) == _truth(bluenile_db, box, cheap)
@@ -280,11 +280,11 @@ class TestDenseRows:
         cache = QueryResultCache()
         index = DenseRegionIndex()
         everything = SearchQuery.everything()
-        ratio = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        ratio = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         first = QueryEngine(bluenile_db, result_cache=cache)
         dense_rows(first, first.statistics, index, ratio, everything)
 
-        box = HyperRectangle.from_bounds(
+        box = SearchQuery.build(ranges=
             {"length_width_ratio": (0.99, 1.2), "carat": (0.2, 1.0)}
         )
         second = QueryEngine(bluenile_db, result_cache=cache)
@@ -303,12 +303,12 @@ class TestDenseRows:
         lacks the crawl's entries, a hit crawls again at a cost, and its
         rows are still the oracle's, each once."""
         index = DenseRegionIndex()
-        box = HyperRectangle.from_bounds({"length_width_ratio": (0.99, 1.2)})
+        box = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         everything = SearchQuery.everything()
         first = QueryEngine(bluenile_db, result_cache=QueryResultCache())
         dense_rows(first, first.statistics, index, box, everything)
 
-        inner = HyperRectangle.from_bounds({"length_width_ratio": (1.0, 1.0)})
+        inner = SearchQuery.build(ranges={"length_width_ratio": (1.0, 1.0)})
         second = QueryEngine(bluenile_db, result_cache=QueryResultCache())
         rows, answer = dense_rows(second, second.statistics, index, inner, everything)
         assert answer is None and second.queries_issued() > 0
@@ -347,7 +347,7 @@ def test_a_verified_region_over_a_federation_is_read_at_zero_queries(
     source = federation()
     reranker = QueryReranker(source, dense_cache=second)
     assert reranker.verify_dense_cache() == {"checked": 1, "refreshed": 0, "unchanged": 1}
-    box = HyperRectangle.from_bounds(stored.bounds)
+    box = SearchQuery.build(ranges=stored.bounds)
     engine = QueryEngine(source, result_cache=reranker.result_cache)
     everything = SearchQuery.everything()
     rows, _ = dense_rows(engine, engine.statistics, reranker.dense_index, box, everything)

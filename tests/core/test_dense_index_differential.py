@@ -25,7 +25,7 @@ from repro.config import RerankConfig
 from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
-from repro.core.regions import HyperRectangle
+from repro.core.regions import closed_bounds
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.sqlstore.dense_cache import DenseRegionCache
 from repro.webdb.delta import CatalogDelta
@@ -42,22 +42,22 @@ class ListRegistry:
     """The brute-force registry: every distinct box added, scanned whole."""
 
     def __init__(self) -> None:
-        self.boxes: List[HyperRectangle] = []
+        self.boxes: List[SearchQuery] = []
 
-    def add(self, box: HyperRectangle) -> None:
+    def add(self, box: SearchQuery) -> None:
         if box not in self.boxes:
             self.boxes.append(box)
 
-    def covering(self, probe: HyperRectangle) -> List[HyperRectangle]:
+    def covering(self, probe: SearchQuery) -> List[SearchQuery]:
         return [
             box
             for box in self.boxes
-            if set(box.attributes) == set(probe.attributes)
-            and all(box.side(side.attribute).contains(side) for side in probe.sides)
+            if set(box.constrained_attributes) == set(probe.constrained_attributes)
+            and all(box.range_on(side.attribute).contains(side) for side in probe.ranges)
         ]
 
     def retire(self, versions) -> int:
-        reached = [box for box in self.boxes if any(box.contains(row) for row in versions)]
+        reached = [box for box in self.boxes if any(box.matches(row) for row in versions)]
         self.boxes = [box for box in self.boxes if box not in reached]
         return len(reached)
 
@@ -79,45 +79,49 @@ def _random_interval(rng: random.Random, domain: Tuple[float, float]) -> Tuple[f
     return round(lower, 2), round(lower + width, 2)
 
 
-def _random_regions(rng: random.Random) -> List[HyperRectangle]:
+def _signature(box: SearchQuery) -> Tuple[str, ...]:
+    return tuple(sorted(box.constrained_attributes))
+
+
+def _random_regions(rng: random.Random) -> List[SearchQuery]:
     """A mix of independent, adjacent, nested, repeated and overlapping
     regions, 1D on ``price`` and 2D on ``(price, carat)``."""
-    boxes: List[HyperRectangle] = []
+    boxes: List[SearchQuery] = []
     for _ in range(25):
         lower, upper = _random_interval(rng, PRICE)
         kind = rng.random()
-        previous = boxes[-1] if boxes and boxes[-1].attributes == ("price",) else None
+        previous = boxes[-1] if boxes and _signature(boxes[-1]) == ("price",) else None
         if previous is not None and kind < 0.25:
             # Adjacent: start exactly where the previous region ended.
-            side = previous.side("price")
+            side = previous.range_on("price")
             width = rng.uniform(0.005, 0.06) * (PRICE[1] - PRICE[0])
             lower, upper = side.upper, min(round(side.upper + width, 2), PRICE[1])
         elif previous is not None and kind < 0.45:
             # Nested: strictly inside the previous region.
-            side = previous.side("price")
+            side = previous.range_on("price")
             lower = round(side.lower + side.width * 0.25, 2)
             upper = round(side.lower + side.width * 0.75, 2)
         elif previous is not None and kind < 0.55:
             # The same crawl again.
-            lower, upper = previous.side("price").lower, previous.side("price").upper
+            lower, upper = previous.range_on("price").lower, previous.range_on("price").upper
         if lower >= upper:
             continue
-        boxes.append(HyperRectangle.from_bounds({"price": (lower, upper)}))
+        boxes.append(SearchQuery.build(ranges={"price": (lower, upper)}))
     for _ in range(12):
         p_lower, p_upper = _random_interval(rng, PRICE)
         c_lower, c_upper = _random_interval(rng, CARAT)
-        if boxes and boxes[-1].attributes == ("carat", "price") and rng.random() < 0.4:
+        if boxes and _signature(boxes[-1]) == ("carat", "price") and rng.random() < 0.4:
             # Stacked on the previous box along price (the shape binary
             # splits produce).
             previous = boxes[-1]
-            c_lower, c_upper = previous.side("carat").lower, previous.side("carat").upper
-            p_lower = previous.side("price").upper
+            c_lower, c_upper = previous.range_on("carat").lower, previous.range_on("carat").upper
+            p_lower = previous.range_on("price").upper
             width = rng.uniform(0.01, 0.08) * (PRICE[1] - PRICE[0])
             p_upper = round(min(p_lower + width, PRICE[1]), 2)
         if p_lower >= p_upper or c_lower >= c_upper:
             continue
         boxes.append(
-            HyperRectangle.from_bounds({"price": (p_lower, p_upper), "carat": (c_lower, c_upper)})
+            SearchQuery.build(ranges={"price": (p_lower, p_upper), "carat": (c_lower, c_upper)})
         )
     return boxes
 
@@ -130,22 +134,22 @@ def _random_side(rng: random.Random, attribute: str, lower: float, upper: float)
     return RangePredicate(attribute, lower, upper, rng.random() < 0.8, rng.random() < 0.8)
 
 
-def _random_probe(rng: random.Random, regions: List[HyperRectangle]) -> HyperRectangle:
+def _random_probe(rng: random.Random, regions: List[SearchQuery]) -> SearchQuery:
     """Half the probes are drawn inside a registered region, so the covered
     path is exercised; the rest anywhere, with open sides now and then."""
     if rng.random() < 0.5:
         box = rng.choice(regions)
         sides = []
-        for side in box.sides:
+        for side in box.ranges:
             lower = round(rng.uniform(side.lower, side.upper), 2)
             upper = round(rng.uniform(lower, side.upper), 2)
             sides.append(_random_side(rng, side.attribute, lower, upper))
-        return HyperRectangle(tuple(sides))
+        return SearchQuery(tuple(sides))
     if rng.random() < 0.6:
         lower, upper = _random_interval(rng, PRICE)
-        return HyperRectangle((_random_side(rng, "price", lower, upper),))
-    return HyperRectangle.from_bounds(
-        {"price": _random_interval(rng, PRICE), "carat": _random_interval(rng, CARAT)}
+        return SearchQuery((_random_side(rng, "price", lower, upper),))
+    return SearchQuery.build(
+        ranges={"price": _random_interval(rng, PRICE), "carat": _random_interval(rng, CARAT)}
     )
 
 
@@ -153,12 +157,12 @@ def _check_lookup(index: DenseRegionIndex, reference: ListRegistry, probe) -> bo
     """The index answers ``probe`` exactly when the list does, with one of
     the list's covering boxes (a reloaded box may list its sides in another
     order); returns whether it was covered."""
-    covering = [box.bounds() for box in reference.covering(probe)]
+    covering = [closed_bounds(box) for box in reference.covering(probe)]
     found = index.lookup(probe)
     if not covering:
         assert found is None
         return False
-    assert found is not None and found.bounds() in covering
+    assert found is not None and closed_bounds(found) in covering
     return True
 
 
@@ -202,7 +206,7 @@ def test_delta_retirement_matches_reference(seed):
     regions = _random_regions(rng)
     index, reference = DenseRegionIndex(), ListRegistry()
     for box in regions:
-        index.add_region(box, [row for row in universe if box.contains(row)])
+        index.add_region(box, [row for row in universe if box.matches(row)])
         reference.add(box)
 
     retired = 0
@@ -251,7 +255,7 @@ def test_persistence_roundtrip_preserves_answers(diamond_schema_fixture, tmp_pat
     cache = DenseRegionCache(diamond_schema_fixture, path=path)
     first, reference = DenseRegionIndex(cache), ListRegistry()
     for box in regions:
-        first.add_region(box, [row for row in universe if box.contains(row)])
+        first.add_region(box, [row for row in universe if box.matches(row)])
         reference.add(box)
     touched = rng.sample(universe, 2)
     reference.retire(touched)
@@ -269,7 +273,7 @@ def test_persistence_roundtrip_preserves_answers(diamond_schema_fixture, tmp_pat
     for probe in probes:
         _check_lookup(second, reference, probe)
     for stored in reopened.regions():
-        assert stored.bounds in [registered.bounds() for registered in reference.boxes]
+        assert stored.bounds in [closed_bounds(registered) for registered in reference.boxes]
     reopened.close()
 
 

@@ -14,8 +14,8 @@ from repro.core.functions import (
     weighted,
 )
 from repro.core.normalization import MinMaxNormalizer
-from repro.core.regions import HyperRectangle
 from repro.exceptions import RankingFunctionError
+from repro.webdb.query import SearchQuery
 
 
 class TestSingleAttributeRanking:
@@ -237,6 +237,6 @@ def test_score_bounds_are_the_scores_of_two_corners(kernel, other):
         # ``min``/``max`` keep their first argument on a tie.
         best[term[0]] = high if weighted(term, high) < weighted(term, low) else low
         worst[term[0]] = high if weighted(term, high) > weighted(term, low) else low
-    extremes = contour.score_bounds(ranking, HyperRectangle.from_bounds(sides))
+    extremes = contour.score_bounds(ranking, SearchQuery.build(ranges=sides))
     assert _bits(extremes.minimum) == _bits(ranking.score(best))
     assert _bits(extremes.maximum) == _bits(ranking.score(worst))

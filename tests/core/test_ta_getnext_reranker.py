@@ -8,7 +8,6 @@ from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.getnext import GetNextStream
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
-from repro.core.regions import HyperRectangle
 from repro.core.reranker import Algorithm, QueryReranker, RerankRequest
 from repro.core.session import Session
 from repro.core.ta import ThresholdAlgorithmGetNext
@@ -343,7 +342,7 @@ class TestQueryReranker:
         assert reranker.dense_index.cache is cache
         assert reranker.dense_index.region_count() >= 1
         # The verified region is read from the result cache at zero queries.
-        box = HyperRectangle.from_bounds(stored.bounds)
+        box = SearchQuery.build(ranges=stored.bounds)
         engine = QueryEngine(database, result_cache=reranker.result_cache)
         rows, _ = dense_rows(
             engine, engine.statistics, reranker.dense_index, box, SearchQuery.everything()

@@ -20,10 +20,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DatabaseConfig, RerankConfig
-from repro.core import contour
+from repro.core import contour, regions
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
-from repro.core.regions import HyperRectangle
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import ColumnTable
@@ -32,7 +31,7 @@ from repro.httpsim import wire
 from repro.webdb import arrays
 from repro.webdb.build import build_source
 from repro.webdb.database import HiddenWebDatabase, stream_sorted_columns
-from repro.webdb.query import RangePredicate, SearchQuery
+from repro.webdb.query import InPredicate, RangePredicate, SearchQuery
 from repro.webdb.ranking import (
     AttributeOrderRanking,
     FeaturedScoreRanking,
@@ -56,6 +55,20 @@ def range_predicates(draw, attribute="x"):
     if upper <= lower:
         # Degenerate (possibly through float underflow) ranges must be closed.
         upper = lower
+        include_lower = include_upper = True
+    return RangePredicate(attribute, lower, upper, include_lower, include_upper)
+
+
+#: The bounds ``grid_ranges`` draws from: shared by a box and a base query,
+#: so their edges coincide and rows land on them.
+GRID = (0.0, 1.0, 2.5, 4.0, 5.0)
+
+
+@st.composite
+def grid_ranges(draw, attribute):
+    lower, upper = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2)))
+    include_lower, include_upper = draw(st.booleans()), draw(st.booleans())
+    if lower == upper:
         include_lower = include_upper = True
     return RangePredicate(attribute, lower, upper, include_lower, include_upper)
 
@@ -160,7 +173,7 @@ class TestGeometryProperties:
     @settings(max_examples=100, deadline=None)
     def test_score_bounds_contain_all_interior_points(self, x0, xw, y0, yw, wx, wy):
         assume(abs(wx) > 1e-6 or abs(wy) > 1e-6)
-        box = HyperRectangle.from_bounds({"x": (x0, x0 + xw), "y": (y0, y0 + yw)})
+        box = SearchQuery.build(ranges={"x": (x0, x0 + xw), "y": (y0, y0 + yw)})
         weights = {}
         if abs(wx) > 1e-6:
             weights["x"] = wx
@@ -180,11 +193,42 @@ class TestGeometryProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_box_split_partitions_rows(self, x0, xw):
-        box = HyperRectangle.from_bounds({"x": (x0, x0 + xw), "y": (0.0, 10.0)})
-        low, high = box.split("x")
+        box = SearchQuery.build(ranges={"x": (x0, x0 + xw), "y": (0.0, 10.0)})
+        low, high = regions.split(box, "x")
         for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
             row = {"x": x0 + fraction * xw, "y": 5.0}
-            assert low.contains(row) != high.contains(row)
+            assert low.matches(row) != high.matches(row)
+
+    @given(
+        grid_ranges("x"),
+        grid_ranges("y"),
+        st.none() | grid_ranges("x"),
+        st.none() | grid_ranges("y"),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_to_query_matches_a_row_iff_box_and_base_do(self, x, y, base_x, base_y, cut):
+        """The conjunction a descent issues matches exactly the rows inside
+        both the box and the user's filters, bounds included or excluded as
+        each side says; a base whose range leaves the box empty raises."""
+        box = SearchQuery((x, y))
+        base = SearchQuery(
+            tuple(side for side in (base_x, base_y) if side is not None),
+            (InPredicate.of("cut", ["ideal"]),) if cut else (),
+        )
+        try:
+            query = regions.to_query(box, base)
+        except QueryError:
+            query = None
+        values = GRID + (-1.0, 0.5, 3.0, 6.0)
+        for row in (
+            {"x": vx, "y": vy, "cut": grade}
+            for vx in values
+            for vy in values
+            for grade in ("ideal", "good")
+        ):
+            inside = box.matches(row) and base.matches(row)
+            assert (query is not None and query.matches(row)) == inside
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)

@@ -44,7 +44,6 @@ from repro.core.feed import FeedProducer, RerankFeedStore
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
-from repro.core.regions import HyperRectangle
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.core.session import Session
 from repro.webdb.cache import QueryResultCache
@@ -175,13 +174,13 @@ def test_delta_bounds_and_matching():
     assert not delta.may_match_query(
         SearchQuery.build(memberships={"cut": ["Fair"]})
     )
-    # Region-box intersection uses the same touched values.
-    assert delta.may_intersect_bounds({"price": (130.0, 150.0)})
-    assert not delta.may_intersect_bounds({"price": (141.0, 150.0)})
-    assert not delta.may_intersect_bounds({"price": (110.0, 130.0)})
-    assert delta.may_intersect_sides([RangePredicate("price", 90.0, 110.0)])
-    assert not delta.may_intersect_sides(
-        [RangePredicate("price", 100.0, 140.0, include_lower=False, include_upper=False)]
+    # A dense region is a box of ranges, decided by the same test.
+    assert delta.may_match_query(SearchQuery.build(ranges={"price": (130.0, 150.0)}))
+    assert not delta.may_match_query(SearchQuery.build(ranges={"price": (141.0, 150.0)}))
+    assert not delta.may_match_query(SearchQuery.build(ranges={"price": (110.0, 130.0)}))
+    assert delta.may_match_query(SearchQuery((RangePredicate("price", 90.0, 110.0),)))
+    assert not delta.may_match_query(
+        SearchQuery((RangePredicate("price", 100.0, 140.0, False, False),))
     )
 
 
@@ -189,7 +188,7 @@ def test_empty_delta_is_inert():
     delta = CatalogDelta(namespace="ns")
     assert delta.is_empty
     assert not delta.may_match_query(SearchQuery.everything())
-    assert not delta.may_intersect_bounds({"price": (0.0, 1.0)})
+    assert not delta.may_match_query(SearchQuery.build(ranges={"price": (0.0, 1.0)}))
 
 
 def test_merge_shard_deltas_carries_parts():
@@ -393,13 +392,10 @@ def test_versions_that_each_satisfy_one_predicate_flag_nothing(
     assert cache.invalidate_delta("ns", delta) == 0
     assert cache.probe("ns", query, bluenile_db.system_k) is not None
 
-    box = HyperRectangle.from_bounds(crossed)
-    assert not delta.may_intersect_bounds(crossed)
-    assert not delta.may_intersect_sides(box.sides)
     index = DenseRegionIndex()
-    index.add_region(box, [])
+    index.add_region(query, [])
     assert index.invalidate_delta(delta) == 0
-    assert index.lookup(box) is not None
+    assert index.lookup(query) is not None
 
 
 # --------------------------------------------------------------------- #
@@ -407,7 +403,7 @@ def test_versions_that_each_satisfy_one_predicate_flag_nothing(
 # --------------------------------------------------------------------- #
 CLUSTER = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
 BY_RATIO = SingleAttributeRanking("length_width_ratio", ascending=True)
-ROUND = HyperRectangle.from_bounds({"length_width_ratio": (1.0, 1.0)})
+ROUND = SearchQuery.build(ranges={"length_width_ratio": (1.0, 1.0)})
 
 
 def _cluster_reranker(catalog, schema, cache):
@@ -450,7 +446,6 @@ def test_a_delta_retires_a_dense_box_with_its_entries_and_spares_the_rest(
     _cluster_page(reranker, database)
     box = reranker.dense_index.lookup(ROUND)
     assert box is not None
-    inside = box.to_query(SearchQuery.everything())
 
     # A repriced stone outside the box: the box and its entries serve on.
     elongated = SearchQuery.build(ranges={"length_width_ratio": (1.3, 3.0)})
@@ -463,7 +458,7 @@ def test_a_delta_retires_a_dense_box_with_its_entries_and_spares_the_rest(
 
     # A repriced stone inside it: the box goes, and so do its crawl's
     # entries, so crawling it again pays and reads the new version.
-    changed = dict(database.all_matches(inside)[0])
+    changed = dict(database.all_matches(box)[0])
     changed["price"] += 1.0
     summary = reranker.apply_delta(database.apply_delta(upserts=[changed]))
     assert summary["regions_retired"] >= 1 and reranker.dense_index.lookup(box) is None
@@ -473,7 +468,7 @@ def test_a_delta_retires_a_dense_box_with_its_entries_and_spares_the_rest(
     )
     assert engine.queries_issued() > 0
     assert sorted(map(dict, rows), key=lambda row: row["id"]) == sorted(
-        map(dict, database.all_matches(inside)), key=lambda row: row["id"]
+        map(dict, database.all_matches(box)), key=lambda row: row["id"]
     )
     assert changed in [dict(row) for row in rows]
     assert reranker.dense_index.lookup(box) == box
