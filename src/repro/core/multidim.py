@@ -27,9 +27,9 @@ The variants differ in how they work the list:
 * **MD-BINARY** — repeatedly halves boxes along their widest side, querying a
   whole batch of boxes in parallel each iteration.
 * **MD-RERANK** — MD-BINARY plus the on-the-fly dense-region index: boxes
-  that become dense while still overflowing are crawled once and
-  registered, and a dense box inside a registered one is read from the
-  result cache at zero queries by every future query.
+  that become dense while still overflowing are crawled once and stored as
+  region entries of the result cache, and a dense box inside one is read
+  from the cache at zero queries by every future query.
 """
 
 from __future__ import annotations
@@ -324,14 +324,15 @@ class MultiDimGetNext:
         return best
 
     def _resolve_dense_box(self, box: SearchQuery) -> None:
-        """A box is dense (or too deep).  MD-RERANK reads it from a
-        registered covering box, and crawls it without the user filters on a
-        miss; MD-BINARY crawls it with the filters and pays again next time."""
+        """A box is dense (or too deep).  MD-RERANK crawls it without the
+        user filters through :func:`~repro.core.dense_index.dense_rows`, at
+        zero queries inside a stored region entry; MD-BINARY crawls it with
+        the filters and pays again next time."""
         if self._dense_index is None:
             query = regions.to_query(box, self._base_query)
             rows = crawl_region(self._engine, self._statistics, query)
         else:
-            # Register the closed version of the box (half-open sides come
+            # Crawl the closed version of the box (half-open sides come
             # from binary splits): it is what persistence stores, so a
             # reloaded box covers what the crawl covered.
             closed_box = SearchQuery.build(ranges=regions.closed_bounds(box))

@@ -28,11 +28,11 @@ Variant-specific "find the next value":
   tuples crowd a tiny interval.
 * **1D-RERANK** — 1D-BINARY plus the on-the-fly dense-region index: an
   interval that has become dense while still overflowing is crawled once
-  and registered, and a dense interval inside a registered one is read from
-  the result cache at zero queries ever after.  When the user query has
-  filters beyond the ranking attribute, a dense interval is first asked
-  *with* them: if that one query covers its answer it settles the interval,
-  and only an overflow falls back to the filter-free crawl.
+  and stored as a region entry of the result cache, and a dense interval
+  inside one is read from the cache at zero queries ever after.  When the
+  user query has filters beyond the ranking attribute, a dense interval is
+  first asked *with* them: if that one query covers its answer it settles
+  the interval, and only an overflow falls back to the filter-free crawl.
 
 Every variant keeps a **verified prefix**: the oriented value up to which
 every matching tuple is already in the session cache.  An answer that
@@ -424,12 +424,11 @@ class OneDimGetNext:
     ) -> Optional[float]:
         """The candidate interval has become dense.
 
-        1D-RERANK reads it from a registered covering box
-        (:func:`~repro.core.dense_index.dense_rows`).  On a miss it asks
-        the interval with the user's filters first when there are any: they
-        may thin it below ``system_k``, and then one query settles it.
-        Otherwise (or when that query overflows) it crawls the interval once
-        without the filters, so the region is reusable, and registers it.
+        1D-RERANK reads it through :func:`~repro.core.dense_index.dense_rows`:
+        it asks the interval with the user's filters first when there are
+        any, since they may thin it below ``system_k``.  Otherwise (or when
+        that query overflows) it crawls the interval without the filters, so
+        the region is reusable: free inside a stored region entry.
         The other variants fall back to baseline narrowing
         inside the small interval, which is correct but pays the price on
         every request — exactly the behaviour gap the paper demonstrates.
@@ -465,9 +464,9 @@ class OneDimGetNext:
                 return fresh
         point = _Interval(oriented_value, oriented_value, True, True)
         group = self._closed(oriented_value, oriented_value)
-        # The point is asked with the filters first (after the dense index,
-        # if any): the group is crawled only when more than system-k tuples
-        # share the value (a general-positioning violation).
+        # The point is asked with the filters first: the group is crawled
+        # only when more than system-k tuples share the value (a
+        # general-positioning violation).
         if self._dense_index is not None:
             rows, answer = dense_rows(
                 self._engine, self._statistics, self._dense_index,
@@ -482,8 +481,8 @@ class OneDimGetNext:
                 rows = [row for row in crawled if self._base_query.matches(row)]
         if answer is not None:
             self._remember(answer.observed_rows)
-        # The group is complete: the asked answer proved it, or the index
-        # or a crawl produced it.
+        # The group is complete: the asked answer proved it, or a crawl
+        # produced it.
         self._prove(point, answer if answer is not None and answer.proves_query else None)
         self._remember(rows)
         fresh = [row for row in rows if not self._session.has_emitted(row[key_column])]

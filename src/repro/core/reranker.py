@@ -99,14 +99,11 @@ class QueryReranker:
     ) -> None:
         self._interface = interface
         config = config or RerankConfig()
-        #: The persistent region store, re-verified against the live source by
-        #: :meth:`verify_dense_cache`.
-        self._dense_cache = dense_cache
-        self._dense_index = DenseRegionIndex(dense_cache)
         self._result_cache = (
             result_cache if result_cache is not None else QueryResultCache()
         )
         self._cache_namespace = default_namespace(interface)
+        self._dense_index = DenseRegionIndex(self._result_cache, self._cache_namespace, dense_cache)
         # Federated sources: cache and feed keys stay above the shard layer.
         # The reranker only reads the interface it is given: guards and the
         # cache the shard parts are read from were fixed when it was built.
@@ -134,7 +131,7 @@ class QueryReranker:
 
     @property
     def dense_index(self) -> DenseRegionIndex:
-        """The shared on-the-fly dense-region index."""
+        """The shared dense-region index: a view of the result cache."""
         return self._dense_index
 
     @property
@@ -188,8 +185,8 @@ class QueryReranker:
         * result-cache entries whose query a touched tuple version matches
           are flushed; a federated entry keeps, as parts, the pages of the
           shards whose part of the change cannot match its query;
-        * dense regions whose box holds a touched version are
-          dropped (and any persistent dense-region cache rows behind them);
+          its region entries, the dense regions holding a touched version,
+          are counted first (and the dense-region store drops their boxes);
         * the change is logged after every cache is retired: before its
           next Get-Next a live stream drops every touched tuple from its
           session cache and, when its filter query could match a touched
@@ -221,10 +218,10 @@ class QueryReranker:
         if delta.is_empty:
             return summary
         facade_delta = delta.with_namespace(self._cache_namespace)
+        summary["regions_retired"] = self._dense_index.invalidate_delta(facade_delta)
         summary["cache_entries_retired"] = self._result_cache.invalidate_delta(
             self._cache_namespace, facade_delta
         )
-        summary["regions_retired"] = self._dense_index.invalidate_delta(facade_delta)
         self._changes.record(facade_delta)
         if self._feed_store is not None:
             summary["feeds_retired"] = self._feed_store.invalidate_delta(
@@ -391,19 +388,18 @@ class QueryReranker:
     # ------------------------------------------------------------------ #
     def verify_dense_cache(self) -> Dict[str, int]:
         """Boot-time verification of the persistent dense-region cache against
-        the live database (the paper refreshes the MySQL cache at start-up),
-        then a fresh index over the refreshed cache.
+        the live database (the paper refreshes the MySQL cache at start-up).
 
         Each stored region is re-crawled through a :class:`QueryEngine` over
-        a result cache of its own, so it reads only live answers.  A re-crawl
-        that received a degraded answer cannot verify its region, which is
-        dropped until a request crawls it again.  The live answers are then
-        stored in the shared result cache, where a request's crawl of a
-        verified region reads them at zero queries.  Returns
-        :meth:`~repro.sqlstore.dense_cache.DenseRegionCache.verify`'s
+        a result cache of its own, so it reads only live answers, into a region
+        entry there.  A re-crawl that received a degraded answer cannot verify
+        its region, which is dropped until a request crawls it again.  The
+        live answers and regions are then stored in the shared result cache,
+        where a request inside a verified region reads it at zero queries.
+        Returns :meth:`~repro.sqlstore.dense_cache.DenseRegionCache.verify`'s
         counters; a no-op when no persistent cache was given.
         """
-        cache = self._dense_cache
+        cache = self._dense_index.store
         if cache is None:
             return {"checked": 0, "refreshed": 0, "unchanged": 0}
         live = QueryResultCache()
@@ -412,13 +408,15 @@ class QueryReranker:
         since = self._result_cache.changes(self._cache_namespace).sequence
 
         def crawl(bounds) -> bool:
+            box = SearchQuery.build(ranges=bounds)
             degraded = engine.statistics.read("degraded_results")
-            crawler.crawl(SearchQuery.build(ranges=bounds))
-            return engine.statistics.read("degraded_results") == degraded
+            rows, _ = crawler.crawl(box)
+            if engine.statistics.read("degraded_results") != degraded:
+                return False
+            return live.store_region(self._cache_namespace, box, engine.system_k, rows)
 
         counters = cache.verify(crawl)
         self._result_cache.absorb(live, since)
-        self._dense_index = DenseRegionIndex(cache)
         return counters
 
 

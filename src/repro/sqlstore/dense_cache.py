@@ -7,10 +7,10 @@ web database when the service boots.  :class:`DenseRegionCache` reproduces
 that component on SQLite: it stores the *region descriptors* — which
 attribute or attribute set, which bounds — and no row.
 
-The in-memory registry of crawled boxes lives in
-:mod:`repro.core.dense_index`, and the rows a request reads are the result
-cache's entries; boot-time verification re-crawls each stored box into the
-result cache, so a restart reads live rows.  This module is only about
+In memory, a crawled box and its rows are one region entry of the
+query-result cache (see :mod:`repro.core.dense_index`); boot-time
+verification re-crawls each stored box into the result cache as a region
+entry again, so a restart reads live rows.  This module is only about
 durability.
 """
 

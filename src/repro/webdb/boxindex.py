@@ -77,11 +77,6 @@ class BoxIndex:
     def __len__(self) -> int:
         return len(self._where)
 
-    def __iter__(self) -> Iterator[object]:
-        """Every payload, group by group, each group in axis order."""
-        for group in self._groups.values():
-            yield from group.payloads
-
     def add(self, key: Hashable, box, payload: object) -> None:
         """Store ``box`` under ``key``, replacing what was stored there."""
         self.discard(key)

@@ -32,7 +32,8 @@ re-issuing queries the service has already paid for.
   abut on one attribute and agree on the rest are stored again as one
   *region entry* over their union (see :meth:`QueryResultCache._coalesce_locked`),
   so a descent's leaves reassemble the boxes it split, and containment
-  answers any query inside one.  A region is keyed apart from the site's
+  answers any query inside one; so is a crawled dense box
+  (:meth:`QueryResultCache.store_region`).  A region is keyed apart from the site's
   answer to the same box, so an exact hit still returns the site's page;
 * **LRU eviction** — bounded memory; freshness comes from catalog deltas
   (:meth:`QueryResultCache.invalidate_delta`), not from a timer;
@@ -77,7 +78,7 @@ from repro.webdb.boxindex import BoxIndex
 from repro.webdb.counters import Counters
 from repro.webdb.delta import CatalogDelta, ChangeLogs
 from repro.webdb.interface import Outcome, SearchResult, Settlement, TopKInterface
-from repro.webdb.query import RangePredicate, SearchQuery
+from repro.webdb.query import RangePredicate, Row, SearchQuery
 
 #: ``(namespace, system_k, canonical query key)`` — the full cache identity;
 #: a region's canonical key ends in :data:`_REGION`.
@@ -209,6 +210,12 @@ class QueryResultCache:
         payload["max_entries"] = self._max_entries
         return payload
 
+    def regions(self, namespace: str) -> List[SearchQuery]:
+        """The boxes of ``namespace``'s region entries."""
+        with self._lock:
+            return [entry.query for key, entry in self._entries.items()
+                    if len(key[2]) == 3 and key[0] == namespace]
+
     def register_domains(self, namespace: str, schema) -> None:
         """Let the answers of ``namespace``, an unsharded source with
         ``schema``, coalesce into regions (a no-op once registered)."""
@@ -299,6 +306,20 @@ class QueryResultCache:
         key = self.key_for(namespace, query, system_k)
         with self._lock:
             self._store_locked(key, query, result)
+
+    def store_region(
+        self, namespace: str, box: SearchQuery, system_k: int, rows: Sequence[Row],
+        since: Optional[int] = None,
+    ) -> bool:
+        """Store ``rows``, every tuple inside ``box``, as one region entry,
+        unless a delta logged since change sequence ``since`` could match
+        ``box``; returns whether it was stored."""
+        with self._lock:
+            if since is not None and not self._store_allowed_locked(namespace, box, since):
+                return False
+            key = (namespace, system_k, box.canonical_key() + (_REGION,))
+            self._store_locked(key, box, _answer(box, tuple(rows), system_k))
+        return True
 
     def absorb(self, other: "QueryResultCache", since: int) -> None:
         """Store every entry of ``other``, least recently used first, as a

@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from repro.config import RerankConfig
+from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.reranker import Algorithm, QueryReranker
@@ -28,6 +29,7 @@ from repro.dataset.housing import (
     housing_schema,
 )
 from repro.webdb import stack
+from repro.webdb.cache import QueryResultCache
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
 from repro.webdb.resilience import CircuitBreaker, RetryPolicy
@@ -159,6 +161,13 @@ def page_through(reranker, request, pages=2, page_size=5):
         return rows, stream.statistics.external_queries
     finally:
         stream.close()
+
+
+def dense_index_over(engine) -> DenseRegionIndex:
+    """The dense-region index a reranker builds over ``engine``'s result
+    cache and namespace; an uncached engine's regions go to a cache of their
+    own, stored and never read (every crawl pays, as it did)."""
+    return DenseRegionIndex(engine.result_cache or QueryResultCache(), engine.cache_namespace)
 
 
 def query_threads(before=()):

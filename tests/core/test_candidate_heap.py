@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import contour, regions
-from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.multidim import MultiDimGetNext
 from repro.core.normalization import MinMaxNormalizer
@@ -20,6 +19,7 @@ from repro.core.session import Session
 from repro.core.ta import ThresholdAlgorithmGetNext
 from repro.webdb.query import SearchQuery
 
+from tests.conftest import dense_index_over
 from tests.reference import reference_candidates
 
 # --------------------------------------------------------------------------- #
@@ -145,12 +145,13 @@ def _lead_50(bluenile_db, driver, counts):
     """Lead one filtered query 50 rows deep through ``driver``, adding the
     number of distinct tuples the session saw to ``counts``."""
     session = Session("guard")
+    engine = QueryEngine(bluenile_db, statistics=session.statistics)
     getnext = driver(
-        engine=QueryEngine(bluenile_db, statistics=session.statistics),
+        engine=engine,
         base_query=SearchQuery.build(ranges={"price": (500.0, 9000.0)}),
         ranking=_counting_ranking(bluenile_db.schema, counts),
         session=session,
-        dense_index=DenseRegionIndex(),
+        dense_index=dense_index_over(engine),
     )
     assert all(getnext.next() is not None for _ in range(50))
     counts["seen"] = session.seen_count()

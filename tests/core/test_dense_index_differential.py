@@ -1,16 +1,19 @@
-"""Randomized differential suite: the dense-region registry against a list.
+"""Randomized differential suite: the result cache's region entries against
+brute force.
 
-:class:`~repro.core.dense_index.DenseRegionIndex` keeps the boxes crawled
-whole in one :class:`~repro.webdb.boxindex.BoxIndex` per attribute
-signature.  Its reference here is the plainest registry there is: a list of
-the distinct boxes added, where a probe is covered when one box of the same
-signature contains it on every side, and a delta retires exactly the boxes
-one touched version lies inside.
+A crawled dense box is stored as one region entry of the query-result cache
+(:meth:`~repro.webdb.cache.QueryResultCache.store_region`), and the cache's
+probe answers every query inside one.  The reference here is the plainest
+there is: the list of the distinct boxes stored, where a probe is covered
+when one box contains it on every side the box constrains, its answer is a
+scan of the universe, and a delta retires exactly the boxes one touched
+version lies inside.
 
 The region generator deliberately produces overlapping, adjacent and nested
-regions, 1D and 2D, and the probes include half-open sides; the end-to-end
-cases check the pages :func:`~repro.core.dense_index.dense_rows` serves from
-the registry against the brute-force ranking.
+regions, 1D and 2D, and the probes include half-open sides and boxes of
+another signature; the end-to-end cases check the pages
+:func:`~repro.core.dense_index.dense_rows` serves from the cache against the
+brute-force ranking.
 """
 
 from __future__ import annotations
@@ -27,19 +30,24 @@ from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.regions import closed_bounds
 from repro.core.reranker import Algorithm, QueryReranker
+from repro.dataset.diamonds import diamond_schema
 from repro.sqlstore.dense_cache import DenseRegionCache
+from repro.webdb.cache import FetchStatus, QueryResultCache, default_namespace
+from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.delta import CatalogDelta
 from repro.webdb.query import RangePredicate, SearchQuery
+from repro.webdb.ranking import FeaturedScoreRanking
 from tests.conftest import assert_matches_ground_truth
 
 #: The diamond schema's domains, so the persisted rows are valid tuples.
 PRICE = (300.0, 60000.0)
 CARAT = (0.2, 5.0)
 SEEDS = [7, 41, 2018, 5, 613]
+NAMESPACE, K = "db", 10
 
 
 class ListRegistry:
-    """The brute-force registry: every distinct box added, scanned whole."""
+    """The brute-force record: every distinct box stored, scanned whole."""
 
     def __init__(self) -> None:
         self.boxes: List[SearchQuery] = []
@@ -49,17 +57,20 @@ class ListRegistry:
             self.boxes.append(box)
 
     def covering(self, probe: SearchQuery) -> List[SearchQuery]:
-        return [
-            box
-            for box in self.boxes
-            if set(box.constrained_attributes) == set(probe.constrained_attributes)
-            and all(box.range_on(side.attribute).contains(side) for side in probe.ranges)
-        ]
+        return [box for box in self.boxes if _contains(box, probe)]
 
     def retire(self, versions) -> int:
         reached = [box for box in self.boxes if any(box.matches(row) for row in versions)]
         self.boxes = [box for box in self.boxes if box not in reached]
         return len(reached)
+
+
+def _contains(box: SearchQuery, probe: SearchQuery) -> bool:
+    """Every side of ``box`` holds ``probe``'s side on its attribute."""
+    sides = {side.attribute: side for side in probe.ranges}
+    return all(
+        side.attribute in sides and side.contains(sides[side.attribute]) for side in box.ranges
+    )
 
 
 def _universe(rng: random.Random, size: int = 300) -> List[Dict[str, object]]:
@@ -135,8 +146,9 @@ def _random_side(rng: random.Random, attribute: str, lower: float, upper: float)
 
 
 def _random_probe(rng: random.Random, regions: List[SearchQuery]) -> SearchQuery:
-    """Half the probes are drawn inside a registered region, so the covered
-    path is exercised; the rest anywhere, with open sides now and then."""
+    """Half the probes are drawn inside a stored region, so the covered
+    path is exercised, a 1D region's now and then with a ``carat`` side
+    added; the rest anywhere, with open sides now and then."""
     if rng.random() < 0.5:
         box = rng.choice(regions)
         sides = []
@@ -144,6 +156,8 @@ def _random_probe(rng: random.Random, regions: List[SearchQuery]) -> SearchQuery
             lower = round(rng.uniform(side.lower, side.upper), 2)
             upper = round(rng.uniform(lower, side.upper), 2)
             sides.append(_random_side(rng, side.attribute, lower, upper))
+        if len(sides) == 1 and rng.random() < 0.3:
+            sides.append(_random_side(rng, "carat", *_random_interval(rng, CARAT)))
         return SearchQuery(tuple(sides))
     if rng.random() < 0.6:
         lower, upper = _random_interval(rng, PRICE)
@@ -153,60 +167,89 @@ def _random_probe(rng: random.Random, regions: List[SearchQuery]) -> SearchQuery
     )
 
 
-def _check_lookup(index: DenseRegionIndex, reference: ListRegistry, probe) -> bool:
-    """The index answers ``probe`` exactly when the list does, with one of
-    the list's covering boxes (a reloaded box may list its sides in another
-    order); returns whether it was covered."""
-    covering = [closed_bounds(box) for box in reference.covering(probe)]
-    found = index.lookup(probe)
-    if not covering:
-        assert found is None
+def _inside(universe, box: SearchQuery) -> List[Dict[str, object]]:
+    return [row for row in universe if box.matches(row)]
+
+
+def _check_probe(cache: QueryResultCache, reference: ListRegistry, universe, probe) -> bool:
+    """The cache answers ``probe`` exactly when a stored box contains it,
+    with exactly the universe's rows inside it; returns whether it did."""
+    probed = cache.probe(NAMESPACE, probe, K)
+    if not reference.covering(probe):
+        assert probed is None
         return False
-    assert found is not None and closed_bounds(found) in covering
+    answer, status = probed
+    assert status in (FetchStatus.CONTAINED, FetchStatus.HIT) and answer.proves_query
+    ids = [row["id"] for row in answer.observed_rows]
+    assert len(ids) == len(set(ids))
+    assert sorted(ids) == sorted(row["id"] for row in _inside(universe, probe))
     return True
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_differential_random_regions(seed):
-    rng = random.Random(seed)
-    regions = _random_regions(rng)
-    index, reference = DenseRegionIndex(), ListRegistry()
-    for box in regions:
-        index.add_region(box, [])
-        reference.add(box)
-    assert index.region_count() == len(reference.boxes)
+def _region_keys(cache: QueryResultCache) -> List[Tuple]:
+    return sorted(box.canonical_key() for box in cache.regions(NAMESPACE))
 
-    covered = sum(_check_lookup(index, reference, _random_probe(rng, regions)) for _ in range(300))
+
+def _distinct_keys(boxes: List[SearchQuery]) -> List[Tuple]:
+    return sorted({box.canonical_key() for box in boxes})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_probe_inside_a_stored_region_answers_with_the_oracles_rows(seed):
+    rng = random.Random(seed)
+    universe = _universe(rng)
+    regions = _random_regions(rng)
+    cache, reference = QueryResultCache(), ListRegistry()
+    for box in regions:
+        assert cache.store_region(NAMESPACE, box, K, _inside(universe, box))
+        reference.add(box)
+    assert _region_keys(cache) == _distinct_keys(reference.boxes)
+
+    probes = [_random_probe(rng, regions) for _ in range(300)]
+    covered = sum(_check_probe(cache, reference, universe, probe) for probe in probes)
     # The probe generator must exercise both paths.
     assert 20 < covered < 300
+    # A repeat is answered the same way, now as an exact hit.
+    for probe in probes[:50]:
+        _check_probe(cache, reference, universe, probe)
 
 
-def test_lookup_counters_match_reference():
-    rng = random.Random(99)
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_coalesced_regions_answer_only_the_oracles_rows(seed):
+    """In a namespace whose regions coalesce, a probe inside a stored box
+    still answers, and every answer the cache gives is the oracle's."""
+    rng = random.Random(seed)
+    universe = _universe(rng)
     regions = _random_regions(rng)
-    index, reference = DenseRegionIndex(), ListRegistry()
-    covered = 0
-    for step, box in enumerate(regions, start=1):
-        index.add_region(box, [])
+    cache, reference = QueryResultCache(), ListRegistry()
+    cache.register_domains(NAMESPACE, diamond_schema())
+    for box in regions:
+        cache.store_region(NAMESPACE, box, K, _inside(universe, box))
         reference.add(box)
-        covered += _check_lookup(index, reference, _random_probe(rng, regions))
-        description = index.describe()
-        # The counters equal a from-scratch count after every insert.
-        assert description["regions"] == len(reference.boxes)
-        assert description["regions"] == sum(description["per_signature"].values())
-        assert description["lookups"] == step and description["hits"] == covered
+    for _ in range(300):
+        probe = _random_probe(rng, regions)
+        probed = cache.probe(NAMESPACE, probe, K)
+        assert (probed is not None) or not reference.covering(probe)
+        if probed is not None:
+            answer, _ = probed
+            assert answer.proves_query
+            assert sorted(row["id"] for row in answer.observed_rows) == sorted(
+                row["id"] for row in _inside(universe, probe)
+            )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_delta_retirement_matches_reference(seed):
-    """A delta retires exactly the boxes one touched version lies inside,
-    counted as ``delta_retired``; the survivors answer as the list does."""
+    """A delta retires exactly the region entries one touched version lies
+    inside, counted by the index first (``delta_retired``); the survivors
+    answer as the list does, with the rows they were stored with."""
     rng = random.Random(seed)
     universe = _universe(rng)
     regions = _random_regions(rng)
-    index, reference = DenseRegionIndex(), ListRegistry()
+    cache, reference = QueryResultCache(), ListRegistry()
+    index = DenseRegionIndex(cache, NAMESPACE)
     for box in regions:
-        index.add_region(box, [row for row in universe if box.matches(row)])
+        index.add_region(box, _inside(universe, box), K)
         reference.add(box)
 
     retired = 0
@@ -214,15 +257,19 @@ def test_delta_retirement_matches_reference(seed):
         touched = rng.sample(universe, rng.randint(1, 3))
         # An update touches the old version and the new one.
         moved = [dict(row, price=round(rng.uniform(*PRICE), 2)) for row in touched[:1]]
-        delta = CatalogDelta.from_rows("db", "id", touched + moved, upserts=len(touched))
+        delta = CatalogDelta.from_rows(NAMESPACE, "id", touched + moved, upserts=len(touched))
         expected = reference.retire(touched + moved)
         assert index.invalidate_delta(delta) == expected
+        cache.invalidate_delta(NAMESPACE, delta)
         retired += expected
-        assert index.region_count() == len(reference.boxes)
+        assert _region_keys(cache) == _distinct_keys(reference.boxes)
         for _ in range(60):
-            _check_lookup(index, reference, _random_probe(rng, regions))
+            probe = _random_probe(rng, regions)
+            # The surviving regions still hold the rows they were stored with.
+            if reference.covering(probe):
+                _check_probe(cache, reference, universe, probe)
     assert index.describe()["delta_retired"] == retired
-    assert index.invalidate_delta(CatalogDelta.from_rows("db", "id", [])) == 0
+    assert index.invalidate_delta(CatalogDelta.from_rows(NAMESPACE, "id", [])) == 0
 
 
 def _full_row(i: int, price: float, carat: float) -> Dict[str, object]:
@@ -242,71 +289,95 @@ def _full_row(i: int, price: float, carat: float) -> Dict[str, object]:
 
 @pytest.mark.parametrize("seed", [4, 19, 77])
 def test_persistence_roundtrip_preserves_answers(diamond_schema_fixture, tmp_path, seed):
-    """The regions persisted beside their rows reload into an index that
-    answers every probe as the one that stored them; a region a delta
-    retired before the restart stays retired."""
+    """The boxes persisted by one reranker come back, verified, as region
+    entries of a restarted one: a probe inside a surviving box is answered
+    at zero queries with the live rows, and a box a delta retired before the
+    restart stays out of the store."""
     rng = random.Random(seed)
     universe = [
         _full_row(i, round(rng.uniform(*PRICE), 2), round(rng.uniform(*CARAT), 2))
         for i in range(120)
     ]
+    database = HiddenWebDatabase(
+        universe, diamond_schema_fixture, FeaturedScoreRanking("price"), system_k=K
+    )
     regions = _random_regions(rng)
     path = str(tmp_path / "dense.sqlite")
-    cache = DenseRegionCache(diamond_schema_fixture, path=path)
-    first, reference = DenseRegionIndex(cache), ListRegistry()
+    store = DenseRegionCache(diamond_schema_fixture, path=path)
+    first, reference = QueryReranker(database, dense_cache=store), ListRegistry()
     for box in regions:
-        first.add_region(box, [row for row in universe if box.matches(row)])
+        first.dense_index.add_region(box, database.all_matches(box), K)
         reference.add(box)
-    touched = rng.sample(universe, 2)
-    reference.retire(touched)
-    first.invalidate_delta(CatalogDelta.from_rows("db", "id", touched, upserts=2))
-    probes = [_random_probe(rng, regions) for _ in range(150)]
-    before = [first.lookup(probe) for probe in probes]
-    cache.close()
+    touched = dict(rng.choice(universe))
+    touched["price"] = round(rng.uniform(*PRICE), 2)
+    delta = database.apply_delta(upserts=[touched])
+    regions_before = list(reference.boxes)
+    reference.retire(delta.versions)
+    assert first.apply_delta(delta)["regions_retired"] == len(regions_before) - len(
+        reference.boxes
+    )
+    namespace = default_namespace(database)
+    assert sorted(b.canonical_key() for b in first.result_cache.regions(namespace)) == (
+        _distinct_keys(reference.boxes)
+    )
+    kept = [closed_bounds(box) for box in reference.boxes]
+    assert all(stored.bounds in kept for stored in store.regions())
+    store.close()
 
     reopened = DenseRegionCache(diamond_schema_fixture, path=path)
-    second = DenseRegionIndex(reopened)
-    assert second.region_count() == first.region_count() == len(reference.boxes)
-    assert [second.lookup(probe) is not None for probe in probes] == [
-        found is not None for found in before
-    ]
-    for probe in probes:
-        _check_lookup(second, reference, probe)
-    for stored in reopened.regions():
-        assert stored.bounds in [closed_bounds(registered) for registered in reference.boxes]
+    second = QueryReranker(database, dense_cache=reopened)
+    assert second.dense_index.region_count() == 0
+    counters = second.verify_dense_cache()
+    assert counters["checked"] == counters["unchanged"] == len(reopened.regions())
+    live = database.all_matches(SearchQuery.everything())
+    for _ in range(150):
+        probe = _random_probe(rng, regions)
+        if not reference.covering(probe):
+            continue
+        probed = second.result_cache.probe(namespace, probe, K)
+        assert probed is not None
+        answer, _ = probed
+        assert sorted(row["id"] for row in answer.observed_rows) == sorted(
+            row["id"] for row in _inside(live, probe)
+        )
     reopened.close()
 
 
-def test_concurrent_registration_matches_reference():
-    """Threads registering and looking up at once leave the registry the
-    list of every distinct box, with every lookup counted."""
+def test_concurrent_stores_lose_no_region():
+    """Four threads storing regions and probing at once leave the cache one
+    region entry per distinct box, each answering as the list does."""
     rng = random.Random(3)
+    universe = _universe(rng)
     regions = _random_regions(rng)
     probes = [_random_probe(rng, regions) for _ in range(50)]
-    index, reference = DenseRegionIndex(), ListRegistry()
+    cache, reference = QueryResultCache(), ListRegistry()
+    index = DenseRegionIndex(cache, NAMESPACE)
     for box in regions:
         reference.add(box)
     barrier = threading.Barrier(4)
+    errors: List[BaseException] = []
 
     def work(offset: int) -> None:
         barrier.wait()
-        for position in range(offset, len(regions), 2):
-            index.add_region(regions[position], [])
-            for probe in probes[position % 5 :: 5]:
-                found = index.lookup(probe)
-                assert found is None or found in reference.covering(probe)
+        try:
+            for position in range(offset, len(regions), 2):
+                index.add_region(regions[position], _inside(universe, regions[position]), K)
+                for probe in probes[position % 5 :: 5]:
+                    probed = cache.probe(NAMESPACE, probe, K)
+                    assert probed is None or reference.covering(probe)
+        except BaseException as error:  # noqa: BLE001 - reported by the main thread
+            errors.append(error)
 
     threads = [threading.Thread(target=work, args=(offset % 2,)) for offset in range(4)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
+    assert errors == []
+    assert _region_keys(cache) == _distinct_keys(reference.boxes)
     assert index.region_count() == len(reference.boxes)
     for probe in probes:
-        _check_lookup(index, reference, probe)
-    assert index.describe()["lookups"] == sum(
-        len(probes[position % 5 :: 5]) for position in range(len(regions))
-    ) * 2 + len(probes)
+        _check_probe(cache, reference, universe, probe)
 
 
 def _random_windows(rng: random.Random, count: int = 5) -> List[Tuple[float, float]]:
@@ -321,9 +392,9 @@ def _random_windows(rng: random.Random, count: int = 5) -> List[Tuple[float, flo
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_region_heavy_rerank_matches_the_oracle_end_to_end(bluenile_db, monkeypatch, seed):
     """1D-RERANK over random windows around the cluster, with an eager
-    density threshold so the shared registry holds overlapping regions
-    (feed off: repeats must reach the registry, not a replay).  Every page
-    equals the brute-force ranking, and the repeats cost nothing."""
+    density threshold so the shared cache holds overlapping regions (feed
+    off: repeats must reach the cache, not a replay).  Every page equals the
+    brute-force ranking, and the repeats cost nothing."""
     ranking = SingleAttributeRanking("length_width_ratio", ascending=True)
     windows = _random_windows(random.Random(seed))
     monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.02)
@@ -347,7 +418,7 @@ def test_md_region_heavy_rerank_matches_the_oracle_end_to_end(bluenile_db, monke
     """MD-RERANK over random price filters, ranking by price and
     ``length_width_ratio`` with an eager density threshold: every page
     equals the brute-force ranking, a repeat reads its crawled boxes from
-    the registry and costs nothing."""
+    the cache's region entries and costs nothing."""
     rng = random.Random(seed)
     monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.05)
     weights = {"price": 1.0, "length_width_ratio": 1.0}

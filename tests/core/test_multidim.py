@@ -12,12 +12,12 @@ from repro.core.parallel import QueryEngine
 from repro.core.session import Session
 from repro.dataset.diamonds import diamond_schema, generate_diamond_catalog
 from repro.exceptions import RankingFunctionError
-from repro.webdb.cache import QueryResultCache
+from repro.webdb.cache import QueryResultCache, default_namespace
 from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
 
-from tests.conftest import SMALL_DIAMONDS, assert_matches_ground_truth
+from tests.conftest import SMALL_DIAMONDS, assert_matches_ground_truth, dense_index_over
 
 VARIANTS = [Variant.BASELINE, Variant.BINARY, Variant.RERANK]
 
@@ -39,9 +39,7 @@ def run_md(
         ranking=ranking,
         session=session,
         variant=variant,
-        dense_index=dense_index
-        if dense_index is not None
-        else DenseRegionIndex(),
+        dense_index=dense_index if dense_index is not None else dense_index_over(engine),
     )
     rows = []
     for _ in range(depth):
@@ -208,8 +206,8 @@ class TestBehaviour:
         first request; the second one, sharing the index and the result
         cache, reads them at zero queries."""
         monkeypatch.setattr("repro.core.dense_index.DENSE_RATIO_THRESHOLD", 0.05)
-        index = DenseRegionIndex()
         cache = QueryResultCache()
+        index = DenseRegionIndex(cache, default_namespace(bluenile_db))
         ranking = make_ranking(
             bluenile_db.schema, {"price": 1.0, "length_width_ratio": 1.0}
         )

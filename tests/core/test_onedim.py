@@ -16,9 +16,10 @@ from repro.core.onedim import OneDimGetNext
 from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm, QueryReranker
 from repro.core.session import Session
+from repro.webdb.cache import QueryResultCache
 from repro.webdb.query import SearchQuery
 
-from tests.conftest import assert_matches_ground_truth
+from tests.conftest import assert_matches_ground_truth, dense_index_over
 
 VARIANTS = [Variant.BASELINE, Variant.BINARY, Variant.RERANK]
 
@@ -43,9 +44,7 @@ def run_onedim(
         ranking=SingleAttributeRanking(attribute, ascending=ascending),
         session=session,
         variant=variant,
-        dense_index=dense_index
-        if dense_index is not None
-        else DenseRegionIndex(),
+        dense_index=dense_index if dense_index is not None else dense_index_over(engine),
     )
     rows = []
     for _ in range(depth):
@@ -136,7 +135,7 @@ class TestAlgorithmBehaviour:
         assert binary_engine.queries_issued() <= baseline_engine.queries_issued()
 
     def test_rerank_indexes_dense_value_group(self, bluenile_db):
-        index = DenseRegionIndex()
+        index = DenseRegionIndex(QueryResultCache(), "private")
         query = SearchQuery.build(ranges={"length_width_ratio": (0.99, 1.2)})
         depth = bluenile_db.system_k + 5
         _, _, session = run_onedim(
@@ -199,7 +198,7 @@ class TestAlgorithmBehaviour:
             OneDimGetNext(engine, SearchQuery.everything(), ranking, Session("x"))
         getnext = OneDimGetNext(
             engine, SearchQuery.everything(), ranking, Session("x"),
-            dense_index=DenseRegionIndex(),
+            dense_index=dense_index_over(engine),
         )
         assert getnext.variant is Variant.RERANK
         first = getnext.next()

@@ -173,12 +173,12 @@ class TestShardScopedDelta:
         price = row["price"]
         everything = reranker.federation.all_matches(EVERYTHING)
         inside = [r for r in everything if price - 1.0 <= r["price"] <= price + 1.0]
-        index = reranker.dense_index
-        index.add_interval("price", price - 1.0, price + 1.0, inside)
+        index, k = reranker.dense_index, reranker.interface.system_k
+        index.add_interval("price", price - 1.0, price + 1.0, inside, k)
         # A region on the other side of the domain, clear of the row.
         far = (low, price - 2.0) if price - low > high - price else (price + 2.0, high)
         index.add_interval(
-            "price", *far, [r for r in everything if far[0] <= r["price"] <= far[1]]
+            "price", *far, [r for r in everything if far[0] <= r["price"] <= far[1]], k
         )
         assert index.region_count() == 2
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import RerankConfig
-from repro.core.dense_index import DenseRegionIndex, dense_rows
+from repro.core.dense_index import dense_rows
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.getnext import GetNextStream
 from repro.core.normalization import MinMaxNormalizer
@@ -18,7 +18,7 @@ from repro.webdb.database import HiddenWebDatabase
 from repro.webdb.query import SearchQuery
 from repro.webdb.ranking import FeaturedScoreRanking
 
-from tests.conftest import assert_matches_ground_truth
+from tests.conftest import assert_matches_ground_truth, dense_index_over
 
 
 def make_ranking(schema, weights):
@@ -33,7 +33,7 @@ class TestThresholdAlgorithm:
         engine = QueryEngine(database, statistics=session.statistics)
         getnext = ThresholdAlgorithmGetNext(
             engine=engine, base_query=query, ranking=ranking, session=session,
-            dense_index=DenseRegionIndex(),
+            dense_index=dense_index_over(engine),
         )
         rows = []
         for _ in range(depth):
@@ -84,7 +84,7 @@ class TestThresholdAlgorithm:
                 base_query=SearchQuery.everything(),
                 ranking=LinearRankingFunction({"price": 1.0}),
                 session=Session("x"),
-                dense_index=DenseRegionIndex(),
+                dense_index=dense_index_over(QueryEngine(bluenile_db)),
             )
 
     def test_variant_name(self, bluenile_db):
@@ -94,7 +94,7 @@ class TestThresholdAlgorithm:
             base_query=SearchQuery.everything(),
             ranking=ranking,
             session=Session("x"),
-            dense_index=DenseRegionIndex(),
+            dense_index=dense_index_over(QueryEngine(bluenile_db)),
         )
         assert getnext.variant == "ta"
 
@@ -339,7 +339,7 @@ class TestQueryReranker:
         reranker = QueryReranker(database, dense_cache=cache)
         counters = reranker.verify_dense_cache()
         assert counters["checked"] == counters["unchanged"] == len(cache.regions()) >= 1
-        assert reranker.dense_index.cache is cache
+        assert reranker.dense_index.store is cache
         assert reranker.dense_index.region_count() >= 1
         # The verified region is read from the result cache at zero queries.
         box = SearchQuery.build(ranges=stored.bounds)

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.dense_index import DenseRegionIndex
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.getnext import Variant
 from repro.core.normalization import MinMaxNormalizer
@@ -27,6 +26,7 @@ from repro.webdb.delta import CatalogDelta, ChangeLog, ChangeLogs
 from repro.webdb.interface import Outcome
 from repro.webdb.query import SearchQuery
 
+from tests.conftest import dense_index_over
 from tests.workloads.paper_currency import environment, read_table
 
 
@@ -44,7 +44,7 @@ def _onedim(database, query, degraded=False):
         ranking=SingleAttributeRanking("price", ascending=True),
         session=session,
         variant=Variant.RERANK,
-        dense_index=DenseRegionIndex(),
+        dense_index=dense_index_over(engine),
     )
     return stream, engine
 

@@ -62,7 +62,8 @@ def test_covering_yields_every_containing_box(operations, data):
             index.discard(key)
             stored.pop(key, None)
     assert len(index) == len(stored)
-    assert sorted(index) == sorted(stored)
+    # Every stored box is found by a walk for itself: the index holds them all.
+    assert all(key in set(index.covering(box)) for key, box in stored.items())
     probes = [
         data.draw(_boxes(data.draw(st.sampled_from(list(stored.values()))) if stored else None))
         for _ in range(8)

@@ -6,10 +6,12 @@ from dataclasses import replace
 import pytest
 
 from repro.config import DatabaseConfig
+from repro.core import dense_index
 from repro.core.functions import LinearRankingFunction, SingleAttributeRanking
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.parallel import QueryEngine
 from repro.core.reranker import Algorithm, QueryReranker
+from repro.crawl.crawler import HiddenDatabaseCrawler
 from repro.dataset.diamonds import DEPTH_BOUNDS, DiamondCatalogConfig, generate_diamond_catalog
 from repro.exceptions import SourceUnavailableError
 from repro.sqlstore.dense_cache import DenseRegionCache
@@ -522,7 +524,8 @@ class TestHealThenReread:
     ):
         """Verification reads live answers only, even on a running reranker
         whose result cache holds the region's crawl: with shard 1 down the
-        region cannot be verified, so it is dropped, not kept unchanged."""
+        region cannot be verified, so it is dropped from the store, not kept
+        unchanged.  The live crawl's region entry stays: no delta reached it."""
         query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
         ranking = rankings(diamond_schema_fixture)["1d-price"]
         federation = make_federation(
@@ -540,8 +543,44 @@ class TestHealThenReread:
         counters = reranker.verify_dense_cache()
         assert counters == {"checked": 1, "refreshed": 1, "unchanged": 0}
         assert federation.resilience_snapshot()["failed_attempts"] > asked
-        assert dense.regions() == [] and reranker.dense_index.region_count() == 0
+        assert dense.regions() == [] and reranker.dense_index.region_count() == 1
         dense.close()
+
+    def test_a_region_stored_for_a_degraded_crawl_is_caught(
+        self, large_catalog, diamond_schema_fixture, monkeypatch
+    ):
+        """The seeded mutation this class exists to catch: a dense crawl
+        that does not see its degraded answers stores the live shards' rows
+        as a region entry, and the reread after the heal serves them."""
+
+        class Blind(HiddenDatabaseCrawler):
+            def crawl(self, query):
+                statistics = self._engine.statistics
+                before = statistics.read("degraded_results")
+                found = super().crawl(query)
+                statistics.add(degraded_results=before - statistics.read("degraded_results"))
+                return found
+
+        monkeypatch.setattr(dense_index, "HiddenDatabaseCrawler", Blind)
+        clock = FakeClock()
+        federation = make_federation(
+            large_catalog,
+            diamond_schema_fixture,
+            fault_plan=FaultPlan(seed=31, transient_rate=0.0001),
+            clock=clock,
+        )
+        reranker = QueryReranker(federation, result_cache=QueryResultCache())
+        query = SearchQuery.build(ranges={"price": (300.0, 1500.0)})
+        ranking = rankings(diamond_schema_fixture)["1d-price"]
+        kill_shard(federation, 1)
+        reranker.rerank(query, ranking, Algorithm.RERANK, budget=QueryBudget(500)).top(5)
+        assert reranker.dense_index.region_count() > 0
+
+        for injector in federation.fault_injectors():
+            injector.deactivate()
+        clock.now += CircuitBreaker().recovery_seconds + 1.0
+        reread = [row["id"] for row in reranker.rerank(query, ranking, Algorithm.RERANK).top(10)]
+        assert reread != ranked(ranking, federation.all_matches(query))[:10]
 
 
 class TestDeadShardEndsTheRequest:
